@@ -395,6 +395,15 @@ func (b *Browser) emit(ev obs.Event) {
 	b.Rec.Event(ev)
 }
 
+// emitConn emits a per-connection event whose detail is the address.
+// The address is formatted only for a recorder: every fresh connection
+// of an uninstrumented run would otherwise build a string to drop it.
+func (b *Browser) emitConn(kind, host string, ip netip.Addr) {
+	if b.Rec != nil {
+		b.emit(obs.Event{Kind: kind, Host: host, Detail: ip.String()})
+	}
+}
+
 // markUsed stamps a use on the connection for LRU ordering, and counts
 // the first request to ride a speculative socket (converting it from a
 // wasted pre-connect to a used one).
@@ -695,7 +704,7 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 			}
 			out.FailedConnect = true
 			b.TotalConnFail++
-			b.emit(obs.Event{Kind: obs.KindConnectFail, Host: host, Detail: ip.String()})
+			b.emitConn(obs.KindConnectFail, host, ip)
 		}
 		if !connected {
 			out.Err = connErr
@@ -760,9 +769,9 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 		wire := proto.Wire()
 		if out.ResumedTLS = b.Cache.RedeemTicketProto(host, wire); out.ResumedTLS {
 			b.TotalResumed++
-			b.emit(obs.Event{Kind: obs.KindTLSResume, Host: host, Detail: ip.String()})
+			b.emitConn(obs.KindTLSResume, host, ip)
 		} else {
-			b.emit(obs.Event{Kind: handshakeKind(proto), Host: host, Detail: ip.String()})
+			b.emitConn(handshakeKind(proto), host, ip)
 			if out.CertMemoHit = b.Cache.ValidateChain("", c.SANs); out.CertMemoHit {
 				b.TotalCertMemoHits++
 				b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
@@ -781,13 +790,13 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 			}
 			if out.ZeroRTT = out.ResumedTLS && out.AddrTokenHit; out.ZeroRTT {
 				b.TotalZeroRTT++
-				b.emit(obs.Event{Kind: obs.KindZeroRTT, Host: host, Detail: ip.String()})
+				b.emitConn(obs.KindZeroRTT, host, ip)
 			}
 			b.Cache.StoreToken(c.SANs, wire)
 		}
 	} else {
 		b.TotalValidations++
-		b.emit(obs.Event{Kind: handshakeKind(proto), Host: host, Detail: ip.String()})
+		b.emitConn(handshakeKind(proto), host, ip)
 	}
 	if len(c.Origins) > 0 {
 		b.emit(obs.Event{Kind: obs.KindOriginFrame, Host: host, N: len(c.Origins)})
@@ -821,7 +830,7 @@ func (b *Browser) Preconnect(env Environment, host string) bool {
 		// simply abandoned.
 		if cf.ConnectFail(host, ip) != nil {
 			b.TotalConnFail++
-			b.emit(obs.Event{Kind: obs.KindConnectFail, Host: host, Detail: ip.String()})
+			b.emitConn(obs.KindConnectFail, host, ip)
 			return false
 		}
 	}

@@ -304,3 +304,21 @@ func TestEmptyDNSAnswer(t *testing.T) {
 		t.Errorf("request succeeded without DNS: %+v", out)
 	}
 }
+
+// Without a recorder a fresh connection allocates only what the pool
+// keeps — the Conn, its address list, its origin map and the pool slot
+// — and nothing for events nobody records (the handshake event's
+// detail is the formatted address: one string per connection).
+func TestFreshConnectionAllocsWithoutRecorder(t *testing.T) {
+	env := twoHostEnv()
+	b := New(PolicyFirefox)
+	got := testing.AllocsPerRun(200, func() {
+		b.Reset()
+		if out := b.Request(env, "www.example.com"); !out.NewConnection {
+			t.Fatal("request after Reset did not connect")
+		}
+	})
+	if got > 4 {
+		t.Fatalf("fresh connection with a nil recorder: %.0f allocs, want ≤ 4", got)
+	}
+}

@@ -1,0 +1,198 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// scanStore is the linear-scan store the indexed coverStore replaced,
+// kept as its differential oracle: every redeem walks all grants
+// oldest-first, drops the expired ones and takes the first that covers
+// the host.
+type scanStore struct {
+	lifetimeMs int64
+	consume    bool
+	grants     []scanGrant
+
+	issued, hits, misses, expired int64
+}
+
+type scanGrant struct {
+	sans      []string
+	expiresMs int64
+	proto     int
+}
+
+func (s *scanStore) store(sans []string, proto int, nowMs int64) {
+	if len(sans) == 0 {
+		return
+	}
+	s.issued++
+	s.grants = append(s.grants, scanGrant{sans, nowMs + s.lifetimeMs, proto})
+}
+
+func (s *scanStore) redeem(host string, proto int, nowMs int64) bool {
+	kept := s.grants[:0]
+	hit := false
+	for _, g := range s.grants {
+		if nowMs >= g.expiresMs {
+			s.expired++
+			continue
+		}
+		if !hit && g.proto == proto && sansCover(g.sans, host) {
+			hit = true
+			if s.consume {
+				continue
+			}
+		}
+		kept = append(kept, g)
+	}
+	s.grants = kept
+	if hit {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return hit
+}
+
+// sansCover reports whether a certificate SAN list covers host,
+// honoring single-label wildcards.
+func sansCover(sans []string, host string) bool {
+	for _, san := range sans {
+		if san == host {
+			return true
+		}
+		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
+			suffix := san[1:] // ".example.com"
+			if len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix {
+				label := host[:len(host)-len(suffix)]
+				dotted := false
+				for i := 0; i < len(label); i++ {
+					dotted = dotted || label[i] == '.'
+				}
+				if !dotted {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// The schedule vocabulary: certificates with exact, wildcard,
+// overlapping, duplicated and degenerate SANs, and hosts that hit each
+// matching rule and each of its edges (multi-label prefix, empty
+// label, the bare suffix, a literal wildcard name).
+var (
+	scheduleCerts = [][]string{
+		{"a.example"},
+		{"a.example", "b.example"},
+		{"*.example"},
+		{"*.example", "a.example"},
+		{"b.example", "*.b.example"},
+		{"c.other", "*.example"},
+		{"x.b.example"},
+		{"a.example", "a.example"},
+		{"*.", "a."},
+		{"*.other", "*.b.example", "example"},
+	}
+	scheduleHosts = []string{
+		"a.example", "b.example", "c.example", "x.b.example", "y.x.b.example",
+		"c.other", "example", ".example", "*.example", "*.b.example", "a.", "nowhere",
+	}
+	// Steps that sum to the lifetimes (whole seconds), so grants die
+	// exactly at, one before and one after a redeem's nowMs.
+	scheduleAdvances = []int64{1, 1, 7, 499, 500, 999, 1000, 1001, 1999, 2000}
+)
+
+// runSchedule drives a Cache and two oracles (tickets, tokens) through
+// the schedule encoded in data and fails on the first observable
+// difference. data[0] bit 0 selects single-use tickets and bit 1 the
+// lifetimes: 1 s and 2 s, under which the stores stay within
+// scanWindow, or 60 s and 120 s, under which they outgrow it and most
+// grants are indexed. Each following byte pair is one step: the first
+// byte picks the operation (3 in 8 store, 4 in 8 redeem, 1 in 8 advance
+// the clock), the second its operand and wire protocol.
+func runSchedule(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	singleUse := data[0]&1 == 1
+	life := 1 // seconds
+	if data[0]&2 != 0 {
+		life = 60
+	}
+	c := New(Options{TicketLifetimeSeconds: life, TokenLifetimeSeconds: 2 * life, SingleUseTickets: singleUse})
+	tickets := &scanStore{lifetimeMs: int64(life) * 1000, consume: singleUse}
+	tokens := &scanStore{lifetimeMs: int64(life) * 2000}
+	for i := 1; i+1 < len(data); i += 2 {
+		op, arg := data[i]%8, int(data[i+1])
+		now := c.Clock().NowMs()
+		switch {
+		case op < 3:
+			sans := scheduleCerts[arg%len(scheduleCerts)]
+			proto := ProtoWireH1 + arg/len(scheduleCerts)%3
+			c.StoreTicketProto(sans, proto)
+			c.StoreToken(sans, proto)
+			tickets.store(sans, proto, now)
+			tokens.store(sans, proto, now)
+		case op < 7:
+			host := scheduleHosts[arg%len(scheduleHosts)]
+			proto := ProtoWireH1 + arg/len(scheduleHosts)%3
+			if got, want := c.RedeemTicketProto(host, proto), tickets.redeem(host, proto, now); got != want {
+				t.Fatalf("step %d at %d ms: ticket redeem(%q, proto %d) = %v, oracle %v", i/2, now, host, proto, got, want)
+			}
+			if got, want := c.RedeemToken(host, proto), tokens.redeem(host, proto, now); got != want {
+				t.Fatalf("step %d at %d ms: token redeem(%q, proto %d) = %v, oracle %v", i/2, now, host, proto, got, want)
+			}
+		default:
+			c.Clock().AdvanceMs(scheduleAdvances[arg%len(scheduleAdvances)])
+		}
+		if got, want := c.Tickets.Len(), len(tickets.grants); got != want {
+			t.Fatalf("step %d: %d live tickets, oracle %d", i/2, got, want)
+		}
+		if got, want := c.Tokens.Len(), len(tokens.grants); got != want {
+			t.Fatalf("step %d: %d live tokens, oracle %d", i/2, got, want)
+		}
+	}
+	got := c.Stats()
+	want := Stats{
+		TicketsIssued: tickets.issued, TicketHits: tickets.hits, TicketMisses: tickets.misses, TicketsExpired: tickets.expired,
+		TokensIssued: tokens.issued, TokenHits: tokens.hits, TokenMisses: tokens.misses, TokensExpired: tokens.expired,
+	}
+	if got != want {
+		t.Fatalf("final stats\n got  %+v\n want %+v", got, want)
+	}
+}
+
+func randomSchedule(rng *rand.Rand, steps int) []byte {
+	data := make([]byte, 1+2*steps)
+	rng.Read(data)
+	return data
+}
+
+// The indexed store is observably the linear scan: same hit sequence,
+// same Len after every step, same final Stats, on seeded random
+// schedules of both ticket modes and both lifetimes.
+func TestCoverageStoreMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 400; n++ {
+		runSchedule(t, randomSchedule(rng, 300))
+	}
+	// Long schedules grow and drain the queues many times over.
+	for mode := byte(0); mode < 4; mode++ {
+		data := randomSchedule(rng, 20_000)
+		data[0] = mode
+		runSchedule(t, data)
+	}
+}
+
+func FuzzCoverageStore(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 0; n < 8; n++ {
+		f.Add(randomSchedule(rng, 64))
+	}
+	f.Fuzz(runSchedule)
+}

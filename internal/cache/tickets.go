@@ -1,29 +1,13 @@
 package cache
 
-import "sync"
-
 // TicketStore models TLS session-ticket resumption keyed by certificate
 // coverage: a ticket is redeemable for any hostname the issuing
 // connection's certificate covers, enabling resumption across hostnames
 // (arXiv:1902.02531) exactly as coalescing reuses a connection across
 // hostnames. Tickets expire after the configured lifetime and can be
-// single-use; redemption scans tickets oldest-first, so the order of
-// issuance fully determines which ticket serves a host and two runs
-// with the same visit schedule redeem identically.
-type TicketStore struct {
-	mu         sync.Mutex
-	lifetimeMs int64 // 0 disables the store
-	singleUse  bool
-	tickets    []ticket
-
-	issued, hits, misses, expiredN int64
-}
-
-type ticket struct {
-	sans      []string
-	expiresMs int64
-	proto     int // wire protocol the ticket was minted under
-}
+// single-use; redemption takes the oldest live covering ticket (see
+// coverStore).
+type TicketStore struct{ s coverStore }
 
 // Wire protocol keys for protocol-versioned warm state. A TLS session
 // ticket (or an address-validation token) carries the protocol version
@@ -39,12 +23,12 @@ const (
 )
 
 func newTicketStore(lifetimeMs int64, singleUse bool) *TicketStore {
-	return &TicketStore{lifetimeMs: lifetimeMs, singleUse: singleUse}
+	return &TicketStore{coverStore{lifetimeMs: lifetimeMs, consume: singleUse}}
 }
 
 // Enabled reports whether tickets are issued at all (a zero lifetime
 // disables resumption entirely).
-func (t *TicketStore) Enabled() bool { return t.lifetimeMs > 0 }
+func (t *TicketStore) Enabled() bool { return t.s.enabled() }
 
 // Store issues a session ticket under the legacy h2 protocol key.
 //
@@ -56,19 +40,9 @@ func (t *TicketStore) Store(sans []string, nowMs int64) {
 // StoreProto issues a session ticket for a connection whose certificate
 // carries the given SANs, keyed by the wire protocol that minted it.
 // Full and resumed handshakes both issue fresh tickets (the TLS 1.3
-// NewSessionTicket flow).
+// NewSessionTicket flow). sans is retained and must not be modified.
 func (t *TicketStore) StoreProto(sans []string, proto int, nowMs int64) {
-	if !t.Enabled() || len(sans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.issued++
-	t.tickets = append(t.tickets, ticket{
-		sans:      append([]string(nil), sans...),
-		expiresMs: nowMs + t.lifetimeMs,
-		proto:     proto,
-	})
+	t.s.store(sans, proto, nowMs)
 }
 
 // Redeem attempts resumption under the legacy h2 protocol key.
@@ -83,81 +57,16 @@ func (t *TicketStore) Redeem(host string, nowMs int64) bool {
 // coverage includes host, reporting whether a resumption handshake is
 // possible. Tickets minted under a different protocol never match —
 // the TLS session state of an h2 connection cannot resume an h3
-// session. Expired tickets encountered during the scan are dropped.
-// A ticket expiring exactly at nowMs is dead.
+// session. Expired tickets are dropped first; a ticket expiring exactly
+// at nowMs is dead.
 func (t *TicketStore) RedeemProto(host string, proto int, nowMs int64) bool {
-	if !t.Enabled() {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.tickets[:0]
-	hit := false
-	for _, tk := range t.tickets {
-		if nowMs >= tk.expiresMs {
-			t.expiredN++
-			continue
-		}
-		if !hit && tk.proto == proto && SANsCover(tk.sans, host) {
-			hit = true
-			if t.singleUse {
-				continue // consumed
-			}
-		}
-		kept = append(kept, tk)
-	}
-	t.tickets = kept
-	if hit {
-		t.hits++
-	} else {
-		t.misses++
-	}
-	return hit
+	return t.s.redeem(host, proto, nowMs)
 }
 
 // Len reports the live ticket count (expired tickets may linger until
-// the next Redeem scan).
-func (t *TicketStore) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.tickets)
-}
+// the next Redeem).
+func (t *TicketStore) Len() int { return t.s.len() }
 
 func (t *TicketStore) addStats(s *Stats) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.TicketsIssued += t.issued
-	s.TicketHits += t.hits
-	s.TicketMisses += t.misses
-	s.TicketsExpired += t.expiredN
-}
-
-// SANsCover reports whether a certificate SAN list covers host,
-// honoring single-label wildcards (the same matching rule the browser
-// pool applies before coalescing onto a connection).
-func SANsCover(sans []string, host string) bool {
-	for _, san := range sans {
-		if san == host {
-			return true
-		}
-		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
-			suffix := san[1:] // ".example.com"
-			if len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix {
-				label := host[:len(host)-len(suffix)]
-				if label != "" && !hasDot(label) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func hasDot(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return true
-		}
-	}
-	return false
+	t.s.addCounts(&s.TicketsIssued, &s.TicketHits, &s.TicketMisses, &s.TicketsExpired)
 }

@@ -1,7 +1,5 @@
 package cache
 
-import "sync"
-
 // TokenStore models QUIC address-validation tokens (RFC 9000 §8.1.3
 // NEW_TOKEN): a server that has validated a client's address hands it a
 // token, and presenting a live token on a later connection lets the
@@ -18,90 +16,34 @@ import "sync"
 // store's, so warm state can never leak across protocol versions.
 // Unlike single-use TLS 1.3 tickets, a token serves until it expires
 // (the shared-validation model re-presents one token across
-// connections); redemption scans oldest-first so two runs with the
-// same visit schedule redeem identically.
-type TokenStore struct {
-	mu         sync.Mutex
-	lifetimeMs int64 // 0 disables the store
-	tokens     []token
-
-	issued, hits, misses, expiredN int64
-}
-
-type token struct {
-	sans      []string
-	expiresMs int64
-	proto     int
-}
+// connections).
+type TokenStore struct{ s coverStore }
 
 func newTokenStore(lifetimeMs int64) *TokenStore {
-	return &TokenStore{lifetimeMs: lifetimeMs}
+	return &TokenStore{coverStore{lifetimeMs: lifetimeMs}}
 }
 
 // Enabled reports whether tokens are issued at all.
-func (t *TokenStore) Enabled() bool { return t.lifetimeMs > 0 }
+func (t *TokenStore) Enabled() bool { return t.s.enabled() }
 
 // Store issues an address-validation token for a connection whose
 // certificate carries the given SANs, keyed by the wire protocol that
-// minted it.
+// minted it. sans is retained and must not be modified.
 func (t *TokenStore) Store(sans []string, proto int, nowMs int64) {
-	if !t.Enabled() || len(sans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.issued++
-	t.tokens = append(t.tokens, token{
-		sans:      append([]string(nil), sans...),
-		expiresMs: nowMs + t.lifetimeMs,
-		proto:     proto,
-	})
+	t.s.store(sans, proto, nowMs)
 }
 
 // Redeem reports whether a live token minted under the same wire
-// protocol covers host, dropping expired tokens encountered during the
-// scan. A token expiring exactly at nowMs is dead. Redemption does not
-// consume the token.
+// protocol covers host, dropping expired tokens first. A token expiring
+// exactly at nowMs is dead. Redemption does not consume the token.
 func (t *TokenStore) Redeem(host string, proto int, nowMs int64) bool {
-	if !t.Enabled() {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.tokens[:0]
-	hit := false
-	for _, tk := range t.tokens {
-		if nowMs >= tk.expiresMs {
-			t.expiredN++
-			continue
-		}
-		if !hit && tk.proto == proto && SANsCover(tk.sans, host) {
-			hit = true
-		}
-		kept = append(kept, tk)
-	}
-	t.tokens = kept
-	if hit {
-		t.hits++
-	} else {
-		t.misses++
-	}
-	return hit
+	return t.s.redeem(host, proto, nowMs)
 }
 
 // Len reports the live token count (expired tokens may linger until the
-// next Redeem scan).
-func (t *TokenStore) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.tokens)
-}
+// next Redeem).
+func (t *TokenStore) Len() int { return t.s.len() }
 
 func (t *TokenStore) addStats(s *Stats) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.TokensIssued += t.issued
-	s.TokenHits += t.hits
-	s.TokenMisses += t.misses
-	s.TokensExpired += t.expiredN
+	t.s.addCounts(&s.TokensIssued, &s.TokenHits, &s.TokenMisses, &s.TokensExpired)
 }

@@ -123,6 +123,9 @@ type CDN struct {
 	alignedAddr netip.Addr
 	// thirdPartyAddrs are the third party's standard anycast addresses.
 	thirdPartyAddrs []netip.Addr
+	// thirdPartySANs is the third party's certificate, built once: every
+	// connection to it asks, and the warm-path stores retain the answer.
+	thirdPartySANs []string
 	// ipServes maps an address to the set of hostnames authoritatively
 	// served on it.
 	ipServes map[netip.Addr]map[string]bool
@@ -167,6 +170,7 @@ func New(c Config) *CDN {
 		auth:            dns.NewAuthority(),
 		alignedAddr:     c.AlignedAddr,
 		thirdPartyAddrs: c.ThirdPartyAddrs,
+		thirdPartySANs:  []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
 		ipServes:        make(map[netip.Addr]map[string]bool),
 		PoPs:            c.PoPs,
 		pipeline:        NewLogPipeline(c.SampleRate, c.Seed),
@@ -370,7 +374,7 @@ func (c *CDN) CertSANs(host string, ip netip.Addr) []string {
 		return z.SANs
 	}
 	if host == c.ThirdParty {
-		return []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)}
+		return c.thirdPartySANs
 	}
 	return nil
 }

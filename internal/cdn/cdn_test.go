@@ -158,7 +158,11 @@ func TestCountPassiveRules(t *testing.T) {
 		// Unrelated host ignored.
 		{ConnID: 3, SNI: "x", Host: "x", ArrivalOrder: 1, Treatment: TreatmentControl},
 	}
-	pc := CountPassive(records, third, "")
+	pc := CountPassive(func(fn func(*LogRecord)) {
+		for i := range records {
+			fn(&records[i])
+		}
+	}, third, "")
 	if pc.CoalescedConns[TreatmentExperiment] != 1 {
 		t.Errorf("coalesced = %v", pc.CoalescedConns)
 	}
@@ -181,7 +185,7 @@ func TestPassiveIPReduction(t *testing.T) {
 	for day := 0; day < 5; day++ {
 		e.RunDay(day)
 	}
-	pc := CountPassive(c.Pipeline().Records(), c.ThirdParty, "")
+	pc := CountPassive(c.Pipeline().Each, c.ThirdParty, "")
 	red := pc.ReductionPct()
 	t.Logf("IP-phase passive reduction = %.1f%% (paper: 56%%)", red)
 	if red < 40 || red > 70 {

@@ -502,15 +502,15 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 	ctl := make([]float64, total)
 	exp := make([]float64, total)
 	seen := map[uint64]bool{}
-	for _, r := range e.CDN.Pipeline().Records() {
+	e.CDN.Pipeline().Each(func(r *LogRecord) {
 		if r.Host != e.CDN.ThirdParty || r.FlagHostNeSNI {
-			continue
+			return
 		}
 		if uaFilter != "" && r.UserAgent != uaFilter {
-			continue
+			return
 		}
 		if seen[r.ConnID] {
-			continue
+			return
 		}
 		seen[r.ConnID] = true
 		if r.ArrivalOrder != 1 {
@@ -518,7 +518,7 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 			// is a reused connection whose opening record was lost (the
 			// telemetry-restart path in observeOutcome), not a new TLS
 			// handshake — keep it out of the §5.2 tally.
-			continue
+			return
 		}
 		switch r.Treatment {
 		case TreatmentControl:
@@ -526,7 +526,7 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 		case TreatmentExperiment:
 			exp[r.Day]++
 		}
-	}
+	})
 	return measure.Series{Label: "control", Values: ctl},
 		measure.Series{Label: "experiment", Values: exp}
 }

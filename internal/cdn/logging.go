@@ -58,11 +58,23 @@ func (lp *LogPipeline) Totals() (total, sampled int64) {
 	return lp.total, lp.sampled
 }
 
-// Records returns the sampled log.
+// Records returns a copy of the sampled log.
 func (lp *LogPipeline) Records() []LogRecord {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	return append([]LogRecord(nil), lp.records...)
+}
+
+// Each calls fn on every record sampled so far, in log order and in
+// place: fn must not modify or retain the record. The log is
+// append-only, so fn runs without the pipeline's lock held.
+func (lp *LogPipeline) Each(fn func(*LogRecord)) {
+	lp.mu.Lock()
+	records := lp.records
+	lp.mu.Unlock()
+	for i := range records {
+		fn(&records[i])
+	}
 }
 
 // Reset clears the sampled log (between measurement windows).
@@ -87,28 +99,29 @@ type PassiveCounts struct {
 	CoalescedConns map[Treatment]int
 }
 
-// CountPassive applies the paper's §5.2 counting rules to the sampled
-// log, optionally filtering by user-agent family (§5.3 used "firefox").
-func CountPassive(records []LogRecord, thirdParty, uaFilter string) PassiveCounts {
+// CountPassive applies the paper's §5.2 counting rules to a sampled log
+// (each is LogPipeline.Each, or any iterator of that shape), optionally
+// filtering by user-agent family (§5.3 used "firefox").
+func CountPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) PassiveCounts {
 	pc := PassiveCounts{
 		NewTLSConns:    map[Treatment]int{},
 		CoalescedConns: map[Treatment]int{},
 	}
 	seenNew := map[uint64]bool{}
 	seenCoal := map[uint64]bool{}
-	for _, r := range records {
+	each(func(r *LogRecord) {
 		if r.Host != thirdParty {
-			continue
+			return
 		}
 		if uaFilter != "" && r.UserAgent != uaFilter {
-			continue
+			return
 		}
 		if r.FlagHostNeSNI && r.ArrivalOrder >= 2 {
 			if !seenCoal[r.ConnID] {
 				seenCoal[r.ConnID] = true
 				pc.CoalescedConns[r.Treatment]++
 			}
-			continue
+			return
 		}
 		if !r.FlagHostNeSNI {
 			if !seenNew[r.ConnID] {
@@ -116,7 +129,7 @@ func CountPassive(records []LogRecord, thirdParty, uaFilter string) PassiveCount
 				pc.NewTLSConns[r.Treatment]++
 			}
 		}
-	}
+	})
 	return pc
 }
 

@@ -189,7 +189,7 @@ func (d *Deployment) PassiveIP(days int) (cdn.PassiveCounts, string) {
 		d.Exp.RunDay(day)
 	}
 	d.CDN.ExitExperiment()
-	pc := cdn.CountPassive(d.CDN.Pipeline().Records(), d.CDN.ThirdParty, "")
+	pc := cdn.CountPassive(d.CDN.Pipeline().Each, d.CDN.ThirdParty, "")
 	txt := fmt.Sprintf("Passive IP-coalescing measurement (§5.2):\n"+
 		"  new third-party TLS conns: control %d, experiment %d\n"+
 		"  reduction: %.1f%% (paper: 56%%)\n",

@@ -1,12 +1,17 @@
 // Package scenario is the matrix engine: a deterministic cross-product
 // sweep over client personas × page archetypes × network profiles ×
-// resolver transports. Each cell replays one archetype's corpus through
-// one persona's connection pool, priced under one network profile, and
-// reports who coalesces, who shards, and what it costs — connections
-// opened, sockets wasted, setup milliseconds, coalescing rate.
+// resolver transports. Each cell reports who coalesces, who shards, and
+// what it costs — connections opened, sockets wasted, setup
+// milliseconds, coalescing rate.
+//
+// Only two axes enter the replay: one persona's connection pool replays
+// one archetype's corpus, once. The network profile and the resolver
+// transport enter a cell through pricing alone — arithmetic over the
+// replay's totals — so the sweep runs one replay per (archetype ×
+// persona) and prices it once per profile × transport.
 //
 // Every cell is a pure function of (seed, cell coordinates): the
-// cross-product fans out through internal/parallel and the output is
+// replays fan out through internal/parallel and the output is
 // byte-identical at any worker count.
 package scenario
 

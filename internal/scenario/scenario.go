@@ -84,11 +84,13 @@ type Result struct {
 	Cells []Cell
 }
 
-// Run executes the sweep. One corpus is generated per archetype and
-// streamed through the corpus API (encoded once, decoded by every cell
-// that replays it); cells fan out through internal/parallel in fixed
-// cross-product order, so the result — and every byte derived from it —
-// is identical at any worker count.
+// Run executes the sweep. One corpus is generated per archetype,
+// streamed through the corpus API and decoded once; every persona
+// replays that shared, read-only page slice once, and the replay's
+// totals are priced under each profile × transport. The (archetype ×
+// persona) replays fan out through internal/parallel and their cells
+// are emitted in fixed cross-product order, so the result — and every
+// byte derived from it — is identical at any worker count.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("scenario: Sites must be positive")
@@ -117,91 +119,92 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// One corpus per archetype, round-tripped through the corpus API:
-	// cells replay the decoded stream, never the generator directly.
-	blobs := make([][]byte, len(cfg.Archetypes))
+	// replays read the decoded stream, never the generator directly.
+	corpora := make([][]*har.Page, len(cfg.Archetypes))
 	for i, a := range cfg.Archetypes {
-		var buf bytes.Buffer
-		w := corpus.NewWriter(&buf, corpus.FormatColumnar)
-		gcfg := webgen.DefaultConfig()
-		gcfg.Sites = cfg.Sites
-		gcfg.Seed = cfg.Seed
-		gcfg.Workers = cfg.Workers
-		gcfg.Archetype = a
-		if _, err := webgen.GenerateStream(gcfg, w.Write); err != nil {
+		pages, err := archetypeCorpus(cfg, a)
+		if err != nil {
 			return nil, err
 		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		blobs[i] = buf.Bytes()
+		corpora[i] = pages
 	}
 
-	type spec struct {
-		blob      []byte
-		archetype webgen.Archetype
-		persona   Persona
-		profile   netsim.Profile
-		transport cache.DNSTransport
-	}
-	var specs []spec
-	for i, a := range cfg.Archetypes {
-		for _, pe := range cfg.Personas {
-			for _, pr := range cfg.Profiles {
-				for _, t := range cfg.Transports {
-					specs = append(specs, spec{blobs[i], a, pe, pr, t})
-				}
+	perGroup := len(cfg.Profiles) * len(cfg.Transports)
+	groups := parallel.Map(len(cfg.Archetypes)*len(cfg.Personas), cfg.Workers, func(g int) []Cell {
+		ai := g / len(cfg.Personas)
+		t := replay(corpora[ai], cfg.Personas[g%len(cfg.Personas)])
+		t.Archetype = cfg.Archetypes[ai].String()
+		cells := make([]Cell, 0, perGroup)
+		for _, pr := range cfg.Profiles {
+			for _, tr := range cfg.Transports {
+				cells = append(cells, price(t, pr, tr))
 			}
 		}
-	}
-
-	type cellOrErr struct {
-		cell Cell
-		err  error
-	}
-	results := parallel.Map(len(specs), cfg.Workers, func(i int) cellOrErr {
-		s := specs[i]
-		c, err := runCell(s.blob, s.archetype, s.persona, s.profile, s.transport)
-		return cellOrErr{c, err}
+		return cells
 	})
-	cells := make([]Cell, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		cells = append(cells, r.cell)
+	cells := make([]Cell, 0, len(groups)*perGroup)
+	for _, g := range groups {
+		cells = append(cells, g...)
 	}
 	return &Result{Cells: cells}, nil
 }
 
-// runCell replays one archetype corpus through one persona under one
-// profile and transport. The browser's pool resets per page (each load
-// is a fresh browsing context) while the warm-path cache persists
-// across the cell, so repeated third parties resolve and resume warm —
-// under the cell's own transport key.
-func runCell(blob []byte, archetype webgen.Archetype, persona Persona, profile netsim.Profile, transport cache.DNSTransport) (Cell, error) {
-	cell := Cell{
-		Persona:   persona.Name,
-		Archetype: archetype.String(),
-		Profile:   profile.Name,
-		DNS:       transport.String(),
+// archetypeCorpus generates one archetype's corpus, encodes it as a
+// columnar stream and decodes it back. The returned pages are shared by
+// every persona replay of the archetype and must not be written to.
+func archetypeCorpus(cfg Config, a webgen.Archetype) ([]*har.Page, error) {
+	var buf bytes.Buffer
+	w := corpus.NewWriter(&buf, corpus.FormatColumnar)
+	gcfg := webgen.DefaultConfig()
+	gcfg.Sites = cfg.Sites
+	gcfg.Seed = cfg.Seed
+	gcfg.Workers = cfg.Workers
+	gcfg.Archetype = a
+	if _, err := webgen.GenerateStream(gcfg, w.Write); err != nil {
+		return nil, err
 	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return corpus.ReadAll(corpus.NewReader(&buf, corpus.FormatColumnar))
+}
+
+// totals is what one persona's replay of one archetype corpus yields:
+// the connection economy (the embedded Cell, with Profile, DNS and
+// SetupMs still zero) plus the two counts only pricing reads.
+type totals struct {
+	Cell
+	resumed       int // sockets whose handshake resumed a stored ticket
+	resolverConns int // pages that reached the resolver's wire
+}
+
+// replay runs every page of one archetype corpus through one persona.
+// Neither the network profile nor the resolver transport is an input:
+// both enter a cell only through price.
+func replay(pages []*har.Page, persona Persona) totals {
+	return replayVia(pages, persona, cache.TransportDo53)
+}
+
+// replayVia is replay with the DNS-cache key spelled out. A replay
+// looks up and stores every answer under one transport key, so the key
+// cannot change its totals; the argument exists so that a test can
+// check that rather than assume it. The browser's pool resets per page
+// (each load is a fresh browsing context) while the warm-path cache
+// persists across the replay, so repeated third parties resolve and
+// resume warm. pages is read-only.
+func replayVia(pages []*har.Page, persona Persona, key cache.DNSTransport) totals {
+	t := totals{Cell: Cell{Persona: persona.Name}}
 	cc := cache.New(cache.Options{})
 	b := browser.New(persona.Policy,
 		browser.WithPoolLimits(persona.MaxConns, persona.MaxConnsPerHost),
 		browser.WithSkipOriginDNS(persona.SkipOriginDNS),
-		browser.WithDNSTransport(transport),
+		browser.WithDNSTransport(key),
 		browser.WithCache(cc),
 	)
-
-	resolverConns := 0 // pages that touched the DoH resolver's wire
-	resumed := 0
-	r := corpus.NewReader(bytes.NewReader(blob), corpus.FormatColumnar)
-	err := corpus.ForEach(r, func(p *har.Page) error {
+	for _, p := range pages {
 		env := newPageEnv(p)
-		// Each page load is a fresh browsing context: the pool and the
-		// per-page totals reset, the warm-path cache persists.
 		b.Reset()
-		cell.Pages++
+		t.Pages++
 
 		if persona.PreconnectN > 0 {
 			seen := map[string]bool{}
@@ -228,35 +231,40 @@ func runCell(blob []byte, archetype webgen.Archetype, persona Persona, profile n
 				// environment re-homes the host and the client's cached
 				// answer is superseded the way a TTL expiry would.
 				env.migrate(en.Host, en.DNSAnswer)
-				cc.PutDNSVia(transport, en.Host, en.DNSAnswer, cc.DefaultTTL())
+				cc.PutDNSVia(key, en.Host, en.DNSAnswer, cc.DefaultTTL())
 			}
 			out := b.Request(env, en.Host)
-			cell.Requests++
+			t.Requests++
 			if out.Coalesced() {
-				cell.Coalesced++
+				t.Coalesced++
 			}
 			if out.ViaOrigin {
-				cell.ViaOrigin++
+				t.ViaOrigin++
 			}
 		}
-		cell.Conns += b.TotalNewConn
-		cell.Preconns += b.TotalPreconns
-		cell.Wasted += b.TotalPreconns - b.TotalPreconnsUsed
-		cell.Evicted += b.TotalEvicted
-		cell.Reused += b.TotalReused
-		cell.Got421 += b.Total421
-		cell.DNSQueries += b.TotalDNS
-		resumed += b.TotalResumed
+		t.Conns += b.TotalNewConn
+		t.Preconns += b.TotalPreconns
+		t.Wasted += b.TotalPreconns - b.TotalPreconnsUsed
+		t.Evicted += b.TotalEvicted
+		t.Reused += b.TotalReused
+		t.Got421 += b.Total421
+		t.DNSQueries += b.TotalDNS
+		t.resumed += b.TotalResumed
 		if b.TotalDNS > 0 {
-			resolverConns++
+			t.resolverConns++
 		}
-		return nil
-	})
-	if err != nil {
-		return cell, err
 	}
-	cell.SetupMs = setupMs(cell, resumed, resolverConns, profile.Params, transport)
-	return cell, nil
+	return t
+}
+
+// price turns a replay's totals into the cell for one network profile
+// and resolver transport.
+func price(t totals, profile netsim.Profile, transport cache.DNSTransport) Cell {
+	c := t.Cell
+	c.Profile = profile.Name
+	c.DNS = transport.String()
+	c.SetupMs = setupMs(c, t.resumed, t.resolverConns, profile.Params, transport)
+	return c
 }
 
 // setupMs prices the cell's connection economy under the profile, in

@@ -114,9 +114,10 @@ func TestMatrixReproducesShardingObservation(t *testing.T) {
 	}
 }
 
-// DoH and Do53 cells differ only in resolution pricing, never in the
-// connection economy: the resolver transport must not perturb pool
-// behaviour.
+// The resolver transport enters a cell through pricing: the do53 and
+// doh cells of one (persona, archetype, profile) are priced from the
+// same replay and must differ in SetupMs. That it enters nowhere else
+// is TestReplayIndependentOfTransport.
 func TestTransportAffectsOnlyPricing(t *testing.T) {
 	res := mustRun(t, smallConfig(30, 4))
 	byKey := map[string]Cell{}
@@ -131,12 +132,38 @@ func TestTransportAffectsOnlyPricing(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing doh twin for %+v", c)
 		}
-		if c.Conns != o.Conns || c.Reused != o.Reused || c.Got421 != o.Got421 ||
-			c.Evicted != o.Evicted || c.DNSQueries != o.DNSQueries {
-			t.Fatalf("transport changed the connection economy:\n do53: %+v\n doh:  %+v", c, o)
-		}
 		if c.SetupMs == o.SetupMs {
 			t.Fatalf("transport did not change pricing: %+v vs %+v", c, o)
+		}
+	}
+}
+
+// The premise of sharing one replay across a group's cells: the
+// connection economy depends on neither axis that only pricing sees. A
+// replay is never handed a profile, and keying its browser and DNS
+// cache by DoH instead of Do53 leaves every total unchanged, on every
+// archetype × persona.
+func TestReplayIndependentOfTransport(t *testing.T) {
+	cfg := smallConfig(30, 1)
+	for _, a := range cfg.Archetypes {
+		pages, err := archetypeCorpus(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pe := range cfg.Personas {
+			do53 := replayVia(pages, pe, cache.TransportDo53)
+			doh := replayVia(pages, pe, cache.TransportDoH)
+			if do53 != doh {
+				t.Errorf("%s/%s: transport changed the replay:\n do53: %+v\n doh:  %+v", pe.Name, a, do53, doh)
+			}
+			if do53.Requests == 0 || do53.Conns == 0 {
+				t.Errorf("%s/%s: empty replay %+v", pe.Name, a, do53)
+			}
+			// A third replay of the same shared pages: nothing an
+			// earlier replay did to them shows.
+			if got := replay(pages, pe); got != do53 {
+				t.Errorf("%s/%s: replaying shared pages again changed the totals: %+v vs %+v", pe.Name, a, got, do53)
+			}
 		}
 	}
 }

@@ -166,7 +166,10 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		results[i] = make(chan shardResult, 1)
 	}
 	// tokens bounds generated-but-unemitted shards; done aborts workers
-	// when the writer fails.
+	// when the writer fails. A worker takes its token before it claims a
+	// shard: claimed the other way round, the worker holding the next
+	// shard to emit can be left waiting for a token while every token
+	// sits on a later shard the writer cannot reach yet.
 	tokens := make(chan struct{}, workers*2)
 	done := make(chan struct{})
 	var next atomic.Int64
@@ -176,13 +179,13 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		go func() {
 			defer wg.Done()
 			for {
-				s := int(next.Add(1)) - 1
-				if s >= nshards {
-					return
-				}
 				select {
 				case tokens <- struct{}{}:
 				case <-done:
+					return
+				}
+				s := int(next.Add(1)) - 1
+				if s >= nshards {
 					return
 				}
 				lo := rankLo + s*span

@@ -138,6 +138,23 @@ func TestGenerateStreamEmitError(t *testing.T) {
 
 var errWriter = fmt.Errorf("writer failed")
 
+// One-rank shards finish faster than the writer drains them, which is
+// where a worker that claimed the next shard to emit used to be left
+// without a token while later shards held them all — a deadlock that
+// hung about one run in a thousand at this size. A hang here is the
+// failure; -timeout reports it.
+func TestGenerateStreamTinyShardsDoNotDeadlock(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sites = 25
+	cfg.Workers = 4
+	for seed := int64(0); seed < 500; seed++ {
+		cfg.Seed = seed
+		if _, err := GenerateStream(cfg, func(*har.Page) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestTailRegistryMergeAndRegister(t *testing.T) {
 	a, b := newTailRegistry(), newTailRegistry()
 	a.use(5)
