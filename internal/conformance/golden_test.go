@@ -1,0 +1,142 @@
+package conformance
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
+	"respectorigin/internal/corpus"
+	"respectorigin/internal/report"
+	"respectorigin/internal/webgen"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current outputs")
+
+// artifact is one named output pinned by a golden digest.
+type artifact struct {
+	name string
+	data []byte
+}
+
+// checkGolden compares one "name sha256 length" line per artifact with
+// testdata/<file>. RunReplay and the CI byte-diff steps only compare
+// runs of one build with each other, so a change that shifts every run
+// equally passes them; these digests pin the bytes themselves.
+func checkGolden(t *testing.T, file string, arts []artifact) {
+	t.Helper()
+	var got bytes.Buffer
+	for _, a := range arts {
+		fmt.Fprintf(&got, "%s %x %d\n", a.name, sha256.Sum256(a.data), len(a.data))
+	}
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test ./internal/conformance -update to record)", err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	gotLines := strings.Split(strings.TrimSpace(got.String()), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s: %d artifacts, golden has %d", file, len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("%s: artifact changed\n  got  %s\n  want %s", file, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// TestGoldenReplayArtifacts pins the four artifacts of the seeded
+// crawl→report pipeline (the report text includes ProtoSweepTable) and
+// the warm/cold savings table of the same corpus under each protocol.
+func TestGoldenReplayArtifacts(t *testing.T) {
+	a, err := runOnce(400, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := []artifact{
+		{"corpus.ndjson", a.corpus},
+		{"corpus.columnar", a.columnar},
+		{"trace.ndjson", a.trace},
+		{"report.txt", a.report},
+	}
+	pages, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(a.corpus), corpus.FormatNDJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := report.NewCorpusWorkers(&webgen.Dataset{Pages: pages, ASDB: webgen.RebuildASDB(pages)}, 4)
+	for _, proto := range core.Protocols {
+		costs := c.WarmColdProto(3, cache.Options{}, proto)
+		arts = append(arts, artifact{"savings." + proto.String() + ".txt", []byte(report.SavingsTable(costs, proto.String()))})
+	}
+	checkGolden(t, "replay_sites400_seed1.golden", arts)
+}
+
+// TestGoldenCLIOutputs pins what the built cdnsim and loadgen binaries
+// print: the §5 deployment text under a zero plan and under a fault
+// plan (each with its per-visit trace), the deployment protocol sweep,
+// and the open-loop NDJSON summary.
+func TestGoldenCLIOutputs(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	dir := t.TempDir()
+	build := func(name string) string {
+		bin := filepath.Join(dir, name)
+		if out, err := exec.Command(goTool, "build", "-o", bin, "respectorigin/cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("go build cmd/%s: %v\n%s", name, err, out)
+		}
+		return bin
+	}
+	run := func(bin string, args ...string) []byte {
+		t.Helper()
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", filepath.Base(bin), strings.Join(args, " "), err, stderr.Bytes())
+		}
+		return out
+	}
+	cdnsim, loadgen := build("cdnsim"), build("loadgen")
+
+	deploy := []string{"-sample", "800", "-phase", "all", "-days", "12"}
+	faulted := append(append([]string{}, deploy...), "-faults", "reset=0.05,goaway=0.02,logrestart=0.01", "-retries", "1")
+	zeroTrace, faultedTrace := filepath.Join(dir, "zero.trace"), filepath.Join(dir, "faulted.trace")
+	lgOut := filepath.Join(dir, "loadgen.ndjson")
+	run(loadgen, "-users", "2000", "-out", lgOut)
+	readFile := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	checkGolden(t, "cli.golden", []artifact{
+		{"cdnsim.zero-plan.txt", run(cdnsim, append(deploy, "-trace", zeroTrace)...)},
+		{"cdnsim.zero-plan.trace.ndjson", readFile(zeroTrace)},
+		{"cdnsim.faulted.txt", run(cdnsim, append(faulted, "-trace", faultedTrace)...)},
+		{"cdnsim.faulted.trace.ndjson", readFile(faultedTrace)},
+		{"cdnsim.proto-sweep.txt", run(cdnsim, "-sample", "800", "-proto-sweep", "-revisits", "3")},
+		{"loadgen.users2000.ndjson", readFile(lgOut)},
+	})
+}
