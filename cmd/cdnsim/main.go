@@ -33,8 +33,8 @@ import (
 	_ "net/http/pprof"
 
 	"respectorigin/internal/cache"
-	"respectorigin/internal/cliflags"
 	"respectorigin/internal/cdn"
+	"respectorigin/internal/cliflags"
 	"respectorigin/internal/core"
 	"respectorigin/internal/faults"
 	"respectorigin/internal/netsim"
@@ -141,15 +141,8 @@ func main() {
 		}()
 	}
 
-	sessOpts := []core.SessionOption{
-		core.WithRecorder(obs.Multi(recs...)),
-		core.WithFaults(plan, *retries),
-	}
-	if *cacheOn {
-		sessOpts = append(sessOpts, core.WithCache(cacheOptions(*ticketLife)))
-	}
-	sess := core.NewSession(*seed, sessOpts...)
-	d := report.NewDeploymentSession(*sample, sess)
+	d := report.NewDeploymentWithFaults(*sample, *seed, plan, *retries)
+	d.Exp.SetRecorder(obs.Multi(recs...))
 
 	if *protoSweep {
 		sweep := d.ProtoSweep(*revisits, cacheOptions(*ticketLife))
@@ -190,7 +183,7 @@ func main() {
 	if *cacheOn {
 		// Runs last: the warm/cold pass touches neither the pipeline
 		// nor the experiment RNG, so earlier output is unaffected.
-		costs := d.WarmColdProto(*revisits, sess.CacheOpts, proto)
+		costs := d.WarmColdProto(*revisits, cacheOptions(*ticketLife), proto)
 		label := "deployment sample, IP phase"
 		if proto != core.ProtoH2 {
 			label += ", " + proto.String()

@@ -51,9 +51,7 @@ func main() {
 	c.ReissueCertificates()
 
 	env := &faults.Env{Inner: c, Inj: faults.NewInjector(plan, seed)}
-	b := browser.New(browser.PolicyFirefoxOrigin)
-	b.MaxRetries = 3
-	b.RetryBackoffMs = 250
+	b := browser.New(browser.PolicyFirefoxOrigin, browser.WithRetries(3, 250))
 	out := b.Request(env, z.Host)
 	fmt.Printf("one request under %v:\n", plan)
 	fmt.Printf("  err=%v retries=%d modelled backoff=%.0f ms\n", out.Err, out.Retries, out.BackoffMs)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/core"
+	"respectorigin/internal/corpus"
 	"respectorigin/internal/h2"
 	"respectorigin/internal/har"
 	"respectorigin/internal/hpack"
@@ -341,9 +342,9 @@ func pipelineOnce(sites int, seed int64, workers int) error {
 	cfg.Seed = seed
 	cfg.Workers = workers
 
-	var corpus bytes.Buffer
+	var buf bytes.Buffer
 	trace := obs.NewTrace()
-	sw := har.NewStreamWriter(&corpus)
+	sw := corpus.NewWriter(&buf, corpus.FormatNDJSON)
 	if _, err := webgen.GenerateStream(cfg, func(p *har.Page) error {
 		core.EmitPageEvents(trace, p)
 		return sw.Write(p)
@@ -353,7 +354,7 @@ func pipelineOnce(sites int, seed int64, workers int) error {
 	if err := trace.WriteNDJSON(io.Discard); err != nil {
 		return err
 	}
-	pages, err := har.ReadJSON(bytes.NewReader(corpus.Bytes()))
+	pages, err := corpus.ReadAll(corpus.NewReader(&buf, corpus.FormatNDJSON))
 	if err != nil {
 		return err
 	}

@@ -717,8 +717,8 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 	return out
 }
 
-// openConn builds the connection for host at ip, runs the warm-path
-// ticket/token/memo block, and pools it — evicting the least recently
+// openConn builds the connection for host at ip, settles its handshake
+// against the warm-path cache, and pools it — evicting the least recently
 // used pooled connection first when MaxConns is at its bound. Callers
 // account the outcome themselves (Preconnect deliberately does not).
 func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []netip.Addr, out *Outcome) *Conn {
@@ -758,45 +758,31 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 	out.NewConnection = true
 	out.ConnHost = host
 	out.Proto = proto
-	if b.Cache != nil {
-		// Warm path: a stored ticket whose certificate coverage includes
-		// this host resumes the handshake — no full handshake, no chain
-		// validation (arXiv:1902.02531 resumption-across-hostnames).
-		// Otherwise a full handshake runs, validating the chain unless
-		// the memo has seen it before. Either way the new session mints
-		// a ticket for future visits. Tickets are protocol-keyed: an h2
-		// ticket never resumes an h3 session or vice versa.
-		wire := proto.Wire()
-		if out.ResumedTLS = b.Cache.RedeemTicketProto(host, wire); out.ResumedTLS {
-			b.TotalResumed++
-			b.emitConn(obs.KindTLSResume, host, ip)
-		} else {
-			b.emitConn(handshakeKind(proto), host, ip)
-			if out.CertMemoHit = b.Cache.ValidateChain("", c.SANs); out.CertMemoHit {
-				b.TotalCertMemoHits++
-				b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
-			} else {
-				b.TotalValidations++
-			}
-		}
-		b.Cache.StoreTicketProto(c.SANs, wire)
-		if proto == ProtoH3 {
-			// Shared address validation (arXiv:2204.03399-style): a token
-			// minted for any SAN-covered hostname skips the Retry round
-			// trip; with a ticket on hand as well the handshake is 0-RTT.
-			if out.AddrTokenHit = b.Cache.RedeemToken(host, wire); out.AddrTokenHit {
-				b.TotalAddrTokens++
-				b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
-			}
-			if out.ZeroRTT = out.ResumedTLS && out.AddrTokenHit; out.ZeroRTT {
-				b.TotalZeroRTT++
-				b.emitConn(obs.KindZeroRTT, host, ip)
-			}
-			b.Cache.StoreToken(c.SANs, wire)
-		}
-	} else {
+	// The warm-path decision (ticket, chain memo, h3 address token) is
+	// the cache's; a nil cache answers with the cold full handshake.
+	// Tickets and tokens are protocol-keyed: h2 state never resumes an
+	// h3 session or vice versa.
+	hs := b.Cache.Handshake(host, "", c.SANs, proto.Wire())
+	out.ResumedTLS, out.CertMemoHit, out.AddrTokenHit, out.ZeroRTT = hs.Resumed, hs.MemoHit, hs.TokenHit, hs.ZeroRTT()
+	switch {
+	case hs.Resumed:
+		b.TotalResumed++
+		b.emitConn(obs.KindTLSResume, host, ip)
+	case hs.MemoHit:
+		b.TotalCertMemoHits++
+		b.emitConn(handshakeKind(proto), host, ip)
+		b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
+	default:
 		b.TotalValidations++
 		b.emitConn(handshakeKind(proto), host, ip)
+	}
+	if hs.TokenHit {
+		b.TotalAddrTokens++
+		b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
+	}
+	if out.ZeroRTT {
+		b.TotalZeroRTT++
+		b.emitConn(obs.KindZeroRTT, host, ip)
 	}
 	if len(c.Origins) > 0 {
 		b.emit(obs.Event{Kind: obs.KindOriginFrame, Host: host, N: len(c.Origins)})

@@ -64,11 +64,3 @@ func WithPoolLimits(maxConns, maxPerHost int) Option {
 func WithDNSTransport(t cache.DNSTransport) Option {
 	return func(b *Browser) { b.DNSTransport = t }
 }
-
-// SetRecorder installs an observability recorder post-construction.
-//
-// Deprecated: pass WithRecorder to New instead.
-func (b *Browser) SetRecorder(rec obs.Recorder, rank int) {
-	b.Rec = rec
-	b.Rank = rank
-}

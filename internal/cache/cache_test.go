@@ -89,34 +89,34 @@ func TestDNSCacheCaseAndDotInsensitive(t *testing.T) {
 
 func TestTicketResumptionAcrossHostnames(t *testing.T) {
 	c := New(Options{TicketLifetimeSeconds: 100})
-	c.StoreTicket([]string{"www.zone.example", "cdnjs.cloudflare.com", "*.shared.example"})
+	c.StoreTicketProto([]string{"www.zone.example", "cdnjs.cloudflare.com", "*.shared.example"}, ProtoWireH2)
 
-	if !c.RedeemTicket("cdnjs.cloudflare.com") {
+	if !c.RedeemTicketProto("cdnjs.cloudflare.com", ProtoWireH2) {
 		t.Fatal("ticket must resume any hostname its certificate covers")
 	}
-	if !c.RedeemTicket("a.shared.example") {
+	if !c.RedeemTicketProto("a.shared.example", ProtoWireH2) {
 		t.Fatal("wildcard coverage must allow resumption")
 	}
-	if c.RedeemTicket("b.c.shared.example") {
+	if c.RedeemTicketProto("b.c.shared.example", ProtoWireH2) {
 		t.Fatal("wildcard matches exactly one label")
 	}
-	if c.RedeemTicket("other.example") {
+	if c.RedeemTicketProto("other.example", ProtoWireH2) {
 		t.Fatal("uncovered host must not resume")
 	}
 }
 
 func TestTicketLifetimeAndSingleUse(t *testing.T) {
 	c := New(Options{TicketLifetimeSeconds: 10, SingleUseTickets: true})
-	c.StoreTicket([]string{"h.example"})
-	if !c.RedeemTicket("h.example") {
+	c.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
+	if !c.RedeemTicketProto("h.example", ProtoWireH2) {
 		t.Fatal("first redemption should succeed")
 	}
-	if c.RedeemTicket("h.example") {
+	if c.RedeemTicketProto("h.example", ProtoWireH2) {
 		t.Fatal("single-use ticket must be consumed by redemption")
 	}
-	c.StoreTicket([]string{"h.example"})
+	c.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
 	c.Clock().AdvanceMs(10_000) // exactly the lifetime: dead
-	if c.RedeemTicket("h.example") {
+	if c.RedeemTicketProto("h.example", ProtoWireH2) {
 		t.Fatal("ticket expiring exactly at redemption instant must miss")
 	}
 
@@ -125,8 +125,8 @@ func TestTicketLifetimeAndSingleUse(t *testing.T) {
 	if off.Tickets.Enabled() {
 		t.Fatal("zero ticket lifetime must disable resumption")
 	}
-	off.StoreTicket([]string{"h.example"})
-	if off.RedeemTicket("h.example") {
+	off.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
+	if off.RedeemTicketProto("h.example", ProtoWireH2) {
 		t.Fatal("disabled store must never resume")
 	}
 }
@@ -179,8 +179,8 @@ func TestNilCacheIsInert(t *testing.T) {
 		t.Fatal("nil cache must miss")
 	}
 	c.PutNegativeDNS("x")
-	c.StoreTicket([]string{"x"})
-	if c.RedeemTicket("x") {
+	c.StoreTicketProto([]string{"x"}, ProtoWireH2)
+	if c.RedeemTicketProto("x", ProtoWireH2) {
 		t.Fatal("nil cache must not resume")
 	}
 	if c.ValidateChain("CA", []string{"x"}) {

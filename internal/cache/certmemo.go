@@ -152,13 +152,6 @@ func (c *Cache) PutNegativeDNSVia(t DNSTransport, name string) {
 	c.DNS.PutNegativeVia(t, name, 1, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
 }
 
-// RedeemTicket attempts TLS resumption for host under the legacy h2
-// protocol key (ProtoWireH2). Protocol-aware call sites should use
-// RedeemTicketProto.
-func (c *Cache) RedeemTicket(host string) bool {
-	return c.RedeemTicketProto(host, ProtoWireH2)
-}
-
 // RedeemTicketProto attempts TLS resumption for host with a ticket
 // minted under the given wire protocol. Tickets never match across
 // protocols: an h2 ticket cannot resume an h3 session.
@@ -167,13 +160,6 @@ func (c *Cache) RedeemTicketProto(host string, proto int) bool {
 		return false
 	}
 	return c.Tickets.RedeemProto(host, proto, c.clock.NowMs())
-}
-
-// StoreTicket issues a session ticket covering the given SANs under
-// the legacy h2 protocol key (ProtoWireH2). Protocol-aware call sites
-// should use StoreTicketProto.
-func (c *Cache) StoreTicket(sans []string) {
-	c.StoreTicketProto(sans, ProtoWireH2)
 }
 
 // StoreTicketProto issues a session ticket covering the given SANs,
@@ -211,4 +197,42 @@ func (c *Cache) ValidateChain(issuer string, sans []string) (hit bool) {
 		return false
 	}
 	return c.Chains.Validate(ChainHash(issuer, sans))
+}
+
+// Handshake is what the warm state did for one fresh connection.
+type Handshake struct {
+	Resumed  bool // a covering session ticket was redeemed: no full handshake, no chain validation
+	MemoHit  bool // full handshake whose chain validation the memo made free
+	TokenHit bool // h3 only: a covering address-validation token skipped the Retry round trip
+}
+
+// ZeroRTT reports whether the connection sends application data in its
+// first flight: it needs a ticket to encrypt under and a token so the
+// server accepts the data before validating the path.
+func (h Handshake) ZeroRTT() bool { return h.Resumed && h.TokenHit }
+
+// Handshake settles one fresh connection to host against the warm
+// state, for a certificate (issuer, sans) under the given wire
+// protocol: a stored ticket whose coverage includes host resumes the
+// session (resumption across hostnames, arXiv:1902.02531); otherwise a
+// full handshake runs and validates the chain unless the memo has seen
+// it. Either way the new session mints a ticket. Under ProtoWireH3 the
+// connection also redeems and mints an address-validation token. Every
+// client that opens connections decides through this one method and
+// only accounts its result; a nil cache is the cold handshake (the
+// zero Handshake).
+func (c *Cache) Handshake(host, issuer string, sans []string, proto int) Handshake {
+	var h Handshake
+	if c == nil {
+		return h
+	}
+	if h.Resumed = c.RedeemTicketProto(host, proto); !h.Resumed {
+		h.MemoHit = c.ValidateChain(issuer, sans)
+	}
+	c.StoreTicketProto(sans, proto)
+	if proto == ProtoWireH3 {
+		h.TokenHit = c.RedeemToken(host, proto)
+		c.StoreToken(sans, proto)
+	}
+	return h
 }

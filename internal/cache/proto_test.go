@@ -30,23 +30,6 @@ func TestTicketsDoNotCrossProtocols(t *testing.T) {
 	}
 }
 
-// The legacy protocol-unaware entry points are exactly the h2 key, so
-// pre-protocol callers and h2-aware callers share one store.
-func TestLegacyTicketEntryPointsAreH2(t *testing.T) {
-	c := New(Options{})
-	c.StoreTicket([]string{"www.example.com"})
-	if c.RedeemTicketProto("www.example.com", ProtoWireH3) {
-		t.Fatal("legacy ticket redeemed under h3")
-	}
-	if !c.RedeemTicketProto("www.example.com", ProtoWireH2) {
-		t.Fatal("legacy ticket refused under the h2 key")
-	}
-	c.StoreTicketProto([]string{"www.example.com"}, ProtoWireH2)
-	if !c.RedeemTicket("www.example.com") {
-		t.Fatal("h2-keyed ticket refused by the legacy entry point")
-	}
-}
-
 // Address-validation tokens carry the same exact-match protocol key,
 // are not consumed by redemption, and die exactly at expiry.
 func TestTokenProtocolKeyReuseAndExpiry(t *testing.T) {

@@ -14,8 +14,7 @@ type TicketStore struct{ s coverStore }
 // of the session that minted it, and redemption requires an exact
 // match: an h2 ticket must never produce a 0-RTT h3 resumption, and
 // vice versa — the stores are logically separate per protocol even
-// though one client holds them all. ProtoWireH2 is what the legacy
-// (protocol-unaware) entry points use.
+// though one client holds them all.
 const (
 	ProtoWireH1 = 1
 	ProtoWireH2 = 2
@@ -30,26 +29,12 @@ func newTicketStore(lifetimeMs int64, singleUse bool) *TicketStore {
 // disables resumption entirely).
 func (t *TicketStore) Enabled() bool { return t.s.enabled() }
 
-// Store issues a session ticket under the legacy h2 protocol key.
-//
-// Deprecated: protocol-aware call sites should use StoreProto.
-func (t *TicketStore) Store(sans []string, nowMs int64) {
-	t.StoreProto(sans, ProtoWireH2, nowMs)
-}
-
 // StoreProto issues a session ticket for a connection whose certificate
 // carries the given SANs, keyed by the wire protocol that minted it.
 // Full and resumed handshakes both issue fresh tickets (the TLS 1.3
 // NewSessionTicket flow). sans is retained and must not be modified.
 func (t *TicketStore) StoreProto(sans []string, proto int, nowMs int64) {
 	t.s.store(sans, proto, nowMs)
-}
-
-// Redeem attempts resumption under the legacy h2 protocol key.
-//
-// Deprecated: protocol-aware call sites should use RedeemProto.
-func (t *TicketStore) Redeem(host string, nowMs int64) bool {
-	return t.RedeemProto(host, ProtoWireH2, nowMs)
 }
 
 // RedeemProto consumes (or, for reusable tickets, touches) the oldest

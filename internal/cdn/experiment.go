@@ -115,16 +115,18 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 		}
 		z.UsesAnonymousFetch = e.rng.Float64() < cfg.AnonymousFrac
 		z.Churned = e.rng.Float64() < cfg.ChurnFrac
-		z.ThirdPartyPools = samplePools(e.rng)
+		z.ThirdPartyPools = SamplePools(e.rng)
 		e.SampleZones = append(e.SampleZones, z)
 	}
 	c.ReissueCertificates()
 	return e
 }
 
-// samplePools draws the number of independent third-party connection
-// pools a page opens (Figure 7a control: 83% one, tail up to 7).
-func samplePools(rng *rand.Rand) int {
+// SamplePools draws the number of independent third-party connection
+// pools a page opens (Figure 7a control: 83% one, tail up to 7). The
+// open-loop load generator draws its page views from the same
+// distribution.
+func SamplePools(rng *rand.Rand) int {
 	x := rng.Float64()
 	switch {
 	case x < 0.83:
@@ -223,11 +225,13 @@ func (e *Experiment) beginVisit(z *Zone, ua string) (int, func(*VisitResult)) {
 }
 
 // Visit simulates one page view of zone by a client with the given
-// user-agent on the given day, emitting sampled log records.
+// user-agent on the given day, emitting sampled log records. Under a
+// nonzero fault plan the same flow samples the plan at every
+// opportunity it names; all injector draws happen in request order on
+// the injector's own stream, so two runs with the same seeds and plan
+// are byte-identical. Every fault step is behind e.inj != nil, so the
+// zero plan takes no wrapper, no extra lookup and no draw.
 func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
-	if e.inj != nil {
-		return e.visitFaulted(z, ua, day)
-	}
 	res := VisitResult{Zone: z.Host, UA: ua}
 	rank, endVisit := e.beginVisit(z, ua)
 	defer func() { endVisit(&res) }()
@@ -236,6 +240,38 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 			e.CDN.Pipeline().Observe(r)
 		}
 	}
+	faulted := e.inj != nil
+	var env browser.Environment = e.CDN
+	retries, backoffMs := 0, 0.0
+	if faulted {
+		env = &faults.Env{Inner: e.CDN, Inj: e.inj}
+		retries, backoffMs = e.Cfg.FaultRetries, 250
+	}
+	policy, h2 := policyForUA(ua)
+
+	// The zone's own connection must survive DNS and the TLS handshake
+	// before any third-party request exists. A churned zone requests no
+	// third party, so its visit opens the connection only for the fault
+	// gauntlet.
+	var b *browser.Browser
+	zoneFailed := false
+	if h2 && (faulted || !z.Churned) {
+		b = browser.New(policy, browser.WithRecorder(e.rec, rank), browser.WithRetries(retries, backoffMs))
+		out := b.Request(env, z.Host)
+		res.Retries += out.Retries
+		zoneFailed = faulted && out.Err != nil
+	} else if faulted {
+		// Legacy clients: model the same DNS + handshake gauntlet
+		// without a coalescing pool.
+		_, err := env.Lookup(z.Host)
+		zoneFailed = err != nil || e.inj.Hit(faults.KindTLSFail)
+	}
+	if zoneFailed {
+		res.ZoneFailed = true
+		res.FailedRequests++
+		return res
+	}
+
 	zoneConn := e.connID.Add(1)
 	observe(LogRecord{
 		Day: day, ConnID: zoneConn, SNI: z.Host, Host: z.Host,
@@ -245,18 +281,14 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 		return res
 	}
 
-	policy, h2 := policyForUA(ua)
-	var b *browser.Browser
-	if h2 {
-		b = browser.New(policy)
-		b.Rec, b.Rank = e.rec, rank
-		b.Request(e.CDN, z.Host)
-	}
-
 	conns := map[string]*connState{z.Host: {id: zoneConn, order: 1}}
 
 	for pool := 0; pool < z.ThirdPartyPools; pool++ {
 		res.ThirdPartyTotal++
+		if faulted {
+			e.midVisitFaults(&res, b, conns, z)
+		}
+
 		anonymous := false
 		if pool == 0 {
 			anonymous = z.UsesAnonymousFetch
@@ -268,6 +300,12 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 		}
 		if !h2 || anonymous {
 			// Separate, uncredentialed pool: always a fresh connection.
+			if faulted {
+				if _, err := env.Lookup(e.CDN.ThirdParty); err != nil || e.inj.Hit(faults.KindTLSFail) {
+					res.FailedRequests++
+					continue
+				}
+			}
 			res.NewThirdParty++
 			id := e.connID.Add(1)
 			observe(LogRecord{
@@ -276,10 +314,52 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 			})
 			continue
 		}
-		out := b.Request(e.CDN, e.CDN.ThirdParty)
+		out := b.Request(env, e.CDN.ThirdParty)
+		if faulted {
+			res.Retries += out.Retries
+			if out.Got421 {
+				res.Misdirected421++
+			}
+			if out.Err != nil {
+				res.FailedRequests++
+				continue
+			}
+		}
 		e.observeOutcome(&res, conns, observe, out, z, ua, day)
 	}
 	return res
+}
+
+// midVisitFaults rolls the plan's mid-visit connection faults before
+// one third-party pool. They hit the busiest established connection:
+// the third-party carrier when one exists, else the zone connection.
+func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns map[string]*connState, z *Zone) {
+	target := e.CDN.ThirdParty
+	if _, ok := conns[target]; !ok {
+		target = z.Host
+	}
+	if e.inj.Hit(faults.KindReset) {
+		res.Resets++
+		if b != nil {
+			b.DropConns(target)
+		}
+		delete(conns, target)
+	} else if e.inj.Hit(faults.KindGoAway) {
+		// Graceful drain: no new requests ride the connection, but
+		// its log state stays valid for records already emitted.
+		res.GoAways++
+		if b != nil {
+			b.DropConns(target)
+		}
+	}
+	if e.inj.Hit(faults.KindLogRestart) {
+		// Telemetry restart: the collector loses every conn's
+		// bookkeeping while the browser pool lives on — the exact
+		// situation the defensive path in observeOutcome handles.
+		for host := range conns {
+			delete(conns, host)
+		}
+	}
 }
 
 // observeOutcome turns one browser outcome into log records and result
@@ -317,136 +397,6 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns map[string]*connStat
 			RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 		})
 	}
-}
-
-// visitFaulted is Visit under a nonzero fault plan: the same flow, with
-// per-visit fault sampling at every opportunity the plan names. All
-// injector draws happen in request order on the injector's own stream,
-// so two runs with the same seeds and plan are byte-identical.
-func (e *Experiment) visitFaulted(z *Zone, ua string, day int) VisitResult {
-	res := VisitResult{Zone: z.Host, UA: ua}
-	rank, endVisit := e.beginVisit(z, ua)
-	defer func() { endVisit(&res) }()
-	observe := func(r LogRecord) {
-		if day >= 0 {
-			e.CDN.Pipeline().Observe(r)
-		}
-	}
-	env := &faults.Env{Inner: e.CDN, Inj: e.inj}
-	policy, h2 := policyForUA(ua)
-
-	// The zone's own connection must survive DNS and the TLS handshake
-	// before any third-party request exists.
-	var b *browser.Browser
-	if h2 {
-		b = browser.New(policy)
-		b.Rec, b.Rank = e.rec, rank
-		b.MaxRetries = e.Cfg.FaultRetries
-		b.RetryBackoffMs = 250
-		out := b.Request(env, z.Host)
-		res.Retries += out.Retries
-		if out.Err != nil {
-			res.ZoneFailed = true
-			res.FailedRequests++
-			return res
-		}
-	} else {
-		// Legacy clients: model the same DNS + handshake gauntlet
-		// without a coalescing pool.
-		if _, err := env.Lookup(z.Host); err != nil {
-			res.ZoneFailed = true
-			res.FailedRequests++
-			return res
-		}
-		if e.inj.Hit(faults.KindTLSFail) {
-			res.ZoneFailed = true
-			res.FailedRequests++
-			return res
-		}
-	}
-
-	zoneConn := e.connID.Add(1)
-	observe(LogRecord{
-		Day: day, ConnID: zoneConn, SNI: z.Host, Host: z.Host,
-		ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
-	})
-	if z.Churned {
-		return res
-	}
-
-	conns := map[string]*connState{z.Host: {id: zoneConn, order: 1}}
-
-	for pool := 0; pool < z.ThirdPartyPools; pool++ {
-		res.ThirdPartyTotal++
-
-		// Mid-visit connection faults hit the busiest established
-		// connection: the third-party carrier when one exists, else the
-		// zone connection.
-		target := e.CDN.ThirdParty
-		if _, ok := conns[target]; !ok {
-			target = z.Host
-		}
-		if e.inj.Hit(faults.KindReset) {
-			res.Resets++
-			if b != nil {
-				b.DropConns(target)
-			}
-			delete(conns, target)
-		} else if e.inj.Hit(faults.KindGoAway) {
-			// Graceful drain: no new requests ride the connection, but
-			// its log state stays valid for records already emitted.
-			res.GoAways++
-			if b != nil {
-				b.DropConns(target)
-			}
-		}
-		if e.inj.Hit(faults.KindLogRestart) {
-			// Telemetry restart: the collector loses every conn's
-			// bookkeeping while the browser pool lives on — the exact
-			// situation the defensive path in observeOutcome handles.
-			for host := range conns {
-				delete(conns, host)
-			}
-		}
-
-		anonymous := false
-		if pool == 0 {
-			anonymous = z.UsesAnonymousFetch
-		} else {
-			anonymous = e.rng.Float64() < 0.5
-		}
-		if e.CDN.Phase() == PhaseOrigin && e.rng.Float64() < e.Cfg.OriginFetchFailFrac {
-			anonymous = true
-		}
-		if !h2 || anonymous {
-			if _, err := env.Lookup(e.CDN.ThirdParty); err != nil {
-				res.FailedRequests++
-				continue
-			}
-			if e.inj.Hit(faults.KindTLSFail) {
-				res.FailedRequests++
-				continue
-			}
-			res.NewThirdParty++
-			id := e.connID.Add(1)
-			observe(LogRecord{
-				Day: day, ConnID: id, SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
-				RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
-			})
-			continue
-		}
-		out := b.Request(env, e.CDN.ThirdParty)
-		res.Retries += out.Retries
-		if out.Got421 {
-			res.Misdirected421++
-		}
-		if out.Err != nil {
-			res.FailedRequests++
-			continue
-		}
-		e.observeOutcome(&res, conns, observe, out, z, ua, day)
-	}
-	return res
 }
 
 // sampleUA draws a user-agent family from the configured shares.

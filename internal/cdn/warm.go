@@ -9,39 +9,25 @@ import (
 	"respectorigin/internal/core"
 )
 
-// UseSession adopts a core.Session's shared wiring: the experiment's
-// recorder becomes the session's. The fault plan and retry budget are
-// intentionally NOT taken from the session here — they flow through
-// ExperimentConfig at SetupExperiment time, where the injector's stream
-// is seeded (Seed ^ 0x5fa17e), so a session-driven run stays
-// byte-identical to a config-driven one.
-func (e *Experiment) UseSession(s *core.Session) {
-	e.SetRecorder(s.Rec)
-}
-
-// WarmCold measures the marginal cost of returning visitors: every
-// sample zone's page is visited revisits times by one Firefox client
-// whose warm-path cache (built fresh per zone from opts) persists
-// across visits, with the cache clock advanced by the configured
-// revisit interval between them. Element i of the result sums what
-// visit i+1 cost across all zones; element 0 is the cold load.
+// WarmColdProto measures the marginal cost of returning visitors under
+// one application protocol: every sample zone's page is visited revisits
+// times by one Firefox client whose warm-path cache (built fresh per
+// zone from opts) persists across visits, with the cache clock advanced
+// by the configured revisit interval between them. Element i of the
+// result sums what visit i+1 cost across all zones; element 0 is the
+// cold load.
 //
 // The visit structure — which third-party pools are anonymous — is
 // drawn once per zone from a dedicated stream, so every revisit replays
 // the identical request sequence and per-visit differences decompose
 // exactly into {coalescing, DNS cache, TLS resumption, cert memo}.
 // Visits never touch the log pipeline or the experiment's own RNG, so
-// running WarmCold leaves every other measurement untouched.
-func (e *Experiment) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
-	return e.WarmColdProto(revisits, opts, core.ProtoH2)
-}
-
-// WarmColdProto is WarmCold under an explicit application protocol.
-// ProtoH2 reproduces WarmCold byte for byte (the protocol field's zero
-// value changes nothing); ProtoH1 disables cross-host coalescing;
-// ProtoH3 pays QUIC handshake paths and tracks token/0-RTT state. The
-// per-zone anonymity stream is drawn identically for every protocol, so
-// per-protocol differences isolate the transport effect.
+// running WarmColdProto leaves every other measurement untouched.
+//
+// ProtoH2 is the paper's baseline; ProtoH1 disables cross-host
+// coalescing; ProtoH3 pays QUIC handshake paths and tracks token/0-RTT
+// state. The per-zone anonymity stream is drawn identically for every
+// protocol, so per-protocol differences isolate the transport effect.
 func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
@@ -111,30 +97,7 @@ func (e *Experiment) anonymousFetch(vc *core.VisitCosts, c *cache.Cache, proto c
 	}
 	vc.ConnsNeeded++
 	sans := e.CDN.CertSANs(tp, netip.Addr{})
-	wire := proto.Wire()
-	resumed := c.RedeemTicketProto(tp, wire)
-	if resumed {
-		vc.ResumedTLS++
-	} else {
-		vc.FullHandshakes++
-		if c.ValidateChain("", sans) {
-			vc.CertMemoHits++
-		} else {
-			vc.Validations++
-		}
-	}
-	c.StoreTicketProto(sans, wire)
-	if proto == core.ProtoH3 {
-		if c.RedeemToken(tp, wire) {
-			vc.AddrTokenHits++
-			if resumed {
-				vc.ZeroRTT++
-			}
-		} else {
-			vc.AddrValidations++
-		}
-		c.StoreToken(sans, wire)
-	}
+	vc.AddHandshake(c.Handshake(tp, "", sans, proto.Wire()), proto)
 }
 
 // addOutcome folds one browser outcome into a cost ledger, attributing
@@ -159,25 +122,6 @@ func addOutcome(vc *core.VisitCosts, out browser.Outcome) {
 		}
 	case out.NewConnection:
 		vc.ConnsNeeded++
-		if out.ResumedTLS {
-			vc.ResumedTLS++
-		} else {
-			vc.FullHandshakes++
-			if out.CertMemoHit {
-				vc.CertMemoHits++
-			} else {
-				vc.Validations++
-			}
-		}
-		if out.Proto == browser.ProtoH3 {
-			if out.AddrTokenHit {
-				vc.AddrTokenHits++
-			} else {
-				vc.AddrValidations++
-			}
-			if out.ZeroRTT {
-				vc.ZeroRTT++
-			}
-		}
+		vc.AddHandshake(cache.Handshake{Resumed: out.ResumedTLS, MemoHit: out.CertMemoHit, TokenHit: out.AddrTokenHit}, out.Proto)
 	}
 }

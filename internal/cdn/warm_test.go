@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
 )
 
 // TestExperimentWarmColdRevisitsCheaper checks the deployment-side
@@ -22,7 +23,7 @@ func TestExperimentWarmColdRevisitsCheaper(t *testing.T) {
 		return e
 	}
 	e := setup()
-	costs := e.WarmCold(3, cache.Options{})
+	costs := e.WarmColdProto(3, cache.Options{}, core.ProtoH2)
 	if len(costs) != 3 {
 		t.Fatalf("visits = %d", len(costs))
 	}
@@ -47,7 +48,7 @@ func TestExperimentWarmColdRevisitsCheaper(t *testing.T) {
 			t.Errorf("visit %d demand drifted from cold: %+v vs %+v", v+2, warm, cold)
 		}
 	}
-	again := setup().WarmCold(3, cache.Options{})
+	again := setup().WarmColdProto(3, cache.Options{}, core.ProtoH2)
 	for v := range costs {
 		if costs[v] != again[v] {
 			t.Errorf("rerun visit %d differs: %+v vs %+v", v+1, costs[v], again[v])
@@ -66,7 +67,7 @@ func TestExperimentWarmColdLeavesMeasurementsUntouched(t *testing.T) {
 		e := SetupExperiment(c, cfg)
 		c.EnterPhaseIP()
 		if withWarm {
-			e.WarmCold(2, cache.Options{})
+			e.WarmColdProto(2, cache.Options{}, core.ProtoH2)
 		}
 		return e.ActiveMeasurement()
 	}

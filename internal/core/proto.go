@@ -7,7 +7,7 @@ import (
 )
 
 // Protocol re-exports the browser package's protocol enum so callers
-// configuring a Session need not import browser directly.
+// replaying pages need not import browser directly.
 type Protocol = browser.Protocol
 
 // Protocol values, zero value (h2) first.
@@ -24,12 +24,30 @@ var Protocols = browser.Protocols
 func ParseProtocol(s string) (Protocol, error) { return browser.ParseProtocol(s) }
 
 // ProtocolReplayCosts replays one recorded page load under the given
-// protocol and returns what the visit paid. ProtoH2 is exactly
-// WarmReplayCosts — the paper's baseline, byte for byte. The other two
-// protocols reinterpret the page's connection structure while keeping
-// its DNS accounting identical, deliberately isolating the transport
-// effect from resolution effects so per-protocol ledgers stay directly
-// comparable (LookupsNeeded is invariant across protocols):
+// protocol against a warm-path cache and returns what the visit paid.
+// The page itself is the visit structure — which requests issued fresh
+// DNS queries and handshakes (NewDNS/NewTLS) versus riding existing
+// state — and the cache decides, per fresh setup, whether warm state
+// makes it cheaper:
+//
+//   - a NewDNS entry consults the DNS cache before "querying"; misses
+//     populate it with the entry's answer set under the cache's default
+//     TTL (HAR records carry no TTLs);
+//   - a NewTLS entry settles its handshake through cache.Handshake: a
+//     session ticket covering the host skips the full handshake and
+//     validation entirely, otherwise a full handshake runs whose chain
+//     validation the memo may skip; either way the handshake's
+//     certificate mints a ticket;
+//   - entries reusing connections (!NewTLS, secure) count as coalescing
+//     reuse; race extras (ExtraDNS/ExtraTLS) are speculative and bypass
+//     every cache, so they cost the same on every visit.
+//
+// ProtoH2 replays the recorded structure as is — the paper's baseline.
+// The other two protocols reinterpret the page's connection structure
+// while keeping its DNS accounting identical, deliberately isolating
+// the transport effect from resolution effects so per-protocol ledgers
+// stay directly comparable (LookupsNeeded is invariant across
+// protocols):
 //
 //   - ProtoH1: no cross-host coalescing. A request reuses a connection
 //     only when an earlier request in the same visit already connected
@@ -45,13 +63,16 @@ func ParseProtocol(s string) (Protocol, error) { return browser.ParseProtocol(s)
 //     handshake 0-RTT. Both are redeemed and minted under the h3 key,
 //     so h2 state never leaks into an h3 replay.
 //
-// A nil cache replays the pure cold visit for every protocol.
+// A nil cache replays the pure cold visit: under ProtoH2 and ProtoH3
+// the returned DNSQueries and FullHandshakes then equal the page's
+// measured §4.2 counts exactly (p.DNSQueries() and p.TLSConnections()).
 func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts {
-	if proto == ProtoH2 {
-		return WarmReplayCosts(p, c)
-	}
 	vc := VisitCosts{Pages: 1}
-	connected := map[string]bool{}
+	var connected map[string]bool // h1 only: hostnames with a live connection
+	if proto == ProtoH1 {
+		connected = map[string]bool{}
+	}
+	wire := proto.Wire()
 	for i := range p.Entries {
 		e := &p.Entries[i]
 		if e.NewDNS {
@@ -88,36 +109,10 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		if len(sans) == 0 {
 			sans = []string{e.Host}
 		}
-		wire := proto.Wire()
-		if c.RedeemTicketProto(e.Host, wire) {
-			vc.ResumedTLS++
-			if proto == ProtoH3 && c.RedeemToken(e.Host, wire) {
-				vc.AddrTokenHits++
-				vc.ZeroRTT++
-			} else if proto == ProtoH3 {
-				vc.AddrValidations++
-			}
-		} else {
-			vc.FullHandshakes++
-			if c.ValidateChain(e.CertIssuer, sans) {
-				vc.CertMemoHits++
-			} else {
-				vc.Validations++
-			}
-			if proto == ProtoH3 {
-				if c.RedeemToken(e.Host, wire) {
-					vc.AddrTokenHits++
-				} else {
-					vc.AddrValidations++
-				}
-			}
-		}
-		c.StoreTicketProto(sans, wire)
-		if proto == ProtoH3 {
-			c.StoreToken(sans, wire)
-		}
+		vc.AddHandshake(c.Handshake(e.Host, e.CertIssuer, sans, wire), proto)
 	}
-	// Races fire before any warm state could be consulted; under h3 the
+	// Happy-eyeballs and speculative-connection races (§4.2) fire before
+	// any answer, ticket or token could be consulted; under h3 the
 	// speculative connections also pay address validation.
 	vc.DNSQueries += p.ExtraDNS
 	vc.ConnsNeeded += p.ExtraTLS
@@ -131,9 +126,9 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 
 // ProtocolReplaySequence replays a page visits times under one protocol
 // against one fresh cache built from opts, advancing the cache clock by
-// the configured revisit interval between visits — the per-protocol
-// analogue of WarmReplaySequence (to which it is byte-identical at
-// ProtoH2).
+// the configured revisit interval between visits. Element i of the
+// result is what visit i+1 paid; visit 1 is the cold load. A zero
+// visits count returns nil.
 func ProtocolReplaySequence(p *har.Page, visits int, opts cache.Options, proto Protocol) []VisitCosts {
 	if visits <= 0 {
 		return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
@@ -21,16 +20,34 @@ func protoTestPages(t *testing.T) []*har.Page {
 	return ds.Pages
 }
 
-// The h2 protocol replay IS the legacy warm replay: threading the
-// protocol through must not move a single count on the default path.
-func TestProtocolReplayH2MatchesWarmReplay(t *testing.T) {
-	opts := cache.Options{}
+// A nil cache replays the pure cold visit. Under h2 and h3 the recorded
+// structure holds, so the ledger must reproduce the page's measured
+// §4.2 counts exactly — the link from VisitCosts to the paper's numbers.
+// h1 reinterprets connections but never DNS: the lookup demand of a
+// page is the same under every protocol, cold or warm.
+func TestColdReplayReproducesMeasuredCounts(t *testing.T) {
 	for _, p := range protoTestPages(t) {
-		want := WarmReplaySequence(p, 3, opts)
-		got := ProtocolReplaySequence(p, 3, opts, ProtoH2)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("page %s: h2 protocol replay differs from WarmReplaySequence:\n got %+v\nwant %+v",
-				p.Host, got, want)
+		for _, proto := range []Protocol{ProtoH2, ProtoH3} {
+			vc := ProtocolReplayCosts(p, proto, nil)
+			if vc.DNSQueries != p.DNSQueries() || vc.FullHandshakes != p.TLSConnections() {
+				t.Fatalf("page %s %s: cold replay paid %d queries / %d handshakes, page measured %d / %d",
+					p.Host, proto, vc.DNSQueries, vc.FullHandshakes, p.DNSQueries(), p.TLSConnections())
+			}
+			if vc.Validations != vc.FullHandshakes || vc.ResumedTLS != 0 || vc.DNSCacheHits+vc.DNSNegHits != 0 {
+				t.Fatalf("page %s %s: cold replay used warm state: %+v", p.Host, proto, vc)
+			}
+			if !vc.Consistent() {
+				t.Fatalf("page %s %s: inconsistent cold ledger %+v", p.Host, proto, vc)
+			}
+		}
+		need := ProtocolReplayCosts(p, ProtoH2, nil).LookupsNeeded()
+		for _, proto := range Protocols {
+			for v, vc := range ProtocolReplaySequence(p, 3, cache.Options{}, proto) {
+				if vc.LookupsNeeded() != need {
+					t.Fatalf("page %s %s visit %d: lookup demand %d, cold h2 demand %d",
+						p.Host, proto, v+1, vc.LookupsNeeded(), need)
+				}
+			}
 		}
 	}
 }

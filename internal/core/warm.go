@@ -1,9 +1,6 @@
 package core
 
-import (
-	"respectorigin/internal/cache"
-	"respectorigin/internal/har"
-)
+import "respectorigin/internal/cache"
 
 // VisitCosts is the per-visit cost ledger of a warm/cold page-load
 // sequence: what one visit (or a sum of visits) actually paid in DNS
@@ -92,96 +89,30 @@ func (v VisitCosts) Consistent() bool {
 	return addr == 0 || addr == v.ResumedTLS+v.FullHandshakes
 }
 
-// WarmReplayCosts replays one recorded page load against a warm-path
-// cache and returns what the visit paid. The page itself is the visit
-// structure — which requests issued fresh DNS queries and handshakes
-// (NewDNS/NewTLS) versus riding existing state — and the cache decides,
-// per fresh setup, whether warm state makes it cheaper:
-//
-//   - a NewDNS entry consults the DNS cache before "querying"; misses
-//     populate it with the entry's answer set under the cache's default
-//     TTL (HAR records carry no TTLs);
-//   - a NewTLS entry redeems a session ticket when one covers the host
-//     (skipping the full handshake and validation entirely), otherwise
-//     performs a full handshake whose chain validation the memo may
-//     skip; either way the handshake's certificate mints a ticket;
-//   - entries reusing connections (!NewTLS, secure) count as coalescing
-//     reuse; race extras (ExtraDNS/ExtraTLS) are speculative and bypass
-//     every cache, so they cost the same on every visit.
-//
-// A nil cache replays the pure cold visit: the returned DNSQueries and
-// FullHandshakes then equal the page's measured §4.2 counts exactly
-// (p.DNSQueries() and p.TLSConnections()).
-func WarmReplayCosts(p *har.Page, c *cache.Cache) VisitCosts {
-	vc := VisitCosts{Pages: 1}
-	for i := range p.Entries {
-		e := &p.Entries[i]
-		if e.NewDNS {
-			if _, negative, ok := c.LookupDNS(e.Host); ok {
-				if negative {
-					vc.DNSNegHits++
-				} else {
-					vc.DNSCacheHits++
-				}
-			} else {
-				vc.DNSQueries++
-				if len(e.DNSAnswer) > 0 {
-					c.PutDNS(e.Host, e.DNSAnswer, c.DefaultTTL())
-				}
-			}
-		} else {
-			vc.DNSCoalesced++
-		}
-		if !e.Secure {
-			continue
-		}
-		if !e.NewTLS {
-			vc.ConnsNeeded++
-			vc.ReusedConns++
-			continue
-		}
-		vc.ConnsNeeded++
-		sans := e.CertSANs
-		if len(sans) == 0 {
-			sans = []string{e.Host}
-		}
-		if c.RedeemTicket(e.Host) {
-			vc.ResumedTLS++
-		} else {
-			vc.FullHandshakes++
-			if c.ValidateChain(e.CertIssuer, sans) {
-				vc.CertMemoHits++
-			} else {
-				vc.Validations++
-			}
-		}
-		c.StoreTicket(sans)
+// AddHandshake accounts one fresh connection's handshake, as the
+// warm-path cache settled it, to exactly one cause per identity above:
+// resumed, or full with the validation performed or memoised — and under
+// h3 a token hit or an address validation.
+func (v *VisitCosts) AddHandshake(h cache.Handshake, proto Protocol) {
+	switch {
+	case h.Resumed:
+		v.ResumedTLS++
+	case h.MemoHit:
+		v.FullHandshakes++
+		v.CertMemoHits++
+	default:
+		v.FullHandshakes++
+		v.Validations++
 	}
-	// Happy-eyeballs and speculative-connection races (§4.2) fire
-	// before any answer or ticket could be consulted.
-	vc.DNSQueries += p.ExtraDNS
-	vc.ConnsNeeded += p.ExtraTLS
-	vc.FullHandshakes += p.ExtraTLS
-	vc.Validations += p.ExtraTLS
-	return vc
-}
-
-// WarmReplaySequence replays a page visits times against one fresh
-// cache built from opts, advancing the cache clock by the configured
-// revisit interval between visits. Element i of the result is what
-// visit i+1 paid; visit 1 is the cold load. A zero visits count
-// returns nil.
-func WarmReplaySequence(p *har.Page, visits int, opts cache.Options) []VisitCosts {
-	if visits <= 0 {
-		return nil
+	if proto != ProtoH3 {
+		return
 	}
-	c := cache.New(opts)
-	out := make([]VisitCosts, visits)
-	for v := 0; v < visits; v++ {
-		if v > 0 {
-			c.Clock().AdvanceMs(c.Opts().RevisitIntervalMs)
-		}
-		out[v] = WarmReplayCosts(p, c)
+	if h.TokenHit {
+		v.AddrTokenHits++
+	} else {
+		v.AddrValidations++
 	}
-	return out
+	if h.ZeroRTT() {
+		v.ZeroRTT++
+	}
 }

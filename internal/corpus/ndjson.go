@@ -7,21 +7,21 @@ import (
 	"respectorigin/internal/har"
 )
 
-// ndjsonWriter emits one JSON page per line via the har codec, so its
-// bytes are identical to the historical har.StreamWriter output the
-// golden byte-identity gates were recorded against.
+// ndjsonWriter emits one JSON page per line: json.Encoder's compact
+// encoding plus its trailing newline, the exact bytes the golden
+// byte-identity gates were recorded against.
 type ndjsonWriter struct {
-	sw *har.StreamWriter
+	enc *json.Encoder
 }
 
 // NewNDJSONWriter returns a Writer encoding pages as newline-delimited
 // JSON to w. Close is a no-op (the encoding has no trailer); file
 // flushing belongs to whoever owns the file.
 func NewNDJSONWriter(w io.Writer) Writer {
-	return &ndjsonWriter{sw: har.NewStreamWriter(w)}
+	return &ndjsonWriter{enc: json.NewEncoder(w)}
 }
 
-func (n *ndjsonWriter) Write(p *har.Page) error { return n.sw.Write(p) }
+func (n *ndjsonWriter) Write(p *har.Page) error { return n.enc.Encode(p) }
 func (n *ndjsonWriter) Close() error            { return nil }
 
 // ndjsonReader streams pages out of a newline-delimited JSON corpus.

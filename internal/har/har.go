@@ -10,9 +10,7 @@
 package har
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/netip"
 	"sort"
@@ -217,72 +215,6 @@ func (p *Page) Clone() *Page {
 	}
 	return &q
 }
-
-// WriteJSON writes pages as newline-delimited JSON.
-//
-// Deprecated: new code should write through the unified corpus API —
-// internal/corpus.NewWriter(w, corpus.FormatNDJSON) produces these
-// exact bytes and also offers the compact columnar encoding. WriteJSON
-// remains as a thin convenience so existing callers and examples
-// compile unchanged; the corpus package's NDJSON implementation
-// delegates here, so the two can never diverge.
-func WriteJSON(w io.Writer, pages []*Page) error {
-	sw := NewStreamWriter(w)
-	for _, p := range pages {
-		if err := sw.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StreamWriter writes pages incrementally as newline-delimited JSON —
-// the streaming counterpart of WriteJSON, producing identical bytes.
-//
-// Deprecated: use internal/corpus.NewWriter(w, corpus.FormatNDJSON),
-// which satisfies corpus.Writer and is interchangeable with the
-// columnar encoder. StreamWriter stays as the NDJSON codec the corpus
-// package delegates to, keeping the historical golden bytes pinned in
-// one place.
-type StreamWriter struct {
-	enc *json.Encoder
-}
-
-// NewStreamWriter returns a StreamWriter emitting to w.
-//
-// Deprecated: see StreamWriter; new code should obtain a writer from
-// internal/corpus instead.
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{enc: json.NewEncoder(w)}
-}
-
-// Write appends one page to the stream.
-func (s *StreamWriter) Write(p *Page) error { return s.enc.Encode(p) }
-
-// ReadJSON reads newline-delimited JSON pages.
-//
-// Deprecated: use internal/corpus.NewReader(r, corpus.FormatNDJSON)
-// with corpus.ReadAll, or corpus.Open to sniff the encoding; both
-// formats decode through one interface there.
-func ReadJSON(r io.Reader) ([]*Page, error) {
-	dec := json.NewDecoder(r)
-	var out []*Page
-	for {
-		var p Page
-		if err := dec.Decode(&p); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, &p)
-	}
-}
-
-// ReadAll is ReadJSON under the name the corpus API uses, so callers
-// migrating between the packages need only swap the import.
-//
-// Deprecated: use internal/corpus.ReadAll over a corpus.Reader.
-func ReadAll(r io.Reader) ([]*Page, error) { return ReadJSON(r) }
 
 // Waterfall renders an ASCII waterfall of the page (Figure 2 style):
 // one row per request, proportional phase bars.

@@ -2,6 +2,7 @@ package har
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/netip"
 	"strings"
 	"testing"
@@ -124,12 +125,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	in := []*Page{samplePage(), samplePage()}
 	in[1].Rank = 99
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, in); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, p := range in {
+		if err := enc.Encode(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var out []*Page
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var p Page
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, &p)
 	}
 	if len(out) != 2 || out[1].Rank != 99 {
 		t.Fatalf("read %d pages", len(out))

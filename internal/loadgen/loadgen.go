@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/netip"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
@@ -291,8 +292,8 @@ func buildCDN(cfg Config) *cdn.CDN {
 	c := cdn.New(cdn.Config{Seed: cfg.Seed})
 	for i := 0; i < cfg.Zones; i++ {
 		host := fmt.Sprintf("www.zone-%d.example", i)
-		addr := [4]byte{104, 18, byte(i >> 8), byte(i)}
-		z := c.AddZone(host, cdn.SLATierFree, addrFrom4(addr))
+		addr := netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})
+		z := c.AddZone(host, cdn.SLATierFree, addr)
 		if i%2 == 0 {
 			z.Treatment = cdn.TreatmentExperiment
 		} else {
@@ -304,7 +305,7 @@ func buildCDN(cfg Config) *cdn.CDN {
 	case cdn.PhaseIP:
 		c.EnterPhaseIP()
 	case cdn.PhaseOrigin:
-		c.EnterPhaseOrigin(addrFrom4([4]byte{104, 19, 0, 1}))
+		c.EnterPhaseOrigin(netip.AddrFrom4([4]byte{104, 19, 0, 1}))
 	}
 	return c
 }

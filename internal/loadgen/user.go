@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
@@ -37,8 +36,6 @@ type visit struct {
 	Failed     int
 }
 
-func addrFrom4(b [4]byte) netip.Addr { return netip.AddrFrom4(b) }
-
 // userProfile is the per-user identity drawn before any visit runs.
 type userProfile struct {
 	ua       string
@@ -66,28 +63,6 @@ func drawProfile(cfg Config, rs *rand.Rand, uid int) userProfile {
 	return p
 }
 
-// drawPools draws how many independent third-party pools a page view
-// opens (the Figure 7a control distribution: 83% one, tail to 7).
-func drawPools(rs *rand.Rand) int {
-	x := rs.Float64()
-	switch {
-	case x < 0.83:
-		return 1
-	case x < 0.93:
-		return 2
-	case x < 0.97:
-		return 3
-	case x < 0.985:
-		return 4
-	case x < 0.993:
-		return 5
-	case x < 0.998:
-		return 6
-	default:
-		return 7
-	}
-}
-
 // drawVisits draws the user's visit count: geometric with the
 // configured mean, minimum one.
 func drawVisits(cfg Config, rs *rand.Rand) int {
@@ -113,20 +88,18 @@ func simulateUser(cfg Config, env *cdn.CDN, uid int, arrivalMs float64) []visit 
 	var cc *cache.Cache
 	if prof.h2 {
 		cc = cache.New(cfg.Cache)
-		b = browser.New(prof.policy)
-		b.Cache = cc
-		b.Proto = cfg.Proto
+		b = browser.New(prof.policy, browser.WithCache(cc), browser.WithProtocol(cfg.Proto))
 	}
 
 	nVisits := drawVisits(cfg, rs)
 	visits := make([]visit, 0, nVisits)
 	now := arrivalMs
 	for seq := 0; seq < nVisits; seq++ {
+		v := visit{UserID: uid, Seq: seq, PoP: prof.pop}
 		if seq > 0 {
 			gapMs := rs.ExpFloat64() * cfg.RevisitMeanSec * 1000
 			now += gapMs
 			cc.Clock().AdvanceMs(int64(gapMs))
-			v := visit{UserID: uid, Seq: seq, ArrivalMs: now, PoP: prof.pop}
 			if b != nil && gapMs >= cfg.IdleTimeoutSec*1000 {
 				// The server's idle timeout closed every pooled
 				// connection while the user was away.
@@ -134,11 +107,8 @@ func simulateUser(cfg Config, env *cdn.CDN, uid int, arrivalMs float64) []visit 
 					v.Churned += b.DropConns(host)
 				}
 			}
-			runVisit(cfg, env, prof, b, rs, net, &v)
-			visits = append(visits, v)
-			continue
 		}
-		v := visit{UserID: uid, Seq: seq, ArrivalMs: now, PoP: prof.pop}
+		v.ArrivalMs = now
 		runVisit(cfg, env, prof, b, rs, net, &v)
 		visits = append(visits, v)
 	}
@@ -164,7 +134,7 @@ func pooledHosts(b *browser.Browser) []string {
 // outcomes into v.
 func runVisit(cfg Config, env *cdn.CDN, prof userProfile, b *browser.Browser,
 	rs *rand.Rand, net *netsim.Network, v *visit) {
-	pools := drawPools(rs)
+	pools := cdn.SamplePools(rs)
 	if !prof.h2 {
 		// Legacy clients: one fresh connection per request, no
 		// coalescing, no warm path.

@@ -78,6 +78,31 @@ func (p Params) scale() float64 {
 // price setup phases without drawing from a Network's RNG stream.
 func (p Params) CostScale() float64 { return p.scale() }
 
+// TCPTLSSetupMs is the jitter-free price of setting up one TCP+TLS
+// connection (h1/h2): the TCP round trip plus the handshake round trips,
+// plus certificate verification unless the handshake resumed a session
+// (no chain is presented). Together with QUICSetupMs it is the one price
+// list the pure-arithmetic tables (report's protocol sweep, the scenario
+// matrix) share; callers that degrade the path multiply by CostScale.
+func (p Params) TCPTLSSetupMs(resumed bool) float64 {
+	ms := p.RTTMs + p.TLSRoundTrips*p.RTTMs
+	if !resumed {
+		ms += p.CertVerifyMs
+	}
+	return ms
+}
+
+// QUICSetupMs is the jitter-free price of one QUIC establishment taking
+// rtts round trips (quic.Path.RTTs owns that table), plus certificate
+// verification for full handshakes.
+func (p Params) QUICSetupMs(rtts float64, verifyChain bool) float64 {
+	ms := rtts * p.RTTMs
+	if verifyChain {
+		ms += p.CertVerifyMs
+	}
+	return ms
+}
+
 // Validate rejects parameter combinations that would produce NaN,
 // infinite, or negative phase durations: a profile is only usable when
 // every duration it prices is finite and non-negative and its transfer

@@ -9,6 +9,7 @@ import (
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/netsim"
+	"respectorigin/internal/quic"
 )
 
 // ProtoCosts is one protocol's warm/cold visit sequence.
@@ -21,8 +22,7 @@ type ProtoCosts struct {
 // protocol (h1, h2, h3 — sweep order), each against a fresh per-page
 // per-protocol cache, and sums the per-visit ledgers across pages. The
 // three replays are independent passes over the same immutable pages,
-// so the result is identical for any worker count, and the h2 entry is
-// byte-identical to WarmCold (it delegates to the same replay).
+// so the result is identical for any worker count.
 func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	if revisits <= 0 {
 		return nil
@@ -34,8 +34,11 @@ func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	return out
 }
 
-// WarmColdProto is WarmCold under one explicit protocol (identical to
-// WarmCold at ProtoH2 — the h2 replay is the same code path).
+// WarmColdProto replays every corpus page revisits times under one
+// protocol against a fresh per-page warm-path cache and sums the
+// per-visit cost ledgers across pages. The pass fans out across the
+// corpus workers; per-page sequences are independent and ledger addition
+// is associative, so the result is identical for any worker count.
 func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
@@ -56,9 +59,9 @@ func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Prot
 		})
 }
 
-// WarmColdProto is Deployment.WarmCold under one explicit protocol
-// (identical to WarmCold at ProtoH2), run during the IP-coalescing
-// phase with the baseline restored afterwards.
+// WarmColdProto runs the deployment experiment's returning-visitor
+// measurement under one protocol during the IP-coalescing phase (where
+// cross-host coalescing is strongest) and restores baseline afterwards.
 func (d *Deployment) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	d.CDN.EnterPhaseIP()
 	costs := d.Exp.WarmColdProto(revisits, opts, proto)
@@ -79,32 +82,30 @@ func (d *Deployment) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	return out
 }
 
-// protoSetupMs prices one ledger's connection setups in milliseconds of
-// pure arithmetic on the network parameters — no RNG, no jitter — so
-// the sweep table is deterministic by construction:
+// setupMs prices one ledger's connection setups from the netsim price
+// list — pure arithmetic on the network parameters, no RNG, no jitter —
+// so the sweep table is deterministic by construction:
 //
 //	h1/h2 resumed:  TCP (1 RTT) + TLS round trips
 //	h1/h2 full:     the above + certificate verification
-//	h3 0-RTT:       free (ticket + token, data in the first flight)
-//	h3 1-RTT:       1 RTT, +1 Retry RTT when no token covers the host,
-//	                +certificate verification unless resumed
+//	h3:             quic.Path's round trips for (resumed, token),
+//	                + certificate verification unless resumed
 //
 // Reused (coalesced) connections cost nothing by definition.
-func protoSetupMs(vc core.VisitCosts, proto core.Protocol, p netsim.Params) float64 {
-	rtt, verify := p.RTTMs, p.CertVerifyMs
+func setupMs(vc core.VisitCosts, proto core.Protocol, p netsim.Params) float64 {
 	if proto != core.ProtoH3 {
-		base := rtt + p.TLSRoundTrips*rtt
-		return float64(vc.ResumedTLS)*base + float64(vc.FullHandshakes)*(base+verify)
+		return float64(vc.ResumedTLS)*p.TCPTLSSetupMs(true) + float64(vc.FullHandshakes)*p.TCPTLSSetupMs(false)
 	}
 	// Decompose fresh h3 connections by (resumed, token) from the exact
 	// ledger identities: AddrTokenHits + AddrValidations = fresh conns.
-	zero := vc.ZeroRTT                       // resumed + token: 0 RTT
-	resNoTok := vc.ResumedTLS - zero         // resumed, Retry: 2 RTT
-	fullTok := vc.AddrTokenHits - zero       // full + token: 1 RTT
-	fullNoTok := vc.FullHandshakes - fullTok // full, Retry: 2 RTT
-	return float64(resNoTok)*2*rtt +
-		float64(fullTok)*(rtt+verify) +
-		float64(fullNoTok)*(2*rtt+verify)
+	fullTok := vc.AddrTokenHits - vc.ZeroRTT
+	price := func(conns int, path quic.Path) float64 {
+		return float64(conns) * p.QUICSetupMs(path.RTTs(), !path.Resumed)
+	}
+	return price(vc.ZeroRTT, quic.Path{Resumed: true, TokenHit: true}) +
+		price(vc.ResumedTLS-vc.ZeroRTT, quic.Path{Resumed: true}) +
+		price(fullTok, quic.Path{TokenHit: true}) +
+		price(vc.FullHandshakes-fullTok, quic.Path{})
 }
 
 // ProtoSweepTable renders a per-protocol savings decomposition: the
@@ -126,7 +127,7 @@ func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 			fmt.Fprintf(&sb, "  %-5s  %5d %8d %7d %8d %8d %5d %8d %9d %10.1f\n",
 				pc.Proto, v+1, vc.DNSQueries, vc.ReusedConns, vc.ResumedTLS,
 				vc.FullHandshakes, vc.ZeroRTT, vc.AddrTokenHits, vc.AddrValidations,
-				protoSetupMs(vc, pc.Proto, p))
+				setupMs(vc, pc.Proto, p))
 			if !vc.Consistent() {
 				fmt.Fprintf(&sb, "  WARNING: %s visit %d ledger inconsistent\n", pc.Proto, v+1)
 			}
@@ -149,9 +150,9 @@ func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 	if !ok1 || !ok2 || !ok3 {
 		return sb.String()
 	}
-	c1 := protoSetupMs(h1, core.ProtoH1, p)
-	c2 := protoSetupMs(h2, core.ProtoH2, p)
-	c3 := protoSetupMs(h3, core.ProtoH3, p)
+	c1 := setupMs(h1, core.ProtoH1, p)
+	c2 := setupMs(h2, core.ProtoH2, p)
+	c3 := setupMs(h3, core.ProtoH3, p)
 	fmt.Fprintf(&sb, "Coalescing frontier at visit %d (vs h1 keep-alive, %.1f ms setup):\n", last+1, c1)
 	fmt.Fprintf(&sb, "  ORIGIN-equivalent coalescing (h2): %+d reused conns, setup %.1f ms (-%.1f%%)\n",
 		h2.ReusedConns-h1.ReusedConns, c2, measure.ReductionPct(c1, c2))

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
@@ -9,28 +8,6 @@ import (
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
 )
-
-// The sweep's h2 entry must equal the legacy WarmCold replay exactly:
-// the protocol thread is pure plumbing on the default path.
-func TestProtoSweepH2EntryMatchesWarmCold(t *testing.T) {
-	c := testCorpus(t, 300)
-	opts := cache.Options{}
-	sweep := c.ProtoSweep(3, opts)
-	if len(sweep) != len(core.Protocols) {
-		t.Fatalf("sweep has %d entries, want %d", len(sweep), len(core.Protocols))
-	}
-	legacy := c.WarmCold(3, opts)
-	for _, pc := range sweep {
-		if pc.Proto != core.ProtoH2 {
-			continue
-		}
-		if !reflect.DeepEqual(pc.Visits, legacy) {
-			t.Fatalf("h2 sweep entry differs from WarmCold:\n got %+v\nwant %+v", pc.Visits, legacy)
-		}
-		return
-	}
-	t.Fatal("sweep has no h2 entry")
-}
 
 // The rendered sweep table is byte-identical for any worker count —
 // the acceptance gate for -proto-sweep determinism.
@@ -71,9 +48,9 @@ func TestProtoSweepFrontierOrdering(t *testing.T) {
 		}
 		byProto[pc.Proto] = pc.Visits[len(pc.Visits)-1]
 	}
-	h1 := protoSetupMs(byProto[core.ProtoH1], core.ProtoH1, p)
-	h2 := protoSetupMs(byProto[core.ProtoH2], core.ProtoH2, p)
-	h3 := protoSetupMs(byProto[core.ProtoH3], core.ProtoH3, p)
+	h1 := setupMs(byProto[core.ProtoH1], core.ProtoH1, p)
+	h2 := setupMs(byProto[core.ProtoH2], core.ProtoH2, p)
+	h3 := setupMs(byProto[core.ProtoH3], core.ProtoH3, p)
 	if !(h3 < h2 && h2 < h1) {
 		t.Fatalf("warm setup cost not ordered h3 < h2 < h1: h1=%.1f h2=%.1f h3=%.1f", h1, h2, h3)
 	}

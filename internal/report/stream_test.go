@@ -2,10 +2,10 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
-	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/webgen"
 )
@@ -26,9 +26,9 @@ func encodeDS(t *testing.T, ds *webgen.Dataset, f corpus.Format) []byte {
 	return buf.Bytes()
 }
 
-// A corpus read back through either encoding must analyze identically
-// to the in-memory dataset it came from — the property that makes
-// cmd/report over crawl output equivalent to generating inline.
+// A corpus read back through either encoding must analyze and replay
+// identically to the in-memory dataset it came from — the property that
+// makes cmd/report over crawl output equivalent to generating inline.
 func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 	cfg := webgen.DefaultConfig()
 	cfg.Sites = 150
@@ -42,6 +42,7 @@ func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 	_, wantT1 := base.Table1(5)
 	_, wantT2 := base.Table2(10)
 	_, wantHL := base.Headline()
+	wantSweep := base.ProtoSweep(2, cache.Options{})
 
 	for _, f := range []corpus.Format{corpus.FormatNDJSON, corpus.FormatColumnar} {
 		raw := encodeDS(t, ds, f)
@@ -58,41 +59,8 @@ func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 		if _, got := c.Headline(); got != wantHL {
 			t.Fatalf("%s: Headline differs from in-memory corpus", f)
 		}
-	}
-}
-
-// The streaming replay fold must equal the in-memory map-reduce: same
-// pages, same per-visit ledgers, for every protocol and both formats.
-func TestReplayReaderSequenceMatchesWarmCold(t *testing.T) {
-	cfg := webgen.DefaultConfig()
-	cfg.Sites = 120
-	ds, err := webgen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCorpusWorkers(ds, 4)
-	opts := cache.Options{}
-	const revisits = 2
-	for _, f := range []corpus.Format{corpus.FormatNDJSON, corpus.FormatColumnar} {
-		raw := encodeDS(t, ds, f)
-		for _, proto := range core.Protocols {
-			want := c.WarmColdProto(revisits, opts, proto)
-			got, pages, err := core.ReplayReaderSequence(corpus.NewReader(bytes.NewReader(raw), f), revisits, opts, proto)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", f, proto, err)
-			}
-			if pages != len(ds.Pages) {
-				t.Fatalf("%s/%s: streamed %d pages, corpus has %d", f, proto, pages, len(ds.Pages))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d visits, want %d", f, proto, len(got), len(want))
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s/%s visit %d: streaming ledger %+v differs from map-reduce %+v",
-						f, proto, v+1, got[v], want[v])
-				}
-			}
+		if got := c.ProtoSweep(2, cache.Options{}); !reflect.DeepEqual(got, wantSweep) {
+			t.Fatalf("%s: per-protocol replay ledgers differ from in-memory corpus:\n got %+v\nwant %+v", f, got, wantSweep)
 		}
 	}
 }

@@ -4,57 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/core"
-	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 )
-
-// WarmCold replays every corpus page revisits times against a fresh
-// per-page warm-path cache and sums the per-visit cost ledgers across
-// pages. The pass fans out across the corpus workers; per-page
-// sequences are independent and ledger addition is associative, so the
-// result is identical for any worker count.
-func (c *Corpus) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
-	if revisits <= 0 {
-		return nil
-	}
-	return mapPages(c,
-		func() []core.VisitCosts { return make([]core.VisitCosts, revisits) },
-		func(acc []core.VisitCosts, p *har.Page) []core.VisitCosts {
-			for v, vc := range core.WarmReplaySequence(p, revisits, opts) {
-				acc[v].Add(vc)
-			}
-			return acc
-		},
-		func(a, b []core.VisitCosts) []core.VisitCosts {
-			for v := range a {
-				a[v].Add(b[v])
-			}
-			return a
-		})
-}
-
-// WarmCold runs the deployment experiment's returning-visitor
-// measurement under the IP-coalescing phase (where cross-host
-// coalescing is strongest) and restores baseline afterwards.
-func (d *Deployment) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
-	d.CDN.EnterPhaseIP()
-	costs := d.Exp.WarmCold(revisits, opts)
-	d.CDN.ExitExperiment()
-	return costs
-}
-
-// NewDeploymentSession is NewDeployment wired through a core.Session:
-// the session's fault plan and retry budget parameterize the
-// experiment (flowing through ExperimentConfig, so the injector stream
-// is seeded exactly as a config-driven run would) and its recorder is
-// installed on the experiment.
-func NewDeploymentSession(sampleSize int, s *core.Session) *Deployment {
-	d := NewDeploymentWithFaults(sampleSize, s.Seed, s.Plan, s.Retries)
-	d.Exp.UseSession(s)
-	return d
-}
 
 // SavingsTable renders a warm/cold visit sequence: per-visit measured
 // costs, then the warm-visit savings against the cold load decomposed

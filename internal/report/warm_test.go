@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
 	"respectorigin/internal/webgen"
 )
 
@@ -20,9 +21,9 @@ func TestWarmColdWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := cache.Options{}
-	want := SavingsTable(NewCorpusWorkers(ds, 1).WarmCold(3, opts), "inv")
+	want := SavingsTable(NewCorpusWorkers(ds, 1).WarmColdProto(3, opts, core.ProtoH2), "inv")
 	for _, w := range []int{4, 16} {
-		got := SavingsTable(NewCorpusWorkers(ds, w).WarmCold(3, opts), "inv")
+		got := SavingsTable(NewCorpusWorkers(ds, w).WarmColdProto(3, opts, core.ProtoH2), "inv")
 		if got != want {
 			t.Errorf("workers=%d table differs from workers=1:\n%s\nvs\n%s", w, got, want)
 		}
@@ -36,7 +37,7 @@ func TestWarmColdWorkerInvariance(t *testing.T) {
 // hold, so every avoided unit is attributed with no remainder).
 func TestWarmColdSecondVisitStrictlyCheaper(t *testing.T) {
 	c := testCorpus(t, 400)
-	costs := c.WarmCold(2, cache.Options{})
+	costs := c.WarmColdProto(2, cache.Options{}, core.ProtoH2)
 	if len(costs) != 2 {
 		t.Fatalf("visits = %d", len(costs))
 	}
@@ -75,7 +76,7 @@ func TestWarmColdSecondVisitStrictlyCheaper(t *testing.T) {
 // chain memo — while full handshakes stay flat aside from coalescing.
 func TestWarmColdTicketsDisabledFallsBackToMemo(t *testing.T) {
 	c := testCorpus(t, 200)
-	costs := c.WarmCold(2, cache.Options{TicketLifetimeSeconds: cache.TicketsDisabled})
+	costs := c.WarmColdProto(2, cache.Options{TicketLifetimeSeconds: cache.TicketsDisabled}, core.ProtoH2)
 	cold, warm := costs[0], costs[1]
 	if warm.ResumedTLS != 0 || cold.ResumedTLS != 0 {
 		t.Errorf("resumption occurred with tickets disabled: cold %d, warm %d",

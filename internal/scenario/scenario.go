@@ -268,17 +268,17 @@ func price(t totals, profile netsim.Profile, transport cache.DNSTransport) Cell 
 }
 
 // setupMs prices the cell's connection economy under the profile, in
-// pure arithmetic from the profile parameters (no RNG — cells must be
+// pure arithmetic from the netsim price list (no RNG — cells must be
 // byte-stable). A full TLS setup costs the TCP round trip, the
 // handshake round trips, and certificate verification; a resumed
 // handshake skips verification. Do53 resolution costs DNSMs per wire
-// query; DoH pays one resolver-connection setup per page that reached
-// the wire plus one resolver round trip per query — the transport's
-// amortization trade.
+// query; DoH pays one resolver-connection setup (priced as a resumed
+// session to the resolver) per page that reached the wire plus one
+// resolver round trip per query — the transport's amortization trade.
 func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t cache.DNSTransport) float64 {
 	scale := p.CostScale()
-	fullMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs + p.CertVerifyMs) * scale
-	resumedMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs) * scale
+	fullMs := p.TCPTLSSetupMs(false) * scale
+	resumedMs := p.TCPTLSSetupMs(true) * scale
 	sockets := cell.Conns + cell.Preconns
 	full := sockets - resumed
 	if full < 0 {
@@ -287,7 +287,7 @@ func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t cache.DNS
 	ms := float64(full)*fullMs + float64(resumed)*resumedMs
 	switch t {
 	case cache.TransportDoH:
-		ms += float64(resolverConns) * (p.RTTMs + p.TLSRoundTrips*p.RTTMs) * scale
+		ms += float64(resolverConns) * p.TCPTLSSetupMs(true) * scale
 		ms += float64(cell.DNSQueries) * p.RTTMs * scale
 	default:
 		ms += float64(cell.DNSQueries) * p.DNSMs * scale

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/asn"
+	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 )
@@ -42,8 +43,11 @@ func TestGenerateDeterministic(t *testing.T) {
 func ndjsonBytes(t *testing.T, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := har.WriteJSON(&buf, ds.Pages); err != nil {
-		t.Fatal(err)
+	w := corpus.NewWriter(&buf, corpus.FormatNDJSON)
+	for _, p := range ds.Pages {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
@@ -102,7 +106,7 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		cfg.Workers = w
 		var buf bytes.Buffer
-		sw := har.NewStreamWriter(&buf)
+		sw := corpus.NewWriter(&buf, corpus.FormatNDJSON)
 		res, err := GenerateStream(cfg, sw.Write)
 		if err != nil {
 			t.Fatal(err)
@@ -392,11 +396,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRebuildASDBRoundTrip(t *testing.T) {
 	ds := genSmall(t, 200)
-	var buf bytes.Buffer
-	if err := har.WriteJSON(&buf, ds.Pages); err != nil {
-		t.Fatal(err)
-	}
-	pages, err := har.ReadJSON(&buf)
+	pages, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(ndjsonBytes(t, ds)), corpus.FormatNDJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestGenerateStreamRankRangeByteIdentical(t *testing.T) {
 		shCfg := cfg
 		shCfg.RankLo, shCfg.RankHi = bounds[i], bounds[i+1]
 		shCfg.Workers = 1 + i%2*3 // mix worker counts across shards
-		sw := har.NewStreamWriter(&buf)
+		sw := corpus.NewWriter(&buf, corpus.FormatNDJSON)
 		res, err := GenerateStream(shCfg, sw.Write)
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", bounds[i], bounds[i+1], err)
