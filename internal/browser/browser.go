@@ -114,7 +114,8 @@ type Conn struct {
 	// SANs is the server certificate's SAN list.
 	SANs []string
 
-	// Origins is the origin set advertised on this connection.
+	// Origins is the origin set advertised on this connection; nil on
+	// connections of a policy that never reads it.
 	Origins map[string]bool
 
 	// Proto is the protocol this connection speaks (may differ from the
@@ -280,6 +281,10 @@ type Browser struct {
 	seq    int
 	useSeq int // monotone use counter feeding Conn.lastUse
 	conns  []*Conn
+	// spare holds the connections closed by Reset, kept for their storage
+	// (the Conn, its Available capacity, its emptied Origins map): openConn
+	// refills one before it allocates.
+	spare []*Conn
 
 	// Totals across all requests.
 	TotalDNS     int
@@ -324,13 +329,21 @@ func New(p Policy, opts ...Option) *Browser {
 	return b
 }
 
-// Conns returns the current connection pool.
+// Conns returns the current connection pool. The slice and the
+// connections it points to belong to the browser: they are valid until
+// the next Reset, which recycles them.
 func (b *Browser) Conns() []*Conn { return b.conns }
 
-// Reset drops all pooled connections and counters (a fresh browsing
-// session, as in the paper's active measurements).
+// Reset drops all pooled connections and counters and restarts the
+// event sequence (a fresh browsing session, as in the paper's active
+// measurements). The pool's storage is kept for the next session's
+// connections, so a browser Reset per page stops allocating once it has
+// seen its largest page.
 func (b *Browser) Reset() {
-	b.conns = nil
+	b.spare = append(b.spare, b.conns...)
+	clear(b.conns)
+	b.conns = b.conns[:0]
+	b.seq = 0
 	b.TotalDNS = 0
 	b.TotalNewConn = 0
 	b.Total421 = 0
@@ -723,24 +736,24 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 // account the outcome themselves (Preconnect deliberately does not).
 func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []netip.Addr, out *Outcome) *Conn {
 	proto := b.connProto(env, host)
-	c := &Conn{
-		Host:      host,
-		IP:        ip,
-		Available: append([]netip.Addr(nil), addrs...),
-		SANs:      env.CertSANs(host, ip),
-		Origins:   map[string]bool{},
-		Proto:     proto,
+	c := b.spareConn()
+	c.Host, c.IP, c.Proto = host, ip, proto
+	c.SANs = env.CertSANs(host, ip)
+	if b.Policy == PolicyChromium {
+		// Chromium keeps only the connected address (§2.3).
+		c.Available = append(c.Available, ip)
+	} else {
+		c.Available = append(c.Available, addrs...)
 	}
 	if b.Policy == PolicyFirefoxOrigin && proto != ProtoH1 {
+		if c.Origins == nil {
+			c.Origins = map[string]bool{}
+		}
 		for _, o := range env.OriginSet(host, ip) {
 			c.Origins[o] = true
 		}
 		// The connection's own host is always in its origin set.
 		c.Origins[host] = true
-	}
-	if b.Policy == PolicyChromium {
-		// Chromium keeps only the connected address (§2.3).
-		c.Available = []netip.Addr{ip}
 	}
 	if b.MaxConns > 0 {
 		for len(b.conns) >= b.MaxConns {
@@ -787,6 +800,21 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 	if len(c.Origins) > 0 {
 		b.emit(obs.Event{Kind: obs.KindOriginFrame, Host: host, N: len(c.Origins)})
 	}
+	return c
+}
+
+// spareConn returns a blank connection: one Reset closed, emptied but
+// with its Available capacity and Origins map kept, or else a new one.
+func (b *Browser) spareConn() *Conn {
+	n := len(b.spare)
+	if n == 0 {
+		return &Conn{}
+	}
+	c := b.spare[n-1]
+	b.spare[n-1] = nil
+	b.spare = b.spare[:n-1]
+	clear(c.Origins)
+	*c = Conn{Available: c.Available[:0], Origins: c.Origins}
 	return c
 }
 

@@ -305,20 +305,23 @@ func TestEmptyDNSAnswer(t *testing.T) {
 	}
 }
 
-// Without a recorder a fresh connection allocates only what the pool
-// keeps — the Conn, its address list, its origin map and the pool slot
-// — and nothing for events nobody records (the handshake event's
-// detail is the formatted address: one string per connection).
+// Without a recorder a fresh connection allocates nothing once the
+// browser has run one session: Reset keeps the closed Conn, its address
+// list, its origin map and the pool slot for the next session, and no
+// event detail is formatted for a recorder that is not there. All
+// policies: the origin map is the storage only PolicyFirefoxOrigin has.
 func TestFreshConnectionAllocsWithoutRecorder(t *testing.T) {
-	env := twoHostEnv()
-	b := New(PolicyFirefox)
-	got := testing.AllocsPerRun(200, func() {
-		b.Reset()
-		if out := b.Request(env, "www.example.com"); !out.NewConnection {
-			t.Fatal("request after Reset did not connect")
+	env := staleOriginEnv(true)
+	for _, policy := range []Policy{PolicyChromium, PolicyFirefox, PolicyFirefoxOrigin} {
+		b := New(policy)
+		got := testing.AllocsPerRun(200, func() {
+			b.Reset()
+			if out := b.Request(env, "www.example"); !out.NewConnection {
+				t.Fatal("request after Reset did not connect")
+			}
+		})
+		if got != 0 {
+			t.Errorf("%v: fresh connection with a nil recorder: %.0f allocs, want 0", policy, got)
 		}
-	})
-	if got > 4 {
-		t.Fatalf("fresh connection with a nil recorder: %.0f allocs, want ≤ 4", got)
 	}
 }

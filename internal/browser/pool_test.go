@@ -1,7 +1,12 @@
 package browser
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -217,5 +222,147 @@ func TestResetClearsPoolCounters(t *testing.T) {
 	if b.TotalEvicted != 0 || b.TotalPreconns != 0 || b.TotalPreconnsUsed != 0 || len(b.Conns()) != 0 {
 		t.Fatalf("Reset left pool counters: evicted=%d preconns=%d used=%d pool=%d",
 			b.TotalEvicted, b.TotalPreconns, b.TotalPreconnsUsed, len(b.Conns()))
+	}
+}
+
+// sessionEnv builds one browsing session's environment: six hosts on
+// names, addresses, SANs and origin sets that carry the session number,
+// so anything a recycled connection kept from an earlier session would
+// show. Hosts pair up on a shared address and certificate; the even
+// host of each pair advertises the odd one in its origin set.
+func sessionEnv(session int) (*fakeEnv, []string) {
+	env := &fakeEnv{
+		answers: map[string][]netip.Addr{},
+		sans:    map[string][]string{},
+		origins: map[string][]string{},
+	}
+	var hosts []string
+	for i := 0; i < 6; i++ {
+		host := fmt.Sprintf("h%d.s%d.example", i, session)
+		pair := fmt.Sprintf("h%d.s%d.example", i^1, session)
+		shared := netip.AddrFrom4([4]byte{10, byte(session), byte(i / 2), 1})
+		own := netip.AddrFrom4([4]byte{10, byte(session), byte(i / 2), byte(2 + i%2)})
+		env.answers[host] = []netip.Addr{own, shared}
+		env.sans[host] = []string{host, pair}
+		if i%2 == 0 {
+			env.origins[host] = []string{pair}
+		}
+		hosts = append(hosts, host)
+	}
+	return env, hosts
+}
+
+// connView is what a test may read of a pooled connection.
+type connView struct {
+	Host, Available, SANs, Origins string
+	IP                             netip.Addr
+	Proto                          Protocol
+	Speculative, Used              bool
+}
+
+func viewConns(b *Browser) []connView {
+	var out []connView
+	for _, c := range b.Conns() {
+		origins := make([]string, 0, len(c.Origins))
+		for o := range c.Origins {
+			origins = append(origins, o)
+		}
+		sort.Strings(origins)
+		spec, used := c.Speculative()
+		out = append(out, connView{
+			Host: c.Host, IP: c.IP, Proto: c.Proto, Speculative: spec, Used: used,
+			Available: fmt.Sprint(c.Available), SANs: fmt.Sprint(c.SANs), Origins: fmt.Sprint(origins),
+		})
+	}
+	return out
+}
+
+// totalsOf snapshots the browser's exported state with the pool and
+// configuration left out: two browsers that did the same work agree.
+func totalsOf(b *Browser) Browser {
+	t := *b
+	t.conns, t.spare, t.Cache, t.Rec = nil, nil, nil, nil
+	return t
+}
+
+// A browser Reset between sessions must behave exactly like a fresh one
+// per session — Reset keeps storage, never state. A seeded schedule of
+// requests, pre-connects, drops and 421-inducing migrations, under pool
+// caps that force LRU and stale-connection evictions, runs on both for
+// every policy and protocol; after each step the outcomes, totals and
+// pool contents must agree, no connection may show a name or address of
+// an earlier session, and no connection's Available may alias the slice
+// the environment answered with.
+func TestResetReusesStorageWithoutLeakingState(t *testing.T) {
+	for _, policy := range []Policy{PolicyChromium, PolicyFirefox, PolicyFirefoxOrigin} {
+		for _, proto := range Protocols {
+			for _, caps := range [][2]int{{0, 0}, {3, 1}} {
+				name := fmt.Sprintf("%v/%v/caps%v", policy, proto, caps)
+				opts := []Option{WithProtocol(proto), WithPoolLimits(caps[0], caps[1])}
+				rng := rand.New(rand.NewSource(int64(policy)*100 + int64(proto)*10 + int64(caps[0])))
+				reused := New(policy, opts...)
+				for session := 0; session < 12; session++ {
+					fresh := New(policy, opts...)
+					reused.Reset()
+					envs := [2]*fakeEnv{}
+					var hosts []string
+					envs[0], hosts = sessionEnv(session)
+					envs[1], _ = sessionEnv(session)
+					tag := fmt.Sprintf(".s%d.example", session)
+					for step := 0; step < 40; step++ {
+						host := hosts[rng.Intn(len(hosts))]
+						op := rng.Intn(10)
+						var got, want any
+						switch {
+						case op < 6:
+							got, want = reused.Request(envs[0], host), fresh.Request(envs[1], host)
+						case op < 8:
+							got, want = reused.Preconnect(envs[0], host), fresh.Preconnect(envs[1], host)
+						case op < 9:
+							got, want = reused.DropConns(host), fresh.DropConns(host)
+						default:
+							// The host moves: its pooled connections go stale
+							// and the next reuse bounces with a 421.
+							for _, env := range envs {
+								old := env.answers[host][0]
+								env.answers[host] = []netip.Addr{netip.AddrFrom4([4]byte{10, byte(session), 200, byte(step)})}
+								if env.reachable == nil {
+									env.reachable = map[string]bool{}
+								}
+								env.reachable[host+"@"+old.String()] = false
+							}
+						}
+						if got != want {
+							t.Fatalf("%s session %d step %d (%s): reused browser returned %+v, fresh %+v", name, session, step, host, got, want)
+						}
+						if g, w := totalsOf(reused), totalsOf(fresh); !reflect.DeepEqual(g, w) {
+							t.Fatalf("%s session %d step %d: totals differ\nreused %+v\nfresh  %+v", name, session, step, g, w)
+						}
+						g, w := viewConns(reused), viewConns(fresh)
+						if !reflect.DeepEqual(g, w) {
+							t.Fatalf("%s session %d step %d: pools differ\nreused %+v\nfresh  %+v", name, session, step, g, w)
+						}
+						for i, c := range reused.Conns() {
+							for _, s := range []string{g[i].Host, g[i].SANs, g[i].Origins} {
+								if strings.Count(s, ".example") != strings.Count(s, tag) {
+									t.Fatalf("%s session %d: connection shows a name of another session: %+v", name, session, g[i])
+								}
+							}
+							for _, a := range c.Available {
+								if a.As4()[1] != byte(session) {
+									t.Fatalf("%s session %d: connection kept address %v of another session", name, session, a)
+								}
+							}
+							if answer := envs[0].answers[c.Host]; len(answer) > 0 && &c.Available[0] == &answer[0] {
+								t.Fatalf("%s session %d: Available of %s aliases the environment's answer", name, session, c.Host)
+							}
+						}
+					}
+				}
+				if reused.TotalNewConn == 0 && reused.TotalPreconns == 0 {
+					t.Fatalf("%s: the schedule opened no connection", name)
+				}
+			}
+		}
 	}
 }

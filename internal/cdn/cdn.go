@@ -126,6 +126,9 @@ type CDN struct {
 	// thirdPartySANs is the third party's certificate, built once: every
 	// connection to it asks, and the warm-path stores retain the answer.
 	thirdPartySANs []string
+	// originExperiment and originControl are the two ORIGIN frame
+	// contents of §5.3, built once and handed out read-only.
+	originExperiment, originControl []string
 	// ipServes maps an address to the set of hostnames authoritatively
 	// served on it.
 	ipServes map[netip.Addr]map[string]bool
@@ -163,17 +166,20 @@ func New(c Config) *CDN {
 	if c.SampleRate == 0 {
 		c.SampleRate = 0.01
 	}
+	controlName := certs.EqualLengthControlName(c.ThirdParty, 2)
 	cdn := &CDN{
-		ThirdParty:      c.ThirdParty,
-		ControlName:     certs.EqualLengthControlName(c.ThirdParty, 2),
-		zones:           make(map[string]*Zone),
-		auth:            dns.NewAuthority(),
-		alignedAddr:     c.AlignedAddr,
-		thirdPartyAddrs: c.ThirdPartyAddrs,
-		thirdPartySANs:  []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
-		ipServes:        make(map[netip.Addr]map[string]bool),
-		PoPs:            c.PoPs,
-		pipeline:        NewLogPipeline(c.SampleRate, c.Seed),
+		ThirdParty:       c.ThirdParty,
+		ControlName:      controlName,
+		zones:            make(map[string]*Zone),
+		auth:             dns.NewAuthority(),
+		alignedAddr:      c.AlignedAddr,
+		thirdPartyAddrs:  c.ThirdPartyAddrs,
+		thirdPartySANs:   []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
+		originExperiment: []string{c.ThirdParty},
+		originControl:    []string{controlName},
+		ipServes:         make(map[netip.Addr]map[string]bool),
+		PoPs:             c.PoPs,
+		pipeline:         NewLogPipeline(c.SampleRate, c.Seed),
 	}
 	cdn.auth.AddA(c.ThirdParty, c.ThirdPartyAddrs...)
 	cdn.serveOn(c.ThirdPartyAddrs, c.ThirdParty)
@@ -345,23 +351,9 @@ func (c *CDN) Lookup(host string) ([]netip.Addr, error) {
 // minimum TTL across its A records, the budget a client cache may keep
 // the answer for.
 func (c *CDN) LookupTTL(host string) ([]netip.Addr, uint32, error) {
-	q := &dns.Message{
-		Header:    dns.Header{ID: 1, RD: true},
-		Questions: []dns.Question{{Name: host, Type: dns.TypeA, Class: dns.ClassINET}},
-	}
-	resp := c.auth.Handle(q)
-	if resp.Header.Rcode != dns.RcodeSuccess {
-		return nil, 0, fmt.Errorf("cdn: DNS rcode %d for %s", resp.Header.Rcode, host)
-	}
-	var addrs []netip.Addr
-	var ttl uint32
-	for _, rr := range resp.Answers {
-		if rr.Type == dns.TypeA {
-			addrs = append(addrs, rr.Addr)
-			if ttl == 0 || rr.TTL < ttl {
-				ttl = rr.TTL
-			}
-		}
+	addrs, ttl, rcode := c.auth.LookupAddrs(host, dns.TypeA)
+	if rcode != dns.RcodeSuccess {
+		return nil, 0, fmt.Errorf("cdn: DNS rcode %d for %s", rcode, host)
 	}
 	return addrs, ttl, nil
 }
@@ -394,9 +386,9 @@ func (c *CDN) OriginSet(host string, ip netip.Addr) []string {
 	}
 	switch z.Treatment {
 	case TreatmentExperiment:
-		return []string{c.ThirdParty}
+		return c.originExperiment
 	case TreatmentControl:
-		return []string{c.ControlName}
+		return c.originControl
 	default:
 		return nil
 	}

@@ -74,6 +74,13 @@ type Experiment struct {
 	connID atomic.Uint64
 	inj    *faults.Injector
 
+	// env is what visits browse: the CDN, behind the fault boundary under
+	// a nonzero plan. firefox and chromium are the two coalescing clients,
+	// owned by the experiment and Reset at the start of every visit they
+	// serve, so a visit reuses the previous one's pool storage.
+	env               browser.Environment
+	firefox, chromium *browser.Browser
+
 	// rec, when set, receives "cdn.*" counters and per-visit trace
 	// spans; visitSeq ranks the spans in visit order. Observation only:
 	// the recorder never touches e.rng or the injector stream, so traced
@@ -90,7 +97,8 @@ type Experiment struct {
 // SetupExperiment creates the sample zones on the CDN, assigns
 // treatments randomly, and reissues their certificates (Figure 6).
 func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
-	e := &Experiment{CDN: c, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	e := &Experiment{CDN: c, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), env: c}
+	retries, backoffMs := 0, 0.0
 	if !cfg.Faults.Zero() {
 		seed := cfg.FaultSeed
 		if seed == 0 {
@@ -99,7 +107,11 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 			seed = cfg.Seed ^ 0x5fa17e
 		}
 		e.inj = faults.NewInjector(cfg.Faults, seed)
+		e.env = &faults.Env{Inner: c, Inj: e.inj}
+		retries, backoffMs = cfg.FaultRetries, 250
 	}
+	e.firefox = browser.New(browser.PolicyFirefoxOrigin, browser.WithRetries(retries, backoffMs))
+	e.chromium = browser.New(browser.PolicyChromium, browser.WithRetries(retries, backoffMs))
 	for i := 0; i < cfg.SampleSize; i++ {
 		if e.rng.Float64() < cfg.SubpageOnlyFrac {
 			e.Removed++
@@ -146,15 +158,16 @@ func SamplePools(rng *rand.Rand) int {
 	}
 }
 
-// policyForUA maps a user-agent family to its coalescing policy.
-func policyForUA(ua string) (browser.Policy, bool) {
+// browserFor returns the experiment's client for a user-agent family,
+// or nil for HTTP/1.1-era clients, which have no H2 coalescing pool.
+func (e *Experiment) browserFor(ua string) *browser.Browser {
 	switch ua {
 	case "firefox":
-		return browser.PolicyFirefoxOrigin, true
+		return e.firefox
 	case "chrome":
-		return browser.PolicyChromium, true
+		return e.chromium
 	default:
-		return 0, false // HTTP/1.1-era clients: no H2 coalescing
+		return nil
 	}
 }
 
@@ -175,11 +188,53 @@ type VisitResult struct {
 	Misdirected421 int  // reuse attempts bounced with 421
 }
 
-// connState is the CDN-side per-connection log bookkeeping; connections
-// are identified by the hostname they were opened for (the TLS SNI).
+// connState is the CDN-side per-connection log bookkeeping.
 type connState struct {
 	id    uint64
 	order int
+}
+
+// connTable is one visit's connState by the hostname each connection
+// was opened for (the TLS SNI). A visit opens connections for its zone
+// and for the third party and nothing else, so the table is two slots
+// and lives on the visit's stack.
+type connTable struct {
+	hosts [2]string
+	state [2]connState
+	n     int
+}
+
+// get returns the state of the connection opened for host, or nil.
+func (t *connTable) get(host string) *connState {
+	for i := 0; i < t.n; i++ {
+		if t.hosts[i] == host {
+			return &t.state[i]
+		}
+	}
+	return nil
+}
+
+// put records a connection opened for host, replacing any earlier one.
+func (t *connTable) put(host string, cs connState) *connState {
+	slot := t.get(host)
+	if slot == nil {
+		t.hosts[t.n] = host
+		slot = &t.state[t.n]
+		t.n++
+	}
+	*slot = cs
+	return slot
+}
+
+// remove forgets the connection opened for host.
+func (t *connTable) remove(host string) {
+	for i := 0; i < t.n; i++ {
+		if t.hosts[i] == host {
+			t.n--
+			t.hosts[i], t.state[i] = t.hosts[t.n], t.state[t.n]
+			return
+		}
+	}
 }
 
 // Injector returns the experiment's fault injector (nil under a zero
@@ -191,37 +246,35 @@ func (e *Experiment) Injector() *faults.Injector { return e.inj }
 // instrumentation.
 func (e *Experiment) SetRecorder(rec obs.Recorder) { e.rec = rec }
 
-// beginVisit opens a trace span for one page view. It returns the
-// span's rank and a closure that stamps the page_end summary once the
-// VisitResult is final; under a nil recorder both are inert and the
-// visit runs exactly as if untraced. The span brackets every event the
-// visit's browser emits: page_start sorts first within the rank
-// (Seq -1) and page_end last (Seq 1<<30), whatever the browser's own
+// beginVisit opens a trace span for one page view under a recorder and
+// returns the span's rank. The span brackets every event the visit's
+// browser emits: page_start sorts first within the rank (Seq -1) and
+// endVisit's page_end last (Seq 1<<30), whatever the browser's own
 // sequence numbers reach.
-func (e *Experiment) beginVisit(z *Zone, ua string) (int, func(*VisitResult)) {
-	if e.rec == nil {
-		return 0, func(*VisitResult) {}
-	}
+func (e *Experiment) beginVisit(z *Zone, ua string) int {
 	rank := int(e.visitSeq.Add(1))
 	obs.Count(e.rec, "cdn.visits", 1)
 	obs.Emit(e.rec, obs.Event{Rank: rank, Seq: -1, Kind: obs.KindPageStart, Host: z.Host, Detail: ua})
-	return rank, func(res *VisitResult) {
-		obs.Count(e.rec, "cdn.third_party_pools", int64(res.ThirdPartyTotal))
-		obs.Count(e.rec, "cdn.new_third_party_conns", int64(res.NewThirdParty))
-		obs.Count(e.rec, "cdn.coalesced_pools", int64(res.CoalescedPools))
-		obs.Count(e.rec, "cdn.failed_requests", int64(res.FailedRequests))
-		obs.Count(e.rec, "cdn.misdirected_421", int64(res.Misdirected421))
-		obs.Count(e.rec, "cdn.retries", int64(res.Retries))
-		obs.Count(e.rec, "cdn.resets", int64(res.Resets))
-		obs.Count(e.rec, "cdn.goaways", int64(res.GoAways))
-		if res.ZoneFailed {
-			obs.Count(e.rec, "cdn.zone_failures", 1)
-		}
-		obs.Emit(e.rec, obs.Event{
-			Rank: rank, Seq: 1 << 30, Kind: obs.KindPageEnd, Host: z.Host, Detail: ua,
-			N: res.ThirdPartyTotal,
-		})
+	return rank
+}
+
+// endVisit stamps the page_end summary once the VisitResult is final.
+func (e *Experiment) endVisit(rank int, z *Zone, ua string, res *VisitResult) {
+	obs.Count(e.rec, "cdn.third_party_pools", int64(res.ThirdPartyTotal))
+	obs.Count(e.rec, "cdn.new_third_party_conns", int64(res.NewThirdParty))
+	obs.Count(e.rec, "cdn.coalesced_pools", int64(res.CoalescedPools))
+	obs.Count(e.rec, "cdn.failed_requests", int64(res.FailedRequests))
+	obs.Count(e.rec, "cdn.misdirected_421", int64(res.Misdirected421))
+	obs.Count(e.rec, "cdn.retries", int64(res.Retries))
+	obs.Count(e.rec, "cdn.resets", int64(res.Resets))
+	obs.Count(e.rec, "cdn.goaways", int64(res.GoAways))
+	if res.ZoneFailed {
+		obs.Count(e.rec, "cdn.zone_failures", 1)
 	}
+	obs.Emit(e.rec, obs.Event{
+		Rank: rank, Seq: 1 << 30, Kind: obs.KindPageEnd, Host: z.Host, Detail: ua,
+		N: res.ThirdPartyTotal,
+	})
 }
 
 // Visit simulates one page view of zone by a client with the given
@@ -230,40 +283,50 @@ func (e *Experiment) beginVisit(z *Zone, ua string) (int, func(*VisitResult)) {
 // opportunity it names; all injector draws happen in request order on
 // the injector's own stream, so two runs with the same seeds and plan
 // are byte-identical. Every fault step is behind e.inj != nil, so the
-// zero plan takes no wrapper, no extra lookup and no draw.
+// zero plan takes no wrapper, no extra lookup and no draw; and under a
+// nil recorder the visit is exactly the untraced one.
 func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
+	if e.rec == nil {
+		return e.visit(z, ua, day, 0)
+	}
+	rank := e.beginVisit(z, ua)
+	res := e.visit(z, ua, day, rank)
+	e.endVisit(rank, z, ua, &res)
+	return res
+}
+
+// observe logs one request of a visit; day < 0 marks an active
+// measurement, which is not production traffic and leaves no log.
+func (e *Experiment) observe(day int, r LogRecord) {
+	if day >= 0 {
+		r.Day = day
+		e.CDN.pipeline.Observe(r)
+	}
+}
+
+// visit is the page view itself; rank tags the events its browser emits
+// when a recorder is installed.
+func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 	res := VisitResult{Zone: z.Host, UA: ua}
-	rank, endVisit := e.beginVisit(z, ua)
-	defer func() { endVisit(&res) }()
-	observe := func(r LogRecord) {
-		if day >= 0 { // day < 0: active measurement, not production logs
-			e.CDN.Pipeline().Observe(r)
-		}
-	}
 	faulted := e.inj != nil
-	var env browser.Environment = e.CDN
-	retries, backoffMs := 0, 0.0
-	if faulted {
-		env = &faults.Env{Inner: e.CDN, Inj: e.inj}
-		retries, backoffMs = e.Cfg.FaultRetries, 250
-	}
-	policy, h2 := policyForUA(ua)
+	b := e.browserFor(ua)
+	h2 := b != nil
 
 	// The zone's own connection must survive DNS and the TLS handshake
 	// before any third-party request exists. A churned zone requests no
 	// third party, so its visit opens the connection only for the fault
 	// gauntlet.
-	var b *browser.Browser
 	zoneFailed := false
 	if h2 && (faulted || !z.Churned) {
-		b = browser.New(policy, browser.WithRecorder(e.rec, rank), browser.WithRetries(retries, backoffMs))
-		out := b.Request(env, z.Host)
+		b.Reset()
+		b.Rec, b.Rank = e.rec, rank
+		out := b.Request(e.env, z.Host)
 		res.Retries += out.Retries
 		zoneFailed = faulted && out.Err != nil
 	} else if faulted {
 		// Legacy clients: model the same DNS + handshake gauntlet
 		// without a coalescing pool.
-		_, err := env.Lookup(z.Host)
+		_, err := e.env.Lookup(z.Host)
 		zoneFailed = err != nil || e.inj.Hit(faults.KindTLSFail)
 	}
 	if zoneFailed {
@@ -273,20 +336,21 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 	}
 
 	zoneConn := e.connID.Add(1)
-	observe(LogRecord{
-		Day: day, ConnID: zoneConn, SNI: z.Host, Host: z.Host,
+	e.observe(day, LogRecord{
+		ConnID: zoneConn, SNI: z.Host, Host: z.Host,
 		ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 	})
 	if z.Churned {
 		return res
 	}
 
-	conns := map[string]*connState{z.Host: {id: zoneConn, order: 1}}
+	var conns connTable
+	conns.put(z.Host, connState{id: zoneConn, order: 1})
 
 	for pool := 0; pool < z.ThirdPartyPools; pool++ {
 		res.ThirdPartyTotal++
 		if faulted {
-			e.midVisitFaults(&res, b, conns, z)
+			e.midVisitFaults(&res, b, &conns, z)
 		}
 
 		anonymous := false
@@ -301,20 +365,19 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 		if !h2 || anonymous {
 			// Separate, uncredentialed pool: always a fresh connection.
 			if faulted {
-				if _, err := env.Lookup(e.CDN.ThirdParty); err != nil || e.inj.Hit(faults.KindTLSFail) {
+				if _, err := e.env.Lookup(e.CDN.ThirdParty); err != nil || e.inj.Hit(faults.KindTLSFail) {
 					res.FailedRequests++
 					continue
 				}
 			}
 			res.NewThirdParty++
-			id := e.connID.Add(1)
-			observe(LogRecord{
-				Day: day, ConnID: id, SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
+			e.observe(day, LogRecord{
+				ConnID: e.connID.Add(1), SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
 				RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 			})
 			continue
 		}
-		out := b.Request(env, e.CDN.ThirdParty)
+		out := b.Request(e.env, e.CDN.ThirdParty)
 		if faulted {
 			res.Retries += out.Retries
 			if out.Got421 {
@@ -325,7 +388,7 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 				continue
 			}
 		}
-		e.observeOutcome(&res, conns, observe, out, z, ua, day)
+		e.observeOutcome(&res, &conns, out, z, ua, day)
 	}
 	return res
 }
@@ -333,9 +396,9 @@ func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
 // midVisitFaults rolls the plan's mid-visit connection faults before
 // one third-party pool. They hit the busiest established connection:
 // the third-party carrier when one exists, else the zone connection.
-func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns map[string]*connState, z *Zone) {
+func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns *connTable, z *Zone) {
 	target := e.CDN.ThirdParty
-	if _, ok := conns[target]; !ok {
+	if conns.get(target) == nil {
 		target = z.Host
 	}
 	if e.inj.Hit(faults.KindReset) {
@@ -343,7 +406,7 @@ func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns 
 		if b != nil {
 			b.DropConns(target)
 		}
-		delete(conns, target)
+		conns.remove(target)
 	} else if e.inj.Hit(faults.KindGoAway) {
 		// Graceful drain: no new requests ride the connection, but
 		// its log state stays valid for records already emitted.
@@ -356,19 +419,17 @@ func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns 
 		// Telemetry restart: the collector loses every conn's
 		// bookkeeping while the browser pool lives on — the exact
 		// situation the defensive path in observeOutcome handles.
-		for host := range conns {
-			delete(conns, host)
-		}
+		*conns = connTable{}
 	}
 }
 
 // observeOutcome turns one browser outcome into log records and result
 // accounting, maintaining the per-connection arrival orders.
-func (e *Experiment) observeOutcome(res *VisitResult, conns map[string]*connState,
-	observe func(LogRecord), out browser.Outcome, z *Zone, ua string, day int) {
+func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
+	out browser.Outcome, z *Zone, ua string, day int) {
 	switch {
 	case out.Reused:
-		cs := conns[out.ConnHost]
+		cs := conns.get(out.ConnHost)
 		if cs == nil {
 			// Defensive: the carrier connection's bookkeeping was lost
 			// (telemetry restart). The connection itself pre-exists this
@@ -377,23 +438,22 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns map[string]*connStat
 			// logs at order ≥ 2, never as a connection's first arrival;
 			// the §5.2 counting rules must not tally it as a fresh TLS
 			// connection even though the collector mints a new ConnID.
-			cs = &connState{id: e.connID.Add(1), order: 1}
-			conns[out.ConnHost] = cs
+			cs = conns.put(out.ConnHost, connState{id: e.connID.Add(1), order: 1})
 		}
 		cs.order++
 		if out.Coalesced() {
 			res.CoalescedPools++
 		}
-		observe(LogRecord{
-			Day: day, ConnID: cs.id, SNI: out.ConnHost, Host: e.CDN.ThirdParty,
+		e.observe(day, LogRecord{
+			ConnID: cs.id, SNI: out.ConnHost, Host: e.CDN.ThirdParty,
 			RefererHost: z.Host, ArrivalOrder: cs.order, Treatment: z.Treatment, UserAgent: ua,
 		})
 	case out.NewConnection:
 		res.NewThirdParty++
 		id := e.connID.Add(1)
-		conns[e.CDN.ThirdParty] = &connState{id: id, order: 1}
-		observe(LogRecord{
-			Day: day, ConnID: id, SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
+		conns.put(e.CDN.ThirdParty, connState{id: id, order: 1})
+		e.observe(day, LogRecord{
+			ConnID: id, SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
 			RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 		})
 	}
@@ -451,7 +511,7 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 
 	ctl := make([]float64, total)
 	exp := make([]float64, total)
-	seen := map[uint64]bool{}
+	var seen connSet
 	e.CDN.Pipeline().Each(func(r *LogRecord) {
 		if r.Host != e.CDN.ThirdParty || r.FlagHostNeSNI {
 			return
@@ -459,10 +519,9 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 		if uaFilter != "" && r.UserAgent != uaFilter {
 			return
 		}
-		if seen[r.ConnID] {
+		if !seen.add(r.ConnID) {
 			return
 		}
-		seen[r.ConnID] = true
 		if r.ArrivalOrder != 1 {
 			// A ConnID whose first sampled record arrives at order ≥ 2
 			// is a reused connection whose opening record was lost (the

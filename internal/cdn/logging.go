@@ -22,13 +22,23 @@ type LogRecord struct {
 	UserAgent     string // "firefox", "chrome", ...
 }
 
+// logBlockRecords is how many records one block of the sampled log
+// holds (≈ 112 KiB). A multi-week deployment at SampleRate 1 keeps a
+// million records; blocks are filled in place and never copied, where
+// one growing slice would copy and clear the log several times over.
+const logBlockRecords = 1024
+
+type logBlock [logBlockRecords]LogRecord
+
 // LogPipeline samples a fixed fraction of requests, as the production
 // pipeline did (1%).
 type LogPipeline struct {
-	mu      sync.Mutex
-	rate    float64
-	rng     *rand.Rand
-	records []LogRecord
+	mu   sync.Mutex
+	rate float64
+	rng  *rand.Rand
+	// blocks hold the sampled records in log order: every block but the
+	// last is full, and sampled counts the records across them.
+	blocks []*logBlock
 
 	total   int64
 	sampled int64
@@ -45,8 +55,13 @@ func (lp *LogPipeline) Observe(r LogRecord) {
 	defer lp.mu.Unlock()
 	lp.total++
 	if lp.rng.Float64() < lp.rate {
-		r.FlagHostNeSNI = r.Host != r.SNI
-		lp.records = append(lp.records, r)
+		i := int(lp.sampled % logBlockRecords)
+		if i == 0 {
+			lp.blocks = append(lp.blocks, new(logBlock))
+		}
+		slot := &lp.blocks[len(lp.blocks)-1][i]
+		*slot = r
+		slot.FlagHostNeSNI = r.Host != r.SNI
 		lp.sampled++
 	}
 }
@@ -60,30 +75,75 @@ func (lp *LogPipeline) Totals() (total, sampled int64) {
 
 // Records returns a copy of the sampled log.
 func (lp *LogPipeline) Records() []LogRecord {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	return append([]LogRecord(nil), lp.records...)
+	_, n := lp.Totals()
+	out := make([]LogRecord, 0, n)
+	lp.Each(func(r *LogRecord) { out = append(out, *r) })
+	return out
 }
 
 // Each calls fn on every record sampled so far, in log order and in
 // place: fn must not modify or retain the record. The log is
-// append-only, so fn runs without the pipeline's lock held.
+// append-only — a block's filled slots are never rewritten — so fn runs
+// without the pipeline's lock held.
 func (lp *LogPipeline) Each(fn func(*LogRecord)) {
 	lp.mu.Lock()
-	records := lp.records
+	blocks, n := lp.blocks, int(lp.sampled)
 	lp.mu.Unlock()
-	for i := range records {
-		fn(&records[i])
+	for _, b := range blocks {
+		filled := min(n, logBlockRecords)
+		for i := range b[:filled] {
+			fn(&b[i])
+		}
+		n -= filled
 	}
 }
 
-// Reset clears the sampled log (between measurement windows).
+// Reset clears the sampled log (between measurement windows). Blocks
+// are dropped, not reused: an Each still walking them keeps reading the
+// old log.
 func (lp *LogPipeline) Reset() {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
-	lp.records = nil
+	lp.blocks = nil
 	lp.total = 0
 	lp.sampled = 0
+}
+
+// connSet is a set of connection IDs for the log-counting passes. The
+// experiment mints ConnIDs densely and in increasing order, so the set
+// is a bitmap in pages of connSetPageIDs consecutive IDs, with the page
+// last touched kept at hand; IDs from anywhere else still work, at one
+// page each.
+type connSet struct {
+	pages   map[uint64]*connSetPage
+	lastKey uint64
+	last    *connSetPage
+}
+
+const connSetPageIDs = 1 << 15
+
+type connSetPage [connSetPageIDs / 64]uint64
+
+// add inserts id and reports whether it was absent.
+func (s *connSet) add(id uint64) bool {
+	key := id / connSetPageIDs
+	if s.last == nil || key != s.lastKey {
+		if s.pages == nil {
+			s.pages = make(map[uint64]*connSetPage)
+		}
+		page := s.pages[key]
+		if page == nil {
+			page = new(connSetPage)
+			s.pages[key] = page
+		}
+		s.lastKey, s.last = key, page
+	}
+	word, bit := &s.last[id%connSetPageIDs/64], uint64(1)<<(id%64)
+	if *word&bit != 0 {
+		return false
+	}
+	*word |= bit
+	return true
 }
 
 // PassiveCounts are the §5.2 passive-measurement aggregates for
@@ -107,8 +167,7 @@ func CountPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) Pass
 		NewTLSConns:    map[Treatment]int{},
 		CoalescedConns: map[Treatment]int{},
 	}
-	seenNew := map[uint64]bool{}
-	seenCoal := map[uint64]bool{}
+	var seenNew, seenCoal connSet
 	each(func(r *LogRecord) {
 		if r.Host != thirdParty {
 			return
@@ -117,15 +176,13 @@ func CountPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) Pass
 			return
 		}
 		if r.FlagHostNeSNI && r.ArrivalOrder >= 2 {
-			if !seenCoal[r.ConnID] {
-				seenCoal[r.ConnID] = true
+			if seenCoal.add(r.ConnID) {
 				pc.CoalescedConns[r.Treatment]++
 			}
 			return
 		}
 		if !r.FlagHostNeSNI {
-			if !seenNew[r.ConnID] {
-				seenNew[r.ConnID] = true
+			if seenNew.add(r.ConnID) {
 				pc.NewTLSConns[r.Treatment]++
 			}
 		}

@@ -33,6 +33,9 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 		return nil
 	}
 	costs := make([]core.VisitCosts, revisits)
+	// One client for the run: Reset opens a fresh browsing session and
+	// each zone installs its own warm-path cache.
+	b := browser.New(browser.PolicyFirefoxOrigin, browser.WithProtocol(proto))
 	for zi, z := range e.SampleZones {
 		if z.Churned {
 			continue
@@ -47,12 +50,12 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 			}
 		}
 		c := cache.New(opts)
-		b := browser.New(browser.PolicyFirefoxOrigin, browser.WithCache(c), browser.WithProtocol(proto))
+		b.Cache = c
 		for v := 0; v < revisits; v++ {
 			if v > 0 {
 				c.Clock().AdvanceMs(c.Opts().RevisitIntervalMs)
-				b.Reset() // fresh browsing session; warm state survives in c
 			}
+			b.Reset() // fresh browsing session; warm state survives in c
 			costs[v].Add(e.warmVisit(z, b, c, anon, proto))
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // reason IP-based coalescing breaks.
 type Authority struct {
 	mu      sync.Mutex
-	records map[string][]RR // canonical name -> records
+	records map[string][]RR // recordKey(name) -> records
 	rotate  int             // global rotation cursor (LB VIP pool)
 	// Rotation enables per-query round-robin of address answers.
 	Rotation bool
@@ -46,19 +46,20 @@ func NewAuthority() *Authority {
 func (a *Authority) AddA(name string, addrs ...netip.Addr) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := canonicalName(name)
-	for _, ip := range addrs {
-		a.records[n] = append(a.records[n], RR{Name: n, Type: TypeA, Class: ClassINET, TTL: 300, Addr: ip})
-	}
+	a.lockedAddAddrs(name, TypeA, addrs)
 }
 
 // AddAAAA registers IPv6 addresses for a name.
 func (a *Authority) AddAAAA(name string, addrs ...netip.Addr) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := canonicalName(name)
+	a.lockedAddAddrs(name, TypeAAAA, addrs)
+}
+
+func (a *Authority) lockedAddAddrs(name string, typ uint16, addrs []netip.Addr) {
+	key, n := recordKey(name), canonicalName(name)
 	for _, ip := range addrs {
-		a.records[n] = append(a.records[n], RR{Name: n, Type: TypeAAAA, Class: ClassINET, TTL: 300, Addr: ip})
+		a.records[key] = append(a.records[key], RR{Name: n, Type: typ, Class: ClassINET, TTL: 300, Addr: ip})
 	}
 }
 
@@ -66,25 +67,27 @@ func (a *Authority) AddAAAA(name string, addrs ...netip.Addr) {
 func (a *Authority) AddCNAME(name, target string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := canonicalName(name)
-	a.records[n] = append(a.records[n], RR{Name: n, Type: TypeCNAME, Class: ClassINET, TTL: 300, Target: canonicalName(target)})
+	key, n := recordKey(name), canonicalName(name)
+	a.records[key] = append(a.records[key], RR{Name: n, Type: TypeCNAME, Class: ClassINET, TTL: 300, Target: canonicalName(target)})
 }
 
 // SetA replaces all A records for a name; used by deployments that move
 // hostnames between addresses (the paper's §5.2 single-IP alignment and
-// its §5.3 rollback).
+// its §5.3 rollback). The replacement is one critical section: a query
+// racing it sees the old address set or the new one, never the name
+// with its A records removed.
 func (a *Authority) SetA(name string, addrs ...netip.Addr) {
 	a.mu.Lock()
-	n := canonicalName(name)
+	defer a.mu.Unlock()
+	key := recordKey(name)
 	var kept []RR
-	for _, rr := range a.records[n] {
+	for _, rr := range a.records[key] {
 		if rr.Type != TypeA {
 			kept = append(kept, rr)
 		}
 	}
-	a.records[n] = kept
-	a.mu.Unlock()
-	a.AddA(name, addrs...)
+	a.records[key] = kept
+	a.lockedAddAddrs(name, TypeA, addrs)
 }
 
 // SetRecorder installs an observability recorder on the authority. A
@@ -115,87 +118,151 @@ func (a *Authority) HandleWire(query []byte) ([]byte, error) {
 
 // Handle answers a parsed query.
 func (a *Authority) Handle(q *Message) *Message {
-	a.mu.Lock()
-	a.queries++
-	rec := a.rec
-	a.mu.Unlock()
-	obs.Count(rec, "dns.authority.queries", 1)
-
 	resp := &Message{Header: Header{
 		ID: q.Header.ID, QR: true, AA: true, RD: q.Header.RD, RA: false,
 	}}
 	resp.Questions = q.Questions
 	if len(q.Questions) == 0 {
+		a.countQuery()
 		resp.Header.Rcode = RcodeFormatError
 		return resp
 	}
 	question := q.Questions[0]
-	if a.Failure != nil {
-		if rcode := a.Failure(question.Name, question.Type); rcode != RcodeSuccess {
-			resp.Header.AA = false
-			resp.Header.Rcode = rcode
-			obs.Count(rec, "dns.authority.injected_failures", 1)
-			return resp
-		}
-	}
-	answers, found := a.resolve(question.Name, question.Type, 0)
-	if !found {
-		resp.Header.Rcode = RcodeNameError
-		obs.Count(rec, "dns.authority.nxdomain", 1)
-		return resp
-	}
-	resp.Answers = answers
+	rcode, injected := a.answer(question.Name, question.Type, func(rr *RR) {
+		resp.Answers = append(resp.Answers, *rr)
+	})
+	resp.Header.Rcode = rcode
+	resp.Header.AA = !injected
 	return resp
 }
 
-// resolve follows CNAME chains up to depth 8 and applies rotation.
-func (a *Authority) resolve(name string, typ uint16, depth int) ([]RR, bool) {
-	if depth > 8 {
-		return nil, false
-	}
+// LookupAddrs answers (name, typ) exactly as Handle answers that
+// question — same query and NXDOMAIN counters, Failure hook, CNAME
+// chase, rotation cursor and AnswerLimit — but hands back only what an
+// in-process client reads off the response: the addresses of the asked
+// type in answer order, the minimum TTL across them (0 when there are
+// none) and the rcode. No Message or RR is built.
+func (a *Authority) LookupAddrs(name string, typ uint16) (addrs []netip.Addr, ttl uint32, rcode uint8) {
+	rcode, _ = a.answer(name, typ, func(rr *RR) {
+		if rr.Type != typ {
+			return
+		}
+		addrs = append(addrs, rr.Addr)
+		if ttl == 0 || rr.TTL < ttl {
+			ttl = rr.TTL
+		}
+	})
+	return addrs, ttl, rcode
+}
+
+// countQuery counts one received query and returns the recorder.
+func (a *Authority) countQuery() obs.Recorder {
 	a.mu.Lock()
-	n := canonicalName(name)
-	rrs, ok := a.records[n]
-	if !ok {
-		a.mu.Unlock()
-		return nil, false
-	}
-	var answers, addrs []RR
-	var cname *RR
-	for i := range rrs {
-		rr := rrs[i]
-		switch {
-		case rr.Type == typ:
-			addrs = append(addrs, rr)
-		case rr.Type == TypeCNAME:
-			cname = &rr
-		}
-	}
-	if len(addrs) > 0 {
-		if a.Rotation && len(addrs) > 1 {
-			k := a.rotate % len(addrs)
-			a.rotate++
-			rotated := make([]RR, 0, len(addrs))
-			rotated = append(rotated, addrs[k:]...)
-			rotated = append(rotated, addrs[:k]...)
-			addrs = rotated
-		}
-		if a.AnswerLimit > 0 && len(addrs) > a.AnswerLimit {
-			addrs = addrs[:a.AnswerLimit]
-		}
-		answers = append(answers, addrs...)
-		a.mu.Unlock()
-		return answers, true
-	}
+	a.queries++
+	rec := a.rec
 	a.mu.Unlock()
-	if cname != nil {
-		chain, ok := a.resolve(cname.Target, typ, depth+1)
-		if !ok {
-			// The alias exists even if the target does not resolve.
-			return []RR{*cname}, true
+	obs.Count(rec, "dns.authority.queries", 1)
+	return rec
+}
+
+// answer is the one resolution every query takes: count it, consult the
+// Failure hook, then walk the records, handing each answer record to
+// emit in answer order. injected reports an rcode forced by the hook
+// (such a response is not authoritative).
+func (a *Authority) answer(name string, typ uint16, emit func(*RR)) (rcode uint8, injected bool) {
+	rec := a.countQuery()
+	if a.Failure != nil {
+		if rcode := a.Failure(name, typ); rcode != RcodeSuccess {
+			obs.Count(rec, "dns.authority.injected_failures", 1)
+			return rcode, true
 		}
-		return append([]RR{*cname}, chain...), true
 	}
-	// Name exists with other record types: NOERROR, empty answer.
-	return nil, true
+	if !a.walk(name, typ, emit) {
+		obs.Count(rec, "dns.authority.nxdomain", 1)
+		return RcodeNameError, false
+	}
+	return RcodeSuccess, false
+}
+
+// maxCNAMEDepth is how many aliases one resolution follows.
+const maxCNAMEDepth = 8
+
+// walk resolves (name, typ): it follows CNAME chains up to
+// maxCNAMEDepth, emitting each alias followed, and at the first name
+// holding records of the asked type emits them. It reports false only
+// when name itself does not exist; an alias exists even if its target
+// does not resolve. The lock is released between the names of a chain,
+// as a recursive resolution would.
+func (a *Authority) walk(name string, typ uint16, emit func(*RR)) bool {
+	for depth := 0; depth <= maxCNAMEDepth; depth++ {
+		target, exists := a.answerAt(name, typ, emit)
+		if !exists {
+			return depth > 0
+		}
+		if target == "" {
+			return true
+		}
+		name = target
+	}
+	return true
+}
+
+// answerAt emits one name's part of an answer: its records of the asked
+// type, rotated and capped per Rotation and AnswerLimit, or else its
+// alias, whose target is returned for the walk to follow. A name with
+// other record types only emits nothing (NOERROR, empty answer).
+//
+// emit runs with a.mu held — a record may be replaced the moment the
+// lock drops — and must not call back into the Authority.
+func (a *Authority) answerAt(name string, typ uint16, emit func(*RR)) (target string, exists bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	rrs, ok := a.records[recordKey(name)]
+	if !ok {
+		return "", false
+	}
+	matches, cname := 0, -1
+	for i := range rrs {
+		switch {
+		case rrs[i].Type == typ:
+			matches++
+		case rrs[i].Type == TypeCNAME:
+			cname = i
+		}
+	}
+	if matches > 0 {
+		first := 0
+		if a.Rotation && matches > 1 {
+			first = a.rotate % matches
+			a.rotate++
+		}
+		limit := matches
+		if a.AnswerLimit > 0 && limit > a.AnswerLimit {
+			limit = a.AnswerLimit
+		}
+		for pos := 0; pos < limit; pos++ {
+			emit(nthOfType(rrs, typ, (first+pos)%matches))
+		}
+		return "", true
+	}
+	if cname < 0 {
+		return "", true
+	}
+	emit(&rrs[cname])
+	return rrs[cname].Target, true
+}
+
+// nthOfType returns the n-th record of type typ in rrs, which holds
+// more than n of them. A name holds a handful of records, so rotating
+// by index costs less than copying them out would.
+func nthOfType(rrs []RR, typ uint16, n int) *RR {
+	for i := range rrs {
+		if rrs[i].Type == typ {
+			if n == 0 {
+				return &rrs[i]
+			}
+			n--
+		}
+	}
+	panic("dns: nthOfType past the last record of the type")
 }
