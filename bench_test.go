@@ -1,11 +1,10 @@
-// Package respectorigin's benchmark harness regenerates every table
-// and figure of the paper's evaluation (run with `go test -bench=. .`)
-// and carries the ablation benchmarks called out in DESIGN.md §6.
-//
-// Table/figure benchmarks report the headline quantity of their
-// artifact via b.ReportMetric so a bench run doubles as a compact
-// reproduction log; EXPERIMENTS.md records the paper-vs-measured
-// comparison in full.
+// Package respectorigin holds the eight ablation benchmarks of DESIGN.md
+// §6 (run with `go test -bench=. -benchmem .`): a design choice run both
+// ways on one fixed workload, its headline quantity — connections per
+// page, chain bytes, inversions — reported through b.ReportMetric. They
+// are the only place these experiments run. Timing of the tables,
+// figures and hot paths lives in benchmark/ (`go run ./benchmark`) and
+// in the per-package bench_test.go files.
 package respectorigin
 
 import (
@@ -17,11 +16,8 @@ import (
 	"testing"
 
 	"respectorigin/internal/browser"
-	"respectorigin/internal/cdn"
 	"respectorigin/internal/certs"
-	"respectorigin/internal/core"
 	"respectorigin/internal/dns"
-	"respectorigin/internal/doh"
 	"respectorigin/internal/h1"
 	"respectorigin/internal/h2"
 	"respectorigin/internal/hpack"
@@ -32,269 +28,22 @@ import (
 	"respectorigin/internal/webgen"
 )
 
-// benchCorpusSize keeps the corpus large enough for stable medians but
-// small enough for iterating benchmarks.
-const benchCorpusSize = 4000
-
-var (
-	corpusOnce sync.Once
-	corpusVal  *report.Corpus
-)
-
-func benchCorpus(b *testing.B) *report.Corpus {
-	b.Helper()
-	corpusOnce.Do(func() {
-		cfg := webgen.DefaultConfig()
-		cfg.Sites = benchCorpusSize
-		ds, err := webgen.Generate(cfg)
-		if err != nil {
-			panic(err)
-		}
-		corpusVal = report.NewCorpus(ds)
-	})
-	b.ResetTimer() // corpus generation is shared setup, not measured work
-	return corpusVal
-}
-
-// --- Tables 1-9 ---
-
-func BenchmarkTable1(b *testing.B) {
-	c := benchCorpus(b)
-	var rows []report.Table1Row
-	for i := 0; i < b.N; i++ {
-		rows, _ = c.Table1(5)
+// benchCorpus is the generated corpus the two corpus-wide ablations
+// (scheduling, privacy) fold over, built once.
+var benchCorpus = sync.OnceValue(func() *report.Corpus {
+	cfg := webgen.DefaultConfig()
+	cfg.Sites = 4000
+	ds, err := webgen.Generate(cfg)
+	if err != nil {
+		panic(err)
 	}
-	b.ReportMetric(rows[0].MedianReqs, "median-reqs-top-bucket")
-}
-
-func BenchmarkTable2(b *testing.B) {
-	c := benchCorpus(b)
-	var share float64
-	for i := 0; i < b.N; i++ {
-		top, _ := c.Table2(10)
-		share = 0
-		for _, e := range top {
-			share += e.Share
-		}
-	}
-	b.ReportMetric(share, "top10-AS-request-share-pct")
-}
-
-func BenchmarkTable3(b *testing.B) {
-	c := benchCorpus(b)
-	var secure float64
-	for i := 0; i < b.N; i++ {
-		_, secure, _ = c.Table3()
-	}
-	b.ReportMetric(secure, "secure-share-pct")
-}
-
-func BenchmarkTable4(b *testing.B) {
-	c := benchCorpus(b)
-	var topShare float64
-	for i := 0; i < b.N; i++ {
-		top, _ := c.Table4(10)
-		topShare = top[0].Share
-	}
-	b.ReportMetric(topShare, "top-issuer-share-pct")
-}
-
-func BenchmarkTable5(b *testing.B) {
-	c := benchCorpus(b)
-	var topShare float64
-	for i := 0; i < b.N; i++ {
-		top, _ := c.Table5(12)
-		topShare = top[0].Share
-	}
-	b.ReportMetric(topShare, "top-content-type-share-pct")
-}
-
-func BenchmarkTable6(b *testing.B) {
-	c := benchCorpus(b)
-	var rows []report.Table6Row
-	for i := 0; i < b.N; i++ {
-		rows, _ = c.Table6(3, 4)
-	}
-	b.ReportMetric(float64(len(rows)), "as-sections")
-}
-
-func BenchmarkTable7(b *testing.B) {
-	c := benchCorpus(b)
-	var share float64
-	for i := 0; i < b.N; i++ {
-		top, _ := c.Table7(10)
-		share = 0
-		for _, e := range top {
-			share += e.Share
-		}
-	}
-	b.ReportMetric(share, "top10-hostname-share-pct")
-}
-
-func BenchmarkTable8(b *testing.B) {
-	c := benchCorpus(b)
-	var commonest int
-	for i := 0; i < b.N; i++ {
-		rows, _ := c.Table8(10)
-		commonest = rows[0].MeasuredSize
-	}
-	b.ReportMetric(float64(commonest), "commonest-SAN-size")
-}
-
-func BenchmarkTable9(b *testing.B) {
-	c := benchCorpus(b)
-	var topHostShare float64
-	for i := 0; i < b.N; i++ {
-		changes, _ := c.Table9(3, 5)
-		if len(changes) > 0 && len(changes[0].TopHosts) > 0 {
-			topHostShare = changes[0].TopHosts[0].Share
-		}
-	}
-	b.ReportMetric(topHostShare, "top-provider-top-host-pct")
-}
-
-// --- Figures 1-9 ---
-
-func BenchmarkFigure1(b *testing.B) {
-	c := benchCorpus(b)
-	var median float64
-	for i := 0; i < b.N; i++ {
-		hist, _, _ := c.Figure1()
-		total, cum := 0, 0
-		for _, v := range hist {
-			total += v
-		}
-		for n := 1; n < 1000; n++ {
-			cum += hist[n]
-			if cum*2 >= total {
-				median = float64(n)
-				break
-			}
-		}
-	}
-	b.ReportMetric(median, "median-unique-ASes")
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	c := benchCorpus(b)
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(c.Figure2(0, 72))
-	}
-	b.ReportMetric(float64(n), "waterfall-bytes")
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	c := benchCorpus(b)
-	h, _ := c.Headline()
-	for i := 0; i < b.N; i++ {
-		_, _ = c.Figure3()
-	}
-	b.ReportMetric(h.MedianIdealOrigin, "ideal-origin-median-conns")
-	b.ReportMetric(h.TLSReductionPct, "tls-reduction-pct")
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	c := benchCorpus(b)
-	for i := 0; i < b.N; i++ {
-		_, _, _ = c.Figure4()
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	c := benchCorpus(b)
-	var maxIdeal int
-	for i := 0; i < b.N; i++ {
-		pts, _ := c.Figure5()
-		maxIdeal = pts[0].Ideal
-		for _, p := range pts {
-			if p.Ideal > maxIdeal {
-				maxIdeal = p.Ideal
-			}
-		}
-	}
-	b.ReportMetric(float64(maxIdeal), "largest-ideal-SAN-count")
-}
-
-func benchDeployment(b *testing.B) *report.Deployment {
-	b.Helper()
-	return report.NewDeployment(600, 11)
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	var txt string
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		txt = d.Figure6()
-	}
-	b.ReportMetric(float64(len(txt)), "figure6-bytes")
-}
-
-func BenchmarkFigure7a(b *testing.B) {
-	var expZero float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		_, exp, _ := d.Figure7(cdn.PhaseIP)
-		expZero = exp.Frac(0)
-	}
-	b.ReportMetric(100*expZero, "experiment-zero-conn-pct")
-}
-
-func BenchmarkFigure7b(b *testing.B) {
-	var expZero float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		_, exp, _ := d.Figure7(cdn.PhaseOrigin)
-		expZero = exp.Frac(0)
-	}
-	b.ReportMetric(100*expZero, "experiment-zero-conn-pct")
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		ctl, exp, _ := d.Figure8(14, 4, 10)
-		ratio = exp.Mean(4, 10) / maxf(ctl.Mean(4, 10), 1)
-	}
-	b.ReportMetric(ratio, "deployment-exp-ctl-ratio")
-}
-
-func BenchmarkFigure9Model(b *testing.B) {
-	c := benchCorpus(b)
-	var d report.Figure9ModelData
-	for i := 0; i < b.N; i++ {
-		d, _ = c.Figure9Model(13335)
-	}
-	b.ReportMetric(100*(d.MedianMeasured-d.MedianOrigin)/d.MedianMeasured, "origin-plt-improvement-pct")
-}
-
-func BenchmarkFigure9Deployment(b *testing.B) {
-	var impr float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		data, _ := d.Figure9Deployment(11)
-		impr = data.ImprovementPct
-	}
-	b.ReportMetric(impr, "deployment-plt-improvement-pct")
-}
-
-// --- Passive §5.2 headline ---
-
-func BenchmarkPassiveIPReduction(b *testing.B) {
-	var red float64
-	for i := 0; i < b.N; i++ {
-		d := benchDeployment(b)
-		pc, _ := d.PassiveIP(2)
-		red = pc.ReductionPct()
-	}
-	b.ReportMetric(red, "tls-conn-reduction-pct")
-}
+	return report.NewCorpus(ds)
+})
 
 // --- Ablation 1: HPACK Huffman on/off (DESIGN.md §6.1) ---
 
-func benchHeaderList() []hpack.HeaderField {
-	return []hpack.HeaderField{
+func BenchmarkAblationHuffman(b *testing.B) {
+	fields := []hpack.HeaderField{
 		{Name: ":method", Value: "GET"},
 		{Name: ":scheme", Value: "https"},
 		{Name: ":authority", Value: "www.site-123456.example"},
@@ -306,16 +55,12 @@ func benchHeaderList() []hpack.HeaderField {
 		{Name: "referer", Value: "https://www.site-123456.example/"},
 		{Name: "cookie", Value: "session=1f4c2d8a9b3e5f7a; theme=dark; consent=granted"},
 	}
-}
-
-func BenchmarkAblationHuffman(b *testing.B) {
 	for _, huff := range []bool{true, false} {
 		name := "off"
 		if huff {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			fields := benchHeaderList()
 			var blockLen int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -326,18 +71,6 @@ func BenchmarkAblationHuffman(b *testing.B) {
 			}
 			b.ReportMetric(float64(blockLen), "first-block-bytes")
 		})
-	}
-}
-
-func BenchmarkHPACKDecode(b *testing.B) {
-	enc := hpack.NewEncoder()
-	blk := enc.AppendHeaderBlock(nil, benchHeaderList())
-	dec := hpack.NewDecoder()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeFull(blk); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -414,7 +147,7 @@ func BenchmarkAblationDNSRotation(b *testing.B) {
 		for _, h := range siteCert {
 			sans[h] = siteCert
 		}
-		return &labEnvT{auth: auth, res: dns.NewResolver(auth), sans: sans}
+		return &labEnvT{res: dns.NewResolver(auth), sans: sans}
 	}
 	for _, rotate := range []bool{false, true} {
 		name := "stable-answers"
@@ -463,182 +196,6 @@ func BenchmarkAblationSANSize(b *testing.B) {
 			b.ReportMetric(float64(records), "tls-records")
 			b.ReportMetric(net.TLSTime(n, records), "handshake-ms")
 		})
-	}
-}
-
-// --- Protocol micro/macro benchmarks ---
-
-func BenchmarkFramerDataRoundTrip(b *testing.B) {
-	payload := bytes.Repeat([]byte{'x'}, 8192)
-	buf := &bytes.Buffer{}
-	w := h2.NewFramer(buf, nil)
-	r := h2.NewFramer(nil, buf)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteData(1, false, payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.ReadFrame(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkH2RoundTrip(b *testing.B) {
-	srv := &h2.Server{Handler: h2.HandlerFunc(func(w *h2.ResponseWriter, r *h2.Request) {
-		w.Write([]byte("hello world"))
-	})}
-	cn, sn := net.Pipe()
-	go srv.ServeConn(sn)
-	cc, err := h2.NewClientConn(cn, h2.ClientConnOptions{Origin: "bench.example"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cc.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cc.Get("bench.example", "/"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReconstruct(b *testing.B) {
-	c := benchCorpus(b)
-	pages := c.DS.Pages
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.Reconstruct(pages[i%len(pages)], core.ModeOrigin, 0)
-	}
-}
-
-func BenchmarkGenerateCorpus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := webgen.DefaultConfig()
-		cfg.Sites = 500
-		cfg.Seed = int64(i + 1)
-		if _, err := webgen.Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDNSResolve(b *testing.B) {
-	auth := dns.NewAuthority()
-	auth.AddA("bench.example", mustAddr("192.0.2.1"), mustAddr("192.0.2.2"))
-	r := dns.NewResolver(auth)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.LookupA("bench.example"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- helpers ---
-
-type labEnvT struct {
-	auth    *dns.Authority
-	res     *dns.Resolver
-	sans    map[string][]string
-	origins map[string][]string
-}
-
-func (l *labEnvT) Lookup(host string) ([]netip.Addr, error) { return l.res.LookupA(host) }
-func (l *labEnvT) CertSANs(host string, ip netip.Addr) []string {
-	if s, ok := l.sans[host]; ok {
-		return s
-	}
-	return []string{host}
-}
-func (l *labEnvT) OriginSet(host string, ip netip.Addr) []string { return l.origins[host] }
-func (l *labEnvT) Reachable(host string, ip netip.Addr) bool     { return true }
-
-func newLabEnv() *labEnvT {
-	auth := dns.NewAuthority()
-	auth.AddA("www.lab.test", mustAddr("203.0.113.1"), mustAddr("203.0.113.2"))
-	auth.AddA("static.lab.test", mustAddr("203.0.113.2"), mustAddr("203.0.113.3"))
-	auth.AddA("img.lab.test", mustAddr("203.0.113.1"), mustAddr("203.0.113.3"))
-	auth.AddA("third.other.test", mustAddr("198.51.100.9"))
-	siteCert := []string{"www.lab.test", "static.lab.test", "img.lab.test", "third.other.test"}
-	return &labEnvT{
-		auth: auth,
-		res:  dns.NewResolver(auth),
-		sans: map[string][]string{
-			"www.lab.test":    siteCert,
-			"static.lab.test": siteCert,
-			"img.lab.test":    siteCert,
-		},
-		origins: map[string][]string{
-			"www.lab.test": {"static.lab.test", "img.lab.test", "third.other.test"},
-		},
-	}
-}
-
-func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// --- Extension benchmarks: privacy (§6.2), scheduling (§6.1), DoH ---
-
-func BenchmarkPrivacyScenarios(b *testing.B) {
-	c := benchCorpus(b)
-	var rows []privacy.CorpusExposure
-	for i := 0; i < b.N; i++ {
-		rows, _ = c.PrivacyReport()
-	}
-	b.ReportMetric(rows[0].MedianLeakedHosts, "baseline-leaked-hosts")
-	b.ReportMetric(rows[1].MedianLeakedHosts, "coalesced-leaked-hosts")
-}
-
-func BenchmarkAblationScheduling(b *testing.B) {
-	c := benchCorpus(b)
-	var cmp sched.Comparison
-	for i := 0; i < b.N; i++ {
-		cmp, _ = c.SchedulingReport(6)
-	}
-	b.ReportMetric(float64(cmp.ParallelInversions), "parallel-inversions")
-	b.ReportMetric(float64(cmp.CoalescedInversions), "coalesced-inversions")
-	b.ReportMetric(cmp.ParallelCriticalMs-cmp.CoalescedCriticalMs, "critical-ms-saved")
-}
-
-func BenchmarkDoHResolve(b *testing.B) {
-	auth := dns.NewAuthority()
-	auth.AddA("bench.example", mustAddr("192.0.2.1"))
-	handler := &doh.Handler{Authority: auth}
-	srv := &h2.Server{Handler: handler}
-	cn, sn := net.Pipe()
-	go srv.ServeConn(sn)
-	cc, err := h2.NewClientConn(cn, h2.ClientConnOptions{Origin: "doh.example"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cc.Close()
-	client := doh.NewClient(cc, "doh.example")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.LookupA("bench.example"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPriorityTreeAllocate(b *testing.B) {
-	tr := sched.NewTree()
-	for i := 0; i < 50; i++ {
-		tr.Add(uint32(2*i+1), uint32(2*(i/3)+1)&^1, i%256+1, false)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Allocate(1e6)
 	}
 }
 
@@ -703,62 +260,69 @@ func BenchmarkAblationH1VsH2(b *testing.B) {
 	})
 }
 
-func BenchmarkPolicyCrossValidation(b *testing.B) {
-	c := benchCorpus(b)
-	var stats []report.PolicyStats
+// --- Ablation 7: delivery scheduling (DESIGN.md §6.7, paper §6.1) ---
+
+func BenchmarkAblationScheduling(b *testing.B) {
+	c := benchCorpus()
+	b.ResetTimer()
+	var cmp sched.Comparison
 	for i := 0; i < b.N; i++ {
-		stats, _ = c.PolicyComparison()
+		cmp, _ = c.SchedulingReport(6)
 	}
-	b.ReportMetric(stats[0].MedianConnections, "chromium-median-conns")
-	b.ReportMetric(stats[1].MedianConnections, "firefox-median-conns")
-	b.ReportMetric(stats[2].MedianConnections, "origin-median-conns")
+	b.ReportMetric(float64(cmp.ParallelInversions), "parallel-inversions")
+	b.ReportMetric(float64(cmp.CoalescedInversions), "coalesced-inversions")
+	b.ReportMetric(cmp.ParallelCriticalMs-cmp.CoalescedCriticalMs, "critical-ms-saved")
 }
 
-// --- Parallel engine benchmarks ---
+// --- Ablation 8: privacy scenarios (DESIGN.md §6.8, paper §6.2) ---
 
-// BenchmarkGenerateParallel measures sharded corpus generation at
-// several worker counts; the workers-1 sub-benchmark is the sequential
-// baseline, so speedup = time(workers-1) / time(workers-N).
-func BenchmarkGenerateParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := webgen.DefaultConfig()
-				cfg.Sites = 2000
-				cfg.Workers = workers
-				ds, err := webgen.Generate(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ds.Pages) == 0 {
-					b.Fatal("empty corpus")
-				}
-			}
-		})
+func BenchmarkPrivacyScenarios(b *testing.B) {
+	c := benchCorpus()
+	b.ResetTimer()
+	var rows []privacy.CorpusExposure
+	for i := 0; i < b.N; i++ {
+		rows, _ = c.PrivacyReport()
+	}
+	b.ReportMetric(rows[0].MedianLeakedHosts, "baseline-leaked-hosts")
+	b.ReportMetric(rows[1].MedianLeakedHosts, "coalesced-leaked-hosts")
+}
+
+// --- The lab environment ablations 2–4 resolve against ---
+
+type labEnvT struct {
+	res     *dns.Resolver
+	sans    map[string][]string
+	origins map[string][]string
+}
+
+func (l *labEnvT) Lookup(host string) ([]netip.Addr, error) { return l.res.LookupA(host) }
+func (l *labEnvT) CertSANs(host string, ip netip.Addr) []string {
+	if s, ok := l.sans[host]; ok {
+		return s
+	}
+	return []string{host}
+}
+func (l *labEnvT) OriginSet(host string, ip netip.Addr) []string { return l.origins[host] }
+func (l *labEnvT) Reachable(host string, ip netip.Addr) bool     { return true }
+
+func newLabEnv() *labEnvT {
+	auth := dns.NewAuthority()
+	auth.AddA("www.lab.test", mustAddr("203.0.113.1"), mustAddr("203.0.113.2"))
+	auth.AddA("static.lab.test", mustAddr("203.0.113.2"), mustAddr("203.0.113.3"))
+	auth.AddA("img.lab.test", mustAddr("203.0.113.1"), mustAddr("203.0.113.3"))
+	auth.AddA("third.other.test", mustAddr("198.51.100.9"))
+	siteCert := []string{"www.lab.test", "static.lab.test", "img.lab.test", "third.other.test"}
+	return &labEnvT{
+		res: dns.NewResolver(auth),
+		sans: map[string][]string{
+			"www.lab.test":    siteCert,
+			"static.lab.test": siteCert,
+			"img.lab.test":    siteCert,
+		},
+		origins: map[string][]string{
+			"www.lab.test": {"static.lab.test", "img.lab.test", "third.other.test"},
+		},
 	}
 }
 
-// BenchmarkTablesParallel measures the full per-page analysis pipeline
-// (corpus construction plus the heaviest report passes) at several
-// worker counts over a pre-generated dataset.
-func BenchmarkTablesParallel(b *testing.B) {
-	cfg := webgen.DefaultConfig()
-	cfg.Sites = benchCorpusSize
-	ds, err := webgen.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := report.NewCorpusWorkers(ds, workers)
-				if _, s := c.Table1(5); s == "" {
-					b.Fatal("empty table 1")
-				}
-				c.Table6(3, 4)
-				c.Table9(3, 5)
-				c.Figure9Model(13335)
-			}
-		})
-	}
-}
+func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }

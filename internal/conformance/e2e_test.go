@@ -60,12 +60,14 @@ func TestFlowCheckerOnLiveConnection(t *testing.T) {
 }
 
 // TestReplayDeterminismSmall cross-checks a small seeded crawl at three
-// worker counts: corpus, trace, and report must be byte-identical.
+// worker counts: corpus, trace, and report must be byte-identical. It
+// is cmd/replaycheck's default invocation (-sites 400 -seed 1 -workers
+// 1,4,16 -repeats 2), the corpus the replay golden pins.
 func TestReplayDeterminismSmall(t *testing.T) {
 	divs, err := conformance.RunReplay(conformance.ReplayConfig{
-		Sites:   60,
-		Seed:    7,
-		Workers: []int{1, 3, 8},
+		Sites:   400,
+		Seed:    1,
+		Workers: []int{1, 4, 16},
 		Repeats: 2,
 	})
 	if err != nil {

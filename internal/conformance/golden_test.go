@@ -6,12 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"respectorigin/internal/cache"
+	"respectorigin/internal/clitest"
 	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/report"
@@ -93,50 +93,20 @@ func TestGoldenReplayArtifacts(t *testing.T) {
 // plan (each with its per-visit trace), the deployment protocol sweep,
 // and the open-loop NDJSON summary.
 func TestGoldenCLIOutputs(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go tool not on PATH")
-	}
 	dir := t.TempDir()
-	build := func(name string) string {
-		bin := filepath.Join(dir, name)
-		if out, err := exec.Command(goTool, "build", "-o", bin, "respectorigin/cmd/"+name).CombinedOutput(); err != nil {
-			t.Fatalf("go build cmd/%s: %v\n%s", name, err, out)
-		}
-		return bin
-	}
-	run := func(bin string, args ...string) []byte {
-		t.Helper()
-		var stderr bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%s %s: %v\n%s", filepath.Base(bin), strings.Join(args, " "), err, stderr.Bytes())
-		}
-		return out
-	}
-	cdnsim, loadgen := build("cdnsim"), build("loadgen")
+	cdnsim, loadgen := clitest.Build(t, "cdnsim"), clitest.Build(t, "loadgen")
 
 	deploy := []string{"-sample", "800", "-phase", "all", "-days", "12"}
 	faulted := append(append([]string{}, deploy...), "-faults", "reset=0.05,goaway=0.02,logrestart=0.01", "-retries", "1")
 	zeroTrace, faultedTrace := filepath.Join(dir, "zero.trace"), filepath.Join(dir, "faulted.trace")
 	lgOut := filepath.Join(dir, "loadgen.ndjson")
-	run(loadgen, "-users", "2000", "-out", lgOut)
-	readFile := func(path string) []byte {
-		t.Helper()
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	clitest.Run(t, loadgen, "-users", "2000", "-out", lgOut)
 	checkGolden(t, "cli.golden", []artifact{
-		{"cdnsim.zero-plan.txt", run(cdnsim, append(deploy, "-trace", zeroTrace)...)},
-		{"cdnsim.zero-plan.trace.ndjson", readFile(zeroTrace)},
-		{"cdnsim.faulted.txt", run(cdnsim, append(faulted, "-trace", faultedTrace)...)},
-		{"cdnsim.faulted.trace.ndjson", readFile(faultedTrace)},
-		{"cdnsim.proto-sweep.txt", run(cdnsim, "-sample", "800", "-proto-sweep", "-revisits", "3")},
-		{"loadgen.users2000.ndjson", readFile(lgOut)},
+		{"cdnsim.zero-plan.txt", clitest.Run(t, cdnsim, append(deploy, "-trace", zeroTrace)...)},
+		{"cdnsim.zero-plan.trace.ndjson", clitest.ReadFile(t, zeroTrace)},
+		{"cdnsim.faulted.txt", clitest.Run(t, cdnsim, append(faulted, "-trace", faultedTrace)...)},
+		{"cdnsim.faulted.trace.ndjson", clitest.ReadFile(t, faultedTrace)},
+		{"cdnsim.proto-sweep.txt", clitest.Run(t, cdnsim, "-sample", "800", "-proto-sweep", "-revisits", "3")},
+		{"loadgen.users2000.ndjson", clitest.ReadFile(t, lgOut)},
 	})
 }

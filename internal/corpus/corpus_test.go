@@ -258,3 +258,25 @@ func TestColumnarWriteAfterClose(t *testing.T) {
 		t.Fatal("write after Close succeeded")
 	}
 }
+
+// TestColumnarAllocBudget holds the codec's allocation shape: the
+// writer allocates for its block buffers and string tables, not per
+// page, and the reader allocates what a decoded page has to own (the
+// page, its entry slice, and per entry its strings and address and SAN
+// slices) and nothing per column or per block beyond that.
+func TestColumnarAllocBudget(t *testing.T) {
+	pages := testPages(2000)
+	entries := 0
+	for _, p := range pages {
+		entries += len(p.Entries)
+	}
+	raw := encode(t, pages, corpus.FormatColumnar)
+	enc := testing.AllocsPerRun(3, func() { encode(t, pages, corpus.FormatColumnar) })
+	if enc > 200 {
+		t.Errorf("encoding %d pages allocates %.0f times, want ≤ 200 (nothing per page)", len(pages), enc)
+	}
+	dec := testing.AllocsPerRun(3, func() { decode(t, raw, corpus.FormatColumnar) })
+	if perEntry := dec / float64(entries); perEntry > 5.5 {
+		t.Errorf("decoding allocates %.2f per entry (%.0f over %d entries), want ≤ 5.5", perEntry, dec, entries)
+	}
+}

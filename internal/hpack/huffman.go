@@ -118,51 +118,6 @@ func AppendHuffmanString(dst []byte, s string) []byte {
 	return dst
 }
 
-// HuffmanDecodeTree decodes Huffman-coded data by walking the decoding
-// tree one bit at a time. It is the reference implementation: the
-// production decoder (HuffmanDecode) is a flat byte-at-a-time lookup
-// table built from the same tree, and the differential tests and fuzz
-// targets assert the two agree byte for byte, including error
-// classification. Per RFC 7541 §5.2 a padding longer than 7 bits, a
-// padding that is not the EOS prefix, or an incomplete code is a
-// decoding error.
-func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
-	if maxLen == 0 {
-		maxLen = DefaultMaxStringLength
-	}
-	var out []byte
-	n := huffmanRoot
-	depth := 0      // bits consumed within the current code
-	onesRun := true // whether all bits since the last symbol were ones
-	for _, b := range data {
-		for bit := 7; bit >= 0; bit-- {
-			v := (b >> uint(bit)) & 1
-			if v == 0 {
-				onesRun = false
-			}
-			n = n.children[v]
-			if n == nil {
-				return "", ErrHuffman
-			}
-			depth++
-			if n.leaf {
-				out = append(out, n.sym)
-				if uint64(len(out)) > maxLen {
-					return "", ErrStringLength
-				}
-				n = huffmanRoot
-				depth = 0
-				onesRun = true
-			}
-		}
-	}
-	// Trailing partial code must be a ones-only EOS prefix of < 8 bits.
-	if depth > 7 || !onesRun {
-		return "", ErrHuffman
-	}
-	return string(out), nil
-}
-
 // --- Flat LUT decoder ---
 //
 // The production decoder consumes input one byte at a time. A state is
@@ -175,7 +130,8 @@ func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
 // the final state alone — its depth is the number of bits into the
 // pending code and huffmanStateOnes records whether that partial path
 // is the all-ones EOS prefix — so the RFC 7541 §5.2 checks carry over
-// from the tree decoder unchanged.
+// from the bit-walking reference decoder (HuffmanDecodeTree, in
+// huffman_differential_test.go) unchanged.
 
 // huffmanLUTEntry is one (state, byte) transition.
 type huffmanLUTEntry struct {
@@ -258,9 +214,10 @@ func buildHuffmanLUT() {
 
 // AppendHuffmanDecode decodes Huffman-coded data into dst (which may be
 // a reused scratch buffer) and returns the extended slice. maxLen bounds
-// len(result) (0 means DefaultMaxStringLength). Error semantics are
-// identical to HuffmanDecodeTree; on error the returned slice holds the
-// symbols decoded so far and must be discarded by the caller.
+// len(result) (0 means DefaultMaxStringLength). Per RFC 7541 §5.2 a
+// padding longer than 7 bits, a padding that is not the EOS prefix, or
+// an incomplete code is ErrHuffman; on error the returned slice holds
+// the symbols decoded so far and must be discarded by the caller.
 func AppendHuffmanDecode(dst, data []byte, maxLen uint64) ([]byte, error) {
 	if maxLen == 0 {
 		maxLen = DefaultMaxStringLength

@@ -10,6 +10,51 @@ import (
 	"testing"
 )
 
+// HuffmanDecodeTree decodes Huffman-coded data by walking the decoding
+// tree one bit at a time. It is the reference implementation: the
+// production decoder (HuffmanDecode) is a flat byte-at-a-time lookup
+// table built from the same tree, and the differential tests and fuzz
+// targets assert the two agree byte for byte, including error
+// classification. Per RFC 7541 §5.2 a padding longer than 7 bits, a
+// padding that is not the EOS prefix, or an incomplete code is a
+// decoding error.
+func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
+	if maxLen == 0 {
+		maxLen = DefaultMaxStringLength
+	}
+	var out []byte
+	n := huffmanRoot
+	depth := 0      // bits consumed within the current code
+	onesRun := true // whether all bits since the last symbol were ones
+	for _, b := range data {
+		for bit := 7; bit >= 0; bit-- {
+			v := (b >> uint(bit)) & 1
+			if v == 0 {
+				onesRun = false
+			}
+			n = n.children[v]
+			if n == nil {
+				return "", ErrHuffman
+			}
+			depth++
+			if n.leaf {
+				out = append(out, n.sym)
+				if uint64(len(out)) > maxLen {
+					return "", ErrStringLength
+				}
+				n = huffmanRoot
+				depth = 0
+				onesRun = true
+			}
+		}
+	}
+	// Trailing partial code must be a ones-only EOS prefix of < 8 bits.
+	if depth > 7 || !onesRun {
+		return "", ErrHuffman
+	}
+	return string(out), nil
+}
+
 // corpusBlobs loads every []byte/string literal from the checked-in Go
 // fuzz corpora under testdata/fuzz, so the differential tests replay
 // everything the fuzzer ever found interesting — including the

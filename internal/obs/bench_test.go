@@ -25,6 +25,23 @@ func BenchmarkEmitRecorderOff(b *testing.B) {
 	}
 }
 
+// TestRecorderOffEmitNoAllocs is the hard gate behind the benchmark: a
+// nil recorder makes every helper a no-op that allocates nothing, the
+// event literal at the call site included.
+func TestRecorderOffEmitNoAllocs(t *testing.T) {
+	var r Recorder
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		Count(r, "h2.client.streams", 1)
+		Observe(r, "page.ms", 12.5)
+		Emit(r, benchEvent(i))
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("recorder-off emit allocates %.1f per op, want 0", allocs)
+	}
+}
+
 // BenchmarkTraceEvent measures the recorder-on trace append path that a
 // 10^5-page crawl exercises ~20 times per page.
 func BenchmarkTraceEvent(b *testing.B) {
@@ -41,6 +58,20 @@ func BenchmarkMetricsEvent(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Event(benchEvent(i))
+	}
+}
+
+// TestMetricsEventNoAllocsSteadyState: once a kind's counter exists,
+// counting one more event of that kind allocates nothing — no
+// "events."+kind concatenation, no map growth — for every known kind.
+func TestMetricsEventNoAllocsSteadyState(t *testing.T) {
+	m := NewMetrics()
+	for kind := range eventCounterName {
+		ev := Event{Rank: 1, Kind: kind, Host: "www.site-123456.example", N: 3}
+		m.Event(ev) // warm up: the counter is created here
+		if allocs := testing.AllocsPerRun(100, func() { m.Event(ev) }); allocs != 0 {
+			t.Errorf("Metrics.Event(%s) allocates %.1f per op in steady state, want 0", kind, allocs)
+		}
 	}
 }
 

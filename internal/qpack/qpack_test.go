@@ -69,6 +69,28 @@ func TestFieldSectionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderNoAllocsSteadyState: once the caller's buffer has grown to
+// fit the section, re-encoding into it allocates nothing, whichever
+// representation each field takes and with Huffman on or off.
+func TestEncoderNoAllocsSteadyState(t *testing.T) {
+	fields := []hpack.HeaderField{
+		{Name: ":method", Value: "GET"},                                   // indexed
+		{Name: ":authority", Value: "www.site-123456.example"},            // name reference, Huffman value
+		{Name: ":path", Value: "/static/js/app.bundle.min.js?v=20220413"}, // name reference, Huffman value
+		{Name: "x-binary", Value: "\x00\x01\xfe\xff"},                     // literal name, raw value
+		{Name: "cookie", Value: "session=1f4c2d8a9b3e5f7a", Sensitive: true},
+	}
+	for _, e := range []Encoder{{}, {DisableHuffman: true}} {
+		buf := e.AppendFieldSection(nil, fields)
+		allocs := testing.AllocsPerRun(100, func() {
+			buf = e.AppendFieldSection(buf[:0], fields)
+		})
+		if allocs != 0 {
+			t.Errorf("DisableHuffman=%v: AppendFieldSection into a reused buffer allocates %.1f per op, want 0", e.DisableHuffman, allocs)
+		}
+	}
+}
+
 func TestIndexedEncodingIsCompact(t *testing.T) {
 	var e Encoder
 	sec := e.AppendFieldSection(nil, []hpack.HeaderField{{Name: ":method", Value: "GET"}})

@@ -379,3 +379,14 @@ func TestDeliverParallelSingleConnDegeneratesToCoalesced(t *testing.T) {
 		t.Errorf("single parallel connection inverted %d pairs", inv)
 	}
 }
+
+func BenchmarkPriorityTreeAllocate(b *testing.B) {
+	tr := NewTree()
+	for i := 0; i < 50; i++ {
+		tr.Add(uint32(2*i+1), uint32(2*(i/3)+1)&^1, i%256+1, false)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Allocate(1e6)
+	}
+}
