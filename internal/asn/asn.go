@@ -35,6 +35,7 @@ type DB struct {
 	v6   *node
 	orgs map[ASN]string
 	n    int
+	free []node // unused trie nodes, allocated a chunk at a time
 }
 
 type node struct {
@@ -53,30 +54,38 @@ func (db *DB) Add(prefix netip.Prefix, as ASN, org string) error {
 	if !prefix.IsValid() {
 		return fmt.Errorf("asn: invalid prefix %v", prefix)
 	}
-	prefix = prefix.Masked()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.add(Entry{Prefix: prefix.Masked(), ASN: as, Org: org})
+	return nil
+}
+
+// add registers e, whose prefix is valid and masked; db.mu is held.
+func (db *DB) add(e Entry) {
 	root := db.v4
-	if prefix.Addr().Is6() {
+	if e.Prefix.Addr().Is6() {
 		root = db.v6
 	}
-	bits := addrBits(prefix.Addr())
+	bits := e.Prefix.Addr().As16()
+	first := firstBit(e.Prefix.Addr())
 	n := root
-	for i := 0; i < prefix.Bits(); i++ {
-		b := bit(bits, i)
+	for i := first; i < first+e.Prefix.Bits(); i++ {
+		b := bit(&bits, i)
 		if n.children[b] == nil {
-			n.children[b] = &node{}
+			if len(db.free) == 0 {
+				db.free = make([]node, 64)
+			}
+			n.children[b], db.free = &db.free[0], db.free[1:]
 		}
 		n = n.children[b]
 	}
 	if n.entry == nil {
 		db.n++
 	}
-	n.entry = &Entry{Prefix: prefix, ASN: as, Org: org}
-	if org != "" {
-		db.orgs[as] = org
+	n.entry = &e
+	if e.Org != "" {
+		db.orgs[e.ASN] = e.Org
 	}
-	return nil
 }
 
 // Merge registers every entry of other into db. Overlapping or equal
@@ -88,19 +97,20 @@ func (db *DB) Merge(other *DB) error {
 	if other == nil || other == db {
 		return nil
 	}
-	entries := other.Entries()
+	// A trie holds one entry per distinct prefix, so the order they are
+	// added in cannot matter: take them as the walk finds them. other is
+	// read before db is locked — never both locks at once.
 	other.mu.RLock()
+	entries := other.walk(make([]Entry, 0, other.n))
 	orgs := make(map[ASN]string, len(other.orgs))
 	for as, org := range other.orgs {
 		orgs[as] = org
 	}
 	other.mu.RUnlock()
-	for _, e := range entries {
-		if err := db.Add(e.Prefix, e.ASN, e.Org); err != nil {
-			return err
-		}
-	}
 	db.mu.Lock()
+	for _, e := range entries {
+		db.add(e)
+	}
 	for as, org := range orgs {
 		if org != "" {
 			db.orgs[as] = org
@@ -108,6 +118,25 @@ func (db *DB) Merge(other *DB) error {
 	}
 	db.mu.Unlock()
 	return nil
+}
+
+// walk appends every registered entry to out in trie order; the caller
+// holds db.mu.
+func (db *DB) walk(out []Entry) []Entry {
+	var visit func(n *node)
+	visit = func(n *node) {
+		if n == nil {
+			return
+		}
+		if n.entry != nil {
+			out = append(out, *n.entry)
+		}
+		visit(n.children[0])
+		visit(n.children[1])
+	}
+	visit(db.v4)
+	visit(db.v6)
+	return out
 }
 
 // Len returns the number of registered prefixes.
@@ -130,17 +159,18 @@ func (db *DB) Lookup(addr netip.Addr) (Entry, bool) {
 		root = db.v6
 		maxBits = 128
 	}
-	bits := addrBits(addr)
+	bits := addr.As16()
+	first := firstBit(addr)
 	var best *Entry
 	n := root
-	for i := 0; ; i++ {
+	for i := first; ; i++ {
 		if n.entry != nil {
 			best = n.entry
 		}
-		if i >= maxBits {
+		if i >= first+maxBits {
 			break
 		}
-		n = n.children[bit(bits, i)]
+		n = n.children[bit(&bits, i)]
 		if n == nil {
 			break
 		}
@@ -170,25 +200,30 @@ func (db *DB) Org(as ASN) string {
 // Entries returns all registered entries sorted by prefix string.
 func (db *DB) Entries() []Entry {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []Entry
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.entry != nil {
-			out = append(out, *n.entry)
-		}
-		walk(n.children[0])
-		walk(n.children[1])
-	}
-	walk(db.v4)
-	walk(db.v6)
+	out := db.walk(make([]Entry, 0, db.n))
+	db.mu.RUnlock()
 	// Each trie node stores at most one entry and sits at a distinct
 	// prefix, so the keys are unique and the unstable sort is total.
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.String() < out[j].Prefix.String() })
+	// Render each key once, not once per comparison.
+	keys := make([]string, len(out))
+	for i := range out {
+		keys[i] = out[i].Prefix.String()
+	}
+	sort.Sort(byKey{keys, out})
 	return out
+}
+
+// byKey sorts entries by their rendered prefixes.
+type byKey struct {
+	keys    []string
+	entries []Entry
+}
+
+func (s byKey) Len() int           { return len(s.keys) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
 }
 
 // Load reads "prefix asn org-name..." lines (comments with #, blank
@@ -227,15 +262,15 @@ func (db *DB) Load(r io.Reader) (int, error) {
 	return count, sc.Err()
 }
 
-func addrBits(a netip.Addr) []byte {
+// firstBit is where an address's own bits start in its 16-byte form: an
+// IPv4 address occupies the last four bytes.
+func firstBit(a netip.Addr) int {
 	if a.Is4() {
-		v := a.As4()
-		return v[:]
+		return 96
 	}
-	v := a.As16()
-	return v[:]
+	return 0
 }
 
-func bit(bits []byte, i int) int {
+func bit(bits *[16]byte, i int) int {
 	return int(bits[i/8]>>(7-i%8)) & 1
 }

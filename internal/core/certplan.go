@@ -28,43 +28,12 @@ func (cp CertPlan) ExistingCount() int { return len(cp.Existing) }
 // IdealCount returns the SAN size after modification.
 func (cp CertPlan) IdealCount() int { return len(cp.Existing) + len(cp.Additions) }
 
-// PlanCertChanges computes the least-effort SAN additions for a page:
-// hostnames of secure subresource requests whose service matches the
-// base page's (same origin AS, per the model assumption) and that the
-// existing certificate does not already cover.
-//
-// Only the certificate of the visited website changes (§4.3: "we change
-// only the certificate for the website visited").
+// PlanCertChanges computes the least-effort SAN additions for a page;
+// see Timeline.CertPlan.
 func PlanCertChanges(p *har.Page) CertPlan {
-	root := &p.Entries[0]
-	plan := CertPlan{
-		Site:     p.Host,
-		Rank:     p.Rank,
-		Existing: append([]string(nil), root.CertSANs...),
-	}
-	if !root.Secure {
-		// No certificate to modify; the site would first need HTTPS.
-		return plan
-	}
-	seen := map[string]bool{p.Host: true}
-	for i := 1; i < len(p.Entries); i++ {
-		e := &p.Entries[i]
-		if !e.Secure || e.ServerASN != root.ServerASN {
-			continue
-		}
-		h := strings.ToLower(e.Host)
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		plan.Coalescable = append(plan.Coalescable, h)
-		if !sanCovers(plan.Existing, h) {
-			plan.Additions = append(plan.Additions, h)
-		}
-	}
-	sort.Strings(plan.Coalescable)
-	sort.Strings(plan.Additions)
-	return plan
+	var t Timeline
+	t.Load(p)
+	return t.CertPlan()
 }
 
 // sanCovers reports whether the SAN list covers host (exact or

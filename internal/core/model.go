@@ -21,7 +21,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"respectorigin/internal/har"
 )
@@ -60,211 +59,51 @@ func (m Mode) String() string {
 // minimum-DNS subtraction of §4.1.
 const concurrencyWindowMs = 50
 
-// serviceKeyFn returns the service identity of an entry under a mode,
-// and whether the entry participates in coalescing at all.
-func serviceKeyFn(mode Mode, cdnASN uint32) func(e *har.Entry) (string, bool) {
-	switch mode {
-	case ModeIP:
-		return func(e *har.Entry) (string, bool) {
-			// IP coalescing requires a secure connection to validate
-			// authority, or at least an established TCP connection; the
-			// paper collapses by exact connected address.
-			return "ip:" + e.ServerIP.String(), true
-		}
-	case ModeOriginCDN:
-		return func(e *har.Entry) (string, bool) {
-			if e.ServerASN != cdnASN || !e.Secure {
-				return "", false
-			}
-			return "as:cdn", true
-		}
-	default: // ModeOrigin
-		return func(e *har.Entry) (string, bool) {
-			if !e.Secure {
-				// Cleartext requests cannot ride an authenticated
-				// connection; they still coalesce by IP only.
-				return "ip:" + e.ServerIP.String(), true
-			}
-			return "as:" + itoa(uint64(e.ServerASN)), true
-		}
-	}
-}
-
 // Coalescable returns, for each entry index, whether the request could
-// have been coalesced onto an earlier connection under the mode.
-//
-// Connection openers — entries that paid DNS + connection setup
-// (NewDNS) — are compared per service: the service's earliest opener
-// keeps its connection; every later opener of the same service is
-// coalescable and sheds its setup. Entries that reuse an existing
-// connection are marked coalescable whenever their service has an
-// opener, but they carry no setup to remove. Entry 0 (the base-page
-// request) is never coalescable (§4.1).
+// have been coalesced onto an earlier connection under the mode; see
+// Timeline for the rules.
 func Coalescable(p *har.Page, mode Mode, cdnASN uint32) []bool {
-	key := serviceKeyFn(mode, cdnASN)
-	out := make([]bool, len(p.Entries))
-
-	// Pass 1: order connection openers per service by start time; all
-	// but the first are coalescable.
-	firstOpener := make(map[string]int, 8)
-	order := entryOrderByStart(p)
-	for _, i := range order {
-		e := &p.Entries[i]
-		if !e.NewDNS {
-			continue
-		}
-		k, ok := key(e)
-		if !ok {
-			continue
-		}
-		if j, seen := firstOpener[k]; !seen {
-			firstOpener[k] = i
-		} else if i != j && i != 0 {
-			out[i] = true
-		}
-	}
-	// Pass 2: reuse entries ride their service's connection.
-	for i := 1; i < len(p.Entries); i++ {
-		e := &p.Entries[i]
-		if e.NewDNS {
-			continue
-		}
-		k, ok := key(e)
-		if !ok {
-			continue
-		}
-		if _, seen := firstOpener[k]; seen {
-			out[i] = true
-		}
-	}
-	out[0] = false
-	return out
+	var t Timeline
+	t.Load(p)
+	t.mark(mode, cdnASN)
+	return t.coal
 }
 
-// entryOrderByStart returns entry indexes sorted by start time with the
-// root first (stable for ties).
-func entryOrderByStart(p *har.Page) []int {
-	order := make([]int, len(p.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.Entries[order[a]].StartedMs < p.Entries[order[b]].StartedMs
-	})
-	return order
-}
-
-// Reconstruct rebuilds the page timeline under the assumption that all
-// coalescable requests ride existing connections (§4.1):
-//
-//   - coalescable entries lose their Connect and SSL phases entirely
-//     and keep no DNS time except the conservative adjustment below;
-//   - among coalescable requests to the same service starting within
-//     concurrencyWindowMs of each other, only the minimum DNS time is
-//     subtracted from each; the excess over the minimum is retained,
-//     modelling queries that were already in flight together;
-//   - the CPU/dependency gap between an initiator's end and a child's
-//     start is preserved, so the dependency-graph computation time is
-//     unchanged;
-//   - non-coalescable entries keep their phase durations and shift
-//     with their initiators.
-//
-// The input page is not modified. ExtraDNS/ExtraTLS race effects are
-// dropped in the reconstruction: coalesced connections are not raced.
+// Reconstruct returns the page as Timeline.PLT rebuilds it: coalescable
+// entries without their setup phases, every entry at its new start
+// time. The input page is not modified. ExtraDNS/ExtraTLS race effects
+// are dropped in the reconstruction: coalesced connections are not
+// raced.
 func Reconstruct(p *har.Page, mode Mode, cdnASN uint32) *har.Page {
+	var t Timeline
+	t.Load(p)
+	plt := t.PLT(mode, cdnASN)
 	q := p.Clone()
-	coal := Coalescable(p, mode, cdnASN)
-	key := serviceKeyFn(mode, cdnASN)
-
-	// Conservative DNS subtraction: group coalescable entries by
-	// (service, start window) and find each group's minimum DNS.
-	type groupKey struct {
-		svc  string
-		slot int64
-	}
-	minDNS := make(map[groupKey]float64)
-	for i := range p.Entries {
-		if !coal[i] {
-			continue
-		}
-		e := &p.Entries[i]
-		svc, _ := key(e)
-		gk := groupKey{svc, int64(e.StartedMs / concurrencyWindowMs)}
-		if v, ok := minDNS[gk]; !ok || e.Timings.DNS < v {
-			minDNS[gk] = e.Timings.DNS
-		}
-	}
-
-	// Adjust phase durations on coalesced entries.
-	for i := range q.Entries {
-		if !coal[i] {
-			continue
-		}
-		e := &q.Entries[i]
-		orig := &p.Entries[i]
-		svc, _ := key(orig)
-		gk := groupKey{svc, int64(orig.StartedMs / concurrencyWindowMs)}
-		sub := minDNS[gk]
-		e.Timings.DNS = orig.Timings.DNS - sub
-		if e.Timings.DNS < 0 {
-			e.Timings.DNS = 0
-		}
-		e.Timings.Connect = 0
-		e.Timings.SSL = 0
-		e.NewDNS = false
-		e.NewTLS = false
-		e.CertIssuer = ""
-		e.CertSANs = nil
-	}
-
-	// Rebuild start times along the initiator graph, preserving the
-	// original gap between parent end and child start.
-	newStart := make([]float64, len(q.Entries))
-	order := topoOrder(p)
-	for _, i := range order {
-		e := &q.Entries[i]
-		if e.Initiator < 0 {
-			newStart[i] = p.Entries[i].StartedMs
-			continue
-		}
-		parent := e.Initiator
-		gap := p.Entries[i].StartedMs - p.Entries[parent].EndMs()
-		ns := newStart[parent] + q.Entries[parent].Timings.Total() + gap
-		if ns < 0 {
-			ns = 0
-		}
-		newStart[i] = ns
-	}
-	for i := range q.Entries {
-		q.Entries[i].StartedMs = newStart[i]
-	}
-
-	q.ExtraDNS = 0
-	q.ExtraTLS = 0
-	q.OnLoadMs = q.LastEntryEnd()
 	dom := 0.0
-	for _, e := range q.Entries {
+	for i := range q.Entries {
+		e := &q.Entries[i]
+		if t.coal[i] {
+			e.Timings.DNS, e.Timings.Connect, e.Timings.SSL = t.coalescedDNS(i), 0, 0
+			e.NewDNS = false
+			e.NewTLS = false
+			e.CertIssuer = ""
+			e.CertSANs = nil
+		}
+		e.StartedMs = t.start[i]
 		if e.RenderBlocking || e.Initiator == -1 {
 			if v := e.EndMs(); v > dom {
 				dom = v
 			}
 		}
 	}
+	q.ExtraDNS = 0
+	q.ExtraTLS = 0
+	q.OnLoadMs = plt
 	if dom == 0 || dom > q.OnLoadMs {
 		dom = q.OnLoadMs
 	}
 	q.DOMLoadMs = dom
 	return q
-}
-
-// topoOrder returns entry indexes in initiator order (parents before
-// children). Entries reference earlier indexes, so index order works.
-func topoOrder(p *har.Page) []int {
-	order := make([]int, len(p.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // PageCounts are the §4.2 per-page quantities.
@@ -280,66 +119,18 @@ type PageCounts struct {
 }
 
 // CountPage computes the §4.2 counts for one page.
-//
-// Services are identified per host: a host served over HTTPS at least
-// once groups into its origin AS (the ORIGIN-frame service); a host
-// only ever reached over cleartext HTTP can coalesce by address only.
 func CountPage(p *har.Page) PageCounts {
-	pc := PageCounts{
-		MeasuredDNS:         p.DNSQueries(),
-		MeasuredTLS:         p.TLSConnections(),
-		MeasuredValidations: p.TLSConnections(),
-	}
-	type hostState struct {
-		ip     string
-		asn    uint32
-		secure bool
-	}
-	hosts := map[string]*hostState{}
-	for i := range p.Entries {
-		e := &p.Entries[i]
-		hs, ok := hosts[e.Host]
-		if !ok {
-			hs = &hostState{ip: e.ServerIP.String(), asn: e.ServerASN}
-			hosts[e.Host] = hs
-		}
-		if e.Secure {
-			hs.secure = true
-		}
-	}
-	ips := map[string]bool{}
-	services := map[string]bool{}
-	for _, hs := range hosts {
-		ips[hs.ip] = true
-		if hs.secure {
-			services["as:"+itoa(uint64(hs.asn))] = true
-		} else {
-			services["ip:"+hs.ip] = true
-		}
-	}
-	pc.IdealIP = len(ips)
-	pc.IdealOrigin = len(services)
-	return pc
+	var t Timeline
+	t.Load(p)
+	return t.Counts()
 }
 
 // PLTImprovement returns (measured PLT, reconstructed PLT) for a page
 // under a mode.
 func PLTImprovement(p *har.Page, mode Mode, cdnASN uint32) (measured, reconstructed float64) {
-	return p.PLT(), Reconstruct(p, mode, cdnASN).PLT()
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	var t Timeline
+	t.Load(p)
+	return p.PLT(), t.PLT(mode, cdnASN)
 }
 
 // ClampNonNegative is a defensive helper used by reconstruction

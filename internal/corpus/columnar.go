@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -60,11 +61,11 @@ const (
 // colBuf is an append-only column buffer.
 type colBuf struct{ b []byte }
 
-func (c *colBuf) reset()             { c.b = c.b[:0] }
-func (c *colBuf) uvarint(x uint64)   { c.b = binary.AppendUvarint(c.b, x) }
-func (c *colBuf) svarint(x int64)    { c.b = binary.AppendVarint(c.b, x) }
-func (c *colBuf) f64(v float64)      { c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(v)) }
-func (c *colBuf) byte(v byte)        { c.b = append(c.b, v) }
+func (c *colBuf) reset()           { c.b = c.b[:0] }
+func (c *colBuf) uvarint(x uint64) { c.b = binary.AppendUvarint(c.b, x) }
+func (c *colBuf) svarint(x int64)  { c.b = binary.AppendVarint(c.b, x) }
+func (c *colBuf) f64(v float64)    { c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(v)) }
+func (c *colBuf) byte(v byte)      { c.b = append(c.b, v) }
 func (c *colBuf) str(s string) {
 	c.b = binary.AppendUvarint(c.b, uint64(len(s)))
 	c.b = append(c.b, s...)
@@ -312,22 +313,37 @@ func (d *colDec) bytes(n int) []byte {
 	return v
 }
 
+// strBytes reads a string's bytes in place: they alias the column and
+// die with the block.
+func (d *colDec) strBytes() []byte {
+	return d.bytes(int(d.uvarint()))
+}
+
 func (d *colDec) str() string {
-	n := int(d.uvarint())
-	b := d.bytes(n)
-	if d.err != nil || n == 0 {
+	b := d.strBytes()
+	if d.err != nil {
 		return ""
 	}
 	return string(b)
+}
+
+// text reads a string into *buf and returns where it went.
+func (d *colDec) text(buf *[]byte) span {
+	b := d.strBytes()
+	if d.err != nil {
+		return span{}
+	}
+	off := len(*buf)
+	*buf = append(*buf, b...)
+	return span{off, len(b)}
 }
 
 // strInterned reads a string drawn from a small value set (methods,
 // protocol names, MIME types, issuers) through the intern table so
 // repeated values share one allocation across the whole corpus.
 func (d *colDec) strInterned(in map[string]string) string {
-	n := int(d.uvarint())
-	b := d.bytes(n)
-	if d.err != nil || n == 0 {
+	b := d.strBytes()
+	if d.err != nil || len(b) == 0 {
 		return ""
 	}
 	if s, ok := in[string(b)]; ok { // compiler elides the conversion
@@ -369,19 +385,55 @@ func (d *colDec) addr() netip.Addr {
 
 func (d *colDec) done() bool { return d.err == nil && d.off == len(d.b) }
 
+func (d *colDec) remaining() int { return len(d.b) - d.off }
+
+// The four column streams of a block, in file order.
+const (
+	colMeta = iota
+	colEntries
+	colDNS
+	colSANs
+	numCols
+)
+
+var colNames = [numCols]string{"meta", "entries", "dns", "sans"}
+
+// minEntryBytes is the smallest encoding of one entry in its column:
+// eight floats, six empty strings, an invalid address and six one-byte
+// integers. It bounds the entries a page may declare by the bytes that
+// are there to back them.
+const minEntryBytes = 8*8 + 6 + 1 + 6
+
+// span is a run of columnarReader.text.
+type span struct{ off, n int }
+
+func (s span) of(text string) string { return text[s.off : s.off+s.n] }
+
+// entryRefs is what a decoded entry owes to the page's shared storage
+// once that exists.
+type entryRefs struct {
+	url, host   span
+	naddr, nsan int
+}
+
 type columnarReader struct {
 	br        *bufio.Reader
-	meta      colDec
-	ents      colDec
-	dns       colDec
-	sans      colDec
-	bufs      [4][]byte // reused block column storage
-	remaining int       // pages left in the open block
-	read      int       // pages decoded so far
+	cols      [numCols]colDec
+	bufs      [numCols][]byte // reused block column storage
+	remaining int             // pages left in the open block
+	read      int             // pages decoded so far
 	intern    map[string]string
 	started   bool
 	done      bool
 	err       error
+
+	// The page being decoded gathers its text, answer sets and SANs
+	// here; decodePage copies each out once, into storage only that page
+	// references.
+	text  []byte
+	refs  []entryRefs
+	addrs []netip.Addr
+	sans  []span
 }
 
 // NewColumnarReader returns a Reader decoding the columnar binary
@@ -407,8 +459,8 @@ func (cr *columnarReader) Next() (*har.Page, error) {
 		return nil, io.EOF
 	}
 	if !cr.started {
-		head := make([]byte, len(columnarMagic))
-		if _, err := io.ReadFull(cr.br, head); err != nil {
+		var head [len(columnarMagic)]byte
+		if _, err := io.ReadFull(cr.br, head[:]); err != nil {
 			return cr.fail(fmt.Errorf("corpus: reading columnar header: %w", err))
 		}
 		if string(head[:len(columnarMagicPrefix)]) != columnarMagicPrefix {
@@ -435,9 +487,9 @@ func (cr *columnarReader) Next() (*har.Page, error) {
 	cr.read++
 	if cr.remaining == 0 {
 		// A block's columns must be consumed exactly by its pages.
-		for name, d := range map[string]*colDec{"meta": &cr.meta, "entries": &cr.ents, "dns": &cr.dns, "sans": &cr.sans} {
-			if !d.done() {
-				return cr.fail(fmt.Errorf("corpus: columnar %s column not fully consumed (corrupt block)", name))
+		for i := range cr.cols {
+			if !cr.cols[i].done() {
+				return cr.fail(fmt.Errorf("corpus: columnar %s column not fully consumed (corrupt block)", colNames[i]))
 			}
 		}
 	}
@@ -462,8 +514,7 @@ func (cr *columnarReader) readBlock() error {
 		cr.done = true
 		return io.EOF
 	}
-	decs := [4]*colDec{&cr.meta, &cr.ents, &cr.dns, &cr.sans}
-	var lens [4]uint64
+	var lens [numCols]uint64
 	for i := range lens {
 		if lens[i], err = binary.ReadUvarint(cr.br); err != nil {
 			return fmt.Errorf("corpus: reading columnar block header: %w", err)
@@ -472,28 +523,62 @@ func (cr *columnarReader) readBlock() error {
 			return fmt.Errorf("corpus: columnar column block of %d bytes exceeds the 2 GiB bound", lens[i])
 		}
 	}
-	for i, d := range decs {
-		n := int(lens[i])
-		if cap(cr.bufs[i]) < n {
-			cr.bufs[i] = make([]byte, n)
-		}
-		cr.bufs[i] = cr.bufs[i][:n]
-		if _, err := io.ReadFull(cr.br, cr.bufs[i]); err != nil {
+	for i := range cr.cols {
+		if cr.bufs[i], err = readColumn(cr.br, cr.bufs[i], int(lens[i])); err != nil {
 			return fmt.Errorf("corpus: reading columnar block: %w", err)
 		}
-		*d = colDec{b: cr.bufs[i]}
+		cr.cols[i] = colDec{b: cr.bufs[i]}
 	}
 	cr.remaining = int(npages)
 	return nil
 }
 
-func (cr *columnarReader) decodePage() (*har.Page, error) {
-	m := &cr.meta
-	p := &har.Page{
-		URL:  m.str(),
-		Host: m.str(),
-		Rank: int(m.uvarint()),
+// readColumn reads an n-byte column into buf's storage. A header may
+// declare any length up to the 2 GiB bound, so storage beyond what buf
+// already has grows geometrically with the bytes that actually arrive:
+// a truncated or hostile stream costs memory in proportion to its own
+// size, not to the length it claims.
+func readColumn(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
 	}
+	buf = buf[:0]
+	for len(buf) < n {
+		step := max(len(buf), 1<<16)
+		if step > n-len(buf) {
+			step = n - len(buf)
+		}
+		buf = append(buf, make([]byte, step)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// place puts an entry's host into the page text and returns where: the
+// URL read just before nearly always carries it after "://", and then
+// the host costs no bytes of its own.
+func (cr *columnarReader) place(url span, host []byte) span {
+	u := cr.text[url.off : url.off+url.n]
+	if i := bytes.Index(u, schemeSep); i >= 0 && bytes.HasPrefix(u[i+len(schemeSep):], host) {
+		return span{url.off + i + len(schemeSep), len(host)}
+	}
+	off := len(cr.text)
+	cr.text = append(cr.text, host...)
+	return span{off, len(host)}
+}
+
+var schemeSep = []byte("://")
+
+func (cr *columnarReader) decodePage() (*har.Page, error) {
+	m, c, dns, sans := &cr.cols[colMeta], &cr.cols[colEntries], &cr.cols[colDNS], &cr.cols[colSANs]
+	cr.text, cr.refs, cr.addrs, cr.sans = cr.text[:0], cr.refs[:0], cr.addrs[:0], cr.sans[:0]
+	pageURL := m.text(&cr.text)
+	pageHost := cr.place(pageURL, m.strBytes())
+	p := &har.Page{Rank: int(m.uvarint())}
 	p.DOMLoadMs = m.f64()
 	p.OnLoadMs = m.f64()
 	p.ExtraDNS = int(m.uvarint())
@@ -502,18 +587,17 @@ func (cr *columnarReader) decodePage() (*har.Page, error) {
 	if m.err != nil {
 		return nil, m.err
 	}
-	if nent > len(cr.ents.b) { // each entry is ≥ 1 byte in its column
-		return nil, fmt.Errorf("corpus: columnar page declares %d entries, column has %d bytes", nent, len(cr.ents.b))
+	if nent < 0 || nent > c.remaining()/minEntryBytes {
+		return nil, fmt.Errorf("corpus: columnar page declares %d entries, column has %d bytes left", nent, c.remaining())
 	}
 	if nent > 0 {
 		p.Entries = make([]har.Entry, nent)
 	}
-	for i := 0; i < nent; i++ {
+	for i := range p.Entries {
 		e := &p.Entries[i]
-		c := &cr.ents
 		e.StartedMs = c.f64()
-		e.URL = c.str()
-		e.Host = c.str()
+		url := c.text(&cr.text)
+		refs := entryRefs{url: url, host: cr.place(url, c.strBytes())}
 		e.Method = c.strInterned(cr.intern)
 		e.Protocol = c.strInterned(cr.intern)
 		e.Status = int(c.svarint())
@@ -537,28 +621,48 @@ func (cr *columnarReader) decodePage() (*har.Page, error) {
 		t.Wait = c.f64()
 		t.Receive = c.f64()
 
-		if naddr := int(cr.dns.uvarint()); cr.dns.err == nil && naddr > 0 {
-			if naddr > len(cr.dns.b) {
-				return nil, fmt.Errorf("corpus: columnar DNS answer set of %d exceeds column size", naddr)
-			}
-			e.DNSAnswer = make([]netip.Addr, naddr)
-			for j := range e.DNSAnswer {
-				e.DNSAnswer[j] = cr.dns.addr()
-			}
+		// Every address and every SAN is at least one byte of its column.
+		if refs.naddr = int(dns.uvarint()); refs.naddr < 0 || refs.naddr > dns.remaining() {
+			return nil, fmt.Errorf("corpus: columnar DNS answer set of %d exceeds column size", refs.naddr)
 		}
-		if nsan := int(cr.sans.uvarint()); cr.sans.err == nil && nsan > 0 {
-			if nsan > len(cr.sans.b) {
-				return nil, fmt.Errorf("corpus: columnar SAN set of %d exceeds column size", nsan)
-			}
-			e.CertSANs = make([]string, nsan)
-			for j := range e.CertSANs {
-				e.CertSANs[j] = cr.sans.str()
-			}
+		for j := 0; j < refs.naddr; j++ {
+			cr.addrs = append(cr.addrs, dns.addr())
+		}
+		if refs.nsan = int(sans.uvarint()); refs.nsan < 0 || refs.nsan > sans.remaining() {
+			return nil, fmt.Errorf("corpus: columnar SAN set of %d exceeds column size", refs.nsan)
+		}
+		for j := 0; j < refs.nsan; j++ {
+			cr.sans = append(cr.sans, sans.text(&cr.text))
+		}
+		cr.refs = append(cr.refs, refs)
+	}
+	for i := range cr.cols {
+		if err := cr.cols[i].err; err != nil {
+			return nil, err
 		}
 	}
-	for _, d := range [4]*colDec{m, &cr.ents, &cr.dns, &cr.sans} {
-		if d.err != nil {
-			return nil, d.err
+
+	// The page owns one string, one address slice and one SAN slice;
+	// every URL, host, answer set and SAN list is a piece of those, so a
+	// page kept alone keeps nothing of its neighbours or of the block.
+	text := string(cr.text)
+	p.URL, p.Host = pageURL.of(text), pageHost.of(text)
+	addrs := append([]netip.Addr(nil), cr.addrs...)
+	var names []string
+	if len(cr.sans) > 0 {
+		names = make([]string, len(cr.sans))
+		for i, s := range cr.sans {
+			names[i] = s.of(text)
+		}
+	}
+	for i := range p.Entries {
+		e, refs := &p.Entries[i], &cr.refs[i]
+		e.URL, e.Host = refs.url.of(text), refs.host.of(text)
+		if n := refs.naddr; n > 0 {
+			e.DNSAnswer, addrs = addrs[:n:n], addrs[n:]
+		}
+		if n := refs.nsan; n > 0 {
+			e.CertSANs, names = names[:n:n], names[n:]
 		}
 	}
 	return p, nil

@@ -112,8 +112,8 @@ func (p *Page) PLT() float64 {
 // LastEntryEnd returns the finish time of the latest-finishing entry.
 func (p *Page) LastEntryEnd() float64 {
 	end := 0.0
-	for _, e := range p.Entries {
-		if v := e.EndMs(); v > end {
+	for i := range p.Entries {
+		if v := p.Entries[i].EndMs(); v > end {
 			end = v
 		}
 	}
@@ -124,8 +124,8 @@ func (p *Page) LastEntryEnd() float64 {
 // race-effect extras.
 func (p *Page) DNSQueries() int {
 	n := p.ExtraDNS
-	for _, e := range p.Entries {
-		if e.NewDNS {
+	for i := range p.Entries {
+		if p.Entries[i].NewDNS {
 			n++
 		}
 	}
@@ -136,8 +136,8 @@ func (p *Page) DNSQueries() int {
 // handshake plus race-effect extras.
 func (p *Page) TLSConnections() int {
 	n := p.ExtraTLS
-	for _, e := range p.Entries {
-		if e.NewTLS {
+	for i := range p.Entries {
+		if p.Entries[i].NewTLS {
 			n++
 		}
 	}
@@ -148,10 +148,11 @@ func (p *Page) TLSConnections() int {
 func (p *Page) UniqueASNs() []uint32 {
 	seen := map[uint32]bool{}
 	var out []uint32
-	for _, e := range p.Entries {
-		if !seen[e.ServerASN] {
-			seen[e.ServerASN] = true
-			out = append(out, e.ServerASN)
+	for i := range p.Entries {
+		as := p.Entries[i].ServerASN
+		if !seen[as] {
+			seen[as] = true
+			out = append(out, as)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -162,10 +163,11 @@ func (p *Page) UniqueASNs() []uint32 {
 func (p *Page) Hosts() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, e := range p.Entries {
-		if !seen[e.Host] {
-			seen[e.Host] = true
-			out = append(out, e.Host)
+	for i := range p.Entries {
+		host := p.Entries[i].Host
+		if !seen[host] {
+			seen[host] = true
+			out = append(out, host)
 		}
 	}
 	return out

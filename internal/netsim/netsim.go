@@ -212,6 +212,14 @@ func New(p Params, seed int64) *Network {
 	return &Network{P: p, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the random stream at seed: the network then draws
+// exactly what New(n.P, seed) would, without building a new source.
+func (n *Network) Reseed(seed int64) {
+	n.mu.Lock()
+	n.rng.Seed(seed)
+	n.mu.Unlock()
+}
+
 // NewChecked validates p and returns a deterministic network for the
 // given seed, rejecting parameters that would price NaN, infinite, or
 // negative durations (zero/negative bandwidth, loss >= 1, negatives).

@@ -47,6 +47,11 @@ func chunkSpan(n, workers int) int {
 // goroutines. fn must be safe to call concurrently for distinct
 // indexes; each index is visited exactly once.
 func Do(n, workers int, fn func(i int)) {
+	doWith(n, workers, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
+}
+
+// doWith is Do with one scratch value per goroutine.
+func doWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
 	workers = Normalize(workers)
 	if workers > n {
 		workers = n
@@ -55,8 +60,9 @@ func Do(n, workers int, fn func(i int)) {
 		return
 	}
 	if workers <= 1 {
+		s := newScratch()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		return
 	}
@@ -68,6 +74,7 @@ func Do(n, workers int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := newScratch()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nchunks {
@@ -78,7 +85,7 @@ func Do(n, workers int, fn func(i int)) {
 					hi = n
 				}
 				for i := c * span; i < hi; i++ {
-					fn(i)
+					fn(s, i)
 				}
 			}
 		}()
@@ -92,6 +99,16 @@ func Do(n, workers int, fn func(i int)) {
 func Map[R any](n, workers int, fn func(i int) R) []R {
 	out := make([]R, maxInt(n, 0))
 	Do(n, workers, func(i int) { out[i] = fn(i) })
+	return out
+}
+
+// MapWith is Map for a fn that needs working storage: every goroutine
+// calls newScratch once and hands that value to each fn call it makes,
+// so the storage is allocated per worker, not per index. Which indexes
+// share a scratch value depends on scheduling; fn's result must not.
+func MapWith[S, R any](n, workers int, newScratch func() S, fn func(s S, i int) R) []R {
+	out := make([]R, maxInt(n, 0))
+	doWith(n, workers, newScratch, func(s S, i int) { out[i] = fn(s, i) })
 	return out
 }
 

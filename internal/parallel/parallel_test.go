@@ -47,6 +47,37 @@ func TestMapZeroLength(t *testing.T) {
 	}
 }
 
+// MapWith builds at most one scratch value per goroutine, never shares
+// one between two goroutines at a time, and lands results like Map.
+func TestMapWithScratchPerWorker(t *testing.T) {
+	const n = 513
+	type scratch struct{ busy atomic.Bool }
+	for _, w := range workerCounts {
+		var made atomic.Int32
+		got := MapWith(n, w,
+			func() *scratch { made.Add(1); return &scratch{} },
+			func(s *scratch, i int) int {
+				if !s.busy.CompareAndSwap(false, true) {
+					t.Errorf("workers=%d: scratch used by two goroutines at once", w)
+				}
+				defer s.busy.Store(false)
+				return i * i
+			})
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d", w, i, v)
+			}
+		}
+		if m := int(made.Load()); m < 1 || m > w {
+			t.Errorf("workers=%d: %d scratch values built", w, m)
+		}
+	}
+	if got := MapWith(0, 4, func() int { t.Fatal("scratch built for n=0"); return 0 },
+		func(int, int) int { return 0 }); len(got) != 0 {
+		t.Fatalf("len = %d", len(got))
+	}
+}
+
 // Fold with an order-sensitive accumulator (slice append): contiguous
 // chunking plus in-order merge must reproduce the sequential order for
 // every worker count.

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"respectorigin/internal/core"
@@ -13,9 +14,25 @@ import (
 // Figure1 reproduces Figure 1: the frequency distribution and CDF of
 // unique ASes contacted per page.
 func (c *Corpus) Figure1() (hist map[int]int, cdf []measure.CDFPoint, text string) {
-	xs := parallel.Map(len(c.DS.Pages), c.workers, func(i int) int {
-		return len(c.DS.Pages[i].UniqueASNs())
-	})
+	// A page contacts a handful of ASes: a linear scan of the ones seen so
+	// far beats a set, and the list is the worker's to reuse.
+	xs := parallel.MapWith(len(c.DS.Pages), c.workers,
+		func() *[]uint32 { return new([]uint32) },
+		func(seen *[]uint32, i int) int {
+			*seen = (*seen)[:0]
+			p := c.DS.Pages[i]
+		entries:
+			for j := range p.Entries {
+				as := p.Entries[j].ServerASN
+				for _, s := range *seen {
+					if s == as {
+						continue entries
+					}
+				}
+				*seen = append(*seen, as)
+			}
+			return len(*seen)
+		})
 	fs := make([]float64, len(xs))
 	for i, n := range xs {
 		fs[i] = float64(n)
@@ -123,15 +140,9 @@ func (c *Corpus) Figure5() ([]Figure5Point, string) {
 			Ideal:    s.IdealSizes[i],
 		}
 	}
-	// Rank by existing size descending.
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := range pts {
-		pts[i].RankByExisting = 0
-	}
-	sortPointsByExisting(pts)
+	// Rank by existing size descending; sites of equal size keep corpus
+	// order.
+	sort.SliceStable(pts, func(i, j int) bool { return pts[i].Existing > pts[j].Existing })
 	for i := range pts {
 		pts[i].RankByExisting = i + 1
 	}
@@ -149,14 +160,6 @@ func (c *Corpus) Figure5() ([]Figure5Point, string) {
 		}
 	}
 	return pts, sb.String()
-}
-
-func sortPointsByExisting(pts []Figure5Point) {
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].Existing > pts[j-1].Existing; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
 }
 
 func maxi(a, b int) int {
@@ -183,16 +186,16 @@ type Figure9ModelData struct {
 // measured, ideal IP, ideal ORIGIN, and ORIGIN-at-one-CDN coalescing.
 // cdnASN identifies the deployment CDN (Cloudflare in the paper).
 func (c *Corpus) Figure9Model(cdnASN uint32) (Figure9ModelData, string) {
-	// The three Reconstruct passes per page dominate report time; run
-	// them as one parallel map over pages.
+	// Three timeline rebuilds per page, on one core.Timeline per worker.
 	type plts struct{ meas, ip, origin, cdnOnly float64 }
-	perPage := parallel.Map(len(c.DS.Pages), c.workers, func(i int) plts {
+	perPage := parallel.MapWith(len(c.DS.Pages), c.workers, newTimeline, func(t *core.Timeline, i int) plts {
 		p := c.DS.Pages[i]
+		t.Load(p)
 		return plts{
 			meas:    p.PLT(),
-			ip:      core.Reconstruct(p, core.ModeIP, 0).PLT(),
-			origin:  core.Reconstruct(p, core.ModeOrigin, 0).PLT(),
-			cdnOnly: core.Reconstruct(p, core.ModeOriginCDN, cdnASN).PLT(),
+			ip:      t.PLT(core.ModeIP, 0),
+			origin:  t.PLT(core.ModeOrigin, 0),
+			cdnOnly: t.PLT(core.ModeOriginCDN, cdnASN),
 		}
 	})
 	meas := make([]float64, 0, len(perPage))

@@ -45,14 +45,25 @@ func NewCorpus(ds *webgen.Dataset) *Corpus { return NewCorpusWorkers(ds, 0) }
 // GOMAXPROCS). Results are identical for every worker count.
 func NewCorpusWorkers(ds *webgen.Dataset, workers int) *Corpus {
 	c := &Corpus{DS: ds, workers: parallel.Normalize(workers)}
-	c.counts = parallel.Map(len(ds.Pages), c.workers, func(i int) core.PageCounts {
-		return core.CountPage(ds.Pages[i])
+	type pageModel struct {
+		counts core.PageCounts
+		plan   core.CertPlan
+	}
+	models := parallel.MapWith(len(ds.Pages), c.workers, newTimeline, func(t *core.Timeline, i int) pageModel {
+		t.Load(ds.Pages[i])
+		return pageModel{t.Counts(), t.CertPlan()}
 	})
-	c.plans = parallel.Map(len(ds.Pages), c.workers, func(i int) core.CertPlan {
-		return core.PlanCertChanges(ds.Pages[i])
-	})
+	c.counts = make([]core.PageCounts, len(models))
+	c.plans = make([]core.CertPlan, len(models))
+	for i := range models {
+		c.counts[i], c.plans[i] = models[i].counts, models[i].plan
+	}
 	return c
 }
+
+// newTimeline is the per-worker scratch of the passes that run the §4
+// model over every page.
+func newTimeline() *core.Timeline { return new(core.Timeline) }
 
 // Counts returns the memoized per-page §4.2 counts.
 func (c *Corpus) Counts() []core.PageCounts { return c.counts }
@@ -192,15 +203,27 @@ func (c *Corpus) Table1(buckets int) ([]Table1Row, string) {
 	return rows, sb.String()
 }
 
-// Table2 reproduces Table 2: top destination ASes by requests.
+// Table2 reproduces Table 2: top destination ASes by requests. Pages
+// fold by AS number; each distinct AS is named once at the end.
 func (c *Corpus) Table2(n int) ([]measure.RankedEntry, string) {
-	cnt := countPages(c, func(cnt *measure.Counter, p *har.Page) {
-		for i := range p.Entries {
-			e := &p.Entries[i]
-			org := c.orgOf(e.ServerASN)
-			cnt.Add(fmt.Sprintf("AS%d %s", e.ServerASN, org), 1)
-		}
-	})
+	byASN := mapPages(c,
+		func() map[uint32]int64 { return map[uint32]int64{} },
+		func(m map[uint32]int64, p *har.Page) map[uint32]int64 {
+			for i := range p.Entries {
+				m[p.Entries[i].ServerASN]++
+			}
+			return m
+		},
+		func(a, b map[uint32]int64) map[uint32]int64 {
+			for as, v := range b {
+				a[as] += v
+			}
+			return a
+		})
+	cnt := measure.NewCounter()
+	for as, v := range byASN {
+		cnt.Add(fmt.Sprintf("AS%d %s", as, c.orgOf(as)), v)
+	}
 	top := cnt.Top(n)
 	return top, cnt.TableString("Table 2: top destination ASes for resource requests", n)
 }
@@ -270,50 +293,50 @@ type Table6Row struct {
 	Types []measure.RankedEntry
 }
 
-// table6Acc accumulates request counts per AS and content-type counts
-// per AS.
-type table6Acc struct {
-	asCnt   *measure.Counter
-	typeCnt map[string]*measure.Counter
-}
-
-// Table6 reproduces Table 6: top content types per top AS.
+// Table6 reproduces Table 6: top content types per top AS. Pages fold
+// by AS number; organizations are looked up once per distinct AS.
 func (c *Corpus) Table6(topAS, topTypes int) ([]Table6Row, string) {
-	acc := mapPages(c,
-		func() *table6Acc {
-			return &table6Acc{asCnt: measure.NewCounter(), typeCnt: map[string]*measure.Counter{}}
-		},
-		func(a *table6Acc, p *har.Page) *table6Acc {
+	byASN := mapPages(c,
+		func() map[uint32]*measure.Counter { return map[uint32]*measure.Counter{} },
+		func(m map[uint32]*measure.Counter, p *har.Page) map[uint32]*measure.Counter {
 			for i := range p.Entries {
 				e := &p.Entries[i]
-				org := c.orgOf(e.ServerASN)
-				a.asCnt.Add(org, 1)
-				tc, ok := a.typeCnt[org]
+				tc, ok := m[e.ServerASN]
 				if !ok {
 					tc = measure.NewCounter()
-					a.typeCnt[org] = tc
+					m[e.ServerASN] = tc
 				}
 				tc.Add(e.MimeType, 1)
 			}
-			return a
+			return m
 		},
-		func(a, b *table6Acc) *table6Acc {
-			a.asCnt.Merge(b.asCnt)
-			for org, tc := range b.typeCnt {
-				mine, ok := a.typeCnt[org]
-				if !ok {
-					a.typeCnt[org] = tc
-					continue
+		func(a, b map[uint32]*measure.Counter) map[uint32]*measure.Counter {
+			for as, tc := range b {
+				if mine, ok := a[as]; ok {
+					mine.Merge(tc)
+				} else {
+					a[as] = tc
 				}
-				mine.Merge(tc)
 			}
 			return a
 		})
+	// Several ASes may belong to one organization: fold them by name.
+	asCnt := measure.NewCounter()
+	typeCnt := map[string]*measure.Counter{}
+	for as, tc := range byASN {
+		org := c.orgOf(as)
+		asCnt.Add(org, tc.Total())
+		if mine, ok := typeCnt[org]; ok {
+			mine.Merge(tc)
+		} else {
+			typeCnt[org] = tc
+		}
+	}
 	var rows []Table6Row
 	var sb strings.Builder
 	sb.WriteString("Table 6: top content types per top AS\n")
-	for _, as := range acc.asCnt.Top(topAS) {
-		row := Table6Row{AS: as.Key, Types: acc.typeCnt[as.Key].Top(topTypes)}
+	for _, as := range asCnt.Top(topAS) {
+		row := Table6Row{AS: as.Key, Types: typeCnt[as.Key].Top(topTypes)}
 		rows = append(rows, row)
 		fmt.Fprintf(&sb, "%s (%.2f%% of requests)\n", as.Key, as.Share)
 		for _, tr := range row.Types {

@@ -1,5 +1,7 @@
 package webgen
 
+import "net/netip"
+
 // This file encodes the published marginal distributions of the paper's
 // dataset (§3.3, Tables 2–7, Table 9). The generator samples from these
 // so that the synthetic corpus reproduces the paper's aggregate shape.
@@ -165,6 +167,15 @@ var providerByName = func() map[string]*Provider {
 	m := make(map[string]*Provider, len(Providers))
 	for i := range Providers {
 		m[Providers[i].Name] = &Providers[i]
+	}
+	return m
+}()
+
+// providerPrefixes holds every provider's Prefix, parsed once, by name.
+var providerPrefixes = func() map[string]netip.Prefix {
+	m := make(map[string]netip.Prefix, len(Providers))
+	for _, p := range Providers {
+		m[p.Name] = netip.MustParsePrefix(p.Prefix)
 	}
 	return m
 }()

@@ -10,11 +10,12 @@
 package webgen
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -219,31 +220,99 @@ type shardResult struct {
 
 // genShard generates ranks [lo, hi) with a private generator.
 func genShard(cfg Config, lo, hi int) shardResult {
-	g := &generator{cfg: cfg, tails: newTailRegistry()}
-	var sh shardResult
+	g := newGenerator(cfg)
+	sh := shardResult{pages: make([]*har.Page, 0, hi-lo)}
 	for rank := lo; rank < hi; rank++ {
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(rank)))
-		if rng.Float64() > cfg.SuccessRate {
+		// Re-seeding restarts the stream a fresh source would produce.
+		g.rng.Seed(cfg.Seed*1_000_003 + int64(rank))
+		if g.rng.Float64() > cfg.SuccessRate {
 			sh.failures++
 			continue
 		}
-		sh.pages = append(sh.pages, g.genPage(rank, rng))
+		sh.pages = append(sh.pages, g.genPage(rank))
 	}
 	sh.db = asn.NewDB()
 	g.tails.register(sh.db)
 	return sh
 }
 
+// maxWave bounds the dependency depth of a page; see genPage.
+const maxWave = 14
+
+// generator produces the pages of one shard. It owns the working
+// storage of a page in the making: the buffers below are reused from
+// page to page, and a finished page copies out of them exactly what it
+// keeps — its entries, one string holding all of its text, one slice of
+// addresses and one of SAN strings.
 type generator struct {
 	cfg   Config
+	rng   *rand.Rand      // page stream, reseeded per rank
 	net   *netsim.Network // per-page latency model, reseeded in genPage
 	tails *tailRegistry
+
+	text  []byte       // every string of the page under construction
+	addrs []netip.Addr // every DNS answer set
+	sans  []span       // every certificate SAN, as spans of text
+
+	hosts     []hostInfo
+	reqs      []pending // in host order, then stably ordered by wave
+	byWave    []pending
+	discovery []int
+	urls      []span      // per entry
+	opened    []freshConn // entries that opened a connection
+	freshDone []bool      // per host
+	migDone   []bool
+	migAddrs  []span
+	// waveEntries lists each wave's entries; waveAnchors those that opened
+	// a fresh connection.
+	waveEntries [maxWave][]int
+	waveAnchors [maxWave][]int
+}
+
+func newGenerator(cfg Config) *generator {
+	return &generator{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(0)),
+		net:   netsim.New(cfg.Net, 0),
+		tails: newTailRegistry(),
+	}
+}
+
+// span is a run of generator.text (a string to be) or generator.addrs
+// (an answer set).
+type span struct{ off, n int32 }
+
+// pending is one request waiting to be emitted.
+type pending struct {
+	host int
+	wave int
+}
+
+// freshConn records what an entry that opened a connection keeps of the
+// generator's buffers, resolved once the page is complete.
+type freshConn struct {
+	entry int
+	addrs span // DNS answer set
+	sans  span // run of generator.sans; empty without a certificate
+}
+
+// begin and since bracket a string written to g.text.
+func (g *generator) begin() int32 { return int32(len(g.text)) }
+
+func (g *generator) since(off int32) span { return span{off, int32(len(g.text)) - off} }
+
+func (g *generator) bytes(s span) []byte { return g.text[s.off : s.off+s.n] }
+
+// literal copies s into g.text.
+func (g *generator) literal(s string) span {
+	off := g.begin()
+	g.text = append(g.text, s...)
+	return g.since(off)
 }
 
 func registerProviders(db *asn.DB) {
 	for _, p := range Providers {
-		prefix := netip.MustParsePrefix(p.Prefix)
-		db.Add(prefix, asn.ASN(p.ASN), p.Name)
+		db.Add(providerPrefixes[p.Name], asn.ASN(p.ASN), p.Name)
 	}
 }
 
@@ -269,10 +338,10 @@ func (g *generator) tailAS(i int) uint32 { return g.tails.use(i) }
 // re-registration of the same /16 prefix — with an explicit merge-safe
 // set that registers everything at shard end in sorted order.
 type tailRegistry struct {
-	used map[int]bool
+	used [tailASSpace]bool
 }
 
-func newTailRegistry() *tailRegistry { return &tailRegistry{used: make(map[int]bool)} }
+func newTailRegistry() *tailRegistry { return &tailRegistry{} }
 
 // use marks tail index i as allocated and returns its AS number.
 func (t *tailRegistry) use(i int) uint32 {
@@ -283,22 +352,26 @@ func (t *tailRegistry) use(i int) uint32 {
 // merge folds another registry's allocations in; the union is
 // order-independent.
 func (t *tailRegistry) merge(o *tailRegistry) {
-	for i := range o.used {
-		t.used[i] = true
+	for i, u := range o.used {
+		if u {
+			t.used[i] = true
+		}
 	}
 }
 
 // register writes the allocated tail ASes into db in ascending index
 // order, so the resulting database is independent of allocation order.
 func (t *tailRegistry) register(db *asn.DB) {
-	idx := make([]int, 0, len(t.used))
-	for i := range t.used {
-		idx = append(idx, i)
+	for i, u := range t.used {
+		if u {
+			db.Add(tailPrefix(i), asn.ASN(TailASNBase+i), tailASName(i))
+		}
 	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		db.Add(tailPrefix(i), asn.ASN(TailASNBase+i), fmt.Sprintf("Tail-AS-%d", i))
-	}
+}
+
+func tailASName(i int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "Tail-AS-"...), int64(i), 10))
 }
 
 // hostAddr deterministically assigns host IPs inside a provider prefix.
@@ -317,19 +390,24 @@ func hostAddr(prefix netip.Prefix, h uint32) netip.Addr {
 }
 
 // siteProvider picks the hosting provider for a site (Table 9 shares);
-// the remainder self-hosts on a tail AS.
-func (g *generator) siteProvider(rng *rand.Rand) (name string, asnum uint32, prefix netip.Prefix) {
-	x := rng.Float64() * 100
+// the remainder self-hosts on a tail AS, for which prov is nil.
+func (g *generator) siteProvider() (prov *Provider, asnum uint32, prefix netip.Prefix) {
+	x := g.rng.Float64() * 100
 	acc := 0.0
-	for _, p := range Providers {
+	for i := range Providers {
+		p := &Providers[i]
 		acc += p.SiteShare
 		if x < acc {
-			return p.Name, p.ASN, netip.MustParsePrefix(p.Prefix)
+			return p, p.ASN, providerPrefixes[p.Name]
 		}
 	}
-	i := rng.Intn(tailASSpace)
-	as := g.tailAS(i)
-	return fmt.Sprintf("Tail-AS-%d", i), as, tailPrefix(i)
+	return g.tailProvider()
+}
+
+// tailProvider draws a long-tail AS to host on.
+func (g *generator) tailProvider() (prov *Provider, asnum uint32, prefix netip.Prefix) {
+	i := g.rng.Intn(tailASSpace)
+	return nil, g.tailAS(i), tailPrefix(i)
 }
 
 // reqCount samples per-page request totals: lognormal with median 81,
@@ -349,22 +427,24 @@ func reqCount(rank, totalSites int, rng *rand.Rand) int {
 	return n
 }
 
+// sanSizeSteps are the measured root-certificate SAN sizes and their
+// shares (Table 8, counts / 315796).
+var sanSizeSteps = []struct {
+	size  int
+	share float64
+}{
+	{2, 45.29}, {3, 23.15}, {1, 9.59}, {0, 3.52}, {8, 2.64},
+	{4, 2.29}, {9, 2.02}, {6, 1.31}, {5, 1.00}, {10, 0.81},
+	{7, 0.75}, {11, 0.70}, {12, 0.62}, {13, 0.55}, {14, 0.48},
+	{15, 0.42}, {16, 0.37}, {18, 0.33}, {20, 0.29}, {24, 0.26},
+}
+
 // sanCount samples the root certificate's existing SAN size from the
 // Table 8 measured distribution with the Figure 5 long tail.
 func sanCount(rng *rand.Rand) int {
 	x := rng.Float64() * 100
-	// Measured shares from Table 8 (counts / 315796).
-	steps := []struct {
-		size  int
-		share float64
-	}{
-		{2, 45.29}, {3, 23.15}, {1, 9.59}, {0, 3.52}, {8, 2.64},
-		{4, 2.29}, {9, 2.02}, {6, 1.31}, {5, 1.00}, {10, 0.81},
-		{7, 0.75}, {11, 0.70}, {12, 0.62}, {13, 0.55}, {14, 0.48},
-		{15, 0.42}, {16, 0.37}, {18, 0.33}, {20, 0.29}, {24, 0.26},
-	}
 	acc := 0.0
-	for _, s := range steps {
+	for _, s := range sanSizeSteps {
 		acc += s.share
 		if x < acc {
 			return s.size
@@ -380,12 +460,12 @@ func sanCount(rng *rand.Rand) int {
 }
 
 type hostInfo struct {
-	name     string
-	provider string
-	asn      uint32
-	addrs    []netip.Addr
-	reqs     int
-	weight   float64 // request-share weight for popular hosts
+	name   span      // of generator.text
+	prov   *Provider // hosting provider; nil on a long-tail AS
+	asn    uint32
+	addrs  span // of generator.addrs
+	reqs   int
+	weight float64 // request-share weight for popular hosts
 	// deepDiscovery spreads the host's first reference across the whole
 	// dependency depth (sharded and provider-hosted subresources are
 	// discovered by CSS/JS at any depth); hosts without it are
@@ -393,16 +473,67 @@ type hostInfo struct {
 	deepDiscovery bool
 }
 
-// genPage generates one site's page load.
-func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
+// addHost appends a host with one request and one to three addresses
+// inside prefix, and returns it.
+func (g *generator) addHost(name span, prov *Provider, asnum uint32, prefix netip.Prefix, weight float64) *hostInfo {
+	nAddr := 1 + g.rng.Intn(3)
+	off := len(g.addrs)
+	h := hash32(g.bytes(name))
+	for a := 0; a < nAddr; a++ {
+		g.addrs = append(g.addrs, hostAddr(prefix, h+uint32(a)))
+	}
+	g.hosts = append(g.hosts, hostInfo{
+		name: name, prov: prov, asn: asnum, addrs: span{int32(off), int32(nAddr)}, reqs: 1, weight: weight,
+	})
+	return &g.hosts[len(g.hosts)-1]
+}
+
+var shardNames = []string{"static", "img", "cdn", "assets", "media"}
+
+// popularInclusion and secondaryInclusion are the per-page inclusion
+// probabilities of PopularHosts and SecondaryHosts, by index.
+var (
+	popularInclusion   = []float64{0.62, 0.66, 0.52, 0.56, 0.30, 0.34, 0.34, 0.34, 0.56, 0.18}
+	secondaryInclusion = []float64{0.50, 0.40, 0.35, 0.22, 0.20, 0.15}
+)
+
+// providerHostUse is how often a site on a provider uses each of the
+// provider's popular hostnames (ProviderPopularHosts).
+var providerHostUse = map[string]float64{
+	"cdnjs.cloudflare.com":     0.1621,
+	"sni.cloudflaressl.com":    0.1258,
+	"ajax.cloudflare.com":      0.1128,
+	"cdn.jsdelivr.net":         0.0869,
+	"d1.cloudfront.net":        0.2003,
+	"script.hotjar.com":        0.1477,
+	"assets.s3.amazonaws.com":  0.1201,
+	"www.google-analytics.com": 0.8568,
+	"www.googletagmanager.com": 0.8272,
+	"fonts.gstatic.com":        0.50,
+	"fonts.googleapis.com":     0.50,
+}
+
+// genPage generates one site's page load from g.rng, freshly seeded for
+// the rank.
+func (g *generator) genPage(rank int) *har.Page {
+	rng := g.rng
 	// Each page gets its own latency-model stream derived from the page
 	// RNG, so page content is a pure function of (seed, rank) and never
 	// depends on generation order — the invariant the sharded engine and
 	// the Workers-count determinism guarantee rest on.
-	g.net = netsim.New(g.cfg.Net, rng.Int63())
+	g.net.Reseed(rng.Int63())
 
-	siteHost := fmt.Sprintf("www.site-%d.example", rank)
-	apex := fmt.Sprintf("site-%d.example", rank)
+	g.text, g.addrs, g.sans, g.hosts = g.text[:0], g.addrs[:0], g.sans[:0], g.hosts[:0]
+	pageURL := g.begin()
+	g.text = append(g.text, "https://"...)
+	siteHost := g.begin()
+	g.text = append(g.text, "www.site-"...)
+	g.text = strconv.AppendInt(g.text, int64(rank), 10)
+	g.text = append(g.text, ".example"...)
+	site := g.since(siteHost)
+	apex := span{site.off + 4, site.n - 4} // without the "www."
+	g.text = append(g.text, '/')
+	page := g.since(pageURL)
 
 	// Sample the root certificate's existing SAN size first: zero-SAN
 	// sites are the §4.3 special case that serves its own subresources
@@ -410,35 +541,17 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 	// 11,131 needed changes), so their structure is constrained below.
 	nSAN := sanCount(rng)
 
-	provName, provASN, provPrefix := g.siteProvider(rng)
+	prov, provASN, provPrefix := g.siteProvider()
 	if nSAN == 0 {
 		// Self-hosted on a dedicated tail AS: no same-provider third
 		// parties to coalesce.
-		i := rng.Intn(tailASSpace)
-		as := g.tailAS(i)
-		provName = fmt.Sprintf("Tail-AS-%d", i)
-		provASN = as
-		provPrefix = tailPrefix(i)
+		prov, provASN, provPrefix = g.tailProvider()
 	}
 
 	total := reqCount(rank, g.cfg.Sites, rng)
 
 	// --- Assemble the host list ---
-	var hosts []hostInfo
-	addWeighted := func(name, provider string, asnum uint32, prefix netip.Prefix, reqs int, weight float64) {
-		nAddr := 1 + rng.Intn(3)
-		addrs := make([]netip.Addr, 0, nAddr)
-		for a := 0; a < nAddr; a++ {
-			addrs = append(addrs, hostAddr(prefix, hash32(name)+uint32(a)))
-		}
-		hosts = append(hosts, hostInfo{name: name, provider: provider, asn: asnum, addrs: addrs, reqs: reqs, weight: weight})
-	}
-	addHost := func(name, provider string, asnum uint32, prefix netip.Prefix, reqs int) {
-		addWeighted(name, provider, asnum, prefix, reqs, 0)
-	}
-
-	// Root host.
-	addHost(siteHost, provName, provASN, provPrefix, 1)
+	g.addHost(site, prov, provASN, provPrefix, 0) // the root host
 
 	// 6.5% of pages use a single AS (Figure 1); they get shards but no
 	// third parties.
@@ -450,15 +563,18 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 	if nSAN > 0 && rng.Float64() < 0.88 {
 		nShards = 1 + rng.Intn(5)
 	}
-	shardNames := []string{"static", "img", "cdn", "assets", "media"}
 	if g.cfg.Archetype == ArchetypeSharded && nSAN > 0 {
 		// The sharding universe: every SAN-carrying site fans out across
 		// the full shard set.
 		nShards = len(shardNames)
 	}
 	for s := 0; s < nShards; s++ {
-		addHost(shardNames[s]+"."+apex, provName, provASN, provPrefix, 0)
-		hosts[len(hosts)-1].deepDiscovery = true
+		off := g.begin()
+		g.text = append(g.text, shardNames[s]...)
+		g.text = append(g.text, '.')
+		g.text = append(g.text, g.bytes(apex)...)
+		h := g.addHost(g.since(off), prov, provASN, provPrefix, 0)
+		h.deepDiscovery = true
 		if g.cfg.Archetype == ArchetypeSharded {
 			// Sharded shards always get their own server addresses (the
 			// per-name hash already spread them): no same-server overlap,
@@ -470,55 +586,41 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 		// are the "missed opportunities" ideal IP coalescing recovers
 		// (§4.2).
 		if rng.Float64() < 0.65 {
-			hosts[len(hosts)-1].addrs = hosts[0].addrs
+			h.addrs = g.hosts[0].addrs
 		}
 	}
 
 	if !singleAS {
 		// Popular third parties (Table 7 / Table 9).
-		inclusion := []float64{0.62, 0.66, 0.52, 0.56, 0.30, 0.34, 0.34, 0.34, 0.56, 0.18}
 		for i, ph := range PopularHosts {
-			if rng.Float64() < inclusion[i] {
+			if rng.Float64() < popularInclusion[i] {
 				p := ProviderFor(ph.Provider)
-				addWeighted(ph.Host, p.Name, p.ASN, netip.MustParsePrefix(p.Prefix), 0, ph.Share)
-				hosts[len(hosts)-1].deepDiscovery = true
+				g.addHost(g.literal(ph.Host), p, p.ASN, providerPrefixes[p.Name], ph.Share).deepDiscovery = true
 			}
 		}
 		// Secondary provider-bound hosts (the rest of Table 2). Unlike
 		// the Table 7 hostnames these spread over many distinct names
 		// per provider (e.g. per-customer cloudfront.net hosts), so no
 		// single hostname ranks highly.
-		secondaryInclusion := []float64{0.50, 0.40, 0.35, 0.22, 0.20, 0.15}
 		for i, sh := range SecondaryHosts {
 			if rng.Float64() < secondaryInclusion[i] {
 				p := ProviderFor(sh.Provider)
-				name := fmt.Sprintf("n%d.%s", rng.Intn(500), sh.Host)
-				addWeighted(name, p.Name, p.ASN, netip.MustParsePrefix(p.Prefix), 0, sh.Share)
+				off := g.begin()
+				g.text = append(g.text, 'n')
+				g.text = strconv.AppendInt(g.text, int64(rng.Intn(500)), 10)
+				g.text = append(g.text, '.')
+				g.text = append(g.text, sh.Host...)
+				g.addHost(g.since(off), p, p.ASN, providerPrefixes[p.Name], sh.Share)
 			}
 		}
 		// Same-provider popular hosts (the Table 9 candidates).
-		if extras, ok := ProviderPopularHosts[provName]; ok {
-			use := map[string]float64{
-				"cdnjs.cloudflare.com":     0.1621,
-				"sni.cloudflaressl.com":    0.1258,
-				"ajax.cloudflare.com":      0.1128,
-				"cdn.jsdelivr.net":         0.0869,
-				"d1.cloudfront.net":        0.2003,
-				"script.hotjar.com":        0.1477,
-				"assets.s3.amazonaws.com":  0.1201,
-				"www.google-analytics.com": 0.8568,
-				"www.googletagmanager.com": 0.8272,
-				"fonts.gstatic.com":        0.50,
-				"fonts.googleapis.com":     0.50,
-			}
-			for _, h := range extras {
-				if hostListed(hosts, h) {
+		if prov != nil {
+			for _, h := range ProviderPopularHosts[prov.Name] {
+				if g.hostListed(h) {
 					continue
 				}
-				if rng.Float64() < use[h] {
-					p := ProviderFor(provName)
-					addHost(h, p.Name, p.ASN, netip.MustParsePrefix(p.Prefix), 0)
-					hosts[len(hosts)-1].deepDiscovery = true
+				if rng.Float64() < providerHostUse[h] {
+					g.addHost(g.literal(h), prov, prov.ASN, providerPrefixes[prov.Name], 0).deepDiscovery = true
 				}
 			}
 		}
@@ -531,20 +633,22 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 		for i := 0; i < nTail; i++ {
 			idx := rng.Intn(tailASSpace)
 			as := g.tailAS(idx)
-			addHost(fmt.Sprintf("t%d.thirdparty-%d.example", i, idx), fmt.Sprintf("Tail-AS-%d", idx), as, tailPrefix(idx), 0)
+			off := g.begin()
+			g.text = append(g.text, 't')
+			g.text = strconv.AppendInt(g.text, int64(i), 10)
+			g.text = append(g.text, ".thirdparty-"...)
+			g.text = strconv.AppendInt(g.text, int64(idx), 10)
+			g.text = append(g.text, ".example"...)
+			g.addHost(g.since(off), nil, as, tailPrefix(idx), 0)
 		}
 	}
+	hosts := g.hosts
 
 	// --- Distribute the request budget across hosts ---
 	remaining := total - len(hosts) // every host gets ≥1 request
 	if remaining < 0 {
 		hosts = hosts[:maxInt(1, total)]
 		remaining = 0
-	}
-	for i := range hosts {
-		if i > 0 {
-			hosts[i].reqs = 1
-		}
 	}
 	// Root and shards absorb most requests (first-party content);
 	// popular hosts draw requests proportional to their share weight.
@@ -572,50 +676,19 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 	}
 
 	// --- Root certificate SANs (Figure 4 measured distribution) ---
-	rootSANs := buildRootSANs(apex, siteHost, hosts[:1+nShards], nSAN, rng)
+	rootSANs := g.buildRootSANs(apex, site, hosts[:1+nShards], nSAN)
 
 	// --- Emit entries ---
-	page := &har.Page{
-		URL:  "https://" + siteHost + "/",
-		Host: siteHost,
-		Rank: rank,
-	}
-	issuerTail := func() string {
-		x := rng.Float64() * 100
-		acc := 0.0
-		for _, is := range Issuers {
-			acc += is.Share
-			if x < acc {
-				return is.Name
-			}
-		}
-		return Issuers[len(Issuers)-1].Name
-	}
-	issuerFor := func(provider string) string {
-		// Providers provision most of their customers' certificates but
-		// not all: customers bring their own CAs too (§3.3 notes the
-		// ability is limited by management complexity and multi-provider
-		// setups).
-		if is, ok := issuerForProvider[provider]; ok && rng.Float64() < 0.5 {
-			return is
-		}
-		return issuerTail()
-	}
-
 	// Waves model the dependency depth: root(0) → blocking(1) →
 	// media/fonts(2) → progressively later resources. Depths are
 	// exponentially distributed so a minority of deep chains sets the
 	// page load time, as in real dependency graphs.
-	const maxWave = 14
-	type pending struct {
-		host int
-		wave int
-	}
+	//
 	// Each host has a discovery wave: the depth at which the page first
 	// references it. Spreading discoveries across the whole depth keeps
 	// fresh connection setups on the critical path at every level, as
 	// real waterfalls show (Figure 2).
-	discovery := make([]int, len(hosts))
+	discovery := zeroed(&g.discovery, len(hosts))
 	for hi := 1; hi < len(hosts); hi++ {
 		if hosts[hi].deepDiscovery {
 			discovery[hi] = 2 + rng.Intn(maxWave-4)
@@ -625,7 +698,8 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 			discovery[hi] = 1 + rng.Intn(3)
 		}
 	}
-	var reqs []pending
+	g.reqs = g.reqs[:0]
+	var perWave [maxWave + 1]int // perWave[w+1] counts wave w, then prefix-summed
 	for hi := range hosts {
 		for k := 0; k < hosts[hi].reqs; k++ {
 			wave := 0
@@ -638,19 +712,26 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 					wave = maxWave - 1
 				}
 			}
-			reqs = append(reqs, pending{host: hi, wave: wave})
+			g.reqs = append(g.reqs, pending{host: hi, wave: wave})
+			perWave[wave+1]++
 		}
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].wave < reqs[j].wave })
+	// Order by wave, keeping host order within a wave: a counting sort.
+	for w := 1; w <= maxWave; w++ {
+		perWave[w] += perWave[w-1]
+	}
+	reqs := zeroed(&g.byWave, len(g.reqs))
+	for _, pr := range g.reqs {
+		reqs[perWave[pr.wave]] = pr
+		perWave[pr.wave]++
+	}
 
-	waveEnd := make([]float64, maxWave)
-	waveEntries := make([][]int, maxWave)
-	// waveAnchors are entries that opened a fresh connection; children
-	// preferentially depend on them, since new hosts are discovered by
-	// the resources that reference them. This is what couples
-	// connection setup time to the page's critical path.
-	waveAnchors := make([][]int, maxWave)
-	freshDone := map[int]bool{}
+	var waveEnd [maxWave]float64
+	for w := range g.waveEntries {
+		g.waveEntries[w] = g.waveEntries[w][:0]
+		g.waveAnchors[w] = g.waveAnchors[w][:0]
+	}
+	freshDone := zeroed(&g.freshDone, len(hosts))
 
 	// Mid-crawl CDN migration (ArchetypeMigration only): from migWave on,
 	// the first-party cluster (root + shards) lives on a new network. A
@@ -660,89 +741,94 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 	// them stale. Shards that shared the root's server keep sharing the
 	// new one; the cluster moves together, as a CDN switch moves it.
 	var migWave int
-	var migAddrs [][]netip.Addr
 	var migASN uint32
-	var migProv string
-	migDone := map[int]bool{}
+	migDone := zeroed(&g.migDone, len(hosts))
+	migAddrs := zeroed(&g.migAddrs, len(hosts))
 	if g.cfg.Archetype == ArchetypeMigration {
 		migWave = 5 + rng.Intn(4)
 		mi := rng.Intn(tailASSpace)
 		migASN = g.tailAS(mi)
-		migProv = fmt.Sprintf("Tail-AS-%d", mi)
 		pfx := tailPrefix(mi)
-		migAddrs = make([][]netip.Addr, len(hosts))
 		for hi := 0; hi <= nShards && hi < len(hosts); hi++ {
-			if hi > 0 && len(hosts[hi].addrs) > 0 && len(hosts[0].addrs) > 0 && hosts[hi].addrs[0] == hosts[0].addrs[0] {
+			if hi > 0 && g.addrs[hosts[hi].addrs.off] == g.addrs[hosts[0].addrs.off] {
 				migAddrs[hi] = migAddrs[0]
 				continue
 			}
-			set := make([]netip.Addr, 0, len(hosts[hi].addrs))
-			for a := range hosts[hi].addrs {
-				set = append(set, hostAddr(pfx, hash32(hosts[hi].name)+uint32(a)))
+			off := len(g.addrs)
+			h := hash32(g.bytes(hosts[hi].name))
+			for a := 0; a < int(hosts[hi].addrs.n); a++ {
+				g.addrs = append(g.addrs, hostAddr(pfx, h+uint32(a)))
 			}
-			migAddrs[hi] = set
+			migAddrs[hi] = span{int32(off), hosts[hi].addrs.n}
 		}
 	}
 
-	for _, pr := range reqs {
+	entries := make([]har.Entry, len(reqs))
+	g.urls = g.urls[:0]
+	g.opened = g.opened[:0]
+	extraDNS, extraTLS := 0, 0
+	for idx, pr := range reqs {
 		h := &hosts[pr.host]
 		if g.cfg.Archetype == ArchetypeMigration && pr.host <= nShards && pr.wave >= migWave && !migDone[pr.host] {
 			migDone[pr.host] = true
 			h.addrs = migAddrs[pr.host]
 			h.asn = migASN
-			h.provider = migProv
+			h.prov = nil
 			freshDone[pr.host] = false
 		}
-		e := har.Entry{
-			Host:     h.name,
-			Method:   "GET",
-			Secure:   rng.Float64() < SecureShare,
-			ServerIP: h.addrs[0],
-			ServerASN: func() uint32 {
-				return h.asn
-			}(),
-			Initiator: -1,
-		}
+		e := &entries[idx]
+		e.Method = "GET"
+		e.Secure = rng.Float64() < SecureShare
+		e.ServerIP = g.addrs[h.addrs.off]
+		e.ServerASN = h.asn
+		e.Initiator = -1
 		// Content type.
 		ct := pickContentType(rng, pr.wave)
 		e.MimeType = ct.Mime
 		e.BodySize = int64(float64(ct.MeanBytes) * (0.3 + rng.ExpFloat64()))
 		e.RenderBlocking = ct.RenderBlocking && pr.wave <= 1
-		e.URL = fmt.Sprintf("https://%s/r/%d%s", h.name, len(page.Entries), extFor(ct.Mime))
+		off := g.begin()
+		g.text = append(g.text, "https://"...)
+		g.text = append(g.text, g.bytes(h.name)...)
+		g.text = append(g.text, "/r/"...)
+		g.text = strconv.AppendInt(g.text, int64(idx), 10)
+		g.text = append(g.text, extFor(ct.Mime)...)
+		g.urls = append(g.urls, g.since(off))
 		e.Protocol = pickProtocol(rng)
 		e.Status = 200
 
 		// Timing assembly.
-		var tm har.Timings
+		tm := &e.Timings
 		fresh := !freshDone[pr.host]
 		if fresh {
 			freshDone[pr.host] = true
 			e.NewDNS = true
-			e.DNSAnswer = h.addrs
+			conn := freshConn{entry: idx, addrs: h.addrs}
 			tm.DNS = g.net.DNSTime()
 			if e.Secure {
 				e.NewTLS = true
 				tm.Connect = g.net.ConnectTime()
 				sans := 2 + rng.Intn(5)
 				if pr.host == 0 {
-					sans = len(rootSANs)
-					e.CertSANs = rootSANs
+					sans = int(rootSANs.n)
+					conn.sans = rootSANs
 				} else {
-					e.CertSANs = synthSANs(h.name, sans, rng)
+					conn.sans = g.synthSANs(h.name, sans)
 				}
 				records := 1
 				if sans > 700 {
 					records = 1 + sans/700
 				}
 				tm.SSL = g.net.TLSTime(sans, records)
-				e.CertIssuer = issuerFor(h.provider)
+				e.CertIssuer = issuerFor(h.prov, rng)
 			} else {
 				tm.Connect = g.net.ConnectTime()
 			}
-			extraDNS, speculative := g.net.RaceEffects()
-			page.ExtraDNS += extraDNS
+			g.opened = append(g.opened, conn)
+			raceDNS, speculative := g.net.RaceEffects()
+			extraDNS += raceDNS
 			if speculative && e.Secure {
-				page.ExtraTLS++
+				extraTLS++
 			}
 		}
 		tm.Send = 0.5
@@ -750,106 +836,168 @@ func (g *generator) genPage(rank int, rng *rand.Rand) *har.Page {
 		tm.Receive = g.net.TransferTime(e.BodySize)
 
 		// Start time: after a sampled initiator in the previous wave.
-		if pr.wave == 0 {
-			e.StartedMs = 0
-			tm.Blocked = 0
-		} else {
+		if pr.wave > 0 {
 			prevWave := pr.wave - 1
-			for prevWave > 0 && len(waveEntries[prevWave]) == 0 {
+			for prevWave > 0 && len(g.waveEntries[prevWave]) == 0 {
 				prevWave--
 			}
-			cands := waveEntries[prevWave]
-			if len(waveAnchors[prevWave]) > 0 && rng.Float64() < 0.9 {
-				cands = waveAnchors[prevWave]
+			cands := g.waveEntries[prevWave]
+			if len(g.waveAnchors[prevWave]) > 0 && rng.Float64() < 0.9 {
+				// Children preferentially depend on entries that opened a
+				// fresh connection, since new hosts are discovered by the
+				// resources that reference them. This is what couples
+				// connection setup time to the page's critical path.
+				cands = g.waveAnchors[prevWave]
 			}
 			init := 0
 			if len(cands) > 0 {
 				init = cands[rng.Intn(len(cands))]
 			}
 			e.Initiator = init
-			parent := page.Entries[init]
 			// Parse/dependency CPU time plus queueing behind other
 			// requests already in flight on the same connection.
 			tm.Blocked = 45 + rng.Float64()*60
-			e.StartedMs = parent.EndMs() + rng.Float64()*40
+			e.StartedMs = entries[init].EndMs() + rng.Float64()*40
 		}
-		e.Timings = tm
-		idx := len(page.Entries)
-		page.Entries = append(page.Entries, e)
-		waveEntries[pr.wave] = append(waveEntries[pr.wave], idx)
+		g.waveEntries[pr.wave] = append(g.waveEntries[pr.wave], idx)
 		if fresh {
-			waveAnchors[pr.wave] = append(waveAnchors[pr.wave], idx)
+			g.waveAnchors[pr.wave] = append(g.waveAnchors[pr.wave], idx)
 		}
 		if end := e.EndMs(); end > waveEnd[pr.wave] {
 			waveEnd[pr.wave] = end
 		}
 	}
 
-	page.OnLoadMs = page.LastEntryEnd()
+	// The page keeps one string, one address slice and one SAN slice;
+	// every name, URL, answer set and SAN list is a piece of those.
+	text := string(g.text)
+	str := func(s span) string { return text[s.off : s.off+s.n] }
+	addrs := append([]netip.Addr(nil), g.addrs...)
+	sans := make([]string, len(g.sans))
+	for i, s := range g.sans {
+		sans[i] = str(s)
+	}
+	for i := range entries {
+		entries[i].Host = str(hosts[reqs[i].host].name)
+		entries[i].URL = str(g.urls[i])
+	}
+	for _, conn := range g.opened {
+		e := &entries[conn.entry]
+		a, s := conn.addrs, conn.sans
+		e.DNSAnswer = addrs[a.off : a.off+a.n : a.off+a.n]
+		if s.n > 0 {
+			e.CertSANs = sans[s.off : s.off+s.n : s.off+s.n]
+		}
+	}
+	p := &har.Page{
+		URL: str(page), Host: str(site), Rank: rank, Entries: entries,
+		ExtraDNS: extraDNS, ExtraTLS: extraTLS,
+	}
+	p.OnLoadMs = p.LastEntryEnd()
 	dom := waveEnd[1]
-	for _, e := range page.Entries {
+	for i := range entries {
+		e := &entries[i]
 		if e.RenderBlocking || e.Initiator == -1 {
 			if v := e.EndMs(); v > dom {
 				dom = v
 			}
 		}
 	}
-	page.DOMLoadMs = dom
-	if page.DOMLoadMs == 0 || page.DOMLoadMs > page.OnLoadMs {
-		page.DOMLoadMs = page.OnLoadMs
+	p.DOMLoadMs = dom
+	if p.DOMLoadMs == 0 || p.DOMLoadMs > p.OnLoadMs {
+		p.DOMLoadMs = p.OnLoadMs
 	}
-	return page
+	return p
+}
+
+// zeroed resizes *s to n zero elements, reusing its storage, and
+// returns it.
+func zeroed[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// issuerFor draws the issuer of a certificate served from prov (nil for
+// a long-tail AS). Providers provision most of their customers'
+// certificates but not all: customers bring their own CAs too (§3.3
+// notes the ability is limited by management complexity and
+// multi-provider setups).
+func issuerFor(prov *Provider, rng *rand.Rand) string {
+	if prov != nil {
+		if is, ok := issuerForProvider[prov.Name]; ok && rng.Float64() < 0.5 {
+			return is
+		}
+	}
+	x := rng.Float64() * 100
+	acc := 0.0
+	for _, is := range Issuers {
+		acc += is.Share
+		if x < acc {
+			return is.Name
+		}
+	}
+	return Issuers[len(Issuers)-1].Name
 }
 
 // buildRootSANs assembles the root certificate's SAN list of the target
 // size: the site's own names first, padded with unrelated names the
-// operator accumulated (matching how real multi-tenant certs look).
-func buildRootSANs(apex, siteHost string, own []hostInfo, n int, rng *rand.Rand) []string {
+// operator accumulated (matching how real multi-tenant certs look). The
+// list is a run of g.sans.
+func (g *generator) buildRootSANs(apex, siteHost span, own []hostInfo, n int) span {
 	if n == 0 {
-		return nil
+		return span{}
 	}
-	var sans []string
-	sans = append(sans, siteHost)
+	lo := len(g.sans)
+	g.sans = append(g.sans, siteHost)
 	if n >= 2 {
 		// Most real certificates pair the www host with a wildcard,
 		// which is what leaves the majority of sharded subdomains
 		// already covered (§4.3: 62% of sites need no changes).
-		if rng.Float64() < 0.70 {
-			sans = append(sans, "*."+apex)
+		if g.rng.Float64() < 0.70 {
+			off := g.begin()
+			g.text = append(g.text, "*."...)
+			g.text = append(g.text, g.bytes(apex)...)
+			g.sans = append(g.sans, g.since(off))
 		} else {
-			sans = append(sans, apex)
+			g.sans = append(g.sans, apex)
 		}
 	}
 	for _, h := range own[1:] {
-		if len(sans) >= n {
+		if len(g.sans)-lo >= n {
 			break
 		}
-		if sanWildcardCovers(sans, h.name) {
+		if g.sanWildcardCovers(g.sans[lo:], h.name) {
 			continue
 		}
-		sans = append(sans, h.name)
+		g.sans = append(g.sans, h.name)
 	}
-	for i := 0; len(sans) < n; i++ {
-		sans = append(sans, fmt.Sprintf("tenant-%d.%s", rng.Intn(1_000_000), apex))
+	for len(g.sans)-lo < n {
+		off := g.begin()
+		g.text = append(g.text, "tenant-"...)
+		g.text = strconv.AppendInt(g.text, int64(g.rng.Intn(1_000_000)), 10)
+		g.text = append(g.text, '.')
+		g.text = append(g.text, g.bytes(apex)...)
+		g.sans = append(g.sans, g.since(off))
 	}
-	return sans[:n]
+	return span{int32(lo), int32(n)}
 }
 
 // sanWildcardCovers reports whether an existing wildcard entry already
 // covers host.
-func sanWildcardCovers(sans []string, host string) bool {
-	for _, san := range sans {
+func (g *generator) sanWildcardCovers(sans []span, hostName span) bool {
+	host := g.bytes(hostName)
+	for _, s := range sans {
+		san := g.bytes(s)
 		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
 			suffix := san[1:]
-			if len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix {
+			if len(host) > len(suffix) && bytes.Equal(host[len(host)-len(suffix):], suffix) {
 				label := host[:len(host)-len(suffix)]
-				hasDot := false
-				for i := 0; i < len(label); i++ {
-					if label[i] == '.' {
-						hasDot = true
-					}
-				}
-				if label != "" && !hasDot {
+				if len(label) > 0 && bytes.IndexByte(label, '.') < 0 {
 					return true
 				}
 			}
@@ -858,12 +1006,20 @@ func sanWildcardCovers(sans []string, host string) bool {
 	return false
 }
 
-func synthSANs(host string, n int, rng *rand.Rand) []string {
-	sans := []string{host}
+// synthSANs writes the n-name certificate of a third-party host — the
+// host and its alt1…alt(n-1) siblings — as a run of g.sans.
+func (g *generator) synthSANs(host span, n int) span {
+	lo := len(g.sans)
+	g.sans = append(g.sans, host)
 	for i := 1; i < n; i++ {
-		sans = append(sans, fmt.Sprintf("alt%d.%s", i, host))
+		off := g.begin()
+		g.text = append(g.text, "alt"...)
+		g.text = strconv.AppendInt(g.text, int64(i), 10)
+		g.text = append(g.text, '.')
+		g.text = append(g.text, g.bytes(host)...)
+		g.sans = append(g.sans, g.since(off))
 	}
-	return sans
+	return span{int32(lo), int32(len(g.sans) - lo)}
 }
 
 func pickContentType(rng *rand.Rand, wave int) ContentType {
@@ -915,16 +1071,18 @@ func extFor(mime string) string {
 	}
 }
 
-func hostListed(hosts []hostInfo, name string) bool {
-	for _, h := range hosts {
-		if h.name == name {
+// hostListed reports whether the page under construction already has a
+// host called name.
+func (g *generator) hostListed(name string) bool {
+	for i := range g.hosts {
+		if string(g.bytes(g.hosts[i].name)) == name {
 			return true
 		}
 	}
 	return false
 }
 
-func hash32(s string) uint32 {
+func hash32(s []byte) uint32 {
 	var h uint32 = 2166136261
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -947,9 +1105,7 @@ func maxInt(a, b int) int {
 // deserialized corpus fully usable by the report layer.
 func RebuildASDB(pages []*har.Page) *asn.DB {
 	db := asn.NewDB()
-	for _, p := range Providers {
-		db.Add(netip.MustParsePrefix(p.Prefix), asn.ASN(p.ASN), p.Name)
-	}
+	registerProviders(db)
 	seen := map[uint32]bool{}
 	for _, page := range pages {
 		for i := range page.Entries {
@@ -964,7 +1120,7 @@ func RebuildASDB(pages []*har.Page) *asn.DB {
 			}
 			if as >= TailASNBase {
 				idx := int(as - TailASNBase)
-				db.Add(tailPrefix(idx), asn.ASN(as), fmt.Sprintf("Tail-AS-%d", idx))
+				db.Add(tailPrefix(idx), asn.ASN(as), tailASName(idx))
 			} else {
 				// Unknown AS: register the /16 around the observed IP.
 				db.Add(netip.PrefixFrom(e.ServerIP, 16).Masked(), asn.ASN(as), fmt.Sprintf("AS-%d", as))

@@ -478,3 +478,34 @@ func TestGenerateStreamRankRangeValidation(t *testing.T) {
 		t.Fatalf("empty range: %+v, %v", res, err)
 	}
 }
+
+// TestGenerateAllocBudget holds the generator to its per-page budget: a
+// page is its struct, its entries and three pieces of shared storage
+// (text, addresses, SANs); everything else is generator scratch reused
+// across a shard, plus the shard's ASN registrations. Measured 14–16 per
+// page at workers 1 and 24–27 at workers 4 (more, smaller shards); one
+// fmt.Sprintf per entry URL alone adds ≈ 230.
+func TestGenerateAllocBudget(t *testing.T) {
+	const perPageBudget = 40
+	for _, a := range Archetypes() {
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.Sites = 2000
+			cfg.Archetype = a
+			cfg.Workers = workers
+			pages := 0
+			allocs := testing.AllocsPerRun(2, func() {
+				res, err := GenerateStream(cfg, func(*har.Page) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				pages = res.Pages
+			})
+			if perPage := allocs / float64(pages); perPage > perPageBudget {
+				t.Errorf("%s workers=%d: %.1f allocations per page (%.0f over %d pages), want ≤ %d", a, workers, perPage, allocs, pages, perPageBudget)
+			} else {
+				t.Logf("%s workers=%d: %.1f allocations per page", a, workers, perPage)
+			}
+		}
+	}
+}
