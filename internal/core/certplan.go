@@ -13,9 +13,11 @@ import (
 // certificate so that every same-service subresource can coalesce onto
 // the base-page connection.
 type CertPlan struct {
-	Site     string
-	Rank     int
-	Existing []string // current SAN entries of the root certificate
+	Site string
+	Rank int
+	// Existing are the current SAN entries of the root certificate: the
+	// page's own slice, shared, not a copy.
+	Existing []string
 	// Additions are the coalescable hostnames absent from the SANs.
 	Additions []string
 	// Coalescable are all hostnames reachable on the base-page service.

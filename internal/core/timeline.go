@@ -251,11 +251,8 @@ func (t *Timeline) PLT(mode Mode, cdnASN uint32) float64 {
 // only ever reached over cleartext HTTP can coalesce by address only.
 func (t *Timeline) Counts() PageCounts {
 	p := t.page
-	pc := PageCounts{
-		MeasuredDNS:         p.DNSQueries(),
-		MeasuredTLS:         p.TLSConnections(),
-		MeasuredValidations: p.TLSConnections(),
-	}
+	tls := p.TLSConnections()
+	pc := PageCounts{MeasuredDNS: p.DNSQueries(), MeasuredTLS: tls, MeasuredValidations: tls}
 	clear(t.hostIDs)
 	t.hosts = t.hosts[:0]
 	for i := range p.Entries {
@@ -327,20 +324,11 @@ func (t *Timeline) CertPlan() CertPlan {
 		return plan
 	}
 	sort.Strings(t.names)
-	// One allocation holds both lists: the additions are a subsequence of
-	// the coalescable names, so they fit behind them.
-	n := len(t.names)
-	out := make([]string, n, 2*n)
-	copy(out, t.names)
-	plan.Coalescable = out[:n:n]
-	add := out[n:]
+	plan.Coalescable = append([]string(nil), t.names...)
 	for _, h := range plan.Coalescable {
 		if !sanCovers(plan.Existing, h) {
-			add = append(add, h)
+			plan.Additions = append(plan.Additions, h)
 		}
-	}
-	if len(add) > 0 {
-		plan.Additions = add[:len(add):len(add)]
 	}
 	return plan
 }

@@ -45,19 +45,14 @@ func NewCorpus(ds *webgen.Dataset) *Corpus { return NewCorpusWorkers(ds, 0) }
 // GOMAXPROCS). Results are identical for every worker count.
 func NewCorpusWorkers(ds *webgen.Dataset, workers int) *Corpus {
 	c := &Corpus{DS: ds, workers: parallel.Normalize(workers)}
-	type pageModel struct {
-		counts core.PageCounts
-		plan   core.CertPlan
-	}
-	models := parallel.MapWith(len(ds.Pages), c.workers, newTimeline, func(t *core.Timeline, i int) pageModel {
+	// One pass models every page: the counts are the map's result, the
+	// plans land beside them at the same index.
+	c.plans = make([]core.CertPlan, len(ds.Pages))
+	c.counts = parallel.MapWith(len(ds.Pages), c.workers, newTimeline, func(t *core.Timeline, i int) core.PageCounts {
 		t.Load(ds.Pages[i])
-		return pageModel{t.Counts(), t.CertPlan()}
+		c.plans[i] = t.CertPlan()
+		return t.Counts()
 	})
-	c.counts = make([]core.PageCounts, len(models))
-	c.plans = make([]core.CertPlan, len(models))
-	for i := range models {
-		c.counts[i], c.plans[i] = models[i].counts, models[i].plan
-	}
 	return c
 }
 

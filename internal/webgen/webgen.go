@@ -255,8 +255,8 @@ type generator struct {
 	sans  []span       // every certificate SAN, as spans of text
 
 	hosts     []hostInfo
-	reqs      []pending // in host order, then stably ordered by wave
-	byWave    []pending
+	reqs      []pending // in host order
+	byWave    []pending // reqs ordered by wave, host order kept within one
 	discovery []int
 	urls      []span      // per entry
 	opened    []freshConn // entries that opened a connection
@@ -296,17 +296,24 @@ type freshConn struct {
 	sans  span // run of generator.sans; empty without a certificate
 }
 
-// begin and since bracket a string written to g.text.
+// begin and since bracket a string written to g.text piece by piece
+// with str, num and sub.
 func (g *generator) begin() int32 { return int32(len(g.text)) }
 
 func (g *generator) since(off int32) span { return span{off, int32(len(g.text)) - off} }
+
+func (g *generator) str(s string) { g.text = append(g.text, s...) }
+
+func (g *generator) num(v int) { g.text = strconv.AppendInt(g.text, int64(v), 10) }
+
+func (g *generator) sub(s span) { g.text = append(g.text, g.bytes(s)...) }
 
 func (g *generator) bytes(s span) []byte { return g.text[s.off : s.off+s.n] }
 
 // literal copies s into g.text.
 func (g *generator) literal(s string) span {
 	off := g.begin()
-	g.text = append(g.text, s...)
+	g.str(s)
 	return g.since(off)
 }
 
@@ -525,14 +532,14 @@ func (g *generator) genPage(rank int) *har.Page {
 
 	g.text, g.addrs, g.sans, g.hosts = g.text[:0], g.addrs[:0], g.sans[:0], g.hosts[:0]
 	pageURL := g.begin()
-	g.text = append(g.text, "https://"...)
+	g.str("https://")
 	siteHost := g.begin()
-	g.text = append(g.text, "www.site-"...)
-	g.text = strconv.AppendInt(g.text, int64(rank), 10)
-	g.text = append(g.text, ".example"...)
+	g.str("www.site-")
+	g.num(rank)
+	g.str(".example")
 	site := g.since(siteHost)
 	apex := span{site.off + 4, site.n - 4} // without the "www."
-	g.text = append(g.text, '/')
+	g.str("/")
 	page := g.since(pageURL)
 
 	// Sample the root certificate's existing SAN size first: zero-SAN
@@ -570,9 +577,9 @@ func (g *generator) genPage(rank int) *har.Page {
 	}
 	for s := 0; s < nShards; s++ {
 		off := g.begin()
-		g.text = append(g.text, shardNames[s]...)
-		g.text = append(g.text, '.')
-		g.text = append(g.text, g.bytes(apex)...)
+		g.str(shardNames[s])
+		g.str(".")
+		g.sub(apex)
 		h := g.addHost(g.since(off), prov, provASN, provPrefix, 0)
 		h.deepDiscovery = true
 		if g.cfg.Archetype == ArchetypeSharded {
@@ -606,10 +613,10 @@ func (g *generator) genPage(rank int) *har.Page {
 			if rng.Float64() < secondaryInclusion[i] {
 				p := ProviderFor(sh.Provider)
 				off := g.begin()
-				g.text = append(g.text, 'n')
-				g.text = strconv.AppendInt(g.text, int64(rng.Intn(500)), 10)
-				g.text = append(g.text, '.')
-				g.text = append(g.text, sh.Host...)
+				g.str("n")
+				g.num(rng.Intn(500))
+				g.str(".")
+				g.str(sh.Host)
 				g.addHost(g.since(off), p, p.ASN, providerPrefixes[p.Name], sh.Share)
 			}
 		}
@@ -634,11 +641,11 @@ func (g *generator) genPage(rank int) *har.Page {
 			idx := rng.Intn(tailASSpace)
 			as := g.tailAS(idx)
 			off := g.begin()
-			g.text = append(g.text, 't')
-			g.text = strconv.AppendInt(g.text, int64(i), 10)
-			g.text = append(g.text, ".thirdparty-"...)
-			g.text = strconv.AppendInt(g.text, int64(idx), 10)
-			g.text = append(g.text, ".example"...)
+			g.str("t")
+			g.num(i)
+			g.str(".thirdparty-")
+			g.num(idx)
+			g.str(".example")
 			g.addHost(g.since(off), nil, as, tailPrefix(idx), 0)
 		}
 	}
@@ -788,11 +795,11 @@ func (g *generator) genPage(rank int) *har.Page {
 		e.BodySize = int64(float64(ct.MeanBytes) * (0.3 + rng.ExpFloat64()))
 		e.RenderBlocking = ct.RenderBlocking && pr.wave <= 1
 		off := g.begin()
-		g.text = append(g.text, "https://"...)
-		g.text = append(g.text, g.bytes(h.name)...)
-		g.text = append(g.text, "/r/"...)
-		g.text = strconv.AppendInt(g.text, int64(idx), 10)
-		g.text = append(g.text, extFor(ct.Mime)...)
+		g.str("https://")
+		g.sub(h.name)
+		g.str("/r/")
+		g.num(idx)
+		g.str(extFor(ct.Mime))
 		g.urls = append(g.urls, g.since(off))
 		e.Protocol = pickProtocol(rng)
 		e.Status = 200
@@ -960,8 +967,8 @@ func (g *generator) buildRootSANs(apex, siteHost span, own []hostInfo, n int) sp
 		// already covered (§4.3: 62% of sites need no changes).
 		if g.rng.Float64() < 0.70 {
 			off := g.begin()
-			g.text = append(g.text, "*."...)
-			g.text = append(g.text, g.bytes(apex)...)
+			g.str("*.")
+			g.sub(apex)
 			g.sans = append(g.sans, g.since(off))
 		} else {
 			g.sans = append(g.sans, apex)
@@ -978,10 +985,10 @@ func (g *generator) buildRootSANs(apex, siteHost span, own []hostInfo, n int) sp
 	}
 	for len(g.sans)-lo < n {
 		off := g.begin()
-		g.text = append(g.text, "tenant-"...)
-		g.text = strconv.AppendInt(g.text, int64(g.rng.Intn(1_000_000)), 10)
-		g.text = append(g.text, '.')
-		g.text = append(g.text, g.bytes(apex)...)
+		g.str("tenant-")
+		g.num(g.rng.Intn(1_000_000))
+		g.str(".")
+		g.sub(apex)
 		g.sans = append(g.sans, g.since(off))
 	}
 	return span{int32(lo), int32(n)}
@@ -1013,10 +1020,10 @@ func (g *generator) synthSANs(host span, n int) span {
 	g.sans = append(g.sans, host)
 	for i := 1; i < n; i++ {
 		off := g.begin()
-		g.text = append(g.text, "alt"...)
-		g.text = strconv.AppendInt(g.text, int64(i), 10)
-		g.text = append(g.text, '.')
-		g.text = append(g.text, g.bytes(host)...)
+		g.str("alt")
+		g.num(i)
+		g.str(".")
+		g.sub(host)
 		g.sans = append(g.sans, g.since(off))
 	}
 	return span{int32(lo), int32(len(g.sans) - lo)}
