@@ -265,8 +265,9 @@ func TestColumnarWriteAfterClose(t *testing.T) {
 // page, and the reader allocates what a decoded page has to own — the
 // page, its entry slice, and one string, one address slice and one SAN
 // slice that every entry's text, answer set and SAN list are cut from —
-// whether the page has two entries or a hundred. (A string(b) per field
-// in the decoder reads 300+ per page on the wide corpus.)
+// whether the page has two entries or a hundred: measured 5.8 and 5.4
+// per page. (A string(b) for each entry's URL and host alone reads 205
+// per page on the hundred-entry corpus.)
 func TestColumnarAllocBudget(t *testing.T) {
 	pages := testPages(2000)
 	raw := encode(t, pages, corpus.FormatColumnar)

@@ -41,9 +41,9 @@ func TestPolicyReplayerReuseMatchesFresh(t *testing.T) {
 
 // PolicyComparison keeps its working state per worker, so a pass over
 // the corpus allocates for its result slices and for a replayer growing
-// towards the largest page — measured 2.2 per page over these 507
-// pages, where a pageEnv and a browser per page and policy cost ≈ 330 —
-// and renders the same bytes at any worker count.
+// towards the largest page — measured 2.2 per page over these pages,
+// where a replayer built for every page costs ≈ 150 — and renders the
+// same bytes at any worker count.
 func TestPolicyComparisonAllocBudget(t *testing.T) {
 	c := archetypeCorpus(t, webgen.ArchetypeBaseline, 800, 1)
 	wantStats, wantText := c.PolicyComparison()

@@ -484,7 +484,7 @@ func TestGenerateStreamRankRangeValidation(t *testing.T) {
 // (text, addresses, SANs); everything else is generator scratch reused
 // across a shard, plus the shard's ASN registrations. Measured 14–16 per
 // page at workers 1 and 24–27 at workers 4 (more, smaller shards); one
-// fmt.Sprintf per entry URL alone adds ≈ 230.
+// fmt.Sprintf per entry URL alone adds ≈ 340.
 func TestGenerateAllocBudget(t *testing.T) {
 	const perPageBudget = 40
 	for _, a := range Archetypes() {
