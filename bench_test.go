@@ -37,7 +37,7 @@ var benchCorpus = sync.OnceValue(func() *report.Corpus {
 	if err != nil {
 		panic(err)
 	}
-	return report.NewCorpus(ds)
+	return report.NewCorpusWorkers(ds, 0)
 })
 
 // --- Ablation 1: HPACK Huffman on/off (DESIGN.md §6.1) ---

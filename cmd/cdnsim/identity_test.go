@@ -15,7 +15,7 @@ import (
 // by default), and a traced run prints exactly what an untraced run
 // prints (the recorder is a sidecar).
 func TestDeploymentByteIdentity(t *testing.T) {
-	cdnsim := clitest.Build(t, "cdnsim")
+	cdnsim := clitest.Build(t, "cmd/cdnsim")
 	deploy := []string{"-sample", "800", "-phase", "all", "-days", "12"}
 	base := clitest.Run(t, cdnsim, deploy...)
 	if len(base) == 0 {

@@ -14,7 +14,7 @@ import (
 // rejected, and report -matrix prints the table cdnsim -matrix prints.
 func TestMatrixSmoke(t *testing.T) {
 	dir := t.TempDir()
-	cdnsim, report := clitest.Build(t, "cdnsim"), clitest.Build(t, "report")
+	cdnsim, report := clitest.Build(t, "cmd/cdnsim"), clitest.Build(t, "cmd/report")
 
 	nd1, nd4 := filepath.Join(dir, "mx1.ndjson"), filepath.Join(dir, "mx4.ndjson")
 	table1 := clitest.Run(t, cdnsim, "-matrix", "-sites", "60", "-seed", "1", "-workers", "1", "-out", nd1)

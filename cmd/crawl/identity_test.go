@@ -15,7 +15,7 @@ import (
 // (-revisits alone) or on (-cache prints its savings table to stderr).
 func TestCrawlByteIdentity(t *testing.T) {
 	dir := t.TempDir()
-	crawl, report := clitest.Build(t, "crawl"), clitest.Build(t, "report")
+	crawl, report := clitest.Build(t, "cmd/crawl"), clitest.Build(t, "cmd/report")
 	crawlTo := func(name string, extra ...string) []byte {
 		t.Helper()
 		out := filepath.Join(dir, name)

@@ -14,7 +14,7 @@ import (
 // on a small PoP set runs to completion.
 func TestLoadgenSmoke(t *testing.T) {
 	dir := t.TempDir()
-	loadgen := clitest.Build(t, "loadgen")
+	loadgen := clitest.Build(t, "cmd/loadgen")
 
 	var baseOut, baseNDJSON []byte
 	for _, workers := range []string{"1", "4", "16"} {

@@ -14,7 +14,7 @@ import (
 // crawl as the reference.
 func TestCorpusInterchange(t *testing.T) {
 	dir := t.TempDir()
-	crawl, report := clitest.Build(t, "crawl"), clitest.Build(t, "report")
+	crawl, report := clitest.Build(t, "cmd/crawl"), clitest.Build(t, "cmd/report")
 	path := func(name string) string { return filepath.Join(dir, name) }
 	crawlTo := func(out string, extra ...string) {
 		t.Helper()

@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"strings"
 
@@ -34,6 +33,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "report:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	sites := cliflags.Sites(20000)
 	seed := cliflags.Seed(1)
 	inFile := flag.String("in", "", "load a corpus file (cmd/crawl output, NDJSON or columnar) instead of generating")
@@ -59,47 +65,40 @@ func main() {
 
 	proto, err := core.ParseProtocol(*protoName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *matrix {
 		cfg, err := scenario.ConfigFromSelectors(*seed, *sites, *workers, "", "", "", "")
-		if err == nil {
-			var res *scenario.Result
-			res, err = scenario.Run(cfg)
-			if err == nil {
-				fmt.Print(res.Table())
-			}
-		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
-		return
+		res, err := scenario.Run(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Print(res.Table())
+		return nil
 	}
 
 	if *funnelFile != "" {
 		f, err := os.Open(*funnelFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
 		evs, err := obs.ReadNDJSON(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Print(report.FunnelFromEvents(evs).TableString())
-		return
+		return nil
 	}
 
 	if *reencode {
 		r, err := openCorpus(*inFile, *manifests)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
 		bw := bufio.NewWriterSize(os.Stdout, 1<<20)
 		w := corpus.NewWriter(bw, corpus.FormatNDJSON)
@@ -113,70 +112,38 @@ func main() {
 		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		return
+		return err
 	}
 
 	var c *report.Corpus
-	var ds *webgen.Dataset
-	if *harFile != "" {
-		db := asn.NewDB()
-		if *asnFile != "" {
-			f, err := os.Open(*asnFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "report:", err)
-				os.Exit(1)
-			}
-			if _, err := db.Load(f); err != nil {
-				fmt.Fprintln(os.Stderr, "report:", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		f, err := os.Open(*harFile)
+	switch {
+	case *harFile != "":
+		ds, err := importHAR(*harFile, *asnFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
-		pages, err := har.ImportHAR(f, har.ImportOptions{
-			LookupASN: func(a netip.Addr) uint32 { return uint32(db.LookupASN(a)) },
-		})
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		ds = &webgen.Dataset{Pages: pages, ASDB: db}
-	} else if *inFile != "" || *manifests != "" {
+		c = report.NewCorpusWorkers(ds, *workers)
+	case *inFile != "" || *manifests != "":
 		r, err := openCorpus(*inFile, *manifests)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
 		c, err = report.NewCorpusFromReader(r, 0, *workers)
 		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
-	} else {
+	default:
 		cfg := webgen.DefaultConfig()
 		cfg.Sites = *sites
 		cfg.Seed = *seed
 		cfg.Workers = *workers
-		var err error
-		ds, err = webgen.Generate(cfg)
+		ds, err := webgen.Generate(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
+			return err
 		}
-	}
-	if c == nil {
 		c = report.NewCorpusWorkers(ds, *workers)
 	}
 
@@ -187,14 +154,14 @@ func main() {
 		}
 		if *protoSweep {
 			fmt.Print(report.ProtoSweepTable(c.ProtoSweep(*revisits, opts), netsim.DefaultParams(), "corpus"))
-			return
+			return nil
 		}
 		label := "corpus"
 		if proto != core.ProtoH2 {
 			label = "corpus, " + proto.String()
 		}
 		fmt.Print(report.SavingsTable(c.WarmColdProto(*revisits, opts, proto), label))
-		return
+		return nil
 	}
 
 	tables := map[int]func() string{
@@ -230,15 +197,13 @@ func main() {
 	case *table != 0:
 		f, ok := tables[*table]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "report: no table %d\n", *table)
-			os.Exit(1)
+			return fmt.Errorf("no table %d", *table)
 		}
 		fmt.Println(f())
 	case *figure != 0:
 		f, ok := figures[*figure]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "report: no figure %d (deployment figures live in cdnsim)\n", *figure)
-			os.Exit(1)
+			return fmt.Errorf("no figure %d (deployment figures live in cdnsim)", *figure)
 		}
 		fmt.Println(f())
 	default:
@@ -257,6 +222,35 @@ func main() {
 		_, pol := c.PolicyComparison()
 		fmt.Println(pol)
 	}
+	return nil
+}
+
+// importHAR loads a HAR 1.2 archive as a corpus whose ASes — each
+// entry's number and every name — come from the prefix file. Without
+// one every address lands in AS 0, which has no name.
+func importHAR(harFile, asnFile string) (*webgen.Dataset, error) {
+	db := asn.NewDB()
+	if asnFile != "" {
+		f, err := os.Open(asnFile)
+		if err != nil {
+			return nil, err
+		}
+		_, err = db.Load(f)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	f, err := os.Open(harFile)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	pages, err := har.ImportHAR(f, har.ImportOptions{LookupASN: db.LookupASN})
+	if err != nil {
+		return nil, err
+	}
+	return &webgen.Dataset{Pages: pages, ASDB: db}, nil
 }
 
 // openCorpus resolves the two corpus-input flags: -manifest chains

@@ -106,6 +106,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows := privacy.AnalyzeCorpus(ds.Pages, privacy.StandardScenarios())
+	rows := privacy.AnalyzeCorpus(ds.Pages, privacy.StandardScenarios(), 0)
 	fmt.Println(privacy.Report(rows))
 }

@@ -1,7 +1,10 @@
 // Package asn provides an IP-to-ASN mapping database with
 // longest-prefix-match lookup over a binary radix trie, standing in for
 // the internal database the paper used to resolve destination IPs to
-// origin autonomous systems (§3.1, §4.1).
+// origin autonomous systems (§3.1, §4.1). It serves imported HAR
+// archives (report -har -asn), whose addresses arrive without an AS;
+// generated corpora carry their AS numbers and name them by
+// webgen.OrgOf.
 //
 // The trie stores IPv4 and IPv6 prefixes uniformly as bit strings; a
 // lookup walks at most 128 levels and returns the most specific
@@ -13,13 +16,13 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
 
-// ASN is an autonomous system number.
-type ASN uint32
+// ASN is an autonomous system number, as har.Entry.ServerASN holds it.
+type ASN = uint32
 
 // Entry describes one registered prefix.
 type Entry struct {
@@ -35,7 +38,6 @@ type DB struct {
 	v6   *node
 	orgs map[ASN]string
 	n    int
-	free []node // unused trie nodes, allocated a chunk at a time
 }
 
 type node struct {
@@ -72,10 +74,7 @@ func (db *DB) add(e Entry) {
 	for i := first; i < first+e.Prefix.Bits(); i++ {
 		b := bit(&bits, i)
 		if n.children[b] == nil {
-			if len(db.free) == 0 {
-				db.free = make([]node, 64)
-			}
-			n.children[b], db.free = &db.free[0], db.free[1:]
+			n.children[b] = &node{}
 		}
 		n = n.children[b]
 	}
@@ -86,57 +85,6 @@ func (db *DB) add(e Entry) {
 	if e.Org != "" {
 		db.orgs[e.ASN] = e.Org
 	}
-}
-
-// Merge registers every entry of other into db. Overlapping or equal
-// prefixes follow Add semantics (the merged entry overwrites), so
-// merging shard databases left-to-right in shard order is deterministic.
-// Organization names registered in other survive even when a prefix was
-// overwritten there. Merging a database into itself is a no-op.
-func (db *DB) Merge(other *DB) error {
-	if other == nil || other == db {
-		return nil
-	}
-	// A trie holds one entry per distinct prefix, so the order they are
-	// added in cannot matter: take them as the walk finds them. other is
-	// read before db is locked — never both locks at once.
-	other.mu.RLock()
-	entries := other.walk(make([]Entry, 0, other.n))
-	orgs := make(map[ASN]string, len(other.orgs))
-	for as, org := range other.orgs {
-		orgs[as] = org
-	}
-	other.mu.RUnlock()
-	db.mu.Lock()
-	for _, e := range entries {
-		db.add(e)
-	}
-	for as, org := range orgs {
-		if org != "" {
-			db.orgs[as] = org
-		}
-	}
-	db.mu.Unlock()
-	return nil
-}
-
-// walk appends every registered entry to out in trie order; the caller
-// holds db.mu.
-func (db *DB) walk(out []Entry) []Entry {
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.entry != nil {
-			out = append(out, *n.entry)
-		}
-		visit(n.children[0])
-		visit(n.children[1])
-	}
-	visit(db.v4)
-	visit(db.v6)
-	return out
 }
 
 // Len returns the number of registered prefixes.
@@ -197,35 +145,6 @@ func (db *DB) Org(as ASN) string {
 	return db.orgs[as]
 }
 
-// Entries returns all registered entries sorted by prefix string.
-func (db *DB) Entries() []Entry {
-	db.mu.RLock()
-	out := db.walk(make([]Entry, 0, db.n))
-	db.mu.RUnlock()
-	// Each trie node stores at most one entry and sits at a distinct
-	// prefix, so the keys are unique and the unstable sort is total.
-	// Render each key once, not once per comparison.
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Prefix.String()
-	}
-	sort.Sort(byKey{keys, out})
-	return out
-}
-
-// byKey sorts entries by their rendered prefixes.
-type byKey struct {
-	keys    []string
-	entries []Entry
-}
-
-func (s byKey) Len() int           { return len(s.keys) }
-func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s byKey) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-}
-
 // Load reads "prefix asn org-name..." lines (comments with #, blank
 // lines skipped), the common interchange format for routing snapshots.
 func (db *DB) Load(r io.Reader) (int, error) {
@@ -246,15 +165,15 @@ func (db *DB) Load(r io.Reader) (int, error) {
 		if err != nil {
 			return count, fmt.Errorf("asn: line %d: %w", line, err)
 		}
-		var as ASN
-		if _, err := fmt.Sscanf(strings.TrimPrefix(fields[1], "AS"), "%d", &as); err != nil {
+		as, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "AS"), 10, 32)
+		if err != nil {
 			return count, fmt.Errorf("asn: line %d: bad ASN %q", line, fields[1])
 		}
 		org := ""
 		if len(fields) > 2 {
 			org = strings.Join(fields[2:], " ")
 		}
-		if err := db.Add(prefix, as, org); err != nil {
+		if err := db.Add(prefix, ASN(as), org); err != nil {
 			return count, err
 		}
 		count++

@@ -82,16 +82,6 @@ func TestOrgRegistry(t *testing.T) {
 	}
 }
 
-func TestEntriesEnumeration(t *testing.T) {
-	db := NewDB()
-	db.Add(pfx("10.0.0.0/8"), 1, "A")
-	db.Add(pfx("192.0.2.0/24"), 2, "B")
-	db.Add(pfx("2001:db8::/32"), 3, "C")
-	if got := len(db.Entries()); got != 3 {
-		t.Errorf("entries = %d", got)
-	}
-}
-
 func TestLoad(t *testing.T) {
 	input := `
 # comment
@@ -121,103 +111,6 @@ func TestLoadErrors(t *testing.T) {
 		db := NewDB()
 		if _, err := db.Load(strings.NewReader(bad)); err == nil {
 			t.Errorf("Load(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestMergeOverlappingPrefixesAndDuplicateASNs(t *testing.T) {
-	a := NewDB()
-	a.Add(pfx("10.0.0.0/8"), 100, "CoarseA")
-	a.Add(pfx("192.0.2.0/24"), 200, "SharedOrg")
-	a.Add(pfx("198.51.100.0/24"), 300, "OnlyA")
-
-	b := NewDB()
-	// Equal prefix with a different ASN: merged entry must overwrite.
-	b.Add(pfx("192.0.2.0/24"), 201, "Overwriter")
-	// More specific prefix overlapping a's /8: both must survive, with
-	// longest-prefix-match picking the finer one.
-	b.Add(pfx("10.1.0.0/16"), 101, "FineB")
-	// Duplicate ASN under a different prefix: both prefixes map to it.
-	b.Add(pfx("203.0.113.0/24"), 300, "OnlyA")
-
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.LookupASN(ip("192.0.2.9")); got != 201 {
-		t.Errorf("equal prefix not overwritten: AS%d", got)
-	}
-	if got := a.LookupASN(ip("10.1.2.3")); got != 101 {
-		t.Errorf("finer merged prefix lost: AS%d", got)
-	}
-	if got := a.LookupASN(ip("10.200.0.1")); got != 100 {
-		t.Errorf("coarse original prefix lost: AS%d", got)
-	}
-	for _, addr := range []string{"198.51.100.7", "203.0.113.7"} {
-		if got := a.LookupASN(ip(addr)); got != 300 {
-			t.Errorf("duplicate-ASN prefix %s -> AS%d, want 300", addr, got)
-		}
-	}
-	if a.Len() != 5 {
-		t.Errorf("Len = %d, want 5", a.Len())
-	}
-	if a.Org(201) != "Overwriter" || a.Org(300) != "OnlyA" {
-		t.Errorf("orgs after merge: %q %q", a.Org(201), a.Org(300))
-	}
-	// b is untouched by the merge.
-	if b.Len() != 3 || b.LookupASN(ip("10.200.0.1")) != 0 {
-		t.Error("merge mutated the source database")
-	}
-}
-
-func TestMergeSelfAndNil(t *testing.T) {
-	db := NewDB()
-	db.Add(pfx("192.0.2.0/24"), 1, "X")
-	if err := db.Merge(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d after self/nil merge", db.Len())
-	}
-}
-
-// Merging shard databases left-to-right equals registering everything
-// into one database in shard order — the corpus shard-merge invariant.
-func TestMergeEquivalentToSequentialAdds(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	type reg struct {
-		p   netip.Prefix
-		as  ASN
-		org string
-	}
-	var regs []reg
-	for i := 0; i < 300; i++ {
-		a := netip.AddrFrom4([4]byte{byte(rng.Intn(223) + 1), byte(rng.Intn(64)), 0, 0})
-		regs = append(regs, reg{netip.PrefixFrom(a, 16).Masked(), ASN(rng.Intn(50) + 1), "Org"})
-	}
-	seq := NewDB()
-	for _, r := range regs {
-		seq.Add(r.p, r.as, r.org)
-	}
-	merged := NewDB()
-	for lo := 0; lo < len(regs); lo += 100 {
-		shard := NewDB()
-		for _, r := range regs[lo : lo+100] {
-			shard.Add(r.p, r.as, r.org)
-		}
-		if err := merged.Merge(shard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	se, me := seq.Entries(), merged.Entries()
-	if len(se) != len(me) {
-		t.Fatalf("entry counts differ: %d vs %d", len(se), len(me))
-	}
-	for i := range se {
-		if se[i] != me[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, se[i], me[i])
 		}
 	}
 }

@@ -383,18 +383,6 @@ func (b *Browser) DropConns(host string) int {
 	return dropped
 }
 
-// FailureCounts returns the per-outcome failure accounting as a map
-// keyed by failure class.
-func (b *Browser) FailureCounts() map[string]int {
-	return map[string]int{
-		"dns":     b.TotalDNSFail,
-		"connect": b.TotalConnFail,
-		"421":     b.Total421,
-		"retries": b.TotalRetries,
-		"failed":  b.TotalFailed,
-	}
-}
-
 // emit appends one event to the recorder, stamping it with the
 // browser's rank and the next sequence number. A nil recorder skips
 // the sequence bump so uninstrumented runs stay allocation-free.

@@ -1,9 +1,6 @@
 package browser
 
-import (
-	"respectorigin/internal/cache"
-	"respectorigin/internal/obs"
-)
+import "respectorigin/internal/cache"
 
 // Option configures a Browser at construction. Options replace the
 // historical pattern of poking exported fields after New: a call like
@@ -28,15 +25,6 @@ func WithRetries(max int, backoffMs float64) Option {
 	return func(b *Browser) {
 		b.MaxRetries = max
 		b.RetryBackoffMs = backoffMs
-	}
-}
-
-// WithRecorder installs an observability recorder and the rank tag for
-// the events it receives. A nil recorder keeps observation off.
-func WithRecorder(rec obs.Recorder, rank int) Option {
-	return func(b *Browser) {
-		b.Rec = rec
-		b.Rank = rank
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"respectorigin/internal/cache"
-	"respectorigin/internal/obs"
 )
 
 // ttlEnv wraps fakeEnv with a TTLLookuper so cache-carrying browsers
@@ -41,18 +40,16 @@ func warmEnv() *ttlEnv {
 
 func TestOptionsConfigureBrowser(t *testing.T) {
 	c := cache.New(cache.Options{})
-	var tr obs.Trace
 	b := New(PolicyFirefoxOrigin,
 		WithSkipOriginDNS(true),
 		WithRetries(3, 125),
-		WithRecorder(&tr, 7),
 		WithCache(c),
 	)
 	if !b.SkipOriginDNS || b.MaxRetries != 3 || b.RetryBackoffMs != 125 {
 		t.Fatalf("options not applied: %+v", b)
 	}
-	if b.Rec != &tr || b.Rank != 7 || b.Cache != c {
-		t.Fatal("recorder/cache options not applied")
+	if b.Cache != c {
+		t.Fatal("cache option not applied")
 	}
 	// No options at all must equal the historical zero-value construction.
 	plain := New(PolicyChromium)

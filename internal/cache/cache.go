@@ -52,13 +52,6 @@ func (c *Clock) AdvanceMs(d int64) {
 	c.mu.Unlock()
 }
 
-// SetMs sets the absolute simulated time (tests).
-func (c *Clock) SetMs(ms int64) {
-	c.mu.Lock()
-	c.ms = ms
-	c.mu.Unlock()
-}
-
 // Options configures a Cache.
 type Options struct {
 	// DNSCapacity bounds the DNS cache entry count; the least recently

@@ -38,14 +38,6 @@ func (m *CertMemo) Validate(chainHash uint64) (hit bool) {
 	return false
 }
 
-// Seen reports whether the chain has been validated before, without
-// recording anything.
-func (m *CertMemo) Seen(chainHash uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seen[chainHash]
-}
-
 // Len reports how many distinct chains have been validated.
 func (m *CertMemo) Len() int {
 	m.mu.Lock()

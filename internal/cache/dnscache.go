@@ -2,7 +2,6 @@ package cache
 
 import (
 	"net/netip"
-	"strconv"
 	"sync"
 )
 
@@ -44,7 +43,7 @@ func (t DNSTransport) String() string {
 type DNSCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]*dnsEntry
+	entries  map[dnsKey]*dnsEntry
 
 	// Intrusive LRU list: head is most recent, tail is next to evict.
 	head, tail *dnsEntry
@@ -52,8 +51,15 @@ type DNSCache struct {
 	hits, negHits, misses, expired, evictions int64
 }
 
+// dnsKey names a (transport, type, name) question; name is canonical.
+type dnsKey struct {
+	transport DNSTransport
+	typ       uint16
+	name      string
+}
+
 type dnsEntry struct {
-	key       string
+	key       dnsKey
 	addrs     []netip.Addr
 	negative  bool
 	expiresMs int64
@@ -62,12 +68,7 @@ type dnsEntry struct {
 }
 
 func newDNSCache(capacity int) *DNSCache {
-	return &DNSCache{capacity: capacity, entries: make(map[string]*dnsEntry)}
-}
-
-// dnsKey builds the cache key for a (transport, name, type) question.
-func dnsKey(t DNSTransport, name string, typ uint16) string {
-	return strconv.Itoa(int(t)) + "/" + strconv.Itoa(int(typ)) + "/" + name
+	return &DNSCache{capacity: capacity, entries: make(map[dnsKey]*dnsEntry)}
 }
 
 // Get returns the cached Do53-transport answer for (name, typ); see
@@ -164,8 +165,8 @@ func (d *DNSCache) Len() int {
 	return len(d.entries)
 }
 
-func (d *DNSCache) canon(t DNSTransport, name string, typ uint16) string {
-	return dnsKey(t, canonical(name), typ)
+func (d *DNSCache) canon(t DNSTransport, name string, typ uint16) dnsKey {
+	return dnsKey{t, typ, canonical(name)}
 }
 
 // canonical lower-cases a hostname and strips one trailing dot,

@@ -173,26 +173,6 @@ func (l *Leaf) TLSRecords() int {
 	return (n + tlsRecordSize - 1) / tlsRecordSize
 }
 
-// SANDiff returns the names in needed that cert does not already cover,
-// sorted. This is the per-website "changes required" computation of
-// §4.3: names already covered (including via wildcards) need no change.
-func SANDiff(cert *x509.Certificate, needed []string) []string {
-	var missing []string
-	seen := map[string]bool{}
-	for _, n := range needed {
-		n = strings.ToLower(strings.TrimSpace(n))
-		if n == "" || seen[n] {
-			continue
-		}
-		seen[n] = true
-		if cert.VerifyHostname(n) != nil {
-			missing = append(missing, n)
-		}
-	}
-	sort.Strings(missing)
-	return missing
-}
-
 // EqualLengthControlName derives an unused control-group domain of
 // exactly the same byte length as target (Figure 6): the target's first
 // label is prefixed with zeros after dropping leading characters, e.g.

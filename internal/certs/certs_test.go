@@ -78,34 +78,6 @@ func TestRenewAddsSANs(t *testing.T) {
 	}
 }
 
-func TestSANDiff(t *testing.T) {
-	ca := mustCA(t)
-	leaf, err := ca.Issue("www.site.example", "*.shard.site.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	needed := []string{
-		"www.site.example",        // covered directly
-		"img1.shard.site.example", // covered by wildcard
-		"cdnjs.provider.example",  // missing
-		"fonts.provider.example",  // missing
-		"CDNJS.provider.example",  // duplicate of missing, case-folded
-	}
-	got := SANDiff(leaf.Cert, needed)
-	want := []string{"cdnjs.provider.example", "fonts.provider.example"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("SANDiff = %v, want %v", got, want)
-	}
-}
-
-func TestSANDiffEmptyWhenAllCovered(t *testing.T) {
-	ca := mustCA(t)
-	leaf, _ := ca.Issue("a.example", "b.example")
-	if d := SANDiff(leaf.Cert, []string{"a.example", "b.example"}); len(d) != 0 {
-		t.Errorf("diff = %v, want empty", d)
-	}
-}
-
 func TestEqualLengthControlName(t *testing.T) {
 	// The Figure 6 example: unpopular.resource.com -> 00popular.resource.com.
 	got := EqualLengthControlName("unpopular.resource.com", 2)

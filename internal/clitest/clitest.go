@@ -1,5 +1,5 @@
 // Package clitest is test support for the checks that drive the repo's
-// command-line surface: it builds a cmd/ binary and runs it, so a
+// command-line surface: it builds a main package and runs it, so a
 // byte-identity or must-fail gate is a Go test rather than a CI shell
 // step.
 package clitest
@@ -13,18 +13,19 @@ import (
 	"testing"
 )
 
-// Build builds respectorigin/cmd/<name> into a directory that lives as
-// long as the test and returns the binary's path. It skips the test when
-// there is no go tool on PATH.
-func Build(t testing.TB, name string) string {
+// Build builds the main package at pkg, a path from the module root such
+// as "cmd/report", into a directory that lives as long as the test and
+// returns the binary's path. It skips the test when there is no go tool
+// on PATH.
+func Build(t testing.TB, pkg string) string {
 	t.Helper()
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	bin := filepath.Join(t.TempDir(), name)
-	if out, err := exec.Command(goTool, "build", "-o", bin, "respectorigin/cmd/"+name).CombinedOutput(); err != nil {
-		t.Fatalf("go build cmd/%s: %v\n%s", name, err, out)
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	if out, err := exec.Command(goTool, "build", "-o", bin, "respectorigin/"+pkg).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }

@@ -80,7 +80,7 @@ func TestGoldenReplayArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := report.NewCorpusWorkers(&webgen.Dataset{Pages: pages, ASDB: webgen.RebuildASDB(pages)}, 4)
+	c := report.NewCorpusWorkers(&webgen.Dataset{Pages: pages}, 4)
 	for _, proto := range core.Protocols {
 		costs := c.WarmColdProto(3, cache.Options{}, proto)
 		arts = append(arts, artifact{"savings." + proto.String() + ".txt", []byte(report.SavingsTable(costs, proto.String()))})
@@ -94,7 +94,7 @@ func TestGoldenReplayArtifacts(t *testing.T) {
 // and the open-loop NDJSON summary.
 func TestGoldenCLIOutputs(t *testing.T) {
 	dir := t.TempDir()
-	cdnsim, loadgen := clitest.Build(t, "cdnsim"), clitest.Build(t, "loadgen")
+	cdnsim, loadgen := clitest.Build(t, "cmd/cdnsim"), clitest.Build(t, "cmd/loadgen")
 
 	deploy := []string{"-sample", "800", "-phase", "all", "-days", "12"}
 	faulted := append(append([]string{}, deploy...), "-faults", "reset=0.05,goaway=0.02,logrestart=0.01", "-retries", "1")

@@ -144,8 +144,7 @@ func runOnce(sites int, seed int64, workers int) (*artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &webgen.Dataset{Pages: pages, ASDB: webgen.RebuildASDB(pages)}
-	c := report.NewCorpusWorkers(ds, workers)
+	c := report.NewCorpusWorkers(&webgen.Dataset{Pages: pages}, workers)
 	var rep bytes.Buffer
 	_, t1 := c.Table1(5)
 	rep.WriteString(t1)

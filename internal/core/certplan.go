@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 )
 
@@ -29,14 +28,6 @@ func (cp CertPlan) ExistingCount() int { return len(cp.Existing) }
 
 // IdealCount returns the SAN size after modification.
 func (cp CertPlan) IdealCount() int { return len(cp.Existing) + len(cp.Additions) }
-
-// PlanCertChanges computes the least-effort SAN additions for a page;
-// see Timeline.CertPlan.
-func PlanCertChanges(p *har.Page) CertPlan {
-	var t Timeline
-	t.Load(p)
-	return t.CertPlan()
-}
 
 // sanCovers reports whether the SAN list covers host (exact or
 // single-label wildcard).
@@ -76,15 +67,6 @@ type CertPlanSummary struct {
 	Over250Ideal    int
 	// MaxIdeal is the largest post-change SAN size.
 	MaxIdeal int
-}
-
-// SummarizeCertPlans computes the corpus-level §4.3 numbers.
-func SummarizeCertPlans(plans []CertPlan) CertPlanSummary {
-	var s CertPlanSummary
-	for i := range plans {
-		s.AddPlan(&plans[i])
-	}
-	return s
 }
 
 // AddPlan folds one site's plan into the summary.
@@ -257,15 +239,4 @@ func (u *ProviderUsage) Rank(topProviders, topHosts int) []ProviderChange {
 		})
 	}
 	return out
-}
-
-// MostEffectiveChanges aggregates cert-plan additions by hosting
-// provider (Table 9): for each provider (identified by the base page's
-// origin AS → org name via orgOf), the hostnames most often needed.
-func MostEffectiveChanges(pages []*har.Page, plans []CertPlan, orgOf func(asn uint32) string, topProviders, topHosts int) []ProviderChange {
-	u := NewProviderUsage()
-	for i, p := range pages {
-		u.AddSite(orgOf(p.Entries[0].ServerASN), &plans[i])
-	}
-	return u.Rank(topProviders, topHosts)
 }

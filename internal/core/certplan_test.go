@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"respectorigin/internal/asn"
 	"respectorigin/internal/har"
 	"respectorigin/internal/webgen"
 )
@@ -65,12 +64,39 @@ func TestPlanSkipsOtherASHosts(t *testing.T) {
 	}
 }
 
+// PlanCertChanges is Timeline.CertPlan for one page.
+func PlanCertChanges(p *har.Page) CertPlan {
+	var t Timeline
+	t.Load(p)
+	return t.CertPlan()
+}
+
+// summarize is the sequential §4.3 summary the parallel folds are held
+// to.
+func summarize(plans []CertPlan) CertPlanSummary {
+	var s CertPlanSummary
+	for i := range plans {
+		s.AddPlan(&plans[i])
+	}
+	return s
+}
+
+// mostEffectiveChanges is Table 9 in one sequential pass: additions
+// aggregated by the provider hosting each base page.
+func mostEffectiveChanges(pages []*har.Page, plans []CertPlan, topProviders, topHosts int) []ProviderChange {
+	u := NewProviderUsage()
+	for i, p := range pages {
+		u.AddSite(webgen.OrgOf(p.Entries[0].ServerASN), &plans[i])
+	}
+	return u.Rank(topProviders, topHosts)
+}
+
 func TestSummarizeCertPlans(t *testing.T) {
 	p1 := modelPage() // 3 additions
 	p2 := modelPage()
 	p2.Entries[0].CertSANs = []string{"www.example.com", "*.example.com", "*.cdnhost.com"} // 0 additions
 	plans := []CertPlan{PlanCertChanges(p1), PlanCertChanges(p2)}
-	s := SummarizeCertPlans(plans)
+	s := summarize(plans)
 	if s.Sites != 2 || s.NoChangeSites != 1 || s.AtMostTenChanges != 2 || s.Over78Changes != 0 {
 		t.Errorf("summary = %+v", s)
 	}
@@ -107,8 +133,7 @@ func TestMostEffectiveChanges(t *testing.T) {
 	for i, p := range ds.Pages {
 		plans[i] = PlanCertChanges(p)
 	}
-	orgOf := func(a uint32) string { return ds.ASDB.Org(asn.ASN(a)) }
-	changes := MostEffectiveChanges(ds.Pages, plans, orgOf, 3, 5)
+	changes := mostEffectiveChanges(ds.Pages, plans, 3, 5)
 	if len(changes) != 3 {
 		t.Fatalf("providers = %d", len(changes))
 	}
@@ -145,7 +170,7 @@ func TestCorpusCertHeadlines(t *testing.T) {
 	for i, p := range ds.Pages {
 		plans[i] = PlanCertChanges(p)
 	}
-	s := SummarizeCertPlans(plans)
+	s := summarize(plans)
 	noChange := float64(s.NoChangeSites) / float64(s.Sites)
 	// Paper: 62.41% need no modifications.
 	if noChange < 0.35 || noChange > 0.85 {
@@ -206,14 +231,14 @@ func TestCertPlanSummaryMergeMatchesSequential(t *testing.T) {
 	for i, p := range ds.Pages {
 		plans[i] = PlanCertChanges(p)
 	}
-	want := SummarizeCertPlans(plans)
+	want := summarize(plans)
 	var got CertPlanSummary
 	for lo := 0; lo < len(plans); lo += 50 {
 		hi := lo + 50
 		if hi > len(plans) {
 			hi = len(plans)
 		}
-		got.Merge(SummarizeCertPlans(plans[lo:hi]))
+		got.Merge(summarize(plans[lo:hi]))
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("merged summary differs from sequential:\n got %+v\nwant %+v", got, want)
@@ -221,7 +246,7 @@ func TestCertPlanSummaryMergeMatchesSequential(t *testing.T) {
 }
 
 // Sharded ProviderUsage accumulators rank identically to the sequential
-// MostEffectiveChanges aggregation.
+// aggregation.
 func TestProviderUsageMergeMatchesSequential(t *testing.T) {
 	cfg := webgen.DefaultConfig()
 	cfg.Sites = 400
@@ -233,8 +258,7 @@ func TestProviderUsageMergeMatchesSequential(t *testing.T) {
 	for i, p := range ds.Pages {
 		plans[i] = PlanCertChanges(p)
 	}
-	orgOf := func(as uint32) string { return ds.ASDB.Org(asn.ASN(as)) }
-	want := MostEffectiveChanges(ds.Pages, plans, orgOf, 3, 5)
+	want := mostEffectiveChanges(ds.Pages, plans, 3, 5)
 
 	merged := NewProviderUsage()
 	for lo := 0; lo < len(ds.Pages); lo += 64 {
@@ -244,7 +268,7 @@ func TestProviderUsageMergeMatchesSequential(t *testing.T) {
 		}
 		shard := NewProviderUsage()
 		for i := lo; i < hi; i++ {
-			shard.AddSite(orgOf(ds.Pages[i].Entries[0].ServerASN), &plans[i])
+			shard.AddSite(webgen.OrgOf(ds.Pages[i].Entries[0].ServerASN), &plans[i])
 		}
 		merged.Merge(shard)
 	}

@@ -19,11 +19,7 @@
 // AS; a "service" is therefore identified with an origin AS.
 package core
 
-import (
-	"math"
-
-	"respectorigin/internal/har"
-)
+import "respectorigin/internal/har"
 
 // Mode selects the coalescing discipline being modelled.
 type Mode int
@@ -58,16 +54,6 @@ func (m Mode) String() string {
 // this window as "starting at the same time" for the conservative
 // minimum-DNS subtraction of §4.1.
 const concurrencyWindowMs = 50
-
-// Coalescable returns, for each entry index, whether the request could
-// have been coalesced onto an earlier connection under the mode; see
-// Timeline for the rules.
-func Coalescable(p *har.Page, mode Mode, cdnASN uint32) []bool {
-	var t Timeline
-	t.Load(p)
-	t.mark(mode, cdnASN)
-	return t.coal
-}
 
 // Reconstruct returns the page as Timeline.PLT rebuilds it: coalescable
 // entries without their setup phases, every entry at its new start
@@ -123,21 +109,4 @@ func CountPage(p *har.Page) PageCounts {
 	var t Timeline
 	t.Load(p)
 	return t.Counts()
-}
-
-// PLTImprovement returns (measured PLT, reconstructed PLT) for a page
-// under a mode.
-func PLTImprovement(p *har.Page, mode Mode, cdnASN uint32) (measured, reconstructed float64) {
-	var t Timeline
-	t.Load(p)
-	return p.PLT(), t.PLT(mode, cdnASN)
-}
-
-// ClampNonNegative is a defensive helper used by reconstruction
-// consumers; exported for reuse in reports.
-func ClampNonNegative(v float64) float64 {
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
 }

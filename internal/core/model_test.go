@@ -47,9 +47,23 @@ func modelPage() *har.Page {
 	return p
 }
 
+// coalescable is Timeline.Coalescable for one page.
+func coalescable(p *har.Page, mode Mode, cdnASN uint32) []bool {
+	var t Timeline
+	t.Load(p)
+	return t.Coalescable(mode, cdnASN)
+}
+
+// pltImprovement returns a page's measured and reconstructed PLT.
+func pltImprovement(p *har.Page, mode Mode, cdnASN uint32) (measured, reconstructed float64) {
+	var t Timeline
+	t.Load(p)
+	return p.PLT(), t.PLT(mode, cdnASN)
+}
+
 func TestCoalescableOriginMode(t *testing.T) {
 	p := modelPage()
-	c := Coalescable(p, ModeOrigin, 0)
+	c := coalescable(p, ModeOrigin, 0)
 	want := []bool{false, true, true, true, false, true}
 	for i := range want {
 		if c[i] != want[i] {
@@ -60,7 +74,7 @@ func TestCoalescableOriginMode(t *testing.T) {
 
 func TestCoalescableIPMode(t *testing.T) {
 	p := modelPage()
-	c := Coalescable(p, ModeIP, 0)
+	c := coalescable(p, ModeIP, 0)
 	// Only the repeated tracker request shares an exact IP.
 	want := []bool{false, false, false, false, false, true}
 	for i := range want {
@@ -72,7 +86,7 @@ func TestCoalescableIPMode(t *testing.T) {
 
 func TestCoalescableCDNMode(t *testing.T) {
 	p := modelPage()
-	c := Coalescable(p, ModeOriginCDN, 13335)
+	c := coalescable(p, ModeOriginCDN, 13335)
 	want := []bool{false, true, true, true, false, false}
 	for i := range want {
 		if c[i] != want[i] {
@@ -84,7 +98,7 @@ func TestCoalescableCDNMode(t *testing.T) {
 func TestRootNeverCoalescable(t *testing.T) {
 	p := modelPage()
 	for _, mode := range []Mode{ModeIP, ModeOrigin, ModeOriginCDN} {
-		if Coalescable(p, mode, 13335)[0] {
+		if coalescable(p, mode, 13335)[0] {
 			t.Errorf("root coalescable under %v", mode)
 		}
 	}
@@ -137,14 +151,14 @@ func TestReconstructConservativeMinDNS(t *testing.T) {
 func TestReconstructImprovesPLT(t *testing.T) {
 	p := modelPage()
 	for _, mode := range []Mode{ModeIP, ModeOrigin, ModeOriginCDN} {
-		measured, rec := PLTImprovement(p, mode, 13335)
+		measured, rec := pltImprovement(p, mode, 13335)
 		if rec > measured {
 			t.Errorf("%v: reconstruction worsened PLT: %v -> %v", mode, measured, rec)
 		}
 	}
 	// ORIGIN must beat IP here: four same-AS requests vs one same-IP.
-	_, recIP := PLTImprovement(p, ModeIP, 0)
-	_, recOrigin := PLTImprovement(p, ModeOrigin, 0)
+	_, recIP := pltImprovement(p, ModeIP, 0)
+	_, recOrigin := pltImprovement(p, ModeOrigin, 0)
 	if recOrigin >= recIP {
 		t.Errorf("origin PLT %v not better than IP PLT %v", recOrigin, recIP)
 	}
@@ -272,11 +286,5 @@ func TestModeStrings(t *testing.T) {
 	if ModeIP.String() != "ideal-ip" || ModeOrigin.String() != "ideal-origin" ||
 		ModeOriginCDN.String() != "cdn-origin" || Mode(9).String() != "unknown" {
 		t.Error("mode strings")
-	}
-}
-
-func TestClampNonNegative(t *testing.T) {
-	if ClampNonNegative(-1) != 0 || ClampNonNegative(2) != 2 {
-		t.Error("clamp")
 	}
 }

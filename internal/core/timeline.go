@@ -9,13 +9,12 @@ import (
 )
 
 // Timeline is the §4 model of one page at a time, and the only
-// implementation of §4.1 coalescability and reconstruction: Coalescable,
-// Reconstruct, PLTImprovement, CountPage and PlanCertChanges are views
-// of it. It owns every intermediate the model needs — interned
-// addresses and ASes, per-service openers, the conservative-DNS groups,
-// the rebuilt durations and start times — and reuses them from page to
-// page, so a fold that keeps one Timeline per worker models a corpus
-// without allocating. The zero value is ready to use; a Timeline is not
+// implementation of §4.1 coalescability and reconstruction: Reconstruct
+// and CountPage are views of it. It owns every intermediate the model
+// needs — interned addresses and ASes, per-service openers, the
+// conservative-DNS groups, the rebuilt durations and start times — and
+// reuses them from page to page, so a fold that keeps one Timeline per
+// worker models a corpus without allocating. The zero value is ready to use; a Timeline is not
 // safe for concurrent use and never modifies the pages it is given.
 type Timeline struct {
 	page *har.Page
@@ -126,8 +125,9 @@ func (t *Timeline) serviceOf(mode Mode, cdnASN uint32, i int) int32 {
 	return int32(len(t.addrIDs)) + t.asnOf[i]
 }
 
-// mark computes which entries could have been coalesced onto an earlier
-// connection under the mode.
+// Coalescable reports, for each entry of the loaded page, whether the
+// request could have been coalesced onto an earlier connection under the
+// mode. The result is valid until the next call of any method.
 //
 // Connection openers — entries that paid DNS + connection setup
 // (NewDNS) — are compared per service: the service's earliest opener
@@ -136,7 +136,7 @@ func (t *Timeline) serviceOf(mode Mode, cdnASN uint32, i int) int32 {
 // that reuse an existing connection are coalescable whenever their
 // service has an opener, but they carry no setup to remove. Entry 0
 // (the base-page request) is never coalescable (§4.1).
-func (t *Timeline) mark(mode Mode, cdnASN uint32) {
+func (t *Timeline) Coalescable(mode Mode, cdnASN uint32) []bool {
 	entries := t.page.Entries
 	n := len(entries)
 	t.service = zeroed(t.service, n)
@@ -166,6 +166,7 @@ func (t *Timeline) mark(mode Mode, cdnASN uint32) {
 			t.coal[i] = t.opener[s] >= 0
 		}
 	}
+	return t.coal
 }
 
 func (t *Timeline) group(i int) dnsGroup {
@@ -201,7 +202,7 @@ func (t *Timeline) coalescedDNS(i int) float64 {
 // Initiators reference earlier entries, so index order is dependency
 // order.
 func (t *Timeline) PLT(mode Mode, cdnASN uint32) float64 {
-	t.mark(mode, cdnASN)
+	t.Coalescable(mode, cdnASN)
 	entries := t.page.Entries
 	n := len(entries)
 

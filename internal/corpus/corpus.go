@@ -110,24 +110,6 @@ func ReadAll(r Reader) ([]*har.Page, error) {
 	}
 }
 
-// ForEach streams every page from r through fn in order, stopping on
-// the first error fn returns. It is the constant-memory consumption
-// primitive: the page slice ReadAll would build never exists.
-func ForEach(r Reader, fn func(*har.Page) error) error {
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-}
-
 // Copy streams every page from src into dst and returns the page
 // count. It closes neither side: callers own Close (and must check
 // dst's).

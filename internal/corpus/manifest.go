@@ -61,8 +61,9 @@ func (m *Manifest) Pages() int {
 
 // Validate checks manifest invariants: supported schema and encoding
 // version, well-formed shard entries, unique ids, and non-overlapping
-// rank ranges. Gaps are legal (a partial corpus analyzes fine);
-// overlaps would double-count pages and are rejected.
+// rank ranges inside the corpus's rank space. Gaps are legal (a partial
+// corpus analyzes fine); overlaps would double-count pages and are
+// rejected.
 func (m *Manifest) Validate() error {
 	if m.Schema != ManifestSchema {
 		return fmt.Errorf("corpus: manifest schema %q not supported (want %q)", m.Schema, ManifestSchema)
@@ -81,8 +82,11 @@ func (m *Manifest) Validate() error {
 	sort.Slice(byLo, func(i, j int) bool { return byLo[i].RankLo < byLo[j].RankLo })
 	seen := map[int]bool{}
 	for i, s := range byLo {
-		if s.RankLo < 1 || s.RankHi < s.RankLo {
-			return fmt.Errorf("corpus: shard %d has invalid rank range [%d, %d)", s.ID, s.RankLo, s.RankHi)
+		if s.RankLo < 1 || s.RankHi < s.RankLo || s.RankHi-1 > m.Sites {
+			return fmt.Errorf("corpus: shard %d has invalid rank range [%d, %d) of %d sites", s.ID, s.RankLo, s.RankHi, m.Sites)
+		}
+		if s.Pages < 0 {
+			return fmt.Errorf("corpus: shard %d records %d pages", s.ID, s.Pages)
 		}
 		if s.File == "" {
 			return fmt.Errorf("corpus: shard %d has no file", s.ID)
@@ -137,18 +141,24 @@ func WriteManifest(path string, m Manifest) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
+// parseManifest decodes and validates the bytes of a manifest file.
+func parseManifest(raw []byte) (Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, fmt.Errorf("corpus: parsing manifest: %w", err)
+	}
+	return m, m.Validate()
+}
+
 // ReadManifest reads and validates a manifest, resolving relative
 // shard file paths against the manifest's directory.
 func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return m, err
+		return Manifest{}, err
 	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("corpus: parsing manifest %s: %w", path, err)
-	}
-	if err := m.Validate(); err != nil {
+	m, err := parseManifest(raw)
+	if err != nil {
 		return m, fmt.Errorf("%s: %w", path, err)
 	}
 	dir := filepath.Dir(path)

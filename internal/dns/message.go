@@ -45,6 +45,7 @@ var (
 	ErrBadPointer       = errors.New("dns: bad compression pointer")
 	ErrNameTooLong      = errors.New("dns: name exceeds 255 octets")
 	ErrLabelTooLong     = errors.New("dns: label exceeds 63 octets")
+	ErrBadLabel         = errors.New("dns: label byte has no unescaped presentation form")
 )
 
 // Header is the fixed 12-byte DNS message header.
@@ -91,6 +92,11 @@ type Message struct {
 	Additional []RR
 }
 
+// maxNameWire is the longest name RFC 1035 §2.3.4 allows on the wire,
+// length octets and the root label included: one octet more than the
+// name's dotted form with its trailing dot.
+const maxNameWire = 255
+
 // nameOffsets tracks domain-name positions for compression pointers.
 type nameOffsets map[string]int
 
@@ -101,7 +107,7 @@ func appendName(dst []byte, name string, offs nameOffsets) ([]byte, error) {
 	if name == "." {
 		return append(dst, 0), nil
 	}
-	if len(name) > 255 {
+	if len(name)+1 > maxNameWire {
 		return nil, ErrNameTooLong
 	}
 	labels := strings.Split(strings.TrimSuffix(name, "."), ".")
@@ -127,7 +133,11 @@ func appendName(dst []byte, name string, offs nameOffsets) ([]byte, error) {
 }
 
 // readName decodes a possibly compressed name starting at off,
-// returning the name and the offset just past it.
+// returning the name and the offset just past it. Names are carried in
+// their dotted form without escapes, so a label that form cannot hold —
+// a '.', a space, a control or non-ASCII byte — is rejected, and upper
+// case folds to lower as canonicalName folds it on the way out: what
+// readName returns, appendName encodes back to the same name.
 func readName(msg []byte, off int) (string, int, error) {
 	var sb strings.Builder
 	jumped := false
@@ -172,10 +182,18 @@ func readName(msg []byte, off int) (string, int, error) {
 			if off+1+n > len(msg) {
 				return "", 0, ErrTruncatedMessage
 			}
-			sb.Write(msg[off+1 : off+1+n])
+			for _, c := range msg[off+1 : off+1+n] {
+				switch {
+				case 'A' <= c && c <= 'Z':
+					c += 'a' - 'A'
+				case c == '.' || c <= ' ' || c >= 0x7f:
+					return "", 0, ErrBadLabel
+				}
+				sb.WriteByte(c)
+			}
 			sb.WriteByte('.')
 			off += 1 + n
-			if sb.Len() > 256 {
+			if sb.Len()+1 > maxNameWire {
 				return "", 0, ErrNameTooLong
 			}
 		}
@@ -368,10 +386,17 @@ func readRR(msg []byte, off int) (RR, int, error) {
 			return rr, 0, fmt.Errorf("dns: AAAA rdata length %d", rdlen)
 		}
 		rr.Addr = netip.AddrFrom16([16]byte(rdata))
+		if rr.Addr.Is4In6() {
+			return rr, 0, fmt.Errorf("dns: AAAA rdata holds the IPv4-mapped address %v", rr.Addr)
+		}
 	case TypeCNAME, TypeNS:
-		rr.Target, _, err = readName(msg, off)
+		var end int
+		rr.Target, end, err = readName(msg, off)
 		if err != nil {
 			return rr, 0, err
+		}
+		if end != off+rdlen {
+			return rr, 0, fmt.Errorf("dns: record type %d: name ends at %d, rdata at %d", rr.Type, end, off+rdlen)
 		}
 	case TypeTXT:
 		if rdlen > 0 {

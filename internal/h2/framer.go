@@ -595,18 +595,6 @@ func (fr *Framer) WriteContinuation(streamID uint32, endHeaders bool, frag []byt
 	return fr.endWrite()
 }
 
-// WritePriority writes a PRIORITY frame.
-func (fr *Framer) WritePriority(streamID uint32, p PriorityParam) error {
-	dep := p.StreamDep
-	if p.Exclusive {
-		dep |= 1 << 31
-	}
-	fr.startWrite(FramePriority, 0, streamID)
-	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, dep)
-	fr.wbuf = append(fr.wbuf, p.Weight)
-	return fr.endWrite()
-}
-
 // WriteRSTStream writes an RST_STREAM frame.
 func (fr *Framer) WriteRSTStream(streamID uint32, code ErrCode) error {
 	fr.startWrite(FrameRSTStream, 0, streamID)

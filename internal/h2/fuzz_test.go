@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,71 @@ func FuzzSettingsDecode(f *testing.F) {
 		}
 		if got := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(got, data) {
 			t.Fatalf("re-serialized payload %x, want %x", got, data)
+		}
+	})
+}
+
+// FuzzOriginPayload feeds an ORIGIN frame payload (RFC 8336 §2) to
+// parseOriginFrame and what it yields to OriginSet.Replace. A length
+// prefix that overruns the payload is a FRAME_SIZE_ERROR, never a panic
+// or a short read; decoding allocates within a multiple of the payload;
+// accepted entries re-serialize to the identical bytes; and whatever
+// the set keeps of them — empty, non-ASCII and non-https entries are
+// skipped, not fatal — is in canonical form: canonicalizing it again
+// changes nothing, and the set contains it.
+func FuzzOriginPayload(f *testing.F) {
+	entry := func(origins ...string) []byte {
+		var p []byte
+		for _, o := range origins {
+			p = binary.BigEndian.AppendUint16(p, uint16(len(o)))
+			p = append(p, o...)
+		}
+		return p
+	}
+	valid := entry("https://example.com", "https://cdn.example.com:8443", "Example.ORG")
+	f.Add(valid)
+	for _, cut := range []int{0, 1, 2, 3, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(entry("", "https://", "http://example.com", "https://exämple.com", "https://[2001:db8::1]:443", "https://a.example/path"))
+	f.Add([]byte{0xff, 0xff, 'a'}) // 65 535 octets declared, one delivered
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parsed, err := parseOriginFrame(nil, FrameHeader{Type: FrameOrigin, Length: uint32(len(payload))}, payload)
+		set := NewOriginSet()
+		if err == nil {
+			set.Replace(parsed.(*OriginFrame).Origins)
+		}
+		runtime.ReadMemStats(&after)
+		// Worst honest ratio: a two-byte empty entry is a 16-byte string
+		// header, in a slice grown by doubling; the fuzzing harness itself
+		// allocates a few KiB in the background.
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(payload)+64<<10); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(payload), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		origins := parsed.(*OriginFrame).Origins
+		var buf bytes.Buffer
+		if err := NewFramer(&buf, nil).WriteOrigin(origins); err != nil {
+			t.Fatalf("re-serialize: %v", err)
+		}
+		if got := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(got, payload) {
+			t.Fatalf("re-serialized payload %x, want %x", got, payload)
+		}
+		if set.Len() > len(origins) || !set.Initialized() {
+			t.Fatalf("%d entries made a set of %d (initialized %v)", len(origins), set.Len(), set.Initialized())
+		}
+		for _, o := range set.All() {
+			if c, err := CanonicalOrigin(o); err != nil || c != o {
+				t.Fatalf("set member %q canonicalizes to %q, %v", o, c, err)
+			}
+			if !set.Contains(o) || !strings.HasPrefix(o, "https://") || OriginHost(o) == "" {
+				t.Fatalf("set member %q: contained %v, host %q", o, set.Contains(o), OriginHost(o))
+			}
 		}
 	})
 }

@@ -136,19 +136,30 @@ func CanonicalOrigin(in string) (string, error) {
 		}
 		s = s[:i]
 	}
+	// An IPv6 literal keeps its colons inside brackets; anywhere else a
+	// colon separates the port.
 	host, port := s, ""
-	if i := strings.LastIndexByte(s, ':'); i >= 0 && !strings.Contains(s, "]") {
+	literal := strings.HasPrefix(s, "[")
+	if literal {
+		j := strings.IndexByte(s, ']')
+		if j < 0 || j+1 < len(s) && s[j+1] != ':' {
+			return "", fmt.Errorf("h2: origin %q has a malformed IPv6 literal", in)
+		}
+		host, port = s[:j+1], strings.TrimPrefix(s[j+1:], ":")
+	} else if i := strings.LastIndexByte(s, ':'); i >= 0 {
 		host, port = s[:i], s[i+1:]
-	} else if j := strings.LastIndex(s, "]:"); j >= 0 {
-		host, port = s[:j+1], s[j+2:]
 	}
 	host = strings.ToLower(host)
-	if host == "" {
+	name, letters := host, 'z'
+	if literal {
+		name, letters = host[1:len(host)-1], 'f'
+	}
+	if name == "" {
 		return "", fmt.Errorf("h2: origin %q missing host", in)
 	}
-	for _, r := range host {
-		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' ||
-			r == '.' || r == '-' || r == '[' || r == ']' || r == ':' || r == '_' {
+	for _, r := range name {
+		if r >= 'a' && r <= letters || r >= '0' && r <= '9' || r == '.' ||
+			literal && r == ':' || !literal && (r == '-' || r == '_') {
 			continue
 		}
 		return "", fmt.Errorf("h2: origin host %q has invalid character %q", host, r)

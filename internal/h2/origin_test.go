@@ -27,6 +27,13 @@ func TestCanonicalOrigin(t *testing.T) {
 		{"https://exa mple.com", "", true},
 		{"https://example.com:port", "", true},
 		{"https://:8443", "", true},
+		{"https://[::1]", "https://[::1]", false},
+		{"https://[2001:DB8::1]:443", "https://[2001:db8::1]", false},
+		{"example.com::", "", true}, // a colon outside an IPv6 literal is the port separator, once
+		{"a:b:443", "", true},
+		{"https://[::1", "", true},
+		{"https://[::1]8443", "", true},
+		{"https://[example]", "", true},
 	}
 	for _, c := range cases {
 		got, err := CanonicalOrigin(c.in)

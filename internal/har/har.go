@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -142,21 +141,6 @@ func (p *Page) TLSConnections() int {
 		}
 	}
 	return n
-}
-
-// UniqueASNs returns the distinct server ASNs contacted.
-func (p *Page) UniqueASNs() []uint32 {
-	seen := map[uint32]bool{}
-	var out []uint32
-	for i := range p.Entries {
-		as := p.Entries[i].ServerASN
-		if !seen[as] {
-			seen[as] = true
-			out = append(out, as)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Hosts returns the distinct hostnames contacted, in first-use order.

@@ -68,9 +68,6 @@ func TestPageAccessors(t *testing.T) {
 	if p.DNSQueries() != 3 || p.TLSConnections() != 3 {
 		t.Errorf("dns=%d tls=%d", p.DNSQueries(), p.TLSConnections())
 	}
-	if asns := p.UniqueASNs(); len(asns) != 2 || asns[0] != 13335 || asns[1] != 15169 {
-		t.Errorf("asns = %v", asns)
-	}
 	hosts := p.Hosts()
 	if len(hosts) != 3 || hosts[0] != "www.example.com" {
 		t.Errorf("hosts = %v", hosts)

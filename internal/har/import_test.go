@@ -121,8 +121,10 @@ func TestImportHAR(t *testing.T) {
 	if p.DNSQueries() != 2 || p.TLSConnections() != 2 {
 		t.Errorf("dns=%d tls=%d", p.DNSQueries(), p.TLSConnections())
 	}
-	if asns := p.UniqueASNs(); len(asns) != 1 || asns[0] != 13335 {
-		t.Errorf("asns = %v", asns)
+	for i := range p.Entries {
+		if as := p.Entries[i].ServerASN; as != 13335 {
+			t.Errorf("entry %d: AS%d, want AS13335", i, as)
+		}
 	}
 }
 

@@ -91,21 +91,3 @@ func ProfileByName(name string) (Profile, error) {
 	}
 	return Profile{}, fmt.Errorf("netsim: unknown profile %q (have wired, 4g, 3g, satellite)", name)
 }
-
-// LossGrid expands a base profile across loss rates, producing the
-// loss-latency grid the matrix and the monotonicity property tests
-// sweep. Each grid point revalidates, so a loss rate outside [0, 1)
-// is rejected here rather than surfacing as an infinite duration.
-func LossGrid(base Profile, lossRates []float64) ([]Profile, error) {
-	out := make([]Profile, 0, len(lossRates))
-	for _, l := range lossRates {
-		p := base.Params
-		p.LossRate = l
-		pr, err := NewProfile(fmt.Sprintf("%s+loss%g", base.Name, l), p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}

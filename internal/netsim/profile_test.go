@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -70,9 +71,14 @@ func TestTransferTimeMonotoneAcrossLossGrid(t *testing.T) {
 	losses := []float64{0, 0.005, 0.01, 0.02, 0.05, 0.10, 0.25, 0.5, 0.9}
 	sizes := []int64{0, 1, 512, 1 << 10, 64 << 10, 1 << 20, 64 << 20}
 	for _, base := range Profiles() {
-		grid, err := LossGrid(base, losses)
-		if err != nil {
-			t.Fatalf("%s: LossGrid: %v", base.Name, err)
+		grid := make([]Profile, len(losses))
+		for i, l := range losses {
+			p := base.Params
+			p.LossRate = l
+			var err error
+			if grid[i], err = NewProfile(fmt.Sprintf("%s+loss%g", base.Name, l), p); err != nil {
+				t.Fatalf("%s: loss %g: %v", base.Name, l, err)
+			}
 		}
 		// Jitter off isolates the deterministic component the property
 		// speaks about; the jitter draw is additive noise on top.

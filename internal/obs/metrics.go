@@ -265,19 +265,6 @@ func (m *Metrics) HistSummary(name string) measure.Summary {
 	return h.Summary()
 }
 
-// HistQuantile returns the bucket-interpolated p-quantile of the named
-// histogram (0 if absent) — the percentile surface behind the p50/p90/
-// p99/p99.9 latency tracking of the serving-mode reports.
-func (m *Metrics) HistQuantile(name string, p float64) float64 {
-	m.mu.RLock()
-	h := m.hists[name]
-	m.mu.RUnlock()
-	if h == nil {
-		return 0
-	}
-	return h.Quantile(p)
-}
-
 // Counters returns a sorted snapshot of all counters.
 func (m *Metrics) Counters() map[string]int64 {
 	m.mu.RLock()

@@ -19,11 +19,13 @@ package privacy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"respectorigin/internal/core"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
+	"respectorigin/internal/parallel"
 )
 
 // ClientConfig describes the privacy-relevant client configuration.
@@ -54,19 +56,21 @@ type Exposure struct {
 // LeakedHosts returns the union of hostnames an on-path observer
 // learns, sorted.
 func (e Exposure) LeakedHosts() []string {
-	set := map[string]bool{}
-	for _, h := range e.CleartextDNSHosts {
-		set[h] = true
-	}
+	out := append(slices.Clone(e.CleartextDNSHosts), e.CleartextSNIHosts...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// leaked is len(e.LeakedHosts()) for an Exposure from analyze, whose
+// two host lists are sorted and distinct.
+func (e Exposure) leaked() int {
+	n := len(e.CleartextDNSHosts)
 	for _, h := range e.CleartextSNIHosts {
-		set[h] = true
+		if _, both := slices.BinarySearch(e.CleartextDNSHosts, h); !both {
+			n++
+		}
 	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sortStrings(out)
-	return out
+	return n
 }
 
 // Analyze computes the exposure of one page load under a client
@@ -74,32 +78,50 @@ func (e Exposure) LeakedHosts() []string {
 // therefore both signals); encryption hides a signal but keeps the
 // event.
 func Analyze(p *har.Page, cfg ClientConfig) Exposure {
-	page := p
+	var a analyzer
+	a.model.Load(p)
+	return a.analyze(p, cfg)
+}
+
+// analyzer is the working storage of one goroutine analyzing pages: the
+// §4 model of the page and the two host lists, reused from call to call.
+type analyzer struct {
+	model    core.Timeline
+	dns, sni []string
+}
+
+// analyze is Analyze for the page a.model has loaded. The host lists of
+// the result are a's own: they are valid until the next call.
+func (a *analyzer) analyze(p *har.Page, cfg ClientConfig) Exposure {
+	var coalesced []bool
 	if cfg.CoalescingEnabled {
-		page = core.Reconstruct(p, cfg.Coalescing, 0)
+		coalesced = a.model.Coalescable(cfg.Coalescing, 0)
 	}
-	var e Exposure
-	dnsSeen := map[string]bool{}
-	sniSeen := map[string]bool{}
-	for i := range page.Entries {
-		ent := &page.Entries[i]
+	e := Exposure{CleartextDNSHosts: a.dns[:0], CleartextSNIHosts: a.sni[:0]}
+	for i := range p.Entries {
+		ent := &p.Entries[i]
+		if coalesced != nil && coalesced[i] {
+			// Rides an earlier connection: no query, no handshake.
+			continue
+		}
 		if ent.NewDNS {
 			e.DNSQueries++
-			if !cfg.EncryptedDNS && !dnsSeen[ent.Host] {
-				dnsSeen[ent.Host] = true
+			if !cfg.EncryptedDNS {
 				e.CleartextDNSHosts = append(e.CleartextDNSHosts, ent.Host)
 			}
 		}
 		if ent.NewTLS {
 			e.TLSHandshakes++
-			if !cfg.EncryptedClientHello && !sniSeen[ent.Host] {
-				sniSeen[ent.Host] = true
+			if !cfg.EncryptedClientHello {
 				e.CleartextSNIHosts = append(e.CleartextSNIHosts, ent.Host)
 			}
 		}
 	}
-	sortStrings(e.CleartextDNSHosts)
-	sortStrings(e.CleartextSNIHosts)
+	slices.Sort(e.CleartextDNSHosts)
+	slices.Sort(e.CleartextSNIHosts)
+	e.CleartextDNSHosts = slices.Compact(e.CleartextDNSHosts)
+	e.CleartextSNIHosts = slices.Compact(e.CleartextSNIHosts)
+	a.dns, a.sni = e.CleartextDNSHosts, e.CleartextSNIHosts
 	return e
 }
 
@@ -132,16 +154,29 @@ type CorpusExposure struct {
 	MedianHandshakes  float64
 }
 
-// AnalyzeCorpus compares scenarios over a corpus of pages.
-func AnalyzeCorpus(pages []*har.Page, scenarios []Scenario) []CorpusExposure {
+// AnalyzeCorpus compares scenarios over a corpus of pages, across
+// workers goroutines (≤ 0 selects GOMAXPROCS): each page is modelled
+// once and counted under every scenario. The result is the same for
+// every worker count.
+func AnalyzeCorpus(pages []*har.Page, scenarios []Scenario, workers int) []CorpusExposure {
+	type counts struct{ leaked, dns, handshakes float64 }
+	perPage := parallel.MapWith(len(pages), workers, func() *analyzer { return new(analyzer) },
+		func(a *analyzer, i int) []counts {
+			a.model.Load(pages[i])
+			row := make([]counts, len(scenarios))
+			for s, sc := range scenarios {
+				e := a.analyze(pages[i], sc.Cfg)
+				row[s] = counts{float64(e.leaked()), float64(e.DNSQueries), float64(e.TLSHandshakes)}
+			}
+			return row
+		})
 	out := make([]CorpusExposure, 0, len(scenarios))
-	for _, sc := range scenarios {
-		var leaked, dns, hs []float64
-		for _, p := range pages {
-			e := Analyze(p, sc.Cfg)
-			leaked = append(leaked, float64(len(e.LeakedHosts())))
-			dns = append(dns, float64(e.DNSQueries))
-			hs = append(hs, float64(e.TLSHandshakes))
+	leaked := make([]float64, len(pages))
+	dns := make([]float64, len(pages))
+	hs := make([]float64, len(pages))
+	for s, sc := range scenarios {
+		for i, row := range perPage {
+			leaked[i], dns[i], hs[i] = row[s].leaked, row[s].dns, row[s].handshakes
 		}
 		out = append(out, CorpusExposure{
 			Scenario:          sc.Name,
@@ -164,12 +199,4 @@ func Report(rows []CorpusExposure) string {
 	}
 	sb.WriteString("  (coalescing removes the events; DoH/ECH only hides their contents)\n")
 	return sb.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

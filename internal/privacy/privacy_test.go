@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestCorpusScenarioOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := AnalyzeCorpus(ds.Pages, StandardScenarios())
+	rows := AnalyzeCorpus(ds.Pages, StandardScenarios(), 2)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -123,5 +124,71 @@ func TestCorpusScenarioOrdering(t *testing.T) {
 	txt := Report(rows)
 	if !strings.Contains(txt, "Privacy exposure") || !strings.Contains(txt, "DoH") {
 		t.Error("report format")
+	}
+}
+
+// refAnalyze is Analyze as it was before it asked the model which
+// entries coalesce: it counted over the page core.Reconstruct clones.
+func refAnalyze(p *har.Page, cfg ClientConfig) Exposure {
+	page := p
+	if cfg.CoalescingEnabled {
+		page = core.Reconstruct(p, cfg.Coalescing, 0)
+	}
+	var e Exposure
+	dnsSeen, sniSeen := map[string]bool{}, map[string]bool{}
+	for i := range page.Entries {
+		ent := &page.Entries[i]
+		if ent.NewDNS {
+			e.DNSQueries++
+			if !cfg.EncryptedDNS && !dnsSeen[ent.Host] {
+				dnsSeen[ent.Host] = true
+				e.CleartextDNSHosts = append(e.CleartextDNSHosts, ent.Host)
+			}
+		}
+		if ent.NewTLS {
+			e.TLSHandshakes++
+			if !cfg.EncryptedClientHello && !sniSeen[ent.Host] {
+				sniSeen[ent.Host] = true
+				e.CleartextSNIHosts = append(e.CleartextSNIHosts, ent.Host)
+			}
+		}
+	}
+	sort.Strings(e.CleartextDNSHosts)
+	sort.Strings(e.CleartextSNIHosts)
+	return e
+}
+
+// Analyze answers what counting over the reconstructed page answered,
+// for every page and scenario (and every coalescing mode), and the
+// corpus medians do not depend on the worker count.
+func TestAnalyzeMatchesReconstructedPage(t *testing.T) {
+	scenarios := append(StandardScenarios(),
+		Scenario{"ip coalescing", ClientConfig{CoalescingEnabled: true, Coalescing: core.ModeIP}},
+		Scenario{"origin coalescing + ECH", ClientConfig{CoalescingEnabled: true, Coalescing: core.ModeOrigin, EncryptedClientHello: true}})
+	for _, a := range webgen.Archetypes() {
+		cfg := webgen.DefaultConfig()
+		cfg.Sites = 300
+		cfg.Archetype = a
+		ds, err := webgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ds.Pages {
+			for _, sc := range scenarios {
+				got, want := Analyze(p, sc.Cfg), refAnalyze(p, sc.Cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s rank %d, %s:\n got %+v\nwant %+v", a, p.Rank, sc.Name, got, want)
+				}
+				if n := len(want.LeakedHosts()); got.leaked() != n {
+					t.Fatalf("%s rank %d, %s: leaked() = %d, LeakedHosts lists %d", a, p.Rank, sc.Name, got.leaked(), n)
+				}
+			}
+		}
+		want := AnalyzeCorpus(ds.Pages, scenarios, 1)
+		for _, w := range []int{4, 16} {
+			if got := AnalyzeCorpus(ds.Pages, scenarios, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d:\n got %+v\nwant %+v", a, w, got, want)
+			}
+		}
 	}
 }

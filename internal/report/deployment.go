@@ -114,20 +114,6 @@ func (a ActiveCDF) Frac(n int) float64 {
 	return float64(a.Counts[n]) / float64(a.Total)
 }
 
-// CumFrac returns the fraction of sites with ≤ n new connections.
-func (a ActiveCDF) CumFrac(n int) float64 {
-	if a.Total == 0 {
-		return 0
-	}
-	c := 0
-	for v, k := range a.Counts {
-		if v <= n {
-			c += k
-		}
-	}
-	return float64(c) / float64(a.Total)
-}
-
 func activeCDF(xs []int) ActiveCDF {
 	return ActiveCDF{Counts: measure.Histogram(xs), Total: len(xs)}
 }

@@ -11,7 +11,7 @@ import (
 // PrivacyReport runs the §6.2 privacy-exposure comparison over the
 // corpus: baseline vs coalescing vs DoH/ECH vs both.
 func (c *Corpus) PrivacyReport() ([]privacy.CorpusExposure, string) {
-	rows := privacy.AnalyzeCorpus(c.DS.Pages, privacy.StandardScenarios())
+	rows := privacy.AnalyzeCorpus(c.DS.Pages, privacy.StandardScenarios(), c.workers)
 	return rows, privacy.Report(rows)
 }
 

@@ -41,9 +41,9 @@ func TestFunnelCrossChecksFigure3(t *testing.T) {
 		t.Fatalf("pages = %d/%d, want %d", f.Pages, f.SummaryPages, len(ds.Pages))
 	}
 
-	c := NewCorpus(ds)
+	c := NewCorpusWorkers(ds, 0)
 	var dns, tls, ip, origin int
-	for _, pc := range c.Counts() {
+	for _, pc := range c.counts {
 		dns += pc.MeasuredDNS
 		tls += pc.MeasuredTLS
 		ip += pc.IdealIP

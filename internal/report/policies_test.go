@@ -32,8 +32,8 @@ func TestPolicyReplayerReuseMatchesFresh(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s rank %d: reused replayer counted %v, a fresh one %v", a, p.Rank, got, want)
 			}
-			if hosts := p.Hosts(); !reflect.DeepEqual(reused.env.names, hosts) {
-				t.Fatalf("%s rank %d: replayed hosts %v, page lists %v", a, p.Rank, reused.env.names, hosts)
+			if hosts := p.Hosts(); !reflect.DeepEqual(reused.env.Hosts(), hosts) {
+				t.Fatalf("%s rank %d: replayed hosts %v, page lists %v", a, p.Rank, reused.env.Hosts(), hosts)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ func testCorpus(t *testing.T, sites int) *Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCorpus(ds)
+	return NewCorpusWorkers(ds, 0)
 }
 
 func TestTable1(t *testing.T) {

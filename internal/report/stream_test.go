@@ -36,9 +36,7 @@ func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The baseline rebuilds the ASDB from pages exactly as the reader
-	// path does, isolating the serialization under test.
-	base := NewCorpusWorkers(&webgen.Dataset{Pages: ds.Pages, Failures: ds.Failures, ASDB: webgen.RebuildASDB(ds.Pages)}, 2)
+	base := NewCorpusWorkers(ds, 2)
 	_, wantT1 := base.Table1(5)
 	_, wantT2 := base.Table2(10)
 	_, wantHL := base.Headline()

@@ -16,8 +16,8 @@ import (
 	"strings"
 	"sync"
 
-	"respectorigin/internal/asn"
 	"respectorigin/internal/core"
+	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/parallel"
@@ -36,9 +36,6 @@ type Corpus struct {
 	summary     core.CertPlanSummary
 }
 
-// NewCorpus builds a Corpus with the default worker count (GOMAXPROCS).
-func NewCorpus(ds *webgen.Dataset) *Corpus { return NewCorpusWorkers(ds, 0) }
-
 // NewCorpusWorkers builds a Corpus whose per-page passes — the memoized
 // §4.2 counts and §4.3 cert plans computed here, and every later
 // table/figure pass — fan out across workers goroutines (≤ 0 selects
@@ -56,17 +53,32 @@ func NewCorpusWorkers(ds *webgen.Dataset, workers int) *Corpus {
 	return c
 }
 
+// NewCorpusFromReader drains a corpus reader — a single file opened
+// with corpus.Open, or shard files chained by corpus.OpenManifest —
+// into an analysis Corpus. Pages carry everything the report reads, so
+// a merged multi-shard corpus produces tables byte-identical to a
+// single-process run. The reader is drained but not closed; failures
+// is the crawl's failed-attempt count (0 when unknown).
+func NewCorpusFromReader(r corpus.Reader, failures, workers int) (*Corpus, error) {
+	pages, err := corpus.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return NewCorpusWorkers(&webgen.Dataset{Pages: pages, Failures: failures}, workers), nil
+}
+
 // newTimeline is the per-worker scratch of the passes that run the §4
 // model over every page.
 func newTimeline() *core.Timeline { return new(core.Timeline) }
 
-// Counts returns the memoized per-page §4.2 counts.
-func (c *Corpus) Counts() []core.PageCounts { return c.counts }
-
-// Plans returns the memoized per-page §4.3 certificate plans.
-func (c *Corpus) Plans() []core.CertPlan { return c.plans }
-
-func (c *Corpus) orgOf(a uint32) string { return c.DS.ASDB.Org(asn.ASN(a)) }
+// orgOf names an AS: from the corpus's own database when it came with
+// one (a HAR import), as the generated universe names it otherwise.
+func (c *Corpus) orgOf(asn uint32) string {
+	if c.DS.ASDB != nil {
+		return c.DS.ASDB.Org(asn)
+	}
+	return webgen.OrgOf(asn)
+}
 
 // mapPages runs a per-page corpus pass as a parallel map-reduce.
 func mapPages[A any](c *Corpus, newAcc func() A, fold func(A, *har.Page) A, merge func(A, A) A) A {

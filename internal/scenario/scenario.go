@@ -3,9 +3,11 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
@@ -201,39 +203,34 @@ func replayVia(pages []*har.Page, persona Persona, key cache.DNSTransport) total
 		browser.WithDNSTransport(key),
 		browser.WithCache(cc),
 	)
+	var env core.PageEnv
 	for _, p := range pages {
-		env := newPageEnv(p)
+		env.LoadFirstParty(p)
 		b.Reset()
 		t.Pages++
 
-		if persona.PreconnectN > 0 {
-			seen := map[string]bool{}
-			opened := 0
-			for i := range p.Entries {
-				if opened >= persona.PreconnectN {
-					break
-				}
-				h := p.Entries[i].Host
-				if seen[h] {
-					continue
-				}
-				seen[h] = true
-				if b.Preconnect(env, h) {
-					opened++
-				}
+		opened := 0
+		for _, h := range env.Hosts() {
+			if opened >= persona.PreconnectN {
+				break
+			}
+			if b.Preconnect(&env, h) {
+				opened++
 			}
 		}
 
 		for i := range p.Entries {
 			en := &p.Entries[i]
-			if env.answerChanged(en) {
-				// A recorded re-resolution (CDN migration): the
-				// environment re-homes the host and the client's cached
-				// answer is superseded the way a TTL expiry would.
-				env.migrate(en.Host, en.DNSAnswer)
-				cc.PutDNSVia(key, en.Host, en.DNSAnswer, cc.DefaultTTL())
+			if en.NewDNS && len(en.DNSAnswer) > 0 {
+				if cur, _ := env.Lookup(en.Host); !slices.Equal(cur, en.DNSAnswer) {
+					// A recorded re-resolution (CDN migration): the
+					// environment re-homes the host and the client's cached
+					// answer is superseded the way a TTL expiry would.
+					env.Rehome(en.Host, en.DNSAnswer)
+					cc.PutDNSVia(key, en.Host, en.DNSAnswer, cc.DefaultTTL())
+				}
 			}
-			out := b.Request(env, en.Host)
+			out := b.Request(&env, en.Host)
 			t.Requests++
 			if out.Coalesced() {
 				t.Coalesced++

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"respectorigin/internal/asn"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/parallel"
@@ -65,11 +64,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Dataset is a generated corpus.
+// Dataset is a corpus of page loads.
 type Dataset struct {
 	Pages    []*har.Page // successful page loads, rank order
 	Failures int         // attempts that failed (non-200, CAPTCHA)
-	ASDB     *asn.DB     // IP→ASN database covering every generated IP
+	// ASDB names the ASes of a corpus imported with its own prefix file
+	// (report -har -asn sets an *asn.DB). It is nil for generated
+	// corpora, whose AS names are OrgOf.
+	ASDB interface{ Org(asn uint32) string }
 }
 
 // Generate builds a corpus in memory across cfg.Workers goroutines.
@@ -85,7 +87,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	ds.Failures = res.Failures
-	ds.ASDB = res.ASDB
 	return ds, nil
 }
 
@@ -93,7 +94,6 @@ func Generate(cfg Config) (*Dataset, error) {
 type StreamResult struct {
 	Pages    int // successful page loads emitted
 	Failures int // attempts that failed (non-200, CAPTCHA)
-	ASDB     *asn.DB
 }
 
 // GenerateStream builds a corpus across cfg.Workers goroutines and
@@ -101,12 +101,11 @@ type StreamResult struct {
 // complete, without buffering the whole corpus in memory. emit runs on
 // the calling goroutine; returning an error aborts generation.
 //
-// Ranks are split into contiguous shards. Each shard generates with a
-// private tail-AS registry and shard-local ASN database; shard
-// databases merge into the returned ASDB in shard order, so both the
-// page stream and the database are byte-identical for every worker
-// count. In-flight shards are bounded, so a slow writer cannot make
-// memory grow with corpus size.
+// Ranks are split into contiguous shards, each with a private
+// generator; every page is a pure function of (Seed, rank, Sites), so
+// the page stream is byte-identical for every worker count. In-flight
+// shards are bounded, so a slow writer cannot make memory grow with
+// corpus size.
 func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("webgen: Sites must be positive")
@@ -130,14 +129,10 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 	nranks := rankHi - rankLo
 	if nranks == 0 {
 		// Empty shard (e.g. more shards than sites): a legal no-op run.
-		db := asn.NewDB()
-		registerProviders(db)
-		return &StreamResult{ASDB: db}, nil
+		return &StreamResult{}, nil
 	}
 	workers := parallel.Normalize(cfg.Workers)
-	db := asn.NewDB()
-	registerProviders(db)
-	res := &StreamResult{ASDB: db}
+	res := &StreamResult{}
 
 	emitShard := func(sh shardResult) error {
 		for _, p := range sh.pages {
@@ -147,7 +142,7 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		}
 		res.Pages += len(sh.pages)
 		res.Failures += sh.failures
-		return db.Merge(sh.db)
+		return nil
 	}
 
 	if workers == 1 {
@@ -215,7 +210,6 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 type shardResult struct {
 	pages    []*har.Page // successful loads, rank order
 	failures int
-	db       *asn.DB // shard-local tail-AS registrations
 }
 
 // genShard generates ranks [lo, hi) with a private generator.
@@ -231,8 +225,6 @@ func genShard(cfg Config, lo, hi int) shardResult {
 		}
 		sh.pages = append(sh.pages, g.genPage(rank))
 	}
-	sh.db = asn.NewDB()
-	g.tails.register(sh.db)
 	return sh
 }
 
@@ -245,10 +237,9 @@ const maxWave = 14
 // keeps — its entries, one string holding all of its text, one slice of
 // addresses and one of SAN strings.
 type generator struct {
-	cfg   Config
-	rng   *rand.Rand      // page stream, reseeded per rank
-	net   *netsim.Network // per-page latency model, reseeded in genPage
-	tails *tailRegistry
+	cfg Config
+	rng *rand.Rand      // page stream, reseeded per rank
+	net *netsim.Network // per-page latency model, reseeded in genPage
 
 	text  []byte       // every string of the page under construction
 	addrs []netip.Addr // every DNS answer set
@@ -271,10 +262,9 @@ type generator struct {
 
 func newGenerator(cfg Config) *generator {
 	return &generator{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(0)),
-		net:   netsim.New(cfg.Net, 0),
-		tails: newTailRegistry(),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(0)),
+		net: netsim.New(cfg.Net, 0),
 	}
 }
 
@@ -317,12 +307,6 @@ func (g *generator) literal(s string) span {
 	return g.since(off)
 }
 
-func registerProviders(db *asn.DB) {
-	for _, p := range Providers {
-		db.Add(providerPrefixes[p.Name], asn.ASN(p.ASN), p.Name)
-	}
-}
-
 // tailASSpace is the number of distinct long-tail ASes the generator
 // draws from (the paper saw 13,316 distinct ASes; /16-per-AS addressing
 // bounds us to 8,000 — wide enough that intra-page collisions vanish).
@@ -334,51 +318,27 @@ func tailPrefix(i int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(160 + i/250), byte(i % 250), 0, 0}), 16)
 }
 
-// tailAS allocates and returns a long-tail AS for index i via the
-// shard's registry; the ASN database is untouched until shard end.
-func (g *generator) tailAS(i int) uint32 { return g.tails.use(i) }
+// tailAS returns the AS number of long-tail AS i.
+func tailAS(i int) uint32 { return uint32(TailASNBase + i) }
 
-// tailRegistry tracks the long-tail ASes one generator shard has
-// allocated. It replaces the old pattern of probing the shared ASN
-// database (db.Org(...) == "") and mutating it mid-generation — a data
-// race the moment two goroutines generate pages, and a latent
-// re-registration of the same /16 prefix — with an explicit merge-safe
-// set that registers everything at shard end in sorted order.
-type tailRegistry struct {
-	used [tailASSpace]bool
-}
-
-func newTailRegistry() *tailRegistry { return &tailRegistry{} }
-
-// use marks tail index i as allocated and returns its AS number.
-func (t *tailRegistry) use(i int) uint32 {
-	t.used[i] = true
-	return uint32(TailASNBase + i)
-}
-
-// merge folds another registry's allocations in; the union is
-// order-independent.
-func (t *tailRegistry) merge(o *tailRegistry) {
-	for i, u := range o.used {
-		if u {
-			t.used[i] = true
+// OrgOf returns the organization name of an AS of the generated
+// universe. The name is a function of the number alone — a provider's
+// name, "Tail-AS-<i>" for long-tail AS i, "AS-<n>" for any other — so a
+// corpus needs no database beside its pages: every entry carries its
+// ServerASN. AS 0 (no origin AS known) has no name.
+func OrgOf(asn uint32) string {
+	for i := range Providers {
+		if Providers[i].ASN == asn {
+			return Providers[i].Name
 		}
 	}
-}
-
-// register writes the allocated tail ASes into db in ascending index
-// order, so the resulting database is independent of allocation order.
-func (t *tailRegistry) register(db *asn.DB) {
-	for i, u := range t.used {
-		if u {
-			db.Add(tailPrefix(i), asn.ASN(TailASNBase+i), tailASName(i))
-		}
+	switch {
+	case asn == 0:
+		return ""
+	case asn >= TailASNBase:
+		return "Tail-AS-" + strconv.Itoa(int(asn-TailASNBase))
 	}
-}
-
-func tailASName(i int) string {
-	var buf [24]byte
-	return string(strconv.AppendInt(append(buf[:0], "Tail-AS-"...), int64(i), 10))
+	return "AS-" + strconv.Itoa(int(asn))
 }
 
 // hostAddr deterministically assigns host IPs inside a provider prefix.
@@ -414,7 +374,7 @@ func (g *generator) siteProvider() (prov *Provider, asnum uint32, prefix netip.P
 // tailProvider draws a long-tail AS to host on.
 func (g *generator) tailProvider() (prov *Provider, asnum uint32, prefix netip.Prefix) {
 	i := g.rng.Intn(tailASSpace)
-	return nil, g.tailAS(i), tailPrefix(i)
+	return nil, tailAS(i), tailPrefix(i)
 }
 
 // reqCount samples per-page request totals: lognormal with median 81,
@@ -639,7 +599,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		}
 		for i := 0; i < nTail; i++ {
 			idx := rng.Intn(tailASSpace)
-			as := g.tailAS(idx)
+			as := tailAS(idx)
 			off := g.begin()
 			g.str("t")
 			g.num(i)
@@ -654,7 +614,7 @@ func (g *generator) genPage(rank int) *har.Page {
 	// --- Distribute the request budget across hosts ---
 	remaining := total - len(hosts) // every host gets ≥1 request
 	if remaining < 0 {
-		hosts = hosts[:maxInt(1, total)]
+		hosts = hosts[:max(1, total)]
 		remaining = 0
 	}
 	// Root and shards absorb most requests (first-party content);
@@ -754,7 +714,7 @@ func (g *generator) genPage(rank int) *har.Page {
 	if g.cfg.Archetype == ArchetypeMigration {
 		migWave = 5 + rng.Intn(4)
 		mi := rng.Intn(tailASSpace)
-		migASN = g.tailAS(mi)
+		migASN = tailAS(mi)
 		pfx := tailPrefix(mi)
 		for hi := 0; hi <= nShards && hi < len(hosts); hi++ {
 			if hi > 0 && g.addrs[hosts[hi].addrs.off] == g.addrs[hosts[0].addrs.off] {
@@ -1096,43 +1056,4 @@ func hash32(s []byte) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// RebuildASDB reconstructs an IP→ASN database from a page corpus that
-// was loaded from disk (cmd/crawl output): provider prefixes come from
-// the universe table, and any other AS observed in the corpus is
-// registered with its generated organization name. This makes a
-// deserialized corpus fully usable by the report layer.
-func RebuildASDB(pages []*har.Page) *asn.DB {
-	db := asn.NewDB()
-	registerProviders(db)
-	seen := map[uint32]bool{}
-	for _, page := range pages {
-		for i := range page.Entries {
-			e := &page.Entries[i]
-			as := e.ServerASN
-			if as == 0 || seen[as] {
-				continue
-			}
-			seen[as] = true
-			if _, ok := db.Lookup(e.ServerIP); ok {
-				continue
-			}
-			if as >= TailASNBase {
-				idx := int(as - TailASNBase)
-				db.Add(tailPrefix(idx), asn.ASN(as), tailASName(idx))
-			} else {
-				// Unknown AS: register the /16 around the observed IP.
-				db.Add(netip.PrefixFrom(e.ServerIP, 16).Masked(), asn.ASN(as), fmt.Sprintf("AS-%d", as))
-			}
-		}
-	}
-	return db
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"respectorigin/internal/asn"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
@@ -53,8 +52,7 @@ func ndjsonBytes(t *testing.T, ds *Dataset) []byte {
 }
 
 // The sharded engine's core guarantee: any worker count produces output
-// byte-identical to the sequential path — pages, failures, and the
-// merged ASN database alike.
+// byte-identical to the sequential path — pages and failures alike.
 func TestGenerateWorkersByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sites = 400
@@ -64,7 +62,6 @@ func TestGenerateWorkersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqJSON := ndjsonBytes(t, seq)
-	seqEntries := seq.ASDB.Entries()
 
 	for _, w := range []int{4, 16} {
 		cfg.Workers = w
@@ -77,16 +74,6 @@ func TestGenerateWorkersByteIdentical(t *testing.T) {
 		}
 		if par.Failures != seq.Failures {
 			t.Fatalf("Workers=%d: failures %d vs %d", w, par.Failures, seq.Failures)
-		}
-		parEntries := par.ASDB.Entries()
-		if len(parEntries) != len(seqEntries) {
-			t.Fatalf("Workers=%d: ASDB size %d vs %d", w, len(parEntries), len(seqEntries))
-		}
-		for i := range parEntries {
-			if parEntries[i] != seqEntries[i] {
-				t.Fatalf("Workers=%d: ASDB entry %d differs: %+v vs %+v",
-					w, i, parEntries[i], seqEntries[i])
-			}
 		}
 	}
 }
@@ -155,29 +142,6 @@ func TestGenerateStreamTinyShardsDoNotDeadlock(t *testing.T) {
 		cfg.Seed = seed
 		if _, err := GenerateStream(cfg, func(*har.Page) error { return nil }); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func TestTailRegistryMergeAndRegister(t *testing.T) {
-	a, b := newTailRegistry(), newTailRegistry()
-	a.use(5)
-	a.use(1)
-	b.use(5) // duplicate across shards: registers once
-	b.use(9)
-	a.merge(b)
-	db := asn.NewDB()
-	a.register(db)
-	if db.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", db.Len())
-	}
-	for _, i := range []int{1, 5, 9} {
-		as := asn.ASN(TailASNBase + i)
-		if db.Org(as) == "" {
-			t.Errorf("tail AS %d not registered", i)
-		}
-		if got := db.LookupASN(tailPrefix(i).Addr()); got != as {
-			t.Errorf("tail prefix %d -> AS%d, want AS%d", i, got, as)
 		}
 	}
 }
@@ -253,7 +217,7 @@ func TestASConcentration(t *testing.T) {
 	c := measure.NewCounter()
 	for _, p := range ds.Pages {
 		for _, e := range p.Entries {
-			c.Add(ds.ASDB.Org(asn.ASN(e.ServerASN)), 1)
+			c.Add(OrgOf(e.ServerASN), 1)
 		}
 	}
 	top := c.Top(10)
@@ -275,7 +239,11 @@ func TestUniqueASesPerPage(t *testing.T) {
 	var asns []int
 	single := 0
 	for _, p := range ds.Pages {
-		n := len(p.UniqueASNs())
+		seen := map[uint32]bool{}
+		for i := range p.Entries {
+			seen[p.Entries[i].ServerASN] = true
+		}
+		n := len(seen)
 		asns = append(asns, n)
 		if n == 1 {
 			single++
@@ -376,48 +344,15 @@ func TestPopularHostsAppear(t *testing.T) {
 	}
 }
 
-func TestASDBCoversAllIPs(t *testing.T) {
-	ds := genSmall(t, 300)
-	for _, p := range ds.Pages {
-		for _, e := range p.Entries {
-			got := ds.ASDB.LookupASN(e.ServerIP)
-			if uint32(got) != e.ServerASN {
-				t.Fatalf("IP %v: DB says AS%d, entry says AS%d (%s)", e.ServerIP, got, e.ServerASN, e.Host)
-			}
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := Generate(Config{Sites: 0}); err == nil {
 		t.Error("zero sites accepted")
 	}
 }
 
-func TestRebuildASDBRoundTrip(t *testing.T) {
-	ds := genSmall(t, 200)
-	pages, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(ndjsonBytes(t, ds)), corpus.FormatNDJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := RebuildASDB(pages)
-	for _, p := range pages {
-		for i := range p.Entries {
-			e := &p.Entries[i]
-			if got := uint32(db.LookupASN(e.ServerIP)); got != e.ServerASN {
-				t.Fatalf("rebuilt DB: IP %v -> AS%d, want AS%d (%s)", e.ServerIP, got, e.ServerASN, e.Host)
-			}
-		}
-	}
-	// Provider org names survive the rebuild.
-	if db.Org(13335) != "Cloudflare" {
-		t.Error("provider org lost")
-	}
-}
-
 // Rank-range runs are the multi-process sharding primitive: generating
 // [1,N+1) in one run must equal concatenating independent sub-range
-// runs byte for byte, with the same failures and merged ASN database.
+// runs byte for byte, with the same failures.
 func TestGenerateStreamRankRangeByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sites = 301 // deliberately not divisible by the shard count
@@ -429,7 +364,6 @@ func TestGenerateStreamRankRangeByteIdentical(t *testing.T) {
 
 	var buf bytes.Buffer
 	var failures int
-	merged := asn.NewDB()
 	bounds := []int{1, 101, 202, cfg.Sites + 1}
 	for i := 0; i+1 < len(bounds); i++ {
 		shCfg := cfg
@@ -441,24 +375,12 @@ func TestGenerateStreamRankRangeByteIdentical(t *testing.T) {
 			t.Fatalf("shard [%d,%d): %v", bounds[i], bounds[i+1], err)
 		}
 		failures += res.Failures
-		if err := merged.Merge(res.ASDB); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if !bytes.Equal(buf.Bytes(), fullJSON) {
 		t.Fatal("concatenated rank-range runs differ from the full run")
 	}
 	if failures != full.Failures {
 		t.Fatalf("sharded failures %d, full run %d", failures, full.Failures)
-	}
-	fe, me := full.ASDB.Entries(), merged.Entries()
-	if len(fe) != len(me) {
-		t.Fatalf("merged ASDB has %d entries, full run %d", len(me), len(fe))
-	}
-	for i := range fe {
-		if fe[i] != me[i] {
-			t.Fatalf("ASDB entry %d differs: %+v vs %+v", i, me[i], fe[i])
-		}
 	}
 }
 
@@ -471,10 +393,10 @@ func TestGenerateStreamRankRangeValidation(t *testing.T) {
 			t.Fatalf("rank range [%d,%d) accepted", tc[0], tc[1])
 		}
 	}
-	// Empty range is legal: zero pages, providers still registered.
+	// Empty range is legal: zero pages.
 	cfg.RankLo, cfg.RankHi = 4, 4
 	res, err := GenerateStream(cfg, func(*har.Page) error { t.Fatal("emit on empty range"); return nil })
-	if err != nil || res.Pages != 0 || res.ASDB == nil {
+	if err != nil || res.Pages != 0 {
 		t.Fatalf("empty range: %+v, %v", res, err)
 	}
 }
@@ -482,11 +404,11 @@ func TestGenerateStreamRankRangeValidation(t *testing.T) {
 // TestGenerateAllocBudget holds the generator to its per-page budget: a
 // page is its struct, its entries and three pieces of shared storage
 // (text, addresses, SANs); everything else is generator scratch reused
-// across a shard, plus the shard's ASN registrations. Measured 14–16 per
-// page at workers 1 and 24–27 at workers 4 (more, smaller shards); one
-// fmt.Sprintf per entry URL alone adds ≈ 340.
+// across a shard. Measured 5.2 per page at workers 1 and 10.7 at workers
+// 4 (more, smaller shards); a per-shard ASN trie adds ≈ 10–15, one
+// fmt.Sprintf per entry URL alone ≈ 340.
 func TestGenerateAllocBudget(t *testing.T) {
-	const perPageBudget = 40
+	const perPageBudget = 16
 	for _, a := range Archetypes() {
 		for _, workers := range []int{1, 4} {
 			cfg := DefaultConfig()
