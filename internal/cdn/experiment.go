@@ -8,6 +8,7 @@ import (
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/faults"
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/obs"
 )
@@ -97,7 +98,7 @@ type Experiment struct {
 // SetupExperiment creates the sample zones on the CDN, assigns
 // treatments randomly, and reissues their certificates (Figure 6).
 func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
-	e := &Experiment{CDN: c, Cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), env: c}
+	e := &Experiment{CDN: c, Cfg: cfg, rng: lazyrand.New(cfg.Seed), env: c}
 	retries, backoffMs := 0, 0.0
 	if !cfg.Faults.Zero() {
 		seed := cfg.FaultSeed

@@ -3,6 +3,8 @@ package cdn
 import (
 	"math/rand"
 	"sync"
+
+	"respectorigin/internal/lazyrand"
 )
 
 // LogRecord is one sampled request log line, carrying exactly the
@@ -46,7 +48,7 @@ type LogPipeline struct {
 
 // NewLogPipeline creates a pipeline with the given sampling rate.
 func NewLogPipeline(rate float64, seed int64) *LogPipeline {
-	return &LogPipeline{rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &LogPipeline{rate: rate, rng: lazyrand.New(seed)}
 }
 
 // Observe ingests one request, sampling it with the configured rate.

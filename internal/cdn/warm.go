@@ -1,12 +1,12 @@
 package cdn
 
 import (
-	"math/rand"
 	"net/netip"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
 	"respectorigin/internal/core"
+	"respectorigin/internal/lazyrand"
 )
 
 // WarmColdProto measures the marginal cost of returning visitors under
@@ -40,7 +40,7 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 		if z.Churned {
 			continue
 		}
-		zrng := rand.New(rand.NewSource(e.Cfg.Seed ^ (int64(zi)+1)*0x9e3779b9))
+		zrng := lazyrand.New(e.Cfg.Seed ^ (int64(zi)+1)*0x9e3779b9)
 		anon := make([]bool, z.ThirdPartyPools)
 		for p := range anon {
 			if p == 0 {

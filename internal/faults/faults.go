@@ -27,6 +27,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"respectorigin/internal/lazyrand"
 )
 
 // Kind identifies one injectable fault class.
@@ -248,7 +250,7 @@ type Injector struct {
 // NewInjector returns an injector for the plan. A zero plan yields an
 // inert injector that never draws from its RNG.
 func NewInjector(p Plan, seed int64) *Injector {
-	return &Injector{plan: p, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{plan: p, rng: lazyrand.New(seed)}
 }
 
 // Plan returns the injector's fault plan.

@@ -284,10 +284,16 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	fields = append(fields, hpack.HeaderField{Name: ":path", Value: req.Path})
 	fields = append(fields, req.Header...)
 
+	// Hold the header-writer lock from the moment the stream ID is
+	// taken until its HEADERS(+CONTINUATION) sequence is written, so
+	// HPACK state stays consistent and IDs reach the peer in increasing
+	// order (RFC 9113 §5.1.1) however concurrent requests interleave.
+	cc.hwmu.Lock()
 	cc.mu.Lock()
 	if cc.closed {
 		err := cc.connErr
 		cc.mu.Unlock()
+		cc.hwmu.Unlock()
 		if err == nil {
 			err = errors.New("h2: client connection closed")
 		}
@@ -303,10 +309,6 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindStreamOpen, Host: req.Authority, N: int(id)})
 
 	endStream := len(req.Body) == 0
-
-	// Hold the header-writer lock across the HEADERS(+CONTINUATION)
-	// sequence so HPACK state and stream-ID ordering stay consistent.
-	cc.hwmu.Lock()
 	err := cc.hw.writeHeaders(id, fields, endStream)
 	cc.hwmu.Unlock()
 	if err != nil {

@@ -19,23 +19,23 @@
 // (Config, Seed), byte-identical for any worker count. The run is three
 // phases — (1) arrival times are drawn sequentially from one seeded
 // stream; (2) each user's visits are simulated in parallel, every user
-// a pure function of its splitmix-derived seed (own RNG, own browser,
-// own cache, own netsim stream, no shared recorder); (3) a sequential
-// queueing pass replays all visits in arrival order through per-PoP
-// server pools on the virtual clock, and only this phase touches the
-// observability recorder and the float accumulators whose addition
-// order matters.
+// a pure function of its splitmix-derived seeds (own browser, own cache,
+// the worker's two random streams reseeded for it, no shared recorder);
+// (3) a sequential queueing pass replays all visits in arrival order
+// through per-PoP server pools on the virtual clock, and only this phase
+// touches the observability recorder and the float accumulators whose
+// addition order matters.
 package loadgen
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"net/netip"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
 	"respectorigin/internal/cdn"
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
 	"respectorigin/internal/parallel"
@@ -259,7 +259,7 @@ func (c Config) peakRate() float64 {
 // and rejected candidate consumes draws in schedule order and the
 // schedule is independent of everything downstream.
 func (c Config) arrivalTimes() []float64 {
-	rs := rand.New(rand.NewSource(mix(c.Seed, 0)))
+	rs := lazyrand.New(mix(c.Seed, 0))
 	peak := c.peakRate()
 	times := make([]float64, 0, c.Users)
 	t := 0.0
@@ -325,9 +325,9 @@ func Run(cfg Config) (Result, error) {
 	// index, and each user reads only its own seeded state plus the
 	// shared read-only CDN, so scheduling cannot reorder anything.
 	env := buildCDN(cfg)
-	perUser := parallel.Map(cfg.Users, cfg.Workers, func(i int) []visit {
-		return simulateUser(cfg, env, i, arrivals[i])
-	})
+	perUser := parallel.MapWith(cfg.Users, cfg.Workers,
+		func() *userScratch { return newUserScratch(cfg) },
+		func(sc *userScratch, i int) []visit { return simulateUser(cfg, env, sc, i, arrivals[i]) })
 
 	// Phase 3: sequential queueing pass over all visits in arrival
 	// order — the only phase that owns the recorder and the order-

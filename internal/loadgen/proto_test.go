@@ -46,9 +46,10 @@ func TestProtoToggleLeavesUnrelatedStreamsFixed(t *testing.T) {
 		cfg = cfg.withDefaults()
 		arrivals := cfg.arrivalTimes()
 		env := buildCDN(cfg)
+		sc := newUserScratch(cfg)
 		var out []visit
 		for i := 0; i < cfg.Users; i++ {
-			out = append(out, simulateUser(cfg, env, i, arrivals[i])...)
+			out = append(out, simulateUser(cfg, env, sc, i, arrivals[i])...)
 		}
 		return out
 	}

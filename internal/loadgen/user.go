@@ -7,6 +7,7 @@ import (
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
 	"respectorigin/internal/cdn"
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/quic"
 )
@@ -74,14 +75,29 @@ func drawVisits(cfg Config, rs *rand.Rand) int {
 	return n
 }
 
+// userScratch is the random state one worker lends to each user in
+// turn: the user's own stream and its netsim stream, both reseeded from
+// the user's splitmix seeds before anything is drawn, so a user never
+// sees what the previous one left.
+type userScratch struct {
+	rs  *rand.Rand
+	net *netsim.Network
+}
+
+func newUserScratch(cfg Config) *userScratch {
+	return &userScratch{rs: lazyrand.New(0), net: netsim.New(cfg.Net, 0)}
+}
+
 // simulateUser runs one user's whole browsing history: a pure function
 // of (cfg, uid, arrivalMs) plus the shared read-only environment. The
-// user owns every piece of mutable state it touches — RNG, browser
-// pool, warm-path cache, and netsim stream — so users simulate in
-// parallel without ordering effects.
-func simulateUser(cfg Config, env *cdn.CDN, uid int, arrivalMs float64) []visit {
-	rs := rand.New(rand.NewSource(mix(cfg.Seed, uint64(uid)*2+1)))
-	net := netsim.New(cfg.Net, mix(cfg.Seed, uint64(uid)*2+2))
+// user owns every piece of mutable state it touches — both streams of
+// the worker's scratch for as long as it runs, its browser pool and its
+// warm-path cache — so users simulate in parallel without ordering
+// effects.
+func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs float64) []visit {
+	rs, net := sc.rs, sc.net
+	rs.Seed(mix(cfg.Seed, uint64(uid)*2+1))
+	net.Reseed(mix(cfg.Seed, uint64(uid)*2+2))
 	prof := drawProfile(cfg, rs, uid)
 
 	var b *browser.Browser
@@ -99,12 +115,15 @@ func simulateUser(cfg Config, env *cdn.CDN, uid int, arrivalMs float64) []visit 
 		if seq > 0 {
 			gapMs := rs.ExpFloat64() * cfg.RevisitMeanSec * 1000
 			now += gapMs
-			cc.Clock().AdvanceMs(int64(gapMs))
-			if b != nil && gapMs >= cfg.IdleTimeoutSec*1000 {
-				// The server's idle timeout closed every pooled
-				// connection while the user was away.
-				for _, host := range pooledHosts(b) {
-					v.Churned += b.DropConns(host)
+			if b != nil {
+				// Legacy users carry no cache and no pool: nothing ages.
+				cc.Clock().AdvanceMs(int64(gapMs))
+				if gapMs >= cfg.IdleTimeoutSec*1000 {
+					// The server's idle timeout closed every pooled
+					// connection while the user was away.
+					for _, host := range pooledHosts(b) {
+						v.Churned += b.DropConns(host)
+					}
 				}
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/obs"
 )
 
@@ -209,7 +210,7 @@ func (n *Network) SetRecorder(rec obs.Recorder) {
 // any parameters for compatibility (BandwidthKBps <= 0 means "transfer
 // model off"); callers building named profiles should prefer NewChecked.
 func New(p Params, seed int64) *Network {
-	return &Network{P: p, rng: rand.New(rand.NewSource(seed))}
+	return &Network{P: p, rng: lazyrand.New(seed)}
 }
 
 // Reseed restarts the random stream at seed: the network then draws

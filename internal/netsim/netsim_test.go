@@ -27,6 +27,36 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Reseed's doc says the network then draws what New(n.P, seed) would.
+// webgen reseeds one network per page and loadgen one per user, after
+// whatever the previous owner drew: a few numbers (the source is still
+// computing state words on demand), a few hundred (it has just filled
+// the rest) or thousands.
+func TestReseedMatchesNew(t *testing.T) {
+	p := DefaultParams()
+	for _, used := range []int{0, 1, 10, 272, 273, 274, 607, 2000} {
+		reused := New(p, 7)
+		for i := 0; i < used; i++ {
+			reused.Float64()
+		}
+		for _, seed := range []int64{0, 42, -1 << 40} {
+			reused.Reseed(seed)
+			fresh := New(p, seed)
+			for i := 0; i < 700; i++ {
+				if got, want := reused.DNSTime(), fresh.DNSTime(); got != want {
+					t.Fatalf("after %d draws, Reseed(%d): draw %d DNSTime = %v, New draws %v", used, seed, 3*i, got, want)
+				}
+				if got, want := reused.TransferTime(4096), fresh.TransferTime(4096); got != want {
+					t.Fatalf("after %d draws, Reseed(%d): draw %d TransferTime = %v, New draws %v", used, seed, 3*i+1, got, want)
+				}
+				if got, want := reused.Intn(1000), fresh.Intn(1000); got != want {
+					t.Fatalf("after %d draws, Reseed(%d): draw %d Intn = %v, New draws %v", used, seed, 3*i+2, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPhaseBounds(t *testing.T) {
 	p := DefaultParams()
 	n := New(p, 1)

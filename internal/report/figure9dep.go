@@ -3,11 +3,11 @@ package report
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/faults"
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/netsim"
 )
@@ -32,7 +32,7 @@ func (d *Deployment) Figure9Deployment(seed int64) (Figure9DeploymentData, strin
 	d.CDN.EnterPhaseOrigin(isolatedAddr)
 	defer d.CDN.ExitExperiment()
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	params := netsim.DefaultParams()
 	if inj := d.Exp.Injector(); inj.Enabled() {
 		// Degraded networks stretch every setup phase on the critical

@@ -16,7 +16,7 @@ func TestAllocateInsertionOrderInvariant(t *testing.T) {
 	}
 	adds := []add{
 		{1, 0, 16}, {3, 0, 16}, {5, 0, 16}, // equal-weight siblings
-		{7, 1, 32}, {9, 1, 32},             // equal-weight subtree
+		{7, 1, 32}, {9, 1, 32}, // equal-weight subtree
 		{11, 3, 8},
 	}
 	build := func(order []int) map[uint32]float64 {

@@ -2,9 +2,10 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
+
+	"respectorigin/internal/lazyrand"
 )
 
 // Resource is one response body to deliver to the client.
@@ -140,7 +141,7 @@ func DeliverParallel(resources []Resource, p ParallelParams) []Delivery {
 	if p.SlowStartPenalty < 1 {
 		p.SlowStartPenalty = 1
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := lazyrand.New(p.Seed)
 	queues := make([][]Resource, p.Connections)
 	// Requests are issued in priority order, but hostname sharding
 	// scatters them across connections.

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"respectorigin/internal/har"
+	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/parallel"
 )
@@ -263,7 +264,7 @@ type generator struct {
 func newGenerator(cfg Config) *generator {
 	return &generator{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(0)),
+		rng: lazyrand.New(0),
 		net: netsim.New(cfg.Net, 0),
 	}
 }
