@@ -1,4 +1,4 @@
-// Package respectorigin holds the eight ablation benchmarks of DESIGN.md
+// Package respectorigin holds the seven ablation benchmarks of DESIGN.md
 // §6 (run with `go test -bench=. -benchmem .`): a design choice run both
 // ways on one fixed workload, its headline quantity — connections per
 // page, chain bytes, inversions — reported through b.ReportMetric. They
@@ -8,9 +8,7 @@
 package respectorigin
 
 import (
-	"bytes"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -18,8 +16,6 @@ import (
 	"respectorigin/internal/browser"
 	"respectorigin/internal/certs"
 	"respectorigin/internal/dns"
-	"respectorigin/internal/h1"
-	"respectorigin/internal/h2"
 	"respectorigin/internal/hpack"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/privacy"
@@ -199,68 +195,7 @@ func BenchmarkAblationSANSize(b *testing.B) {
 	}
 }
 
-// --- Ablation 6: HTTP/1.1 serial vs HTTP/2 multiplexed (§2 background) ---
-
-func BenchmarkAblationH1VsH2(b *testing.B) {
-	const requests = 20
-	payload := bytes.Repeat([]byte{'r'}, 4096)
-
-	b.Run("h1-serial", func(b *testing.B) {
-		srv := &h1.Server{Handler: h1.HandlerFunc(func(w *h1.ResponseWriter, r *h1.Request) {
-			w.Write(payload)
-		})}
-		cn, sn := net.Pipe()
-		go srv.ServeConn(sn)
-		client := h1.NewClient(cn)
-		defer client.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < requests; r++ {
-				if _, err := client.Get("bench.example", "/r"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(requests), "requests-serialized")
-	})
-
-	b.Run("h2-multiplexed", func(b *testing.B) {
-		srv := &h2.Server{Handler: h2.HandlerFunc(func(w *h2.ResponseWriter, r *h2.Request) {
-			w.Write(payload)
-		})}
-		cn, sn := net.Pipe()
-		go srv.ServeConn(sn)
-		cc, err := h2.NewClientConn(cn, h2.ClientConnOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cc.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			errs := make(chan error, requests)
-			for r := 0; r < requests; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := cc.Get("bench.example", "/r"); err != nil {
-						errs <- err
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(requests), "requests-multiplexed")
-	})
-}
-
-// --- Ablation 7: delivery scheduling (DESIGN.md §6.7, paper §6.1) ---
+// --- Ablation 6: delivery scheduling (DESIGN.md §6.6, paper §6.1) ---
 
 func BenchmarkAblationScheduling(b *testing.B) {
 	c := benchCorpus()
@@ -274,7 +209,7 @@ func BenchmarkAblationScheduling(b *testing.B) {
 	b.ReportMetric(cmp.ParallelCriticalMs-cmp.CoalescedCriticalMs, "critical-ms-saved")
 }
 
-// --- Ablation 8: privacy scenarios (DESIGN.md §6.8, paper §6.2) ---
+// --- Ablation 7: privacy scenarios (DESIGN.md §6.7, paper §6.2) ---
 
 func BenchmarkPrivacyScenarios(b *testing.B) {
 	c := benchCorpus()

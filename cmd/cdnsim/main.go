@@ -32,25 +32,14 @@ import (
 
 	_ "net/http/pprof"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/cliflags"
-	"respectorigin/internal/core"
 	"respectorigin/internal/faults"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
 	"respectorigin/internal/report"
 	"respectorigin/internal/scenario"
 )
-
-// cacheOptions maps the warm-path flag values onto cache.Options.
-func cacheOptions(ticketLifetimeSeconds int) cache.Options {
-	opts := cache.Options{TicketLifetimeSeconds: ticketLifetimeSeconds}
-	if ticketLifetimeSeconds == 0 {
-		opts.TicketLifetimeSeconds = cache.TicketsDisabled
-	}
-	return opts
-}
 
 func main() {
 	sample := flag.Int("sample", 5000, "candidate sample domains (paper: 5000)")
@@ -62,11 +51,7 @@ func main() {
 	sweep := flag.Bool("faultsweep", false, "run the Figure 8 fault sweep (reset rates 0/1/5%) and exit")
 	traceOut := flag.String("trace", "", "write per-visit trace events as NDJSON to this file (- for stdout)")
 	metricsAddr := flag.String("metrics-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address during the run")
-	cacheOn := flag.Bool("cache", false, "enable the warm-path client cache and print the warm/cold savings table")
-	revisits := flag.Int("revisits", 1, "visits per zone in the warm/cold measurement (with -cache)")
-	ticketLife := flag.Int("ticket-lifetime", cache.DefaultTicketLifetimeSeconds, "TLS session-ticket lifetime in seconds (0 disables resumption)")
-	protoName := flag.String("proto", "h2", "application protocol for the warm/cold measurement (h1, h2, h3)")
-	protoSweep := flag.Bool("proto-sweep", false, "print the per-protocol (h1/h2/h3) savings decomposition for the deployment sample and exit")
+	warm := cliflags.RegisterWarmReplay(1)
 	matrix := flag.Bool("matrix", false, "run the persona × archetype × profile × transport scenario sweep and exit")
 	sites := cliflags.Sites(150)
 	workers := cliflags.Workers(0)
@@ -76,6 +61,7 @@ func main() {
 	dns := flag.String("dns", "", "with -matrix: comma-separated resolver-transport selector (do53, doh; empty: both)")
 	matrixOut := cliflags.Out("", "matrix cell NDJSON (with -matrix; empty: table only)")
 	flag.Parse()
+	warm.Resolve("cdnsim")
 
 	if *matrix {
 		cfg, err := scenario.ConfigFromSelectors(*seed, *sites, *workers, *personas, *archetypes, *profiles, *dns)
@@ -112,9 +98,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
 		os.Exit(2)
 	}
-	proto, err := core.ParseProtocol(*protoName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
+	runIP := *phase == "ip" || *phase == "all"
+	runOrigin := *phase == "origin" || *phase == "all"
+	runPassive := *phase == "passive" || *phase == "all"
+	if !runIP && !runOrigin && !runPassive {
+		fmt.Fprintf(os.Stderr, "cdnsim: unknown phase %q\n", *phase)
 		os.Exit(2)
 	}
 
@@ -144,17 +132,13 @@ func main() {
 	d := report.NewDeploymentWithFaults(*sample, *seed, plan, *retries)
 	d.Exp.SetRecorder(obs.Multi(recs...))
 
-	if *protoSweep {
-		sweep := d.ProtoSweep(*revisits, cacheOptions(*ticketLife))
+	if warm.ProtoSweep {
+		sweep := d.ProtoSweep(warm.Revisits, warm.Opts)
 		fmt.Print(report.ProtoSweepTable(sweep, netsim.DefaultParams(), "deployment sample, IP phase"))
 		return
 	}
 
 	fmt.Println(d.Figure6())
-
-	runIP := *phase == "ip" || *phase == "all"
-	runOrigin := *phase == "origin" || *phase == "all"
-	runPassive := *phase == "passive" || *phase == "all"
 
 	if runIP {
 		_, _, txt := d.Figure7(cdn.PhaseIP)
@@ -173,22 +157,14 @@ func main() {
 		_, txt9 := d.Figure9Deployment(*seed)
 		fmt.Println(txt9)
 	}
-	if !runIP && !runOrigin && !runPassive {
-		fmt.Fprintf(os.Stderr, "cdnsim: unknown phase %q\n", *phase)
-		os.Exit(1)
-	}
 	if !plan.Zero() {
 		fmt.Println(d.FaultReport())
 	}
-	if *cacheOn {
+	if warm.Cache {
 		// Runs last: the warm/cold pass touches neither the pipeline
 		// nor the experiment RNG, so earlier output is unaffected.
-		costs := d.WarmColdProto(*revisits, cacheOptions(*ticketLife), proto)
-		label := "deployment sample, IP phase"
-		if proto != core.ProtoH2 {
-			label += ", " + proto.String()
-		}
-		fmt.Println(report.SavingsTable(costs, label))
+		costs := d.WarmColdProto(warm.Revisits, warm.Opts, warm.Proto)
+		fmt.Println(report.SavingsTable(costs, warm.Label("deployment sample, IP phase")))
 	}
 	if trace != nil {
 		w := os.Stdout

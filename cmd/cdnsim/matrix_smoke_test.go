@@ -8,13 +8,13 @@ import (
 	"respectorigin/internal/clitest"
 )
 
-// TestMatrixSmoke drives the -matrix surface of the built binaries: the
+// TestMatrixSmoke drives the -matrix surface of the built binary: the
 // table and the cell NDJSON are byte-identical at -workers 1 and 4,
-// axis selectors subset the cross-product, an unknown persona is
-// rejected, and report -matrix prints the table cdnsim -matrix prints.
+// axis selectors subset the cross-product, and an unknown persona is
+// rejected.
 func TestMatrixSmoke(t *testing.T) {
 	dir := t.TempDir()
-	cdnsim, report := clitest.Build(t, "cmd/cdnsim"), clitest.Build(t, "cmd/report")
+	cdnsim := clitest.Build(t, "cmd/cdnsim")
 
 	nd1, nd4 := filepath.Join(dir, "mx1.ndjson"), filepath.Join(dir, "mx4.ndjson")
 	table1 := clitest.Run(t, cdnsim, "-matrix", "-sites", "60", "-seed", "1", "-workers", "1", "-out", nd1)
@@ -31,8 +31,4 @@ func TestMatrixSmoke(t *testing.T) {
 		t.Errorf("selector subset printed %d cells, want 4:\n%s", rows, subset)
 	}
 	clitest.RunExpectFail(t, cdnsim, "-matrix", "-sites", "40", "-personas", "netscape")
-
-	if got := clitest.Run(t, report, "-matrix", "-sites", "60", "-seed", "1", "-workers", "4"); !bytes.Equal(got, table1) {
-		t.Errorf("report -matrix differs from cdnsim -matrix:\n%s\n---\n%s", got, table1)
-	}
 }

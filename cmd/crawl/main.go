@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/cliflags"
 	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
@@ -47,23 +46,15 @@ func main() {
 	shards := flag.Int("shards", 1, "total shard count of a multi-process crawl")
 	shard := flag.Int("shard", -1, "rank shard [0, shards) this process crawls; -1 crawls everything")
 	traceOut := flag.String("trace", "", "write per-page-load trace events as NDJSON to this file")
-	cacheOn := flag.Bool("cache", false, "replay each page against a warm-path cache and print the savings table to stderr")
-	revisits := flag.Int("revisits", 1, "visits per page in the warm/cold replay (with -cache)")
-	ticketLife := flag.Int("ticket-lifetime", cache.DefaultTicketLifetimeSeconds, "TLS session-ticket lifetime in seconds (0 disables resumption)")
-	protoName := flag.String("proto", "h2", "application protocol for the -cache replay (h1, h2, h3)")
-	protoSweep := flag.Bool("proto-sweep", false, "replay each page under every protocol and print the per-protocol savings table to stderr")
+	warm := cliflags.RegisterWarmReplay(1)
 	flag.Parse()
+	warm.Resolve("crawl")
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
 		os.Exit(1)
 	}
 
-	proto, err := core.ParseProtocol(*protoName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", err)
-		os.Exit(2)
-	}
 	format, err := corpus.ParseFormat(*formatName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
@@ -79,11 +70,6 @@ func main() {
 		case *out == "-" || *out == "":
 			fail(fmt.Errorf("sharded crawls need a real -out file (the manifest records its checksum)"))
 		}
-	}
-
-	cacheOpts := cache.Options{TicketLifetimeSeconds: *ticketLife}
-	if *ticketLife == 0 {
-		cacheOpts.TicketLifetimeSeconds = cache.TicketsDisabled
 	}
 
 	cfg := webgen.DefaultConfig()
@@ -141,32 +127,32 @@ func main() {
 		}
 	}
 	var warmCosts []core.VisitCosts
-	if *cacheOn {
+	if warm.Cache {
 		// Fold each page's warm/cold replay as it streams past; ledger
 		// addition is order-independent, so the totals match a batch
 		// pass regardless of shard completion order.
-		warmCosts = make([]core.VisitCosts, *revisits)
+		warmCosts = make([]core.VisitCosts, warm.Revisits)
 		inner := emit
 		emit = func(p *har.Page) error {
-			for v, vc := range core.ProtocolReplaySequence(p, *revisits, cacheOpts, proto) {
+			for v, vc := range core.ProtocolReplaySequence(p, warm.Revisits, warm.Opts, warm.Proto) {
 				warmCosts[v].Add(vc)
 			}
 			return inner(p)
 		}
 	}
 	var sweepCosts []report.ProtoCosts
-	if *protoSweep {
+	if warm.ProtoSweep {
 		// Same streaming fold, once per protocol: each page is replayed
 		// under h1, h2 and h3 against its own fresh caches, so the sweep
 		// rides the generation pass without a second corpus walk.
 		sweepCosts = make([]report.ProtoCosts, len(core.Protocols))
 		for i, pr := range core.Protocols {
-			sweepCosts[i] = report.ProtoCosts{Proto: pr, Visits: make([]core.VisitCosts, *revisits)}
+			sweepCosts[i] = report.ProtoCosts{Proto: pr, Visits: make([]core.VisitCosts, warm.Revisits)}
 		}
 		inner := emit
 		emit = func(p *har.Page) error {
 			for i := range sweepCosts {
-				for v, vc := range core.ProtocolReplaySequence(p, *revisits, cacheOpts, sweepCosts[i].Proto) {
+				for v, vc := range core.ProtocolReplaySequence(p, warm.Revisits, warm.Opts, sweepCosts[i].Proto) {
 					sweepCosts[i].Visits[v].Add(vc)
 				}
 			}
@@ -199,14 +185,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "crawl: %d successful page loads (%d failures) -> %s\n",
 		res.Pages, res.Failures, *out)
-	if *cacheOn {
-		label := "crawl corpus"
-		if proto != core.ProtoH2 {
-			label = "crawl corpus, " + proto.String()
-		}
-		fmt.Fprint(os.Stderr, report.SavingsTable(warmCosts, label))
+	if warm.Cache {
+		fmt.Fprint(os.Stderr, report.SavingsTable(warmCosts, warm.Label("crawl corpus")))
 	}
-	if *protoSweep {
+	if warm.ProtoSweep {
 		fmt.Fprint(os.Stderr, report.ProtoSweepTable(sweepCosts, netsim.DefaultParams(), "crawl corpus"))
 	}
 	if trace != nil {

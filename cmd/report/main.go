@@ -9,7 +9,6 @@
 //	report -in dataset.col                     # crawl output, either encoding
 //	report -manifest s0.manifest.json,s1.manifest.json   # sharded crawl
 //	report -in dataset.col -reencode           # re-emit as NDJSON and exit
-//	report -matrix -sites 150                  # scenario matrix table and exit
 package main
 
 import (
@@ -20,15 +19,12 @@ import (
 	"strings"
 
 	"respectorigin/internal/asn"
-	"respectorigin/internal/cache"
 	"respectorigin/internal/cliflags"
-	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
 	"respectorigin/internal/report"
-	"respectorigin/internal/scenario"
 	"respectorigin/internal/webgen"
 )
 
@@ -55,31 +51,9 @@ func run() error {
 	schedOnly := flag.Bool("scheduling", false, "print only the §6.1 delivery-ordering comparison")
 	workers := cliflags.Workers(0)
 	funnelFile := flag.String("funnel", "", "print the coalescing funnel of this NDJSON trace (crawl/cdnsim -trace output) and exit")
-	cacheOn := flag.Bool("cache", false, "print the warm-path cache warm/cold savings table and exit")
-	revisits := flag.Int("revisits", 2, "visits per page in the warm/cold replay (with -cache)")
-	ticketLife := flag.Int("ticket-lifetime", cache.DefaultTicketLifetimeSeconds, "TLS session-ticket lifetime in seconds (0 disables resumption)")
-	protoName := flag.String("proto", "h2", "application protocol for the -cache replay (h1, h2, h3)")
-	protoSweep := flag.Bool("proto-sweep", false, "print the per-protocol (h1/h2/h3) savings decomposition table and exit")
-	matrix := flag.Bool("matrix", false, "print the persona × archetype × profile × transport scenario matrix and exit (use a small -sites, e.g. 150)")
+	warm := cliflags.RegisterWarmReplay(2)
 	flag.Parse()
-
-	proto, err := core.ParseProtocol(*protoName)
-	if err != nil {
-		return err
-	}
-
-	if *matrix {
-		cfg, err := scenario.ConfigFromSelectors(*seed, *sites, *workers, "", "", "", "")
-		if err != nil {
-			return err
-		}
-		res, err := scenario.Run(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table())
-		return nil
-	}
+	warm.Resolve("report")
 
 	if *funnelFile != "" {
 		f, err := os.Open(*funnelFile)
@@ -147,20 +121,12 @@ func run() error {
 		c = report.NewCorpusWorkers(ds, *workers)
 	}
 
-	if *cacheOn || *protoSweep {
-		opts := cache.Options{TicketLifetimeSeconds: *ticketLife}
-		if *ticketLife == 0 {
-			opts.TicketLifetimeSeconds = cache.TicketsDisabled
-		}
-		if *protoSweep {
-			fmt.Print(report.ProtoSweepTable(c.ProtoSweep(*revisits, opts), netsim.DefaultParams(), "corpus"))
-			return nil
-		}
-		label := "corpus"
-		if proto != core.ProtoH2 {
-			label = "corpus, " + proto.String()
-		}
-		fmt.Print(report.SavingsTable(c.WarmColdProto(*revisits, opts, proto), label))
+	if warm.ProtoSweep {
+		fmt.Print(report.ProtoSweepTable(c.ProtoSweep(warm.Revisits, warm.Opts), netsim.DefaultParams(), "corpus"))
+		return nil
+	}
+	if warm.Cache {
+		fmt.Print(report.SavingsTable(c.WarmColdProto(warm.Revisits, warm.Opts, warm.Proto), warm.Label("corpus")))
 		return nil
 	}
 

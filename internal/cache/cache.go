@@ -60,10 +60,6 @@ type Options struct {
 	// NegativeTTLSeconds is the lifetime of negative (failed-lookup)
 	// DNS entries. ≤ 0 selects DefaultNegativeTTLSeconds.
 	NegativeTTLSeconds int
-	// DefaultTTLSeconds is the positive-entry TTL used when the answer
-	// source carries none (HAR replays). ≤ 0 selects
-	// DefaultDNSTTLSeconds.
-	DefaultTTLSeconds int
 	// TicketLifetimeSeconds bounds ticket validity. 0 (the zero value)
 	// selects DefaultTicketLifetimeSeconds; TicketsDisabled (any
 	// negative value) disables the resumption store entirely, so every
@@ -77,23 +73,28 @@ type Options struct {
 	// (any negative value) disables the token store, so every h3
 	// connection without 0-RTT pays the Retry round trip.
 	TokenLifetimeSeconds int
-	// RevisitIntervalMs is the simulated time between successive visits
-	// in warm/cold sequences. ≤ 0 selects DefaultRevisitIntervalMs.
-	RevisitIntervalMs int64
 }
 
 // Defaults for Options zero values.
 const (
 	DefaultDNSCapacity           = 4096
 	DefaultNegativeTTLSeconds    = 60
-	DefaultDNSTTLSeconds         = 300
 	DefaultTicketLifetimeSeconds = 7200
 	// DefaultTokenLifetimeSeconds is deliberately longer than the
 	// ticket lifetime: address-validation tokens prove the client's
 	// address, not a session, and servers hand them out with day-scale
 	// validity in the shared-validation model.
 	DefaultTokenLifetimeSeconds = 86_400
-	DefaultRevisitIntervalMs    = 60_000
+)
+
+// Fixed by the model: nothing configures them.
+const (
+	// DefaultDNSTTLSeconds is the positive-entry TTL used when the
+	// answer source carries none (HAR replays).
+	DefaultDNSTTLSeconds = 300
+	// DefaultRevisitIntervalMs is the simulated time between successive
+	// visits in warm/cold sequences.
+	DefaultRevisitIntervalMs = 60_000
 )
 
 // TicketsDisabled, assigned to Options.TicketLifetimeSeconds, turns the
@@ -108,17 +109,11 @@ func (o Options) withDefaults() Options {
 	if o.NegativeTTLSeconds <= 0 {
 		o.NegativeTTLSeconds = DefaultNegativeTTLSeconds
 	}
-	if o.DefaultTTLSeconds <= 0 {
-		o.DefaultTTLSeconds = DefaultDNSTTLSeconds
-	}
 	if o.TicketLifetimeSeconds == 0 {
 		o.TicketLifetimeSeconds = DefaultTicketLifetimeSeconds
 	}
 	if o.TokenLifetimeSeconds == 0 {
 		o.TokenLifetimeSeconds = DefaultTokenLifetimeSeconds
-	}
-	if o.RevisitIntervalMs <= 0 {
-		o.RevisitIntervalMs = DefaultRevisitIntervalMs
 	}
 	return o
 }

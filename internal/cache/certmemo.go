@@ -120,13 +120,13 @@ func (c *Cache) PutDNSVia(t DNSTransport, name string, addrs []netip.Addr, ttlSe
 	c.DNS.PutVia(t, name, 1, addrs, ttlSeconds, c.clock.NowMs())
 }
 
-// DefaultTTL returns the configured positive TTL for answer sources
-// that carry none.
+// DefaultTTL returns the positive TTL for answer sources that carry
+// none.
 func (c *Cache) DefaultTTL() uint32 {
 	if c == nil {
 		return 0
 	}
-	return uint32(c.opts.DefaultTTLSeconds)
+	return DefaultDNSTTLSeconds
 }
 
 // PutNegativeDNS stores a failed Do53-resolved A lookup under the

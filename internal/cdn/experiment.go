@@ -40,12 +40,10 @@ type ExperimentConfig struct {
 
 	// Faults is the degradation plan sampled per visit; the zero plan
 	// disables injection entirely and leaves every output byte-identical
-	// to a fault-free build.
+	// to a fault-free build. The injector draws from its own stream,
+	// derived from Seed, so the plan never perturbs the experiment's
+	// sampling streams.
 	Faults faults.Plan
-	// FaultSeed seeds the fault injector's own RNG stream (so the plan
-	// never perturbs the experiment's sampling streams); 0 derives it
-	// from Seed.
-	FaultSeed int64
 	// FaultRetries is the per-request retry budget browsers get under a
 	// nonzero plan (bounded retry-with-backoff).
 	FaultRetries int
@@ -101,13 +99,9 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 	e := &Experiment{CDN: c, Cfg: cfg, rng: lazyrand.New(cfg.Seed), env: c}
 	retries, backoffMs := 0, 0.0
 	if !cfg.Faults.Zero() {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			// An independent stream: never shared with e.rng or the log
-			// pipeline, so the plan's draws cannot realign them.
-			seed = cfg.Seed ^ 0x5fa17e
-		}
-		e.inj = faults.NewInjector(cfg.Faults, seed)
+		// An independent stream: never shared with e.rng or the log
+		// pipeline, so the plan's draws cannot realign them.
+		e.inj = faults.NewInjector(cfg.Faults, cfg.Seed^0x5fa17e)
 		e.env = &faults.Env{Inner: c, Inj: e.inj}
 		retries, backoffMs = cfg.FaultRetries, 250
 	}

@@ -13,7 +13,7 @@ import (
 // one application protocol: every sample zone's page is visited revisits
 // times by one Firefox client whose warm-path cache (built fresh per
 // zone from opts) persists across visits, with the cache clock advanced
-// by the configured revisit interval between them. Element i of the
+// by cache.DefaultRevisitIntervalMs between them. Element i of the
 // result sums what visit i+1 cost across all zones; element 0 is the
 // cold load.
 //
@@ -53,7 +53,7 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 		b.Cache = c
 		for v := 0; v < revisits; v++ {
 			if v > 0 {
-				c.Clock().AdvanceMs(c.Opts().RevisitIntervalMs)
+				c.Clock().AdvanceMs(cache.DefaultRevisitIntervalMs)
 			}
 			b.Reset() // fresh browsing session; warm state survives in c
 			costs[v].Add(e.warmVisit(z, b, c, anon, proto))

@@ -62,10 +62,11 @@ func TestFlowCheckerOnLiveConnection(t *testing.T) {
 // TestReplayDeterminismSmall cross-checks a small seeded crawl at three
 // worker counts: corpus, trace, and report must be byte-identical. It
 // is cmd/replaycheck's default invocation (-sites 400 -seed 1 -workers
-// 1,4,16 -repeats 2), the corpus the replay golden pins.
+// 1,4,16 -repeats 2), the corpus the replay golden pins; a -race build
+// runs it at 120 sites (replaySites).
 func TestReplayDeterminismSmall(t *testing.T) {
 	divs, err := conformance.RunReplay(conformance.ReplayConfig{
-		Sites:   400,
+		Sites:   replaySites,
 		Seed:    1,
 		Workers: []int{1, 4, 16},
 		Repeats: 2,

@@ -126,7 +126,7 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 
 // ProtocolReplaySequence replays a page visits times under one protocol
 // against one fresh cache built from opts, advancing the cache clock by
-// the configured revisit interval between visits. Element i of the
+// cache.DefaultRevisitIntervalMs between visits. Element i of the
 // result is what visit i+1 paid; visit 1 is the cold load. A zero
 // visits count returns nil.
 func ProtocolReplaySequence(p *har.Page, visits int, opts cache.Options, proto Protocol) []VisitCosts {
@@ -137,7 +137,7 @@ func ProtocolReplaySequence(p *har.Page, visits int, opts cache.Options, proto P
 	out := make([]VisitCosts, visits)
 	for v := 0; v < visits; v++ {
 		if v > 0 {
-			c.Clock().AdvanceMs(c.Opts().RevisitIntervalMs)
+			c.Clock().AdvanceMs(cache.DefaultRevisitIntervalMs)
 		}
 		out[v] = ProtocolReplayCosts(p, proto, c)
 	}

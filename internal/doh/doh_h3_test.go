@@ -2,7 +2,6 @@ package doh
 
 import (
 	"errors"
-	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -59,10 +58,6 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	path := quic.Establish(cc, "www.example.com", sans)
 	if path.Resumed || path.TokenHit || path.RTTs() != 2 {
 		t.Fatalf("cold establishment not full-no-token: %+v (%.0f RTTs)", path, path.RTTs())
-	}
-	conn := quic.NewConn(rand.New(rand.NewSource(1)), "www.example.com", sans)
-	if _, err := conn.OpenStream(); err != nil {
-		t.Fatal(err)
 	}
 
 	// Warm revisit: same cache, fresh connection.

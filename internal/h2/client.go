@@ -57,9 +57,6 @@ type ClientConnOptions struct {
 	// ORIGIN frame accepted on the connection.
 	OnOrigin func(origins []string)
 
-	// DisableHuffman turns off Huffman coding of request headers.
-	DisableHuffman bool
-
 	// MaxFrameSize advertises SETTINGS_MAX_FRAME_SIZE; 0 means 16384.
 	MaxFrameSize uint32
 
@@ -168,9 +165,6 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 	cc.sendFlow.hook = opts.FlowHook
 	cc.recvFlow.hook = opts.FlowHook
 	cc.hw = &headerWriter{fr: cc.fr, enc: hpack.NewEncoder(), maxFrameSize: minMaxFrameSize}
-	if opts.DisableHuffman {
-		cc.hw.enc.SetHuffman(false)
-	}
 	cc.hr = &headerReader{dec: hpack.NewDecoder()}
 	if opts.Origin != "" {
 		cc.originSet.Add(opts.Origin)

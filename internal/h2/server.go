@@ -49,22 +49,16 @@ func (f HandlerFunc) ServeHTTP2(w *ResponseWriter, r *Request) { f(w, r) }
 // Handler must be set.
 //
 // Server implements the missing piece the paper identifies (§5.3): a
-// production-style server-side ORIGIN frame. When OriginSet is non-empty
-// (or OriginSetFunc returns entries), the server announces the set on
-// stream 0 immediately after its SETTINGS frame, as RFC 8336 §2.2
-// recommends, so clients learn coalescable hostnames before the first
-// response.
+// production-style server-side ORIGIN frame. When OriginSet is
+// non-empty, the server announces the set on stream 0 immediately after
+// its SETTINGS frame, as RFC 8336 §2.2 recommends, so clients learn
+// coalescable hostnames before the first response.
 type Server struct {
 	// Handler receives every request. Required.
 	Handler Handler
 
 	// OriginSet is the static origin set advertised on every connection.
 	OriginSet []string
-
-	// OriginSetFunc, when non-nil, computes the origin set per
-	// connection (e.g. from the SNI of the TLS handshake). It overrides
-	// OriginSet when it returns a non-nil slice.
-	OriginSetFunc func(conn net.Conn) []string
 
 	// Authoritative, when non-nil, reports whether this server can
 	// authoritatively serve the given :authority. Requests for other
@@ -78,10 +72,6 @@ type Server struct {
 
 	// MaxFrameSize advertises SETTINGS_MAX_FRAME_SIZE; 0 means 16384.
 	MaxFrameSize uint32
-
-	// DisableHuffman turns off Huffman coding in response headers
-	// (used by the HPACK ablation benchmarks).
-	DisableHuffman bool
 
 	// CountersFor, when non-nil, receives the per-connection counters
 	// when a connection finishes, for measurement harnesses.
@@ -171,9 +161,6 @@ func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, er
 	sc.sendFlow.hook = s.FlowHook
 	sc.recvFlow.hook = s.FlowHook
 	sc.hw = &headerWriter{fr: sc.fr, enc: hpack.NewEncoder(), maxFrameSize: minMaxFrameSize}
-	if s.DisableHuffman {
-		sc.hw.enc.SetHuffman(false)
-	}
 	sc.hr = &headerReader{dec: hpack.NewDecoder()}
 	if s.ReadTimeout > 0 {
 		sc.fr.SetReadTimeout(nc, s.ReadTimeout)
@@ -274,13 +261,7 @@ func (sc *serverConn) serve() error {
 	}
 	sc.fr.SetMaxReadFrameSize(sc.srv.maxFrameSize())
 
-	origins := sc.srv.OriginSet
-	if sc.srv.OriginSetFunc != nil {
-		if o := sc.srv.OriginSetFunc(sc.nc); o != nil {
-			origins = o
-		}
-	}
-	if len(origins) > 0 {
+	if origins := sc.srv.OriginSet; len(origins) > 0 {
 		canon := make([]string, 0, len(origins))
 		for _, o := range origins {
 			c, err := CanonicalOrigin(o)

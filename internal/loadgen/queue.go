@@ -3,6 +3,7 @@ package loadgen
 import (
 	"sort"
 
+	"respectorigin/internal/measure"
 	"respectorigin/internal/obs"
 )
 
@@ -53,10 +54,10 @@ func (q *popQueue) siftDown(i int) {
 
 // runQueue is the sequential aggregation phase: it replays every visit
 // in (arrival, user, seq) order through its PoP's queue, accumulates
-// the run totals in that one fixed order, and feeds the recorder and
-// the exact quantile accumulator. Nothing here runs concurrently, so
-// float addition order — and with it every output byte — is a pure
-// function of the visit set.
+// the run totals in that one fixed order, feeds the recorder and keeps
+// every latency for the exact percentiles. Nothing here runs
+// concurrently, so float addition order — and with it every output
+// byte — is a pure function of the visit set.
 func runQueue(cfg Config, visits []visit) Result {
 	sort.Slice(visits, func(i, j int) bool {
 		a, b := visits[i], visits[j]
@@ -74,7 +75,7 @@ func runQueue(cfg Config, visits []visit) Result {
 		pops[i] = newPopQueue(cfg.PoPServers)
 	}
 
-	lat := obs.NewQuantile()
+	lat := make([]float64, 0, len(visits))
 	res := Result{
 		Users: cfg.Users, Arrival: cfg.Arrival, Seed: cfg.Seed,
 		Proto:      cfg.Proto.String(),
@@ -90,7 +91,7 @@ func runQueue(cfg Config, visits []visit) Result {
 		if done > lastDone {
 			lastDone = done
 		}
-		lat.Observe(latency)
+		lat = append(lat, latency)
 		sumLatency += latency
 		sumWait += wait
 		if latency > maxLatency {
@@ -132,10 +133,8 @@ func runQueue(cfg Config, visits []visit) Result {
 		res.MeanMs = sumLatency / float64(n)
 		res.MeanWaitMs = sumWait / float64(n)
 		res.MaxMs = maxLatency
-		res.P50Ms = lat.At(0.50)
-		res.P90Ms = lat.At(0.90)
-		res.P99Ms = lat.At(0.99)
-		res.P999Ms = lat.At(0.999)
+		pct := measure.Summarize(lat)
+		res.P50Ms, res.P90Ms, res.P99Ms, res.P999Ms = pct.Median, pct.P90, pct.P99, pct.P999
 		res.SLOAttainment = float64(sloMet) / float64(n)
 	}
 	if res.Requests > 0 {

@@ -360,23 +360,3 @@ func (n *Network) Intn(m int) int {
 	defer n.mu.Unlock()
 	return n.rng.Intn(m)
 }
-
-// Clock is a virtual millisecond clock for longitudinal simulations.
-type Clock struct {
-	mu sync.Mutex
-	ms float64
-}
-
-// NowMs returns the current virtual time.
-func (c *Clock) NowMs() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ms
-}
-
-// AdvanceMs moves the clock forward by d milliseconds.
-func (c *Clock) AdvanceMs(d float64) {
-	c.mu.Lock()
-	c.ms += d
-	c.mu.Unlock()
-}

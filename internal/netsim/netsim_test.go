@@ -229,15 +229,3 @@ func TestTransferObservedWhenBandwidthOff(t *testing.T) {
 		t.Errorf("zero-bandwidth transfer samples should be 0, max = %v", s.Max)
 	}
 }
-
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.NowMs() != 0 {
-		t.Error("clock not zeroed")
-	}
-	c.AdvanceMs(1500)
-	c.AdvanceMs(500)
-	if c.NowMs() != 2000 {
-		t.Errorf("clock = %v", c.NowMs())
-	}
-}

@@ -150,8 +150,8 @@ func (h *Hist) Summary() measure.Summary {
 // Quantile returns the bucket-interpolated p-quantile of the histogram
 // over a consistent snapshot of the bucket counts. It is an estimate
 // (uniform-within-bucket), exact at the observed min and max; SLO
-// reporting that needs exact tail order statistics should pair the
-// histogram with a *Quantile.
+// reporting that needs exact tail order statistics keeps the sample
+// and asks measure.Summarize.
 func (h *Hist) Quantile(p float64) float64 {
 	counts := make([]int64, len(h.counts))
 	var total int64

@@ -1,3 +1,25 @@
+// Package quic is the HTTP/3 row of the connection price list: how many
+// round trips a QUIC connection establishment costs given the client's
+// warm state. That is all of QUIC the coalescing cost model needs —
+//
+//   - Path is the resumed × token table: a protocol-keyed session
+//     ticket abbreviates the cryptographic handshake, a live
+//     address-validation token spares the Retry round trip, and both
+//     together are 0-RTT. Tickets and tokens live in internal/cache and
+//     are shared across hostnames by certificate SAN coverage (the
+//     shared-address-validation model).
+//   - report's -proto-sweep builds a Path from what a replay recorded
+//     and asks it for RTTs; loadgen's h3 users price theirs on the
+//     network model with Path.HandshakeTime.
+//   - Establish redeems and mints that state for one connection
+//     directly against a cache.
+//
+// There is no transport here: no connection IDs, streams, frames or
+// packets. Nothing this repository reports depends on them.
+//
+// Like every layer of the stack it is deterministic: no wall-clock
+// reads, no package-level RNG — every draw comes from a seeded stream
+// the caller owns.
 package quic
 
 import (

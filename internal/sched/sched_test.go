@@ -7,160 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestTreeAddAndAllocate(t *testing.T) {
-	tr := NewTree()
-	if err := tr.Add(1, 0, 64, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Add(3, 0, 192, false); err != nil {
-		t.Fatal(err)
-	}
-	alloc := tr.Allocate(400)
-	if math.Abs(alloc[1]-100) > 1e-9 || math.Abs(alloc[3]-300) > 1e-9 {
-		t.Errorf("alloc = %v, want 100/300 split", alloc)
-	}
-}
-
-func TestTreeWeightRange(t *testing.T) {
-	tr := NewTree()
-	if err := tr.Add(1, 0, 0, false); err == nil {
-		t.Error("weight 0 accepted")
-	}
-	if err := tr.Add(1, 0, 257, false); err == nil {
-		t.Error("weight 257 accepted")
-	}
-	if err := tr.Add(1, 0, 256, false); err != nil {
-		t.Errorf("weight 256 rejected: %v", err)
-	}
-	if err := tr.Add(1, 0, 1, false); err == nil {
-		t.Error("duplicate stream accepted")
-	}
-}
-
-func TestDependencyBlocksChild(t *testing.T) {
-	tr := NewTree()
-	tr.Add(1, 0, 16, false)
-	tr.Add(3, 1, 16, false) // 3 depends on 1
-	alloc := tr.Allocate(100)
-	if alloc[3] != 0 {
-		t.Errorf("child received %v while parent active", alloc[3])
-	}
-	if alloc[1] != 100 {
-		t.Errorf("parent alloc = %v", alloc[1])
-	}
-	// Once the parent has nothing to send, the child inherits.
-	tr.SetActive(1, false)
-	alloc = tr.Allocate(100)
-	if alloc[3] != 100 {
-		t.Errorf("idle parent did not pass through: %v", alloc)
-	}
-}
-
-func TestExclusiveInsertionAdoptsSiblings(t *testing.T) {
-	// RFC 7540 §5.3.1 example: A with children B, C; new exclusive D
-	// under A adopts B and C.
-	tr := NewTree()
-	tr.Add(1, 0, 16, false) // A
-	tr.Add(3, 1, 16, false) // B
-	tr.Add(5, 1, 16, false) // C
-	tr.Add(7, 1, 16, true)  // D exclusive under A
-	if p, _ := tr.Parent(3); p != 7 {
-		t.Errorf("B's parent = %d, want 7", p)
-	}
-	if p, _ := tr.Parent(5); p != 7 {
-		t.Errorf("C's parent = %d, want 7", p)
-	}
-	if p, _ := tr.Parent(7); p != 1 {
-		t.Errorf("D's parent = %d, want 1", p)
-	}
-}
-
-func TestReprioritizeUnderDescendant(t *testing.T) {
-	// §5.3.3: moving A under its own descendant D first moves D up.
-	tr := NewTree()
-	tr.Add(1, 0, 16, false) // A
-	tr.Add(3, 1, 16, false) // B under A
-	tr.Add(5, 3, 16, false) // D under B
-	if err := tr.Reprioritize(1, 5, 16, false); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Parent(5); p != 0 {
-		t.Errorf("descendant not moved up: parent = %d", p)
-	}
-	if p, _ := tr.Parent(1); p != 5 {
-		t.Errorf("stream not under new parent: %d", p)
-	}
-}
-
-func TestReprioritizeSelfRejected(t *testing.T) {
-	tr := NewTree()
-	tr.Add(1, 0, 16, false)
-	if err := tr.Reprioritize(1, 1, 16, false); err == nil {
-		t.Error("self-dependency accepted")
-	}
-}
-
-func TestRemoveRedistributesChildren(t *testing.T) {
-	tr := NewTree()
-	tr.Add(1, 0, 16, false)
-	tr.Add(3, 1, 16, false)
-	tr.Add(5, 1, 16, false)
-	tr.Remove(1)
-	if p, _ := tr.Parent(3); p != 0 {
-		t.Errorf("orphan parent = %d", p)
-	}
-	if tr.Len() != 2 {
-		t.Errorf("len = %d", tr.Len())
-	}
-	alloc := tr.Allocate(100)
-	if math.Abs(alloc[3]-50) > 1e-9 || math.Abs(alloc[5]-50) > 1e-9 {
-		t.Errorf("alloc after removal = %v", alloc)
-	}
-}
-
-func TestUnknownParentDefaultsToRoot(t *testing.T) {
-	tr := NewTree()
-	if err := tr.Add(9, 7777, 16, false); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Parent(9); p != 0 {
-		t.Errorf("parent = %d, want root", p)
-	}
-}
-
-func TestAllocationConservationQuick(t *testing.T) {
-	f := func(weights []uint8) bool {
-		tr := NewTree()
-		n := 0
-		for i, w := range weights {
-			if n == 20 {
-				break
-			}
-			if err := tr.Add(uint32(2*i+1), 0, int(w)%256+1, false); err != nil {
-				return false
-			}
-			n++
-		}
-		if n == 0 {
-			return true
-		}
-		alloc := tr.Allocate(1000)
-		sum := 0.0
-		for _, v := range alloc {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1000) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// --- delivery simulation ---
-
 func pageWorkload() []Resource {
 	return []Resource{
 		{ID: 1, Priority: 0, Bytes: 30_000},   // HTML
@@ -377,16 +223,5 @@ func TestDeliverParallelSingleConnDegeneratesToCoalesced(t *testing.T) {
 	})
 	if inv := Inversions(ds); inv != 0 {
 		t.Errorf("single parallel connection inverted %d pairs", inv)
-	}
-}
-
-func BenchmarkPriorityTreeAllocate(b *testing.B) {
-	tr := NewTree()
-	for i := 0; i < 50; i++ {
-		tr.Add(uint32(2*i+1), uint32(2*(i/3)+1)&^1, i%256+1, false)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Allocate(1e6)
 	}
 }

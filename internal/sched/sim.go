@@ -1,3 +1,8 @@
+// Package sched is a delivery simulator that quantifies the paper's
+// §6.1 argument — on a single coalesced connection the server controls
+// delivery order, while resources split across parallel connections
+// arrive in an order set by network effects, violating the page's
+// intended priorities.
 package sched
 
 import (
@@ -52,11 +57,11 @@ func CriticalCompleteMs(ds []Delivery, maxPriority int) float64 {
 }
 
 // DeliverCoalesced simulates delivery of all resources over one HTTP/2
-// connection whose server schedules with a priority tree: resources of
-// a more important priority class fully preempt less important ones
-// (strict ordering via exclusive dependencies), and resources within a
-// class share bandwidth by weight. bandwidthKBps is the connection's
-// bottleneck share; the single connection owns the whole bottleneck.
+// connection whose server schedules by priority class: resources of a
+// more important class fully preempt less important ones, and resources
+// within a class share bandwidth equally. bandwidthKBps is the
+// connection's bottleneck share; the single connection owns the whole
+// bottleneck.
 //
 // Because one sender controls the ordering, the client receives bytes
 // exactly in intended priority order (§6.1: "coalesced resources are

@@ -32,10 +32,6 @@ type Config struct {
 	Sites int
 	// Seed drives all randomness.
 	Seed int64
-	// SuccessRate is the fraction of attempts that load (§3.1: 63.51%).
-	SuccessRate float64
-	// Net configures the latency model; zero value uses defaults.
-	Net netsim.Params
 	// Workers is the number of generation goroutines; values ≤ 0 select
 	// runtime.GOMAXPROCS. Every page is a pure function of (Seed, rank),
 	// so output is byte-identical for every worker count.
@@ -57,13 +53,11 @@ type Config struct {
 // DefaultConfig returns a corpus configuration matching the paper's
 // collection at a reduced default scale.
 func DefaultConfig() Config {
-	return Config{
-		Sites:       20000,
-		Seed:        1,
-		SuccessRate: 0.6351,
-		Net:         netsim.DefaultParams(),
-	}
+	return Config{Sites: 20000, Seed: 1}
 }
+
+// successRate is the fraction of attempts that load (§3.1: 63.51%).
+const successRate = 0.6351
 
 // Dataset is a corpus of page loads.
 type Dataset struct {
@@ -110,12 +104,6 @@ type StreamResult struct {
 func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("webgen: Sites must be positive")
-	}
-	if cfg.SuccessRate <= 0 || cfg.SuccessRate > 1 {
-		cfg.SuccessRate = 0.6351
-	}
-	if cfg.Net.RTTMs == 0 {
-		cfg.Net = netsim.DefaultParams()
 	}
 	if err := cfg.Archetype.Validate(); err != nil {
 		return nil, err
@@ -220,7 +208,7 @@ func genShard(cfg Config, lo, hi int) shardResult {
 	for rank := lo; rank < hi; rank++ {
 		// Re-seeding restarts the stream a fresh source would produce.
 		g.rng.Seed(cfg.Seed*1_000_003 + int64(rank))
-		if g.rng.Float64() > cfg.SuccessRate {
+		if g.rng.Float64() > successRate {
 			sh.failures++
 			continue
 		}
@@ -265,7 +253,7 @@ func newGenerator(cfg Config) *generator {
 	return &generator{
 		cfg: cfg,
 		rng: lazyrand.New(0),
-		net: netsim.New(cfg.Net, 0),
+		net: netsim.New(netsim.DefaultParams(), 0),
 	}
 }
 
