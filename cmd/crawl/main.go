@@ -126,6 +126,9 @@ func main() {
 			return inner(p)
 		}
 	}
+	// One replayer serves both folds below: emit runs on one goroutine,
+	// and each page's sequence starts from a reset cache.
+	replayer := core.NewReplayer(warm.Opts)
 	var warmCosts []core.VisitCosts
 	if warm.Cache {
 		// Fold each page's warm/cold replay as it streams past; ledger
@@ -134,17 +137,14 @@ func main() {
 		warmCosts = make([]core.VisitCosts, warm.Revisits)
 		inner := emit
 		emit = func(p *har.Page) error {
-			for v, vc := range core.ProtocolReplaySequence(p, warm.Revisits, warm.Opts, warm.Proto) {
-				warmCosts[v].Add(vc)
-			}
+			replayer.Sequence(p, warm.Proto, warmCosts)
 			return inner(p)
 		}
 	}
 	var sweepCosts []report.ProtoCosts
 	if warm.ProtoSweep {
-		// Same streaming fold, once per protocol: each page is replayed
-		// under h1, h2 and h3 against its own fresh caches, so the sweep
-		// rides the generation pass without a second corpus walk.
+		// Same streaming fold, once per protocol, so the sweep rides the
+		// generation pass without a second corpus walk.
 		sweepCosts = make([]report.ProtoCosts, len(core.Protocols))
 		for i, pr := range core.Protocols {
 			sweepCosts[i] = report.ProtoCosts{Proto: pr, Visits: make([]core.VisitCosts, warm.Revisits)}
@@ -152,9 +152,7 @@ func main() {
 		inner := emit
 		emit = func(p *har.Page) error {
 			for i := range sweepCosts {
-				for v, vc := range core.ProtocolReplaySequence(p, warm.Revisits, warm.Opts, sweepCosts[i].Proto) {
-					sweepCosts[i].Visits[v].Add(vc)
-				}
+				replayer.Sequence(p, sweepCosts[i].Proto, sweepCosts[i].Visits)
 			}
 			return inner(p)
 		}

@@ -197,3 +197,33 @@ func TestCachelessBrowserUnchanged(t *testing.T) {
 		t.Fatalf("TotalValidations = %d, want 1 (one new connection)", b.TotalValidations)
 	}
 }
+
+// A DNS cache hit is the cache's own storage; the pool must never keep
+// it. A connection opened on a hit copies the answer into Available, so
+// the connection's addresses survive whatever the cache later stores
+// into, or resets, that storage.
+func TestPoolNeverRetainsCacheStorage(t *testing.T) {
+	for _, p := range []Policy{PolicyChromium, PolicyFirefox, PolicyFirefoxOrigin} {
+		c := cache.New(cache.Options{DNSCapacity: 1})
+		env := warmEnv()
+		env.answers["www.example.com"] = []netip.Addr{ip("192.0.2.1"), ip("192.0.2.3")}
+		b := New(p, WithCache(c))
+		b.Request(env, "www.example.com")
+		b.Reset()
+		if out := b.Request(env, "www.example.com"); out.DNSCacheHits != 1 || !out.NewConnection {
+			t.Fatalf("%v: %+v, want a connection opened on a DNS cache hit", p, out)
+		}
+		hit, _, _ := c.LookupDNS("www.example.com")
+		conn := b.Conns()[0]
+		want := append([]netip.Addr(nil), conn.Available...)
+		if &conn.Available[0] == &hit[0] {
+			t.Fatalf("%v: Available aliases the cache's answer", p)
+		}
+		c.PutDNS("static.example.com", []netip.Addr{ip("198.51.100.1")}, 300) // evicts www's entry
+		c.Reset()
+		c.PutDNS("other.example.com", []netip.Addr{ip("198.51.100.2"), ip("198.51.100.3")}, 300)
+		if got := conn.Available; len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
+			t.Fatalf("%v: Available changed from %v to %v when the cache reused its storage", p, want, got)
+		}
+	}
+}

@@ -22,34 +22,31 @@
 // experiment advances explicitly, so two runs with the same visit
 // schedule are byte-identical. Entries expire at their deadline
 // inclusive: a lookup at exactly the expiry instant is a miss.
+//
+// A Cache owns its storage. Reset empties it for the next client (a
+// page, a user, a zone) while keeping the maps, the DNS entries with
+// their address storage, the grant queues and the index nodes, so a
+// caller that resets one cache per worker stops allocating once the
+// storage fits its largest client.
 package cache
 
-import "sync"
+import "sync/atomic"
 
 // Clock is a simulated millisecond clock. It only moves when the
 // driving experiment advances it, never from wall-clock time, so every
-// expiry decision is reproducible.
-type Clock struct {
-	mu sync.Mutex
-	ms int64
-}
+// expiry decision is reproducible. It never runs backwards: only
+// Cache.Reset rewinds it, together with every deadline it timed.
+type Clock struct{ ms atomic.Int64 }
 
 // NowMs returns the current simulated time in milliseconds.
-func (c *Clock) NowMs() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ms
-}
+func (c *Clock) NowMs() int64 { return c.ms.Load() }
 
 // AdvanceMs moves the clock forward by d milliseconds (negative values
 // are ignored: simulated time never runs backwards).
 func (c *Clock) AdvanceMs(d int64) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.ms.Add(d)
 	}
-	c.mu.Lock()
-	c.ms += d
-	c.mu.Unlock()
 }
 
 // Options configures a Cache.
@@ -140,6 +137,21 @@ func New(opts Options) *Cache {
 	c.Tokens = newTokenStore(int64(opts.TokenLifetimeSeconds) * 1000)
 	c.Chains = newCertMemo()
 	return c
+}
+
+// Reset empties every store, zeroes the accounting and rewinds the
+// clock, leaving c observably equal to New(c.Opts()): the same answers,
+// Len and Stats for any later schedule. The storage is kept for reuse.
+// A nil cache ignores it.
+func (c *Cache) Reset() {
+	if c == nil {
+		return
+	}
+	c.clock.ms.Store(0)
+	c.DNS.reset()
+	c.Tickets.s.reset()
+	c.Tokens.s.reset()
+	c.Chains.reset()
 }
 
 // Enabled reports whether the cache layer is active.

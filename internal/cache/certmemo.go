@@ -2,7 +2,7 @@ package cache
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -13,8 +13,9 @@ import (
 // Validation results have no TTL here: within a warm/cold visit
 // sequence the chains' validity windows dwarf the simulated horizon.
 type CertMemo struct {
-	mu   sync.Mutex
-	seen map[uint64]bool
+	mu     sync.Mutex
+	seen   map[uint64]bool
+	sorted []string // scratch: the SAN list being hashed, sorted
 
 	hits, misses int64
 }
@@ -23,17 +24,20 @@ func newCertMemo() *CertMemo {
 	return &CertMemo{seen: make(map[uint64]bool)}
 }
 
-// Validate records one validation of the chain with the given hash and
+// validate records one validation of the chain (issuer, sans) and
 // reports whether it was a memo hit (validation skipped) or a miss (a
-// full validation performed and memoized).
-func (m *CertMemo) Validate(chainHash uint64) (hit bool) {
+// full validation performed and memoized). sans is only read.
+func (m *CertMemo) validate(issuer string, sans []string) (hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.seen[chainHash] {
+	m.sorted = append(m.sorted[:0], sans...)
+	slices.Sort(m.sorted)
+	h := chainHash(issuer, m.sorted)
+	if m.seen[h] {
 		m.hits++
 		return true
 	}
-	m.seen[chainHash] = true
+	m.seen[h] = true
 	m.misses++
 	return false
 }
@@ -45,6 +49,13 @@ func (m *CertMemo) Len() int {
 	return len(m.seen)
 }
 
+func (m *CertMemo) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.seen)
+	m.hits, m.misses = 0, 0
+}
+
 func (m *CertMemo) addStats(s *Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -52,13 +63,12 @@ func (m *CertMemo) addStats(s *Stats) {
 	s.ChainMisses += m.misses
 }
 
-// ChainHash derives a deterministic identity for a certificate chain
-// from its issuer and SAN set (the simulator's certificates are fully
-// determined by both). The SANs are hashed order-independently, so
-// reordered SAN lists of the same certificate collide as they should.
-func ChainHash(issuer string, sans []string) uint64 {
-	sorted := append([]string(nil), sans...)
-	sort.Strings(sorted)
+// chainHash derives a deterministic identity for a certificate chain
+// from its issuer and its SAN set, given sorted (the simulator's
+// certificates are fully determined by both). Hashing the sorted list
+// makes the identity order-independent, so reordered SAN lists of the
+// same certificate collide as they should.
+func chainHash(issuer string, sorted []string) uint64 {
 	h := fnvOffset
 	h = fnvString(h, issuer)
 	for _, s := range sorted {
@@ -188,7 +198,7 @@ func (c *Cache) ValidateChain(issuer string, sans []string) (hit bool) {
 	if c == nil {
 		return false
 	}
-	return c.Chains.Validate(ChainHash(issuer, sans))
+	return c.Chains.validate(issuer, sans)
 }
 
 // Handshake is what the warm state did for one fresh connection.

@@ -26,21 +26,43 @@ type coverStore struct {
 	lifetimeMs int64 // 0 disables the store
 	consume    bool  // a hit removes the grant (single-use tickets)
 
-	// grants in issue order; grants[0] has id base. A consumed grant
-	// stays queued, marked dead, until it reaches the head.
+	// grants[head:] is the queue in issue order; grants[head] has id
+	// base. A consumed grant stays queued, marked dead, until it reaches
+	// the head.
 	grants []grant
+	head   int
 	base   int
 	live   int
 
-	// Grants with an id below indexed are in index: per covered name,
-	// their ids ascending, dead ones dropped lazily from the front.
+	// Grants with an id below indexed are in index: per covered name, a
+	// list of their ids ascending, dead ones dropped lazily from the
+	// front. The lists are linked through nodes, and dropped nodes are
+	// recycled through free, so indexing allocates only while the store
+	// grows past its largest size so far.
 	indexed int
-	index   map[coverKey][]int
+	index   map[coverKey]idList
+	nodes   []idNode
+	free    int32
 
 	issued, hits, misses, expiredN int64
 }
 
 const scanWindow = 64
+
+// noNode ends an id list (and the free list).
+const noNode int32 = -1
+
+// idList is one index key's ids: the first and last node of its chain.
+type idList struct{ head, tail int32 }
+
+type idNode struct {
+	id   int
+	next int32
+}
+
+func newCoverStore(lifetimeMs int64, consume bool) coverStore {
+	return coverStore{lifetimeMs: lifetimeMs, consume: consume, free: noNode}
+}
 
 // grant.sans is the caller's slice, not a copy: callers must not modify
 // a SAN list they have handed over (none does: SAN lists belong to a
@@ -94,19 +116,28 @@ func (s *coverStore) store(sans []string, proto int, nowMs int64) {
 	defer s.mu.Unlock()
 	s.issued++
 	s.live++
+	if len(s.grants) == cap(s.grants) && s.head > 0 && 2*s.head >= len(s.grants) {
+		// Slide the queue back to the front instead of growing it.
+		n := copy(s.grants, s.grants[s.head:])
+		clear(s.grants[n:])
+		s.grants, s.head = s.grants[:n], 0
+	}
 	s.grants = append(s.grants, grant{sans: sans, expiresMs: nowMs + s.lifetimeMs, proto: proto})
-	if s.base+len(s.grants)-s.indexed <= scanWindow {
+	if s.base+len(s.grants)-s.head-s.indexed <= scanWindow {
 		return
 	}
 	// The oldest unindexed grant leaves the window.
-	if g := &s.grants[s.indexed-s.base]; !g.dead {
+	if g := s.at(s.indexed); !g.dead {
 		if s.index == nil {
-			s.index = map[coverKey][]int{}
+			s.index = map[coverKey]idList{}
 		}
-		g.eachKey(func(k coverKey) { s.index[k] = append(s.index[k], s.indexed) })
+		g.eachKey(func(k coverKey) { s.push(k, s.indexed) })
 	}
 	s.indexed++
 }
+
+// at returns the queued grant with the given id.
+func (s *coverStore) at(id int) *grant { return &s.grants[s.head+id-s.base] }
 
 // redeem reports whether a live grant minted under proto covers host,
 // first dropping every grant that has expired (one expiring exactly at
@@ -117,7 +148,7 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.grants) > 0 && (s.grants[0].dead || nowMs >= s.grants[0].expiresMs) {
+	for s.head < len(s.grants) && (s.grants[s.head].dead || nowMs >= s.grants[s.head].expiresMs) {
 		s.pop()
 	}
 	// A wildcard covers exactly one extra label: host minus its first
@@ -130,9 +161,9 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 	if w, wok := s.oldestIndexed(coverKey{proto, true, suffix}); wok && (!ok || w < id) {
 		id, ok = w, true
 	}
-	for i := s.indexed - s.base; !ok && i < len(s.grants); i++ {
+	for i := s.head + s.indexed - s.base; !ok && i < len(s.grants); i++ {
 		g := &s.grants[i]
-		id, ok = s.base+i, !g.dead && g.proto == proto && g.covers(host, suffix)
+		id, ok = s.base+i-s.head, !g.dead && g.proto == proto && g.covers(host, suffix)
 	}
 	if !ok {
 		s.misses++
@@ -140,7 +171,7 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 	}
 	s.hits++
 	if s.consume {
-		s.grants[id-s.base].dead = true
+		s.at(id).dead = true
 		s.live--
 	}
 	return true
@@ -149,9 +180,11 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 // pop removes the head grant, counting it expired unless it was
 // consumed first.
 func (s *coverStore) pop() {
-	g := s.grants[0]
-	s.grants[0] = grant{}
-	s.grants = s.grants[1:]
+	g := s.grants[s.head]
+	s.grants[s.head] = grant{}
+	if s.head++; s.head == len(s.grants) {
+		s.grants, s.head = s.grants[:0], 0
+	}
 	s.base++
 	if !g.dead {
 		s.expiredN++
@@ -164,24 +197,63 @@ func (s *coverStore) pop() {
 	}
 }
 
-// oldestIndexed returns the id of the oldest live grant indexed under
-// k, trimming dead ids off the front of k's list as it goes.
-func (s *coverStore) oldestIndexed(k coverKey) (int, bool) {
-	ids := s.index[k]
-	n := 0
-	for n < len(ids) && (ids[n] < s.base || s.grants[ids[n]-s.base].dead) {
-		n++
+// push appends id to k's index list.
+func (s *coverStore) push(k coverKey, id int) {
+	n := s.free
+	if n != noNode {
+		s.free = s.nodes[n].next
+		s.nodes[n] = idNode{id, noNode}
+	} else {
+		n = int32(len(s.nodes))
+		s.nodes = append(s.nodes, idNode{id, noNode})
 	}
-	if n == len(ids) {
-		if n > 0 {
-			delete(s.index, k)
-		}
+	l, ok := s.index[k]
+	if ok {
+		s.nodes[l.tail].next = n
+		l.tail = n
+	} else {
+		l = idList{n, n}
+	}
+	s.index[k] = l
+}
+
+// oldestIndexed returns the id of the oldest live grant indexed under
+// k, recycling the nodes of dead ids off the front of k's list as it
+// goes.
+func (s *coverStore) oldestIndexed(k coverKey) (int, bool) {
+	l, ok := s.index[k]
+	if !ok {
 		return 0, false
 	}
-	if n > 0 {
-		s.index[k] = ids[n:]
+	n := l.head
+	for n != noNode && (s.nodes[n].id < s.base || s.at(s.nodes[n].id).dead) {
+		next := s.nodes[n].next
+		s.nodes[n].next = s.free
+		s.free = n
+		n = next
 	}
-	return ids[n], true
+	if n == noNode {
+		delete(s.index, k)
+		return 0, false
+	}
+	if n != l.head {
+		l.head = n
+		s.index[k] = l
+	}
+	return s.nodes[n].id, true
+}
+
+// reset empties the store and zeroes its accounting, keeping the queue,
+// the index map and the nodes for reuse.
+func (s *coverStore) reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.grants)
+	s.grants = s.grants[:0]
+	s.head, s.base, s.live, s.indexed = 0, 0, 0, 0
+	clear(s.index)
+	s.nodes, s.free = s.nodes[:0], noNode
+	s.issued, s.hits, s.misses, s.expiredN = 0, 0, 0, 0
 }
 
 // len reports the live grant count (expired grants linger until the

@@ -56,6 +56,10 @@ func (s *scanStore) redeem(host string, proto int, nowMs int64) bool {
 	return hit
 }
 
+func (s *scanStore) reset() {
+	*s = scanStore{lifetimeMs: s.lifetimeMs, consume: s.consume}
+}
+
 // sansCover reports whether a certificate SAN list covers host,
 // honoring single-label wildcards.
 func sansCover(sans []string, host string) bool {
@@ -113,7 +117,8 @@ var (
 // scanWindow, or 60 s and 120 s, under which they outgrow it and most
 // grants are indexed. Each following byte pair is one step: the first
 // byte picks the operation (3 in 8 store, 4 in 8 redeem, 1 in 8 advance
-// the clock), the second its operand and wire protocol.
+// the clock or, for 6 of its 256 operands, Reset the cache and the
+// oracles), the second its operand and wire protocol.
 func runSchedule(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -147,6 +152,10 @@ func runSchedule(t *testing.T, data []byte) {
 			if got, want := c.RedeemToken(host, proto), tokens.redeem(host, proto, now); got != want {
 				t.Fatalf("step %d at %d ms: token redeem(%q, proto %d) = %v, oracle %v", i/2, now, host, proto, got, want)
 			}
+		case arg >= 250:
+			c.Reset()
+			tickets.reset()
+			tokens.reset()
 		default:
 			c.Clock().AdvanceMs(scheduleAdvances[arg%len(scheduleAdvances)])
 		}
@@ -195,4 +204,24 @@ func FuzzCoverageStore(f *testing.F) {
 		f.Add(randomSchedule(rng, 64))
 	}
 	f.Fuzz(runSchedule)
+}
+
+// Once a store has held its largest grant population, issuing,
+// consuming and expiring grants allocates nothing: the queue slides
+// back instead of growing and index nodes of dropped ids are recycled.
+func TestCoverageStoreSteadyStateAllocs(t *testing.T) {
+	c := New(Options{TicketLifetimeSeconds: 60, SingleUseTickets: true})
+	rounds := func() {
+		for i := 0; i < 20_000; i++ {
+			c.StoreTicketProto(scheduleCerts[i%len(scheduleCerts)], ProtoWireH2)
+			c.RedeemTicketProto(scheduleHosts[i%len(scheduleHosts)], ProtoWireH2)
+			if i%20 == 0 {
+				c.Clock().AdvanceMs(1000) // ~1 200 grants queued, far past scanWindow
+			}
+		}
+	}
+	rounds() // until the queue's and the node arena's capacities settle
+	if allocs := testing.AllocsPerRun(1, rounds); allocs != 0 {
+		t.Fatalf("%.0f allocations in steady state, want 0", allocs)
+	}
 }

@@ -40,6 +40,11 @@ func (t DNSTransport) String() string {
 // order is deterministic: the least recently used entry goes first,
 // and "use" means a non-expired Get or a Put. All transports share one
 // capacity bound — a client has one DNS cache, however it resolves.
+//
+// Answers are returned without a copy (see GetVia), and entries that
+// leave the cache — evicted, expired or dropped by Reset — go to a free
+// list with their address storage, so a warmed cache stores new answers
+// without allocating.
 type DNSCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -47,6 +52,7 @@ type DNSCache struct {
 
 	// Intrusive LRU list: head is most recent, tail is next to evict.
 	head, tail *dnsEntry
+	free       *dnsEntry // recycled entries, linked through next
 
 	hits, negHits, misses, expired, evictions int64
 }
@@ -83,6 +89,12 @@ func (d *DNSCache) Get(name string, typ uint16, nowMs int64) (addrs []netip.Addr
 // TTLs are "seconds remaining", so at the instant the budget reaches
 // zero the answer may no longer be served. Entries minted under a
 // different transport never match.
+//
+// addrs is the cache's own storage, not a copy: callers must not modify
+// it. It keeps this answer across later lookups and Reset, until the
+// next store into this cache (Put*, PutNegative*), which may overwrite
+// it in place or reuse it for another name. A caller that keeps an
+// answer past that point copies it, as dns.Resolver.Lookup does.
 func (d *DNSCache) GetVia(t DNSTransport, name string, typ uint16, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -103,7 +115,7 @@ func (d *DNSCache) GetVia(t DNSTransport, name string, typ uint16, nowMs int64) 
 		return nil, true, true
 	}
 	d.hits++
-	return append([]netip.Addr(nil), e.addrs...), false, true
+	return e.addrs, false, true
 }
 
 // Put stores a positive Do53-transport answer; see PutVia.
@@ -119,11 +131,7 @@ func (d *DNSCache) PutVia(t DNSTransport, name string, typ uint16, addrs []netip
 	if ttlSeconds == 0 || len(addrs) == 0 {
 		return
 	}
-	d.put(&dnsEntry{
-		key:       d.canon(t, name, typ),
-		addrs:     append([]netip.Addr(nil), addrs...),
-		expiresMs: nowMs + int64(ttlSeconds)*1000,
-	})
+	d.put(d.canon(t, name, typ), addrs, false, nowMs+int64(ttlSeconds)*1000)
 }
 
 // PutNegative stores a failed Do53-transport lookup; see PutNegativeVia.
@@ -137,25 +145,50 @@ func (d *DNSCache) PutNegativeVia(t DNSTransport, name string, typ uint16, ttlSe
 	if ttlSeconds == 0 {
 		return
 	}
-	d.put(&dnsEntry{
-		key:       d.canon(t, name, typ),
-		negative:  true,
-		expiresMs: nowMs + int64(ttlSeconds)*1000,
-	})
+	d.put(d.canon(t, name, typ), nil, true, nowMs+int64(ttlSeconds)*1000)
 }
 
-func (d *DNSCache) put(e *dnsEntry) {
+// put stores a copy of addrs under key as the most recently used entry,
+// replacing any entry the key had, then evicts down to capacity.
+func (d *DNSCache) put(key dnsKey, addrs []netip.Addr, negative bool, expiresMs int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if old, ok := d.entries[e.key]; ok {
-		d.remove(old)
+	e, ok := d.entries[key]
+	if ok {
+		d.unlink(e)
+	} else {
+		e = d.free
+		if e != nil {
+			d.free = e.next
+		} else {
+			e = &dnsEntry{}
+		}
+		e.key = key
+		d.entries[key] = e
 	}
-	d.entries[e.key] = e
+	e.addrs = append(e.addrs[:0], addrs...)
+	e.negative = negative
+	e.expiresMs = expiresMs
 	d.pushFront(e)
 	for len(d.entries) > d.capacity {
 		d.remove(d.tail)
 		d.evictions++
 	}
+}
+
+// reset empties the cache and zeroes its accounting, keeping the map
+// and every entry for reuse.
+func (d *DNSCache) reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for e := d.head; e != nil; {
+		next := e.next
+		d.release(e)
+		e = next
+	}
+	d.head, d.tail = nil, nil
+	clear(d.entries)
+	d.hits, d.negHits, d.misses, d.expired, d.evictions = 0, 0, 0, 0, 0
 }
 
 // Len reports the current entry count.
@@ -224,6 +257,14 @@ func (d *DNSCache) unlink(e *dnsEntry) {
 func (d *DNSCache) remove(e *dnsEntry) {
 	d.unlink(e)
 	delete(d.entries, e.key)
+	d.release(e)
+}
+
+// release puts an unlinked entry on the free list. Its addresses stay
+// as they are until put reuses the storage.
+func (d *DNSCache) release(e *dnsEntry) {
+	e.prev, e.next = nil, d.free
+	d.free = e
 }
 
 func (d *DNSCache) touch(e *dnsEntry) {

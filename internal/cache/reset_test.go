@@ -1,0 +1,173 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"slices"
+	"testing"
+)
+
+var (
+	resetAnswers = [][]netip.Addr{
+		{ip("192.0.2.1")},
+		{ip("192.0.2.2"), ip("192.0.2.3")},
+		{ip("198.51.100.7"), ip("192.0.2.1"), ip("2001:db8::1")},
+	}
+	resetTTLs     = []uint32{0, 1, 2, 5}
+	resetAdvances = []int64{1, 999, 1000, 1001, 2000}
+	resetIssuers  = []string{"", "CA", "Other CA"}
+)
+
+// runCacheSchedule drives c through the schedule in data and returns
+// everything a caller could observe: each step's results, the clock and
+// every store's Len after it, then the final Stats. Each byte pair is one
+// step: the first byte picks one of ten operations (DNS put, negative
+// put, two kinds of lookup, ticket store and redeem, token store and
+// redeem, chain validation or a whole handshake, a clock advance) and
+// the transport, answer, TTL and issuer; the second byte picks the
+// name, SAN list and wire protocol. TTLs and advances are whole seconds
+// and their neighbours, so entries expire exactly at, just before and
+// just after a lookup.
+func runCacheSchedule(c *Cache, data []byte) []string {
+	var out []string
+	for i := 0; i+1 < len(data); i += 2 {
+		op, sel, arg := data[i]%10, int(data[i]/10), int(data[i+1])
+		transport := DNSTransport(sel & 1)
+		issuer := resetIssuers[sel/2%len(resetIssuers)]
+		host := scheduleHosts[arg%len(scheduleHosts)]
+		sans := scheduleCerts[arg%len(scheduleCerts)]
+		proto := ProtoWireH1 + arg/len(scheduleHosts)%3
+		var step string
+		switch op {
+		case 0:
+			c.PutDNSVia(transport, host, resetAnswers[sel/2%len(resetAnswers)], resetTTLs[sel/6%len(resetTTLs)])
+		case 1:
+			c.PutNegativeDNSVia(transport, host)
+		case 2, 3:
+			addrs, negative, ok := c.LookupDNSVia(transport, host)
+			step = fmt.Sprint(addrs, negative, ok)
+		case 4:
+			c.StoreTicketProto(sans, proto)
+		case 5:
+			step = fmt.Sprint(c.RedeemTicketProto(host, proto))
+		case 6:
+			c.StoreToken(sans, proto)
+		case 7:
+			step = fmt.Sprint(c.RedeemToken(host, proto))
+		case 8:
+			if sel&1 == 0 {
+				step = fmt.Sprint(c.ValidateChain(issuer, sans))
+			} else {
+				step = fmt.Sprintf("%+v", c.Handshake(host, issuer, sans, proto))
+			}
+		default:
+			c.Clock().AdvanceMs(resetAdvances[arg%len(resetAdvances)])
+		}
+		out = append(out, fmt.Sprintf("%d:%d %s | at %d ms: dns %d tickets %d tokens %d chains %d",
+			op, arg, step, c.Clock().NowMs(), c.DNS.Len(), c.Tickets.Len(), c.Tokens.Len(), c.Chains.Len()))
+	}
+	return append(out, fmt.Sprintf("%+v", c.Stats()))
+}
+
+// Reset ≡ New: a cache that ran any schedule and was Reset answers a
+// second schedule exactly as a fresh New(opts) does. The options cover
+// a DNS LRU small enough to evict, short negative TTLs, both ticket
+// modes, disabled ticket and token stores, and lifetimes that keep the
+// coverage stores inside scanWindow or push them past it.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 400; n++ {
+		opts := Options{
+			DNSCapacity:           1 + rng.Intn(6),
+			NegativeTTLSeconds:    1 + rng.Intn(3),
+			TicketLifetimeSeconds: rng.Intn(4) - 1, // TicketsDisabled, the default, 1 s, 2 s
+			SingleUseTickets:      rng.Intn(2) == 1,
+			TokenLifetimeSeconds:  rng.Intn(4) - 1,
+		}
+		steps := 100
+		if n%10 == 0 {
+			steps = 1500 // long enough to index grants and recycle nodes
+		}
+		first, second := randomSchedule(rng, steps), randomSchedule(rng, steps)
+		reused := New(opts)
+		runCacheSchedule(reused, first)
+		reused.Reset()
+		got := runCacheSchedule(reused, second)
+		want := runCacheSchedule(New(opts), second)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("schedule %d, opts %+v, step %d after Reset:\n got  %s\n want %s", n, opts, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// The memo hashes each SAN list sorted in its own scratch; the identity
+// is the one the allocating ChainHash of earlier versions computed.
+func TestChainHashValuesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		issuer string
+		sans   []string
+		want   uint64
+	}{
+		{"CA", []string{"b.example", "a.example"}, 0x82febfabe86f94cc},
+		{"", []string{"*.example", "www.example", "example"}, 0x3a3beb2c5fd81b6a},
+		{"Let's Encrypt", nil, 0x3323f605aa629c5d},
+	} {
+		sorted := slices.Clone(tc.sans)
+		slices.Sort(sorted)
+		if got := chainHash(tc.issuer, sorted); got != tc.want {
+			t.Errorf("chainHash(%q, %q) = %#x, want %#x", tc.issuer, sorted, got, tc.want)
+		}
+	}
+	m := newCertMemo()
+	sans := []string{"b.example", "a.example"}
+	m.validate("CA", sans)
+	if !m.seen[0x82febfabe86f94cc] || !slices.Equal(sans, []string{"b.example", "a.example"}) {
+		t.Fatal("validate must memoize the sorted list's hash and leave the caller's list as it was")
+	}
+}
+
+// A DNS hit is the cache's storage, read-only, and keeps its answer
+// across later lookups and Reset; only a store may overwrite it, and
+// the cache's own answers stay right whatever the holder saw.
+func TestHeldDNSHit(t *testing.T) {
+	c := New(Options{DNSCapacity: 1})
+	want := []netip.Addr{ip("192.0.2.1"), ip("192.0.2.2")}
+	c.PutDNS("a.example", want, 300)
+	held, _, ok := c.LookupDNS("a.example")
+	if !ok || !slices.Equal(held, want) {
+		t.Fatalf("hit = %v, %v; want %v", held, ok, want)
+	}
+	if again, _, _ := c.LookupDNS("a.example"); &again[0] != &held[0] {
+		t.Fatal("hits must return the stored answer without copying")
+	}
+	c.LookupDNS("b.example") // a miss
+	c.Reset()
+	if !slices.Equal(held, want) {
+		t.Fatalf("held hit changed across a lookup and Reset: %v", held)
+	}
+	if _, _, ok := c.LookupDNS("a.example"); ok {
+		t.Fatal("Reset must drop every entry")
+	}
+
+	// An evicting store may reuse the held storage for the new answer;
+	// the cache answers from what was stored, not from the holder.
+	c.PutDNS("a.example", want, 300)
+	held, _, _ = c.LookupDNS("a.example")
+	other := []netip.Addr{ip("198.51.100.9")}
+	c.PutDNS("b.example", other, 300) // evicts a.example (capacity 1)
+	if len(held) != len(want) {
+		t.Fatalf("held hit changed length to %d", len(held))
+	}
+	if _, _, ok := c.LookupDNS("a.example"); ok {
+		t.Fatal("a.example should have been evicted")
+	}
+	if got, _, ok := c.LookupDNS("b.example"); !ok || !slices.Equal(got, other) {
+		t.Fatalf("b.example = %v, %v; want %v", got, ok, other)
+	}
+	if s := c.Stats(); s.DNSEvictions != 1 {
+		t.Fatalf("DNSEvictions = %d, want 1", s.DNSEvictions)
+	}
+}

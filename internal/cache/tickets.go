@@ -22,7 +22,7 @@ const (
 )
 
 func newTicketStore(lifetimeMs int64, singleUse bool) *TicketStore {
-	return &TicketStore{coverStore{lifetimeMs: lifetimeMs, consume: singleUse}}
+	return &TicketStore{newCoverStore(lifetimeMs, singleUse)}
 }
 
 // Enabled reports whether tickets are issued at all (a zero lifetime

@@ -20,7 +20,7 @@ package cache
 type TokenStore struct{ s coverStore }
 
 func newTokenStore(lifetimeMs int64) *TokenStore {
-	return &TokenStore{coverStore{lifetimeMs: lifetimeMs}}
+	return &TokenStore{newCoverStore(lifetimeMs, false)}
 }
 
 // Enabled reports whether tokens are issued at all.

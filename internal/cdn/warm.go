@@ -11,11 +11,11 @@ import (
 
 // WarmColdProto measures the marginal cost of returning visitors under
 // one application protocol: every sample zone's page is visited revisits
-// times by one Firefox client whose warm-path cache (built fresh per
-// zone from opts) persists across visits, with the cache clock advanced
-// by cache.DefaultRevisitIntervalMs between them. Element i of the
-// result sums what visit i+1 cost across all zones; element 0 is the
-// cold load.
+// times by one Firefox client whose warm-path cache (built from opts
+// once per run, reset per zone) persists across visits, with the cache
+// clock advanced by cache.DefaultRevisitIntervalMs between them.
+// Element i of the result sums what visit i+1 cost across all zones;
+// element 0 is the cold load.
 //
 // The visit structure — which third-party pools are anonymous — is
 // drawn once per zone from a dedicated stream, so every revisit replays
@@ -33,9 +33,10 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 		return nil
 	}
 	costs := make([]core.VisitCosts, revisits)
-	// One client for the run: Reset opens a fresh browsing session and
-	// each zone installs its own warm-path cache.
-	b := browser.New(browser.PolicyFirefoxOrigin, browser.WithProtocol(proto))
+	// One client and one cache for the run: the browser's Reset opens a
+	// fresh browsing session, the cache's a fresh client for each zone.
+	c := cache.New(opts)
+	b := browser.New(browser.PolicyFirefoxOrigin, browser.WithProtocol(proto), browser.WithCache(c))
 	for zi, z := range e.SampleZones {
 		if z.Churned {
 			continue
@@ -49,8 +50,7 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 				anon[p] = zrng.Float64() < 0.5
 			}
 		}
-		c := cache.New(opts)
-		b.Cache = c
+		c.Reset()
 		for v := 0; v < revisits; v++ {
 			if v > 0 {
 				c.Clock().AdvanceMs(cache.DefaultRevisitIntervalMs)

@@ -23,12 +23,47 @@ var Protocols = browser.Protocols
 // ParseProtocol parses "h1", "h2" and "h3" (the -proto flag values).
 func ParseProtocol(s string) (Protocol, error) { return browser.ParseProtocol(s) }
 
-// ProtocolReplayCosts replays one recorded page load under the given
-// protocol against a warm-path cache and returns what the visit paid.
-// The page itself is the visit structure — which requests issued fresh
-// DNS queries and handshakes (NewDNS/NewTLS) versus riding existing
-// state — and the cache decides, per fresh setup, whether warm state
-// makes it cheaper:
+// Replayer replays recorded page loads against warm-path state it
+// owns: one cache and HTTP/1.1's per-visit keep-alive set. Sequence
+// resets both for each page, so one Replayer per worker serves any
+// number of pages and stops allocating once its storage fits the
+// largest. The zero Replayer has no cache: every visit is the pure cold
+// one. A Replayer is not safe for concurrent use.
+type Replayer struct {
+	c         *cache.Cache
+	connected map[string]bool // h1 only: hostnames with a live connection this visit
+	// hostSANs backs the one-name SAN lists of entries that carry no
+	// certificate. Grants keep them until the cache's next Reset, so
+	// only Sequence truncates it.
+	hostSANs []string
+}
+
+// NewReplayer returns a Replayer whose cache is built from opts.
+func NewReplayer(opts cache.Options) *Replayer {
+	return &Replayer{c: cache.New(opts)}
+}
+
+// Sequence replays p len(acc) times under one protocol against a reset
+// cache, advancing the cache clock by cache.DefaultRevisitIntervalMs
+// between visits, and adds what visit v+1 paid into acc[v]; visit 1 is
+// the cold load.
+func (r *Replayer) Sequence(p *har.Page, proto Protocol, acc []VisitCosts) {
+	r.c.Reset()
+	r.hostSANs = r.hostSANs[:0]
+	for v := range acc {
+		if v > 0 {
+			r.c.Clock().AdvanceMs(cache.DefaultRevisitIntervalMs)
+		}
+		acc[v].Add(r.visit(p, proto))
+	}
+}
+
+// visit replays one recorded page load under the given protocol
+// against the replayer's warm-path cache, as the visits before it left
+// it, and returns what the visit paid. The page itself is the visit
+// structure — which requests issued fresh DNS queries and handshakes
+// (NewDNS/NewTLS) versus riding existing state — and the cache
+// decides, per fresh setup, whether warm state makes it cheaper:
 //
 //   - a NewDNS entry consults the DNS cache before "querying"; misses
 //     populate it with the entry's answer set under the cache's default
@@ -63,14 +98,18 @@ func ParseProtocol(s string) (Protocol, error) { return browser.ParseProtocol(s)
 //     handshake 0-RTT. Both are redeemed and minted under the h3 key,
 //     so h2 state never leaks into an h3 replay.
 //
-// A nil cache replays the pure cold visit: under ProtoH2 and ProtoH3
-// the returned DNSQueries and FullHandshakes then equal the page's
-// measured §4.2 counts exactly (p.DNSQueries() and p.TLSConnections()).
-func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts {
+// Without a cache (the zero Replayer) the visit is cold: under ProtoH2
+// and ProtoH3 the returned DNSQueries and FullHandshakes then equal the
+// page's measured §4.2 counts exactly (p.DNSQueries() and
+// p.TLSConnections()).
+func (r *Replayer) visit(p *har.Page, proto Protocol) VisitCosts {
+	c := r.c
 	vc := VisitCosts{Pages: 1}
-	var connected map[string]bool // h1 only: hostnames with a live connection
 	if proto == ProtoH1 {
-		connected = map[string]bool{}
+		if r.connected == nil {
+			r.connected = map[string]bool{}
+		}
+		clear(r.connected)
 	}
 	wire := proto.Wire()
 	for i := range p.Entries {
@@ -98,8 +137,8 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		reused := !e.NewTLS
 		if proto == ProtoH1 {
 			// Keep-alive only: reuse requires a live same-host connection.
-			reused = connected[e.Host]
-			connected[e.Host] = true
+			reused = r.connected[e.Host]
+			r.connected[e.Host] = true
 		}
 		if reused {
 			vc.ReusedConns++
@@ -107,7 +146,12 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		}
 		sans := e.CertSANs
 		if len(sans) == 0 {
-			sans = []string{e.Host}
+			// A request the recording coalesced carries no certificate
+			// (h1 opens connections for such requests): its host's name
+			// stands in.
+			r.hostSANs = append(r.hostSANs, e.Host)
+			n := len(r.hostSANs)
+			sans = r.hostSANs[n-1 : n : n]
 		}
 		vc.AddHandshake(c.Handshake(e.Host, e.CertIssuer, sans, wire), proto)
 	}
@@ -122,24 +166,4 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		vc.AddrValidations += p.ExtraTLS
 	}
 	return vc
-}
-
-// ProtocolReplaySequence replays a page visits times under one protocol
-// against one fresh cache built from opts, advancing the cache clock by
-// cache.DefaultRevisitIntervalMs between visits. Element i of the
-// result is what visit i+1 paid; visit 1 is the cold load. A zero
-// visits count returns nil.
-func ProtocolReplaySequence(p *har.Page, visits int, opts cache.Options, proto Protocol) []VisitCosts {
-	if visits <= 0 {
-		return nil
-	}
-	c := cache.New(opts)
-	out := make([]VisitCosts, visits)
-	for v := 0; v < visits; v++ {
-		if v > 0 {
-			c.Clock().AdvanceMs(cache.DefaultRevisitIntervalMs)
-		}
-		out[v] = ProtocolReplayCosts(p, proto, c)
-	}
-	return out
 }

@@ -26,9 +26,11 @@ func protoTestPages(t *testing.T) []*har.Page {
 // h1 reinterprets connections but never DNS: the lookup demand of a
 // page is the same under every protocol, cold or warm.
 func TestColdReplayReproducesMeasuredCounts(t *testing.T) {
+	var cold Replayer
+	warm := NewReplayer(cache.Options{})
 	for _, p := range protoTestPages(t) {
 		for _, proto := range []Protocol{ProtoH2, ProtoH3} {
-			vc := ProtocolReplayCosts(p, proto, nil)
+			vc := cold.visit(p, proto)
 			if vc.DNSQueries != p.DNSQueries() || vc.FullHandshakes != p.TLSConnections() {
 				t.Fatalf("page %s %s: cold replay paid %d queries / %d handshakes, page measured %d / %d",
 					p.Host, proto, vc.DNSQueries, vc.FullHandshakes, p.DNSQueries(), p.TLSConnections())
@@ -40,9 +42,11 @@ func TestColdReplayReproducesMeasuredCounts(t *testing.T) {
 				t.Fatalf("page %s %s: inconsistent cold ledger %+v", p.Host, proto, vc)
 			}
 		}
-		need := ProtocolReplayCosts(p, ProtoH2, nil).LookupsNeeded()
+		need := cold.visit(p, ProtoH2).LookupsNeeded()
 		for _, proto := range Protocols {
-			for v, vc := range ProtocolReplaySequence(p, 3, cache.Options{}, proto) {
+			seq := make([]VisitCosts, 3)
+			warm.Sequence(p, proto, seq)
+			for v, vc := range seq {
 				if vc.LookupsNeeded() != need {
 					t.Fatalf("page %s %s visit %d: lookup demand %d, cold h2 demand %d",
 						p.Host, proto, v+1, vc.LookupsNeeded(), need)
@@ -56,15 +60,13 @@ func TestColdReplayReproducesMeasuredCounts(t *testing.T) {
 // identity (every fresh connection is a token hit or a validation),
 // and h1/h2 ledgers must carry no h3 state at all.
 func TestProtocolReplayLedgerIdentities(t *testing.T) {
-	opts := cache.Options{}
+	r := NewReplayer(cache.Options{})
 	pages := protoTestPages(t)
 	var warmZeroRTT int
 	for _, p := range pages {
-		for proto, seq := range map[Protocol][]VisitCosts{
-			ProtoH1: ProtocolReplaySequence(p, 3, opts, ProtoH1),
-			ProtoH2: ProtocolReplaySequence(p, 3, opts, ProtoH2),
-			ProtoH3: ProtocolReplaySequence(p, 3, opts, ProtoH3),
-		} {
+		for _, proto := range Protocols {
+			seq := make([]VisitCosts, 3)
+			r.Sequence(p, proto, seq)
 			for v, vc := range seq {
 				if !vc.Consistent() {
 					t.Fatalf("page %s %s visit %d: inconsistent ledger %+v", p.Host, proto, v+1, vc)
@@ -88,5 +90,48 @@ func TestProtocolReplayLedgerIdentities(t *testing.T) {
 	}
 	if warmZeroRTT == 0 {
 		t.Fatal("no warm h3 visit achieved 0-RTT across the corpus — tokens or tickets are not redeeming")
+	}
+}
+
+// One Replayer reset per page is the fresh-cache-per-page replay it
+// replaced: every page's sequence equals what a new Replayer gives,
+// under every protocol and in both ticket modes, whatever pages the
+// shared one replayed before.
+func TestReplayerResetMatchesFresh(t *testing.T) {
+	pages := protoTestPages(t)
+	for _, opts := range []cache.Options{{}, {SingleUseTickets: true, DNSCapacity: 8}} {
+		shared := NewReplayer(opts)
+		for i, p := range pages {
+			proto := Protocols[i%len(Protocols)]
+			got, want := make([]VisitCosts, 4), make([]VisitCosts, 4)
+			shared.Sequence(p, proto, got)
+			NewReplayer(opts).Sequence(p, proto, want)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("opts %+v page %s %s visit %d: shared replayer %+v, fresh %+v",
+						opts, p.Host, proto, v+1, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// A warmed Replayer replays page visits without allocating: the cache
+// keeps its maps, DNS entries, grant queues and index nodes across
+// Reset, the memo hashes in its own scratch, and the keep-alive set is
+// cleared, not rebuilt.
+func TestReplayerSteadyStateAllocs(t *testing.T) {
+	pages := protoTestPages(t)[:40]
+	acc := make([]VisitCosts, 4)
+	for _, proto := range Protocols {
+		r := NewReplayer(cache.Options{})
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, p := range pages {
+				r.Sequence(p, proto, acc)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per pass over %d pages × %d visits, want 0", proto, allocs, len(pages), len(acc))
+		}
 	}
 }

@@ -110,7 +110,8 @@ func (r *Resolver) LookupAAAA(name string) ([]netip.Addr, error) {
 // query and are counted under "dns.resolver.cache_hits"; misses fall
 // through to the authority and populate the cache with the answer's
 // minimum TTL (zero-TTL answers are uncacheable), or a negative entry
-// on NXDOMAIN.
+// on NXDOMAIN. The returned address slice belongs to the caller: a
+// cache hit is copied out of the cache's storage.
 func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
 	r.mu.Lock()
 	rec, c := r.rec, r.cache
@@ -122,7 +123,7 @@ func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
 			if negative {
 				return LookupResult{Source: SourceNegativeCache}, &NXDomainError{Name: name}
 			}
-			return LookupResult{Addrs: addrs, Source: SourceCache}, nil
+			return LookupResult{Addrs: append([]netip.Addr(nil), addrs...), Source: SourceCache}, nil
 		}
 		obs.Count(rec, "dns.resolver.cache_misses", 1)
 	}

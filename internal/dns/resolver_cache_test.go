@@ -110,3 +110,44 @@ func TestResolverWithoutCacheUnchanged(t *testing.T) {
 		t.Fatalf("uncached resolver queries = %d, want 3 (one per lookup)", r.Queries())
 	}
 }
+
+// The cache hands hits out without a copy; Lookup is the exported
+// boundary that copies them. A caller may write its result, and hold it
+// across an evicting store and a Reset, without touching the cache.
+func TestLookupReturnsCallerOwnedAddrs(t *testing.T) {
+	a := NewAuthority()
+	a.AddA("one.example", netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"))
+	a.AddA("two.example", netip.MustParseAddr("198.51.100.1"))
+	a.AddA("three.example", netip.MustParseAddr("198.51.100.2"), netip.MustParseAddr("198.51.100.3"))
+	r := NewResolver(a)
+	c := cache.New(cache.Options{DNSCapacity: 1})
+	r.UseCache(c)
+
+	if _, err := r.Lookup("one.example", TypeA); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := r.Lookup("one.example", TypeA)
+	if err != nil || hit.Source != SourceCache {
+		t.Fatalf("second lookup = %+v, %v; want a cache hit", hit, err)
+	}
+	want := append([]netip.Addr(nil), hit.Addrs...)
+	hit.Addrs[0] = netip.MustParseAddr("203.0.113.66")
+	again, err := r.Lookup("one.example", TypeA)
+	if err != nil || again.Source != SourceCache || again.Addrs[0] != want[0] {
+		t.Fatalf("after the caller wrote its result, the next hit = %+v, %v; want %v from the cache", again, err, want)
+	}
+
+	held := again.Addrs
+	if _, err := r.Lookup("two.example", TypeA); err != nil { // evicts one.example
+		t.Fatal(err)
+	}
+	c.Reset()
+	for _, name := range []string{"two.example", "three.example"} { // reuse both entries' storage
+		if _, err := r.Lookup(name, TypeA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held[0] != want[0] || held[1] != want[1] {
+		t.Fatalf("held result changed to %v across an evicting store and a Reset; want %v", held, want)
+	}
+}

@@ -75,25 +75,30 @@ func drawVisits(cfg Config, rs *rand.Rand) int {
 	return n
 }
 
-// userScratch is the random state one worker lends to each user in
-// turn: the user's own stream and its netsim stream, both reseeded from
-// the user's splitmix seeds before anything is drawn, so a user never
-// sees what the previous one left.
+// userScratch is the state one worker lends to each user in turn: the
+// user's own stream and its netsim stream, both reseeded from the user's
+// splitmix seeds before anything is drawn, and a browser with its
+// warm-path cache, both reset before the user's first visit, so a user
+// never sees what the previous one left.
 type userScratch struct {
 	rs  *rand.Rand
 	net *netsim.Network
+	b   *browser.Browser
 }
 
 func newUserScratch(cfg Config) *userScratch {
-	return &userScratch{rs: lazyrand.New(0), net: netsim.New(cfg.Net, 0)}
+	return &userScratch{
+		rs:  lazyrand.New(0),
+		net: netsim.New(cfg.Net, 0),
+		b:   browser.New(browser.PolicyChromium, browser.WithCache(cache.New(cfg.Cache)), browser.WithProtocol(cfg.Proto)),
+	}
 }
 
 // simulateUser runs one user's whole browsing history: a pure function
 // of (cfg, uid, arrivalMs) plus the shared read-only environment. The
-// user owns every piece of mutable state it touches — both streams of
-// the worker's scratch for as long as it runs, its browser pool and its
-// warm-path cache — so users simulate in parallel without ordering
-// effects.
+// user owns every piece of mutable state it touches — the worker's
+// scratch, for as long as it runs — so users simulate in parallel
+// without ordering effects.
 func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs float64) []visit {
 	rs, net := sc.rs, sc.net
 	rs.Seed(mix(cfg.Seed, uint64(uid)*2+1))
@@ -101,10 +106,11 @@ func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs 
 	prof := drawProfile(cfg, rs, uid)
 
 	var b *browser.Browser
-	var cc *cache.Cache
 	if prof.h2 {
-		cc = cache.New(cfg.Cache)
-		b = browser.New(prof.policy, browser.WithCache(cc), browser.WithProtocol(cfg.Proto))
+		b = sc.b
+		b.Reset()
+		b.Cache.Reset()
+		b.Policy = prof.policy
 	}
 
 	nVisits := drawVisits(cfg, rs)
@@ -117,7 +123,7 @@ func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs 
 			now += gapMs
 			if b != nil {
 				// Legacy users carry no cache and no pool: nothing ages.
-				cc.Clock().AdvanceMs(int64(gapMs))
+				b.Cache.Clock().AdvanceMs(int64(gapMs))
 				if gapMs >= cfg.IdleTimeoutSec*1000 {
 					// The server's idle timeout closed every pooled
 					// connection while the user was away.

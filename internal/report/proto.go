@@ -19,10 +19,10 @@ type ProtoCosts struct {
 }
 
 // ProtoSweep replays every corpus page revisits times under each
-// protocol (h1, h2, h3 — sweep order), each against a fresh per-page
-// per-protocol cache, and sums the per-visit ledgers across pages. The
-// three replays are independent passes over the same immutable pages,
-// so the result is identical for any worker count.
+// protocol (h1, h2, h3 — sweep order), each page from a reset cache,
+// and sums the per-visit ledgers across pages. The three replays are
+// independent passes over the same immutable pages, so the result is
+// identical for any worker count.
 func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	if revisits <= 0 {
 		return nil
@@ -34,29 +34,35 @@ func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	return out
 }
 
+// protoAcc is a WarmColdProto chunk accumulator: the chunk's per-visit
+// ledgers and the replayer that resets its cache for each page.
+type protoAcc struct {
+	r      *core.Replayer
+	visits []core.VisitCosts
+}
+
 // WarmColdProto replays every corpus page revisits times under one
-// protocol against a fresh per-page warm-path cache and sums the
+// protocol, each page from a reset warm-path cache, and sums the
 // per-visit cost ledgers across pages. The pass fans out across the
-// corpus workers; per-page sequences are independent and ledger addition
-// is associative, so the result is identical for any worker count.
+// corpus workers with one replayer per chunk; per-page sequences are
+// independent and ledger addition is associative, so the result is
+// identical for any worker count.
 func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
 	}
 	return mapPages(c,
-		func() []core.VisitCosts { return make([]core.VisitCosts, revisits) },
-		func(acc []core.VisitCosts, p *har.Page) []core.VisitCosts {
-			for v, vc := range core.ProtocolReplaySequence(p, revisits, opts, proto) {
-				acc[v].Add(vc)
-			}
+		func() protoAcc { return protoAcc{core.NewReplayer(opts), make([]core.VisitCosts, revisits)} },
+		func(acc protoAcc, p *har.Page) protoAcc {
+			acc.r.Sequence(p, proto, acc.visits)
 			return acc
 		},
-		func(a, b []core.VisitCosts) []core.VisitCosts {
-			for v := range a {
-				a[v].Add(b[v])
+		func(a, b protoAcc) protoAcc {
+			for v := range a.visits {
+				a.visits[v].Add(b.visits[v])
 			}
 			return a
-		})
+		}).visits
 }
 
 // WarmColdProto runs the deployment experiment's returning-visitor
