@@ -7,7 +7,6 @@ import (
 
 	"respectorigin/internal/cache"
 	"respectorigin/internal/dns"
-	"respectorigin/internal/quic"
 )
 
 // dohTTLSeconds mirrors the handler's cache-control max-age: the
@@ -55,9 +54,9 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	if err != nil || cached || len(addrs) != 2 {
 		t.Fatalf("cold resolve: addrs=%v cached=%v err=%v", addrs, cached, err)
 	}
-	path := quic.Establish(cc, "www.example.com", sans)
-	if path.Resumed || path.TokenHit || path.RTTs() != 2 {
-		t.Fatalf("cold establishment not full-no-token: %+v (%.0f RTTs)", path, path.RTTs())
+	h := cc.Handshake("www.example.com", "", sans, cache.ProtoWireH3)
+	if h.Resumed || h.TokenHit {
+		t.Fatalf("cold establishment not full-no-token: %+v", h)
 	}
 
 	// Warm revisit: same cache, fresh connection.
@@ -65,9 +64,9 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	if err != nil || !cached || len(addrs) != 2 {
 		t.Fatalf("warm resolve: addrs=%v cached=%v err=%v", addrs, cached, err)
 	}
-	path = quic.Establish(cc, "www.example.com", sans)
-	if !path.ZeroRTT() || path.RTTs() != 0 {
-		t.Fatalf("warm establishment not 0-RTT: %+v (%.0f RTTs)", path, path.RTTs())
+	h = cc.Handshake("www.example.com", "", sans, cache.ProtoWireH3)
+	if !h.ZeroRTT() {
+		t.Fatalf("warm establishment not 0-RTT: %+v", h)
 	}
 	if client.Queries() != 1 || handler.Served() != 1 {
 		t.Fatalf("warm revisit hit the wire: client=%d server=%d", client.Queries(), handler.Served())
@@ -75,8 +74,8 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 
 	// SAN coverage extends both the ticket and the token across
 	// hostnames: a first visit to a covered sibling is already 0-RTT.
-	if p := quic.Establish(cc, "static.example.com", sans); !p.ZeroRTT() {
-		t.Fatalf("SAN-covered sibling not 0-RTT: %+v", p)
+	if h := cc.Handshake("static.example.com", "", sans, cache.ProtoWireH3); !h.ZeroRTT() {
+		t.Fatalf("SAN-covered sibling not 0-RTT: %+v", h)
 	}
 }
 
@@ -165,8 +164,8 @@ func TestDoHNXDomainNegativeCache(t *testing.T) {
 		t.Fatalf("negative hit went to the wire: %d queries", client.Queries())
 	}
 	// The failed lookup minted no h3 warm state for the name.
-	if p := quic.Establish(cc, "nohost.example.com", nil); p.Resumed || p.TokenHit {
-		t.Fatalf("NXDOMAIN produced warm h3 state: %+v", p)
+	if h := cc.Handshake("nohost.example.com", "", nil, cache.ProtoWireH3); h.Resumed || h.TokenHit {
+		t.Fatalf("NXDOMAIN produced warm h3 state: %+v", h)
 	}
 	// Past the negative TTL the name is retried on the wire.
 	cc.Clock().AdvanceMs(int64(cache.DefaultNegativeTTLSeconds) * 1000)

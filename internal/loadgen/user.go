@@ -9,7 +9,6 @@ import (
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
-	"respectorigin/internal/quic"
 )
 
 // visit is one page view by one user, as produced by the parallel
@@ -203,14 +202,14 @@ func accountRequest(out browser.Outcome, rs *rand.Rand, net *netsim.Network, v *
 		}
 	case out.NewConnection:
 		v.FreshConns++
+		if out.ResumedTLS {
+			v.Resumed++
+		}
 		if out.Proto == browser.ProtoH3 {
 			// QUIC folds transport and crypto into one handshake; the
-			// path (resumed/token) decides how many round trips it takes.
-			path := quic.Path{Resumed: out.ResumedTLS, TokenHit: out.AddrTokenHit}
-			v.ClientMs += path.HandshakeTime(net, 1)
-			if out.ResumedTLS {
-				v.Resumed++
-			}
+			// warm state (resumed/token) decides how many round trips it
+			// takes.
+			v.ClientMs += net.HandshakeTime(netsim.Setup{QUIC: true, Resumed: out.ResumedTLS, TokenHit: out.AddrTokenHit, SANs: 1})
 			if out.AddrTokenHit {
 				v.AddrTokens++
 			}
@@ -220,11 +219,9 @@ func accountRequest(out browser.Outcome, rs *rand.Rand, net *netsim.Network, v *
 		} else {
 			v.ClientMs += net.ConnectTime()
 			if out.ResumedTLS {
-				// Abbreviated handshake: no certificate chain to verify.
-				v.Resumed++
 				v.ClientMs += net.TLSTime(0, 1)
 			} else {
-				v.ClientMs += net.TLSTime(2, 1)
+				v.ClientMs += net.HandshakeTime(netsim.Setup{SANs: 2})
 			}
 		}
 	}

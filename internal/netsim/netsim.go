@@ -75,33 +75,72 @@ func (p Params) scale() float64 {
 }
 
 // CostScale exposes the effective latency multiplier (LatencyScale
-// folded with loss inflation) for pure-arithmetic cost models that
-// price setup phases without drawing from a Network's RNG stream.
+// folded with loss inflation) for pure-arithmetic cost models that price
+// non-handshake phases (the scenario matrix's DNS term) without drawing
+// from a Network's RNG stream.
 func (p Params) CostScale() float64 { return p.scale() }
 
-// TCPTLSSetupMs is the jitter-free price of setting up one TCP+TLS
-// connection (h1/h2): the TCP round trip plus the handshake round trips,
-// plus certificate verification unless the handshake resumed a session
-// (no chain is presented). Together with QUICSetupMs it is the one price
-// list the pure-arithmetic tables (report's protocol sweep, the scenario
-// matrix) share; callers that degrade the path multiply by CostScale.
-func (p Params) TCPTLSSetupMs(resumed bool) float64 {
-	ms := p.RTTMs + p.TLSRoundTrips*p.RTTMs
-	if !resumed {
-		ms += p.CertVerifyMs
-	}
-	return ms
+// Setup is one connection establishment, as the client's warm state
+// leaves it. The zero value is a cold TCP+TLS handshake presenting a
+// one-record chain with no SANs.
+type Setup struct {
+	QUIC     bool // h3: transport and crypto share flights, no separate TCP connect
+	Resumed  bool // a covering session ticket abbreviated the handshake: no chain is presented
+	TokenHit bool // h3: a covering address-validation token spared the Retry round trip
+	SANs     int  // names on the presented certificate
+	Records  int  // TLS records the chain spans; values below 2 mean one
 }
 
-// QUICSetupMs is the jitter-free price of one QUIC establishment taking
-// rtts round trips (quic.Path.RTTs owns that table), plus certificate
-// verification for full handshakes.
-func (p Params) QUICSetupMs(rtts float64, verifyChain bool) float64 {
-	ms := rtts * p.RTTMs
-	if verifyChain {
-		ms += p.CertVerifyMs
+// quicRTTs is the QUIC row of the price list, the resumed × token table:
+//
+//	resumed + token  → 0-RTT: application data rides the first flight
+//	resumed, no token → 1 RTT handshake + 1 RTT Retry
+//	full + token      → 1 RTT handshake
+//	full, no token    → 1 RTT handshake + 1 RTT Retry
+//
+// A cold client takes the full-no-token path: 2 RTTs, still cheaper
+// than the default TCP+TLS 1.2 profile's 3.
+func (s Setup) quicRTTs() float64 {
+	switch {
+	case s.Resumed && s.TokenHit:
+		return 0
+	case s.TokenHit:
+		return 1
 	}
-	return ms
+	return 2
+}
+
+// handshakeMs is the unscaled handshake price, TCP connect excluded: the
+// handshake round trips (TLSRoundTrips, or the QUIC table) and, for a
+// full handshake, the chain terms — a round trip per TLS record past
+// the first (§6.5), CertVerifyMs and the per-SAN validation cost. The
+// expression keeps TLSTime's historical evaluation order, which every
+// recorded corpus pins to the ulp.
+func (p Params) handshakeMs(s Setup) float64 {
+	rtts := p.TLSRoundTrips
+	if s.QUIC {
+		rtts = s.quicRTTs()
+	}
+	if s.Resumed {
+		return rtts * p.RTTMs
+	}
+	if s.Records > 1 {
+		rtts += float64(s.Records - 1)
+	}
+	return rtts*p.RTTMs + p.CertVerifyMs + float64(s.SANs)*p.ExtraCertVerifyPerSANMs
+}
+
+// SetupMs is the jitter-free price of one connection setup, scaled for
+// latency and loss: the handshake plus, over TCP, the connect round
+// trip. It is the one price list: the pure-arithmetic tables (report's
+// protocol sweep, the scenario matrix) call it, and Network.HandshakeTime
+// draws jitter around the same handshake term.
+func (p Params) SetupMs(s Setup) float64 {
+	ms := p.handshakeMs(s)
+	if !s.QUIC {
+		ms = p.RTTMs + ms
+	}
+	return ms * p.scale()
 }
 
 // Validate rejects parameter combinations that would produce NaN,
@@ -175,8 +214,8 @@ func DefaultParams() Params {
 
 // Network generates phase durations. It is safe for concurrent use.
 //
-// Stream contract: every phase method (DNSTime, ConnectTime, TLSTime,
-// WaitTime, TransferTime) consumes exactly one jitter draw per call
+// Stream contract: every phase method (DNSTime, ConnectTime,
+// HandshakeTime, WaitTime, TransferTime) consumes exactly one jitter draw per call
 // when JitterMs > 0, and none when JitterMs <= 0 — independent of any
 // other parameter. Toggling BandwidthKBps (or any other knob) therefore
 // never shifts the seeded stream consumed by later phases, so runs that
@@ -197,9 +236,9 @@ type Network struct {
 
 // SetRecorder installs an observability recorder: every generated phase
 // duration is also recorded into a latency histogram ("netsim.dns_ms",
-// "netsim.connect_ms", "netsim.tls_ms", "netsim.wait_ms",
-// "netsim.transfer_ms"). A nil recorder (the default) disables
-// instrumentation; the RNG stream is never touched either way.
+// "netsim.connect_ms", "netsim.tls_ms", "netsim.quic_handshake_ms",
+// "netsim.wait_ms", "netsim.transfer_ms"). A nil recorder (the default)
+// disables instrumentation; the RNG stream is never touched either way.
 func (n *Network) SetRecorder(rec obs.Recorder) {
 	n.mu.Lock()
 	n.rec = rec
@@ -258,48 +297,31 @@ func (n *Network) ConnectTime() float64 {
 	return d
 }
 
-// TLSTime returns the TLS handshake duration for a certificate chain
-// with sanCount names spanning tlsRecords records. Chains above one TLS
-// record cost an extra round trip (§6.5).
-func (n *Network) TLSTime(sanCount, tlsRecords int) float64 {
+// HandshakeTime returns the handshake duration of one connection setup:
+// SetupMs without the TCP connect round trip (ConnectTime draws that),
+// plus one jitter draw. QUIC setups are observed as
+// "netsim.quic_handshake_ms", TCP+TLS ones as "netsim.tls_ms".
+//
+// Stream contract: exactly one jitter draw per call whatever the setup,
+// so toggling resumption, tokens or protocol never shifts the seeded
+// stream of later phases.
+func (n *Network) HandshakeTime(s Setup) float64 {
 	n.mu.Lock()
-	rtts := n.P.TLSRoundTrips
-	if tlsRecords > 1 {
-		rtts += float64(tlsRecords - 1)
-	}
-	d := (rtts*n.P.RTTMs+n.P.CertVerifyMs+
-		float64(sanCount)*n.P.ExtraCertVerifyPerSANMs)*n.P.scale() + n.jitter()
+	d := n.P.handshakeMs(s)*n.P.scale() + n.jitter()
 	rec := n.rec
 	n.mu.Unlock()
-	obs.Observe(rec, "netsim.tls_ms", d)
+	hist := "netsim.tls_ms"
+	if s.QUIC {
+		hist = "netsim.quic_handshake_ms"
+	}
+	obs.Observe(rec, hist, d)
 	return d
 }
 
-// QUICHandshakeTime returns the combined transport+cryptographic
-// handshake duration for a QUIC connection establishment taking rtts
-// round trips: 1 for a fresh or resumed 1-RTT handshake, 0 for 0-RTT,
-// plus 1 when the server demands address validation via Retry. QUIC
-// folds the transport and TLS handshakes into the same flights, so
-// there is no separate ConnectTime and no TLSRoundTrips contribution.
-// verifyChain adds the client-side certificate validation cost (full
-// handshakes only; resumed and 0-RTT handshakes present no chain).
-//
-// Stream contract: exactly one jitter draw per call when JitterMs > 0,
-// independent of rtts and verifyChain — an h3 run's draw count per
-// fresh connection is one, exactly matching neither ConnectTime nor
-// TLSTime but never varying with the handshake path, so toggling
-// 0-RTT/token knobs cannot shift the seeded stream of later phases.
-func (n *Network) QUICHandshakeTime(rtts float64, verifyChain bool, sanCount int) float64 {
-	n.mu.Lock()
-	d := rtts * n.P.RTTMs
-	if verifyChain {
-		d += n.P.CertVerifyMs + float64(sanCount)*n.P.ExtraCertVerifyPerSANMs
-	}
-	d = d*n.P.scale() + n.jitter()
-	rec := n.rec
-	n.mu.Unlock()
-	obs.Observe(rec, "netsim.quic_handshake_ms", d)
-	return d
+// TLSTime is HandshakeTime for a full TCP+TLS handshake presenting a
+// chain with sanCount names spanning tlsRecords records.
+func (n *Network) TLSTime(sanCount, tlsRecords int) float64 {
+	return n.HandshakeTime(Setup{SANs: sanCount, Records: tlsRecords})
 }
 
 // WaitTime returns time-to-first-byte after the request is sent.

@@ -52,7 +52,7 @@ func (d *Deployment) Figure9Deployment(seed int64) (Figure9DeploymentData, strin
 			// Non-coalesced third-party fetches put DNS+TCP+TLS on the
 			// page's critical path with some probability (the resource
 			// may or may not be render-blocking).
-			setup := net.DNSTime() + net.ConnectTime() + net.TLSTime(3, 1)
+			setup := net.DNSTime() + net.ConnectTime() + net.HandshakeTime(netsim.Setup{SANs: 3})
 			onCritical := rng.Float64() < 0.30
 			if res.NewThirdParty > 0 && onCritical {
 				plt += setup

@@ -9,7 +9,6 @@ import (
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/netsim"
-	"respectorigin/internal/quic"
 )
 
 // ProtoCosts is one protocol's warm/cold visit sequence.
@@ -90,28 +89,23 @@ func (d *Deployment) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 
 // setupMs prices one ledger's connection setups from the netsim price
 // list — pure arithmetic on the network parameters, no RNG, no jitter —
-// so the sweep table is deterministic by construction:
-//
-//	h1/h2 resumed:  TCP (1 RTT) + TLS round trips
-//	h1/h2 full:     the above + certificate verification
-//	h3:             quic.Path's round trips for (resumed, token),
-//	                + certificate verification unless resumed
-//
-// Reused (coalesced) connections cost nothing by definition.
+// so the sweep table is deterministic by construction. Each fresh
+// connection is one netsim.Setup; reused (coalesced) connections cost
+// nothing by definition.
 func setupMs(vc core.VisitCosts, proto core.Protocol, p netsim.Params) float64 {
 	if proto != core.ProtoH3 {
-		return float64(vc.ResumedTLS)*p.TCPTLSSetupMs(true) + float64(vc.FullHandshakes)*p.TCPTLSSetupMs(false)
+		return float64(vc.ResumedTLS)*p.SetupMs(netsim.Setup{Resumed: true}) + float64(vc.FullHandshakes)*p.SetupMs(netsim.Setup{})
 	}
 	// Decompose fresh h3 connections by (resumed, token) from the exact
 	// ledger identities: AddrTokenHits + AddrValidations = fresh conns.
 	fullTok := vc.AddrTokenHits - vc.ZeroRTT
-	price := func(conns int, path quic.Path) float64 {
-		return float64(conns) * p.QUICSetupMs(path.RTTs(), !path.Resumed)
+	price := func(conns int, resumed, token bool) float64 {
+		return float64(conns) * p.SetupMs(netsim.Setup{QUIC: true, Resumed: resumed, TokenHit: token})
 	}
-	return price(vc.ZeroRTT, quic.Path{Resumed: true, TokenHit: true}) +
-		price(vc.ResumedTLS-vc.ZeroRTT, quic.Path{Resumed: true}) +
-		price(fullTok, quic.Path{TokenHit: true}) +
-		price(vc.FullHandshakes-fullTok, quic.Path{})
+	return price(vc.ZeroRTT, true, true) +
+		price(vc.ResumedTLS-vc.ZeroRTT, true, false) +
+		price(fullTok, false, true) +
+		price(vc.FullHandshakes-fullTok, false, false)
 }
 
 // ProtoSweepTable renders a per-protocol savings decomposition: the
@@ -159,12 +153,13 @@ func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 	c1 := setupMs(h1, core.ProtoH1, p)
 	c2 := setupMs(h2, core.ProtoH2, p)
 	c3 := setupMs(h3, core.ProtoH3, p)
+	retryMs := p.SetupMs(netsim.Setup{QUIC: true}) - p.SetupMs(netsim.Setup{QUIC: true, TokenHit: true})
 	fmt.Fprintf(&sb, "Coalescing frontier at visit %d (vs h1 keep-alive, %.1f ms setup):\n", last+1, c1)
 	fmt.Fprintf(&sb, "  ORIGIN-equivalent coalescing (h2): %+d reused conns, setup %.1f ms (-%.1f%%)\n",
 		h2.ReusedConns-h1.ReusedConns, c2, measure.ReductionPct(c1, c2))
 	fmt.Fprintf(&sb, "  H3 resumption:                     %d resumed (%d 0-RTT), setup %.1f ms (-%.1f%%)\n",
 		h3.ResumedTLS, h3.ZeroRTT, c3, measure.ReductionPct(c1, c3))
 	fmt.Fprintf(&sb, "  shared address validation:         %d token hits avoided %d Retry RTTs (%.1f ms)\n",
-		h3.AddrTokenHits, h3.AddrTokenHits, float64(h3.AddrTokenHits)*p.RTTMs)
+		h3.AddrTokenHits, h3.AddrTokenHits, float64(h3.AddrTokenHits)*retryMs)
 	return sb.String()
 }

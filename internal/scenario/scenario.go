@@ -266,25 +266,22 @@ func price(t totals, profile netsim.Profile, transport cache.DNSTransport) Cell 
 
 // setupMs prices the cell's connection economy under the profile, in
 // pure arithmetic from the netsim price list (no RNG — cells must be
-// byte-stable). A full TLS setup costs the TCP round trip, the
-// handshake round trips, and certificate verification; a resumed
-// handshake skips verification. Do53 resolution costs DNSMs per wire
-// query; DoH pays one resolver-connection setup (priced as a resumed
-// session to the resolver) per page that reached the wire plus one
-// resolver round trip per query — the transport's amortization trade.
+// byte-stable): every socket is a full or resumed netsim.Setup. Do53
+// resolution costs DNSMs per wire query; DoH pays one resolver-connection
+// setup (priced as a resumed session to the resolver) per page that
+// reached the wire plus one resolver round trip per query — the
+// transport's amortization trade.
 func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t cache.DNSTransport) float64 {
+	full := max(cell.Conns+cell.Preconns-resumed, 0)
+	ms := float64(full)*p.SetupMs(netsim.Setup{}) + float64(resumed)*p.SetupMs(netsim.Setup{Resumed: true})
 	scale := p.CostScale()
-	fullMs := p.TCPTLSSetupMs(false) * scale
-	resumedMs := p.TCPTLSSetupMs(true) * scale
-	sockets := cell.Conns + cell.Preconns
-	full := sockets - resumed
-	if full < 0 {
-		full = 0
-	}
-	ms := float64(full)*fullMs + float64(resumed)*resumedMs
 	switch t {
 	case cache.TransportDoH:
-		ms += float64(resolverConns) * p.TCPTLSSetupMs(true) * scale
+		// Count × unscaled price, then scale: the grouping the recorded
+		// matrix cells were priced with, kept to the ulp.
+		unscaled := p
+		unscaled.LatencyScale, unscaled.LossRate = 1, 0
+		ms += float64(resolverConns) * unscaled.SetupMs(netsim.Setup{Resumed: true}) * scale
 		ms += float64(cell.DNSQueries) * p.RTTMs * scale
 	default:
 		ms += float64(cell.DNSQueries) * p.DNSMs * scale

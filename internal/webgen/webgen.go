@@ -775,7 +775,7 @@ func (g *generator) genPage(rank int) *har.Page {
 				if sans > 700 {
 					records = 1 + sans/700
 				}
-				tm.SSL = g.net.TLSTime(sans, records)
+				tm.SSL = g.net.HandshakeTime(netsim.Setup{SANs: sans, Records: records})
 				e.CertIssuer = issuerFor(h.prov, rng)
 			} else {
 				tm.Connect = g.net.ConnectTime()

@@ -16,7 +16,7 @@ var testSupport = []string{"internal/clitest"}
 // probeOnly is what a benchmark/ probe reaches and no binary or example
 // does. The test holds it equal to that set, so it cannot grow unseen
 // and the change that drops a probe deletes the entry (and the package).
-var probeOnly = []string{"internal/qpack"}
+var probeOnly = []string{"internal/qpack", "internal/quic"}
 
 // TestEveryInternalPackageIsReached holds ROADMAP's "every package
 // earns a number or goes": each directory under internal/ with non-test
