@@ -217,12 +217,10 @@ func accountRequest(out browser.Outcome, rs *rand.Rand, net *netsim.Network, v *
 				v.ZeroRTT++
 			}
 		} else {
+			// A resumed handshake presents no chain: the price drops
+			// the certificate terms.
 			v.ClientMs += net.ConnectTime()
-			if out.ResumedTLS {
-				v.ClientMs += net.TLSTime(0, 1)
-			} else {
-				v.ClientMs += net.HandshakeTime(netsim.Setup{SANs: 2})
-			}
+			v.ClientMs += net.HandshakeTime(netsim.Setup{Resumed: out.ResumedTLS, SANs: 2})
 		}
 	}
 	v.ClientMs += requestTime(rs, net)

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"respectorigin/internal/browser"
+	"respectorigin/internal/lazyrand"
+	"respectorigin/internal/netsim"
 )
 
 // A worker lends one userScratch to every user it simulates. Whatever
@@ -59,5 +63,31 @@ func TestSimulateUserAllocBudget(t *testing.T) {
 		t.Errorf("simulateUser allocates %.0f B in %.1f allocations per user, want ≤ %d B and ≤ %d", bytes, allocs, bytesBudget, allocsBudget)
 	} else {
 		t.Logf("%.0f B in %.1f allocations per user", bytes, allocs)
+	}
+}
+
+// Every fresh connection is charged exactly its netsim.Setup price on
+// top of the request itself: a resumed h1/h2 handshake presents no
+// chain, so it pays no certificate verification.
+func TestFreshConnectionChargesItsSetupPrice(t *testing.T) {
+	p := netsim.DefaultParams()
+	p.JitterMs = 0
+	request := requestTime(lazyrand.New(1), netsim.New(p, 1))
+	cases := []struct {
+		out   browser.Outcome
+		setup netsim.Setup
+	}{
+		{browser.Outcome{NewConnection: true, ResumedTLS: true}, netsim.Setup{Resumed: true}},
+		{browser.Outcome{NewConnection: true}, netsim.Setup{SANs: 2}},
+		{browser.Outcome{NewConnection: true, Proto: browser.ProtoH3}, netsim.Setup{QUIC: true, SANs: 1}},
+		{browser.Outcome{NewConnection: true, Proto: browser.ProtoH3, ResumedTLS: true, AddrTokenHit: true, ZeroRTT: true},
+			netsim.Setup{QUIC: true, Resumed: true, TokenHit: true}},
+	}
+	for _, c := range cases {
+		var v visit
+		accountRequest(c.out, lazyrand.New(1), netsim.New(p, 1), &v)
+		if want := p.SetupMs(c.setup) + request; v.ClientMs != want {
+			t.Errorf("%+v: charged %v ms, want setup %v + request %v", c.setup, v.ClientMs, p.SetupMs(c.setup), request)
+		}
 	}
 }
