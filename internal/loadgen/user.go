@@ -217,8 +217,6 @@ func accountRequest(out browser.Outcome, rs *rand.Rand, net *netsim.Network, v *
 				v.ZeroRTT++
 			}
 		} else {
-			// A resumed handshake presents no chain: the price drops
-			// the certificate terms.
 			v.ClientMs += net.ConnectTime()
 			v.ClientMs += net.HandshakeTime(netsim.Setup{Resumed: out.ResumedTLS, SANs: 2})
 		}

@@ -215,12 +215,12 @@ func DefaultParams() Params {
 // Network generates phase durations. It is safe for concurrent use.
 //
 // Stream contract: every phase method (DNSTime, ConnectTime,
-// HandshakeTime, WaitTime, TransferTime) consumes exactly one jitter draw per call
-// when JitterMs > 0, and none when JitterMs <= 0 — independent of any
-// other parameter. Toggling BandwidthKBps (or any other knob) therefore
-// never shifts the seeded stream consumed by later phases, so runs that
-// differ only in such a knob stay comparable draw for draw. RaceEffects
-// consumes two draws per call.
+// HandshakeTime, WaitTime, TransferTime) consumes exactly one jitter
+// draw per call when JitterMs > 0, and none when JitterMs <= 0 —
+// independent of any other parameter. Toggling BandwidthKBps (or any
+// other knob) therefore never shifts the seeded stream consumed by later
+// phases, so runs that differ only in such a knob stay comparable draw
+// for draw. RaceEffects consumes two draws per call.
 //
 // Locking contract: no phase method holds the internal mutex while
 // calling into the installed recorder, so a recorder may safely call
@@ -302,9 +302,9 @@ func (n *Network) ConnectTime() float64 {
 // plus one jitter draw. QUIC setups are observed as
 // "netsim.quic_handshake_ms", TCP+TLS ones as "netsim.tls_ms".
 //
-// Stream contract: exactly one jitter draw per call whatever the setup,
-// so toggling resumption, tokens or protocol never shifts the seeded
-// stream of later phases.
+// Stream contract: the same draws whatever the setup, so toggling
+// resumption, tokens or protocol never shifts the seeded stream of
+// later phases.
 func (n *Network) HandshakeTime(s Setup) float64 {
 	n.mu.Lock()
 	d := n.P.handshakeMs(s)*n.P.scale() + n.jitter()
