@@ -130,7 +130,7 @@ func main() {
 	}
 
 	d := report.NewDeploymentWithFaults(*sample, *seed, plan, *retries)
-	d.Exp.SetRecorder(obs.Multi(recs...))
+	d.Exp.Rec = obs.Multi(recs...)
 
 	if warm.ProtoSweep {
 		sweep := d.ProtoSweep(warm.Revisits, warm.Opts)
@@ -167,17 +167,16 @@ func main() {
 		fmt.Println(report.SavingsTable(costs, warm.Label("deployment sample, IP phase")))
 	}
 	if trace != nil {
-		w := os.Stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
+		out, err := cliflags.OpenOutput(*traceOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
+			os.Exit(1)
 		}
-		if err := trace.WriteNDJSON(w); err != nil {
+		err = trace.WriteNDJSON(out)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
 			os.Exit(1)
 		}

@@ -102,7 +102,7 @@ func main() {
 		},
 	}
 	if metrics != nil {
-		srv.Recorder = metrics
+		srv.Rec = metrics
 	}
 
 	tlsCfg := &tls.Config{

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -119,6 +120,9 @@ func run() error {
 			return err
 		}
 		c = report.NewCorpusWorkers(ds, *workers)
+	}
+	if len(c.DS.Pages) == 0 {
+		return errors.New("corpus has no pages")
 	}
 
 	if warm.ProtoSweep {

@@ -33,7 +33,7 @@ func (l *labEnv) Lookup(host string) ([]netip.Addr, error) {
 }
 
 // LookupTTL exposes the unified surface's TTL so cache-carrying
-// browsers (browser.WithCache) can honor the authority's budgets.
+// browsers (Browser.Cache set) can honor the authority's budgets.
 func (l *labEnv) LookupTTL(host string) ([]netip.Addr, uint32, error) {
 	res, err := l.resolver.Lookup(host, dns.TypeA)
 	return res.Addrs, res.TTL, err

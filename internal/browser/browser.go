@@ -253,13 +253,6 @@ type Browser struct {
 	// never leaks dead sockets. 0 means uncapped.
 	MaxConnsPerHost int
 
-	// DNSTransport keys every warm-path DNS cache touch (lookups,
-	// positive answers, negative entries). The zero value (TransportDo53)
-	// preserves the historical cache keying byte for byte; a sweep that
-	// toggles resolver transport mid-run gets per-transport entries that
-	// never cross-serve.
-	DNSTransport cache.DNSTransport
-
 	// Rec, when non-nil, receives one span-style event per step of
 	// every request (DNS query → TLS handshake → coalesce decision)
 	// plus "browser.*" counters. Rank tags the events with the page
@@ -317,17 +310,10 @@ type Browser struct {
 	TotalFailed    int // requests that exhausted their retry budget
 }
 
-// New returns a Browser with the given policy, configured by functional
-// options. Calling New(p) with no options is byte-for-byte equivalent to
-// the historical field-poking construction, so existing callers keep
-// their behaviour.
-func New(p Policy, opts ...Option) *Browser {
-	b := &Browser{Policy: p}
-	for _, opt := range opts {
-		opt(b)
-	}
-	return b
-}
+// New returns a Browser with the given policy and every other field at
+// its zero value. Callers set the fields they need before the first
+// request.
+func New(p Policy) *Browser { return &Browser{Policy: p} }
 
 // Conns returns the current connection pool. The slice and the
 // connections it points to belong to the browser: they are valid until
@@ -561,7 +547,7 @@ func (b *Browser) findByIP(host string, answer []netip.Addr) *Conn {
 // cache.
 func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Addr, error) {
 	if b.Cache != nil {
-		if addrs, negative, ok := b.Cache.LookupDNSVia(b.DNSTransport, host); ok {
+		if addrs, negative, ok := b.Cache.LookupDNS(host); ok {
 			if negative {
 				out.NegCacheHit = true
 				b.TotalNegCacheHits++
@@ -580,7 +566,7 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 		addrs, ttl, err := b.envLookup(env, host)
 		if err == nil {
 			if b.Cache != nil && len(addrs) > 0 {
-				b.Cache.PutDNSVia(b.DNSTransport, host, addrs, ttl)
+				b.Cache.PutDNS(host, addrs, ttl)
 			}
 			return addrs, nil
 		}
@@ -588,7 +574,7 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 		b.emit(obs.Event{Kind: obs.KindDNSFail, Host: host, Detail: err.Error()})
 		if try >= b.MaxRetries {
 			if b.Cache != nil {
-				b.Cache.PutNegativeDNSVia(b.DNSTransport, host)
+				b.Cache.PutNegativeDNS(host)
 			}
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 
 	// Capped, coalescing enabled: the stale socket is evicted when the
 	// replacement opens.
-	b = New(PolicyChromium, WithPoolLimits(0, 1))
+	b = &Browser{Policy: PolicyChromium, MaxConnsPerHost: 1}
 	env = poolEnv(ipA)
 	b.Request(env, "www.example.com")
 	migrate(env)
@@ -86,7 +86,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 // host's own).
 func TestHostCapForcesSameHostMultiplexing(t *testing.T) {
 	ipA, ipB := ip("192.0.2.1"), ip("203.0.113.9")
-	b := New(PolicyChromium, WithPoolLimits(0, 1))
+	b := &Browser{Policy: PolicyChromium, MaxConnsPerHost: 1}
 	env := poolEnv(ipA)
 	b.Request(env, "www.example.com")
 	// A rotated answer with no overlap (Chromium kept only ipA), but
@@ -109,7 +109,7 @@ func TestHostCapForcesSameHostMultiplexing(t *testing.T) {
 // coalesced host rides another host's connection, which its own cap
 // does not govern.
 func TestHostCapDoesNotBlockCoalescing(t *testing.T) {
-	b := New(PolicyFirefox, WithPoolLimits(0, 1))
+	b := &Browser{Policy: PolicyFirefox, MaxConnsPerHost: 1}
 	env := twoHostEnv()
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "static.example.com")
@@ -138,7 +138,7 @@ func TestTotalCapEvictsLeastRecentlyUsed(t *testing.T) {
 			"c.example.com": {"c.example.com"},
 		},
 	}
-	b := New(PolicyChromium, WithPoolLimits(2, 0))
+	b := &Browser{Policy: PolicyChromium, MaxConns: 2}
 	b.Request(env, "a.example.com")
 	b.Request(env, "b.example.com")
 	// Touch a: it becomes the most recently used.
@@ -208,7 +208,7 @@ func TestPreconnectAccounting(t *testing.T) {
 // else.
 func TestResetClearsPoolCounters(t *testing.T) {
 	ipA := ip("192.0.2.1")
-	b := New(PolicyChromium, WithPoolLimits(1, 1))
+	b := &Browser{Policy: PolicyChromium, MaxConns: 1, MaxConnsPerHost: 1}
 	env := poolEnv(ipA)
 	b.Preconnect(env, "www.example.com")
 	env.answers["www.example.com"] = []netip.Addr{ip("203.0.113.9"), ipA}
@@ -298,11 +298,13 @@ func TestResetReusesStorageWithoutLeakingState(t *testing.T) {
 		for _, proto := range Protocols {
 			for _, caps := range [][2]int{{0, 0}, {3, 1}} {
 				name := fmt.Sprintf("%v/%v/caps%v", policy, proto, caps)
-				opts := []Option{WithProtocol(proto), WithPoolLimits(caps[0], caps[1])}
+				newBrowser := func() *Browser {
+					return &Browser{Policy: policy, Proto: proto, MaxConns: caps[0], MaxConnsPerHost: caps[1]}
+				}
 				rng := rand.New(rand.NewSource(int64(policy)*100 + int64(proto)*10 + int64(caps[0])))
-				reused := New(policy, opts...)
+				reused := newBrowser()
 				for session := 0; session < 12; session++ {
-					fresh := New(policy, opts...)
+					fresh := newBrowser()
 					reused.Reset()
 					envs := [2]*fakeEnv{}
 					var hosts []string

@@ -22,7 +22,7 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 
 	// Returning visitor speaks h3: the h2 ticket must not match, so the
 	// first h3 connection is a full handshake with address validation.
-	h3 := New(PolicyFirefoxOrigin, WithProtocol(ProtoH3))
+	h3 := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3.Cache = cc
 	out := h3.Request(twoHostEnv(), "www.example.com")
 	if !out.NewConnection {
@@ -37,7 +37,7 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 
 	// A second h3 visitor finds the h3 ticket and token the first one
 	// minted: resumed with a token hit is exactly 0-RTT.
-	h3b := New(PolicyFirefoxOrigin, WithProtocol(ProtoH3))
+	h3b := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3b.Cache = cc
 	out = h3b.Request(twoHostEnv(), "www.example.com")
 	if !out.ResumedTLS || !out.AddrTokenHit || !out.ZeroRTT {
@@ -49,7 +49,7 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 	// ticket, which would legitimately resume): an h3 visit's ticket
 	// and token warm no h2 client.
 	cc3 := cache.New(cache.Options{})
-	h3c := New(PolicyFirefoxOrigin, WithProtocol(ProtoH3))
+	h3c := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3c.Cache = cc3
 	if out := h3c.Request(twoHostEnv(), "www.example.com"); !out.NewConnection {
 		t.Fatalf("h3 cold visit: %+v", out)

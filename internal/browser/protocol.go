@@ -78,12 +78,6 @@ func ParseProtocol(s string) (Protocol, error) {
 	}
 }
 
-// WithProtocol selects the application protocol the browser speaks.
-// The zero value (ProtoH2) preserves the historical behaviour.
-func WithProtocol(p Protocol) Option {
-	return func(b *Browser) { b.Proto = p }
-}
-
 // AltSvcer is an optional Environment extension advertising HTTP/3
 // support per host (the Alt-Svc discovery step of the cross-layer
 // QUIC/DNS/HTTP-3 interaction papers). A browser configured for

@@ -3,6 +3,7 @@ package browser
 import (
 	"errors"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
@@ -38,30 +39,19 @@ func warmEnv() *ttlEnv {
 	}
 }
 
+// A browser's options are its exported fields: New(p) is the struct
+// literal with only the policy set, so assigning fields after New and
+// writing them in a literal configure the same browser.
 func TestOptionsConfigureBrowser(t *testing.T) {
-	c := cache.New(cache.Options{})
-	b := New(PolicyFirefoxOrigin,
-		WithSkipOriginDNS(true),
-		WithRetries(3, 125),
-		WithCache(c),
-	)
-	if !b.SkipOriginDNS || b.MaxRetries != 3 || b.RetryBackoffMs != 125 {
-		t.Fatalf("options not applied: %+v", b)
-	}
-	if b.Cache != c {
-		t.Fatal("cache option not applied")
-	}
-	// No options at all must equal the historical zero-value construction.
-	plain := New(PolicyChromium)
-	if plain.MaxRetries != 0 || plain.Rec != nil || plain.Cache != nil {
-		t.Fatalf("optionless New changed defaults: %+v", plain)
+	if plain := New(PolicyChromium); !reflect.DeepEqual(plain, &Browser{Policy: PolicyChromium}) {
+		t.Fatalf("New changed defaults: %+v", plain)
 	}
 }
 
 func TestWarmVisitServesDNSFromCache(t *testing.T) {
 	c := cache.New(cache.Options{})
 	env := warmEnv()
-	b := New(PolicyFirefox, WithCache(c))
+	b := &Browser{Policy: PolicyFirefox, Cache: c}
 
 	first := b.Request(env, "www.example.com")
 	if first.DNSQueries != 1 || first.DNSCacheHits != 0 {
@@ -92,7 +82,7 @@ func TestWarmVisitServesDNSFromCache(t *testing.T) {
 func TestWarmVisitResumesTLS(t *testing.T) {
 	c := cache.New(cache.Options{})
 	env := warmEnv()
-	b := New(PolicyFirefox, WithCache(c))
+	b := &Browser{Policy: PolicyFirefox, Cache: c}
 
 	first := b.Request(env, "www.example.com")
 	if !first.NewConnection || first.ResumedTLS {
@@ -124,7 +114,7 @@ func TestTicketResumesAcrossHostnames(t *testing.T) {
 	// the two (arXiv:1902.02531 resumption-across-hostnames).
 	c := cache.New(cache.Options{})
 	env := warmEnv()
-	b := New(PolicyChromium, WithCache(c))
+	b := &Browser{Policy: PolicyChromium, Cache: c}
 
 	b.Request(env, "www.example.com")
 	second := b.Request(env, "static.example.com")
@@ -141,7 +131,7 @@ func TestCertMemoSkipsRepeatValidation(t *testing.T) {
 	// the second handshake over the same chain hits the memo.
 	c := cache.New(cache.Options{TicketLifetimeSeconds: cache.TicketsDisabled})
 	env := warmEnv()
-	b := New(PolicyChromium, WithCache(c))
+	b := &Browser{Policy: PolicyChromium, Cache: c}
 
 	first := b.Request(env, "www.example.com")
 	second := b.Request(env, "static.example.com")
@@ -160,7 +150,7 @@ func TestNegativeCacheShortCircuitsRetries(t *testing.T) {
 	c := cache.New(cache.Options{})
 	env := &failingEnv{fakeEnv: fakeEnv{answers: map[string][]netip.Addr{}}}
 	env.dnsFailures = 10
-	b := New(PolicyFirefox, WithRetries(1, 100), WithCache(c))
+	b := &Browser{Policy: PolicyFirefox, MaxRetries: 1, RetryBackoffMs: 100, Cache: c}
 
 	first := b.Request(env, "down.example")
 	if first.Err == nil || first.DNSQueries != 2 {
@@ -207,7 +197,7 @@ func TestPoolNeverRetainsCacheStorage(t *testing.T) {
 		c := cache.New(cache.Options{DNSCapacity: 1})
 		env := warmEnv()
 		env.answers["www.example.com"] = []netip.Addr{ip("192.0.2.1"), ip("192.0.2.3")}
-		b := New(p, WithCache(c))
+		b := &Browser{Policy: p, Cache: c}
 		b.Request(env, "www.example.com")
 		b.Reset()
 		if out := b.Request(env, "www.example.com"); out.DNSCacheHits != 1 || !out.NewConnection {

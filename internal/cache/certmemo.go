@@ -96,38 +96,23 @@ func fnvString(h uint64, s string) uint64 {
 // The protocol layers call these instead of reaching into the stores,
 // so a disabled cache costs one nil check.
 
-// LookupDNS consults the DNS cache for a Do53-resolved A-type answer
-// at the current simulated time. Transport-aware call sites (DoH
-// clients, the scenario matrix) should use LookupDNSVia: entries are
-// keyed by resolver transport and never match across it.
+// LookupDNS consults the DNS cache for an A-type answer at the current
+// simulated time.
 func (c *Cache) LookupDNS(name string) (addrs []netip.Addr, negative, ok bool) {
-	return c.LookupDNSVia(TransportDo53, name)
-}
-
-// LookupDNSVia consults the DNS cache for an A-type answer resolved
-// over the given transport at the current simulated time.
-func (c *Cache) LookupDNSVia(t DNSTransport, name string) (addrs []netip.Addr, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
 	}
-	return c.DNS.GetVia(t, name, 1, c.clock.NowMs())
+	return c.DNS.Get(name, 1, c.clock.NowMs())
 }
 
-// PutDNS stores a positive Do53-resolved A answer under the
-// authority's TTL. A zero TTL means uncacheable and stores nothing;
-// sources that carry no TTL at all (HAR replays) should pass
-// DefaultTTL().
+// PutDNS stores a positive A answer under the authority's TTL. A zero
+// TTL means uncacheable and stores nothing; sources that carry no TTL
+// at all (HAR replays) should pass DefaultTTL().
 func (c *Cache) PutDNS(name string, addrs []netip.Addr, ttlSeconds uint32) {
-	c.PutDNSVia(TransportDo53, name, addrs, ttlSeconds)
-}
-
-// PutDNSVia stores a positive A answer under its resolver transport
-// and the authority's TTL.
-func (c *Cache) PutDNSVia(t DNSTransport, name string, addrs []netip.Addr, ttlSeconds uint32) {
 	if c == nil {
 		return
 	}
-	c.DNS.PutVia(t, name, 1, addrs, ttlSeconds, c.clock.NowMs())
+	c.DNS.Put(name, 1, addrs, ttlSeconds, c.clock.NowMs())
 }
 
 // DefaultTTL returns the positive TTL for answer sources that carry
@@ -139,19 +124,12 @@ func (c *Cache) DefaultTTL() uint32 {
 	return DefaultDNSTTLSeconds
 }
 
-// PutNegativeDNS stores a failed Do53-resolved A lookup under the
-// negative TTL.
+// PutNegativeDNS stores a failed A lookup under the negative TTL.
 func (c *Cache) PutNegativeDNS(name string) {
-	c.PutNegativeDNSVia(TransportDo53, name)
-}
-
-// PutNegativeDNSVia stores a failed A lookup under its resolver
-// transport and the negative TTL.
-func (c *Cache) PutNegativeDNSVia(t DNSTransport, name string) {
 	if c == nil {
 		return
 	}
-	c.DNS.PutNegativeVia(t, name, 1, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
+	c.DNS.PutNegative(name, 1, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
 }
 
 // RedeemTicketProto attempts TLS resumption for host with a ticket

@@ -5,43 +5,13 @@ import (
 	"sync"
 )
 
-// DNSTransport tags a DNS cache entry with the resolver transport that
-// produced it. Answers are not interchangeable across transports: a
-// Do53 NXDOMAIN says nothing about what the DoH resolver would answer
-// (different resolver, different view, different filtering), so when a
-// sweep toggles resolver transport mid-run, entries minted under one
-// transport must never be served to lookups under the other.
-type DNSTransport uint8
-
-// Resolver transports.
-const (
-	// TransportDo53 is classic UDP/TCP port-53 resolution — the zero
-	// value, so every historical call site keys its entries here and
-	// behaviour stays byte-identical.
-	TransportDo53 DNSTransport = iota
-	// TransportDoH is RFC 8484 DNS-over-HTTPS resolution.
-	TransportDoH
-)
-
-func (t DNSTransport) String() string {
-	switch t {
-	case TransportDo53:
-		return "do53"
-	case TransportDoH:
-		return "doh"
-	default:
-		return "unknown"
-	}
-}
-
 // DNSCache is a TTL-aware answer cache with an LRU capacity bound.
-// Entries are keyed by (transport, name, query type); both positive
-// answers and negative results (failed lookups) are stored. Eviction
-// order is deterministic: the least recently used entry goes first,
-// and "use" means a non-expired Get or a Put. All transports share one
-// capacity bound — a client has one DNS cache, however it resolves.
+// Entries are keyed by (name, query type); both positive answers and
+// negative results (failed lookups) are stored. Eviction order is
+// deterministic: the least recently used entry goes first, and "use"
+// means a non-expired Get or a Put.
 //
-// Answers are returned without a copy (see GetVia), and entries that
+// Answers are returned without a copy (see Get), and entries that
 // leave the cache — evicted, expired or dropped by Reset — go to a free
 // list with their address storage, so a warmed cache stores new answers
 // without allocating.
@@ -57,11 +27,10 @@ type DNSCache struct {
 	hits, negHits, misses, expired, evictions int64
 }
 
-// dnsKey names a (transport, type, name) question; name is canonical.
+// dnsKey names a (type, name) question; name is canonical.
 type dnsKey struct {
-	transport DNSTransport
-	typ       uint16
-	name      string
+	typ  uint16
+	name string
 }
 
 type dnsEntry struct {
@@ -77,28 +46,21 @@ func newDNSCache(capacity int) *DNSCache {
 	return &DNSCache{capacity: capacity, entries: make(map[dnsKey]*dnsEntry)}
 }
 
-// Get returns the cached Do53-transport answer for (name, typ); see
-// GetVia for the transport-keyed form.
-func (d *DNSCache) Get(name string, typ uint16, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
-	return d.GetVia(TransportDo53, name, typ, nowMs)
-}
-
-// GetVia returns the cached answer for (transport, name, typ) at
-// simulated time nowMs. negative reports a cached failure; ok is false
-// on a miss. An entry whose deadline equals nowMs is already expired:
-// TTLs are "seconds remaining", so at the instant the budget reaches
-// zero the answer may no longer be served. Entries minted under a
-// different transport never match.
+// Get returns the cached answer for (name, typ) at simulated time
+// nowMs. negative reports a cached failure; ok is false on a miss. An
+// entry whose deadline equals nowMs is already expired: TTLs are
+// "seconds remaining", so at the instant the budget reaches zero the
+// answer may no longer be served.
 //
 // addrs is the cache's own storage, not a copy: callers must not modify
 // it. It keeps this answer across later lookups and Reset, until the
-// next store into this cache (Put*, PutNegative*), which may overwrite
+// next store into this cache (Put, PutNegative), which may overwrite
 // it in place or reuse it for another name. A caller that keeps an
 // answer past that point copies it, as dns.Resolver.Lookup does.
-func (d *DNSCache) GetVia(t DNSTransport, name string, typ uint16, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
+func (d *DNSCache) Get(name string, typ uint16, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, found := d.entries[d.canon(t, name, typ)]
+	e, found := d.entries[canonKey(name, typ)]
 	if !found {
 		d.misses++
 		return nil, false, false
@@ -118,34 +80,22 @@ func (d *DNSCache) GetVia(t DNSTransport, name string, typ uint16, nowMs int64) 
 	return e.addrs, false, true
 }
 
-// Put stores a positive Do53-transport answer; see PutVia.
+// Put stores a positive answer with the given TTL. Zero-TTL answers are
+// uncacheable and dropped on the floor (they would expire at the very
+// instant of the next lookup anyway).
 func (d *DNSCache) Put(name string, typ uint16, addrs []netip.Addr, ttlSeconds uint32, nowMs int64) {
-	d.PutVia(TransportDo53, name, typ, addrs, ttlSeconds, nowMs)
-}
-
-// PutVia stores a positive answer under its resolver transport with
-// the given TTL. Zero-TTL answers are uncacheable and dropped on the
-// floor (they would expire at the very instant of the next lookup
-// anyway).
-func (d *DNSCache) PutVia(t DNSTransport, name string, typ uint16, addrs []netip.Addr, ttlSeconds uint32, nowMs int64) {
 	if ttlSeconds == 0 || len(addrs) == 0 {
 		return
 	}
-	d.put(d.canon(t, name, typ), addrs, false, nowMs+int64(ttlSeconds)*1000)
+	d.put(canonKey(name, typ), addrs, false, nowMs+int64(ttlSeconds)*1000)
 }
 
-// PutNegative stores a failed Do53-transport lookup; see PutNegativeVia.
+// PutNegative stores a failed lookup with the given negative TTL.
 func (d *DNSCache) PutNegative(name string, typ uint16, ttlSeconds uint32, nowMs int64) {
-	d.PutNegativeVia(TransportDo53, name, typ, ttlSeconds, nowMs)
-}
-
-// PutNegativeVia stores a failed lookup under its resolver transport
-// with the given negative TTL.
-func (d *DNSCache) PutNegativeVia(t DNSTransport, name string, typ uint16, ttlSeconds uint32, nowMs int64) {
 	if ttlSeconds == 0 {
 		return
 	}
-	d.put(d.canon(t, name, typ), nil, true, nowMs+int64(ttlSeconds)*1000)
+	d.put(canonKey(name, typ), nil, true, nowMs+int64(ttlSeconds)*1000)
 }
 
 // put stores a copy of addrs under key as the most recently used entry,
@@ -198,8 +148,8 @@ func (d *DNSCache) Len() int {
 	return len(d.entries)
 }
 
-func (d *DNSCache) canon(t DNSTransport, name string, typ uint16) dnsKey {
-	return dnsKey{t, typ, canonical(name)}
+func canonKey(name string, typ uint16) dnsKey {
+	return dnsKey{typ, canonical(name)}
 }
 
 // canonical lower-cases a hostname and strips one trailing dot,

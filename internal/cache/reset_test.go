@@ -25,7 +25,7 @@ var (
 // step: the first byte picks one of ten operations (DNS put, negative
 // put, two kinds of lookup, ticket store and redeem, token store and
 // redeem, chain validation or a whole handshake, a clock advance) and
-// the transport, answer, TTL and issuer; the second byte picks the
+// the answer, TTL and issuer; the second byte picks the
 // name, SAN list and wire protocol. TTLs and advances are whole seconds
 // and their neighbours, so entries expire exactly at, just before and
 // just after a lookup.
@@ -33,7 +33,6 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 	var out []string
 	for i := 0; i+1 < len(data); i += 2 {
 		op, sel, arg := data[i]%10, int(data[i]/10), int(data[i+1])
-		transport := DNSTransport(sel & 1)
 		issuer := resetIssuers[sel/2%len(resetIssuers)]
 		host := scheduleHosts[arg%len(scheduleHosts)]
 		sans := scheduleCerts[arg%len(scheduleCerts)]
@@ -41,11 +40,11 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 		var step string
 		switch op {
 		case 0:
-			c.PutDNSVia(transport, host, resetAnswers[sel/2%len(resetAnswers)], resetTTLs[sel/6%len(resetTTLs)])
+			c.PutDNS(host, resetAnswers[sel/2%len(resetAnswers)], resetTTLs[sel/6%len(resetTTLs)])
 		case 1:
-			c.PutNegativeDNSVia(transport, host)
+			c.PutNegativeDNS(host)
 		case 2, 3:
-			addrs, negative, ok := c.LookupDNSVia(transport, host)
+			addrs, negative, ok := c.LookupDNS(host)
 			step = fmt.Sprint(addrs, negative, ok)
 		case 4:
 			c.StoreTicketProto(sans, proto)

@@ -69,6 +69,13 @@ type Experiment struct {
 	CDN *CDN
 	Cfg ExperimentConfig
 
+	// Rec, when set, receives "cdn.*" counters and per-visit trace spans,
+	// and is handed to every visit's browser. Set it before the first
+	// visit. Observation only: the recorder never touches e.rng or the
+	// injector stream, so traced and untraced runs emit identical log
+	// records.
+	Rec obs.Recorder
+
 	rng    *rand.Rand
 	connID atomic.Uint64
 	inj    *faults.Injector
@@ -80,11 +87,7 @@ type Experiment struct {
 	env               browser.Environment
 	firefox, chromium *browser.Browser
 
-	// rec, when set, receives "cdn.*" counters and per-visit trace
-	// spans; visitSeq ranks the spans in visit order. Observation only:
-	// the recorder never touches e.rng or the injector stream, so traced
-	// and untraced runs emit identical log records.
-	rec      obs.Recorder
+	// visitSeq ranks the trace spans in visit order.
 	visitSeq atomic.Int64
 
 	// SampleZones are the retained treated zones (after the 22% cut).
@@ -105,8 +108,8 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 		e.env = &faults.Env{Inner: c, Inj: e.inj}
 		retries, backoffMs = cfg.FaultRetries, 250
 	}
-	e.firefox = browser.New(browser.PolicyFirefoxOrigin, browser.WithRetries(retries, backoffMs))
-	e.chromium = browser.New(browser.PolicyChromium, browser.WithRetries(retries, backoffMs))
+	e.firefox = &browser.Browser{Policy: browser.PolicyFirefoxOrigin, MaxRetries: retries, RetryBackoffMs: backoffMs}
+	e.chromium = &browser.Browser{Policy: browser.PolicyChromium, MaxRetries: retries, RetryBackoffMs: backoffMs}
 	for i := 0; i < cfg.SampleSize; i++ {
 		if e.rng.Float64() < cfg.SubpageOnlyFrac {
 			e.Removed++
@@ -236,11 +239,6 @@ func (t *connTable) remove(host string) {
 // plan).
 func (e *Experiment) Injector() *faults.Injector { return e.inj }
 
-// SetRecorder installs an observability recorder on the experiment and
-// every visit's browser. A nil recorder (the default) disables all
-// instrumentation.
-func (e *Experiment) SetRecorder(rec obs.Recorder) { e.rec = rec }
-
 // beginVisit opens a trace span for one page view under a recorder and
 // returns the span's rank. The span brackets every event the visit's
 // browser emits: page_start sorts first within the rank (Seq -1) and
@@ -248,25 +246,25 @@ func (e *Experiment) SetRecorder(rec obs.Recorder) { e.rec = rec }
 // sequence numbers reach.
 func (e *Experiment) beginVisit(z *Zone, ua string) int {
 	rank := int(e.visitSeq.Add(1))
-	obs.Count(e.rec, "cdn.visits", 1)
-	obs.Emit(e.rec, obs.Event{Rank: rank, Seq: -1, Kind: obs.KindPageStart, Host: z.Host, Detail: ua})
+	obs.Count(e.Rec, "cdn.visits", 1)
+	obs.Emit(e.Rec, obs.Event{Rank: rank, Seq: -1, Kind: obs.KindPageStart, Host: z.Host, Detail: ua})
 	return rank
 }
 
 // endVisit stamps the page_end summary once the VisitResult is final.
 func (e *Experiment) endVisit(rank int, z *Zone, ua string, res *VisitResult) {
-	obs.Count(e.rec, "cdn.third_party_pools", int64(res.ThirdPartyTotal))
-	obs.Count(e.rec, "cdn.new_third_party_conns", int64(res.NewThirdParty))
-	obs.Count(e.rec, "cdn.coalesced_pools", int64(res.CoalescedPools))
-	obs.Count(e.rec, "cdn.failed_requests", int64(res.FailedRequests))
-	obs.Count(e.rec, "cdn.misdirected_421", int64(res.Misdirected421))
-	obs.Count(e.rec, "cdn.retries", int64(res.Retries))
-	obs.Count(e.rec, "cdn.resets", int64(res.Resets))
-	obs.Count(e.rec, "cdn.goaways", int64(res.GoAways))
+	obs.Count(e.Rec, "cdn.third_party_pools", int64(res.ThirdPartyTotal))
+	obs.Count(e.Rec, "cdn.new_third_party_conns", int64(res.NewThirdParty))
+	obs.Count(e.Rec, "cdn.coalesced_pools", int64(res.CoalescedPools))
+	obs.Count(e.Rec, "cdn.failed_requests", int64(res.FailedRequests))
+	obs.Count(e.Rec, "cdn.misdirected_421", int64(res.Misdirected421))
+	obs.Count(e.Rec, "cdn.retries", int64(res.Retries))
+	obs.Count(e.Rec, "cdn.resets", int64(res.Resets))
+	obs.Count(e.Rec, "cdn.goaways", int64(res.GoAways))
 	if res.ZoneFailed {
-		obs.Count(e.rec, "cdn.zone_failures", 1)
+		obs.Count(e.Rec, "cdn.zone_failures", 1)
 	}
-	obs.Emit(e.rec, obs.Event{
+	obs.Emit(e.Rec, obs.Event{
 		Rank: rank, Seq: 1 << 30, Kind: obs.KindPageEnd, Host: z.Host, Detail: ua,
 		N: res.ThirdPartyTotal,
 	})
@@ -281,7 +279,7 @@ func (e *Experiment) endVisit(rank int, z *Zone, ua string, res *VisitResult) {
 // zero plan takes no wrapper, no extra lookup and no draw; and under a
 // nil recorder the visit is exactly the untraced one.
 func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
-	if e.rec == nil {
+	if e.Rec == nil {
 		return e.visit(z, ua, day, 0)
 	}
 	rank := e.beginVisit(z, ua)
@@ -314,7 +312,7 @@ func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 	zoneFailed := false
 	if h2 && (faulted || !z.Churned) {
 		b.Reset()
-		b.Rec, b.Rank = e.rec, rank
+		b.Rec, b.Rank = e.Rec, rank
 		out := b.Request(e.env, z.Host)
 		res.Retries += out.Retries
 		zoneFailed = faulted && out.Err != nil

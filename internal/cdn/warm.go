@@ -36,7 +36,7 @@ func (e *Experiment) WarmColdProto(revisits int, opts cache.Options, proto core.
 	// One client and one cache for the run: the browser's Reset opens a
 	// fresh browsing session, the cache's a fresh client for each zone.
 	c := cache.New(opts)
-	b := browser.New(browser.PolicyFirefoxOrigin, browser.WithProtocol(proto), browser.WithCache(c))
+	b := &browser.Browser{Policy: browser.PolicyFirefoxOrigin, Proto: proto, Cache: c}
 	for zi, z := range e.SampleZones {
 		if z.Churned {
 			continue

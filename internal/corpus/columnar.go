@@ -105,9 +105,9 @@ type columnarWriter struct {
 	err     error
 }
 
-// NewColumnarWriter returns a Writer emitting the columnar binary
+// newColumnarWriter returns a Writer emitting the columnar binary
 // encoding to w. Close writes the end marker and must be checked.
-func NewColumnarWriter(w io.Writer) Writer { return &columnarWriter{w: w} }
+func newColumnarWriter(w io.Writer) Writer { return &columnarWriter{w: w} }
 
 func (cw *columnarWriter) start() error {
 	if cw.started {
@@ -436,9 +436,9 @@ type columnarReader struct {
 	sans  []span
 }
 
-// NewColumnarReader returns a Reader decoding the columnar binary
+// newColumnarReader returns a Reader decoding the columnar binary
 // encoding from r.
-func NewColumnarReader(r io.Reader) Reader {
+func newColumnarReader(r io.Reader) Reader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)

@@ -82,17 +82,17 @@ func (f Format) Version() int {
 // owns buffering, hashing and the file).
 func NewWriter(w io.Writer, f Format) Writer {
 	if f == FormatColumnar {
-		return NewColumnarWriter(w)
+		return newColumnarWriter(w)
 	}
-	return NewNDJSONWriter(w)
+	return newNDJSONWriter(w)
 }
 
 // NewReader returns a Reader decoding pages from r in the given format.
 func NewReader(r io.Reader, f Format) Reader {
 	if f == FormatColumnar {
-		return NewColumnarReader(r)
+		return newColumnarReader(r)
 	}
-	return NewNDJSONReader(r)
+	return newNDJSONReader(r)
 }
 
 // ReadAll drains a Reader into a page slice.

@@ -14,10 +14,10 @@ type ndjsonWriter struct {
 	enc *json.Encoder
 }
 
-// NewNDJSONWriter returns a Writer encoding pages as newline-delimited
+// newNDJSONWriter returns a Writer encoding pages as newline-delimited
 // JSON to w. Close is a no-op (the encoding has no trailer); file
 // flushing belongs to whoever owns the file.
-func NewNDJSONWriter(w io.Writer) Writer {
+func newNDJSONWriter(w io.Writer) Writer {
 	return &ndjsonWriter{enc: json.NewEncoder(w)}
 }
 
@@ -29,9 +29,9 @@ type ndjsonReader struct {
 	dec *json.Decoder
 }
 
-// NewNDJSONReader returns a Reader decoding newline-delimited JSON
+// newNDJSONReader returns a Reader decoding newline-delimited JSON
 // pages from r.
-func NewNDJSONReader(r io.Reader) Reader {
+func newNDJSONReader(r io.Reader) Reader {
 	return &ndjsonReader{dec: json.NewDecoder(r)}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"respectorigin/internal/cache"
-	"respectorigin/internal/obs"
 )
 
 // Source reports where a lookup's answer came from.
@@ -45,7 +44,6 @@ type Resolver struct {
 	mu      sync.Mutex
 	nextID  uint16
 	queries int64
-	rec     obs.Recorder
 	cache   *cache.Cache
 	// lastAnswers records the most recent address set per hostname, in
 	// answer order. Browser policies read this to build connected-sets
@@ -56,14 +54,6 @@ type Resolver struct {
 // NewResolver returns a stub resolver querying upstream.
 func NewResolver(upstream *Authority) *Resolver {
 	return &Resolver{upstream: upstream, nextID: 1, lastAnswers: make(map[string][]netip.Addr)}
-}
-
-// SetRecorder installs an observability recorder counting the stub
-// resolver's queries and failures ("dns.resolver.*"); nil disables.
-func (r *Resolver) SetRecorder(rec obs.Recorder) {
-	r.mu.Lock()
-	r.rec = rec
-	r.mu.Unlock()
 }
 
 // UseCache installs a warm-path cache consulted before the authority on
@@ -107,28 +97,25 @@ func (r *Resolver) LookupAAAA(name string) ([]netip.Addr, error) {
 // through the cache when one is installed and the authority otherwise,
 // returning the address set, its remaining TTL budget, and the source
 // that served it. Cache hits — positive and negative — issue no wire
-// query and are counted under "dns.resolver.cache_hits"; misses fall
-// through to the authority and populate the cache with the answer's
+// query; misses fall through to the authority and populate the cache with the answer's
 // minimum TTL (zero-TTL answers are uncacheable), or a negative entry
 // on NXDOMAIN. The returned address slice belongs to the caller: a
 // cache hit is copied out of the cache's storage.
 func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
 	r.mu.Lock()
-	rec, c := r.rec, r.cache
+	c := r.cache
 	r.mu.Unlock()
 
 	if c != nil {
 		if addrs, negative, ok := c.DNS.Get(name, typ, c.Clock().NowMs()); ok {
-			obs.Count(rec, "dns.resolver.cache_hits", 1)
 			if negative {
 				return LookupResult{Source: SourceNegativeCache}, &NXDomainError{Name: name}
 			}
 			return LookupResult{Addrs: append([]netip.Addr(nil), addrs...), Source: SourceCache}, nil
 		}
-		obs.Count(rec, "dns.resolver.cache_misses", 1)
 	}
 
-	res, err := r.lookupWire(name, typ, rec)
+	res, err := r.lookupWire(name, typ)
 	if c == nil {
 		return res, err
 	}
@@ -144,13 +131,12 @@ func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
 }
 
 // lookupWire issues one wire-format query to the authority.
-func (r *Resolver) lookupWire(name string, typ uint16, rec obs.Recorder) (LookupResult, error) {
+func (r *Resolver) lookupWire(name string, typ uint16) (LookupResult, error) {
 	r.mu.Lock()
 	id := r.nextID
 	r.nextID++
 	r.queries++
 	r.mu.Unlock()
-	obs.Count(rec, "dns.resolver.queries", 1)
 
 	q := &Message{
 		Header:    Header{ID: id, RD: true},
@@ -172,11 +158,9 @@ func (r *Resolver) lookupWire(name string, typ uint16, rec obs.Recorder) (Lookup
 		return LookupResult{}, fmt.Errorf("dns: response ID %d for query %d", resp.Header.ID, id)
 	}
 	if resp.Header.Rcode == RcodeNameError {
-		obs.Count(rec, "dns.resolver.nxdomain", 1)
 		return LookupResult{Source: SourceAuthority}, &NXDomainError{Name: name}
 	}
 	if resp.Header.Rcode != RcodeSuccess {
-		obs.Count(rec, "dns.resolver.failures", 1)
 		return LookupResult{Source: SourceAuthority}, fmt.Errorf("dns: rcode %d for %s", resp.Header.Rcode, name)
 	}
 	res := LookupResult{Source: SourceAuthority}

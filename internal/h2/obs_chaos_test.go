@@ -14,11 +14,10 @@ import (
 
 // TestChaosRecorderWiring drives several concurrent client/server
 // pairs — one clean, the rest over ChaosConn with reset plans — with a
-// shared Metrics+Trace recorder wired into both halves. Run under
+// shared Metrics+Trace recorder wired into every server. Run under
 // -race (the CI observability job does) this checks that recorder
-// callbacks from the server's serve loop, the client's read loop, and
-// request goroutines never race, and that no h2 goroutine outlives its
-// connection when instrumentation is on.
+// callbacks from concurrent serve loops never race, and that no h2
+// goroutine outlives its connection when instrumentation is on.
 func TestChaosRecorderWiring(t *testing.T) {
 	metrics := obs.NewMetrics()
 	trace := obs.NewTrace()
@@ -41,7 +40,7 @@ func TestChaosRecorderWiring(t *testing.T) {
 					_, _ = w.Write([]byte("ok:" + r.Path))
 				}),
 				OriginSet: []string{"a.example", "b.example"},
-				Recorder:  rec,
+				Rec:       rec,
 				FlowHook:  serverCheck,
 			}
 			clientEnd, serverEnd := net.Pipe()
@@ -58,7 +57,6 @@ func TestChaosRecorderWiring(t *testing.T) {
 			cc, err := NewClientConn(nc, ClientConnOptions{
 				Origin:      "a.example",
 				ReadTimeout: 2 * time.Second,
-				Recorder:    rec,
 				FlowHook:    clientCheck,
 			})
 			if err != nil {
@@ -86,23 +84,16 @@ func TestChaosRecorderWiring(t *testing.T) {
 	}
 
 	// Connection counters fire before any fault can interfere.
-	if got := metrics.Get("h2.client.conns"); got != pairs {
-		t.Errorf("h2.client.conns = %d, want %d", got, pairs)
-	}
 	if got := metrics.Get("h2.server.conns"); got != pairs {
 		t.Errorf("h2.server.conns = %d, want %d", got, pairs)
 	}
 	// The clean pair guarantees at least one full request cycle and one
-	// ORIGIN frame in each direction, whatever the chaos pairs suffered.
-	if metrics.Get("h2.client.streams") == 0 || metrics.Get("h2.server.streams") == 0 {
-		t.Errorf("no streams recorded: client=%d server=%d",
-			metrics.Get("h2.client.streams"), metrics.Get("h2.server.streams"))
+	// ORIGIN frame sent, whatever the chaos pairs suffered.
+	if metrics.Get("h2.server.streams") == 0 {
+		t.Error("no server streams recorded")
 	}
 	if metrics.Get("h2.server.origin_frames_sent") == 0 {
 		t.Error("no ORIGIN frames recorded despite a configured origin set")
-	}
-	if metrics.Get("h2.client.origin_frames") == 0 {
-		t.Error("client recorded no ORIGIN frame receipts")
 	}
 	if trace.Len() == 0 {
 		t.Error("trace recorded no events")

@@ -86,10 +86,11 @@ type Server struct {
 	// that stopped reading. Zero disables.
 	WriteTimeout time.Duration
 
-	// Recorder, when non-nil, receives "h2.server.*" counters and
+	// Rec, when non-nil, receives "h2.server.*" counters and
 	// connection-level trace events (origin frames sent, GOAWAYs, 421s).
-	// Observation only; a nil recorder changes nothing.
-	Recorder obs.Recorder
+	// Observation only; a nil recorder changes nothing. Set it before
+	// the first ServeConn.
+	Rec obs.Recorder
 
 	// FlowHook, when non-nil, observes every flow-control transition on
 	// each served connection (see FlowOp* constants). Used by the
@@ -145,7 +146,7 @@ func (s *Server) ServeConnGraceful(nc net.Conn) (stop func(), done <-chan error)
 }
 
 func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, error) {
-	obs.Count(s.Recorder, "h2.server.conns", 1)
+	obs.Count(s.Rec, "h2.server.conns", 1)
 	aw := newAsyncWriter(nc)
 	defer aw.Close()
 	sc := &serverConn{
@@ -178,12 +179,12 @@ func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, er
 	if s.CountersFor != nil {
 		s.CountersFor(sc.counters)
 	}
-	if s.Recorder != nil {
-		obs.Count(s.Recorder, "h2.server.streams", int64(sc.counters.StreamsOpened))
-		obs.Count(s.Recorder, "h2.server.frames_read", int64(sc.counters.FramesRead))
-		obs.Count(s.Recorder, "h2.server.frames_written", int64(sc.counters.FramesWritten))
-		obs.Count(s.Recorder, "h2.server.bytes_read", sc.counters.BytesRead)
-		obs.Count(s.Recorder, "h2.server.misdirected_421", int64(sc.counters.Misdirected))
+	if s.Rec != nil {
+		obs.Count(s.Rec, "h2.server.streams", int64(sc.counters.StreamsOpened))
+		obs.Count(s.Rec, "h2.server.frames_read", int64(sc.counters.FramesRead))
+		obs.Count(s.Rec, "h2.server.frames_written", int64(sc.counters.FramesWritten))
+		obs.Count(s.Rec, "h2.server.bytes_read", sc.counters.BytesRead)
+		obs.Count(s.Rec, "h2.server.misdirected_421", int64(sc.counters.Misdirected))
 	}
 	return sc, err
 }
@@ -202,8 +203,8 @@ func (sc *serverConn) beginDrain() {
 	active := sc.activeStreams
 	sc.mu.Unlock()
 	_ = sc.fr.WriteGoAway(last, ErrCodeNo, []byte("graceful shutdown"))
-	obs.Count(sc.srv.Recorder, "h2.server.goaway_sent", 1)
-	obs.Emit(sc.srv.Recorder, obs.Event{Kind: obs.KindGoAway, N: int(last), Detail: "graceful shutdown"})
+	obs.Count(sc.srv.Rec, "h2.server.goaway_sent", 1)
+	obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindGoAway, N: int(last), Detail: "graceful shutdown"})
 	if active == 0 {
 		sc.shutdownTransport()
 	}
@@ -274,8 +275,8 @@ func (sc *serverConn) serve() error {
 			return err
 		}
 		sc.counters.OriginAdvertised = true
-		obs.Count(sc.srv.Recorder, "h2.server.origin_frames_sent", 1)
-		obs.Emit(sc.srv.Recorder, obs.Event{Kind: obs.KindOriginFrame, N: len(canon), Detail: "sent"})
+		obs.Count(sc.srv.Rec, "h2.server.origin_frames_sent", 1)
+		obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindOriginFrame, N: len(canon), Detail: "sent"})
 	}
 
 	for {
@@ -559,7 +560,7 @@ func (sc *serverConn) startHandler(st *serverStream) {
 			sc.mu.Lock()
 			sc.counters.Misdirected++
 			sc.mu.Unlock()
-			obs.Emit(sc.srv.Recorder, obs.Event{Kind: obs.KindMisdirected, Host: st.req.Authority})
+			obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindMisdirected, Host: st.req.Authority})
 			w.WriteHeader(421)
 			return
 		}

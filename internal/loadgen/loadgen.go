@@ -20,11 +20,10 @@
 // phases — (1) arrival times are drawn sequentially from one seeded
 // stream; (2) each user's visits are simulated in parallel, every user
 // a pure function of its splitmix-derived seeds (own browser, own cache,
-// the worker's two random streams reseeded for it, no shared recorder);
-// (3) a sequential queueing pass replays all visits in arrival order
-// through per-PoP server pools on the virtual clock, and only this phase
-// touches the observability recorder and the float accumulators whose
-// addition order matters.
+// the worker's two random streams reseeded for it); (3) a sequential
+// queueing pass replays all visits in arrival order through per-PoP
+// server pools on the virtual clock, and only this phase touches the
+// float accumulators whose addition order matters.
 package loadgen
 
 import (
@@ -37,7 +36,6 @@ import (
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
-	"respectorigin/internal/obs"
 	"respectorigin/internal/parallel"
 )
 
@@ -125,11 +123,6 @@ type Config struct {
 	// network model.
 	Cache cache.Options
 	Net   netsim.Params
-
-	// Rec, when non-nil, receives "loadgen.*" counters and latency
-	// histograms. It is only written from the sequential queueing pass,
-	// so installing one never perturbs determinism.
-	Rec obs.Recorder
 }
 
 // DefaultConfig returns a runnable medium-load configuration.
@@ -330,8 +323,8 @@ func Run(cfg Config) (Result, error) {
 		func(sc *userScratch, i int) []visit { return simulateUser(cfg, env, sc, i, arrivals[i]) })
 
 	// Phase 3: sequential queueing pass over all visits in arrival
-	// order — the only phase that owns the recorder and the order-
-	// sensitive float accumulators.
+	// order — the only phase that owns the order-sensitive float
+	// accumulators.
 	res := runQueue(cfg, flatten(perUser))
 	if last := arrivals[len(arrivals)-1]; last > 0 {
 		res.OfferedUPS = float64(cfg.Users) / (last / 1000)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"respectorigin/internal/cdn"
-	"respectorigin/internal/obs"
 )
 
 // testConfig is a small-but-representative run: enough users for the
@@ -191,32 +190,6 @@ func TestOverloadShowsQueueing(t *testing.T) {
 	}
 	if hot.SLOAttainment >= cool.SLOAttainment {
 		t.Errorf("overload SLO %.3f not below light-load %.3f", hot.SLOAttainment, cool.SLOAttainment)
-	}
-}
-
-func TestRecorderSeesQueuePassOnly(t *testing.T) {
-	cfg := testConfig()
-	cfg.Users = 500
-	m := obs.NewMetrics()
-	cfg.Rec = m
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Get("loadgen.visits"); got != int64(res.Visits) {
-		t.Errorf("recorder visits %d, result %d", got, res.Visits)
-	}
-	if s := m.HistSummary("loadgen.latency_ms"); s.N != res.Visits {
-		t.Errorf("latency histogram n=%d, want %d", s.N, res.Visits)
-	}
-	// Installing the recorder must not change the numbers.
-	cfg.Rec = nil
-	bare, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare != res {
-		t.Error("recorder installation changed the result")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"respectorigin/internal/measure"
-	"respectorigin/internal/obs"
 )
 
 // popQueue is one PoP's server pool: a min-heap of per-server
@@ -54,8 +53,8 @@ func (q *popQueue) siftDown(i int) {
 
 // runQueue is the sequential aggregation phase: it replays every visit
 // in (arrival, user, seq) order through its PoP's queue, accumulates
-// the run totals in that one fixed order, feeds the recorder and keeps
-// every latency for the exact percentiles. Nothing here runs
+// the run totals in that one fixed order and keeps every latency for
+// the exact percentiles. Nothing here runs
 // concurrently, so float addition order — and with it every output
 // byte — is a pure function of the visit set.
 func runQueue(cfg Config, visits []visit) Result {
@@ -113,13 +112,6 @@ func runQueue(cfg Config, visits []visit) Result {
 		res.DNSCacheHits += int64(v.DNSHits)
 		res.ChurnedConns += int64(v.Churned)
 		res.FailedReqs += int64(v.Failed)
-
-		if cfg.Rec != nil {
-			obs.Count(cfg.Rec, "loadgen.visits", 1)
-			obs.Count(cfg.Rec, "loadgen.requests", int64(v.Requests))
-			obs.Observe(cfg.Rec, "loadgen.latency_ms", latency)
-			obs.Observe(cfg.Rec, "loadgen.wait_ms", wait)
-		}
 	}
 
 	if n := len(visits); n > 0 {

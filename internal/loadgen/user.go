@@ -89,7 +89,7 @@ func newUserScratch(cfg Config) *userScratch {
 	return &userScratch{
 		rs:  lazyrand.New(0),
 		net: netsim.New(cfg.Net, 0),
-		b:   browser.New(browser.PolicyChromium, browser.WithCache(cache.New(cfg.Cache)), browser.WithProtocol(cfg.Proto)),
+		b:   &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cfg.Cache)},
 	}
 }
 

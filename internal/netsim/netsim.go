@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"respectorigin/internal/lazyrand"
-	"respectorigin/internal/obs"
 )
 
 // Params configures the latency model.
@@ -221,28 +220,11 @@ func DefaultParams() Params {
 // other knob) therefore never shifts the seeded stream consumed by later
 // phases, so runs that differ only in such a knob stay comparable draw
 // for draw. RaceEffects consumes two draws per call.
-//
-// Locking contract: no phase method holds the internal mutex while
-// calling into the installed recorder, so a recorder may safely call
-// back into the Network (e.g. to draw auxiliary randomness) without
-// deadlocking.
 type Network struct {
 	P Params
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	rec obs.Recorder
-}
-
-// SetRecorder installs an observability recorder: every generated phase
-// duration is also recorded into a latency histogram ("netsim.dns_ms",
-// "netsim.connect_ms", "netsim.tls_ms", "netsim.quic_handshake_ms",
-// "netsim.wait_ms", "netsim.transfer_ms"). A nil recorder (the default)
-// disables instrumentation; the RNG stream is never touched either way.
-func (n *Network) SetRecorder(rec obs.Recorder) {
-	n.mu.Lock()
-	n.rec = rec
-	n.mu.Unlock()
 }
 
 // New returns a deterministic network for the given seed. It accepts
@@ -280,42 +262,28 @@ func (n *Network) jitter() float64 {
 // DNSTime returns the duration of one DNS lookup.
 func (n *Network) DNSTime() float64 {
 	n.mu.Lock()
-	d := n.P.DNSMs*n.P.scale() + n.jitter()
-	rec := n.rec
-	n.mu.Unlock()
-	obs.Observe(rec, "netsim.dns_ms", d)
-	return d
+	defer n.mu.Unlock()
+	return n.P.DNSMs*n.P.scale() + n.jitter()
 }
 
 // ConnectTime returns the TCP handshake duration (one RTT).
 func (n *Network) ConnectTime() float64 {
 	n.mu.Lock()
-	d := n.P.RTTMs*n.P.scale() + n.jitter()
-	rec := n.rec
-	n.mu.Unlock()
-	obs.Observe(rec, "netsim.connect_ms", d)
-	return d
+	defer n.mu.Unlock()
+	return n.P.RTTMs*n.P.scale() + n.jitter()
 }
 
 // HandshakeTime returns the handshake duration of one connection setup:
 // SetupMs without the TCP connect round trip (ConnectTime draws that),
-// plus one jitter draw. QUIC setups are observed as
-// "netsim.quic_handshake_ms", TCP+TLS ones as "netsim.tls_ms".
+// plus one jitter draw.
 //
 // Stream contract: the same draws whatever the setup, so toggling
 // resumption, tokens or protocol never shifts the seeded stream of
 // later phases.
 func (n *Network) HandshakeTime(s Setup) float64 {
 	n.mu.Lock()
-	d := n.P.handshakeMs(s)*n.P.scale() + n.jitter()
-	rec := n.rec
-	n.mu.Unlock()
-	hist := "netsim.tls_ms"
-	if s.QUIC {
-		hist = "netsim.quic_handshake_ms"
-	}
-	obs.Observe(rec, hist, d)
-	return d
+	defer n.mu.Unlock()
+	return n.P.handshakeMs(s)*n.P.scale() + n.jitter()
 }
 
 // TLSTime is HandshakeTime for a full TCP+TLS handshake presenting a
@@ -327,30 +295,23 @@ func (n *Network) TLSTime(sanCount, tlsRecords int) float64 {
 // WaitTime returns time-to-first-byte after the request is sent.
 func (n *Network) WaitTime() float64 {
 	n.mu.Lock()
-	d := (n.P.ServerThinkMs+n.P.RTTMs/2)*n.P.scale() + n.jitter()
-	rec := n.rec
-	n.mu.Unlock()
-	obs.Observe(rec, "netsim.wait_ms", d)
-	return d
+	defer n.mu.Unlock()
+	return (n.P.ServerThinkMs+n.P.RTTMs/2)*n.P.scale() + n.jitter()
 }
 
 // TransferTime returns the receive duration for a body of size bytes.
 // With BandwidthKBps <= 0 the transfer model is off and the duration is
-// zero, but the jitter draw is still consumed and the (zero) sample is
-// still observed: skipping either would shift the seeded stream for
-// every later phase and silently drop "netsim.transfer_ms" samples when
-// the bandwidth knob is toggled.
+// zero, but the jitter draw is still consumed: skipping it would shift
+// the seeded stream for every later phase when the bandwidth knob is
+// toggled.
 func (n *Network) TransferTime(bytes int64) float64 {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	j := n.jitter()
-	d := 0.0
-	if n.P.BandwidthKBps > 0 {
-		d = float64(bytes)/n.P.BandwidthKBps*n.P.scale() + j/4
+	if n.P.BandwidthKBps <= 0 {
+		return 0
 	}
-	rec := n.rec
-	n.mu.Unlock()
-	obs.Observe(rec, "netsim.transfer_ms", d)
-	return d
+	return float64(bytes)/n.P.BandwidthKBps*n.P.scale() + j/4
 }
 
 // RaceEffects reports the client race behaviours for one fresh

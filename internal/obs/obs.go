@@ -8,6 +8,8 @@
 // through the nil-tolerant package helpers (Count, Observe, Emit), so
 // an uninstrumented run performs no allocation, takes no lock, and
 // leaves every output byte identical to a build without the layer.
+// Three types hold a recorder — browser.Browser, cdn.Experiment and
+// h2.Server — each in an exported Rec field set before first use.
 //
 // Three concrete recorders cover the stack's needs:
 //

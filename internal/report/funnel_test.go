@@ -104,7 +104,7 @@ func TestDeploymentTraceFunnel(t *testing.T) {
 		d := NewDeploymentWithFaults(150, 3, faults.Plan{ResetProb: 0.05, DNSFailProb: 0.02}, 2)
 		trace := obs.NewTrace()
 		metrics := obs.NewMetrics()
-		d.Exp.SetRecorder(obs.Multi(trace, metrics))
+		d.Exp.Rec = obs.Multi(trace, metrics)
 		d.Exp.RunDay(0)
 		return trace, metrics, d
 	}
@@ -147,7 +147,7 @@ func TestRecorderDoesNotPerturbDeployment(t *testing.T) {
 	runDay := func(rec obs.Recorder) []cdn.LogRecord {
 		d := NewDeploymentWithFaults(120, 5, faults.Plan{ResetProb: 0.03}, 1)
 		if rec != nil {
-			d.Exp.SetRecorder(rec)
+			d.Exp.Rec = rec
 		}
 		d.Exp.RunDay(0)
 		return d.CDN.Pipeline().Records()

@@ -29,7 +29,31 @@ type Config struct {
 	Personas   []Persona
 	Archetypes []webgen.Archetype
 	Profiles   []netsim.Profile
-	Transports []cache.DNSTransport
+	Transports []DNSTransport
+}
+
+// DNSTransport is the resolver transport a cell is priced under. It is
+// a pricing axis only: a replay resolves the same names whatever the
+// transport, and setupMs charges the difference.
+type DNSTransport uint8
+
+// Resolver transports.
+const (
+	// TransportDo53 is classic UDP/TCP port-53 resolution.
+	TransportDo53 DNSTransport = iota
+	// TransportDoH is RFC 8484 DNS-over-HTTPS resolution.
+	TransportDoH
+)
+
+func (t DNSTransport) String() string {
+	switch t {
+	case TransportDo53:
+		return "do53"
+	case TransportDoH:
+		return "doh"
+	default:
+		return "unknown"
+	}
 }
 
 // DefaultConfig returns the full built-in matrix at a small corpus
@@ -41,7 +65,7 @@ func DefaultConfig() Config {
 		Personas:   Personas(),
 		Archetypes: webgen.Archetypes(),
 		Profiles:   netsim.Profiles(),
-		Transports: []cache.DNSTransport{cache.TransportDo53, cache.TransportDoH},
+		Transports: []DNSTransport{TransportDo53, TransportDoH},
 	}
 }
 
@@ -107,7 +131,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Profiles = netsim.Profiles()
 	}
 	if len(cfg.Transports) == 0 {
-		cfg.Transports = []cache.DNSTransport{cache.TransportDo53, cache.TransportDoH}
+		cfg.Transports = []DNSTransport{TransportDo53, TransportDoH}
 	}
 	for _, a := range cfg.Archetypes {
 		if err := a.Validate(); err != nil {
@@ -182,27 +206,20 @@ type totals struct {
 
 // replay runs every page of one archetype corpus through one persona.
 // Neither the network profile nor the resolver transport is an input:
-// both enter a cell only through price.
-func replay(pages []*har.Page, persona Persona) totals {
-	return replayVia(pages, persona, cache.TransportDo53)
-}
-
-// replayVia is replay with the DNS-cache key spelled out. A replay
-// looks up and stores every answer under one transport key, so the key
-// cannot change its totals; the argument exists so that a test can
-// check that rather than assume it. The browser's pool resets per page
-// (each load is a fresh browsing context) while the warm-path cache
+// both enter a cell only through price. The browser's pool resets per
+// page (each load is a fresh browsing context) while the warm-path cache
 // persists across the replay, so repeated third parties resolve and
 // resume warm. pages is read-only.
-func replayVia(pages []*har.Page, persona Persona, key cache.DNSTransport) totals {
+func replay(pages []*har.Page, persona Persona) totals {
 	t := totals{Cell: Cell{Persona: persona.Name}}
 	cc := cache.New(cache.Options{})
-	b := browser.New(persona.Policy,
-		browser.WithPoolLimits(persona.MaxConns, persona.MaxConnsPerHost),
-		browser.WithSkipOriginDNS(persona.SkipOriginDNS),
-		browser.WithDNSTransport(key),
-		browser.WithCache(cc),
-	)
+	b := &browser.Browser{
+		Policy:          persona.Policy,
+		MaxConns:        persona.MaxConns,
+		MaxConnsPerHost: persona.MaxConnsPerHost,
+		SkipOriginDNS:   persona.SkipOriginDNS,
+		Cache:           cc,
+	}
 	var env core.PageEnv
 	for _, p := range pages {
 		env.LoadFirstParty(p)
@@ -227,7 +244,7 @@ func replayVia(pages []*har.Page, persona Persona, key cache.DNSTransport) total
 					// environment re-homes the host and the client's cached
 					// answer is superseded the way a TTL expiry would.
 					env.Rehome(en.Host, en.DNSAnswer)
-					cc.PutDNSVia(key, en.Host, en.DNSAnswer, cc.DefaultTTL())
+					cc.PutDNS(en.Host, en.DNSAnswer, cc.DefaultTTL())
 				}
 			}
 			out := b.Request(&env, en.Host)
@@ -256,7 +273,7 @@ func replayVia(pages []*har.Page, persona Persona, key cache.DNSTransport) total
 
 // price turns a replay's totals into the cell for one network profile
 // and resolver transport.
-func price(t totals, profile netsim.Profile, transport cache.DNSTransport) Cell {
+func price(t totals, profile netsim.Profile, transport DNSTransport) Cell {
 	c := t.Cell
 	c.Profile = profile.Name
 	c.DNS = transport.String()
@@ -271,12 +288,12 @@ func price(t totals, profile netsim.Profile, transport cache.DNSTransport) Cell 
 // setup (priced as a resumed session to the resolver) per page that
 // reached the wire plus one resolver round trip per query — the
 // transport's amortization trade.
-func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t cache.DNSTransport) float64 {
+func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t DNSTransport) float64 {
 	full := max(cell.Conns+cell.Preconns-resumed, 0)
 	ms := float64(full)*p.SetupMs(netsim.Setup{}) + float64(resumed)*p.SetupMs(netsim.Setup{Resumed: true})
 	scale := p.CostScale()
 	switch t {
-	case cache.TransportDoH:
+	case TransportDoH:
 		// Count × unscaled price, then scale: the grouping the recorded
 		// matrix cells were priced with, kept to the ulp.
 		unscaled := p

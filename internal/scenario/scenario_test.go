@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
 )
@@ -117,7 +116,7 @@ func TestMatrixReproducesShardingObservation(t *testing.T) {
 // The resolver transport enters a cell through pricing: the do53 and
 // doh cells of one (persona, archetype, profile) are priced from the
 // same replay and must differ in SetupMs. That it enters nowhere else
-// is TestReplayIndependentOfTransport.
+// holds by construction: replay takes no transport.
 func TestTransportAffectsOnlyPricing(t *testing.T) {
 	res := mustRun(t, smallConfig(30, 4))
 	byKey := map[string]Cell{}
@@ -134,36 +133,6 @@ func TestTransportAffectsOnlyPricing(t *testing.T) {
 		}
 		if c.SetupMs == o.SetupMs {
 			t.Fatalf("transport did not change pricing: %+v vs %+v", c, o)
-		}
-	}
-}
-
-// The premise of sharing one replay across a group's cells: the
-// connection economy depends on neither axis that only pricing sees. A
-// replay is never handed a profile, and keying its browser and DNS
-// cache by DoH instead of Do53 leaves every total unchanged, on every
-// archetype × persona.
-func TestReplayIndependentOfTransport(t *testing.T) {
-	cfg := smallConfig(30, 1)
-	for _, a := range cfg.Archetypes {
-		pages, err := archetypeCorpus(cfg, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pe := range cfg.Personas {
-			do53 := replayVia(pages, pe, cache.TransportDo53)
-			doh := replayVia(pages, pe, cache.TransportDoH)
-			if do53 != doh {
-				t.Errorf("%s/%s: transport changed the replay:\n do53: %+v\n doh:  %+v", pe.Name, a, do53, doh)
-			}
-			if do53.Requests == 0 || do53.Conns == 0 {
-				t.Errorf("%s/%s: empty replay %+v", pe.Name, a, do53)
-			}
-			// A third replay of the same shared pages: nothing an
-			// earlier replay did to them shows.
-			if got := replay(pages, pe); got != do53 {
-				t.Errorf("%s/%s: replaying shared pages again changed the totals: %+v vs %+v", pe.Name, a, got, do53)
-			}
 		}
 	}
 }
@@ -199,7 +168,7 @@ func TestMatrixGolden(t *testing.T) {
 		Personas:   Personas(),
 		Archetypes: webgen.Archetypes(),
 		Profiles:   []netsim.Profile{netsim.ProfileWired(), netsim.Profile4G(), netsim.Profile3G()},
-		Transports: []cache.DNSTransport{cache.TransportDo53, cache.TransportDoH},
+		Transports: []DNSTransport{TransportDo53, TransportDoH},
 	}
 	got := []byte(mustRun(t, cfg).Table())
 	path := filepath.Join("testdata", "matrix_seed1.golden")

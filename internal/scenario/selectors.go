@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
 )
 
 // ParseTransport resolves a resolver-transport selector name.
-func ParseTransport(name string) (cache.DNSTransport, error) {
+func ParseTransport(name string) (DNSTransport, error) {
 	switch name {
 	case "do53":
-		return cache.TransportDo53, nil
+		return TransportDo53, nil
 	case "doh":
-		return cache.TransportDoH, nil
+		return TransportDoH, nil
 	}
 	return 0, fmt.Errorf("scenario: unknown dns transport %q (do53, doh)", name)
 }
