@@ -142,40 +142,32 @@ func TestConnSetMatchesMap(t *testing.T) {
 	}
 }
 
-// visitAllocs runs visits and counts the heap objects they allocated
-// and the DNS queries the authority answered meanwhile. The count is
-// process-wide, so an object the runtime allocates meanwhile (a GC
-// worker starting, the race detector) lands in it: a measurement over
-// the bound is repeated, which a stray passes and the visits' own
-// allocations do not.
-func visitAllocs(c *CDN, within func(mallocs, queries uint64) bool, visits func()) (mallocs, queries uint64) {
+// visitAllocs runs visits and counts the heap objects they allocated.
+// The count is process-wide, so an object the runtime allocates
+// meanwhile (a GC worker starting, the race detector) lands in it: a
+// measurement over the bound is repeated, which a stray passes and the
+// visits' own allocations do not.
+func visitAllocs(within func(mallocs uint64) bool, visits func()) (mallocs uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for attempt := 0; attempt < 3; attempt++ {
 		var before, after runtime.MemStats
-		q0 := c.Authority().Queries()
 		runtime.ReadMemStats(&before)
 		visits()
 		runtime.ReadMemStats(&after)
-		mallocs, queries = after.Mallocs-before.Mallocs, uint64(c.Authority().Queries()-q0)
-		if within(mallocs, queries) {
+		if mallocs = after.Mallocs - before.Mallocs; within(mallocs) {
 			break
 		}
 	}
-	return mallocs, queries
+	return mallocs
 }
 
 // The steady-state allocation gate on the visit kernel (ROADMAP item 3):
 // zero plan, nil recorder, both deployment phases, all three client
-// families. Once the experiment's browsers have seen a visit,
-//
-//   - a legacy-client visit allocates nothing;
-//   - an h2 visit allocates only the address slice each DNS answer hands
-//     back through browser.Environment.Lookup — one object per query the
-//     authority answered, at most 4 a visit on average (the zone's lookup
-//     plus one per coalescing third-party pool) — and nothing for the
-//     browser, its connections, the connection table or the result;
-//   - logging (day ≥ 0) adds only the log's amortised blocks: under one
-//     extra object per hundred visits.
+// families. Once the experiment's browsers have seen a visit, a visit
+// allocates nothing: not the browser, its connections, the connection
+// table or the result, and not a DNS answer, which is the CDN's own
+// slice. Logging (day ≥ 0) adds only the log's blocks, each with at most
+// one growth of the list that holds them.
 func TestVisitSteadyStateAllocs(t *testing.T) {
 	c, e := newFaultedExperiment(400, 5, faults.Plan{}, 0)
 	zones := e.SampleZones
@@ -190,36 +182,35 @@ func TestVisitSteadyStateAllocs(t *testing.T) {
 			for _, z := range zones { // reach the steady state
 				e.Visit(z, ua, -1)
 			}
-			within := func(mallocs, queries uint64) bool {
-				if ua == "legacy" {
-					return mallocs == 0 && queries == 0
-				}
-				return mallocs <= queries && mallocs <= 4*uint64(len(zones))
-			}
-			mallocs, queries := visitAllocs(c, within, func() {
+			none := func(mallocs uint64) bool { return mallocs == 0 }
+			mallocs := visitAllocs(none, func() {
 				for _, z := range zones {
 					e.Visit(z, ua, -1)
 				}
 			})
-			if !within(mallocs, queries) {
-				t.Errorf("%v/%s: %d visits allocated %d objects over %d DNS answers; want none of either for legacy, else ≤ one per answer and ≤ 4 per visit",
-					phase, ua, len(zones), mallocs, queries)
+			if !none(mallocs) {
+				t.Errorf("%v/%s: %d visits allocated %d objects, want none", phase, ua, len(zones), mallocs)
 			}
 		}
 
 		const visits = 10000
-		within := func(mallocs, queries uint64) bool { return mallocs <= queries+visits/100 }
-		mallocs, queries := visitAllocs(c, within, func() {
+		logBlocks := func(mallocs uint64) bool {
+			_, sampled := c.Pipeline().Totals()
+			blocks := (sampled + logBlockRecords - 1) / logBlockRecords
+			return mallocs <= 2*uint64(blocks)
+		}
+		mallocs := visitAllocs(logBlocks, func() {
 			c.Pipeline().Reset()
 			for v := 0; v < visits; v++ {
 				e.Visit(zones[v%len(zones)], e.sampleUA(), 0)
 			}
 		})
-		if _, sampled := c.Pipeline().Totals(); sampled < visits {
+		_, sampled := c.Pipeline().Totals()
+		if sampled < visits {
 			t.Fatalf("%v: %d logged visits left %d records", phase, visits, sampled)
 		}
-		if !within(mallocs, queries) {
-			t.Errorf("%v: %d logged visits allocated %d objects over %d DNS answers, want ≤ answers + %d for the log", phase, visits, mallocs, queries, visits/100)
+		if !logBlocks(mallocs) {
+			t.Errorf("%v: %d logged visits allocated %d objects for %d records, want ≤ 2 per %d-record block", phase, visits, mallocs, sampled, logBlockRecords)
 		}
 		c.ExitExperiment()
 	}

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"respectorigin/internal/certs"
-	"respectorigin/internal/dns"
 )
 
 // Phase is the deployment phase.
@@ -115,7 +114,9 @@ type CDN struct {
 	ControlName string
 
 	zones map[string]*Zone
-	auth  *dns.Authority
+	// records holds each hosted name's A records by dnsKey. A write
+	// installs a fresh slice: answers handed out are never written to.
+	records map[string][]netip.Addr
 
 	phase Phase
 
@@ -171,7 +172,7 @@ func New(c Config) *CDN {
 		ThirdParty:       c.ThirdParty,
 		ControlName:      controlName,
 		zones:            make(map[string]*Zone),
-		auth:             dns.NewAuthority(),
+		records:          make(map[string][]netip.Addr),
 		alignedAddr:      c.AlignedAddr,
 		thirdPartyAddrs:  c.ThirdPartyAddrs,
 		thirdPartySANs:   []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
@@ -181,16 +182,15 @@ func New(c Config) *CDN {
 		PoPs:             c.PoPs,
 		pipeline:         NewLogPipeline(c.SampleRate, c.Seed),
 	}
-	cdn.auth.AddA(c.ThirdParty, c.ThirdPartyAddrs...)
-	cdn.serveOn(c.ThirdPartyAddrs, c.ThirdParty)
+	cdn.mu.Lock()
+	defer cdn.mu.Unlock()
+	cdn.lockedAddA(c.ThirdParty, c.ThirdPartyAddrs)
+	cdn.lockedServeOn(c.ThirdPartyAddrs, c.ThirdParty)
 	return cdn
 }
 
 // Pipeline returns the CDN's logging pipeline.
 func (c *CDN) Pipeline() *LogPipeline { return c.pipeline }
-
-// Authority returns the CDN's DNS authority.
-func (c *CDN) Authority() *dns.Authority { return c.auth }
 
 // Phase returns the current deployment phase.
 func (c *CDN) Phase() Phase {
@@ -212,7 +212,7 @@ func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
 		ThirdPartyPools: 1,
 	}
 	c.zones[host] = z
-	c.auth.AddA(host, addrs...)
+	c.lockedAddA(host, addrs)
 	c.lockedServeOn(addrs, host)
 	return z
 }
@@ -239,12 +239,6 @@ func (c *CDN) Zones() []*Zone {
 	return out
 }
 
-func (c *CDN) serveOn(addrs []netip.Addr, host string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lockedServeOn(addrs, host)
-}
-
 func (c *CDN) lockedServeOn(addrs []netip.Addr, host string) {
 	for _, a := range addrs {
 		m, ok := c.ipServes[a]
@@ -254,6 +248,30 @@ func (c *CDN) lockedServeOn(addrs []netip.Addr, host string) {
 		}
 		m[host] = true
 	}
+}
+
+// recordTTL is the TTL, in seconds, of every A record the CDN serves.
+const recordTTL = 300
+
+// dnsKey is a name's canonical spelling: trimmed, lower-case, without
+// the trailing dot.
+func dnsKey(host string) string {
+	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(host)), ".")
+}
+
+// lockedAddA adds A records to host; a name never given one stays unknown.
+func (c *CDN) lockedAddA(host string, addrs []netip.Addr) {
+	if len(addrs) == 0 {
+		return
+	}
+	key := dnsKey(host)
+	old := c.records[key]
+	c.records[key] = append(old[:len(old):len(old)], addrs...)
+}
+
+// lockedSetA replaces host's A records; set to none, the name answers empty.
+func (c *CDN) lockedSetA(host string, addrs ...netip.Addr) {
+	c.records[dnsKey(host)] = append([]netip.Addr(nil), addrs...)
 }
 
 // ReissueCertificates performs the §5.1 certificate setup: experiment
@@ -289,10 +307,10 @@ func (c *CDN) EnterPhaseIP() {
 		if z.Treatment == TreatmentNone {
 			continue
 		}
-		c.auth.SetA(z.Host, c.alignedAddr)
+		c.lockedSetA(z.Host, c.alignedAddr)
 		c.lockedServeOn([]netip.Addr{c.alignedAddr}, z.Host)
 	}
-	c.auth.SetA(c.ThirdParty, c.alignedAddr)
+	c.lockedSetA(c.ThirdParty, c.alignedAddr)
 	c.lockedServeOn([]netip.Addr{c.alignedAddr}, c.ThirdParty)
 }
 
@@ -309,10 +327,10 @@ func (c *CDN) EnterPhaseOrigin(isolated netip.Addr) {
 			continue
 		}
 		if isolated.IsValid() {
-			c.auth.SetA(z.Host, isolated)
+			c.lockedSetA(z.Host, isolated)
 			c.lockedServeOn([]netip.Addr{isolated}, z.Host)
 		} else {
-			c.auth.SetA(z.Host, z.Addrs...)
+			c.lockedSetA(z.Host, z.Addrs...)
 		}
 		// Zone edges answer for the third party: the ORIGIN frame
 		// directs clients there and the request pipeline routes it.
@@ -323,7 +341,7 @@ func (c *CDN) EnterPhaseOrigin(isolated netip.Addr) {
 		c.lockedServeOn(addrs, c.ThirdParty)
 	}
 	// Third party returns to its standard addresses.
-	c.auth.SetA(c.ThirdParty, c.thirdPartyAddrs...)
+	c.lockedSetA(c.ThirdParty, c.thirdPartyAddrs...)
 }
 
 // ExitExperiment reverts to baseline.
@@ -333,29 +351,39 @@ func (c *CDN) ExitExperiment() {
 	c.phase = PhaseBaseline
 	for _, z := range c.zones {
 		if z.Treatment != TreatmentNone {
-			c.auth.SetA(z.Host, z.Addrs...)
+			c.lockedSetA(z.Host, z.Addrs...)
 		}
 	}
-	c.auth.SetA(c.ThirdParty, c.thirdPartyAddrs...)
+	c.lockedSetA(c.ThirdParty, c.thirdPartyAddrs...)
 }
 
 // --- browser.Environment implementation ---
 
-// Lookup resolves a hostname through the CDN's authority.
+// Lookup resolves a hostname against the CDN's A records, as LookupTTL.
 func (c *CDN) Lookup(host string) ([]netip.Addr, error) {
 	addrs, _, err := c.LookupTTL(host)
 	return addrs, err
 }
 
-// LookupTTL implements browser.TTLLookuper: the address set plus the
-// minimum TTL across its A records, the budget a client cache may keep
-// the answer for.
+// LookupTTL implements browser.TTLLookuper: host's A records and their
+// TTL (0 when it has none), with names matched as a DNS authority
+// matches them; an unknown host is NXDOMAIN. The slice is the CDN's own
+// and read-only: copy it before changing it. It keeps its contents,
+// because every write to the records installs a fresh slice.
 func (c *CDN) LookupTTL(host string) ([]netip.Addr, uint32, error) {
-	addrs, ttl, rcode := c.auth.LookupAddrs(host, dns.TypeA)
-	if rcode != dns.RcodeSuccess {
-		return nil, 0, fmt.Errorf("cdn: DNS rcode %d for %s", rcode, host)
+	c.mu.Lock()
+	addrs, ok := c.records[host]
+	if !ok {
+		addrs, ok = c.records[dnsKey(host)]
 	}
-	return addrs, ttl, nil
+	c.mu.Unlock()
+	if !ok {
+		return nil, 0, fmt.Errorf("cdn: DNS rcode 3 for %s", host)
+	}
+	if len(addrs) == 0 {
+		return nil, 0, nil
+	}
+	return addrs, recordTTL, nil
 }
 
 // CertSANs returns the SAN list served for an SNI of host.

@@ -1,0 +1,196 @@
+package cdn
+
+import (
+	"fmt"
+	"net/netip"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"respectorigin/internal/dns"
+)
+
+// authorityLookup answers host the way LookupTTL did when the CDN
+// resolved through a dns.Authority: the A records of a Handle response
+// in answer order, their minimum TTL, and a non-success rcode as the
+// error.
+func authorityLookup(a *dns.Authority, host string) ([]netip.Addr, uint32, error) {
+	resp := a.Handle(&dns.Message{Questions: []dns.Question{{Name: host, Type: dns.TypeA, Class: dns.ClassINET}}})
+	if rcode := resp.Header.Rcode; rcode != dns.RcodeSuccess {
+		return nil, 0, fmt.Errorf("cdn: DNS rcode %d for %s", rcode, host)
+	}
+	var addrs []netip.Addr
+	var ttl uint32
+	for _, rr := range resp.Answers {
+		if rr.Type == dns.TypeA {
+			addrs = append(addrs, rr.Addr)
+			if ttl == 0 || rr.TTL < ttl {
+				ttl = rr.TTL
+			}
+		}
+	}
+	return addrs, ttl, nil
+}
+
+// The CDN's A records answer every lookup as the dns.Authority they
+// replaced did. The same writes go to both — the authority gets the
+// calls the CDN used to make at each step — and after every step each
+// zone host, the third party, an unknown name and odd spellings of
+// hosted names get the same addresses in the same order, the same TTL
+// and the same error from both.
+func TestLookupMatchesAuthority(t *testing.T) {
+	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
+	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
+
+	// Nine zones: every treatment with one, two and three addresses. A
+	// zone registered again adds addresses to its name; a zone with none
+	// is unknown until a phase gives it one, and answers empty after.
+	hosts := []string{"www.bare.example"}
+	for i := 0; i < 9; i++ {
+		hosts = append(hosts, fmt.Sprintf("www.zone-%d.example", i))
+	}
+	names := append(slices.Clone(hosts), "cdnjs.cloudflare.com", "nowhere.example",
+		"CDNJS.Cloudflare.COM", "cdnjs.cloudflare.com.", "WWW.Zone-8.Example.", " www.zone-5.example ")
+
+	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
+	a := dns.NewAuthority()
+	a.AddA(c.ThirdParty, third...)
+	check := func(step string) {
+		t.Helper()
+		for _, name := range names {
+			got, gotTTL, gotErr := c.LookupTTL(name)
+			want, wantTTL, wantErr := authorityLookup(a, name)
+			if !slices.Equal(got, want) || gotTTL != wantTTL || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: LookupTTL(%q) = %v, ttl %d, %v; the authority answers %v, ttl %d, %v",
+					step, name, got, gotTTL, gotErr, want, wantTTL, wantErr)
+			}
+		}
+	}
+	check("new")
+
+	treatments := []Treatment{TreatmentNone, TreatmentControl, TreatmentExperiment}
+	for i, host := range hosts[1:] {
+		addrs := make([]netip.Addr, i%3+1)
+		for j := range addrs {
+			addrs[j] = netip.AddrFrom4([4]byte{104, 18, byte(i), byte(j + 1)})
+		}
+		c.AddZone(host, SLATierFree, addrs...).Treatment = treatments[i/3]
+		a.AddA(host, addrs...)
+	}
+	c.AddZone("www.zone-0.example", SLATierFree, ip("104.18.9.1"))
+	a.AddA("www.zone-0.example", ip("104.18.9.1"))
+	c.AddZone("www.bare.example", SLATierFree).Treatment = TreatmentExperiment
+	check("zones")
+	c.ReissueCertificates()
+	check("reissue")
+
+	// The writes the CDN made to its authority in each phase.
+	zones := c.Zones()
+	enterIP := func() {
+		for _, z := range zones {
+			if z.Treatment != TreatmentNone {
+				a.SetA(z.Host, aligned)
+			}
+		}
+		a.SetA(c.ThirdParty, aligned)
+	}
+	enterOrigin := func(isolated netip.Addr) {
+		for _, z := range zones {
+			switch {
+			case z.Treatment == TreatmentNone:
+			case isolated.IsValid():
+				a.SetA(z.Host, isolated)
+			default:
+				a.SetA(z.Host, z.Addrs...)
+			}
+		}
+		a.SetA(c.ThirdParty, third...)
+	}
+	exit := func() {
+		for _, z := range zones {
+			if z.Treatment != TreatmentNone {
+				a.SetA(z.Host, z.Addrs...)
+			}
+		}
+		a.SetA(c.ThirdParty, third...)
+	}
+
+	c.EnterPhaseIP()
+	enterIP()
+	check("ip phase")
+	c.ExitExperiment()
+	exit()
+	check("exit from ip phase")
+	c.EnterPhaseOrigin(isolated)
+	enterOrigin(isolated)
+	check("origin phase, isolated address")
+	c.ExitExperiment()
+	exit()
+	check("exit from origin phase, isolated address")
+	c.EnterPhaseOrigin(netip.Addr{})
+	enterOrigin(netip.Addr{})
+	check("origin phase, own addresses")
+	c.ExitExperiment()
+	exit()
+	check("exit from origin phase, own addresses")
+}
+
+// Lookups racing phase changes (run under -race): every answer is one
+// whole set its name may have — its own, the aligned or the isolated
+// address — never empty and never a mix, and an answer held across
+// phase changes keeps its contents.
+func TestLookupRacingPhaseChanges(t *testing.T) {
+	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
+	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
+	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
+	treated := c.AddZone("www.treated.example", SLATierFree, ip("104.18.0.1"), ip("104.18.0.2"))
+	treated.Treatment = TreatmentExperiment
+	untreated := c.AddZone("www.untreated.example", SLATierFree, ip("104.18.0.3"))
+	legal := map[string][][]netip.Addr{
+		treated.Host:   {treated.Addrs, {aligned}, {isolated}},
+		untreated.Host: {untreated.Addrs},
+		c.ThirdParty:   {third, {aligned}},
+	}
+
+	var cycles atomic.Int64
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.EnterPhaseIP()
+			c.ExitExperiment()
+			c.EnterPhaseOrigin(isolated)
+			c.ExitExperiment()
+			cycles.Add(1)
+		}
+	}()
+	for host, sets := range legal {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			held, _ := c.Lookup(host)
+			kept, from := slices.Clone(held), cycles.Load()
+			for i := 0; i < 2000 || cycles.Load() < from+20; i++ {
+				addrs, err := c.Lookup(host)
+				if err != nil || !slices.ContainsFunc(sets, func(s []netip.Addr) bool { return slices.Equal(s, addrs) }) {
+					t.Errorf("lookup %d of %s racing phase changes answered %v, %v", i, host, addrs, err)
+					return
+				}
+			}
+			if !slices.Equal(held, kept) {
+				t.Errorf("%s: an answer held across %d phase cycles changed from %v to %v", host, cycles.Load()-from, kept, held)
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+}

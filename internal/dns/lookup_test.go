@@ -3,7 +3,6 @@ package dns
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -58,7 +57,7 @@ func lookupNames() []string {
 }
 
 // referenceResolve is the recursive resolution the Authority ran before
-// its walk fed two sinks, kept here as the oracle: it copies the
+// its iterative walk, kept here as the oracle: it copies the
 // matching records, rotates and caps the copy, and prepends each alias
 // on the way back up.
 func referenceResolve(a *Authority, rotate *int, name string, typ uint16, depth int) ([]RR, bool) {
@@ -98,33 +97,29 @@ func referenceResolve(a *Authority, rotate *int, name string, typ uint16, depth 
 	return nil, true
 }
 
-// The typed address lookup and Handle are two sinks on one resolution
-// walk: on identically seeded authorities driven through the same
-// question sequence they return the same addresses in the same order,
-// the same minimum TTL and the same rcode at every step, and leave the
-// query counter and the rotation cursor equal. Handle's full answer
-// section is also held to the pre-walk recursive resolution.
-func TestAddressLookupMatchesHandle(t *testing.T) {
+// Handle's answer section is the recursive resolution it replaced, kept
+// above as the oracle, over a seeded question sequence under every
+// rotation, answer limit and failure-hook setting; the query counter
+// and the rotation cursor end where the oracle's do.
+func TestHandleMatchesRecursiveResolution(t *testing.T) {
 	names := lookupNames()
 	types := []uint16{TypeA, TypeAAAA, TypeCNAME}
 	for _, rotation := range []bool{false, true} {
 		for _, limit := range []int{0, 1, 2} {
 			for _, hook := range []bool{false, true} {
-				wire, typed := seedAuthority(), seedAuthority()
-				for _, a := range []*Authority{wire, typed} {
-					a.Rotation, a.AnswerLimit = rotation, limit
-					if hook {
-						calls := 0
-						a.Failure = func(name string, typ uint16) uint8 {
-							calls++
-							switch calls % 7 {
-							case 3:
-								return RcodeServerFailure
-							case 5:
-								return RcodeNameError
-							}
-							return RcodeSuccess
+				wire := seedAuthority()
+				wire.Rotation, wire.AnswerLimit = rotation, limit
+				if hook {
+					calls := 0
+					wire.Failure = func(name string, typ uint16) uint8 {
+						calls++
+						switch calls % 7 {
+						case 3:
+							return RcodeServerFailure
+						case 5:
+							return RcodeNameError
 						}
+						return RcodeSuccess
 					}
 				}
 				refRotate, refCalls := 0, 0
@@ -137,26 +132,6 @@ func TestAddressLookupMatchesHandle(t *testing.T) {
 						Header:    Header{ID: uint16(step), RD: true},
 						Questions: []Question{{Name: name, Type: typ, Class: ClassINET}},
 					})
-					var wantAddrs []netip.Addr
-					var wantTTL uint32
-					for _, rr := range resp.Answers {
-						if rr.Type == typ {
-							wantAddrs = append(wantAddrs, rr.Addr)
-							if wantTTL == 0 || rr.TTL < wantTTL {
-								wantTTL = rr.TTL
-							}
-						}
-					}
-					addrs, ttl, rcode := typed.LookupAddrs(name, typ)
-					if rcode != resp.Header.Rcode || ttl != wantTTL || !reflect.DeepEqual(addrs, wantAddrs) {
-						t.Fatalf("%s: LookupAddrs = %v ttl %d rcode %d, Handle = %v ttl %d rcode %d",
-							at, addrs, ttl, rcode, wantAddrs, wantTTL, resp.Header.Rcode)
-					}
-					if wire.Queries() != typed.Queries() || wire.rotate != typed.rotate {
-						t.Fatalf("%s: queries %d vs %d, rotation cursor %d vs %d",
-							at, wire.Queries(), typed.Queries(), wire.rotate, typed.rotate)
-					}
-
 					refCalls++
 					if injected := hook && (refCalls%7 == 3 || refCalls%7 == 5); injected {
 						if resp.Header.AA || resp.Header.Rcode == RcodeSuccess || len(resp.Answers) != 0 {
@@ -183,20 +158,7 @@ func TestAddressLookupMatchesHandle(t *testing.T) {
 	}
 }
 
-// A lower-case name — what every in-process caller passes — resolves
-// without allocating anything but the address slice handed back (one
-// allocation for a one-address answer), through an alias too.
-func TestAddressLookupAllocatesOnlyTheAnswer(t *testing.T) {
-	a := seedAuthority()
-	for name, want := range map[string]float64{"single.example": 1, "alias.example": 1, "v6only.example": 0, "dangling.example": 0, "nowhere.example": 0} {
-		got := testing.AllocsPerRun(100, func() { a.LookupAddrs(name, TypeA) })
-		if got > want {
-			t.Errorf("LookupAddrs(%q): %.0f allocs, want ≤ %.0f", name, got, want)
-		}
-	}
-}
-
-// SetA replaces a name's addresses in one critical section: lookups
+// SetA replaces a name's addresses in one critical section: queries
 // racing a phase switch see the old set or the new one, never the name
 // with no addresses.
 func TestSetAIsAtomicUnderConcurrentLookups(t *testing.T) {
@@ -223,24 +185,14 @@ func TestSetAIsAtomicUnderConcurrentLookups(t *testing.T) {
 			}
 		}
 	}()
-	for _, lookup := range []func() []netip.Addr{
-		func() []netip.Addr { addrs, _, _ := a.LookupAddrs("move.example", TypeA); return addrs },
-		func() []netip.Addr {
-			resp := a.Handle(&Message{Questions: []Question{{Name: "move.example", Type: TypeA, Class: ClassINET}}})
-			var addrs []netip.Addr
-			for _, rr := range resp.Answers {
-				addrs = append(addrs, rr.Addr)
-			}
-			return addrs
-		},
-	} {
-		lookup := lookup
+	for reader := 0; reader < 2; reader++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for i := 0; i < lookups; i++ {
-				if addrs := lookup(); len(addrs) != 1 || (addrs[0] != old && addrs[0] != moved) {
-					t.Errorf("lookup %d racing SetA answered %v", i, addrs)
+				resp := a.Handle(&Message{Questions: []Question{{Name: "move.example", Type: TypeA, Class: ClassINET}}})
+				if ans := resp.Answers; len(ans) != 1 || (ans[0].Addr != old && ans[0].Addr != moved) {
+					t.Errorf("query %d racing SetA answered %v", i, ans)
 					return
 				}
 			}

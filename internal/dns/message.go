@@ -423,9 +423,7 @@ func canonicalName(name string) string {
 }
 
 // recordKey is the Authority's map key for name: its canonical form
-// without the trailing dot, so a lower-case name spelled without one —
-// what every in-process caller passes — is its own key and a lookup
-// allocates nothing. recordKey(name)+"." == canonicalName(name).
+// without the trailing dot. recordKey(name)+"." == canonicalName(name).
 func recordKey(name string) string {
 	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(name)), ".")
 }

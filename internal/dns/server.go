@@ -102,81 +102,46 @@ func (a *Authority) HandleWire(query []byte) ([]byte, error) {
 	return resp.Pack()
 }
 
-// Handle answers a parsed query.
+// Handle answers a parsed query: it counts the query, consults the
+// Failure hook, then walks the records into the answer section.
 func (a *Authority) Handle(q *Message) *Message {
+	a.mu.Lock()
+	a.queries++
+	a.mu.Unlock()
 	resp := &Message{Header: Header{
 		ID: q.Header.ID, QR: true, AA: true, RD: q.Header.RD, RA: false,
 	}}
 	resp.Questions = q.Questions
 	if len(q.Questions) == 0 {
-		a.countQuery()
 		resp.Header.Rcode = RcodeFormatError
 		return resp
 	}
 	question := q.Questions[0]
-	rcode, injected := a.answer(question.Name, question.Type, func(rr *RR) {
-		resp.Answers = append(resp.Answers, *rr)
-	})
-	resp.Header.Rcode = rcode
-	resp.Header.AA = !injected
-	return resp
-}
-
-// LookupAddrs answers (name, typ) exactly as Handle answers that
-// question — same query and NXDOMAIN counters, Failure hook, CNAME
-// chase, rotation cursor and AnswerLimit — but hands back only what an
-// in-process client reads off the response: the addresses of the asked
-// type in answer order, the minimum TTL across them (0 when there are
-// none) and the rcode. No Message or RR is built.
-func (a *Authority) LookupAddrs(name string, typ uint16) (addrs []netip.Addr, ttl uint32, rcode uint8) {
-	rcode, _ = a.answer(name, typ, func(rr *RR) {
-		if rr.Type != typ {
-			return
-		}
-		addrs = append(addrs, rr.Addr)
-		if ttl == 0 || rr.TTL < ttl {
-			ttl = rr.TTL
-		}
-	})
-	return addrs, ttl, rcode
-}
-
-// countQuery counts one received query.
-func (a *Authority) countQuery() {
-	a.mu.Lock()
-	a.queries++
-	a.mu.Unlock()
-}
-
-// answer is the one resolution every query takes: count it, consult the
-// Failure hook, then walk the records, handing each answer record to
-// emit in answer order. injected reports an rcode forced by the hook
-// (such a response is not authoritative).
-func (a *Authority) answer(name string, typ uint16, emit func(*RR)) (rcode uint8, injected bool) {
-	a.countQuery()
 	if a.Failure != nil {
-		if rcode := a.Failure(name, typ); rcode != RcodeSuccess {
-			return rcode, true
+		if rcode := a.Failure(question.Name, question.Type); rcode != RcodeSuccess {
+			// A forced rcode is not an authoritative answer.
+			resp.Header.Rcode, resp.Header.AA = rcode, false
+			return resp
 		}
 	}
-	if !a.walk(name, typ, emit) {
-		return RcodeNameError, false
+	if !a.walk(question.Name, question.Type, &resp.Answers) {
+		resp.Header.Rcode = RcodeNameError
 	}
-	return RcodeSuccess, false
+	return resp
 }
 
 // maxCNAMEDepth is how many aliases one resolution follows.
 const maxCNAMEDepth = 8
 
-// walk resolves (name, typ): it follows CNAME chains up to
-// maxCNAMEDepth, emitting each alias followed, and at the first name
-// holding records of the asked type emits them. It reports false only
+// walk resolves (name, typ) into answers: it follows CNAME chains up to
+// maxCNAMEDepth, appending each alias followed, and at the first name
+// holding records of the asked type appends them. It reports false only
 // when name itself does not exist; an alias exists even if its target
 // does not resolve. The lock is released between the names of a chain,
 // as a recursive resolution would.
-func (a *Authority) walk(name string, typ uint16, emit func(*RR)) bool {
+func (a *Authority) walk(name string, typ uint16, answers *[]RR) bool {
 	for depth := 0; depth <= maxCNAMEDepth; depth++ {
-		target, exists := a.answerAt(name, typ, emit)
+		target, exists := a.answerAt(name, typ, answers)
 		if !exists {
 			return depth > 0
 		}
@@ -188,14 +153,13 @@ func (a *Authority) walk(name string, typ uint16, emit func(*RR)) bool {
 	return true
 }
 
-// answerAt emits one name's part of an answer: its records of the asked
-// type, rotated and capped per Rotation and AnswerLimit, or else its
-// alias, whose target is returned for the walk to follow. A name with
-// other record types only emits nothing (NOERROR, empty answer).
-//
-// emit runs with a.mu held — a record may be replaced the moment the
-// lock drops — and must not call back into the Authority.
-func (a *Authority) answerAt(name string, typ uint16, emit func(*RR)) (target string, exists bool) {
+// answerAt appends one name's part of an answer: its records of the
+// asked type, rotated and capped per Rotation and AnswerLimit, or else
+// its alias, whose target is returned for the walk to follow. A name
+// with other record types only appends nothing (NOERROR, empty answer).
+// The records are copied under a.mu: one may be replaced the moment the
+// lock drops.
+func (a *Authority) answerAt(name string, typ uint16, answers *[]RR) (target string, exists bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rrs, ok := a.records[recordKey(name)]
@@ -222,14 +186,14 @@ func (a *Authority) answerAt(name string, typ uint16, emit func(*RR)) (target st
 			limit = a.AnswerLimit
 		}
 		for pos := 0; pos < limit; pos++ {
-			emit(nthOfType(rrs, typ, (first+pos)%matches))
+			*answers = append(*answers, *nthOfType(rrs, typ, (first+pos)%matches))
 		}
 		return "", true
 	}
 	if cname < 0 {
 		return "", true
 	}
-	emit(&rrs[cname])
+	*answers = append(*answers, rrs[cname])
 	return rrs[cname].Target, true
 }
 

@@ -84,3 +84,21 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 		}
 	}
 }
+
+// TestCDNAnswersItsOwnDNS keeps the wire authority out of the §5 visit
+// loop: the CDN answers lookups from its own A records, so nothing
+// internal/cdn depends on reaches internal/dns (its tests may, as the
+// oracle).
+func TestCDNAnswersItsOwnDNS(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	out, err := exec.Command(goTool, "list", "-deps", "./internal/cdn").Output()
+	if err != nil {
+		t.Fatalf("go list -deps ./internal/cdn: %v", err)
+	}
+	if pkgs := strings.Fields(string(out)); slices.Contains(pkgs, "respectorigin/internal/dns") {
+		t.Error("internal/cdn depends on internal/dns: the CDN must answer lookups from its own A records")
+	}
+}
