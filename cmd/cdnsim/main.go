@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cdnsim -sample 5000 -phase all
+//	cdnsim -sample 5000 -phase all -workers 4
 //	cdnsim -sample 2000 -phase origin
 //	cdnsim -sample 2000 -faults reset=0.05,dnsfail=0.01,loss=2 -retries 2
 //	cdnsim -sample 2000 -faultsweep
@@ -18,6 +18,9 @@
 // network profile and resolver transport, and the "who coalesces, who
 // shards, what it costs" table is printed (cell NDJSON goes to -out).
 // The sweep is byte-identical at any -workers count.
+// Without -matrix, -workers sets how many goroutines run each day of the
+// passive deployment (Figure 8, §5.2); the output is byte-identical at
+// any count. A faulted or traced run keeps those days sequential.
 // With -faults, every visit samples the given degradation plan from a
 // seeded stream independent of the experiment's own randomness; the
 // same seed and plan reproduce the run byte for byte, and an empty plan
@@ -131,6 +134,7 @@ func main() {
 
 	d := report.NewDeploymentWithFaults(*sample, *seed, plan, *retries)
 	d.Exp.Rec = obs.Multi(recs...)
+	d.Exp.Cfg.Workers = *workers
 
 	if warm.ProtoSweep {
 		sweep := d.ProtoSweep(warm.Revisits, warm.Opts)

@@ -370,12 +370,9 @@ func (b *Browser) DropConns(host string) int {
 }
 
 // emit appends one event to the recorder, stamping it with the
-// browser's rank and the next sequence number. A nil recorder skips
-// the sequence bump so uninstrumented runs stay allocation-free.
+// browser's rank and the next sequence number. Callers check b.Rec
+// first, so an uninstrumented request never builds the event.
 func (b *Browser) emit(ev obs.Event) {
-	if b.Rec == nil {
-		return
-	}
 	ev.Rank = b.Rank
 	ev.Seq = b.seq
 	b.seq++
@@ -418,7 +415,13 @@ func (b *Browser) evict(victim *Conn) {
 // permits.
 func (b *Browser) Request(env Environment, host string) Outcome {
 	out := Outcome{Host: host, Proto: b.Proto}
+	b.request(env, host, &out)
+	b.account(&out)
+	return out
+}
 
+// request is Request's decision, filling in out.
+func (b *Browser) request(env Environment, host string, out *Outcome) {
 	// ORIGIN-frame path: check origin sets before DNS. HTTP/1.1 has no
 	// frame layer to carry ORIGIN on, so the path only exists for the
 	// multiplexed protocols.
@@ -429,7 +432,7 @@ func (b *Browser) Request(env Environment, host string) Outcome {
 			looked := false
 			if !b.SkipOriginDNS {
 				// Shipped Firefox still issues a blocking query.
-				addrs, lookupErr = b.lookup(env, host, &out)
+				addrs, lookupErr = b.lookup(env, host, out)
 				looked = true
 			}
 			if env.Reachable(host, c.IP) {
@@ -437,39 +440,42 @@ func (b *Browser) Request(env Environment, host string) Outcome {
 				out.ConnHost = c.Host
 				out.Proto = c.Proto
 				b.markUsed(c)
-				b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "origin"})
-				b.account(out)
-				return out
+				if b.Rec != nil {
+					b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "origin"})
+				}
+				return
 			}
 			// Misconfigured origin set: fail open (§5.3) with a 421. The
 			// fallback reuses the blocking query's answer set; a second
 			// lookup would double-count DNS for this one request.
 			out.Got421 = true
-			b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "origin"})
+			if b.Rec != nil {
+				b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "origin"})
+			}
 			if looked {
 				if lookupErr != nil || len(addrs) == 0 {
 					if lookupErr == nil {
 						lookupErr = ErrNoAddresses
 					}
 					out.Err = lookupErr
-					b.account(out)
-					return out
+					return
 				}
-				return b.connectFreshWithAddrs(env, host, addrs, out)
+				b.connectFreshWithAddrs(env, host, addrs, out)
+				return
 			}
-			return b.connectFresh(env, host, out)
+			b.connectFresh(env, host, out)
+			return
 		}
 	}
 
 	// IP-based paths always query DNS.
-	addrs, err := b.lookup(env, host, &out)
+	addrs, err := b.lookup(env, host, out)
 	if err != nil || len(addrs) == 0 {
 		if err == nil {
 			err = ErrNoAddresses
 		}
 		out.Err = err
-		b.account(out)
-		return out
+		return
 	}
 
 	if c := b.findByIP(host, addrs); c != nil {
@@ -478,14 +484,17 @@ func (b *Browser) Request(env Environment, host string) Outcome {
 			out.ConnHost = c.Host
 			out.Proto = c.Proto
 			b.markUsed(c)
-			b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "ip"})
-			b.account(out)
-			return out
+			if b.Rec != nil {
+				b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "ip"})
+			}
+			return
 		}
 		out.Got421 = true
-		b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "ip"})
+		if b.Rec != nil {
+			b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "ip"})
+		}
 	}
-	return b.connectFreshWithAddrs(env, host, addrs, out)
+	b.connectFreshWithAddrs(env, host, addrs, out)
 }
 
 // findByOrigin returns a pooled connection whose origin set contains
@@ -551,18 +560,24 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 			if negative {
 				out.NegCacheHit = true
 				b.TotalNegCacheHits++
-				b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host, Detail: "negative"})
+				if b.Rec != nil {
+					b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host, Detail: "negative"})
+				}
 				return nil, ErrNegativeCache
 			}
 			out.DNSCacheHits++
 			b.TotalDNSCacheHits++
-			b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host})
+			if b.Rec != nil {
+				b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host})
+			}
 			return addrs, nil
 		}
 	}
 	for try := 0; ; try++ {
 		out.DNSQueries++
-		b.emit(obs.Event{Kind: obs.KindDNSQuery, Host: host, N: try + 1})
+		if b.Rec != nil {
+			b.emit(obs.Event{Kind: obs.KindDNSQuery, Host: host, N: try + 1})
+		}
 		addrs, ttl, err := b.envLookup(env, host)
 		if err == nil {
 			if b.Cache != nil && len(addrs) > 0 {
@@ -571,7 +586,9 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 			return addrs, nil
 		}
 		b.TotalDNSFail++
-		b.emit(obs.Event{Kind: obs.KindDNSFail, Host: host, Detail: err.Error()})
+		if b.Rec != nil {
+			b.emit(obs.Event{Kind: obs.KindDNSFail, Host: host, Detail: err.Error()})
+		}
 		if try >= b.MaxRetries {
 			if b.Cache != nil {
 				b.Cache.PutNegativeDNS(host)
@@ -604,20 +621,21 @@ func (b *Browser) retryDelay(try int, out *Outcome) {
 	d := b.RetryBackoffMs * float64(int64(1)<<try)
 	out.BackoffMs += d
 	b.TotalBackoffMs += d
-	b.emit(obs.Event{Kind: obs.KindRetry, Host: out.Host, N: out.Retries, MS: d})
+	if b.Rec != nil {
+		b.emit(obs.Event{Kind: obs.KindRetry, Host: out.Host, N: out.Retries, MS: d})
+	}
 }
 
-func (b *Browser) connectFresh(env Environment, host string, out Outcome) Outcome {
-	addrs, err := b.lookup(env, host, &out)
+func (b *Browser) connectFresh(env Environment, host string, out *Outcome) {
+	addrs, err := b.lookup(env, host, out)
 	if err != nil || len(addrs) == 0 {
 		if err == nil {
 			err = ErrNoAddresses
 		}
 		out.Err = err
-		b.account(out)
-		return out
+		return
 	}
-	return b.connectFreshWithAddrs(env, host, addrs, out)
+	b.connectFreshWithAddrs(env, host, addrs, out)
 }
 
 // enforceHostCap applies MaxConnsPerHost before a fresh connection is
@@ -625,11 +643,11 @@ func (b *Browser) connectFresh(env Environment, host string, out Outcome) Outcom
 // same-host connection (multiplexing — real browsers queue rather than
 // over-open); when every pooled connection for the host is stale (the
 // server moved, so reuse would only 421), the oldest are evicted down
-// to cap-1 so the replacement fits without leaking dead sockets. The
-// returned Outcome is final only when done is true.
-func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (final Outcome, done bool) {
+// to cap-1 so the replacement fits without leaking dead sockets. It
+// reports whether out is final.
+func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (done bool) {
 	if b.MaxConnsPerHost <= 0 {
-		return Outcome{}, false
+		return false
 	}
 	var same []*Conn
 	for _, c := range b.conns {
@@ -638,7 +656,7 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (fi
 		}
 	}
 	if len(same) < b.MaxConnsPerHost {
-		return Outcome{}, false
+		return false
 	}
 	for _, c := range same {
 		if env.Reachable(host, c.IP) {
@@ -646,9 +664,10 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (fi
 			out.ConnHost = c.Host
 			out.Proto = c.Proto
 			b.markUsed(c)
-			b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "pool-cap"})
-			b.account(*out)
-			return *out, true
+			if b.Rec != nil {
+				b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "pool-cap"})
+			}
+			return true
 		}
 	}
 	for excess := len(same) - (b.MaxConnsPerHost - 1); excess > 0; excess-- {
@@ -667,12 +686,12 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (fi
 		}
 		same = kept
 	}
-	return Outcome{}, false
+	return false
 }
 
-func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []netip.Addr, out Outcome) Outcome {
-	if final, done := b.enforceHostCap(env, host, &out); done {
-		return final
+func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []netip.Addr, out *Outcome) {
+	if b.enforceHostCap(env, host, out) {
+		return
 	}
 	ip := addrs[0]
 	if cf, ok := env.(ConnectFailer); ok {
@@ -680,7 +699,7 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 		var connErr error
 		for try := 0; try <= b.MaxRetries; try++ {
 			if try > 0 {
-				b.retryDelay(try-1, &out)
+				b.retryDelay(try-1, out)
 			}
 			// Rotate through the answer set across attempts, as clients
 			// do when an address misbehaves.
@@ -695,13 +714,10 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 		}
 		if !connected {
 			out.Err = connErr
-			b.account(out)
-			return out
+			return
 		}
 	}
-	b.openConn(env, host, ip, addrs, &out)
-	b.account(out)
-	return out
+	b.openConn(env, host, ip, addrs, out)
 }
 
 // openConn builds the connection for host at ip, settles its handshake
@@ -757,21 +773,25 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 		b.emitConn(obs.KindTLSResume, host, ip)
 	case hs.MemoHit:
 		b.TotalCertMemoHits++
-		b.emitConn(handshakeKind(proto), host, ip)
-		b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
+		if b.Rec != nil {
+			b.emitConn(handshakeKind(proto), host, ip)
+			b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
+		}
 	default:
 		b.TotalValidations++
 		b.emitConn(handshakeKind(proto), host, ip)
 	}
 	if hs.TokenHit {
 		b.TotalAddrTokens++
-		b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
+		if b.Rec != nil {
+			b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
+		}
 	}
 	if out.ZeroRTT {
 		b.TotalZeroRTT++
 		b.emitConn(obs.KindZeroRTT, host, ip)
 	}
-	if len(c.Origins) > 0 {
+	if len(c.Origins) > 0 && b.Rec != nil {
 		b.emit(obs.Event{Kind: obs.KindOriginFrame, Host: host, N: len(c.Origins)})
 	}
 	return c
@@ -829,7 +849,7 @@ func (b *Browser) Preconnect(env Environment, host string) bool {
 	return true
 }
 
-func (b *Browser) account(out Outcome) {
+func (b *Browser) account(out *Outcome) {
 	b.TotalDNS += out.DNSQueries
 	if out.NewConnection {
 		b.TotalNewConn++

@@ -15,9 +15,11 @@ package cdn
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"respectorigin/internal/certs"
 )
@@ -83,7 +85,9 @@ const (
 	SLATierCritical
 )
 
-// Zone is one customer domain on the CDN.
+// Zone is one customer domain on the CDN. The CDN reads SANs, Treatment
+// and Addrs when it builds its host table (ReissueCertificates, or the
+// first phase change after an AddZone); a later write is not seen.
 type Zone struct {
 	Host      string
 	SANs      []string // certificate SAN list currently served
@@ -101,11 +105,19 @@ type Zone struct {
 	// ThirdPartyPools is how many independent connection pools the
 	// zone's page opens toward the third party (1 for most sites).
 	ThirdPartyPools int
+
+	// records are the A records every AddZone of Host added, in order;
+	// nil when none did.
+	records []netip.Addr
 }
 
-// CDN is the simulated provider.
+// CDN is the simulated provider. Its read methods — Lookup, LookupTTL,
+// CertSANs, OriginSet, SupportsH3, Reachable and Phase — answer from one
+// published view and take no lock; the writers serialise on mu and
+// publish a new view.
 type CDN struct {
 	mu sync.Mutex
+	v  atomic.Pointer[view]
 
 	// ThirdParty is the popular shared domain (cdnjs-like).
 	ThirdParty string
@@ -113,31 +125,89 @@ type CDN struct {
 	// certificates (Figure 6).
 	ControlName string
 
+	// zones is the zone registry, under mu; stale marks zones registered
+	// since the view's host table was built from it.
 	zones map[string]*Zone
-	// records holds each hosted name's A records by dnsKey. A write
-	// installs a fresh slice: answers handed out are never written to.
-	records map[string][]netip.Addr
+	stale bool
 
-	phase Phase
-
-	// alignedAddr is the single new address used during PhaseIP.
+	// alignedAddr is the single new address used during PhaseIP, and
+	// aligned the one-address answer set naming it.
 	alignedAddr netip.Addr
-	// thirdPartyAddrs are the third party's standard anycast addresses.
-	thirdPartyAddrs []netip.Addr
-	// thirdPartySANs is the third party's certificate, built once: every
-	// connection to it asks, and the warm-path stores retain the answer.
-	thirdPartySANs []string
+	aligned     []netip.Addr
+	// third is the third party's host-table entry: its standard anycast
+	// addresses and its certificate.
+	third *hostEntry
 	// originExperiment and originControl are the two ORIGIN frame
 	// contents of §5.3, built once and handed out read-only.
 	originExperiment, originControl []string
-	// ipServes maps an address to the set of hostnames authoritatively
-	// served on it.
-	ipServes map[netip.Addr]map[string]bool
 
 	// PoPs is the number of points of presence (§5.3: over 275).
 	PoPs int
 
 	pipeline *LogPipeline
+}
+
+// view is one published state of the CDN. Nothing in it, and nothing it
+// points to, is written after it is published, so a reader holding it
+// needs no lock and every slice it hands out keeps its contents.
+//
+// A phase change copies the view's few words and changes the phase and
+// history fields; the host table is shared. Every answer that depends on
+// the phase — A records, which addresses serve a host, origin sets — is
+// derived from (phase, history, host entry). The history mirrors the
+// deployment's serving configuration, which only ever grew: an address
+// that served a host in an earlier phase still serves it.
+type view struct {
+	phase Phase
+
+	// hosts is the host table, built from the zone registry; added holds
+	// the zones registered since, newest first.
+	hosts map[string]*hostEntry
+	added *hostEntry
+	// treated counts the treated zones in hosts, and treatedAddrs holds
+	// their own addresses.
+	treated      int
+	treatedAddrs map[netip.Addr]bool
+
+	// isolated answers the treated zones' lookups while an ORIGIN phase
+	// has them on an isolated address (nil otherwise).
+	isolated []netip.Addr
+
+	// moved: a phase has been entered or exited, so treated zones answer
+	// their own Addrs at baseline and no zone may be added.
+	moved bool
+	// alignedServes: an IP phase ran, so the aligned address serves the
+	// treated zones and the third party.
+	alignedServes bool
+	// ownServeThird: an ORIGIN phase ran on the zones' own addresses, so
+	// treatedAddrs serve the third party.
+	ownServeThird bool
+	// isolatedServe: each isolated address an ORIGIN phase used serves
+	// the treated zones and the third party.
+	isolatedServe []netip.Addr
+}
+
+// hostEntry is what the view knows of one hosted name.
+type hostEntry struct {
+	host       string
+	thirdParty bool
+	treatment  Treatment
+	sans       []string
+	// records are the name's A records before any phase change (nil:
+	// unknown); own is a treated zone's Addrs, which it answers after one.
+	records, own []netip.Addr
+	// next is the zone registered before this one, in view.added.
+	next *hostEntry
+}
+
+// entry returns host's entry, or nil for a name the CDN does not host.
+func (v *view) entry(host string) *hostEntry {
+	for e := v.added; e != nil; e = e.next {
+		if e.host == host {
+			return e
+		}
+	}
+	return v.hosts[host]
 }
 
 // Config for New.
@@ -155,6 +225,9 @@ func New(c Config) *CDN {
 	if c.ThirdParty == "" {
 		c.ThirdParty = "cdnjs.cloudflare.com"
 	}
+	if dnsKey(c.ThirdParty) != c.ThirdParty {
+		panic(fmt.Sprintf("cdn: third party %q is not a canonical name", c.ThirdParty))
+	}
 	if len(c.ThirdPartyAddrs) == 0 {
 		c.ThirdPartyAddrs = []netip.Addr{netip.MustParseAddr("104.16.9.9")}
 	}
@@ -169,23 +242,23 @@ func New(c Config) *CDN {
 	}
 	controlName := certs.EqualLengthControlName(c.ThirdParty, 2)
 	cdn := &CDN{
-		ThirdParty:       c.ThirdParty,
-		ControlName:      controlName,
-		zones:            make(map[string]*Zone),
-		records:          make(map[string][]netip.Addr),
-		alignedAddr:      c.AlignedAddr,
-		thirdPartyAddrs:  c.ThirdPartyAddrs,
-		thirdPartySANs:   []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
+		ThirdParty:  c.ThirdParty,
+		ControlName: controlName,
+		zones:       make(map[string]*Zone),
+		alignedAddr: c.AlignedAddr,
+		aligned:     []netip.Addr{c.AlignedAddr},
+		third: &hostEntry{
+			host:       c.ThirdParty,
+			thirdParty: true,
+			sans:       []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
+			records:    slices.Clone(c.ThirdPartyAddrs),
+		},
 		originExperiment: []string{c.ThirdParty},
 		originControl:    []string{controlName},
-		ipServes:         make(map[netip.Addr]map[string]bool),
 		PoPs:             c.PoPs,
 		pipeline:         NewLogPipeline(c.SampleRate, c.Seed),
 	}
-	cdn.mu.Lock()
-	defer cdn.mu.Unlock()
-	cdn.lockedAddA(c.ThirdParty, c.ThirdPartyAddrs)
-	cdn.lockedServeOn(c.ThirdPartyAddrs, c.ThirdParty)
+	cdn.v.Store(&view{hosts: map[string]*hostEntry{c.ThirdParty: cdn.third}})
 	return cdn
 }
 
@@ -193,17 +266,21 @@ func New(c Config) *CDN {
 func (c *CDN) Pipeline() *LogPipeline { return c.pipeline }
 
 // Phase returns the current deployment phase.
-func (c *CDN) Phase() Phase {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phase
-}
+func (c *CDN) Phase() Phase { return c.v.Load().phase }
 
 // AddZone registers a customer zone with its serving addresses and an
-// initial certificate covering just the zone host.
+// initial certificate covering just the zone host. Registering a host
+// again replaces its zone and adds to its A records, as a DNS authority
+// adds records. Zones are registered before the first phase change,
+// under canonical names other than the third party's; anything else
+// panics.
 func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	v := c.v.Load()
+	if v.moved || host == c.ThirdParty || dnsKey(host) != host {
+		panic(fmt.Sprintf("cdn: AddZone(%q) after a phase change, for the third party, or under a non-canonical name", host))
+	}
 	z := &Zone{
 		Host:            host,
 		SANs:            []string{host},
@@ -211,17 +288,18 @@ func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
 		Addrs:           addrs,
 		ThirdPartyPools: 1,
 	}
+	if old := c.zones[host]; old != nil {
+		z.records = old.records
+	}
+	if len(addrs) > 0 {
+		z.records = append(z.records[:len(z.records):len(z.records)], addrs...)
+	}
 	c.zones[host] = z
-	c.lockedAddA(host, addrs)
-	c.lockedServeOn(addrs, host)
+	c.stale = true
+	nv := *v
+	nv.added = &hostEntry{host: host, sans: z.SANs, records: z.records, next: v.added}
+	c.v.Store(&nv)
 	return z
-}
-
-// Zone returns a registered zone.
-func (c *CDN) Zone(host string) *Zone {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.zones[host]
 }
 
 // Zones returns all zones sorted by host.
@@ -239,15 +317,43 @@ func (c *CDN) Zones() []*Zone {
 	return out
 }
 
-func (c *CDN) lockedServeOn(addrs []netip.Addr, host string) {
-	for _, a := range addrs {
-		m, ok := c.ipServes[a]
-		if !ok {
-			m = make(map[string]bool)
-			c.ipServes[a] = m
+// lockedBuild rebuilds v's host table from the zone registry, the one
+// step whose cost grows with the zone count.
+func (c *CDN) lockedBuild(v *view) {
+	entries := make([]hostEntry, 0, len(c.zones))
+	v.hosts = make(map[string]*hostEntry, len(c.zones)+1)
+	v.hosts[c.ThirdParty] = c.third
+	v.added = nil
+	v.treated = 0
+	v.treatedAddrs = make(map[netip.Addr]bool)
+	for host, z := range c.zones {
+		e := hostEntry{host: host, treatment: z.Treatment, sans: z.SANs, records: z.records}
+		if z.Treatment != TreatmentNone {
+			e.own = slices.Clone(z.Addrs)
+			v.treated++
+			for _, a := range z.Addrs {
+				v.treatedAddrs[a] = true
+			}
 		}
-		m[host] = true
+		entries = append(entries, e)
+		v.hosts[host] = &entries[len(entries)-1]
 	}
+	c.stale = false
+}
+
+// publish applies one phase change: it copies the current view, builds
+// the host table first if zones were registered since the last build,
+// and stores the changed copy.
+func (c *CDN) publish(change func(v *view)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nv := *c.v.Load()
+	if c.stale {
+		c.lockedBuild(&nv)
+	}
+	nv.moved = true
+	change(&nv)
+	c.v.Store(&nv)
 }
 
 // recordTTL is the TTL, in seconds, of every A record the CDN serves.
@@ -259,25 +365,11 @@ func dnsKey(host string) string {
 	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(host)), ".")
 }
 
-// lockedAddA adds A records to host; a name never given one stays unknown.
-func (c *CDN) lockedAddA(host string, addrs []netip.Addr) {
-	if len(addrs) == 0 {
-		return
-	}
-	key := dnsKey(host)
-	old := c.records[key]
-	c.records[key] = append(old[:len(old):len(old)], addrs...)
-}
-
-// lockedSetA replaces host's A records; set to none, the name answers empty.
-func (c *CDN) lockedSetA(host string, addrs ...netip.Addr) {
-	c.records[dnsKey(host)] = append([]netip.Addr(nil), addrs...)
-}
-
 // ReissueCertificates performs the §5.1 certificate setup: experiment
 // zones gain the third-party domain in their SANs; control zones gain
 // the byte-equalized unused control name. Returns how many were
-// modified.
+// modified. It is the last write of a setup, so it builds the host
+// table the deployment then reads.
 func (c *CDN) ReissueCertificates() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,6 +384,9 @@ func (c *CDN) ReissueCertificates() int {
 			n++
 		}
 	}
+	nv := *c.v.Load()
+	c.lockedBuild(&nv)
+	c.v.Store(&nv)
 	return n
 }
 
@@ -300,61 +395,40 @@ func (c *CDN) ReissueCertificates() int {
 // the web servers are configured to answer for the third party even
 // when the TLS SNI differs from the Host (domain-fronting checks).
 func (c *CDN) EnterPhaseIP() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.phase = PhaseIP
-	for _, z := range c.zones {
-		if z.Treatment == TreatmentNone {
-			continue
-		}
-		c.lockedSetA(z.Host, c.alignedAddr)
-		c.lockedServeOn([]netip.Addr{c.alignedAddr}, z.Host)
-	}
-	c.lockedSetA(c.ThirdParty, c.alignedAddr)
-	c.lockedServeOn([]netip.Addr{c.alignedAddr}, c.ThirdParty)
+	c.publish(func(v *view) {
+		v.phase = PhaseIP
+		v.isolated = nil
+		v.alignedServes = true
+	})
 }
 
 // EnterPhaseOrigin deploys the §5.3 ORIGIN setup: DNS reverts to
 // standard traffic engineering (restoring the third party's SLA) and
 // the ORIGIN-capable termination process takes over for sample zones.
 // Sample zones move to an isolated anycast address for observability.
+// Zone edges answer for the third party: the ORIGIN frame directs
+// clients there and the request pipeline routes it.
 func (c *CDN) EnterPhaseOrigin(isolated netip.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.phase = PhaseOrigin
-	for _, z := range c.zones {
-		if z.Treatment == TreatmentNone {
-			continue
+	c.publish(func(v *view) {
+		v.phase = PhaseOrigin
+		v.isolated = nil
+		if !isolated.IsValid() {
+			v.ownServeThird = true
+			return
 		}
-		if isolated.IsValid() {
-			c.lockedSetA(z.Host, isolated)
-			c.lockedServeOn([]netip.Addr{isolated}, z.Host)
-		} else {
-			c.lockedSetA(z.Host, z.Addrs...)
+		v.isolated = []netip.Addr{isolated}
+		if v.treated > 0 && !slices.Contains(v.isolatedServe, isolated) {
+			v.isolatedServe = append(v.isolatedServe[:len(v.isolatedServe):len(v.isolatedServe)], isolated)
 		}
-		// Zone edges answer for the third party: the ORIGIN frame
-		// directs clients there and the request pipeline routes it.
-		addrs := z.Addrs
-		if isolated.IsValid() {
-			addrs = []netip.Addr{isolated}
-		}
-		c.lockedServeOn(addrs, c.ThirdParty)
-	}
-	// Third party returns to its standard addresses.
-	c.lockedSetA(c.ThirdParty, c.thirdPartyAddrs...)
+	})
 }
 
 // ExitExperiment reverts to baseline.
 func (c *CDN) ExitExperiment() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.phase = PhaseBaseline
-	for _, z := range c.zones {
-		if z.Treatment != TreatmentNone {
-			c.lockedSetA(z.Host, z.Addrs...)
-		}
-	}
-	c.lockedSetA(c.ThirdParty, c.thirdPartyAddrs...)
+	c.publish(func(v *view) {
+		v.phase = PhaseBaseline
+		v.isolated = nil
+	})
 }
 
 // --- browser.Environment implementation ---
@@ -369,15 +443,31 @@ func (c *CDN) Lookup(host string) ([]netip.Addr, error) {
 // TTL (0 when it has none), with names matched as a DNS authority
 // matches them; an unknown host is NXDOMAIN. The slice is the CDN's own
 // and read-only: copy it before changing it. It keeps its contents,
-// because every write to the records installs a fresh slice.
+// because a view is never written after it is published.
 func (c *CDN) LookupTTL(host string) ([]netip.Addr, uint32, error) {
-	c.mu.Lock()
-	addrs, ok := c.records[host]
-	if !ok {
-		addrs, ok = c.records[dnsKey(host)]
+	v := c.v.Load()
+	e := v.entry(host)
+	if e == nil {
+		e = v.entry(dnsKey(host))
 	}
-	c.mu.Unlock()
-	if !ok {
+	var addrs []netip.Addr
+	known := e != nil
+	switch {
+	case !known:
+	case e.thirdParty && v.phase == PhaseIP:
+		addrs = c.aligned
+	case e.treatment == TreatmentNone:
+		addrs, known = e.records, e.records != nil
+	case v.phase == PhaseIP:
+		addrs = c.aligned
+	case v.isolated != nil:
+		addrs = v.isolated
+	case v.moved:
+		addrs = e.own
+	default:
+		addrs, known = e.records, e.records != nil
+	}
+	if !known {
 		return nil, 0, fmt.Errorf("cdn: DNS rcode 3 for %s", host)
 	}
 	if len(addrs) == 0 {
@@ -388,13 +478,8 @@ func (c *CDN) LookupTTL(host string) ([]netip.Addr, uint32, error) {
 
 // CertSANs returns the SAN list served for an SNI of host.
 func (c *CDN) CertSANs(host string, ip netip.Addr) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if z, ok := c.zones[host]; ok {
-		return z.SANs
-	}
-	if host == c.ThirdParty {
-		return c.thirdPartySANs
+	if e := c.v.Load().entry(host); e != nil {
+		return e.sans
 	}
 	return nil
 }
@@ -403,16 +488,15 @@ func (c *CDN) CertSANs(host string, ip netip.Addr) []string {
 // host during the current phase: experiment zones advertise the third
 // party, control zones the unused control name, per the §5.3 design.
 func (c *CDN) OriginSet(host string, ip netip.Addr) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.phase != PhaseOrigin {
+	v := c.v.Load()
+	if v.phase != PhaseOrigin {
 		return nil
 	}
-	z, ok := c.zones[host]
-	if !ok {
+	e := v.entry(host)
+	if e == nil {
 		return nil
 	}
-	switch z.Treatment {
+	switch e.treatment {
 	case TreatmentExperiment:
 		return c.originExperiment
 	case TreatmentControl:
@@ -426,21 +510,28 @@ func (c *CDN) OriginSet(host string, ip netip.Addr) []string {
 // speaks QUIC at every edge, so HTTP/3 is advertised for every hosted
 // name — registered zones and the third party — and for nothing else.
 func (c *CDN) SupportsH3(host string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.zones[host]; ok {
-		return true
-	}
-	return host == c.ThirdParty
+	return c.v.Load().entry(host) != nil
 }
 
 // Reachable reports whether the server at ip authoritatively serves
-// host (the 421 check).
+// host (the 421 check): on an address AddZone (or New, for the third
+// party) gave it, and on every address a phase moved it to or, for the
+// third party, a phase had zone edges answer it on.
 func (c *CDN) Reachable(host string, ip netip.Addr) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.ipServes[ip]
-	return ok && m[host]
+	v := c.v.Load()
+	e := v.entry(host)
+	switch {
+	case e == nil:
+		return false
+	case slices.Contains(e.records, ip):
+		return true
+	case !e.thirdParty && e.treatment == TreatmentNone:
+		return false
+	case v.alignedServes && ip == c.alignedAddr, slices.Contains(v.isolatedServe, ip):
+		return true
+	default:
+		return e.thirdParty && v.ownServeThird && v.treatedAddrs[ip]
+	}
 }
 
 func appendUnique(s []string, v string) []string {

@@ -2,8 +2,10 @@ package cdn
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 
 	"respectorigin/internal/browser"
@@ -11,6 +13,7 @@ import (
 	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/obs"
+	"respectorigin/internal/parallel"
 )
 
 // ExperimentConfig parameterizes the §5 deployment experiment.
@@ -47,6 +50,10 @@ type ExperimentConfig struct {
 	// FaultRetries is the per-request retry budget browsers get under a
 	// nonzero plan (bounded retry-with-backoff).
 	FaultRetries int
+
+	// Workers is how many goroutines run a planned day's visits (≤ 0:
+	// all cores). Every output is identical for any count.
+	Workers int
 }
 
 // DefaultExperimentConfig mirrors the paper's setup at reduced scale.
@@ -76,16 +83,21 @@ type Experiment struct {
 	// records.
 	Rec obs.Recorder
 
-	rng    *rand.Rand
-	connID atomic.Uint64
-	inj    *faults.Injector
+	rng *rand.Rand
+	inj *faults.Injector
+	// records is the length of the experiment's record sequence: every
+	// request a visit has logged, or would have logged had it not been
+	// an active measurement. A connection's ConnID is the 1-based ordinal
+	// of the record that opened it.
+	records uint64
 
 	// env is what visits browse: the CDN, behind the fault boundary under
-	// a nonzero plan. firefox and chromium are the two coalescing clients,
-	// owned by the experiment and Reset at the start of every visit they
-	// serve, so a visit reuses the previous one's pool storage.
-	env               browser.Environment
-	firefox, chromium *browser.Browser
+	// a nonzero plan. clients are Visit's browsers.
+	env     browser.Environment
+	clients *clients
+
+	// plan is a planned day's visits, kept for its storage.
+	plan []visitPlan
 
 	// visitSeq ranks the trace spans in visit order.
 	visitSeq atomic.Int64
@@ -108,8 +120,7 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 		e.env = &faults.Env{Inner: c, Inj: e.inj}
 		retries, backoffMs = cfg.FaultRetries, 250
 	}
-	e.firefox = &browser.Browser{Policy: browser.PolicyFirefoxOrigin, MaxRetries: retries, RetryBackoffMs: backoffMs}
-	e.chromium = &browser.Browser{Policy: browser.PolicyChromium, MaxRetries: retries, RetryBackoffMs: backoffMs}
+	e.clients = newClients(retries, backoffMs)
 	for i := 0; i < cfg.SampleSize; i++ {
 		if e.rng.Float64() < cfg.SubpageOnlyFrac {
 			e.Removed++
@@ -156,14 +167,28 @@ func SamplePools(rng *rand.Rand) int {
 	}
 }
 
-// browserFor returns the experiment's client for a user-agent family,
-// or nil for HTTP/1.1-era clients, which have no H2 coalescing pool.
-func (e *Experiment) browserFor(ua string) *browser.Browser {
+// clients are the two coalescing client families a visit browses with.
+// Each is Reset at the start of every visit it serves, so a visit reuses
+// the previous one's pool storage.
+type clients struct {
+	firefox, chromium *browser.Browser
+}
+
+func newClients(retries int, backoffMs float64) *clients {
+	return &clients{
+		firefox:  &browser.Browser{Policy: browser.PolicyFirefoxOrigin, MaxRetries: retries, RetryBackoffMs: backoffMs},
+		chromium: &browser.Browser{Policy: browser.PolicyChromium, MaxRetries: retries, RetryBackoffMs: backoffMs},
+	}
+}
+
+// forUA returns the client for a user-agent family, or nil for
+// HTTP/1.1-era clients, which have no H2 coalescing pool.
+func (cl *clients) forUA(ua string) *browser.Browser {
 	switch ua {
 	case "firefox":
-		return e.firefox
+		return cl.firefox
 	case "chrome":
-		return e.chromium
+		return cl.chromium
 	default:
 		return nil
 	}
@@ -279,30 +304,100 @@ func (e *Experiment) endVisit(rank int, z *Zone, ua string, res *VisitResult) {
 // zero plan takes no wrapper, no extra lookup and no draw; and under a
 // nil recorder the visit is exactly the untraced one.
 func (e *Experiment) Visit(z *Zone, ua string, day int) VisitResult {
-	if e.Rec == nil {
-		return e.visit(z, ua, day, 0)
+	io := visitIO{day: day, next: e.records + 1, lp: e.CDN.pipeline}
+	rank := 0
+	if e.Rec != nil {
+		rank = e.beginVisit(z, ua)
 	}
-	rank := e.beginVisit(z, ua)
-	res := e.visit(z, ua, day, rank)
-	e.endVisit(rank, z, ua, &res)
+	res := e.visit(e.clients, z, ua, rank, &io)
+	e.records = io.next - 1
+	if e.Rec != nil {
+		e.endVisit(rank, z, ua, &res)
+	}
 	return res
 }
 
-// observe logs one request of a visit; day < 0 marks an active
-// measurement, which is not production traffic and leaves no log.
-func (e *Experiment) observe(day int, r LogRecord) {
-	if day >= 0 {
-		r.Day = day
-		e.CDN.pipeline.Observe(r)
-	}
+// visitIO is where one visit's pool coins come from and where its log
+// records go. Visit draws the coins from e.rng as the visit reaches them
+// and logs through the pipeline; a planned visit reads the coins its
+// plan drew and writes into the log slots its plan reserved.
+type visitIO struct {
+	day  int    // < 0: an active measurement, which is not production traffic and leaves no log
+	next uint64 // ordinal of the visit's next record
+	n    int    // records the visit has emitted
+
+	lp     *LogPipeline
+	plan   *visitPlan
+	blocks []*logBlock
 }
 
-// visit is the page view itself; rank tags the events its browser emits
-// when a recorder is installed.
-func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
+// visitPlan is one visit of a planned day, as the plan step fixed it.
+type visitPlan struct {
+	zone *Zone
+	ua   string
+	// anon has bit p set when pool p's third-party request is anonymous.
+	anon uint32
+	// sampled has bit k set when the sampler kept the visit's record k;
+	// the first kept record goes to log position slot, the rest follow.
+	sampled uint32
+	slot    int64
+	first   uint64 // ordinal of the visit's first record
+	records int    // how many records the visit logs
+}
+
+// maxPlannedRecords bounds a planned visit's records: one bit each.
+const maxPlannedRecords = 32
+
+// log emits the visit's next record and returns its ConnID. A record
+// with ConnID 0 opens its connection, whose ID is the record's ordinal.
+func (io *visitIO) log(r LogRecord) uint64 {
+	ord, k := io.next, io.n
+	io.next++
+	io.n++
+	if r.ConnID == 0 {
+		r.ConnID = ord
+	}
+	r.Day = io.day
+	switch p := io.plan; {
+	case p != nil:
+		if p.sampled>>k&1 != 0 {
+			put(io.blocks, p.slot+int64(bits.OnesCount32(p.sampled&(1<<k-1))), r)
+		}
+	case io.day >= 0:
+		io.lp.Observe(r)
+	}
+	return r.ConnID
+}
+
+// anonymous reports whether pool's third-party request of a visit to z
+// goes through a separate, uncredentialed pool.
+func (e *Experiment) anonymous(io *visitIO, z *Zone, pool int) bool {
+	if io.plan != nil {
+		return io.plan.anon>>pool&1 != 0
+	}
+	return e.drawAnonymous(z, pool, e.CDN.Phase())
+}
+
+// drawAnonymous draws pool's coins: the zone's own habit decides its
+// first pool and a coin each further one, and during the ORIGIN phase a
+// second coin sends the request through a non-coalescing API.
+func (e *Experiment) drawAnonymous(z *Zone, pool int, phase Phase) bool {
+	anonymous := z.UsesAnonymousFetch
+	if pool > 0 {
+		anonymous = e.rng.Float64() < 0.5
+	}
+	if phase == PhaseOrigin && e.rng.Float64() < e.Cfg.OriginFetchFailFrac {
+		anonymous = true
+	}
+	return anonymous
+}
+
+// visit is the page view itself, browsing with cl; rank tags the events
+// its browser emits when a recorder is installed.
+func (e *Experiment) visit(cl *clients, z *Zone, ua string, rank int, io *visitIO) VisitResult {
 	res := VisitResult{Zone: z.Host, UA: ua}
 	faulted := e.inj != nil
-	b := e.browserFor(ua)
+	b := cl.forUA(ua)
 	h2 := b != nil
 
 	// The zone's own connection must survive DNS and the TLS handshake
@@ -328,9 +423,8 @@ func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 		return res
 	}
 
-	zoneConn := e.connID.Add(1)
-	e.observe(day, LogRecord{
-		ConnID: zoneConn, SNI: z.Host, Host: z.Host,
+	zoneConn := io.log(LogRecord{
+		SNI: z.Host, Host: z.Host,
 		ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 	})
 	if z.Churned {
@@ -346,15 +440,7 @@ func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 			e.midVisitFaults(&res, b, &conns, z)
 		}
 
-		anonymous := false
-		if pool == 0 {
-			anonymous = z.UsesAnonymousFetch
-		} else {
-			anonymous = e.rng.Float64() < 0.5
-		}
-		if e.CDN.Phase() == PhaseOrigin && e.rng.Float64() < e.Cfg.OriginFetchFailFrac {
-			anonymous = true
-		}
+		anonymous := e.anonymous(io, z, pool)
 		if !h2 || anonymous {
 			// Separate, uncredentialed pool: always a fresh connection.
 			if faulted {
@@ -364,8 +450,8 @@ func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 				}
 			}
 			res.NewThirdParty++
-			e.observe(day, LogRecord{
-				ConnID: e.connID.Add(1), SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
+			io.log(LogRecord{
+				SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
 				RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 			})
 			continue
@@ -381,7 +467,7 @@ func (e *Experiment) visit(z *Zone, ua string, day, rank int) VisitResult {
 				continue
 			}
 		}
-		e.observeOutcome(&res, &conns, out, z, ua, day)
+		e.observeOutcome(&res, &conns, &out, z, ua, io)
 	}
 	return res
 }
@@ -419,7 +505,7 @@ func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns 
 // observeOutcome turns one browser outcome into log records and result
 // accounting, maintaining the per-connection arrival orders.
 func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
-	out browser.Outcome, z *Zone, ua string, day int) {
+	out *browser.Outcome, z *Zone, ua string, io *visitIO) {
 	switch {
 	case out.Reused:
 		cs := conns.get(out.ConnHost)
@@ -430,25 +516,25 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
 			// its reconstructed state starts at order 1 and this reuse
 			// logs at order ≥ 2, never as a connection's first arrival;
 			// the §5.2 counting rules must not tally it as a fresh TLS
-			// connection even though the collector mints a new ConnID.
-			cs = conns.put(out.ConnHost, connState{id: e.connID.Add(1), order: 1})
+			// connection even though the collector mints a new ConnID
+			// (this record's ordinal).
+			cs = conns.put(out.ConnHost, connState{order: 1})
 		}
 		cs.order++
 		if out.Coalesced() {
 			res.CoalescedPools++
 		}
-		e.observe(day, LogRecord{
+		cs.id = io.log(LogRecord{
 			ConnID: cs.id, SNI: out.ConnHost, Host: e.CDN.ThirdParty,
 			RefererHost: z.Host, ArrivalOrder: cs.order, Treatment: z.Treatment, UserAgent: ua,
 		})
 	case out.NewConnection:
 		res.NewThirdParty++
-		id := e.connID.Add(1)
-		conns.put(e.CDN.ThirdParty, connState{id: id, order: 1})
-		e.observe(day, LogRecord{
-			ConnID: id, SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
+		id := io.log(LogRecord{
+			SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,
 			RefererHost: z.Host, ArrivalOrder: 1, Treatment: z.Treatment, UserAgent: ua,
 		})
+		conns.put(e.CDN.ThirdParty, connState{id: id, order: 1})
 	}
 }
 
@@ -465,13 +551,82 @@ func (e *Experiment) sampleUA() string {
 	}
 }
 
-// RunDay simulates one day of passive traffic over all sample zones.
+// RunDay simulates one day of passive traffic over all sample zones,
+// VisitsPerZonePerDay visits each, zone by zone. A faulted or traced day
+// runs Visit in that order: the injector decides whether a visit draws
+// its coins at all, and a trace ranks visits in order. Any other day is
+// planned, and its log, Totals and ConnIDs are what that loop gives.
 func (e *Experiment) RunDay(day int) {
+	if e.inj != nil || e.Rec != nil {
+		for _, z := range e.SampleZones {
+			for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
+				e.Visit(z, e.sampleUA(), day)
+			}
+		}
+		return
+	}
+	e.runPlannedDay(day)
+}
+
+// runPlannedDay runs a day as plan → simulate → publish, holding the
+// pipeline's lock throughout so no other request interleaves.
+//
+//   - Plan, in visit order: draw each visit's UA, its pool coins and the
+//     sampler's one draw per record, from the streams and in the order
+//     Visit draws them. How many of each a visit takes follows from its
+//     zone and the phase alone: one record for the zone's connection,
+//     plus one per pool unless the zone has churned. So each sampled
+//     record gets its log position here, and the pipeline's total
+//     advances.
+//   - Simulate, on Workers goroutines with two clients each: allocate
+//     the day's new log blocks, then run every visit, which writes its
+//     sampled records straight into their slots.
+//   - Publish: the sampled count advances once every visit is done, so
+//     Each never sees an unfilled slot.
+func (e *Experiment) runPlannedDay(day int) {
+	lp := e.CDN.pipeline
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	phase := e.CDN.Phase()
+	sampled := lp.sampled
+	plan := slices.Grow(e.plan[:0], len(e.SampleZones)*e.Cfg.VisitsPerZonePerDay)
 	for _, z := range e.SampleZones {
+		records := 1
+		if !z.Churned {
+			records += z.ThirdPartyPools
+		}
+		if records > maxPlannedRecords {
+			panic(fmt.Sprintf("cdn: %s has %d third-party pools; a planned visit logs at most %d records", z.Host, z.ThirdPartyPools, maxPlannedRecords))
+		}
 		for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
-			e.Visit(z, e.sampleUA(), day)
+			p := visitPlan{zone: z, ua: e.sampleUA(), slot: sampled, first: e.records + 1, records: records}
+			for pool := 0; pool < records-1; pool++ {
+				if e.drawAnonymous(z, pool, phase) {
+					p.anon |= 1 << pool
+				}
+			}
+			for k := 0; k < records; k++ {
+				if lp.lockedDraw() {
+					p.sampled |= 1 << k
+					sampled++
+				}
+			}
+			e.records += uint64(records)
+			plan = append(plan, p)
 		}
 	}
+	e.plan = plan
+
+	blocks := lp.lockedGrow(sampled, e.Cfg.Workers)
+	parallel.DoWith(len(plan), e.Cfg.Workers, func() *clients { return newClients(0, 0) }, func(cl *clients, i int) {
+		p := &plan[i]
+		io := visitIO{day: day, next: p.first, plan: p, blocks: blocks}
+		e.visit(cl, p.zone, p.ua, 0, &io)
+		if io.n != p.records {
+			panic(fmt.Sprintf("cdn: a planned visit to %s logged %d records; its plan holds %d", p.zone.Host, io.n, p.records))
+		}
+	})
+	lp.blocks, lp.sampled = blocks, sampled
 }
 
 // Longitudinal runs a multi-day deployment: days [0, total); the given

@@ -2,9 +2,11 @@ package cdn
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"respectorigin/internal/lazyrand"
+	"respectorigin/internal/parallel"
 )
 
 // LogRecord is one sampled request log line, carrying exactly the
@@ -55,17 +57,36 @@ func NewLogPipeline(rate float64, seed int64) *LogPipeline {
 func (lp *LogPipeline) Observe(r LogRecord) {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
-	lp.total++
-	if lp.rng.Float64() < lp.rate {
-		i := int(lp.sampled % logBlockRecords)
-		if i == 0 {
+	if lp.lockedDraw() {
+		if lp.sampled%logBlockRecords == 0 {
 			lp.blocks = append(lp.blocks, new(logBlock))
 		}
-		slot := &lp.blocks[len(lp.blocks)-1][i]
-		*slot = r
-		slot.FlagHostNeSNI = r.Host != r.SNI
+		put(lp.blocks, lp.sampled, r)
 		lp.sampled++
 	}
+}
+
+// lockedDraw counts one request and draws whether the sampler keeps it.
+func (lp *LogPipeline) lockedDraw() bool {
+	lp.total++
+	return lp.rng.Float64() < lp.rate
+}
+
+// put writes r, flagged, into log position i of blocks.
+func put(blocks []*logBlock, i int64, r LogRecord) {
+	slot := &blocks[i/logBlockRecords][i%logBlockRecords]
+	*slot = r
+	slot.FlagHostNeSNI = r.Host != r.SNI
+}
+
+// lockedGrow returns the pipeline's blocks extended to hold sampled
+// records, the new blocks allocated across workers.
+func (lp *LogPipeline) lockedGrow(sampled int64, workers int) []*logBlock {
+	have := len(lp.blocks)
+	need := int((sampled + logBlockRecords - 1) / logBlockRecords)
+	blocks := slices.Grow(lp.blocks, need-have)[:need]
+	parallel.Do(need-have, workers, func(i int) { blocks[have+i] = new(logBlock) })
+	return blocks
 }
 
 // Totals reports total and sampled request counts.

@@ -136,10 +136,13 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	check("exit from origin phase, own addresses")
 }
 
-// Lookups racing phase changes (run under -race): every answer is one
-// whole set its name may have — its own, the aligned or the isolated
-// address — never empty and never a mix, and an answer held across
-// phase changes keeps its contents.
+// Reads racing phase changes (run under -race): every read method
+// answers from one whole view while another goroutine cycles the phases.
+// A lookup is one whole set its name may have — its own, the aligned or
+// the isolated address — never empty and never a mix, and an answer held
+// across phase changes keeps its contents. Certificates never change,
+// origin sets are the zone's or none, and an address that has served a
+// host keeps serving it.
 func TestLookupRacingPhaseChanges(t *testing.T) {
 	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
 	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
@@ -147,10 +150,21 @@ func TestLookupRacingPhaseChanges(t *testing.T) {
 	treated := c.AddZone("www.treated.example", SLATierFree, ip("104.18.0.1"), ip("104.18.0.2"))
 	treated.Treatment = TreatmentExperiment
 	untreated := c.AddZone("www.untreated.example", SLATierFree, ip("104.18.0.3"))
-	legal := map[string][][]netip.Addr{
-		treated.Host:   {treated.Addrs, {aligned}, {isolated}},
-		untreated.Host: {untreated.Addrs},
-		c.ThirdParty:   {third, {aligned}},
+	type legal struct {
+		lookups [][]netip.Addr
+		origins [][]string // answers OriginSet may give
+		always  []netip.Addr
+		never   []netip.Addr // addresses that never serve the name
+	}
+	every := append([]netip.Addr{aligned, isolated, untreated.Addrs[0]}, append(third, treated.Addrs...)...)
+	names := map[string]legal{
+		treated.Host:   {[][]netip.Addr{treated.Addrs, {aligned}, {isolated}}, [][]string{nil, {c.ThirdParty}}, treated.Addrs, append(slices.Clone(third), untreated.Addrs...)},
+		untreated.Host: {[][]netip.Addr{untreated.Addrs}, [][]string{nil}, untreated.Addrs, append([]netip.Addr{aligned, isolated}, append(slices.Clone(third), treated.Addrs...)...)},
+		c.ThirdParty:   {[][]netip.Addr{third, {aligned}}, [][]string{nil}, third, append(slices.Clone(untreated.Addrs), treated.Addrs...)},
+	}
+	sans := map[string][]string{}
+	for host := range names {
+		sans[host] = c.CertSANs(host, netip.Addr{})
 	}
 
 	var cycles atomic.Int64
@@ -172,17 +186,42 @@ func TestLookupRacingPhaseChanges(t *testing.T) {
 			cycles.Add(1)
 		}
 	}()
-	for host, sets := range legal {
+	for host, want := range names {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			held, _ := c.Lookup(host)
 			kept, from := slices.Clone(held), cycles.Load()
+			served := map[netip.Addr]bool{}
 			for i := 0; i < 2000 || cycles.Load() < from+20; i++ {
 				addrs, err := c.Lookup(host)
-				if err != nil || !slices.ContainsFunc(sets, func(s []netip.Addr) bool { return slices.Equal(s, addrs) }) {
+				if err != nil || !slices.ContainsFunc(want.lookups, func(s []netip.Addr) bool { return slices.Equal(s, addrs) }) {
 					t.Errorf("lookup %d of %s racing phase changes answered %v, %v", i, host, addrs, err)
 					return
+				}
+				if got := c.CertSANs(host, netip.Addr{}); !slices.Equal(got, sans[host]) {
+					t.Errorf("CertSANs(%s) racing phase changes = %v, want %v", host, got, sans[host])
+					return
+				}
+				if got := c.OriginSet(host, netip.Addr{}); !slices.ContainsFunc(want.origins, func(s []string) bool { return slices.Equal(s, got) }) {
+					t.Errorf("OriginSet(%s) racing phase changes = %v", host, got)
+					return
+				}
+				if !c.SupportsH3(host) || c.Phase() > PhaseOrigin {
+					t.Errorf("%s: SupportsH3 false or phase %v racing phase changes", host, c.Phase())
+					return
+				}
+				for _, a := range every {
+					ok := c.Reachable(host, a)
+					switch {
+					case !ok && (served[a] || slices.Contains(want.always, a)):
+						t.Errorf("%s stopped being served on %v racing phase changes", host, a)
+						return
+					case ok && slices.Contains(want.never, a):
+						t.Errorf("%s served on %v racing phase changes", host, a)
+						return
+					}
+					served[a] = ok
 				}
 			}
 			if !slices.Equal(held, kept) {

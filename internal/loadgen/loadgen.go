@@ -278,9 +278,8 @@ func (c Config) Validate() error {
 // buildCDN constructs the shared serving environment: Zones customer
 // zones with alternating control/experiment treatment, certificates
 // reissued, and the configured deployment phase entered. The CDN is
-// read-only during the parallel phase (its DNS authority and zone maps
-// are mutex-guarded and answer queries order-independently; rotation
-// stays off).
+// read-only during the parallel phase: its reads answer from one
+// published view and take no lock.
 func buildCDN(cfg Config) *cdn.CDN {
 	c := cdn.New(cdn.Config{Seed: cfg.Seed})
 	for i := 0; i < cfg.Zones; i++ {

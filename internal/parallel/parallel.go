@@ -47,11 +47,14 @@ func chunkSpan(n, workers int) int {
 // goroutines. fn must be safe to call concurrently for distinct
 // indexes; each index is visited exactly once.
 func Do(n, workers int, fn func(i int)) {
-	doWith(n, workers, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
+	DoWith(n, workers, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
 }
 
-// doWith is Do with one scratch value per goroutine.
-func doWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
+// DoWith is Do for an fn that needs working storage: every goroutine
+// calls newScratch once and hands that value to each fn call it makes.
+// Which indexes share a scratch value depends on scheduling; what fn
+// does must not.
+func DoWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
 	workers = Normalize(workers)
 	if workers > n {
 		workers = n
@@ -108,7 +111,7 @@ func Map[R any](n, workers int, fn func(i int) R) []R {
 // share a scratch value depends on scheduling; fn's result must not.
 func MapWith[S, R any](n, workers int, newScratch func() S, fn func(s S, i int) R) []R {
 	out := make([]R, maxInt(n, 0))
-	doWith(n, workers, newScratch, func(s S, i int) { out[i] = fn(s, i) })
+	DoWith(n, workers, newScratch, func(s S, i int) { out[i] = fn(s, i) })
 	return out
 }
 
