@@ -23,6 +23,7 @@ import (
 	"net/netip"
 
 	"respectorigin/internal/cache"
+	"respectorigin/internal/certs"
 	"respectorigin/internal/obs"
 )
 
@@ -141,35 +142,7 @@ func (c *Conn) Speculative() (speculative, used bool) {
 // covers reports whether the connection's certificate covers host,
 // honoring single-label wildcards.
 func (c *Conn) covers(host string) bool {
-	return sanMatch(c.SANs, host)
-}
-
-func sanMatch(sans []string, host string) bool {
-	for _, san := range sans {
-		if san == host {
-			return true
-		}
-		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
-			suffix := san[1:] // ".example.com"
-			if len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix {
-				// The wildcard matches exactly one label.
-				label := host[:len(host)-len(suffix)]
-				if label != "" && !contains(label, '.') {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func contains(s string, b byte) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return true
-		}
-	}
-	return false
+	return certs.Covers(c.SANs, host)
 }
 
 // Outcome reports how one request was satisfied.

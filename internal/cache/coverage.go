@@ -1,8 +1,9 @@
 package cache
 
 import (
-	"strings"
 	"sync"
+
+	"respectorigin/internal/certs"
 )
 
 // coverStore is the store behind TicketStore and TokenStore. A grant (a
@@ -82,26 +83,12 @@ type coverKey struct {
 	name  string
 }
 
-// covers reports whether the SAN list covers host, honoring
-// single-label wildcards (the same matching rule the browser pool
-// applies before coalescing onto a connection): a "*.example.com" SAN
-// covers host when suffix, host minus its first label, is
-// ".example.com".
-func (g *grant) covers(host, suffix string) bool {
-	for _, san := range g.sans {
-		if san == host || len(san) > 2 && san[0] == '*' && san[1:] == suffix {
-			return true
-		}
-	}
-	return false
-}
-
 // eachKey calls fn with every index key of the grant.
 func (g *grant) eachKey(fn func(coverKey)) {
 	for _, san := range g.sans {
 		fn(coverKey{g.proto, false, san})
-		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
-			fn(coverKey{g.proto, true, san[1:]})
+		if suffix := certs.WildcardSuffix(san); suffix != "" {
+			fn(coverKey{g.proto, true, suffix})
 		}
 	}
 }
@@ -151,19 +138,13 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 	for s.head < len(s.grants) && (s.grants[s.head].dead || nowMs >= s.grants[s.head].expiresMs) {
 		s.pop()
 	}
-	// A wildcard covers exactly one extra label: host minus its first
-	// label is the only suffix that can match.
-	suffix := ""
-	if dot := strings.IndexByte(host, '.'); dot > 0 {
-		suffix = host[dot:]
-	}
 	id, ok := s.oldestIndexed(coverKey{proto, false, host})
-	if w, wok := s.oldestIndexed(coverKey{proto, true, suffix}); wok && (!ok || w < id) {
+	if w, wok := s.oldestIndexed(coverKey{proto, true, certs.HostSuffix(host)}); wok && (!ok || w < id) {
 		id, ok = w, true
 	}
 	for i := s.head + s.indexed - s.base; !ok && i < len(s.grants); i++ {
 		g := &s.grants[i]
-		id, ok = s.base+i-s.head, !g.dead && g.proto == proto && g.covers(host, suffix)
+		id, ok = s.base+i-s.head, !g.dead && g.proto == proto && certs.Covers(g.sans, host)
 	}
 	if !ok {
 		s.misses++

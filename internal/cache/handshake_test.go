@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"respectorigin/internal/certs"
 )
 
 // replacedSequence is the hand-written call sequence Handshake replaced,
@@ -32,7 +34,7 @@ func replacedSequence(c *Cache, host, issuer string, sans []string, proto int) H
 }
 
 func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
-	certs := [][]string{
+	sanLists := [][]string{
 		{"www.a.example", "static.a.example"},
 		{"*.b.example", "b.example"},
 		{"cdn.shared.example", "www.a.example"}, // overlaps the first certificate
@@ -41,11 +43,8 @@ func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
 	hosts := []string{"www.a.example", "static.a.example", "img.b.example", "b.example", "cdn.shared.example", "solo.example"}
 	coveredBy := func(host string, rng *rand.Rand) []string {
 		for {
-			sans := certs[rng.Intn(len(certs))]
-			for _, s := range sans {
-				if s == host || (s[0] == '*' && len(host) > len(s)-1 && host[len(host)-len(s)+1:] == s[1:]) {
-					return sans
-				}
+			if sans := sanLists[rng.Intn(len(sanLists))]; certs.Covers(sans, host) {
+				return sans
 			}
 		}
 	}
@@ -91,7 +90,7 @@ func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
 	}
 
 	var off *Cache
-	if h := off.Handshake("www.a.example", "CA", certs[0], ProtoWireH3); h != (Handshake{}) || h.ZeroRTT() {
+	if h := off.Handshake("www.a.example", "CA", sanLists[0], ProtoWireH3); h != (Handshake{}) || h.ZeroRTT() {
 		t.Fatalf("nil cache handshake = %+v, want the cold zero value", h)
 	}
 }

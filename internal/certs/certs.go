@@ -3,6 +3,7 @@
 // configurable Subject Alternative Name (SAN) sets, plus the SAN-set
 // arithmetic the paper's §4.3 model and §5.1 deployment rely on:
 //
+//   - the one rule for whether a SAN list covers a host (Covers);
 //   - diffing a certificate's SANs against the names a webpage needs;
 //   - renewing certificates with added SANs;
 //   - issuing byte-equalized control/experiment certificate pairs
@@ -151,12 +152,6 @@ func (l *Leaf) SANs() []string {
 	out := append([]string(nil), l.Cert.DNSNames...)
 	sort.Strings(out)
 	return out
-}
-
-// Covers reports whether the certificate is valid for host, honoring
-// wildcard entries.
-func (l *Leaf) Covers(host string) bool {
-	return l.Cert.VerifyHostname(host) == nil
 }
 
 // WireSize returns the DER-encoded size of the leaf in bytes.

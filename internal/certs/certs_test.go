@@ -23,11 +23,11 @@ func TestIssueAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, host := range []string{"www.example.com", "example.com", "img.cdn.example.com"} {
-		if !leaf.Covers(host) {
+		if !Covers(leaf.Cert.DNSNames, host) {
 			t.Errorf("certificate does not cover %s", host)
 		}
 	}
-	if leaf.Covers("other.example.org") {
+	if Covers(leaf.Cert.DNSNames, "other.example.org") {
 		t.Error("certificate covers unrelated host")
 	}
 	// The chain must verify against the CA pool.
@@ -65,7 +65,7 @@ func TestRenewAddsSANs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, host := range []string{"site.example", "third-party.example", "fonts.example"} {
-		if !renewed.Covers(host) {
+		if !Covers(renewed.Cert.DNSNames, host) {
 			t.Errorf("renewed cert missing %s", host)
 		}
 	}
@@ -73,7 +73,7 @@ func TestRenewAddsSANs(t *testing.T) {
 		t.Errorf("SANs = %v", renewed.SANs())
 	}
 	// The original is untouched.
-	if leaf.Covers("third-party.example") {
+	if Covers(leaf.Cert.DNSNames, "third-party.example") {
 		t.Error("renewal mutated original leaf")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 
 	"respectorigin/internal/measure"
 )
@@ -28,26 +27,6 @@ func (cp CertPlan) ExistingCount() int { return len(cp.Existing) }
 
 // IdealCount returns the SAN size after modification.
 func (cp CertPlan) IdealCount() int { return len(cp.Existing) + len(cp.Additions) }
-
-// sanCovers reports whether the SAN list covers host (exact or
-// single-label wildcard).
-func sanCovers(sans []string, host string) bool {
-	for _, san := range sans {
-		if san == host {
-			return true
-		}
-		if strings.HasPrefix(san, "*.") {
-			suffix := san[1:]
-			if strings.HasSuffix(host, suffix) {
-				label := host[:len(host)-len(suffix)]
-				if label != "" && !strings.Contains(label, ".") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
 
 // CertPlanSummary aggregates §4.3 statistics across a corpus.
 type CertPlanSummary struct {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"respectorigin/internal/certs"
 	"respectorigin/internal/har"
 )
 
@@ -327,7 +328,7 @@ func (t *Timeline) CertPlan() CertPlan {
 	sort.Strings(t.names)
 	plan.Coalescable = append([]string(nil), t.names...)
 	for _, h := range plan.Coalescable {
-		if !sanCovers(plan.Existing, h) {
+		if !certs.Covers(plan.Existing, h) {
 			plan.Additions = append(plan.Additions, h)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"respectorigin/internal/certs"
 	"respectorigin/internal/har"
 	"respectorigin/internal/webgen"
 )
@@ -210,7 +211,7 @@ func refPlanCertChanges(p *har.Page) CertPlan {
 		}
 		seen[h] = true
 		plan.Coalescable = append(plan.Coalescable, h)
-		if !sanCovers(plan.Existing, h) {
+		if !certs.Covers(plan.Existing, h) {
 			plan.Additions = append(plan.Additions, h)
 		}
 	}

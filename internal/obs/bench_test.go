@@ -20,7 +20,6 @@ func BenchmarkEmitRecorderOff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Count(r, "h2.client.streams", 1)
-		Observe(r, "page.ms", 12.5)
 		Emit(r, benchEvent(i))
 	}
 }
@@ -33,7 +32,6 @@ func TestRecorderOffEmitNoAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		Count(r, "h2.client.streams", 1)
-		Observe(r, "page.ms", 12.5)
 		Emit(r, benchEvent(i))
 		i++
 	})
@@ -75,16 +73,14 @@ func TestMetricsEventNoAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkMetricsCountObserve measures the steady-state counter and
-// histogram paths (names already interned).
-func BenchmarkMetricsCountObserve(b *testing.B) {
+// BenchmarkMetricsCount measures the steady-state counter path (name
+// already interned).
+func BenchmarkMetricsCount(b *testing.B) {
 	m := NewMetrics()
 	m.Count("h2.client.streams", 1)
-	m.Observe("page.ms", 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Count("h2.client.streams", 1)
-		m.Observe("page.ms", 12.5)
 	}
 }
 

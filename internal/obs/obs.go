@@ -1,21 +1,19 @@
 // Package obs is the observability layer of the ORIGIN stack: atomic
-// counters, fixed-bucket latency histograms, and span-style per-page-
-// load event traces, threaded through the protocol layers behind the
-// Recorder interface.
+// counters and span-style per-page-load event traces, threaded through
+// the protocol layers behind the Recorder interface.
 //
 // The design discipline mirrors the fault layer's zero plan: a nil
 // Recorder is valid everywhere and means "off". Every call site goes
-// through the nil-tolerant package helpers (Count, Observe, Emit), so
-// an uninstrumented run performs no allocation, takes no lock, and
-// leaves every output byte identical to a build without the layer.
+// through the nil-tolerant package helpers (Count, Emit), so an
+// uninstrumented run performs no allocation, takes no lock, and leaves
+// every output byte identical to a build without the layer.
 // Three types hold a recorder — browser.Browser, cdn.Experiment and
 // h2.Server — each in an exported Rec field set before first use.
 //
 // Three concrete recorders cover the stack's needs:
 //
-//   - *Metrics: lock-free counters and fixed-bucket histograms,
-//     renderable as text (via measure.Summary) and publishable as
-//     expvar for the -metrics-addr endpoints.
+//   - *Metrics: lock-free counters, renderable as text and publishable
+//     as expvar for the -metrics-addr endpoints.
 //   - *Trace: an append-only event log whose NDJSON serialization is
 //     deterministic — events sort by (Rank, Seq) regardless of the
 //     goroutine interleaving that produced them.
@@ -77,9 +75,6 @@ type Event struct {
 type Recorder interface {
 	// Count adds delta to the named counter.
 	Count(name string, delta int64)
-	// Observe records one sample, in milliseconds, into the named
-	// latency histogram.
-	Observe(hist string, ms float64)
 	// Event appends one trace event.
 	Event(ev Event)
 }
@@ -88,13 +83,6 @@ type Recorder interface {
 func Count(r Recorder, name string, delta int64) {
 	if r != nil {
 		r.Count(name, delta)
-	}
-}
-
-// Observe records a histogram sample on r; nil r is a no-op.
-func Observe(r Recorder, hist string, ms float64) {
-	if r != nil {
-		r.Observe(hist, ms)
 	}
 }
 
@@ -129,12 +117,6 @@ func Multi(rs ...Recorder) Recorder {
 func (m multi) Count(name string, delta int64) {
 	for _, r := range m {
 		r.Count(name, delta)
-	}
-}
-
-func (m multi) Observe(hist string, ms float64) {
-	for _, r := range m {
-		r.Observe(hist, ms)
 	}
 }
 

@@ -45,9 +45,6 @@ var _ Recorder = (*Trace)(nil)
 // Count implements Recorder as a no-op (traces hold events only).
 func (t *Trace) Count(name string, delta int64) {}
 
-// Observe implements Recorder as a no-op.
-func (t *Trace) Observe(hist string, ms float64) {}
-
 // Event implements Recorder.
 func (t *Trace) Event(ev Event) {
 	t.mu.Lock()

@@ -944,7 +944,9 @@ func (g *generator) buildRootSANs(apex, siteHost span, own []hostInfo, n int) sp
 }
 
 // sanWildcardCovers reports whether an existing wildcard entry already
-// covers host.
+// covers host: certs.Covers over the wildcard entries of sans, kept on
+// byte spans so that no page allocates for it
+// (TestSanWildcardCoversMatchesCovers holds the two equal).
 func (g *generator) sanWildcardCovers(sans []span, hostName span) bool {
 	host := g.bytes(hostName)
 	for _, s := range sans {

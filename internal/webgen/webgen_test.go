@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"respectorigin/internal/certs"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
@@ -427,6 +428,39 @@ func TestGenerateAllocBudget(t *testing.T) {
 				t.Errorf("%s workers=%d: %.1f allocations per page (%.0f over %d pages), want ≤ %d", a, workers, perPage, allocs, pages, perPageBudget)
 			} else {
 				t.Logf("%s workers=%d: %.1f allocations per page", a, workers, perPage)
+			}
+		}
+	}
+}
+
+// TestSanWildcardCoversMatchesCovers holds the byte-span matcher to
+// certs.Covers restricted to wildcard SANs: every pair of names as a SAN
+// list, against every name as the host.
+func TestSanWildcardCoversMatchesCovers(t *testing.T) {
+	names := []string{
+		"", "*", "*.", "a.", "*..", "a..", "example.com", ".example.com",
+		"*.example.com", "www.example.com", "a.b.example.com", "wwwexample.com",
+		"*.b.example.com", "x.b.example.com", "*x.example.com", "*.*.example.com",
+		"*.co.uk", "example.co.uk",
+	}
+	g := newGenerator(DefaultConfig())
+	spans := make([]span, len(names))
+	for i, n := range names {
+		spans[i] = g.literal(n)
+	}
+	for i := range names {
+		for j := range names {
+			var wild []string
+			for _, k := range []int{i, j} {
+				if certs.WildcardSuffix(names[k]) != "" {
+					wild = append(wild, names[k])
+				}
+			}
+			for h, host := range names {
+				got := g.sanWildcardCovers([]span{spans[i], spans[j]}, spans[h])
+				if want := certs.Covers(wild, host); got != want {
+					t.Errorf("sanWildcardCovers([%q %q], %q) = %v, certs.Covers says %v", names[i], names[j], host, got, want)
+				}
 			}
 		}
 	}
