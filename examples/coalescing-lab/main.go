@@ -96,10 +96,10 @@ func main() {
 		fmt.Printf("=== %s ===\n", p.name)
 		for _, host := range pageHosts {
 			out := p.b.Request(env, host)
-			verdict := "NEW CONNECTION"
-			if out.Reused {
+			verdict := fmt.Sprintf("NEW CONNECTION (%s)", out.Reason)
+			if out.Reused() {
 				verdict = fmt.Sprintf("coalesced onto %s", out.ConnHost)
-				if out.ViaOrigin {
+				if out.ViaOrigin() {
 					verdict += " (via ORIGIN frame)"
 				}
 			}

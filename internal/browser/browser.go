@@ -21,6 +21,7 @@ package browser
 import (
 	"errors"
 	"net/netip"
+	"slices"
 
 	"respectorigin/internal/cache"
 	"respectorigin/internal/certs"
@@ -145,45 +146,75 @@ func (c *Conn) covers(host string) bool {
 	return certs.Covers(c.SANs, host)
 }
 
+// Reason names how one request was decided: the path that found a
+// pooled connection to ride, or why no pooled connection could carry it
+// (the causes of Sander et al.'s redundant-connection catalogue that
+// this pool can produce). The zero value is ReasonFailed.
+type Reason uint8
+
+// Reasons. The new-connection causes are ordered by how far a pooled
+// connection got through findByIP's checks: certificate coverage, then
+// h1's same-host rule, then address overlap.
+const (
+	ReasonFailed        Reason = iota // the request failed; Err says why
+	ReasonIP                          // reused: an address matched
+	ReasonOrigin                      // reused: an origin set lists the host (same-host included)
+	ReasonPoolCap                     // reused: MaxConnsPerHost forced same-host multiplexing
+	ReasonNewFirst                    // new: the pool was empty
+	ReasonNewSANMissing               // new: no pooled certificate covers the host
+	ReasonNewH1                       // new: a covering connection is cross-host under h1
+	ReasonNewIPMismatch               // new: covering and eligible, but no address overlaps
+	ReasonNew421                      // new: a reuse attempt bounced with 421
+)
+
+var reasonNames = [...]string{"failed", "ip", "origin", "pool-cap",
+	"new:first", "new:san-missing", "new:h1", "new:ip-mismatch", "new:421-fallback"}
+
+func (r Reason) String() string {
+	if int(r) < len(reasonNames) {
+		return reasonNames[r]
+	}
+	return "unknown"
+}
+
 // Outcome reports how one request was satisfied.
 type Outcome struct {
-	Host          string
-	Reused        bool    // satisfied on an existing connection
-	NewConnection bool    // opened a fresh TCP+TLS connection
-	ViaOrigin     bool    // reuse authorized by an ORIGIN frame
-	ConnHost      string  // host the carrying connection was opened for
-	DNSQueries    int     // queries issued for this request
-	Got421        bool    // reuse attempt bounced with 421
-	Retries       int     // retry attempts consumed by this request
-	BackoffMs     float64 // modelled backoff delay accumulated before retries
-	FailedConnect bool    // at least one connection attempt failed
-	Err           error
+	Host       string
+	Reason     Reason  // how the request was decided; ReasonFailed iff Err != nil
+	ConnHost   string  // host the carrying connection was opened for
+	DNSQueries int     // queries issued for this request
+	Got421     bool    // reuse attempt bounced with 421
+	Retries    int     // retry attempts consumed by this request
+	BackoffMs  float64 // modelled backoff delay accumulated before retries
+	Err        error
 
 	// Warm-path accounting, only ever set when a cache is installed.
-	// ResumedTLS is accounted separately from Reused: a resumed
-	// handshake still opens a new connection (NewConnection is true),
-	// it just skips the full handshake and certificate validation,
-	// whereas Reused skips the connection entirely (coalescing).
+	// Handshake is what the warm state did for a new connection (zero on
+	// reuse): a resumed handshake still opens a new connection, it just
+	// skips the full handshake and certificate validation, whereas reuse
+	// skips the connection entirely (coalescing).
 	DNSCacheHits int  // lookups served from the positive DNS cache
 	NegCacheHit  bool // lookup answered by the negative DNS cache
-	ResumedTLS   bool // new connection established via ticket resumption
-	CertMemoHit  bool // full handshake, but chain validation memoized
+	Handshake    cache.Handshake
 
-	// Protocol accounting. Proto is the protocol the satisfying
-	// connection speaks (for reuse, the carrying connection's protocol).
-	// ZeroRTT and AddrTokenHit are only ever set on h3 connections: a
-	// 0-RTT handshake requires both a session ticket (ResumedTLS) and an
-	// address-validation token (AddrTokenHit); a token alone merely
-	// skips the Retry round trip.
-	Proto        Protocol
-	ZeroRTT      bool // h3 handshake completed in zero round trips
-	AddrTokenHit bool // address-validation token skipped the Retry RTT
+	// Proto is the protocol the satisfying connection speaks (for reuse,
+	// the carrying connection's protocol).
+	Proto Protocol
 }
+
+// Reused reports whether the request rode an existing connection.
+func (o Outcome) Reused() bool { return o.Reason != ReasonFailed && o.Reason < ReasonNewFirst }
+
+// NewConnection reports whether the request opened a fresh connection.
+func (o Outcome) NewConnection() bool { return o.Reason >= ReasonNewFirst }
+
+// ViaOrigin reports whether an ORIGIN frame authorized the reuse.
+func (o Outcome) ViaOrigin() bool { return o.Reason == ReasonOrigin }
 
 // Coalesced reports whether the request rode a connection opened for a
 // different hostname (true cross-host coalescing, as opposed to plain
 // same-host connection reuse).
-func (o Outcome) Coalesced() bool { return o.Reused && o.ConnHost != o.Host }
+func (o Outcome) Coalesced() bool { return o.Reused() && o.ConnHost != o.Host }
 
 // Browser is a connection pool governed by a Policy. It is not safe for
 // concurrent use; page loads are sequential per browsing context.
@@ -252,7 +283,13 @@ type Browser struct {
 	// refills one before it allocates.
 	spare []*Conn
 
-	// Totals across all requests.
+	// Totals are the counters across every request since the last Reset.
+	Totals
+}
+
+// Totals are a browser's counters. Reset zeroes them in one assignment,
+// so a new total cannot be left out of it.
+type Totals struct {
 	TotalDNS     int
 	TotalNewConn int
 	Total421     int
@@ -303,25 +340,7 @@ func (b *Browser) Reset() {
 	clear(b.conns)
 	b.conns = b.conns[:0]
 	b.seq = 0
-	b.TotalDNS = 0
-	b.TotalNewConn = 0
-	b.Total421 = 0
-	b.TotalReused = 0
-	b.TotalRetries = 0
-	b.TotalBackoffMs = 0
-	b.TotalDNSFail = 0
-	b.TotalConnFail = 0
-	b.TotalFailed = 0
-	b.TotalDNSCacheHits = 0
-	b.TotalNegCacheHits = 0
-	b.TotalResumed = 0
-	b.TotalCertMemoHits = 0
-	b.TotalValidations = 0
-	b.TotalZeroRTT = 0
-	b.TotalAddrTokens = 0
-	b.TotalEvicted = 0
-	b.TotalPreconns = 0
-	b.TotalPreconnsUsed = 0
+	b.Totals = Totals{}
 	b.useSeq = 0
 }
 
@@ -329,17 +348,9 @@ func (b *Browser) Reset() {
 // reaction to a TCP reset or a server GOAWAY drain) and reports how
 // many were dropped. Subsequent requests must reconnect.
 func (b *Browser) DropConns(host string) int {
-	kept := b.conns[:0]
-	dropped := 0
-	for _, c := range b.conns {
-		if c.Host == host {
-			dropped++
-			continue
-		}
-		kept = append(kept, c)
-	}
-	b.conns = kept
-	return dropped
+	n := len(b.conns)
+	b.conns = slices.DeleteFunc(b.conns, func(c *Conn) bool { return c.Host == host })
+	return n - len(b.conns)
 }
 
 // emit appends one event to the recorder, stamping it with the
@@ -375,14 +386,13 @@ func (b *Browser) markUsed(c *Conn) {
 
 // evict closes one pooled connection under cap pressure.
 func (b *Browser) evict(victim *Conn) {
-	for i, c := range b.conns {
-		if c == victim {
-			b.conns = append(b.conns[:i], b.conns[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(b.conns, victim)
+	b.conns = slices.Delete(b.conns, i, i+1)
 	b.TotalEvicted++
 }
+
+// byLastUse orders connections least recently used first.
+func byLastUse(x, y *Conn) int { return x.lastUse - y.lastUse }
 
 // Request fetches host through the pool, coalescing when the policy
 // permits.
@@ -401,21 +411,13 @@ func (b *Browser) request(env Environment, host string, out *Outcome) {
 	if b.Policy == PolicyFirefoxOrigin && b.Proto != ProtoH1 {
 		if c := b.findByOrigin(host); c != nil {
 			var addrs []netip.Addr
-			var lookupErr error
-			looked := false
+			var err error
 			if !b.SkipOriginDNS {
 				// Shipped Firefox still issues a blocking query.
-				addrs, lookupErr = b.lookup(env, host, out)
-				looked = true
+				addrs, err = b.lookup(env, host, out)
 			}
 			if env.Reachable(host, c.IP) {
-				out.Reused, out.ViaOrigin = true, true
-				out.ConnHost = c.Host
-				out.Proto = c.Proto
-				b.markUsed(c)
-				if b.Rec != nil {
-					b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "origin"})
-				}
+				b.reuse(c, ReasonOrigin, out)
 				return
 			}
 			// Misconfigured origin set: fail open (§5.3) with a 421. The
@@ -425,49 +427,48 @@ func (b *Browser) request(env Environment, host string, out *Outcome) {
 			if b.Rec != nil {
 				b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "origin"})
 			}
-			if looked {
-				if lookupErr != nil || len(addrs) == 0 {
-					if lookupErr == nil {
-						lookupErr = ErrNoAddresses
-					}
-					out.Err = lookupErr
-					return
-				}
-				b.connectFreshWithAddrs(env, host, addrs, out)
+			if b.SkipOriginDNS {
+				addrs, err = b.lookup(env, host, out)
+			}
+			if err != nil {
+				out.Err = err
 				return
 			}
-			b.connectFresh(env, host, out)
+			b.connectFresh(env, host, addrs, ReasonNew421, out)
 			return
 		}
 	}
 
 	// IP-based paths always query DNS.
 	addrs, err := b.lookup(env, host, out)
-	if err != nil || len(addrs) == 0 {
-		if err == nil {
-			err = ErrNoAddresses
-		}
+	if err != nil {
 		out.Err = err
 		return
 	}
-
-	if c := b.findByIP(host, addrs); c != nil {
+	c, why := b.findByIP(host, addrs)
+	if c != nil {
 		if env.Reachable(host, c.IP) {
-			out.Reused = true
-			out.ConnHost = c.Host
-			out.Proto = c.Proto
-			b.markUsed(c)
-			if b.Rec != nil {
-				b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "ip"})
-			}
+			b.reuse(c, why, out)
 			return
 		}
 		out.Got421 = true
 		if b.Rec != nil {
 			b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "ip"})
 		}
+		why = ReasonNew421
 	}
-	b.connectFreshWithAddrs(env, host, addrs, out)
+	b.connectFresh(env, host, addrs, why, out)
+}
+
+// reuse satisfies the request on pooled connection c, found for reason.
+func (b *Browser) reuse(c *Conn, reason Reason, out *Outcome) {
+	out.Reason = reason
+	out.ConnHost = c.Host
+	out.Proto = c.Proto
+	b.markUsed(c)
+	if b.Rec != nil {
+		b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: out.Host, Conn: c.Host, Detail: reason.String()})
+	}
 }
 
 // findByOrigin returns a pooled connection whose origin set contains
@@ -481,23 +482,29 @@ func (b *Browser) findByOrigin(host string) *Conn {
 	return nil
 }
 
-// findByIP implements the two IP-matching disciplines.
-func (b *Browser) findByIP(host string, answer []netip.Addr) *Conn {
+// findByIP implements the two IP-matching disciplines. A match comes
+// back with ReasonIP; no match comes back with the new-connection
+// reason for the deepest check any pooled connection passed.
+func (b *Browser) findByIP(host string, answer []netip.Addr) (*Conn, Reason) {
+	miss := ReasonNewFirst
 	for _, c := range b.conns {
 		if !c.covers(host) {
+			miss = max(miss, ReasonNewSANMissing)
 			continue
 		}
 		// HTTP/1.1 connections are keep-alive only: a second hostname
 		// cannot ride them even when the certificate would allow it.
 		if b.Proto == ProtoH1 && c.Host != host {
+			miss = max(miss, ReasonNewH1)
 			continue
 		}
+		miss = ReasonNewIPMismatch
 		switch b.Policy {
 		case PolicyChromium:
 			// Only the connected address survives in Chromium's set.
 			for _, a := range answer {
 				if a == c.IP {
-					return c
+					return c, ReasonIP
 				}
 			}
 		case PolicyFirefox, PolicyFirefoxOrigin:
@@ -505,19 +512,20 @@ func (b *Browser) findByIP(host string, answer []netip.Addr) *Conn {
 			for _, a := range answer {
 				for _, av := range c.Available {
 					if a == av {
-						return c
+						return c, ReasonIP
 					}
 				}
 			}
 		}
 	}
-	return nil
+	return nil, miss
 }
 
 // lookup resolves host, retrying failed queries up to MaxRetries with
 // exponential-backoff accounting. Every attempt is a real query and
-// counts toward DNSQueries; empty-but-successful answers are not
-// faults and are returned as-is.
+// counts toward DNSQueries. An empty-but-successful answer is not a
+// fault (it is neither retried nor negatively cached), but it fails the
+// lookup with ErrNoAddresses.
 //
 // When a cache is installed it is consulted first: a positive hit
 // serves the cached answer without touching the environment (no DNS
@@ -543,7 +551,7 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 			if b.Rec != nil {
 				b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host})
 			}
-			return addrs, nil
+			return answer(addrs)
 		}
 	}
 	for try := 0; ; try++ {
@@ -556,7 +564,7 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 			if b.Cache != nil && len(addrs) > 0 {
 				b.Cache.PutDNS(host, addrs, ttl)
 			}
-			return addrs, nil
+			return answer(addrs)
 		}
 		b.TotalDNSFail++
 		if b.Rec != nil {
@@ -570,6 +578,15 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 		}
 		b.retryDelay(try, out)
 	}
+}
+
+// answer returns a successful lookup's addresses, or ErrNoAddresses
+// when it carried none.
+func answer(addrs []netip.Addr) ([]netip.Addr, error) {
+	if len(addrs) == 0 {
+		return nil, ErrNoAddresses
+	}
+	return addrs, nil
 }
 
 // envLookup issues one lookup against the environment. Only a
@@ -599,18 +616,6 @@ func (b *Browser) retryDelay(try int, out *Outcome) {
 	}
 }
 
-func (b *Browser) connectFresh(env Environment, host string, out *Outcome) {
-	addrs, err := b.lookup(env, host, out)
-	if err != nil || len(addrs) == 0 {
-		if err == nil {
-			err = ErrNoAddresses
-		}
-		out.Err = err
-		return
-	}
-	b.connectFreshWithAddrs(env, host, addrs, out)
-}
-
 // enforceHostCap applies MaxConnsPerHost before a fresh connection is
 // opened for host. At the cap the request is forced onto a reachable
 // same-host connection (multiplexing — real browsers queue rather than
@@ -633,36 +638,20 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (do
 	}
 	for _, c := range same {
 		if env.Reachable(host, c.IP) {
-			out.Reused = true
-			out.ConnHost = c.Host
-			out.Proto = c.Proto
-			b.markUsed(c)
-			if b.Rec != nil {
-				b.emit(obs.Event{Kind: obs.KindCoalesceHit, Host: host, Conn: c.Host, Detail: "pool-cap"})
-			}
+			b.reuse(c, ReasonPoolCap, out)
 			return true
 		}
 	}
-	for excess := len(same) - (b.MaxConnsPerHost - 1); excess > 0; excess-- {
-		oldest := same[0]
-		for _, c := range same[1:] {
-			if c.lastUse < oldest.lastUse {
-				oldest = c
-			}
-		}
-		b.evict(oldest)
-		kept := same[:0]
-		for _, c := range same {
-			if c != oldest {
-				kept = append(kept, c)
-			}
-		}
-		same = kept
+	slices.SortFunc(same, byLastUse)
+	for _, c := range same[:len(same)-(b.MaxConnsPerHost-1)] {
+		b.evict(c)
 	}
 	return false
 }
 
-func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []netip.Addr, out *Outcome) {
+// connectFresh opens a connection for host on its answer addrs, retrying
+// faulted attempts; a new connection reports why.
+func (b *Browser) connectFresh(env Environment, host string, addrs []netip.Addr, why Reason, out *Outcome) {
 	if b.enforceHostCap(env, host, out) {
 		return
 	}
@@ -681,7 +670,6 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 				connected = true
 				break
 			}
-			out.FailedConnect = true
 			b.TotalConnFail++
 			b.emitConn(obs.KindConnectFail, host, ip)
 		}
@@ -691,6 +679,7 @@ func (b *Browser) connectFreshWithAddrs(env Environment, host string, addrs []ne
 		}
 	}
 	b.openConn(env, host, ip, addrs, out)
+	out.Reason = why
 }
 
 // openConn builds the connection for host at ip, settles its handshake
@@ -718,20 +707,11 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 		// The connection's own host is always in its origin set.
 		c.Origins[host] = true
 	}
-	if b.MaxConns > 0 {
-		for len(b.conns) >= b.MaxConns {
-			lru := b.conns[0]
-			for _, o := range b.conns[1:] {
-				if o.lastUse < lru.lastUse {
-					lru = o
-				}
-			}
-			b.evict(lru)
-		}
+	for b.MaxConns > 0 && len(b.conns) >= b.MaxConns {
+		b.evict(slices.MinFunc(b.conns, byLastUse))
 	}
 	b.conns = append(b.conns, c)
 	b.markUsed(c)
-	out.NewConnection = true
 	out.ConnHost = host
 	out.Proto = proto
 	// The warm-path decision (ticket, chain memo, h3 address token) is
@@ -739,7 +719,7 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 	// Tickets and tokens are protocol-keyed: h2 state never resumes an
 	// h3 session or vice versa.
 	hs := b.Cache.Handshake(host, "", c.SANs, proto.Wire())
-	out.ResumedTLS, out.CertMemoHit, out.AddrTokenHit, out.ZeroRTT = hs.Resumed, hs.MemoHit, hs.TokenHit, hs.ZeroRTT()
+	out.Handshake = hs
 	switch {
 	case hs.Resumed:
 		b.TotalResumed++
@@ -760,7 +740,7 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 			b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
 		}
 	}
-	if out.ZeroRTT {
+	if hs.ZeroRTT() {
 		b.TotalZeroRTT++
 		b.emitConn(obs.KindZeroRTT, host, ip)
 	}
@@ -802,7 +782,7 @@ func (b *Browser) Preconnect(env Environment, host string) bool {
 	out := Outcome{Host: host, Proto: b.Proto}
 	addrs, err := b.lookup(env, host, &out)
 	b.TotalDNS += out.DNSQueries
-	if err != nil || len(addrs) == 0 {
+	if err != nil {
 		return false
 	}
 	ip := addrs[0]
@@ -824,10 +804,10 @@ func (b *Browser) Preconnect(env Environment, host string) bool {
 
 func (b *Browser) account(out *Outcome) {
 	b.TotalDNS += out.DNSQueries
-	if out.NewConnection {
+	switch {
+	case out.NewConnection():
 		b.TotalNewConn++
-	}
-	if out.Reused {
+	case out.Reused():
 		b.TotalReused++
 	}
 	if out.Got421 {
@@ -839,10 +819,10 @@ func (b *Browser) account(out *Outcome) {
 	if b.Rec != nil {
 		obs.Count(b.Rec, "browser.dns_queries", int64(out.DNSQueries))
 		obs.Count(b.Rec, "browser.requests", 1)
-		if out.NewConnection {
+		if out.NewConnection() {
 			obs.Count(b.Rec, "browser.new_conns", 1)
 		}
-		if out.Reused {
+		if out.Reused() {
 			obs.Count(b.Rec, "browser.reused", 1)
 		}
 		if out.Got421 {
@@ -857,19 +837,19 @@ func (b *Browser) account(out *Outcome) {
 		if out.DNSCacheHits > 0 {
 			obs.Count(b.Rec, "browser.dns_cache_hits", int64(out.DNSCacheHits))
 		}
-		if out.ResumedTLS {
+		if out.Handshake.Resumed {
 			obs.Count(b.Rec, "browser.tls_resumed", 1)
 		}
-		if out.CertMemoHit {
+		if out.Handshake.MemoHit {
 			obs.Count(b.Rec, "browser.cert_memo_hits", 1)
 		}
-		if out.NewConnection && out.Proto == ProtoH3 {
+		if out.NewConnection() && out.Proto == ProtoH3 {
 			obs.Count(b.Rec, "browser.quic_handshakes", 1)
 		}
-		if out.ZeroRTT {
+		if out.Handshake.ZeroRTT() {
 			obs.Count(b.Rec, "browser.zero_rtt", 1)
 		}
-		if out.AddrTokenHit {
+		if out.Handshake.TokenHit {
 			obs.Count(b.Rec, "browser.addr_token_hits", 1)
 		}
 	}

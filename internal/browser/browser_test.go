@@ -58,11 +58,11 @@ func TestChromiumLosesTransitivity(t *testing.T) {
 	b := New(PolicyChromium)
 	env := twoHostEnv()
 	first := b.Request(env, "www.example.com")
-	if !first.NewConnection {
+	if !first.NewConnection() {
 		t.Fatal("first request must connect")
 	}
 	second := b.Request(env, "static.example.com")
-	if second.Reused || !second.NewConnection {
+	if !second.NewConnection() {
 		t.Errorf("chromium reused across transitive sets: %+v", second)
 	}
 	if b.TotalNewConn != 2 {
@@ -77,7 +77,7 @@ func TestFirefoxUsesTransitivity(t *testing.T) {
 	env := twoHostEnv()
 	b.Request(env, "www.example.com")
 	second := b.Request(env, "static.example.com")
-	if !second.Reused {
+	if !second.Reused() {
 		t.Errorf("firefox did not coalesce: %+v", second)
 	}
 	if b.TotalNewConn != 1 {
@@ -103,7 +103,7 @@ func TestChromiumExactIPMatchCoalesces(t *testing.T) {
 	b := New(PolicyChromium)
 	b.Request(env, "www.example.com")
 	second := b.Request(env, "img.example.com")
-	if !second.Reused {
+	if !second.Reused() {
 		t.Errorf("chromium must reuse on exact IP match: %+v", second)
 	}
 }
@@ -126,7 +126,7 @@ func TestCertificateMustCoverHost(t *testing.T) {
 		b := New(pol)
 		b.Request(env, "www.example.com")
 		second := b.Request(env, "other.example.com")
-		if second.Reused {
+		if second.Reused() {
 			t.Errorf("%v reused without SAN coverage", pol)
 		}
 	}
@@ -147,13 +147,13 @@ func TestWildcardSANCoverage(t *testing.T) {
 	}
 	b := New(PolicyFirefox)
 	b.Request(env, "www.example.com")
-	if out := b.Request(env, "img.example.com"); !out.Reused {
+	if out := b.Request(env, "img.example.com"); !out.Reused() {
 		t.Error("wildcard did not cover sibling label")
 	}
-	if out := b.Request(env, "a.b.example.com"); out.Reused {
+	if out := b.Request(env, "a.b.example.com"); out.Reused() {
 		t.Error("wildcard covered two labels")
 	}
-	if out := b.Request(env, "wwwexample.com"); out.Reused {
+	if out := b.Request(env, "wwwexample.com"); out.Reused() {
 		t.Error("wildcard covered apex-like host")
 	}
 }
@@ -184,7 +184,7 @@ func TestOriginFrameEnablesCoalescingAcrossIPs(t *testing.T) {
 	for _, pol := range []Policy{PolicyChromium, PolicyFirefox} {
 		b := New(pol)
 		b.Request(env, "www.example.com")
-		if out := b.Request(env, "third.cdnshared.com"); out.Reused {
+		if out := b.Request(env, "third.cdnshared.com"); out.Reused() {
 			t.Errorf("%v coalesced across disjoint IPs without ORIGIN", pol)
 		}
 	}
@@ -192,7 +192,7 @@ func TestOriginFrameEnablesCoalescingAcrossIPs(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "third.cdnshared.com")
-	if !out.Reused || !out.ViaOrigin {
+	if !out.ViaOrigin() {
 		t.Errorf("origin coalescing failed: %+v", out)
 	}
 	if b.TotalNewConn != 1 {
@@ -207,7 +207,7 @@ func TestFirefoxStillQueriesDNSForOriginHits(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "third.cdnshared.com")
-	if !out.Reused {
+	if !out.Reused() {
 		t.Fatal("expected origin reuse")
 	}
 	if out.DNSQueries != 1 {
@@ -219,7 +219,7 @@ func TestFirefoxStillQueriesDNSForOriginHits(t *testing.T) {
 	b2.SkipOriginDNS = true
 	b2.Request(env, "www.example.com")
 	out2 := b2.Request(env, "third.cdnshared.com")
-	if !out2.Reused || out2.DNSQueries != 0 {
+	if !out2.Reused() || out2.DNSQueries != 0 {
 		t.Errorf("ideal client outcome: %+v", out2)
 	}
 }
@@ -232,7 +232,7 @@ func TestOriginWithoutSANDoesNotCoalesce(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "third.cdnshared.com")
-	if out.Reused {
+	if out.Reused() {
 		t.Errorf("coalesced on origin set without SAN coverage: %+v", out)
 	}
 }
@@ -248,7 +248,7 @@ func Test421FallbackOpensNewConnection(t *testing.T) {
 	if !out.Got421 {
 		t.Errorf("no 421 recorded: %+v", out)
 	}
-	if !out.NewConnection {
+	if !out.NewConnection() {
 		t.Error("client did not fail open with a new connection")
 	}
 	if b.Total421 != 1 || b.TotalNewConn != 2 {
@@ -265,11 +265,8 @@ func TestOrigin421FailOpen(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "third.cdnshared.com")
-	if out.Reused {
-		t.Error("reused unreachable origin")
-	}
-	if !out.Got421 || !out.NewConnection {
-		t.Errorf("did not fail open: %+v", out)
+	if out.Reason != ReasonNew421 {
+		t.Errorf("reused an unreachable origin or did not fail open: %+v", out)
 	}
 }
 
@@ -282,7 +279,7 @@ func TestResetClearsPool(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 	out := b.Request(env, "static.example.com")
-	if !out.NewConnection {
+	if !out.NewConnection() {
 		t.Error("fresh session reused phantom connection")
 	}
 }
@@ -300,7 +297,7 @@ func TestEmptyDNSAnswer(t *testing.T) {
 	env := &fakeEnv{answers: map[string][]netip.Addr{}}
 	b := New(PolicyChromium)
 	out := b.Request(env, "missing.example.com")
-	if out.NewConnection || out.Reused {
+	if out.Reason != ReasonFailed {
 		t.Errorf("request succeeded without DNS: %+v", out)
 	}
 }
@@ -316,7 +313,7 @@ func TestFreshConnectionAllocsWithoutRecorder(t *testing.T) {
 		b := New(policy)
 		got := testing.AllocsPerRun(200, func() {
 			b.Reset()
-			if out := b.Request(env, "www.example"); !out.NewConnection {
+			if out := b.Request(env, "www.example"); !out.NewConnection() {
 				t.Fatal("request after Reset did not connect")
 			}
 		})

@@ -47,7 +47,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 	b.Request(env, "www.example.com")
 	migrate(env)
 	out := b.Request(env, "www.example.com")
-	if !out.Got421 || !out.NewConnection {
+	if out.Reason != ReasonNew421 {
 		t.Fatalf("migration revisit not a 421-fallback reconnect: %+v", out)
 	}
 	if n := b.DropConns("www.example.com"); n != 2 {
@@ -61,7 +61,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 	b.Request(env, "www.example.com")
 	migrate(env)
 	out = b.Request(env, "www.example.com")
-	if !out.Got421 || !out.NewConnection || out.Reused {
+	if out.Reason != ReasonNew421 {
 		t.Fatalf("capped migration revisit: %+v", out)
 	}
 	if got := len(b.Conns()); got != 1 {
@@ -93,7 +93,7 @@ func TestHostCapForcesSameHostMultiplexing(t *testing.T) {
 	// the original server is alive and well.
 	env.answers["www.example.com"] = []netip.Addr{ipB}
 	out := b.Request(env, "www.example.com")
-	if !out.Reused || out.NewConnection || out.Got421 {
+	if out.Reason != ReasonPoolCap || out.Got421 {
 		t.Fatalf("capped revisit did not multiplex: %+v", out)
 	}
 	if out.Coalesced() {
@@ -113,7 +113,7 @@ func TestHostCapDoesNotBlockCoalescing(t *testing.T) {
 	env := twoHostEnv()
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "static.example.com")
-	if !out.Reused || !out.Coalesced() {
+	if !out.Reused() || !out.Coalesced() {
 		t.Fatalf("cap=1 broke cross-host coalescing: %+v", out)
 	}
 	if b.TotalNewConn != 1 || b.TotalEvicted != 0 {
@@ -142,7 +142,7 @@ func TestTotalCapEvictsLeastRecentlyUsed(t *testing.T) {
 	b.Request(env, "a.example.com")
 	b.Request(env, "b.example.com")
 	// Touch a: it becomes the most recently used.
-	if out := b.Request(env, "a.example.com"); !out.Reused {
+	if out := b.Request(env, "a.example.com"); !out.Reused() {
 		t.Fatalf("same-host revisit not reused: %+v", out)
 	}
 	// c needs a slot: b (LRU) must go, a must survive.
@@ -188,7 +188,7 @@ func TestPreconnectAccounting(t *testing.T) {
 	// The request rides the speculative socket: a reuse, and the socket
 	// converts from wasted to used.
 	out := b.Request(env, "www.example.com")
-	if !out.Reused || out.NewConnection {
+	if !out.Reused() {
 		t.Fatalf("request did not ride the preconnected socket: %+v", out)
 	}
 	if b.TotalPreconnsUsed != 1 {

@@ -16,7 +16,7 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 
 	h2 := New(PolicyFirefoxOrigin)
 	h2.Cache = cc
-	if out := h2.Request(twoHostEnv(), "www.example.com"); !out.NewConnection || out.ResumedTLS {
+	if out := h2.Request(twoHostEnv(), "www.example.com"); !out.NewConnection() || out.Handshake.Resumed {
 		t.Fatalf("h2 cold visit: %+v", out)
 	}
 
@@ -25,13 +25,13 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 	h3 := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3.Cache = cc
 	out := h3.Request(twoHostEnv(), "www.example.com")
-	if !out.NewConnection {
+	if !out.NewConnection() {
 		t.Fatalf("h3 visit reused a connection: %+v", out)
 	}
-	if out.ResumedTLS {
+	if out.Handshake.Resumed {
 		t.Fatal("h2 ticket produced an h3 resumption")
 	}
-	if out.ZeroRTT || out.AddrTokenHit {
+	if out.Handshake.TokenHit {
 		t.Fatalf("h2 warm state produced h3 0-RTT state: %+v", out)
 	}
 
@@ -40,7 +40,7 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 	h3b := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3b.Cache = cc
 	out = h3b.Request(twoHostEnv(), "www.example.com")
-	if !out.ResumedTLS || !out.AddrTokenHit || !out.ZeroRTT {
+	if !out.Handshake.ZeroRTT() {
 		t.Fatalf("h3 revisit not 0-RTT: %+v", out)
 	}
 
@@ -51,16 +51,16 @@ func TestH2TicketDoesNotProduceH3ZeroRTT(t *testing.T) {
 	cc3 := cache.New(cache.Options{})
 	h3c := &Browser{Policy: PolicyFirefoxOrigin, Proto: ProtoH3}
 	h3c.Cache = cc3
-	if out := h3c.Request(twoHostEnv(), "www.example.com"); !out.NewConnection {
+	if out := h3c.Request(twoHostEnv(), "www.example.com"); !out.NewConnection() {
 		t.Fatalf("h3 cold visit: %+v", out)
 	}
 	h2b := New(PolicyFirefoxOrigin)
 	h2b.Cache = cc3
 	out = h2b.Request(twoHostEnv(), "www.example.com")
-	if out.ResumedTLS {
+	if out.Handshake.Resumed {
 		t.Fatal("h3 ticket produced an h2 resumption")
 	}
-	if out.ZeroRTT || out.AddrTokenHit {
+	if out.Handshake.TokenHit {
 		t.Fatalf("h2 outcome carries h3 fields: %+v", out)
 	}
 }

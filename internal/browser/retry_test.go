@@ -38,7 +38,7 @@ func TestOrigin421FallbackSingleLookup(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	env := staleOriginEnv(false)
 	first := b.Request(env, "www.example")
-	if !first.NewConnection || first.DNSQueries != 1 {
+	if !first.NewConnection() || first.DNSQueries != 1 {
 		t.Fatalf("carrier request: %+v", first)
 	}
 
@@ -46,7 +46,7 @@ func TestOrigin421FallbackSingleLookup(t *testing.T) {
 	if !out.Got421 {
 		t.Fatalf("stale origin set did not produce a 421: %+v", out)
 	}
-	if !out.NewConnection {
+	if !out.NewConnection() {
 		t.Fatalf("421 fallback did not open a fresh connection: %+v", out)
 	}
 	if out.DNSQueries != 1 {
@@ -70,7 +70,7 @@ func TestOrigin421FallbackSkipOriginDNS(t *testing.T) {
 	b.Request(env, "www.example")
 
 	out := b.Request(env, "api.example")
-	if !out.Got421 || !out.NewConnection {
+	if out.Reason != ReasonNew421 {
 		t.Fatalf("fallback outcome: %+v", out)
 	}
 	if out.DNSQueries != 1 {
@@ -85,7 +85,7 @@ func TestOriginReuseStillSingleLookup(t *testing.T) {
 	env := staleOriginEnv(true)
 	b.Request(env, "www.example")
 	out := b.Request(env, "api.example")
-	if !out.Reused || !out.ViaOrigin {
+	if !out.ViaOrigin() {
 		t.Fatalf("expected ORIGIN reuse: %+v", out)
 	}
 	if out.DNSQueries != 1 || b.TotalDNS != 2 {
@@ -139,7 +139,7 @@ func TestDNSRetryWithBackoff(t *testing.T) {
 	env := retryEnv()
 	env.dnsFailures = 2
 	out := b.Request(env, "www.example")
-	if out.Err != nil || !out.NewConnection {
+	if out.Err != nil || !out.NewConnection() {
 		t.Fatalf("request failed despite budget: %+v", out)
 	}
 	if out.DNSQueries != 3 {
@@ -166,7 +166,7 @@ func TestDNSRetryBudgetExhausted(t *testing.T) {
 	if !errors.Is(out.Err, errDNS) {
 		t.Fatalf("Err = %v, want errDNS", out.Err)
 	}
-	if out.NewConnection || out.Reused {
+	if out.Reason != ReasonFailed {
 		t.Fatalf("failed request recorded a connection: %+v", out)
 	}
 	if out.DNSQueries != 2 {
@@ -184,7 +184,7 @@ func TestConnectRetryRotatesAddresses(t *testing.T) {
 	env := retryEnv()
 	env.connFailures = 1
 	out := b.Request(env, "www.example")
-	if out.Err != nil || !out.NewConnection {
+	if out.Err != nil || !out.NewConnection() {
 		t.Fatalf("request failed: %+v", out)
 	}
 	if len(env.connAttempts) != 2 {
@@ -194,8 +194,8 @@ func TestConnectRetryRotatesAddresses(t *testing.T) {
 	if env.connAttempts[0] != ip("192.0.2.1") || env.connAttempts[1] != ip("192.0.2.2") {
 		t.Errorf("attempts did not rotate the answer set: %v", env.connAttempts)
 	}
-	if !out.FailedConnect || b.TotalConnFail != 1 {
-		t.Errorf("connect-failure accounting: FailedConnect=%v TotalConnFail=%d", out.FailedConnect, b.TotalConnFail)
+	if b.TotalConnFail != 1 {
+		t.Errorf("connect-failure accounting: TotalConnFail=%d, want 1", b.TotalConnFail)
 	}
 }
 
@@ -247,13 +247,13 @@ func TestOrigin421FallbackWithConnectRetry(t *testing.T) {
 	b.MaxRetries = 2
 	b.RetryBackoffMs = 100
 	env := staleOriginRetryEnv()
-	if first := b.Request(env, "www.example"); !first.NewConnection || first.DNSQueries != 1 {
+	if first := b.Request(env, "www.example"); !first.NewConnection() || first.DNSQueries != 1 {
 		t.Fatalf("carrier request: %+v", first)
 	}
 
 	env.connFailures = 1
 	out := b.Request(env, "api.example")
-	if !out.Got421 || !out.NewConnection || out.Err != nil {
+	if out.Reason != ReasonNew421 || out.Err != nil {
 		t.Fatalf("combined 421+retry outcome: %+v", out)
 	}
 	if out.DNSQueries != 1 {
@@ -293,7 +293,7 @@ func TestOrigin421FallbackWithDNSRetry(t *testing.T) {
 
 	env.dnsFailures = 1
 	out := b.Request(env, "api.example")
-	if !out.Got421 || !out.NewConnection || out.Err != nil {
+	if out.Reason != ReasonNew421 || out.Err != nil {
 		t.Fatalf("combined DNS-retry+421 outcome: %+v", out)
 	}
 	if out.DNSQueries != 2 {
@@ -320,7 +320,7 @@ func TestEmptyAnswerIsAccountedFailure(t *testing.T) {
 	if !errors.Is(out.Err, ErrNoAddresses) {
 		t.Fatalf("Err = %v, want ErrNoAddresses", out.Err)
 	}
-	if out.NewConnection || out.Reused {
+	if out.Reason != ReasonFailed {
 		t.Fatalf("empty answer produced a connection: %+v", out)
 	}
 	if b.TotalFailed != 1 {
@@ -339,7 +339,7 @@ func TestDropConns(t *testing.T) {
 		t.Fatalf("pool not empty after drop")
 	}
 	out := b.Request(env, "www.example")
-	if !out.NewConnection {
+	if !out.NewConnection() {
 		t.Fatalf("request after drop did not reconnect: %+v", out)
 	}
 	if n := b.DropConns("other.example"); n != 0 {

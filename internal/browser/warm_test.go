@@ -85,7 +85,7 @@ func TestWarmVisitResumesTLS(t *testing.T) {
 	b := &Browser{Policy: PolicyFirefox, Cache: c}
 
 	first := b.Request(env, "www.example.com")
-	if !first.NewConnection || first.ResumedTLS {
+	if !first.NewConnection() || first.Handshake.Resumed {
 		t.Fatalf("cold visit: %+v, want a full handshake", first)
 	}
 	if b.TotalValidations != 1 {
@@ -94,11 +94,10 @@ func TestWarmVisitResumesTLS(t *testing.T) {
 
 	b.Reset()
 	second := b.Request(env, "www.example.com")
-	if !second.NewConnection || !second.ResumedTLS {
+	// A resumed handshake is still a new connection, never coalescing
+	// reuse.
+	if !second.NewConnection() || !second.Handshake.Resumed {
 		t.Fatalf("warm visit: %+v, want ticket resumption", second)
-	}
-	if second.Reused {
-		t.Fatal("resumption must not be confused with coalescing reuse")
 	}
 	// Totals are per-session (Reset zeroed the cold visit's): the warm
 	// session resumed once and validated nothing.
@@ -118,11 +117,8 @@ func TestTicketResumesAcrossHostnames(t *testing.T) {
 
 	b.Request(env, "www.example.com")
 	second := b.Request(env, "static.example.com")
-	if second.Reused {
-		t.Fatalf("chromium must not coalesce here: %+v", second)
-	}
-	if !second.NewConnection || !second.ResumedTLS {
-		t.Fatalf("cross-host resumption failed: %+v", second)
+	if !second.NewConnection() || !second.Handshake.Resumed {
+		t.Fatalf("chromium coalesced, or cross-host resumption failed: %+v", second)
 	}
 }
 
@@ -135,10 +131,10 @@ func TestCertMemoSkipsRepeatValidation(t *testing.T) {
 
 	first := b.Request(env, "www.example.com")
 	second := b.Request(env, "static.example.com")
-	if first.ResumedTLS || second.ResumedTLS {
+	if first.Handshake.Resumed || second.Handshake.Resumed {
 		t.Fatal("tickets are disabled; nothing may resume")
 	}
-	if first.CertMemoHit || !second.CertMemoHit {
+	if first.Handshake.MemoHit || !second.Handshake.MemoHit {
 		t.Fatalf("memo: first=%+v second=%+v, want hit only on repeat chain", first, second)
 	}
 	if b.TotalValidations != 1 || b.TotalCertMemoHits != 1 {
@@ -200,7 +196,7 @@ func TestPoolNeverRetainsCacheStorage(t *testing.T) {
 		b := &Browser{Policy: p, Cache: c}
 		b.Request(env, "www.example.com")
 		b.Reset()
-		if out := b.Request(env, "www.example.com"); out.DNSCacheHits != 1 || !out.NewConnection {
+		if out := b.Request(env, "www.example.com"); out.DNSCacheHits != 1 || !out.NewConnection() {
 			t.Fatalf("%v: %+v, want a connection opened on a DNS cache hit", p, out)
 		}
 		hit, _, _ := c.LookupDNS("www.example.com")

@@ -507,7 +507,7 @@ func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns 
 func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
 	out *browser.Outcome, z *Zone, ua string, io *visitIO) {
 	switch {
-	case out.Reused:
+	case out.Reused():
 		cs := conns.get(out.ConnHost)
 		if cs == nil {
 			// Defensive: the carrier connection's bookkeeping was lost
@@ -528,7 +528,7 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
 			ConnID: cs.id, SNI: out.ConnHost, Host: e.CDN.ThirdParty,
 			RefererHost: z.Host, ArrivalOrder: cs.order, Treatment: z.Treatment, UserAgent: ua,
 		})
-	case out.NewConnection:
+	case out.NewConnection():
 		res.NewThirdParty++
 		id := io.log(LogRecord{
 			SNI: e.CDN.ThirdParty, Host: e.CDN.ThirdParty,

@@ -115,7 +115,7 @@ func addOutcome(vc *core.VisitCosts, out browser.Outcome) {
 		return
 	}
 	switch {
-	case out.Reused:
+	case out.Reused():
 		vc.ConnsNeeded++
 		vc.ReusedConns++
 		if out.DNSQueries == 0 && out.DNSCacheHits == 0 {
@@ -123,8 +123,8 @@ func addOutcome(vc *core.VisitCosts, out browser.Outcome) {
 			// path): the coalescing decision absorbed the DNS need too.
 			vc.DNSCoalesced++
 		}
-	case out.NewConnection:
+	case out.NewConnection():
 		vc.ConnsNeeded++
-		vc.AddHandshake(cache.Handshake{Resumed: out.ResumedTLS, MemoHit: out.CertMemoHit, TokenHit: out.AddrTokenHit}, out.Proto)
+		vc.AddHandshake(out.Handshake, out.Proto)
 	}
 }

@@ -195,30 +195,31 @@ func accountRequest(out browser.Outcome, rs *rand.Rand, net *netsim.Network, v *
 		return
 	}
 	switch {
-	case out.Reused:
+	case out.Reused():
 		v.Reused++
 		if out.Coalesced() {
 			v.Coalesced++
 		}
-	case out.NewConnection:
+	case out.NewConnection():
+		hs := out.Handshake
 		v.FreshConns++
-		if out.ResumedTLS {
+		if hs.Resumed {
 			v.Resumed++
 		}
 		if out.Proto == browser.ProtoH3 {
 			// QUIC folds transport and crypto into one handshake; the
 			// warm state (resumed/token) decides how many round trips it
 			// takes.
-			v.ClientMs += net.HandshakeTime(netsim.Setup{QUIC: true, Resumed: out.ResumedTLS, TokenHit: out.AddrTokenHit, SANs: 1})
-			if out.AddrTokenHit {
+			v.ClientMs += net.HandshakeTime(netsim.Setup{QUIC: true, Resumed: hs.Resumed, TokenHit: hs.TokenHit, SANs: 1})
+			if hs.TokenHit {
 				v.AddrTokens++
 			}
-			if out.ZeroRTT {
+			if hs.ZeroRTT() {
 				v.ZeroRTT++
 			}
 		} else {
 			v.ClientMs += net.ConnectTime()
-			v.ClientMs += net.HandshakeTime(netsim.Setup{Resumed: out.ResumedTLS, SANs: 2})
+			v.ClientMs += net.HandshakeTime(netsim.Setup{Resumed: hs.Resumed, SANs: 2})
 		}
 	}
 	v.ClientMs += requestTime(rs, net)

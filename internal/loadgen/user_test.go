@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/browser"
+	"respectorigin/internal/cache"
 	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/netsim"
 )
@@ -77,10 +78,10 @@ func TestFreshConnectionChargesItsSetupPrice(t *testing.T) {
 		out   browser.Outcome
 		setup netsim.Setup
 	}{
-		{browser.Outcome{NewConnection: true, ResumedTLS: true}, netsim.Setup{Resumed: true}},
-		{browser.Outcome{NewConnection: true}, netsim.Setup{SANs: 2}},
-		{browser.Outcome{NewConnection: true, Proto: browser.ProtoH3}, netsim.Setup{QUIC: true, SANs: 1}},
-		{browser.Outcome{NewConnection: true, Proto: browser.ProtoH3, ResumedTLS: true, AddrTokenHit: true, ZeroRTT: true},
+		{browser.Outcome{Reason: browser.ReasonNewFirst, Handshake: cache.Handshake{Resumed: true}}, netsim.Setup{Resumed: true}},
+		{browser.Outcome{Reason: browser.ReasonNewFirst}, netsim.Setup{SANs: 2}},
+		{browser.Outcome{Reason: browser.ReasonNewFirst, Proto: browser.ProtoH3}, netsim.Setup{QUIC: true, SANs: 1}},
+		{browser.Outcome{Reason: browser.ReasonNewFirst, Proto: browser.ProtoH3, Handshake: cache.Handshake{Resumed: true, TokenHit: true}},
 			netsim.Setup{QUIC: true, Resumed: true, TokenHit: true}},
 	}
 	for _, c := range cases {

@@ -252,7 +252,7 @@ func replay(pages []*har.Page, persona Persona) totals {
 			if out.Coalesced() {
 				t.Coalesced++
 			}
-			if out.ViaOrigin {
+			if out.ViaOrigin() {
 				t.ViaOrigin++
 			}
 		}
