@@ -9,21 +9,29 @@ import (
 )
 
 // TestMatrixSmoke drives the -matrix surface of the built binary: the
-// table and the cell NDJSON are byte-identical at -workers 1 and 4,
-// axis selectors subset the cross-product, and an unknown persona is
-// rejected.
+// table and the cell NDJSON are byte-identical at -workers 1, 2, 4 and
+// 16 (2 spreads three archetypes unevenly; 16 exceeds both the
+// archetypes and the replay groups), axis selectors subset the
+// cross-product, and an unknown persona is rejected.
 func TestMatrixSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cdnsim := clitest.Build(t, "cmd/cdnsim")
 
-	nd1, nd4 := filepath.Join(dir, "mx1.ndjson"), filepath.Join(dir, "mx4.ndjson")
+	nd1 := filepath.Join(dir, "mx1.ndjson")
 	table1 := clitest.Run(t, cdnsim, "-matrix", "-sites", "60", "-seed", "1", "-workers", "1", "-out", nd1)
-	table4 := clitest.Run(t, cdnsim, "-matrix", "-sites", "60", "-seed", "1", "-workers", "4", "-out", nd4)
-	if !bytes.Equal(table1, table4) {
-		t.Errorf("table differs between -workers 1 and 4:\n%s\n---\n%s", table1, table4)
+	cells1 := clitest.ReadFile(t, nd1)
+	if len(cells1) == 0 {
+		t.Fatal("cell NDJSON empty at -workers 1")
 	}
-	if cells := clitest.ReadFile(t, nd1); len(cells) == 0 || !bytes.Equal(cells, clitest.ReadFile(t, nd4)) {
-		t.Errorf("cell NDJSON empty or different between -workers 1 and 4 (%d bytes at 1)", len(cells))
+	for _, w := range []string{"2", "4", "16"} {
+		nd := filepath.Join(dir, "mx"+w+".ndjson")
+		table := clitest.Run(t, cdnsim, "-matrix", "-sites", "60", "-seed", "1", "-workers", w, "-out", nd)
+		if !bytes.Equal(table1, table) {
+			t.Errorf("table differs between -workers 1 and %s:\n%s\n---\n%s", w, table1, table)
+		}
+		if !bytes.Equal(cells1, clitest.ReadFile(t, nd)) {
+			t.Errorf("cell NDJSON differs between -workers 1 and %s", w)
+		}
 	}
 
 	subset := clitest.Run(t, cdnsim, "-matrix", "-sites", "40", "-personas", "chrome,mobile", "-archetypes", "sharded", "-profiles", "wired,3g", "-dns", "do53")

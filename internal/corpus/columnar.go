@@ -58,17 +58,33 @@ const (
 
 // --- encoding ---
 
-// colBuf is an append-only column buffer.
+// colBuf is an append-only column buffer. Every append goes through
+// room, which at least doubles a full buffer: append's own step for
+// large slices is about 1.25×, which copies a multi-megabyte block
+// column several times over on its way up.
 type colBuf struct{ b []byte }
 
+// room returns the buffer with space for n more bytes.
+func (c *colBuf) room(n int) []byte {
+	if len(c.b)+n > cap(c.b) {
+		b := make([]byte, len(c.b), max(2*cap(c.b), len(c.b)+n, 64))
+		copy(b, c.b)
+		c.b = b
+	}
+	return c.b
+}
+
 func (c *colBuf) reset()           { c.b = c.b[:0] }
-func (c *colBuf) uvarint(x uint64) { c.b = binary.AppendUvarint(c.b, x) }
-func (c *colBuf) svarint(x int64)  { c.b = binary.AppendVarint(c.b, x) }
-func (c *colBuf) f64(v float64)    { c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(v)) }
-func (c *colBuf) byte(v byte)      { c.b = append(c.b, v) }
+func (c *colBuf) uvarint(x uint64) { c.b = binary.AppendUvarint(c.room(binary.MaxVarintLen64), x) }
+func (c *colBuf) svarint(x int64)  { c.b = binary.AppendVarint(c.room(binary.MaxVarintLen64), x) }
+func (c *colBuf) f64(v float64) {
+	c.b = binary.LittleEndian.AppendUint64(c.room(8), math.Float64bits(v))
+}
+func (c *colBuf) byte(v byte)    { c.b = append(c.room(1), v) }
+func (c *colBuf) bytes(v []byte) { c.b = append(c.room(len(v)), v...) }
 func (c *colBuf) str(s string) {
-	c.b = binary.AppendUvarint(c.b, uint64(len(s)))
-	c.b = append(c.b, s...)
+	c.uvarint(uint64(len(s)))
+	c.b = append(c.room(len(s)), s...)
 }
 
 func (c *colBuf) addr(a netip.Addr) {
@@ -78,16 +94,16 @@ func (c *colBuf) addr(a netip.Addr) {
 	case a.Zone() != "":
 		c.byte(17)
 		v := a.WithZone("").As16()
-		c.b = append(c.b, v[:]...)
+		c.bytes(v[:])
 		c.str(a.Zone())
 	case a.Is4():
 		c.byte(4)
 		v := a.As4()
-		c.b = append(c.b, v[:]...)
+		c.bytes(v[:])
 	default:
 		c.byte(16)
 		v := a.As16()
-		c.b = append(c.b, v[:]...)
+		c.bytes(v[:])
 	}
 }
 

@@ -766,7 +766,7 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 	if cs == nil {
 		return streamError(f.StreamID, ErrCodeStreamClosed, "DATA on unknown stream")
 	}
-	cs.resp.Body = append(cs.resp.Body, f.Data...)
+	cs.resp.Body = appendBody(cs.resp.Body, f.Data)
 	if f.Length > 0 {
 		if err := cc.fr.WriteWindowUpdate(f.StreamID, f.Length); err != nil {
 			return err
@@ -776,6 +776,19 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 		cc.finishStream(cs)
 	}
 	return nil
+}
+
+// appendBody appends a DATA payload to a response body, at least
+// doubling a full body: a bulk body arrives one frame at a time, and
+// append's ~1.25× step for large slices would copy it several times
+// over. The growth follows the bytes received, never a declared length.
+func appendBody(body, data []byte) []byte {
+	if len(body)+len(data) > cap(body) {
+		b := make([]byte, len(body), max(2*cap(body), len(body)+len(data)))
+		copy(b, body)
+		body = b
+	}
+	return append(body, data...)
 }
 
 func (cc *ClientConn) onResponseHeaders(meta *MetaHeadersFrame) error {

@@ -10,9 +10,13 @@
 // replay's totals — so the sweep runs one replay per (archetype ×
 // persona) and prices it once per profile × transport.
 //
-// Every cell is a pure function of (seed, cell coordinates): the
-// replays fan out through internal/parallel and the output is
-// byte-identical at any worker count.
+// Each archetype's corpus is generated, encoded and decoded once, on its
+// own worker and through a pipe, so no encoded corpus is held whole; the
+// replays read only the decoded pages. Every cell is a pure function of
+// (seed, cell coordinates): the corpora and the replays fan out through
+// internal/parallel, each replay worker resetting one cache and browser
+// rather than building new ones, and the output is byte-identical at
+// any worker count.
 package scenario
 
 import (

@@ -1,8 +1,8 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"slices"
 
 	"respectorigin/internal/browser"
@@ -110,13 +110,16 @@ type Result struct {
 	Cells []Cell
 }
 
-// Run executes the sweep. One corpus is generated per archetype,
-// streamed through the corpus API and decoded once; every persona
-// replays that shared, read-only page slice once, and the replay's
-// totals are priced under each profile × transport. The (archetype ×
-// persona) replays fan out through internal/parallel and their cells
-// are emitted in fixed cross-product order, so the result — and every
-// byte derived from it — is identical at any worker count.
+// Run executes the sweep. The archetype corpora are built concurrently,
+// one per worker: each generator streams its pages through the columnar
+// encoder into a pipe whose other end decodes them, so no encoded corpus
+// is ever held whole. Every persona replays the decoded, read-only page
+// slice of an archetype once, and the replay's totals are priced under
+// each profile × transport. The (archetype × persona) replays fan out
+// through internal/parallel, each worker reusing one replayer, and their
+// cells are emitted in fixed cross-product order, so the result — and
+// every byte derived from it — is identical at any worker count. Run
+// returns only after every goroutine it started has finished.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("scenario: Sites must be positive")
@@ -147,18 +150,20 @@ func Run(cfg Config) (*Result, error) {
 	// One corpus per archetype, round-tripped through the corpus API:
 	// replays read the decoded stream, never the generator directly.
 	corpora := make([][]*har.Page, len(cfg.Archetypes))
-	for i, a := range cfg.Archetypes {
-		pages, err := archetypeCorpus(cfg, a)
+	errs := parallel.Map(len(cfg.Archetypes), cfg.Workers, func(i int) (err error) {
+		corpora[i], err = archetypeCorpus(cfg, cfg.Archetypes[i])
+		return err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		corpora[i] = pages
 	}
 
 	perGroup := len(cfg.Profiles) * len(cfg.Transports)
-	groups := parallel.Map(len(cfg.Archetypes)*len(cfg.Personas), cfg.Workers, func(g int) []Cell {
+	groups := parallel.MapWith(len(cfg.Archetypes)*len(cfg.Personas), cfg.Workers, newReplayer, func(r *replayer, g int) []Cell {
 		ai := g / len(cfg.Personas)
-		t := replay(corpora[ai], cfg.Personas[g%len(cfg.Personas)])
+		t := r.replay(corpora[ai], cfg.Personas[g%len(cfg.Personas)])
 		t.Archetype = cfg.Archetypes[ai].String()
 		cells := make([]Cell, 0, perGroup)
 		for _, pr := range cfg.Profiles {
@@ -175,24 +180,39 @@ func Run(cfg Config) (*Result, error) {
 	return &Result{Cells: cells}, nil
 }
 
-// archetypeCorpus generates one archetype's corpus, encodes it as a
-// columnar stream and decodes it back. The returned pages are shared by
-// every persona replay of the archetype and must not be written to.
+// archetypeCorpus generates one archetype's corpus on one goroutine,
+// encodes it as a columnar stream into a pipe and decodes it from the
+// pipe's other end on the caller. A failure on either side closes the
+// pipe with that error, and the generator is joined before returning.
+// The generator runs with one worker: its output is the same at any
+// worker count, and Run already spreads archetypes over the workers.
+// The returned pages are shared by every persona replay of the
+// archetype and must not be written to.
 func archetypeCorpus(cfg Config, a webgen.Archetype) ([]*har.Page, error) {
-	var buf bytes.Buffer
-	w := corpus.NewWriter(&buf, corpus.FormatColumnar)
-	gcfg := webgen.DefaultConfig()
-	gcfg.Sites = cfg.Sites
-	gcfg.Seed = cfg.Seed
-	gcfg.Workers = cfg.Workers
-	gcfg.Archetype = a
-	if _, err := webgen.GenerateStream(gcfg, w.Write); err != nil {
-		return nil, err
+	pr, pw := io.Pipe()
+	var genErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := corpus.NewWriter(pw, corpus.FormatColumnar)
+		gcfg := webgen.DefaultConfig()
+		gcfg.Sites = cfg.Sites
+		gcfg.Seed = cfg.Seed
+		gcfg.Workers = 1
+		gcfg.Archetype = a
+		_, genErr = webgen.GenerateStream(gcfg, w.Write)
+		if genErr == nil {
+			genErr = w.Close()
+		}
+		pw.CloseWithError(genErr)
+	}()
+	pages, err := corpus.ReadAll(corpus.NewReader(pr, corpus.FormatColumnar))
+	pr.CloseWithError(err)
+	<-done
+	if genErr != nil {
+		return nil, genErr
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return corpus.ReadAll(corpus.NewReader(&buf, corpus.FormatColumnar))
+	return pages, err
 }
 
 // totals is what one persona's replay of one archetype corpus yields:
@@ -204,23 +224,33 @@ type totals struct {
 	resolverConns int // pages that reached the resolver's wire
 }
 
+// replayer is one worker's replay state: a warm-path cache, a browser
+// and a page environment, reset rather than rebuilt for every replay.
+type replayer struct {
+	b   browser.Browser
+	env core.PageEnv
+}
+
+func newReplayer() *replayer {
+	return &replayer{b: browser.Browser{Cache: cache.New(cache.Options{})}}
+}
+
 // replay runs every page of one archetype corpus through one persona.
 // Neither the network profile nor the resolver transport is an input:
 // both enter a cell only through price. The browser's pool resets per
 // page (each load is a fresh browsing context) while the warm-path cache
 // persists across the replay, so repeated third parties resolve and
-// resume warm. pages is read-only.
-func replay(pages []*har.Page, persona Persona) totals {
+// resume warm; the cache starts the replay empty, observably the same
+// as a new one. pages is read-only.
+func (r *replayer) replay(pages []*har.Page, persona Persona) totals {
 	t := totals{Cell: Cell{Persona: persona.Name}}
-	cc := cache.New(cache.Options{})
-	b := &browser.Browser{
-		Policy:          persona.Policy,
-		MaxConns:        persona.MaxConns,
-		MaxConnsPerHost: persona.MaxConnsPerHost,
-		SkipOriginDNS:   persona.SkipOriginDNS,
-		Cache:           cc,
-	}
-	var env core.PageEnv
+	b, env := &r.b, &r.env
+	cc := b.Cache
+	cc.Reset()
+	b.Policy = persona.Policy
+	b.MaxConns = persona.MaxConns
+	b.MaxConnsPerHost = persona.MaxConnsPerHost
+	b.SkipOriginDNS = persona.SkipOriginDNS
 	for _, p := range pages {
 		env.LoadFirstParty(p)
 		b.Reset()
@@ -231,7 +261,7 @@ func replay(pages []*har.Page, persona Persona) totals {
 			if opened >= persona.PreconnectN {
 				break
 			}
-			if b.Preconnect(&env, h) {
+			if b.Preconnect(env, h) {
 				opened++
 			}
 		}
@@ -247,7 +277,7 @@ func replay(pages []*har.Page, persona Persona) totals {
 					cc.PutDNS(en.Host, en.DNSAnswer, cc.DefaultTTL())
 				}
 			}
-			out := b.Request(&env, en.Host)
+			out := b.Request(env, en.Host)
 			t.Requests++
 			if out.Coalesced() {
 				t.Coalesced++

@@ -5,8 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
+	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
 )
@@ -36,10 +39,53 @@ func renderAll(t *testing.T, res *Result) []byte {
 // at any worker count.
 func TestMatrixWorkerInvariant(t *testing.T) {
 	seq := renderAll(t, mustRun(t, smallConfig(30, 1)))
-	for _, w := range []int{4, 16} {
+	for _, w := range []int{2, 4, 16} {
 		if got := renderAll(t, mustRun(t, smallConfig(30, w))); !bytes.Equal(got, seq) {
 			t.Fatalf("Workers=%d: matrix output differs from sequential", w)
 		}
+	}
+}
+
+// A replayer carries nothing from one replay into the next: one reused
+// replayer, walking every (archetype × persona) group in reverse, yields
+// the totals a fresh replayer yields for each group.
+func TestReplayerReuseMatchesFresh(t *testing.T) {
+	cfg := smallConfig(30, 1)
+	var corpora [][]*har.Page
+	for _, a := range cfg.Archetypes {
+		pages, err := archetypeCorpus(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpora = append(corpora, pages)
+	}
+	reused := newReplayer()
+	for ai := len(corpora) - 1; ai >= 0; ai-- {
+		for pi := len(cfg.Personas) - 1; pi >= 0; pi-- {
+			persona := cfg.Personas[pi]
+			got := reused.replay(corpora[ai], persona)
+			if want := newReplayer().replay(corpora[ai], persona); got != want {
+				t.Errorf("%s on %s: reused replayer\n got %+v\nwant %+v", persona.Name, cfg.Archetypes[ai], got, want)
+			}
+		}
+	}
+}
+
+// Run joins every goroutine it starts, the corpus pipes' producers
+// included, on success and on a failed round trip alike.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	mustRun(t, smallConfig(20, 4))
+	if _, err := archetypeCorpus(smallConfig(20, 4), "nope"); err == nil {
+		t.Error("unknown archetype produced a corpus")
+	}
+	// An exiting goroutine is counted until it is fully gone: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
