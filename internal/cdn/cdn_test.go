@@ -157,6 +157,11 @@ func TestCountPassiveRules(t *testing.T) {
 		{ConnID: 2, SNI: third, Host: third, ArrivalOrder: 1, Treatment: TreatmentControl},
 		// Unrelated host ignored.
 		{ConnID: 3, SNI: "x", Host: "x", ArrivalOrder: 1, Treatment: TreatmentControl},
+		// Reconstructed after a telemetry restart: SNI == Host, but the
+		// first sampled record is a reuse, so no new TLS connection, and
+		// neither is its next record.
+		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 2, Treatment: TreatmentControl},
+		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 3, Treatment: TreatmentControl},
 	}
 	pc := CountPassive(func(fn func(*LogRecord)) {
 		for i := range records {

@@ -109,8 +109,9 @@ func TestFaultedDeploymentDeterminism(t *testing.T) {
 
 // TestLogRestartDefensivePath forces telemetry restarts on every pool
 // request, which mints reconstructed connection state in observeOutcome
-// (first sampled record at arrival order ≥ 2) — and checks that the
-// §5.2 tally skips exactly those connections.
+// (first sampled record at arrival order ≥ 2) — and checks that both
+// §5.2 tallies, Longitudinal's and CountPassive's, skip exactly those
+// connections.
 func TestLogRestartDefensivePath(t *testing.T) {
 	_, e := newFaultedExperiment(150, 11, faults.Plan{LogRestartProb: 1}, 0)
 	ctl, exp := e.Longitudinal(4, 1, 3, PhaseOrigin, ip("104.19.99.99"), "")
@@ -144,5 +145,10 @@ func TestLogRestartDefensivePath(t *testing.T) {
 	if counted != opened {
 		t.Errorf("§5.2 tally counted %d conns, want %d (the %d reconstructed conns must be excluded)",
 			counted, opened, reconstructed)
+	}
+	pc := CountPassive(e.CDN.Pipeline().Each, e.CDN.ThirdParty, "")
+	if got := pc.NewTLSConns[TreatmentControl] + pc.NewTLSConns[TreatmentExperiment]; got != opened {
+		t.Errorf("CountPassive counted %d new TLS conns, want %d (the %d reconstructed conns must be excluded)",
+			got, opened, reconstructed)
 	}
 }
