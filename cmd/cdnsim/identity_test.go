@@ -29,6 +29,7 @@ func TestDeploymentByteIdentity(t *testing.T) {
 		{"-ticket-lifetime", "60"},
 		{"-trace", trace},
 		{"-workers", "1"},
+		{"-workers", "2"},
 		{"-workers", "4"},
 		{"-workers", "16"},
 	} {
@@ -42,7 +43,7 @@ func TestDeploymentByteIdentity(t *testing.T) {
 
 	passive := []string{"-sample", "800", "-phase", "passive"}
 	one := clitest.Run(t, cdnsim, append(passive, "-workers", "1")...)
-	for _, workers := range []string{"4", "16"} {
+	for _, workers := range []string{"2", "4", "16"} {
 		if got := clitest.Run(t, cdnsim, append(passive, "-workers", workers)...); !bytes.Equal(got, one) {
 			t.Errorf("-phase passive -workers %s differs from -workers 1:\n%s\n---\n%s", workers, got, one)
 		}

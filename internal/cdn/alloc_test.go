@@ -1,10 +1,17 @@
 package cdn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"respectorigin/internal/faults"
 )
@@ -213,5 +220,133 @@ func TestVisitSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%v: %d logged visits allocated %d objects for %d records, want ≤ 2 per %d-record block", phase, visits, mallocs, sampled, logBlockRecords)
 		}
 		c.ExitExperiment()
+	}
+}
+
+// The log stores a record as a logEntry of at most 40 bytes that holds
+// no pointer, so the collector never scans it: a planned passive run at
+// SampleRate 1 allocates at most 48 bytes per sampled record beyond its
+// plan (storing LogRecords, four strings each, took over 100).
+func TestLogBytesPerRecord(t *testing.T) {
+	typ := reflect.TypeFor[logEntry]()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("logEntry.%s is a %s, which can hold a pointer", f.Name, f.Type)
+		}
+	}
+	if size := unsafe.Sizeof(logEntry{}); size > 40 {
+		t.Errorf("logEntry is %d bytes, want ≤ 40", size)
+	}
+
+	c := New(Config{SampleRate: 1, Seed: 5})
+	cfg := DefaultExperimentConfig()
+	cfg.SampleSize, cfg.Seed, cfg.Workers = 1000, 5, 1
+	e := SetupExperiment(c, cfg)
+	c.EnterPhaseIP()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for day := 0; day < 5; day++ {
+		e.RunDay(day)
+	}
+	runtime.ReadMemStats(&after)
+	_, sampled := c.Pipeline().Totals()
+	planBytes := uint64(cap(e.plan)) * uint64(unsafe.Sizeof(visitPlan{}))
+	bytes := after.TotalAlloc - before.TotalAlloc
+	perRecord := float64(bytes-min(bytes, planBytes)) / float64(sampled)
+	t.Logf("5 planned days: %d bytes for %d records and a %d-byte plan, %.1f bytes a record", bytes, sampled, planBytes, perRecord)
+	if perRecord > 48 {
+		t.Errorf("%.1f bytes a record, want ≤ 48", perRecord)
+	}
+}
+
+// What Observe takes, Records and Each give back, field for field: names
+// distinct, shared, empty and non-ASCII; across block boundaries and
+// after a Reset; every field at the bounds of its stored width. A Day or
+// ArrivalOrder that does not fit panics, naming the field, and logs
+// nothing.
+func TestLogRecordRoundTrip(t *testing.T) {
+	names := []string{"", "www.sample-1.example", "cdnjs.cloudflare.com", "bücher.例え.jp", "firefox", "chrome"}
+	records := []LogRecord{
+		{ConnID: math.MaxUint64, Day: math.MaxInt32, ArrivalOrder: math.MaxInt32, Treatment: TreatmentExperiment},
+		{Day: math.MinInt32, ArrivalOrder: math.MinInt32, SNI: names[3], Host: names[3], RefererHost: names[3], UserAgent: names[3]},
+	}
+	for i := 0; len(records) < 2*logBlockRecords+3; i++ {
+		records = append(records, LogRecord{
+			Day: i % 7, ConnID: uint64(i), ArrivalOrder: i%5 + 1,
+			SNI: names[i%len(names)], Host: names[i/2%len(names)], RefererHost: names[i/3%len(names)],
+			Treatment: Treatment(i % 3), UserAgent: names[i/5%len(names)],
+		})
+	}
+	for i := range records {
+		records[i].FlagHostNeSNI = records[i].SNI != records[i].Host
+	}
+
+	lp := NewLogPipeline(1, 1)
+	for round := 0; round < 2; round++ {
+		lp.Reset()
+		for _, r := range records {
+			lp.Observe(r)
+		}
+		if got := lp.Records(); !slices.Equal(got, records) {
+			t.Fatalf("round %d: Records gave back %d records, not the %d observed", round, len(got), len(records))
+		}
+		i := 0
+		lp.Each(func(r *LogRecord) {
+			if *r != records[i] {
+				t.Fatalf("round %d: Each record %d = %+v, want %+v", round, i, *r, records[i])
+			}
+			i++
+		})
+		if i != len(records) {
+			t.Fatalf("round %d: Each visited %d records, want %d", round, i, len(records))
+		}
+	}
+
+	for _, bad := range []struct {
+		field string
+		r     LogRecord
+	}{
+		{"Day", LogRecord{Day: math.MaxInt32 + 1}},
+		{"Day", LogRecord{Day: math.MinInt32 - 1}},
+		{"ArrivalOrder", LogRecord{ArrivalOrder: math.MaxInt32 + 1}},
+		{"ArrivalOrder", LogRecord{ArrivalOrder: math.MinInt32 - 1}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, bad.field) {
+					t.Errorf("Observe(%+v) panicked with %q, want a panic naming %s", bad.r, msg, bad.field)
+				}
+			}()
+			lp.Observe(bad.r)
+		}()
+	}
+	if total, sampled := lp.Totals(); total != int64(len(records)) || sampled != int64(len(records)) {
+		t.Errorf("after the panics Totals = %d, %d; want %d, %d", total, sampled, len(records), len(records))
+	}
+
+	// Each concurrent with an Observe that adds names (run under -race):
+	// every record a walk sees carries its own name.
+	lp = NewLogPipeline(1, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2*logBlockRecords+1; i++ {
+			lp.Observe(LogRecord{ConnID: uint64(i), SNI: strconv.Itoa(i), Host: "third"})
+		}
+	}()
+	for walking := true; walking; {
+		select {
+		case <-done:
+			walking = false // one last walk over the whole log
+		default:
+		}
+		lp.Each(func(r *LogRecord) {
+			if want := strconv.Itoa(int(r.ConnID)); r.SNI != want {
+				t.Fatalf("concurrent Each: record %d has SNI %q, want %q", r.ConnID, r.SNI, want)
+			}
+		})
 	}
 }
