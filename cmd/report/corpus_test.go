@@ -61,3 +61,24 @@ func TestCorpusInterchange(t *testing.T) {
 		clitest.RunExpectFail(t, report, "-manifest", m0+","+m0, "-reencode")
 	})
 }
+
+// TestInWorkersIdentical: report -in folds a corpus as it streams, in
+// blocks across -workers goroutines. The default output and the
+// -proto-sweep and -cache tables are byte-identical at 1, 4 and 16
+// workers.
+func TestInWorkersIdentical(t *testing.T) {
+	col := filepath.Join(t.TempDir(), "d.col")
+	crawl, report := clitest.Build(t, "cmd/crawl"), clitest.Build(t, "cmd/report")
+	clitest.Run(t, crawl, "-sites", "400", "-seed", "1", "-format", "columnar", "-out", col)
+	for _, mode := range [][]string{nil, {"-proto-sweep"}, {"-cache"}} {
+		want := clitest.Run(t, report, append([]string{"-in", col, "-workers", "1"}, mode...)...)
+		if len(want) == 0 {
+			t.Fatalf("report -in %v printed nothing", mode)
+		}
+		for _, w := range []string{"4", "16"} {
+			if got := clitest.Run(t, report, append([]string{"-in", col, "-workers", w}, mode...)...); !bytes.Equal(got, want) {
+				t.Errorf("report -in %v -workers %s differs from -workers 1 (%d vs %d bytes)", mode, w, len(got), len(want))
+			}
+		}
+	}
+}

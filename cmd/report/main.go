@@ -1,5 +1,13 @@
 // Command report regenerates the paper's tables and figures from a
-// synthetic corpus.
+// corpus: one it generates, a crawl's output (-in, -manifest) or a HAR
+// archive (-har).
+//
+// A generated or HAR corpus is kept in memory and each table folds it
+// when printed. A crawl's output is folded as it is read, in blocks
+// that are dropped once folded: memory grows with a few hundred bytes
+// of per-page scalars and the distinct names counted, not with the
+// pages, so a 500 000-site crawl reports in about 1 GB. The output is
+// the same either way, at any -workers.
 //
 // Usage:
 //
@@ -8,6 +16,7 @@
 //	report -sites 20000 -figure 3              # one figure
 //	report -in dataset.col                     # crawl output, either encoding
 //	report -manifest s0.manifest.json,s1.manifest.json   # sharded crawl
+//	report -in dataset.col -proto-sweep        # replay tables, also streamed
 //	report -in dataset.col -reencode           # re-emit as NDJSON and exit
 package main
 
@@ -21,6 +30,7 @@ import (
 
 	"respectorigin/internal/asn"
 	"respectorigin/internal/cliflags"
+	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
@@ -90,7 +100,17 @@ func run() error {
 		return err
 	}
 
+	// -cache and -proto-sweep print one replay table and nothing else.
+	var protos []core.Protocol
+	switch {
+	case warm.ProtoSweep:
+		protos = core.Protocols
+	case warm.Cache:
+		protos = []core.Protocol{warm.Proto}
+	}
 	var c *report.Corpus
+	var sweep []report.ProtoCosts
+	pages := 0
 	switch {
 	case *harFile != "":
 		ds, err := importHAR(*harFile, *asnFile)
@@ -99,11 +119,16 @@ func run() error {
 		}
 		c = report.NewCorpusWorkers(ds, *workers)
 	case *inFile != "" || *manifests != "":
+		// A corpus file is folded as it streams: nothing keeps its pages.
 		r, err := openCorpus(*inFile, *manifests)
 		if err != nil {
 			return err
 		}
-		c, err = report.NewCorpusFromReader(r, 0, *workers)
+		if len(protos) > 0 {
+			sweep, pages, err = report.ReplayStream(r, *workers, warm.Revisits, warm.Opts, protos...)
+		} else {
+			c, err = report.NewCorpusStream(r, 0, *workers, uint32(*cdnASN))
+		}
 		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
@@ -121,16 +146,22 @@ func run() error {
 		}
 		c = report.NewCorpusWorkers(ds, *workers)
 	}
-	if len(c.DS.Pages) == 0 {
+	if c != nil {
+		pages = c.Pages()
+	}
+	if pages == 0 {
 		return errors.New("corpus has no pages")
 	}
 
-	if warm.ProtoSweep {
-		fmt.Print(report.ProtoSweepTable(c.ProtoSweep(warm.Revisits, warm.Opts), netsim.DefaultParams(), "corpus"))
-		return nil
-	}
-	if warm.Cache {
-		fmt.Print(report.SavingsTable(c.WarmColdProto(warm.Revisits, warm.Opts, warm.Proto), warm.Label("corpus")))
+	if len(protos) > 0 {
+		if c != nil {
+			sweep = c.Replay(warm.Revisits, warm.Opts, protos...)
+		}
+		if warm.ProtoSweep {
+			fmt.Print(report.ProtoSweepTable(sweep, netsim.DefaultParams(), "corpus"))
+		} else {
+			fmt.Print(report.SavingsTable(sweep[0].Visits, warm.Label("corpus")))
+		}
 		return nil
 	}
 
@@ -147,7 +178,7 @@ func run() error {
 	}
 	figures := map[int]func() string{
 		1: func() string { _, _, s := c.Figure1(); return s },
-		2: func() string { return c.Figure2(0, 72) },
+		2: func() string { return c.Figure2(72) },
 		3: func() string { _, s := c.Figure3(); return s },
 		4: func() string { _, _, s := c.Figure4(); return s },
 		5: func() string { _, s := c.Figure5(); return s },

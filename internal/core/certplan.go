@@ -148,68 +148,81 @@ type ProviderChange struct {
 }
 
 // ProviderUsage accumulates the Table 9 aggregation — per-provider site
-// counts and per-provider coalescable-hostname counts. Shards build
-// private accumulators and recombine with Merge.
+// counts and per-provider coalescable-hostname counts — keyed by the
+// base page's AS number; Rank names the ASes. Shards build private
+// accumulators and recombine with Merge.
 type ProviderUsage struct {
-	siteCount *measure.Counter
-	hosts     map[string]*measure.Counter
+	sites map[uint32]*providerSites
+}
+
+// providerSites is what one AS's sites need added.
+type providerSites struct {
+	n     int64
+	hosts *measure.Counter
 }
 
 // NewProviderUsage returns an empty accumulator.
 func NewProviderUsage() *ProviderUsage {
-	return &ProviderUsage{
-		siteCount: measure.NewCounter(),
-		hosts:     map[string]*measure.Counter{},
-	}
+	return &ProviderUsage{sites: map[uint32]*providerSites{}}
 }
 
-// AddSite folds one site into the accumulator: org is the base page's
-// hosting provider (empty skips the site), plan its certificate plan.
-func (u *ProviderUsage) AddSite(org string, plan *CertPlan) {
-	if org == "" {
-		return
-	}
-	u.siteCount.Add(org, 1)
-	hc, ok := u.hosts[org]
+// AddSite folds one site into the accumulator: asn is the AS serving
+// its base page, plan its certificate plan.
+func (u *ProviderUsage) AddSite(asn uint32, plan *CertPlan) {
+	ps, ok := u.sites[asn]
 	if !ok {
-		hc = measure.NewCounter()
-		u.hosts[org] = hc
+		ps = &providerSites{hosts: measure.NewCounter()}
+		u.sites[asn] = ps
 	}
+	ps.n++
 	for _, h := range plan.Coalescable {
-		hc.Add(h, 1)
+		ps.hosts.Add(h, 1)
 	}
 }
 
-// Merge folds another accumulator in; associative and commutative.
+// Merge folds another accumulator in; associative and commutative. o
+// must not be used afterwards: u may take over its parts.
 func (u *ProviderUsage) Merge(o *ProviderUsage) {
 	if o == nil || o == u {
 		return
 	}
-	u.siteCount.Merge(o.siteCount)
-	for org, hc := range o.hosts {
-		mine, ok := u.hosts[org]
+	for asn, ps := range o.sites {
+		mine, ok := u.sites[asn]
 		if !ok {
-			u.hosts[org] = hc
+			u.sites[asn] = ps
 			continue
 		}
-		mine.Merge(hc)
+		mine.n += ps.n
+		mine.hosts.Merge(ps.hosts)
 	}
 }
 
 // Rank produces the Table 9 rows: the topProviders providers by site
 // count, each with its topHosts most frequently needed hostnames, with
 // shares relative to the provider's site count ("requested by x% of
-// websites served by P").
-func (u *ProviderUsage) Rank(topProviders, topHosts int) []ProviderChange {
+// websites served by P"). org names a provider by AS number; ASes of
+// one name are one provider, and sites whose AS has no name are left
+// out. Rank reads u and leaves it as it was.
+func (u *ProviderUsage) Rank(org func(uint32) string, topProviders, topHosts int) []ProviderChange {
+	siteCount := measure.NewCounter()
+	asns := map[string][]uint32{}
+	for asn, ps := range u.sites {
+		name := org(asn)
+		if name == "" {
+			continue
+		}
+		siteCount.Add(name, ps.n)
+		asns[name] = append(asns[name], asn)
+	}
 	var out []ProviderChange
-	for _, pe := range u.siteCount.Top(topProviders) {
-		hc := u.hosts[pe.Key]
-		var hosts []measure.RankedEntry
-		if hc != nil {
-			hosts = hc.Top(topHosts)
-			for i := range hosts {
-				hosts[i].Share = 100 * float64(hosts[i].Count) / float64(pe.Count)
-			}
+	for _, pe := range siteCount.Top(topProviders) {
+		hc := measure.NewCounter()
+		for _, asn := range asns[pe.Key] {
+			hc.Merge(u.sites[asn].hosts)
+		}
+		hosts := hc.Top(topHosts)
+		for i := range hosts {
+			hosts[i].Share = 100 * float64(hosts[i].Count) / float64(pe.Count)
 		}
 		out = append(out, ProviderChange{
 			Provider:  pe.Key,

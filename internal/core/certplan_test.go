@@ -86,9 +86,9 @@ func summarize(plans []CertPlan) CertPlanSummary {
 func mostEffectiveChanges(pages []*har.Page, plans []CertPlan, topProviders, topHosts int) []ProviderChange {
 	u := NewProviderUsage()
 	for i, p := range pages {
-		u.AddSite(webgen.OrgOf(p.Entries[0].ServerASN), &plans[i])
+		u.AddSite(p.Entries[0].ServerASN, &plans[i])
 	}
-	return u.Rank(topProviders, topHosts)
+	return u.Rank(webgen.OrgOf, topProviders, topHosts)
 }
 
 func TestSummarizeCertPlans(t *testing.T) {
@@ -279,11 +279,11 @@ func TestProviderUsageMergeMatchesSequential(t *testing.T) {
 		}
 		shard := NewProviderUsage()
 		for i := lo; i < hi; i++ {
-			shard.AddSite(webgen.OrgOf(ds.Pages[i].Entries[0].ServerASN), &plans[i])
+			shard.AddSite(ds.Pages[i].Entries[0].ServerASN, &plans[i])
 		}
 		merged.Merge(shard)
 	}
-	if got := merged.Rank(3, 5); !reflect.DeepEqual(got, want) {
+	if got := merged.Rank(webgen.OrgOf, 3, 5); !reflect.DeepEqual(got, want) {
 		t.Errorf("merged rank differs:\n got %+v\nwant %+v", got, want)
 	}
 }

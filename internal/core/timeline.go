@@ -300,12 +300,22 @@ func (t *Timeline) Counts() PageCounts {
 // Only the certificate of the visited website changes (§4.3: "we change
 // only the certificate for the website visited").
 func (t *Timeline) CertPlan() CertPlan {
+	var plan CertPlan
+	t.CertPlanInto(&plan)
+	return plan
+}
+
+// CertPlanInto is CertPlan into plan, reusing the storage of its
+// Additions and Coalescable: a fold that is done with each page's plan
+// before the next page keeps one and stops allocating for it.
+func (t *Timeline) CertPlanInto(plan *CertPlan) {
 	p := t.page
 	root := &p.Entries[0]
-	plan := CertPlan{Site: p.Host, Rank: p.Rank, Existing: root.CertSANs}
+	*plan = CertPlan{Site: p.Host, Rank: p.Rank, Existing: root.CertSANs,
+		Additions: plan.Additions[:0], Coalescable: plan.Coalescable[:0]}
 	if !root.Secure {
 		// No certificate to modify; the site would first need HTTPS.
-		return plan
+		return
 	}
 	clear(t.hostIDs)
 	t.hostIDs[p.Host] = 0
@@ -323,14 +333,13 @@ func (t *Timeline) CertPlan() CertPlan {
 		t.names = append(t.names, h)
 	}
 	if len(t.names) == 0 {
-		return plan
+		return
 	}
 	sort.Strings(t.names)
-	plan.Coalescable = append([]string(nil), t.names...)
+	plan.Coalescable = append(plan.Coalescable, t.names...)
 	for _, h := range plan.Coalescable {
 		if !certs.Covers(plan.Existing, h) {
 			plan.Additions = append(plan.Additions, h)
 		}
 	}
-	return plan
 }

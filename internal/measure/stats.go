@@ -164,17 +164,33 @@ func ReductionPct(base, now float64) float64 {
 // Counter tallies string-keyed occurrences and reports ranked shares,
 // the shape of Tables 2, 4, 5, 6, 7 and 9.
 type Counter struct {
-	counts map[string]int64
+	index  map[string]int // key → its position in keys and counts
+	keys   []string
+	counts []int64
 	total  int64
 }
 
 // NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
+func NewCounter() *Counter { return &Counter{index: make(map[string]int)} }
 
-// Add increments key by n.
+// Add increments key by n. A key new to the counter is stored as its
+// own copy (strings.Clone): a counter outlives the pages it counts, and
+// a key cut from a page's text would keep that whole text alive. A
+// known key only reads the map, because assigning to a string key
+// rewrites the key the map holds with the one assigned.
 func (c *Counter) Add(key string, n int64) {
-	c.counts[key] += n
+	if i, ok := c.index[key]; ok {
+		c.counts[i] += n
+	} else {
+		c.insert(strings.Clone(key), n)
+	}
 	c.total += n
+}
+
+func (c *Counter) insert(key string, n int64) {
+	c.index[key] = len(c.keys)
+	c.keys = append(c.keys, key)
+	c.counts = append(c.counts, n)
 }
 
 // Merge adds every count of other into c. Merging is associative and
@@ -184,8 +200,12 @@ func (c *Counter) Merge(other *Counter) {
 	if other == nil || other == c {
 		return
 	}
-	for k, v := range other.counts {
-		c.counts[k] += v
+	for i, k := range other.keys {
+		if j, ok := c.index[k]; ok {
+			c.counts[j] += other.counts[i]
+		} else {
+			c.insert(k, other.counts[i])
+		}
 	}
 	c.total += other.total
 }
@@ -194,7 +214,12 @@ func (c *Counter) Merge(other *Counter) {
 func (c *Counter) Total() int64 { return c.total }
 
 // Count returns the count for one key.
-func (c *Counter) Count(key string) int64 { return c.counts[key] }
+func (c *Counter) Count(key string) int64 {
+	if i, ok := c.index[key]; ok {
+		return c.counts[i]
+	}
+	return 0
+}
 
 // RankedEntry is one row of a ranked share table.
 type RankedEntry struct {
@@ -206,14 +231,21 @@ type RankedEntry struct {
 // Top returns the n highest-count entries with their share of the total.
 // Ties break lexicographically for determinism.
 func (c *Counter) Top(n int) []RankedEntry {
-	entries := make([]RankedEntry, 0, len(c.counts))
-	for k, v := range c.counts {
+	entries := make([]RankedEntry, 0, len(c.keys))
+	for i, k := range c.keys {
+		v := c.counts[i]
 		share := 0.0
 		if c.total > 0 {
 			share = 100 * float64(v) / float64(c.total)
 		}
 		entries = append(entries, RankedEntry{Key: k, Count: v, Share: share})
 	}
+	return Rank(entries, n)
+}
+
+// Rank orders entries as Top does — by count, highest first, ties by
+// key — and keeps the first n (all when n ≤ 0).
+func Rank(entries []RankedEntry, n int) []RankedEntry {
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Count != entries[j].Count {
 			return entries[i].Count > entries[j].Count
@@ -226,14 +258,18 @@ func (c *Counter) Top(n int) []RankedEntry {
 	return entries
 }
 
-// TableString renders the top-n entries as an aligned text table. An
-// empty counter renders as the bare title (no bogus 0.00% cumulative
-// row), and the cumulative share is clamped to 100% so float rounding
-// across many rows can never report more than the whole.
+// TableString renders the top-n entries as RankedTable does.
 func (c *Counter) TableString(title string, n int) string {
+	return RankedTable(title, c.Top(n))
+}
+
+// RankedTable renders ranked rows as an aligned text table. No rows
+// render as the bare title (no bogus 0.00% cumulative row), and the
+// cumulative share is clamped to 100% so float rounding across many
+// rows can never report more than the whole.
+func RankedTable(title string, rows []RankedEntry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	rows := c.Top(n)
 	if len(rows) == 0 {
 		return b.String()
 	}

@@ -115,17 +115,21 @@ func MapWith[S, R any](n, workers int, newScratch func() S, fn func(s S, i int) 
 	return out
 }
 
-// Fold reduces [0, n) into a single accumulator across workers: each
-// contiguous chunk is folded locally in index order into a fresh
+// FoldWith reduces [0, n) into a single accumulator across workers:
+// each contiguous chunk is folded locally in index order into a fresh
 // accumulator from newAcc, and chunk accumulators are merged
 // left-to-right in chunk order. For any merge that is associative with
 // respect to concatenation, the result is identical to
 //
-//	acc := newAcc()
-//	for i := 0; i < n; i++ { acc = fold(acc, i) }
+//	s, acc := newScratch(), newAcc()
+//	for i := 0; i < n; i++ { acc = fold(s, acc, i) }
 //
-// regardless of the worker count.
-func Fold[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, merge func(a, b A) A) A {
+// regardless of the worker count. As in MapWith, every goroutine calls
+// newScratch once and hands that value to each fold call it makes, so
+// working storage is per worker while accumulators are per chunk.
+// Which chunks share a scratch value depends on scheduling; the
+// accumulators must not.
+func FoldWith[S, A any](n, workers int, newScratch func() S, newAcc func() A, fold func(s S, acc A, i int) A, merge func(a, b A) A) A {
 	workers = Normalize(workers)
 	if workers > n {
 		workers = n
@@ -134,9 +138,9 @@ func Fold[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, mer
 		return newAcc()
 	}
 	if workers <= 1 {
-		acc := newAcc()
+		s, acc := newScratch(), newAcc()
 		for i := 0; i < n; i++ {
-			acc = fold(acc, i)
+			acc = fold(s, acc, i)
 		}
 		return acc
 	}
@@ -149,6 +153,7 @@ func Fold[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, mer
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := newScratch()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nchunks {
@@ -160,7 +165,7 @@ func Fold[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, mer
 				}
 				acc := newAcc()
 				for i := c * span; i < hi; i++ {
-					acc = fold(acc, i)
+					acc = fold(s, acc, i)
 				}
 				accs[c] = acc
 			}
@@ -172,14 +177,6 @@ func Fold[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, mer
 		out = merge(out, a)
 	}
 	return out
-}
-
-// MapReduce folds a slice through mapFn and merges shard accumulators
-// with mergeFn — the per-page analysis primitive behind the report
-// tables and figures. Equivalent to Fold over the slice's index space.
-func MapReduce[T, A any](items []T, workers int, newAcc func() A, mapFn func(acc A, item T) A, mergeFn func(a, b A) A) A {
-	return Fold(len(items), workers, newAcc,
-		func(acc A, i int) A { return mapFn(acc, items[i]) }, mergeFn)
 }
 
 func maxInt(a, b int) int {

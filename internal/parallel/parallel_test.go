@@ -78,18 +78,21 @@ func TestMapWithScratchPerWorker(t *testing.T) {
 	}
 }
 
-// Fold with an order-sensitive accumulator (slice append): contiguous
-// chunking plus in-order merge must reproduce the sequential order for
-// every worker count.
+// noScratch is the working storage of a fold that needs none.
+func noScratch() struct{} { return struct{}{} }
+
+// FoldWith with an order-sensitive accumulator (slice append):
+// contiguous chunking plus in-order merge must reproduce the sequential
+// order for every worker count.
 func TestFoldPreservesSequentialOrder(t *testing.T) {
 	const n = 777
 	newAcc := func() []int { return nil }
-	fold := func(acc []int, i int) []int { return append(acc, i) }
+	fold := func(_ struct{}, acc []int, i int) []int { return append(acc, i) }
 	merge := func(a, b []int) []int { return append(a, b...) }
 
-	want := Fold(n, 1, newAcc, fold, merge)
+	want := FoldWith(n, 1, noScratch, newAcc, fold, merge)
 	for _, w := range workerCounts[1:] {
-		got := Fold(n, w, newAcc, fold, merge)
+		got := FoldWith(n, w, noScratch, newAcc, fold, merge)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: fold order differs", w)
 		}
@@ -102,32 +105,47 @@ func TestFoldPreservesSequentialOrder(t *testing.T) {
 }
 
 func TestFoldEmpty(t *testing.T) {
-	got := Fold(0, 8, func() int { return 42 },
-		func(acc, i int) int { return acc + i },
+	got := FoldWith(0, 8, func() struct{} { t.Fatal("scratch built for n=0"); return struct{}{} },
+		func() int { return 42 },
+		func(_ struct{}, acc, i int) int { return acc + i },
 		func(a, b int) int { return a + b })
 	if got != 42 {
 		t.Fatalf("empty fold = %d, want fresh accumulator", got)
 	}
 }
 
-func TestMapReduceCountsMatchSequential(t *testing.T) {
-	items := make([]int, 2000)
-	for i := range items {
-		items[i] = i % 37
-	}
+// FoldWith builds at most one scratch value per goroutine and never
+// shares one between two goroutines at a time, while a map-count
+// accumulator per chunk merges to the sequential counts.
+func TestFoldWithScratchPerWorker(t *testing.T) {
+	const n = 2000
+	type scratch struct{ busy atomic.Bool }
 	newAcc := func() map[int]int { return map[int]int{} }
-	mapFn := func(acc map[int]int, v int) map[int]int { acc[v]++; return acc }
-	mergeFn := func(a, b map[int]int) map[int]int {
+	merge := func(a, b map[int]int) map[int]int {
 		for k, v := range b {
 			a[k] += v
 		}
 		return a
 	}
-	want := MapReduce(items, 1, newAcc, mapFn, mergeFn)
-	for _, w := range workerCounts[1:] {
-		got := MapReduce(items, w, newAcc, mapFn, mergeFn)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: map-reduce differs", w)
+	var want map[int]int
+	for _, w := range workerCounts {
+		var made atomic.Int32
+		got := FoldWith(n, w, func() *scratch { made.Add(1); return &scratch{} }, newAcc,
+			func(s *scratch, acc map[int]int, i int) map[int]int {
+				if !s.busy.CompareAndSwap(false, true) {
+					t.Errorf("workers=%d: scratch used by two goroutines at once", w)
+				}
+				defer s.busy.Store(false)
+				acc[i%37]++
+				return acc
+			}, merge)
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: counts differ from workers=%d", w, workerCounts[0])
+		}
+		if m := int(made.Load()); m < 1 || m > w {
+			t.Errorf("workers=%d: %d scratch values built", w, m)
 		}
 	}
 }

@@ -79,23 +79,23 @@ func (e Exposure) leaked() int {
 // event.
 func Analyze(p *har.Page, cfg ClientConfig) Exposure {
 	var a analyzer
-	a.model.Load(p)
-	return a.analyze(p, cfg)
+	var model core.Timeline
+	model.Load(p)
+	return a.analyze(p, &model, cfg)
 }
 
-// analyzer is the working storage of one goroutine analyzing pages: the
-// §4 model of the page and the two host lists, reused from call to call.
+// analyzer is the working storage of one pass analyzing pages: the two
+// host lists, reused from call to call.
 type analyzer struct {
-	model    core.Timeline
 	dns, sni []string
 }
 
-// analyze is Analyze for the page a.model has loaded. The host lists of
+// analyze is Analyze for the page model has loaded. The host lists of
 // the result are a's own: they are valid until the next call.
-func (a *analyzer) analyze(p *har.Page, cfg ClientConfig) Exposure {
+func (a *analyzer) analyze(p *har.Page, model *core.Timeline, cfg ClientConfig) Exposure {
 	var coalesced []bool
 	if cfg.CoalescingEnabled {
-		coalesced = a.model.Coalescable(cfg.Coalescing, 0)
+		coalesced = model.Coalescable(cfg.Coalescing, 0)
 	}
 	e := Exposure{CleartextDNSHosts: a.dns[:0], CleartextSNIHosts: a.sni[:0]}
 	for i := range p.Entries {
@@ -159,24 +159,61 @@ type CorpusExposure struct {
 // once and counted under every scenario. The result is the same for
 // every worker count.
 func AnalyzeCorpus(pages []*har.Page, scenarios []Scenario, workers int) []CorpusExposure {
-	type counts struct{ leaked, dns, handshakes float64 }
-	perPage := parallel.MapWith(len(pages), workers, func() *analyzer { return new(analyzer) },
-		func(a *analyzer, i int) []counts {
-			a.model.Load(pages[i])
-			row := make([]counts, len(scenarios))
-			for s, sc := range scenarios {
-				e := a.analyze(pages[i], sc.Cfg)
-				row[s] = counts{float64(e.leaked()), float64(e.DNSQueries), float64(e.TLSHandshakes)}
-			}
-			return row
-		})
-	out := make([]CorpusExposure, 0, len(scenarios))
-	leaked := make([]float64, len(pages))
-	dns := make([]float64, len(pages))
-	hs := make([]float64, len(pages))
-	for s, sc := range scenarios {
-		for i, row := range perPage {
-			leaked[i], dns[i], hs[i] = row[s].leaked, row[s].dns, row[s].handshakes
+	return parallel.FoldWith(len(pages), workers, func() *core.Timeline { return new(core.Timeline) },
+		func() *Tally { return NewTally(scenarios) },
+		func(model *core.Timeline, t *Tally, i int) *Tally {
+			model.Load(pages[i])
+			t.Add(pages[i], model)
+			return t
+		},
+		func(a, b *Tally) *Tally {
+			a.Merge(b)
+			return a
+		}).Exposures()
+}
+
+// Tally is AnalyzeCorpus as an accumulator: every page's counts under
+// every scenario, in page order, so the medians it reports are exact.
+// A page costs 24 bytes per scenario; its host lists are scratch that
+// the next page overwrites, and Merge takes only the counts.
+type Tally struct {
+	scenarios []Scenario
+	rows      []pageCounts // len(scenarios) per page
+	a         analyzer
+}
+
+// pageCounts is one page under one scenario.
+type pageCounts struct{ leaked, dns, handshakes float64 }
+
+// NewTally returns an empty accumulator over the scenarios.
+func NewTally(scenarios []Scenario) *Tally { return &Tally{scenarios: scenarios} }
+
+// Add counts p under every scenario; model must have p loaded.
+func (t *Tally) Add(p *har.Page, model *core.Timeline) {
+	for _, sc := range t.scenarios {
+		e := t.a.analyze(p, model, sc.Cfg)
+		t.rows = append(t.rows, pageCounts{float64(e.leaked()), float64(e.DNSQueries), float64(e.TLSHandshakes)})
+	}
+}
+
+// Merge appends o's pages after t's.
+func (t *Tally) Merge(o *Tally) { t.rows = append(t.rows, o.rows...) }
+
+// Exposures returns each scenario's medians over the pages added.
+func (t *Tally) Exposures() []CorpusExposure {
+	n := len(t.scenarios)
+	pages := 0
+	if n > 0 {
+		pages = len(t.rows) / n
+	}
+	out := make([]CorpusExposure, 0, n)
+	leaked := make([]float64, pages)
+	dns := make([]float64, pages)
+	hs := make([]float64, pages)
+	for s, sc := range t.scenarios {
+		for i := range pages {
+			r := t.rows[i*n+s]
+			leaked[i], dns[i], hs[i] = r.leaked, r.dns, r.handshakes
 		}
 		out = append(out, CorpusExposure{
 			Scenario:          sc.Name,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"respectorigin/internal/har"
 	"respectorigin/internal/privacy"
 	"respectorigin/internal/sched"
 )
@@ -11,31 +12,33 @@ import (
 // PrivacyReport runs the §6.2 privacy-exposure comparison over the
 // corpus: baseline vs coalescing vs DoH/ECH vs both.
 func (c *Corpus) PrivacyReport() ([]privacy.CorpusExposure, string) {
-	rows := privacy.AnalyzeCorpus(c.DS.Pages, privacy.StandardScenarios(), c.workers)
+	rows := get[*privacyAcc](c, partPrivacy).t.Exposures()
 	return rows, privacy.Report(rows)
 }
+
+// privacyAcc is the §6.2 accumulator over the standard scenarios.
+type privacyAcc struct{ t *privacy.Tally }
+
+func newPrivacyAcc() *privacyAcc { return &privacyAcc{privacy.NewTally(privacy.StandardScenarios())} }
+
+func (a *privacyAcc) add(s *scratch, p *har.Page) { a.t.Add(p, s.timeline(p)) }
+
+func (a *privacyAcc) merge(next accumulator) { a.t.Merge(next.(*privacyAcc).t) }
 
 // SchedulingReport runs the §6.1 delivery-ordering comparison on a
 // representative page workload derived from the corpus: the resources
 // of the first page with ≥ 12 entries, prioritized by content type.
 func (c *Corpus) SchedulingReport(connections int) (sched.Comparison, string) {
 	var resources []sched.Resource
-	for _, p := range c.DS.Pages {
-		if len(p.Entries) < 12 {
-			continue
-		}
-		for i := range p.Entries {
+	if p := get[*sampleAcc](c, partSample).sched; p != nil {
+		for i := range p.Entries[:min(len(p.Entries), 24)] {
 			e := &p.Entries[i]
 			resources = append(resources, sched.Resource{
 				ID:       uint32(2*i + 1),
 				Priority: priorityForMime(e.MimeType),
 				Bytes:    float64(e.BodySize),
 			})
-			if len(resources) == 24 {
-				break
-			}
 		}
-		break
 	}
 	cmp := sched.Compare(resources, sched.ParallelParams{
 		Connections:       connections,

@@ -8,34 +8,35 @@ import (
 	"respectorigin/internal/core"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
-	"respectorigin/internal/parallel"
 )
+
+// distinctASes counts the ASes p contacts. A page contacts a handful:
+// a linear scan of the ones seen so far beats a set, and the list is
+// the worker's to reuse.
+func (s *scratch) distinctASes(p *har.Page) int {
+	s.ases = s.ases[:0]
+entries:
+	for j := range p.Entries {
+		as := p.Entries[j].ServerASN
+		for _, seen := range s.ases {
+			if seen == as {
+				continue entries
+			}
+		}
+		s.ases = append(s.ases, as)
+	}
+	return len(s.ases)
+}
 
 // Figure1 reproduces Figure 1: the frequency distribution and CDF of
 // unique ASes contacted per page.
 func (c *Corpus) Figure1() (hist map[int]int, cdf []measure.CDFPoint, text string) {
-	// A page contacts a handful of ASes: a linear scan of the ones seen so
-	// far beats a set, and the list is the worker's to reuse.
-	xs := parallel.MapWith(len(c.DS.Pages), c.workers,
-		func() *[]uint32 { return new([]uint32) },
-		func(seen *[]uint32, i int) int {
-			*seen = (*seen)[:0]
-			p := c.DS.Pages[i]
-		entries:
-			for j := range p.Entries {
-				as := p.Entries[j].ServerASN
-				for _, s := range *seen {
-					if s == as {
-						continue entries
-					}
-				}
-				*seen = append(*seen, as)
-			}
-			return len(*seen)
-		})
-	fs := make([]float64, len(xs))
-	for i, n := range xs {
-		fs[i] = float64(n)
+	rows := get[*pageStats](c, partPages).rows
+	xs := make([]int, len(rows))
+	fs := make([]float64, len(rows))
+	for i := range rows {
+		xs[i] = rows[i].ases
+		fs[i] = float64(rows[i].ases)
 	}
 	hist = measure.Histogram(xs)
 	cdf = measure.CDF(fs)
@@ -50,13 +51,35 @@ func (c *Corpus) Figure1() (hist map[int]int, cdf []measure.CDFPoint, text strin
 	return hist, cdf, sb.String()
 }
 
-// Figure2 reproduces Figure 2: one page's waterfall before and after
-// ORIGIN-frame reconstruction.
-func (c *Corpus) Figure2(pageIdx, width int) string {
-	if pageIdx < 0 || pageIdx >= len(c.DS.Pages) {
-		pageIdx = 0
+// sampleAcc keeps the two pages the report shows whole: the corpus's
+// first page (Figure 2) and its first page of at least 12 entries (the
+// §6.1 workload). A decoded page owns its memory (DESIGN.md §10), so
+// keeping one keeps ≈ 40 KiB and nothing of its neighbours.
+type sampleAcc struct{ first, sched *har.Page }
+
+func (a *sampleAcc) add(_ *scratch, p *har.Page) {
+	if a.first == nil {
+		a.first = p
 	}
-	p := c.DS.Pages[pageIdx]
+	if a.sched == nil && len(p.Entries) >= 12 {
+		a.sched = p
+	}
+}
+
+func (a *sampleAcc) merge(next accumulator) {
+	o := next.(*sampleAcc)
+	if a.first == nil {
+		a.first = o.first
+	}
+	if a.sched == nil {
+		a.sched = o.sched
+	}
+}
+
+// Figure2 reproduces Figure 2: the corpus's first page's waterfall
+// before and after ORIGIN-frame reconstruction.
+func (c *Corpus) Figure2(width int) string {
+	p := get[*sampleAcc](c, partSample).first
 	q := core.Reconstruct(p, core.ModeOrigin, 0)
 	var sb strings.Builder
 	sb.WriteString("Figure 2: timeline reconstruction (top: measured, bottom: coalesced)\n\n")
@@ -79,13 +102,7 @@ type Figure3Data struct {
 // Figure3 reproduces Figure 3: CDFs of per-page DNS queries and TLS
 // connections, measured vs ideal IP vs ideal ORIGIN coalescing.
 func (c *Corpus) Figure3() (Figure3Data, string) {
-	var dns, tls, ip, origin []float64
-	for _, pc := range c.counts {
-		dns = append(dns, float64(pc.MeasuredDNS))
-		tls = append(tls, float64(pc.MeasuredTLS))
-		ip = append(ip, float64(pc.IdealIP))
-		origin = append(origin, float64(pc.IdealOrigin))
-	}
+	dns, tls, ip, origin := get[*modelAcc](c, partModel).series()
 	d := Figure3Data{
 		MeasuredDNS: measure.CDF(dns),
 		MeasuredTLS: measure.CDF(tls),
@@ -104,7 +121,7 @@ func (c *Corpus) Figure3() (Figure3Data, string) {
 // Figure4 reproduces Figure 4: CDFs of SAN counts in existing vs ideal
 // certificates.
 func (c *Corpus) Figure4() (existing, ideal []measure.CDFPoint, text string) {
-	s := c.certSummary()
+	s := get[*modelAcc](c, partModel).certs
 	ex := make([]float64, len(s.ExistingSizes))
 	id := make([]float64, len(s.IdealSizes))
 	for i := range s.ExistingSizes {
@@ -131,7 +148,7 @@ type Figure5Point struct {
 // Figure5 reproduces Figure 5: sites ranked by existing SAN size with
 // the per-site additions and resulting ideal sizes.
 func (c *Corpus) Figure5() ([]Figure5Point, string) {
-	s := c.certSummary()
+	s := get[*modelAcc](c, partModel).certs
 	pts := make([]Figure5Point, len(s.ExistingSizes))
 	for i := range pts {
 		pts[i] = Figure5Point{
@@ -169,6 +186,27 @@ func maxi(a, b int) int {
 	return b
 }
 
+// fig9Acc is the Figure 9 (top) accumulator for one deployment CDN:
+// each page's measured PLT and its three timeline rebuilds.
+type fig9Acc struct {
+	cdnASN uint32
+	rows   []fig9Row
+}
+
+type fig9Row struct{ meas, ip, origin, cdnOnly float64 }
+
+func (a *fig9Acc) add(s *scratch, p *har.Page) {
+	t := s.timeline(p)
+	a.rows = append(a.rows, fig9Row{
+		meas:    p.PLT(),
+		ip:      t.PLT(core.ModeIP, 0),
+		origin:  t.PLT(core.ModeOrigin, 0),
+		cdnOnly: t.PLT(core.ModeOriginCDN, a.cdnASN),
+	})
+}
+
+func (a *fig9Acc) merge(next accumulator) { a.rows = append(a.rows, next.(*fig9Acc).rows...) }
+
 // Figure9ModelData carries the PLT CDFs of Figure 9 (top).
 type Figure9ModelData struct {
 	Measured    []measure.CDFPoint
@@ -184,29 +222,16 @@ type Figure9ModelData struct {
 
 // Figure9Model reproduces Figure 9 (top): model-predicted PLT CDFs for
 // measured, ideal IP, ideal ORIGIN, and ORIGIN-at-one-CDN coalescing.
-// cdnASN identifies the deployment CDN (Cloudflare in the paper).
+// cdnASN identifies the deployment CDN (Cloudflare in the paper); a
+// streamed corpus answers only for the CDN it was folded with.
 func (c *Corpus) Figure9Model(cdnASN uint32) (Figure9ModelData, string) {
-	// Three timeline rebuilds per page, on one core.Timeline per worker.
-	type plts struct{ meas, ip, origin, cdnOnly float64 }
-	perPage := parallel.MapWith(len(c.DS.Pages), c.workers, newTimeline, func(t *core.Timeline, i int) plts {
-		p := c.DS.Pages[i]
-		t.Load(p)
-		return plts{
-			meas:    p.PLT(),
-			ip:      t.PLT(core.ModeIP, 0),
-			origin:  t.PLT(core.ModeOrigin, 0),
-			cdnOnly: t.PLT(core.ModeOriginCDN, cdnASN),
-		}
-	})
-	meas := make([]float64, 0, len(perPage))
-	ip := make([]float64, 0, len(perPage))
-	origin := make([]float64, 0, len(perPage))
-	cdnOnly := make([]float64, 0, len(perPage))
-	for _, v := range perPage {
-		meas = append(meas, v.meas)
-		ip = append(ip, v.ip)
-		origin = append(origin, v.origin)
-		cdnOnly = append(cdnOnly, v.cdnOnly)
+	rows := c.part(partKey{partFig9, cdnASN}).(*fig9Acc).rows
+	meas := make([]float64, len(rows))
+	ip := make([]float64, len(rows))
+	origin := make([]float64, len(rows))
+	cdnOnly := make([]float64, len(rows))
+	for i, r := range rows {
+		meas[i], ip[i], origin[i], cdnOnly[i] = r.meas, r.ip, r.origin, r.cdnOnly
 	}
 	d := Figure9ModelData{
 		Measured:        measure.CDF(meas),

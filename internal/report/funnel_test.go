@@ -43,7 +43,7 @@ func TestFunnelCrossChecksFigure3(t *testing.T) {
 
 	c := NewCorpusWorkers(ds, 0)
 	var dns, tls, ip, origin int
-	for _, pc := range c.counts {
+	for _, pc := range get[*modelAcc](c, partModel).counts {
 		dns += pc.MeasuredDNS
 		tls += pc.MeasuredTLS
 		ip += pc.IdealIP

@@ -39,7 +39,7 @@ func renderAll(c *Corpus) string {
 	add(t9)
 	_, _, f1 := c.Figure1()
 	add(f1)
-	add(c.Figure2(0, 60))
+	add(c.Figure2(60))
 	_, f3 := c.Figure3()
 	add(f3)
 	_, _, f4 := c.Figure4()

@@ -8,7 +8,6 @@ import (
 	"respectorigin/internal/core"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
-	"respectorigin/internal/parallel"
 )
 
 // PolicyStats summarizes one policy over the corpus.
@@ -64,15 +63,28 @@ func (r *policyReplayer) replay(p *har.Page) (out [len(policyConfigs)][2]float64
 	return out
 }
 
+// policyAcc is the policy cross-validation accumulator: each page's
+// connections and DNS queries under every policy, in page order.
+type policyAcc struct {
+	rows [][len(policyConfigs)][2]float64
+}
+
+func (a *policyAcc) add(s *scratch, p *har.Page) {
+	if s.policy == nil {
+		s.policy = newPolicyReplayer()
+	}
+	a.rows = append(a.rows, s.policy.replay(p))
+}
+
+func (a *policyAcc) merge(next accumulator) { a.rows = append(a.rows, next.(*policyAcc).rows...) }
+
 // PolicyComparison replays every page's host sequence through the three
 // real client policies — Chromium, Firefox, Firefox+ORIGIN (the last
 // against the §4 ideal ORIGIN deployment) — and reports per-policy
 // connection and DNS medians. It cross-validates the analytic model of
 // Figure 3 with the executable policy implementations from §2.3.
 func (c *Corpus) PolicyComparison() ([]PolicyStats, string) {
-	// Each page replay is independent, so the pass parallelizes cleanly.
-	perPage := parallel.MapWith(len(c.DS.Pages), c.workers, newPolicyReplayer,
-		func(r *policyReplayer, i int) [len(policyConfigs)][2]float64 { return r.replay(c.DS.Pages[i]) })
+	perPage := get[*policyAcc](c, partPolicy).rows
 	var out []PolicyStats
 	conns := make([]float64, len(perPage))
 	dns := make([]float64, len(perPage))

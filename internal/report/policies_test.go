@@ -43,11 +43,12 @@ func TestPolicyReplayerReuseMatchesFresh(t *testing.T) {
 // the corpus allocates for its result slices and for a replayer growing
 // towards the largest page — measured 2.2 per page over these pages,
 // where a replayer built for every page costs ≈ 150 — and renders the
-// same bytes at any worker count.
+// same bytes at any worker count. A corpus folds a part once, so each
+// run measures a fresh corpus.
 func TestPolicyComparisonAllocBudget(t *testing.T) {
 	c := archetypeCorpus(t, webgen.ArchetypeBaseline, 800, 1)
 	wantStats, wantText := c.PolicyComparison()
-	allocs := testing.AllocsPerRun(3, func() { c.PolicyComparison() })
+	allocs := testing.AllocsPerRun(3, func() { NewCorpusWorkers(c.DS, 1).PolicyComparison() })
 	if perPage := allocs / float64(len(c.DS.Pages)); perPage > 4 {
 		t.Errorf("PolicyComparison allocates %.1f per page (%.0f over %d pages), want ≤ 4", perPage, allocs, len(c.DS.Pages))
 	} else {

@@ -19,49 +19,82 @@ type ProtoCosts struct {
 
 // ProtoSweep replays every corpus page revisits times under each
 // protocol (h1, h2, h3 — sweep order), each page from a reset cache,
-// and sums the per-visit ledgers across pages. The three replays are
-// independent passes over the same immutable pages, so the result is
+// and sums the per-visit ledgers across pages, in one pass over the
+// pages. Per-page sequences are independent, so the result is
 // identical for any worker count.
 func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	if revisits <= 0 {
 		return nil
 	}
-	out := make([]ProtoCosts, 0, len(core.Protocols))
-	for _, proto := range core.Protocols {
-		out = append(out, ProtoCosts{Proto: proto, Visits: c.WarmColdProto(revisits, opts, proto)})
-	}
-	return out
-}
-
-// protoAcc is a WarmColdProto chunk accumulator: the chunk's per-visit
-// ledgers and the replayer that resets its cache for each page.
-type protoAcc struct {
-	r      *core.Replayer
-	visits []core.VisitCosts
+	return c.Replay(revisits, opts, core.Protocols...)
 }
 
 // WarmColdProto replays every corpus page revisits times under one
 // protocol, each page from a reset warm-path cache, and sums the
 // per-visit cost ledgers across pages. The pass fans out across the
-// corpus workers with one replayer per chunk; per-page sequences are
+// corpus workers with one replayer per worker; per-page sequences are
 // independent and ledger addition is associative, so the result is
 // identical for any worker count.
 func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
 	}
-	return mapPages(c,
-		func() protoAcc { return protoAcc{core.NewReplayer(opts), make([]core.VisitCosts, revisits)} },
-		func(acc protoAcc, p *har.Page) protoAcc {
-			acc.r.Sequence(p, proto, acc.visits)
-			return acc
-		},
-		func(a, b protoAcc) protoAcc {
-			for v := range a.visits {
-				a.visits[v].Add(b.visits[v])
-			}
-			return a
-		}).visits
+	return c.Replay(revisits, opts, proto)[0].Visits
+}
+
+// Replay replays every retained page revisits times under each
+// protocol of protos in one pass and returns the summed ledgers, as
+// ReplayStream does for a stream. Replays depend on their parameters,
+// so they are folded on every call and never kept; a streamed corpus
+// has no pages left to replay.
+func (c *Corpus) Replay(revisits int, opts cache.Options, protos ...core.Protocol) []ProtoCosts {
+	if c.DS == nil {
+		panic("report: a streamed corpus keeps no pages to replay; use ReplayStream")
+	}
+	return foldPages(c.DS.Pages, c.workers, func() fold { return fold{newWarmAcc(revisits, opts, protos)} })[0].(*warmAcc).costs()
+}
+
+// warmAcc is the warm-replay accumulator: per protocol, the per-visit
+// ledgers summed over the pages added. The replayer it drives is the
+// worker's (scratch), reset for every page.
+type warmAcc struct {
+	opts   cache.Options
+	protos []core.Protocol
+	visits [][]core.VisitCosts // [protocol][visit]
+}
+
+func newWarmAcc(revisits int, opts cache.Options, protos []core.Protocol) *warmAcc {
+	a := &warmAcc{opts: opts, protos: protos, visits: make([][]core.VisitCosts, len(protos))}
+	for i := range a.visits {
+		a.visits[i] = make([]core.VisitCosts, revisits)
+	}
+	return a
+}
+
+func (a *warmAcc) add(s *scratch, p *har.Page) {
+	if s.replay == nil {
+		s.replay = core.NewReplayer(a.opts)
+	}
+	for i, proto := range a.protos {
+		s.replay.Sequence(p, proto, a.visits[i])
+	}
+}
+
+func (a *warmAcc) merge(next accumulator) {
+	o := next.(*warmAcc)
+	for i, visits := range a.visits {
+		for v := range visits {
+			visits[v].Add(o.visits[i][v])
+		}
+	}
+}
+
+func (a *warmAcc) costs() []ProtoCosts {
+	out := make([]ProtoCosts, len(a.protos))
+	for i, proto := range a.protos {
+		out[i] = ProtoCosts{Proto: proto, Visits: a.visits[i]}
+	}
+	return out
 }
 
 // WarmColdProto runs the deployment experiment's returning-visitor

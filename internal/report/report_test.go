@@ -1,10 +1,14 @@
 package report
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"respectorigin/internal/cdn"
+	"respectorigin/internal/har"
+	"respectorigin/internal/measure"
 	"respectorigin/internal/webgen"
 )
 
@@ -61,6 +65,36 @@ func TestTable2TopASes(t *testing.T) {
 		t.Errorf("top-10 share = %.1f%%, paper 63.68%%", cum)
 	}
 	_ = txt
+}
+
+// Table 2 names only the ASes that can print: the n largest counts
+// and every AS tied with row n. Ties break by name, and "AS10 …" sorts
+// before "AS9 …", so a cut by number alone would print AS9 where AS10
+// belongs. Rows and shares must be those of ranking every named AS.
+func TestTable2NamesBoundaryTies(t *testing.T) {
+	counts := map[uint32]int{1: 9, 2: 8, 9: 5, 10: 5, 11: 5, 100: 5, 12: 3, 3: 1}
+	var entries []har.Entry
+	all := measure.NewCounter()
+	for as, n := range counts {
+		for range n {
+			entries = append(entries, har.Entry{ServerASN: as})
+		}
+		all.Add(fmt.Sprintf("AS%d %s", as, webgen.OrgOf(as)), int64(n))
+	}
+	c := NewCorpusWorkers(&webgen.Dataset{Pages: []*har.Page{{Rank: 1, Entries: entries}}}, 1)
+	const title = "Table 2: top destination ASes for resource requests"
+	for n := 0; n <= len(counts)+1; n++ {
+		rows, txt := c.Table2(n)
+		if want := all.Top(n); !reflect.DeepEqual(rows, want) {
+			t.Errorf("n=%d: rows %v, want %v", n, rows, want)
+		}
+		if want := all.TableString(title, n); txt != want {
+			t.Errorf("n=%d:\n%s\nwant\n%s", n, txt, want)
+		}
+	}
+	if rows, _ := c.Table2(3); rows[2].Key != "AS10 AS-10" {
+		t.Errorf("row 3 = %q, want the tie broken by name to AS10", rows[2].Key)
+	}
 }
 
 func TestTable3Protocols(t *testing.T) {
@@ -167,13 +201,9 @@ func TestFigure1(t *testing.T) {
 
 func TestFigure2(t *testing.T) {
 	c := testCorpus(t, 50)
-	txt := c.Figure2(0, 70)
+	txt := c.Figure2(70)
 	if !strings.Contains(txt, "Time saved") {
 		t.Error("figure 2 missing time saved")
-	}
-	// Out-of-range index falls back to 0.
-	if c.Figure2(-5, 70) == "" {
-		t.Error("figure 2 fallback")
 	}
 }
 
@@ -389,7 +419,7 @@ func TestReportParallelMatchesSequential(t *testing.T) {
 		_, out["table8"] = c.Table8(10)
 		_, out["table9"] = c.Table9(5, 5)
 		_, _, out["figure1"] = c.Figure1()
-		out["figure2"] = c.Figure2(0, 60)
+		out["figure2"] = c.Figure2(60)
 		_, out["figure3"] = c.Figure3()
 		_, _, out["figure4"] = c.Figure4()
 		_, out["figure5"] = c.Figure5()
