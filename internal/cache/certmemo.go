@@ -96,13 +96,13 @@ func fnvString(h uint64, s string) uint64 {
 // The protocol layers call these instead of reaching into the stores,
 // so a disabled cache costs one nil check.
 
-// LookupDNS consults the DNS cache for an A-type answer at the current
+// LookupDNS consults the DNS cache for an A answer at the current
 // simulated time.
 func (c *Cache) LookupDNS(name string) (addrs []netip.Addr, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
 	}
-	return c.DNS.Get(name, 1, c.clock.NowMs())
+	return c.DNS.Get(name, c.clock.NowMs())
 }
 
 // PutDNS stores a positive A answer under the authority's TTL. A zero
@@ -112,7 +112,7 @@ func (c *Cache) PutDNS(name string, addrs []netip.Addr, ttlSeconds uint32) {
 	if c == nil {
 		return
 	}
-	c.DNS.Put(name, 1, addrs, ttlSeconds, c.clock.NowMs())
+	c.DNS.Put(name, addrs, ttlSeconds, c.clock.NowMs())
 }
 
 // DefaultTTL returns the positive TTL for answer sources that carry
@@ -129,7 +129,7 @@ func (c *Cache) PutNegativeDNS(name string) {
 	if c == nil {
 		return
 	}
-	c.DNS.PutNegative(name, 1, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
+	c.DNS.PutNegative(name, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
 }
 
 // RedeemTicketProto attempts TLS resumption for host with a ticket

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// DNSCache is a TTL-aware answer cache with an LRU capacity bound.
-// Entries are keyed by (name, query type); both positive answers and
+// DNSCache is a TTL-aware cache of A answers with an LRU capacity bound.
+// Entries are keyed by canonical name; both positive answers and
 // negative results (failed lookups) are stored. Eviction order is
 // deterministic: the least recently used entry goes first, and "use"
 // means a non-expired Get or a Put.
@@ -18,7 +18,7 @@ import (
 type DNSCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[dnsKey]*dnsEntry
+	entries  map[string]*dnsEntry // canonical name → entry
 
 	// Intrusive LRU list: head is most recent, tail is next to evict.
 	head, tail *dnsEntry
@@ -27,14 +27,8 @@ type DNSCache struct {
 	hits, negHits, misses, expired, evictions int64
 }
 
-// dnsKey names a (type, name) question; name is canonical.
-type dnsKey struct {
-	typ  uint16
-	name string
-}
-
 type dnsEntry struct {
-	key       dnsKey
+	name      string // canonical
 	addrs     []netip.Addr
 	negative  bool
 	expiresMs int64
@@ -43,10 +37,10 @@ type dnsEntry struct {
 }
 
 func newDNSCache(capacity int) *DNSCache {
-	return &DNSCache{capacity: capacity, entries: make(map[dnsKey]*dnsEntry)}
+	return &DNSCache{capacity: capacity, entries: make(map[string]*dnsEntry)}
 }
 
-// Get returns the cached answer for (name, typ) at simulated time
+// Get returns the cached answer for name at simulated time
 // nowMs. negative reports a cached failure; ok is false on a miss. An
 // entry whose deadline equals nowMs is already expired: TTLs are
 // "seconds remaining", so at the instant the budget reaches zero the
@@ -56,11 +50,11 @@ func newDNSCache(capacity int) *DNSCache {
 // it. It keeps this answer across later lookups and Reset, until the
 // next store into this cache (Put, PutNegative), which may overwrite
 // it in place or reuse it for another name. A caller that keeps an
-// answer past that point copies it, as dns.Resolver.Lookup does.
-func (d *DNSCache) Get(name string, typ uint16, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
+// answer past that point copies it.
+func (d *DNSCache) Get(name string, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, found := d.entries[canonKey(name, typ)]
+	e, found := d.entries[canonical(name)]
 	if !found {
 		d.misses++
 		return nil, false, false
@@ -83,27 +77,28 @@ func (d *DNSCache) Get(name string, typ uint16, nowMs int64) (addrs []netip.Addr
 // Put stores a positive answer with the given TTL. Zero-TTL answers are
 // uncacheable and dropped on the floor (they would expire at the very
 // instant of the next lookup anyway).
-func (d *DNSCache) Put(name string, typ uint16, addrs []netip.Addr, ttlSeconds uint32, nowMs int64) {
+func (d *DNSCache) Put(name string, addrs []netip.Addr, ttlSeconds uint32, nowMs int64) {
 	if ttlSeconds == 0 || len(addrs) == 0 {
 		return
 	}
-	d.put(canonKey(name, typ), addrs, false, nowMs+int64(ttlSeconds)*1000)
+	d.put(canonical(name), addrs, false, nowMs+int64(ttlSeconds)*1000)
 }
 
 // PutNegative stores a failed lookup with the given negative TTL.
-func (d *DNSCache) PutNegative(name string, typ uint16, ttlSeconds uint32, nowMs int64) {
+func (d *DNSCache) PutNegative(name string, ttlSeconds uint32, nowMs int64) {
 	if ttlSeconds == 0 {
 		return
 	}
-	d.put(canonKey(name, typ), nil, true, nowMs+int64(ttlSeconds)*1000)
+	d.put(canonical(name), nil, true, nowMs+int64(ttlSeconds)*1000)
 }
 
-// put stores a copy of addrs under key as the most recently used entry,
-// replacing any entry the key had, then evicts down to capacity.
-func (d *DNSCache) put(key dnsKey, addrs []netip.Addr, negative bool, expiresMs int64) {
+// put stores a copy of addrs under the canonical name as the most
+// recently used entry, replacing any entry the name had, then evicts
+// down to capacity.
+func (d *DNSCache) put(name string, addrs []netip.Addr, negative bool, expiresMs int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.entries[key]
+	e, ok := d.entries[name]
 	if ok {
 		d.unlink(e)
 	} else {
@@ -113,8 +108,8 @@ func (d *DNSCache) put(key dnsKey, addrs []netip.Addr, negative bool, expiresMs 
 		} else {
 			e = &dnsEntry{}
 		}
-		e.key = key
-		d.entries[key] = e
+		e.name = name
+		d.entries[name] = e
 	}
 	e.addrs = append(e.addrs[:0], addrs...)
 	e.negative = negative
@@ -146,10 +141,6 @@ func (d *DNSCache) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
-}
-
-func canonKey(name string, typ uint16) dnsKey {
-	return dnsKey{typ, canonical(name)}
 }
 
 // canonical lower-cases a hostname and strips one trailing dot,
@@ -206,7 +197,7 @@ func (d *DNSCache) unlink(e *dnsEntry) {
 
 func (d *DNSCache) remove(e *dnsEntry) {
 	d.unlink(e)
-	delete(d.entries, e.key)
+	delete(d.entries, e.name)
 	d.release(e)
 }
 

@@ -33,12 +33,25 @@ func authorityLookup(a *dns.Authority, host string) ([]netip.Addr, uint32, error
 	return addrs, ttl, nil
 }
 
+// zoneFile is what the CDN used to write to its dns.Authority: each
+// name's current A set. A name set to no addresses still exists.
+type zoneFile map[string][]netip.Addr
+
+// authority serves the zone file from a fresh dns.Authority.
+func (z zoneFile) authority() *dns.Authority {
+	a := dns.NewAuthority()
+	for name, addrs := range z {
+		a.AddA(name, addrs...)
+	}
+	return a
+}
+
 // The CDN's A records answer every lookup as the dns.Authority they
-// replaced did. The same writes go to both — the authority gets the
-// calls the CDN used to make at each step — and after every step each
-// zone host, the third party, an unknown name and odd spellings of
-// hosted names get the same addresses in the same order, the same TTL
-// and the same error from both.
+// replaced did. The same writes go to both — the zone file gets the
+// calls the CDN used to make to its authority at each step — and after
+// every step each zone host, the third party, an unknown name and odd
+// spellings of hosted names get the same addresses in the same order,
+// the same TTL and the same error from both.
 func TestLookupMatchesAuthority(t *testing.T) {
 	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
 	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
@@ -54,10 +67,10 @@ func TestLookupMatchesAuthority(t *testing.T) {
 		"CDNJS.Cloudflare.COM", "cdnjs.cloudflare.com.", "WWW.Zone-8.Example.", " www.zone-5.example ")
 
 	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
-	a := dns.NewAuthority()
-	a.AddA(c.ThirdParty, third...)
+	zone := zoneFile{c.ThirdParty: third}
 	check := func(step string) {
 		t.Helper()
+		a := zone.authority()
 		for _, name := range names {
 			got, gotTTL, gotErr := c.LookupTTL(name)
 			want, wantTTL, wantErr := authorityLookup(a, name)
@@ -76,10 +89,10 @@ func TestLookupMatchesAuthority(t *testing.T) {
 			addrs[j] = netip.AddrFrom4([4]byte{104, 18, byte(i), byte(j + 1)})
 		}
 		c.AddZone(host, SLATierFree, addrs...).Treatment = treatments[i/3]
-		a.AddA(host, addrs...)
+		zone[host] = addrs
 	}
 	c.AddZone("www.zone-0.example", SLATierFree, ip("104.18.9.1"))
-	a.AddA("www.zone-0.example", ip("104.18.9.1"))
+	zone["www.zone-0.example"] = append(zone["www.zone-0.example"], ip("104.18.9.1"))
 	c.AddZone("www.bare.example", SLATierFree).Treatment = TreatmentExperiment
 	check("zones")
 	c.ReissueCertificates()
@@ -90,30 +103,30 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	enterIP := func() {
 		for _, z := range zones {
 			if z.Treatment != TreatmentNone {
-				a.SetA(z.Host, aligned)
+				zone[z.Host] = []netip.Addr{aligned}
 			}
 		}
-		a.SetA(c.ThirdParty, aligned)
+		zone[c.ThirdParty] = []netip.Addr{aligned}
 	}
 	enterOrigin := func(isolated netip.Addr) {
 		for _, z := range zones {
 			switch {
 			case z.Treatment == TreatmentNone:
 			case isolated.IsValid():
-				a.SetA(z.Host, isolated)
+				zone[z.Host] = []netip.Addr{isolated}
 			default:
-				a.SetA(z.Host, z.Addrs...)
+				zone[z.Host] = z.Addrs
 			}
 		}
-		a.SetA(c.ThirdParty, third...)
+		zone[c.ThirdParty] = third
 	}
 	exit := func() {
 		for _, z := range zones {
 			if z.Treatment != TreatmentNone {
-				a.SetA(z.Host, z.Addrs...)
+				zone[z.Host] = z.Addrs
 			}
 		}
-		a.SetA(c.ThirdParty, third...)
+		zone[c.ThirdParty] = third
 	}
 
 	c.EnterPhaseIP()

@@ -6,7 +6,7 @@ import (
 )
 
 // An Authority is an in-process authoritative DNS server over wire-format
-// messages. Zones map owner names to record sets; A/AAAA answers rotate
+// messages. Zones map owner names to A records; answers rotate
 // round-robin per query when rotation is enabled, modelling the DNS
 // load balancing of RFC 1794 that the paper's §2.3 identifies as the
 // reason IP-based coalescing breaks.
@@ -36,52 +36,17 @@ func NewAuthority() *Authority {
 	}
 }
 
-// AddA registers IPv4 addresses for a name.
+// AddA registers a name and IPv4 addresses for it. A name registered
+// with none exists, and answers NOERROR with an empty answer.
 func (a *Authority) AddA(name string, addrs ...netip.Addr) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.lockedAddAddrs(name, TypeA, addrs)
-}
-
-// AddAAAA registers IPv6 addresses for a name.
-func (a *Authority) AddAAAA(name string, addrs ...netip.Addr) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.lockedAddAddrs(name, TypeAAAA, addrs)
-}
-
-func (a *Authority) lockedAddAddrs(name string, typ uint16, addrs []netip.Addr) {
 	key, n := recordKey(name), canonicalName(name)
+	rrs := a.records[key]
 	for _, ip := range addrs {
-		a.records[key] = append(a.records[key], RR{Name: n, Type: typ, Class: ClassINET, TTL: 300, Addr: ip})
+		rrs = append(rrs, RR{Name: n, Type: TypeA, Class: ClassINET, TTL: 300, Addr: ip})
 	}
-}
-
-// AddCNAME registers an alias.
-func (a *Authority) AddCNAME(name, target string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	key, n := recordKey(name), canonicalName(name)
-	a.records[key] = append(a.records[key], RR{Name: n, Type: TypeCNAME, Class: ClassINET, TTL: 300, Target: canonicalName(target)})
-}
-
-// SetA replaces all A records for a name; used by deployments that move
-// hostnames between addresses (the paper's §5.2 single-IP alignment and
-// its §5.3 rollback). The replacement is one critical section: a query
-// racing it sees the old address set or the new one, never the name
-// with its A records removed.
-func (a *Authority) SetA(name string, addrs ...netip.Addr) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	key := recordKey(name)
-	var kept []RR
-	for _, rr := range a.records[key] {
-		if rr.Type != TypeA {
-			kept = append(kept, rr)
-		}
-	}
-	a.records[key] = kept
-	a.lockedAddAddrs(name, TypeA, addrs)
+	a.records[key] = rrs
 }
 
 // Queries reports how many queries this authority has answered.
@@ -103,7 +68,7 @@ func (a *Authority) HandleWire(query []byte) ([]byte, error) {
 }
 
 // Handle answers a parsed query: it counts the query, consults the
-// Failure hook, then walks the records into the answer section.
+// Failure hook, then copies the name's records into the answer section.
 func (a *Authority) Handle(q *Message) *Message {
 	a.mu.Lock()
 	a.queries++
@@ -124,90 +89,37 @@ func (a *Authority) Handle(q *Message) *Message {
 			return resp
 		}
 	}
-	if !a.walk(question.Name, question.Type, &resp.Answers) {
+	if !a.answer(question.Name, question.Type, &resp.Answers) {
 		resp.Header.Rcode = RcodeNameError
 	}
 	return resp
 }
 
-// maxCNAMEDepth is how many aliases one resolution follows.
-const maxCNAMEDepth = 8
-
-// walk resolves (name, typ) into answers: it follows CNAME chains up to
-// maxCNAMEDepth, appending each alias followed, and at the first name
-// holding records of the asked type appends them. It reports false only
-// when name itself does not exist; an alias exists even if its target
-// does not resolve. The lock is released between the names of a chain,
-// as a recursive resolution would.
-func (a *Authority) walk(name string, typ uint16, answers *[]RR) bool {
-	for depth := 0; depth <= maxCNAMEDepth; depth++ {
-		target, exists := a.answerAt(name, typ, answers)
-		if !exists {
-			return depth > 0
-		}
-		if target == "" {
-			return true
-		}
-		name = target
-	}
-	return true
-}
-
-// answerAt appends one name's part of an answer: its records of the
-// asked type, rotated and capped per Rotation and AnswerLimit, or else
-// its alias, whose target is returned for the walk to follow. A name
-// with other record types only appends nothing (NOERROR, empty answer).
-// The records are copied under a.mu: one may be replaced the moment the
-// lock drops.
-func (a *Authority) answerAt(name string, typ uint16, answers *[]RR) (target string, exists bool) {
+// answer appends name's records of the asked type to answers, rotated
+// and capped per Rotation and AnswerLimit, and reports whether name
+// exists. A name asked for another type answers nothing (NOERROR, empty
+// answer).
+func (a *Authority) answer(name string, typ uint16, answers *[]RR) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rrs, ok := a.records[recordKey(name)]
 	if !ok {
-		return "", false
+		return false
 	}
-	matches, cname := 0, -1
-	for i := range rrs {
-		switch {
-		case rrs[i].Type == typ:
-			matches++
-		case rrs[i].Type == TypeCNAME:
-			cname = i
-		}
+	if typ != TypeA {
+		return true
 	}
-	if matches > 0 {
-		first := 0
-		if a.Rotation && matches > 1 {
-			first = a.rotate % matches
-			a.rotate++
-		}
-		limit := matches
-		if a.AnswerLimit > 0 && limit > a.AnswerLimit {
-			limit = a.AnswerLimit
-		}
-		for pos := 0; pos < limit; pos++ {
-			*answers = append(*answers, *nthOfType(rrs, typ, (first+pos)%matches))
-		}
-		return "", true
+	first := 0
+	if a.Rotation && len(rrs) > 1 {
+		first = a.rotate % len(rrs)
+		a.rotate++
 	}
-	if cname < 0 {
-		return "", true
+	limit := len(rrs)
+	if a.AnswerLimit > 0 && limit > a.AnswerLimit {
+		limit = a.AnswerLimit
 	}
-	*answers = append(*answers, rrs[cname])
-	return rrs[cname].Target, true
-}
-
-// nthOfType returns the n-th record of type typ in rrs, which holds
-// more than n of them. A name holds a handful of records, so rotating
-// by index costs less than copying them out would.
-func nthOfType(rrs []RR, typ uint16, n int) *RR {
-	for i := range rrs {
-		if rrs[i].Type == typ {
-			if n == 0 {
-				return &rrs[i]
-			}
-			n--
-		}
+	for pos := 0; pos < limit; pos++ {
+		*answers = append(*answers, rrs[(first+pos)%len(rrs)])
 	}
-	panic("dns: nthOfType past the last record of the type")
+	return true
 }

@@ -27,20 +27,10 @@ const ContentType = "application/dns-message"
 // Path is the conventional resolution endpoint.
 const Path = "/dns-query"
 
-// Handler serves RFC 8484 queries from a dns.Authority.
+// Handler serves RFC 8484 queries from a dns.Authority, which counts
+// them (Authority.Queries).
 type Handler struct {
 	Authority *dns.Authority
-
-	mu      sync.Mutex
-	served  int64
-	badReqs int64
-}
-
-// Served reports how many queries were answered.
-func (h *Handler) Served() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.served
 }
 
 // ServeHTTP2 implements h2.Handler.
@@ -53,7 +43,7 @@ func (h *Handler) ServeHTTP2(w *h2.ResponseWriter, r *h2.Request) {
 	switch r.Method {
 	case "POST":
 		if r.HeaderValue("content-type") != ContentType {
-			h.reject(w, 415)
+			w.WriteHeader(415)
 			return
 		}
 		query = r.Body
@@ -61,7 +51,7 @@ func (h *Handler) ServeHTTP2(w *h2.ResponseWriter, r *h2.Request) {
 		// RFC 8484 §4.1: ?dns=<base64url(message)>.
 		idx := strings.Index(r.Path, "dns=")
 		if idx < 0 {
-			h.reject(w, 400)
+			w.WriteHeader(400)
 			return
 		}
 		enc := r.Path[idx+4:]
@@ -70,34 +60,24 @@ func (h *Handler) ServeHTTP2(w *h2.ResponseWriter, r *h2.Request) {
 		}
 		raw, err := base64.RawURLEncoding.DecodeString(enc)
 		if err != nil {
-			h.reject(w, 400)
+			w.WriteHeader(400)
 			return
 		}
 		query = raw
 	default:
-		h.reject(w, 405)
+		w.WriteHeader(405)
 		return
 	}
 	resp, err := h.Authority.HandleWire(query)
 	if err != nil {
-		h.reject(w, 500)
+		w.WriteHeader(500)
 		return
 	}
-	h.mu.Lock()
-	h.served++
-	h.mu.Unlock()
 	w.WriteHeader(200,
 		hpack.HeaderField{Name: "content-type", Value: ContentType},
 		hpack.HeaderField{Name: "cache-control", Value: "max-age=300"},
 	)
 	w.Write(resp)
-}
-
-func (h *Handler) reject(w *h2.ResponseWriter, status int) {
-	h.mu.Lock()
-	h.badReqs++
-	h.mu.Unlock()
-	w.WriteHeader(status)
 }
 
 // Client resolves names over an established HTTP/2 connection to a DoH
@@ -125,15 +105,6 @@ func (c *Client) Queries() int64 {
 
 // LookupA resolves a hostname's IPv4 addresses via RFC 8484 POST.
 func (c *Client) LookupA(name string) ([]netip.Addr, error) {
-	return c.lookup(name, dns.TypeA)
-}
-
-// LookupAAAA resolves a hostname's IPv6 addresses.
-func (c *Client) LookupAAAA(name string) ([]netip.Addr, error) {
-	return c.lookup(name, dns.TypeAAAA)
-}
-
-func (c *Client) lookup(name string, typ uint16) ([]netip.Addr, error) {
 	c.mu.Lock()
 	// RFC 8484 §4.1 recommends ID 0 for cache friendliness.
 	id := uint16(0)
@@ -142,7 +113,7 @@ func (c *Client) lookup(name string, typ uint16) ([]netip.Addr, error) {
 
 	q := &dns.Message{
 		Header:    dns.Header{ID: id, RD: true},
-		Questions: []dns.Question{{Name: name, Type: typ, Class: dns.ClassINET}},
+		Questions: []dns.Question{{Name: name, Type: dns.TypeA, Class: dns.ClassINET}},
 	}
 	wire, err := q.Pack()
 	if err != nil {
@@ -180,18 +151,9 @@ func (c *Client) lookup(name string, typ uint16) ([]netip.Addr, error) {
 	}
 	var addrs []netip.Addr
 	for _, rr := range msg.Answers {
-		if rr.Type == typ {
+		if rr.Type == dns.TypeA {
 			addrs = append(addrs, rr.Addr)
 		}
 	}
 	return addrs, nil
-}
-
-// EncodeGETPath builds the RFC 8484 §4.1 GET path for a query.
-func EncodeGETPath(q *dns.Message) (string, error) {
-	wire, err := q.Pack()
-	if err != nil {
-		return "", err
-	}
-	return Path + "?dns=" + base64.RawURLEncoding.EncodeToString(wire), nil
 }

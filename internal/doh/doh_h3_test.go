@@ -65,8 +65,8 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	if !h.ZeroRTT() {
 		t.Fatalf("warm establishment not 0-RTT: %+v", h)
 	}
-	if client.Queries() != 1 || handler.Served() != 1 {
-		t.Fatalf("warm revisit hit the wire: client=%d server=%d", client.Queries(), handler.Served())
+	if client.Queries() != 1 || handler.Authority.Queries() != 1 {
+		t.Fatalf("warm revisit hit the wire: client=%d server=%d", client.Queries(), handler.Authority.Queries())
 	}
 
 	// SAN coverage extends both the ticket and the token across

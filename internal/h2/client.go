@@ -61,9 +61,9 @@ type ClientConnOptions struct {
 
 	// ReadTimeout bounds peer silence: a fresh read deadline is armed
 	// before every frame read, and a connection quiet for longer fails
-	// with a timeout error (IsTimeout reports true). With PingInterval
-	// set, ReadTimeout must exceed it or the idle timer fires before the
-	// liveness probe. Zero disables.
+	// with a timeout error (a net.Error whose Timeout is true). With
+	// PingInterval set, ReadTimeout must exceed it or the idle timer
+	// fires before the liveness probe. Zero disables.
 	ReadTimeout time.Duration
 
 	// WriteTimeout bounds each flush of the write queue, so a peer that
@@ -106,27 +106,18 @@ type ClientConn struct {
 	streams         map[uint32]*clientStream
 	maxSendFrame    uint32
 	peerMaxStreams  uint32
-	closed          bool // no new requests (set by Close, Shutdown, GOAWAY, read-loop exit)
+	closed          bool // no new requests (set by Close, GOAWAY, read-loop exit)
 	transportClosed bool // nc torn down; distinct from closed so Close
 	// after a graceful GOAWAY still releases the socket and read loop
 	connErr error
-	drained chan struct{} // lazily made by Shutdown; closed when streams empties
 
 	originSet        *OriginSet
 	originFramesSeen int
-	altSvcs          []AltSvc
 
 	pingMu   sync.Mutex
 	pingWait map[[8]byte]chan struct{}
 
 	readerDone chan struct{}
-}
-
-// AltSvc is an alternative-service advertisement received on the
-// connection (RFC 7838).
-type AltSvc struct {
-	Origin     string
-	FieldValue string
 }
 
 type clientStream struct {
@@ -341,7 +332,6 @@ func (cc *ClientConn) abortStream(cs *clientStream, err error) {
 		cs.err = err
 		close(cs.done)
 	}
-	cc.signalDrainedLocked()
 	cc.mu.Unlock()
 	cc.sendFlow.closeStream(cs.id)
 }
@@ -352,25 +342,12 @@ func (cc *ClientConn) finishStream(cs *clientStream) {
 		delete(cc.streams, cs.id)
 		close(cs.done)
 	}
-	cc.signalDrainedLocked()
 	cc.mu.Unlock()
 	cc.sendFlow.closeStream(cs.id)
 }
 
-// signalDrainedLocked wakes a waiting Shutdown once the last in-flight
-// stream is gone. Callers hold cc.mu.
-func (cc *ClientConn) signalDrainedLocked() {
-	if cc.drained != nil && len(cc.streams) == 0 {
-		select {
-		case <-cc.drained:
-		default:
-			close(cc.drained)
-		}
-	}
-}
-
 // closeTransport tears the transport down exactly once, however many
-// paths (Close, Shutdown, keepalive failure) race to it.
+// paths (Close, keepalive failure) race to it.
 func (cc *ClientConn) closeTransport() error {
 	cc.mu.Lock()
 	if cc.transportClosed {
@@ -407,46 +384,6 @@ func (cc *ClientConn) Close() error {
 	return err
 }
 
-// Shutdown drains the connection gracefully: it announces GOAWAY, stops
-// accepting new requests, waits up to timeout for in-flight streams to
-// finish, then closes the transport. It returns nil when the drain
-// completed in time and a timeout error when streams were cut off.
-func (cc *ClientConn) Shutdown(timeout time.Duration) error {
-	cc.mu.Lock()
-	wasClosed := cc.closed
-	cc.closed = true
-	last := cc.nextStreamID - 2
-	if cc.drained == nil {
-		cc.drained = make(chan struct{})
-	}
-	drained := cc.drained
-	cc.signalDrainedLocked()
-	cc.mu.Unlock()
-	if !wasClosed {
-		_ = cc.fr.WriteGoAway(last, ErrCodeNo, []byte("client shutdown"))
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	var derr error
-	select {
-	case <-drained:
-	case <-cc.readerDone:
-	case <-timer.C:
-		derr = fmt.Errorf("h2: shutdown timed out after %v with streams in flight", timeout)
-	}
-	_ = cc.closeTransport()
-	<-cc.readerDone
-	return derr
-}
-
-// AltSvcs returns the alternative services advertised on the
-// connection so far.
-func (cc *ClientConn) AltSvcs() []AltSvc {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return append([]AltSvc(nil), cc.altSvcs...)
-}
-
 // sendPing registers and writes a PING, returning the channel its ack
 // closes.
 func (cc *ClientConn) sendPing(data [8]byte) (chan struct{}, error) {
@@ -467,24 +404,10 @@ func (cc *ClientConn) sendPing(data [8]byte) (chan struct{}, error) {
 	return ch, nil
 }
 
-// Ping sends a PING frame and blocks until its acknowledgement arrives
-// or the connection fails, measuring connection liveness.
-func (cc *ClientConn) Ping(data [8]byte) error {
-	ch, err := cc.sendPing(data)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-cc.readerDone:
-		return errors.New("h2: connection closed before ping ack")
-	}
-}
-
-// PingTimeout is Ping with a deadline: an ack that does not arrive
-// within d is a liveness failure (IsTimeout is false for it — the error
-// is a plain deadline miss, not a transport timeout).
+// PingTimeout sends a PING frame and blocks until its acknowledgement
+// arrives, the connection fails, or d passes: an ack that does not
+// arrive within d is a liveness failure (a plain deadline miss, not a
+// transport timeout).
 func (cc *ClientConn) PingTimeout(data [8]byte, d time.Duration) error {
 	ch, err := cc.sendPing(data)
 	if err != nil {
@@ -506,7 +429,7 @@ func (cc *ClientConn) PingTimeout(data [8]byte, d time.Duration) error {
 }
 
 // keepalivePrefix tags keepalive probe payloads so they never collide
-// with caller-issued Ping payloads.
+// with caller-issued PingTimeout payloads.
 const keepalivePrefix = uint32(0x6b70616c) // "kpal"
 
 // keepalive probes the connection every PingInterval and tears the
@@ -561,7 +484,6 @@ func (cc *ClientConn) readLoop() {
 	}
 	streams := cc.streams
 	cc.streams = make(map[uint32]*clientStream)
-	cc.signalDrainedLocked()
 	cc.mu.Unlock()
 	for _, cs := range streams {
 		cs.err = err
@@ -650,11 +572,6 @@ func (cc *ClientConn) dispatch(f Frame) error {
 		return cc.onGoAway(f)
 	case *OriginFrame:
 		return cc.onOrigin(f)
-	case *AltSvcFrame:
-		cc.mu.Lock()
-		cc.altSvcs = append(cc.altSvcs, AltSvc{Origin: f.Origin, FieldValue: f.FieldValue})
-		cc.mu.Unlock()
-		return nil
 	case *PushPromiseFrame:
 		// We advertised ENABLE_PUSH=0; a PUSH_PROMISE is a protocol error.
 		return connError(ErrCodeProtocol, "PUSH_PROMISE with push disabled")
@@ -684,7 +601,6 @@ func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
 			delete(cc.streams, id)
 		}
 	}
-	cc.signalDrainedLocked()
 	cc.mu.Unlock()
 	for _, cs := range refused {
 		cs.err = gerr
@@ -817,7 +733,6 @@ func (cc *ClientConn) failStream(id uint32, err error) {
 	if cs != nil {
 		delete(cc.streams, id)
 	}
-	cc.signalDrainedLocked()
 	cc.mu.Unlock()
 	if cs != nil {
 		cs.err = err

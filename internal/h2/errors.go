@@ -4,7 +4,7 @@
 // The package provides:
 //
 //   - a Framer for reading and writing all standard frame types plus
-//     ORIGIN and ALTSVC;
+//     ORIGIN (any other extension frame is read as an UnknownFrame);
 //   - a Server that terminates HTTP/2 connections over any net.Conn and
 //     can advertise an origin set on stream 0, the capability the paper
 //     found missing from every production web server;
@@ -19,9 +19,7 @@
 package h2
 
 import (
-	"errors"
 	"fmt"
-	"net"
 )
 
 // An ErrCode is an HTTP/2 error code from RFC 9113 §7.
@@ -112,12 +110,4 @@ type GoAwayError struct {
 func (e GoAwayError) Error() string {
 	return fmt.Sprintf("h2: peer sent GOAWAY (last stream %d, %v, %q)",
 		e.LastStreamID, e.Code, e.DebugData)
-}
-
-// IsTimeout reports whether err is (or wraps) a network timeout — the
-// error shape a Framer read/write deadline produces when the peer goes
-// silent past the configured ReadTimeout/WriteTimeout.
-func IsTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -15,7 +15,7 @@ func TestClientPing(t *testing.T) {
 	var data [8]byte
 	copy(data[:], "ping0001")
 	done := make(chan error, 1)
-	go func() { done <- cc.Ping(data) }()
+	go func() { done <- cc.PingTimeout(data, 2*time.Second) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -35,46 +35,52 @@ func TestClientPingDuplicateRejected(t *testing.T) {
 	cc.pingMu.Lock()
 	cc.pingWait[data] = make(chan struct{})
 	cc.pingMu.Unlock()
-	if err := cc.Ping(data); err == nil {
+	if err := cc.PingTimeout(data, time.Second); err == nil {
 		t.Error("duplicate ping accepted")
 	}
 }
 
-func TestClientCollectsAltSvc(t *testing.T) {
-	srv := &Server{Handler: echoHandler()}
-	cn, sn := net.Pipe()
-	go srv.ServeConn(sn)
+// TestClientIgnoresAltSvc: an ALTSVC frame (RFC 7838) is an extension
+// this client does not implement, so it must be ignored (RFC 9113 §5.5):
+// the connection stays up and answers the PING that follows it.
+func TestClientIgnoresAltSvc(t *testing.T) {
+	cn, remote := net.Pipe()
+	acked := make(chan bool, 1)
+	go func() {
+		defer remote.Close()
+		if _, err := io.ReadFull(remote, make([]byte, len(ClientPreface))); err != nil {
+			acked <- false
+			return
+		}
+		fr := NewFramer(remote, remote)
+		fr.WriteSettings()
+		altSvc := append([]byte{0x00, 0x0b}, `example.comh3=":443"; ma=3600`...)
+		fr.WriteRawFrame(0xa, 0, 0, altSvc)
+		fr.WritePing(false, [8]byte{'a', 'f', 't', 'e', 'r'})
+		for {
+			f, err := fr.ReadFrame()
+			if err != nil {
+				acked <- false
+				return
+			}
+			if p, ok := f.(*PingFrame); ok && p.IsAck() {
+				acked <- true
+				return
+			}
+		}
+	}()
 	cc, err := NewClientConn(cn, ClientConnOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	// Inject an ALTSVC frame from a raw peer side: use a second pipe
-	// pair where we control the server bytes.
-	cn2, remote := net.Pipe()
-	go func() {
-		io.ReadFull(remote, make([]byte, len(ClientPreface)))
-		fr := NewFramer(remote, remote)
-		fr.WriteSettings()
-		fr.WriteAltSvc(0, "example.com", `h3=":443"; ma=3600`)
-		io.Copy(io.Discard, remote)
-	}()
-	cc2, err := NewClientConn(cn2, ClientConnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc2.Close()
-	deadline := time.After(2 * time.Second)
-	for len(cc2.AltSvcs()) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("alt-svc never recorded")
-		case <-time.After(5 * time.Millisecond):
+	select {
+	case ok := <-acked:
+		if !ok {
+			t.Fatalf("connection failed after ALTSVC: %v", cc.Err())
 		}
-	}
-	as := cc2.AltSvcs()[0]
-	if as.Origin != "example.com" || as.FieldValue != `h3=":443"; ma=3600` {
-		t.Errorf("altsvc = %+v", as)
+	case <-time.After(2 * time.Second):
+		t.Fatal("PING after ALTSVC never acked")
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 	"io"
 )
 
-// A FrameType identifies an HTTP/2 frame type (RFC 9113 §6, RFC 7838,
-// RFC 8336).
+// A FrameType identifies an HTTP/2 frame type (RFC 9113 §6, RFC 8336).
+// Any other type, ALTSVC (RFC 7838) included, is parsed as an
+// UnknownFrame and ignored (RFC 9113 §5.5).
 type FrameType uint8
 
 // Frame types.
@@ -22,7 +23,6 @@ const (
 	FrameGoAway       FrameType = 0x7
 	FrameWindowUpdate FrameType = 0x8
 	FrameContinuation FrameType = 0x9
-	FrameAltSvc       FrameType = 0xa // RFC 7838
 	FrameOrigin       FrameType = 0xc // RFC 8336
 )
 
@@ -37,7 +37,6 @@ var frameTypeNames = map[FrameType]string{
 	FrameGoAway:       "GOAWAY",
 	FrameWindowUpdate: "WINDOW_UPDATE",
 	FrameContinuation: "CONTINUATION",
-	FrameAltSvc:       "ALTSVC",
 	FrameOrigin:       "ORIGIN",
 }
 
@@ -271,13 +270,6 @@ type ContinuationFrame struct {
 
 // EndHeaders reports whether the END_HEADERS flag is set.
 func (f *ContinuationFrame) EndHeaders() bool { return f.Flags.Has(FlagEndHeaders) }
-
-// AltSvcFrame advertises an alternative service (RFC 7838 §4).
-type AltSvcFrame struct {
-	FrameHeader
-	Origin     string
-	FieldValue string
-}
 
 // OriginFrame carries the connection's origin set (RFC 8336 §2).
 // It is only valid on stream 0 and carries ASCII origin serializations.

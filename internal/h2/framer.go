@@ -61,9 +61,9 @@ func (fr *Framer) SetMaxReadFrameSize(n uint32) {
 
 // SetReadTimeout arms a read deadline of d on c before every subsequent
 // ReadFrame: a peer silent for longer than d between frames fails the
-// read with a timeout error (IsTimeout reports true for it). Endpoints
-// running keepalive PINGs must keep d above the ping interval or the
-// idle timer fires before the liveness probe does. It must be called
+// read with a timeout error (a net.Error whose Timeout is true).
+// Endpoints running keepalive PINGs must keep d above the ping interval
+// or the idle timer fires before the liveness probe does. It must be called
 // before the read loop starts; a zero d disarms.
 func (fr *Framer) SetReadTimeout(c interface{ SetReadDeadline(time.Time) error }, d time.Duration) {
 	fr.rdl = c
@@ -123,7 +123,6 @@ type frameCache struct {
 	goAway       GoAwayFrame
 	windowUpdate WindowUpdateFrame
 	continuation ContinuationFrame
-	altSvc       AltSvcFrame
 	origin       OriginFrame
 	unknown      UnknownFrame
 }
@@ -194,32 +193,11 @@ func (fc *frameCache) getWindowUpdateFrame() *WindowUpdateFrame {
 	return &fc.windowUpdate
 }
 
-func (fc *frameCache) getContinuationFrame() *ContinuationFrame {
-	if fc == nil {
-		return &ContinuationFrame{}
-	}
-	return &fc.continuation
-}
-
-func (fc *frameCache) getAltSvcFrame() *AltSvcFrame {
-	if fc == nil {
-		return &AltSvcFrame{}
-	}
-	return &fc.altSvc
-}
-
 func (fc *frameCache) getOriginFrame() *OriginFrame {
 	if fc == nil {
 		return &OriginFrame{}
 	}
 	return &fc.origin
-}
-
-func (fc *frameCache) getUnknownFrame() *UnknownFrame {
-	if fc == nil {
-		return &UnknownFrame{}
-	}
-	return &fc.unknown
 }
 
 func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
@@ -249,8 +227,6 @@ func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 		}
 		*f = ContinuationFrame{FrameHeader: hdr, BlockFragment: p}
 		return f, nil
-	case FrameAltSvc:
-		return parseAltSvcFrame(fc, hdr, p)
 	case FrameOrigin:
 		return parseOriginFrame(fc, hdr, p)
 	default:
@@ -448,23 +424,6 @@ func parseWindowUpdateFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, e
 	return f, nil
 }
 
-func parseAltSvcFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
-	if len(p) < 2 {
-		return nil, connError(ErrCodeFrameSize, "ALTSVC truncated")
-	}
-	originLen := int(binary.BigEndian.Uint16(p[:2]))
-	if len(p) < 2+originLen {
-		return nil, connError(ErrCodeFrameSize, "ALTSVC origin truncated")
-	}
-	f := fc.getAltSvcFrame()
-	*f = AltSvcFrame{
-		FrameHeader: hdr,
-		Origin:      string(p[2 : 2+originLen]),
-		FieldValue:  string(p[2+originLen:]),
-	}
-	return f, nil
-}
-
 // parseOriginFrame decodes an RFC 8336 ORIGIN frame: a sequence of
 // origin entries, each a 16-bit length followed by an ASCII origin.
 //
@@ -645,15 +604,6 @@ func (fr *Framer) WriteWindowUpdate(streamID, incr uint32) error {
 	}
 	fr.startWrite(FrameWindowUpdate, 0, streamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, incr)
-	return fr.endWrite()
-}
-
-// WriteAltSvc writes an ALTSVC frame (RFC 7838 §4).
-func (fr *Framer) WriteAltSvc(streamID uint32, origin, fieldValue string) error {
-	fr.startWrite(FrameAltSvc, 0, streamID)
-	fr.wbuf = binary.BigEndian.AppendUint16(fr.wbuf, uint16(len(origin)))
-	fr.wbuf = append(fr.wbuf, origin...)
-	fr.wbuf = append(fr.wbuf, fieldValue...)
 	return fr.endWrite()
 }
 

@@ -16,13 +16,6 @@ import (
 type OriginSet struct {
 	mu      sync.RWMutex
 	origins map[string]struct{}
-
-	// initialized reports whether an ORIGIN frame has been received.
-	// Until then, RFC 8336 §2.3 says the set implicitly contains every
-	// origin the connection would otherwise be considered authoritative
-	// for; once a frame arrives the set becomes exactly its contents
-	// (plus the origin of the connection itself, which clients add).
-	initialized bool
 }
 
 // NewOriginSet returns an origin set seeded with the given origins.
@@ -33,17 +26,7 @@ func NewOriginSet(origins ...string) *OriginSet {
 			s.origins[c] = struct{}{}
 		}
 	}
-	if len(origins) > 0 {
-		s.initialized = true
-	}
 	return s
-}
-
-// Initialized reports whether an ORIGIN frame has populated the set.
-func (s *OriginSet) Initialized() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.initialized
 }
 
 // Replace installs the origins from an ORIGIN frame. Per RFC 8336 §2.3
@@ -60,7 +43,6 @@ func (s *OriginSet) Replace(origins []string) {
 			s.origins[c] = struct{}{}
 		}
 	}
-	s.initialized = true
 }
 
 // Add inserts a single origin, e.g. the connection's own origin.

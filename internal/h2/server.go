@@ -126,26 +126,6 @@ func (s *Server) maxFrameSize() uint32 {
 // protocol error occurs. It returns nil on clean shutdown (EOF or
 // GOAWAY exchange) and the fatal error otherwise.
 func (s *Server) ServeConn(nc net.Conn) error {
-	_, err := s.serveConn(nc, nil)
-	return err
-}
-
-// ServeConnGraceful is ServeConn with a shutdown hook: when the
-// returned stop function is called, the server announces GOAWAY with
-// the last accepted stream, refuses new streams, finishes in-flight
-// responses, and closes the connection once the connection drains.
-func (s *Server) ServeConnGraceful(nc net.Conn) (stop func(), done <-chan error) {
-	stopCh := make(chan struct{})
-	doneCh := make(chan error, 1)
-	var once sync.Once
-	go func() {
-		_, err := s.serveConn(nc, stopCh)
-		doneCh <- err
-	}()
-	return func() { once.Do(func() { close(stopCh) }) }, doneCh
-}
-
-func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, error) {
 	obs.Count(s.Rec, "h2.server.conns", 1)
 	aw := newAsyncWriter(nc)
 	defer aw.Close()
@@ -169,12 +149,6 @@ func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, er
 	if s.WriteTimeout > 0 {
 		aw.setWriteTimeout(nc, s.WriteTimeout)
 	}
-	if stopCh != nil {
-		go func() {
-			<-stopCh
-			sc.beginDrain()
-		}()
-	}
 	err := sc.serve()
 	if s.CountersFor != nil {
 		s.CountersFor(sc.counters)
@@ -186,28 +160,7 @@ func (s *Server) serveConn(nc net.Conn, stopCh <-chan struct{}) (*serverConn, er
 		obs.Count(s.Rec, "h2.server.bytes_read", sc.counters.BytesRead)
 		obs.Count(s.Rec, "h2.server.misdirected_421", int64(sc.counters.Misdirected))
 	}
-	return sc, err
-}
-
-// beginDrain announces graceful shutdown: GOAWAY with the last accepted
-// stream ID. Streams at or below it complete normally; later HEADERS
-// are refused. Once no streams remain active the connection closes.
-func (sc *serverConn) beginDrain() {
-	sc.mu.Lock()
-	if sc.draining {
-		sc.mu.Unlock()
-		return
-	}
-	sc.draining = true
-	last := sc.lastStreamID
-	active := sc.activeStreams
-	sc.mu.Unlock()
-	_ = sc.fr.WriteGoAway(last, ErrCodeNo, []byte("graceful shutdown"))
-	obs.Count(sc.srv.Rec, "h2.server.goaway_sent", 1)
-	obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindGoAway, N: int(last), Detail: "graceful shutdown"})
-	if active == 0 {
-		sc.shutdownTransport()
-	}
+	return err
 }
 
 // shutdownTransport flushes queued frames and closes the connection.
@@ -235,7 +188,7 @@ type serverConn struct {
 	activeStreams  uint32
 	maxSendFrame   uint32 // peer's SETTINGS_MAX_FRAME_SIZE
 	goAwayReceived bool
-	draining       bool // graceful shutdown announced with GOAWAY
+	draining       bool // the peer sent GOAWAY(NO_ERROR) with streams in flight
 
 	counters ConnCounters
 }
@@ -328,8 +281,8 @@ func (sc *serverConn) fatal(err error) error {
 	draining := sc.draining
 	sc.mu.Unlock()
 	if draining {
-		// We initiated a graceful shutdown; however the transport ends
-		// now (EOF, or our own close after the drain), it is clean.
+		// The peer announced a graceful shutdown; however the transport
+		// ends now (EOF, or our own close after the drain), it is clean.
 		return nil
 	}
 	if err == io.EOF {

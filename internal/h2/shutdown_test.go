@@ -1,14 +1,22 @@
 package h2
 
 import (
-	"net"
 	"testing"
 	"time"
 )
 
-// TestGracefulShutdownDrainsInFlight: stop() during an in-flight
-// response sends GOAWAY, the response still completes, new streams are
-// refused, and the connection then closes cleanly.
+// announceGoAway has the client announce a graceful shutdown,
+// GOAWAY(NO_ERROR), on its own connection.
+func announceGoAway(t *testing.T, cc *ClientConn) {
+	t.Helper()
+	if err := cc.fr.WriteGoAway(0, ErrCodeNo, []byte("client shutdown")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGracefulShutdownDrainsInFlight: a peer GOAWAY(NO_ERROR) during an
+// in-flight response lets the response complete, new streams are
+// refused, and the server closes the connection cleanly once it drains.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
@@ -19,9 +27,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		}
 		w.Write([]byte("done " + r.Path))
 	})}
-	cn, sn := net.Pipe()
-	stop, done := srv.ServeConnGraceful(sn)
-	cc, err := NewClientConn(cn, ClientConnOptions{})
+	clientEnd, done := startEchoServer(t, srv)
+	cc, err := NewClientConn(clientEnd, ClientConnOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +46,10 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	<-started
 
 	// Shut down while the response is in flight.
-	stop()
-	time.Sleep(20 * time.Millisecond)
+	announceGoAway(t, cc)
 
 	// A new stream after GOAWAY is refused.
-	_, err = cc.Get("example.com", "/new")
-	if err == nil {
+	if _, err := cc.Get("example.com", "/new"); err == nil {
 		t.Error("new stream accepted during drain")
 	}
 
@@ -71,47 +76,5 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal("server never exited after drain")
 	}
 	cc.Close()
-}
-
-// TestGracefulShutdownIdleConnection: stopping an idle connection
-// closes it immediately and cleanly.
-func TestGracefulShutdownIdleConnection(t *testing.T) {
-	srv := &Server{Handler: echoHandler()}
-	cn, sn := net.Pipe()
-	stop, done := srv.ServeConnGraceful(sn)
-	cc, err := NewClientConn(cn, ClientConnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One completed request, then idle.
-	if _, err := cc.Get("example.com", "/"); err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("idle shutdown = %v", err)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("idle connection never closed")
-	}
-	cc.Close()
-}
-
-// TestGracefulShutdownIdempotent: calling stop twice is safe.
-func TestGracefulShutdownIdempotent(t *testing.T) {
-	srv := &Server{Handler: echoHandler()}
-	cn, sn := net.Pipe()
-	stop, done := srv.ServeConnGraceful(sn)
-	if _, err := NewClientConn(cn, ClientConnOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	stop()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("shutdown hung")
-	}
+	assertNoH2Goroutines(t)
 }

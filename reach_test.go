@@ -85,20 +85,32 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	}
 }
 
-// TestCDNAnswersItsOwnDNS keeps the wire authority out of the §5 visit
-// loop: the CDN answers lookups from its own A records, so nothing
-// internal/cdn depends on reaches internal/dns (its tests may, as the
-// oracle).
+// forbiddenEdges are dependencies the design rules out, each with why.
+// An edge counts through any chain of imports; tests are not counted.
+var forbiddenEdges = []struct{ from, to, why string }{
+	// The CDN answers lookups from its own A records, so the wire
+	// authority stays out of the §5 visit loop (its tests may use it as
+	// the oracle).
+	{"internal/cdn", "internal/dns", "the CDN must answer lookups from its own A records"},
+	// The resolver is a stub over the wire; the warm-path DNS cache
+	// belongs to the browser.
+	{"internal/dns", "internal/cache", "the resolver must not carry a warm-path cache"},
+}
+
+// TestCDNAnswersItsOwnDNS holds the forbiddenEdges table: no package
+// named on the left reaches the package on the right.
 func TestCDNAnswersItsOwnDNS(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	out, err := exec.Command(goTool, "list", "-deps", "./internal/cdn").Output()
-	if err != nil {
-		t.Fatalf("go list -deps ./internal/cdn: %v", err)
-	}
-	if pkgs := strings.Fields(string(out)); slices.Contains(pkgs, "respectorigin/internal/dns") {
-		t.Error("internal/cdn depends on internal/dns: the CDN must answer lookups from its own A records")
+	for _, e := range forbiddenEdges {
+		out, err := exec.Command(goTool, "list", "-deps", "./"+e.from).Output()
+		if err != nil {
+			t.Fatalf("go list -deps ./%s: %v", e.from, err)
+		}
+		if slices.Contains(strings.Fields(string(out)), "respectorigin/"+e.to) {
+			t.Errorf("%s depends on %s: %s", e.from, e.to, e.why)
+		}
 	}
 }
