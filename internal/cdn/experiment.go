@@ -614,8 +614,8 @@ func (e *Experiment) RunDay(day int) {
 //   - Simulate, on Workers goroutines with two clients each: allocate
 //     the day's new log blocks, then run every visit, which writes its
 //     sampled records straight into their slots.
-//   - Publish: the sampled count advances once every visit is done, so
-//     Each never sees an unfilled slot.
+//   - Publish: the held and sampled counts advance once every visit is
+//     done, so Each never sees an unfilled slot.
 func (e *Experiment) runPlannedDay(day int) {
 	lp := e.CDN.pipeline
 	lp.mu.Lock()
@@ -627,7 +627,7 @@ func (e *Experiment) runPlannedDay(day int) {
 	for i, ua := range uaFamilies {
 		uaNames[i] = lp.lockedName(ua)
 	}
-	sampled := lp.sampled
+	held := lp.held
 	plan := slices.Grow(e.plan[:0], len(e.SampleZones)*e.Cfg.VisitsPerZonePerDay)
 	for zi, z := range e.SampleZones {
 		records := 1
@@ -640,7 +640,7 @@ func (e *Experiment) runPlannedDay(day int) {
 		for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
 			ua := e.drawUA()
 			p := visitPlan{
-				zone: z, ua: uaFamilies[ua], slot: sampled, first: e.records + 1, records: records,
+				zone: z, ua: uaFamilies[ua], slot: held, first: e.records + 1, records: records,
 				names: visitNames{zone: e.zoneNames[zi], third: third, ua: uaNames[ua], treatment: uint8(z.Treatment)},
 			}
 			for pool := 0; pool < records-1; pool++ {
@@ -651,7 +651,7 @@ func (e *Experiment) runPlannedDay(day int) {
 			for k := 0; k < records; k++ {
 				if lp.lockedDraw() {
 					p.sampled |= 1 << k
-					sampled++
+					held++
 				}
 			}
 			e.records += uint64(records)
@@ -660,7 +660,7 @@ func (e *Experiment) runPlannedDay(day int) {
 	}
 	e.plan = plan
 
-	blocks := lp.lockedGrow(sampled, e.Cfg.Workers)
+	blocks := lp.lockedGrow(held, e.Cfg.Workers)
 	parallel.DoWith(len(plan), e.Cfg.Workers, func() *clients { return newClients(0, 0) }, func(cl *clients, i int) {
 		p := &plan[i]
 		io := visitIO{day: d, next: p.first, visitNames: p.names, plan: p, blocks: blocks}
@@ -669,17 +669,17 @@ func (e *Experiment) runPlannedDay(day int) {
 			panic(fmt.Sprintf("cdn: a planned visit to %s logged %d records; its plan holds %d", p.zone.Host, io.n, p.records))
 		}
 	})
-	lp.blocks, lp.sampled = blocks, sampled
+	lp.blocks, lp.sampled, lp.held = blocks, lp.sampled+held-lp.held, held
 }
 
-// Longitudinal runs a multi-day deployment: days [0, total); the given
-// phase is active during [phaseStart, phaseEnd); baseline otherwise.
-// It returns per-day new-TLS-connection counts to the third party for
-// control and experiment, computed from the sampled log with the §5.2
-// rules (Figure 8). For the ORIGIN phase the paper filtered to Firefox;
-// pass uaFilter="firefox" for that view.
-func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr, uaFilter string) (control, experiment measure.Series) {
-	e.CDN.Pipeline().Reset()
+// runDays runs days [0, total) of passive traffic on a freshly Reset
+// log; the given phase is active during [phaseStart, phaseEnd), baseline
+// otherwise. As each day closes its records go to fold, in log order,
+// and the log is drained, so the next day refills the same blocks: the
+// log holds one day at a time, while Totals counts every day.
+func (e *Experiment) runDays(total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr, fold func(*LogRecord)) {
+	lp := e.CDN.Pipeline()
+	lp.Reset()
 	for day := 0; day < total; day++ {
 		// Independent checks, enter before exit: a zero-length window
 		// (phaseStart == phaseEnd) enters and immediately exits on the
@@ -697,13 +697,22 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 			e.CDN.ExitExperiment()
 		}
 		e.RunDay(day)
+		lp.drain(fold)
 	}
 	e.CDN.ExitExperiment()
+}
 
+// Longitudinal runs a multi-day deployment: days [0, total); the given
+// phase is active during [phaseStart, phaseEnd); baseline otherwise.
+// It returns per-day new-TLS-connection counts to the third party for
+// control and experiment, computed from the sampled log with the §5.2
+// rules (Figure 8). For the ORIGIN phase the paper filtered to Firefox;
+// pass uaFilter="firefox" for that view.
+func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr, uaFilter string) (control, experiment measure.Series) {
 	ctl := make([]float64, total)
 	exp := make([]float64, total)
 	var seen connSet
-	e.CDN.Pipeline().Each(func(r *LogRecord) {
+	e.runDays(total, phaseStart, phaseEnd, phase, isolated, func(r *LogRecord) {
 		if r.Host != e.CDN.ThirdParty {
 			return
 		}
@@ -722,6 +731,14 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 	})
 	return measure.Series{Label: "control", Values: ctl},
 		measure.Series{Label: "experiment", Values: exp}
+}
+
+// PassiveIP runs the §5.2 passive measurement: days [0, days) under IP
+// coalescing, tallied by CountPassive over every user agent.
+func (e *Experiment) PassiveIP(days int) PassiveCounts {
+	return CountPassive(func(fold func(*LogRecord)) {
+		e.runDays(days, 0, days, PhaseIP, netip.Addr{}, fold)
+	}, e.CDN.ThirdParty, "")
 }
 
 // ActiveMeasurement repeats the §3 methodology on the sample set with a

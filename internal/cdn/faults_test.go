@@ -111,10 +111,16 @@ func TestFaultedDeploymentDeterminism(t *testing.T) {
 // request, which mints reconstructed connection state in observeOutcome
 // (first sampled record at arrival order ≥ 2) — and checks that both
 // §5.2 tallies, Longitudinal's and CountPassive's, skip exactly those
-// connections.
+// connections. Longitudinal drains each day's records as the day
+// closes, so the recount reads a twin that keeps the whole log: the same
+// seed and plan, the same days and window, every day through RunDay.
 func TestLogRestartDefensivePath(t *testing.T) {
-	_, e := newFaultedExperiment(150, 11, faults.Plan{LogRestartProb: 1}, 0)
+	plan := faults.Plan{LogRestartProb: 1}
+	_, e := newFaultedExperiment(150, 11, plan, 0)
 	ctl, exp := e.Longitudinal(4, 1, 3, PhaseOrigin, ip("104.19.99.99"), "")
+	_, twin := newFaultedExperiment(150, 11, plan, 0)
+	wholeLogDays(twin, 4, 1, 3, PhaseOrigin, ip("104.19.99.99"))
+	log := twin.CDN.Pipeline()
 
 	counted := 0
 	for day := 0; day < 4; day++ {
@@ -123,8 +129,8 @@ func TestLogRestartDefensivePath(t *testing.T) {
 
 	// Recount from the surviving records with the same qualifying rules.
 	first := map[uint64]int{}
-	for _, r := range e.CDN.Pipeline().Records() {
-		if r.Host != e.CDN.ThirdParty || r.FlagHostNeSNI {
+	for _, r := range log.Records() {
+		if r.Host != twin.CDN.ThirdParty || r.FlagHostNeSNI {
 			continue
 		}
 		if _, ok := first[r.ConnID]; !ok {
@@ -146,7 +152,7 @@ func TestLogRestartDefensivePath(t *testing.T) {
 		t.Errorf("§5.2 tally counted %d conns, want %d (the %d reconstructed conns must be excluded)",
 			counted, opened, reconstructed)
 	}
-	pc := CountPassive(e.CDN.Pipeline().Each, e.CDN.ThirdParty, "")
+	pc := CountPassive(log.Each, twin.CDN.ThirdParty, "")
 	if got := pc.NewTLSConns[TreatmentControl] + pc.NewTLSConns[TreatmentExperiment]; got != opened {
 		t.Errorf("CountPassive counted %d new TLS conns, want %d (the %d reconstructed conns must be excluded)",
 			got, opened, reconstructed)

@@ -40,9 +40,10 @@ type logEntry struct {
 }
 
 // logBlockRecords is how many records one block of the sampled log
-// holds (40 KiB). A multi-week deployment at SampleRate 1 keeps a
-// million records; blocks are filled in place and never copied, where
-// one growing slice would copy and clear the log several times over.
+// holds (40 KiB). A deployment day at SampleRate 1 holds tens of
+// thousands of records; blocks are filled in place and never copied,
+// where one growing slice would copy and clear the log several times
+// over, and a drained day's blocks are refilled by the next.
 const logBlockRecords = 1024
 
 type logBlock [logBlockRecords]logEntry
@@ -53,14 +54,18 @@ type LogPipeline struct {
 	mu   sync.Mutex
 	rate float64
 	rng  *rand.Rand
-	// blocks hold the sampled records in log order: every block but the
-	// last is full, and sampled counts the records across them.
+	// blocks hold the records since the last Reset or drain, held of
+	// them, in log order from the first slot. Blocks past the last record
+	// are kept for a later day to refill.
 	blocks []*logBlock
+	held   int64
 	// names is the name table the entries index, and index its inverse.
 	// Both only grow, and only under mu; Reset keeps them.
 	names []string
 	index map[string]uint32
 
+	// total and sampled count every request and every kept record since
+	// the last Reset, drained or not.
 	total   int64
 	sampled int64
 }
@@ -126,12 +131,14 @@ func (lp *LogPipeline) lockedDraw() bool {
 	return lp.rng.Float64() < lp.rate
 }
 
-// lockedAppend writes e at the end of the log.
+// lockedAppend writes e at the end of the log, allocating a block only
+// when every block is full.
 func (lp *LogPipeline) lockedAppend(e logEntry) {
-	if lp.sampled%logBlockRecords == 0 {
+	if lp.held == int64(len(lp.blocks))*logBlockRecords {
 		lp.blocks = append(lp.blocks, new(logBlock))
 	}
-	put(lp.blocks, lp.sampled, e)
+	put(lp.blocks, lp.held, e)
+	lp.held++
 	lp.sampled++
 }
 
@@ -155,39 +162,47 @@ func (e *logEntry) decode(names []string, r *LogRecord) {
 	}
 }
 
-// lockedGrow returns the pipeline's blocks extended to hold sampled
-// records, the new blocks allocated across workers.
-func (lp *LogPipeline) lockedGrow(sampled int64, workers int) []*logBlock {
+// lockedGrow returns the pipeline's blocks extended to hold held
+// records, any new blocks allocated across workers.
+func (lp *LogPipeline) lockedGrow(held int64, workers int) []*logBlock {
 	have := len(lp.blocks)
-	need := int((sampled + logBlockRecords - 1) / logBlockRecords)
+	need := int((held + logBlockRecords - 1) / logBlockRecords)
+	if need <= have {
+		return lp.blocks
+	}
 	blocks := slices.Grow(lp.blocks, need-have)[:need]
 	parallel.Do(need-have, workers, func(i int) { blocks[have+i] = new(logBlock) })
 	return blocks
 }
 
-// Totals reports total and sampled request counts.
+// Totals reports total and sampled request counts since the last Reset,
+// drained records included.
 func (lp *LogPipeline) Totals() (total, sampled int64) {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	return lp.total, lp.sampled
 }
 
-// Records returns a copy of the sampled log.
+// Records returns a copy of the records the log holds: those sampled
+// since the last Reset or drain.
 func (lp *LogPipeline) Records() []LogRecord {
-	_, n := lp.Totals()
+	lp.mu.Lock()
+	n := lp.held
+	lp.mu.Unlock()
 	out := make([]LogRecord, 0, n)
 	lp.Each(func(r *LogRecord) { out = append(out, *r) })
 	return out
 }
 
-// Each calls fn on every record sampled so far, in log order. The
-// record is one LogRecord that each entry is decoded into in turn: fn
-// must not modify or retain it. The log and its name table are
-// append-only — a block's filled slots and a name's index are never
-// rewritten — so fn runs without the pipeline's lock held.
+// Each calls fn on every record sampled since the last Reset or drain,
+// in log order. The record is one LogRecord that each entry is decoded
+// into in turn: fn must not modify or retain it. Between drains the log
+// and its name table are append-only — a block's filled slots and a
+// name's index are never rewritten — so fn runs without the pipeline's
+// lock held.
 func (lp *LogPipeline) Each(fn func(*LogRecord)) {
 	lp.mu.Lock()
-	blocks, n, names := lp.blocks, int(lp.sampled), lp.names
+	blocks, n, names := lp.blocks, int(lp.held), lp.names
 	lp.mu.Unlock()
 	var r LogRecord
 	for _, b := range blocks {
@@ -200,13 +215,26 @@ func (lp *LogPipeline) Each(fn func(*LogRecord)) {
 	}
 }
 
-// Reset clears the sampled log (between measurement windows). Blocks
-// are dropped, not reused: an Each still walking them keeps reading the
-// old log. The name table stays.
+// drain calls fn on every record the log holds, as Each does, then
+// rewinds the log so that the next records refill the same blocks;
+// Totals still counts the drained records. Refilling rewrites slots an
+// Each may be walking, so only the day loop that owns the pipeline
+// drains it, between its days (runDays).
+func (lp *LogPipeline) drain(fn func(*LogRecord)) {
+	lp.Each(fn)
+	lp.mu.Lock()
+	lp.held = 0
+	lp.mu.Unlock()
+}
+
+// Reset clears the sampled log and its counts (between measurement
+// windows). Blocks are dropped, not reused: an Each still walking them
+// keeps reading the old log. The name table stays.
 func (lp *LogPipeline) Reset() {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	lp.blocks = nil
+	lp.held = 0
 	lp.total = 0
 	lp.sampled = 0
 }

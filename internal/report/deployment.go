@@ -169,13 +169,7 @@ func (d *Deployment) Figure8(totalDays, phaseStart, phaseEnd int) (control, expe
 // PassiveIP runs the §5.2 passive measurement and reports the headline
 // reduction.
 func (d *Deployment) PassiveIP(days int) (cdn.PassiveCounts, string) {
-	d.CDN.Pipeline().Reset()
-	d.CDN.EnterPhaseIP()
-	for day := 0; day < days; day++ {
-		d.Exp.RunDay(day)
-	}
-	d.CDN.ExitExperiment()
-	pc := cdn.CountPassive(d.CDN.Pipeline().Each, d.CDN.ThirdParty, "")
+	pc := d.Exp.PassiveIP(days)
 	txt := fmt.Sprintf("Passive IP-coalescing measurement (§5.2):\n"+
 		"  new third-party TLS conns: control %d, experiment %d\n"+
 		"  reduction: %.1f%% (paper: 56%%)\n",
