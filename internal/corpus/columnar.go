@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"sync"
 
 	"respectorigin/internal/har"
 )
@@ -56,12 +57,101 @@ const (
 	entryRenderBlocking
 )
 
+// The four column streams of a block, in file order.
+const (
+	colMeta = iota
+	colEntries
+	colDNS
+	colSANs
+	numCols
+)
+
+var colNames = [numCols]string{"meta", "entries", "dns", "sans"}
+
+// --- column storage ---
+
+// colSet is one block's four columns, in file order. Sets are lent
+// whole, so each column comes back as storage of its own kind: an
+// entries column's capacity serves the next entries column rather than
+// a meta column a fraction its size.
+type colSet [numCols][]byte
+
+// The column store's two bounds. keepSets covers the scenario matrix's
+// three archetypes, each with a writer and a reader open at once.
+// keepColumnBytes holds the largest column of a 256-page block of
+// crawled pages: entries, ≈ 4.7 MB, which a writer grows to 8 MiB. A
+// column that grew past it is dropped when its set comes back, so a
+// huge or hostile stream cannot pin memory. The store retains at most
+// keepSets × numCols × keepColumnBytes = 6 × 4 × 8 MiB = 192 MiB; the
+// matrix's sets hold ≈ 2.3 MiB each and a crawl's ≈ 8.7 MiB.
+const (
+	keepSets        = 6
+	keepColumnBytes = 8 << 20
+)
+
+// columns is the process's store of column sets. A columnar writer
+// takes a set at its first Write and gives it back at Close; a reader
+// takes one at its first block and gives it back at the end marker, at
+// its first error or at Close. Each hand-back happens once, and the
+// codec that gave a set back never touches it again. Decoded pages copy
+// every byte they keep out of the columns, so a recycled set is never
+// visible through a page.
+//
+// A mutex-guarded free list rather than a sync.Pool: the race detector
+// makes a Pool drop Puts at random, and the store's reuse is what the
+// package's allocation budgets measure, under -race too.
+var columns colStore
+
+type colStore struct {
+	mu   sync.Mutex
+	n    int // sets held, in sets[:n]
+	sets [keepSets]colSet
+}
+
+// take lends the most recently returned set, or an empty one.
+func (s *colStore) take() colSet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return colSet{}
+	}
+	s.n--
+	set := s.sets[s.n]
+	s.sets[s.n] = colSet{}
+	return set
+}
+
+// give takes a set back, emptied, without any column above
+// keepColumnBytes. A set with nothing left to lend, or one beyond
+// keepSets, is dropped.
+func (s *colStore) give(set colSet) {
+	kept := false
+	for i, c := range set {
+		if cap(c) > keepColumnBytes {
+			c = nil
+		}
+		set[i] = c[:0]
+		kept = kept || cap(c) > 0
+	}
+	if !kept {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n < keepSets {
+		s.sets[s.n] = set
+		s.n++
+	}
+}
+
 // --- encoding ---
 
-// colBuf is an append-only column buffer. Every append goes through
-// room, which at least doubles a full buffer: append's own step for
-// large slices is about 1.25×, which copies a multi-megabyte block
-// column several times over on its way up.
+// colBuf is an append-only column buffer. Its storage is borrowed from
+// the column store, so a writer's columns start at the capacity an
+// earlier block left them, and every append goes through room, which
+// at least doubles a full buffer: append's own step for large slices
+// is about 1.25×, which copies a multi-megabyte block column several
+// times over on its way up.
 type colBuf struct{ b []byte }
 
 // room returns the buffer with space for n more bytes.
@@ -109,10 +199,8 @@ func (c *colBuf) addr(a netip.Addr) {
 
 type columnarWriter struct {
 	w       io.Writer
-	meta    colBuf
-	ents    colBuf
-	dns     colBuf
-	sans    colBuf
+	cols    [numCols]colBuf
+	held    bool // cols is a set borrowed from the column store
 	hdr     []byte
 	n       int // pages in the open block
 	total   int
@@ -145,7 +233,14 @@ func (cw *columnarWriter) Write(p *har.Page) error {
 		cw.err = err
 		return err
 	}
-	m := &cw.meta
+	if !cw.held {
+		set := columns.take()
+		for i := range cw.cols {
+			cw.cols[i].b = set[i]
+		}
+		cw.held = true
+	}
+	m := &cw.cols[colMeta]
 	m.str(p.URL)
 	m.str(p.Host)
 	m.uvarint(uint64(p.Rank))
@@ -154,9 +249,9 @@ func (cw *columnarWriter) Write(p *har.Page) error {
 	m.uvarint(uint64(p.ExtraDNS))
 	m.uvarint(uint64(p.ExtraTLS))
 	m.uvarint(uint64(len(p.Entries)))
+	c, dns, sans := &cw.cols[colEntries], &cw.cols[colDNS], &cw.cols[colSANs]
 	for i := range p.Entries {
 		e := &p.Entries[i]
-		c := &cw.ents
 		c.f64(e.StartedMs)
 		c.str(e.URL)
 		c.str(e.Host)
@@ -192,13 +287,13 @@ func (cw *columnarWriter) Write(p *har.Page) error {
 		c.f64(t.Wait)
 		c.f64(t.Receive)
 
-		cw.dns.uvarint(uint64(len(e.DNSAnswer)))
+		dns.uvarint(uint64(len(e.DNSAnswer)))
 		for _, a := range e.DNSAnswer {
-			cw.dns.addr(a)
+			dns.addr(a)
 		}
-		cw.sans.uvarint(uint64(len(e.CertSANs)))
+		sans.uvarint(uint64(len(e.CertSANs)))
 		for _, s := range e.CertSANs {
-			cw.sans.str(s)
+			sans.str(s)
 		}
 	}
 	cw.n++
@@ -218,14 +313,14 @@ func (cw *columnarWriter) flushBlock() error {
 	}
 	cw.hdr = cw.hdr[:0]
 	cw.hdr = binary.AppendUvarint(cw.hdr, uint64(cw.n))
-	cols := [4]*colBuf{&cw.meta, &cw.ents, &cw.dns, &cw.sans}
-	for _, c := range cols {
-		cw.hdr = binary.AppendUvarint(cw.hdr, uint64(len(c.b)))
+	for i := range cw.cols {
+		cw.hdr = binary.AppendUvarint(cw.hdr, uint64(len(cw.cols[i].b)))
 	}
 	if _, err := cw.w.Write(cw.hdr); err != nil {
 		return err
 	}
-	for _, c := range cols {
+	for i := range cw.cols {
+		c := &cw.cols[i]
 		if _, err := cw.w.Write(c.b); err != nil {
 			return err
 		}
@@ -235,7 +330,10 @@ func (cw *columnarWriter) flushBlock() error {
 	return nil
 }
 
+// Close writes the end marker and gives the writer's columns back to
+// the store, on failure too: a failed writer writes nothing more.
 func (cw *columnarWriter) Close() error {
+	defer cw.release()
 	if cw.err != nil {
 		return cw.err
 	}
@@ -259,6 +357,19 @@ func (cw *columnarWriter) Close() error {
 		return err
 	}
 	return nil
+}
+
+// release gives the borrowed set back, once.
+func (cw *columnarWriter) release() {
+	if !cw.held {
+		return
+	}
+	var set colSet
+	for i := range cw.cols {
+		set[i], cw.cols[i].b = cw.cols[i].b, nil
+	}
+	cw.held = false
+	columns.give(set)
 }
 
 // --- decoding ---
@@ -403,17 +514,6 @@ func (d *colDec) done() bool { return d.err == nil && d.off == len(d.b) }
 
 func (d *colDec) remaining() int { return len(d.b) - d.off }
 
-// The four column streams of a block, in file order.
-const (
-	colMeta = iota
-	colEntries
-	colDNS
-	colSANs
-	numCols
-)
-
-var colNames = [numCols]string{"meta", "entries", "dns", "sans"}
-
 // minEntryBytes is the smallest encoding of one entry in its column:
 // eight floats, six empty strings, an invalid address and six one-byte
 // integers. It bounds the entries a page may declare by the bytes that
@@ -435,9 +535,10 @@ type entryRefs struct {
 type columnarReader struct {
 	br        *bufio.Reader
 	cols      [numCols]colDec
-	bufs      [numCols][]byte // reused block column storage
-	remaining int             // pages left in the open block
-	read      int             // pages decoded so far
+	bufs      colSet // block column storage, borrowed from the column store
+	held      bool   // bufs is borrowed
+	remaining int    // pages left in the open block
+	read      int    // pages decoded so far
 	intern    map[string]string
 	started   bool
 	done      bool
@@ -464,7 +565,20 @@ func newColumnarReader(r io.Reader) Reader {
 
 func (cr *columnarReader) fail(err error) (*har.Page, error) {
 	cr.err = err
+	cr.release()
 	return nil, err
+}
+
+var errReaderClosed = fmt.Errorf("corpus: read from closed columnar reader")
+
+// release gives the borrowed columns back, once, and forgets them: no
+// decoder is left pointing into a set another codec may now hold.
+func (cr *columnarReader) release() {
+	if !cr.held {
+		return
+	}
+	columns.give(cr.bufs)
+	cr.bufs, cr.cols, cr.held = colSet{}, [numCols]colDec{}, false
 }
 
 func (cr *columnarReader) Next() (*har.Page, error) {
@@ -488,11 +602,11 @@ func (cr *columnarReader) Next() (*har.Page, error) {
 		cr.started = true
 	}
 	if cr.remaining == 0 {
-		if err := cr.readBlock(); err != nil {
-			if err != io.EOF {
-				cr.err = err
-			}
+		if err := cr.readBlock(); err == io.EOF {
+			cr.release()
 			return nil, err
+		} else if err != nil {
+			return cr.fail(err)
 		}
 	}
 	p, err := cr.decodePage()
@@ -539,6 +653,9 @@ func (cr *columnarReader) readBlock() error {
 			return fmt.Errorf("corpus: columnar column block of %d bytes exceeds the 2 GiB bound", lens[i])
 		}
 	}
+	if !cr.held {
+		cr.bufs, cr.held = columns.take(), true
+	}
 	for i := range cr.cols {
 		if cr.bufs[i], err = readColumn(cr.br, cr.bufs[i], int(lens[i])); err != nil {
 			return fmt.Errorf("corpus: reading columnar block: %w", err)
@@ -549,23 +666,19 @@ func (cr *columnarReader) readBlock() error {
 	return nil
 }
 
-// readColumn reads an n-byte column into buf's storage. A header may
-// declare any length up to the 2 GiB bound, so storage beyond what buf
-// already has grows geometrically with the bytes that actually arrive:
-// a truncated or hostile stream costs memory in proportion to its own
-// size, not to the length it claims.
+// readColumn reads an n-byte column into buf's storage, which the
+// column store lent and an earlier block may already have grown. A
+// header may declare any length up to the 2 GiB bound, so storage
+// beyond what buf already has grows geometrically with the bytes that
+// actually arrive: a truncated or hostile stream costs memory in
+// proportion to its own size, not to the length it claims.
 func readColumn(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if cap(buf) >= n {
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
+	buf = buf[:min(cap(buf), n)]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	buf = buf[:0]
 	for len(buf) < n {
-		step := max(len(buf), 1<<16)
-		if step > n-len(buf) {
-			step = n - len(buf)
-		}
+		step := min(max(len(buf), 1<<16), n-len(buf))
 		buf = append(buf, make([]byte, step)...)
 		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
 			return buf, err
@@ -684,4 +797,12 @@ func (cr *columnarReader) decodePage() (*har.Page, error) {
 	return p, nil
 }
 
-func (cr *columnarReader) Close() error { return nil }
+// Close gives the reader's columns back to the store. A reader closed
+// before its end marker reads nothing more.
+func (cr *columnarReader) Close() error {
+	if cr.err == nil && !cr.done {
+		cr.err = errReaderClosed
+	}
+	cr.release()
+	return nil
+}

@@ -11,14 +11,15 @@ import (
 )
 
 // readUntilError decodes pages from a columnar stream until it ends or
-// turns out corrupt, and returns what decoded before that.
-func readUntilError(raw []byte) []*har.Page {
+// turns out corrupt, and returns what decoded before that and the error
+// it stopped at.
+func readUntilError(raw []byte) ([]*har.Page, error) {
 	r := corpus.NewReader(bytes.NewReader(raw), corpus.FormatColumnar)
 	var pages []*har.Page
 	for {
 		p, err := r.Next()
 		if err != nil {
-			return pages
+			return pages, err
 		}
 		pages = append(pages, p)
 	}
@@ -45,7 +46,9 @@ func reencode(t *testing.T, pages []*har.Page) []byte {
 // and whatever pages it does hand out must survive a re-encode — they
 // encode to a stream that decodes completely, to pages that encode to
 // the same bytes again (compared as bytes, so NaN timings count as
-// equal to themselves).
+// equal to themselves). Every input is decoded twice, the second time
+// on whatever column storage the first decode gave back to the store:
+// both must hand out the same pages and stop at the same error.
 func FuzzColumnarReader(f *testing.F) {
 	valid := func(pages []*har.Page) []byte {
 		var buf bytes.Buffer
@@ -69,7 +72,7 @@ func FuzzColumnarReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		pages := readUntilError(raw)
+		pages, stop := readUntilError(raw)
 		runtime.ReadMemStats(&after)
 		// Worst honest ratios: a 24-byte address per 1-byte encoding, a
 		// 16-byte string header per empty SAN, a 290-byte entry per 76
@@ -78,10 +81,20 @@ func FuzzColumnarReader(f *testing.F) {
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+512<<10); grew > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(raw), grew, bound)
 		}
+		second, stopAgain := readUntilError(raw)
+		if stop.Error() != stopAgain.Error() {
+			t.Fatalf("decoding again on recycled columns stopped at %q, the first decode at %q", stopAgain, stop)
+		}
+		if len(second) != len(pages) {
+			t.Fatalf("decoding again on recycled columns gave %d pages, the first decode %d", len(second), len(pages))
+		}
 		if len(pages) == 0 {
 			return
 		}
 		once := reencode(t, pages)
+		if !bytes.Equal(once, reencode(t, second)) {
+			t.Fatal("decoding again on recycled columns gave different pages")
+		}
 		r := corpus.NewReader(bytes.NewReader(once), corpus.FormatColumnar)
 		again, err := corpus.ReadAll(r)
 		if err != nil {
