@@ -13,31 +13,35 @@ package main
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"respectorigin/internal/browser"
-	"respectorigin/internal/dns"
 )
 
-// labEnv implements browser.Environment over an in-process DNS
-// authority with load-balanced (rotating) answers.
+// labEnv implements browser.Environment over the lab's own A records.
+// Answers rotate round-robin per query from one cursor, as a
+// load-balanced address pool does (RFC 1794).
 type labEnv struct {
-	resolver *dns.Resolver
-	sans     map[string][]string
-	origins  map[string][]string
-	serves   map[string]map[netip.Addr]bool
+	records map[string][]netip.Addr
+	rotate  int // advanced by every lookup of a name with several addresses
+	sans    map[string][]string
+	origins map[string][]string
+	serves  map[string]map[netip.Addr]bool
 }
 
 func (l *labEnv) Lookup(host string) ([]netip.Addr, error) {
-	res, err := l.resolver.Lookup(host, dns.TypeA)
-	return res.Addrs, err
+	addrs, ok := l.records[host]
+	if !ok {
+		return nil, fmt.Errorf("lab: no A records for %s", host)
+	}
+	first := 0
+	if len(addrs) > 1 {
+		first = l.rotate % len(addrs)
+		l.rotate++
+	}
+	return slices.Concat(addrs[first:], addrs[:first]), nil
 }
 
-// LookupTTL exposes the unified surface's TTL so cache-carrying
-// browsers (Browser.Cache set) can honor the authority's budgets.
-func (l *labEnv) LookupTTL(host string) ([]netip.Addr, uint32, error) {
-	res, err := l.resolver.Lookup(host, dns.TypeA)
-	return res.Addrs, res.TTL, err
-}
 func (l *labEnv) CertSANs(host string, ip netip.Addr) []string {
 	return l.sans[host]
 }
@@ -53,16 +57,16 @@ func main() {
 	ipC := netip.MustParseAddr("203.0.113.3")
 	ipX := netip.MustParseAddr("198.51.100.9") // third party, disjoint addresses
 
-	auth := dns.NewAuthority()
-	auth.Rotation = true // RFC 1794 load balancing, the IP-coalescing killer
-	auth.AddA("www.shop.test", ipA, ipB)
-	auth.AddA("static.shop.test", ipB, ipC)
-	auth.AddA("img.shop.test", ipA, ipC)
-	auth.AddA("cdnjs.provider.test", ipX)
-
 	siteCert := []string{"www.shop.test", "static.shop.test", "img.shop.test", "cdnjs.provider.test"}
 	env := &labEnv{
-		resolver: dns.NewResolver(auth),
+		// Rotated answers are RFC 1794 load balancing, the IP-coalescing
+		// killer.
+		records: map[string][]netip.Addr{
+			"www.shop.test":       {ipA, ipB},
+			"static.shop.test":    {ipB, ipC},
+			"img.shop.test":       {ipA, ipC},
+			"cdnjs.provider.test": {ipX},
+		},
 		sans: map[string][]string{
 			"www.shop.test":       siteCert,
 			"static.shop.test":    siteCert,
@@ -92,7 +96,6 @@ func main() {
 	}
 
 	for _, p := range policies {
-		env.resolver.ResetQueries()
 		fmt.Printf("=== %s ===\n", p.name)
 		for _, host := range pageHosts {
 			out := p.b.Request(env, host)

@@ -32,7 +32,7 @@ import (
 // usable addresses. For connection purposes this is a failure: without
 // it, such a request would produce an Outcome with no connection, no
 // reuse, and a nil Err, silently vanishing from the per-page failure
-// tally (TotalFailed).
+// tally.
 var ErrNoAddresses = errors.New("browser: DNS answer contained no addresses")
 
 // ErrNegativeCache reports a lookup answered by the warm-path negative
@@ -134,12 +134,6 @@ type Conn struct {
 	used        bool
 }
 
-// Speculative reports whether the connection was opened by Preconnect,
-// and whether any request has ridden it since.
-func (c *Conn) Speculative() (speculative, used bool) {
-	return c.speculative, c.used
-}
-
 // covers reports whether the connection's certificate covers host,
 // honoring single-label wildcards.
 func (c *Conn) covers(host string) bool {
@@ -180,12 +174,11 @@ func (r Reason) String() string {
 // Outcome reports how one request was satisfied.
 type Outcome struct {
 	Host       string
-	Reason     Reason  // how the request was decided; ReasonFailed iff Err != nil
-	ConnHost   string  // host the carrying connection was opened for
-	DNSQueries int     // queries issued for this request
-	Got421     bool    // reuse attempt bounced with 421
-	Retries    int     // retry attempts consumed by this request
-	BackoffMs  float64 // modelled backoff delay accumulated before retries
+	Reason     Reason // how the request was decided; ReasonFailed iff Err != nil
+	ConnHost   string // host the carrying connection was opened for
+	DNSQueries int    // queries issued for this request
+	Got421     bool   // reuse attempt bounced with 421
+	Retries    int    // retry attempts consumed by this request
 	Err        error
 
 	// Warm-path accounting, only ever set when a cache is installed.
@@ -239,8 +232,8 @@ type Browser struct {
 	MaxRetries int
 	// RetryBackoffMs is the base of the exponential backoff schedule:
 	// retry k is preceded by a modelled delay of RetryBackoffMs·2^(k-1)
-	// milliseconds, accumulated in BackoffMs/TotalBackoffMs (the pool
-	// does not sleep in wall-clock time).
+	// milliseconds, which the retry trace event carries (the pool does
+	// not sleep in wall-clock time).
 	RetryBackoffMs float64
 
 	// MaxConns caps the pool's total size. When opening a fresh
@@ -295,29 +288,14 @@ type Totals struct {
 	Total421     int
 	TotalReused  int
 
-	// Warm-path totals (all zero when Cache is nil).
-	TotalDNSCacheHits int // lookups served from the positive DNS cache
-	TotalNegCacheHits int // lookups answered by the negative DNS cache
-	TotalResumed      int // connections established via ticket resumption
-	TotalCertMemoHits int // chain validations skipped via the memo
-	TotalValidations  int // full certificate-chain validations performed
-
-	// h3-path totals (all zero unless Proto is ProtoH3).
-	TotalZeroRTT    int // 0-RTT handshakes (ticket + token both on hand)
-	TotalAddrTokens int // address-validation token hits
+	// Warm-path total (zero when Cache is nil).
+	TotalResumed int // connections established via ticket resumption
 
 	// Pool-management totals (all zero unless a cap is set or
 	// Preconnect is called).
 	TotalEvicted      int // pooled connections closed by cap enforcement
 	TotalPreconns     int // speculative connections opened by Preconnect
 	TotalPreconnsUsed int // speculative connections a request later rode
-
-	// Per-outcome failure accounting.
-	TotalRetries   int
-	TotalBackoffMs float64
-	TotalDNSFail   int // failed DNS lookup attempts (incl. retried ones)
-	TotalConnFail  int // failed connection attempts (incl. retried ones)
-	TotalFailed    int // requests that exhausted their retry budget
 }
 
 // New returns a Browser with the given policy and every other field at
@@ -540,14 +518,12 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 		if addrs, negative, ok := b.Cache.LookupDNS(host); ok {
 			if negative {
 				out.NegCacheHit = true
-				b.TotalNegCacheHits++
 				if b.Rec != nil {
 					b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host, Detail: "negative"})
 				}
 				return nil, ErrNegativeCache
 			}
 			out.DNSCacheHits++
-			b.TotalDNSCacheHits++
 			if b.Rec != nil {
 				b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host})
 			}
@@ -566,7 +542,6 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 			}
 			return answer(addrs)
 		}
-		b.TotalDNSFail++
 		if b.Rec != nil {
 			b.emit(obs.Event{Kind: obs.KindDNSFail, Host: host, Detail: err.Error()})
 		}
@@ -607,11 +582,8 @@ func (b *Browser) envLookup(env Environment, host string) ([]netip.Addr, uint32,
 // try+1 (exponential in the retry index).
 func (b *Browser) retryDelay(try int, out *Outcome) {
 	out.Retries++
-	b.TotalRetries++
-	d := b.RetryBackoffMs * float64(int64(1)<<try)
-	out.BackoffMs += d
-	b.TotalBackoffMs += d
 	if b.Rec != nil {
+		d := b.RetryBackoffMs * float64(int64(1)<<try)
 		b.emit(obs.Event{Kind: obs.KindRetry, Host: out.Host, N: out.Retries, MS: d})
 	}
 }
@@ -670,7 +642,6 @@ func (b *Browser) connectFresh(env Environment, host string, addrs []netip.Addr,
 				connected = true
 				break
 			}
-			b.TotalConnFail++
 			b.emitConn(obs.KindConnectFail, host, ip)
 		}
 		if !connected {
@@ -725,23 +696,17 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 		b.TotalResumed++
 		b.emitConn(obs.KindTLSResume, host, ip)
 	case hs.MemoHit:
-		b.TotalCertMemoHits++
 		if b.Rec != nil {
 			b.emitConn(handshakeKind(proto), host, ip)
 			b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
 		}
 	default:
-		b.TotalValidations++
 		b.emitConn(handshakeKind(proto), host, ip)
 	}
-	if hs.TokenHit {
-		b.TotalAddrTokens++
-		if b.Rec != nil {
-			b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
-		}
+	if hs.TokenHit && b.Rec != nil {
+		b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
 	}
 	if hs.ZeroRTT() {
-		b.TotalZeroRTT++
 		b.emitConn(obs.KindZeroRTT, host, ip)
 	}
 	if len(c.Origins) > 0 && b.Rec != nil {
@@ -790,7 +755,6 @@ func (b *Browser) Preconnect(env Environment, host string) bool {
 		// Speculative sockets get no retry budget: a faulted attempt is
 		// simply abandoned.
 		if cf.ConnectFail(host, ip) != nil {
-			b.TotalConnFail++
 			b.emitConn(obs.KindConnectFail, host, ip)
 			return false
 		}
@@ -812,9 +776,6 @@ func (b *Browser) account(out *Outcome) {
 	}
 	if out.Got421 {
 		b.Total421++
-	}
-	if out.Err != nil {
-		b.TotalFailed++
 	}
 	if b.Rec != nil {
 		obs.Count(b.Rec, "browser.dns_queries", int64(out.DNSQueries))

@@ -268,9 +268,8 @@ func viewConns(b *Browser) []connView {
 			origins = append(origins, o)
 		}
 		sort.Strings(origins)
-		spec, used := c.Speculative()
 		out = append(out, connView{
-			Host: c.Host, IP: c.IP, Proto: c.Proto, Speculative: spec, Used: used,
+			Host: c.Host, IP: c.IP, Proto: c.Proto, Speculative: c.speculative, Used: c.used,
 			Available: fmt.Sprint(c.Available), SANs: fmt.Sprint(c.SANs), Origins: fmt.Sprint(origins),
 		})
 	}

@@ -149,7 +149,7 @@ func FuzzRequestReasons(f *testing.F) {
 				}
 			}
 		}
-		var newConns, reused, got421, failed int
+		var newConns, reused, got421 int
 		for len(data) > 0 {
 			host := hosts[int(next())%len(hosts)]
 			emptyPool := len(b.Conns()) == 0
@@ -180,16 +180,14 @@ func FuzzRequestReasons(f *testing.F) {
 				newConns++
 			case out.Reused():
 				reused++
-			default:
-				failed++
 			}
 			if out.Got421 {
 				got421++
 			}
 		}
-		if b.TotalNewConn != newConns || b.TotalReused != reused || b.Total421 != got421 || b.TotalFailed != failed {
-			t.Fatalf("totals new/reused/421/failed = %d/%d/%d/%d, outcomes tally %d/%d/%d/%d",
-				b.TotalNewConn, b.TotalReused, b.Total421, b.TotalFailed, newConns, reused, got421, failed)
+		if b.TotalNewConn != newConns || b.TotalReused != reused || b.Total421 != got421 {
+			t.Fatalf("totals new/reused/421 = %d/%d/%d, outcomes tally %d/%d/%d",
+				b.TotalNewConn, b.TotalReused, b.Total421, newConns, reused, got421)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/netip"
 	"testing"
+
+	"respectorigin/internal/obs"
 )
 
 // originEnv builds an environment where a carrier connection for
@@ -123,6 +125,17 @@ func (f *failingEnv) ConnectFail(host string, ip netip.Addr) error {
 	return nil
 }
 
+// backoffLog is a recorder that sums the modelled backoff of every
+// retry event.
+type backoffLog struct{ ms float64 }
+
+func (l *backoffLog) Count(string, int64) {}
+func (l *backoffLog) Event(ev obs.Event) {
+	if ev.Kind == obs.KindRetry {
+		l.ms += ev.MS
+	}
+}
+
 func retryEnv() *failingEnv {
 	return &failingEnv{fakeEnv: fakeEnv{
 		answers: map[string][]netip.Addr{
@@ -136,6 +149,8 @@ func TestDNSRetryWithBackoff(t *testing.T) {
 	b := New(PolicyFirefox)
 	b.MaxRetries = 2
 	b.RetryBackoffMs = 100
+	var backoff backoffLog
+	b.Rec = &backoff
 	env := retryEnv()
 	env.dnsFailures = 2
 	out := b.Request(env, "www.example")
@@ -145,15 +160,15 @@ func TestDNSRetryWithBackoff(t *testing.T) {
 	if out.DNSQueries != 3 {
 		t.Errorf("DNSQueries = %d, want 3 (two failures + success)", out.DNSQueries)
 	}
-	if out.Retries != 2 || b.TotalRetries != 2 {
-		t.Errorf("retries = %d/%d, want 2/2", out.Retries, b.TotalRetries)
+	if out.Retries != 2 {
+		t.Errorf("retries = %d, want 2", out.Retries)
 	}
 	// Exponential schedule: 100 + 200.
-	if out.BackoffMs != 300 {
-		t.Errorf("BackoffMs = %v, want 300", out.BackoffMs)
+	if backoff.ms != 300 {
+		t.Errorf("backoff = %v ms, want 300", backoff.ms)
 	}
-	if b.TotalDNSFail != 2 {
-		t.Errorf("TotalDNSFail = %d, want 2", b.TotalDNSFail)
+	if env.dnsFailures != 0 {
+		t.Errorf("%d of the 2 failing lookups left unasked", env.dnsFailures)
 	}
 }
 
@@ -171,9 +186,6 @@ func TestDNSRetryBudgetExhausted(t *testing.T) {
 	}
 	if out.DNSQueries != 2 {
 		t.Errorf("DNSQueries = %d, want 2", out.DNSQueries)
-	}
-	if b.TotalFailed != 1 {
-		t.Errorf("TotalFailed = %d, want 1", b.TotalFailed)
 	}
 }
 
@@ -194,8 +206,8 @@ func TestConnectRetryRotatesAddresses(t *testing.T) {
 	if env.connAttempts[0] != ip("192.0.2.1") || env.connAttempts[1] != ip("192.0.2.2") {
 		t.Errorf("attempts did not rotate the answer set: %v", env.connAttempts)
 	}
-	if b.TotalConnFail != 1 {
-		t.Errorf("connect-failure accounting: TotalConnFail=%d, want 1", b.TotalConnFail)
+	if env.connFailures != 0 {
+		t.Errorf("the failing connection attempt was not made")
 	}
 }
 
@@ -208,8 +220,8 @@ func TestConnectRetryBudgetExhausted(t *testing.T) {
 	if !errors.Is(out.Err, errConn) {
 		t.Fatalf("Err = %v, want errConn", out.Err)
 	}
-	if b.TotalConnFail != 2 || b.TotalFailed != 1 {
-		t.Errorf("accounting: conn fails=%d failed=%d, want 2 and 1", b.TotalConnFail, b.TotalFailed)
+	if n := len(env.connAttempts); n != 2 {
+		t.Errorf("%d failed connection attempts, want 2", n)
 	}
 	if len(b.Conns()) != 0 {
 		t.Errorf("failed request left %d pooled conns", len(b.Conns()))
@@ -246,6 +258,8 @@ func TestOrigin421FallbackWithConnectRetry(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.MaxRetries = 2
 	b.RetryBackoffMs = 100
+	var backoff backoffLog
+	b.Rec = &backoff
 	env := staleOriginRetryEnv()
 	if first := b.Request(env, "www.example"); !first.NewConnection() || first.DNSQueries != 1 {
 		t.Fatalf("carrier request: %+v", first)
@@ -259,8 +273,8 @@ func TestOrigin421FallbackWithConnectRetry(t *testing.T) {
 	if out.DNSQueries != 1 {
 		t.Errorf("DNSQueries = %d, want 1 (421 fallback and connect retry must reuse the blocking query's answer)", out.DNSQueries)
 	}
-	if out.Retries != 1 || b.TotalRetries != 1 {
-		t.Errorf("retries = %d/%d, want 1/1", out.Retries, b.TotalRetries)
+	if out.Retries != 1 {
+		t.Errorf("retries = %d, want 1", out.Retries)
 	}
 	if env.lookups != 2 {
 		t.Errorf("environment saw %d lookups, want 2 (one per request)", env.lookups)
@@ -275,8 +289,8 @@ func TestOrigin421FallbackWithConnectRetry(t *testing.T) {
 	if env.connAttempts[1] != ip("192.0.2.1") || env.connAttempts[2] != ip("192.0.2.7") {
 		t.Errorf("fallback attempts did not rotate the answer set: %v", env.connAttempts[1:])
 	}
-	if out.BackoffMs != 100 {
-		t.Errorf("BackoffMs = %v, want 100", out.BackoffMs)
+	if backoff.ms != 100 {
+		t.Errorf("backoff = %v ms, want 100", backoff.ms)
 	}
 }
 
@@ -305,14 +319,14 @@ func TestOrigin421FallbackWithDNSRetry(t *testing.T) {
 	if env.lookups != 3 {
 		t.Errorf("environment saw %d lookups, want 3", env.lookups)
 	}
-	if b.TotalDNS != 3 || b.TotalDNSFail != 1 {
-		t.Errorf("TotalDNS=%d TotalDNSFail=%d, want 3 and 1", b.TotalDNS, b.TotalDNSFail)
+	if b.TotalDNS != 3 || env.dnsFailures != 0 {
+		t.Errorf("TotalDNS=%d with %d failing lookups left unasked, want 3 and 0", b.TotalDNS, env.dnsFailures)
 	}
 }
 
 // TestEmptyAnswerIsAccountedFailure pins the audit fix: a successful
-// DNS response with no addresses must surface as ErrNoAddresses and
-// count toward TotalFailed instead of vanishing silently.
+// DNS response with no addresses must surface as ErrNoAddresses, a
+// failed outcome, instead of vanishing silently.
 func TestEmptyAnswerIsAccountedFailure(t *testing.T) {
 	b := New(PolicyFirefox)
 	env := &fakeEnv{answers: map[string][]netip.Addr{}}
@@ -322,9 +336,6 @@ func TestEmptyAnswerIsAccountedFailure(t *testing.T) {
 	}
 	if out.Reason != ReasonFailed {
 		t.Fatalf("empty answer produced a connection: %+v", out)
-	}
-	if b.TotalFailed != 1 {
-		t.Errorf("TotalFailed = %d, want 1", b.TotalFailed)
 	}
 }
 

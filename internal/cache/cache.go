@@ -8,8 +8,8 @@
 //   - a TLS session-resumption store whose tickets are keyed by
 //     certificate coverage, enabling resumption across hostnames (any
 //     host the issuing connection's certificate covers can redeem the
-//     ticket, per arXiv:1902.02531), with ticket lifetime and
-//     single-use options;
+//     ticket, per arXiv:1902.02531), with a configurable lifetime, and
+//     a QUIC address-validation token store keyed the same way;
 //   - a validated-certificate-chain memo keyed by chain hash, so
 //     repeated validations of an already-seen chain count as cache hits
 //     (the paper's "cert validations saved" metric).
@@ -38,8 +38,8 @@ import "sync/atomic"
 // Cache.Reset rewinds it, together with every deadline it timed.
 type Clock struct{ ms atomic.Int64 }
 
-// NowMs returns the current simulated time in milliseconds.
-func (c *Clock) NowMs() int64 { return c.ms.Load() }
+// nowMs returns the current simulated time in milliseconds.
+func (c *Clock) nowMs() int64 { return c.ms.Load() }
 
 // AdvanceMs moves the clock forward by d milliseconds (negative values
 // are ignored: simulated time never runs backwards).
@@ -51,41 +51,31 @@ func (c *Clock) AdvanceMs(d int64) {
 
 // Options configures a Cache.
 type Options struct {
-	// DNSCapacity bounds the DNS cache entry count; the least recently
-	// used entry is evicted first. ≤ 0 selects DefaultDNSCapacity.
-	DNSCapacity int
-	// NegativeTTLSeconds is the lifetime of negative (failed-lookup)
-	// DNS entries. ≤ 0 selects DefaultNegativeTTLSeconds.
-	NegativeTTLSeconds int
 	// TicketLifetimeSeconds bounds ticket validity. 0 (the zero value)
 	// selects DefaultTicketLifetimeSeconds; TicketsDisabled (any
 	// negative value) disables the resumption store entirely, so every
 	// handshake is full.
 	TicketLifetimeSeconds int
-	// SingleUseTickets removes a ticket on redemption (TLS 1.3
-	// anti-replay discipline); off, a ticket serves until it expires.
-	SingleUseTickets bool
-	// TokenLifetimeSeconds bounds QUIC address-validation token
-	// validity. 0 selects DefaultTokenLifetimeSeconds; TicketsDisabled
-	// (any negative value) disables the token store, so every h3
-	// connection without 0-RTT pays the Retry round trip.
-	TokenLifetimeSeconds int
 }
 
-// Defaults for Options zero values.
-const (
-	DefaultDNSCapacity           = 4096
-	DefaultNegativeTTLSeconds    = 60
-	DefaultTicketLifetimeSeconds = 7200
-	// DefaultTokenLifetimeSeconds is deliberately longer than the
-	// ticket lifetime: address-validation tokens prove the client's
-	// address, not a session, and servers hand them out with day-scale
-	// validity in the shared-validation model.
-	DefaultTokenLifetimeSeconds = 86_400
-)
+// DefaultTicketLifetimeSeconds is the ticket lifetime an Options zero
+// value selects.
+const DefaultTicketLifetimeSeconds = 7200
 
 // Fixed by the model: nothing configures them.
 const (
+	// DefaultDNSCapacity bounds the DNS cache entry count; the least
+	// recently used entry is evicted first.
+	DefaultDNSCapacity = 4096
+	// DefaultNegativeTTLSeconds is the lifetime of negative
+	// (failed-lookup) DNS entries.
+	DefaultNegativeTTLSeconds = 60
+	// DefaultTokenLifetimeSeconds bounds QUIC address-validation token
+	// validity. It is deliberately longer than the ticket lifetime:
+	// address-validation tokens prove the client's address, not a
+	// session, and servers hand them out with day-scale validity in the
+	// shared-validation model.
+	DefaultTokenLifetimeSeconds = 86_400
 	// DefaultDNSTTLSeconds is the positive-entry TTL used when the
 	// answer source carries none (HAR replays).
 	DefaultDNSTTLSeconds = 300
@@ -100,17 +90,8 @@ const TicketsDisabled = -1
 
 // withDefaults returns o with zero values replaced by defaults.
 func (o Options) withDefaults() Options {
-	if o.DNSCapacity <= 0 {
-		o.DNSCapacity = DefaultDNSCapacity
-	}
-	if o.NegativeTTLSeconds <= 0 {
-		o.NegativeTTLSeconds = DefaultNegativeTTLSeconds
-	}
 	if o.TicketLifetimeSeconds == 0 {
 		o.TicketLifetimeSeconds = DefaultTicketLifetimeSeconds
-	}
-	if o.TokenLifetimeSeconds == 0 {
-		o.TokenLifetimeSeconds = DefaultTokenLifetimeSeconds
 	}
 	return o
 }
@@ -132,16 +113,16 @@ type Cache struct {
 func New(opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{opts: opts}
-	c.DNS = newDNSCache(opts.DNSCapacity)
-	c.Tickets = newTicketStore(int64(opts.TicketLifetimeSeconds)*1000, opts.SingleUseTickets)
-	c.Tokens = newTokenStore(int64(opts.TokenLifetimeSeconds) * 1000)
+	c.DNS = newDNSCache()
+	c.Tickets = &TicketStore{newCoverStore(int64(opts.TicketLifetimeSeconds) * 1000)}
+	c.Tokens = &TokenStore{newCoverStore(DefaultTokenLifetimeSeconds * 1000)}
 	c.Chains = newCertMemo()
 	return c
 }
 
-// Reset empties every store, zeroes the accounting and rewinds the
-// clock, leaving c observably equal to New(c.Opts()): the same answers,
-// Len and Stats for any later schedule. The storage is kept for reuse.
+// Reset empties every store and rewinds the clock, leaving c
+// observably equal to New(c.Opts()): the same answers and Len for any
+// later schedule. The storage is kept for reuse.
 // A nil cache ignores it.
 func (c *Cache) Reset() {
 	if c == nil {
@@ -172,60 +153,4 @@ func (c *Cache) Opts() Options {
 		return Options{}
 	}
 	return c.opts
-}
-
-// Stats snapshots the hit/miss accounting across all three stores.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	var s Stats
-	c.DNS.addStats(&s)
-	c.Tickets.addStats(&s)
-	c.Tokens.addStats(&s)
-	c.Chains.addStats(&s)
-	return s
-}
-
-// Stats is the cache subsystem's hit/miss accounting. It is a pure sum,
-// so per-shard snapshots merge associatively and worker counts cannot
-// change aggregate totals.
-type Stats struct {
-	DNSHits         int64
-	DNSNegativeHits int64
-	DNSMisses       int64
-	DNSExpired      int64 // misses caused by an expired entry
-	DNSEvictions    int64 // entries dropped by the LRU capacity bound
-
-	TicketsIssued  int64
-	TicketHits     int64
-	TicketMisses   int64
-	TicketsExpired int64
-
-	TokensIssued  int64
-	TokenHits     int64
-	TokenMisses   int64
-	TokensExpired int64
-
-	ChainHits   int64 // validations skipped via the memo
-	ChainMisses int64 // full validations performed and memoized
-}
-
-// Merge adds o into s.
-func (s *Stats) Merge(o Stats) {
-	s.DNSHits += o.DNSHits
-	s.DNSNegativeHits += o.DNSNegativeHits
-	s.DNSMisses += o.DNSMisses
-	s.DNSExpired += o.DNSExpired
-	s.DNSEvictions += o.DNSEvictions
-	s.TicketsIssued += o.TicketsIssued
-	s.TicketHits += o.TicketHits
-	s.TicketMisses += o.TicketMisses
-	s.TicketsExpired += o.TicketsExpired
-	s.TokensIssued += o.TokensIssued
-	s.TokenHits += o.TokenHits
-	s.TokenMisses += o.TokenMisses
-	s.TokensExpired += o.TokensExpired
-	s.ChainHits += o.ChainHits
-	s.ChainMisses += o.ChainMisses
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 )
@@ -22,16 +23,15 @@ func TestDNSCacheTTLExpiryBoundary(t *testing.T) {
 	if _, _, ok := c.LookupDNS("a.example"); ok {
 		t.Fatal("entry expiring exactly at the lookup instant must miss")
 	}
-	s := c.Stats()
-	if s.DNSHits != 2 || s.DNSMisses != 1 || s.DNSExpired != 1 {
-		t.Fatalf("stats = %+v, want 2 hits, 1 miss, 1 expired", s)
+	if c.DNS.len() != 0 {
+		t.Fatal("the expired entry must leave the cache")
 	}
 }
 
 func TestDNSCacheZeroTTLNotCached(t *testing.T) {
 	c := New(Options{})
 	c.PutDNS("zero.example", []netip.Addr{ip("192.0.2.2")}, 0)
-	if c.DNS.Len() != 0 {
+	if c.DNS.len() != 0 {
 		t.Fatal("zero-TTL answer must not be cached")
 	}
 	if _, _, ok := c.LookupDNS("zero.example"); ok {
@@ -40,31 +40,32 @@ func TestDNSCacheZeroTTLNotCached(t *testing.T) {
 }
 
 func TestDNSCacheNegativeHit(t *testing.T) {
-	c := New(Options{NegativeTTLSeconds: 30})
+	c := New(Options{})
 	c.PutNegativeDNS("missing.example")
+	c.Clock().AdvanceMs(DefaultNegativeTTLSeconds*1000 - 1)
 	_, negative, ok := c.LookupDNS("missing.example")
 	if !ok || !negative {
 		t.Fatalf("negative entry: ok=%v negative=%v, want hit on previously failed name", ok, negative)
 	}
-	c.Clock().AdvanceMs(30_000)
+	c.Clock().AdvanceMs(1)
 	if _, _, ok := c.LookupDNS("missing.example"); ok {
 		t.Fatal("negative entry must expire at its deadline")
-	}
-	if s := c.Stats(); s.DNSNegativeHits != 1 {
-		t.Fatalf("DNSNegativeHits = %d, want 1", s.DNSNegativeHits)
 	}
 }
 
 func TestDNSCacheLRUEvictionDeterministic(t *testing.T) {
-	c := New(Options{DNSCapacity: 2})
+	c := New(Options{})
 	a := []netip.Addr{ip("192.0.2.3")}
 	c.PutDNS("one.example", a, 300)
 	c.PutDNS("two.example", a, 300)
+	for i := 2; i < DefaultDNSCapacity; i++ {
+		c.PutDNS(fmt.Sprintf("fill%d.example", i), a, 300)
+	}
 	// Touch "one" so "two" becomes least recently used.
 	if _, _, ok := c.LookupDNS("one.example"); !ok {
 		t.Fatal("one.example should hit")
 	}
-	c.PutDNS("three.example", a, 300) // evicts "two"
+	c.PutDNS("three.example", a, 300) // entry 4 097 evicts "two"
 	if _, _, ok := c.LookupDNS("two.example"); ok {
 		t.Fatal("LRU entry two.example should have been evicted")
 	}
@@ -74,8 +75,8 @@ func TestDNSCacheLRUEvictionDeterministic(t *testing.T) {
 	if _, _, ok := c.LookupDNS("three.example"); !ok {
 		t.Fatal("new three.example should be present")
 	}
-	if s := c.Stats(); s.DNSEvictions != 1 {
-		t.Fatalf("DNSEvictions = %d, want 1", s.DNSEvictions)
+	if n := c.DNS.len(); n != DefaultDNSCapacity {
+		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
 	}
 }
 
@@ -105,16 +106,14 @@ func TestTicketResumptionAcrossHostnames(t *testing.T) {
 	}
 }
 
-func TestTicketLifetimeAndSingleUse(t *testing.T) {
-	c := New(Options{TicketLifetimeSeconds: 10, SingleUseTickets: true})
+func TestTicketLifetimeAndReuse(t *testing.T) {
+	c := New(Options{TicketLifetimeSeconds: 10})
 	c.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
-	if !c.RedeemTicketProto("h.example", ProtoWireH2) {
-		t.Fatal("first redemption should succeed")
+	for i := 0; i < 3; i++ {
+		if !c.RedeemTicketProto("h.example", ProtoWireH2) {
+			t.Fatalf("redemption %d: a ticket serves until it expires", i)
+		}
 	}
-	if c.RedeemTicketProto("h.example", ProtoWireH2) {
-		t.Fatal("single-use ticket must be consumed by redemption")
-	}
-	c.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
 	c.Clock().AdvanceMs(10_000) // exactly the lifetime: dead
 	if c.RedeemTicketProto("h.example", ProtoWireH2) {
 		t.Fatal("ticket expiring exactly at redemption instant must miss")
@@ -122,7 +121,7 @@ func TestTicketLifetimeAndSingleUse(t *testing.T) {
 
 	// TicketsDisabled turns the store off entirely.
 	off := New(Options{TicketLifetimeSeconds: TicketsDisabled})
-	if off.Tickets.Enabled() {
+	if off.Tickets.s.enabled() {
 		t.Fatal("zero ticket lifetime must disable resumption")
 	}
 	off.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
@@ -134,38 +133,18 @@ func TestTicketLifetimeAndSingleUse(t *testing.T) {
 func TestCertMemo(t *testing.T) {
 	c := New(Options{})
 	sans := []string{"b.example", "a.example"}
-	if c.ValidateChain("CA", sans) {
+	if c.Chains.validate("CA", sans) {
 		t.Fatal("first validation of a chain is a miss")
 	}
 	// SAN order must not matter: same chain, reordered list.
-	if !c.ValidateChain("CA", []string{"a.example", "b.example"}) {
+	if !c.Chains.validate("CA", []string{"a.example", "b.example"}) {
 		t.Fatal("second validation of the same chain must hit the memo")
 	}
-	if c.ValidateChain("OtherCA", sans) {
+	if c.Chains.validate("OtherCA", sans) {
 		t.Fatal("a different issuer is a different chain")
 	}
-	if s := c.Stats(); s.ChainHits != 1 || s.ChainMisses != 2 {
-		t.Fatalf("chain stats = %+v, want 1 hit / 2 misses", s)
-	}
-}
-
-func TestStatsMergeAssociative(t *testing.T) {
-	a := Stats{DNSHits: 1, TicketHits: 2, ChainMisses: 3}
-	b := Stats{DNSHits: 10, DNSEvictions: 4, TicketsIssued: 5}
-	c := Stats{DNSNegativeHits: 7, ChainHits: 8}
-
-	ab := a
-	ab.Merge(b)
-	abc1 := ab
-	abc1.Merge(c)
-
-	bc := b
-	bc.Merge(c)
-	abc2 := a
-	abc2.Merge(bc)
-
-	if abc1 != abc2 {
-		t.Fatalf("merge not associative: %+v vs %+v", abc1, abc2)
+	if n := c.Chains.len(); n != 2 {
+		t.Fatalf("memo holds %d chains, want 2", n)
 	}
 }
 
@@ -183,11 +162,8 @@ func TestNilCacheIsInert(t *testing.T) {
 	if c.RedeemTicketProto("x", ProtoWireH2) {
 		t.Fatal("nil cache must not resume")
 	}
-	if c.ValidateChain("CA", []string{"x"}) {
-		t.Fatal("nil cache must not memoize")
+	if h := c.Handshake("x", "CA", []string{"x"}, ProtoWireH3); h != (Handshake{}) {
+		t.Fatalf("nil cache handshake = %+v, want the cold zero value", h)
 	}
 	c.Clock().AdvanceMs(1000) // must not panic
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("nil cache stats = %+v, want zero", s)
-	}
 }

@@ -16,8 +16,6 @@ type CertMemo struct {
 	mu     sync.Mutex
 	seen   map[uint64]bool
 	sorted []string // scratch: the SAN list being hashed, sorted
-
-	hits, misses int64
 }
 
 func newCertMemo() *CertMemo {
@@ -34,16 +32,14 @@ func (m *CertMemo) validate(issuer string, sans []string) (hit bool) {
 	slices.Sort(m.sorted)
 	h := chainHash(issuer, m.sorted)
 	if m.seen[h] {
-		m.hits++
 		return true
 	}
 	m.seen[h] = true
-	m.misses++
 	return false
 }
 
-// Len reports how many distinct chains have been validated.
-func (m *CertMemo) Len() int {
+// len reports how many distinct chains have been validated.
+func (m *CertMemo) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.seen)
@@ -53,14 +49,6 @@ func (m *CertMemo) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.seen)
-	m.hits, m.misses = 0, 0
-}
-
-func (m *CertMemo) addStats(s *Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s.ChainHits += m.hits
-	s.ChainMisses += m.misses
 }
 
 // chainHash derives a deterministic identity for a certificate chain
@@ -102,17 +90,18 @@ func (c *Cache) LookupDNS(name string) (addrs []netip.Addr, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
 	}
-	return c.DNS.Get(name, c.clock.NowMs())
+	return c.DNS.get(name, c.clock.nowMs())
 }
 
 // PutDNS stores a positive A answer under the authority's TTL. A zero
-// TTL means uncacheable and stores nothing; sources that carry no TTL
-// at all (HAR replays) should pass DefaultTTL().
+// TTL means uncacheable and stores nothing (the answer would expire at
+// the very instant of the next lookup anyway); sources that carry no
+// TTL at all (HAR replays) should pass DefaultTTL().
 func (c *Cache) PutDNS(name string, addrs []netip.Addr, ttlSeconds uint32) {
-	if c == nil {
+	if c == nil || ttlSeconds == 0 || len(addrs) == 0 {
 		return
 	}
-	c.DNS.Put(name, addrs, ttlSeconds, c.clock.NowMs())
+	c.DNS.put(canonical(name), addrs, false, c.clock.nowMs()+int64(ttlSeconds)*1000)
 }
 
 // DefaultTTL returns the positive TTL for answer sources that carry
@@ -124,59 +113,36 @@ func (c *Cache) DefaultTTL() uint32 {
 	return DefaultDNSTTLSeconds
 }
 
-// PutNegativeDNS stores a failed A lookup under the negative TTL.
+// PutNegativeDNS stores a failed A lookup for
+// DefaultNegativeTTLSeconds.
 func (c *Cache) PutNegativeDNS(name string) {
 	if c == nil {
 		return
 	}
-	c.DNS.PutNegative(name, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
+	c.DNS.put(canonical(name), nil, true, c.clock.nowMs()+DefaultNegativeTTLSeconds*1000)
 }
 
-// RedeemTicketProto attempts TLS resumption for host with a ticket
-// minted under the given wire protocol. Tickets never match across
-// protocols: an h2 ticket cannot resume an h3 session.
+// RedeemTicketProto attempts TLS resumption for host with a live ticket
+// minted under the given wire protocol whose certificate coverage
+// includes host. Tickets never match across protocols: the TLS session
+// state of an h2 connection cannot resume an h3 session. Expired
+// tickets are dropped first; a ticket expiring exactly now is dead.
 func (c *Cache) RedeemTicketProto(host string, proto int) bool {
 	if c == nil {
 		return false
 	}
-	return c.Tickets.RedeemProto(host, proto, c.clock.NowMs())
+	return c.Tickets.s.redeem(host, proto, c.clock.nowMs())
 }
 
 // StoreTicketProto issues a session ticket covering the given SANs,
-// keyed by the wire protocol that minted it.
+// keyed by the wire protocol that minted it. Full and resumed
+// handshakes both issue fresh tickets (the TLS 1.3 NewSessionTicket
+// flow). sans is retained and must not be modified.
 func (c *Cache) StoreTicketProto(sans []string, proto int) {
 	if c == nil {
 		return
 	}
-	c.Tickets.StoreProto(sans, proto, c.clock.NowMs())
-}
-
-// RedeemToken reports whether a live address-validation token minted
-// under the given wire protocol covers host (skipping the QUIC Retry
-// round trip). Only h3 connections mint or redeem tokens.
-func (c *Cache) RedeemToken(host string, proto int) bool {
-	if c == nil {
-		return false
-	}
-	return c.Tokens.Redeem(host, proto, c.clock.NowMs())
-}
-
-// StoreToken issues an address-validation token covering the given
-// SANs, keyed by the wire protocol that minted it.
-func (c *Cache) StoreToken(sans []string, proto int) {
-	if c == nil {
-		return
-	}
-	c.Tokens.Store(sans, proto, c.clock.NowMs())
-}
-
-// ValidateChain records a chain validation, reporting whether the memo
-// made it free.
-func (c *Cache) ValidateChain(issuer string, sans []string) (hit bool) {
-	if c == nil {
-		return false
-	}
-	return c.Chains.validate(issuer, sans)
+	c.Tickets.s.store(sans, proto, c.clock.nowMs())
 }
 
 // Handshake is what the warm state did for one fresh connection.
@@ -207,12 +173,13 @@ func (c *Cache) Handshake(host, issuer string, sans []string, proto int) Handsha
 		return h
 	}
 	if h.Resumed = c.RedeemTicketProto(host, proto); !h.Resumed {
-		h.MemoHit = c.ValidateChain(issuer, sans)
+		h.MemoHit = c.Chains.validate(issuer, sans)
 	}
 	c.StoreTicketProto(sans, proto)
 	if proto == ProtoWireH3 {
-		h.TokenHit = c.RedeemToken(host, proto)
-		c.StoreToken(sans, proto)
+		now := c.clock.nowMs()
+		h.TokenHit = c.Tokens.s.redeem(host, proto, now)
+		c.Tokens.s.store(sans, proto, now)
 	}
 	return h
 }

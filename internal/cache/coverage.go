@@ -9,10 +9,10 @@ import (
 // coverStore is the store behind TicketStore and TokenStore. A grant (a
 // session ticket or an address-validation token) covers the hostnames
 // of the SAN list it was issued for under the wire protocol that minted
-// it, and lives for the store's constant lifetime. Redemption serves
-// the oldest live covering grant, so the order of issuance fully
-// determines which grant serves a host and two runs with the same visit
-// schedule redeem identically.
+// it, and lives for the store's constant lifetime. Redemption asks
+// whether a live grant covers the host; it consumes nothing, so the
+// order of issuance and the clock fully determine the answer and two
+// runs with the same visit schedule redeem identically.
 //
 // A redeem costs two map probes plus a look at the scanWindow newest
 // grants, whatever the store holds: grants older than the window are
@@ -25,27 +25,21 @@ import (
 type coverStore struct {
 	mu         sync.Mutex
 	lifetimeMs int64 // 0 disables the store
-	consume    bool  // a hit removes the grant (single-use tickets)
 
 	// grants[head:] is the queue in issue order; grants[head] has id
-	// base. A consumed grant stays queued, marked dead, until it reaches
-	// the head.
+	// base.
 	grants []grant
 	head   int
 	base   int
-	live   int
 
 	// Grants with an id below indexed are in index: per covered name, a
-	// list of their ids ascending, dead ones dropped lazily from the
-	// front. The lists are linked through nodes, and dropped nodes are
+	// list of their ids ascending, expired ones dropped from the front. The lists are linked through nodes, and dropped nodes are
 	// recycled through free, so indexing allocates only while the store
 	// grows past its largest size so far.
 	indexed int
 	index   map[coverKey]idList
 	nodes   []idNode
 	free    int32
-
-	issued, hits, misses, expiredN int64
 }
 
 const scanWindow = 64
@@ -61,8 +55,8 @@ type idNode struct {
 	next int32
 }
 
-func newCoverStore(lifetimeMs int64, consume bool) coverStore {
-	return coverStore{lifetimeMs: lifetimeMs, consume: consume, free: noNode}
+func newCoverStore(lifetimeMs int64) coverStore {
+	return coverStore{lifetimeMs: lifetimeMs, free: noNode}
 }
 
 // grant.sans is the caller's slice, not a copy: callers must not modify
@@ -72,7 +66,6 @@ type grant struct {
 	sans      []string
 	expiresMs int64
 	proto     int // wire protocol the grant was minted under
-	dead      bool
 }
 
 // coverKey names an index entry: an exact SAN, or (wild) the
@@ -101,8 +94,6 @@ func (s *coverStore) store(sans []string, proto int, nowMs int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.issued++
-	s.live++
 	if len(s.grants) == cap(s.grants) && s.head > 0 && 2*s.head >= len(s.grants) {
 		// Slide the queue back to the front instead of growing it.
 		n := copy(s.grants, s.grants[s.head:])
@@ -114,12 +105,10 @@ func (s *coverStore) store(sans []string, proto int, nowMs int64) {
 		return
 	}
 	// The oldest unindexed grant leaves the window.
-	if g := s.at(s.indexed); !g.dead {
-		if s.index == nil {
-			s.index = map[coverKey]idList{}
-		}
-		g.eachKey(func(k coverKey) { s.push(k, s.indexed) })
+	if s.index == nil {
+		s.index = map[coverKey]idList{}
 	}
+	s.at(s.indexed).eachKey(func(k coverKey) { s.push(k, s.indexed) })
 	s.indexed++
 }
 
@@ -135,31 +124,21 @@ func (s *coverStore) redeem(host string, proto int, nowMs int64) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.head < len(s.grants) && (s.grants[s.head].dead || nowMs >= s.grants[s.head].expiresMs) {
+	for s.head < len(s.grants) && nowMs >= s.grants[s.head].expiresMs {
 		s.pop()
 	}
-	id, ok := s.oldestIndexed(coverKey{proto, false, host})
-	if w, wok := s.oldestIndexed(coverKey{proto, true, certs.HostSuffix(host)}); wok && (!ok || w < id) {
-		id, ok = w, true
+	if s.indexedLive(coverKey{proto, false, host}) || s.indexedLive(coverKey{proto, true, certs.HostSuffix(host)}) {
+		return true
 	}
-	for i := s.head + s.indexed - s.base; !ok && i < len(s.grants); i++ {
-		g := &s.grants[i]
-		id, ok = s.base+i-s.head, !g.dead && g.proto == proto && certs.Covers(g.sans, host)
+	for _, g := range s.grants[s.head+s.indexed-s.base:] {
+		if g.proto == proto && certs.Covers(g.sans, host) {
+			return true
+		}
 	}
-	if !ok {
-		s.misses++
-		return false
-	}
-	s.hits++
-	if s.consume {
-		s.at(id).dead = true
-		s.live--
-	}
-	return true
+	return false
 }
 
-// pop removes the head grant, counting it expired unless it was
-// consumed first.
+// pop removes the head grant, which has expired.
 func (s *coverStore) pop() {
 	g := s.grants[s.head]
 	s.grants[s.head] = grant{}
@@ -167,14 +146,10 @@ func (s *coverStore) pop() {
 		s.grants, s.head = s.grants[:0], 0
 	}
 	s.base++
-	if !g.dead {
-		s.expiredN++
-		s.live--
-	}
 	if s.indexed < s.base {
 		s.indexed = s.base
 	} else {
-		g.eachKey(func(k coverKey) { s.oldestIndexed(k) })
+		g.eachKey(func(k coverKey) { s.indexedLive(k) })
 	}
 }
 
@@ -198,16 +173,16 @@ func (s *coverStore) push(k coverKey, id int) {
 	s.index[k] = l
 }
 
-// oldestIndexed returns the id of the oldest live grant indexed under
-// k, recycling the nodes of dead ids off the front of k's list as it
+// indexedLive reports whether a live grant is indexed under k,
+// recycling the nodes of expired ids off the front of k's list as it
 // goes.
-func (s *coverStore) oldestIndexed(k coverKey) (int, bool) {
+func (s *coverStore) indexedLive(k coverKey) bool {
 	l, ok := s.index[k]
 	if !ok {
-		return 0, false
+		return false
 	}
 	n := l.head
-	for n != noNode && (s.nodes[n].id < s.base || s.at(s.nodes[n].id).dead) {
+	for n != noNode && s.nodes[n].id < s.base {
 		next := s.nodes[n].next
 		s.nodes[n].next = s.free
 		s.free = n
@@ -215,26 +190,25 @@ func (s *coverStore) oldestIndexed(k coverKey) (int, bool) {
 	}
 	if n == noNode {
 		delete(s.index, k)
-		return 0, false
+		return false
 	}
 	if n != l.head {
 		l.head = n
 		s.index[k] = l
 	}
-	return s.nodes[n].id, true
+	return true
 }
 
-// reset empties the store and zeroes its accounting, keeping the queue,
-// the index map and the nodes for reuse.
+// reset empties the store, keeping the queue, the index map and the
+// nodes for reuse.
 func (s *coverStore) reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.grants)
 	s.grants = s.grants[:0]
-	s.head, s.base, s.live, s.indexed = 0, 0, 0, 0
+	s.head, s.base, s.indexed = 0, 0, 0
 	clear(s.index)
 	s.nodes, s.free = s.nodes[:0], noNode
-	s.issued, s.hits, s.misses, s.expiredN = 0, 0, 0, 0
 }
 
 // len reports the live grant count (expired grants linger until the
@@ -242,15 +216,5 @@ func (s *coverStore) reset() {
 func (s *coverStore) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.live
-}
-
-// addCounts adds the store's accounting into the given Stats fields.
-func (s *coverStore) addCounts(issued, hits, misses, expired *int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	*issued += s.issued
-	*hits += s.hits
-	*misses += s.misses
-	*expired += s.expiredN
+	return len(s.grants) - s.head
 }

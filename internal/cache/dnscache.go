@@ -5,7 +5,8 @@ import (
 	"sync"
 )
 
-// DNSCache is a TTL-aware cache of A answers with an LRU capacity bound.
+// DNSCache is a TTL-aware cache of A answers with an LRU capacity bound
+// of DefaultDNSCapacity entries.
 // Entries are keyed by canonical name; both positive answers and
 // negative results (failed lookups) are stored. Eviction order is
 // deterministic: the least recently used entry goes first, and "use"
@@ -16,15 +17,12 @@ import (
 // list with their address storage, so a warmed cache stores new answers
 // without allocating.
 type DNSCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*dnsEntry // canonical name → entry
+	mu      sync.Mutex
+	entries map[string]*dnsEntry // canonical name → entry
 
 	// Intrusive LRU list: head is most recent, tail is next to evict.
 	head, tail *dnsEntry
 	free       *dnsEntry // recycled entries, linked through next
-
-	hits, negHits, misses, expired, evictions int64
 }
 
 type dnsEntry struct {
@@ -36,11 +34,11 @@ type dnsEntry struct {
 	prev, next *dnsEntry
 }
 
-func newDNSCache(capacity int) *DNSCache {
-	return &DNSCache{capacity: capacity, entries: make(map[string]*dnsEntry)}
+func newDNSCache() *DNSCache {
+	return &DNSCache{entries: make(map[string]*dnsEntry)}
 }
 
-// Get returns the cached answer for name at simulated time
+// get returns the cached answer for name at simulated time
 // nowMs. negative reports a cached failure; ok is false on a miss. An
 // entry whose deadline equals nowMs is already expired: TTLs are
 // "seconds remaining", so at the instant the budget reaches zero the
@@ -48,48 +46,25 @@ func newDNSCache(capacity int) *DNSCache {
 //
 // addrs is the cache's own storage, not a copy: callers must not modify
 // it. It keeps this answer across later lookups and Reset, until the
-// next store into this cache (Put, PutNegative), which may overwrite
-// it in place or reuse it for another name. A caller that keeps an
-// answer past that point copies it.
-func (d *DNSCache) Get(name string, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
+// next store into this cache (put), which may overwrite it in place or
+// reuse it for another name. A caller that keeps an answer past that
+// point copies it.
+func (d *DNSCache) get(name string, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, found := d.entries[canonical(name)]
 	if !found {
-		d.misses++
 		return nil, false, false
 	}
 	if nowMs >= e.expiresMs {
 		d.remove(e)
-		d.misses++
-		d.expired++
 		return nil, false, false
 	}
 	d.touch(e)
 	if e.negative {
-		d.negHits++
 		return nil, true, true
 	}
-	d.hits++
 	return e.addrs, false, true
-}
-
-// Put stores a positive answer with the given TTL. Zero-TTL answers are
-// uncacheable and dropped on the floor (they would expire at the very
-// instant of the next lookup anyway).
-func (d *DNSCache) Put(name string, addrs []netip.Addr, ttlSeconds uint32, nowMs int64) {
-	if ttlSeconds == 0 || len(addrs) == 0 {
-		return
-	}
-	d.put(canonical(name), addrs, false, nowMs+int64(ttlSeconds)*1000)
-}
-
-// PutNegative stores a failed lookup with the given negative TTL.
-func (d *DNSCache) PutNegative(name string, ttlSeconds uint32, nowMs int64) {
-	if ttlSeconds == 0 {
-		return
-	}
-	d.put(canonical(name), nil, true, nowMs+int64(ttlSeconds)*1000)
 }
 
 // put stores a copy of addrs under the canonical name as the most
@@ -115,14 +90,12 @@ func (d *DNSCache) put(name string, addrs []netip.Addr, negative bool, expiresMs
 	e.negative = negative
 	e.expiresMs = expiresMs
 	d.pushFront(e)
-	for len(d.entries) > d.capacity {
+	for len(d.entries) > DefaultDNSCapacity {
 		d.remove(d.tail)
-		d.evictions++
 	}
 }
 
-// reset empties the cache and zeroes its accounting, keeping the map
-// and every entry for reuse.
+// reset empties the cache, keeping the map and every entry for reuse.
 func (d *DNSCache) reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -133,11 +106,10 @@ func (d *DNSCache) reset() {
 	}
 	d.head, d.tail = nil, nil
 	clear(d.entries)
-	d.hits, d.negHits, d.misses, d.expired, d.evictions = 0, 0, 0, 0, 0
 }
 
-// Len reports the current entry count.
-func (d *DNSCache) Len() int {
+// len reports the current entry count.
+func (d *DNSCache) len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
@@ -211,14 +183,4 @@ func (d *DNSCache) release(e *dnsEntry) {
 func (d *DNSCache) touch(e *dnsEntry) {
 	d.unlink(e)
 	d.pushFront(e)
-}
-
-func (d *DNSCache) addStats(s *Stats) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s.DNSHits += d.hits
-	s.DNSNegativeHits += d.negHits
-	s.DNSMisses += d.misses
-	s.DNSExpired += d.expired
-	s.DNSEvictions += d.evictions
 }

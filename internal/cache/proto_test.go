@@ -34,26 +34,28 @@ func TestTicketsDoNotCrossProtocols(t *testing.T) {
 // are not consumed by redemption, and die exactly at expiry.
 func TestTokenProtocolKeyReuseAndExpiry(t *testing.T) {
 	sans := []string{"cdn.example.net"}
-	c := New(Options{TokenLifetimeSeconds: 60})
+	c := New(Options{})
+	store := func(proto int) { c.Tokens.s.store(sans, proto, c.clock.nowMs()) }
+	redeem := func(proto int) bool { return c.Tokens.s.redeem("cdn.example.net", proto, c.clock.nowMs()) }
 
-	c.StoreToken(sans, ProtoWireH3)
-	if c.RedeemToken("cdn.example.net", ProtoWireH2) {
+	store(ProtoWireH3)
+	if redeem(ProtoWireH2) {
 		t.Fatal("h3 token redeemed under h2")
 	}
 	// Non-consuming: the same token serves repeated h3 connections.
 	for i := 0; i < 3; i++ {
-		if !c.RedeemToken("cdn.example.net", ProtoWireH3) {
+		if !redeem(ProtoWireH3) {
 			t.Fatalf("redemption %d: live h3 token refused", i)
 		}
 	}
 	// One millisecond before expiry the token is live; at expiry it is
 	// dead (a token expiring exactly at nowMs does not redeem).
-	c.Clock().AdvanceMs(60_000 - 1)
-	if !c.RedeemToken("cdn.example.net", ProtoWireH3) {
+	c.Clock().AdvanceMs(DefaultTokenLifetimeSeconds*1000 - 1)
+	if !redeem(ProtoWireH3) {
 		t.Fatal("token dead 1ms before expiry")
 	}
 	c.Clock().AdvanceMs(1)
-	if c.RedeemToken("cdn.example.net", ProtoWireH3) {
+	if redeem(ProtoWireH3) {
 		t.Fatal("token redeemed at its exact expiry instant")
 	}
 }

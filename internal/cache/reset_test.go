@@ -20,8 +20,8 @@ var (
 )
 
 // runCacheSchedule drives c through the schedule in data and returns
-// everything a caller could observe: each step's results, the clock and
-// every store's Len after it, then the final Stats. Each byte pair is one
+// everything a caller could observe: each step's results, and the clock
+// and every store's Len after it. Each byte pair is one
 // step: the first byte picks one of ten operations (DNS put, negative
 // put, two kinds of lookup, ticket store and redeem, token store and
 // redeem, chain validation or a whole handshake, a clock advance) and
@@ -51,12 +51,12 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 		case 5:
 			step = fmt.Sprint(c.RedeemTicketProto(host, proto))
 		case 6:
-			c.StoreToken(sans, proto)
+			c.Tokens.s.store(sans, proto, c.clock.nowMs())
 		case 7:
-			step = fmt.Sprint(c.RedeemToken(host, proto))
+			step = fmt.Sprint(c.Tokens.s.redeem(host, proto, c.clock.nowMs()))
 		case 8:
 			if sel&1 == 0 {
-				step = fmt.Sprint(c.ValidateChain(issuer, sans))
+				step = fmt.Sprint(c.Chains.validate(issuer, sans))
 			} else {
 				step = fmt.Sprintf("%+v", c.Handshake(host, issuer, sans, proto))
 			}
@@ -64,25 +64,21 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 			c.Clock().AdvanceMs(resetAdvances[arg%len(resetAdvances)])
 		}
 		out = append(out, fmt.Sprintf("%d:%d %s | at %d ms: dns %d tickets %d tokens %d chains %d",
-			op, arg, step, c.Clock().NowMs(), c.DNS.Len(), c.Tickets.Len(), c.Tokens.Len(), c.Chains.Len()))
+			op, arg, step, c.clock.nowMs(), c.DNS.len(), c.Tickets.s.len(), c.Tokens.s.len(), c.Chains.len()))
 	}
-	return append(out, fmt.Sprintf("%+v", c.Stats()))
+	return out
 }
 
 // Reset ≡ New: a cache that ran any schedule and was Reset answers a
 // second schedule exactly as a fresh New(opts) does. The options cover
-// a DNS LRU small enough to evict, short negative TTLs, both ticket
-// modes, disabled ticket and token stores, and lifetimes that keep the
-// coverage stores inside scanWindow or push them past it.
+// a disabled ticket store and lifetimes that keep the ticket store
+// inside scanWindow or push it past it; the long schedules push the
+// token store past it too, and overfill the DNS LRU before the Reset.
 func TestResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n < 400; n++ {
 		opts := Options{
-			DNSCapacity:           1 + rng.Intn(6),
-			NegativeTTLSeconds:    1 + rng.Intn(3),
 			TicketLifetimeSeconds: rng.Intn(4) - 1, // TicketsDisabled, the default, 1 s, 2 s
-			SingleUseTickets:      rng.Intn(2) == 1,
-			TokenLifetimeSeconds:  rng.Intn(4) - 1,
 		}
 		steps := 100
 		if n%10 == 0 {
@@ -91,6 +87,12 @@ func TestResetMatchesNew(t *testing.T) {
 		first, second := randomSchedule(rng, steps), randomSchedule(rng, steps)
 		reused := New(opts)
 		runCacheSchedule(reused, first)
+		if n%10 == 0 {
+			// Overfill the DNS LRU, so Reset also recycles evicted entries.
+			for i := 0; i <= DefaultDNSCapacity; i++ {
+				reused.PutDNS(fmt.Sprintf("fill%d.example", i), resetAnswers[i%len(resetAnswers)], 300)
+			}
+		}
 		reused.Reset()
 		got := runCacheSchedule(reused, second)
 		want := runCacheSchedule(New(opts), second)
@@ -132,7 +134,7 @@ func TestChainHashValuesUnchanged(t *testing.T) {
 // across later lookups and Reset; only a store may overwrite it, and
 // the cache's own answers stay right whatever the holder saw.
 func TestHeldDNSHit(t *testing.T) {
-	c := New(Options{DNSCapacity: 1})
+	c := New(Options{})
 	want := []netip.Addr{ip("192.0.2.1"), ip("192.0.2.2")}
 	c.PutDNS("a.example", want, 300)
 	held, _, ok := c.LookupDNS("a.example")
@@ -156,7 +158,10 @@ func TestHeldDNSHit(t *testing.T) {
 	c.PutDNS("a.example", want, 300)
 	held, _, _ = c.LookupDNS("a.example")
 	other := []netip.Addr{ip("198.51.100.9")}
-	c.PutDNS("b.example", other, 300) // evicts a.example (capacity 1)
+	for i := 1; i < DefaultDNSCapacity; i++ {
+		c.PutDNS(fmt.Sprintf("fill%d.example", i), other, 300)
+	}
+	c.PutDNS("b.example", other, 300) // entry 4 097 evicts a.example
 	if len(held) != len(want) {
 		t.Fatalf("held hit changed length to %d", len(held))
 	}
@@ -166,7 +171,7 @@ func TestHeldDNSHit(t *testing.T) {
 	if got, _, ok := c.LookupDNS("b.example"); !ok || !slices.Equal(got, other) {
 		t.Fatalf("b.example = %v, %v; want %v", got, ok, other)
 	}
-	if s := c.Stats(); s.DNSEvictions != 1 {
-		t.Fatalf("DNSEvictions = %d, want 1", s.DNSEvictions)
+	if n := c.DNS.len(); n != DefaultDNSCapacity {
+		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
 	}
 }

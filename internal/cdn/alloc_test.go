@@ -20,11 +20,11 @@ import (
 // position, so order and tearing show.
 func observeN(lp *LogPipeline, from, n int) {
 	for i := from; i < from+n; i++ {
-		lp.Observe(LogRecord{ConnID: uint64(i), ArrivalOrder: i + 1, SNI: "zone", Host: "third"})
+		lp.observeRecord(LogRecord{ConnID: uint64(i), ArrivalOrder: i + 1, SNI: "zone", Host: "third"})
 	}
 }
 
-// checkLog holds Each and Records to the same n records in log order,
+// checkLog holds each and Records to the same n records in log order,
 // each whole and flagged, and Totals to their count.
 func checkLog(t *testing.T, lp *LogPipeline, n int) {
 	t.Helper()
@@ -32,14 +32,14 @@ func checkLog(t *testing.T, lp *LogPipeline, n int) {
 		t.Fatalf("Totals = %d, %d; want %d, %d", total, sampled, n, n)
 	}
 	i := 0
-	lp.Each(func(r *LogRecord) {
+	lp.each(func(r *LogRecord) {
 		if r.ConnID != uint64(i) || r.ArrivalOrder != i+1 || !r.FlagHostNeSNI {
-			t.Fatalf("Each record %d of %d = %+v", i, n, *r)
+			t.Fatalf("each record %d of %d = %+v", i, n, *r)
 		}
 		i++
 	})
 	if i != n {
-		t.Fatalf("Each visited %d records, want %d", i, n)
+		t.Fatalf("each visited %d records, want %d", i, n)
 	}
 	recs := lp.Records()
 	if len(recs) != n {
@@ -55,11 +55,11 @@ func checkLog(t *testing.T, lp *LogPipeline, n int) {
 // The sampled log is stored in fixed-size blocks; nothing a caller sees
 // may depend on where a block ends. Every size around the boundaries,
 // before and after a Reset, with the sampler still drawing once per
-// request, and Each walking the log while Observe extends it.
+// request, and each walking the log while observeRecord extends it.
 func TestLogPipelineBlockBoundaries(t *testing.T) {
 	const block = logBlockRecords
 	for _, n := range []int{0, block - 1, block, block + 1, 3*block + 1} {
-		lp := NewLogPipeline(1, 1)
+		lp := newLogPipeline(1, 1)
 		observeN(lp, 0, n)
 		checkLog(t, lp, n)
 
@@ -70,7 +70,7 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 	}
 
 	// Records hands out a copy: writing to it leaves the log alone.
-	lp := NewLogPipeline(1, 1)
+	lp := newLogPipeline(1, 1)
 	observeN(lp, 0, 3)
 	lp.Records()[1].ConnID = 99
 	checkLog(t, lp, 3)
@@ -78,7 +78,7 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 	// Sampling keeps exactly the requests whose draw fell under the rate,
 	// one draw per request, across block boundaries.
 	const rate, seed, requests = 0.5, 11, 5 * block
-	lp = NewLogPipeline(rate, seed)
+	lp = newLogPipeline(rate, seed)
 	observeN(lp, 0, requests)
 	ref := rand.New(rand.NewSource(seed))
 	var want []uint64
@@ -97,9 +97,9 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 		}
 	}
 
-	// Each concurrent with Observe (run under -race): every walk sees a
+	// each concurrent with observeRecord (run under -race): every walk sees a
 	// whole prefix of the log.
-	lp = NewLogPipeline(1, 1)
+	lp = newLogPipeline(1, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -112,9 +112,9 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 			defer wg.Done()
 			for seen := 0; seen < 3*block+1; {
 				seen = 0
-				lp.Each(func(r *LogRecord) {
+				lp.each(func(r *LogRecord) {
 					if r.ConnID != uint64(seen) || r.ArrivalOrder != seen+1 || !r.FlagHostNeSNI {
-						t.Errorf("concurrent Each: record %d = %+v", seen, *r)
+						t.Errorf("concurrent each: record %d = %+v", seen, *r)
 					}
 					seen++
 				})
@@ -249,7 +249,7 @@ func TestLogBytesPerRecord(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for day := 0; day < 5; day++ {
-		e.RunDay(day)
+		e.runDay(day)
 	}
 	runtime.ReadMemStats(&after)
 	_, sampled := c.Pipeline().Totals()
@@ -262,7 +262,7 @@ func TestLogBytesPerRecord(t *testing.T) {
 	}
 }
 
-// What Observe takes, Records and Each give back, field for field: names
+// What observeRecord takes, Records and each give back, field for field: names
 // distinct, shared, empty and non-ASCII; across block boundaries and
 // after a Reset; every field at the bounds of its stored width. A Day or
 // ArrivalOrder that does not fit panics, naming the field, and logs
@@ -284,24 +284,24 @@ func TestLogRecordRoundTrip(t *testing.T) {
 		records[i].FlagHostNeSNI = records[i].SNI != records[i].Host
 	}
 
-	lp := NewLogPipeline(1, 1)
+	lp := newLogPipeline(1, 1)
 	for round := 0; round < 2; round++ {
 		lp.Reset()
 		for _, r := range records {
-			lp.Observe(r)
+			lp.observeRecord(r)
 		}
 		if got := lp.Records(); !slices.Equal(got, records) {
 			t.Fatalf("round %d: Records gave back %d records, not the %d observed", round, len(got), len(records))
 		}
 		i := 0
-		lp.Each(func(r *LogRecord) {
+		lp.each(func(r *LogRecord) {
 			if *r != records[i] {
-				t.Fatalf("round %d: Each record %d = %+v, want %+v", round, i, *r, records[i])
+				t.Fatalf("round %d: each record %d = %+v, want %+v", round, i, *r, records[i])
 			}
 			i++
 		})
 		if i != len(records) {
-			t.Fatalf("round %d: Each visited %d records, want %d", round, i, len(records))
+			t.Fatalf("round %d: each visited %d records, want %d", round, i, len(records))
 		}
 	}
 
@@ -317,24 +317,24 @@ func TestLogRecordRoundTrip(t *testing.T) {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, bad.field) {
-					t.Errorf("Observe(%+v) panicked with %q, want a panic naming %s", bad.r, msg, bad.field)
+					t.Errorf("observeRecord(%+v) panicked with %q, want a panic naming %s", bad.r, msg, bad.field)
 				}
 			}()
-			lp.Observe(bad.r)
+			lp.observeRecord(bad.r)
 		}()
 	}
 	if total, sampled := lp.Totals(); total != int64(len(records)) || sampled != int64(len(records)) {
 		t.Errorf("after the panics Totals = %d, %d; want %d, %d", total, sampled, len(records), len(records))
 	}
 
-	// Each concurrent with an Observe that adds names (run under -race):
+	// each concurrent with an observeRecord that adds names (run under -race):
 	// every record a walk sees carries its own name.
-	lp = NewLogPipeline(1, 1)
+	lp = newLogPipeline(1, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2*logBlockRecords+1; i++ {
-			lp.Observe(LogRecord{ConnID: uint64(i), SNI: strconv.Itoa(i), Host: "third"})
+			lp.observeRecord(LogRecord{ConnID: uint64(i), SNI: strconv.Itoa(i), Host: "third"})
 		}
 	}()
 	for walking := true; walking; {
@@ -343,9 +343,9 @@ func TestLogRecordRoundTrip(t *testing.T) {
 			walking = false // one last walk over the whole log
 		default:
 		}
-		lp.Each(func(r *LogRecord) {
+		lp.each(func(r *LogRecord) {
 			if want := strconv.Itoa(int(r.ConnID)); r.SNI != want {
-				t.Fatalf("concurrent Each: record %d has SNI %q, want %q", r.ConnID, r.SNI, want)
+				t.Fatalf("concurrent each: record %d has SNI %q, want %q", r.ConnID, r.SNI, want)
 			}
 		})
 	}

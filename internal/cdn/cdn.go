@@ -256,7 +256,7 @@ func New(c Config) *CDN {
 		originExperiment: []string{c.ThirdParty},
 		originControl:    []string{controlName},
 		PoPs:             c.PoPs,
-		pipeline:         NewLogPipeline(c.SampleRate, c.Seed),
+		pipeline:         newLogPipeline(c.SampleRate, c.Seed),
 	}
 	cdn.v.Store(&view{hosts: map[string]*hostEntry{c.ThirdParty: cdn.third}})
 	return cdn

@@ -119,9 +119,9 @@ func TestOriginSetPerTreatmentAndPhase(t *testing.T) {
 }
 
 func TestLogPipelineSampling(t *testing.T) {
-	lp := NewLogPipeline(0.5, 1)
+	lp := newLogPipeline(0.5, 1)
 	for i := 0; i < 10000; i++ {
-		lp.Observe(LogRecord{ConnID: uint64(i)})
+		lp.observeRecord(LogRecord{ConnID: uint64(i)})
 	}
 	total, sampled := lp.Totals()
 	if total != 10000 {
@@ -138,9 +138,9 @@ func TestLogPipelineSampling(t *testing.T) {
 }
 
 func TestLogPipelineSetsFlagBit(t *testing.T) {
-	lp := NewLogPipeline(1, 1)
-	lp.Observe(LogRecord{ConnID: 1, SNI: "a", Host: "b"})
-	lp.Observe(LogRecord{ConnID: 2, SNI: "a", Host: "a"})
+	lp := newLogPipeline(1, 1)
+	lp.observeRecord(LogRecord{ConnID: 1, SNI: "a", Host: "b"})
+	lp.observeRecord(LogRecord{ConnID: 2, SNI: "a", Host: "a"})
 	recs := lp.Records()
 	if !recs[0].FlagHostNeSNI || recs[1].FlagHostNeSNI {
 		t.Errorf("flag bits wrong: %+v", recs)
@@ -163,7 +163,7 @@ func TestCountPassiveRules(t *testing.T) {
 		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 2, Treatment: TreatmentControl},
 		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 3, Treatment: TreatmentControl},
 	}
-	pc := CountPassive(func(fn func(*LogRecord)) {
+	pc := countPassive(func(fn func(*LogRecord)) {
 		for i := range records {
 			fn(&records[i])
 		}
@@ -188,9 +188,9 @@ func TestPassiveIPReduction(t *testing.T) {
 
 	c.EnterPhaseIP()
 	for day := 0; day < 5; day++ {
-		e.RunDay(day)
+		e.runDay(day)
 	}
-	pc := CountPassive(c.Pipeline().Each, c.ThirdParty, "")
+	pc := countPassive(c.Pipeline().each, c.ThirdParty, "")
 	red := pc.ReductionPct()
 	t.Logf("IP-phase passive reduction = %.1f%% (paper: 56%%)", red)
 	if red < 40 || red > 70 {

@@ -29,7 +29,7 @@ func wholeLogDays(e *Experiment, total, phaseStart, phaseEnd int, phase Phase, i
 		if day == phaseEnd {
 			e.CDN.ExitExperiment()
 		}
-		e.RunDay(day)
+		e.runDay(day)
 	}
 	e.CDN.ExitExperiment()
 }

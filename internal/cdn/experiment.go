@@ -584,12 +584,12 @@ func (e *Experiment) drawUA() int {
 	}
 }
 
-// RunDay simulates one day of passive traffic over all sample zones,
+// runDay simulates one day of passive traffic over all sample zones,
 // VisitsPerZonePerDay visits each, zone by zone. A faulted or traced day
 // runs Visit in that order: the injector decides whether a visit draws
 // its coins at all, and a trace ranks visits in order. Any other day is
 // planned, and its log, Totals and ConnIDs are what that loop gives.
-func (e *Experiment) RunDay(day int) {
+func (e *Experiment) runDay(day int) {
 	if e.inj != nil || e.Rec != nil {
 		for _, z := range e.SampleZones {
 			for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
@@ -696,7 +696,7 @@ func (e *Experiment) runDays(total, phaseStart, phaseEnd int, phase Phase, isola
 		if day == phaseEnd {
 			e.CDN.ExitExperiment()
 		}
-		e.RunDay(day)
+		e.runDay(day)
 		lp.drain(fold)
 	}
 	e.CDN.ExitExperiment()
@@ -734,9 +734,9 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 }
 
 // PassiveIP runs the §5.2 passive measurement: days [0, days) under IP
-// coalescing, tallied by CountPassive over every user agent.
+// coalescing, tallied by countPassive over every user agent.
 func (e *Experiment) PassiveIP(days int) PassiveCounts {
-	return CountPassive(func(fold func(*LogRecord)) {
+	return countPassive(func(fold func(*LogRecord)) {
 		e.runDays(days, 0, days, PhaseIP, netip.Addr{}, fold)
 	}, e.CDN.ThirdParty, "")
 }

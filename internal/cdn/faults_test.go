@@ -56,7 +56,7 @@ func TestVisitLogRecordInvariants(t *testing.T) {
 	c, e := newFaultedExperiment(200, 5, faults.Plan{}, 0)
 	c.EnterPhaseOrigin(ip("104.19.99.99"))
 	for day := 0; day < 3; day++ {
-		e.RunDay(day)
+		e.runDay(day)
 	}
 	c.ExitExperiment()
 
@@ -110,7 +110,7 @@ func TestFaultedDeploymentDeterminism(t *testing.T) {
 // TestLogRestartDefensivePath forces telemetry restarts on every pool
 // request, which mints reconstructed connection state in observeOutcome
 // (first sampled record at arrival order ≥ 2) — and checks that both
-// §5.2 tallies, Longitudinal's and CountPassive's, skip exactly those
+// §5.2 tallies, Longitudinal's and countPassive's, skip exactly those
 // connections. Longitudinal drains each day's records as the day
 // closes, so the recount reads a twin that keeps the whole log: the same
 // seed and plan, the same days and window, every day through RunDay.
@@ -152,9 +152,9 @@ func TestLogRestartDefensivePath(t *testing.T) {
 		t.Errorf("§5.2 tally counted %d conns, want %d (the %d reconstructed conns must be excluded)",
 			counted, opened, reconstructed)
 	}
-	pc := CountPassive(log.Each, twin.CDN.ThirdParty, "")
+	pc := countPassive(log.each, twin.CDN.ThirdParty, "")
 	if got := pc.NewTLSConns[TreatmentControl] + pc.NewTLSConns[TreatmentExperiment]; got != opened {
-		t.Errorf("CountPassive counted %d new TLS conns, want %d (the %d reconstructed conns must be excluded)",
+		t.Errorf("countPassive counted %d new TLS conns, want %d (the %d reconstructed conns must be excluded)",
 			got, opened, reconstructed)
 	}
 }

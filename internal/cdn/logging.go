@@ -70,16 +70,16 @@ type LogPipeline struct {
 	sampled int64
 }
 
-// NewLogPipeline creates a pipeline with the given sampling rate.
-func NewLogPipeline(rate float64, seed int64) *LogPipeline {
+// newLogPipeline creates a pipeline with the given sampling rate.
+func newLogPipeline(rate float64, seed int64) *LogPipeline {
 	// The empty name is index 0, so a zero entry names nothing.
 	return &LogPipeline{rate: rate, rng: lazyrand.New(seed), names: []string{""}, index: map[string]uint32{"": 0}}
 }
 
-// Observe ingests one request, sampling it with the configured rate. A
+// observeRecord ingests one request, sampling it with the configured rate. A
 // Day or ArrivalOrder outside int32, or a Treatment outside uint8,
 // panics rather than being truncated.
-func (lp *LogPipeline) Observe(r LogRecord) {
+func (lp *LogPipeline) observeRecord(r LogRecord) {
 	e := logEntry{
 		ConnID:       r.ConnID,
 		Day:          narrow[int32]("Day", r.Day),
@@ -190,17 +190,17 @@ func (lp *LogPipeline) Records() []LogRecord {
 	n := lp.held
 	lp.mu.Unlock()
 	out := make([]LogRecord, 0, n)
-	lp.Each(func(r *LogRecord) { out = append(out, *r) })
+	lp.each(func(r *LogRecord) { out = append(out, *r) })
 	return out
 }
 
-// Each calls fn on every record sampled since the last Reset or drain,
+// each calls fn on every record sampled since the last Reset or drain,
 // in log order. The record is one LogRecord that each entry is decoded
 // into in turn: fn must not modify or retain it. Between drains the log
 // and its name table are append-only — a block's filled slots and a
 // name's index are never rewritten — so fn runs without the pipeline's
 // lock held.
-func (lp *LogPipeline) Each(fn func(*LogRecord)) {
+func (lp *LogPipeline) each(fn func(*LogRecord)) {
 	lp.mu.Lock()
 	blocks, n, names := lp.blocks, int(lp.held), lp.names
 	lp.mu.Unlock()
@@ -218,10 +218,10 @@ func (lp *LogPipeline) Each(fn func(*LogRecord)) {
 // drain calls fn on every record the log holds, as Each does, then
 // rewinds the log so that the next records refill the same blocks;
 // Totals still counts the drained records. Refilling rewrites slots an
-// Each may be walking, so only the day loop that owns the pipeline
+// each may be walking, so only the day loop that owns the pipeline
 // drains it, between its days (runDays).
 func (lp *LogPipeline) drain(fn func(*LogRecord)) {
-	lp.Each(fn)
+	lp.each(fn)
 	lp.mu.Lock()
 	lp.held = 0
 	lp.mu.Unlock()
@@ -290,10 +290,10 @@ type PassiveCounts struct {
 	CoalescedConns map[Treatment]int
 }
 
-// CountPassive applies the paper's §5.2 counting rules to a sampled log
-// (each is LogPipeline.Each, or any iterator of that shape), optionally
+// countPassive applies the paper's §5.2 counting rules to a sampled log
+// (each is LogPipeline.each, or any iterator of that shape), optionally
 // filtering by user-agent family (§5.3 used "firefox").
-func CountPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) PassiveCounts {
+func countPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) PassiveCounts {
 	pc := PassiveCounts{
 		NewTLSConns:    map[Treatment]int{},
 		CoalescedConns: map[Treatment]int{},

@@ -12,11 +12,22 @@ import (
 )
 
 // authorityLookup answers host the way LookupTTL did when the CDN
-// resolved through a dns.Authority: the A records of a Handle response
-// in answer order, their minimum TTL, and a non-success rcode as the
-// error.
+// resolved through a dns.Authority: the A records of the authority's
+// wire response in answer order, their minimum TTL, and a non-success
+// rcode as the error.
 func authorityLookup(a *dns.Authority, host string) ([]netip.Addr, uint32, error) {
-	resp := a.Handle(&dns.Message{Questions: []dns.Question{{Name: host, Type: dns.TypeA, Class: dns.ClassINET}}})
+	query, err := (&dns.Message{Questions: []dns.Question{{Name: host, Type: dns.TypeA, Class: dns.ClassINET}}}).Pack()
+	if err != nil {
+		return nil, 0, err
+	}
+	wire, err := a.HandleWire(query)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := dns.Unpack(wire)
+	if err != nil {
+		return nil, 0, err
+	}
 	if rcode := resp.Header.Rcode; rcode != dns.RcodeSuccess {
 		return nil, 0, fmt.Errorf("cdn: DNS rcode %d for %s", rcode, host)
 	}

@@ -43,7 +43,7 @@ func TestPassiveMatchesTruth(t *testing.T) {
 				}
 			}
 		}
-		pc := CountPassive(c.Pipeline().Each, c.ThirdParty, "")
+		pc := countPassive(c.Pipeline().each, c.ThirdParty, "")
 		t.Logf("%s: new %v log %v; coalesced %v log %v", phase.name, newConns, pc.NewTLSConns, coalesced, pc.CoalescedConns)
 		for _, tr := range []Treatment{TreatmentControl, TreatmentExperiment} {
 			if got, want := pc.NewTLSConns[tr], newConns[tr]; got != want || want == 0 {

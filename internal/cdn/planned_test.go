@@ -36,10 +36,10 @@ func TestPlannedDayMatchesVisitLoop(t *testing.T) {
 		e := SetupExperiment(c, cfg)
 		e.Rec = rec
 		enter(c)
-		e.RunDay(0)
+		e.runDay(0)
 		e.ActiveMeasurement()
-		e.RunDay(1)
-		e.RunDay(2)
+		e.runDay(1)
+		e.runDay(2)
 		total, sampled := c.Pipeline().Totals()
 		return run{c.Pipeline().Records(), total, sampled}
 	}

@@ -131,13 +131,6 @@ func (ca *CA) Issue(names ...string) (*Leaf, error) {
 	return &Leaf{Cert: cert, DER: der, key: key, issuer: ca}, nil
 }
 
-// Renew reissues the leaf with additional SAN names, preserving the
-// existing set. This is the §5.1 certificate modification operation.
-func (l *Leaf) Renew(addNames ...string) (*Leaf, error) {
-	names := append(append([]string(nil), l.Cert.DNSNames...), addNames...)
-	return l.issuer.Issue(dedupe(names)...)
-}
-
 // TLSCertificate assembles a tls.Certificate with the full chain.
 func (l *Leaf) TLSCertificate() tls.Certificate {
 	return tls.Certificate{

@@ -22,9 +22,6 @@ type CertPlan struct {
 	Coalescable []string
 }
 
-// ExistingCount returns the current SAN size.
-func (cp CertPlan) ExistingCount() int { return len(cp.Existing) }
-
 // IdealCount returns the SAN size after modification.
 func (cp CertPlan) IdealCount() int { return len(cp.Existing) + len(cp.Additions) }
 
@@ -51,7 +48,7 @@ type CertPlanSummary struct {
 // AddPlan folds one site's plan into the summary.
 func (s *CertPlanSummary) AddPlan(p *CertPlan) {
 	add := len(p.Additions)
-	ex := p.ExistingCount()
+	ex := len(p.Existing)
 	id := p.IdealCount()
 	s.Sites++
 	s.ExistingSizes = append(s.ExistingSizes, ex)

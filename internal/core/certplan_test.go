@@ -28,8 +28,8 @@ func TestPlanCertChanges(t *testing.T) {
 	if len(plan.Additions) != 3 {
 		t.Errorf("additions = %v", plan.Additions)
 	}
-	if plan.ExistingCount() != 2 || plan.IdealCount() != 5 {
-		t.Errorf("counts: existing=%d ideal=%d", plan.ExistingCount(), plan.IdealCount())
+	if len(plan.Existing) != 2 || plan.IdealCount() != 5 {
+		t.Errorf("counts: existing=%d ideal=%d", len(plan.Existing), plan.IdealCount())
 	}
 }
 
@@ -64,11 +64,13 @@ func TestPlanSkipsOtherASHosts(t *testing.T) {
 	}
 }
 
-// PlanCertChanges is Timeline.CertPlan for one page.
+// PlanCertChanges is Timeline.CertPlanInto for one page.
 func PlanCertChanges(p *har.Page) CertPlan {
 	var t Timeline
+	var plan CertPlan
 	t.Load(p)
-	return t.CertPlan()
+	t.CertPlanInto(&plan)
+	return plan
 }
 
 // summarize is the sequential §4.3 summary the parallel folds are held

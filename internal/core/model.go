@@ -104,8 +104,8 @@ type PageCounts struct {
 	IdealOrigin int // connections (= DNS = validations) under ORIGIN
 }
 
-// CountPage computes the §4.2 counts for one page.
-func CountPage(p *har.Page) PageCounts {
+// countPage computes the §4.2 counts for one page.
+func countPage(p *har.Page) PageCounts {
 	var t Timeline
 	t.Load(p)
 	return t.Counts()

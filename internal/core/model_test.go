@@ -177,7 +177,7 @@ func TestReconstructPreservesDependencyGaps(t *testing.T) {
 
 func TestCountPage(t *testing.T) {
 	p := modelPage()
-	pc := CountPage(p)
+	pc := countPage(p)
 	if pc.MeasuredDNS != 6 || pc.MeasuredTLS != 6 {
 		t.Errorf("measured = %+v", pc)
 	}
@@ -203,7 +203,7 @@ func TestCountPageOrderingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Pages {
-		pc := CountPage(p)
+		pc := countPage(p)
 		if pc.IdealOrigin > pc.IdealIP {
 			t.Fatalf("page %s: origin %d > ip %d", p.Host, pc.IdealOrigin, pc.IdealIP)
 		}
@@ -246,7 +246,7 @@ func TestHeadlineNumbers(t *testing.T) {
 	}
 	var mDNS, mTLS, idealIP, idealOrigin []float64
 	for _, p := range ds.Pages {
-		pc := CountPage(p)
+		pc := countPage(p)
 		mDNS = append(mDNS, float64(pc.MeasuredDNS))
 		mTLS = append(mTLS, float64(pc.MeasuredTLS))
 		idealIP = append(idealIP, float64(pc.IdealIP))

@@ -95,11 +95,11 @@ func TestProtocolReplayLedgerIdentities(t *testing.T) {
 
 // One Replayer reset per page is the fresh-cache-per-page replay it
 // replaced: every page's sequence equals what a new Replayer gives,
-// under every protocol and in both ticket modes, whatever pages the
+// under every protocol, with tickets on and off, whatever pages the
 // shared one replayed before.
 func TestReplayerResetMatchesFresh(t *testing.T) {
 	pages := protoTestPages(t)
-	for _, opts := range []cache.Options{{}, {SingleUseTickets: true, DNSCapacity: 8}} {
+	for _, opts := range []cache.Options{{}, {TicketLifetimeSeconds: cache.TicketsDisabled}} {
 		shared := NewReplayer(opts)
 		for i, p := range pages {
 			proto := Protocols[i%len(Protocols)]

@@ -11,7 +11,7 @@ import (
 
 // Timeline is the §4 model of one page at a time, and the only
 // implementation of §4.1 coalescability and reconstruction: Reconstruct
-// and CountPage are views of it. It owns every intermediate the model
+// and countPage are views of it. It owns every intermediate the model
 // needs — interned addresses and ASes, per-service openers, the
 // conservative-DNS groups, the rebuilt durations and start times — and
 // reuses them from page to page, so a fold that keeps one Timeline per
@@ -292,22 +292,17 @@ func (t *Timeline) Counts() PageCounts {
 	return pc
 }
 
-// CertPlan computes the least-effort SAN additions for the loaded page:
-// hostnames of secure subresource requests whose service matches the
-// base page's (same origin AS, per the model assumption) and that the
-// existing certificate does not already cover.
+// CertPlanInto computes into plan the least-effort SAN additions for the
+// loaded page: hostnames of secure subresource requests whose service
+// matches the base page's (same origin AS, per the model assumption) and
+// that the existing certificate does not already cover.
 //
 // Only the certificate of the visited website changes (§4.3: "we change
 // only the certificate for the website visited").
-func (t *Timeline) CertPlan() CertPlan {
-	var plan CertPlan
-	t.CertPlanInto(&plan)
-	return plan
-}
-
-// CertPlanInto is CertPlan into plan, reusing the storage of its
-// Additions and Coalescable: a fold that is done with each page's plan
-// before the next page keeps one and stops allocating for it.
+//
+// The storage of plan's Additions and Coalescable is reused: a fold that
+// is done with each page's plan before the next page keeps one and stops
+// allocating for it.
 func (t *Timeline) CertPlanInto(plan *CertPlan) {
 	p := t.page
 	root := &p.Entries[0]

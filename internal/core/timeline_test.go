@@ -272,7 +272,9 @@ func TestTimelineMatchesReference(t *testing.T) {
 			if got, want := tl.Counts(), refCountPage(p); got != want {
 				t.Fatalf("%s rank %d: counts %+v, reference %+v", a, p.Rank, got, want)
 			}
-			got, want := tl.CertPlan(), refPlanCertChanges(p)
+			var got CertPlan
+			tl.CertPlanInto(&got)
+			want := refPlanCertChanges(p)
 			if got.Site != want.Site || got.Rank != want.Rank ||
 				strings.Join(got.Existing, ",") != strings.Join(want.Existing, ",") ||
 				strings.Join(got.Coalescable, ",") != strings.Join(want.Coalescable, ",") ||
@@ -314,7 +316,9 @@ func TestTimelineMatchesReferenceOnOddPages(t *testing.T) {
 		if got, want := tl.Counts(), refCountPage(page); got != want {
 			t.Errorf("counts %+v, reference %+v", got, want)
 		}
-		got, want := tl.CertPlan(), refPlanCertChanges(page)
+		var got CertPlan
+		tl.CertPlanInto(&got)
+		want := refPlanCertChanges(page)
 		if strings.Join(got.Coalescable, ",") != strings.Join(want.Coalescable, ",") ||
 			strings.Join(got.Additions, ",") != strings.Join(want.Additions, ",") {
 			t.Errorf("plan %+v, reference %+v", got, want)

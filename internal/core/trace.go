@@ -11,7 +11,7 @@ import (
 // per fresh handshake (plus ExtraTLS), one coalesce_hit per request
 // that rode an existing connection, and a page_end carrying the §4.2
 // model counts (measured DNS/TLS and the ideal-IP/ideal-ORIGIN
-// predictions of CountPage). Event counts are exact: a span's
+// predictions of countPage). Event counts are exact: a span's
 // dns_query events sum to p.DNSQueries() and its tls_handshake events
 // to p.TLSConnections(), so funnel totals rebuilt from a trace match
 // the Figure 3 inputs byte for byte.
@@ -48,7 +48,7 @@ func EmitPageEvents(rec obs.Recorder, p *har.Page) {
 		obs.Count(rec, "crawl.tls_handshakes", 1)
 		obs.Emit(rec, obs.Event{Rank: p.Rank, Seq: next(), Kind: obs.KindTLSHandshake, Host: p.Host, Detail: "race"})
 	}
-	pc := CountPage(p)
+	pc := countPage(p)
 	obs.Emit(rec, obs.Event{
 		Rank: p.Rank, Seq: next(), Kind: obs.KindPageEnd, Host: p.Host, N: len(p.Entries),
 		DNS: pc.MeasuredDNS, TLS: pc.MeasuredTLS, IdealIP: pc.IdealIP, IdealOrigin: pc.IdealOrigin,

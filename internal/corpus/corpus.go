@@ -130,11 +130,11 @@ func Copy(dst Writer, src Reader) (int, error) {
 	}
 }
 
-// DetectFormat sniffs the encoding of a corpus stream from its leading
+// detectFormat sniffs the encoding of a corpus stream from its leading
 // bytes without consuming them. A columnar magic prefix with an
 // unsupported version is an error rather than a silent NDJSON
 // fallback.
-func DetectFormat(br *bufio.Reader) (Format, error) {
+func detectFormat(br *bufio.Reader) (Format, error) {
 	head, err := br.Peek(len(columnarMagic))
 	if err != nil && len(head) == 0 && err != io.EOF {
 		return "", err
@@ -175,7 +175,7 @@ func Open(path string) (Reader, error) {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	format, err := DetectFormat(br)
+	format, err := detectFormat(br)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)

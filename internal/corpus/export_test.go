@@ -51,3 +51,10 @@ func ColumnArrays(codec any) []*byte {
 	}
 	return out
 }
+
+// The manifest and sniffing halves that OpenManifest and Open run.
+var (
+	DetectFormat = detectFormat
+	Merge        = mergeManifests
+	ReadManifest = readManifest
+)

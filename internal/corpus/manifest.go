@@ -20,7 +20,7 @@ const ManifestSchema = "respectorigin-corpus/1"
 // Manifest describes a sharded corpus: which rank ranges live in which
 // files, under which encoding, generated from which seed. Manifests
 // written by independent crawl processes over disjoint shard ranges
-// merge losslessly (Merge), which is what lets a multi-process crawl
+// merge losslessly (mergeManifests), which is what lets a multi-process crawl
 // feed a single report run without intermediate files.
 type Manifest struct {
 	Schema  string      `json:"schema"`
@@ -103,11 +103,11 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Merge combines manifests from independent shard crawls of the same
+// mergeManifests combines manifests from independent shard crawls of the same
 // corpus into one, ordered by rank. The runs must agree on seed, total
 // sites, format and version — a mismatch means the shards came from
 // different corpora and merging them would be silent corruption.
-func Merge(ms ...Manifest) (Manifest, error) {
+func mergeManifests(ms ...Manifest) (Manifest, error) {
 	if len(ms) == 0 {
 		return Manifest{}, fmt.Errorf("corpus: no manifests to merge")
 	}
@@ -150,9 +150,9 @@ func parseManifest(raw []byte) (Manifest, error) {
 	return m, m.Validate()
 }
 
-// ReadManifest reads and validates a manifest, resolving relative
+// readManifest reads and validates a manifest, resolving relative
 // shard file paths against the manifest's directory.
-func ReadManifest(path string) (Manifest, error) {
+func readManifest(path string) (Manifest, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Manifest{}, err
@@ -182,13 +182,13 @@ func checksumString(sum uint64) string { return fmt.Sprintf("fnv1a64:%016x", sum
 func OpenManifest(paths ...string) (Reader, error) {
 	ms := make([]Manifest, 0, len(paths))
 	for _, p := range paths {
-		m, err := ReadManifest(p)
+		m, err := readManifest(p)
 		if err != nil {
 			return nil, err
 		}
 		ms = append(ms, m)
 	}
-	m, err := Merge(ms...)
+	m, err := mergeManifests(ms...)
 	if err != nil {
 		return nil, err
 	}

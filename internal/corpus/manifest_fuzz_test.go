@@ -10,12 +10,12 @@ import (
 )
 
 // FuzzManifest feeds the manifest parser — the JSON decode and Validate
-// half of ReadManifest — arbitrary bytes: a valid two-shard manifest,
+// half of readManifest — arbitrary bytes: a valid two-shard manifest,
 // its truncations, and whatever the fuzzer derives. It must never panic
 // and must not allocate beyond a multiple of its input. A manifest it
 // accepts is safe to open: its shards have unique ids and files, and
 // rank ranges that are ordered, inside [1, sites] and disjoint; it
-// survives WriteManifest → ReadManifest unchanged; merging it with
+// survives WriteManifest → readManifest unchanged; merging it with
 // itself is refused; and OpenManifest does not panic on it.
 func FuzzManifest(f *testing.F) {
 	valid, err := json.Marshal(Manifest{
@@ -64,7 +64,7 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("accepted overlapping shards %+v and %+v", byLo[i-1], s)
 			}
 		}
-		if _, err := Merge(m, m); err == nil {
+		if _, err := mergeManifests(m, m); err == nil {
 			t.Fatalf("a manifest merged with itself:\n%+v", m)
 		}
 
@@ -72,13 +72,13 @@ func FuzzManifest(f *testing.F) {
 		if err := WriteManifest(path, m); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadManifest(path)
+		back, err := readManifest(path)
 		if err != nil {
 			t.Fatalf("written manifest does not read back: %v", err)
 		}
 		for i := range back.Shards {
 			if !filepath.IsAbs(m.Shards[i].File) {
-				back.Shards[i].File = m.Shards[i].File // ReadManifest resolved it against dir
+				back.Shards[i].File = m.Shards[i].File // readManifest resolved it against dir
 			}
 		}
 		if !reflect.DeepEqual(back, m) {

@@ -57,7 +57,7 @@ func referenceResolve(a *Authority, rotate *int, name string, typ uint16) ([]RR,
 	return addrs, true
 }
 
-// Handle's answer section is the resolution it replaced, kept above as
+// handle's answer section is the resolution it replaced, kept above as
 // the oracle, over a seeded question sequence under every
 // rotation, answer limit and failure-hook setting; the query counter
 // and the rotation cursor end where the oracle's do.
@@ -88,7 +88,7 @@ func TestHandleMatchesRecursiveResolution(t *testing.T) {
 					name, typ := names[rng.Intn(len(names))], types[rng.Intn(len(types))]
 					at := fmt.Sprintf("rotation=%v limit=%d hook=%v step %d (%q type %d)", rotation, limit, hook, step, name, typ)
 
-					resp := wire.Handle(&Message{
+					resp := wire.handle(&Message{
 						Header:    Header{ID: uint16(step), RD: true},
 						Questions: []Question{{Name: name, Type: typ, Class: ClassINET}},
 					})

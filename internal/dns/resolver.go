@@ -37,13 +37,6 @@ func (r *Resolver) Queries() int64 {
 	return r.queries
 }
 
-// ResetQueries zeroes the query counter (between measurement trials).
-func (r *Resolver) ResetQueries() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.queries = 0
-}
-
 // LookupA resolves a hostname to its IPv4 address set via the wire
 // codec.
 func (r *Resolver) LookupA(name string) ([]netip.Addr, error) {

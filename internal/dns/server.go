@@ -63,13 +63,13 @@ func (a *Authority) HandleWire(query []byte) ([]byte, error) {
 		resp := &Message{Header: Header{QR: true, Rcode: RcodeFormatError}}
 		return resp.Pack()
 	}
-	resp := a.Handle(q)
+	resp := a.handle(q)
 	return resp.Pack()
 }
 
-// Handle answers a parsed query: it counts the query, consults the
+// handle answers a parsed query: it counts the query, consults the
 // Failure hook, then copies the name's records into the answer section.
-func (a *Authority) Handle(q *Message) *Message {
+func (a *Authority) handle(q *Message) *Message {
 	a.mu.Lock()
 	a.queries++
 	a.mu.Unlock()

@@ -39,7 +39,7 @@ func BenchmarkFramerReadFrame(b *testing.B) {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			enc := encodeDataFrame(b, size)
 			fr := NewFramer(io.Discard, &loopReader{frame: enc})
-			fr.SetMaxReadFrameSize(1 << 20)
+			fr.setMaxReadFrameSize(1 << 20)
 			b.SetBytes(int64(len(enc)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -60,13 +60,13 @@ func BenchmarkFramerReadFrameMixed(b *testing.B) {
 	if err := w.WriteData(1, false, make([]byte, 512)); err != nil {
 		b.Fatal(err)
 	}
-	if err := w.WriteWindowUpdate(1, 512); err != nil {
+	if err := w.writeWindowUpdate(1, 512); err != nil {
 		b.Fatal(err)
 	}
-	if err := w.WritePing(false, [8]byte{1}); err != nil {
+	if err := w.writePing(false, [8]byte{1}); err != nil {
 		b.Fatal(err)
 	}
-	if err := w.WriteSettings(Setting{ID: SettingInitialWindowSize, Val: 65535}); err != nil {
+	if err := w.writeSettings(Setting{ID: SettingInitialWindowSize, Val: 65535}); err != nil {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()
@@ -108,13 +108,13 @@ func BenchmarkFramerWriteControl(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fr.WriteWindowUpdate(1, 4096); err != nil {
+		if err := fr.writeWindowUpdate(1, 4096); err != nil {
 			b.Fatal(err)
 		}
-		if err := fr.WritePing(true, [8]byte{}); err != nil {
+		if err := fr.writePing(true, [8]byte{}); err != nil {
 			b.Fatal(err)
 		}
-		if err := fr.WriteSettingsAck(); err != nil {
+		if err := fr.writeSettingsAck(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestFramerReadFrameNoAllocsSteadyState(t *testing.T) {
 	for _, size := range []int{64, 1024, 16384} {
 		enc := encodeDataFrame(t, size)
 		fr := NewFramer(io.Discard, &loopReader{frame: enc})
-		fr.SetMaxReadFrameSize(1 << 20)
+		fr.setMaxReadFrameSize(1 << 20)
 		// Warm up: buffer growth and pool population happen here.
 		for i := 0; i < 4; i++ {
 			if _, err := fr.ReadFrame(); err != nil {
@@ -158,10 +158,10 @@ func TestFramerWriteNoAllocsSteadyState(t *testing.T) {
 		if err := fr.WriteData(1, false, data); err != nil {
 			t.Fatal(err)
 		}
-		if err := fr.WriteWindowUpdate(1, 4096); err != nil {
+		if err := fr.writeWindowUpdate(1, 4096); err != nil {
 			t.Fatal(err)
 		}
-		if err := fr.WriteSettingsAck(); err != nil {
+		if err := fr.writeSettingsAck(); err != nil {
 			t.Fatal(err)
 		}
 	})

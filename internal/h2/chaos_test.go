@@ -85,8 +85,8 @@ func TestCloseAfterGoAwayReleasesTransport(t *testing.T) {
 			return
 		}
 		fr := NewFramer(serverEnd, serverEnd)
-		_ = fr.WriteSettings()
-		_ = fr.WriteGoAway(0, ErrCodeNo, []byte("graceful shutdown"))
+		_ = fr.writeSettings()
+		_ = fr.writeGoAway(0, ErrCodeNo, []byte("graceful shutdown"))
 		_, _ = io.Copy(io.Discard, serverEnd)
 	}()
 

@@ -47,11 +47,6 @@ type ClientConnOptions struct {
 	// origin set is trusted (useful for in-memory simulations).
 	VerifyOrigin func(host string) bool
 
-	// IgnoreOriginFrames makes the client drop ORIGIN frames, modelling
-	// browsers without client-side support (every browser but Firefox,
-	// per the paper).
-	IgnoreOriginFrames bool
-
 	// OnOrigin, when non-nil, is invoked with the contents of every
 	// ORIGIN frame accepted on the connection.
 	OnOrigin func(origins []string)
@@ -142,7 +137,7 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 		streams:        make(map[uint32]*clientStream),
 		maxSendFrame:   minMaxFrameSize,
 		peerMaxStreams: ^uint32(0),
-		originSet:      NewOriginSet(),
+		originSet:      newOriginSet(),
 		pingWait:       make(map[[8]byte]chan struct{}),
 		readerDone:     make(chan struct{}),
 	}
@@ -164,9 +159,9 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 	if mfs == 0 {
 		mfs = minMaxFrameSize
 	}
-	cc.fr.SetMaxReadFrameSize(mfs)
+	cc.fr.setMaxReadFrameSize(mfs)
 	if opts.ReadTimeout > 0 {
-		cc.fr.SetReadTimeout(nc, opts.ReadTimeout)
+		cc.fr.setReadTimeout(nc, opts.ReadTimeout)
 	}
 	if opts.WriteTimeout > 0 {
 		aw.setWriteTimeout(nc, opts.WriteTimeout)
@@ -175,7 +170,7 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 	// transports (net.Pipe) the server's preface write would otherwise
 	// deadlock against ours.
 	go cc.readLoop()
-	if err := cc.fr.WriteSettings(
+	if err := cc.fr.writeSettings(
 		Setting{SettingEnablePush, 0},
 		Setting{SettingMaxFrameSize, mfs},
 	); err != nil {
@@ -206,14 +201,14 @@ func (cc *ClientConn) OriginFramesSeen() int {
 // the host's https origin must be in the origin set and the connection
 // must be authoritative for it (certificate SAN coverage).
 func (cc *ClientConn) CanRequest(host string) bool {
-	origin, err := CanonicalOrigin(host)
+	origin, err := canonicalOrigin(host)
 	if err != nil {
 		return false
 	}
-	if !cc.originSet.Contains(origin) {
+	if !cc.originSet.contains(origin) {
 		return false
 	}
-	return cc.verifyHost(OriginHost(origin))
+	return cc.verifyHost(originHost(origin))
 }
 
 func (cc *ClientConn) verifyHost(host string) bool {
@@ -377,7 +372,7 @@ func (cc *ClientConn) Close() error {
 	last := cc.nextStreamID - 2
 	cc.mu.Unlock()
 	if !wasClosed {
-		_ = cc.fr.WriteGoAway(last, ErrCodeNo, nil)
+		_ = cc.fr.writeGoAway(last, ErrCodeNo, nil)
 	}
 	err := cc.closeTransport()
 	<-cc.readerDone
@@ -395,7 +390,7 @@ func (cc *ClientConn) sendPing(data [8]byte) (chan struct{}, error) {
 	}
 	cc.pingWait[data] = ch
 	cc.pingMu.Unlock()
-	if err := cc.fr.WritePing(false, data); err != nil {
+	if err := cc.fr.writePing(false, data); err != nil {
 		cc.pingMu.Lock()
 		delete(cc.pingWait, data)
 		cc.pingMu.Unlock()
@@ -493,7 +488,7 @@ func (cc *ClientConn) readLoop() {
 		close(cs.done)
 	}
 	if ce, ok := err.(ConnectionError); ok {
-		_ = cc.fr.WriteGoAway(0, ce.Code, []byte(ce.Reason))
+		_ = cc.fr.writeGoAway(0, ce.Code, []byte(ce.Reason))
 		_ = cc.nc.Close()
 	}
 }
@@ -523,7 +518,7 @@ func (cc *ClientConn) readFrames() error {
 		if err := cc.dispatch(f); err != nil {
 			if se, ok := err.(StreamError); ok {
 				cc.failStream(se.StreamID, se)
-				_ = cc.fr.WriteRSTStream(se.StreamID, se.Code)
+				_ = cc.fr.writeRSTStream(se.StreamID, se.Code)
 				continue
 			}
 			return err
@@ -547,7 +542,7 @@ func (cc *ClientConn) dispatch(f Frame) error {
 	case *SettingsFrame:
 		return cc.onSettings(f)
 	case *PingFrame:
-		if f.IsAck() {
+		if f.isAck() {
 			cc.pingMu.Lock()
 			if ch, ok := cc.pingWait[f.Data]; ok {
 				delete(cc.pingWait, f.Data)
@@ -556,7 +551,7 @@ func (cc *ClientConn) dispatch(f Frame) error {
 			cc.pingMu.Unlock()
 			return nil
 		}
-		return cc.fr.WritePing(true, f.Data)
+		return cc.fr.writePing(true, f.Data)
 	case *WindowUpdateFrame:
 		if !cc.sendFlow.add(f.StreamID, int64(f.Increment)) {
 			if f.StreamID == 0 {
@@ -620,10 +615,7 @@ func (cc *ClientConn) onOrigin(f *OriginFrame) error {
 	if f.StreamID != 0 {
 		return nil // §2.1: MUST be ignored
 	}
-	if cc.opts.IgnoreOriginFrames {
-		return nil
-	}
-	cc.originSet.Replace(f.Origins)
+	cc.originSet.replace(f.Origins)
 	if cc.opts.Origin != "" {
 		cc.originSet.Add(cc.opts.Origin)
 	}
@@ -637,7 +629,7 @@ func (cc *ClientConn) onOrigin(f *OriginFrame) error {
 }
 
 func (cc *ClientConn) onSettings(f *SettingsFrame) error {
-	if f.IsAck() {
+	if f.isAck() {
 		return nil
 	}
 	for _, s := range f.Settings {
@@ -663,7 +655,7 @@ func (cc *ClientConn) onSettings(f *SettingsFrame) error {
 			cc.mu.Unlock()
 		}
 	}
-	return cc.fr.WriteSettingsAck()
+	return cc.fr.writeSettingsAck()
 }
 
 func (cc *ClientConn) onData(f *DataFrame) error {
@@ -672,7 +664,7 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 		return connError(ErrCodeFlowControl, "peer exceeded connection window")
 	}
 	if inc > 0 {
-		if err := cc.fr.WriteWindowUpdate(0, uint32(inc)); err != nil {
+		if err := cc.fr.writeWindowUpdate(0, uint32(inc)); err != nil {
 			return err
 		}
 	}
@@ -684,11 +676,11 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 	}
 	cs.resp.Body = appendBody(cs.resp.Body, f.Data)
 	if f.Length > 0 {
-		if err := cc.fr.WriteWindowUpdate(f.StreamID, f.Length); err != nil {
+		if err := cc.fr.writeWindowUpdate(f.StreamID, f.Length); err != nil {
 			return err
 		}
 	}
-	if f.Flags.Has(FlagEndStream) {
+	if f.Flags.has(FlagEndStream) {
 		cc.finishStream(cs)
 	}
 	return nil
@@ -714,14 +706,14 @@ func (cc *ClientConn) onResponseHeaders(meta *MetaHeadersFrame) error {
 	if cs == nil {
 		return streamError(meta.StreamID, ErrCodeStreamClosed, "HEADERS on unknown stream")
 	}
-	statusStr := meta.PseudoValue("status")
+	statusStr := meta.pseudoValue("status")
 	status, err := strconv.Atoi(statusStr)
 	if err != nil {
 		return streamError(meta.StreamID, ErrCodeProtocol, "bad :status "+statusStr)
 	}
 	cs.resp.Status = status
-	cs.resp.Header = append(cs.resp.Header, meta.RegularFields()...)
-	if meta.EndStream() {
+	cs.resp.Header = append(cs.resp.Header, meta.regularFields()...)
+	if meta.endStream() {
 		cc.finishStream(cs)
 	}
 	return nil

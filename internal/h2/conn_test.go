@@ -182,7 +182,7 @@ func TestOriginFrameDelivered(t *testing.T) {
 	}
 	os := cc.OriginSet()
 	for _, want := range []string{"www.example.com", "shard1.example.com", "shard2.example.com"} {
-		if !os.Contains(want) {
+		if !os.contains(want) {
 			t.Errorf("origin set missing %s (have %v)", want, os.All())
 		}
 	}
@@ -190,28 +190,6 @@ func TestOriginFrameDelivered(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 2 {
 		t.Errorf("OnOrigin saw %v", seen)
-	}
-}
-
-func TestOriginFrameIgnoredByUnsupportingClient(t *testing.T) {
-	srv := &Server{
-		Handler:   echoHandler(),
-		OriginSet: []string{"shard1.example.com"},
-	}
-	cc, stop := startPair(t, srv, ClientConnOptions{
-		Origin:             "www.example.com",
-		IgnoreOriginFrames: true,
-	})
-	defer stop()
-
-	if _, err := cc.Get("www.example.com", "/"); err != nil {
-		t.Fatal(err)
-	}
-	if cc.OriginFramesSeen() != 0 {
-		t.Error("client counted an ignored ORIGIN frame")
-	}
-	if cc.OriginSet().Contains("shard1.example.com") {
-		t.Error("ignored ORIGIN frame still populated origin set")
 	}
 }
 
@@ -276,7 +254,7 @@ func TestUnknownExtensionFrameIgnoredEndToEnd(t *testing.T) {
 	}
 	defer cc.Close()
 
-	if err := cc.fr.WriteRawFrame(FrameType(0xee), 0, 0, []byte("mystery")); err != nil {
+	if err := cc.fr.writeFrame(FrameType(0xee), 0, 0, []byte("mystery")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := cc.Get("example.com", "/after-unknown")
@@ -303,7 +281,7 @@ func TestNonCompliantPeerTearsDownOnOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFramer(cn, cn)
-	if err := fr.WriteSettings(); err != nil {
+	if err := fr.writeSettings(); err != nil {
 		t.Fatal(err)
 	}
 	sawOrigin := false
@@ -394,8 +372,8 @@ func TestClientRejectsServerPush(t *testing.T) {
 		// Hand-rolled misbehaving server.
 		io.ReadFull(remote, make([]byte, len(ClientPreface)))
 		rfr := NewFramer(remote, remote)
-		rfr.WriteSettings()
-		rfr.WriteRawFrame(FramePushPromise, FlagEndHeaders, 1, []byte{0, 0, 0, 2})
+		rfr.writeSettings()
+		rfr.writeFrame(FramePushPromise, FlagEndHeaders, 1, []byte{0, 0, 0, 2})
 		io.Copy(io.Discard, remote) // drain client frames until it closes
 	}()
 	cc, err := NewClientConn(cn, ClientConnOptions{})

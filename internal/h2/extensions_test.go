@@ -53,17 +53,17 @@ func TestClientIgnoresAltSvc(t *testing.T) {
 			return
 		}
 		fr := NewFramer(remote, remote)
-		fr.WriteSettings()
+		fr.writeSettings()
 		altSvc := append([]byte{0x00, 0x0b}, `example.comh3=":443"; ma=3600`...)
-		fr.WriteRawFrame(0xa, 0, 0, altSvc)
-		fr.WritePing(false, [8]byte{'a', 'f', 't', 'e', 'r'})
+		fr.writeFrame(0xa, 0, 0, altSvc)
+		fr.writePing(false, [8]byte{'a', 'f', 't', 'e', 'r'})
 		for {
 			f, err := fr.ReadFrame()
 			if err != nil {
 				acked <- false
 				return
 			}
-			if p, ok := f.(*PingFrame); ok && p.IsAck() {
+			if p, ok := f.(*PingFrame); ok && p.isAck() {
 				acked <- true
 				return
 			}
@@ -108,11 +108,11 @@ func TestParserNeverPanics(t *testing.T) {
 // TestParserNeverPanicsOnMutatedValidFrames mutates real frames.
 func TestParserNeverPanicsOnMutatedValidFrames(t *testing.T) {
 	w, r, buf := pipeFramer()
-	w.WriteSettings(Setting{SettingMaxFrameSize, 65536})
-	w.WriteOrigin([]string{"https://a.example", "https://b.example"})
-	w.WriteHeaders(HeadersFrameParam{StreamID: 1, BlockFragment: []byte{0x82, 0x84}, EndHeaders: true})
+	w.writeSettings(Setting{SettingMaxFrameSize, 65536})
+	w.writeOrigin([]string{"https://a.example", "https://b.example"})
+	w.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: []byte{0x82, 0x84}, EndHeaders: true})
 	w.WriteData(1, true, []byte("payload"))
-	w.WriteGoAway(1, ErrCodeNo, []byte("bye"))
+	w.writeGoAway(1, ErrCodeNo, []byte("bye"))
 	raw := append([]byte(nil), buf.Bytes()...)
 
 	rng := rand.New(rand.NewSource(5))

@@ -224,10 +224,10 @@ func TestZeroIncrementWindowUpdateTeardown(t *testing.T) {
 			}
 			fr := NewFramer(serverEnd, serverEnd)
 			fr.AllowIllegalWrites = true
-			if err := fr.WriteSettings(); err != nil {
+			if err := fr.writeSettings(); err != nil {
 				return err
 			}
-			if err := fr.WriteWindowUpdate(0, 0); err != nil {
+			if err := fr.writeWindowUpdate(0, 0); err != nil {
 				return err
 			}
 			// Drain until the client tears the transport down.

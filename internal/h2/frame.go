@@ -50,8 +50,8 @@ func (t FrameType) String() string {
 // Flags is the 8-bit frame flags field.
 type Flags uint8
 
-// Has reports whether all bits of f are set in fl.
-func (fl Flags) Has(f Flags) bool { return fl&f == f }
+// has reports whether all bits of f are set in fl.
+func (fl Flags) has(f Flags) bool { return fl&f == f }
 
 // Frame flags (per-type meanings).
 const (
@@ -132,11 +132,11 @@ type HeadersFrame struct {
 	Priority      PriorityParam
 }
 
-// EndStream reports whether the END_STREAM flag is set.
-func (f *HeadersFrame) EndStream() bool { return f.Flags.Has(FlagEndStream) }
+// endStream reports whether the END_STREAM flag is set.
+func (f *HeadersFrame) endStream() bool { return f.Flags.has(FlagEndStream) }
 
-// EndHeaders reports whether the END_HEADERS flag is set.
-func (f *HeadersFrame) EndHeaders() bool { return f.Flags.Has(FlagEndHeaders) }
+// endHeaders reports whether the END_HEADERS flag is set.
+func (f *HeadersFrame) endHeaders() bool { return f.Flags.has(FlagEndHeaders) }
 
 // PriorityParam are the stream dependency fields of PRIORITY and HEADERS.
 type PriorityParam struct {
@@ -194,8 +194,8 @@ func (id SettingID) String() string {
 	return fmt.Sprintf("UNKNOWN_SETTING_%d", uint16(id))
 }
 
-// Valid checks the §6.5.2 value constraints.
-func (s Setting) Valid() error {
+// valid checks the §6.5.2 value constraints.
+func (s Setting) valid() error {
 	switch s.ID {
 	case SettingEnablePush:
 		if s.Val != 0 && s.Val != 1 {
@@ -219,8 +219,8 @@ type SettingsFrame struct {
 	Settings []Setting
 }
 
-// IsAck reports whether this is a SETTINGS acknowledgement.
-func (f *SettingsFrame) IsAck() bool { return f.Flags.Has(FlagAck) }
+// isAck reports whether this is a SETTINGS acknowledgement.
+func (f *SettingsFrame) isAck() bool { return f.Flags.has(FlagAck) }
 
 // Value returns the last value for id in the frame.
 func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
@@ -245,8 +245,8 @@ type PingFrame struct {
 	Data [8]byte
 }
 
-// IsAck reports whether this is a PING acknowledgement.
-func (f *PingFrame) IsAck() bool { return f.Flags.Has(FlagAck) }
+// isAck reports whether this is a PING acknowledgement.
+func (f *PingFrame) isAck() bool { return f.Flags.has(FlagAck) }
 
 // GoAwayFrame initiates connection shutdown (§6.8).
 type GoAwayFrame struct {
@@ -268,8 +268,8 @@ type ContinuationFrame struct {
 	BlockFragment []byte
 }
 
-// EndHeaders reports whether the END_HEADERS flag is set.
-func (f *ContinuationFrame) EndHeaders() bool { return f.Flags.Has(FlagEndHeaders) }
+// endHeaders reports whether the END_HEADERS flag is set.
+func (f *ContinuationFrame) endHeaders() bool { return f.Flags.has(FlagEndHeaders) }
 
 // OriginFrame carries the connection's origin set (RFC 8336 §2).
 // It is only valid on stream 0 and carries ASCII origin serializations.

@@ -48,8 +48,8 @@ func NewFramer(w io.Writer, r io.Reader) *Framer {
 	}
 }
 
-// SetMaxReadFrameSize sets the largest payload ReadFrame accepts.
-func (fr *Framer) SetMaxReadFrameSize(n uint32) {
+// setMaxReadFrameSize sets the largest payload ReadFrame accepts.
+func (fr *Framer) setMaxReadFrameSize(n uint32) {
 	if n < minMaxFrameSize {
 		n = minMaxFrameSize
 	}
@@ -59,13 +59,13 @@ func (fr *Framer) SetMaxReadFrameSize(n uint32) {
 	fr.maxReadSize = n
 }
 
-// SetReadTimeout arms a read deadline of d on c before every subsequent
+// setReadTimeout arms a read deadline of d on c before every subsequent
 // ReadFrame: a peer silent for longer than d between frames fails the
 // read with a timeout error (a net.Error whose Timeout is true).
 // Endpoints running keepalive PINGs must keep d above the ping interval
 // or the idle timer fires before the liveness probe does. It must be called
 // before the read loop starts; a zero d disarms.
-func (fr *Framer) SetReadTimeout(c interface{ SetReadDeadline(time.Time) error }, d time.Duration) {
+func (fr *Framer) setReadTimeout(c interface{ SetReadDeadline(time.Time) error }, d time.Duration) {
 	fr.rdl = c
 	fr.readTimeout = d
 }
@@ -241,7 +241,7 @@ func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 
 // stripPadding removes the §6.1 pad-length octet and trailing padding.
 func stripPadding(hdr FrameHeader, p []byte) ([]byte, error) {
-	if !hdr.Flags.Has(FlagPadded) {
+	if !hdr.Flags.has(FlagPadded) {
 		return p, nil
 	}
 	if len(p) == 0 {
@@ -278,7 +278,7 @@ func parseHeadersFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error)
 	}
 	f := fc.getHeadersFrame()
 	*f = HeadersFrame{FrameHeader: hdr}
-	if hdr.Flags.Has(FlagPriority) {
+	if hdr.Flags.has(FlagPriority) {
 		if len(p) < 5 {
 			return nil, connError(ErrCodeProtocol, "HEADERS priority fields truncated")
 		}
@@ -333,7 +333,7 @@ func parseSettingsFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 	f := fc.getSettingsFrame()
 	settings := f.Settings[:0] // keep the cached frame's slice capacity
 	*f = SettingsFrame{FrameHeader: hdr}
-	if hdr.Flags.Has(FlagAck) {
+	if hdr.Flags.has(FlagAck) {
 		if len(p) != 0 {
 			return nil, connError(ErrCodeFrameSize, "SETTINGS ack with payload")
 		}
@@ -347,7 +347,7 @@ func parseSettingsFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 			ID:  SettingID(binary.BigEndian.Uint16(p[i : i+2])),
 			Val: binary.BigEndian.Uint32(p[i+2 : i+6]),
 		}
-		if err := s.Valid(); err != nil {
+		if err := s.valid(); err != nil {
 			return nil, err
 		}
 		settings = append(settings, s)
@@ -509,7 +509,7 @@ func (fr *Framer) WriteData(streamID uint32, endStream bool, data []byte) error 
 	return fr.endWrite()
 }
 
-// HeadersFrameParam configures WriteHeaders.
+// HeadersFrameParam configures writeHeadersFrame.
 type HeadersFrameParam struct {
 	StreamID      uint32
 	BlockFragment []byte
@@ -518,8 +518,8 @@ type HeadersFrameParam struct {
 	Priority      *PriorityParam
 }
 
-// WriteHeaders writes a HEADERS frame.
-func (fr *Framer) WriteHeaders(p HeadersFrameParam) error {
+// writeHeadersFrame writes a HEADERS frame.
+func (fr *Framer) writeHeadersFrame(p HeadersFrameParam) error {
 	var flags Flags
 	if p.EndStream {
 		flags |= FlagEndStream
@@ -543,8 +543,8 @@ func (fr *Framer) WriteHeaders(p HeadersFrameParam) error {
 	return fr.endWrite()
 }
 
-// WriteContinuation writes a CONTINUATION frame.
-func (fr *Framer) WriteContinuation(streamID uint32, endHeaders bool, frag []byte) error {
+// writeContinuation writes a CONTINUATION frame.
+func (fr *Framer) writeContinuation(streamID uint32, endHeaders bool, frag []byte) error {
 	var flags Flags
 	if endHeaders {
 		flags |= FlagEndHeaders
@@ -554,15 +554,15 @@ func (fr *Framer) WriteContinuation(streamID uint32, endHeaders bool, frag []byt
 	return fr.endWrite()
 }
 
-// WriteRSTStream writes an RST_STREAM frame.
-func (fr *Framer) WriteRSTStream(streamID uint32, code ErrCode) error {
+// writeRSTStream writes an RST_STREAM frame.
+func (fr *Framer) writeRSTStream(streamID uint32, code ErrCode) error {
 	fr.startWrite(FrameRSTStream, 0, streamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, uint32(code))
 	return fr.endWrite()
 }
 
-// WriteSettings writes a SETTINGS frame with the given parameters.
-func (fr *Framer) WriteSettings(settings ...Setting) error {
+// writeSettings writes a SETTINGS frame with the given parameters.
+func (fr *Framer) writeSettings(settings ...Setting) error {
 	fr.startWrite(FrameSettings, 0, 0)
 	for _, s := range settings {
 		fr.wbuf = binary.BigEndian.AppendUint16(fr.wbuf, uint16(s.ID))
@@ -571,14 +571,14 @@ func (fr *Framer) WriteSettings(settings ...Setting) error {
 	return fr.endWrite()
 }
 
-// WriteSettingsAck acknowledges the peer's SETTINGS frame.
-func (fr *Framer) WriteSettingsAck() error {
+// writeSettingsAck acknowledges the peer's SETTINGS frame.
+func (fr *Framer) writeSettingsAck() error {
 	fr.startWrite(FrameSettings, FlagAck, 0)
 	return fr.endWrite()
 }
 
-// WritePing writes a PING frame.
-func (fr *Framer) WritePing(ack bool, data [8]byte) error {
+// writePing writes a PING frame.
+func (fr *Framer) writePing(ack bool, data [8]byte) error {
 	var flags Flags
 	if ack {
 		flags |= FlagAck
@@ -588,8 +588,8 @@ func (fr *Framer) WritePing(ack bool, data [8]byte) error {
 	return fr.endWrite()
 }
 
-// WriteGoAway writes a GOAWAY frame.
-func (fr *Framer) WriteGoAway(lastStreamID uint32, code ErrCode, debug []byte) error {
+// writeGoAway writes a GOAWAY frame.
+func (fr *Framer) writeGoAway(lastStreamID uint32, code ErrCode, debug []byte) error {
 	fr.startWrite(FrameGoAway, 0, 0)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, lastStreamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, uint32(code))
@@ -597,8 +597,8 @@ func (fr *Framer) WriteGoAway(lastStreamID uint32, code ErrCode, debug []byte) e
 	return fr.endWrite()
 }
 
-// WriteWindowUpdate writes a WINDOW_UPDATE frame.
-func (fr *Framer) WriteWindowUpdate(streamID, incr uint32) error {
+// writeWindowUpdate writes a WINDOW_UPDATE frame.
+func (fr *Framer) writeWindowUpdate(streamID, incr uint32) error {
 	if (incr == 0 || incr > maxWindow) && !fr.AllowIllegalWrites {
 		return fmt.Errorf("h2: illegal window increment %d", incr)
 	}
@@ -607,9 +607,9 @@ func (fr *Framer) WriteWindowUpdate(streamID, incr uint32) error {
 	return fr.endWrite()
 }
 
-// WriteOrigin writes an RFC 8336 ORIGIN frame carrying the given origin
+// writeOrigin writes an RFC 8336 ORIGIN frame carrying the given origin
 // set on stream 0.
-func (fr *Framer) WriteOrigin(origins []string) error {
+func (fr *Framer) writeOrigin(origins []string) error {
 	for _, o := range origins {
 		if len(o) > 65535 {
 			return fmt.Errorf("h2: origin %q too long for ORIGIN frame", o)
@@ -621,10 +621,4 @@ func (fr *Framer) WriteOrigin(origins []string) error {
 		fr.wbuf = append(fr.wbuf, o...)
 	}
 	return fr.endWrite()
-}
-
-// WriteRawFrame writes an arbitrary frame; used by tests and the
-// non-compliance harness.
-func (fr *Framer) WriteRawFrame(typ FrameType, flags Flags, streamID uint32, payload []byte) error {
-	return fr.writeFrame(typ, flags, streamID, payload)
 }

@@ -46,7 +46,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T", f)
 	}
-	if df.StreamID != 5 || !df.Flags.Has(FlagEndStream) || string(df.Data) != "hello" {
+	if df.StreamID != 5 || !df.Flags.has(FlagEndStream) || string(df.Data) != "hello" {
 		t.Errorf("frame = %+v", df)
 	}
 }
@@ -71,7 +71,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 		{SettingMaxFrameSize, 65536},
 		{SettingEnablePush, 0},
 	}
-	if err := w.WriteSettings(in...); err != nil {
+	if err := w.writeSettings(in...); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
@@ -85,14 +85,14 @@ func TestSettingsRoundTrip(t *testing.T) {
 	if v, ok := sf.Value(SettingMaxFrameSize); !ok || v != 65536 {
 		t.Errorf("Value(MAX_FRAME_SIZE) = %d, %v", v, ok)
 	}
-	if err := w.WriteSettingsAck(); err != nil {
+	if err := w.writeSettingsAck(); err != nil {
 		t.Fatal(err)
 	}
 	f, err = r.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.(*SettingsFrame).IsAck() {
+	if !f.(*SettingsFrame).isAck() {
 		t.Error("expected SETTINGS ack")
 	}
 }
@@ -100,7 +100,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 func TestSettingsValidation(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// ENABLE_PUSH=2 is invalid.
-	if err := w.WriteSettings(Setting{SettingEnablePush, 2}); err != nil {
+	if err := w.writeSettings(Setting{SettingEnablePush, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadFrame(); err == nil {
@@ -112,19 +112,19 @@ func TestPingGoAwayWindowUpdate(t *testing.T) {
 	w, r, _ := pipeFramer()
 	var data [8]byte
 	copy(data[:], "12345678")
-	if err := w.WritePing(false, data); err != nil {
+	if err := w.writePing(false, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteGoAway(7, ErrCodeEnhanceYourCalm, []byte("slow down")); err != nil {
+	if err := w.writeGoAway(7, ErrCodeEnhanceYourCalm, []byte("slow down")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteWindowUpdate(3, 1000); err != nil {
+	if err := w.writeWindowUpdate(3, 1000); err != nil {
 		t.Fatal(err)
 	}
 
 	f, _ := r.ReadFrame()
 	pf := f.(*PingFrame)
-	if pf.Data != data || pf.IsAck() {
+	if pf.Data != data || pf.isAck() {
 		t.Errorf("ping = %+v", pf)
 	}
 	f, _ = r.ReadFrame()
@@ -142,7 +142,7 @@ func TestPingGoAwayWindowUpdate(t *testing.T) {
 func TestZeroWindowIncrementErrors(t *testing.T) {
 	w, r, _ := pipeFramer()
 	w.AllowIllegalWrites = true
-	if err := w.WriteWindowUpdate(0, 0); err != nil {
+	if err := w.writeWindowUpdate(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadFrame(); err == nil {
@@ -150,7 +150,7 @@ func TestZeroWindowIncrementErrors(t *testing.T) {
 	}
 	w2, r2, _ := pipeFramer()
 	w2.AllowIllegalWrites = true
-	if err := w2.WriteWindowUpdate(9, 0); err != nil {
+	if err := w2.writeWindowUpdate(9, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r2.ReadFrame()
@@ -162,7 +162,7 @@ func TestZeroWindowIncrementErrors(t *testing.T) {
 
 func TestHeadersWithPriorityRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
-	err := w.WriteHeaders(HeadersFrameParam{
+	err := w.writeHeadersFrame(HeadersFrameParam{
 		StreamID:      11,
 		BlockFragment: []byte{0x82},
 		EndStream:     true,
@@ -177,7 +177,7 @@ func TestHeadersWithPriorityRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	hf := f.(*HeadersFrame)
-	if !hf.EndStream() || !hf.EndHeaders() {
+	if !hf.endStream() || !hf.endHeaders() {
 		t.Error("flags lost")
 	}
 	want := PriorityParam{StreamDep: 3, Exclusive: true, Weight: 200}
@@ -192,7 +192,7 @@ func TestHeadersWithPriorityRoundTrip(t *testing.T) {
 func TestOriginFrameRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
 	origins := []string{"https://example.com", "https://cdn.example.com", "https://fonts.example.net:8443"}
-	if err := w.WriteOrigin(origins); err != nil {
+	if err := w.writeOrigin(origins); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
@@ -218,7 +218,7 @@ func TestOriginFrameRoundTripQuick(t *testing.T) {
 			origins = append(origins, string(e))
 		}
 		w, r, _ := pipeFramer()
-		if err := w.WriteOrigin(origins); err != nil {
+		if err := w.writeOrigin(origins); err != nil {
 			return false
 		}
 		fr, err := r.ReadFrame()
@@ -242,7 +242,7 @@ func TestOriginFrameRoundTripQuick(t *testing.T) {
 func TestOriginFrameTruncatedPayload(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// Entry claims 10 bytes but only 3 follow.
-	if err := w.WriteRawFrame(FrameOrigin, 0, 0, []byte{0x00, 0x0a, 'a', 'b', 'c'}); err != nil {
+	if err := w.writeFrame(FrameOrigin, 0, 0, []byte{0x00, 0x0a, 'a', 'b', 'c'}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.ReadFrame()
@@ -257,7 +257,7 @@ func TestOriginFrameTruncatedPayload(t *testing.T) {
 func TestAltSvcRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
 	payload := append([]byte{0x00, 0x0b}, `example.comh3=":443"`...)
-	if err := w.WriteRawFrame(0xa, 0, 0, payload); err != nil {
+	if err := w.writeFrame(0xa, 0, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
@@ -272,7 +272,7 @@ func TestAltSvcRoundTrip(t *testing.T) {
 
 func TestUnknownFrameIgnoredByParser(t *testing.T) {
 	w, r, _ := pipeFramer()
-	if err := w.WriteRawFrame(FrameType(0xfb), 0x7, 9, []byte("anything")); err != nil {
+	if err := w.writeFrame(FrameType(0xfb), 0x7, 9, []byte("anything")); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
@@ -287,7 +287,7 @@ func TestUnknownFrameIgnoredByParser(t *testing.T) {
 
 func TestOversizeFrameRejected(t *testing.T) {
 	w, r, _ := pipeFramer()
-	if err := w.WriteRawFrame(FrameData, 0, 1, make([]byte, minMaxFrameSize+1)); err != nil {
+	if err := w.writeFrame(FrameData, 0, 1, make([]byte, minMaxFrameSize+1)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.ReadFrame()
@@ -301,7 +301,7 @@ func TestPaddingHandling(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// DATA with 4 bytes padding: padlen byte + data + pad.
 	payload := append([]byte{4}, append([]byte("body"), 0, 0, 0, 0)...)
-	if err := w.WriteRawFrame(FrameData, FlagPadded, 1, payload); err != nil {
+	if err := w.writeFrame(FrameData, FlagPadded, 1, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
@@ -314,7 +314,7 @@ func TestPaddingHandling(t *testing.T) {
 
 	// Pad length exceeding payload is a protocol error.
 	w2, r2, _ := pipeFramer()
-	if err := w2.WriteRawFrame(FrameData, FlagPadded, 1, []byte{200, 'x'}); err != nil {
+	if err := w2.writeFrame(FrameData, FlagPadded, 1, []byte{200, 'x'}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.ReadFrame(); err == nil {
@@ -324,7 +324,7 @@ func TestPaddingHandling(t *testing.T) {
 
 func TestRSTStreamRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
-	if err := w.WriteRSTStream(21, ErrCodeRefusedStream); err != nil {
+	if err := w.writeRSTStream(21, ErrCodeRefusedStream); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()

@@ -104,7 +104,7 @@ func FuzzSettingsDecode(f *testing.F) {
 		}
 		sf := parsed.(*SettingsFrame)
 		var buf bytes.Buffer
-		if err := NewFramer(&buf, nil).WriteSettings(sf.Settings...); err != nil {
+		if err := NewFramer(&buf, nil).writeSettings(sf.Settings...); err != nil {
 			t.Fatalf("re-serialize: %v", err)
 		}
 		if got := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(got, data) {
@@ -142,9 +142,9 @@ func FuzzOriginPayload(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		parsed, err := parseOriginFrame(nil, FrameHeader{Type: FrameOrigin, Length: uint32(len(payload))}, payload)
-		set := NewOriginSet()
+		set := newOriginSet()
 		if err == nil {
-			set.Replace(parsed.(*OriginFrame).Origins)
+			set.replace(parsed.(*OriginFrame).Origins)
 		}
 		runtime.ReadMemStats(&after)
 		// Worst honest ratio: a two-byte empty entry is a 16-byte string
@@ -158,7 +158,7 @@ func FuzzOriginPayload(f *testing.F) {
 		}
 		origins := parsed.(*OriginFrame).Origins
 		var buf bytes.Buffer
-		if err := NewFramer(&buf, nil).WriteOrigin(origins); err != nil {
+		if err := NewFramer(&buf, nil).writeOrigin(origins); err != nil {
 			t.Fatalf("re-serialize: %v", err)
 		}
 		if got := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(got, payload) {
@@ -168,11 +168,11 @@ func FuzzOriginPayload(f *testing.F) {
 			t.Fatalf("%d entries made a set of %d", len(origins), set.Len())
 		}
 		for _, o := range set.All() {
-			if c, err := CanonicalOrigin(o); err != nil || c != o {
+			if c, err := canonicalOrigin(o); err != nil || c != o {
 				t.Fatalf("set member %q canonicalizes to %q, %v", o, c, err)
 			}
-			if !set.Contains(o) || !strings.HasPrefix(o, "https://") || OriginHost(o) == "" {
-				t.Fatalf("set member %q: contained %v, host %q", o, set.Contains(o), OriginHost(o))
+			if !set.contains(o) || !strings.HasPrefix(o, "https://") || originHost(o) == "" {
+				t.Fatalf("set member %q: contained %v, host %q", o, set.contains(o), originHost(o))
 			}
 		}
 	})

@@ -24,7 +24,7 @@ func TestContinuationFloodCutOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFramer(cn, cn)
-	if err := fr.WriteSettings(); err != nil {
+	if err := fr.writeSettings(); err != nil {
 		t.Fatal(err)
 	}
 	// Open a header block and never finish it.
@@ -33,13 +33,13 @@ func TestContinuationFloodCutOff(t *testing.T) {
 		{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
 		{Name: ":path", Value: "/"},
 	})
-	if err := fr.WriteHeaders(HeadersFrameParam{StreamID: 1, BlockFragment: frag}); err != nil {
+	if err := fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: frag}); err != nil {
 		t.Fatal(err)
 	}
 	junk := bytes.Repeat([]byte{0x00}, 16000) // literal fragments, never END_HEADERS
 	go func() {
 		for i := 0; i < 200; i++ {
-			if err := fr.WriteContinuation(1, false, junk); err != nil {
+			if err := fr.writeContinuation(1, false, junk); err != nil {
 				return
 			}
 		}
@@ -66,10 +66,10 @@ func TestOversizedSingleHeadersFrame(t *testing.T) {
 
 	io.WriteString(cn, ClientPreface)
 	fr := NewFramer(cn, cn)
-	fr.WriteSettings()
+	fr.writeSettings()
 	go io.Copy(io.Discard, cn)
 	big := bytes.Repeat([]byte{0}, (1<<20)+1)
-	if err := fr.WriteHeaders(HeadersFrameParam{StreamID: 1, BlockFragment: big, EndHeaders: true}); err != nil {
+	if err := fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: big, EndHeaders: true}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -114,11 +114,11 @@ func TestInitialWindowSizeChangeMidStream(t *testing.T) {
 	}()
 	// Mid-transfer, lower and then raise the server's send window.
 	time.Sleep(20 * time.Millisecond)
-	if err := cc.fr.WriteSettings(Setting{SettingInitialWindowSize, 1024}); err != nil {
+	if err := cc.fr.writeSettings(Setting{SettingInitialWindowSize, 1024}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := cc.fr.WriteSettings(Setting{SettingInitialWindowSize, 1 << 20}); err != nil {
+	if err := cc.fr.writeSettings(Setting{SettingInitialWindowSize, 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -195,7 +195,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 
 	io.WriteString(cn, ClientPreface)
 	fr := NewFramer(cn, cn)
-	fr.WriteSettings()
+	fr.writeSettings()
 	enc := hpack.NewEncoder()
 
 	// Uppercase header name: connection is torn down with a
@@ -204,7 +204,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 		{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
 		{Name: ":path", Value: "/"}, {Name: "BadHeader", Value: "x"},
 	})
-	fr.WriteHeaders(HeadersFrameParam{StreamID: 1, BlockFragment: frag, EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: frag, EndStream: true, EndHeaders: true})
 
 	sawReset := false
 	deadline := time.After(2 * time.Second)
@@ -245,7 +245,7 @@ func TestStreamIDMonotonicityEnforced(t *testing.T) {
 
 	io.WriteString(cn, ClientPreface)
 	fr := NewFramer(cn, cn)
-	fr.WriteSettings()
+	fr.writeSettings()
 	go io.Copy(io.Discard, cn)
 	enc := hpack.NewEncoder()
 	mk := func() []byte {
@@ -253,8 +253,8 @@ func TestStreamIDMonotonicityEnforced(t *testing.T) {
 			{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"}, {Name: ":path", Value: "/"},
 		})
 	}
-	fr.WriteHeaders(HeadersFrameParam{StreamID: 5, BlockFragment: mk(), EndStream: true, EndHeaders: true})
-	fr.WriteHeaders(HeadersFrameParam{StreamID: 3, BlockFragment: mk(), EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 5, BlockFragment: mk(), EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 3, BlockFragment: mk(), EndStream: true, EndHeaders: true})
 	select {
 	case err := <-serverErr:
 		ce, ok := err.(ConnectionError)

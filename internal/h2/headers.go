@@ -13,9 +13,9 @@ type MetaHeadersFrame struct {
 	Fields []hpack.HeaderField
 }
 
-// PseudoValue returns the value of the given pseudo-header (":method",
+// pseudoValue returns the value of the given pseudo-header (":method",
 // ":path", ...) or "".
-func (f *MetaHeadersFrame) PseudoValue(name string) string {
+func (f *MetaHeadersFrame) pseudoValue(name string) string {
 	for _, hf := range f.Fields {
 		if !strings.HasPrefix(hf.Name, ":") {
 			break
@@ -27,8 +27,8 @@ func (f *MetaHeadersFrame) PseudoValue(name string) string {
 	return ""
 }
 
-// RegularFields returns the non-pseudo header fields.
-func (f *MetaHeadersFrame) RegularFields() []hpack.HeaderField {
+// regularFields returns the non-pseudo header fields.
+func (f *MetaHeadersFrame) regularFields() []hpack.HeaderField {
 	for i, hf := range f.Fields {
 		if !strings.HasPrefix(hf.Name, ":") {
 			return f.Fields[i:]
@@ -107,7 +107,7 @@ func (hw *headerWriter) writeHeaders(streamID uint32, fields []hpack.HeaderField
 		end := len(block) == 0
 		var err error
 		if first {
-			err = hw.fr.WriteHeaders(HeadersFrameParam{
+			err = hw.fr.writeHeadersFrame(HeadersFrameParam{
 				StreamID:      streamID,
 				BlockFragment: frag,
 				EndStream:     endStream,
@@ -115,7 +115,7 @@ func (hw *headerWriter) writeHeaders(streamID uint32, fields []hpack.HeaderField
 			})
 			first = false
 		} else {
-			err = hw.fr.WriteContinuation(streamID, end, frag)
+			err = hw.fr.writeContinuation(streamID, end, frag)
 		}
 		if err != nil {
 			return err
@@ -171,7 +171,7 @@ func (hr *headerReader) onHeaders(f *HeadersFrame) (*MetaHeadersFrame, error) {
 	// fragment: a complete block is decoded right here, before the next
 	// ReadFrame can clobber it.
 	owned := &HeadersFrame{FrameHeader: f.FrameHeader, Priority: f.Priority}
-	if f.EndHeaders() {
+	if f.endHeaders() {
 		return hr.decode(owned, f.BlockFragment)
 	}
 	hr.pending = owned
@@ -193,7 +193,7 @@ func (hr *headerReader) onContinuation(f *ContinuationFrame) (*MetaHeadersFrame,
 		return nil, connError(ErrCodeEnhanceYourCalm, "header block too large")
 	}
 	hr.frag = append(hr.frag, f.BlockFragment...)
-	if !f.EndHeaders() {
+	if !f.endHeaders() {
 		return nil, nil
 	}
 	pending := hr.pending

@@ -1,6 +1,7 @@
 package h2
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -99,7 +100,14 @@ func TestChaosRecorderWiring(t *testing.T) {
 		t.Error("trace recorded no events")
 	}
 	// The trace must serialize cleanly even with interleaved emitters.
-	evs := trace.Events()
+	var buf bytes.Buffer
+	if err := trace.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadNDJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Rank < evs[i-1].Rank ||
 			(evs[i].Rank == evs[i-1].Rank && evs[i].Seq < evs[i-1].Seq) {

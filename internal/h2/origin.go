@@ -9,7 +9,7 @@ import (
 
 // An OriginSet is the set of origins a connection is authoritative for,
 // per RFC 8336 §2.3. The zero value is an empty, unusable set; use
-// NewOriginSet, or let a ClientConn maintain one.
+// newOriginSet, or let a ClientConn maintain one.
 //
 // Origins are stored in their ASCII serialization ("https://host[:port]",
 // RFC 6454 §6.2) with the default port elided and the host lowercased.
@@ -18,28 +18,28 @@ type OriginSet struct {
 	origins map[string]struct{}
 }
 
-// NewOriginSet returns an origin set seeded with the given origins.
-func NewOriginSet(origins ...string) *OriginSet {
+// newOriginSet returns an origin set seeded with the given origins.
+func newOriginSet(origins ...string) *OriginSet {
 	s := &OriginSet{origins: make(map[string]struct{})}
 	for _, o := range origins {
-		if c, err := CanonicalOrigin(o); err == nil {
+		if c, err := canonicalOrigin(o); err == nil {
 			s.origins[c] = struct{}{}
 		}
 	}
 	return s
 }
 
-// Replace installs the origins from an ORIGIN frame. Per RFC 8336 §2.3
+// replace installs the origins from an ORIGIN frame. Per RFC 8336 §2.3
 // "The ORIGIN frame allows a sender to indicate what origins it would
 // like the origin set to contain": each frame replaces the set. Invalid
 // entries are skipped — clients are required to ignore what they cannot
 // parse (fail-open).
-func (s *OriginSet) Replace(origins []string) {
+func (s *OriginSet) replace(origins []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.origins = make(map[string]struct{}, len(origins))
 	for _, o := range origins {
-		if c, err := CanonicalOrigin(o); err == nil {
+		if c, err := canonicalOrigin(o); err == nil {
 			s.origins[c] = struct{}{}
 		}
 	}
@@ -47,7 +47,7 @@ func (s *OriginSet) Replace(origins []string) {
 
 // Add inserts a single origin, e.g. the connection's own origin.
 func (s *OriginSet) Add(origin string) {
-	c, err := CanonicalOrigin(origin)
+	c, err := canonicalOrigin(origin)
 	if err != nil {
 		return
 	}
@@ -59,9 +59,9 @@ func (s *OriginSet) Add(origin string) {
 	s.origins[c] = struct{}{}
 }
 
-// Contains reports whether origin is in the set.
-func (s *OriginSet) Contains(origin string) bool {
-	c, err := CanonicalOrigin(origin)
+// contains reports whether origin is in the set.
+func (s *OriginSet) contains(origin string) bool {
+	c, err := canonicalOrigin(origin)
 	if err != nil {
 		return false
 	}
@@ -90,7 +90,7 @@ func (s *OriginSet) All() []string {
 	return out
 }
 
-// CanonicalOrigin normalizes an origin or hostname to the RFC 6454 §6.2
+// canonicalOrigin normalizes an origin or hostname to the RFC 6454 §6.2
 // ASCII serialization with scheme https. Accepted inputs:
 //
 //	example.com            -> https://example.com
@@ -99,7 +99,7 @@ func (s *OriginSet) All() []string {
 //
 // Only https origins are meaningful for ORIGIN frames (RFC 8336 §2.1);
 // any other scheme is rejected.
-func CanonicalOrigin(in string) (string, error) {
+func canonicalOrigin(in string) (string, error) {
 	s := strings.TrimSpace(in)
 	if s == "" {
 		return "", fmt.Errorf("h2: empty origin")
@@ -157,8 +157,8 @@ func CanonicalOrigin(in string) (string, error) {
 	return scheme + "://" + host + ":" + port, nil
 }
 
-// OriginHost extracts the host (without port) from a canonical origin.
-func OriginHost(origin string) string {
+// originHost extracts the host (without port) from a canonical origin.
+func originHost(origin string) string {
 	s := strings.TrimPrefix(origin, "https://")
 	if i := strings.LastIndexByte(s, ':'); i >= 0 && !strings.HasSuffix(s, "]") {
 		if !strings.Contains(s[i+1:], "]") {

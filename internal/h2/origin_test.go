@@ -36,26 +36,26 @@ func TestCanonicalOrigin(t *testing.T) {
 		{"https://[example]", "", true},
 	}
 	for _, c := range cases {
-		got, err := CanonicalOrigin(c.in)
+		got, err := canonicalOrigin(c.in)
 		if c.err {
 			if err == nil {
-				t.Errorf("CanonicalOrigin(%q) = %q, want error", c.in, got)
+				t.Errorf("canonicalOrigin(%q) = %q, want error", c.in, got)
 			}
 			continue
 		}
 		if err != nil || got != c.want {
-			t.Errorf("CanonicalOrigin(%q) = %q, %v; want %q", c.in, got, err, c.want)
+			t.Errorf("canonicalOrigin(%q) = %q, %v; want %q", c.in, got, err, c.want)
 		}
 	}
 }
 
 func TestCanonicalOriginIdempotent(t *testing.T) {
 	f := func(host string) bool {
-		c1, err := CanonicalOrigin(host)
+		c1, err := canonicalOrigin(host)
 		if err != nil {
 			return true // invalid inputs are out of scope
 		}
-		c2, err := CanonicalOrigin(c1)
+		c2, err := canonicalOrigin(c1)
 		return err == nil && c1 == c2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -71,41 +71,41 @@ func TestOriginHost(t *testing.T) {
 		{"https://[::1]", "[::1]"},
 	}
 	for _, c := range cases {
-		if got := OriginHost(c.in); got != c.want {
-			t.Errorf("OriginHost(%q) = %q, want %q", c.in, got, c.want)
+		if got := originHost(c.in); got != c.want {
+			t.Errorf("originHost(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
 
 func TestOriginSetReplaceSemantics(t *testing.T) {
-	s := NewOriginSet()
+	s := newOriginSet()
 	if s.Len() != 0 {
 		t.Errorf("fresh set holds %v", s.All())
 	}
-	s.Replace([]string{"a.example", "b.example"})
+	s.replace([]string{"a.example", "b.example"})
 	if s.Len() != 2 {
 		t.Fatalf("after replace: len=%d", s.Len())
 	}
-	if !s.Contains("a.example") || !s.Contains("https://b.example") {
+	if !s.contains("a.example") || !s.contains("https://b.example") {
 		t.Error("membership lookups failed")
 	}
 	// A second ORIGIN frame replaces, not merges.
-	s.Replace([]string{"c.example"})
-	if s.Contains("a.example") || !s.Contains("c.example") || s.Len() != 1 {
+	s.replace([]string{"c.example"})
+	if s.contains("a.example") || !s.contains("c.example") || s.Len() != 1 {
 		t.Errorf("replace did not replace: %v", s.All())
 	}
 }
 
 func TestOriginSetSkipsInvalidEntries(t *testing.T) {
-	s := NewOriginSet()
-	s.Replace([]string{"good.example", "http://bad.example", "", "also good.example/nope path"})
-	if s.Len() != 1 || !s.Contains("good.example") {
+	s := newOriginSet()
+	s.replace([]string{"good.example", "http://bad.example", "", "also good.example/nope path"})
+	if s.Len() != 1 || !s.contains("good.example") {
 		t.Errorf("set = %v", s.All())
 	}
 }
 
 func TestOriginSetAll(t *testing.T) {
-	s := NewOriginSet("b.example", "a.example")
+	s := newOriginSet("b.example", "a.example")
 	want := []string{"https://a.example", "https://b.example"}
 	if got := s.All(); !reflect.DeepEqual(got, want) {
 		t.Errorf("All() = %v, want %v", got, want)
@@ -115,11 +115,11 @@ func TestOriginSetAll(t *testing.T) {
 func TestOriginSetAddAndContains(t *testing.T) {
 	var s OriginSet
 	s.Add("www.example.com")
-	if !s.Contains("WWW.example.com") {
+	if !s.contains("WWW.example.com") {
 		t.Error("case-insensitive membership failed")
 	}
 	s.Add("http://ignored.example")
-	if s.Contains("ignored.example") {
+	if s.contains("ignored.example") {
 		t.Error("non-https origin admitted")
 	}
 }

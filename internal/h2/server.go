@@ -144,7 +144,7 @@ func (s *Server) ServeConn(nc net.Conn) error {
 	sc.hw = &headerWriter{fr: sc.fr, enc: hpack.NewEncoder(), maxFrameSize: minMaxFrameSize}
 	sc.hr = &headerReader{dec: hpack.NewDecoder()}
 	if s.ReadTimeout > 0 {
-		sc.fr.SetReadTimeout(nc, s.ReadTimeout)
+		sc.fr.setReadTimeout(nc, s.ReadTimeout)
 	}
 	if s.WriteTimeout > 0 {
 		aw.setWriteTimeout(nc, s.WriteTimeout)
@@ -210,21 +210,21 @@ func (sc *serverConn) serve() error {
 		{SettingMaxFrameSize, sc.srv.maxFrameSize()},
 		{SettingEnablePush, 0},
 	}
-	if err := sc.fr.WriteSettings(settings...); err != nil {
+	if err := sc.fr.writeSettings(settings...); err != nil {
 		return err
 	}
-	sc.fr.SetMaxReadFrameSize(sc.srv.maxFrameSize())
+	sc.fr.setMaxReadFrameSize(sc.srv.maxFrameSize())
 
 	if origins := sc.srv.OriginSet; len(origins) > 0 {
 		canon := make([]string, 0, len(origins))
 		for _, o := range origins {
-			c, err := CanonicalOrigin(o)
+			c, err := canonicalOrigin(o)
 			if err != nil {
 				return fmt.Errorf("h2: bad configured origin %q: %w", o, err)
 			}
 			canon = append(canon, c)
 		}
-		if err := sc.fr.WriteOrigin(canon); err != nil {
+		if err := sc.fr.writeOrigin(canon); err != nil {
 			return err
 		}
 		sc.counters.OriginAdvertised = true
@@ -298,7 +298,7 @@ func (sc *serverConn) fatal(err error) error {
 		sc.mu.Lock()
 		last := sc.lastStreamID
 		sc.mu.Unlock()
-		_ = sc.fr.WriteGoAway(last, ce.Code, []byte(ce.Reason))
+		_ = sc.fr.writeGoAway(last, ce.Code, []byte(ce.Reason))
 		_ = sc.nc.Close()
 		if ce.Code == ErrCodeNo {
 			return nil
@@ -313,7 +313,7 @@ func (sc *serverConn) fatal(err error) error {
 func (sc *serverConn) handleError(err error) error {
 	if se, ok := err.(StreamError); ok {
 		sc.closeStream(se.StreamID)
-		if werr := sc.fr.WriteRSTStream(se.StreamID, se.Code); werr != nil {
+		if werr := sc.fr.writeRSTStream(se.StreamID, se.Code); werr != nil {
 			return sc.fatal(werr)
 		}
 		return nil
@@ -339,11 +339,11 @@ func (sc *serverConn) dispatch(f Frame) error {
 	case *SettingsFrame:
 		return sc.onSettings(f)
 	case *PingFrame:
-		if f.IsAck() {
+		if f.isAck() {
 			return nil
 		}
 		sc.counters.FramesWritten++
-		return sc.fr.WritePing(true, f.Data)
+		return sc.fr.writePing(true, f.Data)
 	case *WindowUpdateFrame:
 		if !sc.sendFlow.add(f.StreamID, int64(f.Increment)) {
 			if f.StreamID == 0 {
@@ -416,14 +416,14 @@ func (sc *serverConn) onRequestHeaders(meta *MetaHeadersFrame) error {
 		return streamError(id, ErrCodeRefusedStream, "too many concurrent streams")
 	}
 	req := &Request{
-		Method:    meta.PseudoValue("method"),
-		Scheme:    meta.PseudoValue("scheme"),
-		Authority: meta.PseudoValue("authority"),
-		Path:      meta.PseudoValue("path"),
-		Header:    meta.RegularFields(),
+		Method:    meta.pseudoValue("method"),
+		Scheme:    meta.pseudoValue("scheme"),
+		Authority: meta.pseudoValue("authority"),
+		Path:      meta.pseudoValue("path"),
+		Header:    meta.regularFields(),
 		StreamID:  id,
 	}
-	st := &serverStream{id: id, req: req, gotEnd: meta.EndStream()}
+	st := &serverStream{id: id, req: req, gotEnd: meta.endStream()}
 	sc.streams[id] = st
 	sc.activeStreams++
 	sc.counters.StreamsOpened++
@@ -447,7 +447,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	}
 	if inc > 0 {
 		sc.counters.FramesWritten++
-		if err := sc.fr.WriteWindowUpdate(0, uint32(inc)); err != nil {
+		if err := sc.fr.writeWindowUpdate(0, uint32(inc)); err != nil {
 			return err
 		}
 	}
@@ -462,11 +462,11 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	// Replenish the stream window (padding included) so the peer can
 	// keep sending.
 	if f.Length > 0 {
-		if err := sc.fr.WriteWindowUpdate(f.StreamID, f.Length); err != nil {
+		if err := sc.fr.writeWindowUpdate(f.StreamID, f.Length); err != nil {
 			return err
 		}
 	}
-	if f.Flags.Has(FlagEndStream) {
+	if f.Flags.has(FlagEndStream) {
 		st.gotEnd = true
 		sc.startHandler(st)
 	}
@@ -474,7 +474,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 }
 
 func (sc *serverConn) onSettings(f *SettingsFrame) error {
-	if f.IsAck() {
+	if f.isAck() {
 		return nil
 	}
 	for _, s := range f.Settings {
@@ -497,7 +497,7 @@ func (sc *serverConn) onSettings(f *SettingsFrame) error {
 		}
 	}
 	sc.counters.FramesWritten++
-	return sc.fr.WriteSettingsAck()
+	return sc.fr.writeSettingsAck()
 }
 
 func (sc *serverConn) startHandler(st *serverStream) {

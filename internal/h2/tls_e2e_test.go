@@ -3,6 +3,7 @@ package h2_test
 import (
 	"crypto/tls"
 	"net"
+	"slices"
 	"testing"
 
 	"respectorigin/internal/certs"
@@ -93,7 +94,7 @@ func TestTLSEndToEndOriginCoalescing(t *testing.T) {
 
 	// The ORIGIN frame arrived before the first response; the client's
 	// origin set plus the real certificate authorize the third party.
-	if !cc.OriginSet().Contains(third) {
+	if !slices.Contains(cc.OriginSet().All(), "https://"+third) {
 		t.Fatalf("origin set missing %s: %v", third, cc.OriginSet().All())
 	}
 	if !cc.CanRequest(third) {

@@ -34,10 +34,6 @@ func (t Timings) Total() float64 {
 	return t.Blocked + t.DNS + t.Connect + t.SSL + t.Send + t.Wait + t.Receive
 }
 
-// SetupTime returns the portion removable by coalescing: DNS plus
-// connection establishment (TCP+TLS).
-func (t Timings) SetupTime() float64 { return t.DNS + t.Connect + t.SSL }
-
 // Entry is one request in a page-load timeline.
 type Entry struct {
 	// StartedMs is the request start relative to navigation start.

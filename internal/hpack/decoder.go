@@ -1,20 +1,14 @@
 package hpack
 
 // A Decoder reads HPACK header blocks. It maintains the decoder-side
-// dynamic table and enforces the capacity limit the connection owner set
-// via SETTINGS_HEADER_TABLE_SIZE.
+// dynamic table and enforces the RFC default SETTINGS_HEADER_TABLE_SIZE
+// of 4096 bytes, the only value an endpoint here advertises, as the
+// limit on dynamic table size updates. Every decoded name and value is
+// bounded by DefaultMaxStringLength.
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
 	dt *dynamicTable
-
-	// maxAllowed is the upper bound for dynamic table size updates,
-	// i.e. the value this endpoint advertised in SETTINGS.
-	maxAllowed uint32
-
-	// maxStringLen bounds individual decoded strings; 0 means the
-	// package-wide DefaultMaxStringLength, never "unbounded".
-	maxStringLen uint64
 
 	// scratch is the reusable Huffman decode buffer: string literals
 	// decode into it before the single string materialization, so
@@ -26,29 +20,8 @@ type Decoder struct {
 // NewDecoder returns a Decoder whose dynamic table capacity and update
 // limit are the RFC default of 4096 bytes.
 func NewDecoder() *Decoder {
-	return &Decoder{
-		dt:         newDynamicTable(DefaultDynamicTableSize),
-		maxAllowed: DefaultDynamicTableSize,
-	}
+	return &Decoder{dt: newDynamicTable(DefaultDynamicTableSize)}
 }
-
-// SetMaxStringLength bounds the length of any single decoded name or
-// value. Zero restores the DefaultMaxStringLength bound.
-func (d *Decoder) SetMaxStringLength(n uint64) { d.maxStringLen = n }
-
-// SetAllowedMaxDynamicTableSize sets the limit this endpoint advertised
-// for the peer encoder's dynamic table; size updates above it are a
-// compression error.
-func (d *Decoder) SetAllowedMaxDynamicTableSize(n uint32) {
-	d.maxAllowed = n
-	if d.dt.maxSize > n {
-		d.dt.setMaxSize(n)
-	}
-}
-
-// DynamicTableSize reports the current size in bytes of the decoder's
-// dynamic table.
-func (d *Decoder) DynamicTableSize() uint32 { return d.dt.size }
 
 // DecodeFull decodes a complete header block and returns its fields.
 // Any error is a COMPRESSION_ERROR at the HTTP/2 layer.
@@ -90,7 +63,7 @@ func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n > uint64(d.maxAllowed) {
+			if n > DefaultDynamicTableSize {
 				return nil, ErrTableSizeUpdate
 			}
 			d.dt.setMaxSize(uint32(n))
@@ -125,12 +98,12 @@ func (d *Decoder) readLiteral(block []byte, n uint8) (HeaderField, []byte, error
 		}
 		f.Name = ref.Name
 	} else {
-		f.Name, rest, d.scratch, err = readString(rest, d.maxStringLen, d.scratch)
+		f.Name, rest, d.scratch, err = readString(rest, d.scratch)
 		if err != nil {
 			return HeaderField{}, nil, err
 		}
 	}
-	f.Value, rest, d.scratch, err = readString(rest, d.maxStringLen, d.scratch)
+	f.Value, rest, d.scratch, err = readString(rest, d.scratch)
 	if err != nil {
 		return HeaderField{}, nil, err
 	}

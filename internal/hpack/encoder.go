@@ -49,16 +49,12 @@ func (e *Encoder) SetMaxDynamicTableSize(n uint32) {
 	e.tableSizeUpdate = true
 }
 
-// DynamicTableSize reports the current size in bytes of the encoder's
-// dynamic table.
-func (e *Encoder) DynamicTableSize() uint32 { return e.dt.size }
-
-// AppendField appends the HPACK representation of f to dst.
+// appendField appends the HPACK representation of f to dst.
 //
 // Representation choice follows the usual policy: indexed when an exact
 // match exists; literal-with-incremental-indexing otherwise, unless the
 // field is Sensitive (never-indexed) or too large to be worth indexing.
-func (e *Encoder) AppendField(dst []byte, f HeaderField) []byte {
+func (e *Encoder) appendField(dst []byte, f HeaderField) []byte {
 	dst = e.flushTableSizeUpdates(dst)
 
 	k := tableKey{f.Name, f.Value}
@@ -99,7 +95,7 @@ func (e *Encoder) AppendField(dst []byte, f HeaderField) []byte {
 // AppendHeaderBlock encodes all fields into a single header block.
 func (e *Encoder) AppendHeaderBlock(dst []byte, fields []HeaderField) []byte {
 	for _, f := range fields {
-		dst = e.AppendField(dst, f)
+		dst = e.appendField(dst, f)
 	}
 	return dst
 }

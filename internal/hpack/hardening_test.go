@@ -58,8 +58,7 @@ func TestDecodeFullHugeIndexRejected(t *testing.T) {
 
 // --- default string expansion bound ---
 
-// TestRawStringDefaultBound: with no explicit SetMaxStringLength, a raw
-// literal longer than DefaultMaxStringLength must be rejected rather
+// TestRawStringDefaultBound: a raw literal longer than DefaultMaxStringLength must be rejected rather
 // than decoded unbounded.
 func TestRawStringDefaultBound(t *testing.T) {
 	name := strings.Repeat("a", DefaultMaxStringLength+1)
@@ -98,19 +97,20 @@ func TestHuffmanDecodeDefaultBound(t *testing.T) {
 func TestEncoderCapacityIncreaseNoSpuriousFlush(t *testing.T) {
 	e := NewEncoder()
 	d := NewDecoder()
-	d.SetAllowedMaxDynamicTableSize(8192)
 	f := HeaderField{Name: "x-custom", Value: "abc"}
 
-	b1 := e.AppendField(nil, f) // literal with incremental indexing
+	b1 := e.appendField(nil, f) // literal with incremental indexing
 	if _, err := d.DecodeFull(b1); err != nil {
 		t.Fatalf("first block: %v", err)
 	}
-	if d.DynamicTableSize() != f.Size() {
-		t.Fatalf("decoder table size = %d, want %d", d.DynamicTableSize(), f.Size())
+	if d.dt.size != f.Size() {
+		t.Fatalf("decoder table size = %d, want %d", d.dt.size, f.Size())
 	}
 
-	e.SetMaxDynamicTableSize(8192) // capacity raise, no dip below it
-	b2 := e.AppendField(nil, f)    // should be a dynamic indexed field
+	// A capacity announced with no dip below it: the zero minSize read it
+	// as a raise from nothing.
+	e.SetMaxDynamicTableSize(DefaultDynamicTableSize)
+	b2 := e.appendField(nil, f) // should be a dynamic indexed field
 
 	updates := 0
 	for _, c := range b2 {
@@ -130,7 +130,7 @@ func TestEncoderCapacityIncreaseNoSpuriousFlush(t *testing.T) {
 	if len(fields) != 1 || fields[0].Name != f.Name || fields[0].Value != f.Value {
 		t.Errorf("round trip after capacity raise = %+v, want %+v", fields, f)
 	}
-	if d.DynamicTableSize() == 0 {
+	if d.dt.size == 0 {
 		t.Error("decoder dynamic table was flushed by a capacity increase")
 	}
 }

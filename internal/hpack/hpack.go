@@ -144,23 +144,18 @@ func appendString(dst []byte, s string, huffman bool) []byte {
 	return append(dst, s...)
 }
 
-// DefaultMaxStringLength bounds a single decoded string when the
-// decoder's owner did not set an explicit limit. A header block larger
-// than this is cut off at the HTTP/2 layer anyway (ENHANCE_YOUR_CALM),
-// so an unconfigured decoder should never expand further than this —
-// it keeps a hostile Huffman literal from ballooning unchecked.
+// DefaultMaxStringLength bounds a single decoded string. A header block
+// larger than this is cut off at the HTTP/2 layer anyway
+// (ENHANCE_YOUR_CALM), so a decoder should never expand further than
+// this — it keeps a hostile Huffman literal from ballooning unchecked.
 const DefaultMaxStringLength = 1 << 20
 
 // readString decodes a §5.2 string literal, applying Huffman decoding
-// when the H bit is set. maxLen bounds the decoded length; zero applies
-// DefaultMaxStringLength rather than no bound at all. scratch, when
-// non-nil, is used as the Huffman decode buffer so the only allocation
-// is the returned string; the (possibly grown) buffer comes back to the
-// caller for reuse.
-func readString(buf []byte, maxLen uint64, scratch []byte) (s string, rest, scratchOut []byte, err error) {
-	if maxLen == 0 {
-		maxLen = DefaultMaxStringLength
-	}
+// when the H bit is set, of at most DefaultMaxStringLength bytes
+// decoded. scratch, when non-nil, is used as the Huffman decode buffer
+// so the only allocation is the returned string; the (possibly grown)
+// buffer comes back to the caller for reuse.
+func readString(buf []byte, scratch []byte) (s string, rest, scratchOut []byte, err error) {
 	if len(buf) == 0 {
 		return "", nil, scratch, ErrTruncated
 	}
@@ -175,12 +170,12 @@ func readString(buf []byte, maxLen uint64, scratch []byte) (s string, rest, scra
 	raw := rest[:n]
 	rest = rest[n:]
 	if !huff {
-		if n > maxLen {
+		if n > DefaultMaxStringLength {
 			return "", nil, scratch, ErrStringLength
 		}
 		return string(raw), rest, scratch, nil
 	}
-	dec, err := AppendHuffmanDecode(scratch[:0], raw, maxLen)
+	dec, err := AppendHuffmanDecode(scratch[:0], raw, DefaultMaxStringLength)
 	if err != nil {
 		return "", nil, dec, err
 	}

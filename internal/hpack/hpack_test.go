@@ -119,8 +119,8 @@ func TestDecodeC3(t *testing.T) {
 	if !reflect.DeepEqual(f1, want1) {
 		t.Fatalf("request 1 = %v", f1)
 	}
-	if d.DynamicTableSize() != 57 {
-		t.Fatalf("after request 1, table size = %d, want 57", d.DynamicTableSize())
+	if d.dt.size != 57 {
+		t.Fatalf("after request 1, table size = %d, want 57", d.dt.size)
 	}
 
 	f2, err := d.DecodeFull(mustHex(t, "828684be58086e6f2d6361636865"))
@@ -132,8 +132,8 @@ func TestDecodeC3(t *testing.T) {
 	if !reflect.DeepEqual(f2, want2) {
 		t.Fatalf("request 2 = %v", f2)
 	}
-	if d.DynamicTableSize() != 110 {
-		t.Fatalf("after request 2, table size = %d, want 110", d.DynamicTableSize())
+	if d.dt.size != 110 {
+		t.Fatalf("after request 2, table size = %d, want 110", d.dt.size)
 	}
 
 	f3, err := d.DecodeFull(mustHex(t, "828785bf400a637573746f6d2d6b65790c637573746f6d2d76616c7565"))
@@ -150,8 +150,8 @@ func TestDecodeC3(t *testing.T) {
 	if !reflect.DeepEqual(f3, want3) {
 		t.Fatalf("request 3 = %v", f3)
 	}
-	if d.DynamicTableSize() != 164 {
-		t.Fatalf("after request 3, table size = %d, want 164", d.DynamicTableSize())
+	if d.dt.size != 164 {
+		t.Fatalf("after request 3, table size = %d, want 164", d.dt.size)
 	}
 }
 
@@ -182,8 +182,8 @@ func TestDecodeC4(t *testing.T) {
 	if !reflect.DeepEqual(last, want) {
 		t.Fatalf("request 3 = %v", last)
 	}
-	if d.DynamicTableSize() != 164 {
-		t.Fatalf("table size = %d, want 164", d.DynamicTableSize())
+	if d.dt.size != 164 {
+		t.Fatalf("table size = %d, want 164", d.dt.size)
 	}
 }
 
@@ -264,7 +264,7 @@ func TestHuffmanMaxLen(t *testing.T) {
 
 func TestEncoderUsesStaticTable(t *testing.T) {
 	e := NewEncoder()
-	got := e.AppendField(nil, HeaderField{Name: ":method", Value: "GET"})
+	got := e.appendField(nil, HeaderField{Name: ":method", Value: "GET"})
 	if !bytes.Equal(got, []byte{0x82}) {
 		t.Errorf(":method GET = %x, want 82", got)
 	}
@@ -275,8 +275,8 @@ func TestEncoderIndexesRepeats(t *testing.T) {
 	d := NewDecoder()
 	f := HeaderField{Name: "x-custom", Value: "abcdefgh"}
 
-	b1 := e.AppendField(nil, f)
-	b2 := e.AppendField(nil, f)
+	b1 := e.appendField(nil, f)
+	b2 := e.appendField(nil, f)
 	if len(b2) >= len(b1) {
 		t.Errorf("second encoding (%d bytes) not shorter than first (%d)", len(b2), len(b1))
 	}
@@ -291,11 +291,11 @@ func TestEncoderIndexesRepeats(t *testing.T) {
 func TestEncoderSensitiveNeverIndexed(t *testing.T) {
 	e := NewEncoder()
 	f := HeaderField{Name: "authorization", Value: "Bearer tok", Sensitive: true}
-	b := e.AppendField(nil, f)
+	b := e.appendField(nil, f)
 	if b[0]&0xf0 != 0x10 {
 		t.Errorf("first byte %02x, want 0001xxxx never-indexed", b[0])
 	}
-	if e.DynamicTableSize() != 0 {
+	if e.dt.size != 0 {
 		t.Error("sensitive field entered dynamic table")
 	}
 	d := NewDecoder()
@@ -311,7 +311,7 @@ func TestEncoderTableSizeUpdate(t *testing.T) {
 	f := HeaderField{Name: "k", Value: "v"}
 
 	e.SetMaxDynamicTableSize(100)
-	b := e.AppendField(nil, f)
+	b := e.appendField(nil, f)
 	if b[0]&0xe0 != 0x20 {
 		t.Fatalf("expected table size update prefix, got %02x", b[0])
 	}
@@ -322,9 +322,8 @@ func TestEncoderTableSizeUpdate(t *testing.T) {
 
 func TestDecoderRejectsOversizeUpdate(t *testing.T) {
 	d := NewDecoder()
-	d.SetAllowedMaxDynamicTableSize(64)
-	// Size update to 4096 exceeds the 64-byte allowance.
-	blk := appendVarInt(nil, 5, 0x20, 4096)
+	// A size update to 4097 exceeds the 4096-byte default allowance.
+	blk := appendVarInt(nil, 5, 0x20, DefaultDynamicTableSize+1)
 	if _, err := d.DecodeFull(blk); err != ErrTableSizeUpdate {
 		t.Errorf("want ErrTableSizeUpdate, got %v", err)
 	}
@@ -353,7 +352,7 @@ func TestDecoderInvalidIndex(t *testing.T) {
 
 func TestDecoderTruncatedLiteral(t *testing.T) {
 	d := NewDecoder()
-	full := NewEncoder().AppendField(nil, HeaderField{Name: "custom", Value: "value-here"})
+	full := NewEncoder().appendField(nil, HeaderField{Name: "custom", Value: "value-here"})
 	for i := 1; i < len(full); i++ {
 		if _, err := d.DecodeFull(full[:i]); err == nil {
 			t.Errorf("truncation at %d decoded without error", i)
@@ -399,17 +398,17 @@ func TestResponseEvictionAt256(t *testing.T) {
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("response %d = %v", i+1, got)
 		}
-		if e.DynamicTableSize() > capacity {
-			t.Fatalf("encoder table %d exceeds capacity", e.DynamicTableSize())
+		if e.dt.size > capacity {
+			t.Fatalf("encoder table %d exceeds capacity", e.dt.size)
 		}
-		if e.DynamicTableSize() != d.DynamicTableSize() {
-			t.Fatalf("table size mismatch enc=%d dec=%d", e.DynamicTableSize(), d.DynamicTableSize())
+		if e.dt.size != d.dt.size {
+			t.Fatalf("table size mismatch enc=%d dec=%d", e.dt.size, d.dt.size)
 		}
 	}
 	// RFC 7541 C.5.3: final table holds set-cookie, content-encoding and
 	// date entries totalling 215 bytes.
-	if d.DynamicTableSize() != 215 {
-		t.Errorf("final table size = %d, want 215", d.DynamicTableSize())
+	if d.dt.size != 215 {
+		t.Errorf("final table size = %d, want 215", d.dt.size)
 	}
 	if n := d.dt.len(); n != 3 {
 		t.Errorf("final table entries = %d, want 3", n)
@@ -472,7 +471,7 @@ func TestHuffmanAblationInterop(t *testing.T) {
 	e.SetHuffman(false)
 	d := NewDecoder()
 	f := HeaderField{Name: "content-type", Value: "text/html; charset=utf-8"}
-	blk := e.AppendField(nil, f)
+	blk := e.appendField(nil, f)
 	got, err := d.DecodeFull(blk)
 	if err != nil || len(got) != 1 || got[0] != f {
 		t.Fatalf("interop: %v %v", got, err)

@@ -83,7 +83,7 @@ var cooked [rngLen]int64
 
 // Source is a rand.Source64 drawing the same stream as the value
 // rand.NewSource returns. Like that value it is not safe for concurrent
-// use. The zero value is not seeded; use NewSource.
+// use. The zero value is not seeded; use newSource.
 type Source struct {
 	tap, feed int
 	lazy      int    // draws left before the fill; 0 once vec is complete
@@ -91,8 +91,8 @@ type Source struct {
 	vec       [rngLen]int64
 }
 
-// NewSource returns a Source seeded with seed.
-func NewSource(seed int64) *Source {
+// newSource returns a Source seeded with seed.
+func newSource(seed int64) *Source {
 	s := new(Source)
 	s.Seed(seed)
 	return s
@@ -100,7 +100,7 @@ func NewSource(seed int64) *Source {
 
 // New returns a *rand.Rand over a fresh Source: the drop-in for
 // rand.New(rand.NewSource(seed)). Its Seed method reseeds in O(1).
-func New(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }
+func New(seed int64) *rand.Rand { return rand.New(newSource(seed)) }
 
 // Seed restarts the stream at seed. It touches no state word.
 func (s *Source) Seed(seed int64) {
@@ -231,7 +231,7 @@ func recoverCooked(newStd func(seed int64) rand.Source64) {
 	// and an error in pow would cancel): 0, which also has to become
 	// zeroSeed on the way in.
 	check := func(seed int64, std rand.Source64, drawn int) {
-		mine := NewSource(seed)
+		mine := newSource(seed)
 		for k := 1; k <= 3*rngLen; k++ {
 			if got := mine.Uint64(); k > drawn && got != std.Uint64() {
 				panic(fmt.Sprintf("lazyrand: math/rand's seeded stream in %s is not the additive "+

@@ -150,7 +150,7 @@ func BenchmarkSeedAndDraw(b *testing.B) {
 		for _, src := range []struct {
 			name string
 			s    rand.Source64
-		}{{"lazyrand", NewSource(1)}, {"mathrand", stdSource(1)}} {
+		}{{"lazyrand", newSource(1)}, {"mathrand", stdSource(1)}} {
 			b.Run(src.name+"/draws="+strconv.Itoa(draws), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					src.s.Seed(int64(i))

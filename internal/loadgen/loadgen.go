@@ -35,7 +35,6 @@ import (
 	"respectorigin/internal/cache"
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/lazyrand"
-	"respectorigin/internal/netsim"
 	"respectorigin/internal/parallel"
 )
 
@@ -46,6 +45,27 @@ const (
 	ArrivalFlash   = "flash"   // Poisson baseline plus a Gaussian burst
 )
 
+// The arrival shapes and the PoP service times are fixed by the model:
+// nothing configures them.
+const (
+	// diurnalPeriodSec is ArrivalDiurnal's modulation period, and
+	// diurnalDepth how far its trough falls below the peak rate (night
+	// runs at 20% of the daytime peak).
+	diurnalPeriodSec = 3600
+	diurnalDepth     = 0.8
+	// ArrivalFlash's burst is a Gaussian bump centred at flashAtSec with
+	// width flashWidthSec, multiplying the baseline rate by flashHeight
+	// at its peak.
+	flashAtSec    = 120
+	flashWidthSec = 30
+	flashHeight   = 8
+	// serviceMs is the server work per request; handshakeSvcMs is the
+	// extra server work per fresh TLS handshake (the term coalescing
+	// removes).
+	serviceMs      = 4
+	handshakeSvcMs = 12
+)
+
 // Config parameterizes one load-generation run.
 type Config struct {
 	// Users is the number of arriving users (each makes one or more
@@ -54,7 +74,7 @@ type Config struct {
 	// Seed drives every random draw in the run.
 	Seed int64
 	// Workers bounds the parallel user-simulation phase; ≤ 0 selects
-	// parallel.DefaultWorkers. The output is byte-identical for every
+	// GOMAXPROCS. The output is byte-identical for every
 	// value.
 	Workers int
 
@@ -62,17 +82,6 @@ type Config struct {
 	Arrival string
 	// RatePerSec is the mean user arrival rate λ (users/second).
 	RatePerSec float64
-	// DiurnalPeriodSec is the modulation period for ArrivalDiurnal.
-	DiurnalPeriodSec float64
-	// DiurnalDepth in [0,1) is how far the trough falls below the peak
-	// rate (0.8 ⇒ night runs at 20% of the daytime peak).
-	DiurnalDepth float64
-	// FlashAtSec / FlashWidthSec / FlashHeight shape the ArrivalFlash
-	// burst: a Gaussian bump centred at FlashAtSec with the given width,
-	// multiplying the baseline rate by FlashHeight at its peak.
-	FlashAtSec    float64
-	FlashWidthSec float64
-	FlashHeight   float64
 
 	// Zones is how many customer zones the simulated CDN hosts; each
 	// user is pinned to one home zone.
@@ -87,11 +96,6 @@ type Config struct {
 	// count — the c of the per-PoP G/G/c queue.
 	PoPs       int
 	PoPServers int
-	// ServiceMs is the server work per request; HandshakeSvcMs is the
-	// extra server work per fresh TLS handshake (the term coalescing
-	// removes).
-	ServiceMs      float64
-	HandshakeSvcMs float64
 
 	// VisitsMean is the mean number of visits per user (geometric,
 	// minimum 1). RevisitMeanSec is the mean gap between a user's
@@ -119,37 +123,28 @@ type Config struct {
 	// arrival schedule or any user's profile/visit stream.
 	Proto browser.Protocol
 
-	// Cache configures each user's warm-path state; Net the per-user
-	// network model.
+	// Cache configures each user's warm-path state. Every user's
+	// network model is netsim.DefaultParams.
 	Cache cache.Options
-	Net   netsim.Params
 }
 
 // DefaultConfig returns a runnable medium-load configuration.
 func DefaultConfig() Config {
 	return Config{
-		Users:            100_000,
-		Seed:             1,
-		Arrival:          ArrivalPoisson,
-		RatePerSec:       200,
-		DiurnalPeriodSec: 3600,
-		DiurnalDepth:     0.8,
-		FlashAtSec:       120,
-		FlashWidthSec:    30,
-		FlashHeight:      8,
-		Zones:            64,
-		Phase:            cdn.PhaseIP,
-		PoPs:             16,
-		PoPServers:       8,
-		ServiceMs:        4,
-		HandshakeSvcMs:   12,
-		VisitsMean:       2.5,
-		RevisitMeanSec:   600,
-		IdleTimeoutSec:   300,
-		SLOMs:            1500,
-		FirefoxShare:     0.08,
-		ChromeShare:      0.72,
-		Net:              netsim.DefaultParams(),
+		Users:          100_000,
+		Seed:           1,
+		Arrival:        ArrivalPoisson,
+		RatePerSec:     200,
+		Zones:          64,
+		Phase:          cdn.PhaseIP,
+		PoPs:           16,
+		PoPServers:     8,
+		VisitsMean:     2.5,
+		RevisitMeanSec: 600,
+		IdleTimeoutSec: 300,
+		SLOMs:          1500,
+		FirefoxShare:   0.08,
+		ChromeShare:    0.72,
 	}
 }
 
@@ -165,18 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.RatePerSec <= 0 {
 		c.RatePerSec = d.RatePerSec
 	}
-	if c.DiurnalPeriodSec <= 0 {
-		c.DiurnalPeriodSec = d.DiurnalPeriodSec
-	}
-	if c.DiurnalDepth < 0 || c.DiurnalDepth >= 1 {
-		c.DiurnalDepth = d.DiurnalDepth
-	}
-	if c.FlashWidthSec <= 0 {
-		c.FlashWidthSec = d.FlashWidthSec
-	}
-	if c.FlashHeight <= 1 {
-		c.FlashHeight = d.FlashHeight
-	}
 	if c.Zones <= 0 {
 		c.Zones = d.Zones
 	}
@@ -185,12 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoPServers <= 0 {
 		c.PoPServers = d.PoPServers
-	}
-	if c.ServiceMs <= 0 {
-		c.ServiceMs = d.ServiceMs
-	}
-	if c.HandshakeSvcMs < 0 {
-		c.HandshakeSvcMs = d.HandshakeSvcMs
 	}
 	if c.VisitsMean < 1 {
 		c.VisitsMean = d.VisitsMean
@@ -206,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FirefoxShare <= 0 && c.ChromeShare <= 0 {
 		c.FirefoxShare, c.ChromeShare = d.FirefoxShare, d.ChromeShare
-	}
-	if c.Net == (netsim.Params{}) {
-		c.Net = d.Net
 	}
 	return c
 }
@@ -230,10 +204,10 @@ func (c Config) rate(tSec float64) float64 {
 	switch c.Arrival {
 	case ArrivalDiurnal:
 		// Peak λ at mid-cycle, trough λ·(1-depth) at t=0 (cosine phase).
-		return c.RatePerSec * (1 - c.DiurnalDepth*(0.5+0.5*math.Cos(2*math.Pi*tSec/c.DiurnalPeriodSec)))
+		return c.RatePerSec * (1 - diurnalDepth*(0.5+0.5*math.Cos(2*math.Pi*tSec/diurnalPeriodSec)))
 	case ArrivalFlash:
-		x := (tSec - c.FlashAtSec) / c.FlashWidthSec
-		return c.RatePerSec * (1 + (c.FlashHeight-1)*math.Exp(-x*x))
+		x := (tSec - flashAtSec) / flashWidthSec
+		return c.RatePerSec * (1 + (flashHeight-1)*math.Exp(-x*x))
 	default:
 		return c.RatePerSec
 	}
@@ -241,7 +215,7 @@ func (c Config) rate(tSec float64) float64 {
 
 func (c Config) peakRate() float64 {
 	if c.Arrival == ArrivalFlash {
-		return c.RatePerSec * c.FlashHeight
+		return c.RatePerSec * flashHeight
 	}
 	return c.RatePerSec
 }

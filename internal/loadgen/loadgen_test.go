@@ -72,13 +72,11 @@ func TestPoissonEmpiricalRate(t *testing.T) {
 func TestModulatedArrivalsShapeTheRate(t *testing.T) {
 	// Flash crowd: the window around the burst must be denser than the
 	// same-width window well before it.
+	// The burst is centred at 120 s, 30 s wide, 8× at its peak.
 	cfg := DefaultConfig()
-	cfg.Users = 30000
+	cfg.Users = 60000
 	cfg.Arrival = ArrivalFlash
 	cfg.RatePerSec = 100
-	cfg.FlashAtSec = 60
-	cfg.FlashWidthSec = 10
-	cfg.FlashHeight = 8
 	ts := cfg.withDefaults().arrivalTimes()
 	inWindow := func(loSec, hiSec float64) int {
 		n := 0
@@ -89,27 +87,26 @@ func TestModulatedArrivalsShapeTheRate(t *testing.T) {
 		}
 		return n
 	}
-	burst := inWindow(50, 70)
-	calm := inWindow(20, 40)
+	burst := inWindow(90, 150)
+	calm := inWindow(0, 60)
 	if burst < 3*calm {
 		t.Errorf("flash burst window has %d arrivals vs %d calm — burst not expressed", burst, calm)
 	}
 
-	// Diurnal: t=0 is the trough, half a period later is the peak.
+	// Diurnal: t=0 is the trough, half the 3 600 s period later is the
+	// peak, five times the trough's rate.
 	cfg = DefaultConfig()
-	cfg.Users = 30000
+	cfg.Users = 130_000
 	cfg.Arrival = ArrivalDiurnal
 	cfg.RatePerSec = 100
-	cfg.DiurnalPeriodSec = 600
-	cfg.DiurnalDepth = 0.9
 	ts = cfg.withDefaults().arrivalTimes()
 	trough := 0
 	peak := 0
 	for _, tt := range ts {
 		switch {
-		case tt < 60_000:
+		case tt < 360_000:
 			trough++
-		case tt >= 270_000 && tt < 330_000:
+		case tt >= 1_620_000 && tt < 1_980_000:
 			peak++
 		}
 	}

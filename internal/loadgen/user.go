@@ -88,7 +88,7 @@ type userScratch struct {
 func newUserScratch(cfg Config) *userScratch {
 	return &userScratch{
 		rs:  lazyrand.New(0),
-		net: netsim.New(cfg.Net, 0),
+		net: netsim.New(netsim.DefaultParams(), 0),
 		b:   &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cfg.Cache)},
 	}
 }
@@ -169,16 +169,16 @@ func runVisit(cfg Config, env *cdn.CDN, prof userProfile, b *browser.Browser,
 			v.ClientMs += net.DNSTime() + net.ConnectTime() +
 				net.TLSTime(2, 1) + requestTime(rs, net)
 		}
-		v.ServiceMs = cfg.ServiceMs*float64(v.Requests) +
-			cfg.HandshakeSvcMs*float64(v.FreshConns)
+		v.ServiceMs = serviceMs*float64(v.Requests) +
+			handshakeSvcMs*float64(v.FreshConns)
 		return
 	}
 	accountRequest(b.Request(env, prof.zoneHost), rs, net, v)
 	for p := 0; p < pools; p++ {
 		accountRequest(b.Request(env, env.ThirdParty), rs, net, v)
 	}
-	v.ServiceMs = cfg.ServiceMs*float64(v.Requests) +
-		cfg.HandshakeSvcMs*float64(v.FreshConns)
+	v.ServiceMs = serviceMs*float64(v.Requests) +
+		handshakeSvcMs*float64(v.FreshConns)
 }
 
 // accountRequest folds one browser outcome into the visit, charging

@@ -88,15 +88,6 @@ func quantileSorted(s []float64, p float64) float64 {
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// MedianInts is Median over integer samples.
-func MedianInts(xs []int) float64 {
-	f := make([]float64, len(xs))
-	for i, v := range xs {
-		f[i] = float64(v)
-	}
-	return Median(f)
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value

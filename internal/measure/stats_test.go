@@ -71,9 +71,11 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
+// The median of an even count of integer samples interpolates between
+// the middle two.
 func TestMedianInts(t *testing.T) {
-	if MedianInts([]int{1, 2, 3, 4}) != 2.5 {
-		t.Error("MedianInts wrong")
+	if Median([]float64{1, 2, 3, 4}) != 2.5 {
+		t.Error("median of 1..4 wrong")
 	}
 }
 

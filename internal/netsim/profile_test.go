@@ -30,8 +30,8 @@ func TestProfileConstructionRejectsBadParams(t *testing.T) {
 	for _, tc := range cases {
 		p := DefaultParams()
 		tc.mutate(&p)
-		if _, err := NewProfile("bad", p); err == nil {
-			t.Errorf("%s: NewProfile accepted invalid params", tc.name)
+		if _, err := newProfile("bad", p); err == nil {
+			t.Errorf("%s: newProfile accepted invalid params", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
@@ -39,8 +39,8 @@ func TestProfileConstructionRejectsBadParams(t *testing.T) {
 			t.Errorf("%s: NewChecked accepted invalid params", tc.name)
 		}
 	}
-	if _, err := NewProfile("", DefaultParams()); err == nil {
-		t.Error("NewProfile accepted an empty name")
+	if _, err := newProfile("", DefaultParams()); err == nil {
+		t.Error("newProfile accepted an empty name")
 	}
 }
 
@@ -76,7 +76,7 @@ func TestTransferTimeMonotoneAcrossLossGrid(t *testing.T) {
 			p := base.Params
 			p.LossRate = l
 			var err error
-			if grid[i], err = NewProfile(fmt.Sprintf("%s+loss%g", base.Name, l), p); err != nil {
+			if grid[i], err = newProfile(fmt.Sprintf("%s+loss%g", base.Name, l), p); err != nil {
 				t.Fatalf("%s: loss %g: %v", base.Name, l, err)
 			}
 		}

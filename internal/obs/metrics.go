@@ -81,8 +81,8 @@ func (m *Metrics) Get(name string) int64 {
 	return 0
 }
 
-// Counters returns a sorted snapshot of all counters.
-func (m *Metrics) Counters() map[string]int64 {
+// snapshot returns a sorted snapshot of all counters.
+func (m *Metrics) snapshot() map[string]int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make(map[string]int64, len(m.counters))
@@ -95,7 +95,7 @@ func (m *Metrics) Counters() map[string]int64 {
 // String renders every counter as an aligned text block, sorted by
 // name.
 func (m *Metrics) String() string {
-	snap := m.Counters()
+	snap := m.snapshot()
 	names := make([]string, 0, len(snap))
 	for k := range snap {
 		names = append(names, k)
@@ -118,5 +118,5 @@ func (m *Metrics) PublishExpvar(prefix string) {
 	if _, loaded := expvarOnce.LoadOrStore(prefix, struct{}{}); loaded {
 		return
 	}
-	expvar.Publish(prefix, expvar.Func(func() any { return m.Counters() }))
+	expvar.Publish(prefix, expvar.Func(func() any { return m.snapshot() }))
 }

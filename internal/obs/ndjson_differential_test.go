@@ -144,7 +144,7 @@ func TestTraceResetRecycles(t *testing.T) {
 		t.Fatalf("Len after Reset = %d, want 0", tr.Len())
 	}
 	tr.Event(Event{Rank: 2, Seq: 0, Kind: KindGoAway})
-	evs := tr.Events()
+	evs := tr.events()
 	if len(evs) != 1 || evs[0].Kind != KindGoAway {
 		t.Fatalf("trace after Reset = %+v, want single goaway", evs)
 	}

@@ -22,7 +22,7 @@ func TestMetricsCounters(t *testing.T) {
 	if m.Get("a") != 5 || m.Get("b") != 1 || m.Get("absent") != 0 {
 		t.Errorf("counters: a=%d b=%d absent=%d", m.Get("a"), m.Get("b"), m.Get("absent"))
 	}
-	snap := m.Counters()
+	snap := m.snapshot()
 	if snap["a"] != 5 || len(snap) != 2 {
 		t.Errorf("snapshot = %v", snap)
 	}
@@ -34,7 +34,7 @@ func TestMetricsEventCountsByKind(t *testing.T) {
 	m.Event(Event{Kind: KindCoalesceHit})
 	m.Event(Event{Kind: KindMisdirected})
 	if m.Get("events."+KindCoalesceHit) != 2 || m.Get("events."+KindMisdirected) != 1 {
-		t.Errorf("event counters wrong: %v", m.Counters())
+		t.Errorf("event counters wrong: %v", m.snapshot())
 	}
 }
 
@@ -88,7 +88,7 @@ func TestTraceDeterministicOrder(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	evs := tr.Events()
+	evs := tr.events()
 	if len(evs) != 20 {
 		t.Fatalf("len = %d", len(evs))
 	}
@@ -115,7 +115,7 @@ func TestTraceNDJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Events()
+	want := tr.events()
 	if len(got) != len(want) {
 		t.Fatalf("round trip lost events: %d != %d", len(got), len(want))
 	}

@@ -77,9 +77,9 @@ func (t *Trace) Reset() {
 	t.mu.Unlock()
 }
 
-// Events returns the events sorted by (Rank, Seq). The result is a
+// events returns the events sorted by (Rank, Seq). The result is a
 // copy; the trace keeps accepting appends.
-func (t *Trace) Events() []Event {
+func (t *Trace) events() []Event {
 	t.mu.Lock()
 	out := make([]Event, 0, t.n)
 	for _, c := range t.chunks {
@@ -102,7 +102,7 @@ func (t *Trace) Events() []Event {
 func (t *Trace) WriteNDJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var line []byte
-	for _, ev := range t.Events() {
+	for _, ev := range t.events() {
 		line = appendEventJSON(line[:0], ev)
 		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {

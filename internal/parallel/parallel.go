@@ -17,14 +17,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers returns the default parallelism: GOMAXPROCS.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Normalize resolves a caller-supplied worker count: values ≤ 0 select
-// DefaultWorkers.
+// GOMAXPROCS.
 func Normalize(workers int) int {
 	if workers <= 0 {
-		return DefaultWorkers()
+		return runtime.GOMAXPROCS(0)
 	}
 	return workers
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -151,8 +152,8 @@ func TestFoldWithScratchPerWorker(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	if Normalize(0) != DefaultWorkers() || Normalize(-3) != DefaultWorkers() {
-		t.Error("non-positive workers should resolve to DefaultWorkers")
+	if Normalize(0) != runtime.GOMAXPROCS(0) || Normalize(-3) != runtime.GOMAXPROCS(0) {
+		t.Error("non-positive workers should resolve to GOMAXPROCS")
 	}
 	if Normalize(5) != 5 {
 		t.Error("positive workers should pass through")

@@ -106,8 +106,8 @@ type ActiveCDF struct {
 	Total  int
 }
 
-// Frac returns the fraction of sites with exactly n new connections.
-func (a ActiveCDF) Frac(n int) float64 {
+// frac returns the fraction of sites with exactly n new connections.
+func (a ActiveCDF) frac(n int) float64 {
 	if a.Total == 0 {
 		return 0
 	}
@@ -139,10 +139,10 @@ func (d *Deployment) Figure7(phase cdn.Phase) (control, experiment ActiveCDF, te
 	fmt.Fprintf(&sb, "Figure %s: new connections to the third party per page load\n", name)
 	sb.WriteString("  #conns   control   experiment\n")
 	for n := 0; n <= 7; n++ {
-		fmt.Fprintf(&sb, "  %6d   %6.1f%%   %9.1f%%\n", n, 100*control.Frac(n), 100*experiment.Frac(n))
+		fmt.Fprintf(&sb, "  %6d   %6.1f%%   %9.1f%%\n", n, 100*control.frac(n), 100*experiment.frac(n))
 	}
 	fmt.Fprintf(&sb, "  zero-connection (full coalescing) share: control %.0f%%, experiment %.0f%%\n",
-		100*control.Frac(0), 100*experiment.Frac(0))
+		100*control.frac(0), 100*experiment.frac(0))
 	return control, experiment, sb.String()
 }
 

@@ -24,6 +24,27 @@ func smallDataset(t *testing.T) *webgen.Dataset {
 	return ds
 }
 
+// traceEvents reads a trace back the way report -funnel does: written
+// as NDJSON, then parsed.
+func traceEvents(t *testing.T, trace *obs.Trace) []obs.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadNDJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// eventLog is a recorder that keeps every event in emission order.
+type eventLog []obs.Event
+
+func (l *eventLog) Count(string, int64) {}
+func (l *eventLog) Event(ev obs.Event)  { *l = append(*l, ev) }
+
 // TestFunnelCrossChecksFigure3 is the tentpole's correctness anchor:
 // the funnel rebuilt from a crawl trace must reproduce the Figure 3
 // inputs exactly — same measured DNS/TLS sums, same ideal-IP and
@@ -35,7 +56,7 @@ func TestFunnelCrossChecksFigure3(t *testing.T) {
 	for _, p := range ds.Pages {
 		core.EmitPageEvents(trace, p)
 	}
-	f := FunnelFromEvents(trace.Events())
+	f := FunnelFromEvents(traceEvents(t, trace))
 
 	if f.Pages != len(ds.Pages) || f.SummaryPages != len(ds.Pages) {
 		t.Fatalf("pages = %d/%d, want %d", f.Pages, f.SummaryPages, len(ds.Pages))
@@ -80,19 +101,25 @@ func TestFunnelCrossChecksFigure3(t *testing.T) {
 func TestFunnelNDJSONRoundTrip(t *testing.T) {
 	ds := smallDataset(t)
 	trace := obs.NewTrace()
+	var emitted eventLog
+	rec := obs.Multi(trace, &emitted)
 	for _, p := range ds.Pages {
-		core.EmitPageEvents(trace, p)
+		core.EmitPageEvents(rec, p)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := obs.ReadNDJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FunnelFromEvents(evs), FunnelFromEvents(trace.Events()); got != want {
+	if got, want := FunnelFromEvents(traceEvents(t, trace)), FunnelFromEvents(emitted); got != want {
 		t.Errorf("round-tripped funnel differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// visitDay runs day 0 of d as the visit loop runs a faulted or traced
+// day: every sample zone, VisitsPerZonePerDay visits each, the user
+// agents taken in turn.
+func visitDay(d *Deployment) {
+	uas := []string{"firefox", "chrome", "legacy"}
+	for _, z := range d.Exp.SampleZones {
+		for v := 0; v < d.Exp.Cfg.VisitsPerZonePerDay; v++ {
+			d.Exp.Visit(z, uas[v%len(uas)], 0)
+		}
 	}
 }
 
@@ -105,12 +132,12 @@ func TestDeploymentTraceFunnel(t *testing.T) {
 		trace := obs.NewTrace()
 		metrics := obs.NewMetrics()
 		d.Exp.Rec = obs.Multi(trace, metrics)
-		d.Exp.RunDay(0)
+		visitDay(d)
 		return trace, metrics, d
 	}
 	trace, metrics, _ := run()
 
-	f := FunnelFromEvents(trace.Events())
+	f := FunnelFromEvents(traceEvents(t, trace))
 	if got := metrics.Get("cdn.visits"); int64(f.Pages) != got {
 		t.Errorf("funnel pages = %d, cdn.visits = %d", f.Pages, got)
 	}
@@ -149,7 +176,7 @@ func TestRecorderDoesNotPerturbDeployment(t *testing.T) {
 		if rec != nil {
 			d.Exp.Rec = rec
 		}
-		d.Exp.RunDay(0)
+		visitDay(d)
 		return d.CDN.Pipeline().Records()
 	}
 	plain := runDay(nil)

@@ -287,15 +287,15 @@ func TestDeploymentFigures(t *testing.T) {
 	}
 
 	ctl, exp, txt := d.Figure7(cdn.PhaseIP)
-	if exp.Frac(0) <= ctl.Frac(0) {
-		t.Errorf("7a: experiment zero-share %.2f not above control %.2f", exp.Frac(0), ctl.Frac(0))
+	if exp.frac(0) <= ctl.frac(0) {
+		t.Errorf("7a: experiment zero-share %.2f not above control %.2f", exp.frac(0), ctl.frac(0))
 	}
 	if !strings.Contains(txt, "7a") {
 		t.Error("figure 7a format")
 	}
 
 	ctl2, exp2, txt2 := d.Figure7(cdn.PhaseOrigin)
-	if exp2.Frac(0) <= ctl2.Frac(0) {
+	if exp2.frac(0) <= ctl2.frac(0) {
 		t.Error("7b: experiment not better than control")
 	}
 	if !strings.Contains(txt2, "7b") {

@@ -47,8 +47,8 @@ type Persona struct {
 	SkipOriginDNS bool
 }
 
-// Personas returns the built-in client personas in matrix order.
-func Personas() []Persona {
+// defaultPersonas returns the built-in client personas in matrix order.
+func defaultPersonas() []Persona {
 	return []Persona{
 		// Chrome-like: connected-IP-only coalescing, a big pool with
 		// per-host multiplexing at 6, and aggressive pre-connect.
@@ -62,9 +62,9 @@ func Personas() []Persona {
 	}
 }
 
-// PersonaByName resolves a built-in persona.
-func PersonaByName(name string) (Persona, error) {
-	for _, p := range Personas() {
+// personaByName resolves a built-in persona.
+func personaByName(name string) (Persona, error) {
+	for _, p := range defaultPersonas() {
 		if p.Name == name {
 			return p, nil
 		}

@@ -62,7 +62,7 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:       1,
 		Sites:      150,
-		Personas:   Personas(),
+		Personas:   defaultPersonas(),
 		Archetypes: webgen.Archetypes(),
 		Profiles:   netsim.Profiles(),
 		Transports: []DNSTransport{TransportDo53, TransportDoH},
@@ -125,7 +125,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("scenario: Sites must be positive")
 	}
 	if len(cfg.Personas) == 0 {
-		cfg.Personas = Personas()
+		cfg.Personas = defaultPersonas()
 	}
 	if len(cfg.Archetypes) == 0 {
 		cfg.Archetypes = webgen.Archetypes()

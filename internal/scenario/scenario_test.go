@@ -231,9 +231,9 @@ func TestMatrixGolden(t *testing.T) {
 		Seed:       1,
 		Sites:      25,
 		Workers:    4,
-		Personas:   Personas(),
+		Personas:   defaultPersonas(),
 		Archetypes: webgen.Archetypes(),
-		Profiles:   []netsim.Profile{netsim.ProfileWired(), netsim.Profile4G(), netsim.Profile3G()},
+		Profiles:   netsim.Profiles()[:3], // wired, 4g, 3g
 		Transports: []DNSTransport{TransportDo53, TransportDoH},
 	}
 	got := []byte(mustRun(t, cfg).Table())

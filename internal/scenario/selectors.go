@@ -8,8 +8,8 @@ import (
 	"respectorigin/internal/webgen"
 )
 
-// ParseTransport resolves a resolver-transport selector name.
-func ParseTransport(name string) (DNSTransport, error) {
+// parseTransport resolves a resolver-transport selector name.
+func parseTransport(name string) (DNSTransport, error) {
 	switch name {
 	case "do53":
 		return TransportDo53, nil
@@ -31,7 +31,7 @@ func ConfigFromSelectors(seed int64, sites, workers int, personas, archetypes, p
 	if personas != "" {
 		cfg.Personas = nil
 		for _, name := range strings.Split(personas, ",") {
-			p, err := PersonaByName(strings.TrimSpace(name))
+			p, err := personaByName(strings.TrimSpace(name))
 			if err != nil {
 				return cfg, err
 			}
@@ -61,7 +61,7 @@ func ConfigFromSelectors(seed int64, sites, workers int, personas, archetypes, p
 	if transports != "" {
 		cfg.Transports = nil
 		for _, name := range strings.Split(transports, ",") {
-			t, err := ParseTransport(strings.TrimSpace(name))
+			t, err := parseTransport(strings.TrimSpace(name))
 			if err != nil {
 				return cfg, err
 			}

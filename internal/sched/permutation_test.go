@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// DeliverCoalesced keys its fair-sharing walk by (Bytes, ID), so
+// deliverCoalesced keys its fair-sharing walk by (Bytes, ID), so
 // permuting the input — including resources with identical sizes and
 // priorities — must not change a single delivery record.
 func TestDeliverCoalescedPermutationInvariant(t *testing.T) {
@@ -18,14 +18,14 @@ func TestDeliverCoalescedPermutationInvariant(t *testing.T) {
 		{ID: 9, Priority: 2, Bytes: 60},
 		{ID: 11, Priority: 2, Bytes: 60}, // ties with 9
 	}
-	want := DeliverCoalesced(base, 1000)
+	want := deliverCoalesced(base, 1000)
 	rs := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		perm := make([]Resource, len(base))
 		for i, j := range rs.Perm(len(base)) {
 			perm[i] = base[j]
 		}
-		if got := DeliverCoalesced(perm, 1000); !reflect.DeepEqual(got, want) {
+		if got := deliverCoalesced(perm, 1000); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: delivery depends on input order: got %v, want %v", trial, got, want)
 		}
 	}

@@ -21,8 +21,8 @@ func pageWorkload() []Resource {
 }
 
 func TestCoalescedDeliveryHasNoInversions(t *testing.T) {
-	ds := DeliverCoalesced(pageWorkload(), 1000)
-	if inv := Inversions(ds); inv != 0 {
+	ds := deliverCoalesced(pageWorkload(), 1000)
+	if inv := inversions(ds); inv != 0 {
 		t.Errorf("coalesced inversions = %d (§6.1 says intended order always holds)", inv)
 	}
 	// All bytes delivered: last completion = total bytes / bandwidth.
@@ -50,8 +50,8 @@ func TestParallelDeliveryInvertsPriorities(t *testing.T) {
 		SlowStartPenalty:  2,
 		Seed:              3,
 	}
-	ds := DeliverParallel(pageWorkload(), p)
-	if inv := Inversions(ds); inv == 0 {
+	ds := deliverParallel(pageWorkload(), p)
+	if inv := inversions(ds); inv == 0 {
 		t.Error("parallel delivery produced perfect ordering; network effects should reorder")
 	}
 }
@@ -111,7 +111,7 @@ func TestCoalescedEqualSizeTieOrder(t *testing.T) {
 		{ID: 3, Priority: 2, Bytes: 50_000},
 		{ID: 7, Priority: 2, Bytes: 25_000},
 	}
-	want := deliveryOrder(DeliverCoalesced(ties, 1000))
+	want := deliveryOrder(deliverCoalesced(ties, 1000))
 	// The smaller resource finishes first; ties then complete in ID order.
 	wantIDs := []uint32{7, 1, 3, 5, 9}
 	for i, id := range wantIDs {
@@ -120,7 +120,7 @@ func TestCoalescedEqualSizeTieOrder(t *testing.T) {
 		}
 	}
 	for k := 0; k < 20; k++ {
-		got := deliveryOrder(DeliverCoalesced(permute(ties, k), 1000))
+		got := deliveryOrder(deliverCoalesced(permute(ties, k), 1000))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("permutation %d delivered %v, want %v (tie order depends on input order)", k, got, want)
@@ -129,7 +129,7 @@ func TestCoalescedEqualSizeTieOrder(t *testing.T) {
 	}
 }
 
-// TestParallelCompleteMsTieOrder audits DeliverParallel's output sort
+// TestParallelCompleteMsTieOrder audits deliverParallel's output sort
 // the same way: two connections with identical queues complete their
 // resources at identical instants, and the final sort must order those
 // ties by ID rather than leaving them in implementation-defined order.
@@ -147,7 +147,7 @@ func TestParallelCompleteMsTieOrder(t *testing.T) {
 		{ID: 2, Priority: 1, Bytes: 40_000},
 	}
 	p := ParallelParams{Connections: 2, BandwidthKBps: 1000, SlowStartPenalty: 1}
-	ds := DeliverParallel(rs, p)
+	ds := deliverParallel(rs, p)
 	if ds[0].CompleteMs != ds[1].CompleteMs || ds[2].CompleteMs != ds[3].CompleteMs {
 		t.Fatalf("workload did not produce the intended completion ties: %+v", ds)
 	}
@@ -178,11 +178,11 @@ func TestCoalescedByteConservationQuick(t *testing.T) {
 				Bytes:    float64(1 + rng.Intn(100_000)),
 			}
 		}
-		ds := DeliverCoalesced(rs, bw)
+		ds := deliverCoalesced(rs, bw)
 		if len(ds) != n {
 			return false
 		}
-		if Inversions(ds) != 0 {
+		if inversions(ds) != 0 {
 			return false
 		}
 		// Cumulative bytes per ascending priority class.
@@ -218,10 +218,10 @@ func TestCoalescedByteConservationQuick(t *testing.T) {
 
 func TestDeliverParallelSingleConnDegeneratesToCoalesced(t *testing.T) {
 	// One connection with no handicaps delivers in priority order.
-	ds := DeliverParallel(pageWorkload(), ParallelParams{
+	ds := deliverParallel(pageWorkload(), ParallelParams{
 		Connections: 1, BandwidthKBps: 1000, SlowStartPenalty: 1,
 	})
-	if inv := Inversions(ds); inv != 0 {
+	if inv := inversions(ds); inv != 0 {
 		t.Errorf("single parallel connection inverted %d pairs", inv)
 	}
 }

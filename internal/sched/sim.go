@@ -30,9 +30,9 @@ type Delivery struct {
 	CompleteMs float64
 }
 
-// Inversions counts priority-order violations: pairs where a
+// inversions counts priority-order violations: pairs where a
 // less-important resource completed before a more-important one.
-func Inversions(ds []Delivery) int {
+func inversions(ds []Delivery) int {
 	inv := 0
 	for i := 0; i < len(ds); i++ {
 		for j := 0; j < len(ds); j++ {
@@ -44,9 +44,9 @@ func Inversions(ds []Delivery) int {
 	return inv
 }
 
-// CriticalCompleteMs returns when the last resource at or below the
+// criticalCompleteMs returns when the last resource at or below the
 // given priority finished — the render-blocking completion time.
-func CriticalCompleteMs(ds []Delivery, maxPriority int) float64 {
+func criticalCompleteMs(ds []Delivery, maxPriority int) float64 {
 	t := 0.0
 	for _, d := range ds {
 		if d.Priority <= maxPriority && d.CompleteMs > t {
@@ -56,7 +56,7 @@ func CriticalCompleteMs(ds []Delivery, maxPriority int) float64 {
 	return t
 }
 
-// DeliverCoalesced simulates delivery of all resources over one HTTP/2
+// deliverCoalesced simulates delivery of all resources over one HTTP/2
 // connection whose server schedules by priority class: resources of a
 // more important class fully preempt less important ones, and resources
 // within a class share bandwidth equally. bandwidthKBps is the
@@ -66,7 +66,7 @@ func CriticalCompleteMs(ds []Delivery, maxPriority int) float64 {
 // Because one sender controls the ordering, the client receives bytes
 // exactly in intended priority order (§6.1: "coalesced resources are
 // always received in the ordering intended").
-func DeliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
+func deliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
 	byPri := map[int][]Resource{}
 	var pris []int
 	for _, r := range resources {
@@ -117,7 +117,7 @@ func DeliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
 	return out
 }
 
-// ParallelParams configures DeliverParallel.
+// ParallelParams configures deliverParallel.
 type ParallelParams struct {
 	// Connections is the number of competing connections the resources
 	// are spread over (one per sharded hostname).
@@ -134,12 +134,12 @@ type ParallelParams struct {
 	Seed             int64
 }
 
-// DeliverParallel simulates the sharded status quo: resources are
+// deliverParallel simulates the sharded status quo: resources are
 // assigned round-robin to independent connections that compete for the
 // bottleneck. Each connection delivers its own queue in order, but the
 // client has no cross-connection ordering control: arrival order is set
 // by connection start times, queue lengths, and bandwidth competition.
-func DeliverParallel(resources []Resource, p ParallelParams) []Delivery {
+func deliverParallel(resources []Resource, p ParallelParams) []Delivery {
 	if p.Connections < 1 {
 		p.Connections = 1
 	}
@@ -194,13 +194,13 @@ type Comparison struct {
 
 // Compare runs both disciplines over the same workload.
 func Compare(resources []Resource, p ParallelParams) Comparison {
-	co := DeliverCoalesced(resources, p.BandwidthKBps)
-	pa := DeliverParallel(resources, p)
+	co := deliverCoalesced(resources, p.BandwidthKBps)
+	pa := deliverParallel(resources, p)
 	return Comparison{
-		CoalescedInversions: Inversions(co),
-		ParallelInversions:  Inversions(pa),
-		CoalescedCriticalMs: CriticalCompleteMs(co, 2),
-		ParallelCriticalMs:  CriticalCompleteMs(pa, 2),
+		CoalescedInversions: inversions(co),
+		ParallelInversions:  inversions(pa),
+		CoalescedCriticalMs: criticalCompleteMs(co, 2),
+		ParallelCriticalMs:  criticalCompleteMs(pa, 2),
 	}
 }
 

@@ -180,9 +180,6 @@ var providerPrefixes = func() map[string]netip.Prefix {
 	return m
 }()
 
-// ProviderFor returns the provider with the given name, or nil.
-func ProviderFor(name string) *Provider { return providerByName[name] }
-
 // issuerForProvider maps hosting providers to the issuer of certificates
 // they typically provision.
 var issuerForProvider = map[string]string{

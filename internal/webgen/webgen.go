@@ -550,7 +550,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		// Popular third parties (Table 7 / Table 9).
 		for i, ph := range PopularHosts {
 			if rng.Float64() < popularInclusion[i] {
-				p := ProviderFor(ph.Provider)
+				p := providerByName[ph.Provider]
 				g.addHost(g.literal(ph.Host), p, p.ASN, providerPrefixes[p.Name], ph.Share).deepDiscovery = true
 			}
 		}
@@ -560,7 +560,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		// single hostname ranks highly.
 		for i, sh := range SecondaryHosts {
 			if rng.Float64() < secondaryInclusion[i] {
-				p := ProviderFor(sh.Provider)
+				p := providerByName[sh.Provider]
 				off := g.begin()
 				g.str("n")
 				g.num(rng.Intn(500))

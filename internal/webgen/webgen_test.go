@@ -169,11 +169,11 @@ func TestSuccessRate(t *testing.T) {
 
 func TestRequestCountDistribution(t *testing.T) {
 	ds := genSmall(t, 2000)
-	var counts []int
+	var counts []float64
 	for _, p := range ds.Pages {
-		counts = append(counts, len(p.Entries))
+		counts = append(counts, float64(len(p.Entries)))
 	}
-	med := measure.MedianInts(counts)
+	med := measure.Median(counts)
 	// Paper: median 81 requests per page.
 	if med < 55 || med > 110 {
 		t.Errorf("median requests = %.0f, want ≈81", med)
@@ -182,12 +182,12 @@ func TestRequestCountDistribution(t *testing.T) {
 
 func TestDNSTLSMedians(t *testing.T) {
 	ds := genSmall(t, 2000)
-	var dns, tls []int
+	var dns, tls []float64
 	for _, p := range ds.Pages {
-		dns = append(dns, p.DNSQueries())
-		tls = append(tls, p.TLSConnections())
+		dns = append(dns, float64(p.DNSQueries()))
+		tls = append(tls, float64(p.TLSConnections()))
 	}
-	mDNS, mTLS := measure.MedianInts(dns), measure.MedianInts(tls)
+	mDNS, mTLS := measure.Median(dns), measure.Median(tls)
 	// Paper medians: 14 DNS, 16 TLS.
 	if mDNS < 8 || mDNS > 20 {
 		t.Errorf("median DNS = %.1f, want ≈14", mDNS)
@@ -237,7 +237,7 @@ func TestASConcentration(t *testing.T) {
 
 func TestUniqueASesPerPage(t *testing.T) {
 	ds := genSmall(t, 2000)
-	var asns []int
+	var asns []float64
 	single := 0
 	for _, p := range ds.Pages {
 		seen := map[uint32]bool{}
@@ -245,12 +245,12 @@ func TestUniqueASesPerPage(t *testing.T) {
 			seen[p.Entries[i].ServerASN] = true
 		}
 		n := len(seen)
-		asns = append(asns, n)
+		asns = append(asns, float64(n))
 		if n == 1 {
 			single++
 		}
 	}
-	med := measure.MedianInts(asns)
+	med := measure.Median(asns)
 	// Paper: median ≈6 unique ASes; 6.5% single-AS pages.
 	if med < 3 || med > 10 {
 		t.Errorf("median unique ASes = %.1f, want ≈6", med)
@@ -291,10 +291,12 @@ func TestProtocolMix(t *testing.T) {
 func TestSANDistribution(t *testing.T) {
 	ds := genSmall(t, 3000)
 	var sans []int
+	var sizes []float64
 	for _, p := range ds.Pages {
 		sans = append(sans, len(p.Entries[0].CertSANs))
+		sizes = append(sizes, float64(len(p.Entries[0].CertSANs)))
 	}
-	med := measure.MedianInts(sans)
+	med := measure.Median(sizes)
 	// Paper: median existing SAN size is 2 (Figure 4).
 	if med < 2 || med > 3 {
 		t.Errorf("median SAN size = %.1f, want 2", med)
