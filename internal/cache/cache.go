@@ -70,15 +70,15 @@ const (
 	// DefaultNegativeTTLSeconds is the lifetime of negative
 	// (failed-lookup) DNS entries.
 	DefaultNegativeTTLSeconds = 60
-	// DefaultTokenLifetimeSeconds bounds QUIC address-validation token
+	// defaultTokenLifetimeSeconds bounds QUIC address-validation token
 	// validity. It is deliberately longer than the ticket lifetime:
 	// address-validation tokens prove the client's address, not a
 	// session, and servers hand them out with day-scale validity in the
 	// shared-validation model.
-	DefaultTokenLifetimeSeconds = 86_400
-	// DefaultDNSTTLSeconds is the positive-entry TTL used when the
+	defaultTokenLifetimeSeconds = 86_400
+	// defaultDNSTTLSeconds is the positive-entry TTL used when the
 	// answer source carries none (HAR replays).
-	DefaultDNSTTLSeconds = 300
+	defaultDNSTTLSeconds = 300
 	// DefaultRevisitIntervalMs is the simulated time between successive
 	// visits in warm/cold sequences.
 	DefaultRevisitIntervalMs = 60_000
@@ -102,10 +102,10 @@ type Cache struct {
 	opts  Options
 	clock Clock
 
-	DNS     *DNSCache
-	Tickets *TicketStore
-	Tokens  *TokenStore
-	Chains  *CertMemo
+	dns     *dnsCache
+	tickets *ticketStore
+	tokens  *tokenStore
+	chains  *certMemo
 }
 
 // New returns a Cache with the given options (zero values select the
@@ -113,10 +113,10 @@ type Cache struct {
 func New(opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{opts: opts}
-	c.DNS = newDNSCache()
-	c.Tickets = &TicketStore{newCoverStore(int64(opts.TicketLifetimeSeconds) * 1000)}
-	c.Tokens = &TokenStore{newCoverStore(DefaultTokenLifetimeSeconds * 1000)}
-	c.Chains = newCertMemo()
+	c.dns = newDNSCache()
+	c.tickets = &ticketStore{newCoverStore(int64(opts.TicketLifetimeSeconds) * 1000)}
+	c.tokens = &tokenStore{newCoverStore(defaultTokenLifetimeSeconds * 1000)}
+	c.chains = newCertMemo()
 	return c
 }
 
@@ -129,10 +129,10 @@ func (c *Cache) Reset() {
 		return
 	}
 	c.clock.ms.Store(0)
-	c.DNS.reset()
-	c.Tickets.s.reset()
-	c.Tokens.s.reset()
-	c.Chains.reset()
+	c.dns.reset()
+	c.tickets.s.reset()
+	c.tokens.s.reset()
+	c.chains.reset()
 }
 
 // Enabled reports whether the cache layer is active.

@@ -23,7 +23,7 @@ func TestDNSCacheTTLExpiryBoundary(t *testing.T) {
 	if _, _, ok := c.LookupDNS("a.example"); ok {
 		t.Fatal("entry expiring exactly at the lookup instant must miss")
 	}
-	if c.DNS.len() != 0 {
+	if c.dns.len() != 0 {
 		t.Fatal("the expired entry must leave the cache")
 	}
 }
@@ -31,7 +31,7 @@ func TestDNSCacheTTLExpiryBoundary(t *testing.T) {
 func TestDNSCacheZeroTTLNotCached(t *testing.T) {
 	c := New(Options{})
 	c.PutDNS("zero.example", []netip.Addr{ip("192.0.2.2")}, 0)
-	if c.DNS.len() != 0 {
+	if c.dns.len() != 0 {
 		t.Fatal("zero-TTL answer must not be cached")
 	}
 	if _, _, ok := c.LookupDNS("zero.example"); ok {
@@ -75,7 +75,7 @@ func TestDNSCacheLRUEvictionDeterministic(t *testing.T) {
 	if _, _, ok := c.LookupDNS("three.example"); !ok {
 		t.Fatal("new three.example should be present")
 	}
-	if n := c.DNS.len(); n != DefaultDNSCapacity {
+	if n := c.dns.len(); n != DefaultDNSCapacity {
 		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
 	}
 }
@@ -121,7 +121,7 @@ func TestTicketLifetimeAndReuse(t *testing.T) {
 
 	// TicketsDisabled turns the store off entirely.
 	off := New(Options{TicketLifetimeSeconds: TicketsDisabled})
-	if off.Tickets.s.enabled() {
+	if off.tickets.s.enabled() {
 		t.Fatal("zero ticket lifetime must disable resumption")
 	}
 	off.StoreTicketProto([]string{"h.example"}, ProtoWireH2)
@@ -133,17 +133,17 @@ func TestTicketLifetimeAndReuse(t *testing.T) {
 func TestCertMemo(t *testing.T) {
 	c := New(Options{})
 	sans := []string{"b.example", "a.example"}
-	if c.Chains.validate("CA", sans) {
+	if c.chains.validate("CA", sans) {
 		t.Fatal("first validation of a chain is a miss")
 	}
 	// SAN order must not matter: same chain, reordered list.
-	if !c.Chains.validate("CA", []string{"a.example", "b.example"}) {
+	if !c.chains.validate("CA", []string{"a.example", "b.example"}) {
 		t.Fatal("second validation of the same chain must hit the memo")
 	}
-	if c.Chains.validate("OtherCA", sans) {
+	if c.chains.validate("OtherCA", sans) {
 		t.Fatal("a different issuer is a different chain")
 	}
-	if n := c.Chains.len(); n != 2 {
+	if n := c.chains.len(); n != 2 {
 		t.Fatalf("memo holds %d chains, want 2", n)
 	}
 }

@@ -6,26 +6,26 @@ import (
 	"sync"
 )
 
-// CertMemo remembers which certificate chains this client has already
+// certMemo remembers which certificate chains this client has already
 // validated, keyed by chain hash. A fresh TLS handshake presenting a
 // chain the memo has seen skips the cryptographic validation — the
 // "cert validations saved" component of the paper's Figure 3 metrics.
 // Validation results have no TTL here: within a warm/cold visit
 // sequence the chains' validity windows dwarf the simulated horizon.
-type CertMemo struct {
+type certMemo struct {
 	mu     sync.Mutex
 	seen   map[uint64]bool
 	sorted []string // scratch: the SAN list being hashed, sorted
 }
 
-func newCertMemo() *CertMemo {
-	return &CertMemo{seen: make(map[uint64]bool)}
+func newCertMemo() *certMemo {
+	return &certMemo{seen: make(map[uint64]bool)}
 }
 
 // validate records one validation of the chain (issuer, sans) and
 // reports whether it was a memo hit (validation skipped) or a miss (a
 // full validation performed and memoized). sans is only read.
-func (m *CertMemo) validate(issuer string, sans []string) (hit bool) {
+func (m *certMemo) validate(issuer string, sans []string) (hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sorted = append(m.sorted[:0], sans...)
@@ -39,13 +39,13 @@ func (m *CertMemo) validate(issuer string, sans []string) (hit bool) {
 }
 
 // len reports how many distinct chains have been validated.
-func (m *CertMemo) len() int {
+func (m *certMemo) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.seen)
 }
 
-func (m *CertMemo) reset() {
+func (m *certMemo) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.seen)
@@ -90,7 +90,7 @@ func (c *Cache) LookupDNS(name string) (addrs []netip.Addr, negative, ok bool) {
 	if c == nil {
 		return nil, false, false
 	}
-	return c.DNS.get(name, c.clock.nowMs())
+	return c.dns.get(name, c.clock.nowMs())
 }
 
 // PutDNS stores a positive A answer under the authority's TTL. A zero
@@ -101,7 +101,7 @@ func (c *Cache) PutDNS(name string, addrs []netip.Addr, ttlSeconds uint32) {
 	if c == nil || ttlSeconds == 0 || len(addrs) == 0 {
 		return
 	}
-	c.DNS.put(canonical(name), addrs, false, c.clock.nowMs()+int64(ttlSeconds)*1000)
+	c.dns.put(canonical(name), addrs, false, c.clock.nowMs()+int64(ttlSeconds)*1000)
 }
 
 // DefaultTTL returns the positive TTL for answer sources that carry
@@ -110,7 +110,7 @@ func (c *Cache) DefaultTTL() uint32 {
 	if c == nil {
 		return 0
 	}
-	return DefaultDNSTTLSeconds
+	return defaultDNSTTLSeconds
 }
 
 // PutNegativeDNS stores a failed A lookup for
@@ -119,7 +119,7 @@ func (c *Cache) PutNegativeDNS(name string) {
 	if c == nil {
 		return
 	}
-	c.DNS.put(canonical(name), nil, true, c.clock.nowMs()+DefaultNegativeTTLSeconds*1000)
+	c.dns.put(canonical(name), nil, true, c.clock.nowMs()+DefaultNegativeTTLSeconds*1000)
 }
 
 // RedeemTicketProto attempts TLS resumption for host with a live ticket
@@ -131,7 +131,7 @@ func (c *Cache) RedeemTicketProto(host string, proto int) bool {
 	if c == nil {
 		return false
 	}
-	return c.Tickets.s.redeem(host, proto, c.clock.nowMs())
+	return c.tickets.s.redeem(host, proto, c.clock.nowMs())
 }
 
 // StoreTicketProto issues a session ticket covering the given SANs,
@@ -142,7 +142,7 @@ func (c *Cache) StoreTicketProto(sans []string, proto int) {
 	if c == nil {
 		return
 	}
-	c.Tickets.s.store(sans, proto, c.clock.nowMs())
+	c.tickets.s.store(sans, proto, c.clock.nowMs())
 }
 
 // Handshake is what the warm state did for one fresh connection.
@@ -173,13 +173,13 @@ func (c *Cache) Handshake(host, issuer string, sans []string, proto int) Handsha
 		return h
 	}
 	if h.Resumed = c.RedeemTicketProto(host, proto); !h.Resumed {
-		h.MemoHit = c.Chains.validate(issuer, sans)
+		h.MemoHit = c.chains.validate(issuer, sans)
 	}
 	c.StoreTicketProto(sans, proto)
 	if proto == ProtoWireH3 {
 		now := c.clock.nowMs()
-		h.TokenHit = c.Tokens.s.redeem(host, proto, now)
-		c.Tokens.s.store(sans, proto, now)
+		h.TokenHit = c.tokens.s.redeem(host, proto, now)
+		c.tokens.s.store(sans, proto, now)
 	}
 	return h
 }

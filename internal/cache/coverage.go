@@ -6,7 +6,7 @@ import (
 	"respectorigin/internal/certs"
 )
 
-// coverStore is the store behind TicketStore and TokenStore. A grant (a
+// coverStore is the store behind ticketStore and tokenStore. A grant (a
 // session ticket or an address-validation token) covers the hostnames
 // of the SAN list it was issued for under the wire protocol that minted
 // it, and lives for the store's constant lifetime. Redemption asks

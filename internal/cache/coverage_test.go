@@ -115,25 +115,25 @@ func runSchedule(t *testing.T, data []byte) {
 	}
 	c := New(Options{TicketLifetimeSeconds: life})
 	tickets := &scanStore{lifetimeMs: int64(life) * 1000}
-	tokens := &scanStore{lifetimeMs: DefaultTokenLifetimeSeconds * 1000}
+	tokens := &scanStore{lifetimeMs: defaultTokenLifetimeSeconds * 1000}
 	for i := 1; i+1 < len(data); i += 2 {
 		op, arg := data[i]%8, int(data[i+1])
 		now := c.clock.nowMs()
 		switch {
 		case op < 3:
 			sans := scheduleCerts[arg%len(scheduleCerts)]
-			proto := ProtoWireH1 + arg/len(scheduleCerts)%3
+			proto := protoWireH1 + arg/len(scheduleCerts)%3
 			c.StoreTicketProto(sans, proto)
-			c.Tokens.s.store(sans, proto, now)
+			c.tokens.s.store(sans, proto, now)
 			tickets.store(sans, proto, now)
 			tokens.store(sans, proto, now)
 		case op < 7:
 			host := scheduleHosts[arg%len(scheduleHosts)]
-			proto := ProtoWireH1 + arg/len(scheduleHosts)%3
+			proto := protoWireH1 + arg/len(scheduleHosts)%3
 			if got, want := c.RedeemTicketProto(host, proto), tickets.redeem(host, proto, now); got != want {
 				t.Fatalf("step %d at %d ms: ticket redeem(%q, proto %d) = %v, oracle %v", i/2, now, host, proto, got, want)
 			}
-			if got, want := c.Tokens.s.redeem(host, proto, now), tokens.redeem(host, proto, now); got != want {
+			if got, want := c.tokens.s.redeem(host, proto, now), tokens.redeem(host, proto, now); got != want {
 				t.Fatalf("step %d at %d ms: token redeem(%q, proto %d) = %v, oracle %v", i/2, now, host, proto, got, want)
 			}
 		case arg >= 250:
@@ -143,10 +143,10 @@ func runSchedule(t *testing.T, data []byte) {
 		default:
 			c.Clock().AdvanceMs(scheduleAdvances[arg%len(scheduleAdvances)])
 		}
-		if got, want := c.Tickets.s.len(), len(tickets.grants); got != want {
+		if got, want := c.tickets.s.len(), len(tickets.grants); got != want {
 			t.Fatalf("step %d: %d live tickets, oracle %d", i/2, got, want)
 		}
-		if got, want := c.Tokens.s.len(), len(tokens.grants); got != want {
+		if got, want := c.tokens.s.len(), len(tokens.grants); got != want {
 			t.Fatalf("step %d: %d live tokens, oracle %d", i/2, got, want)
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// DNSCache is a TTL-aware cache of A answers with an LRU capacity bound
+// dnsCache is a TTL-aware cache of A answers with an LRU capacity bound
 // of DefaultDNSCapacity entries.
 // Entries are keyed by canonical name; both positive answers and
 // negative results (failed lookups) are stored. Eviction order is
@@ -16,7 +16,7 @@ import (
 // leave the cache — evicted, expired or dropped by Reset — go to a free
 // list with their address storage, so a warmed cache stores new answers
 // without allocating.
-type DNSCache struct {
+type dnsCache struct {
 	mu      sync.Mutex
 	entries map[string]*dnsEntry // canonical name → entry
 
@@ -34,8 +34,8 @@ type dnsEntry struct {
 	prev, next *dnsEntry
 }
 
-func newDNSCache() *DNSCache {
-	return &DNSCache{entries: make(map[string]*dnsEntry)}
+func newDNSCache() *dnsCache {
+	return &dnsCache{entries: make(map[string]*dnsEntry)}
 }
 
 // get returns the cached answer for name at simulated time
@@ -49,7 +49,7 @@ func newDNSCache() *DNSCache {
 // next store into this cache (put), which may overwrite it in place or
 // reuse it for another name. A caller that keeps an answer past that
 // point copies it.
-func (d *DNSCache) get(name string, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
+func (d *dnsCache) get(name string, nowMs int64) (addrs []netip.Addr, negative, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, found := d.entries[canonical(name)]
@@ -70,7 +70,7 @@ func (d *DNSCache) get(name string, nowMs int64) (addrs []netip.Addr, negative, 
 // put stores a copy of addrs under the canonical name as the most
 // recently used entry, replacing any entry the name had, then evicts
 // down to capacity.
-func (d *DNSCache) put(name string, addrs []netip.Addr, negative bool, expiresMs int64) {
+func (d *dnsCache) put(name string, addrs []netip.Addr, negative bool, expiresMs int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, ok := d.entries[name]
@@ -96,7 +96,7 @@ func (d *DNSCache) put(name string, addrs []netip.Addr, negative bool, expiresMs
 }
 
 // reset empties the cache, keeping the map and every entry for reuse.
-func (d *DNSCache) reset() {
+func (d *dnsCache) reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for e := d.head; e != nil; {
@@ -109,7 +109,7 @@ func (d *DNSCache) reset() {
 }
 
 // len reports the current entry count.
-func (d *DNSCache) len() int {
+func (d *dnsCache) len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
@@ -142,7 +142,7 @@ func canonical(name string) string {
 
 // --- intrusive LRU list (callers hold d.mu) ---
 
-func (d *DNSCache) pushFront(e *dnsEntry) {
+func (d *dnsCache) pushFront(e *dnsEntry) {
 	e.prev, e.next = nil, d.head
 	if d.head != nil {
 		d.head.prev = e
@@ -153,7 +153,7 @@ func (d *DNSCache) pushFront(e *dnsEntry) {
 	}
 }
 
-func (d *DNSCache) unlink(e *dnsEntry) {
+func (d *dnsCache) unlink(e *dnsEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -167,7 +167,7 @@ func (d *DNSCache) unlink(e *dnsEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (d *DNSCache) remove(e *dnsEntry) {
+func (d *dnsCache) remove(e *dnsEntry) {
 	d.unlink(e)
 	delete(d.entries, e.name)
 	d.release(e)
@@ -175,12 +175,12 @@ func (d *DNSCache) remove(e *dnsEntry) {
 
 // release puts an unlinked entry on the free list. Its addresses stay
 // as they are until put reuses the storage.
-func (d *DNSCache) release(e *dnsEntry) {
+func (d *dnsCache) release(e *dnsEntry) {
 	e.prev, e.next = nil, d.free
 	d.free = e
 }
 
-func (d *DNSCache) touch(e *dnsEntry) {
+func (d *dnsCache) touch(e *dnsEntry) {
 	d.unlink(e)
 	d.pushFront(e)
 }

@@ -19,17 +19,17 @@ func replacedSequence(c *Cache, host, issuer string, sans []string, proto int) H
 	if c.RedeemTicketProto(host, proto) {
 		h.Resumed = true
 		if proto == ProtoWireH3 {
-			h.TokenHit = c.Tokens.s.redeem(host, proto, now)
+			h.TokenHit = c.tokens.s.redeem(host, proto, now)
 		}
 	} else {
-		h.MemoHit = c.Chains.validate(issuer, sans)
+		h.MemoHit = c.chains.validate(issuer, sans)
 		if proto == ProtoWireH3 {
-			h.TokenHit = c.Tokens.s.redeem(host, proto, now)
+			h.TokenHit = c.tokens.s.redeem(host, proto, now)
 		}
 	}
 	c.StoreTicketProto(sans, proto)
 	if proto == ProtoWireH3 {
-		c.Tokens.s.store(sans, proto, now)
+		c.tokens.s.store(sans, proto, now)
 	}
 	return h
 }
@@ -70,7 +70,7 @@ func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
 				host := hosts[rng.Intn(len(hosts))]
 				sans := coveredBy(host, rng)
 				issuer := fmt.Sprintf("CA-%d", rng.Intn(2))
-				proto := ProtoWireH1 + rng.Intn(3)
+				proto := protoWireH1 + rng.Intn(3)
 				g := got.Handshake(host, issuer, sans, proto)
 				w := replacedSequence(want, host, issuer, sans, proto)
 				if g != w {
@@ -87,12 +87,12 @@ func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
 				if g.TokenHit {
 					tokens++
 				}
-				if got.Tickets.s.len() != want.Tickets.s.len() || got.Tokens.s.len() != want.Tokens.s.len() || got.Chains.len() != want.Chains.len() {
+				if got.tickets.s.len() != want.tickets.s.len() || got.tokens.s.len() != want.tokens.s.len() || got.chains.len() != want.chains.len() {
 					t.Fatalf("step %d: stores diverged: tickets %d/%d, tokens %d/%d, chains %d/%d", step,
-						got.Tickets.s.len(), want.Tickets.s.len(), got.Tokens.s.len(), want.Tokens.s.len(), got.Chains.len(), want.Chains.len())
+						got.tickets.s.len(), want.tickets.s.len(), got.tokens.s.len(), want.tokens.s.len(), got.chains.len(), want.chains.len())
 				}
 			}
-			if validated == 0 || tokens == 0 || (resumed == 0 && got.Tickets.s.enabled()) {
+			if validated == 0 || tokens == 0 || (resumed == 0 && got.tickets.s.enabled()) {
 				t.Fatalf("schedule exercised too little: %d resumed, %d validated, %d token hits", resumed, validated, tokens)
 			}
 		})

@@ -13,7 +13,7 @@ func TestTicketsDoNotCrossProtocols(t *testing.T) {
 	if c.RedeemTicketProto("www.example.com", ProtoWireH3) {
 		t.Fatal("h2 ticket redeemed under h3")
 	}
-	if c.RedeemTicketProto("www.example.com", ProtoWireH1) {
+	if c.RedeemTicketProto("www.example.com", protoWireH1) {
 		t.Fatal("h2 ticket redeemed under h1")
 	}
 	if !c.RedeemTicketProto("www.example.com", ProtoWireH2) {
@@ -35,8 +35,8 @@ func TestTicketsDoNotCrossProtocols(t *testing.T) {
 func TestTokenProtocolKeyReuseAndExpiry(t *testing.T) {
 	sans := []string{"cdn.example.net"}
 	c := New(Options{})
-	store := func(proto int) { c.Tokens.s.store(sans, proto, c.clock.nowMs()) }
-	redeem := func(proto int) bool { return c.Tokens.s.redeem("cdn.example.net", proto, c.clock.nowMs()) }
+	store := func(proto int) { c.tokens.s.store(sans, proto, c.clock.nowMs()) }
+	redeem := func(proto int) bool { return c.tokens.s.redeem("cdn.example.net", proto, c.clock.nowMs()) }
 
 	store(ProtoWireH3)
 	if redeem(ProtoWireH2) {
@@ -50,7 +50,7 @@ func TestTokenProtocolKeyReuseAndExpiry(t *testing.T) {
 	}
 	// One millisecond before expiry the token is live; at expiry it is
 	// dead (a token expiring exactly at nowMs does not redeem).
-	c.Clock().AdvanceMs(DefaultTokenLifetimeSeconds*1000 - 1)
+	c.Clock().AdvanceMs(defaultTokenLifetimeSeconds*1000 - 1)
 	if !redeem(ProtoWireH3) {
 		t.Fatal("token dead 1ms before expiry")
 	}

@@ -36,7 +36,7 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 		issuer := resetIssuers[sel/2%len(resetIssuers)]
 		host := scheduleHosts[arg%len(scheduleHosts)]
 		sans := scheduleCerts[arg%len(scheduleCerts)]
-		proto := ProtoWireH1 + arg/len(scheduleHosts)%3
+		proto := protoWireH1 + arg/len(scheduleHosts)%3
 		var step string
 		switch op {
 		case 0:
@@ -51,12 +51,12 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 		case 5:
 			step = fmt.Sprint(c.RedeemTicketProto(host, proto))
 		case 6:
-			c.Tokens.s.store(sans, proto, c.clock.nowMs())
+			c.tokens.s.store(sans, proto, c.clock.nowMs())
 		case 7:
-			step = fmt.Sprint(c.Tokens.s.redeem(host, proto, c.clock.nowMs()))
+			step = fmt.Sprint(c.tokens.s.redeem(host, proto, c.clock.nowMs()))
 		case 8:
 			if sel&1 == 0 {
-				step = fmt.Sprint(c.Chains.validate(issuer, sans))
+				step = fmt.Sprint(c.chains.validate(issuer, sans))
 			} else {
 				step = fmt.Sprintf("%+v", c.Handshake(host, issuer, sans, proto))
 			}
@@ -64,7 +64,7 @@ func runCacheSchedule(c *Cache, data []byte) []string {
 			c.Clock().AdvanceMs(resetAdvances[arg%len(resetAdvances)])
 		}
 		out = append(out, fmt.Sprintf("%d:%d %s | at %d ms: dns %d tickets %d tokens %d chains %d",
-			op, arg, step, c.clock.nowMs(), c.DNS.len(), c.Tickets.s.len(), c.Tokens.s.len(), c.Chains.len()))
+			op, arg, step, c.clock.nowMs(), c.dns.len(), c.tickets.s.len(), c.tokens.s.len(), c.chains.len()))
 	}
 	return out
 }
@@ -171,7 +171,7 @@ func TestHeldDNSHit(t *testing.T) {
 	if got, _, ok := c.LookupDNS("b.example"); !ok || !slices.Equal(got, other) {
 		t.Fatalf("b.example = %v, %v; want %v", got, ok, other)
 	}
-	if n := c.DNS.len(); n != DefaultDNSCapacity {
+	if n := c.dns.len(); n != DefaultDNSCapacity {
 		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
 	}
 }

@@ -1,13 +1,13 @@
 package cache
 
-// TicketStore models TLS session-ticket resumption keyed by certificate
+// ticketStore models TLS session-ticket resumption keyed by certificate
 // coverage: a ticket is redeemable for any hostname the issuing
 // connection's certificate covers, enabling resumption across hostnames
 // (arXiv:1902.02531) exactly as coalescing reuses a connection across
 // hostnames. Tickets expire after the configured lifetime and serve
 // until then; a redemption asks whether any live ticket covers the host
 // (see coverStore).
-type TicketStore struct{ s coverStore }
+type ticketStore struct{ s coverStore }
 
 // Wire protocol keys for protocol-versioned warm state. A TLS session
 // ticket (or an address-validation token) carries the protocol version
@@ -16,7 +16,7 @@ type TicketStore struct{ s coverStore }
 // vice versa — the stores are logically separate per protocol even
 // though one client holds them all.
 const (
-	ProtoWireH1 = 1
+	protoWireH1 = 1
 	ProtoWireH2 = 2
 	ProtoWireH3 = 3
 )

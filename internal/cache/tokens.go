@@ -1,6 +1,6 @@
 package cache
 
-// TokenStore models QUIC address-validation tokens (RFC 9000 §8.1.3
+// tokenStore models QUIC address-validation tokens (RFC 9000 §8.1.3
 // NEW_TOKEN): a server that has validated a client's address hands it a
 // token, and presenting a live token on a later connection lets the
 // server skip the Retry round trip. Following the shared-address-
@@ -14,7 +14,7 @@ package cache
 // Tokens are additionally keyed by wire protocol: only QUIC mints or
 // redeems them, and the exact-match discipline mirrors the ticket
 // store's, so warm state can never leak across protocol versions. A
-// token serves until it expires, DefaultTokenLifetimeSeconds after it
+// token serves until it expires, defaultTokenLifetimeSeconds after it
 // was minted (the shared-validation model re-presents one token across
 // connections).
-type TokenStore struct{ s coverStore }
+type tokenStore struct{ s coverStore }

@@ -92,6 +92,9 @@ type ClientConn struct {
 	hwmu sync.Mutex
 	hw   *headerWriter
 	hr   *headerReader
+	// reqFields is the header list of the request being written; it is
+	// touched only under hwmu.
+	reqFields []hpack.HeaderField
 
 	sendFlow *sendFlow
 	recvFlow *recvFlow
@@ -115,11 +118,22 @@ type ClientConn struct {
 	readerDone chan struct{}
 }
 
+// A clientStream is one request's only object on the client: RoundTrip
+// hands the caller a pointer to its resp. Streams are never reused, so
+// the caller owns that Response outright.
 type clientStream struct {
 	id   uint32
 	resp Response
-	done chan struct{}
+	done sync.WaitGroup // released once, by whichever path ends the stream
 	err  error
+}
+
+// end records err and releases the stream's waiter. The caller must
+// have just removed cs from cc.streams, which is what makes end run
+// once per stream.
+func (cs *clientStream) end(err error) {
+	cs.err = err
+	cs.done.Done()
 }
 
 // NewClientConn performs the client half of the HTTP/2 connection
@@ -231,13 +245,12 @@ func (cc *ClientConn) RoundTrip(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	<-cs.done
+	cs.done.Wait()
 	if cs.err != nil {
 		return nil, cs.err
 	}
-	resp := cs.resp
-	resp.StreamID = cs.id
-	return &resp, nil
+	cs.resp.StreamID = cs.id
+	return &cs.resp, nil
 }
 
 // Get issues a simple GET for the given authority and path.
@@ -246,17 +259,6 @@ func (cc *ClientConn) Get(authority, path string) (*Response, error) {
 }
 
 func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
-	fields := make([]hpack.HeaderField, 0, len(req.Header)+4)
-	fields = append(fields,
-		hpack.HeaderField{Name: ":method", Value: req.Method},
-		hpack.HeaderField{Name: ":scheme", Value: req.Scheme},
-	)
-	if req.Authority != "" {
-		fields = append(fields, hpack.HeaderField{Name: ":authority", Value: req.Authority})
-	}
-	fields = append(fields, hpack.HeaderField{Name: ":path", Value: req.Path})
-	fields = append(fields, req.Header...)
-
 	// Hold the header-writer lock from the moment the stream ID is
 	// taken until its HEADERS(+CONTINUATION) sequence is written, so
 	// HPACK state stays consistent and IDs reach the peer in increasing
@@ -274,13 +276,23 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	}
 	id := cc.nextStreamID
 	cc.nextStreamID += 2
-	cs := &clientStream{id: id, done: make(chan struct{})}
+	cs := &clientStream{id: id}
+	cs.done.Add(1)
 	cc.streams[id] = cs
 	cc.mu.Unlock()
 	cc.sendFlow.openStream(id)
 
+	fields := append(cc.reqFields[:0],
+		hpack.HeaderField{Name: ":method", Value: req.Method},
+		hpack.HeaderField{Name: ":scheme", Value: req.Scheme},
+	)
+	if req.Authority != "" {
+		fields = append(fields, hpack.HeaderField{Name: ":authority", Value: req.Authority})
+	}
+	fields = append(fields, hpack.HeaderField{Name: ":path", Value: req.Path})
+	cc.reqFields = append(fields, req.Header...)
 	endStream := len(req.Body) == 0
-	err := cc.hw.writeHeaders(id, fields, endStream)
+	err := cc.hw.writeHeaders(id, cc.reqFields, endStream)
 	cc.hwmu.Unlock()
 	if err != nil {
 		cc.abortStream(cs, err)
@@ -324,8 +336,7 @@ func (cc *ClientConn) abortStream(cs *clientStream, err error) {
 	cc.mu.Lock()
 	if _, ok := cc.streams[cs.id]; ok {
 		delete(cc.streams, cs.id)
-		cs.err = err
-		close(cs.done)
+		cs.end(err)
 	}
 	cc.mu.Unlock()
 	cc.sendFlow.closeStream(cs.id)
@@ -335,7 +346,7 @@ func (cc *ClientConn) finishStream(cs *clientStream) {
 	cc.mu.Lock()
 	if _, ok := cc.streams[cs.id]; ok {
 		delete(cc.streams, cs.id)
-		close(cs.done)
+		cs.end(nil)
 	}
 	cc.mu.Unlock()
 	cc.sendFlow.closeStream(cs.id)
@@ -480,12 +491,11 @@ func (cc *ClientConn) readLoop() {
 	streams := cc.streams
 	cc.streams = make(map[uint32]*clientStream)
 	cc.mu.Unlock()
+	if err == nil {
+		err = io.ErrUnexpectedEOF
+	}
 	for _, cs := range streams {
-		cs.err = err
-		if cs.err == nil {
-			cs.err = io.ErrUnexpectedEOF
-		}
-		close(cs.done)
+		cs.end(err)
 	}
 	if ce, ok := err.(ConnectionError); ok {
 		_ = cc.fr.writeGoAway(0, ce.Code, []byte(ce.Reason))
@@ -598,8 +608,7 @@ func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
 	}
 	cc.mu.Unlock()
 	for _, cs := range refused {
-		cs.err = gerr
-		close(cs.done)
+		cs.end(gerr)
 		cc.sendFlow.closeStream(cs.id)
 	}
 	if f.ErrCode != ErrCodeNo {
@@ -686,10 +695,12 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 	return nil
 }
 
-// appendBody appends a DATA payload to a response body, at least
-// doubling a full body: a bulk body arrives one frame at a time, and
-// append's ~1.25× step for large slices would copy it several times
-// over. The growth follows the bytes received, never a declared length.
+// appendBody appends a DATA payload to a request body (server) or a
+// response body (client), at least doubling a full body: a bulk body
+// arrives one frame at a time, and append's ~1.25× step for large slices
+// would copy it several times over. The growth follows the bytes
+// received, never a declared length, so a peer cannot make an endpoint
+// reserve memory it never sends.
 func appendBody(body, data []byte) []byte {
 	if len(body)+len(data) > cap(body) {
 		b := make([]byte, len(body), max(2*cap(body), len(body)+len(data)))
@@ -727,8 +738,7 @@ func (cc *ClientConn) failStream(id uint32, err error) {
 	}
 	cc.mu.Unlock()
 	if cs != nil {
-		cs.err = err
-		close(cs.done)
+		cs.end(err)
 		cc.sendFlow.closeStream(id)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,21 +71,29 @@ func TestRoundTripBasic(t *testing.T) {
 	}
 }
 
+// TestRoundTripWithBody echoes request bodies of one DATA frame and of
+// many: 100 000 bytes cross the 16 384-byte frame size and the 65 535-byte
+// initial window, so the server reassembles them from several frames.
 func TestRoundTripWithBody(t *testing.T) {
 	cc, stop := startPair(t, &Server{Handler: echoHandler()}, ClientConnOptions{})
 	defer stop()
 
-	body := bytes.Repeat([]byte("q"), 10000)
-	resp, err := cc.RoundTrip(&Request{
-		Method: "POST", Scheme: "https", Authority: "example.com", Path: "/up",
-		Body: body,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "POST /up" + string(body)
-	if string(resp.Body) != want {
-		t.Errorf("body len = %d, want %d", len(resp.Body), len(want))
+	for _, size := range []int{10000, 100000} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i % 251) // a misplaced frame shows
+		}
+		resp, err := cc.RoundTrip(&Request{
+			Method: "POST", Scheme: "https", Authority: "example.com", Path: "/up",
+			Body: body,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "POST /up" + string(body)
+		if string(resp.Body) != want {
+			t.Errorf("%d-byte body: echoed %d bytes, want %d, or their order differs", size, len(resp.Body), len(want))
+		}
 	}
 }
 
@@ -391,4 +401,93 @@ func TestClientRejectsServerPush(t *testing.T) {
 	if ce, ok := cc.Err().(ConnectionError); !ok || ce.Code != ErrCodeProtocol {
 		t.Errorf("err = %v", cc.Err())
 	}
+}
+
+// TestKeptRequestsAndResponsesOutliveLaterBlocks: each connection
+// decodes every header block into one reused field slice, so what a
+// handler or caller is handed must not alias it. A handler keeps every
+// *Request, the client keeps every *Response, and after 160 requests
+// with differing literal headers (some never-indexed, every tenth split
+// into CONTINUATIONs both ways) each kept value still reads as it did
+// when it was handed over.
+func TestKeptRequestsAndResponsesOutliveLaterBlocks(t *testing.T) {
+	type keptRequest struct {
+		r    *Request
+		snap Request
+	}
+	var (
+		mu   sync.Mutex
+		reqs []keptRequest
+	)
+	srv := &Server{Handler: HandlerFunc(func(w *ResponseWriter, r *Request) {
+		mu.Lock()
+		reqs = append(reqs, keptRequest{r, cloneRequest(r)})
+		mu.Unlock()
+		fields := []hpack.HeaderField{
+			{Name: "x-echo-seq", Value: r.HeaderValue("x-seq")},
+			{Name: "x-path", Value: r.Path},
+		}
+		if big := r.HeaderValue("x-big"); big != "" {
+			fields = append(fields, hpack.HeaderField{Name: "x-big", Value: big})
+		}
+		w.WriteHeader(200, fields...)
+		fmt.Fprintf(w, "body of %s", r.Path)
+	})}
+	cc, stop := startPair(t, srv, ClientConnOptions{})
+	defer stop()
+
+	type keptResponse struct {
+		r    *Response
+		snap Response
+	}
+	var resps []keptResponse
+	for i := 0; i < 160; i++ {
+		req := &Request{
+			Method: "GET", Scheme: "https", Authority: "example.com", Path: fmt.Sprintf("/r/%d", i),
+			Header: []hpack.HeaderField{
+				{Name: "x-seq", Value: fmt.Sprint(i)},
+				{Name: "x-tag", Value: fmt.Sprintf("tag-%d", i*7), Sensitive: i%3 == 0},
+			},
+		}
+		if i%10 == 0 {
+			req.Header = append(req.Header, hpack.HeaderField{Name: "x-big", Value: strings.Repeat(string(rune('a'+i%26)), 20000)})
+		}
+		if i%4 == 0 {
+			req.Method, req.Body = "POST", []byte(req.Path)
+		}
+		resp, err := cc.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.HeaderValue("x-echo-seq"); got != fmt.Sprint(i) {
+			t.Fatalf("request %d: x-echo-seq %q", i, got)
+		}
+		snap := *resp
+		snap.Header = slices.Clone(resp.Header)
+		snap.Body = slices.Clone(resp.Body)
+		resps = append(resps, keptResponse{resp, snap})
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reqs) != len(resps) {
+		t.Fatalf("handler kept %d requests, client %d responses", len(reqs), len(resps))
+	}
+	for i, k := range reqs {
+		if !reflect.DeepEqual(*k.r, k.snap) {
+			t.Errorf("kept request %d changed after later requests: %+v, was %+v", i, k.r.Header, k.snap.Header)
+		}
+	}
+	for i, k := range resps {
+		if !reflect.DeepEqual(*k.r, k.snap) {
+			t.Errorf("kept response %d changed after later requests: %+v, was %+v", i, k.r.Header, k.snap.Header)
+		}
+	}
+}
+
+func cloneRequest(r *Request) Request {
+	c := *r
+	c.Header = slices.Clone(r.Header)
+	c.Body = slices.Clone(r.Body)
+	return c
 }

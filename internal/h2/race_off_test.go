@@ -1,0 +1,7 @@
+//go:build !race
+
+package h2_test
+
+// racePoolSlack is zero outside the race detector: every pooled buffer
+// crypto/tls puts back is reused.
+const racePoolSlack = 0

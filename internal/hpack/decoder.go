@@ -23,10 +23,18 @@ func NewDecoder() *Decoder {
 	return &Decoder{dt: newDynamicTable(DefaultDynamicTableSize)}
 }
 
-// DecodeFull decodes a complete header block and returns its fields.
+// DecodeFull decodes a complete header block and returns its fields in
+// a new slice the caller owns. Any error is a COMPRESSION_ERROR at the
+// HTTP/2 layer.
+func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) { return d.AppendDecode(nil, block) }
+
+// AppendDecode decodes a complete header block, appends its fields to
+// dst and returns the extended slice, so a caller that decodes block
+// after block can reuse one slice's storage. On error it returns dst
+// unextended; the elements past len(dst) may have been overwritten.
 // Any error is a COMPRESSION_ERROR at the HTTP/2 layer.
-func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
-	var fields []HeaderField
+func (d *Decoder) AppendDecode(dst []HeaderField, block []byte) ([]HeaderField, error) {
+	fields := dst
 	seenField := false
 	for len(block) > 0 {
 		b := block[0]
@@ -34,11 +42,11 @@ func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
 		case b&0x80 != 0: // §6.1 indexed
 			i, rest, err := readVarInt(block, 7)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			f, ok := lookup(d.dt, i)
 			if !ok {
-				return nil, ErrInvalidIndex
+				return dst, ErrInvalidIndex
 			}
 			fields = append(fields, f)
 			block = rest
@@ -47,7 +55,7 @@ func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
 		case b&0xc0 == 0x40: // §6.2.1 literal with incremental indexing
 			f, rest, err := d.readLiteral(block, 6)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			d.dt.add(f)
 			fields = append(fields, f)
@@ -57,14 +65,14 @@ func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
 		case b&0xe0 == 0x20: // §6.3 dynamic table size update
 			if seenField {
 				// Updates must precede all fields in a block (§4.2).
-				return nil, ErrTableSizeUpdate
+				return dst, ErrTableSizeUpdate
 			}
 			n, rest, err := readVarInt(block, 5)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			if n > DefaultDynamicTableSize {
-				return nil, ErrTableSizeUpdate
+				return dst, ErrTableSizeUpdate
 			}
 			d.dt.setMaxSize(uint32(n))
 			block = rest
@@ -73,7 +81,7 @@ func (d *Decoder) DecodeFull(block []byte) ([]HeaderField, error) {
 			sensitive := b&0xf0 == 0x10
 			f, rest, err := d.readLiteral(block, 4)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			f.Sensitive = sensitive
 			fields = append(fields, f)

@@ -2,12 +2,18 @@ package hpack
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
 // FuzzHPACKDecodeFull throws arbitrary bytes at the header-block decoder.
 // The decoder must never panic; when it accepts a block, the decoded
 // fields must survive a fresh encode→decode round trip semantically.
+// Every input is decoded twice on fresh decoders, the second time by
+// AppendDecode into the storage the first decode returned, as h2's
+// header reader reuses one slice per connection: both must give the
+// same error text and the same fields.
 func FuzzHPACKDecodeFull(f *testing.F) {
 	f.Add([]byte{0x82})                       // indexed :method GET
 	f.Add([]byte{0x40, 0x01, 'a', 0x01, 'b'}) // incremental literal
@@ -20,6 +26,14 @@ func FuzzHPACKDecodeFull(f *testing.F) {
 	f.Add([]byte{0x7f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fields, err := NewDecoder().DecodeFull(data)
+		want := slices.Clone(fields)
+		again, errAgain := NewDecoder().AppendDecode(fields[:0], data)
+		if fmt.Sprint(errAgain) != fmt.Sprint(err) {
+			t.Fatalf("decoding again into the first decode's storage: error %v, the first decode %v", errAgain, err)
+		}
+		if !slices.Equal(again, want) {
+			t.Fatalf("decoding again into the first decode's storage gave %+v, the first decode %+v", again, want)
+		}
 		if err != nil {
 			return
 		}
