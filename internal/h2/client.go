@@ -122,10 +122,11 @@ type ClientConn struct {
 // hands the caller a pointer to its resp. Streams are never reused, so
 // the caller owns that Response outright.
 type clientStream struct {
-	id   uint32
-	resp Response
-	done sync.WaitGroup // released once, by whichever path ends the stream
-	err  error
+	id     uint32
+	staged bool // resp.Body is pooled staging storage (appendBody)
+	resp   Response
+	done   sync.WaitGroup // released once, by whichever path ends the stream
+	err    error
 }
 
 // end records err and releases the stream's waiter. The caller must
@@ -343,6 +344,7 @@ func (cc *ClientConn) abortStream(cs *clientStream, err error) {
 }
 
 func (cc *ClientConn) finishStream(cs *clientStream) {
+	cs.resp.Body = finishBody(cs.resp.Body, cs.staged)
 	cc.mu.Lock()
 	if _, ok := cc.streams[cs.id]; ok {
 		delete(cc.streams, cs.id)
@@ -683,7 +685,7 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 	if cs == nil {
 		return streamError(f.StreamID, ErrCodeStreamClosed, "DATA on unknown stream")
 	}
-	cs.resp.Body = appendBody(cs.resp.Body, f.Data)
+	cs.resp.Body, cs.staged = appendBody(cs.resp.Body, cs.staged, f.Data)
 	if f.Length > 0 {
 		if err := cc.fr.writeWindowUpdate(f.StreamID, f.Length); err != nil {
 			return err
@@ -693,21 +695,6 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 		cc.finishStream(cs)
 	}
 	return nil
-}
-
-// appendBody appends a DATA payload to a request body (server) or a
-// response body (client), at least doubling a full body: a bulk body
-// arrives one frame at a time, and append's ~1.25× step for large slices
-// would copy it several times over. The growth follows the bytes
-// received, never a declared length, so a peer cannot make an endpoint
-// reserve memory it never sends.
-func appendBody(body, data []byte) []byte {
-	if len(body)+len(data) > cap(body) {
-		b := make([]byte, len(body), max(2*cap(body), len(body)+len(data)))
-		copy(b, body)
-		body = b
-	}
-	return append(body, data...)
 }
 
 func (cc *ClientConn) onResponseHeaders(meta *MetaHeadersFrame) error {

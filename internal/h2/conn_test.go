@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -409,7 +410,10 @@ func TestClientRejectsServerPush(t *testing.T) {
 // *Request, the client keeps every *Response, and after 160 requests
 // with differing literal headers (some never-indexed, every tenth split
 // into CONTINUATIONs both ways) each kept value still reads as it did
-// when it was handed over.
+// when it was handed over. Every fifth response body is about 70 000
+// bytes, distinct per request: several frames across the 65 535-byte
+// window, which the client stages in pooled storage that later bodies
+// reuse, so a Response.Body must not alias that either.
 func TestKeptRequestsAndResponsesOutliveLaterBlocks(t *testing.T) {
 	type keptRequest struct {
 		r    *Request
@@ -431,6 +435,10 @@ func TestKeptRequestsAndResponsesOutliveLaterBlocks(t *testing.T) {
 			fields = append(fields, hpack.HeaderField{Name: "x-big", Value: big})
 		}
 		w.WriteHeader(200, fields...)
+		if seq, _ := strconv.Atoi(r.HeaderValue("x-seq")); seq%5 == 0 {
+			w.Write(bytes.Repeat([]byte(r.Path+"#"), 70000/(len(r.Path)+1)))
+			return
+		}
 		fmt.Fprintf(w, "body of %s", r.Path)
 	})}
 	cc, stop := startPair(t, srv, ClientConnOptions{})

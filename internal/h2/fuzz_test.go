@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"respectorigin/internal/hpack"
 )
 
 // rawFrame serializes a 9-octet frame header plus payload, bypassing all
@@ -173,6 +177,159 @@ func FuzzOriginPayload(f *testing.F) {
 			}
 			if !set.contains(o) || !strings.HasPrefix(o, "https://") || originHost(o) == "" {
 				t.Fatalf("set member %q: contained %v, host %q", o, set.contains(o), originHost(o))
+			}
+		}
+	})
+}
+
+// bodyPattern is what FuzzBodyReassembly cuts bodies from, each stream
+// at an offset of its own so that no two bodies read alike.
+var bodyPattern = func() []byte {
+	p := make([]byte, 1<<16+1<<14)
+	for i := range p {
+		p[i] = byte(i*31 + i>>8)
+	}
+	return p
+}()
+
+// FuzzBodyReassembly drives a ClientConn from a raw-frame peer: two
+// interleaved streams, each body cut into DATA frames of fuzzer-chosen
+// sizes, empty and padded frames among them. Each plan byte is one
+// frame: bit 0 picks the stream, bit 1 pads it, and the other six bits n
+// carry 4n² payload bytes (0 to 15 876). Every handed-over body must
+// equal the concatenation of its payloads, and must still equal it after
+// the other stream and a later request complete, by which time the
+// pooled storage that staged it has been reused.
+func FuzzBodyReassembly(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{0x3c, 0x3d}, false)                              // one small frame each, then empty END_STREAM frames
+	f.Add([]byte{0x10, 0xfc, 0x13, 0xfd, 0x02, 0x03}, false)      // small first frames outgrown; padded and empty frames
+	f.Add([]byte{0xfc, 0xfd, 0xfc, 0xfd, 0xfc, 0xfd, 0xfc}, true) // full frames, END_STREAM on the last payload
+	f.Add(bytes.Repeat([]byte{0xfc, 0xfd}, 70), true)             // each body past the pool's largest class
+	f.Fuzz(func(t *testing.T, plan []byte, endOnData bool) {
+		if len(plan) > 160 { // room for both bodies to pass 1 MiB
+			plan = plan[:160]
+		}
+		cn, remote := net.Pipe()
+		defer remote.Close()
+		opened := make(chan uint32, 3) // one per request
+		// The peer's reader drains the client and reports each request.
+		go func() {
+			if _, err := io.ReadFull(remote, make([]byte, len(ClientPreface))); err != nil {
+				return
+			}
+			rfr := NewFramer(io.Discard, remote)
+			for {
+				fr, err := rfr.ReadFrame()
+				if err != nil {
+					return
+				}
+				if h, ok := fr.(*HeadersFrame); ok {
+					opened <- h.StreamID
+				}
+			}
+		}()
+		cc, err := NewClientConn(cn, ClientConnOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cc.Close()
+		pfr := NewFramer(remote, nil)
+		enc := hpack.NewEncoder()
+		respond := func(id uint32) { // the peer's writer: answers once the request is read
+			select {
+			case got := <-opened:
+				if got != id {
+					t.Fatalf("request opened stream %d, want %d", got, id)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("stream %d never opened", id)
+			}
+			block := enc.AppendHeaderBlock(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}})
+			if err := pfr.writeHeadersFrame(HeadersFrameParam{StreamID: id, BlockFragment: block, EndHeaders: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type result struct {
+			resp *Response
+			err  error
+		}
+		results := make(chan result, 3) // one per request
+		get := func() {
+			r, err := cc.Get("body.example", "/")
+			results <- result{r, err}
+		}
+		got := func() *Response {
+			select {
+			case r := <-results:
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				return r.resp
+			case <-time.After(5 * time.Second):
+				t.Fatal("no response")
+				return nil
+			}
+		}
+		want := map[uint32][]byte{}
+		payload := func(id uint32, n int) []byte {
+			start := (len(want[id]) + int(id)*4099) % (1 << 16)
+			p := bodyPattern[start : start+n]
+			want[id] = append(want[id], p...)
+			return p
+		}
+
+		go get()
+		respond(1)
+		go get()
+		respond(3)
+		last := map[uint32]int{}
+		for i, b := range plan {
+			last[uint32(1+2*(b&1))] = i
+		}
+		for i, b := range plan {
+			id, n := uint32(1+2*(b&1)), int(b>>2)
+			p := payload(id, 4*n*n)
+			var flags Flags
+			if endOnData && last[id] == i {
+				flags |= FlagEndStream
+			}
+			if b&2 != 0 {
+				flags |= FlagPadded
+				pad := n % 8
+				p = append(append([]byte{byte(pad)}, p...), make([]byte, pad)...)
+			}
+			if err := pfr.writeFrame(FrameData, flags, id, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []uint32{1, 3} {
+			if _, sent := last[id]; !endOnData || !sent {
+				if err := pfr.WriteData(id, true, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		kept := []*Response{got(), got()}
+		for _, r := range kept {
+			if !bytes.Equal(r.Body, want[r.StreamID]) {
+				t.Fatalf("stream %d: body of %d bytes, want the %d sent", r.StreamID, len(r.Body), len(want[r.StreamID]))
+			}
+		}
+
+		go get()
+		respond(5)
+		for i := 0; i < 3; i++ {
+			if err := pfr.WriteData(5, i == 2, payload(5, 15000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r := got(); !bytes.Equal(r.Body, want[5]) {
+			t.Fatalf("later stream: body of %d bytes, want the %d sent", len(r.Body), len(want[5]))
+		}
+		for _, r := range kept {
+			if !bytes.Equal(r.Body, want[r.StreamID]) {
+				t.Fatalf("stream %d's body changed after later streams completed", r.StreamID)
 			}
 		}
 	})

@@ -206,6 +206,7 @@ type serverStream struct {
 	req    Request
 	w      ResponseWriter
 	gotEnd bool // END_STREAM received
+	staged bool // req.Body is pooled staging storage (appendBody)
 }
 
 func (sc *serverConn) serve() error {
@@ -470,7 +471,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	if !ok || st.gotEnd {
 		return streamError(f.StreamID, ErrCodeStreamClosed, "DATA on closed stream")
 	}
-	st.req.Body = appendBody(st.req.Body, f.Data)
+	st.req.Body, st.staged = appendBody(st.req.Body, st.staged, f.Data)
 	// Replenish the stream window (padding included) so the peer can
 	// keep sending.
 	if f.Length > 0 {
@@ -480,6 +481,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	}
 	if f.Flags.has(FlagEndStream) {
 		st.gotEnd = true
+		st.req.Body = finishBody(st.req.Body, st.staged)
 		sc.startHandler(st)
 	}
 	return nil

@@ -111,12 +111,7 @@ func (aw *asyncWriter) pump() {
 			aw.mu.Unlock()
 			return
 		}
-		if cap(chunk) < len(aw.buf) {
-			putBuf(chunk)
-			chunk = getBuf(len(aw.buf))
-		}
-		chunk = append(chunk[:0], aw.buf...)
-		aw.buf = aw.buf[:0]
+		chunk, aw.buf = aw.buf, chunk[:0]
 		wdl, wt := aw.wdl, aw.wtimeout
 		aw.mu.Unlock()
 
