@@ -1,6 +1,6 @@
 //go:build !race
 
-package h2_test
+package h2
 
 // racePoolSlack is zero outside the race detector: every pooled buffer
 // crypto/tls puts back is reused.

@@ -1,6 +1,6 @@
 //go:build race
 
-package h2_test
+package h2
 
 // racePoolSlack: under the race detector sync.Pool drops a share of what
 // is put back, at random, so crypto/tls reallocates record buffers it
