@@ -1,0 +1,406 @@
+package respectorigin
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// callerAllowlist names the exported funcs and methods under internal/
+// that stand without a non-test caller in another package, each with
+// why. The only reasons are: a correctness oracle that tests compare
+// against, a DESIGN.md §6 ablation bench in bench_test.go, and a hook
+// whose only job is to let a test observe or substitute.
+var callerAllowlist = map[string]string{
+	"conformance.NewFlowChecker":                "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
+	"conformance.FlowChecker.Check":             "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
+	"conformance.FlowChecker.CheckConservation": "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
+	"conformance.FlowChecker.WentNegative":      "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
+	"privacy.Analyze":                           "oracle: one page's §6.2 exposure, host by host, that privacy's tests check against a reconstructed page",
+	"privacy.Exposure.LeakedHosts":              "oracle: the leaked-host set of privacy.Analyze",
+	"hpack.Encoder.SetHuffman":                  "ablation §6.1: BenchmarkAblationHuffman runs the encoder with Huffman coding on and off",
+	"certs.Leaf.TLSRecords":                     "ablation §6.5: BenchmarkAblationSANSize reads the TLS records a real chain needs",
+}
+
+// stdlibInterfaces are the standard-library interfaces, as package path
+// and name, whose methods the standard library calls on the types here:
+// a method that implements one of them has a caller there.
+var stdlibInterfaces = [][2]string{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"io", "Reader"},
+	{"io", "Writer"},
+	{"io", "Closer"},
+	{"net", "Error"},
+	{"math/rand", "Source64"},
+}
+
+// reflectingPackages are the standard-library packages whose functions
+// read a struct's fields by reflection: a field of a struct passed to
+// one of them as an `any` is read.
+var reflectingPackages = []string{"encoding/json", "fmt"}
+
+// TestEveryExportHasACaller holds ROADMAP's "every exported name earns a
+// user": no exported name declared in non-test Go under internal/ goes
+// unused, unless callerAllowlist names it with a reason. Packages in
+// testSupport and probeOnly are not gated, and testSupport's own Go uses
+// nothing. The rules are exportFindings'.
+func TestEveryExportHasACaller(t *testing.T) {
+	m := loadRepo(t)
+	for _, f := range exportFindings(m, callerAllowlist, append(slices.Clone(testSupport), probeOnly...), testSupport) {
+		t.Error(f)
+	}
+}
+
+// exportFindings reports each exported name declared in m's non-test Go
+// under internal/ (outside the packages notGated) that nothing uses.
+// Uses are resolved objects, read from non-test Go of every package but
+// those in noUser:
+//   - A func, const, var or type is used when another package names it.
+//     A type is also used when the signature of a used func or method,
+//     or the type of a used field, var or const, mentions it.
+//   - A method is used when a selection in another package resolves to
+//     it, when its type implements an interface whose method of that
+//     name is selected anywhere, or when it implements one of
+//     stdlibInterfaces.
+//   - A field is used when it is read in any package: selected outside
+//     an assignment target (a composite-literal key is not a selection),
+//     or passed through on the way to a promoted field or method. An
+//     embedded field is also read when a method promoted through it
+//     implements an interface for its struct, as the method rule counts
+//     interfaces. A field also counts as read when a value of its
+//     struct, or of a type holding it, is passed as an `any` to a
+//     function of reflectingPackages.
+//
+// An allowlisted name counts as used; naming one that has another user,
+// or that is not declared, is a finding too.
+func exportFindings(m *module, allowlist map[string]string, notGated, noUser []string) []string {
+	type decl struct{ kind, key string }
+	decls := map[types.Object]decl{}
+	var embedders []*types.Named // struct types with an exported embedded field
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") || slices.Contains(notGated, p.rel) {
+			continue
+		}
+		name := p.types.Name()
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			obj := scope.Lookup(n)
+			if obj.Exported() {
+				decls[obj] = decl{objectKind(obj), name + "." + n}
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if fn := named.Method(i); fn.Exported() {
+					decls[fn] = decl{"method", name + "." + n + "." + fn.Name()}
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() {
+						decls[f] = decl{"field", name + "." + n + "." + f.Name()}
+						if f.Embedded() {
+							embedders = append(embedders, named)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}             // named or called from another package, or a field read
+	selected := map[string][]*types.Interface{} // interface methods selected, by name
+	reflected := map[types.Type]bool{}
+	var reflect func(types.Type)
+	reflect = func(t types.Type) {
+		if t == nil || reflected[t] {
+			return
+		}
+		reflected[t] = true
+		switch t := types.Unalias(t).(type) {
+		case *types.Pointer:
+			reflect(t.Elem())
+		case *types.Slice:
+			reflect(t.Elem())
+		case *types.Array:
+			reflect(t.Elem())
+		case *types.Map:
+			reflect(t.Key())
+			reflect(t.Elem())
+		case *types.Named:
+			reflect(t.Underlying())
+		case *types.Struct:
+			for i := range t.NumFields() {
+				used[t.Field(i).Origin()] = true
+				reflect(t.Field(i).Type())
+			}
+		}
+	}
+	for _, p := range m.pkgs {
+		if slices.Contains(noUser, p.rel) {
+			continue
+		}
+		for _, f := range p.files {
+			targets := assignmentTargets(f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					obj := m.info.Uses[n]
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
+					}
+					if d, ok := decls[obj]; ok && d.kind != "method" && d.kind != "field" && obj.Pkg() != p.types {
+						used[obj] = true
+					}
+				case *ast.SelectorExpr:
+					sel := m.info.Selections[n]
+					if sel == nil {
+						return true
+					}
+					for _, f := range embeddedPath(sel) {
+						used[f] = true
+					}
+					switch obj := sel.Obj().(type) {
+					case *types.Var:
+						if !targets[n] {
+							used[obj.Origin()] = true
+						}
+					case *types.Func:
+						recv := obj.Type().(*types.Signature).Recv().Type()
+						if iface, ok := recv.Underlying().(*types.Interface); ok {
+							if !slices.Contains(selected[obj.Name()], iface) {
+								selected[obj.Name()] = append(selected[obj.Name()], iface)
+							}
+						} else if obj.Pkg() != p.types {
+							used[obj.Origin()] = true
+						}
+					}
+				case *ast.CallExpr:
+					if fn := callee(m.info, n); fn != nil && fn.Pkg() != nil && slices.Contains(reflectingPackages, fn.Pkg().Path()) {
+						sig := fn.Type().(*types.Signature)
+						for i, arg := range n.Args {
+							if isAny(paramType(sig, i)) {
+								reflect(m.info.Types[arg].Type)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, s := range stdlibInterfaces {
+		var obj types.Object
+		if s[0] == "" {
+			obj = types.Universe.Lookup(s[1])
+		} else if p := m.std[s[0]]; p != nil {
+			obj = p.Scope().Lookup(s[1])
+		}
+		if obj == nil {
+			continue // the module does not import it, so nothing here implements it for the library
+		}
+		iface := obj.Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			name := iface.Method(i).Name()
+			selected[name] = append(selected[name], iface)
+		}
+	}
+	implements := func(named types.Type, method string) bool {
+		for _, iface := range selected[method] {
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
+	}
+	for obj, d := range decls {
+		if d.kind != "method" || used[obj] {
+			continue
+		}
+		recv := obj.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		used[obj] = implements(recv, obj.Name())
+	}
+	// An embedded field is read when a method promoted through it
+	// implements an interface for its struct.
+	for _, named := range embedders {
+		mset := types.NewMethodSet(types.NewPointer(named))
+		for i := range mset.Len() {
+			sel := mset.At(i)
+			if path := embeddedPath(sel); len(path) > 0 && implements(named, sel.Obj().Name()) {
+				used[path[0]] = true
+			}
+		}
+	}
+	for obj, d := range decls {
+		if _, ok := allowlist[d.key]; (ok || used[obj]) && d.kind != "type" {
+			mentions(obj.Type(), func(tn *types.TypeName) { used[tn] = true })
+		}
+	}
+
+	var findings []string
+	declared := map[string]bool{}
+	for obj, d := range decls {
+		declared[d.key] = true
+		_, allowed := allowlist[d.key]
+		switch {
+		case used[obj] && allowed:
+			findings = append(findings, fmt.Sprintf("%s is on the allowlist but has a non-test user: drop the entry", d.key))
+		case !used[obj] && !allowed:
+			what := "has no non-test user outside its package: unexport it, delete it, or allowlist it with a reason"
+			if d.kind == "field" {
+				what = "is never read by non-test Go: delete it, with what writes it"
+			}
+			findings = append(findings, fmt.Sprintf("%s: %s %s %s", m.position(obj.Pos()), d.kind, d.key, what))
+		}
+	}
+	for key := range allowlist {
+		if !declared[key] {
+			findings = append(findings, fmt.Sprintf("the allowlist names %s, which is not an exported name under internal/", key))
+		}
+	}
+	if len(decls) == 0 || len(used) == 0 {
+		findings = append(findings, fmt.Sprintf("empty scan: %d exported names, %d used; the load is broken", len(decls), len(used)))
+	}
+	slices.Sort(findings)
+	return findings
+}
+
+// objectKind names what obj declares: const, var, type or func.
+func objectKind(obj types.Object) string {
+	switch obj.(type) {
+	case *types.Const:
+		return "const"
+	case *types.Var:
+		return "var"
+	case *types.TypeName:
+		return "type"
+	}
+	return "func"
+}
+
+// assignmentTargets is the set of expressions in f that are assigned to
+// or incremented, parentheses removed.
+func assignmentTargets(f *ast.File) map[ast.Expr]bool {
+	targets := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				targets[ast.Unparen(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			targets[ast.Unparen(n.X)] = true
+		}
+		return true
+	})
+	return targets
+}
+
+// embeddedPath lists the embedded fields a selection passes through on
+// its way to a promoted field or method.
+func embeddedPath(sel *types.Selection) []*types.Var {
+	var path []*types.Var
+	t := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			break
+		}
+		path = append(path, st.Field(i).Origin())
+		t = st.Field(i).Type()
+	}
+	return path
+}
+
+// callee is the func or method call calls by name, or nil when it calls
+// a func value or converts a type.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel := info.Selections[fun]; sel != nil {
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel]
+		}
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// paramType is the type of the parameter that a call's argument i binds.
+func paramType(sig *types.Signature, i int) types.Type {
+	params := sig.Params()
+	if sig.Variadic() && i >= params.Len()-1 {
+		return params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+	}
+	if i < params.Len() {
+		return params.At(i).Type()
+	}
+	return nil
+}
+
+// isAny reports whether t is the empty interface.
+func isAny(t types.Type) bool {
+	iface, ok := t.(interface{ Underlying() types.Type })
+	if !ok {
+		return false
+	}
+	it, ok := iface.Underlying().(*types.Interface)
+	return ok && it.Empty()
+}
+
+// mentions calls visit for each named type t spells out: t itself and
+// the element, key, field, parameter and result types it is built from.
+func mentions(t types.Type, visit func(*types.TypeName)) {
+	seen := map[types.Type]bool{}
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			visit(t.Obj())
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := range tuple.Len() {
+					walk(tuple.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := range t.NumFields() {
+				walk(t.Field(i).Type())
+			}
+		}
+	}
+	walk(t)
+}

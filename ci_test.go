@@ -1,6 +1,8 @@
 package respectorigin
 
 import (
+	"bytes"
+	"go/format"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -43,5 +45,44 @@ func TestEveryFuzzTargetRunsInCI(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no fuzz targets found: the walk is broken")
+	}
+}
+
+// TestGofmt proves in go test what CI's Format step proves in shell:
+// every .go file outside testdata is exactly as gofmt prints it.
+func TestGofmt(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		formatted, err := format.Source(src)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(src, formatted) {
+			t.Errorf("%s is not gofmt-formatted: run gofmt -w %s", path, path)
+		}
+		checked++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no Go files found: the walk is broken")
 	}
 }

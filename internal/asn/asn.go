@@ -21,13 +21,10 @@ import (
 	"sync"
 )
 
-// ASN is an autonomous system number, as har.Entry.ServerASN holds it.
-type ASN = uint32
-
-// Entry describes one registered prefix.
-type Entry struct {
+// entry describes one registered prefix.
+type entry struct {
 	Prefix netip.Prefix
-	ASN    ASN
+	ASN    uint32
 	Org    string
 }
 
@@ -36,34 +33,34 @@ type DB struct {
 	mu   sync.RWMutex
 	v4   *node
 	v6   *node
-	orgs map[ASN]string
+	orgs map[uint32]string
 	n    int
 }
 
 type node struct {
 	children [2]*node
-	entry    *Entry
+	entry    *entry
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{v4: &node{}, v6: &node{}, orgs: make(map[ASN]string)}
+	return &DB{v4: &node{}, v6: &node{}, orgs: make(map[uint32]string)}
 }
 
-// Add registers a prefix for an ASN. A more specific prefix added later
+// addPrefix registers a prefix for an ASN. A more specific prefix added later
 // wins for addresses it covers. Adding the same prefix twice overwrites.
-func (db *DB) Add(prefix netip.Prefix, as ASN, org string) error {
+func (db *DB) addPrefix(prefix netip.Prefix, as uint32, org string) error {
 	if !prefix.IsValid() {
 		return fmt.Errorf("asn: invalid prefix %v", prefix)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.add(Entry{Prefix: prefix.Masked(), ASN: as, Org: org})
+	db.add(entry{Prefix: prefix.Masked(), ASN: as, Org: org})
 	return nil
 }
 
 // add registers e, whose prefix is valid and masked; db.mu is held.
-func (db *DB) add(e Entry) {
+func (db *DB) add(e entry) {
 	root := db.v4
 	if e.Prefix.Addr().Is6() {
 		root = db.v6
@@ -87,15 +84,15 @@ func (db *DB) add(e Entry) {
 	}
 }
 
-// Len returns the number of registered prefixes.
-func (db *DB) Len() int {
+// len returns the number of registered prefixes.
+func (db *DB) len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.n
 }
 
-// Lookup returns the most specific entry covering addr.
-func (db *DB) Lookup(addr netip.Addr) (Entry, bool) {
+// lookup returns the most specific entry covering addr.
+func (db *DB) lookup(addr netip.Addr) (entry, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if addr.Is4In6() {
@@ -109,7 +106,7 @@ func (db *DB) Lookup(addr netip.Addr) (Entry, bool) {
 	}
 	bits := addr.As16()
 	first := firstBit(addr)
-	var best *Entry
+	var best *entry
 	n := root
 	for i := first; ; i++ {
 		if n.entry != nil {
@@ -124,14 +121,14 @@ func (db *DB) Lookup(addr netip.Addr) (Entry, bool) {
 		}
 	}
 	if best == nil {
-		return Entry{}, false
+		return entry{}, false
 	}
 	return *best, true
 }
 
 // LookupASN is Lookup returning just the AS number (0 when unknown).
-func (db *DB) LookupASN(addr netip.Addr) ASN {
-	e, ok := db.Lookup(addr)
+func (db *DB) LookupASN(addr netip.Addr) uint32 {
+	e, ok := db.lookup(addr)
 	if !ok {
 		return 0
 	}
@@ -139,7 +136,7 @@ func (db *DB) LookupASN(addr netip.Addr) ASN {
 }
 
 // Org returns the organization name registered for an ASN.
-func (db *DB) Org(as ASN) string {
+func (db *DB) Org(as uint32) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.orgs[as]
@@ -173,7 +170,7 @@ func (db *DB) Load(r io.Reader) (int, error) {
 		if len(fields) > 2 {
 			org = strings.Join(fields[2:], " ")
 		}
-		if err := db.Add(prefix, ASN(as), org); err != nil {
+		if err := db.addPrefix(prefix, uint32(as), org); err != nil {
 			return count, err
 		}
 		count++

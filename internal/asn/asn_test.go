@@ -13,13 +13,13 @@ func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 
 func TestLongestPrefixMatch(t *testing.T) {
 	db := NewDB()
-	db.Add(pfx("192.0.0.0/8"), 100, "Coarse")
-	db.Add(pfx("192.0.2.0/24"), 200, "Fine")
-	db.Add(pfx("192.0.2.128/25"), 300, "Finest")
+	db.addPrefix(pfx("192.0.0.0/8"), 100, "Coarse")
+	db.addPrefix(pfx("192.0.2.0/24"), 200, "Fine")
+	db.addPrefix(pfx("192.0.2.128/25"), 300, "Finest")
 
 	cases := []struct {
 		addr string
-		want ASN
+		want uint32
 	}{
 		{"192.1.1.1", 100},
 		{"192.0.2.5", 200},
@@ -30,15 +30,15 @@ func TestLongestPrefixMatch(t *testing.T) {
 			t.Errorf("LookupASN(%s) = %d, want %d", c.addr, got, c.want)
 		}
 	}
-	if _, ok := db.Lookup(ip("10.0.0.1")); ok {
+	if _, ok := db.lookup(ip("10.0.0.1")); ok {
 		t.Error("found entry for unregistered space")
 	}
 }
 
 func TestLookupIPv6(t *testing.T) {
 	db := NewDB()
-	db.Add(pfx("2001:db8::/32"), 64512, "DocNet")
-	db.Add(pfx("2001:db8:ff::/48"), 64513, "DocNet-Fine")
+	db.addPrefix(pfx("2001:db8::/32"), 64512, "DocNet")
+	db.addPrefix(pfx("2001:db8:ff::/48"), 64513, "DocNet-Fine")
 	if got := db.LookupASN(ip("2001:db8::1")); got != 64512 {
 		t.Errorf("v6 coarse = %d", got)
 	}
@@ -52,7 +52,7 @@ func TestLookupIPv6(t *testing.T) {
 
 func TestV4MappedV6Unmapped(t *testing.T) {
 	db := NewDB()
-	db.Add(pfx("198.51.100.0/24"), 7, "Mapped")
+	db.addPrefix(pfx("198.51.100.0/24"), 7, "Mapped")
 	mapped := netip.AddrFrom16(netip.MustParseAddr("::ffff:198.51.100.9").As16())
 	if got := db.LookupASN(mapped); got != 7 {
 		t.Errorf("v4-mapped lookup = %d, want 7", got)
@@ -61,10 +61,10 @@ func TestV4MappedV6Unmapped(t *testing.T) {
 
 func TestOverwriteSamePrefix(t *testing.T) {
 	db := NewDB()
-	db.Add(pfx("203.0.113.0/24"), 1, "One")
-	db.Add(pfx("203.0.113.0/24"), 2, "Two")
-	if db.Len() != 1 {
-		t.Errorf("Len = %d", db.Len())
+	db.addPrefix(pfx("203.0.113.0/24"), 1, "One")
+	db.addPrefix(pfx("203.0.113.0/24"), 2, "Two")
+	if db.len() != 1 {
+		t.Errorf("Len = %d", db.len())
 	}
 	if got := db.LookupASN(ip("203.0.113.77")); got != 2 {
 		t.Errorf("overwrite lost: %d", got)
@@ -73,7 +73,7 @@ func TestOverwriteSamePrefix(t *testing.T) {
 
 func TestOrgRegistry(t *testing.T) {
 	db := NewDB()
-	db.Add(pfx("192.0.2.0/24"), 13335, "Cloudflare")
+	db.addPrefix(pfx("192.0.2.0/24"), 13335, "Cloudflare")
 	if db.Org(13335) != "Cloudflare" {
 		t.Error("org lookup failed")
 	}
@@ -122,21 +122,21 @@ func TestLookupPropertyQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type reg struct {
 		p  netip.Prefix
-		as ASN
+		as uint32
 	}
 	var regs []reg
 	for i := 0; i < 200; i++ {
 		a := netip.AddrFrom4([4]byte{byte(rng.Intn(223) + 1), byte(rng.Intn(256)), 0, 0})
 		p := netip.PrefixFrom(a, 16).Masked()
-		as := ASN(i + 1)
-		db.Add(p, as, "")
+		as := uint32(i + 1)
+		db.addPrefix(p, as, "")
 		regs = append(regs, reg{p, as})
 	}
 	f := func(i uint16, lo uint16) bool {
 		r := regs[int(i)%len(regs)]
 		base := r.p.Addr().As4()
 		addr := netip.AddrFrom4([4]byte{base[0], base[1], byte(lo >> 8), byte(lo)})
-		e, ok := db.Lookup(addr)
+		e, ok := db.lookup(addr)
 		return ok && e.Prefix.Contains(addr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -57,8 +57,8 @@ func FuzzLoad(f *testing.F) {
 			}
 			fmt.Fprintf(&rendered, "%s AS%d %s\n", prefix, as, strings.Join(fields[2:], " "))
 		}
-		if n != lines || db.Len() > n {
-			t.Fatalf("Load counted %d entries over %d lines, Len %d", n, lines, db.Len())
+		if n != lines || db.len() > n {
+			t.Fatalf("Load counted %d entries over %d lines, Len %d", n, lines, db.len())
 		}
 		again := NewDB()
 		if m, err := again.Load(strings.NewReader(rendered.String())); err != nil || m != n {
@@ -69,8 +69,8 @@ func FuzzLoad(f *testing.F) {
 				continue
 			}
 			addr := netip.MustParsePrefix(strings.Fields(line)[0]).Addr()
-			got, ok := db.Lookup(addr)
-			want, wok := again.Lookup(addr)
+			got, ok := db.lookup(addr)
+			want, wok := again.lookup(addr)
 			if !ok || !wok || got != want || !got.Prefix.Contains(addr.Unmap()) {
 				t.Fatalf("%v: %+v (%v), rendered file answers %+v (%v)", addr, got, ok, want, wok)
 			}

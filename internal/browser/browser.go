@@ -28,17 +28,17 @@ import (
 	"respectorigin/internal/obs"
 )
 
-// ErrNoAddresses reports a DNS response that succeeded but carried no
+// errNoAddresses reports a DNS response that succeeded but carried no
 // usable addresses. For connection purposes this is a failure: without
 // it, such a request would produce an Outcome with no connection, no
 // reuse, and a nil Err, silently vanishing from the per-page failure
 // tally.
-var ErrNoAddresses = errors.New("browser: DNS answer contained no addresses")
+var errNoAddresses = errors.New("browser: DNS answer contained no addresses")
 
-// ErrNegativeCache reports a lookup answered by the warm-path negative
+// errNegativeCache reports a lookup answered by the warm-path negative
 // DNS cache: the name failed recently and the cached failure is served
 // without querying the authority again.
-var ErrNegativeCache = errors.New("browser: cached DNS failure (negative cache)")
+var errNegativeCache = errors.New("browser: cached DNS failure (negative cache)")
 
 // Policy selects a coalescing behaviour.
 type Policy int
@@ -143,22 +143,22 @@ func (c *Conn) covers(host string) bool {
 // Reason names how one request was decided: the path that found a
 // pooled connection to ride, or why no pooled connection could carry it
 // (the causes of Sander et al.'s redundant-connection catalogue that
-// this pool can produce). The zero value is ReasonFailed.
+// this pool can produce). The zero value is reasonFailed.
 type Reason uint8
 
 // Reasons. The new-connection causes are ordered by how far a pooled
 // connection got through findByIP's checks: certificate coverage, then
 // h1's same-host rule, then address overlap.
 const (
-	ReasonFailed        Reason = iota // the request failed; Err says why
-	ReasonIP                          // reused: an address matched
-	ReasonOrigin                      // reused: an origin set lists the host (same-host included)
-	ReasonPoolCap                     // reused: MaxConnsPerHost forced same-host multiplexing
-	ReasonNewFirst                    // new: the pool was empty
-	ReasonNewSANMissing               // new: no pooled certificate covers the host
-	ReasonNewH1                       // new: a covering connection is cross-host under h1
-	ReasonNewIPMismatch               // new: covering and eligible, but no address overlaps
-	ReasonNew421                      // new: a reuse attempt bounced with 421
+	reasonFailed        Reason = iota // the request failed; Err says why
+	reasonIP                          // reused: an address matched
+	reasonOrigin                      // reused: an origin set lists the host (same-host included)
+	reasonPoolCap                     // reused: MaxConnsPerHost forced same-host multiplexing
+	reasonNewFirst                    // new: the pool was empty
+	reasonNewSANMissing               // new: no pooled certificate covers the host
+	reasonNewH1                       // new: a covering connection is cross-host under h1
+	reasonNewIPMismatch               // new: covering and eligible, but no address overlaps
+	reasonNew421                      // new: a reuse attempt bounced with 421
 )
 
 var reasonNames = [...]string{"failed", "ip", "origin", "pool-cap",
@@ -196,13 +196,13 @@ type Outcome struct {
 }
 
 // Reused reports whether the request rode an existing connection.
-func (o Outcome) Reused() bool { return o.Reason != ReasonFailed && o.Reason < ReasonNewFirst }
+func (o Outcome) Reused() bool { return o.Reason != reasonFailed && o.Reason < reasonNewFirst }
 
 // NewConnection reports whether the request opened a fresh connection.
-func (o Outcome) NewConnection() bool { return o.Reason >= ReasonNewFirst }
+func (o Outcome) NewConnection() bool { return o.Reason >= reasonNewFirst }
 
 // ViaOrigin reports whether an ORIGIN frame authorized the reuse.
-func (o Outcome) ViaOrigin() bool { return o.Reason == ReasonOrigin }
+func (o Outcome) ViaOrigin() bool { return o.Reason == reasonOrigin }
 
 // Coalesced reports whether the request rode a connection opened for a
 // different hostname (true cross-host coalescing, as opposed to plain
@@ -395,7 +395,7 @@ func (b *Browser) request(env Environment, host string, out *Outcome) {
 				addrs, err = b.lookup(env, host, out)
 			}
 			if env.Reachable(host, c.IP) {
-				b.reuse(c, ReasonOrigin, out)
+				b.reuse(c, reasonOrigin, out)
 				return
 			}
 			// Misconfigured origin set: fail open (§5.3) with a 421. The
@@ -412,7 +412,7 @@ func (b *Browser) request(env Environment, host string, out *Outcome) {
 				out.Err = err
 				return
 			}
-			b.connectFresh(env, host, addrs, ReasonNew421, out)
+			b.connectFresh(env, host, addrs, reasonNew421, out)
 			return
 		}
 	}
@@ -433,7 +433,7 @@ func (b *Browser) request(env Environment, host string, out *Outcome) {
 		if b.Rec != nil {
 			b.emit(obs.Event{Kind: obs.KindMisdirected, Host: host, Conn: c.Host, Detail: "ip"})
 		}
-		why = ReasonNew421
+		why = reasonNew421
 	}
 	b.connectFresh(env, host, addrs, why, out)
 }
@@ -461,28 +461,28 @@ func (b *Browser) findByOrigin(host string) *Conn {
 }
 
 // findByIP implements the two IP-matching disciplines. A match comes
-// back with ReasonIP; no match comes back with the new-connection
+// back with reasonIP; no match comes back with the new-connection
 // reason for the deepest check any pooled connection passed.
 func (b *Browser) findByIP(host string, answer []netip.Addr) (*Conn, Reason) {
-	miss := ReasonNewFirst
+	miss := reasonNewFirst
 	for _, c := range b.conns {
 		if !c.covers(host) {
-			miss = max(miss, ReasonNewSANMissing)
+			miss = max(miss, reasonNewSANMissing)
 			continue
 		}
 		// HTTP/1.1 connections are keep-alive only: a second hostname
 		// cannot ride them even when the certificate would allow it.
 		if b.Proto == ProtoH1 && c.Host != host {
-			miss = max(miss, ReasonNewH1)
+			miss = max(miss, reasonNewH1)
 			continue
 		}
-		miss = ReasonNewIPMismatch
+		miss = reasonNewIPMismatch
 		switch b.Policy {
 		case PolicyChromium:
 			// Only the connected address survives in Chromium's set.
 			for _, a := range answer {
 				if a == c.IP {
-					return c, ReasonIP
+					return c, reasonIP
 				}
 			}
 		case PolicyFirefox, PolicyFirefoxOrigin:
@@ -490,7 +490,7 @@ func (b *Browser) findByIP(host string, answer []netip.Addr) (*Conn, Reason) {
 			for _, a := range answer {
 				for _, av := range c.Available {
 					if a == av {
-						return c, ReasonIP
+						return c, reasonIP
 					}
 				}
 			}
@@ -503,7 +503,7 @@ func (b *Browser) findByIP(host string, answer []netip.Addr) (*Conn, Reason) {
 // exponential-backoff accounting. Every attempt is a real query and
 // counts toward DNSQueries. An empty-but-successful answer is not a
 // fault (it is neither retried nor negatively cached), but it fails the
-// lookup with ErrNoAddresses.
+// lookup with errNoAddresses.
 //
 // When a cache is installed it is consulted first: a positive hit
 // serves the cached answer without touching the environment (no DNS
@@ -521,7 +521,7 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 				if b.Rec != nil {
 					b.emit(obs.Event{Kind: obs.KindDNSCacheHit, Host: host, Detail: "negative"})
 				}
-				return nil, ErrNegativeCache
+				return nil, errNegativeCache
 			}
 			out.DNSCacheHits++
 			if b.Rec != nil {
@@ -555,11 +555,11 @@ func (b *Browser) lookup(env Environment, host string, out *Outcome) ([]netip.Ad
 	}
 }
 
-// answer returns a successful lookup's addresses, or ErrNoAddresses
+// answer returns a successful lookup's addresses, or errNoAddresses
 // when it carried none.
 func answer(addrs []netip.Addr) ([]netip.Addr, error) {
 	if len(addrs) == 0 {
-		return nil, ErrNoAddresses
+		return nil, errNoAddresses
 	}
 	return addrs, nil
 }
@@ -610,7 +610,7 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (do
 	}
 	for _, c := range same {
 		if env.Reachable(host, c.IP) {
-			b.reuse(c, ReasonPoolCap, out)
+			b.reuse(c, reasonPoolCap, out)
 			return true
 		}
 	}

@@ -265,7 +265,7 @@ func TestOrigin421FailOpen(t *testing.T) {
 	b := New(PolicyFirefoxOrigin)
 	b.Request(env, "www.example.com")
 	out := b.Request(env, "third.cdnshared.com")
-	if out.Reason != ReasonNew421 {
+	if out.Reason != reasonNew421 {
 		t.Errorf("reused an unreachable origin or did not fail open: %+v", out)
 	}
 }
@@ -297,7 +297,7 @@ func TestEmptyDNSAnswer(t *testing.T) {
 	env := &fakeEnv{answers: map[string][]netip.Addr{}}
 	b := New(PolicyChromium)
 	out := b.Request(env, "missing.example.com")
-	if out.Reason != ReasonFailed {
+	if out.Reason != reasonFailed {
 		t.Errorf("request succeeded without DNS: %+v", out)
 	}
 }

@@ -47,7 +47,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 	b.Request(env, "www.example.com")
 	migrate(env)
 	out := b.Request(env, "www.example.com")
-	if out.Reason != ReasonNew421 {
+	if out.Reason != reasonNew421 {
 		t.Fatalf("migration revisit not a 421-fallback reconnect: %+v", out)
 	}
 	if n := b.DropConns("www.example.com"); n != 2 {
@@ -61,7 +61,7 @@ func TestHostCapEvictsStaleConnOn421Fallback(t *testing.T) {
 	b.Request(env, "www.example.com")
 	migrate(env)
 	out = b.Request(env, "www.example.com")
-	if out.Reason != ReasonNew421 {
+	if out.Reason != reasonNew421 {
 		t.Fatalf("capped migration revisit: %+v", out)
 	}
 	if got := len(b.Conns()); got != 1 {
@@ -93,7 +93,7 @@ func TestHostCapForcesSameHostMultiplexing(t *testing.T) {
 	// the original server is alive and well.
 	env.answers["www.example.com"] = []netip.Addr{ipB}
 	out := b.Request(env, "www.example.com")
-	if out.Reason != ReasonPoolCap || out.Got421 {
+	if out.Reason != reasonPoolCap || out.Got421 {
 		t.Fatalf("capped revisit did not multiplex: %+v", out)
 	}
 	if out.Coalesced() {

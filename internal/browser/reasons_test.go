@@ -22,18 +22,18 @@ func TestOutcomeReasons(t *testing.T) {
 		check func(Outcome) bool // a further property, nil for none
 	}{
 		{name: "empty answer", b: New(PolicyFirefox), env: &fakeEnv{},
-			host: "missing.example", want: ReasonFailed,
-			check: func(o Outcome) bool { return o.Err == ErrNoAddresses }},
+			host: "missing.example", want: reasonFailed,
+			check: func(o Outcome) bool { return o.Err == errNoAddresses }},
 		{name: "transitive address overlap", b: New(PolicyFirefox), env: twoHostEnv(),
-			warm: []string{"www.example.com"}, host: "static.example.com", want: ReasonIP,
+			warm: []string{"www.example.com"}, host: "static.example.com", want: reasonIP,
 			check: Outcome.Coalesced},
 		{name: "origin set, cross-host", b: New(PolicyFirefoxOrigin), env: originEnv(),
-			warm: []string{"www.example.com"}, host: "third.cdnshared.com", want: ReasonOrigin,
+			warm: []string{"www.example.com"}, host: "third.cdnshared.com", want: reasonOrigin,
 			check: Outcome.Coalesced},
 		// A connection's own host is always in its origin set, so
 		// same-host reuse under ORIGIN is found on the ORIGIN path too.
 		{name: "origin set, same host", b: New(PolicyFirefoxOrigin), env: originEnv(),
-			warm: []string{"www.example.com"}, host: "www.example.com", want: ReasonOrigin,
+			warm: []string{"www.example.com"}, host: "www.example.com", want: reasonOrigin,
 			check: func(o Outcome) bool { return o.ViaOrigin() && !o.Coalesced() }},
 		// www's connection covers api and matches its address but no
 		// longer serves it: the 421 falls back onto api's own connection,
@@ -44,23 +44,23 @@ func TestOutcomeReasons(t *testing.T) {
 				env.answers["api.example"] = []netip.Addr{ip("192.0.2.1")}
 				env.reachable = map[string]bool{"api.example@192.0.2.1": false}
 			},
-			host: "api.example", want: ReasonPoolCap,
+			host: "api.example", want: reasonPoolCap,
 			check: func(o Outcome) bool { return o.Got421 && o.ConnHost == "api.example" }},
 		{name: "empty pool", b: New(PolicyChromium), env: twoHostEnv(),
-			host: "www.example.com", want: ReasonNewFirst},
+			host: "www.example.com", want: reasonNewFirst},
 		{name: "certificate does not cover", b: New(PolicyFirefox), env: capEnv(),
-			warm: []string{"api.example"}, host: "www.example", want: ReasonNewSANMissing},
+			warm: []string{"api.example"}, host: "www.example", want: reasonNewSANMissing},
 		{name: "cross-host under h1", b: &Browser{Policy: PolicyFirefox, Proto: ProtoH1}, env: twoHostEnv(),
-			warm: []string{"www.example.com"}, host: "static.example.com", want: ReasonNewH1},
+			warm: []string{"www.example.com"}, host: "static.example.com", want: reasonNewH1},
 		{name: "no address overlap", b: New(PolicyChromium), env: twoHostEnv(),
-			warm: []string{"www.example.com"}, host: "static.example.com", want: ReasonNewIPMismatch},
+			warm: []string{"www.example.com"}, host: "static.example.com", want: reasonNewIPMismatch},
 		{name: "421 on the IP path", b: New(PolicyFirefox), env: twoHostEnv(),
 			warm: []string{"www.example.com"},
 			then: func(env *fakeEnv) { env.reachable = map[string]bool{"static.example.com@192.0.2.1": false} },
-			host: "static.example.com", want: ReasonNew421,
+			host: "static.example.com", want: reasonNew421,
 			check: func(o Outcome) bool { return o.Got421 }},
 		{name: "421 on the ORIGIN path", b: New(PolicyFirefoxOrigin), env: staleOriginEnv(false),
-			warm: []string{"www.example"}, host: "api.example", want: ReasonNew421,
+			warm: []string{"www.example"}, host: "api.example", want: reasonNew421,
 			check: func(o Outcome) bool { return o.Got421 && o.DNSQueries == 1 }},
 	}
 	seen := map[Reason]bool{}
@@ -154,11 +154,11 @@ func FuzzRequestReasons(f *testing.F) {
 			host := hosts[int(next())%len(hosts)]
 			emptyPool := len(b.Conns()) == 0
 			out := b.Request(env, host)
-			if (out.Reason == ReasonFailed) != (out.Err != nil) {
+			if (out.Reason == reasonFailed) != (out.Err != nil) {
 				t.Fatalf("%s: reason %v with Err %v", host, out.Reason, out.Err)
 			}
 			n := 0
-			for _, held := range []bool{out.Reused(), out.NewConnection(), out.Reason == ReasonFailed} {
+			for _, held := range []bool{out.Reused(), out.NewConnection(), out.Reason == reasonFailed} {
 				if held {
 					n++
 				}
@@ -169,10 +169,10 @@ func FuzzRequestReasons(f *testing.F) {
 			if out.ViaOrigin() && (b.Policy != PolicyFirefoxOrigin || b.Proto == ProtoH1) {
 				t.Fatalf("%s: ORIGIN reuse under %v/%v", host, b.Policy, b.Proto)
 			}
-			if out.Reason == ReasonNewFirst && !emptyPool {
+			if out.Reason == reasonNewFirst && !emptyPool {
 				t.Fatalf("%s: %v with a non-empty pool", host, out.Reason)
 			}
-			if out.Reason == ReasonNew421 && !out.Got421 || out.Reason == ReasonNewH1 && b.Proto != ProtoH1 {
+			if out.Reason == reasonNew421 && !out.Got421 || out.Reason == reasonNewH1 && b.Proto != ProtoH1 {
 				t.Fatalf("%s: %v under %v, Got421=%v", host, out.Reason, b.Proto, out.Got421)
 			}
 			switch {

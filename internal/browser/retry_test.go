@@ -72,7 +72,7 @@ func TestOrigin421FallbackSkipOriginDNS(t *testing.T) {
 	b.Request(env, "www.example")
 
 	out := b.Request(env, "api.example")
-	if out.Reason != ReasonNew421 {
+	if out.Reason != reasonNew421 {
 		t.Fatalf("fallback outcome: %+v", out)
 	}
 	if out.DNSQueries != 1 {
@@ -181,7 +181,7 @@ func TestDNSRetryBudgetExhausted(t *testing.T) {
 	if !errors.Is(out.Err, errDNS) {
 		t.Fatalf("Err = %v, want errDNS", out.Err)
 	}
-	if out.Reason != ReasonFailed {
+	if out.Reason != reasonFailed {
 		t.Fatalf("failed request recorded a connection: %+v", out)
 	}
 	if out.DNSQueries != 2 {
@@ -267,7 +267,7 @@ func TestOrigin421FallbackWithConnectRetry(t *testing.T) {
 
 	env.connFailures = 1
 	out := b.Request(env, "api.example")
-	if out.Reason != ReasonNew421 || out.Err != nil {
+	if out.Reason != reasonNew421 || out.Err != nil {
 		t.Fatalf("combined 421+retry outcome: %+v", out)
 	}
 	if out.DNSQueries != 1 {
@@ -307,7 +307,7 @@ func TestOrigin421FallbackWithDNSRetry(t *testing.T) {
 
 	env.dnsFailures = 1
 	out := b.Request(env, "api.example")
-	if out.Reason != ReasonNew421 || out.Err != nil {
+	if out.Reason != reasonNew421 || out.Err != nil {
 		t.Fatalf("combined DNS-retry+421 outcome: %+v", out)
 	}
 	if out.DNSQueries != 2 {
@@ -325,16 +325,16 @@ func TestOrigin421FallbackWithDNSRetry(t *testing.T) {
 }
 
 // TestEmptyAnswerIsAccountedFailure pins the audit fix: a successful
-// DNS response with no addresses must surface as ErrNoAddresses, a
+// DNS response with no addresses must surface as errNoAddresses, a
 // failed outcome, instead of vanishing silently.
 func TestEmptyAnswerIsAccountedFailure(t *testing.T) {
 	b := New(PolicyFirefox)
 	env := &fakeEnv{answers: map[string][]netip.Addr{}}
 	out := b.Request(env, "missing.example")
-	if !errors.Is(out.Err, ErrNoAddresses) {
+	if !errors.Is(out.Err, errNoAddresses) {
 		t.Fatalf("Err = %v, want ErrNoAddresses", out.Err)
 	}
-	if out.Reason != ReasonFailed {
+	if out.Reason != reasonFailed {
 		t.Fatalf("empty answer produced a connection: %+v", out)
 	}
 }

@@ -150,7 +150,7 @@ func TestNegativeCacheShortCircuitsRetries(t *testing.T) {
 	wireQueries := env.lookups
 
 	second := b.Request(env, "down.example")
-	if !errors.Is(second.Err, ErrNegativeCache) {
+	if !errors.Is(second.Err, errNegativeCache) {
 		t.Fatalf("err = %v, want ErrNegativeCache", second.Err)
 	}
 	if !second.NegCacheHit || second.DNSQueries != 0 || second.Retries != 0 {
@@ -204,9 +204,9 @@ func TestPoolNeverRetainsCacheStorage(t *testing.T) {
 		if &conn.Available[0] == &hit[0] {
 			t.Fatalf("%v: Available aliases the cache's answer", p)
 		}
-		// Fill the LRU past its capacity: www's entry is evicted and the
-		// last answer stored reuses its storage.
-		for i := 0; i <= cache.DefaultDNSCapacity; i++ {
+		// Fill the LRU past its 4096-entry capacity: www's entry is
+		// evicted and the last answer stored reuses its storage.
+		for i := 0; i <= 4096; i++ {
 			c.PutDNS(fmt.Sprintf("static%d.example.com", i), []netip.Addr{ip("198.51.100.1"), ip("198.51.100.4")}, 300)
 		}
 		c.Reset()

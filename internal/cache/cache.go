@@ -64,12 +64,12 @@ const DefaultTicketLifetimeSeconds = 7200
 
 // Fixed by the model: nothing configures them.
 const (
-	// DefaultDNSCapacity bounds the DNS cache entry count; the least
+	// defaultDNSCapacity bounds the DNS cache entry count; the least
 	// recently used entry is evicted first.
-	DefaultDNSCapacity = 4096
-	// DefaultNegativeTTLSeconds is the lifetime of negative
+	defaultDNSCapacity = 4096
+	// defaultNegativeTTLSeconds is the lifetime of negative
 	// (failed-lookup) DNS entries.
-	DefaultNegativeTTLSeconds = 60
+	defaultNegativeTTLSeconds = 60
 	// defaultTokenLifetimeSeconds bounds QUIC address-validation token
 	// validity. It is deliberately longer than the ticket lifetime:
 	// address-validation tokens prove the client's address, not a
@@ -99,7 +99,6 @@ func (o Options) withDefaults() Options {
 // Cache bundles the three warm-path stores behind one clock. A nil
 // *Cache disables everything; every method is nil-tolerant.
 type Cache struct {
-	opts  Options
 	clock Clock
 
 	dns     *dnsCache
@@ -112,7 +111,7 @@ type Cache struct {
 // documented defaults).
 func New(opts Options) *Cache {
 	opts = opts.withDefaults()
-	c := &Cache{opts: opts}
+	c := &Cache{}
 	c.dns = newDNSCache()
 	c.tickets = &ticketStore{newCoverStore(int64(opts.TicketLifetimeSeconds) * 1000)}
 	c.tokens = &tokenStore{newCoverStore(defaultTokenLifetimeSeconds * 1000)}
@@ -121,8 +120,8 @@ func New(opts Options) *Cache {
 }
 
 // Reset empties every store and rewinds the clock, leaving c
-// observably equal to New(c.Opts()): the same answers and Len for any
-// later schedule. The storage is kept for reuse.
+// observably equal to a New cache of the same options: the same answers
+// and lengths for any later schedule. The storage is kept for reuse.
 // A nil cache ignores it.
 func (c *Cache) Reset() {
 	if c == nil {
@@ -135,8 +134,8 @@ func (c *Cache) Reset() {
 	c.chains.reset()
 }
 
-// Enabled reports whether the cache layer is active.
-func (c *Cache) Enabled() bool { return c != nil }
+// enabled reports whether the cache layer is active.
+func (c *Cache) enabled() bool { return c != nil }
 
 // Clock returns the cache's simulated clock (nil cache: a throwaway
 // clock, so callers need not nil-check before advancing time).
@@ -145,12 +144,4 @@ func (c *Cache) Clock() *Clock {
 		return &Clock{}
 	}
 	return &c.clock
-}
-
-// Opts returns the cache's effective options (zero value when nil).
-func (c *Cache) Opts() Options {
-	if c == nil {
-		return Options{}
-	}
-	return c.opts
 }

@@ -42,7 +42,7 @@ func TestDNSCacheZeroTTLNotCached(t *testing.T) {
 func TestDNSCacheNegativeHit(t *testing.T) {
 	c := New(Options{})
 	c.PutNegativeDNS("missing.example")
-	c.Clock().AdvanceMs(DefaultNegativeTTLSeconds*1000 - 1)
+	c.Clock().AdvanceMs(defaultNegativeTTLSeconds*1000 - 1)
 	_, negative, ok := c.LookupDNS("missing.example")
 	if !ok || !negative {
 		t.Fatalf("negative entry: ok=%v negative=%v, want hit on previously failed name", ok, negative)
@@ -58,7 +58,7 @@ func TestDNSCacheLRUEvictionDeterministic(t *testing.T) {
 	a := []netip.Addr{ip("192.0.2.3")}
 	c.PutDNS("one.example", a, 300)
 	c.PutDNS("two.example", a, 300)
-	for i := 2; i < DefaultDNSCapacity; i++ {
+	for i := 2; i < defaultDNSCapacity; i++ {
 		c.PutDNS(fmt.Sprintf("fill%d.example", i), a, 300)
 	}
 	// Touch "one" so "two" becomes least recently used.
@@ -75,8 +75,8 @@ func TestDNSCacheLRUEvictionDeterministic(t *testing.T) {
 	if _, _, ok := c.LookupDNS("three.example"); !ok {
 		t.Fatal("new three.example should be present")
 	}
-	if n := c.dns.len(); n != DefaultDNSCapacity {
-		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
+	if n := c.dns.len(); n != defaultDNSCapacity {
+		t.Fatalf("%d entries after one eviction, want the capacity %d", n, defaultDNSCapacity)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestCertMemo(t *testing.T) {
 
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
-	if c.Enabled() {
+	if c.enabled() {
 		t.Fatal("nil cache must report disabled")
 	}
 	c.PutDNS("x", []netip.Addr{ip("192.0.2.1")}, 300)

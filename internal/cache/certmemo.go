@@ -114,12 +114,12 @@ func (c *Cache) DefaultTTL() uint32 {
 }
 
 // PutNegativeDNS stores a failed A lookup for
-// DefaultNegativeTTLSeconds.
+// defaultNegativeTTLSeconds.
 func (c *Cache) PutNegativeDNS(name string) {
 	if c == nil {
 		return
 	}
-	c.dns.put(canonical(name), nil, true, c.clock.nowMs()+DefaultNegativeTTLSeconds*1000)
+	c.dns.put(canonical(name), nil, true, c.clock.nowMs()+defaultNegativeTTLSeconds*1000)
 }
 
 // RedeemTicketProto attempts TLS resumption for host with a live ticket

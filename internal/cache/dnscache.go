@@ -6,7 +6,7 @@ import (
 )
 
 // dnsCache is a TTL-aware cache of A answers with an LRU capacity bound
-// of DefaultDNSCapacity entries.
+// of defaultDNSCapacity entries.
 // Entries are keyed by canonical name; both positive answers and
 // negative results (failed lookups) are stored. Eviction order is
 // deterministic: the least recently used entry goes first, and "use"
@@ -90,7 +90,7 @@ func (d *dnsCache) put(name string, addrs []netip.Addr, negative bool, expiresMs
 	e.negative = negative
 	e.expiresMs = expiresMs
 	d.pushFront(e)
-	for len(d.entries) > DefaultDNSCapacity {
+	for len(d.entries) > defaultDNSCapacity {
 		d.remove(d.tail)
 	}
 }

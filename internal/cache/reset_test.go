@@ -89,7 +89,7 @@ func TestResetMatchesNew(t *testing.T) {
 		runCacheSchedule(reused, first)
 		if n%10 == 0 {
 			// Overfill the DNS LRU, so Reset also recycles evicted entries.
-			for i := 0; i <= DefaultDNSCapacity; i++ {
+			for i := 0; i <= defaultDNSCapacity; i++ {
 				reused.PutDNS(fmt.Sprintf("fill%d.example", i), resetAnswers[i%len(resetAnswers)], 300)
 			}
 		}
@@ -158,7 +158,7 @@ func TestHeldDNSHit(t *testing.T) {
 	c.PutDNS("a.example", want, 300)
 	held, _, _ = c.LookupDNS("a.example")
 	other := []netip.Addr{ip("198.51.100.9")}
-	for i := 1; i < DefaultDNSCapacity; i++ {
+	for i := 1; i < defaultDNSCapacity; i++ {
 		c.PutDNS(fmt.Sprintf("fill%d.example", i), other, 300)
 	}
 	c.PutDNS("b.example", other, 300) // entry 4 097 evicts a.example
@@ -171,7 +171,7 @@ func TestHeldDNSHit(t *testing.T) {
 	if got, _, ok := c.LookupDNS("b.example"); !ok || !slices.Equal(got, other) {
 		t.Fatalf("b.example = %v, %v; want %v", got, ok, other)
 	}
-	if n := c.dns.len(); n != DefaultDNSCapacity {
-		t.Fatalf("%d entries after one eviction, want the capacity %d", n, DefaultDNSCapacity)
+	if n := c.dns.len(); n != defaultDNSCapacity {
+		t.Fatalf("%d entries after one eviction, want the capacity %d", n, defaultDNSCapacity)
 	}
 }

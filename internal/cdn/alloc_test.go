@@ -20,7 +20,7 @@ import (
 // position, so order and tearing show.
 func observeN(lp *LogPipeline, from, n int) {
 	for i := from; i < from+n; i++ {
-		lp.observeRecord(LogRecord{ConnID: uint64(i), ArrivalOrder: i + 1, SNI: "zone", Host: "third"})
+		lp.observeRecord(logRecord{ConnID: uint64(i), ArrivalOrder: i + 1, SNI: "zone", Host: "third"})
 	}
 }
 
@@ -32,7 +32,7 @@ func checkLog(t *testing.T, lp *LogPipeline, n int) {
 		t.Fatalf("Totals = %d, %d; want %d, %d", total, sampled, n, n)
 	}
 	i := 0
-	lp.each(func(r *LogRecord) {
+	lp.each(func(r *logRecord) {
 		if r.ConnID != uint64(i) || r.ArrivalOrder != i+1 || !r.FlagHostNeSNI {
 			t.Fatalf("each record %d of %d = %+v", i, n, *r)
 		}
@@ -41,7 +41,7 @@ func checkLog(t *testing.T, lp *LogPipeline, n int) {
 	if i != n {
 		t.Fatalf("each visited %d records, want %d", i, n)
 	}
-	recs := lp.Records()
+	recs := lp.records()
 	if len(recs) != n {
 		t.Fatalf("Records returned %d records, want %d", len(recs), n)
 	}
@@ -63,16 +63,16 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 		observeN(lp, 0, n)
 		checkLog(t, lp, n)
 
-		lp.Reset()
+		lp.reset()
 		checkLog(t, lp, 0)
 		observeN(lp, 0, block+2)
 		checkLog(t, lp, block+2)
 	}
 
-	// Records hands out a copy: writing to it leaves the log alone.
+	// records hands out a copy: writing to it leaves the log alone.
 	lp := newLogPipeline(1, 1)
 	observeN(lp, 0, 3)
-	lp.Records()[1].ConnID = 99
+	lp.records()[1].ConnID = 99
 	checkLog(t, lp, 3)
 
 	// Sampling keeps exactly the requests whose draw fell under the rate,
@@ -87,7 +87,7 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 			want = append(want, uint64(i))
 		}
 	}
-	recs := lp.Records()
+	recs := lp.records()
 	if total, sampled := lp.Totals(); total != requests || int(sampled) != len(want) || len(recs) != len(want) {
 		t.Fatalf("sampled %d of %d (%d records), want %d", sampled, total, len(recs), len(want))
 	}
@@ -112,7 +112,7 @@ func TestLogPipelineBlockBoundaries(t *testing.T) {
 			defer wg.Done()
 			for seen := 0; seen < 3*block+1; {
 				seen = 0
-				lp.each(func(r *LogRecord) {
+				lp.each(func(r *logRecord) {
 					if r.ConnID != uint64(seen) || r.ArrivalOrder != seen+1 || !r.FlagHostNeSNI {
 						t.Errorf("concurrent each: record %d = %+v", seen, *r)
 					}
@@ -207,7 +207,7 @@ func TestVisitSteadyStateAllocs(t *testing.T) {
 			return mallocs <= 2*uint64(blocks)
 		}
 		mallocs := visitAllocs(logBlocks, func() {
-			c.Pipeline().Reset()
+			c.Pipeline().reset()
 			for v := 0; v < visits; v++ {
 				e.Visit(zones[v%len(zones)], e.sampleUA(), 0)
 			}
@@ -269,12 +269,12 @@ func TestLogBytesPerRecord(t *testing.T) {
 // nothing.
 func TestLogRecordRoundTrip(t *testing.T) {
 	names := []string{"", "www.sample-1.example", "cdnjs.cloudflare.com", "bücher.例え.jp", "firefox", "chrome"}
-	records := []LogRecord{
+	records := []logRecord{
 		{ConnID: math.MaxUint64, Day: math.MaxInt32, ArrivalOrder: math.MaxInt32, Treatment: TreatmentExperiment},
 		{Day: math.MinInt32, ArrivalOrder: math.MinInt32, SNI: names[3], Host: names[3], RefererHost: names[3], UserAgent: names[3]},
 	}
 	for i := 0; len(records) < 2*logBlockRecords+3; i++ {
-		records = append(records, LogRecord{
+		records = append(records, logRecord{
 			Day: i % 7, ConnID: uint64(i), ArrivalOrder: i%5 + 1,
 			SNI: names[i%len(names)], Host: names[i/2%len(names)], RefererHost: names[i/3%len(names)],
 			Treatment: Treatment(i % 3), UserAgent: names[i/5%len(names)],
@@ -286,15 +286,15 @@ func TestLogRecordRoundTrip(t *testing.T) {
 
 	lp := newLogPipeline(1, 1)
 	for round := 0; round < 2; round++ {
-		lp.Reset()
+		lp.reset()
 		for _, r := range records {
 			lp.observeRecord(r)
 		}
-		if got := lp.Records(); !slices.Equal(got, records) {
+		if got := lp.records(); !slices.Equal(got, records) {
 			t.Fatalf("round %d: Records gave back %d records, not the %d observed", round, len(got), len(records))
 		}
 		i := 0
-		lp.each(func(r *LogRecord) {
+		lp.each(func(r *logRecord) {
 			if *r != records[i] {
 				t.Fatalf("round %d: each record %d = %+v, want %+v", round, i, *r, records[i])
 			}
@@ -307,12 +307,12 @@ func TestLogRecordRoundTrip(t *testing.T) {
 
 	for _, bad := range []struct {
 		field string
-		r     LogRecord
+		r     logRecord
 	}{
-		{"Day", LogRecord{Day: math.MaxInt32 + 1}},
-		{"Day", LogRecord{Day: math.MinInt32 - 1}},
-		{"ArrivalOrder", LogRecord{ArrivalOrder: math.MaxInt32 + 1}},
-		{"ArrivalOrder", LogRecord{ArrivalOrder: math.MinInt32 - 1}},
+		{"Day", logRecord{Day: math.MaxInt32 + 1}},
+		{"Day", logRecord{Day: math.MinInt32 - 1}},
+		{"ArrivalOrder", logRecord{ArrivalOrder: math.MaxInt32 + 1}},
+		{"ArrivalOrder", logRecord{ArrivalOrder: math.MinInt32 - 1}},
 	} {
 		func() {
 			defer func() {
@@ -334,7 +334,7 @@ func TestLogRecordRoundTrip(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 2*logBlockRecords+1; i++ {
-			lp.observeRecord(LogRecord{ConnID: uint64(i), SNI: strconv.Itoa(i), Host: "third"})
+			lp.observeRecord(logRecord{ConnID: uint64(i), SNI: strconv.Itoa(i), Host: "third"})
 		}
 	}()
 	for walking := true; walking; {
@@ -343,7 +343,7 @@ func TestLogRecordRoundTrip(t *testing.T) {
 			walking = false // one last walk over the whole log
 		default:
 		}
-		lp.each(func(r *LogRecord) {
+		lp.each(func(r *logRecord) {
 			if want := strconv.Itoa(int(r.ConnID)); r.SNI != want {
 				t.Fatalf("concurrent each: record %d has SNI %q, want %q", r.ConnID, r.SNI, want)
 			}

@@ -29,8 +29,8 @@ type Phase int
 
 // Phases of the §5 deployment.
 const (
-	// PhaseBaseline: no changes; every hostname on its own addresses.
-	PhaseBaseline Phase = iota
+	// phaseBaseline: no changes; every hostname on its own addresses.
+	phaseBaseline Phase = iota
 	// PhaseIP (§5.2): sample zones and the third party share a single
 	// new address; web servers answer for all of them on it.
 	PhaseIP
@@ -42,7 +42,7 @@ const (
 
 func (p Phase) String() string {
 	switch p {
-	case PhaseBaseline:
+	case phaseBaseline:
 		return "baseline"
 	case PhaseIP:
 		return "ip-coalescing"
@@ -58,7 +58,7 @@ type Treatment int
 
 // Treatments.
 const (
-	TreatmentNone Treatment = iota
+	treatmentNone Treatment = iota
 	TreatmentControl
 	TreatmentExperiment
 )
@@ -74,24 +74,12 @@ func (t Treatment) String() string {
 	}
 }
 
-// SLA tiers; the third-party domain runs at SLATierCritical, which is
-// why the §5.2 experiment had to use a new unallocated address.
-type SLA int
-
-// SLA tiers.
-const (
-	SLATierFree SLA = iota
-	SLATierPro
-	SLATierCritical
-)
-
 // Zone is one customer domain on the CDN. The CDN reads SANs, Treatment
 // and Addrs when it builds its host table (ReissueCertificates, or the
 // first phase change after an AddZone); a later write is not seen.
 type Zone struct {
 	Host      string
 	SANs      []string // certificate SAN list currently served
-	SLA       SLA
 	Treatment Treatment
 	Addrs     []netip.Addr
 
@@ -140,9 +128,6 @@ type CDN struct {
 	// originExperiment and originControl are the two ORIGIN frame
 	// contents of §5.3, built once and handed out read-only.
 	originExperiment, originControl []string
-
-	// PoPs is the number of points of presence (§5.3: over 275).
-	PoPs int
 
 	pipeline *LogPipeline
 }
@@ -215,7 +200,6 @@ type Config struct {
 	ThirdParty      string
 	ThirdPartyAddrs []netip.Addr
 	AlignedAddr     netip.Addr
-	PoPs            int
 	SampleRate      float64 // log sampling, default 0.01
 	Seed            int64
 }
@@ -233,9 +217,6 @@ func New(c Config) *CDN {
 	}
 	if !c.AlignedAddr.IsValid() {
 		c.AlignedAddr = netip.MustParseAddr("104.16.200.1")
-	}
-	if c.PoPs == 0 {
-		c.PoPs = 275
 	}
 	if c.SampleRate == 0 {
 		c.SampleRate = 0.01
@@ -255,7 +236,6 @@ func New(c Config) *CDN {
 		},
 		originExperiment: []string{c.ThirdParty},
 		originControl:    []string{controlName},
-		PoPs:             c.PoPs,
 		pipeline:         newLogPipeline(c.SampleRate, c.Seed),
 	}
 	cdn.v.Store(&view{hosts: map[string]*hostEntry{c.ThirdParty: cdn.third}})
@@ -265,8 +245,8 @@ func New(c Config) *CDN {
 // Pipeline returns the CDN's logging pipeline.
 func (c *CDN) Pipeline() *LogPipeline { return c.pipeline }
 
-// Phase returns the current deployment phase.
-func (c *CDN) Phase() Phase { return c.v.Load().phase }
+// phase returns the current deployment phase.
+func (c *CDN) phase() Phase { return c.v.Load().phase }
 
 // AddZone registers a customer zone with its serving addresses and an
 // initial certificate covering just the zone host. Registering a host
@@ -274,7 +254,7 @@ func (c *CDN) Phase() Phase { return c.v.Load().phase }
 // adds records. Zones are registered before the first phase change,
 // under canonical names other than the third party's; anything else
 // panics.
-func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
+func (c *CDN) AddZone(host string, addrs ...netip.Addr) *Zone {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := c.v.Load()
@@ -284,7 +264,6 @@ func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
 	z := &Zone{
 		Host:            host,
 		SANs:            []string{host},
-		SLA:             sla,
 		Addrs:           addrs,
 		ThirdPartyPools: 1,
 	}
@@ -302,8 +281,8 @@ func (c *CDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
 	return z
 }
 
-// Zones returns all zones sorted by host.
-func (c *CDN) Zones() []*Zone {
+// zoneSnapshot returns all zones sorted by host.
+func (c *CDN) zoneSnapshot() []*Zone {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]*Zone, 0, len(c.zones))
@@ -328,7 +307,7 @@ func (c *CDN) lockedBuild(v *view) {
 	v.treatedAddrs = make(map[netip.Addr]bool)
 	for host, z := range c.zones {
 		e := hostEntry{host: host, treatment: z.Treatment, sans: z.SANs, records: z.records}
-		if z.Treatment != TreatmentNone {
+		if z.Treatment != treatmentNone {
 			e.own = slices.Clone(z.Addrs)
 			v.treated++
 			for _, a := range z.Addrs {
@@ -426,7 +405,7 @@ func (c *CDN) EnterPhaseOrigin(isolated netip.Addr) {
 // ExitExperiment reverts to baseline.
 func (c *CDN) ExitExperiment() {
 	c.publish(func(v *view) {
-		v.phase = PhaseBaseline
+		v.phase = phaseBaseline
 		v.isolated = nil
 	})
 }
@@ -456,7 +435,7 @@ func (c *CDN) LookupTTL(host string) ([]netip.Addr, uint32, error) {
 	case !known:
 	case e.thirdParty && v.phase == PhaseIP:
 		addrs = c.aligned
-	case e.treatment == TreatmentNone:
+	case e.treatment == treatmentNone:
 		addrs, known = e.records, e.records != nil
 	case v.phase == PhaseIP:
 		addrs = c.aligned
@@ -525,7 +504,7 @@ func (c *CDN) Reachable(host string, ip netip.Addr) bool {
 		return false
 	case slices.Contains(e.records, ip):
 		return true
-	case !e.thirdParty && e.treatment == TreatmentNone:
+	case !e.thirdParty && e.treatment == treatmentNone:
 		return false
 	case v.alignedServes && ip == c.alignedAddr, slices.Contains(v.isolatedServe, ip):
 		return true

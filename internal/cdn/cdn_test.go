@@ -16,8 +16,8 @@ func newTestCDN(sampleRate float64) *CDN {
 
 func TestZoneSetupAndCertReissue(t *testing.T) {
 	c := newTestCDN(1)
-	z1 := c.AddZone("www.a.example", SLATierFree, ip("104.18.0.1"))
-	z2 := c.AddZone("www.b.example", SLATierFree, ip("104.18.0.2"))
+	z1 := c.AddZone("www.a.example", ip("104.18.0.1"))
+	z2 := c.AddZone("www.b.example", ip("104.18.0.2"))
 	z1.Treatment = TreatmentExperiment
 	z2.Treatment = TreatmentControl
 
@@ -55,7 +55,7 @@ func hasSAN(sans []string, name string) bool {
 
 func TestPhaseTransitionsMoveDNS(t *testing.T) {
 	c := newTestCDN(1)
-	z := c.AddZone("www.a.example", SLATierFree, ip("104.18.0.1"))
+	z := c.AddZone("www.a.example", ip("104.18.0.1"))
 	z.Treatment = TreatmentExperiment
 	origZone, _ := c.Lookup("www.a.example")
 	origThird, _ := c.Lookup(c.ThirdParty)
@@ -89,15 +89,15 @@ func TestPhaseTransitionsMoveDNS(t *testing.T) {
 	if zc[0] != origZone[0] {
 		t.Errorf("exit did not restore zone DNS: %v vs %v", zc, origZone)
 	}
-	if c.Phase() != PhaseBaseline {
-		t.Errorf("phase = %v", c.Phase())
+	if c.phase() != phaseBaseline {
+		t.Errorf("phase = %v", c.phase())
 	}
 }
 
 func TestOriginSetPerTreatmentAndPhase(t *testing.T) {
 	c := newTestCDN(1)
-	ze := c.AddZone("www.e.example", SLATierFree, ip("104.18.0.1"))
-	zc := c.AddZone("www.c.example", SLATierFree, ip("104.18.0.2"))
+	ze := c.AddZone("www.e.example", ip("104.18.0.1"))
+	zc := c.AddZone("www.c.example", ip("104.18.0.2"))
 	ze.Treatment = TreatmentExperiment
 	zc.Treatment = TreatmentControl
 
@@ -121,7 +121,7 @@ func TestOriginSetPerTreatmentAndPhase(t *testing.T) {
 func TestLogPipelineSampling(t *testing.T) {
 	lp := newLogPipeline(0.5, 1)
 	for i := 0; i < 10000; i++ {
-		lp.observeRecord(LogRecord{ConnID: uint64(i)})
+		lp.observeRecord(logRecord{ConnID: uint64(i)})
 	}
 	total, sampled := lp.Totals()
 	if total != 10000 {
@@ -131,7 +131,7 @@ func TestLogPipelineSampling(t *testing.T) {
 	if frac < 0.45 || frac > 0.55 {
 		t.Errorf("sampled fraction = %.3f, want ≈0.5", frac)
 	}
-	lp.Reset()
+	lp.reset()
 	if total, sampled := lp.Totals(); total != 0 || sampled != 0 {
 		t.Error("reset incomplete")
 	}
@@ -139,9 +139,9 @@ func TestLogPipelineSampling(t *testing.T) {
 
 func TestLogPipelineSetsFlagBit(t *testing.T) {
 	lp := newLogPipeline(1, 1)
-	lp.observeRecord(LogRecord{ConnID: 1, SNI: "a", Host: "b"})
-	lp.observeRecord(LogRecord{ConnID: 2, SNI: "a", Host: "a"})
-	recs := lp.Records()
+	lp.observeRecord(logRecord{ConnID: 1, SNI: "a", Host: "b"})
+	lp.observeRecord(logRecord{ConnID: 2, SNI: "a", Host: "a"})
+	recs := lp.records()
 	if !recs[0].FlagHostNeSNI || recs[1].FlagHostNeSNI {
 		t.Errorf("flag bits wrong: %+v", recs)
 	}
@@ -149,7 +149,7 @@ func TestLogPipelineSetsFlagBit(t *testing.T) {
 
 func TestCountPassiveRules(t *testing.T) {
 	third := "cdnjs.cloudflare.com"
-	records := []LogRecord{
+	records := []logRecord{
 		// Coalesced: flag bit + arrival ≥2, same conn twice (count once).
 		{ConnID: 1, SNI: "site", Host: third, FlagHostNeSNI: true, ArrivalOrder: 2, Treatment: TreatmentExperiment},
 		{ConnID: 1, SNI: "site", Host: third, FlagHostNeSNI: true, ArrivalOrder: 3, Treatment: TreatmentExperiment},
@@ -163,7 +163,7 @@ func TestCountPassiveRules(t *testing.T) {
 		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 2, Treatment: TreatmentControl},
 		{ConnID: 4, SNI: third, Host: third, ArrivalOrder: 3, Treatment: TreatmentControl},
 	}
-	pc := countPassive(func(fn func(*LogRecord)) {
+	pc := countPassive(func(fn func(*logRecord)) {
 		for i := range records {
 			fn(&records[i])
 		}
@@ -393,18 +393,18 @@ func TestBrowserEnvironmentInterface(t *testing.T) {
 }
 
 func TestPhaseStrings(t *testing.T) {
-	if PhaseBaseline.String() != "baseline" || PhaseIP.String() != "ip-coalescing" ||
+	if phaseBaseline.String() != "baseline" || PhaseIP.String() != "ip-coalescing" ||
 		PhaseOrigin.String() != "origin-frame" || Phase(9).String() != "unknown" {
 		t.Error("phase strings")
 	}
 	if TreatmentControl.String() != "control" || TreatmentExperiment.String() != "experiment" ||
-		TreatmentNone.String() != "none" {
+		treatmentNone.String() != "none" {
 		t.Error("treatment strings")
 	}
 }
 
 func TestMeasureSeriesIntegration(t *testing.T) {
-	s := measure.Series{Label: "x", Values: []float64{2, 4}}
+	s := measure.Series{Values: []float64{2, 4}}
 	if s.Mean(0, 2) != 3 {
 		t.Error("series mean")
 	}

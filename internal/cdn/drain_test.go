@@ -16,7 +16,7 @@ import (
 // each day: every day of the window goes through RunDay, and the log
 // keeps them all.
 func wholeLogDays(e *Experiment, total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr) {
-	e.CDN.Pipeline().Reset()
+	e.CDN.Pipeline().reset()
 	for day := 0; day < total; day++ {
 		if day == phaseStart {
 			switch phase {
@@ -40,7 +40,7 @@ func wholeLogDays(e *Experiment, total, phaseStart, phaseEnd int, phase Phase, i
 func wholeLogSeries(c *CDN, total int, uaFilter string) (control, experiment []float64) {
 	control, experiment = make([]float64, total), make([]float64, total)
 	seen := map[uint64]bool{}
-	for _, r := range c.Pipeline().Records() {
+	for _, r := range c.Pipeline().records() {
 		if r.Host != c.ThirdParty || uaFilter != "" && r.UserAgent != uaFilter || r.FlagHostNeSNI {
 			continue
 		}
@@ -65,7 +65,7 @@ func wholeLogSeries(c *CDN, total int, uaFilter string) (control, experiment []f
 func wholeLogPassive(c *CDN) PassiveCounts {
 	pc := PassiveCounts{NewTLSConns: map[Treatment]int{}, CoalescedConns: map[Treatment]int{}}
 	seenNew, seenCoal := map[uint64]bool{}, map[uint64]bool{}
-	for _, r := range c.Pipeline().Records() {
+	for _, r := range c.Pipeline().records() {
 		switch {
 		case r.Host != c.ThirdParty:
 		case r.FlagHostNeSNI && r.ArrivalOrder >= 2:
@@ -179,7 +179,7 @@ func TestLongitudinalLogHoldsOneDay(t *testing.T) {
 		twin := newDrainExperiment(500, 1, p.plan)
 		wholeLogDays(twin, total, total/4, total*3/4, PhaseOrigin, isolated)
 		perDay := make([]int, total)
-		for _, r := range twin.CDN.Pipeline().Records() {
+		for _, r := range twin.CDN.Pipeline().records() {
 			perDay[r.Day]++
 		}
 		largest := slices.Max(perDay)
@@ -201,8 +201,8 @@ func TestLongitudinalLogHoldsOneDay(t *testing.T) {
 			t.Errorf("%s: Totals after the drained run are %d, %d; the whole log's are %d, %d",
 				p.name, gotTotal, gotSampled, wantTotal, wantSampled)
 		}
-		if len(lp.Records()) != 0 {
-			t.Errorf("%s: the log holds %d records after the last day was drained", p.name, len(lp.Records()))
+		if len(lp.records()) != 0 {
+			t.Errorf("%s: the log holds %d records after the last day was drained", p.name, len(lp.records()))
 		}
 	}
 }

@@ -130,7 +130,7 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 		}
 		host := fmt.Sprintf("www.sample-%d.example", i)
 		addr := netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})
-		z := c.AddZone(host, SLATierFree, addr)
+		z := c.AddZone(host, addr)
 		if e.rng.Float64() < 0.5 {
 			z.Treatment = TreatmentExperiment
 		} else {
@@ -204,8 +204,6 @@ func (cl *clients) forUA(ua string) *browser.Browser {
 
 // VisitResult summarizes one page view.
 type VisitResult struct {
-	Zone            string
-	UA              string
 	NewThirdParty   int // fresh TLS connections opened to the third party
 	CoalescedPools  int
 	ThirdPartyTotal int // third-party request pools exercised
@@ -410,7 +408,7 @@ func (e *Experiment) anonymous(io *visitIO, z *Zone, pool int) bool {
 	if io.plan != nil {
 		return io.plan.anon>>pool&1 != 0
 	}
-	return e.drawAnonymous(z, pool, e.CDN.Phase())
+	return e.drawAnonymous(z, pool, e.CDN.phase())
 }
 
 // drawAnonymous draws pool's coins: the zone's own habit decides its
@@ -430,7 +428,7 @@ func (e *Experiment) drawAnonymous(z *Zone, pool int, phase Phase) bool {
 // visit is the page view itself, browsing with cl; rank tags the events
 // its browser emits when a recorder is installed.
 func (e *Experiment) visit(cl *clients, z *Zone, ua string, rank int, io *visitIO) VisitResult {
-	res := VisitResult{Zone: z.Host, UA: ua}
+	var res VisitResult
 	faulted := e.inj != nil
 	b := cl.forUA(ua)
 	h2 := b != nil
@@ -620,7 +618,7 @@ func (e *Experiment) runPlannedDay(day int) {
 	lp := e.CDN.pipeline
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
-	phase := e.CDN.Phase()
+	phase := e.CDN.phase()
 	d := narrow[int32]("Day", day)
 	third := lp.lockedName(e.CDN.ThirdParty)
 	var uaNames [len(uaFamilies)]uint32
@@ -677,9 +675,9 @@ func (e *Experiment) runPlannedDay(day int) {
 // otherwise. As each day closes its records go to fold, in log order,
 // and the log is drained, so the next day refills the same blocks: the
 // log holds one day at a time, while Totals counts every day.
-func (e *Experiment) runDays(total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr, fold func(*LogRecord)) {
+func (e *Experiment) runDays(total, phaseStart, phaseEnd int, phase Phase, isolated netip.Addr, fold func(*logRecord)) {
 	lp := e.CDN.Pipeline()
-	lp.Reset()
+	lp.reset()
 	for day := 0; day < total; day++ {
 		// Independent checks, enter before exit: a zero-length window
 		// (phaseStart == phaseEnd) enters and immediately exits on the
@@ -712,7 +710,7 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 	ctl := make([]float64, total)
 	exp := make([]float64, total)
 	var seen connSet
-	e.runDays(total, phaseStart, phaseEnd, phase, isolated, func(r *LogRecord) {
+	e.runDays(total, phaseStart, phaseEnd, phase, isolated, func(r *logRecord) {
 		if r.Host != e.CDN.ThirdParty {
 			return
 		}
@@ -729,14 +727,13 @@ func (e *Experiment) Longitudinal(total, phaseStart, phaseEnd int, phase Phase, 
 			exp[r.Day]++
 		}
 	})
-	return measure.Series{Label: "control", Values: ctl},
-		measure.Series{Label: "experiment", Values: exp}
+	return measure.Series{Values: ctl}, measure.Series{Values: exp}
 }
 
 // PassiveIP runs the §5.2 passive measurement: days [0, days) under IP
 // coalescing, tallied by countPassive over every user agent.
 func (e *Experiment) PassiveIP(days int) PassiveCounts {
-	return countPassive(func(fold func(*LogRecord)) {
+	return countPassive(func(fold func(*logRecord)) {
 		e.runDays(days, 0, days, PhaseIP, netip.Addr{}, fold)
 	}, e.CDN.ThirdParty, "")
 }

@@ -6,6 +6,7 @@ import (
 
 	"respectorigin/internal/faults"
 	"respectorigin/internal/measure"
+	"respectorigin/internal/obs"
 )
 
 // newFaultedExperiment builds a full-sampling experiment under a plan.
@@ -62,7 +63,7 @@ func TestVisitLogRecordInvariants(t *testing.T) {
 
 	orders := map[uint64][]int{}
 	coalesced := 0
-	for _, r := range c.Pipeline().Records() {
+	for _, r := range c.Pipeline().records() {
 		orders[r.ConnID] = append(orders[r.ConnID], r.ArrivalOrder)
 		if r.FlagHostNeSNI {
 			coalesced++
@@ -129,7 +130,7 @@ func TestLogRestartDefensivePath(t *testing.T) {
 
 	// Recount from the surviving records with the same qualifying rules.
 	first := map[uint64]int{}
-	for _, r := range log.Records() {
+	for _, r := range log.records() {
 		if r.Host != twin.CDN.ThirdParty || r.FlagHostNeSNI {
 			continue
 		}
@@ -156,5 +157,46 @@ func TestLogRestartDefensivePath(t *testing.T) {
 	if got := pc.NewTLSConns[TreatmentControl] + pc.NewTLSConns[TreatmentExperiment]; got != opened {
 		t.Errorf("countPassive counted %d new TLS conns, want %d (the %d reconstructed conns must be excluded)",
 			got, opened, reconstructed)
+	}
+}
+
+// TestRecorderDoesNotPerturbDeployment is the byte-identity guarantee
+// at the unit level: the same faulted deployment day run with and
+// without a recorder must emit identical log records and visit results.
+func TestRecorderDoesNotPerturbDeployment(t *testing.T) {
+	type day struct {
+		results []VisitResult
+		log     []logRecord
+	}
+	runDay := func(rec obs.Recorder) day {
+		c, e := newFaultedExperiment(120, 5, faults.Plan{ResetProb: 0.03}, 1)
+		e.Rec = rec
+		var d day
+		uas := []string{"firefox", "chrome", "legacy"}
+		for _, z := range e.SampleZones {
+			for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
+				d.results = append(d.results, e.Visit(z, uas[v%len(uas)], 0))
+			}
+		}
+		d.log = c.Pipeline().records()
+		return d
+	}
+	plain := runDay(nil)
+	traced := runDay(obs.Multi(obs.NewTrace(), obs.NewMetrics()))
+	if len(plain.log) == 0 {
+		t.Fatal("the day logged nothing")
+	}
+	if len(plain.log) != len(traced.log) || len(plain.results) != len(traced.results) {
+		t.Fatalf("%d records and %d visits, traced %d and %d", len(plain.log), len(plain.results), len(traced.log), len(traced.results))
+	}
+	for i := range plain.log {
+		if plain.log[i] != traced.log[i] {
+			t.Fatalf("record %d differs: %+v vs %+v", i, plain.log[i], traced.log[i])
+		}
+	}
+	for i := range plain.results {
+		if plain.results[i] != traced.results[i] {
+			t.Fatalf("visit %d differs: %+v vs %+v", i, plain.results[i], traced.results[i])
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"respectorigin/internal/parallel"
 )
 
-// LogRecord is one sampled request log line, carrying exactly the
+// logRecord is one sampled request log line, carrying exactly the
 // fields §5.2 describes: the connection identifier, the truncated
 // Referer (domain only, privacy), the SNI≠Host coalescing flag bit,
 // the treatment label, the request's arrival order on its connection,
 // and a user-agent family for the §5.3 Firefox filter.
-type LogRecord struct {
+type logRecord struct {
 	Day           int
 	ConnID        uint64
 	SNI           string
@@ -27,7 +27,7 @@ type LogRecord struct {
 	UserAgent     string // "firefox", "chrome", ...
 }
 
-// logEntry is how the log stores a LogRecord: 40 bytes with no
+// logEntry is how the log stores a logRecord: 40 bytes with no
 // pointers, so the collector never scans the log and a write runs no
 // write barrier. The four names are indices into the pipeline's name
 // table, and FlagHostNeSNI is not stored: a name has one index, so the
@@ -79,7 +79,7 @@ func newLogPipeline(rate float64, seed int64) *LogPipeline {
 // observeRecord ingests one request, sampling it with the configured rate. A
 // Day or ArrivalOrder outside int32, or a Treatment outside uint8,
 // panics rather than being truncated.
-func (lp *LogPipeline) observeRecord(r LogRecord) {
+func (lp *LogPipeline) observeRecord(r logRecord) {
 	e := logEntry{
 		ConnID:       r.ConnID,
 		Day:          narrow[int32]("Day", r.Day),
@@ -148,8 +148,8 @@ func put(blocks []*logBlock, i int64, e logEntry) {
 }
 
 // decode fills r with the record e stores over the name table names.
-func (e *logEntry) decode(names []string, r *LogRecord) {
-	*r = LogRecord{
+func (e *logEntry) decode(names []string, r *logRecord) {
+	*r = logRecord{
 		Day:           int(e.Day),
 		ConnID:        e.ConnID,
 		SNI:           names[e.SNI],
@@ -183,28 +183,28 @@ func (lp *LogPipeline) Totals() (total, sampled int64) {
 	return lp.total, lp.sampled
 }
 
-// Records returns a copy of the records the log holds: those sampled
+// records returns a copy of the records the log holds: those sampled
 // since the last Reset or drain.
-func (lp *LogPipeline) Records() []LogRecord {
+func (lp *LogPipeline) records() []logRecord {
 	lp.mu.Lock()
 	n := lp.held
 	lp.mu.Unlock()
-	out := make([]LogRecord, 0, n)
-	lp.each(func(r *LogRecord) { out = append(out, *r) })
+	out := make([]logRecord, 0, n)
+	lp.each(func(r *logRecord) { out = append(out, *r) })
 	return out
 }
 
 // each calls fn on every record sampled since the last Reset or drain,
-// in log order. The record is one LogRecord that each entry is decoded
+// in log order. The record is one logRecord that each entry is decoded
 // into in turn: fn must not modify or retain it. Between drains the log
 // and its name table are append-only — a block's filled slots and a
 // name's index are never rewritten — so fn runs without the pipeline's
 // lock held.
-func (lp *LogPipeline) each(fn func(*LogRecord)) {
+func (lp *LogPipeline) each(fn func(*logRecord)) {
 	lp.mu.Lock()
 	blocks, n, names := lp.blocks, int(lp.held), lp.names
 	lp.mu.Unlock()
-	var r LogRecord
+	var r logRecord
 	for _, b := range blocks {
 		filled := min(n, logBlockRecords)
 		for i := range b[:filled] {
@@ -220,17 +220,17 @@ func (lp *LogPipeline) each(fn func(*LogRecord)) {
 // Totals still counts the drained records. Refilling rewrites slots an
 // each may be walking, so only the day loop that owns the pipeline
 // drains it, between its days (runDays).
-func (lp *LogPipeline) drain(fn func(*LogRecord)) {
+func (lp *LogPipeline) drain(fn func(*logRecord)) {
 	lp.each(fn)
 	lp.mu.Lock()
 	lp.held = 0
 	lp.mu.Unlock()
 }
 
-// Reset clears the sampled log and its counts (between measurement
+// reset clears the sampled log and its counts (between measurement
 // windows). Blocks are dropped, not reused: an Each still walking them
 // keeps reading the old log. The name table stays.
-func (lp *LogPipeline) Reset() {
+func (lp *LogPipeline) reset() {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	lp.blocks = nil
@@ -293,13 +293,13 @@ type PassiveCounts struct {
 // countPassive applies the paper's §5.2 counting rules to a sampled log
 // (each is LogPipeline.each, or any iterator of that shape), optionally
 // filtering by user-agent family (§5.3 used "firefox").
-func countPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) PassiveCounts {
+func countPassive(each func(func(*logRecord)), thirdParty, uaFilter string) PassiveCounts {
 	pc := PassiveCounts{
 		NewTLSConns:    map[Treatment]int{},
 		CoalescedConns: map[Treatment]int{},
 	}
 	var seenNew, seenCoal connSet
-	each(func(r *LogRecord) {
+	each(func(r *logRecord) {
 		if r.Host != thirdParty {
 			return
 		}
@@ -325,7 +325,7 @@ func countPassive(each func(func(*LogRecord)), thirdParty, uaFilter string) Pass
 // record arrives at order ≥ 2 is a reused connection whose opening
 // record was lost (the telemetry-restart path in observeOutcome), not a
 // new TLS handshake, and no later record of it counts either.
-func opensTLSConn(seen *connSet, r *LogRecord) bool {
+func opensTLSConn(seen *connSet, r *logRecord) bool {
 	return !r.FlagHostNeSNI && seen.add(r.ConnID) && r.ArrivalOrder == 1
 }
 

@@ -93,27 +93,27 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	}
 	check("new")
 
-	treatments := []Treatment{TreatmentNone, TreatmentControl, TreatmentExperiment}
+	treatments := []Treatment{treatmentNone, TreatmentControl, TreatmentExperiment}
 	for i, host := range hosts[1:] {
 		addrs := make([]netip.Addr, i%3+1)
 		for j := range addrs {
 			addrs[j] = netip.AddrFrom4([4]byte{104, 18, byte(i), byte(j + 1)})
 		}
-		c.AddZone(host, SLATierFree, addrs...).Treatment = treatments[i/3]
+		c.AddZone(host, addrs...).Treatment = treatments[i/3]
 		zone[host] = addrs
 	}
-	c.AddZone("www.zone-0.example", SLATierFree, ip("104.18.9.1"))
+	c.AddZone("www.zone-0.example", ip("104.18.9.1"))
 	zone["www.zone-0.example"] = append(zone["www.zone-0.example"], ip("104.18.9.1"))
-	c.AddZone("www.bare.example", SLATierFree).Treatment = TreatmentExperiment
+	c.AddZone("www.bare.example").Treatment = TreatmentExperiment
 	check("zones")
 	c.ReissueCertificates()
 	check("reissue")
 
 	// The writes the CDN made to its authority in each phase.
-	zones := c.Zones()
+	zones := c.zoneSnapshot()
 	enterIP := func() {
 		for _, z := range zones {
-			if z.Treatment != TreatmentNone {
+			if z.Treatment != treatmentNone {
 				zone[z.Host] = []netip.Addr{aligned}
 			}
 		}
@@ -122,7 +122,7 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	enterOrigin := func(isolated netip.Addr) {
 		for _, z := range zones {
 			switch {
-			case z.Treatment == TreatmentNone:
+			case z.Treatment == treatmentNone:
 			case isolated.IsValid():
 				zone[z.Host] = []netip.Addr{isolated}
 			default:
@@ -133,7 +133,7 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	}
 	exit := func() {
 		for _, z := range zones {
-			if z.Treatment != TreatmentNone {
+			if z.Treatment != treatmentNone {
 				zone[z.Host] = z.Addrs
 			}
 		}
@@ -171,9 +171,9 @@ func TestLookupRacingPhaseChanges(t *testing.T) {
 	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
 	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
 	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
-	treated := c.AddZone("www.treated.example", SLATierFree, ip("104.18.0.1"), ip("104.18.0.2"))
+	treated := c.AddZone("www.treated.example", ip("104.18.0.1"), ip("104.18.0.2"))
 	treated.Treatment = TreatmentExperiment
-	untreated := c.AddZone("www.untreated.example", SLATierFree, ip("104.18.0.3"))
+	untreated := c.AddZone("www.untreated.example", ip("104.18.0.3"))
 	type legal struct {
 		lookups [][]netip.Addr
 		origins [][]string // answers OriginSet may give
@@ -231,8 +231,8 @@ func TestLookupRacingPhaseChanges(t *testing.T) {
 					t.Errorf("OriginSet(%s) racing phase changes = %v", host, got)
 					return
 				}
-				if !c.SupportsH3(host) || c.Phase() > PhaseOrigin {
-					t.Errorf("%s: SupportsH3 false or phase %v racing phase changes", host, c.Phase())
+				if !c.SupportsH3(host) || c.phase() > PhaseOrigin {
+					t.Errorf("%s: SupportsH3 false or phase %v racing phase changes", host, c.phase())
 					return
 				}
 				for _, a := range every {

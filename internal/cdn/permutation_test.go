@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Zones sorts by host, the zones map key, so the listing must be
+// zoneSnapshot sorts by host, the zones map key, so the listing must be
 // independent of both registration order and map iteration order.
 func TestZonesRegistrationOrderInvariant(t *testing.T) {
 	hosts := make([]string, 12)
@@ -17,10 +17,10 @@ func TestZonesRegistrationOrderInvariant(t *testing.T) {
 	list := func(order []int) []string {
 		c := New(Config{})
 		for _, i := range order {
-			c.AddZone(hosts[i], SLATierFree, netip.AddrFrom4([4]byte{10, 0, byte(i), 1}))
+			c.AddZone(hosts[i], netip.AddrFrom4([4]byte{10, 0, byte(i), 1}))
 		}
 		var out []string
-		for _, z := range c.Zones() {
+		for _, z := range c.zoneSnapshot() {
 			out = append(out, z.Host)
 		}
 		return out

@@ -26,7 +26,7 @@ func TestPlannedDayMatchesVisitLoop(t *testing.T) {
 		{"origin, own addresses", func(c *CDN) { c.EnterPhaseOrigin(netip.Addr{}) }},
 	}
 	type run struct {
-		log            []LogRecord
+		log            []logRecord
 		total, sampled int64
 	}
 	deploy := func(rate float64, enter func(*CDN), rec obs.Recorder, workers int) run {
@@ -41,7 +41,7 @@ func TestPlannedDayMatchesVisitLoop(t *testing.T) {
 		e.runDay(1)
 		e.runDay(2)
 		total, sampled := c.Pipeline().Totals()
-		return run{c.Pipeline().Records(), total, sampled}
+		return run{c.Pipeline().records(), total, sampled}
 	}
 	for _, rate := range []float64{1, 0.01} {
 		for _, phase := range phases {

@@ -57,8 +57,8 @@ func newTable(c Config) *tableCDN {
 	return t
 }
 
-func (c *tableCDN) AddZone(host string, sla SLA, addrs ...netip.Addr) *Zone {
-	z := &Zone{Host: host, SANs: []string{host}, SLA: sla, Addrs: addrs, ThirdPartyPools: 1}
+func (c *tableCDN) AddZone(host string, addrs ...netip.Addr) *Zone {
+	z := &Zone{Host: host, SANs: []string{host}, Addrs: addrs, ThirdPartyPools: 1}
 	c.zones[host] = z
 	c.addA(host, addrs)
 	c.serveOn(addrs, host)
@@ -107,7 +107,7 @@ func (c *tableCDN) ReissueCertificates() int {
 func (c *tableCDN) EnterPhaseIP() {
 	c.phase = PhaseIP
 	for _, z := range c.zones {
-		if z.Treatment == TreatmentNone {
+		if z.Treatment == treatmentNone {
 			continue
 		}
 		c.setA(z.Host, c.alignedAddr)
@@ -120,7 +120,7 @@ func (c *tableCDN) EnterPhaseIP() {
 func (c *tableCDN) EnterPhaseOrigin(isolated netip.Addr) {
 	c.phase = PhaseOrigin
 	for _, z := range c.zones {
-		if z.Treatment == TreatmentNone {
+		if z.Treatment == treatmentNone {
 			continue
 		}
 		if isolated.IsValid() {
@@ -139,9 +139,9 @@ func (c *tableCDN) EnterPhaseOrigin(isolated netip.Addr) {
 }
 
 func (c *tableCDN) ExitExperiment() {
-	c.phase = PhaseBaseline
+	c.phase = phaseBaseline
 	for _, z := range c.zones {
-		if z.Treatment != TreatmentNone {
+		if z.Treatment != treatmentNone {
 			c.setA(z.Host, z.Addrs...)
 		}
 	}
@@ -227,7 +227,7 @@ func newTwin(t *testing.T, cfg Config, extraAddrs ...netip.Addr) *twin {
 
 // addZone registers host on both and returns both zones.
 func (tw *twin) addZone(host string, addrs ...netip.Addr) (z, oracle *Zone) {
-	z, oracle = tw.c.AddZone(host, SLATierFree, addrs...), tw.tab.AddZone(host, SLATierFree, addrs...)
+	z, oracle = tw.c.AddZone(host, addrs...), tw.tab.AddZone(host, addrs...)
 	if !slices.Contains(tw.names, host) {
 		tw.names = append(tw.names, host, strings.ToUpper(host)+".", " "+host+" ")
 	}
@@ -259,7 +259,7 @@ func (tw *twin) check(step string) {
 	t := tw.t
 	t.Helper()
 	tw.step++
-	if got, want := tw.c.Phase(), tw.tab.phase; got != want {
+	if got, want := tw.c.phase(), tw.tab.phase; got != want {
 		t.Fatalf("step %d (%s): Phase = %v, the table says %v", tw.step, step, got, want)
 	}
 	for _, name := range tw.names {
@@ -382,7 +382,7 @@ func TestPhasePublishAllocsConstant(t *testing.T) {
 	allocs := func(zones int) float64 {
 		c := New(Config{})
 		for i := 0; i < zones; i++ {
-			c.AddZone(fmt.Sprintf("www.zone-%d.example", i), SLATierFree, netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})).Treatment = TreatmentExperiment
+			c.AddZone(fmt.Sprintf("www.zone-%d.example", i), netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})).Treatment = TreatmentExperiment
 		}
 		c.ReissueCertificates()
 		return testing.AllocsPerRun(20, func() {

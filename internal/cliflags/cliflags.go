@@ -45,8 +45,8 @@ type Output struct {
 	file *os.File
 }
 
-// Stdout reports whether the destination is standard output.
-func (o *Output) Stdout() bool { return o.file == nil }
+// stdout reports whether the destination is standard output.
+func (o *Output) stdout() bool { return o.file == nil }
 
 // Close closes the underlying file and returns its error — on a full
 // disk the close is where truncation surfaces, so callers must check

@@ -15,7 +15,7 @@ func TestOpenOutputStdout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenOutput(%q): %v", path, err)
 		}
-		if !o.Stdout() {
+		if !o.stdout() {
 			t.Fatalf("OpenOutput(%q) did not resolve to stdout", path)
 		}
 		if err := o.Close(); err != nil {
@@ -30,7 +30,7 @@ func TestOpenOutputFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Stdout() {
+	if o.stdout() {
 		t.Fatal("file output reported as stdout")
 	}
 	if _, err := o.Write([]byte("hi")); err != nil {

@@ -133,10 +133,10 @@ func browse(b *browser.Browser, env *core.PageEnv, facts []hostFacts) []browserA
 func disagreementCause(mode core.Mode, more bool, a browserAnswer, f, conn hostFacts) string {
 	switch {
 	case more && mode == core.ModeIP && a.uncovered:
-		return browser.ReasonNewSANMissing.String()
-	case !more && mode == core.ModeOrigin && a.out.Reason == browser.ReasonOrigin && !f.secure:
+		return "new:san-missing"
+	case !more && mode == core.ModeOrigin && a.out.ViaOrigin() && !f.secure:
 		return "cleartext-host"
-	case !more && mode == core.ModeOrigin && a.out.Reason == browser.ReasonOrigin && !conn.secure:
+	case !more && mode == core.ModeOrigin && a.out.ViaOrigin() && !conn.secure:
 		return "cleartext-conn"
 	}
 	return ""
@@ -439,14 +439,14 @@ func FuzzOriginMonotone(f *testing.F) {
 			return // the crawl of this rank failed
 		}
 		p := ds.Pages[0]
-		hosts := p.Hosts()
+		hosts := pageHosts(p)
 		q := withSAN(p, hosts[int(from)%len(hosts)], hosts[int(to)%len(hosts)])
 
 		var m monotone
 		for _, pg := range []*har.Page{p, q} {
 			m.load(pg)
 			c := m.tl.Counts()
-			if twice := doubleCounted(pageFacts(pg, pg.Hosts())); c.IdealOrigin > c.IdealIP+twice {
+			if twice := doubleCounted(pageFacts(pg, pageHosts(pg))); c.IdealOrigin > c.IdealIP+twice {
 				t.Errorf("rank %d: ideal ORIGIN %d connections > ideal IP %d + %d cleartext-shared addresses",
 					pg.Rank, c.IdealOrigin, c.IdealIP, twice)
 			}
@@ -545,4 +545,11 @@ func withSAN(p *har.Page, from, to string) *har.Page {
 		}
 	}
 	return q
+}
+
+// pageHosts lists p's hostnames in first-use order, each once.
+func pageHosts(p *har.Page) []string {
+	var env core.PageEnv
+	env.LoadByAS(p)
+	return env.Hosts()
 }

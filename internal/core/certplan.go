@@ -11,8 +11,6 @@ import (
 // certificate so that every same-service subresource can coalesce onto
 // the base-page connection.
 type CertPlan struct {
-	Site string
-	Rank int
 	// Existing are the current SAN entries of the root certificate: the
 	// page's own slice, shared, not a copy.
 	Existing []string
@@ -22,8 +20,8 @@ type CertPlan struct {
 	Coalescable []string
 }
 
-// IdealCount returns the SAN size after modification.
-func (cp CertPlan) IdealCount() int { return len(cp.Existing) + len(cp.Additions) }
+// idealCount returns the SAN size after modification.
+func (cp CertPlan) idealCount() int { return len(cp.Existing) + len(cp.Additions) }
 
 // CertPlanSummary aggregates §4.3 statistics across a corpus.
 type CertPlanSummary struct {
@@ -49,7 +47,7 @@ type CertPlanSummary struct {
 func (s *CertPlanSummary) AddPlan(p *CertPlan) {
 	add := len(p.Additions)
 	ex := len(p.Existing)
-	id := p.IdealCount()
+	id := p.idealCount()
 	s.Sites++
 	s.ExistingSizes = append(s.ExistingSizes, ex)
 	s.IdealSizes = append(s.IdealSizes, id)

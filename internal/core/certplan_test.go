@@ -11,9 +11,6 @@ import (
 func TestPlanCertChanges(t *testing.T) {
 	p := modelPage()
 	plan := PlanCertChanges(p)
-	if plan.Site != "www.example.com" {
-		t.Errorf("site = %s", plan.Site)
-	}
 	// Coalescable: the three same-AS hosts (static, assets, fonts).
 	wantCoal := []string{"assets.cdnhost.com", "fonts.cdnhost.com", "static.example.com"}
 	if len(plan.Coalescable) != 3 {
@@ -28,8 +25,8 @@ func TestPlanCertChanges(t *testing.T) {
 	if len(plan.Additions) != 3 {
 		t.Errorf("additions = %v", plan.Additions)
 	}
-	if len(plan.Existing) != 2 || plan.IdealCount() != 5 {
-		t.Errorf("counts: existing=%d ideal=%d", len(plan.Existing), plan.IdealCount())
+	if len(plan.Existing) != 2 || plan.idealCount() != 5 {
+		t.Errorf("counts: existing=%d ideal=%d", len(plan.Existing), plan.idealCount())
 	}
 }
 

@@ -96,9 +96,6 @@ func Reconstruct(p *har.Page, mode Mode, cdnASN uint32) *har.Page {
 type PageCounts struct {
 	MeasuredDNS int
 	MeasuredTLS int
-	// MeasuredValidations equals measured TLS handshakes (every fresh
-	// handshake validates a chain).
-	MeasuredValidations int
 
 	IdealIP     int // connections under ideal IP coalescing
 	IdealOrigin int // connections (= DNS = validations) under ORIGIN

@@ -209,8 +209,8 @@ func (env *PageEnv) Rehome(host string, addrs []netip.Addr) {
 	}
 }
 
-// Hosts returns the page's distinct hostnames in first-use order, as
-// har.Page.Hosts does; valid until the next load.
+// Hosts returns the page's distinct hostnames in first-use order; valid
+// until the next load.
 func (env *PageEnv) Hosts() []string { return env.names }
 
 // find returns host's record and its service, nil for a hostname the

@@ -253,8 +253,7 @@ func (t *Timeline) PLT(mode Mode, cdnASN uint32) float64 {
 // only ever reached over cleartext HTTP can coalesce by address only.
 func (t *Timeline) Counts() PageCounts {
 	p := t.page
-	tls := p.TLSConnections()
-	pc := PageCounts{MeasuredDNS: p.DNSQueries(), MeasuredTLS: tls, MeasuredValidations: tls}
+	pc := PageCounts{MeasuredDNS: p.DNSQueries(), MeasuredTLS: p.TLSConnections()}
 	clear(t.hostIDs)
 	t.hosts = t.hosts[:0]
 	for i := range p.Entries {
@@ -306,7 +305,7 @@ func (t *Timeline) Counts() PageCounts {
 func (t *Timeline) CertPlanInto(plan *CertPlan) {
 	p := t.page
 	root := &p.Entries[0]
-	*plan = CertPlan{Site: p.Host, Rank: p.Rank, Existing: root.CertSANs,
+	*plan = CertPlan{Existing: root.CertSANs,
 		Additions: plan.Additions[:0], Coalescable: plan.Coalescable[:0]}
 	if !root.Secure {
 		// No certificate to modify; the site would first need HTTPS.

@@ -157,9 +157,8 @@ func refReconstruct(p *har.Page, mode Mode, cdnASN uint32) *har.Page {
 
 func refCountPage(p *har.Page) PageCounts {
 	pc := PageCounts{
-		MeasuredDNS:         p.DNSQueries(),
-		MeasuredTLS:         p.TLSConnections(),
-		MeasuredValidations: p.TLSConnections(),
+		MeasuredDNS: p.DNSQueries(),
+		MeasuredTLS: p.TLSConnections(),
 	}
 	type hostState struct {
 		ip     string
@@ -195,7 +194,7 @@ func refCountPage(p *har.Page) PageCounts {
 
 func refPlanCertChanges(p *har.Page) CertPlan {
 	root := &p.Entries[0]
-	plan := CertPlan{Site: p.Host, Rank: p.Rank, Existing: append([]string(nil), root.CertSANs...)}
+	plan := CertPlan{Existing: append([]string(nil), root.CertSANs...)}
 	if !root.Secure {
 		return plan
 	}
@@ -275,8 +274,7 @@ func TestTimelineMatchesReference(t *testing.T) {
 			var got CertPlan
 			tl.CertPlanInto(&got)
 			want := refPlanCertChanges(p)
-			if got.Site != want.Site || got.Rank != want.Rank ||
-				strings.Join(got.Existing, ",") != strings.Join(want.Existing, ",") ||
+			if strings.Join(got.Existing, ",") != strings.Join(want.Existing, ",") ||
 				strings.Join(got.Coalescable, ",") != strings.Join(want.Coalescable, ",") ||
 				strings.Join(got.Additions, ",") != strings.Join(want.Additions, ",") {
 				t.Fatalf("%s rank %d: plan %+v, reference %+v", a, p.Rank, got, want)
@@ -329,7 +327,7 @@ func TestTimelineMatchesReferenceOnOddPages(t *testing.T) {
 // Once a Timeline has seen the largest page, loading a page and asking
 // for its three PLTs — what Figure 9 does per page — allocates nothing.
 func TestTimelinePLTNoAllocsSteadyState(t *testing.T) {
-	pages := archetypePages(t, webgen.ArchetypeBaseline, 200)
+	pages := archetypePages(t, "", 200) // "" is the baseline universe
 	var tl Timeline
 	run := func() {
 		for _, p := range pages {

@@ -37,8 +37,8 @@ import (
 // entry decode tight while the rarely-large streams stay out of its
 // way.
 
-// ColumnarVersion is the version byte written after the magic prefix.
-const ColumnarVersion = 1
+// columnarVersion is the version byte written after the magic prefix.
+const columnarVersion = 1
 
 const (
 	columnarMagicPrefix = "RCORP\x00"
@@ -596,8 +596,8 @@ func (cr *columnarReader) Next() (*har.Page, error) {
 		if string(head[:len(columnarMagicPrefix)]) != columnarMagicPrefix {
 			return cr.fail(fmt.Errorf("corpus: not a columnar corpus (bad magic)"))
 		}
-		if v := head[len(columnarMagic)-1]; v != ColumnarVersion {
-			return cr.fail(fmt.Errorf("corpus: columnar format version %d not supported (this build reads version %d)", v, ColumnarVersion))
+		if v := head[len(columnarMagic)-1]; v != columnarVersion {
+			return cr.fail(fmt.Errorf("corpus: columnar format version %d not supported (this build reads version %d)", v, columnarVersion))
 		}
 		cr.started = true
 	}

@@ -70,7 +70,7 @@ func ParseFormat(s string) (Format, error) {
 func (f Format) Version() int {
 	switch f {
 	case FormatColumnar:
-		return ColumnarVersion
+		return columnarVersion
 	default:
 		return 1
 	}
@@ -140,12 +140,12 @@ func detectFormat(br *bufio.Reader) (Format, error) {
 		return "", err
 	}
 	if len(head) >= len(columnarMagicPrefix) && string(head[:len(columnarMagicPrefix)]) == columnarMagicPrefix {
-		if len(head) < len(columnarMagic) || head[len(columnarMagic)-1] != ColumnarVersion {
+		if len(head) < len(columnarMagic) || head[len(columnarMagic)-1] != columnarVersion {
 			got := -1
 			if len(head) >= len(columnarMagic) {
 				got = int(head[len(columnarMagic)-1])
 			}
-			return "", fmt.Errorf("corpus: columnar format version %d not supported (this build reads version %d)", got, ColumnarVersion)
+			return "", fmt.Errorf("corpus: columnar format version %d not supported (this build reads version %d)", got, columnarVersion)
 		}
 		return FormatColumnar, nil
 	}

@@ -50,21 +50,12 @@ func ShardRange(sites, shards, i int) (lo, hi int) {
 	return 1 + i*sites/shards, 1 + (i+1)*sites/shards
 }
 
-// Pages returns the total successful page count across shards.
-func (m *Manifest) Pages() int {
-	n := 0
-	for _, s := range m.Shards {
-		n += s.Pages
-	}
-	return n
-}
-
-// Validate checks manifest invariants: supported schema and encoding
+// validate checks manifest invariants: supported schema and encoding
 // version, well-formed shard entries, unique ids, and non-overlapping
 // rank ranges inside the corpus's rank space. Gaps are legal (a partial
 // corpus analyzes fine); overlaps would double-count pages and are
 // rejected.
-func (m *Manifest) Validate() error {
+func (m *Manifest) validate() error {
 	if m.Schema != ManifestSchema {
 		return fmt.Errorf("corpus: manifest schema %q not supported (want %q)", m.Schema, ManifestSchema)
 	}
@@ -126,7 +117,7 @@ func mergeManifests(ms ...Manifest) (Manifest, error) {
 		out.Shards = append(out.Shards, m.Shards...)
 	}
 	sort.Slice(out.Shards, func(i, j int) bool { return out.Shards[i].RankLo < out.Shards[j].RankLo })
-	if err := out.Validate(); err != nil {
+	if err := out.validate(); err != nil {
 		return Manifest{}, err
 	}
 	return out, nil
@@ -147,7 +138,7 @@ func parseManifest(raw []byte) (Manifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return m, fmt.Errorf("corpus: parsing manifest: %w", err)
 	}
-	return m, m.Validate()
+	return m, m.validate()
 }
 
 // readManifest reads and validates a manifest, resolving relative
@@ -353,9 +344,6 @@ func (s *ShardWriter) Close() error {
 	}
 	return err
 }
-
-// Pages returns the number of pages written.
-func (s *ShardWriter) Pages() int { return s.pages }
 
 // Info returns the shard's manifest entry. Call it after Close; the
 // checksum covers exactly the bytes flushed to disk. The recorded file

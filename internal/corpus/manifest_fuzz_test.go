@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ import (
 // itself is refused; and OpenManifest does not panic on it.
 func FuzzManifest(f *testing.F) {
 	valid, err := json.Marshal(Manifest{
-		Schema: ManifestSchema, Format: FormatColumnar, Version: ColumnarVersion, Seed: 1, Sites: 100,
+		Schema: ManifestSchema, Format: FormatColumnar, Version: columnarVersion, Seed: 1, Sites: 100,
 		Shards: []ShardInfo{
 			{ID: 1, RankLo: 51, RankHi: 101, Pages: 30, File: "s1.col", Checksum: "fnv1a64:0000000000000001"},
 			{ID: 0, RankLo: 1, RankHi: 51, Pages: 31, File: "s0.col", Checksum: "fnv1a64:0000000000000000"},
@@ -90,4 +91,26 @@ func FuzzManifest(f *testing.F) {
 			r.Close()
 		}
 	})
+}
+
+func TestManifestRejectsOverlappingShards(t *testing.T) {
+	m := Manifest{
+		Schema: ManifestSchema, Format: FormatColumnar,
+		Version: columnarVersion, Seed: 1, Sites: 100,
+		Shards: []ShardInfo{
+			{ID: 0, RankLo: 1, RankHi: 60, Pages: 10, File: "a", Checksum: "x"},
+			{ID: 1, RankLo: 50, RankHi: 101, Pages: 10, File: "b", Checksum: "y"},
+		},
+	}
+	if err := m.validate(); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("overlapping ranges validated: err = %v", err)
+	}
+	// Merging two single-shard manifests with the same range must fail too.
+	a := m
+	a.Shards = m.Shards[:1]
+	b := m
+	b.Shards = []ShardInfo{{ID: 1, RankLo: 30, RankHi: 40, Pages: 1, File: "b", Checksum: "y"}}
+	if _, err := Merge(a, b); err == nil {
+		t.Fatal("Merge accepted overlapping shard ranges")
+	}
 }

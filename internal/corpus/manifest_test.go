@@ -97,32 +97,10 @@ func TestManifestMergeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestManifestRejectsOverlappingShards(t *testing.T) {
-	m := corpus.Manifest{
-		Schema: corpus.ManifestSchema, Format: corpus.FormatColumnar,
-		Version: corpus.ColumnarVersion, Seed: 1, Sites: 100,
-		Shards: []corpus.ShardInfo{
-			{ID: 0, RankLo: 1, RankHi: 60, Pages: 10, File: "a", Checksum: "x"},
-			{ID: 1, RankLo: 50, RankHi: 101, Pages: 10, File: "b", Checksum: "y"},
-		},
-	}
-	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "overlap") {
-		t.Fatalf("overlapping ranges validated: err = %v", err)
-	}
-	// Merging two single-shard manifests with the same range must fail too.
-	a := m
-	a.Shards = m.Shards[:1]
-	b := m
-	b.Shards = []corpus.ShardInfo{{ID: 1, RankLo: 30, RankHi: 40, Pages: 1, File: "b", Checksum: "y"}}
-	if _, err := corpus.Merge(a, b); err == nil {
-		t.Fatal("Merge accepted overlapping shard ranges")
-	}
-}
-
 func TestManifestMergeRejectsMismatchedRuns(t *testing.T) {
 	base := corpus.Manifest{
 		Schema: corpus.ManifestSchema, Format: corpus.FormatColumnar,
-		Version: corpus.ColumnarVersion, Seed: 1, Sites: 100,
+		Version: corpus.FormatColumnar.Version(), Seed: 1, Sites: 100,
 		Shards: []corpus.ShardInfo{{ID: 0, RankLo: 1, RankHi: 51, Pages: 1, File: "a", Checksum: "x"}},
 	}
 	other := base

@@ -54,11 +54,11 @@ func TestNameCompression(t *testing.T) {
 }
 
 func TestNameLimits(t *testing.T) {
-	if _, err := appendName(nil, strings.Repeat("a", 64)+".example", nameOffsets{}); err != ErrLabelTooLong {
+	if _, err := appendName(nil, strings.Repeat("a", 64)+".example", nameOffsets{}); err != errLabelTooLong {
 		t.Errorf("want ErrLabelTooLong, got %v", err)
 	}
 	long := strings.Repeat("abcdefg.", 40) // > 255 octets
-	if _, err := appendName(nil, long, nameOffsets{}); err != ErrNameTooLong {
+	if _, err := appendName(nil, long, nameOffsets{}); err != errNameTooLong {
 		t.Errorf("want ErrNameTooLong, got %v", err)
 	}
 }
@@ -81,10 +81,10 @@ func TestMessagePackUnpack(t *testing.T) {
 			{Name: "www.example.com", Type: TypeA, Class: ClassINET},
 		},
 		Answers: []RR{
-			{Name: "www.example.com", Type: TypeCNAME, Class: ClassINET, TTL: 60, Target: "edge.cdn.example"},
+			{Name: "www.example.com", Type: typeCNAME, Class: ClassINET, TTL: 60, Target: "edge.cdn.example"},
 			{Name: "edge.cdn.example", Type: TypeA, Class: ClassINET, TTL: 60, Addr: ip("192.0.2.1")},
 			{Name: "edge.cdn.example", Type: TypeA, Class: ClassINET, TTL: 60, Addr: ip("192.0.2.2")},
-			{Name: "edge.cdn.example", Type: TypeAAAA, Class: ClassINET, TTL: 60, Addr: ip("2001:db8::1")},
+			{Name: "edge.cdn.example", Type: typeAAAA, Class: ClassINET, TTL: 60, Addr: ip("2001:db8::1")},
 		},
 	}
 	wire, err := m.Pack()
@@ -130,7 +130,7 @@ func TestMessageRoundTripQuick(t *testing.T) {
 			Questions: []Question{{Name: name, Type: TypeA, Class: ClassINET}},
 			Answers: []RR{
 				{Name: name, Type: TypeA, Class: ClassINET, TTL: 1, Addr: netip.AddrFrom4(a4)},
-				{Name: name, Type: TypeAAAA, Class: ClassINET, TTL: 1, Addr: netip.AddrFrom16(a16)},
+				{Name: name, Type: typeAAAA, Class: ClassINET, TTL: 1, Addr: netip.AddrFrom16(a16)},
 			},
 		}
 		// AddrFrom16 of a v4-mapped prefix yields Is4In6; skip those.
@@ -196,8 +196,8 @@ func TestAuthorityBasic(t *testing.T) {
 	if !reflect.DeepEqual(addrs, want) {
 		t.Errorf("addrs = %v", addrs)
 	}
-	if r.Queries() != 1 || auth.Queries() != 1 {
-		t.Errorf("query counters: resolver=%d authority=%d", r.Queries(), auth.Queries())
+	if r.queryCount() != 1 || auth.queryCount() != 1 {
+		t.Errorf("query counters: resolver=%d authority=%d", r.queryCount(), auth.queryCount())
 	}
 }
 
@@ -249,11 +249,11 @@ func TestAAAALookup(t *testing.T) {
 	auth := NewAuthority()
 	auth.AddA("v4.example", ip("192.0.2.42"))
 	r := NewResolver(auth)
-	res, err := r.Lookup("v4.example", TypeAAAA)
+	res, err := r.lookup("v4.example", typeAAAA)
 	if err != nil || len(res.Addrs) != 0 {
 		t.Errorf("AAAA for an A-only name = %v, %v", res.Addrs, err)
 	}
-	if r.Queries() != 1 {
-		t.Errorf("queries = %d, want 1", r.Queries())
+	if r.queryCount() != 1 {
+		t.Errorf("queries = %d, want 1", r.queryCount())
 	}
 }

@@ -17,7 +17,7 @@ func TestAuthorityFailureHook(t *testing.T) {
 	fail := true
 	auth.Failure = func(name string, typ uint16) uint8 {
 		if fail && strings.HasPrefix(name, "www.") {
-			return RcodeServerFailure
+			return rcodeServerFailure
 		}
 		return RcodeSuccess
 	}
@@ -26,8 +26,8 @@ func TestAuthorityFailureHook(t *testing.T) {
 	if _, err := r.LookupA("www.example.com"); err == nil {
 		t.Fatal("lookup succeeded despite SERVFAIL hook")
 	}
-	if auth.Queries() != 1 {
-		t.Fatalf("queries = %d, want 1 (failures still count)", auth.Queries())
+	if auth.queryCount() != 1 {
+		t.Fatalf("queries = %d, want 1 (failures still count)", auth.queryCount())
 	}
 
 	fail = false

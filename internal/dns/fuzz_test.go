@@ -29,12 +29,12 @@ func FuzzUnpack(f *testing.F) {
 		Header:    Header{ID: 7, QR: true, AA: true},
 		Questions: []Question{{"www.example.com", TypeA, ClassINET}},
 		Answers: []RR{
-			{Name: "www.example.com", Type: TypeCNAME, TTL: 300, Target: "edge.example.com"},
+			{Name: "www.example.com", Type: typeCNAME, TTL: 300, Target: "edge.example.com"},
 			{Name: "edge.example.com", Type: TypeA, TTL: 60, Addr: netip.MustParseAddr("192.0.2.1")},
-			{Name: "edge.example.com", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")},
+			{Name: "edge.example.com", Type: typeAAAA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")},
 		},
-		Authority:  []RR{{Name: "example.com", Type: TypeNS, TTL: 3600, Target: "ns1.example.com"}},
-		Additional: []RR{{Name: "example.com", Type: TypeTXT, TTL: 5, Text: "v=spf1 -all"}},
+		Authority:  []RR{{Name: "example.com", Type: typeNS, TTL: 3600, Target: "ns1.example.com"}},
+		Additional: []RR{{Name: "example.com", Type: typeTXT, TTL: 5, Text: "v=spf1 -all"}},
 	})
 	for _, raw := range [][]byte{query, answer} {
 		f.Add(raw)
@@ -57,8 +57,8 @@ func FuzzUnpack(f *testing.F) {
 	rr := func(typ byte, rdata ...byte) []byte {
 		return append([]byte{0, 1, 0x80, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, typ, 0, 1, 0, 0, 0, 0, 0, byte(len(rdata))}, rdata...)
 	}
-	f.Add(rr(byte(TypeAAAA), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1, 2, 3, 4))
-	f.Add(append(rr(byte(TypeCNAME)), 1, 'a', 0))
+	f.Add(rr(byte(typeAAAA), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1, 2, 3, 4))
+	f.Add(append(rr(byte(typeCNAME)), 1, 'a', 0))
 	long := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}
 	for _, n := range []int{63, 63, 63, 62} {
 		long = append(append(long, byte(n)), bytes.Repeat([]byte{'a'}, n)...)

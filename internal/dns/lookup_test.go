@@ -63,7 +63,7 @@ func referenceResolve(a *Authority, rotate *int, name string, typ uint16) ([]RR,
 // and the rotation cursor end where the oracle's do.
 func TestHandleMatchesRecursiveResolution(t *testing.T) {
 	names := lookupNames()
-	types := []uint16{TypeA, TypeAAAA, TypeCNAME}
+	types := []uint16{TypeA, typeAAAA, typeCNAME}
 	for _, rotation := range []bool{false, true} {
 		for _, limit := range []int{0, 1, 2} {
 			for _, hook := range []bool{false, true} {
@@ -75,7 +75,7 @@ func TestHandleMatchesRecursiveResolution(t *testing.T) {
 						calls++
 						switch calls % 7 {
 						case 3:
-							return RcodeServerFailure
+							return rcodeServerFailure
 						case 5:
 							return RcodeNameError
 						}
@@ -109,9 +109,9 @@ func TestHandleMatchesRecursiveResolution(t *testing.T) {
 							at, resp.Header.Rcode, resp.Answers, wantRcode, want)
 					}
 				}
-				if wire.Queries() != 600 || wire.rotate != refRotate || (rotation && refRotate == 0) {
+				if wire.queryCount() != 600 || wire.rotate != refRotate || (rotation && refRotate == 0) {
 					t.Fatalf("rotation=%v limit=%d hook=%v: %d queries, cursor %d, reference cursor %d",
-						rotation, limit, hook, wire.Queries(), wire.rotate, refRotate)
+						rotation, limit, hook, wire.queryCount(), wire.rotate, refRotate)
 				}
 			}
 		}

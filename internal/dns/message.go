@@ -19,11 +19,10 @@ import (
 // Record types.
 const (
 	TypeA     uint16 = 1
-	TypeNS    uint16 = 2
-	TypeCNAME uint16 = 5
-	TypeSOA   uint16 = 6
-	TypeTXT   uint16 = 16
-	TypeAAAA  uint16 = 28
+	typeNS    uint16 = 2
+	typeCNAME uint16 = 5
+	typeTXT   uint16 = 16
+	typeAAAA  uint16 = 28
 )
 
 // Classes.
@@ -31,21 +30,19 @@ const ClassINET uint16 = 1
 
 // Response codes.
 const (
-	RcodeSuccess        = 0
-	RcodeFormatError    = 1
-	RcodeServerFailure  = 2
-	RcodeNameError      = 3 // NXDOMAIN
-	RcodeNotImplemented = 4
-	RcodeRefused        = 5
+	RcodeSuccess       = 0
+	rcodeFormatError   = 1
+	rcodeServerFailure = 2
+	RcodeNameError     = 3 // NXDOMAIN
 )
 
 // Codec errors.
 var (
-	ErrTruncatedMessage = errors.New("dns: truncated message")
-	ErrBadPointer       = errors.New("dns: bad compression pointer")
-	ErrNameTooLong      = errors.New("dns: name exceeds 255 octets")
-	ErrLabelTooLong     = errors.New("dns: label exceeds 63 octets")
-	ErrBadLabel         = errors.New("dns: label byte has no unescaped presentation form")
+	errTruncatedMessage = errors.New("dns: truncated message")
+	errBadPointer       = errors.New("dns: bad compression pointer")
+	errNameTooLong      = errors.New("dns: name exceeds 255 octets")
+	errLabelTooLong     = errors.New("dns: label exceeds 63 octets")
+	errBadLabel         = errors.New("dns: label byte has no unescaped presentation form")
 )
 
 // Header is the fixed 12-byte DNS message header.
@@ -108,7 +105,7 @@ func appendName(dst []byte, name string, offs nameOffsets) ([]byte, error) {
 		return append(dst, 0), nil
 	}
 	if len(name)+1 > maxNameWire {
-		return nil, ErrNameTooLong
+		return nil, errNameTooLong
 	}
 	labels := strings.Split(strings.TrimSuffix(name, "."), ".")
 	for i := range labels {
@@ -121,7 +118,7 @@ func appendName(dst []byte, name string, offs nameOffsets) ([]byte, error) {
 		}
 		l := labels[i]
 		if len(l) > 63 {
-			return nil, ErrLabelTooLong
+			return nil, errLabelTooLong
 		}
 		if l == "" {
 			return nil, fmt.Errorf("dns: empty label in %q", name)
@@ -145,7 +142,7 @@ func readName(msg []byte, off int) (string, int, error) {
 	hops := 0
 	for {
 		if off >= len(msg) {
-			return "", 0, ErrTruncatedMessage
+			return "", 0, errTruncatedMessage
 		}
 		b := msg[off]
 		switch {
@@ -160,18 +157,18 @@ func readName(msg []byte, off int) (string, int, error) {
 			return name, after, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrTruncatedMessage
+				return "", 0, errTruncatedMessage
 			}
 			ptr := int(binary.BigEndian.Uint16(msg[off:off+2]) & 0x3fff)
 			if !jumped {
 				after = off + 2
 			}
 			if ptr >= off && !jumped || ptr >= len(msg) {
-				return "", 0, ErrBadPointer
+				return "", 0, errBadPointer
 			}
 			hops++
 			if hops > 32 {
-				return "", 0, ErrBadPointer
+				return "", 0, errBadPointer
 			}
 			off = ptr
 			jumped = true
@@ -180,21 +177,21 @@ func readName(msg []byte, off int) (string, int, error) {
 		default:
 			n := int(b)
 			if off+1+n > len(msg) {
-				return "", 0, ErrTruncatedMessage
+				return "", 0, errTruncatedMessage
 			}
 			for _, c := range msg[off+1 : off+1+n] {
 				switch {
 				case 'A' <= c && c <= 'Z':
 					c += 'a' - 'A'
 				case c == '.' || c <= ' ' || c >= 0x7f:
-					return "", 0, ErrBadLabel
+					return "", 0, errBadLabel
 				}
 				sb.WriteByte(c)
 			}
 			sb.WriteByte('.')
 			off += 1 + n
 			if sb.Len()+1 > maxNameWire {
-				return "", 0, ErrNameTooLong
+				return "", 0, errNameTooLong
 			}
 		}
 	}
@@ -275,17 +272,17 @@ func appendRR(buf []byte, rr RR, offs nameOffsets) ([]byte, error) {
 		}
 		a := rr.Addr.As4()
 		buf = append(buf, a[:]...)
-	case TypeAAAA:
+	case typeAAAA:
 		if !rr.Addr.Is6() || rr.Addr.Is4In6() {
 			return nil, fmt.Errorf("dns: AAAA record %s with non-IPv6 address %v", rr.Name, rr.Addr)
 		}
 		a := rr.Addr.As16()
 		buf = append(buf, a[:]...)
-	case TypeCNAME, TypeNS:
+	case typeCNAME, typeNS:
 		if buf, err = appendName(buf, rr.Target, offs); err != nil {
 			return nil, err
 		}
-	case TypeTXT:
+	case typeTXT:
 		if len(rr.Text) > 255 {
 			return nil, fmt.Errorf("dns: TXT segment too long")
 		}
@@ -301,7 +298,7 @@ func appendRR(buf []byte, rr RR, offs nameOffsets) ([]byte, error) {
 // Unpack parses a wire-format message.
 func Unpack(msg []byte) (*Message, error) {
 	if len(msg) < 12 {
-		return nil, ErrTruncatedMessage
+		return nil, errTruncatedMessage
 	}
 	var m Message
 	m.Header.ID = binary.BigEndian.Uint16(msg[0:2])
@@ -327,7 +324,7 @@ func Unpack(msg []byte) (*Message, error) {
 			return nil, err
 		}
 		if off+4 > len(msg) {
-			return nil, ErrTruncatedMessage
+			return nil, errTruncatedMessage
 		}
 		q.Type = binary.BigEndian.Uint16(msg[off : off+2])
 		q.Class = binary.BigEndian.Uint16(msg[off+2 : off+4])
@@ -364,7 +361,7 @@ func readRR(msg []byte, off int) (RR, int, error) {
 		return rr, 0, err
 	}
 	if off+10 > len(msg) {
-		return rr, 0, ErrTruncatedMessage
+		return rr, 0, errTruncatedMessage
 	}
 	rr.Type = binary.BigEndian.Uint16(msg[off : off+2])
 	rr.Class = binary.BigEndian.Uint16(msg[off+2 : off+4])
@@ -372,7 +369,7 @@ func readRR(msg []byte, off int) (RR, int, error) {
 	rdlen := int(binary.BigEndian.Uint16(msg[off+8 : off+10]))
 	off += 10
 	if off+rdlen > len(msg) {
-		return rr, 0, ErrTruncatedMessage
+		return rr, 0, errTruncatedMessage
 	}
 	rdata := msg[off : off+rdlen]
 	switch rr.Type {
@@ -381,7 +378,7 @@ func readRR(msg []byte, off int) (RR, int, error) {
 			return rr, 0, fmt.Errorf("dns: A rdata length %d", rdlen)
 		}
 		rr.Addr = netip.AddrFrom4([4]byte(rdata))
-	case TypeAAAA:
+	case typeAAAA:
 		if rdlen != 16 {
 			return rr, 0, fmt.Errorf("dns: AAAA rdata length %d", rdlen)
 		}
@@ -389,7 +386,7 @@ func readRR(msg []byte, off int) (RR, int, error) {
 		if rr.Addr.Is4In6() {
 			return rr, 0, fmt.Errorf("dns: AAAA rdata holds the IPv4-mapped address %v", rr.Addr)
 		}
-	case TypeCNAME, TypeNS:
+	case typeCNAME, typeNS:
 		var end int
 		rr.Target, end, err = readName(msg, off)
 		if err != nil {
@@ -398,11 +395,11 @@ func readRR(msg []byte, off int) (RR, int, error) {
 		if end != off+rdlen {
 			return rr, 0, fmt.Errorf("dns: record type %d: name ends at %d, rdata at %d", rr.Type, end, off+rdlen)
 		}
-	case TypeTXT:
+	case typeTXT:
 		if rdlen > 0 {
 			n := int(rdata[0])
 			if n+1 > rdlen {
-				return rr, 0, ErrTruncatedMessage
+				return rr, 0, errTruncatedMessage
 			}
 			rr.Text = string(rdata[1 : 1+n])
 		}

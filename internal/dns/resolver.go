@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// LookupResult is the return of Resolver.Lookup: the answer's address
+// lookupResult is the return of Resolver.lookup: the answer's address
 // set in answer order and the minimum TTL across its address records
 // (the budget a cache may keep it for).
-type LookupResult struct {
+type lookupResult struct {
 	Addrs []netip.Addr
 	TTL   uint32
 }
@@ -30,8 +30,8 @@ func NewResolver(upstream *Authority) *Resolver {
 	return &Resolver{upstream: upstream, nextID: 1}
 }
 
-// Queries reports how many DNS queries this resolver has sent.
-func (r *Resolver) Queries() int64 {
+// queryCount reports how many DNS queries this resolver has sent.
+func (r *Resolver) queryCount() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.queries
@@ -40,14 +40,14 @@ func (r *Resolver) Queries() int64 {
 // LookupA resolves a hostname to its IPv4 address set via the wire
 // codec.
 func (r *Resolver) LookupA(name string) ([]netip.Addr, error) {
-	res, err := r.Lookup(name, TypeA)
+	res, err := r.lookup(name, TypeA)
 	return res.Addrs, err
 }
 
-// Lookup issues one wire-format query for (name, typ) to the authority
+// lookup issues one wire-format query for (name, typ) to the authority
 // and returns the answer's address set and its TTL budget. The address
 // slice belongs to the caller.
-func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
+func (r *Resolver) lookup(name string, typ uint16) (lookupResult, error) {
 	r.mu.Lock()
 	id := r.nextID
 	r.nextID++
@@ -60,26 +60,26 @@ func (r *Resolver) Lookup(name string, typ uint16) (LookupResult, error) {
 	}
 	wire, err := q.Pack()
 	if err != nil {
-		return LookupResult{}, err
+		return lookupResult{}, err
 	}
 	respWire, err := r.upstream.HandleWire(wire)
 	if err != nil {
-		return LookupResult{}, err
+		return lookupResult{}, err
 	}
 	resp, err := Unpack(respWire)
 	if err != nil {
-		return LookupResult{}, err
+		return lookupResult{}, err
 	}
 	if resp.Header.ID != id {
-		return LookupResult{}, fmt.Errorf("dns: response ID %d for query %d", resp.Header.ID, id)
+		return lookupResult{}, fmt.Errorf("dns: response ID %d for query %d", resp.Header.ID, id)
 	}
 	if resp.Header.Rcode == RcodeNameError {
-		return LookupResult{}, &NXDomainError{Name: name}
+		return lookupResult{}, &NXDomainError{Name: name}
 	}
 	if resp.Header.Rcode != RcodeSuccess {
-		return LookupResult{}, fmt.Errorf("dns: rcode %d for %s", resp.Header.Rcode, name)
+		return lookupResult{}, fmt.Errorf("dns: rcode %d for %s", resp.Header.Rcode, name)
 	}
-	var res LookupResult
+	var res lookupResult
 	for _, rr := range resp.Answers {
 		if rr.Type == typ {
 			res.Addrs = append(res.Addrs, rr.Addr)

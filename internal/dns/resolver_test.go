@@ -10,7 +10,7 @@ func TestLookupUnifiedSurface(t *testing.T) {
 	a.AddA("www.example.com", netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"))
 	r := NewResolver(a)
 
-	res, err := r.Lookup("www.example.com", TypeA)
+	res, err := r.lookup("www.example.com", TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,24 +33,24 @@ func TestResolverWithoutCacheUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Queries() != 3 {
-		t.Fatalf("uncached resolver queries = %d, want 3 (one per lookup)", r.Queries())
+	if r.queryCount() != 3 {
+		t.Fatalf("uncached resolver queries = %d, want 3 (one per lookup)", r.queryCount())
 	}
 }
 
-// Lookup's result belongs to the caller: writing it changes no later
+// lookup's result belongs to the caller: writing it changes no later
 // answer.
 func TestLookupReturnsCallerOwnedAddrs(t *testing.T) {
 	a := NewAuthority()
 	a.AddA("one.example", netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"))
 	r := NewResolver(a)
-	first, err := r.Lookup("one.example", TypeA)
+	first, err := r.lookup("one.example", TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]netip.Addr(nil), first.Addrs...)
 	first.Addrs[0] = netip.MustParseAddr("203.0.113.66")
-	again, err := r.Lookup("one.example", TypeA)
+	again, err := r.lookup("one.example", TypeA)
 	if err != nil || len(again.Addrs) != 2 || again.Addrs[0] != want[0] || again.Addrs[1] != want[1] {
 		t.Fatalf("after the caller wrote its result, the next lookup = %v, %v; want %v", again.Addrs, err, want)
 	}

@@ -20,7 +20,7 @@ type Authority struct {
 	AnswerLimit int
 
 	// Failure, when non-nil, is consulted per question before resolution
-	// and may force a non-success rcode (e.g. RcodeServerFailure for an
+	// and may force a non-success rcode (e.g. rcodeServerFailure for an
 	// injected SERVFAIL). Returning RcodeSuccess resolves normally. Fault
 	// injection installs it; it must be deterministic for reproducible
 	// runs.
@@ -49,8 +49,8 @@ func (a *Authority) AddA(name string, addrs ...netip.Addr) {
 	a.records[key] = rrs
 }
 
-// Queries reports how many queries this authority has answered.
-func (a *Authority) Queries() int64 {
+// queryCount reports how many queries this authority has answered.
+func (a *Authority) queryCount() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.queries
@@ -60,7 +60,7 @@ func (a *Authority) Queries() int64 {
 func (a *Authority) HandleWire(query []byte) ([]byte, error) {
 	q, err := Unpack(query)
 	if err != nil {
-		resp := &Message{Header: Header{QR: true, Rcode: RcodeFormatError}}
+		resp := &Message{Header: Header{QR: true, Rcode: rcodeFormatError}}
 		return resp.Pack()
 	}
 	resp := a.handle(q)
@@ -78,7 +78,7 @@ func (a *Authority) handle(q *Message) *Message {
 	}}
 	resp.Questions = q.Questions
 	if len(q.Questions) == 0 {
-		resp.Header.Rcode = RcodeFormatError
+		resp.Header.Rcode = rcodeFormatError
 		return resp
 	}
 	question := q.Questions[0]

@@ -21,28 +21,27 @@ import (
 	"respectorigin/internal/hpack"
 )
 
-// ContentType is the RFC 8484 media type.
-const ContentType = "application/dns-message"
+// contentType is the RFC 8484 media type.
+const contentType = "application/dns-message"
 
-// Path is the conventional resolution endpoint.
-const Path = "/dns-query"
+// path is the conventional resolution endpoint.
+const path = "/dns-query"
 
-// Handler serves RFC 8484 queries from a dns.Authority, which counts
-// them (Authority.Queries).
+// Handler serves RFC 8484 queries from a dns.Authority.
 type Handler struct {
 	Authority *dns.Authority
 }
 
 // ServeHTTP2 implements h2.Handler.
 func (h *Handler) ServeHTTP2(w *h2.ResponseWriter, r *h2.Request) {
-	if !strings.HasPrefix(r.Path, Path) {
+	if !strings.HasPrefix(r.Path, path) {
 		w.WriteHeader(404)
 		return
 	}
 	var query []byte
 	switch r.Method {
 	case "POST":
-		if r.HeaderValue("content-type") != ContentType {
+		if r.HeaderValue("content-type") != contentType {
 			w.WriteHeader(415)
 			return
 		}
@@ -74,7 +73,7 @@ func (h *Handler) ServeHTTP2(w *h2.ResponseWriter, r *h2.Request) {
 		return
 	}
 	w.WriteHeader(200,
-		hpack.HeaderField{Name: "content-type", Value: ContentType},
+		hpack.HeaderField{Name: "content-type", Value: contentType},
 		hpack.HeaderField{Name: "cache-control", Value: "max-age=300"},
 	)
 	w.Write(resp)
@@ -123,10 +122,10 @@ func (c *Client) LookupA(name string) ([]netip.Addr, error) {
 		Method:    "POST",
 		Scheme:    "https",
 		Authority: c.authority,
-		Path:      Path,
+		Path:      path,
 		Header: []hpack.HeaderField{
-			{Name: "content-type", Value: ContentType},
-			{Name: "accept", Value: ContentType},
+			{Name: "content-type", Value: contentType},
+			{Name: "accept", Value: contentType},
 		},
 		Body: wire,
 	})
@@ -136,7 +135,7 @@ func (c *Client) LookupA(name string) ([]netip.Addr, error) {
 	if resp.Status != 200 {
 		return nil, fmt.Errorf("doh: server returned %d", resp.Status)
 	}
-	if resp.HeaderValue("content-type") != ContentType {
+	if resp.HeaderValue("content-type") != contentType {
 		return nil, fmt.Errorf("doh: unexpected content type %q", resp.HeaderValue("content-type"))
 	}
 	msg, err := dns.Unpack(resp.Body)

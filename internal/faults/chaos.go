@@ -34,7 +34,7 @@ func NewChaosConn(nc net.Conn, inj *Injector) *ChaosConn {
 	c := &ChaosConn{Conn: nc, inj: inj, budget: -1}
 	if inj.Hit(KindReset) {
 		// Somewhere between mid-handshake and a few response bodies.
-		c.budget = int64(512 + inj.Intn(64<<10))
+		c.budget = int64(512 + inj.intn(64<<10))
 	}
 	if loss := inj.Plan().LossPct; loss > 0 {
 		// Per-read RTO penalty scaled by the loss rate; deterministic in
@@ -72,7 +72,7 @@ func (c *ChaosConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if c.spend(n) {
 		_ = c.Conn.Close()
-		return n, ErrConnReset
+		return n, errConnReset
 	}
 	return n, err
 }
@@ -80,7 +80,7 @@ func (c *ChaosConn) Read(p []byte) (int, error) {
 func (c *ChaosConn) Write(p []byte) (int, error) {
 	if c.spend(len(p)) {
 		_ = c.Conn.Close()
-		return 0, ErrConnReset
+		return 0, errConnReset
 	}
 	return c.Conn.Write(p)
 }

@@ -33,11 +33,11 @@ var (
 // Lookup resolves through the inner environment unless a DNS fault
 // fires first.
 func (e *Env) Lookup(host string) ([]netip.Addr, error) {
-	if e.Inj.Hit(KindDNSFail) {
-		return nil, ErrDNSServFail
+	if e.Inj.Hit(kindDNSFail) {
+		return nil, errDNSServFail
 	}
-	if e.Inj.Hit(KindDNSTimeout) {
-		return nil, ErrDNSTimeout
+	if e.Inj.Hit(kindDNSTimeout) {
+		return nil, errDNSTimeout
 	}
 	return e.Inner.Lookup(host)
 }
@@ -47,11 +47,11 @@ func (e *Env) Lookup(host string) ([]netip.Addr, error) {
 // When the inner environment does not expose TTLs the answer is
 // reported uncacheable (TTL 0).
 func (e *Env) LookupTTL(host string) ([]netip.Addr, uint32, error) {
-	if e.Inj.Hit(KindDNSFail) {
-		return nil, 0, ErrDNSServFail
+	if e.Inj.Hit(kindDNSFail) {
+		return nil, 0, errDNSServFail
 	}
-	if e.Inj.Hit(KindDNSTimeout) {
-		return nil, 0, ErrDNSTimeout
+	if e.Inj.Hit(kindDNSTimeout) {
+		return nil, 0, errDNSTimeout
 	}
 	if tl, ok := e.Inner.(browser.TTLLookuper); ok {
 		return tl.LookupTTL(host)
@@ -76,7 +76,7 @@ func (e *Env) OriginSet(host string, ip netip.Addr) []string {
 // sets.
 func (e *Env) Reachable(host string, ip netip.Addr) bool {
 	ok := e.Inner.Reachable(host, ip)
-	if ok && e.Inj.Hit(KindStaleOrigin) {
+	if ok && e.Inj.Hit(kindStaleOrigin) {
 		return false
 	}
 	return ok
@@ -97,7 +97,7 @@ func (e *Env) SupportsH3(host string) bool {
 // their TLS handshake with the plan's TLSFailProb.
 func (e *Env) ConnectFail(host string, ip netip.Addr) error {
 	if e.Inj.Hit(KindTLSFail) {
-		return ErrTLSHandshake
+		return errTLSHandshake
 	}
 	return nil
 }

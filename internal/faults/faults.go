@@ -36,12 +36,12 @@ type Kind int
 
 // Fault kinds.
 const (
-	// KindDNSFail is a resolver SERVFAIL: the lookup returns an error
+	// kindDNSFail is a resolver SERVFAIL: the lookup returns an error
 	// immediately.
-	KindDNSFail Kind = iota
-	// KindDNSTimeout is a resolver timeout: the lookup fails after the
+	kindDNSFail Kind = iota
+	// kindDNSTimeout is a resolver timeout: the lookup fails after the
 	// full timeout budget (latency inflation plus an error).
-	KindDNSTimeout
+	kindDNSTimeout
 	// KindTLSFail is a failed TLS handshake on a fresh connection.
 	KindTLSFail
 	// KindReset is a TCP reset tearing down an established connection
@@ -50,10 +50,10 @@ const (
 	// KindGoAway is a graceful server GOAWAY: in-flight streams finish,
 	// but the connection accepts no new requests.
 	KindGoAway
-	// KindStaleOrigin is a stale or misconfigured origin set: the server
+	// kindStaleOrigin is a stale or misconfigured origin set: the server
 	// advertised a hostname its edge no longer serves, so reuse attempts
 	// bounce with 421 Misdirected Request (the §5.3 fail-open path).
-	KindStaleOrigin
+	kindStaleOrigin
 	// KindLogRestart is a telemetry-pipeline restart that loses the
 	// per-connection bookkeeping accumulated so far (arrival orders keep
 	// counting on the wire, but the collector starts over).
@@ -63,12 +63,12 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindDNSFail:     "dnsfail",
-	KindDNSTimeout:  "dnstimeout",
+	kindDNSFail:     "dnsfail",
+	kindDNSTimeout:  "dnstimeout",
 	KindTLSFail:     "tlsfail",
 	KindReset:       "reset",
 	KindGoAway:      "goaway",
-	KindStaleOrigin: "stale",
+	kindStaleOrigin: "stale",
 	KindLogRestart:  "logrestart",
 }
 
@@ -82,10 +82,10 @@ func (k Kind) String() string {
 // Injected fault errors. They are sentinel values so retry layers can
 // classify failures with errors.Is.
 var (
-	ErrDNSServFail  = errors.New("faults: injected DNS SERVFAIL")
-	ErrDNSTimeout   = errors.New("faults: injected DNS timeout")
-	ErrTLSHandshake = errors.New("faults: injected TLS handshake failure")
-	ErrConnReset    = errors.New("faults: injected connection reset")
+	errDNSServFail  = errors.New("faults: injected DNS SERVFAIL")
+	errDNSTimeout   = errors.New("faults: injected DNS timeout")
+	errTLSHandshake = errors.New("faults: injected TLS handshake failure")
+	errConnReset    = errors.New("faults: injected connection reset")
 )
 
 // Plan is a fault plan: one independent probability per fault kind plus
@@ -123,9 +123,9 @@ func (p Plan) Zero() bool { return p == Plan{} }
 // prob returns the probability configured for kind k.
 func (p Plan) prob(k Kind) float64 {
 	switch k {
-	case KindDNSFail:
+	case kindDNSFail:
 		return p.DNSFailProb
-	case KindDNSTimeout:
+	case kindDNSTimeout:
 		return p.DNSTimeoutProb
 	case KindTLSFail:
 		return p.TLSFailProb
@@ -133,7 +133,7 @@ func (p Plan) prob(k Kind) float64 {
 		return p.ResetProb
 	case KindGoAway:
 		return p.GoAwayProb
-	case KindStaleOrigin:
+	case kindStaleOrigin:
 		return p.StaleOriginProb
 	case KindLogRestart:
 		return p.LogRestartProb
@@ -142,9 +142,9 @@ func (p Plan) prob(k Kind) float64 {
 	}
 }
 
-// Validate checks every probability is in [0, 1] and the loss rate is a
+// validate checks every probability is in [0, 1] and the loss rate is a
 // percentage in [0, 100).
-func (p Plan) Validate() error {
+func (p Plan) validate() error {
 	for k := Kind(0); k < numKinds; k++ {
 		if pr := p.prob(k); pr < 0 || pr > 1 {
 			return fmt.Errorf("faults: %s probability %v outside [0, 1]", k, pr)
@@ -213,7 +213,7 @@ func ParsePlan(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("faults: unknown fault %q", kv[0])
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
 	return p, nil
@@ -279,9 +279,9 @@ func (in *Injector) Hit(k Kind) bool {
 	return false
 }
 
-// Intn draws an integer from the injector's stream (for byte budgets
+// intn draws an integer from the injector's stream (for byte budgets
 // and similar fault parameters). It returns 0 on inert injectors.
-func (in *Injector) Intn(n int) int {
+func (in *Injector) intn(n int) int {
 	if !in.Enabled() || n <= 0 {
 		return 0
 	}

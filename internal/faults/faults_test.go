@@ -67,7 +67,7 @@ func TestZeroPlanIsInert(t *testing.T) {
 			t.Fatalf("zero-plan injector recorded %d rolls / %d hits for %v", rolls, hits, k)
 		}
 	}
-	if inj.Intn(1000) != 0 {
+	if inj.intn(1000) != 0 {
 		t.Fatal("zero-plan injector drew from its RNG via Intn")
 	}
 	var nilInj *Injector
@@ -154,7 +154,7 @@ func TestEnvInjectsAtEachBoundary(t *testing.T) {
 		DNSFailProb:     1,
 		StaleOriginProb: 1,
 	}, 3)}
-	if _, err := env.Lookup("a.example"); !errors.Is(err, ErrDNSServFail) {
+	if _, err := env.Lookup("a.example"); !errors.Is(err, errDNSServFail) {
 		t.Fatalf("Lookup error = %v, want ErrDNSServFail", err)
 	}
 	if env.Reachable("a.example", inner.addr) {
@@ -169,11 +169,11 @@ func TestEnvInjectsAtEachBoundary(t *testing.T) {
 	}
 
 	env2 := &Env{Inner: inner, Inj: NewInjector(Plan{DNSTimeoutProb: 1}, 3)}
-	if _, err := env2.Lookup("a.example"); !errors.Is(err, ErrDNSTimeout) {
+	if _, err := env2.Lookup("a.example"); !errors.Is(err, errDNSTimeout) {
 		t.Fatalf("Lookup error = %v, want ErrDNSTimeout", err)
 	}
 	env3 := &Env{Inner: inner, Inj: NewInjector(Plan{TLSFailProb: 1}, 3)}
-	if err := env3.ConnectFail("a.example", inner.addr); !errors.Is(err, ErrTLSHandshake) {
+	if err := env3.ConnectFail("a.example", inner.addr); !errors.Is(err, errTLSHandshake) {
 		t.Fatalf("ConnectFail = %v, want ErrTLSHandshake", err)
 	}
 	var _ browser.Environment = env // compile-time shape check for the test double

@@ -66,7 +66,7 @@ func BenchmarkFramerReadFrameMixed(b *testing.B) {
 	if err := w.writePing(false, [8]byte{1}); err != nil {
 		b.Fatal(err)
 	}
-	if err := w.writeSettings(Setting{ID: SettingInitialWindowSize, Val: 65535}); err != nil {
+	if err := w.writeSettings(Setting{ID: settingInitialWindowSize, Val: 65535}); err != nil {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()

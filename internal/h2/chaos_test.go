@@ -81,12 +81,12 @@ func TestCloseAfterGoAwayReleasesTransport(t *testing.T) {
 	peerDone := make(chan struct{})
 	go func() { // a server that answers the preface with GOAWAY(NO_ERROR)
 		defer close(peerDone)
-		if _, err := io.ReadFull(serverEnd, make([]byte, len(ClientPreface))); err != nil {
+		if _, err := io.ReadFull(serverEnd, make([]byte, len(clientPreface))); err != nil {
 			return
 		}
 		fr := NewFramer(serverEnd, serverEnd)
 		_ = fr.writeSettings()
-		_ = fr.writeGoAway(0, ErrCodeNo, []byte("graceful shutdown"))
+		_ = fr.writeGoAway(0, errCodeNo, []byte("graceful shutdown"))
 		_, _ = io.Copy(io.Discard, serverEnd)
 	}()
 
@@ -190,7 +190,7 @@ func TestKeepaliveDetectsDeadPeer(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("keepalive never tore down the dead connection")
 	}
-	if cc.Err() == nil {
+	if cc.err() == nil {
 		t.Fatal("no connection error recorded after keepalive failure")
 	}
 	_ = cc.Close()
@@ -210,7 +210,7 @@ func TestPingLivenessAgainstRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
 	}
-	if err := cc.PingTimeout([8]byte{1, 2, 3}, time.Second); err != nil {
+	if err := cc.pingTimeout([8]byte{1, 2, 3}, time.Second); err != nil {
 		t.Fatalf("PingTimeout: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond) // let a few keepalive rounds pass
@@ -240,7 +240,7 @@ func TestServerReadTimeout(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := clientEnd.Write([]byte(ClientPreface)); err != nil {
+	if _, err := clientEnd.Write([]byte(clientPreface)); err != nil {
 		t.Fatalf("writing preface: %v", err)
 	}
 	select {

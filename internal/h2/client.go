@@ -161,10 +161,10 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 	cc.hw = &headerWriter{fr: cc.fr, enc: hpack.NewEncoder(), maxFrameSize: minMaxFrameSize}
 	cc.hr = &headerReader{dec: hpack.NewDecoder()}
 	if opts.Origin != "" {
-		cc.originSet.Add(opts.Origin)
+		cc.originSet.add(opts.Origin)
 	}
 
-	if _, err := io.WriteString(nc, ClientPreface); err != nil {
+	if _, err := io.WriteString(nc, clientPreface); err != nil {
 		// The write pump is already running; release it and the conn.
 		_ = aw.Close()
 		_ = nc.Close()
@@ -186,8 +186,8 @@ func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
 	// deadlock against ours.
 	go cc.readLoop()
 	if err := cc.fr.writeSettings(
-		Setting{SettingEnablePush, 0},
-		Setting{SettingMaxFrameSize, mfs},
+		Setting{settingEnablePush, 0},
+		Setting{settingMaxFrameSize, mfs},
 	); err != nil {
 		// readLoop is already running; tear the transport down and wait
 		// for it so a failed dial never leaks connection goroutines.
@@ -385,7 +385,7 @@ func (cc *ClientConn) Close() error {
 	last := cc.nextStreamID - 2
 	cc.mu.Unlock()
 	if !wasClosed {
-		_ = cc.fr.writeGoAway(last, ErrCodeNo, nil)
+		_ = cc.fr.writeGoAway(last, errCodeNo, nil)
 	}
 	err := cc.closeTransport()
 	<-cc.readerDone
@@ -412,11 +412,11 @@ func (cc *ClientConn) sendPing(data [8]byte) (chan struct{}, error) {
 	return ch, nil
 }
 
-// PingTimeout sends a PING frame and blocks until its acknowledgement
+// pingTimeout sends a PING frame and blocks until its acknowledgement
 // arrives, the connection fails, or d passes: an ack that does not
 // arrive within d is a liveness failure (a plain deadline miss, not a
 // transport timeout).
-func (cc *ClientConn) PingTimeout(data [8]byte, d time.Duration) error {
+func (cc *ClientConn) pingTimeout(data [8]byte, d time.Duration) error {
 	ch, err := cc.sendPing(data)
 	if err != nil {
 		return err
@@ -437,7 +437,7 @@ func (cc *ClientConn) PingTimeout(data [8]byte, d time.Duration) error {
 }
 
 // keepalivePrefix tags keepalive probe payloads so they never collide
-// with caller-issued PingTimeout payloads.
+// with caller-issued pingTimeout payloads.
 const keepalivePrefix = uint32(0x6b70616c) // "kpal"
 
 // keepalive probes the connection every PingInterval and tears the
@@ -462,7 +462,7 @@ func (cc *ClientConn) keepalive() {
 		var data [8]byte
 		binary.BigEndian.PutUint32(data[:4], keepalivePrefix)
 		binary.BigEndian.PutUint32(data[4:], seq)
-		if err := cc.PingTimeout(data, timeout); err != nil {
+		if err := cc.pingTimeout(data, timeout); err != nil {
 			cc.mu.Lock()
 			if cc.connErr == nil {
 				cc.connErr = fmt.Errorf("h2: keepalive failed: %w", err)
@@ -474,8 +474,8 @@ func (cc *ClientConn) keepalive() {
 	}
 }
 
-// Err returns the fatal connection error, if any.
-func (cc *ClientConn) Err() error {
+// err returns the fatal connection error, if any.
+func (cc *ClientConn) err() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.connErr
@@ -499,7 +499,7 @@ func (cc *ClientConn) readLoop() {
 	for _, cs := range streams {
 		cs.end(err)
 	}
-	if ce, ok := err.(ConnectionError); ok {
+	if ce, ok := err.(connectionError); ok {
 		_ = cc.fr.writeGoAway(0, ce.Code, []byte(ce.Reason))
 		_ = cc.nc.Close()
 	}
@@ -507,35 +507,37 @@ func (cc *ClientConn) readLoop() {
 
 func (cc *ClientConn) readFrames() error {
 	for {
-		f, err := cc.fr.ReadFrame()
+		err := cc.readFrame()
+		if se, ok := err.(streamErr); ok {
+			cc.failStream(se.StreamID, se)
+			_ = cc.fr.writeRSTStream(se.StreamID, se.Code)
+			continue
+		}
 		if err != nil {
 			return err
 		}
-		if cc.hr.expectingContinuation() {
-			cf, ok := f.(*ContinuationFrame)
-			if !ok {
-				return connError(ErrCodeProtocol, "expected CONTINUATION")
-			}
-			meta, err := cc.hr.onContinuation(cf)
-			if err != nil {
-				return err
-			}
-			if meta != nil {
-				if err := cc.onResponseHeaders(meta); err != nil {
-					return err
-				}
-			}
-			continue
+	}
+}
+
+// readFrame reads one frame and acts on it. A streamErr resets only its
+// stream; any other error ends the connection.
+func (cc *ClientConn) readFrame() error {
+	f, err := cc.fr.ReadFrame()
+	if err != nil {
+		return err
+	}
+	if cc.hr.expectingContinuation() {
+		cf, ok := f.(*continuationFrame)
+		if !ok {
+			return connError(errCodeProtocol, "expected CONTINUATION")
 		}
-		if err := cc.dispatch(f); err != nil {
-			if se, ok := err.(StreamError); ok {
-				cc.failStream(se.StreamID, se)
-				_ = cc.fr.writeRSTStream(se.StreamID, se.Code)
-				continue
-			}
+		meta, err := cc.hr.onContinuation(cf)
+		if err != nil || meta == nil {
 			return err
 		}
+		return cc.onResponseHeaders(meta)
 	}
+	return cc.dispatch(f)
 }
 
 func (cc *ClientConn) dispatch(f Frame) error {
@@ -549,11 +551,11 @@ func (cc *ClientConn) dispatch(f Frame) error {
 			return cc.onResponseHeaders(meta)
 		}
 		return nil
-	case *DataFrame:
+	case *dataFrame:
 		return cc.onData(f)
-	case *SettingsFrame:
+	case *settingsFrame:
 		return cc.onSettings(f)
-	case *PingFrame:
+	case *pingFrame:
 		if f.isAck() {
 			cc.pingMu.Lock()
 			if ch, ok := cc.pingWait[f.Data]; ok {
@@ -564,25 +566,25 @@ func (cc *ClientConn) dispatch(f Frame) error {
 			return nil
 		}
 		return cc.fr.writePing(true, f.Data)
-	case *WindowUpdateFrame:
+	case *windowUpdateFrame:
 		if !cc.sendFlow.add(f.StreamID, int64(f.Increment)) {
 			if f.StreamID == 0 {
-				return connError(ErrCodeFlowControl, "connection window overflow")
+				return connError(errCodeFlowControl, "connection window overflow")
 			}
-			return streamError(f.StreamID, ErrCodeFlowControl, "stream window overflow")
+			return streamError(f.StreamID, errCodeFlowControl, "stream window overflow")
 		}
 		return nil
-	case *RSTStreamFrame:
+	case *rstStreamFrame:
 		cc.failStream(f.StreamID, streamError(f.StreamID, f.ErrCode, "reset by peer"))
 		return nil
-	case *GoAwayFrame:
+	case *goAwayFrame:
 		return cc.onGoAway(f)
-	case *OriginFrame:
+	case *originFrame:
 		return cc.onOrigin(f)
-	case *PushPromiseFrame:
+	case *pushPromiseFrame:
 		// We advertised ENABLE_PUSH=0; a PUSH_PROMISE is a protocol error.
-		return connError(ErrCodeProtocol, "PUSH_PROMISE with push disabled")
-	case *PriorityFrame, *ContinuationFrame:
+		return connError(errCodeProtocol, "PUSH_PROMISE with push disabled")
+	case *priorityFrame, *continuationFrame:
 		return nil
 	default:
 		return nil // ignore unknown extension frames (§4.1)
@@ -594,8 +596,8 @@ func (cc *ClientConn) dispatch(f Frame) error {
 // elsewhere; streams at or below it continue to completion. With
 // NO_ERROR the connection stays open for those in-flight streams and
 // only stops accepting new requests; any other code is fatal.
-func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
-	gerr := GoAwayError{LastStreamID: f.LastStreamID, Code: f.ErrCode, DebugData: string(f.DebugData)}
+func (cc *ClientConn) onGoAway(f *goAwayFrame) error {
+	gerr := goAwayError{LastStreamID: f.LastStreamID, Code: f.ErrCode, DebugData: string(f.DebugData)}
 	cc.mu.Lock()
 	cc.closed = true // no new requests
 	if cc.connErr == nil {
@@ -613,7 +615,7 @@ func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
 		cs.end(gerr)
 		cc.sendFlow.closeStream(cs.id)
 	}
-	if f.ErrCode != ErrCodeNo {
+	if f.ErrCode != errCodeNo {
 		return gerr
 	}
 	return nil // keep reading: in-flight streams will still complete
@@ -622,13 +624,13 @@ func (cc *ClientConn) onGoAway(f *GoAwayFrame) error {
 // onOrigin applies RFC 8336 client rules: frames on a non-zero stream
 // are ignored, flagged frames' flags are ignored, and clients that do
 // not support the extension drop the frame entirely (fail-open).
-func (cc *ClientConn) onOrigin(f *OriginFrame) error {
+func (cc *ClientConn) onOrigin(f *originFrame) error {
 	if f.StreamID != 0 {
 		return nil // §2.1: MUST be ignored
 	}
 	cc.originSet.replace(f.Origins)
 	if cc.opts.Origin != "" {
-		cc.originSet.Add(cc.opts.Origin)
+		cc.originSet.add(cc.opts.Origin)
 	}
 	cc.mu.Lock()
 	cc.originFramesSeen++
@@ -639,28 +641,28 @@ func (cc *ClientConn) onOrigin(f *OriginFrame) error {
 	return nil
 }
 
-func (cc *ClientConn) onSettings(f *SettingsFrame) error {
+func (cc *ClientConn) onSettings(f *settingsFrame) error {
 	if f.isAck() {
 		return nil
 	}
 	for _, s := range f.Settings {
 		switch s.ID {
-		case SettingInitialWindowSize:
+		case settingInitialWindowSize:
 			if !cc.sendFlow.setInitial(int64(s.Val)) {
-				return connError(ErrCodeFlowControl, "initial window change overflows stream window")
+				return connError(errCodeFlowControl, "initial window change overflows stream window")
 			}
-		case SettingMaxFrameSize:
+		case settingMaxFrameSize:
 			cc.mu.Lock()
 			cc.maxSendFrame = s.Val
 			cc.mu.Unlock()
 			cc.hwmu.Lock()
 			cc.hw.maxFrameSize = s.Val
 			cc.hwmu.Unlock()
-		case SettingHeaderTableSize:
+		case settingHeaderTableSize:
 			cc.hwmu.Lock()
 			cc.hw.enc.SetMaxDynamicTableSize(s.Val)
 			cc.hwmu.Unlock()
-		case SettingMaxConcurrentStreams:
+		case settingMaxConcurrentStreams:
 			cc.mu.Lock()
 			cc.peerMaxStreams = s.Val
 			cc.mu.Unlock()
@@ -669,10 +671,10 @@ func (cc *ClientConn) onSettings(f *SettingsFrame) error {
 	return cc.fr.writeSettingsAck()
 }
 
-func (cc *ClientConn) onData(f *DataFrame) error {
+func (cc *ClientConn) onData(f *dataFrame) error {
 	inc, ok := cc.recvFlow.consume(int64(f.Length))
 	if !ok {
-		return connError(ErrCodeFlowControl, "peer exceeded connection window")
+		return connError(errCodeFlowControl, "peer exceeded connection window")
 	}
 	if inc > 0 {
 		if err := cc.fr.writeWindowUpdate(0, uint32(inc)); err != nil {
@@ -683,7 +685,7 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 	cs := cc.streams[f.StreamID]
 	cc.mu.Unlock()
 	if cs == nil {
-		return streamError(f.StreamID, ErrCodeStreamClosed, "DATA on unknown stream")
+		return streamError(f.StreamID, errCodeStreamClosed, "DATA on unknown stream")
 	}
 	cs.resp.Body, cs.staged = appendBody(cs.resp.Body, cs.staged, f.Data)
 	if f.Length > 0 {
@@ -691,23 +693,23 @@ func (cc *ClientConn) onData(f *DataFrame) error {
 			return err
 		}
 	}
-	if f.Flags.has(FlagEndStream) {
+	if f.Flags.has(flagEndStream) {
 		cc.finishStream(cs)
 	}
 	return nil
 }
 
-func (cc *ClientConn) onResponseHeaders(meta *MetaHeadersFrame) error {
+func (cc *ClientConn) onResponseHeaders(meta *metaHeadersFrame) error {
 	cc.mu.Lock()
 	cs := cc.streams[meta.StreamID]
 	cc.mu.Unlock()
 	if cs == nil {
-		return streamError(meta.StreamID, ErrCodeStreamClosed, "HEADERS on unknown stream")
+		return streamError(meta.StreamID, errCodeStreamClosed, "HEADERS on unknown stream")
 	}
 	statusStr := meta.pseudoValue("status")
 	status, err := strconv.Atoi(statusStr)
 	if err != nil {
-		return streamError(meta.StreamID, ErrCodeProtocol, "bad :status "+statusStr)
+		return streamError(meta.StreamID, errCodeProtocol, "bad :status "+statusStr)
 	}
 	cs.resp.Status = status
 	cs.resp.Header = append(cs.resp.Header, meta.regularFields()...)

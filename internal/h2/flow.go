@@ -11,29 +11,29 @@ import "sync"
 // without importing this package — which in turn lets this package's own
 // tests import the checker without an import cycle.
 const (
-	// FlowOpOpen: stream streamID registered; n is the window it opened
+	// flowOpOpen: stream streamID registered; n is the window it opened
 	// with (the current initial window size).
-	FlowOpOpen = "open"
-	// FlowOpClose: stream streamID removed.
-	FlowOpClose = "close"
-	// FlowOpTake: n bytes reserved for DATA on streamID (debits the
+	flowOpOpen = "open"
+	// flowOpClose: stream streamID removed.
+	flowOpClose = "close"
+	// flowOpTake: n bytes reserved for DATA on streamID (debits the
 	// stream and connection windows together).
-	FlowOpTake = "take"
-	// FlowOpAdd: WINDOW_UPDATE credited n bytes to streamID (0 = the
+	flowOpTake = "take"
+	// flowOpAdd: WINDOW_UPDATE credited n bytes to streamID (0 = the
 	// connection window).
-	FlowOpAdd = "add"
-	// FlowOpSetInitial: SETTINGS_INITIAL_WINDOW_SIZE changed to n; every
+	flowOpAdd = "add"
+	// flowOpSetInitial: SETTINGS_INITIAL_WINDOW_SIZE changed to n; every
 	// open stream window was adjusted by the delta (RFC 9113 §6.9.2).
-	FlowOpSetInitial = "set_initial"
-	// FlowOpData: n DATA payload bytes were actually written for
+	flowOpSetInitial = "set_initial"
+	// flowOpData: n DATA payload bytes were actually written for
 	// streamID, consuming an earlier reservation.
-	FlowOpData = "data"
-	// FlowOpRecv: n received DATA payload bytes debited the receive
+	flowOpData = "data"
+	// flowOpRecv: n received DATA payload bytes debited the receive
 	// window.
-	FlowOpRecv = "recv"
-	// FlowOpRecvReplenish: a WINDOW_UPDATE for n bytes was returned to
+	flowOpRecv = "recv"
+	// flowOpRecvReplenish: a WINDOW_UPDATE for n bytes was returned to
 	// the peer, re-crediting the receive window.
-	FlowOpRecvReplenish = "recv_replenish"
+	flowOpRecvReplenish = "recv_replenish"
 )
 
 // A FlowHook observes flow-control transitions for invariant checking.
@@ -78,7 +78,7 @@ func (f *sendFlow) emit(op string, id uint32, n int64) {
 func (f *sendFlow) openStream(id uint32) {
 	f.mu.Lock()
 	f.streams[id] = f.initial
-	f.emit(FlowOpOpen, id, f.initial)
+	f.emit(flowOpOpen, id, f.initial)
 	f.mu.Unlock()
 }
 
@@ -87,7 +87,7 @@ func (f *sendFlow) closeStream(id uint32) {
 	f.mu.Lock()
 	if _, ok := f.streams[id]; ok {
 		delete(f.streams, id)
-		f.emit(FlowOpClose, id, 0)
+		f.emit(flowOpClose, id, 0)
 	}
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -127,7 +127,7 @@ func (f *sendFlow) add(id uint32, n int64) bool {
 		}
 		f.streams[id] = w + n
 	}
-	f.emit(FlowOpAdd, id, n)
+	f.emit(flowOpAdd, id, n)
 	f.cond.Broadcast()
 	return true
 }
@@ -152,7 +152,7 @@ func (f *sendFlow) setInitial(n int64) bool {
 	for id, w := range f.streams {
 		f.streams[id] = w + delta
 	}
-	f.emit(FlowOpSetInitial, 0, n)
+	f.emit(flowOpSetInitial, 0, n)
 	f.cond.Broadcast()
 	return true
 }
@@ -188,7 +188,7 @@ func (f *sendFlow) take(id uint32, max int64) int64 {
 			}
 			f.conn -= n
 			f.streams[id] = sw - n
-			f.emit(FlowOpTake, id, n)
+			f.emit(flowOpTake, id, n)
 			return n
 		}
 		f.cond.Wait()
@@ -202,7 +202,7 @@ func (f *sendFlow) noteData(id uint32, n int64) {
 		return
 	}
 	f.mu.Lock()
-	f.emit(FlowOpData, id, n)
+	f.emit(flowOpData, id, n)
 	f.mu.Unlock()
 }
 
@@ -233,7 +233,7 @@ func (f *recvFlow) consume(n int64) (connInc int64, ok bool) {
 	f.connAvail -= n
 	f.connUnsent += n
 	if f.hook != nil && n > 0 {
-		f.hook.FlowEvent(FlowOpRecv, 0, n)
+		f.hook.FlowEvent(flowOpRecv, 0, n)
 	}
 	// Replenish once half the window is consumed, amortizing updates.
 	if f.connUnsent >= initialWindowSize/2 {
@@ -241,7 +241,7 @@ func (f *recvFlow) consume(n int64) (connInc int64, ok bool) {
 		f.connUnsent = 0
 		f.connAvail += inc
 		if f.hook != nil {
-			f.hook.FlowEvent(FlowOpRecvReplenish, 0, inc)
+			f.hook.FlowEvent(flowOpRecvReplenish, 0, inc)
 		}
 		return inc, true
 	}

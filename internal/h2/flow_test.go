@@ -197,14 +197,14 @@ func TestTakeZeroMaxAndClosedStream(t *testing.T) {
 
 func TestZeroIncrementWindowUpdateParse(t *testing.T) {
 	zero := []byte{0, 0, 0, 0}
-	_, err := parseWindowUpdateFrame(nil, FrameHeader{Type: FrameWindowUpdate, StreamID: 0, Length: 4}, zero)
-	var ce ConnectionError
-	if !errors.As(err, &ce) || ce.Code != ErrCodeProtocol {
+	_, err := parseWindowUpdateFrame(nil, FrameHeader{Type: frameWindowUpdate, StreamID: 0, Length: 4}, zero)
+	var ce connectionError
+	if !errors.As(err, &ce) || ce.Code != errCodeProtocol {
 		t.Errorf("stream-0 zero increment: err = %v, want connection PROTOCOL_ERROR", err)
 	}
-	_, err = parseWindowUpdateFrame(nil, FrameHeader{Type: FrameWindowUpdate, StreamID: 3, Length: 4}, zero)
-	var se StreamError
-	if !errors.As(err, &se) || se.Code != ErrCodeProtocol || se.StreamID != 3 {
+	_, err = parseWindowUpdateFrame(nil, FrameHeader{Type: frameWindowUpdate, StreamID: 3, Length: 4}, zero)
+	var se streamErr
+	if !errors.As(err, &se) || se.Code != errCodeProtocol || se.StreamID != 3 {
 		t.Errorf("stream-3 zero increment: err = %v, want stream 3 PROTOCOL_ERROR", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestZeroIncrementWindowUpdateTeardown(t *testing.T) {
 	srvErr := make(chan error, 1)
 	go func() {
 		srvErr <- func() error {
-			preface := make([]byte, len(ClientPreface))
+			preface := make([]byte, len(clientPreface))
 			if _, err := io.ReadFull(serverEnd, preface); err != nil {
 				return err
 			}
@@ -244,9 +244,9 @@ func TestZeroIncrementWindowUpdateTeardown(t *testing.T) {
 		t.Fatalf("NewClientConn: %v", err)
 	}
 	defer cc.Close()
-	waitUntil(t, func() bool { return cc.Err() != nil })
-	var ce ConnectionError
-	if err := cc.Err(); !errors.As(err, &ce) || ce.Code != ErrCodeProtocol {
+	waitUntil(t, func() bool { return cc.err() != nil })
+	var ce connectionError
+	if err := cc.err(); !errors.As(err, &ce) || ce.Code != errCodeProtocol {
 		t.Errorf("connection error = %v, want PROTOCOL_ERROR", err)
 	}
 	_ = cc.Close()

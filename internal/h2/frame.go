@@ -8,36 +8,36 @@ import (
 
 // A FrameType identifies an HTTP/2 frame type (RFC 9113 §6, RFC 8336).
 // Any other type, ALTSVC (RFC 7838) included, is parsed as an
-// UnknownFrame and ignored (RFC 9113 §5.5).
+// unknownFrame and ignored (RFC 9113 §5.5).
 type FrameType uint8
 
 // Frame types.
 const (
-	FrameData         FrameType = 0x0
-	FrameHeaders      FrameType = 0x1
-	FramePriority     FrameType = 0x2
-	FrameRSTStream    FrameType = 0x3
-	FrameSettings     FrameType = 0x4
-	FramePushPromise  FrameType = 0x5
-	FramePing         FrameType = 0x6
-	FrameGoAway       FrameType = 0x7
-	FrameWindowUpdate FrameType = 0x8
-	FrameContinuation FrameType = 0x9
-	FrameOrigin       FrameType = 0xc // RFC 8336
+	frameData         FrameType = 0x0
+	frameHeaders      FrameType = 0x1
+	framePriority     FrameType = 0x2
+	frameRSTStream    FrameType = 0x3
+	frameSettings     FrameType = 0x4
+	framePushPromise  FrameType = 0x5
+	framePing         FrameType = 0x6
+	frameGoAway       FrameType = 0x7
+	frameWindowUpdate FrameType = 0x8
+	frameContinuation FrameType = 0x9
+	frameOrigin       FrameType = 0xc // RFC 8336
 )
 
 var frameTypeNames = map[FrameType]string{
-	FrameData:         "DATA",
-	FrameHeaders:      "HEADERS",
-	FramePriority:     "PRIORITY",
-	FrameRSTStream:    "RST_STREAM",
-	FrameSettings:     "SETTINGS",
-	FramePushPromise:  "PUSH_PROMISE",
-	FramePing:         "PING",
-	FrameGoAway:       "GOAWAY",
-	FrameWindowUpdate: "WINDOW_UPDATE",
-	FrameContinuation: "CONTINUATION",
-	FrameOrigin:       "ORIGIN",
+	frameData:         "DATA",
+	frameHeaders:      "HEADERS",
+	framePriority:     "PRIORITY",
+	frameRSTStream:    "RST_STREAM",
+	frameSettings:     "SETTINGS",
+	framePushPromise:  "PUSH_PROMISE",
+	framePing:         "PING",
+	frameGoAway:       "GOAWAY",
+	frameWindowUpdate: "WINDOW_UPDATE",
+	frameContinuation: "CONTINUATION",
+	frameOrigin:       "ORIGIN",
 }
 
 func (t FrameType) String() string {
@@ -55,17 +55,17 @@ func (fl Flags) has(f Flags) bool { return fl&f == f }
 
 // Frame flags (per-type meanings).
 const (
-	FlagEndStream  Flags = 0x1 // DATA, HEADERS
-	FlagAck        Flags = 0x1 // SETTINGS, PING
-	FlagEndHeaders Flags = 0x4 // HEADERS, PUSH_PROMISE, CONTINUATION
-	FlagPadded     Flags = 0x8 // DATA, HEADERS, PUSH_PROMISE
-	FlagPriority   Flags = 0x20
+	flagEndStream  Flags = 0x1 // DATA, HEADERS
+	flagAck        Flags = 0x1 // SETTINGS, PING
+	flagEndHeaders Flags = 0x4 // HEADERS, PUSH_PROMISE, CONTINUATION
+	flagPadded     Flags = 0x8 // DATA, HEADERS, PUSH_PROMISE
+	flagPriority   Flags = 0x20
 )
 
 // Protocol constants from RFC 9113.
 const (
-	// ClientPreface is the fixed connection preface the client sends.
-	ClientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
+	// clientPreface is the fixed connection preface the client sends.
+	clientPreface = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 	frameHeaderLen = 9
 
@@ -114,18 +114,18 @@ func appendFrameHeader(dst []byte, h FrameHeader) []byte {
 
 // A Frame is a decoded HTTP/2 frame.
 type Frame interface {
-	Header() FrameHeader
+	header() FrameHeader
 }
 
-// DataFrame carries request or response bytes (§6.1). Data aliases the
+// dataFrame carries request or response bytes (§6.1). Data aliases the
 // Framer's read buffer and is valid only until the next ReadFrame call.
-type DataFrame struct {
+type dataFrame struct {
 	FrameHeader
 	Data []byte
 }
 
 // HeadersFrame opens or continues a stream with a header block fragment
-// (§6.2). The priority fields are parsed when FlagPriority is set.
+// (§6.2). The priority fields are parsed when flagPriority is set.
 type HeadersFrame struct {
 	FrameHeader
 	BlockFragment []byte
@@ -133,10 +133,10 @@ type HeadersFrame struct {
 }
 
 // endStream reports whether the END_STREAM flag is set.
-func (f *HeadersFrame) endStream() bool { return f.Flags.has(FlagEndStream) }
+func (f *HeadersFrame) endStream() bool { return f.Flags.has(flagEndStream) }
 
 // endHeaders reports whether the END_HEADERS flag is set.
-func (f *HeadersFrame) endHeaders() bool { return f.Flags.has(FlagEndHeaders) }
+func (f *HeadersFrame) endHeaders() bool { return f.Flags.has(flagEndHeaders) }
 
 // PriorityParam are the stream dependency fields of PRIORITY and HEADERS.
 type PriorityParam struct {
@@ -145,14 +145,14 @@ type PriorityParam struct {
 	Weight    uint8
 }
 
-// PriorityFrame carries deprecated stream priority information (§6.3).
-type PriorityFrame struct {
+// priorityFrame carries deprecated stream priority information (§6.3).
+type priorityFrame struct {
 	FrameHeader
 	PriorityParam
 }
 
-// RSTStreamFrame abruptly terminates a stream (§6.4).
-type RSTStreamFrame struct {
+// rstStreamFrame abruptly terminates a stream (§6.4).
+type rstStreamFrame struct {
 	FrameHeader
 	ErrCode ErrCode
 }
@@ -170,21 +170,21 @@ type SettingID uint16
 
 // SETTINGS parameters.
 const (
-	SettingHeaderTableSize      SettingID = 0x1
-	SettingEnablePush           SettingID = 0x2
-	SettingMaxConcurrentStreams SettingID = 0x3
-	SettingInitialWindowSize    SettingID = 0x4
-	SettingMaxFrameSize         SettingID = 0x5
-	SettingMaxHeaderListSize    SettingID = 0x6
+	settingHeaderTableSize      SettingID = 0x1
+	settingEnablePush           SettingID = 0x2
+	settingMaxConcurrentStreams SettingID = 0x3
+	settingInitialWindowSize    SettingID = 0x4
+	settingMaxFrameSize         SettingID = 0x5
+	settingMaxHeaderListSize    SettingID = 0x6
 )
 
 var settingNames = map[SettingID]string{
-	SettingHeaderTableSize:      "HEADER_TABLE_SIZE",
-	SettingEnablePush:           "ENABLE_PUSH",
-	SettingMaxConcurrentStreams: "MAX_CONCURRENT_STREAMS",
-	SettingInitialWindowSize:    "INITIAL_WINDOW_SIZE",
-	SettingMaxFrameSize:         "MAX_FRAME_SIZE",
-	SettingMaxHeaderListSize:    "MAX_HEADER_LIST_SIZE",
+	settingHeaderTableSize:      "HEADER_TABLE_SIZE",
+	settingEnablePush:           "ENABLE_PUSH",
+	settingMaxConcurrentStreams: "MAX_CONCURRENT_STREAMS",
+	settingInitialWindowSize:    "INITIAL_WINDOW_SIZE",
+	settingMaxFrameSize:         "MAX_FRAME_SIZE",
+	settingMaxHeaderListSize:    "MAX_HEADER_LIST_SIZE",
 }
 
 func (id SettingID) String() string {
@@ -197,33 +197,33 @@ func (id SettingID) String() string {
 // valid checks the §6.5.2 value constraints.
 func (s Setting) valid() error {
 	switch s.ID {
-	case SettingEnablePush:
+	case settingEnablePush:
 		if s.Val != 0 && s.Val != 1 {
-			return connError(ErrCodeProtocol, "ENABLE_PUSH must be 0 or 1")
+			return connError(errCodeProtocol, "ENABLE_PUSH must be 0 or 1")
 		}
-	case SettingInitialWindowSize:
+	case settingInitialWindowSize:
 		if s.Val > maxWindow {
-			return connError(ErrCodeFlowControl, "INITIAL_WINDOW_SIZE above 2^31-1")
+			return connError(errCodeFlowControl, "INITIAL_WINDOW_SIZE above 2^31-1")
 		}
-	case SettingMaxFrameSize:
+	case settingMaxFrameSize:
 		if s.Val < minMaxFrameSize || s.Val > maxMaxFrameSize {
-			return connError(ErrCodeProtocol, "MAX_FRAME_SIZE out of range")
+			return connError(errCodeProtocol, "MAX_FRAME_SIZE out of range")
 		}
 	}
 	return nil
 }
 
-// SettingsFrame conveys configuration parameters (§6.5).
-type SettingsFrame struct {
+// settingsFrame conveys configuration parameters (§6.5).
+type settingsFrame struct {
 	FrameHeader
 	Settings []Setting
 }
 
 // isAck reports whether this is a SETTINGS acknowledgement.
-func (f *SettingsFrame) isAck() bool { return f.Flags.has(FlagAck) }
+func (f *settingsFrame) isAck() bool { return f.Flags.has(flagAck) }
 
-// Value returns the last value for id in the frame.
-func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
+// value returns the last value for id in the frame.
+func (f *settingsFrame) value(id SettingID) (uint32, bool) {
 	for i := len(f.Settings) - 1; i >= 0; i-- {
 		if f.Settings[i].ID == id {
 			return f.Settings[i].Val, true
@@ -232,58 +232,55 @@ func (f *SettingsFrame) Value(id SettingID) (uint32, bool) {
 	return 0, false
 }
 
-// PushPromiseFrame announces a server-initiated stream (§6.6).
-type PushPromiseFrame struct {
+// pushPromiseFrame announces a server-initiated stream (§6.6).
+type pushPromiseFrame struct {
 	FrameHeader
-	PromiseID     uint32
-	BlockFragment []byte
 }
 
-// PingFrame measures round-trip time or checks liveness (§6.7).
-type PingFrame struct {
+// pingFrame measures round-trip time or checks liveness (§6.7).
+type pingFrame struct {
 	FrameHeader
 	Data [8]byte
 }
 
 // isAck reports whether this is a PING acknowledgement.
-func (f *PingFrame) isAck() bool { return f.Flags.has(FlagAck) }
+func (f *pingFrame) isAck() bool { return f.Flags.has(flagAck) }
 
-// GoAwayFrame initiates connection shutdown (§6.8).
-type GoAwayFrame struct {
+// goAwayFrame initiates connection shutdown (§6.8).
+type goAwayFrame struct {
 	FrameHeader
 	LastStreamID uint32
 	ErrCode      ErrCode
 	DebugData    []byte
 }
 
-// WindowUpdateFrame implements flow control (§6.9).
-type WindowUpdateFrame struct {
+// windowUpdateFrame implements flow control (§6.9).
+type windowUpdateFrame struct {
 	FrameHeader
 	Increment uint32
 }
 
-// ContinuationFrame continues a header block (§6.10).
-type ContinuationFrame struct {
+// continuationFrame continues a header block (§6.10).
+type continuationFrame struct {
 	FrameHeader
 	BlockFragment []byte
 }
 
 // endHeaders reports whether the END_HEADERS flag is set.
-func (f *ContinuationFrame) endHeaders() bool { return f.Flags.has(FlagEndHeaders) }
+func (f *continuationFrame) endHeaders() bool { return f.Flags.has(flagEndHeaders) }
 
-// OriginFrame carries the connection's origin set (RFC 8336 §2).
+// originFrame carries the connection's origin set (RFC 8336 §2).
 // It is only valid on stream 0 and carries ASCII origin serializations.
-type OriginFrame struct {
+type originFrame struct {
 	FrameHeader
 	Origins []string
 }
 
-// UnknownFrame is any frame of a type this implementation does not
+// unknownFrame is any frame of a type this implementation does not
 // recognize. RFC 9113 §4.1 requires implementations to ignore these.
-type UnknownFrame struct {
+type unknownFrame struct {
 	FrameHeader
-	Payload []byte
 }
 
-// Header implements the Frame interface for each concrete frame.
-func (h FrameHeader) Header() FrameHeader { return h }
+// header implements the Frame interface for each concrete frame.
+func (h FrameHeader) header() FrameHeader { return h }

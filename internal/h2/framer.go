@@ -70,7 +70,7 @@ func (fr *Framer) setReadTimeout(c interface{ SetReadDeadline(time.Time) error }
 	fr.readTimeout = d
 }
 
-// ReadFrame reads and parses one frame. It returns ConnectionError for
+// ReadFrame reads and parses one frame. It returns connectionError for
 // protocol violations that must tear down the connection.
 func (fr *Framer) ReadFrame() (Frame, error) {
 	if fr.rdl != nil && fr.readTimeout > 0 {
@@ -81,7 +81,7 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 		return nil, err
 	}
 	if hdr.Length > fr.maxReadSize {
-		return nil, connError(ErrCodeFrameSize, fmt.Sprintf("frame of %d bytes exceeds SETTINGS_MAX_FRAME_SIZE", hdr.Length))
+		return nil, connError(errCodeFrameSize, fmt.Sprintf("frame of %d bytes exceeds SETTINGS_MAX_FRAME_SIZE", hdr.Length))
 	}
 	if cap(fr.rbuf) < int(hdr.Length) {
 		// Grow-and-reuse: at least double so a run of growing frames
@@ -113,26 +113,26 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 // (fully overwritten) makes the steady-state read path allocation-free.
 // A nil *frameCache makes every parse function allocate fresh frames.
 type frameCache struct {
-	data         DataFrame
+	data         dataFrame
 	headers      HeadersFrame
-	priority     PriorityFrame
-	rstStream    RSTStreamFrame
-	settings     SettingsFrame
-	pushPromise  PushPromiseFrame
-	ping         PingFrame
-	goAway       GoAwayFrame
-	windowUpdate WindowUpdateFrame
-	continuation ContinuationFrame
-	origin       OriginFrame
-	unknown      UnknownFrame
+	priority     priorityFrame
+	rstStream    rstStreamFrame
+	settings     settingsFrame
+	pushPromise  pushPromiseFrame
+	ping         pingFrame
+	goAway       goAwayFrame
+	windowUpdate windowUpdateFrame
+	continuation continuationFrame
+	origin       originFrame
+	unknown      unknownFrame
 }
 
 // The getters allocate only on the nil (uncached) path; keeping the
 // composite literal inside the branch is what lets escape analysis keep
 // the cached path allocation-free.
-func (fc *frameCache) getDataFrame() *DataFrame {
+func (fc *frameCache) getDataFrame() *dataFrame {
 	if fc == nil {
-		return &DataFrame{}
+		return &dataFrame{}
 	}
 	return &fc.data
 }
@@ -144,133 +144,133 @@ func (fc *frameCache) getHeadersFrame() *HeadersFrame {
 	return &fc.headers
 }
 
-func (fc *frameCache) getPriorityFrame() *PriorityFrame {
+func (fc *frameCache) getPriorityFrame() *priorityFrame {
 	if fc == nil {
-		return &PriorityFrame{}
+		return &priorityFrame{}
 	}
 	return &fc.priority
 }
 
-func (fc *frameCache) getRSTStreamFrame() *RSTStreamFrame {
+func (fc *frameCache) getRSTStreamFrame() *rstStreamFrame {
 	if fc == nil {
-		return &RSTStreamFrame{}
+		return &rstStreamFrame{}
 	}
 	return &fc.rstStream
 }
 
-func (fc *frameCache) getSettingsFrame() *SettingsFrame {
+func (fc *frameCache) getSettingsFrame() *settingsFrame {
 	if fc == nil {
-		return &SettingsFrame{}
+		return &settingsFrame{}
 	}
 	return &fc.settings
 }
 
-func (fc *frameCache) getPushPromiseFrame() *PushPromiseFrame {
+func (fc *frameCache) getPushPromiseFrame() *pushPromiseFrame {
 	if fc == nil {
-		return &PushPromiseFrame{}
+		return &pushPromiseFrame{}
 	}
 	return &fc.pushPromise
 }
 
-func (fc *frameCache) getPingFrame() *PingFrame {
+func (fc *frameCache) getPingFrame() *pingFrame {
 	if fc == nil {
-		return &PingFrame{}
+		return &pingFrame{}
 	}
 	return &fc.ping
 }
 
-func (fc *frameCache) getGoAwayFrame() *GoAwayFrame {
+func (fc *frameCache) getGoAwayFrame() *goAwayFrame {
 	if fc == nil {
-		return &GoAwayFrame{}
+		return &goAwayFrame{}
 	}
 	return &fc.goAway
 }
 
-func (fc *frameCache) getWindowUpdateFrame() *WindowUpdateFrame {
+func (fc *frameCache) getWindowUpdateFrame() *windowUpdateFrame {
 	if fc == nil {
-		return &WindowUpdateFrame{}
+		return &windowUpdateFrame{}
 	}
 	return &fc.windowUpdate
 }
 
-func (fc *frameCache) getOriginFrame() *OriginFrame {
+func (fc *frameCache) getOriginFrame() *originFrame {
 	if fc == nil {
-		return &OriginFrame{}
+		return &originFrame{}
 	}
 	return &fc.origin
 }
 
 func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	switch hdr.Type {
-	case FrameData:
+	case frameData:
 		return parseDataFrame(fc, hdr, p)
-	case FrameHeaders:
+	case frameHeaders:
 		return parseHeadersFrame(fc, hdr, p)
-	case FramePriority:
+	case framePriority:
 		return parsePriorityFrame(fc, hdr, p)
-	case FrameRSTStream:
+	case frameRSTStream:
 		return parseRSTStreamFrame(fc, hdr, p)
-	case FrameSettings:
+	case frameSettings:
 		return parseSettingsFrame(fc, hdr, p)
-	case FramePushPromise:
+	case framePushPromise:
 		return parsePushPromiseFrame(fc, hdr, p)
-	case FramePing:
+	case framePing:
 		return parsePingFrame(fc, hdr, p)
-	case FrameGoAway:
+	case frameGoAway:
 		return parseGoAwayFrame(fc, hdr, p)
-	case FrameWindowUpdate:
+	case frameWindowUpdate:
 		return parseWindowUpdateFrame(fc, hdr, p)
-	case FrameContinuation:
-		f := &ContinuationFrame{}
+	case frameContinuation:
+		f := &continuationFrame{}
 		if fc != nil {
 			f = &fc.continuation
 		}
-		*f = ContinuationFrame{FrameHeader: hdr, BlockFragment: p}
+		*f = continuationFrame{FrameHeader: hdr, BlockFragment: p}
 		return f, nil
-	case FrameOrigin:
+	case frameOrigin:
 		return parseOriginFrame(fc, hdr, p)
 	default:
-		f := &UnknownFrame{}
+		f := &unknownFrame{}
 		if fc != nil {
 			f = &fc.unknown
 		}
-		*f = UnknownFrame{FrameHeader: hdr, Payload: p}
+		*f = unknownFrame{FrameHeader: hdr}
 		return f, nil
 	}
 }
 
 // stripPadding removes the §6.1 pad-length octet and trailing padding.
 func stripPadding(hdr FrameHeader, p []byte) ([]byte, error) {
-	if !hdr.Flags.has(FlagPadded) {
+	if !hdr.Flags.has(flagPadded) {
 		return p, nil
 	}
 	if len(p) == 0 {
-		return nil, connError(ErrCodeProtocol, "padded frame missing pad length")
+		return nil, connError(errCodeProtocol, "padded frame missing pad length")
 	}
 	padLen := int(p[0])
 	p = p[1:]
 	if padLen > len(p) {
-		return nil, connError(ErrCodeProtocol, "pad length exceeds payload")
+		return nil, connError(errCodeProtocol, "pad length exceeds payload")
 	}
 	return p[:len(p)-padLen], nil
 }
 
 func parseDataFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID == 0 {
-		return nil, connError(ErrCodeProtocol, "DATA on stream 0")
+		return nil, connError(errCodeProtocol, "DATA on stream 0")
 	}
 	data, err := stripPadding(hdr, p)
 	if err != nil {
 		return nil, err
 	}
 	f := fc.getDataFrame()
-	*f = DataFrame{FrameHeader: hdr, Data: data}
+	*f = dataFrame{FrameHeader: hdr, Data: data}
 	return f, nil
 }
 
 func parseHeadersFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID == 0 {
-		return nil, connError(ErrCodeProtocol, "HEADERS on stream 0")
+		return nil, connError(errCodeProtocol, "HEADERS on stream 0")
 	}
 	p, err := stripPadding(hdr, p)
 	if err != nil {
@@ -278,9 +278,9 @@ func parseHeadersFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error)
 	}
 	f := fc.getHeadersFrame()
 	*f = HeadersFrame{FrameHeader: hdr}
-	if hdr.Flags.has(FlagPriority) {
+	if hdr.Flags.has(flagPriority) {
 		if len(p) < 5 {
-			return nil, connError(ErrCodeProtocol, "HEADERS priority fields truncated")
+			return nil, connError(errCodeProtocol, "HEADERS priority fields truncated")
 		}
 		dep := binary.BigEndian.Uint32(p[:4])
 		f.Priority = PriorityParam{
@@ -296,14 +296,14 @@ func parseHeadersFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error)
 
 func parsePriorityFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID == 0 {
-		return nil, connError(ErrCodeProtocol, "PRIORITY on stream 0")
+		return nil, connError(errCodeProtocol, "PRIORITY on stream 0")
 	}
 	if len(p) != 5 {
-		return nil, streamError(hdr.StreamID, ErrCodeFrameSize, "PRIORITY payload must be 5 bytes")
+		return nil, streamError(hdr.StreamID, errCodeFrameSize, "PRIORITY payload must be 5 bytes")
 	}
 	dep := binary.BigEndian.Uint32(p[:4])
 	f := fc.getPriorityFrame()
-	*f = PriorityFrame{
+	*f = priorityFrame{
 		FrameHeader: hdr,
 		PriorityParam: PriorityParam{
 			StreamDep: dep & (1<<31 - 1),
@@ -311,36 +311,39 @@ func parsePriorityFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 			Weight:    p[4],
 		},
 	}
+	if f.StreamDep == hdr.StreamID {
+		return nil, streamError(hdr.StreamID, errCodeProtocol, "PRIORITY depends on its own stream")
+	}
 	return f, nil
 }
 
 func parseRSTStreamFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID == 0 {
-		return nil, connError(ErrCodeProtocol, "RST_STREAM on stream 0")
+		return nil, connError(errCodeProtocol, "RST_STREAM on stream 0")
 	}
 	if len(p) != 4 {
-		return nil, connError(ErrCodeFrameSize, "RST_STREAM payload must be 4 bytes")
+		return nil, connError(errCodeFrameSize, "RST_STREAM payload must be 4 bytes")
 	}
 	f := fc.getRSTStreamFrame()
-	*f = RSTStreamFrame{FrameHeader: hdr, ErrCode: ErrCode(binary.BigEndian.Uint32(p))}
+	*f = rstStreamFrame{FrameHeader: hdr, ErrCode: ErrCode(binary.BigEndian.Uint32(p))}
 	return f, nil
 }
 
 func parseSettingsFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID != 0 {
-		return nil, connError(ErrCodeProtocol, "SETTINGS on non-zero stream")
+		return nil, connError(errCodeProtocol, "SETTINGS on non-zero stream")
 	}
 	f := fc.getSettingsFrame()
 	settings := f.Settings[:0] // keep the cached frame's slice capacity
-	*f = SettingsFrame{FrameHeader: hdr}
-	if hdr.Flags.has(FlagAck) {
+	*f = settingsFrame{FrameHeader: hdr}
+	if hdr.Flags.has(flagAck) {
 		if len(p) != 0 {
-			return nil, connError(ErrCodeFrameSize, "SETTINGS ack with payload")
+			return nil, connError(errCodeFrameSize, "SETTINGS ack with payload")
 		}
 		return f, nil
 	}
 	if len(p)%6 != 0 {
-		return nil, connError(ErrCodeFrameSize, "SETTINGS payload not a multiple of 6")
+		return nil, connError(errCodeFrameSize, "SETTINGS payload not a multiple of 6")
 	}
 	for i := 0; i < len(p); i += 6 {
 		s := Setting{
@@ -358,46 +361,42 @@ func parseSettingsFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 
 func parsePushPromiseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID == 0 {
-		return nil, connError(ErrCodeProtocol, "PUSH_PROMISE on stream 0")
+		return nil, connError(errCodeProtocol, "PUSH_PROMISE on stream 0")
 	}
 	p, err := stripPadding(hdr, p)
 	if err != nil {
 		return nil, err
 	}
 	if len(p) < 4 {
-		return nil, connError(ErrCodeFrameSize, "PUSH_PROMISE truncated")
+		return nil, connError(errCodeFrameSize, "PUSH_PROMISE truncated")
 	}
 	f := fc.getPushPromiseFrame()
-	*f = PushPromiseFrame{
-		FrameHeader:   hdr,
-		PromiseID:     binary.BigEndian.Uint32(p[:4]) & (1<<31 - 1),
-		BlockFragment: p[4:],
-	}
+	*f = pushPromiseFrame{FrameHeader: hdr}
 	return f, nil
 }
 
 func parsePingFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID != 0 {
-		return nil, connError(ErrCodeProtocol, "PING on non-zero stream")
+		return nil, connError(errCodeProtocol, "PING on non-zero stream")
 	}
 	if len(p) != 8 {
-		return nil, connError(ErrCodeFrameSize, "PING payload must be 8 bytes")
+		return nil, connError(errCodeFrameSize, "PING payload must be 8 bytes")
 	}
 	f := fc.getPingFrame()
-	*f = PingFrame{FrameHeader: hdr}
+	*f = pingFrame{FrameHeader: hdr}
 	copy(f.Data[:], p)
 	return f, nil
 }
 
 func parseGoAwayFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if hdr.StreamID != 0 {
-		return nil, connError(ErrCodeProtocol, "GOAWAY on non-zero stream")
+		return nil, connError(errCodeProtocol, "GOAWAY on non-zero stream")
 	}
 	if len(p) < 8 {
-		return nil, connError(ErrCodeFrameSize, "GOAWAY truncated")
+		return nil, connError(errCodeFrameSize, "GOAWAY truncated")
 	}
 	f := fc.getGoAwayFrame()
-	*f = GoAwayFrame{
+	*f = goAwayFrame{
 		FrameHeader:  hdr,
 		LastStreamID: binary.BigEndian.Uint32(p[:4]) & (1<<31 - 1),
 		ErrCode:      ErrCode(binary.BigEndian.Uint32(p[4:8])),
@@ -408,19 +407,19 @@ func parseGoAwayFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) 
 
 func parseWindowUpdateFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if len(p) != 4 {
-		return nil, connError(ErrCodeFrameSize, "WINDOW_UPDATE payload must be 4 bytes")
+		return nil, connError(errCodeFrameSize, "WINDOW_UPDATE payload must be 4 bytes")
 	}
 	inc := binary.BigEndian.Uint32(p) & (1<<31 - 1)
 	if inc == 0 {
 		// §6.9: zero increment is PROTOCOL_ERROR; stream-level when on
 		// a stream, connection-level when on stream 0.
 		if hdr.StreamID == 0 {
-			return nil, connError(ErrCodeProtocol, "WINDOW_UPDATE increment 0")
+			return nil, connError(errCodeProtocol, "WINDOW_UPDATE increment 0")
 		}
-		return nil, streamError(hdr.StreamID, ErrCodeProtocol, "WINDOW_UPDATE increment 0")
+		return nil, streamError(hdr.StreamID, errCodeProtocol, "WINDOW_UPDATE increment 0")
 	}
 	f := fc.getWindowUpdateFrame()
-	*f = WindowUpdateFrame{FrameHeader: hdr, Increment: inc}
+	*f = windowUpdateFrame{FrameHeader: hdr, Increment: inc}
 	return f, nil
 }
 
@@ -434,15 +433,15 @@ func parseWindowUpdateFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, e
 func parseOriginFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	f := fc.getOriginFrame()
 	origins := f.Origins[:0] // keep the cached frame's slice capacity
-	*f = OriginFrame{FrameHeader: hdr}
+	*f = originFrame{FrameHeader: hdr}
 	for len(p) > 0 {
 		if len(p) < 2 {
-			return nil, connError(ErrCodeFrameSize, "ORIGIN entry length truncated")
+			return nil, connError(errCodeFrameSize, "ORIGIN entry length truncated")
 		}
 		n := int(binary.BigEndian.Uint16(p[:2]))
 		p = p[2:]
 		if len(p) < n {
-			return nil, connError(ErrCodeFrameSize, "ORIGIN entry truncated")
+			return nil, connError(errCodeFrameSize, "ORIGIN entry truncated")
 		}
 		origins = append(origins, string(p[:n]))
 		p = p[n:]
@@ -502,15 +501,15 @@ func (fr *Framer) WriteData(streamID uint32, endStream bool, data []byte) error 
 	}
 	var flags Flags
 	if endStream {
-		flags |= FlagEndStream
+		flags |= flagEndStream
 	}
-	fr.startWrite(FrameData, flags, streamID)
+	fr.startWrite(frameData, flags, streamID)
 	fr.wbuf = append(fr.wbuf, data...)
 	return fr.endWrite()
 }
 
-// HeadersFrameParam configures writeHeadersFrame.
-type HeadersFrameParam struct {
+// headersFrameParam configures writeHeadersFrame.
+type headersFrameParam struct {
 	StreamID      uint32
 	BlockFragment []byte
 	EndStream     bool
@@ -519,18 +518,18 @@ type HeadersFrameParam struct {
 }
 
 // writeHeadersFrame writes a HEADERS frame.
-func (fr *Framer) writeHeadersFrame(p HeadersFrameParam) error {
+func (fr *Framer) writeHeadersFrame(p headersFrameParam) error {
 	var flags Flags
 	if p.EndStream {
-		flags |= FlagEndStream
+		flags |= flagEndStream
 	}
 	if p.EndHeaders {
-		flags |= FlagEndHeaders
+		flags |= flagEndHeaders
 	}
 	if p.Priority != nil {
-		flags |= FlagPriority
+		flags |= flagPriority
 	}
-	fr.startWrite(FrameHeaders, flags, p.StreamID)
+	fr.startWrite(frameHeaders, flags, p.StreamID)
 	if p.Priority != nil {
 		dep := p.Priority.StreamDep
 		if p.Priority.Exclusive {
@@ -547,23 +546,23 @@ func (fr *Framer) writeHeadersFrame(p HeadersFrameParam) error {
 func (fr *Framer) writeContinuation(streamID uint32, endHeaders bool, frag []byte) error {
 	var flags Flags
 	if endHeaders {
-		flags |= FlagEndHeaders
+		flags |= flagEndHeaders
 	}
-	fr.startWrite(FrameContinuation, flags, streamID)
+	fr.startWrite(frameContinuation, flags, streamID)
 	fr.wbuf = append(fr.wbuf, frag...)
 	return fr.endWrite()
 }
 
 // writeRSTStream writes an RST_STREAM frame.
 func (fr *Framer) writeRSTStream(streamID uint32, code ErrCode) error {
-	fr.startWrite(FrameRSTStream, 0, streamID)
+	fr.startWrite(frameRSTStream, 0, streamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, uint32(code))
 	return fr.endWrite()
 }
 
 // writeSettings writes a SETTINGS frame with the given parameters.
 func (fr *Framer) writeSettings(settings ...Setting) error {
-	fr.startWrite(FrameSettings, 0, 0)
+	fr.startWrite(frameSettings, 0, 0)
 	for _, s := range settings {
 		fr.wbuf = binary.BigEndian.AppendUint16(fr.wbuf, uint16(s.ID))
 		fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, s.Val)
@@ -573,7 +572,7 @@ func (fr *Framer) writeSettings(settings ...Setting) error {
 
 // writeSettingsAck acknowledges the peer's SETTINGS frame.
 func (fr *Framer) writeSettingsAck() error {
-	fr.startWrite(FrameSettings, FlagAck, 0)
+	fr.startWrite(frameSettings, flagAck, 0)
 	return fr.endWrite()
 }
 
@@ -581,16 +580,16 @@ func (fr *Framer) writeSettingsAck() error {
 func (fr *Framer) writePing(ack bool, data [8]byte) error {
 	var flags Flags
 	if ack {
-		flags |= FlagAck
+		flags |= flagAck
 	}
-	fr.startWrite(FramePing, flags, 0)
+	fr.startWrite(framePing, flags, 0)
 	fr.wbuf = append(fr.wbuf, data[:]...)
 	return fr.endWrite()
 }
 
 // writeGoAway writes a GOAWAY frame.
 func (fr *Framer) writeGoAway(lastStreamID uint32, code ErrCode, debug []byte) error {
-	fr.startWrite(FrameGoAway, 0, 0)
+	fr.startWrite(frameGoAway, 0, 0)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, lastStreamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, uint32(code))
 	fr.wbuf = append(fr.wbuf, debug...)
@@ -602,7 +601,7 @@ func (fr *Framer) writeWindowUpdate(streamID, incr uint32) error {
 	if (incr == 0 || incr > maxWindow) && !fr.AllowIllegalWrites {
 		return fmt.Errorf("h2: illegal window increment %d", incr)
 	}
-	fr.startWrite(FrameWindowUpdate, 0, streamID)
+	fr.startWrite(frameWindowUpdate, 0, streamID)
 	fr.wbuf = binary.BigEndian.AppendUint32(fr.wbuf, incr)
 	return fr.endWrite()
 }
@@ -615,7 +614,7 @@ func (fr *Framer) writeOrigin(origins []string) error {
 			return fmt.Errorf("h2: origin %q too long for ORIGIN frame", o)
 		}
 	}
-	fr.startWrite(FrameOrigin, 0, 0)
+	fr.startWrite(frameOrigin, 0, 0)
 	for _, o := range origins {
 		fr.wbuf = binary.BigEndian.AppendUint16(fr.wbuf, uint16(len(o)))
 		fr.wbuf = append(fr.wbuf, o...)

@@ -42,11 +42,11 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	df, ok := f.(*DataFrame)
+	df, ok := f.(*dataFrame)
 	if !ok {
 		t.Fatalf("got %T", f)
 	}
-	if df.StreamID != 5 || !df.Flags.has(FlagEndStream) || string(df.Data) != "hello" {
+	if df.StreamID != 5 || !df.Flags.has(flagEndStream) || string(df.Data) != "hello" {
 		t.Errorf("frame = %+v", df)
 	}
 }
@@ -58,8 +58,8 @@ func TestDataOnStreamZeroRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := r.ReadFrame()
-	ce, ok := err.(ConnectionError)
-	if !ok || ce.Code != ErrCodeProtocol {
+	ce, ok := err.(connectionError)
+	if !ok || ce.Code != errCodeProtocol {
 		t.Errorf("want protocol ConnectionError, got %v", err)
 	}
 }
@@ -67,9 +67,9 @@ func TestDataOnStreamZeroRejected(t *testing.T) {
 func TestSettingsRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
 	in := []Setting{
-		{SettingHeaderTableSize, 8192},
-		{SettingMaxFrameSize, 65536},
-		{SettingEnablePush, 0},
+		{settingHeaderTableSize, 8192},
+		{settingMaxFrameSize, 65536},
+		{settingEnablePush, 0},
 	}
 	if err := w.writeSettings(in...); err != nil {
 		t.Fatal(err)
@@ -78,11 +78,11 @@ func TestSettingsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf := f.(*SettingsFrame)
+	sf := f.(*settingsFrame)
 	if !reflect.DeepEqual(sf.Settings, in) {
 		t.Errorf("settings = %v, want %v", sf.Settings, in)
 	}
-	if v, ok := sf.Value(SettingMaxFrameSize); !ok || v != 65536 {
+	if v, ok := sf.value(settingMaxFrameSize); !ok || v != 65536 {
 		t.Errorf("Value(MAX_FRAME_SIZE) = %d, %v", v, ok)
 	}
 	if err := w.writeSettingsAck(); err != nil {
@@ -92,7 +92,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.(*SettingsFrame).isAck() {
+	if !f.(*settingsFrame).isAck() {
 		t.Error("expected SETTINGS ack")
 	}
 }
@@ -100,7 +100,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 func TestSettingsValidation(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// ENABLE_PUSH=2 is invalid.
-	if err := w.writeSettings(Setting{SettingEnablePush, 2}); err != nil {
+	if err := w.writeSettings(Setting{settingEnablePush, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadFrame(); err == nil {
@@ -115,7 +115,7 @@ func TestPingGoAwayWindowUpdate(t *testing.T) {
 	if err := w.writePing(false, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.writeGoAway(7, ErrCodeEnhanceYourCalm, []byte("slow down")); err != nil {
+	if err := w.writeGoAway(7, errCodeEnhanceYourCalm, []byte("slow down")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.writeWindowUpdate(3, 1000); err != nil {
@@ -123,17 +123,17 @@ func TestPingGoAwayWindowUpdate(t *testing.T) {
 	}
 
 	f, _ := r.ReadFrame()
-	pf := f.(*PingFrame)
+	pf := f.(*pingFrame)
 	if pf.Data != data || pf.isAck() {
 		t.Errorf("ping = %+v", pf)
 	}
 	f, _ = r.ReadFrame()
-	gf := f.(*GoAwayFrame)
-	if gf.LastStreamID != 7 || gf.ErrCode != ErrCodeEnhanceYourCalm || string(gf.DebugData) != "slow down" {
+	gf := f.(*goAwayFrame)
+	if gf.LastStreamID != 7 || gf.ErrCode != errCodeEnhanceYourCalm || string(gf.DebugData) != "slow down" {
 		t.Errorf("goaway = %+v", gf)
 	}
 	f, _ = r.ReadFrame()
-	wf := f.(*WindowUpdateFrame)
+	wf := f.(*windowUpdateFrame)
 	if wf.StreamID != 3 || wf.Increment != 1000 {
 		t.Errorf("window update = %+v", wf)
 	}
@@ -154,7 +154,7 @@ func TestZeroWindowIncrementErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := r2.ReadFrame()
-	se, ok := err.(StreamError)
+	se, ok := err.(streamErr)
 	if !ok || se.StreamID != 9 {
 		t.Errorf("want StreamError on 9, got %v", err)
 	}
@@ -162,7 +162,7 @@ func TestZeroWindowIncrementErrors(t *testing.T) {
 
 func TestHeadersWithPriorityRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
-	err := w.writeHeadersFrame(HeadersFrameParam{
+	err := w.writeHeadersFrame(headersFrameParam{
 		StreamID:      11,
 		BlockFragment: []byte{0x82},
 		EndStream:     true,
@@ -199,7 +199,7 @@ func TestOriginFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	of := f.(*OriginFrame)
+	of := f.(*originFrame)
 	if of.StreamID != 0 {
 		t.Errorf("ORIGIN stream = %d", of.StreamID)
 	}
@@ -225,7 +225,7 @@ func TestOriginFrameRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		of, ok := fr.(*OriginFrame)
+		of, ok := fr.(*originFrame)
 		if !ok {
 			return false
 		}
@@ -242,18 +242,18 @@ func TestOriginFrameRoundTripQuick(t *testing.T) {
 func TestOriginFrameTruncatedPayload(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// Entry claims 10 bytes but only 3 follow.
-	if err := w.writeFrame(FrameOrigin, 0, 0, []byte{0x00, 0x0a, 'a', 'b', 'c'}); err != nil {
+	if err := w.writeFrame(frameOrigin, 0, 0, []byte{0x00, 0x0a, 'a', 'b', 'c'}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.ReadFrame()
-	ce, ok := err.(ConnectionError)
-	if !ok || ce.Code != ErrCodeFrameSize {
+	ce, ok := err.(connectionError)
+	if !ok || ce.Code != errCodeFrameSize {
 		t.Errorf("want FRAME_SIZE_ERROR, got %v", err)
 	}
 }
 
 // TestAltSvcRoundTrip: an ALTSVC frame (type 0xa, RFC 7838) is not
-// implemented, so it reads back as an UnknownFrame with its bytes intact.
+// implemented, so it reads back as an unknownFrame of its full length.
 func TestAltSvcRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
 	payload := append([]byte{0x00, 0x0b}, `example.comh3=":443"`...)
@@ -264,8 +264,8 @@ func TestAltSvcRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uf, ok := f.(*UnknownFrame)
-	if !ok || uf.Type != 0xa || !bytes.Equal(uf.Payload, payload) {
+	uf, ok := f.(*unknownFrame)
+	if !ok || uf.Type != 0xa || uf.Length != uint32(len(payload)) {
 		t.Errorf("ALTSVC read back as %T %+v", f, f)
 	}
 }
@@ -279,20 +279,20 @@ func TestUnknownFrameIgnoredByParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uf, ok := f.(*UnknownFrame)
-	if !ok || string(uf.Payload) != "anything" {
+	uf, ok := f.(*unknownFrame)
+	if !ok || uf.Length != uint32(len("anything")) {
 		t.Errorf("frame = %#v", f)
 	}
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
 	w, r, _ := pipeFramer()
-	if err := w.writeFrame(FrameData, 0, 1, make([]byte, minMaxFrameSize+1)); err != nil {
+	if err := w.writeFrame(frameData, 0, 1, make([]byte, minMaxFrameSize+1)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.ReadFrame()
-	ce, ok := err.(ConnectionError)
-	if !ok || ce.Code != ErrCodeFrameSize {
+	ce, ok := err.(connectionError)
+	if !ok || ce.Code != errCodeFrameSize {
 		t.Errorf("want FRAME_SIZE_ERROR, got %v", err)
 	}
 }
@@ -301,20 +301,20 @@ func TestPaddingHandling(t *testing.T) {
 	w, r, _ := pipeFramer()
 	// DATA with 4 bytes padding: padlen byte + data + pad.
 	payload := append([]byte{4}, append([]byte("body"), 0, 0, 0, 0)...)
-	if err := w.writeFrame(FrameData, FlagPadded, 1, payload); err != nil {
+	if err := w.writeFrame(frameData, flagPadded, 1, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(f.(*DataFrame).Data) != "body" {
-		t.Errorf("data = %q", f.(*DataFrame).Data)
+	if string(f.(*dataFrame).Data) != "body" {
+		t.Errorf("data = %q", f.(*dataFrame).Data)
 	}
 
 	// Pad length exceeding payload is a protocol error.
 	w2, r2, _ := pipeFramer()
-	if err := w2.writeFrame(FrameData, FlagPadded, 1, []byte{200, 'x'}); err != nil {
+	if err := w2.writeFrame(frameData, flagPadded, 1, []byte{200, 'x'}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.ReadFrame(); err == nil {
@@ -324,27 +324,27 @@ func TestPaddingHandling(t *testing.T) {
 
 func TestRSTStreamRoundTrip(t *testing.T) {
 	w, r, _ := pipeFramer()
-	if err := w.writeRSTStream(21, ErrCodeRefusedStream); err != nil {
+	if err := w.writeRSTStream(21, errCodeRefusedStream); err != nil {
 		t.Fatal(err)
 	}
 	f, err := r.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf := f.(*RSTStreamFrame)
-	if rf.StreamID != 21 || rf.ErrCode != ErrCodeRefusedStream {
+	rf := f.(*rstStreamFrame)
+	if rf.StreamID != 21 || rf.ErrCode != errCodeRefusedStream {
 		t.Errorf("rst = %+v", rf)
 	}
 }
 
 func TestErrCodeStrings(t *testing.T) {
-	if ErrCodeProtocol.String() != "PROTOCOL_ERROR" {
-		t.Error(ErrCodeProtocol.String())
+	if errCodeProtocol.String() != "PROTOCOL_ERROR" {
+		t.Error(errCodeProtocol.String())
 	}
 	if ErrCode(0x99).String() == "" {
 		t.Error("empty string for unknown code")
 	}
-	if FrameOrigin.String() != "ORIGIN" {
-		t.Error(FrameOrigin.String())
+	if frameOrigin.String() != "ORIGIN" {
+		t.Error(frameOrigin.String())
 	}
 }

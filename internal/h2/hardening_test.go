@@ -20,7 +20,7 @@ func TestContinuationFloodCutOff(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- srv.ServeConn(sn) }()
 
-	if _, err := io.WriteString(cn, ClientPreface); err != nil {
+	if _, err := io.WriteString(cn, clientPreface); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFramer(cn, cn)
@@ -33,7 +33,7 @@ func TestContinuationFloodCutOff(t *testing.T) {
 		{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
 		{Name: ":path", Value: "/"},
 	})
-	if err := fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: frag}); err != nil {
+	if err := fr.writeHeadersFrame(headersFrameParam{StreamID: 1, BlockFragment: frag}); err != nil {
 		t.Fatal(err)
 	}
 	junk := bytes.Repeat([]byte{0x00}, 16000) // literal fragments, never END_HEADERS
@@ -46,8 +46,8 @@ func TestContinuationFloodCutOff(t *testing.T) {
 	}()
 	select {
 	case err := <-serverErr:
-		ce, ok := err.(ConnectionError)
-		if !ok || ce.Code != ErrCodeEnhanceYourCalm {
+		ce, ok := err.(connectionError)
+		if !ok || ce.Code != errCodeEnhanceYourCalm {
 			t.Errorf("server exit = %v, want ENHANCE_YOUR_CALM", err)
 		}
 	case <-time.After(3 * time.Second):
@@ -64,18 +64,18 @@ func TestOversizedSingleHeadersFrame(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- srv.ServeConn(sn) }()
 
-	io.WriteString(cn, ClientPreface)
+	io.WriteString(cn, clientPreface)
 	fr := NewFramer(cn, cn)
 	fr.writeSettings()
 	go io.Copy(io.Discard, cn)
 	big := bytes.Repeat([]byte{0}, (1<<20)+1)
-	if err := fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: big, EndHeaders: true}); err != nil {
+	if err := fr.writeHeadersFrame(headersFrameParam{StreamID: 1, BlockFragment: big, EndHeaders: true}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-serverErr:
-		ce, ok := err.(ConnectionError)
-		if !ok || ce.Code != ErrCodeEnhanceYourCalm {
+		ce, ok := err.(connectionError)
+		if !ok || ce.Code != errCodeEnhanceYourCalm {
 			t.Errorf("server exit = %v", err)
 		}
 	case <-time.After(3 * time.Second):
@@ -114,11 +114,11 @@ func TestInitialWindowSizeChangeMidStream(t *testing.T) {
 	}()
 	// Mid-transfer, lower and then raise the server's send window.
 	time.Sleep(20 * time.Millisecond)
-	if err := cc.fr.writeSettings(Setting{SettingInitialWindowSize, 1024}); err != nil {
+	if err := cc.fr.writeSettings(Setting{settingInitialWindowSize, 1024}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := cc.fr.writeSettings(Setting{SettingInitialWindowSize, 1 << 20}); err != nil {
+	if err := cc.fr.writeSettings(Setting{settingInitialWindowSize, 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -193,7 +193,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 	cn, sn := net.Pipe()
 	go srv.ServeConn(sn)
 
-	io.WriteString(cn, ClientPreface)
+	io.WriteString(cn, clientPreface)
 	fr := NewFramer(cn, cn)
 	fr.writeSettings()
 	enc := hpack.NewEncoder()
@@ -204,7 +204,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 		{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
 		{Name: ":path", Value: "/"}, {Name: "BadHeader", Value: "x"},
 	})
-	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 1, BlockFragment: frag, EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(headersFrameParam{StreamID: 1, BlockFragment: frag, EndStream: true, EndHeaders: true})
 
 	sawReset := false
 	deadline := time.After(2 * time.Second)
@@ -217,7 +217,7 @@ func TestMalformedRequestsRejected(t *testing.T) {
 				return
 			}
 			switch f.(type) {
-			case *RSTStreamFrame, *GoAwayFrame:
+			case *rstStreamFrame, *goAwayFrame:
 				sawReset = true
 				done <- true
 				return
@@ -243,7 +243,7 @@ func TestStreamIDMonotonicityEnforced(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() { serverErr <- srv.ServeConn(sn) }()
 
-	io.WriteString(cn, ClientPreface)
+	io.WriteString(cn, clientPreface)
 	fr := NewFramer(cn, cn)
 	fr.writeSettings()
 	go io.Copy(io.Discard, cn)
@@ -253,12 +253,12 @@ func TestStreamIDMonotonicityEnforced(t *testing.T) {
 			{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"}, {Name: ":path", Value: "/"},
 		})
 	}
-	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 5, BlockFragment: mk(), EndStream: true, EndHeaders: true})
-	fr.writeHeadersFrame(HeadersFrameParam{StreamID: 3, BlockFragment: mk(), EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(headersFrameParam{StreamID: 5, BlockFragment: mk(), EndStream: true, EndHeaders: true})
+	fr.writeHeadersFrame(headersFrameParam{StreamID: 3, BlockFragment: mk(), EndStream: true, EndHeaders: true})
 	select {
 	case err := <-serverErr:
-		ce, ok := err.(ConnectionError)
-		if !ok || ce.Code != ErrCodeProtocol {
+		ce, ok := err.(connectionError)
+		if !ok || ce.Code != errCodeProtocol {
 			t.Errorf("err = %v", err)
 		}
 	case <-time.After(2 * time.Second):
@@ -277,7 +277,7 @@ func TestHeaderReaderDropsOutsizedFieldStorage(t *testing.T) {
 	hr := &headerReader{dec: hpack.NewDecoder()}
 	block := func(n int) *HeadersFrame {
 		return &HeadersFrame{
-			FrameHeader:   FrameHeader{Type: FrameHeaders, Flags: FlagEndHeaders, StreamID: 1},
+			FrameHeader:   FrameHeader{Type: frameHeaders, Flags: flagEndHeaders, StreamID: 1},
 			BlockFragment: bytes.Repeat([]byte{0x82}, n), // :method GET
 		}
 	}
@@ -315,4 +315,84 @@ func TestHeaderReaderDropsOutsizedFieldStorage(t *testing.T) {
 		t.Fatalf("next block: %v, %d fields", err, len(meta.Fields))
 	}
 	kept("after a 3-field block")
+}
+
+// TestSelfDependentPriorityResetsStream: RFC 9113 §5.3.1 makes a stream
+// that depends on itself a stream error of type PROTOCOL_ERROR. A
+// PRIORITY frame and a HEADERS frame that each name their own stream as
+// the dependency get an RST_STREAM with PROTOCOL_ERROR, and the
+// connection goes on serving the next stream.
+func TestSelfDependentPriorityResetsStream(t *testing.T) {
+	srv := &Server{Handler: echoHandler()}
+	cn, sn := net.Pipe()
+	serverErr := make(chan error, 1)
+	go func() { serverErr <- srv.ServeConn(sn) }()
+	defer func() {
+		cn.Close()
+		<-serverErr
+	}()
+
+	io.WriteString(cn, clientPreface)
+	fr := NewFramer(cn, cn)
+	frames := make(chan Frame)
+	go func() {
+		defer close(frames)
+		for {
+			f, err := fr.ReadFrame()
+			if err != nil {
+				return
+			}
+			switch f := f.(type) {
+			case *rstStreamFrame:
+				frames <- &rstStreamFrame{FrameHeader: f.FrameHeader, ErrCode: f.ErrCode}
+			case *goAwayFrame:
+				frames <- &goAwayFrame{FrameHeader: f.FrameHeader, ErrCode: f.ErrCode}
+			case *dataFrame:
+				if f.Flags.has(flagEndStream) {
+					frames <- &dataFrame{FrameHeader: f.FrameHeader}
+				}
+			}
+		}
+	}()
+	fr.writeSettings()
+	enc := hpack.NewEncoder()
+	get := func() []byte {
+		return enc.AppendHeaderBlock(nil, []hpack.HeaderField{
+			{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
+			{Name: ":authority", Value: "example.com"}, {Name: ":path", Value: "/"},
+		})
+	}
+	fr.writeFrame(framePriority, 0, 1, []byte{0, 0, 0, 1, 15})
+	fr.writeHeadersFrame(headersFrameParam{StreamID: 3, BlockFragment: get(), EndStream: true, EndHeaders: true,
+		Priority: &PriorityParam{StreamDep: 3, Weight: 15}})
+	fr.writeHeadersFrame(headersFrameParam{StreamID: 5, BlockFragment: get(), EndStream: true, EndHeaders: true})
+
+	reset := map[uint32]ErrCode{}
+	timeout := time.After(2 * time.Second)
+	for {
+		select {
+		case f, ok := <-frames:
+			if !ok {
+				t.Fatal("connection closed before stream 5 was served")
+			}
+			switch f := f.(type) {
+			case *rstStreamFrame:
+				reset[f.StreamID] = f.ErrCode
+			case *goAwayFrame:
+				t.Fatalf("GOAWAY %v: a self-dependent stream must reset only itself", f.ErrCode)
+			case *dataFrame:
+				if f.StreamID != 5 {
+					t.Fatalf("stream %d answered", f.StreamID)
+				}
+				for _, id := range []uint32{1, 3} {
+					if code, ok := reset[id]; !ok || code != errCodeProtocol {
+						t.Errorf("stream %d: RST_STREAM %v (sent: %v), want PROTOCOL_ERROR", id, code, ok)
+					}
+				}
+				return
+			}
+		case <-timeout:
+			t.Fatalf("stream 5 not served; resets so far %v", reset)
+		}
+	}
 }

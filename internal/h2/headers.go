@@ -6,19 +6,19 @@ import (
 	"respectorigin/internal/hpack"
 )
 
-// MetaHeadersFrame is a HEADERS frame plus all of its CONTINUATIONs,
+// metaHeadersFrame is a HEADERS frame plus all of its CONTINUATIONs,
 // with the header block decoded. The connection's headerReader owns it:
 // the frame, its HeadersFrame and its Fields are valid only until the
 // next header block on that connection, so anything kept past that is
 // copied out first (a Request's or Response's Header is).
-type MetaHeadersFrame struct {
+type metaHeadersFrame struct {
 	*HeadersFrame
 	Fields []hpack.HeaderField
 }
 
 // pseudoValue returns the value of the given pseudo-header (":method",
 // ":path", ...) or "".
-func (f *MetaHeadersFrame) pseudoValue(name string) string {
+func (f *metaHeadersFrame) pseudoValue(name string) string {
 	for _, hf := range f.Fields {
 		if !strings.HasPrefix(hf.Name, ":") {
 			break
@@ -31,7 +31,7 @@ func (f *MetaHeadersFrame) pseudoValue(name string) string {
 }
 
 // regularFields returns the non-pseudo header fields.
-func (f *MetaHeadersFrame) regularFields() []hpack.HeaderField {
+func (f *metaHeadersFrame) regularFields() []hpack.HeaderField {
 	for i, hf := range f.Fields {
 		if !strings.HasPrefix(hf.Name, ":") {
 			return f.Fields[i:]
@@ -59,26 +59,26 @@ func checkHeaderBlock(fields []hpack.HeaderField) error {
 	for _, f := range fields {
 		if strings.HasPrefix(f.Name, ":") {
 			if sawRegular {
-				return streamError(0, ErrCodeProtocol, "pseudo-header after regular header")
+				return streamError(0, errCodeProtocol, "pseudo-header after regular header")
 			}
 			if !validPseudoHeaders[f.Name] {
-				return streamError(0, ErrCodeProtocol, "unknown pseudo-header "+f.Name)
+				return streamError(0, errCodeProtocol, "unknown pseudo-header "+f.Name)
 			}
 			continue
 		}
 		sawRegular = true
 		if f.Name == "" {
-			return streamError(0, ErrCodeProtocol, "empty header name")
+			return streamError(0, errCodeProtocol, "empty header name")
 		}
 		if f.Name != strings.ToLower(f.Name) {
-			return streamError(0, ErrCodeProtocol, "uppercase header name "+f.Name)
+			return streamError(0, errCodeProtocol, "uppercase header name "+f.Name)
 		}
 		switch f.Name {
 		case "connection", "proxy-connection", "keep-alive", "transfer-encoding", "upgrade":
-			return streamError(0, ErrCodeProtocol, "connection-specific header "+f.Name)
+			return streamError(0, errCodeProtocol, "connection-specific header "+f.Name)
 		case "te":
 			if f.Value != "trailers" {
-				return streamError(0, ErrCodeProtocol, "te header must be 'trailers'")
+				return streamError(0, errCodeProtocol, "te header must be 'trailers'")
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func (hw *headerWriter) writeHeaders(streamID uint32, fields []hpack.HeaderField
 		end := len(block) == 0
 		var err error
 		if first {
-			err = hw.fr.writeHeadersFrame(HeadersFrameParam{
+			err = hw.fr.writeHeadersFrame(headersFrameParam{
 				StreamID:      streamID,
 				BlockFragment: frag,
 				EndStream:     endStream,
@@ -141,9 +141,9 @@ const defaultMaxHeaderBlockSize = 1 << 20
 const keptFields = 256
 
 // headerReader accumulates HEADERS + CONTINUATION frames into a
-// MetaHeadersFrame using the connection's HPACK decoder. It owns one
-// HeadersFrame, one MetaHeadersFrame and one field slice, reused for
-// every block: a returned *MetaHeadersFrame is valid until the next
+// metaHeadersFrame using the connection's HPACK decoder. It owns one
+// HeadersFrame, one metaHeadersFrame and one field slice, reused for
+// every block: a returned *metaHeadersFrame is valid until the next
 // block completes.
 type headerReader struct {
 	dec *hpack.Decoder
@@ -156,7 +156,7 @@ type headerReader struct {
 	frag    []byte
 
 	hf     HeadersFrame
-	meta   MetaHeadersFrame
+	meta   metaHeadersFrame
 	fields []hpack.HeaderField
 }
 
@@ -174,12 +174,12 @@ func (hr *headerReader) expectingContinuation() bool { return hr.pending != nil 
 // onHeaders ingests a HEADERS frame. If the block is complete it returns
 // the decoded meta frame; otherwise it returns nil and waits for
 // CONTINUATIONs.
-func (hr *headerReader) onHeaders(f *HeadersFrame) (*MetaHeadersFrame, error) {
+func (hr *headerReader) onHeaders(f *HeadersFrame) (*metaHeadersFrame, error) {
 	if hr.pending != nil {
-		return nil, connError(ErrCodeProtocol, "HEADERS while expecting CONTINUATION")
+		return nil, connError(errCodeProtocol, "HEADERS while expecting CONTINUATION")
 	}
 	if len(f.BlockFragment) > hr.limit() {
-		return nil, connError(ErrCodeEnhanceYourCalm, "header block too large")
+		return nil, connError(errCodeEnhanceYourCalm, "header block too large")
 	}
 	// The incoming frame aliases the framer's read buffer (and may be the
 	// framer's cached frame struct), so anything that survives this call
@@ -197,16 +197,16 @@ func (hr *headerReader) onHeaders(f *HeadersFrame) (*MetaHeadersFrame, error) {
 
 // onContinuation ingests a CONTINUATION frame, returning the decoded
 // meta frame once END_HEADERS arrives.
-func (hr *headerReader) onContinuation(f *ContinuationFrame) (*MetaHeadersFrame, error) {
+func (hr *headerReader) onContinuation(f *continuationFrame) (*metaHeadersFrame, error) {
 	if hr.pending == nil {
-		return nil, connError(ErrCodeProtocol, "CONTINUATION without HEADERS")
+		return nil, connError(errCodeProtocol, "CONTINUATION without HEADERS")
 	}
 	if f.StreamID != hr.pending.StreamID {
-		return nil, connError(ErrCodeProtocol, "CONTINUATION on wrong stream")
+		return nil, connError(errCodeProtocol, "CONTINUATION on wrong stream")
 	}
 	if len(hr.frag)+len(f.BlockFragment) > hr.limit() {
 		hr.pending = nil
-		return nil, connError(ErrCodeEnhanceYourCalm, "header block too large")
+		return nil, connError(errCodeEnhanceYourCalm, "header block too large")
 	}
 	hr.frag = append(hr.frag, f.BlockFragment...)
 	if !f.endHeaders() {
@@ -217,28 +217,33 @@ func (hr *headerReader) onContinuation(f *ContinuationFrame) (*MetaHeadersFrame,
 }
 
 // decode decodes the block of hr.hf into the reader's field storage.
-func (hr *headerReader) decode(block []byte) (*MetaHeadersFrame, error) {
+func (hr *headerReader) decode(block []byte) (*metaHeadersFrame, error) {
 	fields, err := hr.dec.AppendDecode(hr.fields[:0], block)
 	meta := &hr.meta
 	if cap(fields) > keptFields {
 		// An outsized block is handed over in a frame of its own, so
 		// neither the reader's storage nor its meta frame points at it.
 		clear(hr.fields[:cap(hr.fields)])
-		hr.meta = MetaHeadersFrame{}
-		meta = new(MetaHeadersFrame)
+		hr.meta = metaHeadersFrame{}
+		meta = new(metaHeadersFrame)
 	} else {
 		// Slots past this block's fields hold the previous block's.
 		clear(fields[len(fields):cap(fields)])
 		hr.fields = fields
 	}
 	if err != nil {
-		return nil, connError(ErrCodeCompression, err.Error())
+		return nil, connError(errCodeCompression, err.Error())
 	}
 	if err := checkHeaderBlock(fields); err != nil {
-		se := err.(StreamError)
+		se := err.(streamErr)
 		se.StreamID = hr.hf.StreamID
 		return nil, se
 	}
-	*meta = MetaHeadersFrame{HeadersFrame: &hr.hf, Fields: fields}
+	// RFC 9113 §5.3.1: a stream cannot depend on itself. The check waits
+	// for the block to decode so the HPACK state stays in step.
+	if hr.hf.Flags.has(flagPriority) && hr.hf.Priority.StreamDep == hr.hf.StreamID {
+		return nil, streamError(hr.hf.StreamID, errCodeProtocol, "HEADERS depends on its own stream")
+	}
+	*meta = metaHeadersFrame{HeadersFrame: &hr.hf, Fields: fields}
 	return meta, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,15 +87,15 @@ func TestChaosRecorderWiring(t *testing.T) {
 	}
 
 	// Connection counters fire before any fault can interfere.
-	if got := metrics.Get("h2.server.conns"); got != pairs {
+	if got := metric(metrics, "h2.server.conns"); got != pairs {
 		t.Errorf("h2.server.conns = %d, want %d", got, pairs)
 	}
 	// The clean pair guarantees at least one full request cycle and one
 	// ORIGIN frame sent, whatever the chaos pairs suffered.
-	if metrics.Get("h2.server.streams") == 0 {
+	if metric(metrics, "h2.server.streams") == 0 {
 		t.Error("no server streams recorded")
 	}
-	if metrics.Get("h2.server.origin_frames_sent") == 0 {
+	if metric(metrics, "h2.server.origin_frames_sent") == 0 {
 		t.Error("no ORIGIN frames recorded despite a configured origin set")
 	}
 	if trace.Len() == 0 {
@@ -114,4 +116,15 @@ func TestChaosRecorderWiring(t *testing.T) {
 			t.Fatalf("events out of (rank, seq) order at %d: %+v then %+v", i, evs[i-1], evs[i])
 		}
 	}
+}
+
+// metric reads one counter from m's text rendering (0 if never written).
+func metric(m *obs.Metrics, name string) int64 {
+	for _, line := range strings.Split(m.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			n, _ := strconv.ParseInt(f[1], 10, 64)
+			return n
+		}
+	}
+	return 0
 }

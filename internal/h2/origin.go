@@ -45,8 +45,8 @@ func (s *OriginSet) replace(origins []string) {
 	}
 }
 
-// Add inserts a single origin, e.g. the connection's own origin.
-func (s *OriginSet) Add(origin string) {
+// add inserts a single origin, e.g. the connection's own origin.
+func (s *OriginSet) add(origin string) {
 	c, err := canonicalOrigin(origin)
 	if err != nil {
 		return
@@ -71,8 +71,8 @@ func (s *OriginSet) contains(origin string) bool {
 	return ok
 }
 
-// Len returns the number of origins in the set.
-func (s *OriginSet) Len() int {
+// len returns the number of origins in the set.
+func (s *OriginSet) len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.origins)

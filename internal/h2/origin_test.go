@@ -79,19 +79,19 @@ func TestOriginHost(t *testing.T) {
 
 func TestOriginSetReplaceSemantics(t *testing.T) {
 	s := newOriginSet()
-	if s.Len() != 0 {
+	if s.len() != 0 {
 		t.Errorf("fresh set holds %v", s.All())
 	}
 	s.replace([]string{"a.example", "b.example"})
-	if s.Len() != 2 {
-		t.Fatalf("after replace: len=%d", s.Len())
+	if s.len() != 2 {
+		t.Fatalf("after replace: len=%d", s.len())
 	}
 	if !s.contains("a.example") || !s.contains("https://b.example") {
 		t.Error("membership lookups failed")
 	}
 	// A second ORIGIN frame replaces, not merges.
 	s.replace([]string{"c.example"})
-	if s.contains("a.example") || !s.contains("c.example") || s.Len() != 1 {
+	if s.contains("a.example") || !s.contains("c.example") || s.len() != 1 {
 		t.Errorf("replace did not replace: %v", s.All())
 	}
 }
@@ -99,7 +99,7 @@ func TestOriginSetReplaceSemantics(t *testing.T) {
 func TestOriginSetSkipsInvalidEntries(t *testing.T) {
 	s := newOriginSet()
 	s.replace([]string{"good.example", "http://bad.example", "", "also good.example/nope path"})
-	if s.Len() != 1 || !s.contains("good.example") {
+	if s.len() != 1 || !s.contains("good.example") {
 		t.Errorf("set = %v", s.All())
 	}
 }
@@ -114,11 +114,11 @@ func TestOriginSetAll(t *testing.T) {
 
 func TestOriginSetAddAndContains(t *testing.T) {
 	var s OriginSet
-	s.Add("www.example.com")
+	s.add("www.example.com")
 	if !s.contains("WWW.example.com") {
 		t.Error("case-insensitive membership failed")
 	}
-	s.Add("http://ignored.example")
+	s.add("http://ignored.example")
 	if s.contains("ignored.example") {
 		t.Error("non-https origin admitted")
 	}

@@ -22,7 +22,6 @@ type Request struct {
 	Path      string
 	Header    []hpack.HeaderField // regular (non-pseudo) fields
 	Body      []byte
-	StreamID  uint32
 }
 
 // HeaderValue returns the first value of the named regular header.
@@ -101,12 +100,11 @@ type Server struct {
 
 // ConnCounters aggregates per-connection observability counters.
 type ConnCounters struct {
-	StreamsOpened    int
-	FramesRead       int
-	FramesWritten    int
-	BytesRead        int64
-	Misdirected      int // 421 responses sent
-	OriginAdvertised bool
+	StreamsOpened int
+	FramesRead    int
+	FramesWritten int
+	BytesRead     int64
+	Misdirected   int // 421 responses sent
 }
 
 func (s *Server) maxStreams() uint32 {
@@ -214,9 +212,9 @@ func (sc *serverConn) serve() error {
 		return err
 	}
 	settings := []Setting{
-		{SettingMaxConcurrentStreams, sc.srv.maxStreams()},
-		{SettingMaxFrameSize, sc.srv.maxFrameSize()},
-		{SettingEnablePush, 0},
+		{settingMaxConcurrentStreams, sc.srv.maxStreams()},
+		{settingMaxFrameSize, sc.srv.maxFrameSize()},
+		{settingEnablePush, 0},
 	}
 	if err := sc.fr.writeSettings(settings...); err != nil {
 		return err
@@ -235,30 +233,18 @@ func (sc *serverConn) serve() error {
 		if err := sc.fr.writeOrigin(canon); err != nil {
 			return err
 		}
-		sc.counters.OriginAdvertised = true
 		obs.Count(sc.srv.Rec, "h2.server.origin_frames_sent", 1)
 		obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindOriginFrame, N: len(canon), Detail: "sent"})
 	}
 
 	for {
 		f, err := sc.fr.ReadFrame()
-		if err != nil {
+		if err == nil {
+			err = sc.onFrame(f)
+		} else if _, ok := err.(streamErr); !ok {
 			return sc.fatal(err)
 		}
-		sc.counters.FramesRead++
-		if sc.hr.expectingContinuation() {
-			cf, ok := f.(*ContinuationFrame)
-			if !ok {
-				return sc.fatal(connError(ErrCodeProtocol, "expected CONTINUATION"))
-			}
-			if err := sc.onContinuation(cf); err != nil {
-				if err := sc.handleError(err); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := sc.dispatch(f); err != nil {
+		if err != nil {
 			if err := sc.handleError(err); err != nil {
 				return err
 			}
@@ -266,16 +252,29 @@ func (sc *serverConn) serve() error {
 	}
 }
 
+// onFrame acts on one frame read.
+func (sc *serverConn) onFrame(f Frame) error {
+	sc.counters.FramesRead++
+	if sc.hr.expectingContinuation() {
+		cf, ok := f.(*continuationFrame)
+		if !ok {
+			return connError(errCodeProtocol, "expected CONTINUATION")
+		}
+		return sc.onContinuation(cf)
+	}
+	return sc.dispatch(f)
+}
+
 func (sc *serverConn) readPreface() error {
 	if d := sc.srv.ReadTimeout; d > 0 {
 		_ = sc.nc.SetReadDeadline(time.Now().Add(d))
 	}
-	buf := make([]byte, len(ClientPreface))
+	buf := make([]byte, len(clientPreface))
 	if _, err := io.ReadFull(sc.nc, buf); err != nil {
 		return fmt.Errorf("h2: reading client preface: %w", err)
 	}
-	if string(buf) != ClientPreface {
-		return connError(ErrCodeProtocol, "invalid client preface")
+	if string(buf) != clientPreface {
+		return connError(errCodeProtocol, "invalid client preface")
 	}
 	return nil
 }
@@ -302,13 +301,13 @@ func (sc *serverConn) fatal(err error) error {
 		}
 		return io.ErrUnexpectedEOF
 	}
-	if ce, ok := err.(ConnectionError); ok {
+	if ce, ok := err.(connectionError); ok {
 		sc.mu.Lock()
 		last := sc.lastStreamID
 		sc.mu.Unlock()
 		_ = sc.fr.writeGoAway(last, ce.Code, []byte(ce.Reason))
 		_ = sc.nc.Close()
-		if ce.Code == ErrCodeNo {
+		if ce.Code == errCodeNo {
 			return nil
 		}
 		return ce
@@ -319,7 +318,7 @@ func (sc *serverConn) fatal(err error) error {
 // handleError handles stream-level errors inline and escalates
 // connection errors.
 func (sc *serverConn) handleError(err error) error {
-	if se, ok := err.(StreamError); ok {
+	if se, ok := err.(streamErr); ok {
 		sc.closeStream(se.StreamID)
 		if werr := sc.fr.writeRSTStream(se.StreamID, se.Code); werr != nil {
 			return sc.fatal(werr)
@@ -340,36 +339,36 @@ func (sc *serverConn) dispatch(f Frame) error {
 			return sc.onRequestHeaders(meta)
 		}
 		return nil
-	case *ContinuationFrame:
-		return connError(ErrCodeProtocol, "CONTINUATION without HEADERS")
-	case *DataFrame:
+	case *continuationFrame:
+		return connError(errCodeProtocol, "CONTINUATION without HEADERS")
+	case *dataFrame:
 		return sc.onData(f)
-	case *SettingsFrame:
+	case *settingsFrame:
 		return sc.onSettings(f)
-	case *PingFrame:
+	case *pingFrame:
 		if f.isAck() {
 			return nil
 		}
 		sc.counters.FramesWritten++
 		return sc.fr.writePing(true, f.Data)
-	case *WindowUpdateFrame:
+	case *windowUpdateFrame:
 		if !sc.sendFlow.add(f.StreamID, int64(f.Increment)) {
 			if f.StreamID == 0 {
-				return connError(ErrCodeFlowControl, "connection window overflow")
+				return connError(errCodeFlowControl, "connection window overflow")
 			}
-			return streamError(f.StreamID, ErrCodeFlowControl, "stream window overflow")
+			return streamError(f.StreamID, errCodeFlowControl, "stream window overflow")
 		}
 		return nil
-	case *RSTStreamFrame:
+	case *rstStreamFrame:
 		sc.closeStream(f.StreamID)
 		return nil
-	case *PriorityFrame:
+	case *priorityFrame:
 		return nil // deprecated; accepted and ignored
-	case *GoAwayFrame:
+	case *goAwayFrame:
 		sc.mu.Lock()
 		sc.goAwayReceived = true
 		active := sc.activeStreams
-		if f.ErrCode == ErrCodeNo && active > 0 {
+		if f.ErrCode == errCodeNo && active > 0 {
 			// Graceful client shutdown with responses still in flight:
 			// keep serving until they finish (closeStream shuts the
 			// transport once the last one drains). The draining flag
@@ -380,9 +379,9 @@ func (sc *serverConn) dispatch(f Frame) error {
 		}
 		sc.mu.Unlock()
 		return io.EOF // peer is going away; drain and exit
-	case *PushPromiseFrame:
-		return connError(ErrCodeProtocol, "client sent PUSH_PROMISE")
-	case *OriginFrame:
+	case *pushPromiseFrame:
+		return connError(errCodeProtocol, "client sent PUSH_PROMISE")
+	case *originFrame:
 		// RFC 8336 §2: "The ORIGIN frame ... is sent from servers to
 		// clients"; clients do not send it. A server MUST ignore it.
 		return nil
@@ -391,7 +390,7 @@ func (sc *serverConn) dispatch(f Frame) error {
 	}
 }
 
-func (sc *serverConn) onContinuation(cf *ContinuationFrame) error {
+func (sc *serverConn) onContinuation(cf *continuationFrame) error {
 	meta, err := sc.hr.onContinuation(cf)
 	if err != nil {
 		return err
@@ -402,26 +401,26 @@ func (sc *serverConn) onContinuation(cf *ContinuationFrame) error {
 	return nil
 }
 
-func (sc *serverConn) onRequestHeaders(meta *MetaHeadersFrame) error {
+func (sc *serverConn) onRequestHeaders(meta *metaHeadersFrame) error {
 	id := meta.StreamID
 	if id%2 == 0 {
-		return connError(ErrCodeProtocol, "client used even stream ID")
+		return connError(errCodeProtocol, "client used even stream ID")
 	}
 	sc.mu.Lock()
 	if id <= sc.lastStreamID {
 		sc.mu.Unlock()
-		return connError(ErrCodeProtocol, "stream ID not monotonically increasing")
+		return connError(errCodeProtocol, "stream ID not monotonically increasing")
 	}
 	if sc.draining {
 		sc.mu.Unlock()
 		// Streams above the GOAWAY watermark are refused; the client
 		// retries them elsewhere (RFC 9113 §6.8).
-		return streamError(id, ErrCodeRefusedStream, "connection is draining")
+		return streamError(id, errCodeRefusedStream, "connection is draining")
 	}
 	sc.lastStreamID = id
 	if sc.activeStreams >= sc.srv.maxStreams() {
 		sc.mu.Unlock()
-		return streamError(id, ErrCodeRefusedStream, "too many concurrent streams")
+		return streamError(id, errCodeRefusedStream, "too many concurrent streams")
 	}
 	st := &serverStream{
 		id: id,
@@ -432,8 +431,7 @@ func (sc *serverConn) onRequestHeaders(meta *MetaHeadersFrame) error {
 			Path:      meta.pseudoValue("path"),
 			// meta's fields are the header reader's, reused for the next
 			// block; the handler gets its own copy.
-			Header:   slices.Clone(meta.regularFields()),
-			StreamID: id,
+			Header: slices.Clone(meta.regularFields()),
 		},
 		w:      ResponseWriter{sc: sc, streamID: id},
 		gotEnd: meta.endStream(),
@@ -445,7 +443,7 @@ func (sc *serverConn) onRequestHeaders(meta *MetaHeadersFrame) error {
 	sc.sendFlow.openStream(id)
 
 	if req := &st.req; req.Method == "" || req.Scheme == "" || req.Path == "" {
-		return streamError(id, ErrCodeProtocol, "missing required pseudo-headers")
+		return streamError(id, errCodeProtocol, "missing required pseudo-headers")
 	}
 	if st.gotEnd {
 		sc.startHandler(st)
@@ -453,11 +451,11 @@ func (sc *serverConn) onRequestHeaders(meta *MetaHeadersFrame) error {
 	return nil
 }
 
-func (sc *serverConn) onData(f *DataFrame) error {
+func (sc *serverConn) onData(f *dataFrame) error {
 	n := int64(f.Length) // padding counts toward flow control
 	inc, ok := sc.recvFlow.consume(n)
 	if !ok {
-		return connError(ErrCodeFlowControl, "peer exceeded connection window")
+		return connError(errCodeFlowControl, "peer exceeded connection window")
 	}
 	if inc > 0 {
 		sc.counters.FramesWritten++
@@ -469,7 +467,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	st, ok := sc.streams[f.StreamID]
 	sc.mu.Unlock()
 	if !ok || st.gotEnd {
-		return streamError(f.StreamID, ErrCodeStreamClosed, "DATA on closed stream")
+		return streamError(f.StreamID, errCodeStreamClosed, "DATA on closed stream")
 	}
 	st.req.Body, st.staged = appendBody(st.req.Body, st.staged, f.Data)
 	// Replenish the stream window (padding included) so the peer can
@@ -479,7 +477,7 @@ func (sc *serverConn) onData(f *DataFrame) error {
 			return err
 		}
 	}
-	if f.Flags.has(FlagEndStream) {
+	if f.Flags.has(flagEndStream) {
 		st.gotEnd = true
 		st.req.Body = finishBody(st.req.Body, st.staged)
 		sc.startHandler(st)
@@ -487,24 +485,24 @@ func (sc *serverConn) onData(f *DataFrame) error {
 	return nil
 }
 
-func (sc *serverConn) onSettings(f *SettingsFrame) error {
+func (sc *serverConn) onSettings(f *settingsFrame) error {
 	if f.isAck() {
 		return nil
 	}
 	for _, s := range f.Settings {
 		switch s.ID {
-		case SettingInitialWindowSize:
+		case settingInitialWindowSize:
 			if !sc.sendFlow.setInitial(int64(s.Val)) {
-				return connError(ErrCodeFlowControl, "initial window change overflows stream window")
+				return connError(errCodeFlowControl, "initial window change overflows stream window")
 			}
-		case SettingMaxFrameSize:
+		case settingMaxFrameSize:
 			sc.mu.Lock()
 			sc.maxSendFrame = s.Val
 			sc.mu.Unlock()
 			sc.hwmu.Lock()
 			sc.hw.maxFrameSize = s.Val
 			sc.hwmu.Unlock()
-		case SettingHeaderTableSize:
+		case settingHeaderTableSize:
 			sc.hwmu.Lock()
 			sc.hw.enc.SetMaxDynamicTableSize(s.Val)
 			sc.hwmu.Unlock()

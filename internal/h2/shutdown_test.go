@@ -9,7 +9,7 @@ import (
 // GOAWAY(NO_ERROR), on its own connection.
 func announceGoAway(t *testing.T, cc *ClientConn) {
 	t.Helper()
-	if err := cc.fr.writeGoAway(0, ErrCodeNo, []byte("client shutdown")); err != nil {
+	if err := cc.fr.writeGoAway(0, errCodeNo, []byte("client shutdown")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -139,8 +139,8 @@ func (p *Page) TLSConnections() int {
 	return n
 }
 
-// Hosts returns the distinct hostnames contacted, in first-use order.
-func (p *Page) Hosts() []string {
+// hosts returns the distinct hostnames contacted, in first-use order.
+func (p *Page) hosts() []string {
 	seen := map[string]bool{}
 	var out []string
 	for i := range p.Entries {
@@ -153,13 +153,13 @@ func (p *Page) Hosts() []string {
 	return out
 }
 
-// Validate checks timeline invariants:
+// validate checks timeline invariants:
 //
 //   - at least one entry, and entry 0 is the root (Initiator == -1);
 //   - initiators reference earlier entries;
 //   - timings are non-negative and finite;
 //   - a child never starts before its initiator started.
-func (p *Page) Validate() error {
+func (p *Page) validate() error {
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("har: page %s has no entries", p.URL)
 	}

@@ -56,7 +56,7 @@ func TestTimingsTotalAndSetup(t *testing.T) {
 
 func TestPageAccessors(t *testing.T) {
 	p := samplePage()
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.PLT() != 400 {
@@ -65,7 +65,7 @@ func TestPageAccessors(t *testing.T) {
 	if p.DNSQueries() != 3 || p.TLSConnections() != 3 {
 		t.Errorf("dns=%d tls=%d", p.DNSQueries(), p.TLSConnections())
 	}
-	hosts := p.Hosts()
+	hosts := p.hosts()
 	if len(hosts) != 3 || hosts[0] != "www.example.com" {
 		t.Errorf("hosts = %v", hosts)
 	}
@@ -86,31 +86,31 @@ func TestPLTFallsBackToLastEntry(t *testing.T) {
 func TestValidateCatchesBadPages(t *testing.T) {
 	p := samplePage()
 	p.Entries = nil
-	if p.Validate() == nil {
+	if p.validate() == nil {
 		t.Error("empty page validated")
 	}
 
 	p = samplePage()
 	p.Entries[0].Initiator = 0
-	if p.Validate() == nil {
+	if p.validate() == nil {
 		t.Error("non-root entry 0 validated")
 	}
 
 	p = samplePage()
 	p.Entries[2].Initiator = 5
-	if p.Validate() == nil {
+	if p.validate() == nil {
 		t.Error("forward initiator validated")
 	}
 
 	p = samplePage()
 	p.Entries[1].Timings.DNS = -3
-	if p.Validate() == nil {
+	if p.validate() == nil {
 		t.Error("negative timing validated")
 	}
 
 	p = samplePage()
 	p.Entries[1].StartedMs = -100
-	if p.Validate() == nil {
+	if p.validate() == nil {
 		t.Error("child starting before parent validated")
 	}
 }

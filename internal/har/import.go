@@ -215,7 +215,7 @@ func buildPage(id string, entries []harEntry, f *harFile, opts ImportOptions) (*
 	if page.OnLoadMs == 0 {
 		page.OnLoadMs = page.LastEntryEnd()
 	}
-	return page, page.Validate()
+	return page, page.validate()
 }
 
 func clampNeg(v float64) float64 {

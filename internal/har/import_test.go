@@ -76,7 +76,7 @@ func TestImportHAR(t *testing.T) {
 		t.Fatalf("pages = %d", len(pages))
 	}
 	p := pages[0]
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.Host != "www.example.com" || p.Rank != 42 {

@@ -4,7 +4,7 @@ package hpack
 // dynamic table and enforces the RFC default SETTINGS_HEADER_TABLE_SIZE
 // of 4096 bytes, the only value an endpoint here advertises, as the
 // limit on dynamic table size updates. Every decoded name and value is
-// bounded by DefaultMaxStringLength.
+// bounded by defaultMaxStringLength.
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
@@ -20,7 +20,7 @@ type Decoder struct {
 // NewDecoder returns a Decoder whose dynamic table capacity and update
 // limit are the RFC default of 4096 bytes.
 func NewDecoder() *Decoder {
-	return &Decoder{dt: newDynamicTable(DefaultDynamicTableSize)}
+	return &Decoder{dt: newDynamicTable(defaultDynamicTableSize)}
 }
 
 // DecodeFull decodes a complete header block and returns its fields in
@@ -46,7 +46,7 @@ func (d *Decoder) AppendDecode(dst []HeaderField, block []byte) ([]HeaderField, 
 			}
 			f, ok := lookup(d.dt, i)
 			if !ok {
-				return dst, ErrInvalidIndex
+				return dst, errInvalidIndex
 			}
 			fields = append(fields, f)
 			block = rest
@@ -65,14 +65,14 @@ func (d *Decoder) AppendDecode(dst []HeaderField, block []byte) ([]HeaderField, 
 		case b&0xe0 == 0x20: // §6.3 dynamic table size update
 			if seenField {
 				// Updates must precede all fields in a block (§4.2).
-				return dst, ErrTableSizeUpdate
+				return dst, errTableSizeUpdate
 			}
 			n, rest, err := readVarInt(block, 5)
 			if err != nil {
 				return dst, err
 			}
-			if n > DefaultDynamicTableSize {
-				return dst, ErrTableSizeUpdate
+			if n > defaultDynamicTableSize {
+				return dst, errTableSizeUpdate
 			}
 			d.dt.setMaxSize(uint32(n))
 			block = rest
@@ -102,7 +102,7 @@ func (d *Decoder) readLiteral(block []byte, n uint8) (HeaderField, []byte, error
 	if idx != 0 {
 		ref, ok := lookup(d.dt, idx)
 		if !ok {
-			return HeaderField{}, nil, ErrInvalidIndex
+			return HeaderField{}, nil, errInvalidIndex
 		}
 		f.Name = ref.Name
 	} else {

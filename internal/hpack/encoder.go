@@ -25,13 +25,13 @@ type Encoder struct {
 // and Huffman coding enabled.
 func NewEncoder() *Encoder {
 	return &Encoder{
-		dt:         newDynamicTable(DefaultDynamicTableSize),
+		dt:         newDynamicTable(defaultDynamicTableSize),
 		useHuffman: true,
 		// minSize tracks the lowest capacity since the last emitted
 		// update. Starting it at the current capacity (not zero) keeps a
 		// capacity *increase* from emitting a spurious shrink-to-zero
 		// update that would flush the peer decoder's dynamic table.
-		minSize: DefaultDynamicTableSize,
+		minSize: defaultDynamicTableSize,
 	}
 }
 
@@ -78,7 +78,7 @@ func (e *Encoder) appendField(dst []byte, f HeaderField) []byte {
 	case f.Sensitive:
 		// Literal never indexed (§6.2.3): 0001xxxx.
 		dst = appendVarInt(dst, 4, 0x10, nameIdx)
-	case f.Size() > e.dt.maxSize:
+	case f.size() > e.dt.maxSize:
 		// Literal without indexing (§6.2.2): 0000xxxx.
 		dst = appendVarInt(dst, 4, 0, nameIdx)
 	default:

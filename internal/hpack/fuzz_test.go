@@ -63,8 +63,8 @@ func FuzzHPACKRoundTrip(f *testing.F) {
 	f.Add("", "", false, "", "")
 	f.Add("x-caps", "VaLuE \x00\xff", false, "i", "12345678901234567890")
 	f.Fuzz(func(t *testing.T, n1, v1 string, sensitive bool, n2, v2 string) {
-		if uint64(len(n1)) > DefaultMaxStringLength || uint64(len(v1)) > DefaultMaxStringLength ||
-			uint64(len(n2)) > DefaultMaxStringLength || uint64(len(v2)) > DefaultMaxStringLength {
+		if uint64(len(n1)) > defaultMaxStringLength || uint64(len(v1)) > defaultMaxStringLength ||
+			uint64(len(n2)) > defaultMaxStringLength || uint64(len(v2)) > defaultMaxStringLength {
 			t.Skip("beyond the decoder's string bound by construction")
 		}
 		fields := []HeaderField{
@@ -99,7 +99,7 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	f.Add([]byte("no-cache"))
 	f.Add([]byte{0x00, 0xff, 0x80, 0x7f}) // symbols with 26-30 bit codes
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if uint64(len(data)) > DefaultMaxStringLength {
+		if uint64(len(data)) > defaultMaxStringLength {
 			t.Skip("beyond the decode bound by construction")
 		}
 		s := string(data)

@@ -13,7 +13,7 @@ import (
 // every uint32 cast downstream.
 func TestVarIntRejectsExactly2To32(t *testing.T) {
 	enc := appendVarInt(nil, 7, 0, 1<<32)
-	if _, _, err := readVarInt(enc, 7); err != ErrIntegerOverflow {
+	if _, _, err := readVarInt(enc, 7); err != errIntegerOverflow {
 		t.Errorf("readVarInt(2^32) err = %v, want ErrIntegerOverflow", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestVarIntLongContinuationRejected(t *testing.T) {
 		{0x7f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
 	}
 	for i, in := range cases {
-		if _, _, err := readVarInt(in, 7); err != ErrIntegerOverflow {
+		if _, _, err := readVarInt(in, 7); err != errIntegerOverflow {
 			t.Errorf("case %d: readVarInt(%x) err = %v, want ErrIntegerOverflow", i, in, err)
 		}
 	}
@@ -51,28 +51,28 @@ func TestVarIntLongContinuationRejected(t *testing.T) {
 // entry point: an indexed field whose index is an overlong varint.
 func TestDecodeFullHugeIndexRejected(t *testing.T) {
 	blk := append([]byte{0xff}, bytes.Repeat([]byte{0xff}, 9)...)
-	if _, err := NewDecoder().DecodeFull(blk); err != ErrIntegerOverflow {
+	if _, err := NewDecoder().DecodeFull(blk); err != errIntegerOverflow {
 		t.Errorf("DecodeFull(huge index) err = %v, want ErrIntegerOverflow", err)
 	}
 }
 
 // --- default string expansion bound ---
 
-// TestRawStringDefaultBound: a raw literal longer than DefaultMaxStringLength must be rejected rather
+// TestRawStringDefaultBound: a raw literal longer than defaultMaxStringLength must be rejected rather
 // than decoded unbounded.
 func TestRawStringDefaultBound(t *testing.T) {
-	name := strings.Repeat("a", DefaultMaxStringLength+1)
+	name := strings.Repeat("a", defaultMaxStringLength+1)
 	blk := appendVarInt(nil, 4, 0, 0) // literal without indexing, new name
 	blk = appendVarInt(blk, 7, 0, uint64(len(name)))
 	blk = append(blk, name...)
 	blk = appendString(blk, "v", false)
-	if _, err := NewDecoder().DecodeFull(blk); err != ErrStringLength {
+	if _, err := NewDecoder().DecodeFull(blk); err != errStringLength {
 		t.Errorf("DecodeFull(oversize raw literal) err = %v, want ErrStringLength", err)
 	}
 }
 
 // TestHuffmanDecodeDefaultBound: HuffmanDecode with maxLen 0 previously
-// meant "unbounded"; it must now stop at DefaultMaxStringLength.
+// meant "unbounded"; it must now stop at defaultMaxStringLength.
 func TestHuffmanDecodeDefaultBound(t *testing.T) {
 	// The 5-bit code for '1' repeated 8 times fills exactly 5 octets, so
 	// repeating the block decodes 8 symbols per 5 bytes with no padding.
@@ -80,9 +80,9 @@ func TestHuffmanDecodeDefaultBound(t *testing.T) {
 	if s, err := HuffmanDecode(block, 0); err != nil || s != "11111111" {
 		t.Fatalf("block sanity check: %q, %v", s, err)
 	}
-	reps := DefaultMaxStringLength/8 + 1 // expands past the bound
+	reps := defaultMaxStringLength/8 + 1 // expands past the bound
 	data := bytes.Repeat(block, reps)
-	if _, err := HuffmanDecode(data, 0); err != ErrStringLength {
+	if _, err := HuffmanDecode(data, 0); err != errStringLength {
 		t.Errorf("HuffmanDecode(expanding input, maxLen=0) err = %v, want ErrStringLength", err)
 	}
 }
@@ -103,13 +103,13 @@ func TestEncoderCapacityIncreaseNoSpuriousFlush(t *testing.T) {
 	if _, err := d.DecodeFull(b1); err != nil {
 		t.Fatalf("first block: %v", err)
 	}
-	if d.dt.size != f.Size() {
-		t.Fatalf("decoder table size = %d, want %d", d.dt.size, f.Size())
+	if d.dt.size != f.size() {
+		t.Fatalf("decoder table size = %d, want %d", d.dt.size, f.size())
 	}
 
 	// A capacity announced with no dip below it: the zero minSize read it
 	// as a raise from nothing.
-	e.SetMaxDynamicTableSize(DefaultDynamicTableSize)
+	e.SetMaxDynamicTableSize(defaultDynamicTableSize)
 	b2 := e.appendField(nil, f) // should be a dynamic indexed field
 
 	updates := 0

@@ -36,38 +36,38 @@ func (f HeaderField) String() string {
 	return fmt.Sprintf("%s: %s%s", f.Name, f.Value, suffix)
 }
 
-// Size returns the RFC 7541 §4.1 size of the field: name length plus
+// size returns the RFC 7541 §4.1 size of the field: name length plus
 // value length plus 32 bytes of per-entry overhead.
-func (f HeaderField) Size() uint32 {
+func (f HeaderField) size() uint32 {
 	return uint32(len(f.Name)) + uint32(len(f.Value)) + 32
 }
 
-// DefaultDynamicTableSize is the SETTINGS_HEADER_TABLE_SIZE default from
+// defaultDynamicTableSize is the SETTINGS_HEADER_TABLE_SIZE default from
 // RFC 9113 §6.5.2.
-const DefaultDynamicTableSize = 4096
+const defaultDynamicTableSize = 4096
 
 // Decoding errors.
 var (
-	// ErrStringLength is returned when a decoded string exceeds the
+	// errStringLength is returned when a decoded string exceeds the
 	// decoder's configured maximum.
-	ErrStringLength = errors.New("hpack: string too long")
+	errStringLength = errors.New("hpack: string too long")
 
-	// ErrInvalidIndex is returned for an index outside both tables.
-	ErrInvalidIndex = errors.New("hpack: invalid table index")
+	// errInvalidIndex is returned for an index outside both tables.
+	errInvalidIndex = errors.New("hpack: invalid table index")
 
-	// ErrIntegerOverflow is returned when a varint exceeds 32 bits.
-	ErrIntegerOverflow = errors.New("hpack: integer overflow")
+	// errIntegerOverflow is returned when a varint exceeds 32 bits.
+	errIntegerOverflow = errors.New("hpack: integer overflow")
 
-	// ErrTruncated is returned when a header block ends mid-field.
-	ErrTruncated = errors.New("hpack: truncated header block")
+	// errTruncated is returned when a header block ends mid-field.
+	errTruncated = errors.New("hpack: truncated header block")
 
-	// ErrTableSizeUpdate is returned for a dynamic table size update
+	// errTableSizeUpdate is returned for a dynamic table size update
 	// exceeding the limit set by the decoder's owner.
-	ErrTableSizeUpdate = errors.New("hpack: dynamic table size update exceeds limit")
+	errTableSizeUpdate = errors.New("hpack: dynamic table size update exceeds limit")
 
-	// ErrHuffman is returned for invalid Huffman-coded data, including
+	// errHuffman is returned for invalid Huffman-coded data, including
 	// the forbidden 30-bit-padding EOS encoding.
-	ErrHuffman = errors.New("hpack: invalid huffman-coded data")
+	errHuffman = errors.New("hpack: invalid huffman-coded data")
 )
 
 // appendVarInt appends the RFC 7541 §5.1 prefix-integer representation of
@@ -95,10 +95,10 @@ const maxVarInt = 1<<32 - 1
 // readVarInt decodes an n-bit-prefix integer from buf. It returns the
 // value and the remaining bytes. Values above maxVarInt — including
 // continuation sequences long enough to wrap a uint64 accumulator — are
-// ErrIntegerOverflow.
+// errIntegerOverflow.
 func readVarInt(buf []byte, n uint8) (uint64, []byte, error) {
 	if len(buf) == 0 {
-		return 0, nil, ErrTruncated
+		return 0, nil, errTruncated
 	}
 	k := uint64(1)<<n - 1
 	i := uint64(buf[0]) & k
@@ -109,7 +109,7 @@ func readVarInt(buf []byte, n uint8) (uint64, []byte, error) {
 	var shift uint
 	for {
 		if len(buf) == 0 {
-			return 0, nil, ErrTruncated
+			return 0, nil, errTruncated
 		}
 		b := buf[0]
 		buf = buf[1:]
@@ -117,11 +117,11 @@ func readVarInt(buf []byte, n uint8) (uint64, []byte, error) {
 		// sixth can only overflow (or, at larger shifts, wrap uint64),
 		// so reject it before touching the accumulator.
 		if shift > 28 {
-			return 0, nil, ErrIntegerOverflow
+			return 0, nil, errIntegerOverflow
 		}
 		i += uint64(b&0x7f) << shift
 		if i > maxVarInt {
-			return 0, nil, ErrIntegerOverflow
+			return 0, nil, errIntegerOverflow
 		}
 		if b&0x80 == 0 {
 			return i, buf, nil
@@ -144,20 +144,20 @@ func appendString(dst []byte, s string, huffman bool) []byte {
 	return append(dst, s...)
 }
 
-// DefaultMaxStringLength bounds a single decoded string. A header block
+// defaultMaxStringLength bounds a single decoded string. A header block
 // larger than this is cut off at the HTTP/2 layer anyway
 // (ENHANCE_YOUR_CALM), so a decoder should never expand further than
 // this — it keeps a hostile Huffman literal from ballooning unchecked.
-const DefaultMaxStringLength = 1 << 20
+const defaultMaxStringLength = 1 << 20
 
 // readString decodes a §5.2 string literal, applying Huffman decoding
-// when the H bit is set, of at most DefaultMaxStringLength bytes
+// when the H bit is set, of at most defaultMaxStringLength bytes
 // decoded. scratch, when non-nil, is used as the Huffman decode buffer
 // so the only allocation is the returned string; the (possibly grown)
 // buffer comes back to the caller for reuse.
 func readString(buf []byte, scratch []byte) (s string, rest, scratchOut []byte, err error) {
 	if len(buf) == 0 {
-		return "", nil, scratch, ErrTruncated
+		return "", nil, scratch, errTruncated
 	}
 	huff := buf[0]&0x80 != 0
 	n, rest, err := readVarInt(buf, 7)
@@ -165,17 +165,17 @@ func readString(buf []byte, scratch []byte) (s string, rest, scratchOut []byte, 
 		return "", nil, scratch, err
 	}
 	if uint64(len(rest)) < n {
-		return "", nil, scratch, ErrTruncated
+		return "", nil, scratch, errTruncated
 	}
 	raw := rest[:n]
 	rest = rest[n:]
 	if !huff {
-		if n > DefaultMaxStringLength {
-			return "", nil, scratch, ErrStringLength
+		if n > defaultMaxStringLength {
+			return "", nil, scratch, errStringLength
 		}
 		return string(raw), rest, scratch, nil
 	}
-	dec, err := AppendHuffmanDecode(scratch[:0], raw, DefaultMaxStringLength)
+	dec, err := AppendHuffmanDecode(scratch[:0], raw, defaultMaxStringLength)
 	if err != nil {
 		return "", nil, dec, err
 	}

@@ -60,16 +60,16 @@ func TestVarIntRoundTrip(t *testing.T) {
 func TestVarIntOverflow(t *testing.T) {
 	// 5-bit prefix followed by continuation bytes pushing past 32 bits.
 	buf := []byte{0x1f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, _, err := readVarInt(buf, 5); err != ErrIntegerOverflow {
+	if _, _, err := readVarInt(buf, 5); err != errIntegerOverflow {
 		t.Errorf("want ErrIntegerOverflow, got %v", err)
 	}
 }
 
 func TestVarIntTruncated(t *testing.T) {
-	if _, _, err := readVarInt([]byte{0x1f, 0x9a}, 5); err != ErrTruncated {
+	if _, _, err := readVarInt([]byte{0x1f, 0x9a}, 5); err != errTruncated {
 		t.Errorf("want ErrTruncated, got %v", err)
 	}
-	if _, _, err := readVarInt(nil, 5); err != ErrTruncated {
+	if _, _, err := readVarInt(nil, 5); err != errTruncated {
 		t.Errorf("want ErrTruncated for empty, got %v", err)
 	}
 }
@@ -243,19 +243,19 @@ func TestHuffmanBadPadding(t *testing.T) {
 	// 'w' is 0x78/7 bits ("1111000"); padding the final octet with a 0
 	// bit instead of ones must fail.
 	bad := []byte{0xf0} // 1111000 + single 0 pad
-	if _, err := HuffmanDecode(bad, 0); err != ErrHuffman {
+	if _, err := HuffmanDecode(bad, 0); err != errHuffman {
 		t.Errorf("want ErrHuffman for zero padding, got %v", err)
 	}
 	// A full byte of EOS prefix (8 bits of padding) must fail too.
 	bad2 := []byte{0xff}
-	if _, err := HuffmanDecode(bad2, 0); err != ErrHuffman {
+	if _, err := HuffmanDecode(bad2, 0); err != errHuffman {
 		t.Errorf("want ErrHuffman for 8-bit padding, got %v", err)
 	}
 }
 
 func TestHuffmanMaxLen(t *testing.T) {
 	enc := AppendHuffmanString(nil, "www.example.com")
-	if _, err := HuffmanDecode(enc, 5); err != ErrStringLength {
+	if _, err := HuffmanDecode(enc, 5); err != errStringLength {
 		t.Errorf("want ErrStringLength, got %v", err)
 	}
 }
@@ -323,8 +323,8 @@ func TestEncoderTableSizeUpdate(t *testing.T) {
 func TestDecoderRejectsOversizeUpdate(t *testing.T) {
 	d := NewDecoder()
 	// A size update to 4097 exceeds the 4096-byte default allowance.
-	blk := appendVarInt(nil, 5, 0x20, DefaultDynamicTableSize+1)
-	if _, err := d.DecodeFull(blk); err != ErrTableSizeUpdate {
+	blk := appendVarInt(nil, 5, 0x20, defaultDynamicTableSize+1)
+	if _, err := d.DecodeFull(blk); err != errTableSizeUpdate {
 		t.Errorf("want ErrTableSizeUpdate, got %v", err)
 	}
 }
@@ -333,7 +333,7 @@ func TestDecoderRejectsMidBlockUpdate(t *testing.T) {
 	d := NewDecoder()
 	blk := []byte{0x82}                 // :method: GET
 	blk = appendVarInt(blk, 5, 0x20, 0) // then a size update
-	if _, err := d.DecodeFull(blk); err != ErrTableSizeUpdate {
+	if _, err := d.DecodeFull(blk); err != errTableSizeUpdate {
 		t.Errorf("want ErrTableSizeUpdate for mid-block update, got %v", err)
 	}
 }
@@ -341,11 +341,11 @@ func TestDecoderRejectsMidBlockUpdate(t *testing.T) {
 func TestDecoderInvalidIndex(t *testing.T) {
 	d := NewDecoder()
 	blk := appendVarInt(nil, 7, 0x80, 200) // beyond static, empty dynamic
-	if _, err := d.DecodeFull(blk); err != ErrInvalidIndex {
+	if _, err := d.DecodeFull(blk); err != errInvalidIndex {
 		t.Errorf("want ErrInvalidIndex, got %v", err)
 	}
 	blk0 := []byte{0x80} // index 0 is invalid
-	if _, err := d.DecodeFull(blk0); err != ErrInvalidIndex {
+	if _, err := d.DecodeFull(blk0); err != errInvalidIndex {
 		t.Errorf("want ErrInvalidIndex for index 0, got %v", err)
 	}
 }

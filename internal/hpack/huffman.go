@@ -214,13 +214,13 @@ func buildHuffmanLUT() {
 
 // AppendHuffmanDecode decodes Huffman-coded data into dst (which may be
 // a reused scratch buffer) and returns the extended slice. maxLen bounds
-// len(result) (0 means DefaultMaxStringLength). Per RFC 7541 §5.2 a
+// len(result) (0 means defaultMaxStringLength). Per RFC 7541 §5.2 a
 // padding longer than 7 bits, a padding that is not the EOS prefix, or
-// an incomplete code is ErrHuffman; on error the returned slice holds
+// an incomplete code is errHuffman; on error the returned slice holds
 // the symbols decoded so far and must be discarded by the caller.
 func AppendHuffmanDecode(dst, data []byte, maxLen uint64) ([]byte, error) {
 	if maxLen == 0 {
-		maxLen = DefaultMaxStringLength
+		maxLen = defaultMaxStringLength
 	}
 	base := uint64(len(dst))
 	st := uint16(0)
@@ -229,22 +229,22 @@ func AppendHuffmanDecode(dst, data []byte, maxLen uint64) ([]byte, error) {
 		if e.nsyms > 0 {
 			dst = append(dst, e.syms[:e.nsyms]...)
 			if uint64(len(dst))-base > maxLen {
-				return dst, ErrStringLength
+				return dst, errStringLength
 			}
 		}
 		if e.invalid {
-			return dst, ErrHuffman
+			return dst, errHuffman
 		}
 		st = e.next
 	}
 	if huffmanStateDepth[st] > 7 || !huffmanStateOnes[st] {
-		return dst, ErrHuffman
+		return dst, errHuffman
 	}
 	return dst, nil
 }
 
 // HuffmanDecode decodes Huffman-coded data via the flat lookup table.
-// maxLen bounds the decoded length (0 means DefaultMaxStringLength).
+// maxLen bounds the decoded length (0 means defaultMaxStringLength).
 func HuffmanDecode(data []byte, maxLen uint64) (string, error) {
 	// The shortest code is 5 bits, so decoded length ≤ ⌈len(data)*8/5⌉;
 	// sizing the buffer to that bound makes growth reallocation

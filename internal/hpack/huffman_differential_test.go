@@ -20,7 +20,7 @@ import (
 // decoding error.
 func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
 	if maxLen == 0 {
-		maxLen = DefaultMaxStringLength
+		maxLen = defaultMaxStringLength
 	}
 	var out []byte
 	n := huffmanRoot
@@ -34,13 +34,13 @@ func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
 			}
 			n = n.children[v]
 			if n == nil {
-				return "", ErrHuffman
+				return "", errHuffman
 			}
 			depth++
 			if n.leaf {
 				out = append(out, n.sym)
 				if uint64(len(out)) > maxLen {
-					return "", ErrStringLength
+					return "", errStringLength
 				}
 				n = huffmanRoot
 				depth = 0
@@ -50,7 +50,7 @@ func HuffmanDecodeTree(data []byte, maxLen uint64) (string, error) {
 	}
 	// Trailing partial code must be a ones-only EOS prefix of < 8 bits.
 	if depth > 7 || !onesRun {
-		return "", ErrHuffman
+		return "", errHuffman
 	}
 	return string(out), nil
 }
@@ -127,7 +127,7 @@ func TestHuffmanLUTMatchesTreeOnCorpora(t *testing.T) {
 		}
 		// The corpus entry may itself be decodable text: its canonical
 		// encoding must round-trip identically through both decoders.
-		if uint64(len(data)) <= DefaultMaxStringLength {
+		if uint64(len(data)) <= defaultMaxStringLength {
 			enc := AppendHuffmanString(nil, string(data))
 			diffDecode(t, enc, 0)
 		}
@@ -199,7 +199,7 @@ func TestAppendHuffmanDecodeReusesScratch(t *testing.T) {
 	if _, err := AppendHuffmanDecode(scratch, enc, 8); err != nil {
 		t.Errorf("maxLen equal to decoded length: %v", err)
 	}
-	if _, err := AppendHuffmanDecode(scratch, enc, 7); err != ErrStringLength {
+	if _, err := AppendHuffmanDecode(scratch, enc, 7); err != errStringLength {
 		t.Errorf("maxLen below decoded length: err = %v, want ErrStringLength", err)
 	}
 }

@@ -118,20 +118,20 @@ func (t *dynamicTable) setMaxSize(n uint32) {
 // add inserts f as the newest entry. Per §4.4, an entry larger than the
 // table capacity empties the table and inserts nothing.
 func (t *dynamicTable) add(f HeaderField) {
-	if f.Size() > t.maxSize {
+	if f.size() > t.maxSize {
 		t.ents = t.ents[:0]
 		t.size = 0
 		return
 	}
 	t.ents = append(t.ents, f)
-	t.size += f.Size()
+	t.size += f.size()
 	t.evict()
 }
 
 func (t *dynamicTable) evict() {
 	drop := 0
 	for t.size > t.maxSize && drop < len(t.ents) {
-		t.size -= t.ents[drop].Size()
+		t.size -= t.ents[drop].size()
 		drop++
 	}
 	if drop > 0 {

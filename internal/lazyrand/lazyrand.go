@@ -81,10 +81,10 @@ var pow [warmup + 1 + 3*rngLen]uint32
 // cooked is the stdlib's rngCooked, recovered in init.
 var cooked [rngLen]int64
 
-// Source is a rand.Source64 drawing the same stream as the value
+// source is a rand.Source64 drawing the same stream as the value
 // rand.NewSource returns. Like that value it is not safe for concurrent
 // use. The zero value is not seeded; use newSource.
-type Source struct {
+type source struct {
 	tap, feed int
 	lazy      int    // draws left before the fill; 0 once vec is complete
 	x         uint64 // normalised seed, in [1, M)
@@ -92,8 +92,8 @@ type Source struct {
 }
 
 // newSource returns a Source seeded with seed.
-func newSource(seed int64) *Source {
-	s := new(Source)
+func newSource(seed int64) *source {
+	s := new(source)
 	s.Seed(seed)
 	return s
 }
@@ -103,7 +103,7 @@ func newSource(seed int64) *Source {
 func New(seed int64) *rand.Rand { return rand.New(newSource(seed)) }
 
 // Seed restarts the stream at seed. It touches no state word.
-func (s *Source) Seed(seed int64) {
+func (s *source) Seed(seed int64) {
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM
@@ -118,7 +118,7 @@ func (s *Source) Seed(seed int64) {
 
 // word computes state word i of the seeded register: chain values
 // 21+3i, 22+3i and 23+3i from x, packed and whitened as the stdlib does.
-func (s *Source) word(i int) int64 {
+func (s *source) word(i int) int64 {
 	p := pow[warmup+1+3*i:][:3]
 	return int64(mulmod(s.x, p[0])<<40^mulmod(s.x, p[1])<<20^mulmod(s.x, p[2])) ^ cooked[i]
 }
@@ -137,7 +137,7 @@ func mulmod(x uint64, p uint32) uint64 {
 // for everything but Rand.Uint64, so the step is written here, one
 // dynamic call from the caller, and not in a helper two calls away
 // (measured 3 ns of a 10 ns Intn).
-func (s *Source) Int63() int64 {
+func (s *source) Int63() int64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -157,14 +157,14 @@ func (s *Source) Int63() int64 {
 
 // Uint64 returns the next 64 bits of the stream: the step leaves its
 // sum, top bit included, in the feed word.
-func (s *Source) Uint64() uint64 {
+func (s *source) Uint64() uint64 {
 	s.Int63()
 	return uint64(s.vec[s.feed])
 }
 
 // lazyStep is the sum of one of the first lazyDraws draws: neither word
 // has been touched since Seed, so both come from the formula.
-func (s *Source) lazyStep() {
+func (s *source) lazyStep() {
 	t := s.word(s.tap)
 	s.vec[s.tap], s.vec[s.feed] = t, s.word(s.feed)+t
 	if s.lazy--; s.lazy == 0 {
@@ -219,7 +219,7 @@ func recoverCooked(newStd func(seed int64) rand.Source64) {
 		v[rngLen-rngTap-k] = o[k] - v[rngLen-k]
 	}
 	cooked = [rngLen]int64{} // word is then the Lehmer part alone
-	lehmer := Source{x: seed}
+	lehmer := source{x: seed}
 	for i := range v {
 		v[i] ^= lehmer.word(i)
 	}

@@ -40,15 +40,15 @@ import (
 
 // Arrival process names accepted by Config.Arrival.
 const (
-	ArrivalPoisson = "poisson" // homogeneous Poisson at RatePerSec
-	ArrivalDiurnal = "diurnal" // sinusoidal day/night modulation
+	arrivalPoisson = "poisson" // homogeneous Poisson at RatePerSec
+	arrivalDiurnal = "diurnal" // sinusoidal day/night modulation
 	ArrivalFlash   = "flash"   // Poisson baseline plus a Gaussian burst
 )
 
 // The arrival shapes and the PoP service times are fixed by the model:
 // nothing configures them.
 const (
-	// diurnalPeriodSec is ArrivalDiurnal's modulation period, and
+	// diurnalPeriodSec is arrivalDiurnal's modulation period, and
 	// diurnalDepth how far its trough falls below the peak rate (night
 	// runs at 20% of the daytime peak).
 	diurnalPeriodSec = 3600
@@ -78,7 +78,7 @@ type Config struct {
 	// value.
 	Workers int
 
-	// Arrival selects the arrival process (ArrivalPoisson default).
+	// Arrival selects the arrival process (arrivalPoisson default).
 	Arrival string
 	// RatePerSec is the mean user arrival rate λ (users/second).
 	RatePerSec float64
@@ -133,7 +133,7 @@ func DefaultConfig() Config {
 	return Config{
 		Users:          100_000,
 		Seed:           1,
-		Arrival:        ArrivalPoisson,
+		Arrival:        arrivalPoisson,
 		RatePerSec:     200,
 		Zones:          64,
 		Phase:          cdn.PhaseIP,
@@ -202,7 +202,7 @@ func mix(seed int64, id uint64) int64 {
 // draws candidates at.
 func (c Config) rate(tSec float64) float64 {
 	switch c.Arrival {
-	case ArrivalDiurnal:
+	case arrivalDiurnal:
 		// Peak λ at mid-cycle, trough λ·(1-depth) at t=0 (cosine phase).
 		return c.RatePerSec * (1 - diurnalDepth*(0.5+0.5*math.Cos(2*math.Pi*tSec/diurnalPeriodSec)))
 	case ArrivalFlash:
@@ -232,7 +232,7 @@ func (c Config) arrivalTimes() []float64 {
 	t := 0.0
 	for len(times) < c.Users {
 		t += rs.ExpFloat64() / peak
-		if c.Arrival == ArrivalPoisson || rs.Float64() < c.rate(t)/peak {
+		if c.Arrival == arrivalPoisson || rs.Float64() < c.rate(t)/peak {
 			times = append(times, t*1000)
 		}
 	}
@@ -242,7 +242,7 @@ func (c Config) arrivalTimes() []float64 {
 // Validate reports configuration errors a run cannot proceed past.
 func (c Config) Validate() error {
 	switch c.Arrival {
-	case "", ArrivalPoisson, ArrivalDiurnal, ArrivalFlash:
+	case "", arrivalPoisson, arrivalDiurnal, ArrivalFlash:
 	default:
 		return fmt.Errorf("loadgen: unknown arrival process %q", c.Arrival)
 	}
@@ -259,7 +259,7 @@ func buildCDN(cfg Config) *cdn.CDN {
 	for i := 0; i < cfg.Zones; i++ {
 		host := fmt.Sprintf("www.zone-%d.example", i)
 		addr := netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})
-		z := c.AddZone(host, cdn.SLATierFree, addr)
+		z := c.AddZone(host, addr)
 		if i%2 == 0 {
 			z.Treatment = cdn.TreatmentExperiment
 		} else {

@@ -128,7 +128,7 @@ func TestModulatedArrivalsShapeTheRate(t *testing.T) {
 	// peak, five times the trough's rate.
 	cfg = DefaultConfig()
 	cfg.Users = 130_000
-	cfg.Arrival = ArrivalDiurnal
+	cfg.Arrival = arrivalDiurnal
 	cfg.RatePerSec = 100
 	ts = cfg.withDefaults().arrivalTimes()
 	trough := 0
@@ -178,7 +178,7 @@ func TestWarmRevisitsChurnAndCoalescing(t *testing.T) {
 
 func TestBaselineCoalescesLessThanPhaseIP(t *testing.T) {
 	cfg := testConfig()
-	cfg.Phase = cdn.PhaseBaseline
+	cfg.Phase = cdn.Phase(0) // baseline
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -74,14 +74,15 @@ func TestFreshConnectionChargesItsSetupPrice(t *testing.T) {
 	p := netsim.DefaultParams()
 	p.JitterMs = 0
 	request := requestTime(lazyrand.New(1), netsim.New(p, 1))
+	newFirst := reasonNamed(t, "new:first")
 	cases := []struct {
 		out   browser.Outcome
 		setup netsim.Setup
 	}{
-		{browser.Outcome{Reason: browser.ReasonNewFirst, Handshake: cache.Handshake{Resumed: true}}, netsim.Setup{Resumed: true}},
-		{browser.Outcome{Reason: browser.ReasonNewFirst}, netsim.Setup{SANs: 2}},
-		{browser.Outcome{Reason: browser.ReasonNewFirst, Proto: browser.ProtoH3}, netsim.Setup{QUIC: true, SANs: 1}},
-		{browser.Outcome{Reason: browser.ReasonNewFirst, Proto: browser.ProtoH3, Handshake: cache.Handshake{Resumed: true, TokenHit: true}},
+		{browser.Outcome{Reason: newFirst, Handshake: cache.Handshake{Resumed: true}}, netsim.Setup{Resumed: true}},
+		{browser.Outcome{Reason: newFirst}, netsim.Setup{SANs: 2}},
+		{browser.Outcome{Reason: newFirst, Proto: browser.ProtoH3}, netsim.Setup{QUIC: true, SANs: 1}},
+		{browser.Outcome{Reason: newFirst, Proto: browser.ProtoH3, Handshake: cache.Handshake{Resumed: true, TokenHit: true}},
 			netsim.Setup{QUIC: true, Resumed: true, TokenHit: true}},
 	}
 	for _, c := range cases {
@@ -91,4 +92,16 @@ func TestFreshConnectionChargesItsSetupPrice(t *testing.T) {
 			t.Errorf("%+v: charged %v ms, want setup %v + request %v", c.setup, v.ClientMs, p.SetupMs(c.setup), request)
 		}
 	}
+}
+
+// reasonNamed is the browser.Reason that prints as name.
+func reasonNamed(t *testing.T, name string) browser.Reason {
+	t.Helper()
+	for r := browser.Reason(0); r.String() != "unknown"; r++ {
+		if r.String() == name {
+			return r
+		}
+	}
+	t.Fatalf("no browser.Reason prints as %q", name)
+	return 0
 }

@@ -15,17 +15,12 @@ import (
 // Summary holds the order statistics of a sample.
 type Summary struct {
 	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
 	Median float64
 	P25    float64
 	P75    float64
 	P90    float64
-	P95    float64
 	P99    float64
 	P999   float64 // the SLO-reporting tail quantile (p99.9)
-	IQR    float64
 }
 
 // Summarize computes a Summary. It returns a zero Summary for an empty
@@ -36,26 +31,16 @@ func Summarize(xs []float64) Summary {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
 	q := func(p float64) float64 { return quantileSorted(s, p) }
-	out := Summary{
+	return Summary{
 		N:      len(s),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Mean:   sum / float64(len(s)),
 		Median: q(0.50),
 		P25:    q(0.25),
 		P75:    q(0.75),
 		P90:    q(0.90),
-		P95:    q(0.95),
 		P99:    q(0.99),
 		P999:   q(0.999),
 	}
-	out.IQR = out.P75 - out.P25
-	return out
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
@@ -204,8 +189,8 @@ func (c *Counter) Merge(other *Counter) {
 // Total returns the sum of all counts.
 func (c *Counter) Total() int64 { return c.total }
 
-// Count returns the count for one key.
-func (c *Counter) Count(key string) int64 {
+// count returns the count for one key.
+func (c *Counter) count(key string) int64 {
 	if i, ok := c.index[key]; ok {
 		return c.counts[i]
 	}
@@ -276,10 +261,9 @@ func RankedTable(title string, rows []RankedEntry) string {
 	return b.String()
 }
 
-// Series is a labeled longitudinal series of per-bucket values, e.g.
+// Series is a longitudinal series of per-bucket values, e.g.
 // daily new-TLS-connection counts for control vs experiment (Figure 8).
 type Series struct {
-	Label  string
 	Values []float64
 }
 

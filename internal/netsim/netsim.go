@@ -329,16 +329,16 @@ func (n *Network) RaceEffects() (extraDNS int, speculative bool) {
 	return
 }
 
-// Float64 exposes the deterministic RNG stream for callers that need
+// float64 exposes the deterministic RNG stream for callers that need
 // auxiliary randomness tied to the same seed.
-func (n *Network) Float64() float64 {
+func (n *Network) float64() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rng.Float64()
 }
 
-// Intn exposes the deterministic RNG stream.
-func (n *Network) Intn(m int) int {
+// intn exposes the deterministic RNG stream.
+func (n *Network) intn(m int) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.rng.Intn(m)

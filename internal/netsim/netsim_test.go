@@ -32,7 +32,7 @@ func TestReseedMatchesNew(t *testing.T) {
 	for _, used := range []int{0, 1, 10, 272, 273, 274, 607, 2000} {
 		reused := New(p, 7)
 		for i := 0; i < used; i++ {
-			reused.Float64()
+			reused.float64()
 		}
 		for _, seed := range []int64{0, 42, -1 << 40} {
 			reused.Reseed(seed)
@@ -44,7 +44,7 @@ func TestReseedMatchesNew(t *testing.T) {
 				if got, want := reused.TransferTime(4096), fresh.TransferTime(4096); got != want {
 					t.Fatalf("after %d draws, Reseed(%d): draw %d TransferTime = %v, New draws %v", used, seed, 3*i+1, got, want)
 				}
-				if got, want := reused.Intn(1000), fresh.Intn(1000); got != want {
+				if got, want := reused.intn(1000), fresh.intn(1000); got != want {
 					t.Fatalf("after %d draws, Reseed(%d): draw %d Intn = %v, New draws %v", used, seed, 3*i+2, got, want)
 				}
 			}

@@ -118,7 +118,7 @@ func TestLossRateDoesNotShiftStream(t *testing.T) {
 	b.DNSTime()
 	a.TransferTime(4096)
 	b.TransferTime(4096)
-	if av, bv := a.Float64(), b.Float64(); av != bv {
+	if av, bv := a.float64(), b.float64(); av != bv {
 		t.Fatalf("loss knob shifted the RNG stream: %v vs %v", av, bv)
 	}
 	// And zero loss leaves durations byte-identical to the historical

@@ -226,12 +226,12 @@ func setupShapes() []Setup {
 func TestHandshakeTimeStreamContract(t *testing.T) {
 	params := DefaultParams()
 	wantNext := New(params, 42)
-	wantNext.Float64()
-	want := wantNext.Float64()
+	wantNext.float64()
+	want := wantNext.float64()
 	for _, s := range setupShapes() {
 		n := New(params, 42)
 		n.HandshakeTime(s)
-		if next := n.Float64(); next != want {
+		if next := n.float64(); next != want {
 			t.Fatalf("%+v consumed a different number of draws (next draw %v, want %v)", s, next, want)
 		}
 	}

@@ -71,8 +71,8 @@ func (m *Metrics) Event(ev Event) {
 	m.Count(name, 1)
 }
 
-// Get returns the current value of a counter (0 if never written).
-func (m *Metrics) Get(name string) int64 {
+// get returns the current value of a counter (0 if never written).
+func (m *Metrics) get(name string) int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if c := m.counters[name]; c != nil {

@@ -139,7 +139,7 @@ func TestTraceResetRecycles(t *testing.T) {
 	for i := 0; i < traceChunkSize*2+5; i++ {
 		tr.Event(Event{Rank: 1, Seq: i, Kind: KindRetry})
 	}
-	tr.Reset()
+	tr.reset()
 	if tr.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", tr.Len())
 	}

@@ -19,8 +19,8 @@ func TestMetricsCounters(t *testing.T) {
 	m.Count("a", 2)
 	m.Count("a", 3)
 	m.Count("b", 1)
-	if m.Get("a") != 5 || m.Get("b") != 1 || m.Get("absent") != 0 {
-		t.Errorf("counters: a=%d b=%d absent=%d", m.Get("a"), m.Get("b"), m.Get("absent"))
+	if m.get("a") != 5 || m.get("b") != 1 || m.get("absent") != 0 {
+		t.Errorf("counters: a=%d b=%d absent=%d", m.get("a"), m.get("b"), m.get("absent"))
 	}
 	snap := m.snapshot()
 	if snap["a"] != 5 || len(snap) != 2 {
@@ -33,7 +33,7 @@ func TestMetricsEventCountsByKind(t *testing.T) {
 	m.Event(Event{Kind: KindCoalesceHit})
 	m.Event(Event{Kind: KindCoalesceHit})
 	m.Event(Event{Kind: KindMisdirected})
-	if m.Get("events."+KindCoalesceHit) != 2 || m.Get("events."+KindMisdirected) != 1 {
+	if m.get("events."+KindCoalesceHit) != 2 || m.get("events."+KindMisdirected) != 1 {
 		t.Errorf("event counters wrong: %v", m.snapshot())
 	}
 }
@@ -52,11 +52,11 @@ func TestMetricsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Get("c") != 8000 {
-		t.Errorf("c = %d, want 8000", m.Get("c"))
+	if m.get("c") != 8000 {
+		t.Errorf("c = %d, want 8000", m.get("c"))
 	}
-	if m.Get("events."+KindDNSQuery) != 8000 {
-		t.Errorf("event counter = %d", m.Get("events."+KindDNSQuery))
+	if m.get("events."+KindDNSQuery) != 8000 {
+		t.Errorf("event counter = %d", m.get("events."+KindDNSQuery))
 	}
 }
 
@@ -161,7 +161,7 @@ func TestMultiFanOut(t *testing.T) {
 	r := Multi(nil, m, nil, tr)
 	r.Count("x", 4)
 	r.Event(Event{Rank: 1, Kind: KindGoAway})
-	if m.Get("x") != 4 || m.Get("events."+KindGoAway) != 1 {
+	if m.get("x") != 4 || m.get("events."+KindGoAway) != 1 {
 		t.Error("metrics member missed calls")
 	}
 	if tr.Len() != 1 {

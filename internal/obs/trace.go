@@ -64,9 +64,9 @@ func (t *Trace) Len() int {
 	return t.n
 }
 
-// Reset drops all recorded events and recycles the storage chunks, so a
+// reset drops all recorded events and recycles the storage chunks, so a
 // long-lived recorder can be reused across runs without regrowing.
-func (t *Trace) Reset() {
+func (t *Trace) reset() {
 	t.mu.Lock()
 	for _, c := range t.chunks {
 		*c = (*c)[:0]

@@ -20,7 +20,11 @@ func testPage(t *testing.T) *har.Page {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Pages {
-		if len(p.Hosts()) >= 5 {
+		hosts := map[string]bool{}
+		for _, e := range p.Entries {
+			hosts[e.Host] = true
+		}
+		if len(hosts) >= 5 {
 			return p
 		}
 	}

@@ -12,11 +12,8 @@ import (
 	"respectorigin/internal/netsim"
 )
 
-// Figure9DeploymentData carries the Figure 9 (bottom) PLT CDFs.
+// Figure9DeploymentData carries the Figure 9 (bottom) median PLTs.
 type Figure9DeploymentData struct {
-	Control    []measure.CDFPoint
-	Experiment []measure.CDFPoint
-
 	MedianControl    float64
 	MedianExperiment float64
 	ImprovementPct   float64
@@ -66,8 +63,6 @@ func (d *Deployment) Figure9Deployment(seed int64) (Figure9DeploymentData, strin
 		}
 	}
 	out := Figure9DeploymentData{
-		Control:          measure.CDF(ctl),
-		Experiment:       measure.CDF(exp),
 		MedianControl:    measure.Median(ctl),
 		MedianExperiment: measure.Median(exp),
 	}

@@ -91,31 +91,21 @@ func (c *Corpus) Figure2(width int) string {
 	return sb.String()
 }
 
-// Figure3Data carries the four CDFs of Figure 3.
-type Figure3Data struct {
-	MeasuredDNS []measure.CDFPoint
-	MeasuredTLS []measure.CDFPoint
-	IdealIP     []measure.CDFPoint
-	IdealOrigin []measure.CDFPoint
-}
+// Figure3Data is what Figure3 returns beside its text; nothing reads
+// the four CDFs, so it carries none of them.
+type Figure3Data struct{}
 
 // Figure3 reproduces Figure 3: CDFs of per-page DNS queries and TLS
 // connections, measured vs ideal IP vs ideal ORIGIN coalescing.
 func (c *Corpus) Figure3() (Figure3Data, string) {
 	dns, tls, ip, origin := get[*modelAcc](c, partModel).series()
-	d := Figure3Data{
-		MeasuredDNS: measure.CDF(dns),
-		MeasuredTLS: measure.CDF(tls),
-		IdealIP:     measure.CDF(ip),
-		IdealOrigin: measure.CDF(origin),
-	}
 	var sb strings.Builder
 	sb.WriteString("Figure 3: DNS queries / TLS connections per page\n")
 	sb.WriteString(measure.FormatCDF("  measured DNS", dns) + "\n")
 	sb.WriteString(measure.FormatCDF("  measured TLS", tls) + "\n")
 	sb.WriteString(measure.FormatCDF("  ideal IP coalescing", ip) + "\n")
 	sb.WriteString(measure.FormatCDF("  ideal ORIGIN coalescing", origin) + "\n")
-	return d, sb.String()
+	return Figure3Data{}, sb.String()
 }
 
 // Figure4 reproduces Figure 4: CDFs of SAN counts in existing vs ideal
@@ -139,10 +129,9 @@ func (c *Corpus) Figure4() (existing, ideal []measure.CDFPoint, text string) {
 
 // Figure5Point is one site in the Figure 5 scatter.
 type Figure5Point struct {
-	RankByExisting int
-	Existing       int
-	Added          int
-	Ideal          int
+	Existing int
+	Added    int
+	Ideal    int
 }
 
 // Figure5 reproduces Figure 5: sites ranked by existing SAN size with
@@ -160,9 +149,6 @@ func (c *Corpus) Figure5() ([]Figure5Point, string) {
 	// Rank by existing size descending; sites of equal size keep corpus
 	// order.
 	sort.SliceStable(pts, func(i, j int) bool { return pts[i].Existing > pts[j].Existing })
-	for i := range pts {
-		pts[i].RankByExisting = i + 1
-	}
 	var sb strings.Builder
 	sb.WriteString("Figure 5: tail distribution of SAN entries (ranked by existing size)\n")
 	fmt.Fprintf(&sb, "  sites: %d; no-change sites: %d (%.1f%%; paper 62.41%%)\n",
@@ -207,13 +193,8 @@ func (a *fig9Acc) add(s *scratch, p *har.Page) {
 
 func (a *fig9Acc) merge(next accumulator) { a.rows = append(a.rows, next.(*fig9Acc).rows...) }
 
-// Figure9ModelData carries the PLT CDFs of Figure 9 (top).
+// Figure9ModelData carries the median PLTs of Figure 9 (top).
 type Figure9ModelData struct {
-	Measured    []measure.CDFPoint
-	IdealIP     []measure.CDFPoint
-	IdealOrigin []measure.CDFPoint
-	CDNOrigin   []measure.CDFPoint
-
 	MedianMeasured  float64
 	MedianIP        float64
 	MedianOrigin    float64
@@ -234,10 +215,6 @@ func (c *Corpus) Figure9Model(cdnASN uint32) (Figure9ModelData, string) {
 		meas[i], ip[i], origin[i], cdnOnly[i] = r.meas, r.ip, r.origin, r.cdnOnly
 	}
 	d := Figure9ModelData{
-		Measured:        measure.CDF(meas),
-		IdealIP:         measure.CDF(ip),
-		IdealOrigin:     measure.CDF(origin),
-		CDNOrigin:       measure.CDF(cdnOnly),
 		MedianMeasured:  measure.Median(meas),
 		MedianIP:        measure.Median(ip),
 		MedianOrigin:    measure.Median(origin),

@@ -13,7 +13,6 @@ import (
 // PolicyStats summarizes one policy over the corpus.
 type PolicyStats struct {
 	Policy            string
-	OriginDeployed    bool
 	MedianConnections float64
 	MedianDNSQueries  float64
 }
@@ -94,7 +93,6 @@ func (c *Corpus) PolicyComparison() ([]PolicyStats, string) {
 		}
 		out = append(out, PolicyStats{
 			Policy:            cfg.name,
-			OriginDeployed:    cfg.deployed,
 			MedianConnections: measure.Median(conns),
 			MedianDNSQueries:  measure.Median(dns),
 		})

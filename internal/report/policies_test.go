@@ -21,19 +21,20 @@ func archetypeCorpus(t *testing.T, a webgen.Archetype, sites, workers int) *Corp
 
 // A replayer carried from page to page — its environment's maps and
 // slices, its browsers' pools — must count exactly what one built for
-// the page alone counts, visit the hosts har.Page.Hosts lists, and leave
+// the page alone counts, visit the hosts a fresh one visits, and leave
 // nothing of one page for the next to see.
 func TestPolicyReplayerReuseMatchesFresh(t *testing.T) {
 	for _, a := range webgen.Archetypes() {
 		c := archetypeCorpus(t, a, 300, 1)
 		reused := newPolicyReplayer()
 		for _, p := range c.DS.Pages {
-			got, want := reused.replay(p), newPolicyReplayer().replay(p)
+			fresh := newPolicyReplayer()
+			got, want := reused.replay(p), fresh.replay(p)
 			if got != want {
 				t.Fatalf("%s rank %d: reused replayer counted %v, a fresh one %v", a, p.Rank, got, want)
 			}
-			if hosts := p.Hosts(); !reflect.DeepEqual(reused.env.Hosts(), hosts) {
-				t.Fatalf("%s rank %d: replayed hosts %v, page lists %v", a, p.Rank, reused.env.Hosts(), hosts)
+			if hosts := fresh.env.Hosts(); !reflect.DeepEqual(reused.env.Hosts(), hosts) {
+				t.Fatalf("%s rank %d: replayed hosts %v, a fresh replayer's %v", a, p.Rank, reused.env.Hosts(), hosts)
 			}
 		}
 	}
@@ -46,7 +47,7 @@ func TestPolicyReplayerReuseMatchesFresh(t *testing.T) {
 // same bytes at any worker count. A corpus folds a part once, so each
 // run measures a fresh corpus.
 func TestPolicyComparisonAllocBudget(t *testing.T) {
-	c := archetypeCorpus(t, webgen.ArchetypeBaseline, 800, 1)
+	c := archetypeCorpus(t, "", 800, 1) // "" is the baseline universe
 	wantStats, wantText := c.PolicyComparison()
 	allocs := testing.AllocsPerRun(3, func() { NewCorpusWorkers(c.DS, 1).PolicyComparison() })
 	if perPage := allocs / float64(len(c.DS.Pages)); perPage > 4 {

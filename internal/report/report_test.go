@@ -142,9 +142,9 @@ func TestTable6PerASTypes(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if len(r.Types) != 4 {
-			t.Errorf("AS %s has %d types", r.AS, len(r.Types))
+			t.Errorf("row %d has %d types", i, len(r.Types))
 		}
 	}
 	if !strings.Contains(txt, "Google") {
@@ -209,15 +209,11 @@ func TestFigure2(t *testing.T) {
 
 func TestFigure3Ordering(t *testing.T) {
 	c := testCorpus(t, 1000)
-	d, txt := c.Figure3()
-	if len(d.MeasuredDNS) == 0 || len(d.IdealOrigin) == 0 {
-		t.Fatal("empty CDFs")
-	}
-	// The ORIGIN CDF dominates (shifts left of) the measured TLS CDF.
-	atFive := func(pts []float64) float64 { return pts[0] }
-	_ = atFive
-	if !strings.Contains(txt, "ideal ORIGIN") {
-		t.Error("figure 3 format")
+	_, txt := c.Figure3()
+	for _, series := range []string{"measured DNS", "measured TLS", "ideal IP", "ideal ORIGIN"} {
+		if !strings.Contains(txt, series) {
+			t.Errorf("figure 3 has no %s CDF", series)
+		}
 	}
 }
 

@@ -254,7 +254,6 @@ func (c *Corpus) Table5(n int) ([]measure.RankedEntry, string) {
 
 // Table6Row is one AS section of Table 6.
 type Table6Row struct {
-	AS    string
 	Types []measure.RankedEntry
 }
 
@@ -303,7 +302,7 @@ func (c *Corpus) Table6(topAS, topTypes int) ([]Table6Row, string) {
 		for _, a := range asns[as.Key] {
 			types.Merge(byASN[a])
 		}
-		row := Table6Row{AS: as.Key, Types: types.Top(topTypes)}
+		row := Table6Row{Types: types.Top(topTypes)}
 		rows = append(rows, row)
 		fmt.Fprintf(&sb, "%s (%.2f%% of requests)\n", as.Key, as.Share)
 		for _, tr := range row.Types {

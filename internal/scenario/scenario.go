@@ -39,17 +39,17 @@ type DNSTransport uint8
 
 // Resolver transports.
 const (
-	// TransportDo53 is classic UDP/TCP port-53 resolution.
-	TransportDo53 DNSTransport = iota
-	// TransportDoH is RFC 8484 DNS-over-HTTPS resolution.
-	TransportDoH
+	// transportDo53 is classic UDP/TCP port-53 resolution.
+	transportDo53 DNSTransport = iota
+	// transportDoH is RFC 8484 DNS-over-HTTPS resolution.
+	transportDoH
 )
 
 func (t DNSTransport) String() string {
 	switch t {
-	case TransportDo53:
+	case transportDo53:
 		return "do53"
-	case TransportDoH:
+	case transportDoH:
 		return "doh"
 	default:
 		return "unknown"
@@ -65,7 +65,7 @@ func DefaultConfig() Config {
 		Personas:   defaultPersonas(),
 		Archetypes: webgen.Archetypes(),
 		Profiles:   netsim.Profiles(),
-		Transports: []DNSTransport{TransportDo53, TransportDoH},
+		Transports: []DNSTransport{transportDo53, transportDoH},
 	}
 }
 
@@ -134,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Profiles = netsim.Profiles()
 	}
 	if len(cfg.Transports) == 0 {
-		cfg.Transports = []DNSTransport{TransportDo53, TransportDoH}
+		cfg.Transports = []DNSTransport{transportDo53, transportDoH}
 	}
 	for _, a := range cfg.Archetypes {
 		if err := a.Validate(); err != nil {
@@ -323,7 +323,7 @@ func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t DNSTransp
 	ms := float64(full)*p.SetupMs(netsim.Setup{}) + float64(resumed)*p.SetupMs(netsim.Setup{Resumed: true})
 	scale := p.CostScale()
 	switch t {
-	case TransportDoH:
+	case transportDoH:
 		// Count × unscaled price, then scale: the grouping the recorded
 		// matrix cells were priced with, kept to the ulp.
 		unscaled := p

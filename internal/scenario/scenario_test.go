@@ -234,7 +234,7 @@ func TestMatrixGolden(t *testing.T) {
 		Personas:   defaultPersonas(),
 		Archetypes: webgen.Archetypes(),
 		Profiles:   netsim.Profiles()[:3], // wired, 4g, 3g
-		Transports: []DNSTransport{TransportDo53, TransportDoH},
+		Transports: []DNSTransport{transportDo53, transportDoH},
 	}
 	got := []byte(mustRun(t, cfg).Table())
 	path := filepath.Join("testdata", "matrix_seed1.golden")

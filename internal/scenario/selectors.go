@@ -12,9 +12,9 @@ import (
 func parseTransport(name string) (DNSTransport, error) {
 	switch name {
 	case "do53":
-		return TransportDo53, nil
+		return transportDo53, nil
 	case "doh":
-		return TransportDoH, nil
+		return transportDoH, nil
 	}
 	return 0, fmt.Errorf("scenario: unknown dns transport %q (do53, doh)", name)
 }

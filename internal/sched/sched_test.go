@@ -90,7 +90,7 @@ func permute(rs []Resource, k int) []Resource {
 	return out
 }
 
-func deliveryOrder(ds []Delivery) []uint32 {
+func deliveryOrder(ds []delivery) []uint32 {
 	ids := make([]uint32, len(ds))
 	for i, d := range ds {
 		ids[i] = d.ID

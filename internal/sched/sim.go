@@ -23,8 +23,8 @@ type Resource struct {
 	Bytes float64
 }
 
-// Delivery records when a resource finished arriving.
-type Delivery struct {
+// delivery records when a resource finished arriving.
+type delivery struct {
 	ID         uint32
 	Priority   int
 	CompleteMs float64
@@ -32,7 +32,7 @@ type Delivery struct {
 
 // inversions counts priority-order violations: pairs where a
 // less-important resource completed before a more-important one.
-func inversions(ds []Delivery) int {
+func inversions(ds []delivery) int {
 	inv := 0
 	for i := 0; i < len(ds); i++ {
 		for j := 0; j < len(ds); j++ {
@@ -46,7 +46,7 @@ func inversions(ds []Delivery) int {
 
 // criticalCompleteMs returns when the last resource at or below the
 // given priority finished — the render-blocking completion time.
-func criticalCompleteMs(ds []Delivery, maxPriority int) float64 {
+func criticalCompleteMs(ds []delivery, maxPriority int) float64 {
 	t := 0.0
 	for _, d := range ds {
 		if d.Priority <= maxPriority && d.CompleteMs > t {
@@ -66,7 +66,7 @@ func criticalCompleteMs(ds []Delivery, maxPriority int) float64 {
 // Because one sender controls the ordering, the client receives bytes
 // exactly in intended priority order (§6.1: "coalesced resources are
 // always received in the ordering intended").
-func deliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
+func deliverCoalesced(resources []Resource, bandwidthKBps float64) []delivery {
 	byPri := map[int][]Resource{}
 	var pris []int
 	for _, r := range resources {
@@ -77,7 +77,7 @@ func deliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
 	}
 	sort.Ints(pris)
 	now := 0.0
-	var out []Delivery
+	var out []delivery
 	for _, pri := range pris {
 		group := byPri[pri]
 		// Within a class, equal weights: round-robin means all finish
@@ -110,7 +110,7 @@ func deliverCoalesced(resources []Resource, bandwidthKBps float64) []Delivery {
 				left[i] -= v
 			}
 			now += dt
-			out = append(out, Delivery{ID: remaining[idx].ID, Priority: pri, CompleteMs: now})
+			out = append(out, delivery{ID: remaining[idx].ID, Priority: pri, CompleteMs: now})
 			done++
 		}
 	}
@@ -139,7 +139,7 @@ type ParallelParams struct {
 // bottleneck. Each connection delivers its own queue in order, but the
 // client has no cross-connection ordering control: arrival order is set
 // by connection start times, queue lengths, and bandwidth competition.
-func deliverParallel(resources []Resource, p ParallelParams) []Delivery {
+func deliverParallel(resources []Resource, p ParallelParams) []delivery {
 	if p.Connections < 1 {
 		p.Connections = 1
 	}
@@ -157,7 +157,7 @@ func deliverParallel(resources []Resource, p ParallelParams) []Delivery {
 		queues[c] = append(queues[c], r)
 	}
 	perConn := p.BandwidthKBps / float64(p.Connections)
-	var out []Delivery
+	var out []delivery
 	for c, q := range queues {
 		now := p.HandshakeMs + rng.Float64()*p.HandshakeJitterMs
 		first := true
@@ -168,7 +168,7 @@ func deliverParallel(resources []Resource, p ParallelParams) []Delivery {
 				first = false
 			}
 			now += r.Bytes / rate
-			out = append(out, Delivery{ID: r.ID, Priority: r.Priority, CompleteMs: now})
+			out = append(out, delivery{ID: r.ID, Priority: r.Priority, CompleteMs: now})
 		}
 		_ = c
 	}

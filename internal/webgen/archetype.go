@@ -11,10 +11,10 @@ type Archetype string
 
 // Page archetypes.
 const (
-	// ArchetypeBaseline is the measured-web universe. The empty string
+	// archetypeBaseline is the measured-web universe. The empty string
 	// selects it too, so the zero Config keeps its historical output
 	// byte for byte.
-	ArchetypeBaseline Archetype = "baseline"
+	archetypeBaseline Archetype = "baseline"
 
 	// ArchetypeSharded is the HTTP/1.1-era domain-sharding universe:
 	// every site with a SAN budget fans its first-party content across
@@ -35,13 +35,13 @@ const (
 
 // Archetypes returns the selectable universes in matrix order.
 func Archetypes() []Archetype {
-	return []Archetype{ArchetypeBaseline, ArchetypeSharded, ArchetypeMigration}
+	return []Archetype{archetypeBaseline, ArchetypeSharded, ArchetypeMigration}
 }
 
 // Validate rejects unknown archetype names at configuration time.
 func (a Archetype) Validate() error {
 	switch a {
-	case "", ArchetypeBaseline, ArchetypeSharded, ArchetypeMigration:
+	case "", archetypeBaseline, ArchetypeSharded, ArchetypeMigration:
 		return nil
 	}
 	return fmt.Errorf("webgen: unknown archetype %q", string(a))
@@ -49,7 +49,7 @@ func (a Archetype) Validate() error {
 
 func (a Archetype) String() string {
 	if a == "" {
-		return string(ArchetypeBaseline)
+		return string(archetypeBaseline)
 	}
 	return string(a)
 }

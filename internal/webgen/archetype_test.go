@@ -27,7 +27,7 @@ func genArchetype(t *testing.T, a Archetype, sites, workers int) *Dataset {
 // behind.
 func TestBaselineArchetypeIsZeroValue(t *testing.T) {
 	zero := genArchetype(t, "", 200, 1)
-	named := genArchetype(t, ArchetypeBaseline, 200, 1)
+	named := genArchetype(t, archetypeBaseline, 200, 1)
 	if !bytes.Equal(ndjsonBytes(t, zero), ndjsonBytes(t, named)) {
 		t.Fatal("Archetype \"\" and \"baseline\" generate different corpora")
 	}
@@ -164,7 +164,7 @@ func TestMigrationArchetypeReResolvesDisjoint(t *testing.T) {
 // determinism steps; here we pin the structural invariant that the
 // archetype branches never draw from the page RNG in baseline mode.)
 func TestBaselineDrawsUnchanged(t *testing.T) {
-	base := genArchetype(t, ArchetypeBaseline, 150, 1)
+	base := genArchetype(t, archetypeBaseline, 150, 1)
 	if len(base.Pages) == 0 {
 		t.Fatal("empty corpus")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"respectorigin/internal/asn"
@@ -16,8 +17,15 @@ import (
 // an AS. OrgOf replaced it; they stay here as the reference OrgOf and
 // the generator's addressing are held to.
 func registerProviders(db *asn.DB) {
-	for _, p := range Providers {
-		db.Add(providerPrefixes[p.Name], p.ASN, p.Name)
+	for _, p := range providers {
+		register(db, providerPrefixes[p.Name], p.ASN, p.Name)
+	}
+}
+
+// register adds one prefix to db through its text loader.
+func register(db *asn.DB, prefix netip.Prefix, as uint32, org string) {
+	if _, err := db.Load(strings.NewReader(fmt.Sprintf("%v %d %s\n", prefix, as, org))); err != nil {
+		panic(err)
 	}
 }
 
@@ -33,15 +41,15 @@ func RebuildASDB(pages []*har.Page) *asn.DB {
 				continue
 			}
 			seen[as] = true
-			if _, ok := db.Lookup(e.ServerIP); ok {
+			if db.LookupASN(e.ServerIP) != 0 {
 				continue
 			}
-			if as >= TailASNBase {
-				idx := int(as - TailASNBase)
-				db.Add(tailPrefix(idx), as, fmt.Sprintf("Tail-AS-%d", idx))
+			if as >= tailASNBase {
+				idx := int(as - tailASNBase)
+				register(db, tailPrefix(idx), as, fmt.Sprintf("Tail-AS-%d", idx))
 			} else {
 				// Unknown AS: register the /16 around the observed IP.
-				db.Add(netip.PrefixFrom(e.ServerIP, 16).Masked(), as, fmt.Sprintf("AS-%d", as))
+				register(db, netip.PrefixFrom(e.ServerIP, 16).Masked(), as, fmt.Sprintf("AS-%d", as))
 			}
 		}
 	}
@@ -63,8 +71,8 @@ func checkASes(t *testing.T, name string, ds *Dataset) {
 			if got, want := OrgOf(as), db.Org(as); got != want || want == "" {
 				t.Fatalf("%s rank %d: OrgOf(%d) = %q, reference database says %q", name, p.Rank, as, got, want)
 			}
-			prefix := tailPrefix(int(as) - TailASNBase)
-			if as < TailASNBase {
+			prefix := tailPrefix(int(as) - tailASNBase)
+			if as < tailASNBase {
 				prefix = providerPrefixes[OrgOf(as)]
 			}
 			for _, a := range append([]netip.Addr{e.ServerIP}, e.DNSAnswer...) {

@@ -6,48 +6,45 @@ import "net/netip"
 // dataset (§3.3, Tables 2–7, Table 9). The generator samples from these
 // so that the synthetic corpus reproduces the paper's aggregate shape.
 
-// Provider is a hosting/CDN organization with one or more ASNs.
-type Provider struct {
+// provider is a hosting/CDN organization with one or more ASNs.
+type provider struct {
 	Name   string
 	ASN    uint32
 	Prefix string // IPv4 allocation the generator assigns hosts from
-	// ReqShare is the provider's share of all subresource requests
-	// (Table 2, %).
-	ReqShare float64
 	// SiteShare is the share of *websites* served by the provider
 	// (Table 9, %; zero for providers not in that table).
 	SiteShare float64
 }
 
-// Providers are the paper's top-10 request destinations (Table 2). The
+// providers are the paper's top-10 request destinations (Table 2). The
 // remaining ~36% of requests go to a long tail generated separately.
-var Providers = []Provider{
-	{Name: "Google", ASN: 15169, Prefix: "8.8.0.0/16", ReqShare: 22.10, SiteShare: 5.09},
-	{Name: "Cloudflare", ASN: 13335, Prefix: "104.16.0.0/16", ReqShare: 13.75, SiteShare: 24.74},
-	{Name: "Amazon-02", ASN: 16509, Prefix: "52.84.0.0/16", ReqShare: 8.40, SiteShare: 7.75},
-	{Name: "Amazon-AES", ASN: 14618, Prefix: "54.144.0.0/16", ReqShare: 5.62, SiteShare: 0},
-	{Name: "Fastly", ASN: 54113, Prefix: "151.101.0.0/16", ReqShare: 3.57, SiteShare: 1.2},
-	{Name: "Akamai", ASN: 16625, Prefix: "23.32.0.0/16", ReqShare: 3.02, SiteShare: 0.9},
-	{Name: "Facebook", ASN: 32934, Prefix: "157.240.0.0/16", ReqShare: 2.78, SiteShare: 0},
-	{Name: "Akamai-Intl", ASN: 20940, Prefix: "2.16.0.0/16", ReqShare: 1.62, SiteShare: 0.4},
-	{Name: "OVH", ASN: 16276, Prefix: "51.68.0.0/16", ReqShare: 1.52, SiteShare: 2.0},
-	{Name: "Hetzner", ASN: 24940, Prefix: "88.198.0.0/16", ReqShare: 1.30, SiteShare: 2.5},
+var providers = []provider{
+	{Name: "Google", ASN: 15169, Prefix: "8.8.0.0/16", SiteShare: 5.09},
+	{Name: "Cloudflare", ASN: 13335, Prefix: "104.16.0.0/16", SiteShare: 24.74},
+	{Name: "Amazon-02", ASN: 16509, Prefix: "52.84.0.0/16", SiteShare: 7.75},
+	{Name: "Amazon-AES", ASN: 14618, Prefix: "54.144.0.0/16", SiteShare: 0},
+	{Name: "Fastly", ASN: 54113, Prefix: "151.101.0.0/16", SiteShare: 1.2},
+	{Name: "Akamai", ASN: 16625, Prefix: "23.32.0.0/16", SiteShare: 0.9},
+	{Name: "Facebook", ASN: 32934, Prefix: "157.240.0.0/16", SiteShare: 0},
+	{Name: "Akamai-Intl", ASN: 20940, Prefix: "2.16.0.0/16", SiteShare: 0.4},
+	{Name: "OVH", ASN: 16276, Prefix: "51.68.0.0/16", SiteShare: 2.0},
+	{Name: "Hetzner", ASN: 24940, Prefix: "88.198.0.0/16", SiteShare: 2.5},
 }
 
-// TailASNBase is the first ASN used for long-tail networks; the dataset
+// tailASNBase is the first ASN used for long-tail networks; the dataset
 // saw 13,316 distinct ASes.
-const TailASNBase = 400000
+const tailASNBase = 400000
 
-// PopularHost is a popular third-party subresource hostname (Table 7).
-type PopularHost struct {
+// popularHost is a popular third-party subresource hostname (Table 7).
+type popularHost struct {
 	Host     string
 	Provider string  // Provider.Name owning it
 	Share    float64 // share of all requests, %
 }
 
-// PopularHosts are the Table 7 top-10 subresource hostnames; together
+// popularHosts are the Table 7 top-10 subresource hostnames; together
 // they account for 12.5% of requests.
-var PopularHosts = []PopularHost{
+var popularHosts = []popularHost{
 	{"fonts.gstatic.com", "Google", 2.23},
 	{"www.google-analytics.com", "Google", 1.67},
 	{"www.facebook.com", "Facebook", 1.58},
@@ -60,11 +57,11 @@ var PopularHosts = []PopularHost{
 	{"cdn.shopify.com", "Cloudflare", 0.87},
 }
 
-// SecondaryHosts are provider-bound third-party hostnames giving the
+// secondaryHosts are provider-bound third-party hostnames giving the
 // remaining Table 2 providers their request share (e.g. Amazon-AES and
 // Fastly host media and library content without hosting many base
 // pages themselves).
-var SecondaryHosts = []PopularHost{
+var secondaryHosts = []popularHost{
 	{"media.amazon-aes.example", "Amazon-AES", 5.62},
 	{"cdn.fastly-pop.example", "Fastly", 3.57},
 	{"img.akamaized.example", "Akamai", 3.02},
@@ -73,9 +70,9 @@ var SecondaryHosts = []PopularHost{
 	{"assets.hetzner-hosted.example", "Hetzner", 1.30},
 }
 
-// ProviderPopularHosts lists, per provider, hostnames commonly used by
+// providerPopularHosts lists, per provider, hostnames commonly used by
 // sites on that provider (Table 9's candidate SAN additions).
-var ProviderPopularHosts = map[string][]string{
+var providerPopularHosts = map[string][]string{
 	"Cloudflare": {
 		"cdnjs.cloudflare.com",
 		"sni.cloudflaressl.com",
@@ -95,8 +92,8 @@ var ProviderPopularHosts = map[string][]string{
 	},
 }
 
-// ContentType is a weighted response content type (Table 5).
-type ContentType struct {
+// contentType is a weighted response content type (Table 5).
+type contentType struct {
 	Mime  string
 	Share float64 // % of requests
 	// MeanBytes parameterizes body sizes.
@@ -105,8 +102,8 @@ type ContentType struct {
 	RenderBlocking bool
 }
 
-// ContentTypes are the Table 5 top-12 plus an "other" bucket.
-var ContentTypes = []ContentType{
+// contentTypes are the Table 5 top-12 plus an "other" bucket.
+var contentTypes = []contentType{
 	{"application/javascript", 14.26, 28_000, true},
 	{"image/jpeg", 13.02, 45_000, false},
 	{"image/png", 10.67, 18_000, false},
@@ -122,14 +119,14 @@ var ContentTypes = []ContentType{
 	{"other/other", 13.45, 8_000, false},
 }
 
-// Protocol is a weighted application protocol (Table 3).
-type Protocol struct {
+// protocol is a weighted application protocol (Table 3).
+type protocol struct {
 	Name  string
 	Share float64
 }
 
-// Protocols are the Table 3 request protocol mix.
-var Protocols = []Protocol{
+// protocols are the Table 3 request protocol mix.
+var protocols = []protocol{
 	{"h2", 73.64},
 	{"http/1.1", 19.09},
 	{"h3", 0.34},
@@ -138,17 +135,17 @@ var Protocols = []Protocol{
 	{"unknown", 6.83},
 }
 
-// SecureShare is the fraction of requests over HTTPS (Table 3, bottom).
-const SecureShare = 0.9853
+// secureShare is the fraction of requests over HTTPS (Table 3, bottom).
+const secureShare = 0.9853
 
-// Issuer is a weighted certificate issuer (Table 4).
-type Issuer struct {
+// issuer is a weighted certificate issuer (Table 4).
+type issuer struct {
 	Name  string
 	Share float64 // % of certificate validations
 }
 
-// Issuers are the Table 4 top-10 plus a tail bucket.
-var Issuers = []Issuer{
+// issuers are the Table 4 top-10 plus a tail bucket.
+var issuers = []issuer{
 	{"Google Trust Services CA 101", 25.86},
 	{"Let's Encrypt (R3)", 9.58},
 	{"Amazon", 9.15},
@@ -163,18 +160,18 @@ var Issuers = []Issuer{
 }
 
 // providerByName indexes Providers.
-var providerByName = func() map[string]*Provider {
-	m := make(map[string]*Provider, len(Providers))
-	for i := range Providers {
-		m[Providers[i].Name] = &Providers[i]
+var providerByName = func() map[string]*provider {
+	m := make(map[string]*provider, len(providers))
+	for i := range providers {
+		m[providers[i].Name] = &providers[i]
 	}
 	return m
 }()
 
 // providerPrefixes holds every provider's Prefix, parsed once, by name.
 var providerPrefixes = func() map[string]netip.Prefix {
-	m := make(map[string]netip.Prefix, len(Providers))
-	for _, p := range Providers {
+	m := make(map[string]netip.Prefix, len(providers))
+	for _, p := range providers {
 		m[p.Name] = netip.MustParsePrefix(p.Prefix)
 	}
 	return m

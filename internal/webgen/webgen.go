@@ -308,7 +308,7 @@ func tailPrefix(i int) netip.Prefix {
 }
 
 // tailAS returns the AS number of long-tail AS i.
-func tailAS(i int) uint32 { return uint32(TailASNBase + i) }
+func tailAS(i int) uint32 { return uint32(tailASNBase + i) }
 
 // OrgOf returns the organization name of an AS of the generated
 // universe. The name is a function of the number alone — a provider's
@@ -316,16 +316,16 @@ func tailAS(i int) uint32 { return uint32(TailASNBase + i) }
 // corpus needs no database beside its pages: every entry carries its
 // ServerASN. AS 0 (no origin AS known) has no name.
 func OrgOf(asn uint32) string {
-	for i := range Providers {
-		if Providers[i].ASN == asn {
-			return Providers[i].Name
+	for i := range providers {
+		if providers[i].ASN == asn {
+			return providers[i].Name
 		}
 	}
 	switch {
 	case asn == 0:
 		return ""
-	case asn >= TailASNBase:
-		return "Tail-AS-" + strconv.Itoa(int(asn-TailASNBase))
+	case asn >= tailASNBase:
+		return "Tail-AS-" + strconv.Itoa(int(asn-tailASNBase))
 	}
 	return "AS-" + strconv.Itoa(int(asn))
 }
@@ -347,11 +347,11 @@ func hostAddr(prefix netip.Prefix, h uint32) netip.Addr {
 
 // siteProvider picks the hosting provider for a site (Table 9 shares);
 // the remainder self-hosts on a tail AS, for which prov is nil.
-func (g *generator) siteProvider() (prov *Provider, asnum uint32, prefix netip.Prefix) {
+func (g *generator) siteProvider() (prov *provider, asnum uint32, prefix netip.Prefix) {
 	x := g.rng.Float64() * 100
 	acc := 0.0
-	for i := range Providers {
-		p := &Providers[i]
+	for i := range providers {
+		p := &providers[i]
 		acc += p.SiteShare
 		if x < acc {
 			return p, p.ASN, providerPrefixes[p.Name]
@@ -361,7 +361,7 @@ func (g *generator) siteProvider() (prov *Provider, asnum uint32, prefix netip.P
 }
 
 // tailProvider draws a long-tail AS to host on.
-func (g *generator) tailProvider() (prov *Provider, asnum uint32, prefix netip.Prefix) {
+func (g *generator) tailProvider() (prov *provider, asnum uint32, prefix netip.Prefix) {
 	i := g.rng.Intn(tailASSpace)
 	return nil, tailAS(i), tailPrefix(i)
 }
@@ -417,7 +417,7 @@ func sanCount(rng *rand.Rand) int {
 
 type hostInfo struct {
 	name   span      // of generator.text
-	prov   *Provider // hosting provider; nil on a long-tail AS
+	prov   *provider // hosting provider; nil on a long-tail AS
 	asn    uint32
 	addrs  span // of generator.addrs
 	reqs   int
@@ -431,7 +431,7 @@ type hostInfo struct {
 
 // addHost appends a host with one request and one to three addresses
 // inside prefix, and returns it.
-func (g *generator) addHost(name span, prov *Provider, asnum uint32, prefix netip.Prefix, weight float64) *hostInfo {
+func (g *generator) addHost(name span, prov *provider, asnum uint32, prefix netip.Prefix, weight float64) *hostInfo {
 	nAddr := 1 + g.rng.Intn(3)
 	off := len(g.addrs)
 	h := hash32(g.bytes(name))
@@ -447,14 +447,14 @@ func (g *generator) addHost(name span, prov *Provider, asnum uint32, prefix neti
 var shardNames = []string{"static", "img", "cdn", "assets", "media"}
 
 // popularInclusion and secondaryInclusion are the per-page inclusion
-// probabilities of PopularHosts and SecondaryHosts, by index.
+// probabilities of popularHosts and secondaryHosts, by index.
 var (
 	popularInclusion   = []float64{0.62, 0.66, 0.52, 0.56, 0.30, 0.34, 0.34, 0.34, 0.56, 0.18}
 	secondaryInclusion = []float64{0.50, 0.40, 0.35, 0.22, 0.20, 0.15}
 )
 
 // providerHostUse is how often a site on a provider uses each of the
-// provider's popular hostnames (ProviderPopularHosts).
+// provider's popular hostnames (providerPopularHosts).
 var providerHostUse = map[string]float64{
 	"cdnjs.cloudflare.com":     0.1621,
 	"sni.cloudflaressl.com":    0.1258,
@@ -548,7 +548,7 @@ func (g *generator) genPage(rank int) *har.Page {
 
 	if !singleAS {
 		// Popular third parties (Table 7 / Table 9).
-		for i, ph := range PopularHosts {
+		for i, ph := range popularHosts {
 			if rng.Float64() < popularInclusion[i] {
 				p := providerByName[ph.Provider]
 				g.addHost(g.literal(ph.Host), p, p.ASN, providerPrefixes[p.Name], ph.Share).deepDiscovery = true
@@ -558,7 +558,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		// the Table 7 hostnames these spread over many distinct names
 		// per provider (e.g. per-customer cloudfront.net hosts), so no
 		// single hostname ranks highly.
-		for i, sh := range SecondaryHosts {
+		for i, sh := range secondaryHosts {
 			if rng.Float64() < secondaryInclusion[i] {
 				p := providerByName[sh.Provider]
 				off := g.begin()
@@ -571,7 +571,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		}
 		// Same-provider popular hosts (the Table 9 candidates).
 		if prov != nil {
-			for _, h := range ProviderPopularHosts[prov.Name] {
+			for _, h := range providerPopularHosts[prov.Name] {
 				if g.hostListed(h) {
 					continue
 				}
@@ -734,7 +734,7 @@ func (g *generator) genPage(rank int) *har.Page {
 		}
 		e := &entries[idx]
 		e.Method = "GET"
-		e.Secure = rng.Float64() < SecureShare
+		e.Secure = rng.Float64() < secureShare
 		e.ServerIP = g.addrs[h.addrs.off]
 		e.ServerASN = h.asn
 		e.Initiator = -1
@@ -883,7 +883,7 @@ func zeroed[T any](s *[]T, n int) []T {
 // certificates but not all: customers bring their own CAs too (§3.3
 // notes the ability is limited by management complexity and
 // multi-provider setups).
-func issuerFor(prov *Provider, rng *rand.Rand) string {
+func issuerFor(prov *provider, rng *rand.Rand) string {
 	if prov != nil {
 		if is, ok := issuerForProvider[prov.Name]; ok && rng.Float64() < 0.5 {
 			return is
@@ -891,13 +891,13 @@ func issuerFor(prov *Provider, rng *rand.Rand) string {
 	}
 	x := rng.Float64() * 100
 	acc := 0.0
-	for _, is := range Issuers {
+	for _, is := range issuers {
 		acc += is.Share
 		if x < acc {
 			return is.Name
 		}
 	}
-	return Issuers[len(Issuers)-1].Name
+	return issuers[len(issuers)-1].Name
 }
 
 // buildRootSANs assembles the root certificate's SAN list of the target
@@ -980,22 +980,22 @@ func (g *generator) synthSANs(host span, n int) span {
 	return span{int32(lo), int32(len(g.sans) - lo)}
 }
 
-func pickContentType(rng *rand.Rand, wave int) ContentType {
+func pickContentType(rng *rand.Rand, wave int) contentType {
 	x := rng.Float64() * 100
 	acc := 0.0
-	for _, ct := range ContentTypes {
+	for _, ct := range contentTypes {
 		acc += ct.Share
 		if x < acc {
 			return ct
 		}
 	}
-	return ContentTypes[len(ContentTypes)-1]
+	return contentTypes[len(contentTypes)-1]
 }
 
 func pickProtocol(rng *rand.Rand) string {
 	x := rng.Float64() * 100
 	acc := 0.0
-	for _, p := range Protocols {
+	for _, p := range protocols {
 		acc += p.Share
 		if x < acc {
 			return p.Name

@@ -147,18 +147,6 @@ func TestGenerateStreamTinyShardsDoNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestGenerateValidPages(t *testing.T) {
-	ds := genSmall(t, 300)
-	if len(ds.Pages) == 0 {
-		t.Fatal("no pages generated")
-	}
-	for _, p := range ds.Pages {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("page %s invalid: %v", p.URL, err)
-		}
-	}
-}
-
 func TestSuccessRate(t *testing.T) {
 	ds := genSmall(t, 2000)
 	got := float64(len(ds.Pages)) / 2000
@@ -263,25 +251,20 @@ func TestUniqueASesPerPage(t *testing.T) {
 
 func TestProtocolMix(t *testing.T) {
 	ds := genSmall(t, 1000)
-	c := measure.NewCounter()
-	for _, p := range ds.Pages {
-		for _, e := range p.Entries {
-			c.Add(e.Protocol, 1)
-		}
-	}
-	h2Share := 100 * float64(c.Count("h2")) / float64(c.Total())
-	if h2Share < 68 || h2Share > 79 {
-		t.Errorf("h2 share = %.1f%%, want ≈73.6%%", h2Share)
-	}
-	secure := 0
-	total := 0
+	h2, secure, total := 0, 0, 0
 	for _, p := range ds.Pages {
 		for _, e := range p.Entries {
 			total++
+			if e.Protocol == "h2" {
+				h2++
+			}
 			if e.Secure {
 				secure++
 			}
 		}
+	}
+	if h2Share := 100 * float64(h2) / float64(total); h2Share < 68 || h2Share > 79 {
+		t.Errorf("h2 share = %.1f%%, want ≈73.6%%", h2Share)
 	}
 	if s := float64(secure) / float64(total); s < 0.97 || s > 1 {
 		t.Errorf("secure share = %.4f, want ≈0.985", s)
@@ -334,14 +317,14 @@ func TestIssuersAssigned(t *testing.T) {
 
 func TestPopularHostsAppear(t *testing.T) {
 	ds := genSmall(t, 1000)
-	c := measure.NewCounter()
+	requested := map[string]bool{}
 	for _, p := range ds.Pages {
 		for _, e := range p.Entries {
-			c.Add(e.Host, 1)
+			requested[e.Host] = true
 		}
 	}
 	for _, ph := range []string{"fonts.gstatic.com", "www.google-analytics.com"} {
-		if c.Count(ph) == 0 {
+		if !requested[ph] {
 			t.Errorf("popular host %s never requested", ph)
 		}
 	}

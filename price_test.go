@@ -1,51 +1,62 @@
 package respectorigin
 
 import (
+	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
+	"go/types"
+	"slices"
 	"testing"
 )
 
 // handshakeTerms are the netsim.Params fields a connection setup's
 // price is made of.
-var handshakeTerms = map[string]bool{"CertVerifyMs": true, "TLSRoundTrips": true, "ExtraCertVerifyPerSANMs": true}
+var handshakeTerms = []string{"CertVerifyMs", "TLSRoundTrips", "ExtraCertVerifyPerSANMs"}
 
 // TestOneHandshakePrice holds netsim as the one place a connection setup
-// is priced: no non-test Go outside internal/netsim reads a handshake
-// term, so every caller goes through netsim.Params.SetupMs or
-// Network.HandshakeTime and no second copy of the formula can appear.
+// is priced: no non-test Go outside internal/netsim selects a handshake
+// term of netsim.Params, so every caller goes through
+// netsim.Params.SetupMs or Network.HandshakeTime and no second copy of
+// the formula can appear. A field of the same name on another type is
+// not a handshake term.
 func TestOneHandshakePrice(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == filepath.Join("internal", "netsim") || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && handshakeTerms[sel.Sel.Name] {
-				t.Errorf("%s reads %s: price connection setups with netsim.Params.SetupMs or Network.HandshakeTime", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range handshakeFindings(loadRepo(t)) {
+		t.Error(f)
 	}
+}
+
+// handshakeFindings reports each selection of a handshake term in m's
+// non-test Go outside internal/netsim.
+func handshakeFindings(m *module) []string {
+	netsim := m.pkg("internal/netsim")
+	if netsim == nil {
+		return []string{"internal/netsim is not loaded"}
+	}
+	params := netsim.types.Scope().Lookup("Params").Type().Underlying().(*types.Struct)
+	terms := map[types.Object]bool{}
+	for i := range params.NumFields() {
+		if f := params.Field(i); slices.Contains(handshakeTerms, f.Name()) {
+			terms[f] = true
+		}
+	}
+	var findings []string
+	if len(terms) != len(handshakeTerms) {
+		findings = append(findings, fmt.Sprintf("netsim.Params has %d of the handshake terms %v", len(terms), handshakeTerms))
+	}
+	for _, p := range m.pkgs {
+		if p == netsim {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if s := m.info.Selections[sel]; s != nil && terms[s.Obj()] {
+						findings = append(findings, fmt.Sprintf("%s reads netsim.Params.%s: price connection setups with netsim.Params.SetupMs or Network.HandshakeTime",
+							m.position(sel.Pos()), sel.Sel.Name))
+					}
+				}
+				return true
+			})
+		}
+	}
+	return findings
 }

@@ -1,12 +1,9 @@
 package respectorigin
 
 import (
+	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
+	"go/types"
 	"testing"
 )
 
@@ -19,62 +16,47 @@ var recorderHolders = map[string]bool{"browser.Browser": true, "cdn.Experiment":
 // first use. Non-test Go declares no SetRecorder method and no
 // obs.Recorder field anywhere else or under another name.
 func TestOneRecorderIdiom(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		owner := map[*ast.StructType]string{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok {
-					owner[st] = f.Name.Name + "." + n.Name.Name
-				}
-			case *ast.FuncDecl:
-				if n.Recv != nil && n.Name.Name == "SetRecorder" {
-					t.Errorf("%s declares SetRecorder: hold a recorder in an exported Rec field", fset.Position(n.Pos()))
-				}
-			case *ast.StructType:
-				for _, field := range n.Fields.List {
-					named := len(field.Names) == 1 && field.Names[0].Name == "Rec"
-					if isRecorder(f.Name.Name, field.Type) && (!named || !recorderHolders[owner[n]]) {
-						t.Errorf("%s: obs.Recorder field outside the one idiom: only browser.Browser, cdn.Experiment and h2.Server hold one, in a field named Rec",
-							fset.Position(field.Pos()))
-					}
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range recorderFindings(loadRepo(t), recorderHolders) {
+		t.Error(f)
 	}
 }
 
-// isRecorder reports whether expr, in a file of package pkg, names the
-// obs.Recorder interface.
-func isRecorder(pkg string, expr ast.Expr) bool {
-	switch e := expr.(type) {
-	case *ast.SelectorExpr:
-		x, ok := e.X.(*ast.Ident)
-		return ok && x.Name == "obs" && e.Sel.Name == "Recorder"
-	case *ast.Ident:
-		return pkg == "obs" && e.Name == "Recorder"
+// recorderFindings reports each SetRecorder method and each struct
+// field of m's non-test Go whose type is the module's obs.Recorder,
+// however its file names that type, unless the field is named Rec on
+// one of holders.
+func recorderFindings(m *module, holders map[string]bool) []string {
+	obs := m.pkg("internal/obs")
+	if obs == nil {
+		return []string{"internal/obs is not loaded"}
 	}
-	return false
+	recorder := obs.types.Scope().Lookup("Recorder").Type()
+	var findings []string
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			owner := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owner[st] = p.types.Name() + "." + n.Name.Name
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil && n.Name.Name == "SetRecorder" {
+						findings = append(findings, fmt.Sprintf("%s declares SetRecorder: hold a recorder in an exported Rec field", m.position(n.Pos())))
+					}
+				case *ast.StructType:
+					for _, field := range n.Fields.List {
+						named := len(field.Names) == 1 && field.Names[0].Name == "Rec"
+						if types.Identical(m.info.Types[field.Type].Type, recorder) && (!named || !holders[owner[n]]) {
+							findings = append(findings, fmt.Sprintf("%s: obs.Recorder field outside the one idiom: only the recorder holders hold one, in a field named Rec",
+								m.position(field.Pos())))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return findings
 }
