@@ -2,6 +2,7 @@ package h2
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -326,6 +327,10 @@ func TestNonCompliantPeerTearsDownOnOrigin(t *testing.T) {
 	}
 }
 
+// TestRefusedStreamOverConcurrencyLimit: a peer that opens a stream past
+// the server's SETTINGS_MAX_CONCURRENT_STREAMS gets REFUSED_STREAM for it
+// (RFC 9113 §5.1.2). ClientConn never sends one, so the peer here is
+// raw frames.
 func TestRefusedStreamOverConcurrencyLimit(t *testing.T) {
 	release := make(chan struct{})
 	srv := &Server{
@@ -335,24 +340,86 @@ func TestRefusedStreamOverConcurrencyLimit(t *testing.T) {
 			w.WriteHeader(200)
 		}),
 	}
-	cc, stop := startPair(t, srv, ClientConnOptions{})
-	defer stop()
-	defer close(release)
+	cn, sn := net.Pipe()
+	serverErr := make(chan error, 1)
+	go func() { serverErr <- srv.ServeConn(sn) }()
+	defer func() {
+		close(release)
+		cn.Close()
+		<-serverErr
+	}()
 
-	// Occupy both stream slots.
-	done := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			cc.Get("example.com", "/slow")
-			done <- struct{}{}
-		}()
+	io.WriteString(cn, clientPreface)
+	fr := NewFramer(cn, cn)
+	resets := make(chan [2]uint32, 3)
+	go func() {
+		for {
+			f, err := fr.ReadFrame()
+			if err != nil {
+				return
+			}
+			if rst, ok := f.(*rstStreamFrame); ok {
+				resets <- [2]uint32{rst.StreamID, uint32(rst.ErrCode)}
+			}
+		}
+	}()
+	fr.writeSettings()
+	enc := hpack.NewEncoder()
+	// Streams 1 and 3 occupy both slots; 5 is one too many.
+	for _, id := range []uint32{1, 3, 5} {
+		block := enc.AppendHeaderBlock(nil, []hpack.HeaderField{
+			{Name: ":method", Value: "GET"}, {Name: ":scheme", Value: "https"},
+			{Name: ":authority", Value: "example.com"}, {Name: ":path", Value: "/slow"},
+		})
+		fr.writeHeadersFrame(headersFrameParam{StreamID: id, BlockFragment: block, EndStream: true, EndHeaders: true})
 	}
-	// Give the two streams time to open.
-	time.Sleep(50 * time.Millisecond)
-	_, err := cc.Get("example.com", "/third")
-	se, ok := err.(streamErr)
-	if !ok || se.Code != errCodeRefusedStream {
-		t.Errorf("third stream: err = %v, want REFUSED_STREAM", err)
+	select {
+	case rst := <-resets:
+		if rst != [2]uint32{5, uint32(errCodeRefusedStream)} {
+			t.Errorf("RST_STREAM on stream %d with %v, want stream 5 REFUSED_STREAM", rst[0], ErrCode(rst[1]))
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("the third stream was not refused")
+	}
+}
+
+// TestClientHonoursMaxConcurrentStreams: while the server's one stream
+// slot is held, a request fails with errStreamLimit and sends no HEADERS
+// (RFC 9113 §5.1.2).
+func TestClientHonoursMaxConcurrentStreams(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	counters := make(chan ConnCounters, 1)
+	srv := &Server{
+		MaxConcurrentStreams: 1,
+		Handler: HandlerFunc(func(w *ResponseWriter, r *Request) {
+			close(held)
+			<-release
+			w.WriteHeader(200)
+		}),
+		CountersFor: func(c ConnCounters) { counters <- c },
+	}
+	cc, stop := startPair(t, srv, ClientConnOptions{})
+	// The ack of a PING comes after the server's SETTINGS, so once it is
+	// in, the read loop has taken the limit.
+	if err := cc.pingTimeout([8]byte{1}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := cc.Get("example.com", "/held")
+		heldErr <- err
+	}()
+	<-held
+	if _, err := cc.Get("example.com", "/over"); !errors.Is(err, errStreamLimit) {
+		t.Errorf("request past the limit: err = %v, want errStreamLimit", err)
+	}
+	close(release)
+	if err := <-heldErr; err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if c := <-counters; c.StreamsOpened != 1 {
+		t.Errorf("the server saw %d streams, want 1: the request past the limit sent HEADERS", c.StreamsOpened)
 	}
 }
 
