@@ -3,17 +3,20 @@ package respectorigin
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
+	"go/token"
 	"go/types"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// callerAllowlist names the exported funcs and methods under internal/
-// that stand without a non-test caller in another package, each with
-// why. The only reasons are: a correctness oracle that tests compare
-// against, a DESIGN.md §6 ablation bench in bench_test.go, and a hook
-// whose only job is to let a test observe or substitute.
+// callerAllowlist names the exported names under internal/ that stand
+// without a non-test user, and the option fields that non-test Go sets
+// to one value only, each with why. The only reasons are: a correctness
+// oracle that tests compare against, a DESIGN.md §6 ablation bench in
+// bench_test.go, and a hook whose only job is to let a test observe or
+// substitute.
 var callerAllowlist = map[string]string{
 	"conformance.NewFlowChecker":                "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
 	"conformance.FlowChecker.Check":             "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
@@ -23,6 +26,8 @@ var callerAllowlist = map[string]string{
 	"privacy.Exposure.LeakedHosts":              "oracle: the leaked-host set of privacy.Analyze",
 	"hpack.Encoder.SetHuffman":                  "ablation §6.1: BenchmarkAblationHuffman runs the encoder with Huffman coding on and off",
 	"certs.Leaf.TLSRecords":                     "ablation §6.5: BenchmarkAblationSANSize reads the TLS records a real chain needs",
+	"h2.ClientConnOptions.FlowHook":             "hook: lets a test observe every flow-control transition (conformance.FlowChecker)",
+	"h2.ClientConnOptions.VerifyOrigin":         "hook: lets a test substitute the certificate check over a transport without TLS",
 }
 
 // stdlibInterfaces are the standard-library interfaces, as package path
@@ -45,7 +50,8 @@ var reflectingPackages = []string{"encoding/json", "fmt"}
 
 // TestEveryExportHasACaller holds ROADMAP's "every exported name earns a
 // user": no exported name declared in non-test Go under internal/ goes
-// unused, unless callerAllowlist names it with a reason. Packages in
+// unused, no field there goes unread, and no option field is set to one
+// value only, unless callerAllowlist names it with a reason. Packages in
 // testSupport and probeOnly are not gated, and testSupport's own Go uses
 // nothing. The rules are exportFindings'.
 func TestEveryExportHasACaller(t *testing.T) {
@@ -56,9 +62,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 }
 
 // exportFindings reports each exported name declared in m's non-test Go
-// under internal/ (outside the packages notGated) that nothing uses.
-// Uses are resolved objects, read from non-test Go of every package but
-// those in noUser:
+// under internal/ (outside the packages notGated) that nothing uses, each
+// unexported struct field there that nothing reads, and each option
+// field that non-test Go sets to one value only. Uses and writes are
+// resolved objects, read from non-test Go of every package but those in
+// noUser:
 //   - A func, const, var or type is used when another package names it.
 //     A type is also used when the signature of a used func or method,
 //     or the type of a used field, var or const, mentions it.
@@ -66,21 +74,33 @@ func TestEveryExportHasACaller(t *testing.T) {
 //     it, when its type implements an interface whose method of that
 //     name is selected anywhere, or when it implements one of
 //     stdlibInterfaces.
-//   - A field is used when it is read in any package: selected outside
-//     an assignment target (a composite-literal key is not a selection),
-//     or passed through on the way to a promoted field or method. An
-//     embedded field is also read when a method promoted through it
-//     implements an interface for its struct, as the method rule counts
-//     interfaces. A field also counts as read when a value of its
-//     struct, or of a type holding it, is passed as an `any` to a
-//     function of reflectingPackages.
+//   - A field, exported or not, is used when it is read in any package:
+//     selected outside an assignment target (a composite-literal key is
+//     not a selection), or passed through on the way to a promoted field
+//     or method. An embedded field is also read when a method promoted
+//     through it implements an interface for its struct, as the method
+//     rule counts interfaces. A field also counts as read when a value
+//     of its struct, or of a type holding it, is passed as an `any` to a
+//     function of reflectingPackages, and when its struct is a map key
+//     (hashing reads every field).
+//   - An option field is an exported field of a struct type whose name
+//     ends in Config, Options or Params. Each keyed-literal entry for
+//     it, each omission from a keyed literal of its type (a write of its
+//     zero value) and each assignment to it is a write. It is a finding
+//     when nothing writes it, or when every write is the same constant:
+//     then it is a constant of the package that reads it, not an
+//     option. A write of a non-constant value, an increment or taking
+//     its address (`&cfg.F`, as flag binding does) keeps it an option.
 //
-// An allowlisted name counts as used; naming one that has another user,
-// or that is not declared, is a finding too.
+// Neither rule reports an allowlisted name; an entry for a name that
+// neither rule would report, or that is not declared, is a finding.
 func exportFindings(m *module, allowlist map[string]string, notGated, noUser []string) []string {
-	type decl struct{ kind, key string }
+	type decl struct {
+		kind, key string
+		option    bool
+	}
 	decls := map[types.Object]decl{}
-	var embedders []*types.Named // struct types with an exported embedded field
+	var embedders []*types.Named // struct types with an embedded field
 	for _, p := range m.pkgs {
 		if !strings.HasPrefix(p.rel, "internal/") || slices.Contains(notGated, p.rel) {
 			continue
@@ -90,7 +110,7 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
 			if obj.Exported() {
-				decls[obj] = decl{objectKind(obj), name + "." + n}
+				decls[obj] = decl{kind: objectKind(obj), key: name + "." + n}
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -99,16 +119,16 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 			named := tn.Type().(*types.Named)
 			for i := range named.NumMethods() {
 				if fn := named.Method(i); fn.Exported() {
-					decls[fn] = decl{"method", name + "." + n + "." + fn.Name()}
+					decls[fn] = decl{kind: "method", key: name + "." + n + "." + fn.Name()}
 				}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
+				options := strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Params")
 				for i := range st.NumFields() {
-					if f := st.Field(i); f.Exported() {
-						decls[f] = decl{"field", name + "." + n + "." + f.Name()}
-						if f.Embedded() {
-							embedders = append(embedders, named)
-						}
+					f := st.Field(i)
+					decls[f] = decl{kind: "field", key: name + "." + n + "." + f.Name(), option: options && f.Exported()}
+					if f.Embedded() {
+						embedders = append(embedders, named)
 					}
 				}
 			}
@@ -141,6 +161,21 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 				used[t.Field(i).Origin()] = true
 				reflect(t.Field(i).Type())
 			}
+		}
+	}
+	// written holds each option field's distinct constant writes;
+	// variable marks the ones written a non-constant value.
+	written := map[types.Object]map[string]bool{}
+	variable := map[types.Object]bool{}
+	write := func(f types.Object, value string) {
+		switch {
+		case !decls[f].option:
+		case value == "":
+			variable[f] = true
+		case written[f] == nil:
+			written[f] = map[string]bool{value: true}
+		default:
+			written[f][value] = true
 		}
 	}
 	for _, p := range m.pkgs {
@@ -191,9 +226,57 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 							}
 						}
 					}
+				case *ast.CompositeLit:
+					t := m.info.Types[n].Type
+					if ptr, ok := t.Underlying().(*types.Pointer); ok {
+						t = ptr.Elem() // an element literal with &T elided
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					keyed := map[string]ast.Expr{}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							keyed[kv.Key.(*ast.Ident).Name] = kv.Value
+						} else {
+							keyed[st.Field(i).Name()] = elt
+						}
+					}
+					for i := range st.NumFields() {
+						f := st.Field(i).Origin()
+						if v, ok := keyed[f.Name()]; ok {
+							write(f, constantOf(m.info, v))
+						} else {
+							write(f, zeroOf(f.Type()))
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if f := selectedField(m.info, lhs); f != nil {
+							value := ""
+							if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+								value = constantOf(m.info, n.Rhs[i])
+							}
+							write(f, value)
+						}
+					}
+				case *ast.IncDecStmt:
+					if f := selectedField(m.info, n.X); f != nil {
+						write(f, "")
+					}
+				case *ast.UnaryExpr:
+					if f := selectedField(m.info, n.X); f != nil && n.Op == token.AND {
+						write(f, "")
+					}
 				}
 				return true
 			})
+		}
+	}
+	for _, tv := range m.info.Types {
+		if mt, ok := types.Unalias(tv.Type).(*types.Map); ok {
+			hashedFields(mt.Key(), func(f *types.Var) { used[f.Origin()] = true })
 		}
 	}
 	for _, s := range stdlibInterfaces {
@@ -242,7 +325,7 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 		}
 	}
 	for obj, d := range decls {
-		if _, ok := allowlist[d.key]; (ok || used[obj]) && d.kind != "type" {
+		if _, ok := allowlist[d.key]; (ok || used[obj]) && d.kind != "type" && obj.Exported() {
 			mentions(obj.Type(), func(tn *types.TypeName) { used[tn] = true })
 		}
 	}
@@ -251,21 +334,25 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 	declared := map[string]bool{}
 	for obj, d := range decls {
 		declared[d.key] = true
+		fixed := d.option && !variable[obj] && len(written[obj]) <= 1
 		_, allowed := allowlist[d.key]
 		switch {
-		case used[obj] && allowed:
-			findings = append(findings, fmt.Sprintf("%s is on the allowlist but has a non-test user: drop the entry", d.key))
-		case !used[obj] && !allowed:
-			what := "has no non-test user outside its package: unexport it, delete it, or allowlist it with a reason"
-			if d.kind == "field" {
-				what = "is never read by non-test Go: delete it, with what writes it"
-			}
-			findings = append(findings, fmt.Sprintf("%s: %s %s %s", m.position(obj.Pos()), d.kind, d.key, what))
+		case allowed && used[obj] && !fixed:
+			findings = append(findings, fmt.Sprintf("%s is on the allowlist but passes without it: drop the entry", d.key))
+		case allowed:
+		case !used[obj] && d.kind == "field":
+			findings = append(findings, fmt.Sprintf("%s: field %s is never read by non-test Go: delete it, with what writes it", m.position(obj.Pos()), d.key))
+		case !used[obj]:
+			findings = append(findings, fmt.Sprintf("%s: %s %s has no non-test user outside its package: unexport it, delete it, or allowlist it with a reason", m.position(obj.Pos()), d.kind, d.key))
+		case fixed && len(written[obj]) == 0:
+			findings = append(findings, fmt.Sprintf("%s: option field %s is never set by non-test Go: make it a constant", m.position(obj.Pos()), d.key))
+		case fixed:
+			findings = append(findings, fmt.Sprintf("%s: option field %s is set to one value by non-test Go: make it a constant", m.position(obj.Pos()), d.key))
 		}
 	}
 	for key := range allowlist {
 		if !declared[key] {
-			findings = append(findings, fmt.Sprintf("the allowlist names %s, which is not an exported name under internal/", key))
+			findings = append(findings, fmt.Sprintf("the allowlist names %s, which is not declared under internal/", key))
 		}
 	}
 	if len(decls) == 0 || len(used) == 0 {
@@ -273,6 +360,48 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 	}
 	slices.Sort(findings)
 	return findings
+}
+
+// selectedField is the struct field x selects, or nil.
+func selectedField(info *types.Info, x ast.Expr) types.Object {
+	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		return s.Obj().(*types.Var).Origin()
+	}
+	return nil
+}
+
+// constantOf is the value x writes when it is a constant (or nil), as
+// zeroOf spells a zero, and "" when it is not.
+func constantOf(info *types.Info, x ast.Expr) string {
+	tv := info.Types[x]
+	switch {
+	case tv.IsNil():
+		return "zero"
+	case tv.Value == nil:
+		return ""
+	case tv.Value.Kind() == constant.Int || tv.Value.Kind() == constant.Float:
+		return constant.ToFloat(tv.Value).ExactString()
+	}
+	return tv.Value.ExactString()
+}
+
+// zeroOf is the zero value of t as constantOf spells it.
+func zeroOf(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsBoolean != 0:
+			return "false"
+		case b.Info()&types.IsString != 0:
+			return `""`
+		case b.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+	}
+	return "zero"
 }
 
 // objectKind names what obj declares: const, var, type or func.
@@ -403,4 +532,19 @@ func mentions(t types.Type, visit func(*types.TypeName)) {
 		}
 	}
 	walk(t)
+}
+
+// hashedFields calls visit for each field of the struct t is, and of
+// the structs and arrays those fields hold: every field a map keyed by t
+// hashes.
+func hashedFields(t types.Type, visit func(*types.Var)) {
+	switch t := t.Underlying().(type) {
+	case *types.Array:
+		hashedFields(t.Elem(), visit)
+	case *types.Struct:
+		for i := range t.NumFields() {
+			visit(t.Field(i))
+			hashedFields(t.Field(i).Type(), visit)
+		}
+	}
 }

@@ -109,7 +109,6 @@ func main() {
 	}
 	if *ping > 0 {
 		opts.PingInterval = *ping
-		opts.PingTimeout = *ping
 		if opts.ReadTimeout > 0 && opts.ReadTimeout <= *ping {
 			// A read deadline shorter than the keepalive period would kill
 			// idle-but-healthy connections before the first PING.

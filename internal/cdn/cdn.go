@@ -118,10 +118,8 @@ type CDN struct {
 	zones map[string]*Zone
 	stale bool
 
-	// alignedAddr is the single new address used during PhaseIP, and
-	// aligned the one-address answer set naming it.
-	alignedAddr netip.Addr
-	aligned     []netip.Addr
+	// aligned is the one-address answer set naming alignedAddr.
+	aligned []netip.Addr
 	// third is the third party's host-table entry: its standard anycast
 	// addresses and its certificate.
 	third *hostEntry
@@ -195,50 +193,46 @@ func (v *view) entry(host string) *hostEntry {
 	return v.hosts[host]
 }
 
+// thirdParty is the popular shared domain every CDN hosts, under its
+// canonical name.
+const thirdParty = "cdnjs.cloudflare.com"
+
+// thirdPartyAddr is the third party's own A record, and alignedAddr the
+// single new address the treated zones and the third party share during
+// PhaseIP.
+var (
+	thirdPartyAddr = netip.AddrFrom4([4]byte{104, 16, 9, 9})
+	alignedAddr    = netip.AddrFrom4([4]byte{104, 16, 200, 1})
+)
+
 // Config for New.
 type Config struct {
-	ThirdParty      string
-	ThirdPartyAddrs []netip.Addr
-	AlignedAddr     netip.Addr
-	SampleRate      float64 // log sampling, default 0.01
-	Seed            int64
+	SampleRate float64 // log sampling, default 0.01
+	Seed       int64
 }
 
 // New creates a CDN hosting the third-party domain.
 func New(c Config) *CDN {
-	if c.ThirdParty == "" {
-		c.ThirdParty = "cdnjs.cloudflare.com"
-	}
-	if dnsKey(c.ThirdParty) != c.ThirdParty {
-		panic(fmt.Sprintf("cdn: third party %q is not a canonical name", c.ThirdParty))
-	}
-	if len(c.ThirdPartyAddrs) == 0 {
-		c.ThirdPartyAddrs = []netip.Addr{netip.MustParseAddr("104.16.9.9")}
-	}
-	if !c.AlignedAddr.IsValid() {
-		c.AlignedAddr = netip.MustParseAddr("104.16.200.1")
-	}
 	if c.SampleRate == 0 {
 		c.SampleRate = 0.01
 	}
-	controlName := certs.EqualLengthControlName(c.ThirdParty, 2)
+	controlName := certs.EqualLengthControlName(thirdParty, 2)
 	cdn := &CDN{
-		ThirdParty:  c.ThirdParty,
+		ThirdParty:  thirdParty,
 		ControlName: controlName,
 		zones:       make(map[string]*Zone),
-		alignedAddr: c.AlignedAddr,
-		aligned:     []netip.Addr{c.AlignedAddr},
+		aligned:     []netip.Addr{alignedAddr},
 		third: &hostEntry{
-			host:       c.ThirdParty,
+			host:       thirdParty,
 			thirdParty: true,
-			sans:       []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
-			records:    slices.Clone(c.ThirdPartyAddrs),
+			sans:       []string{thirdParty, "*." + firstLabelParent(thirdParty)},
+			records:    []netip.Addr{thirdPartyAddr},
 		},
-		originExperiment: []string{c.ThirdParty},
+		originExperiment: []string{thirdParty},
 		originControl:    []string{controlName},
 		pipeline:         newLogPipeline(c.SampleRate, c.Seed),
 	}
-	cdn.v.Store(&view{hosts: map[string]*hostEntry{c.ThirdParty: cdn.third}})
+	cdn.v.Store(&view{hosts: map[string]*hostEntry{thirdParty: cdn.third}})
 	return cdn
 }
 
@@ -506,7 +500,7 @@ func (c *CDN) Reachable(host string, ip netip.Addr) bool {
 		return true
 	case !e.thirdParty && e.treatment == treatmentNone:
 		return false
-	case v.alignedServes && ip == c.alignedAddr, slices.Contains(v.isolatedServe, ip):
+	case v.alignedServes && ip == alignedAddr, slices.Contains(v.isolatedServe, ip):
 		return true
 	default:
 		return e.thirdParty && v.ownServeThird && v.treatedAddrs[ip]

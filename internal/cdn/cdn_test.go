@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 
@@ -183,7 +184,6 @@ func TestPassiveIPReduction(t *testing.T) {
 	c := newTestCDN(1) // sample every request for test precision
 	cfg := DefaultExperimentConfig()
 	cfg.SampleSize = 1200
-	cfg.VisitsPerZonePerDay = 2
 	e := SetupExperiment(c, cfg)
 
 	c.EnterPhaseIP()
@@ -279,7 +279,6 @@ func TestLongitudinalOriginDeployment(t *testing.T) {
 	c := newTestCDN(1)
 	cfg := DefaultExperimentConfig()
 	cfg.SampleSize = 600
-	cfg.VisitsPerZonePerDay = 3
 	e := SetupExperiment(c, cfg)
 
 	const total, start, end = 28, 7, 21
@@ -336,19 +335,23 @@ func TestVisitChromeIPPhaseCoalesces(t *testing.T) {
 	// §5.2 result held across all browsers.
 	c := newTestCDN(0.01)
 	cfg := DefaultExperimentConfig()
-	cfg.AnonymousFrac = 0
-	cfg.ChurnFrac = 0
 	cfg.SampleSize = 50
 	e := SetupExperiment(c, cfg)
 	c.EnterPhaseIP()
+	visited := 0
 	for _, z := range e.SampleZones {
-		if z.Treatment != TreatmentExperiment || z.ThirdPartyPools != 1 {
+		// Anonymous and churned zones never coalesce their third party.
+		if z.Treatment != TreatmentExperiment || z.ThirdPartyPools != 1 || z.UsesAnonymousFetch || z.Churned {
 			continue
 		}
+		visited++
 		res := e.Visit(z, "chrome", -1)
 		if res.CoalescedPools != 1 || res.NewThirdParty != 0 {
 			t.Fatalf("chrome IP-phase visit: %+v", res)
 		}
+	}
+	if visited == 0 {
+		t.Fatal("no experiment zone with one credentialed pool to visit")
 	}
 }
 
@@ -357,19 +360,48 @@ func TestVisitChromeOriginPhaseDoesNotCoalesce(t *testing.T) {
 	// reverts, even for experiment zones.
 	c := newTestCDN(0.01)
 	cfg := DefaultExperimentConfig()
-	cfg.AnonymousFrac = 0
-	cfg.ChurnFrac = 0
-	cfg.OriginFetchFailFrac = 0
 	cfg.SampleSize = 50
 	e := SetupExperiment(c, cfg)
 	c.EnterPhaseOrigin(ip("104.19.99.99"))
+	visited := 0
 	for _, z := range e.SampleZones {
-		if z.Treatment != TreatmentExperiment {
+		// Anonymous and churned zones would not coalesce anyway.
+		if z.Treatment != TreatmentExperiment || z.UsesAnonymousFetch || z.Churned {
 			continue
 		}
+		visited++
 		res := e.Visit(z, "chrome", -1)
 		if res.CoalescedPools != 0 {
 			t.Fatalf("chrome coalesced via ORIGIN: %+v", res)
+		}
+	}
+	if visited == 0 {
+		t.Fatal("no credentialed experiment zone to visit")
+	}
+}
+
+// The UA cutoff between Chrome and legacy clients is the float64 sum of
+// the two shares, 0.7999999999999999, which every recorded deployment
+// and loadgen run drew against; untyped constants would fold it to 0.8.
+func TestUAFamilyCutoffs(t *testing.T) {
+	const cutoff = 0.7999999999999999
+	if sum := firefoxShare + chromeShare; sum != cutoff {
+		t.Errorf("firefoxShare+chromeShare = %v, want %v", sum, cutoff)
+	}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{0, UAFirefox},
+		{math.Nextafter(0.08, 0), UAFirefox},
+		{0.08, UAChrome},
+		{math.Nextafter(cutoff, 0), UAChrome},
+		{cutoff, uaLegacy},
+		{0.8, uaLegacy},
+		{math.Nextafter(1, 0), uaLegacy},
+	} {
+		if got := UAFamily(c.x); got != c.want {
+			t.Errorf("UAFamily(%v) = %s, want %s", c.x, uaFamilies[got], uaFamilies[c.want])
 		}
 	}
 }

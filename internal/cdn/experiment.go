@@ -16,30 +16,36 @@ import (
 	"respectorigin/internal/parallel"
 )
 
+// The §5 calibration of the deployment experiment.
+const (
+	// subpageOnlyFrac is the fraction of candidates removed because only
+	// their subpages request the third party (§5.1: 22%).
+	subpageOnlyFrac float64 = 0.22
+	// anonymousFrac is the fraction of zones whose third-party requests
+	// use crossorigin=anonymous or fetch()/XHR and never coalesce.
+	anonymousFrac float64 = 0.30
+	// churnFrac is the fraction of zones that stopped requesting the
+	// third party between selection and measurement.
+	churnFrac float64 = 0.06
+	// originFetchFailFrac is the per-visit probability that a visit's
+	// third-party request goes through a non-coalescing API path during
+	// the ORIGIN phase only (the §5.3 XMLHttpRequest/fetch observation).
+	originFetchFailFrac float64 = 0.12
+	// firefoxShare and chromeShare are the UA shares of visiting
+	// clients; the remainder are HTTP/1.1-era clients. They are typed so
+	// that UAFamily's cutoff is their float64 sum, 0.7999999999999999.
+	firefoxShare float64 = 0.08
+	chromeShare  float64 = 0.72
+	// visitsPerZonePerDay drives passive volume.
+	visitsPerZonePerDay = 4
+)
+
 // ExperimentConfig parameterizes the §5 deployment experiment.
 type ExperimentConfig struct {
 	// SampleSize is the number of candidate domains (the paper used the
 	// 5000 domains with the most third-party requests by Referer).
 	SampleSize int
-	// SubpageOnlyFrac is the fraction removed because only their
-	// subpages request the third party (§5.1: 22%).
-	SubpageOnlyFrac float64
-	// AnonymousFrac is the fraction of zones whose third-party requests
-	// use crossorigin=anonymous or fetch()/XHR and never coalesce.
-	AnonymousFrac float64
-	// ChurnFrac is the fraction of zones that stopped requesting the
-	// third party between selection and measurement.
-	ChurnFrac float64
-	// OriginFetchFailFrac is the per-visit probability that a visit's
-	// third-party request goes through a non-coalescing API path during
-	// the ORIGIN phase only (the §5.3 XMLHttpRequest/fetch observation).
-	OriginFetchFailFrac float64
-	// UA shares of visiting clients.
-	FirefoxShare float64
-	ChromeShare  float64 // remainder is HTTP/1.1-era clients
-	// VisitsPerZonePerDay drives passive volume.
-	VisitsPerZonePerDay int
-	Seed                int64
+	Seed       int64
 
 	// Faults is the degradation plan sampled per visit; the zero plan
 	// disables injection entirely and leaves every output byte-identical
@@ -59,15 +65,8 @@ type ExperimentConfig struct {
 // DefaultExperimentConfig mirrors the paper's setup at reduced scale.
 func DefaultExperimentConfig() ExperimentConfig {
 	return ExperimentConfig{
-		SampleSize:          5000,
-		SubpageOnlyFrac:     0.22,
-		AnonymousFrac:       0.30,
-		ChurnFrac:           0.06,
-		OriginFetchFailFrac: 0.12,
-		FirefoxShare:        0.08,
-		ChromeShare:         0.72,
-		VisitsPerZonePerDay: 4,
-		Seed:                1,
+		SampleSize: 5000,
+		Seed:       1,
 	}
 }
 
@@ -124,7 +123,7 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 	}
 	e.clients = newClients(retries, backoffMs)
 	for i := 0; i < cfg.SampleSize; i++ {
-		if e.rng.Float64() < cfg.SubpageOnlyFrac {
+		if e.rng.Float64() < subpageOnlyFrac {
 			e.Removed++
 			continue
 		}
@@ -136,8 +135,8 @@ func SetupExperiment(c *CDN, cfg ExperimentConfig) *Experiment {
 		} else {
 			z.Treatment = TreatmentControl
 		}
-		z.UsesAnonymousFetch = e.rng.Float64() < cfg.AnonymousFrac
-		z.Churned = e.rng.Float64() < cfg.ChurnFrac
+		z.UsesAnonymousFetch = e.rng.Float64() < anonymousFrac
+		z.Churned = e.rng.Float64() < churnFrac
 		z.ThirdPartyPools = SamplePools(e.rng)
 		e.SampleZones = append(e.SampleZones, z)
 	}
@@ -419,7 +418,7 @@ func (e *Experiment) drawAnonymous(z *Zone, pool int, phase Phase) bool {
 	if pool > 0 {
 		anonymous = e.rng.Float64() < 0.5
 	}
-	if phase == PhaseOrigin && e.rng.Float64() < e.Cfg.OriginFetchFailFrac {
+	if phase == PhaseOrigin && e.rng.Float64() < originFetchFailFrac {
 		anonymous = true
 	}
 	return anonymous
@@ -563,34 +562,42 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
 	}
 }
 
-// uaFamilies are the user-agent families a visit is drawn from.
+// uaFamilies are the user-agent families a visit is drawn from, in
+// UAFamily's order.
 var uaFamilies = [...]string{"firefox", "chrome", "legacy"}
 
-// sampleUA draws a user-agent family from the configured shares.
-func (e *Experiment) sampleUA() string { return uaFamilies[e.drawUA()] }
+// The client families UAFamily picks, as indexes into uaFamilies.
+const (
+	UAFirefox = iota
+	UAChrome
+	uaLegacy
+)
 
-// drawUA draws sampleUA's family as an index into uaFamilies.
-func (e *Experiment) drawUA() int {
-	x := e.rng.Float64()
+// UAFamily is the client family a uniform draw x in [0, 1) picks:
+// firefoxShare of clients run Firefox, chromeShare Chrome, and the rest
+// are HTTP/1.1-era clients.
+func UAFamily(x float64) int {
 	switch {
-	case x < e.Cfg.FirefoxShare:
-		return 0
-	case x < e.Cfg.FirefoxShare+e.Cfg.ChromeShare:
-		return 1
-	default:
-		return 2
+	case x < firefoxShare:
+		return UAFirefox
+	case x < firefoxShare+chromeShare:
+		return UAChrome
 	}
+	return uaLegacy
 }
 
+// sampleUA draws a user-agent family from the client shares.
+func (e *Experiment) sampleUA() string { return uaFamilies[UAFamily(e.rng.Float64())] }
+
 // runDay simulates one day of passive traffic over all sample zones,
-// VisitsPerZonePerDay visits each, zone by zone. A faulted or traced day
+// visitsPerZonePerDay visits each, zone by zone. A faulted or traced day
 // runs Visit in that order: the injector decides whether a visit draws
 // its coins at all, and a trace ranks visits in order. Any other day is
 // planned, and its log, Totals and ConnIDs are what that loop gives.
 func (e *Experiment) runDay(day int) {
 	if e.inj != nil || e.Rec != nil {
 		for _, z := range e.SampleZones {
-			for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
+			for v := 0; v < visitsPerZonePerDay; v++ {
 				e.Visit(z, e.sampleUA(), day)
 			}
 		}
@@ -626,7 +633,7 @@ func (e *Experiment) runPlannedDay(day int) {
 		uaNames[i] = lp.lockedName(ua)
 	}
 	held := lp.held
-	plan := slices.Grow(e.plan[:0], len(e.SampleZones)*e.Cfg.VisitsPerZonePerDay)
+	plan := slices.Grow(e.plan[:0], len(e.SampleZones)*visitsPerZonePerDay)
 	for zi, z := range e.SampleZones {
 		records := 1
 		if !z.Churned {
@@ -635,8 +642,8 @@ func (e *Experiment) runPlannedDay(day int) {
 		if records > maxPlannedRecords {
 			panic(fmt.Sprintf("cdn: %s has %d third-party pools; a planned visit logs at most %d records", z.Host, z.ThirdPartyPools, maxPlannedRecords))
 		}
-		for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
-			ua := e.drawUA()
+		for v := 0; v < visitsPerZonePerDay; v++ {
+			ua := UAFamily(e.rng.Float64())
 			p := visitPlan{
 				zone: z, ua: uaFamilies[ua], slot: held, first: e.records + 1, records: records,
 				names: visitNames{zone: e.zoneNames[zi], third: third, ua: uaNames[ua], treatment: uint8(z.Treatment)},

@@ -174,7 +174,7 @@ func TestRecorderDoesNotPerturbDeployment(t *testing.T) {
 		var d day
 		uas := []string{"firefox", "chrome", "legacy"}
 		for _, z := range e.SampleZones {
-			for v := 0; v < e.Cfg.VisitsPerZonePerDay; v++ {
+			for v := 0; v < visitsPerZonePerDay; v++ {
 				d.results = append(d.results, e.Visit(z, uas[v%len(uas)], 0))
 			}
 		}

@@ -64,8 +64,8 @@ func (z zoneFile) authority() *dns.Authority {
 // spellings of hosted names get the same addresses in the same order,
 // the same TTL and the same error from both.
 func TestLookupMatchesAuthority(t *testing.T) {
-	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
-	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
+	third := []netip.Addr{thirdPartyAddr}
+	aligned, isolated := alignedAddr, ip("104.19.99.99")
 
 	// Nine zones: every treatment with one, two and three addresses. A
 	// zone registered again adds addresses to its name; a zone with none
@@ -77,7 +77,7 @@ func TestLookupMatchesAuthority(t *testing.T) {
 	names := append(slices.Clone(hosts), "cdnjs.cloudflare.com", "nowhere.example",
 		"CDNJS.Cloudflare.COM", "cdnjs.cloudflare.com.", "WWW.Zone-8.Example.", " www.zone-5.example ")
 
-	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
+	c := New(Config{})
 	zone := zoneFile{c.ThirdParty: third}
 	check := func(step string) {
 		t.Helper()
@@ -168,9 +168,9 @@ func TestLookupMatchesAuthority(t *testing.T) {
 // origin sets are the zone's or none, and an address that has served a
 // host keeps serving it.
 func TestLookupRacingPhaseChanges(t *testing.T) {
-	third := []netip.Addr{ip("104.16.9.9"), ip("104.16.9.10")}
-	aligned, isolated := ip("104.16.200.1"), ip("104.19.99.99")
-	c := New(Config{ThirdPartyAddrs: third, AlignedAddr: aligned})
+	third := []netip.Addr{thirdPartyAddr}
+	aligned, isolated := alignedAddr, ip("104.19.99.99")
+	c := New(Config{})
 	treated := c.AddZone("www.treated.example", ip("104.18.0.1"), ip("104.18.0.2"))
 	treated.Treatment = TreatmentExperiment
 	untreated := c.AddZone("www.untreated.example", ip("104.18.0.3"))

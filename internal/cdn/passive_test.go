@@ -30,13 +30,13 @@ func TestPassiveMatchesTruth(t *testing.T) {
 	for _, phase := range phases {
 		c := New(Config{SampleRate: 1})
 		cfg := DefaultExperimentConfig()
-		cfg.SampleSize, cfg.VisitsPerZonePerDay = 800, 2
+		cfg.SampleSize = 800
 		e := SetupExperiment(c, cfg)
 		phase.enter(c)
 		newConns, coalesced := map[Treatment]int{}, map[Treatment]int{}
 		for day := 0; day < 3; day++ {
 			for _, z := range e.SampleZones {
-				for v := 0; v < cfg.VisitsPerZonePerDay; v++ {
+				for v := 0; v < visitsPerZonePerDay; v++ {
 					res := e.Visit(z, e.sampleUA(), day)
 					newConns[z.Treatment] += res.NewThirdParty
 					coalesced[z.Treatment] += res.CoalescedPools

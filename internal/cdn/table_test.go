@@ -29,31 +29,23 @@ type tableCDN struct {
 	ipServes                        map[netip.Addr]map[string]bool
 }
 
-func newTable(c Config) *tableCDN {
-	if c.ThirdParty == "" {
-		c.ThirdParty = "cdnjs.cloudflare.com"
-	}
-	if len(c.ThirdPartyAddrs) == 0 {
-		c.ThirdPartyAddrs = []netip.Addr{netip.MustParseAddr("104.16.9.9")}
-	}
-	if !c.AlignedAddr.IsValid() {
-		c.AlignedAddr = netip.MustParseAddr("104.16.200.1")
-	}
-	controlName := certs.EqualLengthControlName(c.ThirdParty, 2)
+func newTable() *tableCDN {
+	controlName := certs.EqualLengthControlName(thirdParty, 2)
+	third := []netip.Addr{thirdPartyAddr}
 	t := &tableCDN{
-		ThirdParty:       c.ThirdParty,
+		ThirdParty:       thirdParty,
 		ControlName:      controlName,
 		zones:            make(map[string]*Zone),
 		records:          make(map[string][]netip.Addr),
-		alignedAddr:      c.AlignedAddr,
-		thirdPartyA:      c.ThirdPartyAddrs,
-		thirdPartySANs:   []string{c.ThirdParty, "*." + firstLabelParent(c.ThirdParty)},
-		originExperiment: []string{c.ThirdParty},
+		alignedAddr:      alignedAddr,
+		thirdPartyA:      third,
+		thirdPartySANs:   []string{thirdParty, "*." + firstLabelParent(thirdParty)},
+		originExperiment: []string{thirdParty},
 		originControl:    []string{controlName},
 		ipServes:         make(map[netip.Addr]map[string]bool),
 	}
-	t.addA(c.ThirdParty, c.ThirdPartyAddrs)
-	t.serveOn(c.ThirdPartyAddrs, c.ThirdParty)
+	t.addA(thirdParty, third)
+	t.serveOn(third, thirdParty)
 	return t
 }
 
@@ -217,7 +209,7 @@ type twin struct {
 }
 
 func newTwin(t *testing.T, cfg Config, extraAddrs ...netip.Addr) *twin {
-	tw := &twin{t: t, c: New(cfg), tab: newTable(cfg)}
+	tw := &twin{t: t, c: New(cfg), tab: newTable()}
 	tw.names = append(tw.names, tw.c.ThirdParty, "nowhere.example", strings.ToUpper(tw.c.ThirdParty), tw.c.ThirdParty+".")
 	tw.addrs = append(append(tw.addrs, tw.tab.thirdPartyA...), tw.tab.alignedAddr)
 	tw.addrs = append(tw.addrs, extraAddrs...)
@@ -323,7 +315,7 @@ func TestViewMatchesTable(t *testing.T) {
 	rng := lazyrand.New(cfg.Seed)
 	var mirrored []*Zone
 	for i := 0; i < cfg.SampleSize; i++ {
-		if rng.Float64() < cfg.SubpageOnlyFrac {
+		if rng.Float64() < subpageOnlyFrac {
 			continue
 		}
 		z, oracle := tw.addZone(fmt.Sprintf("www.sample-%d.example", i), netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)}))
@@ -333,8 +325,8 @@ func TestViewMatchesTable(t *testing.T) {
 		}
 		oracle.Treatment = z.Treatment
 		tw.check("treatment of " + z.Host)
-		z.UsesAnonymousFetch = rng.Float64() < cfg.AnonymousFrac
-		z.Churned = rng.Float64() < cfg.ChurnFrac
+		z.UsesAnonymousFetch = rng.Float64() < anonymousFrac
+		z.Churned = rng.Float64() < churnFrac
 		z.ThirdPartyPools = SamplePools(rng)
 		mirrored = append(mirrored, z)
 	}

@@ -27,7 +27,6 @@ type streamLedger struct {
 	window  int64 // mirrored send window
 	taken   int64 // cumulative bytes reserved via take
 	written int64 // cumulative DATA payload bytes reported written
-	open    bool
 }
 
 // FlowChecker is a FlowHook implementation that mirrors an endpoint's
@@ -94,7 +93,7 @@ func (c *FlowChecker) FlowEvent(op string, streamID uint32, n int64) {
 		if n != c.initial {
 			c.violatef("stream %d opened with window %d, initial is %d", streamID, n, c.initial)
 		}
-		c.streams[streamID] = &streamLedger{window: n, open: true}
+		c.streams[streamID] = &streamLedger{window: n}
 
 	case "close":
 		st, ok := c.streams[streamID]
@@ -102,7 +101,6 @@ func (c *FlowChecker) FlowEvent(op string, streamID uint32, n int64) {
 			c.violatef("close of unknown stream %d", streamID)
 			return
 		}
-		st.open = false
 		c.closed[streamID] = st
 		delete(c.streams, streamID)
 

@@ -297,7 +297,6 @@ func (mr *manifestReader) Close() error { return mr.closeShard() }
 // a deferred close (the full-disk truncation path).
 type ShardWriter struct {
 	path   string
-	format Format
 	f      *os.File
 	bw     *bufio.Writer
 	h      hash.Hash64
@@ -315,7 +314,7 @@ func CreateShard(path string, format Format) (*ShardWriter, error) {
 	}
 	h := fnv.New64a()
 	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<20)
-	return &ShardWriter{path: path, format: format, f: f, bw: bw, h: h, w: NewWriter(bw, format)}, nil
+	return &ShardWriter{path: path, f: f, bw: bw, h: h, w: NewWriter(bw, format)}, nil
 }
 
 // Write appends one page to the shard.

@@ -86,13 +86,12 @@ type Client struct {
 	authority string // :authority of the DoH server
 
 	mu      sync.Mutex
-	nextID  uint16
 	queries int64
 }
 
 // NewClient wraps an HTTP/2 connection to a DoH server.
 func NewClient(cc *h2.ClientConn, authority string) *Client {
-	return &Client{cc: cc, authority: authority, nextID: 1}
+	return &Client{cc: cc, authority: authority}
 }
 
 // Queries reports how many DoH queries were sent.

@@ -21,7 +21,6 @@ import (
 // the same byte offsets.
 type ChaosConn struct {
 	net.Conn
-	inj *Injector
 
 	mu     sync.Mutex
 	budget int64 // bytes (both directions) until an injected reset; <0 = never
@@ -31,7 +30,7 @@ type ChaosConn struct {
 // NewChaosConn wraps nc. The reset decision and its byte budget are
 // sampled immediately from inj's stream.
 func NewChaosConn(nc net.Conn, inj *Injector) *ChaosConn {
-	c := &ChaosConn{Conn: nc, inj: inj, budget: -1}
+	c := &ChaosConn{Conn: nc, budget: -1}
 	if inj.Hit(KindReset) {
 		// Somewhere between mid-handshake and a few response bodies.
 		c.budget = int64(512 + inj.intn(64<<10))

@@ -180,7 +180,6 @@ func TestKeepaliveDetectsDeadPeer(t *testing.T) {
 	cc, err := NewClientConn(clientEnd, ClientConnOptions{
 		Origin:       "a.example",
 		PingInterval: 40 * time.Millisecond,
-		PingTimeout:  40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
@@ -204,8 +203,7 @@ func TestPingLivenessAgainstRealServer(t *testing.T) {
 	clientEnd, done := startEchoServer(t, &Server{})
 	cc, err := NewClientConn(clientEnd, ClientConnOptions{
 		Origin:       "a.example",
-		PingInterval: 20 * time.Millisecond,
-		PingTimeout:  500 * time.Millisecond,
+		PingInterval: 250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("NewClientConn: %v", err)
@@ -213,7 +211,7 @@ func TestPingLivenessAgainstRealServer(t *testing.T) {
 	if err := cc.pingTimeout([8]byte{1, 2, 3}, time.Second); err != nil {
 		t.Fatalf("PingTimeout: %v", err)
 	}
-	time.Sleep(60 * time.Millisecond) // let a few keepalive rounds pass
+	time.Sleep(600 * time.Millisecond) // let two keepalive rounds pass
 	if resp, err := cc.Get("a.example", "/x"); err != nil || resp.Status != 200 {
 		t.Fatalf("Get after keepalive rounds: resp=%+v err=%v", resp, err)
 	}

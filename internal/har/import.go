@@ -69,8 +69,6 @@ type ImportOptions struct {
 	// LookupASN resolves a server address to its origin AS; nil leaves
 	// ServerASN zero (the §4 model then falls back to per-IP services).
 	LookupASN func(netip.Addr) uint32
-	// Rank annotates the imported pages' popularity rank.
-	Rank int
 }
 
 // ImportHAR parses a standard HAR 1.2 archive into pages. Entries are
@@ -143,7 +141,7 @@ func buildPage(id string, entries []harEntry, f *harFile, opts ImportOptions) (*
 	sort.SliceStable(ts, func(i, j int) bool { return ts[i].start.Before(ts[j].start) })
 	base := ts[0].start
 
-	page := &Page{Rank: opts.Rank}
+	page := &Page{}
 	seenDNSHost := map[string]bool{}
 	for i, te := range ts {
 		e := te.e

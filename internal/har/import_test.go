@@ -61,7 +61,6 @@ const sampleHAR = `{
 
 func TestImportHAR(t *testing.T) {
 	pages, err := ImportHAR(strings.NewReader(sampleHAR), ImportOptions{
-		Rank: 42,
 		LookupASN: func(a netip.Addr) uint32 {
 			if a == netip.MustParseAddr("192.0.2.1") || a == netip.MustParseAddr("192.0.2.2") {
 				return 13335
@@ -79,7 +78,7 @@ func TestImportHAR(t *testing.T) {
 	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Host != "www.example.com" || p.Rank != 42 {
+	if p.Host != "www.example.com" || p.Rank != 0 {
 		t.Errorf("page = %s rank %d", p.Host, p.Rank)
 	}
 	if p.OnLoadMs != 1500 || p.DOMLoadMs != 900 {

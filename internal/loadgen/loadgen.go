@@ -32,7 +32,6 @@ import (
 	"net/netip"
 
 	"respectorigin/internal/browser"
-	"respectorigin/internal/cache"
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/lazyrand"
 	"respectorigin/internal/parallel"
@@ -84,12 +83,8 @@ type Config struct {
 	RatePerSec float64
 
 	// Zones is how many customer zones the simulated CDN hosts; each
-	// user is pinned to one home zone.
+	// user is pinned to one home zone. The CDN serves them in PhaseIP.
 	Zones int
-	// Phase is the deployment phase the CDN serves under (baseline,
-	// ip-coalescing, or origin-frame), which is what moves the
-	// coalescing rate — and with it the handshake load on the PoPs.
-	Phase cdn.Phase
 
 	// PoPs is the number of points of presence; each user is anchored
 	// to one (nearest-PoP routing). PoPServers is the per-PoP server
@@ -109,12 +104,6 @@ type Config struct {
 	// SLOMs is the per-visit latency objective for SLO attainment.
 	SLOMs float64
 
-	// FirefoxShare and ChromeShare split users across client families
-	// (the remainder are legacy HTTP/1.1-era clients that never
-	// coalesce and carry no warm-path cache).
-	FirefoxShare float64
-	ChromeShare  float64
-
 	// Proto is the application protocol modern (Firefox/Chrome) clients
 	// speak: h1 disables cross-host coalescing, h2 (the zero value) is
 	// the historical baseline, h3 pays QUIC handshake paths with
@@ -122,10 +111,6 @@ type Config struct {
 	// configuration, not a random draw, so toggling it never shifts the
 	// arrival schedule or any user's profile/visit stream.
 	Proto browser.Protocol
-
-	// Cache configures each user's warm-path state. Every user's
-	// network model is netsim.DefaultParams.
-	Cache cache.Options
 }
 
 // DefaultConfig returns a runnable medium-load configuration.
@@ -136,15 +121,12 @@ func DefaultConfig() Config {
 		Arrival:        arrivalPoisson,
 		RatePerSec:     200,
 		Zones:          64,
-		Phase:          cdn.PhaseIP,
 		PoPs:           16,
 		PoPServers:     8,
 		VisitsMean:     2.5,
 		RevisitMeanSec: 600,
 		IdleTimeoutSec: 300,
 		SLOMs:          1500,
-		FirefoxShare:   0.08,
-		ChromeShare:    0.72,
 	}
 }
 
@@ -180,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLOMs <= 0 {
 		c.SLOMs = d.SLOMs
-	}
-	if c.FirefoxShare <= 0 && c.ChromeShare <= 0 {
-		c.FirefoxShare, c.ChromeShare = d.FirefoxShare, d.ChromeShare
 	}
 	return c
 }
@@ -251,7 +230,8 @@ func (c Config) Validate() error {
 
 // buildCDN constructs the shared serving environment: Zones customer
 // zones with alternating control/experiment treatment, certificates
-// reissued, and the configured deployment phase entered. The CDN is
+// reissued, and PhaseIP entered, the phase whose coalescing moves the
+// handshake load on the PoPs. The CDN is
 // read-only during the parallel phase: its reads answer from one
 // published view and take no lock.
 func buildCDN(cfg Config) *cdn.CDN {
@@ -267,12 +247,7 @@ func buildCDN(cfg Config) *cdn.CDN {
 		}
 	}
 	c.ReissueCertificates()
-	switch cfg.Phase {
-	case cdn.PhaseIP:
-		c.EnterPhaseIP()
-	case cdn.PhaseOrigin:
-		c.EnterPhaseOrigin(netip.AddrFrom4([4]byte{104, 19, 0, 1}))
-	}
+	c.EnterPhaseIP()
 	return c
 }
 

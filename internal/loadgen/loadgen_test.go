@@ -5,8 +5,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"respectorigin/internal/cdn"
 )
 
 // testConfig is a small-but-representative run: enough users for the
@@ -173,28 +171,6 @@ func TestWarmRevisitsChurnAndCoalescing(t *testing.T) {
 	}
 	if res.SLOAttainment <= 0 || res.SLOAttainment > 1 {
 		t.Errorf("SLO attainment %.3f out of range", res.SLOAttainment)
-	}
-}
-
-func TestBaselineCoalescesLessThanPhaseIP(t *testing.T) {
-	cfg := testConfig()
-	cfg.Phase = cdn.Phase(0) // baseline
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Phase = cdn.PhaseIP
-	ip, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ip.CoalesceRate <= base.CoalesceRate {
-		t.Errorf("PhaseIP coalesce rate %.4f not above baseline %.4f",
-			ip.CoalesceRate, base.CoalesceRate)
-	}
-	if ip.FreshConns >= base.FreshConns {
-		t.Errorf("PhaseIP fresh conns %d not below baseline %d — coalescing saved no handshakes",
-			ip.FreshConns, base.FreshConns)
 	}
 }
 

@@ -38,7 +38,6 @@ type visit struct {
 
 // userProfile is the per-user identity drawn before any visit runs.
 type userProfile struct {
-	ua       string
 	policy   browser.Policy
 	h2       bool
 	zoneHost string
@@ -52,13 +51,11 @@ func drawProfile(cfg Config, rs *rand.Rand, uid int) userProfile {
 		zoneHost: fmt.Sprintf("www.zone-%d.example", rs.Intn(cfg.Zones)),
 		pop:      rs.Intn(cfg.PoPs),
 	}
-	switch x := rs.Float64(); {
-	case x < cfg.FirefoxShare:
-		p.ua, p.policy, p.h2 = "firefox", browser.PolicyFirefoxOrigin, true
-	case x < cfg.FirefoxShare+cfg.ChromeShare:
-		p.ua, p.policy, p.h2 = "chrome", browser.PolicyChromium, true
-	default:
-		p.ua = "legacy"
+	switch cdn.UAFamily(rs.Float64()) {
+	case cdn.UAFirefox:
+		p.policy, p.h2 = browser.PolicyFirefoxOrigin, true
+	case cdn.UAChrome:
+		p.policy, p.h2 = browser.PolicyChromium, true
 	}
 	return p
 }
@@ -89,7 +86,7 @@ func newUserScratch(cfg Config) *userScratch {
 	return &userScratch{
 		rs:  lazyrand.New(0),
 		net: netsim.New(netsim.DefaultParams(), 0),
-		b:   &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cfg.Cache)},
+		b:   &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cache.Options{})},
 	}
 }
 

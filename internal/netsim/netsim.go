@@ -17,6 +17,28 @@ import (
 	"respectorigin/internal/lazyrand"
 )
 
+// The terms of the latency model that every profile shares: a TLS
+// 1.2-era handshake and the client race behaviours of §4.2.
+const (
+	// tlsRoundTrips is the TCP+TLS handshake cost in RTTs (1 for TLS
+	// 1.3, 2 for TLS 1.2).
+	tlsRoundTrips float64 = 2
+	// certVerifyMs is the client-side certificate validation cost added
+	// to every fresh TLS handshake (the §4.2 cryptographic overhead).
+	certVerifyMs float64 = 5
+	// extraCertVerifyPerSANMs grows validation cost with SAN count,
+	// modelling the large-certificate concern of §6.5.
+	extraCertVerifyPerSANMs float64 = 0.01
+	// serverThinkMs is the base time-to-first-byte at the server.
+	serverThinkMs float64 = 25
+	// happyEyeballsProb is the probability a fresh connection races a
+	// second (IPv6/IPv4) connection, producing an extra DNS query.
+	happyEyeballsProb float64 = 0.10
+	// speculativeProb is the probability the browser opens a
+	// speculative extra connection to a host it expects to need.
+	speculativeProb float64 = 0.35
+)
+
 // Params configures the latency model.
 type Params struct {
 	// RTTMs is the base client↔server round-trip time.
@@ -25,26 +47,8 @@ type Params struct {
 	JitterMs float64
 	// DNSMs is the base resolver latency for an uncached query.
 	DNSMs float64
-	// TLSRoundTrips is the handshake cost in RTTs (1 for TLS 1.3,
-	// 2 for TLS 1.2).
-	TLSRoundTrips float64
-	// ServerThinkMs is the base time-to-first-byte at the server.
-	ServerThinkMs float64
 	// BandwidthKBps is the downstream bandwidth for transfer time.
 	BandwidthKBps float64
-	// CertVerifyMs is the client-side certificate validation cost added
-	// to every fresh TLS handshake (the §4.2 cryptographic overhead).
-	CertVerifyMs float64
-	// ExtraCertVerifyPerSANMs grows validation cost with SAN count,
-	// modelling the large-certificate concern of §6.5.
-	ExtraCertVerifyPerSANMs float64
-
-	// HappyEyeballsProb is the probability a fresh connection races a
-	// second (IPv6/IPv4) connection, producing an extra DNS query.
-	HappyEyeballsProb float64
-	// SpeculativeProb is the probability the browser opens a
-	// speculative extra connection to a host it expects to need.
-	SpeculativeProb float64
 
 	// LatencyScale multiplies every phase duration (jitter excluded);
 	// values ≤ 0 mean 1. Degraded-network models (packet loss driving
@@ -110,13 +114,13 @@ func (s Setup) quicRTTs() float64 {
 }
 
 // handshakeMs is the unscaled handshake price, TCP connect excluded: the
-// handshake round trips (TLSRoundTrips, or the QUIC table) and, for a
+// handshake round trips (tlsRoundTrips, or the QUIC table) and, for a
 // full handshake, the chain terms — a round trip per TLS record past
-// the first (§6.5), CertVerifyMs and the per-SAN validation cost. The
+// the first (§6.5), certVerifyMs and the per-SAN validation cost. The
 // expression keeps TLSTime's historical evaluation order, which every
 // recorded corpus pins to the ulp.
 func (p Params) handshakeMs(s Setup) float64 {
-	rtts := p.TLSRoundTrips
+	rtts := tlsRoundTrips
 	if s.QUIC {
 		rtts = s.quicRTTs()
 	}
@@ -126,7 +130,7 @@ func (p Params) handshakeMs(s Setup) float64 {
 	if s.Records > 1 {
 		rtts += float64(s.Records - 1)
 	}
-	return rtts*p.RTTMs + p.CertVerifyMs + float64(s.SANs)*p.ExtraCertVerifyPerSANMs
+	return rtts*p.RTTMs + certVerifyMs + float64(s.SANs)*extraCertVerifyPerSANMs
 }
 
 // SetupMs is the jitter-free price of one connection setup, scaled for
@@ -166,12 +170,6 @@ func (p Params) Validate() error {
 		{"RTTMs", p.RTTMs},
 		{"JitterMs", p.JitterMs},
 		{"DNSMs", p.DNSMs},
-		{"TLSRoundTrips", p.TLSRoundTrips},
-		{"ServerThinkMs", p.ServerThinkMs},
-		{"CertVerifyMs", p.CertVerifyMs},
-		{"ExtraCertVerifyPerSANMs", p.ExtraCertVerifyPerSANMs},
-		{"HappyEyeballsProb", p.HappyEyeballsProb},
-		{"SpeculativeProb", p.SpeculativeProb},
 	} {
 		if err := check(f.name, f.v); err != nil {
 			return err
@@ -198,16 +196,10 @@ func (p Params) Validate() error {
 // profile; the EXPERIMENTS.md §3 calibration rows depend on them.
 func DefaultParams() Params {
 	return Params{
-		RTTMs:                   90,
-		JitterMs:                8,
-		DNSMs:                   110,
-		TLSRoundTrips:           2,
-		ServerThinkMs:           25,
-		BandwidthKBps:           6250,
-		CertVerifyMs:            5,
-		ExtraCertVerifyPerSANMs: 0.01,
-		HappyEyeballsProb:       0.10,
-		SpeculativeProb:         0.35,
+		RTTMs:         90,
+		JitterMs:      8,
+		DNSMs:         110,
+		BandwidthKBps: 6250,
 	}
 }
 
@@ -296,7 +288,7 @@ func (n *Network) TLSTime(sanCount, tlsRecords int) float64 {
 func (n *Network) WaitTime() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return (n.P.ServerThinkMs+n.P.RTTMs/2)*n.P.scale() + n.jitter()
+	return (serverThinkMs+n.P.RTTMs/2)*n.P.scale() + n.jitter()
 }
 
 // TransferTime returns the receive duration for a body of size bytes.
@@ -322,10 +314,10 @@ func (n *Network) TransferTime(bytes int64) float64 {
 func (n *Network) RaceEffects() (extraDNS int, speculative bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.rng.Float64() < n.P.HappyEyeballsProb {
+	if n.rng.Float64() < happyEyeballsProb {
 		extraDNS++
 	}
-	speculative = n.rng.Float64() < n.P.SpeculativeProb
+	speculative = n.rng.Float64() < speculativeProb
 	return
 }
 

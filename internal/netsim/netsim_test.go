@@ -62,7 +62,7 @@ func TestPhaseBounds(t *testing.T) {
 		if c := n.ConnectTime(); c < p.RTTMs || c > p.RTTMs+p.JitterMs {
 			t.Fatalf("connect time %v out of bounds", c)
 		}
-		if w := n.WaitTime(); w < p.ServerThinkMs {
+		if w := n.WaitTime(); w < serverThinkMs {
 			t.Fatalf("wait time %v below think time", w)
 		}
 	}
@@ -108,10 +108,7 @@ func TestTransferTime(t *testing.T) {
 }
 
 func TestRaceEffectsFrequencies(t *testing.T) {
-	p := DefaultParams()
-	p.HappyEyeballsProb = 0.5
-	p.SpeculativeProb = 0.25
-	n := New(p, 99)
+	n := New(DefaultParams(), 99)
 	he, spec := 0, 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
@@ -121,23 +118,11 @@ func TestRaceEffectsFrequencies(t *testing.T) {
 			spec++
 		}
 	}
-	if f := float64(he) / trials; f < 0.45 || f > 0.55 {
-		t.Errorf("happy eyeballs frequency %v, want ~0.5", f)
+	if f := float64(he) / trials; f < 0.08 || f > 0.12 {
+		t.Errorf("happy eyeballs frequency %v, want ~0.10", f)
 	}
-	if f := float64(spec) / trials; f < 0.2 || f > 0.3 {
-		t.Errorf("speculative frequency %v, want ~0.25", f)
-	}
-}
-
-func TestRaceEffectsDisabled(t *testing.T) {
-	p := DefaultParams()
-	p.HappyEyeballsProb = 0
-	p.SpeculativeProb = 0
-	n := New(p, 1)
-	for i := 0; i < 100; i++ {
-		if e, s := n.RaceEffects(); e != 0 || s {
-			t.Fatal("race effects fired with zero probabilities")
-		}
+	if f := float64(spec) / trials; f < 0.32 || f > 0.38 {
+		t.Errorf("speculative frequency %v, want ~0.35", f)
 	}
 }
 

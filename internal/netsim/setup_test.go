@@ -12,9 +12,9 @@ import (
 // golden and sim_digest was priced by them.
 
 func refTCPTLSSetupMs(p Params, resumed bool) float64 {
-	ms := p.RTTMs + p.TLSRoundTrips*p.RTTMs
+	ms := p.RTTMs + tlsRoundTrips*p.RTTMs
 	if !resumed {
-		ms += p.CertVerifyMs
+		ms += certVerifyMs
 	}
 	return ms
 }
@@ -22,25 +22,25 @@ func refTCPTLSSetupMs(p Params, resumed bool) float64 {
 func refQUICSetupMs(p Params, rtts float64, verifyChain bool) float64 {
 	ms := rtts * p.RTTMs
 	if verifyChain {
-		ms += p.CertVerifyMs
+		ms += certVerifyMs
 	}
 	return ms
 }
 
 func refTLSTime(p Params, jitter float64, sanCount, tlsRecords int) float64 {
-	rtts := p.TLSRoundTrips
+	rtts := tlsRoundTrips
 	if tlsRecords > 1 {
 		rtts += float64(tlsRecords - 1)
 	}
-	d := (rtts*p.RTTMs+p.CertVerifyMs+
-		float64(sanCount)*p.ExtraCertVerifyPerSANMs)*p.scale() + jitter
+	d := (rtts*p.RTTMs+certVerifyMs+
+		float64(sanCount)*extraCertVerifyPerSANMs)*p.scale() + jitter
 	return d
 }
 
 func refQUICHandshakeTime(p Params, jitter, rtts float64, verifyChain bool, sanCount int) float64 {
 	d := rtts * p.RTTMs
 	if verifyChain {
-		d += p.CertVerifyMs + float64(sanCount)*p.ExtraCertVerifyPerSANMs
+		d += certVerifyMs + float64(sanCount)*extraCertVerifyPerSANMs
 	}
 	d = d*p.scale() + jitter
 	return d
@@ -59,7 +59,7 @@ func refPathRTTs(resumed, tokenHit bool) float64 {
 }
 
 // quicRegroupedMinSANs names the one place the old formulas disagreed
-// with each other. QUICHandshakeTime summed CertVerifyMs + SANs·per-SAN
+// with each other. QUICHandshakeTime summed certVerifyMs + SANs·per-SAN
 // before adding the round trips; TLSTime, whose grouping the one price
 // keeps, adds left to right. At 1 RTT (a full handshake with a token)
 // under the wired and 4g profiles the two sums round one ulp apart from
@@ -132,7 +132,7 @@ func TestHandshakeTimeMatchesReplacedFormulas(t *testing.T) {
 						if math.Float64bits(got) == math.Float64bits(want) {
 							continue
 						}
-						leftToRight := (rtts*p.RTTMs+p.CertVerifyMs+float64(sans)*p.ExtraCertVerifyPerSANMs)*p.scale() + j
+						leftToRight := (rtts*p.RTTMs+certVerifyMs+float64(sans)*extraCertVerifyPerSANMs)*p.scale() + j
 						if resumed || sans < quicRegroupedMinSANs || math.Float64bits(got) != math.Float64bits(leftToRight) {
 							t.Fatalf("rtt %v loss %v: HandshakeTime(%+v) = %v, QUICHandshakeTime %v", p.RTTMs, p.LossRate, s, got, want)
 						}
@@ -147,7 +147,7 @@ func TestHandshakeTimeMatchesReplacedFormulas(t *testing.T) {
 	}
 }
 
-// Chain terms — extra records, CertVerifyMs, the per-SAN cost — apply
+// Chain terms — extra records, certVerifyMs, the per-SAN cost — apply
 // to full handshakes only; a resumed session presents no chain.
 func TestResumedSetupPresentsNoChain(t *testing.T) {
 	p := DefaultParams()
@@ -160,7 +160,7 @@ func TestResumedSetupPresentsNoChain(t *testing.T) {
 			}
 		}
 	}
-	if got, want := p.SetupMs(Setup{Resumed: true}), p.RTTMs+p.TLSRoundTrips*p.RTTMs; got != want {
+	if got, want := p.SetupMs(Setup{Resumed: true}), p.RTTMs+tlsRoundTrips*p.RTTMs; got != want {
 		t.Errorf("resumed TCP+TLS setup = %v, want connect + handshake round trips %v", got, want)
 	}
 }
@@ -197,7 +197,7 @@ func TestQUICRoundTrips(t *testing.T) {
 	for _, c := range cases {
 		want := c.rtts * p.RTTMs
 		if !c.resumed {
-			want += p.CertVerifyMs
+			want += certVerifyMs
 		}
 		if got := p.SetupMs(Setup{QUIC: true, Resumed: c.resumed, TokenHit: c.token}); got != want {
 			t.Errorf("resumed=%v token=%v: SetupMs = %v, want %v RTTs = %v", c.resumed, c.token, got, c.rtts, want)

@@ -40,14 +40,7 @@ func (c *Corpus) SchedulingReport(connections int) (sched.Comparison, string) {
 			})
 		}
 	}
-	cmp := sched.Compare(resources, sched.ParallelParams{
-		Connections:       connections,
-		BandwidthKBps:     6250,
-		HandshakeMs:       150,
-		HandshakeJitterMs: 180,
-		SlowStartPenalty:  2,
-		Seed:              1,
-	})
+	cmp := sched.Compare(resources, connections)
 	var sb strings.Builder
 	sb.WriteString(cmp.Report())
 	fmt.Fprintf(&sb, "  (workload: %d resources over %d parallel connections vs 1 coalesced)\n",

@@ -112,12 +112,12 @@ func TestFunnelNDJSONRoundTrip(t *testing.T) {
 }
 
 // visitDay runs day 0 of d as the visit loop runs a faulted or traced
-// day: every sample zone, VisitsPerZonePerDay visits each, the user
-// agents taken in turn.
+// day: every sample zone, visited as many times as cdn visits a zone a
+// day (4), the user agents taken in turn.
 func visitDay(d *Deployment) {
 	uas := []string{"firefox", "chrome", "legacy"}
 	for _, z := range d.Exp.SampleZones {
-		for v := 0; v < d.Exp.Cfg.VisitsPerZonePerDay; v++ {
+		for v := 0; v < 4; v++ {
 			d.Exp.Visit(z, uas[v%len(uas)], 0)
 		}
 	}

@@ -42,13 +42,13 @@ func TestCoalescedDeliveryHasNoInversions(t *testing.T) {
 }
 
 func TestParallelDeliveryInvertsPriorities(t *testing.T) {
-	p := ParallelParams{
-		Connections:       6,
-		BandwidthKBps:     1000,
-		HandshakeMs:       100,
-		HandshakeJitterMs: 120,
-		SlowStartPenalty:  2,
-		Seed:              3,
+	p := parallelParams{
+		connections:       6,
+		bandwidthKBps:     1000,
+		handshakeMs:       100,
+		handshakeJitterMs: 120,
+		slowStartPenalty:  2,
+		seed:              3,
 	}
 	ds := deliverParallel(pageWorkload(), p)
 	if inv := inversions(ds); inv == 0 {
@@ -57,14 +57,7 @@ func TestParallelDeliveryInvertsPriorities(t *testing.T) {
 }
 
 func TestCompareFavorsCoalescedOrdering(t *testing.T) {
-	cmp := Compare(pageWorkload(), ParallelParams{
-		Connections:       6,
-		BandwidthKBps:     1000,
-		HandshakeMs:       100,
-		HandshakeJitterMs: 120,
-		SlowStartPenalty:  2,
-		Seed:              7,
-	})
+	cmp := Compare(pageWorkload(), 6)
 	if cmp.CoalescedInversions != 0 {
 		t.Errorf("coalesced inversions = %d", cmp.CoalescedInversions)
 	}
@@ -146,7 +139,7 @@ func TestParallelCompleteMsTieOrder(t *testing.T) {
 		{ID: 4, Priority: 1, Bytes: 40_000},
 		{ID: 2, Priority: 1, Bytes: 40_000},
 	}
-	p := ParallelParams{Connections: 2, BandwidthKBps: 1000, SlowStartPenalty: 1}
+	p := parallelParams{connections: 2, bandwidthKBps: 1000, slowStartPenalty: 1}
 	ds := deliverParallel(rs, p)
 	if ds[0].CompleteMs != ds[1].CompleteMs || ds[2].CompleteMs != ds[3].CompleteMs {
 		t.Fatalf("workload did not produce the intended completion ties: %+v", ds)
@@ -218,8 +211,8 @@ func TestCoalescedByteConservationQuick(t *testing.T) {
 
 func TestDeliverParallelSingleConnDegeneratesToCoalesced(t *testing.T) {
 	// One connection with no handicaps delivers in priority order.
-	ds := deliverParallel(pageWorkload(), ParallelParams{
-		Connections: 1, BandwidthKBps: 1000, SlowStartPenalty: 1,
+	ds := deliverParallel(pageWorkload(), parallelParams{
+		connections: 1, bandwidthKBps: 1000, slowStartPenalty: 1,
 	})
 	if inv := inversions(ds); inv != 0 {
 		t.Errorf("single parallel connection inverted %d pairs", inv)

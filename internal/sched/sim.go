@@ -117,21 +117,33 @@ func deliverCoalesced(resources []Resource, bandwidthKBps float64) []delivery {
 	return out
 }
 
-// ParallelParams configures deliverParallel.
-type ParallelParams struct {
-	// Connections is the number of competing connections the resources
+// The network Compare delivers over: netsim's default 50 Mbit/s
+// bottleneck, and for each parallel connection a handshake of 150 ms
+// plus up to 180 ms of jitter from a stream seeded 1, then a first
+// transfer at half rate.
+const (
+	bandwidthKBps     float64 = 6250
+	handshakeMs       float64 = 150
+	handshakeJitterMs float64 = 180
+	slowStartPenalty  float64 = 2
+	parallelSeed      int64   = 1
+)
+
+// parallelParams configures deliverParallel.
+type parallelParams struct {
+	// connections is the number of competing connections the resources
 	// are spread over (one per sharded hostname).
-	Connections int
-	// BandwidthKBps is the shared bottleneck capacity.
-	BandwidthKBps float64
-	// HandshakeMs staggers each connection's start (TCP+TLS setup).
-	HandshakeMs float64
-	// HandshakeJitterMs randomizes per-connection start.
-	HandshakeJitterMs float64
-	// SlowStartPenalty multiplies early transfer time on each
+	connections int
+	// bandwidthKBps is the shared bottleneck capacity.
+	bandwidthKBps float64
+	// handshakeMs staggers each connection's start (TCP+TLS setup).
+	handshakeMs float64
+	// handshakeJitterMs randomizes per-connection start.
+	handshakeJitterMs float64
+	// slowStartPenalty multiplies early transfer time on each
 	// connection (congestion-window ramp); 1 = none.
-	SlowStartPenalty float64
-	Seed             int64
+	slowStartPenalty float64
+	seed             int64
 }
 
 // deliverParallel simulates the sharded status quo: resources are
@@ -139,32 +151,29 @@ type ParallelParams struct {
 // bottleneck. Each connection delivers its own queue in order, but the
 // client has no cross-connection ordering control: arrival order is set
 // by connection start times, queue lengths, and bandwidth competition.
-func deliverParallel(resources []Resource, p ParallelParams) []delivery {
-	if p.Connections < 1 {
-		p.Connections = 1
+func deliverParallel(resources []Resource, p parallelParams) []delivery {
+	if p.connections < 1 {
+		p.connections = 1
 	}
-	if p.SlowStartPenalty < 1 {
-		p.SlowStartPenalty = 1
-	}
-	rng := lazyrand.New(p.Seed)
-	queues := make([][]Resource, p.Connections)
+	rng := lazyrand.New(p.seed)
+	queues := make([][]Resource, p.connections)
 	// Requests are issued in priority order, but hostname sharding
 	// scatters them across connections.
 	ordered := append([]Resource(nil), resources...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Priority < ordered[j].Priority })
 	for i, r := range ordered {
-		c := i % p.Connections
+		c := i % p.connections
 		queues[c] = append(queues[c], r)
 	}
-	perConn := p.BandwidthKBps / float64(p.Connections)
+	perConn := p.bandwidthKBps / float64(p.connections)
 	var out []delivery
 	for c, q := range queues {
-		now := p.HandshakeMs + rng.Float64()*p.HandshakeJitterMs
+		now := p.handshakeMs + rng.Float64()*p.handshakeJitterMs
 		first := true
 		for _, r := range q {
 			rate := perConn
 			if first {
-				rate = perConn / p.SlowStartPenalty
+				rate = perConn / p.slowStartPenalty
 				first = false
 			}
 			now += r.Bytes / rate
@@ -192,10 +201,18 @@ type Comparison struct {
 	ParallelCriticalMs  float64
 }
 
-// Compare runs both disciplines over the same workload.
-func Compare(resources []Resource, p ParallelParams) Comparison {
-	co := deliverCoalesced(resources, p.BandwidthKBps)
-	pa := deliverParallel(resources, p)
+// Compare runs both disciplines over the same workload: one coalesced
+// connection against the resources spread over connections parallel ones.
+func Compare(resources []Resource, connections int) Comparison {
+	co := deliverCoalesced(resources, bandwidthKBps)
+	pa := deliverParallel(resources, parallelParams{
+		connections:       connections,
+		bandwidthKBps:     bandwidthKBps,
+		handshakeMs:       handshakeMs,
+		handshakeJitterMs: handshakeJitterMs,
+		slowStartPenalty:  slowStartPenalty,
+		seed:              parallelSeed,
+	})
 	return Comparison{
 		CoalescedInversions: inversions(co),
 		ParallelInversions:  inversions(pa),

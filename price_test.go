@@ -2,60 +2,51 @@ package respectorigin
 
 import (
 	"fmt"
-	"go/ast"
 	"go/types"
-	"slices"
+	"strings"
 	"testing"
 )
 
-// handshakeTerms are the netsim.Params fields a connection setup's
-// price is made of.
-var handshakeTerms = []string{"CertVerifyMs", "TLSRoundTrips", "ExtraCertVerifyPerSANMs"}
+// handshakeTerms are the constants a connection setup's price is made
+// of, beside the profile's round-trip time.
+var handshakeTerms = []string{"certVerifyMs", "tlsRoundTrips", "extraCertVerifyPerSANMs"}
 
 // TestOneHandshakePrice holds netsim as the one place a connection setup
-// is priced: no non-test Go outside internal/netsim selects a handshake
-// term of netsim.Params, so every caller goes through
-// netsim.Params.SetupMs or Network.HandshakeTime and no second copy of
-// the formula can appear. A field of the same name on another type is
-// not a handshake term.
+// is priced: each handshake term is an unexported float64 constant of
+// internal/netsim, and netsim.Params has no field of that name in any
+// case, so no package outside netsim can read a term, every caller goes
+// through netsim.Params.SetupMs or Network.HandshakeTime, and no second
+// copy of the formula can appear.
 func TestOneHandshakePrice(t *testing.T) {
 	for _, f := range handshakeFindings(loadRepo(t)) {
 		t.Error(f)
 	}
 }
 
-// handshakeFindings reports each selection of a handshake term in m's
-// non-test Go outside internal/netsim.
+// handshakeFindings reports each handshake term that is not an
+// unexported float64 constant of m's internal/netsim, and each
+// netsim.Params field that spells a term's name.
 func handshakeFindings(m *module) []string {
 	netsim := m.pkg("internal/netsim")
 	if netsim == nil {
 		return []string{"internal/netsim is not loaded"}
 	}
-	params := netsim.types.Scope().Lookup("Params").Type().Underlying().(*types.Struct)
-	terms := map[types.Object]bool{}
-	for i := range params.NumFields() {
-		if f := params.Field(i); slices.Contains(handshakeTerms, f.Name()) {
-			terms[f] = true
-		}
-	}
 	var findings []string
-	if len(terms) != len(handshakeTerms) {
-		findings = append(findings, fmt.Sprintf("netsim.Params has %d of the handshake terms %v", len(terms), handshakeTerms))
-	}
-	for _, p := range m.pkgs {
-		if p == netsim {
-			continue
+	scope := netsim.types.Scope()
+	for _, term := range handshakeTerms {
+		c, ok := scope.Lookup(term).(*types.Const)
+		if !ok || !types.Identical(c.Type(), types.Typ[types.Float64]) {
+			findings = append(findings, fmt.Sprintf("netsim declares no float64 constant %s: price connection setups from netsim's own constants", term))
 		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if s := m.info.Selections[sel]; s != nil && terms[s.Obj()] {
-						findings = append(findings, fmt.Sprintf("%s reads netsim.Params.%s: price connection setups with netsim.Params.SetupMs or Network.HandshakeTime",
-							m.position(sel.Pos()), sel.Sel.Name))
-					}
-				}
-				return true
-			})
+	}
+	params := scope.Lookup("Params").Type().Underlying().(*types.Struct)
+	for i := range params.NumFields() {
+		f := params.Field(i)
+		for _, term := range handshakeTerms {
+			if strings.EqualFold(f.Name(), term) {
+				findings = append(findings, fmt.Sprintf("%s: netsim.Params.%s makes the handshake term %s settable outside netsim",
+					m.position(f.Pos()), f.Name(), term))
+			}
 		}
 	}
 	return findings

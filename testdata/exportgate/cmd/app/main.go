@@ -3,7 +3,9 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	o "exportgate/internal/obs"
@@ -20,8 +22,14 @@ func main() {
 	n.Store(1)
 	th := thing{sink: o.NewStore()}
 	th.sink.Count("runs", n.Load())
-	cfg := o.Config{Name: "fixture"}
-	cfg.Label = "unread"
+	meta := o.Meta{Name: "fixture"}
+	meta.Label = "unread"
 	out, _ := json.Marshal(o.Snapshot{Total: n.Load()})
-	fmt.Println(o.Describe(cfg), string(out))
+	fmt.Println(o.Describe(meta), string(out))
+
+	opts := o.DefaultOptions()
+	flag.IntVar(&opts.Workers, "workers", 1, "workers")
+	flag.Parse()
+	opts.Rate, _ = strconv.ParseFloat(flag.Arg(0), 64)
+	fmt.Println(o.Run(opts), o.Run(o.Options{Depth: 2}))
 }

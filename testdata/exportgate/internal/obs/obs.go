@@ -22,16 +22,36 @@ func (s *Store) Count(name string, n int64) { s.Store(name, s.counts[name]+n) }
 // atomic.Int64's Store, which is another method: it is reported.
 func (s *Store) Store(name string, n int64) { s.counts[name] = n }
 
-// Config is what cmd/app fills in.
-type Config struct {
+// Meta is what cmd/app fills in.
+type Meta struct {
 	// Name is read below: it passes.
 	Name string
 	// Label is written by cmd/app and read nowhere: it is reported.
 	Label string
 }
 
-// Describe reads a Config's Name.
-func Describe(c Config) string { return "config " + c.Name }
+// Describe reads a Meta's Name.
+func Describe(m Meta) string { return "meta " + m.Name }
+
+// Options configures Run; each field is read there, so only the option
+// rule speaks about them.
+type Options struct {
+	// Depth is 2 wherever an Options is built: it is reported.
+	Depth int
+	// Workers is bound to a flag through &opts.Workers: it passes.
+	Workers int
+	// Rate is set from a parsed argument: it passes.
+	Rate float64
+	// Retries is 3 in DefaultOptions, and cmd/app's literal omits it
+	// (0): it passes.
+	Retries int
+}
+
+// DefaultOptions is the configuration cmd/app starts from.
+func DefaultOptions() Options { return Options{Depth: 2, Retries: 3} }
+
+// Run reads every field of o.
+func Run(o Options) float64 { return float64(o.Depth+o.Workers+o.Retries) * o.Rate }
 
 // Snapshot is encoded by cmd/app with encoding/json.
 type Snapshot struct {
