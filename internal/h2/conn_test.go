@@ -423,6 +423,33 @@ func TestClientHonoursMaxConcurrentStreams(t *testing.T) {
 	}
 }
 
+// The server frees a stream's slot before it queues the frame that ends
+// the response. A client that honours SETTINGS_MAX_CONCURRENT_STREAMS
+// opens its next stream as soon as it reads that frame, so a slot freed
+// after it refuses some of a sequential run of requests; the race shows
+// under -race with 4 Ps.
+func TestSequentialRequestsAtStreamLimit(t *testing.T) {
+	srv := &Server{
+		MaxConcurrentStreams: 1,
+		Handler:              HandlerFunc(func(w *ResponseWriter, r *Request) { w.WriteHeader(200) }),
+	}
+	cc, stop := startPair(t, srv, ClientConnOptions{})
+	defer stop()
+	refused := 0
+	for i := 0; i < 5000; i++ {
+		if _, err := cc.Get("example.com", "/"); err != nil {
+			var se streamErr
+			if !errors.As(err, &se) || se.Code != errCodeRefusedStream {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			refused++
+		}
+	}
+	if refused > 0 {
+		t.Errorf("%d of 5000 sequential requests refused at MaxConcurrentStreams 1", refused)
+	}
+}
+
 func TestServerCounters(t *testing.T) {
 	got := make(chan ConnCounters, 1)
 	srv := &Server{
