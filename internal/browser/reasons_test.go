@@ -9,17 +9,18 @@ import (
 // Every Reason comes out of at least one case: a reason no request can
 // reach any more fails the test. Each case warms a browser with a few
 // requests, optionally changes the environment, and pins the reason of
-// one more request.
+// one more request, credentialed unless the case says anonymous.
 func TestOutcomeReasons(t *testing.T) {
 	cases := []struct {
-		name  string
-		b     *Browser
-		env   *fakeEnv
-		warm  []string
-		then  func(*fakeEnv) // applied after the warm-up, nil for none
-		host  string
-		want  Reason
-		check func(Outcome) bool // a further property, nil for none
+		name      string
+		b         *Browser
+		env       *fakeEnv
+		warm      []string
+		then      func(*fakeEnv) // applied after the warm-up, nil for none
+		host      string
+		anonymous bool
+		want      Reason
+		check     func(Outcome) bool // a further property, nil for none
 	}{
 		{name: "empty answer", b: New(PolicyFirefox), env: &fakeEnv{},
 			host: "missing.example", want: reasonFailed,
@@ -62,6 +63,11 @@ func TestOutcomeReasons(t *testing.T) {
 		{name: "421 on the ORIGIN path", b: New(PolicyFirefoxOrigin), env: staleOriginEnv(false),
 			warm: []string{"www.example"}, host: "api.example", want: reasonNew421,
 			check: func(o Outcome) bool { return o.Got421 && o.DNSQueries == 1 }},
+		// The credentialed request would ride www's connection through
+		// its origin set.
+		{name: "anonymous partition", b: New(PolicyFirefoxOrigin), env: originEnv(),
+			warm: []string{"www.example.com"}, host: "third.cdnshared.com", anonymous: true, want: reasonNewAnonymous,
+			check: func(o Outcome) bool { return o.NewConnection() && o.DNSQueries == 1 && o.ConnHost == o.Host }},
 	}
 	seen := map[Reason]bool{}
 	for _, c := range cases {
@@ -71,7 +77,11 @@ func TestOutcomeReasons(t *testing.T) {
 		if c.then != nil {
 			c.then(c.env)
 		}
-		out := c.b.Request(c.env, c.host)
+		request := c.b.Request
+		if c.anonymous {
+			request = c.b.RequestAnonymous
+		}
+		out := request(c.env, c.host)
 		seen[out.Reason] = true
 		if out.Reason != c.want {
 			t.Errorf("%s: reason %v, want %v (%+v)", c.name, out.Reason, c.want, out)
@@ -110,7 +120,8 @@ func capEnv() *fakeEnv {
 // protocol and pool caps, and holds every outcome to the bookkeeping
 // the Reason enum promises. Layout: hosts, policy, protocol, caps, then
 // three bytes per host (answer and refusing-address masks, SAN mask,
-// origin mask), then one byte per request naming its host.
+// origin mask), then one byte per request naming its host, anonymous
+// when its top bit is set.
 func FuzzRequestReasons(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
@@ -151,9 +162,25 @@ func FuzzRequestReasons(f *testing.F) {
 		}
 		var newConns, reused, got421 int
 		for len(data) > 0 {
-			host := hosts[int(next())%len(hosts)]
-			emptyPool := len(b.Conns()) == 0
-			out := b.Request(env, host)
+			r := next()
+			host, anonymous := hosts[int(r&0x7f)%len(hosts)], r&0x80 != 0
+			pooled := len(b.Conns())
+			var out Outcome
+			if anonymous {
+				out = b.RequestAnonymous(env, host)
+				if out.Reused() || len(b.Conns()) != pooled {
+					t.Fatalf("%s: anonymous request %v reused or changed the pool (%d → %d conns)",
+						host, out.Reason, pooled, len(b.Conns()))
+				}
+				if (out.Reason == reasonNewAnonymous) != (out.Err == nil) {
+					t.Fatalf("%s: anonymous request decided %v with Err %v", host, out.Reason, out.Err)
+				}
+			} else {
+				out = b.Request(env, host)
+				if out.Reason == reasonNewAnonymous {
+					t.Fatalf("%s: credentialed request decided %v", host, out.Reason)
+				}
+			}
 			if (out.Reason == reasonFailed) != (out.Err != nil) {
 				t.Fatalf("%s: reason %v with Err %v", host, out.Reason, out.Err)
 			}
@@ -169,7 +196,7 @@ func FuzzRequestReasons(f *testing.F) {
 			if out.ViaOrigin() && (b.Policy != PolicyFirefoxOrigin || b.Proto == ProtoH1) {
 				t.Fatalf("%s: ORIGIN reuse under %v/%v", host, b.Policy, b.Proto)
 			}
-			if out.Reason == reasonNewFirst && !emptyPool {
+			if out.Reason == reasonNewFirst && pooled > 0 {
 				t.Fatalf("%s: %v with a non-empty pool", host, out.Reason)
 			}
 			if out.Reason == reasonNew421 && !out.Got421 || out.Reason == reasonNewH1 && b.Proto != ProtoH1 {
