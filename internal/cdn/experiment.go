@@ -470,8 +470,8 @@ func (e *Experiment) visit(cl *clients, z *Zone, ua string, rank int, io *visitI
 		}
 
 		anonymous := e.anonymous(io, z, pool)
-		if !h2 || anonymous {
-			// Separate, uncredentialed pool: always a fresh connection.
+		if !h2 {
+			// Legacy clients: a fresh connection per request, no pool.
 			if faulted {
 				if _, err := e.env.Lookup(e.CDN.ThirdParty); err != nil || e.inj.Hit(faults.KindTLSFail) {
 					res.FailedRequests++
@@ -482,7 +482,12 @@ func (e *Experiment) visit(cl *clients, z *Zone, ua string, rank int, io *visitI
 			io.log(logEntry{SNI: io.third, Host: io.third, RefererHost: io.zone, ArrivalOrder: 1})
 			continue
 		}
-		out := b.Request(e.env, e.CDN.ThirdParty)
+		var out browser.Outcome
+		if anonymous {
+			out = b.RequestAnonymous(e.env, e.CDN.ThirdParty)
+		} else {
+			out = b.Request(e.env, e.CDN.ThirdParty)
+		}
 		if faulted {
 			res.Retries += out.Retries
 			if out.Got421 {
@@ -493,7 +498,7 @@ func (e *Experiment) visit(cl *clients, z *Zone, ua string, rank int, io *visitI
 				continue
 			}
 		}
-		e.observeOutcome(&res, &conns, &out, z, io)
+		e.observeOutcome(&res, &conns, &out, anonymous, z, io)
 	}
 	return res
 }
@@ -529,9 +534,10 @@ func (e *Experiment) midVisitFaults(res *VisitResult, b *browser.Browser, conns 
 }
 
 // observeOutcome turns one browser outcome into log records and result
-// accounting, maintaining the per-connection arrival orders.
+// accounting, maintaining the per-connection arrival orders. An anonymous
+// request's connection stays out of conns: no later request rides it.
 func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
-	out *browser.Outcome, z *Zone, io *visitIO) {
+	out *browser.Outcome, anonymous bool, z *Zone, io *visitIO) {
 	switch {
 	case out.Reused():
 		cs := conns.get(out.ConnHost)
@@ -558,7 +564,9 @@ func (e *Experiment) observeOutcome(res *VisitResult, conns *connTable,
 	case out.NewConnection():
 		res.NewThirdParty++
 		id := io.log(logEntry{SNI: io.third, Host: io.third, RefererHost: io.zone, ArrivalOrder: 1})
-		conns.put(e.CDN.ThirdParty, connState{id: id, order: 1})
+		if !anonymous {
+			conns.put(e.CDN.ThirdParty, connState{id: id, order: 1})
+		}
 	}
 }
 
