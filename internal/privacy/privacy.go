@@ -35,11 +35,9 @@ type ClientConfig struct {
 	EncryptedDNS bool
 	// EncryptedClientHello models ECH: the SNI is encrypted.
 	EncryptedClientHello bool
-	// Coalescing selects the connection-reuse model applied to the
-	// timeline before counting signals.
-	Coalescing core.Mode
-	// CoalescingEnabled toggles whether Coalescing applies at all.
-	CoalescingEnabled bool
+	// Coalescing applies ORIGIN-frame coalescing (core.ModeOrigin) to
+	// the timeline before counting signals.
+	Coalescing bool
 }
 
 // Exposure is the per-page cleartext footprint.
@@ -94,8 +92,8 @@ type analyzer struct {
 // the result are a's own: they are valid until the next call.
 func (a *analyzer) analyze(p *har.Page, model *core.Timeline, cfg ClientConfig) Exposure {
 	var coalesced []bool
-	if cfg.CoalescingEnabled {
-		coalesced = model.Coalescable(cfg.Coalescing, 0)
+	if cfg.Coalescing {
+		coalesced = model.Coalescable(core.ModeOrigin, 0)
 	}
 	e := Exposure{CleartextDNSHosts: a.dns[:0], CleartextSNIHosts: a.sni[:0]}
 	for i := range p.Entries {
@@ -136,13 +134,11 @@ type Scenario struct {
 func StandardScenarios() []Scenario {
 	return []Scenario{
 		{"baseline (no coalescing, cleartext)", ClientConfig{}},
-		{"origin coalescing only", ClientConfig{
-			CoalescingEnabled: true, Coalescing: core.ModeOrigin}},
+		{"origin coalescing only", ClientConfig{Coalescing: true}},
 		{"DoH + ECH only", ClientConfig{
 			EncryptedDNS: true, EncryptedClientHello: true}},
 		{"origin coalescing + DoH + ECH", ClientConfig{
-			CoalescingEnabled: true, Coalescing: core.ModeOrigin,
-			EncryptedDNS: true, EncryptedClientHello: true}},
+			Coalescing: true, EncryptedDNS: true, EncryptedClientHello: true}},
 	}
 }
 

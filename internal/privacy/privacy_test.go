@@ -69,7 +69,7 @@ func TestEncryptionHidesButKeepsEvents(t *testing.T) {
 func TestCoalescingRemovesEventsAndLeaks(t *testing.T) {
 	p := testPage(t)
 	base := Analyze(p, ClientConfig{})
-	coal := Analyze(p, ClientConfig{CoalescingEnabled: true, Coalescing: core.ModeOrigin})
+	coal := Analyze(p, ClientConfig{Coalescing: true})
 	if coal.DNSQueries >= base.DNSQueries {
 		t.Errorf("coalescing did not reduce DNS events: %d vs %d", coal.DNSQueries, base.DNSQueries)
 	}
@@ -135,8 +135,8 @@ func TestCorpusScenarioOrdering(t *testing.T) {
 // entries coalesce: it counted over the page core.Reconstruct clones.
 func refAnalyze(p *har.Page, cfg ClientConfig) Exposure {
 	page := p
-	if cfg.CoalescingEnabled {
-		page = core.Reconstruct(p, cfg.Coalescing, 0)
+	if cfg.Coalescing {
+		page = core.Reconstruct(p, core.ModeOrigin, 0)
 	}
 	var e Exposure
 	dnsSeen, sniSeen := map[string]bool{}, map[string]bool{}
@@ -163,12 +163,11 @@ func refAnalyze(p *har.Page, cfg ClientConfig) Exposure {
 }
 
 // Analyze answers what counting over the reconstructed page answered,
-// for every page and scenario (and every coalescing mode), and the
-// corpus medians do not depend on the worker count.
+// for every page and scenario, and the corpus medians do not depend on
+// the worker count.
 func TestAnalyzeMatchesReconstructedPage(t *testing.T) {
 	scenarios := append(StandardScenarios(),
-		Scenario{"ip coalescing", ClientConfig{CoalescingEnabled: true, Coalescing: core.ModeIP}},
-		Scenario{"origin coalescing + ECH", ClientConfig{CoalescingEnabled: true, Coalescing: core.ModeOrigin, EncryptedClientHello: true}})
+		Scenario{"origin coalescing + ECH", ClientConfig{Coalescing: true, EncryptedClientHello: true}})
 	for _, a := range webgen.Archetypes() {
 		cfg := webgen.DefaultConfig()
 		cfg.Sites = 300
