@@ -202,7 +202,7 @@ func BenchmarkAblationScheduling(b *testing.B) {
 	b.ResetTimer()
 	var cmp sched.Comparison
 	for i := 0; i < b.N; i++ {
-		cmp, _ = c.SchedulingReport(6)
+		cmp, _ = c.SchedulingReport()
 	}
 	b.ReportMetric(float64(cmp.ParallelInversions), "parallel-inversions")
 	b.ReportMetric(float64(cmp.CoalescedInversions), "coalesced-inversions")

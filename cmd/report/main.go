@@ -193,7 +193,7 @@ func run() error {
 		_, txt := c.PrivacyReport()
 		fmt.Println(txt)
 	case *schedOnly:
-		_, txt := c.SchedulingReport(6)
+		_, txt := c.SchedulingReport()
 		fmt.Println(txt)
 	case *table != 0:
 		f, ok := tables[*table]
@@ -218,7 +218,7 @@ func run() error {
 		fmt.Println(h)
 		_, ptxt := c.PrivacyReport()
 		fmt.Println(ptxt)
-		_, stxt := c.SchedulingReport(6)
+		_, stxt := c.SchedulingReport()
 		fmt.Println(stxt)
 		_, pol := c.PolicyComparison()
 		fmt.Println(pol)

@@ -348,7 +348,7 @@ func TestPrivacyReportIntegration(t *testing.T) {
 
 func TestSchedulingReportIntegration(t *testing.T) {
 	c := testCorpus(t, 100)
-	cmp, txt := c.SchedulingReport(6)
+	cmp, txt := c.SchedulingReport()
 	if cmp.CoalescedInversions != 0 {
 		t.Errorf("coalesced inversions = %d", cmp.CoalescedInversions)
 	}

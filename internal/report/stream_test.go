@@ -88,7 +88,7 @@ func defaultReport(c *Corpus) string {
 	_, f9 := c.Figure9Model(13335)
 	_, hl := c.Headline()
 	_, priv := c.PrivacyReport()
-	_, sched := c.SchedulingReport(6)
+	_, sched := c.SchedulingReport()
 	_, pol := c.PolicyComparison()
 	return strings.Join([]string{t1, t2, t3, t4, t5, t6, t7, t8, t9, f1, c.Figure2(72), f3, f4, f5, f9, hl, priv, sched, pol}, "\n")
 }
