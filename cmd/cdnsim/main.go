@@ -79,16 +79,7 @@ func main() {
 		}
 		fmt.Print(res.Table())
 		if *matrixOut != "" {
-			out, err := cliflags.OpenOutput(*matrixOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-				os.Exit(1)
-			}
-			err = res.WriteNDJSON(out)
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+			if err := cliflags.WriteOutput(*matrixOut, res.WriteNDJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
 				os.Exit(1)
 			}
@@ -171,16 +162,7 @@ func main() {
 		fmt.Println(report.SavingsTable(costs, warm.Label("deployment sample, IP phase")))
 	}
 	if trace != nil {
-		out, err := cliflags.OpenOutput(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
-			os.Exit(1)
-		}
-		err = trace.WriteNDJSON(out)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := cliflags.WriteOutput(*traceOut, trace.WriteNDJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "cdnsim: %v\n", err)
 			os.Exit(1)
 		}

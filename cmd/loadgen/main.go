@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -91,15 +92,7 @@ func main() {
 	}
 
 	if *out != "" {
-		o, err := cliflags.OpenOutput(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		err = loadgen.WriteNDJSON(o, results...)
-		if cerr := o.Close(); err == nil {
-			err = cerr
-		}
+		err := cliflags.WriteOutput(*out, func(w io.Writer) error { return loadgen.WriteNDJSON(w, results...) })
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			os.Exit(1)

@@ -45,9 +45,6 @@ type Output struct {
 	file *os.File
 }
 
-// stdout reports whether the destination is standard output.
-func (o *Output) stdout() bool { return o.file == nil }
-
 // Close closes the underlying file and returns its error — on a full
 // disk the close is where truncation surfaces, so callers must check
 // it. Closing a stdout Output is a no-op.
@@ -69,6 +66,20 @@ func OpenOutput(path string) (*Output, error) {
 		return nil, err
 	}
 	return &Output{Writer: f, file: f}, nil
+}
+
+// WriteOutput writes an -out destination with write, then closes it,
+// returning the first error of the two.
+func WriteOutput(path string, write func(io.Writer) error) error {
+	o, err := OpenOutput(path)
+	if err != nil {
+		return err
+	}
+	err = write(o)
+	if cerr := o.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WarmReplay is the warm/cold replay selection of crawl, report and
