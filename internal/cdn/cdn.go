@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,21 +272,6 @@ func (c *CDN) AddZone(host string, addrs ...netip.Addr) *Zone {
 	nv.added = &hostEntry{host: host, sans: z.SANs, records: z.records, next: v.added}
 	c.v.Store(&nv)
 	return z
-}
-
-// zoneSnapshot returns all zones sorted by host.
-func (c *CDN) zoneSnapshot() []*Zone {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Zone, 0, len(c.zones))
-	for _, z := range c.zones {
-		out = append(out, z)
-	}
-	// Hosts are the c.zones map keys, so they are distinct and the
-	// unstable sort is total: the result is independent of both map
-	// iteration order and zone registration order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out
 }
 
 // lockedBuild rebuilds v's host table from the zone registry, the one

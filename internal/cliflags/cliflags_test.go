@@ -79,3 +79,6 @@ func TestWarmReplayResolve(t *testing.T) {
 		}
 	}
 }
+
+// stdout reports whether the destination is standard output.
+func (o *Output) stdout() bool { return o.file == nil }

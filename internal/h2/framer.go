@@ -483,16 +483,6 @@ func (fr *Framer) endWrite() error {
 	return err
 }
 
-// writeFrame serializes one complete frame from a caller-owned payload.
-func (fr *Framer) writeFrame(typ FrameType, flags Flags, streamID uint32, payload []byte) error {
-	if len(payload) > maxMaxFrameSize {
-		return fmt.Errorf("h2: frame payload %d exceeds protocol maximum", len(payload))
-	}
-	fr.startWrite(typ, flags, streamID)
-	fr.wbuf = append(fr.wbuf, payload...)
-	return fr.endWrite()
-}
-
 // WriteData writes a DATA frame. The caller is responsible for honoring
 // flow control and SETTINGS_MAX_FRAME_SIZE.
 func (fr *Framer) WriteData(streamID uint32, endStream bool, data []byte) error {

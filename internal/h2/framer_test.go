@@ -2,6 +2,7 @@ package h2
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -347,4 +348,14 @@ func TestErrCodeStrings(t *testing.T) {
 	if frameOrigin.String() != "ORIGIN" {
 		t.Error(frameOrigin.String())
 	}
+}
+
+// writeFrame serializes one complete frame from a caller-owned payload.
+func (fr *Framer) writeFrame(typ FrameType, flags Flags, streamID uint32, payload []byte) error {
+	if len(payload) > maxMaxFrameSize {
+		return fmt.Errorf("h2: frame payload %d exceeds protocol maximum", len(payload))
+	}
+	fr.startWrite(typ, flags, streamID)
+	fr.wbuf = append(fr.wbuf, payload...)
+	return fr.endWrite()
 }
