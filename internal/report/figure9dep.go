@@ -23,8 +23,12 @@ type Figure9DeploymentData struct {
 // deployment CDN with ORIGIN support. Each sample zone's page load time
 // is the base page time plus the third-party fetch critical path; when
 // the visit coalesces, the third-party DNS + TCP + TLS setup disappears
-// from that path. The result matches the paper's observation: ≈1%
-// median improvement — "no worse", not "faster" (§6.1).
+// from that path. The paper saw the experiment's median PLT about 1%
+// off control's — "no worse", not "faster" (§6.1). The change is
+// printed signed, negative when the experiment is faster: a default
+// cdnsim run reads -3.3%, and `cdnsim -sample 800 -days 12` reads +2.3%
+// (5 608 ms control, 5 737 ms experiment). Both sit within the few
+// percent either way that the paper calls no worse.
 func (d *Deployment) Figure9Deployment(seed int64) (Figure9DeploymentData, string) {
 	d.CDN.EnterPhaseOrigin(isolatedAddr)
 	defer d.CDN.ExitExperiment()
@@ -70,7 +74,7 @@ func (d *Deployment) Figure9Deployment(seed int64) (Figure9DeploymentData, strin
 	var sb strings.Builder
 	sb.WriteString("Figure 9 (bottom): measured PLTs at the deployment CDN\n")
 	fmt.Fprintf(&sb, "  control median PLT:    %8.0f ms\n", out.MedianControl)
-	fmt.Fprintf(&sb, "  experiment median PLT: %8.0f ms (-%.1f%%; paper ~-1%%, 'no worse')\n",
-		out.MedianExperiment, out.ImprovementPct)
+	fmt.Fprintf(&sb, "  experiment median PLT: %8.0f ms (%+.1f%%; paper ~-1%%, 'no worse')\n",
+		out.MedianExperiment, -out.ImprovementPct)
 	return out, sb.String()
 }
