@@ -5,6 +5,7 @@ import (
 	"go/format"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -84,5 +85,17 @@ func TestGofmt(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no Go files found: the walk is broken")
+	}
+}
+
+// TestVet proves in go test what CI's Vet step proves in shell: go vet
+// reports nothing over the module.
+func TestVet(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(goTool, "vet", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./...: %v\n%s", err, out)
 	}
 }
