@@ -10,9 +10,8 @@
 // replay's totals — so the sweep runs one replay per (archetype ×
 // persona) and prices it once per profile × transport.
 //
-// Each archetype's corpus is generated, encoded and decoded once, on its
-// own worker and through a pipe, so no encoded corpus is held whole; the
-// replays read only the decoded pages. Every cell is a pure function of
+// Each archetype's corpus is generated once, on its own worker, and the
+// replays read the generated pages. Every cell is a pure function of
 // (seed, cell coordinates): the corpora and the replays fan out through
 // internal/parallel, each replay worker resetting one cache and browser
 // rather than building new ones, and the output is byte-identical at

@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
 	"respectorigin/internal/core"
-	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/parallel"
@@ -110,16 +108,15 @@ type Result struct {
 	Cells []Cell
 }
 
-// Run executes the sweep. The archetype corpora are built concurrently,
-// one per worker: each generator streams its pages through the columnar
-// encoder into a pipe whose other end decodes them, so no encoded corpus
-// is ever held whole. Every persona replays the decoded, read-only page
-// slice of an archetype once, and the replay's totals are priced under
-// each profile × transport. The (archetype × persona) replays fan out
-// through internal/parallel, each worker reusing one replayer, and their
-// cells are emitted in fixed cross-product order, so the result — and
-// every byte derived from it — is identical at any worker count. Run
-// returns only after every goroutine it started has finished.
+// Run executes the sweep. The archetype corpora are generated
+// concurrently, one archetype per worker. Every persona replays the
+// read-only page slice of an archetype once, and the replay's totals
+// are priced under each profile × transport. The (archetype × persona)
+// replays fan out through internal/parallel, each worker reusing one
+// replayer, and their cells are emitted in fixed cross-product order,
+// so the result — and every byte derived from it — is identical at any
+// worker count. Run returns only after every goroutine it started has
+// finished.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("scenario: Sites must be positive")
@@ -147,8 +144,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// One corpus per archetype, round-tripped through the corpus API:
-	// replays read the decoded stream, never the generator directly.
 	corpora := make([][]*har.Page, len(cfg.Archetypes))
 	errs := parallel.Map(len(cfg.Archetypes), cfg.Workers, func(i int) (err error) {
 		corpora[i], err = archetypeCorpus(cfg, cfg.Archetypes[i])
@@ -180,39 +175,22 @@ func Run(cfg Config) (*Result, error) {
 	return &Result{Cells: cells}, nil
 }
 
-// archetypeCorpus generates one archetype's corpus on one goroutine,
-// encodes it as a columnar stream into a pipe and decodes it from the
-// pipe's other end on the caller. A failure on either side closes the
-// pipe with that error, and the generator is joined before returning.
-// The generator runs with one worker: its output is the same at any
-// worker count, and Run already spreads archetypes over the workers.
-// The returned pages are shared by every persona replay of the
-// archetype and must not be written to.
+// archetypeCorpus generates one archetype's corpus. The generator runs
+// with one worker: its output is the same at any worker count, and Run
+// already spreads archetypes over the workers. The returned pages are
+// shared by every persona replay of the archetype and must not be
+// written to.
 func archetypeCorpus(cfg Config, a webgen.Archetype) ([]*har.Page, error) {
-	pr, pw := io.Pipe()
-	var genErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w := corpus.NewWriter(pw, corpus.FormatColumnar)
-		gcfg := webgen.DefaultConfig()
-		gcfg.Sites = cfg.Sites
-		gcfg.Seed = cfg.Seed
-		gcfg.Workers = 1
-		gcfg.Archetype = a
-		_, genErr = webgen.GenerateStream(gcfg, w.Write)
-		if genErr == nil {
-			genErr = w.Close()
-		}
-		pw.CloseWithError(genErr)
-	}()
-	pages, err := corpus.ReadAll(corpus.NewReader(pr, corpus.FormatColumnar))
-	pr.CloseWithError(err)
-	<-done
-	if genErr != nil {
-		return nil, genErr
+	gcfg := webgen.DefaultConfig()
+	gcfg.Sites = cfg.Sites
+	gcfg.Seed = cfg.Seed
+	gcfg.Workers = 1
+	gcfg.Archetype = a
+	ds, err := webgen.Generate(gcfg)
+	if err != nil {
+		return nil, err
 	}
-	return pages, err
+	return ds.Pages, nil
 }
 
 // totals is what one persona's replay of one archetype corpus yields:

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
@@ -71,8 +73,8 @@ func TestReplayerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// Run joins every goroutine it starts, the corpus pipes' producers
-// included, on success and on a failed round trip alike.
+// Run joins every goroutine it starts, its generators and replayers
+// alike, on success and on an unknown archetype's error.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	mustRun(t, smallConfig(20, 4))
@@ -89,23 +91,72 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// A warm Run's allocation budget. Every archetype's writer and reader
-// borrow their block columns from the corpus package's column store,
-// which the first Run fills, so the second grows no column: measured
-// 167 KiB a cell at Sites 60 and Workers 2, against 350 KiB when each
-// codec grew its own. The budget is the measured value with 25 %
-// headroom.
+// Replays read the generated pages, not a decode of their columnar
+// encoding, and nothing may tell the two apart: decoding the columnar
+// encoding of an archetype's corpus gives back pages deeply equal to the
+// generated ones, and their NDJSON is the generated pages' NDJSON byte
+// for byte.
+func TestArchetypeCorpusMatchesColumnarRoundTrip(t *testing.T) {
+	cfg := smallConfig(40, 1)
+	encode := func(f corpus.Format, pages []*har.Page) []byte {
+		var buf bytes.Buffer
+		w := corpus.NewWriter(&buf, f)
+		for _, p := range pages {
+			if err := w.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, a := range cfg.Archetypes {
+		pages, err := archetypeCorpus(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pages) == 0 {
+			t.Fatalf("%s: no pages", a)
+		}
+		col := encode(corpus.FormatColumnar, pages)
+		decoded, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(col), corpus.FormatColumnar))
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if !reflect.DeepEqual(decoded, pages) {
+			t.Errorf("%s: the columnar round trip changes the generated pages", a)
+		}
+		if !bytes.Equal(encode(corpus.FormatNDJSON, decoded), encode(corpus.FormatNDJSON, pages)) {
+			t.Errorf("%s: NDJSON of the decoded pages differs from NDJSON of the generated ones", a)
+		}
+	}
+}
+
+// A warm Run's allocation budget, taken after one Run so that the
+// process-wide state every Run shares is warm. Measured at Sites 60 and
+// Workers 2: 91 KiB and 90–92 objects a cell (167 KiB and 102–104
+// objects while each archetype round-tripped through the columnar
+// codec, 350 KiB before the codec borrowed its columns from a shared
+// store). The byte budget has about 20 % headroom, the object budget
+// about 10 %, below what the round trip allocated.
 func TestRunAllocBudget(t *testing.T) {
-	const budgetKiB = 210
+	const budgetKiB, budgetObjects = 110, 100
 	cfg := smallConfig(60, 2)
 	mustRun(t, cfg)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res := mustRun(t, cfg)
 	runtime.ReadMemStats(&after)
-	perCell := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(res.Cells))
+	cells := float64(len(res.Cells))
+	perCell := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / cells
+	objects := float64(after.Mallocs-before.Mallocs) / cells
+	t.Logf("a second Run allocates %.1f KiB and %.1f objects a cell", perCell, objects)
 	if perCell > budgetKiB {
 		t.Errorf("a second Run allocates %.1f KiB a cell, want ≤ %d", perCell, budgetKiB)
+	}
+	if objects > budgetObjects {
+		t.Errorf("a second Run allocates %.1f objects a cell, want ≤ %d", objects, budgetObjects)
 	}
 }
 

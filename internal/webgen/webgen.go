@@ -96,11 +96,12 @@ type StreamResult struct {
 // complete, without buffering the whole corpus in memory. emit runs on
 // the calling goroutine; returning an error aborts generation.
 //
-// Ranks are split into contiguous shards, each with a private
-// generator; every page is a pure function of (Seed, rank, Sites), so
-// the page stream is byte-identical for every worker count. In-flight
-// shards are bounded, so a slow writer cannot make memory grow with
-// corpus size.
+// Ranks are split into contiguous shards. Each worker goroutine owns one
+// generator and reuses it for every shard it claims, as the one-worker
+// path reuses one for every rank; every page is a pure function of
+// (Seed, rank, Sites), so the page stream is byte-identical for every
+// worker count. In-flight shards are bounded, so a slow writer cannot
+// make memory grow with corpus size.
 func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("webgen: Sites must be positive")
@@ -135,7 +136,7 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 	}
 
 	if workers == 1 {
-		return res, emitShard(genShard(cfg, rankLo, rankHi))
+		return res, emitShard(genShard(newGenerator(cfg), rankLo, rankHi))
 	}
 
 	span := (nranks + workers*8 - 1) / (workers * 8)
@@ -163,6 +164,7 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			g := newGenerator(cfg)
 			for {
 				select {
 				case tokens <- struct{}{}:
@@ -178,7 +180,7 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 				if hi > rankHi {
 					hi = rankHi
 				}
-				results[s] <- genShard(cfg, lo, hi)
+				results[s] <- genShard(g, lo, hi)
 			}
 		}()
 	}
@@ -201,13 +203,13 @@ type shardResult struct {
 	failures int
 }
 
-// genShard generates ranks [lo, hi) with a private generator.
-func genShard(cfg Config, lo, hi int) shardResult {
-	g := newGenerator(cfg)
+// genShard generates ranks [lo, hi) with g, which no other goroutine
+// uses meanwhile.
+func genShard(g *generator, lo, hi int) shardResult {
 	sh := shardResult{pages: make([]*har.Page, 0, hi-lo)}
 	for rank := lo; rank < hi; rank++ {
 		// Re-seeding restarts the stream a fresh source would produce.
-		g.rng.Seed(cfg.Seed*1_000_003 + int64(rank))
+		g.rng.Seed(g.cfg.Seed*1_000_003 + int64(rank))
 		if g.rng.Float64() > successRate {
 			sh.failures++
 			continue
@@ -220,11 +222,11 @@ func genShard(cfg Config, lo, hi int) shardResult {
 // maxWave bounds the dependency depth of a page; see genPage.
 const maxWave = 14
 
-// generator produces the pages of one shard. It owns the working
-// storage of a page in the making: the buffers below are reused from
-// page to page, and a finished page copies out of them exactly what it
-// keeps — its entries, one string holding all of its text, one slice of
-// addresses and one of SAN strings.
+// generator produces the pages of one worker's shards. It owns the
+// working storage of a page in the making: the buffers below are reused
+// from page to page, and a finished page copies out of them exactly
+// what it keeps — its entries, one string holding all of its text, one
+// slice of addresses and one of SAN strings.
 type generator struct {
 	cfg Config
 	rng *rand.Rand      // page stream, reseeded per rank
