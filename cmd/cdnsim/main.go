@@ -37,6 +37,7 @@ import (
 
 	"respectorigin/internal/cdn"
 	"respectorigin/internal/cliflags"
+	"respectorigin/internal/core"
 	"respectorigin/internal/faults"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
@@ -128,7 +129,7 @@ func main() {
 	d.Exp.Cfg.Workers = *workers
 
 	if warm.ProtoSweep {
-		sweep := d.ProtoSweep(warm.Revisits, warm.Opts)
+		sweep := d.Replay(warm.Revisits, warm.Opts, core.Protocols...)
 		fmt.Print(report.ProtoSweepTable(sweep, netsim.DefaultParams(), "deployment sample, IP phase"))
 		return
 	}
@@ -158,7 +159,7 @@ func main() {
 	if warm.Cache {
 		// Runs last: the warm/cold pass touches neither the pipeline
 		// nor the experiment RNG, so earlier output is unaffected.
-		costs := d.WarmColdProto(warm.Revisits, warm.Opts, warm.Proto)
+		costs := d.Replay(warm.Revisits, warm.Opts, warm.Proto)[0].Visits
 		fmt.Println(report.SavingsTable(costs, warm.Label("deployment sample, IP phase")))
 	}
 	if trace != nil {

@@ -8,16 +8,15 @@ import (
 	"respectorigin/internal/clitest"
 )
 
-// TestBadWarmReplayFlagsRejected: a replay of fewer than one visit or
-// under an unknown protocol is an argument error, reported before -out
-// is created (a negative -revisits used to panic after truncating it).
-func TestBadWarmReplayFlagsRejected(t *testing.T) {
+// TestBadArgumentsRejected: an unknown -format and a -shard outside
+// [0, -shards) are argument errors, reported before -out is created.
+func TestBadArgumentsRejected(t *testing.T) {
 	crawl := clitest.Build(t, "cmd/crawl")
 	out := filepath.Join(t.TempDir(), "corpus.ndjson")
 	for _, bad := range [][]string{
-		{"-cache", "-revisits", "0"},
-		{"-proto-sweep", "-revisits", "-1"},
-		{"-proto", "h4"},
+		{"-format", "bogus"},
+		{"-shards", "2", "-shard", "2"},
+		{"-shards", "0", "-shard", "0"},
 	} {
 		clitest.RunExpectFail(t, crawl, append([]string{"-sites", "40", "-out", out}, bad...)...)
 		if _, err := os.Stat(out); !os.IsNotExist(err) {

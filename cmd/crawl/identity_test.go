@@ -9,10 +9,8 @@ import (
 )
 
 // TestCrawlByteIdentity holds the corpus bytes of the built crawl binary
-// fixed against its sidecars: a traced crawl writes the corpus an
-// untraced crawl writes (and report -funnel reads that trace), and the
-// warm-path cache flags leave it unchanged whether the cache is off
-// (-revisits alone) or on (-cache prints its savings table to stderr).
+// fixed against its sidecar: a traced crawl writes the corpus an
+// untraced crawl writes, and report -funnel reads that trace.
 func TestCrawlByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	crawl, report := clitest.Build(t, "cmd/crawl"), clitest.Build(t, "cmd/report")
@@ -28,17 +26,8 @@ func TestCrawlByteIdentity(t *testing.T) {
 		t.Fatal("crawl wrote an empty corpus")
 	}
 	trace := filepath.Join(dir, "trace.ndjson")
-	for _, c := range []struct {
-		name  string
-		extra []string
-	}{
-		{"traced", []string{"-trace", trace}},
-		{"cache off, -revisits 5", []string{"-revisits", "5"}},
-		{"-cache -revisits 2", []string{"-cache", "-revisits", "2"}},
-	} {
-		if got := crawlTo("variant.ndjson", c.extra...); !bytes.Equal(got, base) {
-			t.Errorf("%s: corpus differs from the plain crawl (%d vs %d bytes)", c.name, len(got), len(base))
-		}
+	if got := crawlTo("traced.ndjson", "-trace", trace); !bytes.Equal(got, base) {
+		t.Errorf("traced: corpus differs from the plain crawl (%d vs %d bytes)", len(got), len(base))
 	}
 	if funnel := clitest.Run(t, report, "-funnel", trace); len(funnel) == 0 {
 		t.Error("report -funnel printed nothing for the crawl trace")

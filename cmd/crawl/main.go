@@ -14,6 +14,9 @@
 // and checksum. cmd/report merges the manifests and analyzes the
 // shards as one corpus, byte-identical to a single-process run.
 //
+// crawl only crawls. The warm/cold replay of a corpus is cmd/report's:
+// crawl -out f, then report -in f -cache (or -proto-sweep).
+//
 // Usage:
 //
 //	crawl -sites 20000 -seed 1 -workers 8 -out dataset.ndjson
@@ -31,9 +34,7 @@ import (
 	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
-	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
-	"respectorigin/internal/report"
 	"respectorigin/internal/webgen"
 )
 
@@ -46,9 +47,7 @@ func main() {
 	shards := flag.Int("shards", 1, "total shard count of a multi-process crawl")
 	shard := flag.Int("shard", -1, "rank shard [0, shards) this process crawls; -1 crawls everything")
 	traceOut := flag.String("trace", "", "write per-page-load trace events as NDJSON to this file")
-	warm := cliflags.RegisterWarmReplay(1)
 	flag.Parse()
-	warm.Resolve("crawl")
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
@@ -120,41 +119,9 @@ func main() {
 	var trace *obs.Trace
 	if *traceOut != "" {
 		trace = obs.NewTrace()
-		inner := emit
 		emit = func(p *har.Page) error {
 			core.EmitPageEvents(trace, p)
-			return inner(p)
-		}
-	}
-	// One replayer serves both folds below: emit runs on one goroutine,
-	// and each page's sequence starts from a reset cache.
-	replayer := core.NewReplayer(warm.Opts)
-	var warmCosts []core.VisitCosts
-	if warm.Cache {
-		// Fold each page's warm/cold replay as it streams past; ledger
-		// addition is order-independent, so the totals match a batch
-		// pass regardless of shard completion order.
-		warmCosts = make([]core.VisitCosts, warm.Revisits)
-		inner := emit
-		emit = func(p *har.Page) error {
-			replayer.Sequence(p, warm.Proto, warmCosts)
-			return inner(p)
-		}
-	}
-	var sweepCosts []report.ProtoCosts
-	if warm.ProtoSweep {
-		// Same streaming fold, once per protocol, so the sweep rides the
-		// generation pass without a second corpus walk.
-		sweepCosts = make([]report.ProtoCosts, len(core.Protocols))
-		for i, pr := range core.Protocols {
-			sweepCosts[i] = report.ProtoCosts{Proto: pr, Visits: make([]core.VisitCosts, warm.Revisits)}
-		}
-		inner := emit
-		emit = func(p *har.Page) error {
-			for i := range sweepCosts {
-				replayer.Sequence(p, sweepCosts[i].Proto, sweepCosts[i].Visits)
-			}
-			return inner(p)
+			return w.Write(p)
 		}
 	}
 	res, err := webgen.GenerateStream(cfg, emit)
@@ -183,12 +150,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "crawl: %d successful page loads (%d failures) -> %s\n",
 		res.Pages, res.Failures, *out)
-	if warm.Cache {
-		fmt.Fprint(os.Stderr, report.SavingsTable(warmCosts, warm.Label("crawl corpus")))
-	}
-	if warm.ProtoSweep {
-		fmt.Fprint(os.Stderr, report.ProtoSweepTable(sweepCosts, netsim.DefaultParams(), "crawl corpus"))
-	}
 	if trace != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {

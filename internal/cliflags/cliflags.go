@@ -1,9 +1,9 @@
 // Package cliflags centralizes the flag plumbing the binaries were
 // each duplicating — the deterministic -seed, the -workers goroutine
 // count, the -out destination with its "-"-for-stdout convention, the
-// five warm-replay flags — so every command describes, parses and
-// validates them identically. Commands register only the flags they
-// support; defaults stay per-command.
+// five warm-replay flags of report and cdnsim — so every command
+// describes, parses and validates them identically. Commands register
+// only the flags they support; defaults stay per-command.
 package cliflags
 
 import (
@@ -82,8 +82,8 @@ func WriteOutput(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// WarmReplay is the warm/cold replay selection of crawl, report and
-// cdnsim: -cache, -revisits, -ticket-lifetime, -proto, -proto-sweep.
+// WarmReplay is the warm/cold replay selection of report and cdnsim:
+// -cache, -revisits, -ticket-lifetime, -proto, -proto-sweep.
 // Proto and Opts hold values only after Resolve.
 type WarmReplay struct {
 	Cache      bool          // -cache: print the warm/cold savings table

@@ -159,7 +159,7 @@ func runOnce(sites int, seed int64, workers int) (*artifacts, error) {
 	// Per-protocol savings decomposition: replays the corpus under h1,
 	// h2 and h3, so protocol-versioned warm paths are inside the
 	// byte-identity gate too.
-	sweep := c.ProtoSweep(2, cache.Options{})
+	sweep := c.Replay(2, cache.Options{}, core.Protocols...)
 	rep.WriteString(report.ProtoSweepTable(sweep, netsim.DefaultParams(), "corpus"))
 
 	return &artifacts{

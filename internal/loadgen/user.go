@@ -164,7 +164,7 @@ func runVisit(cfg Config, env *cdn.CDN, prof userProfile, b *browser.Browser,
 			v.FreshConns++
 			v.DNSQueries++
 			v.ClientMs += net.DNSTime() + net.ConnectTime() +
-				net.TLSTime(2, 1) + requestTime(rs, net)
+				net.HandshakeTime(netsim.Setup{SANs: 2}) + requestTime(rs, net)
 		}
 		v.ServiceMs = serviceMs*float64(v.Requests) +
 			handshakeSvcMs*float64(v.FreshConns)

@@ -52,44 +52,56 @@ func Do(n, workers int, fn func(i int)) {
 // Which indexes share a scratch value depends on scheduling; what fn
 // does must not.
 func DoWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
-	workers = Normalize(workers)
-	if workers > n {
-		workers = n
+	runChunks(n, workers, newScratch, func(s S, _, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(s, i)
+		}
+	})
+}
+
+// layout splits [0, n) for at most workers goroutines: it returns how
+// many goroutines to run, the span of each chunk and the chunk count.
+// A single goroutine takes one chunk over [0, n).
+func layout(n, workers int) (goroutines, span, chunks int) {
+	workers = min(Normalize(workers), n)
+	if workers <= 1 {
+		return 1, n, 1
 	}
+	span = chunkSpan(n, workers)
+	return workers, span, (n + span - 1) / span
+}
+
+// runChunks runs body(s, c, lo, hi) for every chunk c = [lo, hi) of
+// layout(n, workers), and nothing when n ≤ 0. Goroutines claim chunks
+// in index order from a shared counter; the calling goroutine is one
+// of them. Each calls newScratch once and hands that value to every
+// body call it makes.
+func runChunks[S any](n, workers int, newScratch func() S, body func(s S, c, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 1 {
-		s := newScratch()
-		for i := 0; i < n; i++ {
-			fn(s, i)
-		}
-		return
-	}
-	span := chunkSpan(n, workers)
-	nchunks := (n + span - 1) / span
+	goroutines, span, chunks := layout(n, workers)
 	var next atomic.Int64
+	work := func() {
+		s := newScratch()
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= chunks {
+				return
+			}
+			lo := c * span
+			body(s, c, lo, min(lo+span, n))
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range goroutines - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := newScratch()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					return
-				}
-				hi := (c + 1) * span
-				if hi > n {
-					hi = n
-				}
-				for i := c * span; i < hi; i++ {
-					fn(s, i)
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
@@ -97,7 +109,7 @@ func DoWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
 // Results land at their input index, so output order never depends on
 // scheduling.
 func Map[R any](n, workers int, fn func(i int) R) []R {
-	out := make([]R, maxInt(n, 0))
+	out := make([]R, max(n, 0))
 	Do(n, workers, func(i int) { out[i] = fn(i) })
 	return out
 }
@@ -107,7 +119,7 @@ func Map[R any](n, workers int, fn func(i int) R) []R {
 // so the storage is allocated per worker, not per index. Which indexes
 // share a scratch value depends on scheduling; fn's result must not.
 func MapWith[S, R any](n, workers int, newScratch func() S, fn func(s S, i int) R) []R {
-	out := make([]R, maxInt(n, 0))
+	out := make([]R, max(n, 0))
 	DoWith(n, workers, newScratch, func(s S, i int) { out[i] = fn(s, i) })
 	return out
 }
@@ -127,58 +139,21 @@ func MapWith[S, R any](n, workers int, newScratch func() S, fn func(s S, i int) 
 // Which chunks share a scratch value depends on scheduling; the
 // accumulators must not.
 func FoldWith[S, A any](n, workers int, newScratch func() S, newAcc func() A, fold func(s S, acc A, i int) A, merge func(a, b A) A) A {
-	workers = Normalize(workers)
-	if workers > n {
-		workers = n
-	}
 	if n <= 0 {
 		return newAcc()
 	}
-	if workers <= 1 {
-		s, acc := newScratch(), newAcc()
-		for i := 0; i < n; i++ {
+	_, _, chunks := layout(n, workers)
+	accs := make([]A, chunks)
+	runChunks(n, workers, newScratch, func(s S, c, lo, hi int) {
+		acc := newAcc()
+		for i := lo; i < hi; i++ {
 			acc = fold(s, acc, i)
 		}
-		return acc
-	}
-	span := chunkSpan(n, workers)
-	nchunks := (n + span - 1) / span
-	accs := make([]A, nchunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := newScratch()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					return
-				}
-				hi := (c + 1) * span
-				if hi > n {
-					hi = n
-				}
-				acc := newAcc()
-				for i := c * span; i < hi; i++ {
-					acc = fold(s, acc, i)
-				}
-				accs[c] = acc
-			}
-		}()
-	}
-	wg.Wait()
+		accs[c] = acc
+	})
 	out := accs[0]
 	for _, a := range accs[1:] {
 		out = merge(out, a)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

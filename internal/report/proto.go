@@ -17,24 +17,9 @@ type ProtoCosts struct {
 	Visits []core.VisitCosts
 }
 
-// ProtoSweep replays every corpus page revisits times under each
-// protocol (h1, h2, h3 — sweep order), each page from a reset cache,
-// and sums the per-visit ledgers across pages, in one pass over the
-// pages. Per-page sequences are independent, so the result is
-// identical for any worker count.
-func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
-	if revisits <= 0 {
-		return nil
-	}
-	return c.Replay(revisits, opts, core.Protocols...)
-}
-
-// WarmColdProto replays every corpus page revisits times under one
-// protocol, each page from a reset warm-path cache, and sums the
-// per-visit cost ledgers across pages. The pass fans out across the
-// corpus workers with one replayer per worker; per-page sequences are
-// independent and ledger addition is associative, so the result is
-// identical for any worker count.
+// WarmColdProto is Replay under one protocol: the per-visit ledgers
+// alone, or nil when revisits ≤ 0. The benchmark calls it to time each
+// protocol's replay on its own.
 func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
@@ -43,8 +28,12 @@ func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Prot
 }
 
 // Replay replays every retained page revisits times under each
-// protocol of protos in one pass and returns the summed ledgers, as
-// ReplayStream does for a stream. Replays depend on their parameters,
+// protocol of protos in one pass, each page from a reset warm-path
+// cache, and returns the per-visit ledgers summed across pages, as
+// ReplayStream does for a stream. The pass fans out across the corpus
+// workers with one replayer per worker; per-page sequences are
+// independent and ledger addition is associative, so the result is
+// identical for any worker count. Replays depend on their parameters,
 // so they are folded on every call and never kept; a streamed corpus
 // has no pages left to replay.
 func (c *Corpus) Replay(revisits int, opts cache.Options, protos ...core.Protocol) []ProtoCosts {
@@ -97,24 +86,15 @@ func (a *warmAcc) costs() []ProtoCosts {
 	return out
 }
 
-// WarmColdProto runs the deployment experiment's returning-visitor
-// measurement under one protocol during the IP-coalescing phase (where
-// cross-host coalescing is strongest) and restores baseline afterwards.
-func (d *Deployment) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
+// Replay runs the deployment experiment's returning-visitor
+// measurement revisits times under each protocol of protos during the
+// IP-coalescing phase (where cross-host coalescing is strongest) and
+// restores baseline afterwards, as Corpus.Replay does for a corpus.
+func (d *Deployment) Replay(revisits int, opts cache.Options, protos ...core.Protocol) []ProtoCosts {
 	d.CDN.EnterPhaseIP()
-	costs := d.Exp.WarmColdProto(revisits, opts, proto)
-	d.CDN.ExitExperiment()
-	return costs
-}
-
-// ProtoSweep runs the deployment experiment's returning-visitor
-// measurement under each protocol during the IP-coalescing phase,
-// restoring baseline afterwards.
-func (d *Deployment) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
-	d.CDN.EnterPhaseIP()
-	out := make([]ProtoCosts, 0, len(core.Protocols))
-	for _, proto := range core.Protocols {
-		out = append(out, ProtoCosts{Proto: proto, Visits: d.Exp.WarmColdProto(revisits, opts, proto)})
+	out := make([]ProtoCosts, len(protos))
+	for i, proto := range protos {
+		out[i] = ProtoCosts{Proto: proto, Visits: d.Exp.WarmColdProto(revisits, opts, proto)}
 	}
 	d.CDN.ExitExperiment()
 	return out

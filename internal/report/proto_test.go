@@ -20,12 +20,12 @@ func TestProtoSweepTableWorkerInvariance(t *testing.T) {
 	}
 	opts := cache.Options{}
 	p := netsim.DefaultParams()
-	want := ProtoSweepTable(NewCorpusWorkers(ds, 1).ProtoSweep(2, opts), p, "inv")
+	want := ProtoSweepTable(NewCorpusWorkers(ds, 1).Replay(2, opts, core.Protocols...), p, "inv")
 	if want == "" {
 		t.Fatal("empty sweep table")
 	}
 	for _, w := range []int{4, 16} {
-		got := ProtoSweepTable(NewCorpusWorkers(ds, w).ProtoSweep(2, opts), p, "inv")
+		got := ProtoSweepTable(NewCorpusWorkers(ds, w).Replay(2, opts, core.Protocols...), p, "inv")
 		if got != want {
 			t.Errorf("workers=%d sweep table differs from workers=1:\n%s\nvs\n%s", w, got, want)
 		}
@@ -37,7 +37,7 @@ func TestProtoSweepTableWorkerInvariance(t *testing.T) {
 // the deployment-level sweep must stay consistent per visit.
 func TestProtoSweepFrontierOrdering(t *testing.T) {
 	c := testCorpus(t, 300)
-	sweep := c.ProtoSweep(2, cache.Options{})
+	sweep := c.Replay(2, cache.Options{}, core.Protocols...)
 	p := netsim.DefaultParams()
 	byProto := map[core.Protocol]core.VisitCosts{}
 	for _, pc := range sweep {

@@ -46,7 +46,7 @@ func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 	_, wantT1 := base.Table1(5)
 	_, wantT2 := base.Table2(10)
 	_, wantHL := base.Headline()
-	wantSweep := base.ProtoSweep(2, cache.Options{})
+	wantSweep := base.Replay(2, cache.Options{}, core.Protocols...)
 
 	for _, f := range []corpus.Format{corpus.FormatNDJSON, corpus.FormatColumnar} {
 		raw := encodeDS(t, ds, f)
@@ -63,7 +63,7 @@ func TestNewCorpusFromReaderMatchesInMemory(t *testing.T) {
 		if _, got := c.Headline(); got != wantHL {
 			t.Fatalf("%s: Headline differs from in-memory corpus", f)
 		}
-		if got := c.ProtoSweep(2, cache.Options{}); !reflect.DeepEqual(got, wantSweep) {
+		if got := c.Replay(2, cache.Options{}, core.Protocols...); !reflect.DeepEqual(got, wantSweep) {
 			t.Fatalf("%s: per-protocol replay ledgers differ from in-memory corpus:\n got %+v\nwant %+v", f, got, wantSweep)
 		}
 	}
@@ -129,7 +129,7 @@ func TestStreamedMatchesRetained(t *testing.T) {
 	}
 	ref := NewCorpusWorkers(ds, 1)
 	want := defaultReport(ref)
-	wantWarm := warmReport(ref.ProtoSweep(2, warmOpts))
+	wantWarm := warmReport(ref.Replay(2, warmOpts, core.Protocols...))
 
 	// A retained corpus keeps Figure 9 per CDN: a second CDN is folded
 	// for itself, not served the first one's.
