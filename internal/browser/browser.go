@@ -273,9 +273,9 @@ type Browser struct {
 	seq    int
 	useSeq int // monotone use counter feeding Conn.lastUse
 	conns  []*Conn
-	// spare holds the connections closed by Reset, kept for their storage
-	// (the Conn, its Available capacity, its emptied Origins map): openConn
-	// refills one before it allocates.
+	// spare holds the connections closed by Reset, DropConns or eviction,
+	// kept for their storage (the Conn, its Available capacity, its
+	// emptied Origins map): openConn refills one before it allocates.
 	spare []*Conn
 
 	// Totals are the counters across every request since the last Reset.
@@ -306,8 +306,9 @@ type Totals struct {
 func New(p Policy) *Browser { return &Browser{Policy: p} }
 
 // Conns returns the current connection pool. The slice and the
-// connections it points to belong to the browser: they are valid until
-// the next Reset, which recycles them.
+// connections it points to belong to the browser: a connection is valid
+// until the Reset, DropConns or eviction that closes it, which recycles
+// it for a later connection.
 func (b *Browser) Conns() []*Conn { return b.conns }
 
 // Reset drops all pooled connections and counters and restarts the
@@ -326,11 +327,21 @@ func (b *Browser) Reset() {
 
 // DropConns removes every pooled connection opened for host (the pool's
 // reaction to a TCP reset or a server GOAWAY drain) and reports how
-// many were dropped. Subsequent requests must reconnect.
+// many were dropped. Subsequent requests must reconnect. The dropped
+// connections are kept for their storage, as Reset keeps them.
 func (b *Browser) DropConns(host string) int {
-	n := len(b.conns)
-	b.conns = slices.DeleteFunc(b.conns, func(c *Conn) bool { return c.Host == host })
-	return n - len(b.conns)
+	kept := b.conns[:0]
+	for _, c := range b.conns {
+		if c.Host == host {
+			b.spare = append(b.spare, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	n := len(b.conns) - len(kept)
+	clear(b.conns[len(kept):])
+	b.conns = kept
+	return n
 }
 
 // emit appends one event to the recorder, stamping it with the
@@ -364,10 +375,12 @@ func (b *Browser) markUsed(c *Conn) {
 	c.used = true
 }
 
-// evict closes one pooled connection under cap pressure.
+// evict closes one pooled connection under cap pressure, keeping it for
+// its storage.
 func (b *Browser) evict(victim *Conn) {
 	i := slices.Index(b.conns, victim)
 	b.conns = slices.Delete(b.conns, i, i+1)
+	b.spare = append(b.spare, victim)
 	b.TotalEvicted++
 }
 
@@ -601,24 +614,31 @@ func (b *Browser) enforceHostCap(env Environment, host string, out *Outcome) (do
 	if b.MaxConnsPerHost <= 0 {
 		return false
 	}
-	var same []*Conn
+	same := 0
 	for _, c := range b.conns {
 		if c.Host == host {
-			same = append(same, c)
+			same++
 		}
 	}
-	if len(same) < b.MaxConnsPerHost {
+	if same < b.MaxConnsPerHost {
 		return false
 	}
-	for _, c := range same {
-		if env.Reachable(host, c.IP) {
+	for _, c := range b.conns {
+		if c.Host == host && env.Reachable(host, c.IP) {
 			b.reuse(c, reasonPoolCap, out)
 			return true
 		}
 	}
-	slices.SortFunc(same, byLastUse)
-	for _, c := range same[:len(same)-(b.MaxConnsPerHost-1)] {
-		b.evict(c)
+	// Evict the host's least recently used connection until one fewer
+	// than the cap is left, building no list of the host's connections.
+	for ; same >= b.MaxConnsPerHost; same-- {
+		var oldest *Conn
+		for _, c := range b.conns {
+			if c.Host == host && (oldest == nil || c.lastUse < oldest.lastUse) {
+				oldest = c
+			}
+		}
+		b.evict(oldest)
 	}
 	return false
 }
@@ -747,8 +767,9 @@ func (b *Browser) handshake(host string, ip netip.Addr, sans []string, proto Pro
 	}
 }
 
-// spareConn returns a blank connection: one Reset closed, emptied but
-// with its Available capacity and Origins map kept, or else a new one.
+// spareConn returns a blank connection: one that Reset, DropConns or an
+// eviction closed, emptied but with its Available capacity and Origins
+// map kept, or else a new one.
 func (b *Browser) spareConn() *Conn {
 	n := len(b.spare)
 	if n == 0 {

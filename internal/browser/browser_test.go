@@ -1,7 +1,9 @@
 package browser
 
 import (
+	"fmt"
 	"net/netip"
+	"sort"
 	"testing"
 )
 
@@ -320,5 +322,112 @@ func TestFreshConnectionAllocsWithoutRecorder(t *testing.T) {
 		if got != 0 {
 			t.Errorf("%v: fresh connection with a nil recorder: %.0f allocs, want 0", policy, got)
 		}
+	}
+}
+
+// recycleEnv serves three hosts that never share a connection: each has
+// its own addresses and a certificate for itself alone, and each
+// advertises an origin set of a different size, so a recycled
+// connection that kept an address or an origin of its last host shows.
+func recycleEnv() *fakeEnv {
+	env := &fakeEnv{answers: map[string][]netip.Addr{}, sans: map[string][]string{}, origins: map[string][]string{}}
+	for i, host := range []string{"a.example", "b.example", "c.example"} {
+		for k := 0; k < 3-i; k++ {
+			env.answers[host] = append(env.answers[host], netip.AddrFrom4([4]byte{192, 0, byte(2 + i), byte(1 + k)}))
+			env.origins[host] = append(env.origins[host], fmt.Sprintf("o%d.%s", k, host))
+		}
+		env.sans[host] = []string{host}
+	}
+	return env
+}
+
+// Within one session, a connection DropConns or an eviction closed is
+// refilled for the next connection, as Reset's are: once warm, a drop
+// and a reconnect, or a reconnect that evicts under MaxConns, allocate
+// nothing, for every policy.
+func TestDroppedAndEvictedConnsAllocNothing(t *testing.T) {
+	env := recycleEnv()
+	hosts := []string{"a.example", "b.example", "c.example"}
+	connect := func(b *Browser, host string) {
+		if out := b.Request(env, host); !out.NewConnection() {
+			t.Fatalf("%v: %s did not connect: %+v", b.Policy, host, out)
+		}
+	}
+	for _, policy := range []Policy{PolicyChromium, PolicyFirefox, PolicyFirefoxOrigin} {
+		b := New(policy)
+		for _, host := range hosts {
+			connect(b, host)
+		}
+		i := 0
+		drops := testing.AllocsPerRun(200, func() {
+			host := hosts[i%len(hosts)]
+			i++
+			if n := b.DropConns(host); n != 1 {
+				t.Fatalf("%v: DropConns(%s) = %d, want 1", policy, host, n)
+			}
+			connect(b, host)
+		})
+
+		capped := &Browser{Policy: policy, MaxConns: 1}
+		for range 2 {
+			for _, host := range hosts {
+				connect(capped, host)
+			}
+		}
+		evictions := testing.AllocsPerRun(200, func() {
+			connect(capped, hosts[i%len(hosts)])
+			i++
+		})
+		if drops != 0 || evictions != 0 {
+			t.Errorf("%v: a drop and reconnect allocates %.0f objects, a reconnect that evicts %.0f; want 0 and 0", policy, drops, evictions)
+		}
+		if capped.TotalEvicted == 0 {
+			t.Fatalf("%v: MaxConns 1 evicted nothing", policy)
+		}
+	}
+}
+
+// A connection refilled after a drop or an eviction in the same session
+// shows only its own host, address, answer set and origin set: nothing
+// of the host it last carried. (TestResetReusesStorageWithoutLeakingState
+// checks the same across Reset.)
+func TestRecycledConnShowsOnlyItsOwnHost(t *testing.T) {
+	env := recycleEnv()
+	for _, policy := range []Policy{PolicyChromium, PolicyFirefox, PolicyFirefoxOrigin} {
+		check := func(how string, b *Browser, closed *Conn, host string) {
+			t.Helper()
+			b.Request(env, host)
+			c := b.Conns()[len(b.Conns())-1]
+			if c != closed {
+				t.Fatalf("%v, %s: %s got a new Conn, want the closed one refilled", policy, how, host)
+			}
+			answer := env.answers[host]
+			want := connView{Host: host, IP: answer[0], Used: true, SANs: fmt.Sprint([]string{host}),
+				Available: fmt.Sprint(answer), Origins: "[]"}
+			if policy == PolicyChromium {
+				want.Available = fmt.Sprint(answer[:1])
+			}
+			if policy == PolicyFirefoxOrigin {
+				origins := append([]string{host}, env.origins[host]...)
+				sort.Strings(origins)
+				want.Origins = fmt.Sprint(origins)
+			}
+			if got := viewConns(b)[len(b.Conns())-1]; got != want {
+				t.Errorf("%v, %s: %s refilled as\n %+v\nwant %+v", policy, how, host, got, want)
+			}
+		}
+
+		// a.example holds the most addresses and origins; b and c fewer.
+		b := New(policy)
+		b.Request(env, "a.example")
+		closed := b.Conns()[0]
+		b.DropConns("a.example")
+		check("after DropConns", b, closed, "c.example")
+
+		capped := &Browser{Policy: policy, MaxConns: 1}
+		capped.Request(env, "a.example")
+		closed = capped.Conns()[0]
+		capped.Request(env, "b.example") // a new Conn; a's is evicted
+		check("after eviction", capped, closed, "c.example")
 	}
 }

@@ -225,6 +225,10 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("loadgen: unknown arrival process %q", c.Arrival)
 	}
+	if c.Users > math.MaxInt32 {
+		// The queueing pass keys a visit by an int32 user index.
+		return fmt.Errorf("loadgen: %d users, at most %d", c.Users, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -237,7 +241,7 @@ func (c Config) Validate() error {
 func buildCDN(cfg Config) *cdn.CDN {
 	c := cdn.New(cdn.Config{Seed: cfg.Seed})
 	for i := 0; i < cfg.Zones; i++ {
-		host := fmt.Sprintf("www.zone-%d.example", i)
+		host := zoneHost(i)
 		addr := netip.AddrFrom4([4]byte{104, 18, byte(i >> 8), byte(i)})
 		z := c.AddZone(host, addr)
 		if i%2 == 0 {
@@ -250,6 +254,9 @@ func buildCDN(cfg Config) *cdn.CDN {
 	c.EnterPhaseIP()
 	return c
 }
+
+// zoneHost is the hostname of customer zone i.
+func zoneHost(i int) string { return fmt.Sprintf("www.zone-%d.example", i) }
 
 // Run executes the three-phase simulation and returns its aggregate
 // result. Same Config ⇒ byte-identical Result for any Workers value.
@@ -273,21 +280,9 @@ func Run(cfg Config) (Result, error) {
 	// Phase 3: sequential queueing pass over all visits in arrival
 	// order — the only phase that owns the order-sensitive float
 	// accumulators.
-	res := runQueue(cfg, flatten(perUser))
+	res := runQueue(cfg, perUser)
 	if last := arrivals[len(arrivals)-1]; last > 0 {
 		res.OfferedUPS = float64(cfg.Users) / (last / 1000)
 	}
 	return res, nil
-}
-
-func flatten(perUser [][]visit) []visit {
-	n := 0
-	for _, vs := range perUser {
-		n += len(vs)
-	}
-	out := make([]visit, 0, n)
-	for _, vs := range perUser {
-		out = append(out, vs...)
-	}
-	return out
 }

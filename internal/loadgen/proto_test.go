@@ -36,10 +36,10 @@ func TestExplicitH2MatchesDefaultByteForByte(t *testing.T) {
 // Toggling the protocol must not shift the seeded streams of unrelated
 // phases: the arrival schedule, user profiles, visit counts, and visit
 // arrival times are all drawn before any protocol-dependent branch, so
-// every per-visit identity field must agree between an h2 and an h3 run
-// of the same seed.
+// every user must make as many visits in an h2 as in an h3 run of the
+// same seed, each at the same instant, PoP and request count.
 func TestProtoToggleLeavesUnrelatedStreamsFixed(t *testing.T) {
-	collect := func(p browser.Protocol) []visit {
+	collect := func(p browser.Protocol) [][]visit {
 		cfg := testConfig()
 		cfg.Users = 800
 		cfg.Proto = p
@@ -47,24 +47,26 @@ func TestProtoToggleLeavesUnrelatedStreamsFixed(t *testing.T) {
 		arrivals := cfg.arrivalTimes()
 		env := buildCDN(cfg)
 		sc := newUserScratch(cfg)
-		var out []visit
-		for i := 0; i < cfg.Users; i++ {
-			out = append(out, simulateUser(cfg, env, sc, i, arrivals[i])...)
+		out := make([][]visit, cfg.Users)
+		for i := range out {
+			out[i] = simulateUser(cfg, env, sc, i, arrivals[i])
 		}
 		return out
 	}
 	h2 := collect(browser.ProtoH2)
 	h3 := collect(browser.ProtoH3)
-	if len(h2) != len(h3) {
-		t.Fatalf("visit counts differ: h2 %d, h3 %d", len(h2), len(h3))
-	}
-	for i := range h2 {
-		a, b := h2[i], h3[i]
-		if a.UserID != b.UserID || a.Seq != b.Seq || a.ArrivalMs != b.ArrivalMs || a.PoP != b.PoP {
-			t.Fatalf("visit %d identity shifted with the protocol:\n h2 %+v\n h3 %+v", i, a, b)
+	for uid := range h2 {
+		if len(h2[uid]) != len(h3[uid]) {
+			t.Fatalf("user %d: visit counts differ: h2 %d, h3 %d", uid, len(h2[uid]), len(h3[uid]))
 		}
-		if a.Requests != b.Requests {
-			t.Fatalf("visit %d request count shifted with the protocol: h2 %d, h3 %d", i, a.Requests, b.Requests)
+		for seq := range h2[uid] {
+			a, b := h2[uid][seq], h3[uid][seq]
+			if a.ArrivalMs != b.ArrivalMs || a.PoP != b.PoP {
+				t.Fatalf("user %d visit %d identity shifted with the protocol:\n h2 %+v\n h3 %+v", uid, seq, a, b)
+			}
+			if a.Requests != b.Requests {
+				t.Fatalf("user %d visit %d request count shifted with the protocol: h2 %d, h3 %d", uid, seq, a.Requests, b.Requests)
+			}
 		}
 	}
 }

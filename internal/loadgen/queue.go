@@ -1,7 +1,7 @@
 package loadgen
 
 import (
-	"sort"
+	"slices"
 
 	"respectorigin/internal/measure"
 )
@@ -51,30 +51,53 @@ func (q *popQueue) siftDown(i int) {
 	}
 }
 
+// queueKey is where one visit stands in the queueing pass: its arrival,
+// then its user and its index within the user, which break ties, so no
+// two visits' keys are equal.
+type queueKey struct {
+	arrivalMs float64
+	uid, seq  int32
+}
+
+func compareKeys(a, b queueKey) int {
+	switch {
+	case a.arrivalMs < b.arrivalMs:
+		return -1
+	case a.arrivalMs > b.arrivalMs:
+		return 1
+	case a.uid != b.uid:
+		return int(a.uid) - int(b.uid)
+	}
+	return int(a.seq) - int(b.seq)
+}
+
 // runQueue is the sequential aggregation phase: it replays every visit
-// in (arrival, user, seq) order through its PoP's queue, accumulates
-// the run totals in that one fixed order and keeps every latency for
-// the exact percentiles. Nothing here runs
+// of perUser (user i's visits at index i, in visit order) in (arrival,
+// user, seq) order through its PoP's queue, accumulates the run totals
+// in that one fixed order and keeps every latency for the exact
+// percentiles. The order comes from sorting one 16-byte key a visit;
+// the visits stay where the users left them. Nothing here runs
 // concurrently, so float addition order — and with it every output
 // byte — is a pure function of the visit set.
-func runQueue(cfg Config, visits []visit) Result {
-	sort.Slice(visits, func(i, j int) bool {
-		a, b := visits[i], visits[j]
-		if a.ArrivalMs != b.ArrivalMs {
-			return a.ArrivalMs < b.ArrivalMs
+func runQueue(cfg Config, perUser [][]visit) Result {
+	n := 0
+	for _, vs := range perUser {
+		n += len(vs)
+	}
+	keys := make([]queueKey, 0, n)
+	for uid, vs := range perUser {
+		for seq := range vs {
+			keys = append(keys, queueKey{vs[seq].ArrivalMs, int32(uid), int32(seq)})
 		}
-		if a.UserID != b.UserID {
-			return a.UserID < b.UserID
-		}
-		return a.Seq < b.Seq
-	})
+	}
+	slices.SortFunc(keys, compareKeys)
 
 	pops := make([]*popQueue, cfg.PoPs)
 	for i := range pops {
 		pops[i] = newPopQueue(cfg.PoPServers)
 	}
 
-	lat := make([]float64, 0, len(visits))
+	lat := make([]float64, 0, n)
 	res := Result{
 		Users: cfg.Users, Arrival: cfg.Arrival, Seed: cfg.Seed,
 		Proto:      cfg.Proto.String(),
@@ -83,7 +106,8 @@ func runQueue(cfg Config, visits []visit) Result {
 	}
 	sloMet := 0
 	var sumLatency, sumWait, maxLatency, lastDone float64
-	for _, v := range visits {
+	for _, k := range keys {
+		v := &perUser[k.uid][k.seq]
 		wait := pops[v.PoP].admit(v.ArrivalMs, v.ServiceMs)
 		latency := wait + v.ServiceMs + v.ClientMs
 		done := v.ArrivalMs + latency
@@ -114,7 +138,7 @@ func runQueue(cfg Config, visits []visit) Result {
 		res.FailedReqs += int64(v.Failed)
 	}
 
-	if n := len(visits); n > 0 {
+	if n > 0 {
 		res.SpanSec = lastDone / 1000
 		// Offered load in the open-loop sense: the demand rate the
 		// arrival process pushes (λ users/s times mean requests per

@@ -11,22 +11,23 @@ import (
 // per-visit latency wait + ServiceMs + ClientMs. One PoP with one
 // server makes the wait a plain FIFO recurrence the test can redo; the
 // sizes make p·(n−1) integral for some quantiles and not for others.
+// Each visit is its own user's only one.
 func TestPercentilesAreOrderStatistics(t *testing.T) {
 	cfg := Config{PoPs: 1, PoPServers: 1, SLOMs: 100}
 	for _, n := range []int{1, 2, 1001, 4000} {
 		rs := rand.New(rand.NewSource(int64(n)))
-		visits := make([]visit, n)
+		perUser := make([][]visit, n)
 		lat := make([]float64, n)
 		arrival, free := 0.0, 0.0
-		for i := range visits {
+		for i := range perUser {
 			arrival += rs.ExpFloat64() * 10
-			v := visit{UserID: i, ArrivalMs: arrival, ServiceMs: rs.ExpFloat64() * 9, ClientMs: rs.Float64() * 200}
+			v := visit{ArrivalMs: arrival, ServiceMs: rs.ExpFloat64() * 9, ClientMs: rs.Float64() * 200}
 			start := max(free, v.ArrivalMs)
 			free = start + v.ServiceMs
 			lat[i] = (start - v.ArrivalMs) + v.ServiceMs + v.ClientMs
-			visits[i] = v
+			perUser[i] = []visit{v}
 		}
-		res := runQueue(cfg, visits)
+		res := runQueue(cfg, perUser)
 		for _, q := range []struct {
 			name string
 			p    float64

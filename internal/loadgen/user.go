@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"respectorigin/internal/browser"
@@ -13,10 +12,10 @@ import (
 
 // visit is one page view by one user, as produced by the parallel
 // simulation phase: everything the sequential queueing pass needs to
-// replay it on the virtual clock.
+// replay it on the virtual clock. The user and the visit's index within
+// the user are where it is held (simulateUser's result at the user's
+// index), not fields.
 type visit struct {
-	UserID    int
-	Seq       int     // visit index within the user
 	ArrivalMs float64 // absolute virtual time of the visit
 	PoP       int     // anchored point of presence
 
@@ -46,9 +45,10 @@ type userProfile struct {
 
 // drawProfile fixes a user's client family, home zone, and anchored
 // PoP from the user's own stream.
-func drawProfile(cfg Config, rs *rand.Rand, uid int) userProfile {
+func drawProfile(cfg Config, sc *userScratch) userProfile {
+	rs := sc.rs
 	p := userProfile{
-		zoneHost: fmt.Sprintf("www.zone-%d.example", rs.Intn(cfg.Zones)),
+		zoneHost: sc.zoneHost(rs.Intn(cfg.Zones)),
 		pop:      rs.Intn(cfg.PoPs),
 	}
 	switch cdn.UAFamily(rs.Float64()) {
@@ -75,19 +75,50 @@ func drawVisits(cfg Config, rs *rand.Rand) int {
 // user's own stream and its netsim stream, both reseeded from the user's
 // splitmix seeds before anything is drawn, and a browser with its
 // warm-path cache, both reset before the user's first visit, so a user
-// never sees what the previous one left.
+// never sees what the previous one left. It also lends what does not
+// change from user to user: the zone names, each formatted the first
+// time a user of the worker draws it, and the block the users' visits
+// are cut from.
 type userScratch struct {
-	rs  *rand.Rand
-	net *netsim.Network
-	b   *browser.Browser
+	rs    *rand.Rand
+	net   *netsim.Network
+	b     *browser.Browser
+	zones []string
+	block []visit
 }
 
 func newUserScratch(cfg Config) *userScratch {
 	return &userScratch{
-		rs:  lazyrand.New(0),
-		net: netsim.New(netsim.DefaultParams(), 0),
-		b:   &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cache.Options{})},
+		rs:    lazyrand.New(0),
+		net:   netsim.New(netsim.DefaultParams(), 0),
+		b:     &browser.Browser{Policy: browser.PolicyChromium, Proto: cfg.Proto, Cache: cache.New(cache.Options{})},
+		zones: make([]string, cfg.Zones),
 	}
+}
+
+// zoneHost is zone i's hostname, formatted once per scratch.
+func (sc *userScratch) zoneHost(i int) string {
+	if sc.zones[i] == "" {
+		sc.zones[i] = zoneHost(i)
+	}
+	return sc.zones[i]
+}
+
+// visitBlock is how many visits one block of a worker's visit storage
+// holds (120 KiB).
+const visitBlock = 1024
+
+// visits returns n zeroed visits for one user, cut from the worker's
+// block and capped, so that nothing appended to them reaches the next
+// user's. Blocks are never reused: a full one stays with the users whose
+// visits it holds, and the next user starts a new one.
+func (sc *userScratch) visits(n int) []visit {
+	if cap(sc.block)-len(sc.block) < n {
+		sc.block = make([]visit, 0, max(visitBlock, n))
+	}
+	lo := len(sc.block)
+	sc.block = sc.block[:lo+n]
+	return sc.block[lo : lo+n : lo+n]
 }
 
 // simulateUser runs one user's whole browsing history: a pure function
@@ -99,7 +130,7 @@ func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs 
 	rs, net := sc.rs, sc.net
 	rs.Seed(mix(cfg.Seed, uint64(uid)*2+1))
 	net.Reseed(mix(cfg.Seed, uint64(uid)*2+2))
-	prof := drawProfile(cfg, rs, uid)
+	prof := drawProfile(cfg, sc)
 
 	var b *browser.Browser
 	if prof.h2 {
@@ -109,11 +140,11 @@ func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs 
 		b.Policy = prof.policy
 	}
 
-	nVisits := drawVisits(cfg, rs)
-	visits := make([]visit, 0, nVisits)
+	visits := sc.visits(drawVisits(cfg, rs))
 	now := arrivalMs
-	for seq := 0; seq < nVisits; seq++ {
-		v := visit{UserID: uid, Seq: seq, PoP: prof.pop}
+	for seq := range visits {
+		v := &visits[seq]
+		v.PoP = prof.pop
 		if seq > 0 {
 			gapMs := rs.ExpFloat64() * cfg.RevisitMeanSec * 1000
 			now += gapMs
@@ -122,32 +153,18 @@ func simulateUser(cfg Config, env *cdn.CDN, sc *userScratch, uid int, arrivalMs 
 				b.Cache.Clock().AdvanceMs(int64(gapMs))
 				if gapMs >= cfg.IdleTimeoutSec*1000 {
 					// The server's idle timeout closed every pooled
-					// connection while the user was away.
-					for _, host := range pooledHosts(b) {
-						v.Churned += b.DropConns(host)
+					// connection while the user was away: drop the
+					// first pooled host's until none is left.
+					for conns := b.Conns(); len(conns) > 0; conns = b.Conns() {
+						v.Churned += b.DropConns(conns[0].Host)
 					}
 				}
 			}
 		}
 		v.ArrivalMs = now
-		runVisit(cfg, env, prof, b, rs, net, &v)
-		visits = append(visits, v)
+		runVisit(cfg, env, prof, b, rs, net, v)
 	}
 	return visits
-}
-
-// pooledHosts snapshots the distinct hosts of the browser's pool
-// (DropConns mutates the pool, so the walk is taken first).
-func pooledHosts(b *browser.Browser) []string {
-	seen := map[string]bool{}
-	var hosts []string
-	for _, c := range b.Conns() {
-		if !seen[c.Host] {
-			seen[c.Host] = true
-			hosts = append(hosts, c.Host)
-		}
-	}
-	return hosts
 }
 
 // runVisit performs one page view: the home-zone request followed by

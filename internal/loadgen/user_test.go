@@ -33,15 +33,16 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// A user's random state, browser and cache are the worker's, reseeded
-// and reset: simulating a user allocates its visits, its zone's name,
-// the answers the CDN resolves for it and the connections that replace
-// churned ones, but no generator, pool or cache. Measured 643 B
-// in 7.5 allocations per user (709 B in 8.2 under -race); a browser
-// and cache built per user again cost 2 358 B in 28.3, and one 4.9 KB
-// math/rand register per user would triple that.
+// A user's random state, browser, cache, zone names and visit storage
+// are the worker's, reseeded, reset or lent: a warm pass allocates only
+// the worker's visit blocks, whose bytes are the users' visits (about
+// 2.5 of 120 B a user), one object per 1 024 visits. Measured 307–310 B
+// in 0.003 allocations per user, also under -race (643 B in 7.5 while
+// churn discarded connections and each user's zone name and visits were
+// allocated; a browser and cache built per user again cost 2 358 B in
+// 28.3, and one 4.9 KB math/rand register per user would triple that).
 func TestSimulateUserAllocBudget(t *testing.T) {
-	const bytesBudget, allocsBudget = 800, 9
+	const bytesBudget, allocsBudget = 370, 0.05
 	cfg := testConfig()
 	cfg.Users = 2000
 	cfg = cfg.withDefaults()
@@ -61,9 +62,9 @@ func TestSimulateUserAllocBudget(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Users)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(cfg.Users)
 	if bytes > bytesBudget || allocs > allocsBudget {
-		t.Errorf("simulateUser allocates %.0f B in %.1f allocations per user, want ≤ %d B and ≤ %d", bytes, allocs, bytesBudget, allocsBudget)
+		t.Errorf("simulateUser allocates %.0f B in %.1f allocations per user, want ≤ %d B and ≤ %.2f", bytes, allocs, bytesBudget, allocsBudget)
 	} else {
-		t.Logf("%.0f B in %.1f allocations per user", bytes, allocs)
+		t.Logf("%.0f B in %.3f allocations per user", bytes, allocs)
 	}
 }
 
