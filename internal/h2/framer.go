@@ -32,6 +32,11 @@ type Framer struct {
 	rdl         interface{ SetReadDeadline(time.Time) error }
 	readTimeout time.Duration
 
+	// The frames read and the bytes they took, headers included, and the
+	// frames written, under wmu since handler goroutines write: the
+	// server's ConnCounters.
+	framesRead, bytesRead, framesWritten int64
+
 	// AllowIllegalWrites disables write-side validation. It is used by
 	// tests and by the non-compliance harness to produce malformed
 	// frames on purpose.
@@ -104,6 +109,8 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 		}
 		return nil, err
 	}
+	fr.framesRead++
+	fr.bytesRead += frameHeaderLen + int64(hdr.Length)
 	return parseFrame(&fr.fc, hdr, payload)
 }
 
@@ -479,6 +486,9 @@ func (fr *Framer) endWrite() error {
 	fr.wbuf[1] = byte(length >> 8)
 	fr.wbuf[2] = byte(length)
 	_, err := fr.w.Write(fr.wbuf)
+	if err == nil {
+		fr.framesWritten++
+	}
 	fr.wmu.Unlock()
 	return err
 }
