@@ -78,26 +78,16 @@ type ClientConnOptions struct {
 // are safe for concurrent use; requests on one connection are
 // multiplexed over streams.
 type ClientConn struct {
-	nc   net.Conn
-	aw   *asyncWriter
-	fr   *Framer
+	endpoint
 	opts ClientConnOptions
 
-	hwmu sync.Mutex
-	hw   *headerWriter
-	hr   *headerReader
 	// reqFields is the header list of the request being written; it is
 	// touched only under hwmu.
 	reqFields []hpack.HeaderField
 
-	sendFlow *sendFlow
-	recvFlow *recvFlow
-
 	mu              sync.Mutex
 	nextStreamID    uint32
 	streams         map[uint32]*clientStream
-	maxSendFrame    uint32
-	peerMaxStreams  uint32
 	closed          bool // no new requests (set by Close, GOAWAY, read-loop exit)
 	transportClosed bool // nc torn down; distinct from closed so Close
 	// after a graceful GOAWAY still releases the socket and read loop
@@ -134,41 +124,23 @@ func (cs *clientStream) end(err error) {
 // NewClientConn performs the client half of the HTTP/2 connection
 // preface on nc and starts the read loop.
 func NewClientConn(nc net.Conn, opts ClientConnOptions) (*ClientConn, error) {
-	aw := newAsyncWriter(nc)
 	cc := &ClientConn{
-		nc:             nc,
-		aw:             aw,
-		fr:             NewFramer(aw, nc),
-		opts:           opts,
-		sendFlow:       newSendFlow(),
-		recvFlow:       newRecvFlow(),
-		nextStreamID:   1,
-		streams:        make(map[uint32]*clientStream),
-		maxSendFrame:   minMaxFrameSize,
-		peerMaxStreams: ^uint32(0),
-		originSet:      newOriginSet(),
-		pingWait:       make(map[[8]byte]chan struct{}),
-		readerDone:     make(chan struct{}),
+		opts:         opts,
+		nextStreamID: 1,
+		streams:      make(map[uint32]*clientStream),
+		originSet:    newOriginSet(),
+		pingWait:     make(map[[8]byte]chan struct{}),
+		readerDone:   make(chan struct{}),
 	}
-	cc.sendFlow.hook = opts.FlowHook
-	cc.recvFlow.hook = opts.FlowHook
-	cc.hw = &headerWriter{fr: cc.fr, enc: hpack.NewEncoder(), maxFrameSize: minMaxFrameSize}
-	cc.hr = &headerReader{dec: hpack.NewDecoder()}
+	cc.init(nc, opts.FlowHook, opts.ReadTimeout, opts.WriteTimeout)
 	if opts.Origin != "" {
 		cc.originSet.add(opts.Origin)
 	}
 
 	if _, err := io.WriteString(nc, clientPreface); err != nil {
 		// The write pump is already running; release it and the conn.
-		_ = aw.Close()
-		_ = nc.Close()
+		_ = cc.shutdown()
 		return nil, err
-	}
-	if opts.ReadTimeout > 0 {
-		cc.fr.setReadTimeout(nc, opts.ReadTimeout)
-	}
-	if opts.WriteTimeout > 0 {
-		aw.setWriteTimeout(nc, opts.WriteTimeout)
 	}
 	// Start reading before sending SETTINGS: over fully synchronous
 	// transports (net.Pipe) the server's preface write would otherwise
@@ -269,7 +241,7 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 		}
 		return nil, err
 	}
-	if uint32(len(cc.streams)) >= cc.peerMaxStreams {
+	if uint32(len(cc.streams)) >= cc.peerMaxStreams.Load() {
 		cc.mu.Unlock()
 		cc.hwmu.Unlock()
 		return nil, errStreamLimit
@@ -291,48 +263,20 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	}
 	fields = append(fields, hpack.HeaderField{Name: ":path", Value: req.Path})
 	cc.reqFields = append(fields, req.Header...)
-	endStream := len(req.Body) == 0
-	err := cc.hw.writeHeaders(id, cc.reqFields, endStream)
+	err := cc.hw.writeHeaders(id, cc.reqFields, len(req.Body) == 0, cc.peerMaxFrame.Load())
 	cc.hwmu.Unlock()
+	if err == nil {
+		_, err = cc.writeData(id, req.Body, true)
+	}
 	if err != nil {
-		cc.abortStream(cs, err)
-		return cs, err
+		cc.removeStream(cs, err)
 	}
-	if !endStream {
-		if err := cc.writeBody(cs, req.Body); err != nil {
-			cc.abortStream(cs, err)
-			return cs, err
-		}
-	}
-	return cs, nil
+	return cs, err
 }
 
-func (cc *ClientConn) writeBody(cs *clientStream, body []byte) error {
-	for {
-		cc.mu.Lock()
-		maxFrame := int64(cc.maxSendFrame)
-		cc.mu.Unlock()
-		want := int64(len(body))
-		if want > maxFrame {
-			want = maxFrame
-		}
-		n := cc.sendFlow.take(cs.id, want)
-		if n == 0 && len(body) > 0 {
-			return fmt.Errorf("h2: stream %d closed while sending body", cs.id)
-		}
-		end := int(n) == len(body)
-		if err := cc.fr.WriteData(cs.id, end, body[:n]); err != nil {
-			return err
-		}
-		cc.sendFlow.noteData(cs.id, n)
-		body = body[n:]
-		if end {
-			return nil
-		}
-	}
-}
-
-func (cc *ClientConn) abortStream(cs *clientStream, err error) {
+// removeStream ends cs with err unless another path has already ended
+// it, and frees its send window.
+func (cc *ClientConn) removeStream(cs *clientStream, err error) {
 	cc.mu.Lock()
 	if _, ok := cc.streams[cs.id]; ok {
 		delete(cc.streams, cs.id)
@@ -344,13 +288,7 @@ func (cc *ClientConn) abortStream(cs *clientStream, err error) {
 
 func (cc *ClientConn) finishStream(cs *clientStream) {
 	cs.resp.Body = finishBody(cs.resp.Body, cs.staged)
-	cc.mu.Lock()
-	if _, ok := cc.streams[cs.id]; ok {
-		delete(cc.streams, cs.id)
-		cs.end(nil)
-	}
-	cc.mu.Unlock()
-	cc.sendFlow.closeStream(cs.id)
+	cc.removeStream(cs, nil)
 }
 
 // closeTransport tears the transport down exactly once, however many
@@ -364,8 +302,7 @@ func (cc *ClientConn) closeTransport() error {
 	cc.transportClosed = true
 	cc.closed = true
 	cc.mu.Unlock()
-	_ = cc.aw.Close()
-	return cc.nc.Close()
+	return cc.shutdown()
 }
 
 // Close tears down the connection, sending GOAWAY(NO_ERROR) first when
@@ -521,31 +458,18 @@ func (cc *ClientConn) readFrame() error {
 	if err != nil {
 		return err
 	}
-	if cc.hr.expectingContinuation() {
-		cf, ok := f.(*continuationFrame)
-		if !ok {
-			return connError(errCodeProtocol, "expected CONTINUATION")
-		}
-		meta, err := cc.hr.onContinuation(cf)
-		if err != nil || meta == nil {
-			return err
-		}
-		return cc.onResponseHeaders(meta)
+	meta, isBlock, err := cc.headerBlock(f)
+	if !isBlock {
+		return cc.dispatch(f)
 	}
-	return cc.dispatch(f)
+	if err != nil || meta == nil {
+		return err
+	}
+	return cc.onResponseHeaders(meta)
 }
 
 func (cc *ClientConn) dispatch(f Frame) error {
 	switch f := f.(type) {
-	case *HeadersFrame:
-		meta, err := cc.hr.onHeaders(f)
-		if err != nil {
-			return err
-		}
-		if meta != nil {
-			return cc.onResponseHeaders(meta)
-		}
-		return nil
 	case *dataFrame:
 		return cc.onData(f)
 	case *settingsFrame:
@@ -562,13 +486,7 @@ func (cc *ClientConn) dispatch(f Frame) error {
 		}
 		return cc.fr.writePing(true, f.Data)
 	case *windowUpdateFrame:
-		if !cc.sendFlow.add(f.StreamID, int64(f.Increment)) {
-			if f.StreamID == 0 {
-				return connError(errCodeFlowControl, "connection window overflow")
-			}
-			return streamError(f.StreamID, errCodeFlowControl, "stream window overflow")
-		}
-		return nil
+		return cc.onWindowUpdate(f)
 	case *rstStreamFrame:
 		cc.failStream(f.StreamID, streamError(f.StreamID, f.ErrCode, "reset by peer"))
 		return nil
@@ -636,45 +554,9 @@ func (cc *ClientConn) onOrigin(f *originFrame) error {
 	return nil
 }
 
-func (cc *ClientConn) onSettings(f *settingsFrame) error {
-	if f.isAck() {
-		return nil
-	}
-	for _, s := range f.Settings {
-		switch s.ID {
-		case settingInitialWindowSize:
-			if !cc.sendFlow.setInitial(int64(s.Val)) {
-				return connError(errCodeFlowControl, "initial window change overflows stream window")
-			}
-		case settingMaxFrameSize:
-			cc.mu.Lock()
-			cc.maxSendFrame = s.Val
-			cc.mu.Unlock()
-			cc.hwmu.Lock()
-			cc.hw.maxFrameSize = s.Val
-			cc.hwmu.Unlock()
-		case settingHeaderTableSize:
-			cc.hwmu.Lock()
-			cc.hw.enc.SetMaxDynamicTableSize(s.Val)
-			cc.hwmu.Unlock()
-		case settingMaxConcurrentStreams:
-			cc.mu.Lock()
-			cc.peerMaxStreams = s.Val
-			cc.mu.Unlock()
-		}
-	}
-	return cc.fr.writeSettingsAck()
-}
-
 func (cc *ClientConn) onData(f *dataFrame) error {
-	inc, ok := cc.recvFlow.consume(int64(f.Length))
-	if !ok {
-		return connError(errCodeFlowControl, "peer exceeded connection window")
-	}
-	if inc > 0 {
-		if err := cc.fr.writeWindowUpdate(0, uint32(inc)); err != nil {
-			return err
-		}
+	if err := cc.chargeData(f); err != nil {
+		return err
 	}
 	cc.mu.Lock()
 	cs := cc.streams[f.StreamID]
@@ -683,10 +565,8 @@ func (cc *ClientConn) onData(f *dataFrame) error {
 		return streamError(f.StreamID, errCodeStreamClosed, "DATA on unknown stream")
 	}
 	cs.resp.Body, cs.staged = appendBody(cs.resp.Body, cs.staged, f.Data)
-	if f.Length > 0 {
-		if err := cc.fr.writeWindowUpdate(f.StreamID, f.Length); err != nil {
-			return err
-		}
+	if err := cc.creditStream(f); err != nil {
+		return err
 	}
 	if f.Flags.has(flagEndStream) {
 		cc.finishStream(cs)
@@ -717,12 +597,8 @@ func (cc *ClientConn) onResponseHeaders(meta *metaHeadersFrame) error {
 func (cc *ClientConn) failStream(id uint32, err error) {
 	cc.mu.Lock()
 	cs := cc.streams[id]
-	if cs != nil {
-		delete(cc.streams, id)
-	}
 	cc.mu.Unlock()
 	if cs != nil {
-		cs.end(err)
-		cc.sendFlow.closeStream(id)
+		cc.removeStream(cs, err)
 	}
 }

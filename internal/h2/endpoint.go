@@ -1,0 +1,163 @@
+package h2
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"respectorigin/internal/hpack"
+)
+
+// An endpoint is what the two ends of an HTTP/2 connection share: the
+// transport and its write pump, the framer, header coding, flow control
+// and the peer's settings. ClientConn and serverConn embed one, and its
+// methods are the one copy of the connection-level frame handling; each
+// side keeps only its streams, requests or responses, and shutdown.
+type endpoint struct {
+	nc net.Conn
+	aw *asyncWriter
+	fr *Framer
+
+	hwmu sync.Mutex // serializes header encoding and HEADERS/CONTINUATION writes
+	hw   headerWriter
+	hr   headerReader // read loop only
+
+	sendFlow *sendFlow
+	recvFlow *recvFlow
+
+	// The peer's SETTINGS_MAX_FRAME_SIZE and SETTINGS_MAX_CONCURRENT_STREAMS.
+	// Atomic, because the read loop sets them while the header writer
+	// (under hwmu), writeData and a request's stream-limit check (under
+	// the side's own mu) read them.
+	peerMaxFrame   atomic.Uint32
+	peerMaxStreams atomic.Uint32
+}
+
+// init sets the endpoint up on nc and starts its write pump. Positive
+// timeouts arm a read deadline before every frame read and a write
+// deadline before every flush.
+func (ep *endpoint) init(nc net.Conn, hook FlowHook, readTimeout, writeTimeout time.Duration) {
+	ep.nc = nc
+	ep.aw = newAsyncWriter(nc)
+	ep.fr = NewFramer(ep.aw, nc)
+	ep.hw = headerWriter{fr: ep.fr, enc: hpack.NewEncoder()}
+	ep.hr = headerReader{dec: hpack.NewDecoder()}
+	ep.sendFlow, ep.recvFlow = newSendFlow(), newRecvFlow()
+	ep.sendFlow.hook, ep.recvFlow.hook = hook, hook
+	ep.peerMaxFrame.Store(minMaxFrameSize)
+	ep.peerMaxStreams.Store(^uint32(0))
+	if readTimeout > 0 {
+		ep.fr.setReadTimeout(nc, readTimeout)
+	}
+	if writeTimeout > 0 {
+		ep.aw.setWriteTimeout(nc, writeTimeout)
+	}
+}
+
+// shutdown flushes the queued frames and closes the transport.
+func (ep *endpoint) shutdown() error {
+	_ = ep.aw.Close()
+	return ep.nc.Close()
+}
+
+// headerBlock feeds f to the header reader when it belongs to a header
+// block: a HEADERS frame, or the CONTINUATION an open block waits for,
+// in whose place any other frame is a connection error (RFC 9113 §6.10).
+// It reports whether f was such a frame, and returns the decoded block
+// once it is complete.
+func (ep *endpoint) headerBlock(f Frame) (meta *metaHeadersFrame, isBlock bool, err error) {
+	if ep.hr.expectingContinuation() {
+		cf, ok := f.(*continuationFrame)
+		if !ok {
+			return nil, true, connError(errCodeProtocol, "expected CONTINUATION")
+		}
+		meta, err = ep.hr.onContinuation(cf)
+		return meta, true, err
+	}
+	if hf, ok := f.(*HeadersFrame); ok {
+		meta, err = ep.hr.onHeaders(hf)
+		return meta, true, err
+	}
+	return nil, false, nil
+}
+
+// onSettings applies the peer's SETTINGS and acknowledges them.
+func (ep *endpoint) onSettings(f *settingsFrame) error {
+	if f.isAck() {
+		return nil
+	}
+	for _, s := range f.Settings {
+		switch s.ID {
+		case settingInitialWindowSize:
+			if !ep.sendFlow.setInitial(int64(s.Val)) {
+				return connError(errCodeFlowControl, "initial window change overflows stream window")
+			}
+		case settingMaxFrameSize:
+			ep.peerMaxFrame.Store(s.Val)
+		case settingHeaderTableSize:
+			ep.hwmu.Lock()
+			ep.hw.enc.SetMaxDynamicTableSize(s.Val)
+			ep.hwmu.Unlock()
+		case settingMaxConcurrentStreams:
+			ep.peerMaxStreams.Store(s.Val)
+		}
+	}
+	return ep.fr.writeSettingsAck()
+}
+
+// onWindowUpdate credits the peer's WINDOW_UPDATE to the send windows.
+func (ep *endpoint) onWindowUpdate(f *windowUpdateFrame) error {
+	if ep.sendFlow.add(f.StreamID, int64(f.Increment)) {
+		return nil
+	}
+	if f.StreamID == 0 {
+		return connError(errCodeFlowControl, "connection window overflow")
+	}
+	return streamError(f.StreamID, errCodeFlowControl, "stream window overflow")
+}
+
+// chargeData charges a received DATA frame, padding included, to the
+// connection's receive window, and replenishes the window with a
+// WINDOW_UPDATE once half of it is spent.
+func (ep *endpoint) chargeData(f *dataFrame) error {
+	inc, ok := ep.recvFlow.consume(int64(f.Length))
+	if !ok {
+		return connError(errCodeFlowControl, "peer exceeded connection window")
+	}
+	if inc > 0 {
+		return ep.fr.writeWindowUpdate(0, uint32(inc))
+	}
+	return nil
+}
+
+// creditStream returns a delivered DATA frame's bytes, padding included,
+// to its stream's window so the peer can keep sending.
+func (ep *endpoint) creditStream(f *dataFrame) error {
+	if f.Length == 0 {
+		return nil
+	}
+	return ep.fr.writeWindowUpdate(f.StreamID, f.Length)
+}
+
+// writeData sends p on stream id as DATA frames no larger than the
+// peer's SETTINGS_MAX_FRAME_SIZE, each waiting for room in the stream
+// and connection windows; with endStream the last one carries
+// END_STREAM. It returns the payload bytes written.
+func (ep *endpoint) writeData(id uint32, p []byte, endStream bool) (int, error) {
+	total := 0
+	for len(p) > 0 {
+		n := ep.sendFlow.take(id, min(int64(len(p)), int64(ep.peerMaxFrame.Load())))
+		if n == 0 {
+			return total, fmt.Errorf("h2: stream %d closed while writing", id)
+		}
+		if err := ep.fr.WriteData(id, endStream && int(n) == len(p), p[:n]); err != nil {
+			return total, err
+		}
+		ep.sendFlow.noteData(id, n)
+		total += int(n)
+		p = p[n:]
+	}
+	return total, nil
+}

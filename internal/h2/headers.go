@@ -86,20 +86,19 @@ func checkHeaderBlock(fields []hpack.HeaderField) error {
 }
 
 // headerWriter serializes a header field list into HEADERS plus
-// CONTINUATION frames, splitting the block at maxFrameSize. It must be
-// called with the connection's header-encode mutex held so that HPACK
-// state and frame interleaving stay consistent.
+// CONTINUATION frames no larger than maxFrameSize, the peer's limit. It
+// must be called with the connection's header-encode mutex held so that
+// HPACK state and frame interleaving stay consistent.
 type headerWriter struct {
-	fr           *Framer
-	enc          *hpack.Encoder
-	maxFrameSize uint32
-	buf          []byte
+	fr  *Framer
+	enc *hpack.Encoder
+	buf []byte
 }
 
-func (hw *headerWriter) writeHeaders(streamID uint32, fields []hpack.HeaderField, endStream bool) error {
+func (hw *headerWriter) writeHeaders(streamID uint32, fields []hpack.HeaderField, endStream bool, maxFrameSize uint32) error {
 	hw.buf = hw.enc.AppendHeaderBlock(hw.buf[:0], fields)
 	block := hw.buf
-	max := int(hw.maxFrameSize)
+	max := int(maxFrameSize)
 	first := true
 	for {
 		frag := block
