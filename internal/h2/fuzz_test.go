@@ -331,3 +331,119 @@ func FuzzBodyReassembly(f *testing.F) {
 		}
 	})
 }
+
+// fz encodes one frame of a FuzzEndpointFrames input: a type, a flags
+// and a stream ID byte, a length byte n, then n payload bytes.
+func fz(typ FrameType, flags Flags, stream uint8, payload []byte) []byte {
+	return append([]byte{byte(typ), byte(flags), stream, byte(len(payload))}, payload...)
+}
+
+// endpointFrames decodes a FuzzEndpointFrames input into the wire bytes
+// of at most 64 frames, which no write-side check has seen: a payload
+// may be shorter than the input says where the input ends.
+func endpointFrames(data []byte) []byte {
+	var wire []byte
+	for i := 0; i < 64 && len(data) >= 4; i++ {
+		n := min(int(data[3]), len(data)-4)
+		wire = append(wire, rawFrame(data[0], data[1], uint32(data[2]), data[4:4+n])...)
+		data = data[4+n:]
+	}
+	return wire
+}
+
+// FuzzEndpointFrames feeds one fuzzer-chosen frame sequence to a Server
+// and to a ClientConn with two requests open, each over net.Pipe. Either
+// endpoint may answer with RST_STREAM or GOAWAY or close; it fails the
+// target by panicking or by hanging: a server that has not returned, or
+// a client whose read loop and requests have not ended, five seconds
+// after the peer closed the pipe.
+func FuzzEndpointFrames(f *testing.F) {
+	get := []byte{0x82, 0x87, 0x84}       // :method GET, :scheme https, :path /
+	status200 := []byte{0x88}             // :status 200
+	block := bytes.Repeat([]byte{0}, 255) // literal fragments that never end
+	flood := [][]byte{fz(frameHeaders, 0, 1, get)}
+	for i := 0; i < 40; i++ {
+		flood = append(flood, fz(frameContinuation, 0, 1, block))
+	}
+	seq := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	for _, seed := range [][]byte{
+		seq(fz(frameSettings, 0, 0, nil), fz(frameHeaders, flagEndHeaders|flagEndStream, 1, get)),
+		seq(fz(frameHeaders, flagEndHeaders, 1, status200), fz(frameData, flagEndStream, 1, []byte("body"))),
+		seq(flood...), // a CONTINUATION flood's shape; TestContinuationFloodCutOff reaches the cut-off
+		seq(fz(frameWindowUpdate, 0, 0, []byte{0, 0, 0, 0}), fz(frameWindowUpdate, 0, 1, []byte{0, 0, 0, 0})),
+		seq(fz(framePushPromise, flagEndHeaders, 1, []byte{0, 0, 0, 2})), // PUSH_PROMISE to a client
+		seq(fz(framePriority, 0, 1, []byte{0, 0, 0, 1, 15})),             // self-dependent PRIORITY
+		seq(fz(frameHeaders, flagEndHeaders|flagEndStream, 2, get)),      // even stream ID
+		seq(fz(frameSettings, 0, 0, []byte{0, 4, 0, 0, 0, 0}), fz(frameHeaders, flagEndHeaders, 1, get),
+			fz(frameData, flagEndStream, 1, []byte("x")), fz(framePing, 0, 0, make([]byte, 8)),
+			fz(frameRSTStream, 0, 3, []byte{0, 0, 0, 8}), fz(frameGoAway, 0, 0, make([]byte, 8))),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wire := endpointFrames(data)
+		fuzzServer(t, wire)
+		fuzzClient(t, wire)
+	})
+}
+
+// fuzzServer writes the client preface and wire to a Server.
+func fuzzServer(t *testing.T, wire []byte) {
+	cn, sn := net.Pipe()
+	cn.SetDeadline(time.Now().Add(5 * time.Second))
+	srv := &Server{Handler: echoHandler(), ReadTimeout: time.Second, WriteTimeout: time.Second}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeConn(sn)
+		sn.Close()
+	}()
+	go io.Copy(io.Discard, cn)
+	if _, err := io.WriteString(cn, clientPreface); err == nil {
+		cn.Write(wire)
+	}
+	cn.Close()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the server hung on %x", wire)
+	}
+}
+
+// fuzzClient dials a ClientConn, opens streams 1 and 3, and writes wire
+// to it as the server.
+func fuzzClient(t *testing.T, wire []byte) {
+	cn, pn := net.Pipe()
+	pn.SetDeadline(time.Now().Add(5 * time.Second))
+	go io.Copy(io.Discard, pn)
+	cc, err := NewClientConn(cn, ClientConnOptions{ReadTimeout: time.Second, WriteTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-cc.readerDone // a read loop that stopped reading leaves the rest unread
+		cn.Close()
+	}()
+	var open []*clientStream
+	for i := 0; i < 2; i++ {
+		if cs, err := cc.startRequest(&Request{Method: "GET", Scheme: "https", Authority: "fuzz.example", Path: "/"}); err == nil {
+			open = append(open, cs)
+		}
+	}
+	pn.Write(wire)
+	pn.Close()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		<-cc.readerDone
+		for _, cs := range open {
+			cs.done.Wait()
+		}
+		cc.Close()
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the client hung on %x", wire)
+	}
+}
