@@ -113,6 +113,37 @@ func TestCloseAfterGoAwayReleasesTransport(t *testing.T) {
 	assertNoH2Goroutines(t)
 }
 
+// TestFailedReadLoopClosesTransport: a read loop that a GOAWAY with an
+// error code ends closes the transport itself, so the peer reads EOF and
+// no h2 goroutine is left, all before the caller's Close.
+func TestFailedReadLoopClosesTransport(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	serverEnd.SetDeadline(time.Now().Add(5 * time.Second))
+	peerRead := make(chan error, 1)
+	go func() { // a server that answers the preface with GOAWAY(PROTOCOL_ERROR)
+		if _, err := io.ReadFull(serverEnd, make([]byte, len(clientPreface))); err != nil {
+			peerRead <- err
+			return
+		}
+		fr := NewFramer(serverEnd, serverEnd)
+		_ = fr.writeSettings()
+		_ = fr.writeGoAway(0, errCodeProtocol, []byte("bad client"))
+		_, err := io.Copy(io.Discard, serverEnd) // nil once it reads EOF
+		peerRead <- err
+	}()
+
+	cc, err := NewClientConn(clientEnd, ClientConnOptions{})
+	if err != nil {
+		t.Fatalf("NewClientConn: %v", err)
+	}
+	defer cc.Close()
+	if err := <-peerRead; err != nil {
+		t.Fatalf("the peer's reads ended in %v, want EOF", err)
+	}
+	<-cc.readerDone
+	assertNoH2Goroutines(t)
+}
+
 // isTimeout reports whether err is (or wraps) a network timeout, the
 // error a Framer read deadline produces when the peer goes silent.
 func isTimeout(err error) bool {

@@ -420,10 +420,6 @@ func fuzzClient(t *testing.T, wire []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		<-cc.readerDone // a read loop that stopped reading leaves the rest unread
-		cn.Close()
-	}()
 	var open []*clientStream
 	for i := 0; i < 2; i++ {
 		if cs, err := cc.startRequest(&Request{Method: "GET", Scheme: "https", Authority: "fuzz.example", Path: "/"}); err == nil {
