@@ -14,17 +14,19 @@ import (
 )
 
 // roundTripAllocBudget is what one warm small GET may allocate, client
-// and server together. It measures 7: one stream object a side (the
-// client's holds the Response), the response's header slice and body,
-// the handler goroutine's closure and crypto/tls's two per-record reads.
-// Everything else on the request path reuses connection-owned storage,
-// and one more object a side (9) fails the budget.
-const roundTripAllocBudget = 8 + racePoolSlack
+// and server together: five objects, each one it cannot do without. They
+// are one stream object a side (the client's holds the Response and the
+// first two of its header fields; the server's holds the Request, which
+// a handler may keep), the response body, and crypto/tls's two
+// per-record reads. The handler runs on a worker the connection keeps
+// parked, and everything else on the request path reuses
+// connection-owned storage.
+const roundTripAllocBudget = 5 + racePoolSlack
 
 // startTLSPair serves handler over net.Pipe + crypto/tls with a 4-SAN
 // leaf and the ORIGIN frame set, h2-live's connection shape, and returns
 // the client end; the connection is closed when the test ends.
-func startTLSPair(t *testing.T, hosts []string, handler HandlerFunc) *ClientConn {
+func startTLSPair(t testing.TB, hosts []string, handler HandlerFunc) *ClientConn {
 	t.Helper()
 	ca, err := certs.NewCA("alloc budget CA")
 	if err != nil {
@@ -63,27 +65,28 @@ func startTLSPair(t *testing.T, hosts []string, handler HandlerFunc) *ClientConn
 	return cc
 }
 
-// TestRoundTripAllocBudget holds a warm ClientConn + Server pair to the
-// h2-live workload's request shape: net.Pipe + crypto/tls, a 4-SAN leaf,
-// the ORIGIN frame set, a 512-byte body and hosts in rotation.
-func TestRoundTripAllocBudget(t *testing.T) {
+// warmSmallGet dials a ClientConn + Server pair in the h2-live
+// workload's request shape (net.Pipe + crypto/tls, a 4-SAN leaf, the
+// ORIGIN frame set, a 512-byte body, hosts in rotation) and returns a
+// GET on it that checks its response, after 64 GETs of warm-up.
+func warmSmallGet(tb testing.TB) (get func()) {
 	hosts := []string{"www.alloc.test", "static.alloc.test", "img.alloc.test", "cdnjs.shared.test"}
 	body := bytes.Repeat([]byte("origin"), 512/6+1)[:512]
-	cc := startTLSPair(t, hosts, func(w *ResponseWriter, r *Request) {
+	cc := startTLSPair(tb, hosts, func(w *ResponseWriter, r *Request) {
 		w.WriteHeader(200, hpack.HeaderField{Name: "content-type", Value: "application/octet-stream"})
 		w.Write(body)
 	})
 
 	i := 0
-	get := func() {
+	get = func() {
 		host := hosts[i%len(hosts)]
 		i++
 		resp, err := cc.Get(host, "/small")
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if resp.Status != 200 || !bytes.Equal(resp.Body, body) {
-			t.Fatalf("GET %s: status %d, %d-byte body", host, resp.Status, len(resp.Body))
+			tb.Fatalf("GET %s: status %d, %d-byte body", host, resp.Status, len(resp.Body))
 		}
 	}
 	// Warm-up: every host's :authority and the response's content-type
@@ -91,7 +94,13 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	for range 64 {
 		get()
 	}
-	allocs := testing.AllocsPerRun(400, get)
+	return get
+}
+
+// TestRoundTripAllocBudget holds a warm ClientConn + Server pair, in
+// h2-live's request shape, to roundTripAllocBudget.
+func TestRoundTripAllocBudget(t *testing.T) {
+	allocs := testing.AllocsPerRun(400, warmSmallGet(t))
 	t.Logf("a warm small GET allocates %.2f objects (client and server)", allocs)
 	if allocs > roundTripAllocBudget {
 		t.Errorf("a warm small GET allocates %.2f objects (client and server), budget %d", allocs, roundTripAllocBudget)

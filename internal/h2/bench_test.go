@@ -120,6 +120,18 @@ func BenchmarkFramerWriteControl(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmGet times a warm 512-byte GET over net.Pipe + crypto/tls
+// in h2-live's request shape, client and server together, and reports
+// what it allocates; TestRoundTripAllocBudget gates the count.
+func BenchmarkWarmGet(b *testing.B) {
+	get := warmSmallGet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}
+
 // TestFramerReadFrameNoAllocsSteadyState is the hard gate behind the
 // benchmark: once the read buffer has grown to fit the stream's largest
 // frame, ReadFrame must not allocate at all.
