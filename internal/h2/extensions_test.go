@@ -97,7 +97,7 @@ func TestParserNeverPanics(t *testing.T) {
 			StreamID: stream & (1<<31 - 1),
 			Length:   uint32(len(payload)),
 		}
-		_, _ = parseFrame(nil, hdr, payload)
+		_, _ = parseFrame(new(frameCache), hdr, payload)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -197,12 +197,12 @@ func TestTakeZeroMaxAndClosedStream(t *testing.T) {
 
 func TestZeroIncrementWindowUpdateParse(t *testing.T) {
 	zero := []byte{0, 0, 0, 0}
-	_, err := parseWindowUpdateFrame(nil, FrameHeader{Type: frameWindowUpdate, StreamID: 0, Length: 4}, zero)
+	_, err := parseWindowUpdateFrame(new(frameCache), FrameHeader{Type: frameWindowUpdate, StreamID: 0, Length: 4}, zero)
 	var ce connectionError
 	if !errors.As(err, &ce) || ce.Code != errCodeProtocol {
 		t.Errorf("stream-0 zero increment: err = %v, want connection PROTOCOL_ERROR", err)
 	}
-	_, err = parseWindowUpdateFrame(nil, FrameHeader{Type: frameWindowUpdate, StreamID: 3, Length: 4}, zero)
+	_, err = parseWindowUpdateFrame(new(frameCache), FrameHeader{Type: frameWindowUpdate, StreamID: 3, Length: 4}, zero)
 	var se streamErr
 	if !errors.As(err, &se) || se.Code != errCodeProtocol || se.StreamID != 3 {
 		t.Errorf("stream-3 zero increment: err = %v, want stream 3 PROTOCOL_ERROR", err)

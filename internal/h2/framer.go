@@ -118,7 +118,6 @@ func (fr *Framer) ReadFrame() (Frame, error) {
 // already alias the Framer's read buffer and are documented as valid
 // only until the next ReadFrame call, so handing back the same struct
 // (fully overwritten) makes the steady-state read path allocation-free.
-// A nil *frameCache makes every parse function allocate fresh frames.
 type frameCache struct {
 	data         dataFrame
 	headers      HeadersFrame
@@ -132,79 +131,6 @@ type frameCache struct {
 	continuation continuationFrame
 	origin       originFrame
 	unknown      unknownFrame
-}
-
-// The getters allocate only on the nil (uncached) path; keeping the
-// composite literal inside the branch is what lets escape analysis keep
-// the cached path allocation-free.
-func (fc *frameCache) getDataFrame() *dataFrame {
-	if fc == nil {
-		return &dataFrame{}
-	}
-	return &fc.data
-}
-
-func (fc *frameCache) getHeadersFrame() *HeadersFrame {
-	if fc == nil {
-		return &HeadersFrame{}
-	}
-	return &fc.headers
-}
-
-func (fc *frameCache) getPriorityFrame() *priorityFrame {
-	if fc == nil {
-		return &priorityFrame{}
-	}
-	return &fc.priority
-}
-
-func (fc *frameCache) getRSTStreamFrame() *rstStreamFrame {
-	if fc == nil {
-		return &rstStreamFrame{}
-	}
-	return &fc.rstStream
-}
-
-func (fc *frameCache) getSettingsFrame() *settingsFrame {
-	if fc == nil {
-		return &settingsFrame{}
-	}
-	return &fc.settings
-}
-
-func (fc *frameCache) getPushPromiseFrame() *pushPromiseFrame {
-	if fc == nil {
-		return &pushPromiseFrame{}
-	}
-	return &fc.pushPromise
-}
-
-func (fc *frameCache) getPingFrame() *pingFrame {
-	if fc == nil {
-		return &pingFrame{}
-	}
-	return &fc.ping
-}
-
-func (fc *frameCache) getGoAwayFrame() *goAwayFrame {
-	if fc == nil {
-		return &goAwayFrame{}
-	}
-	return &fc.goAway
-}
-
-func (fc *frameCache) getWindowUpdateFrame() *windowUpdateFrame {
-	if fc == nil {
-		return &windowUpdateFrame{}
-	}
-	return &fc.windowUpdate
-}
-
-func (fc *frameCache) getOriginFrame() *originFrame {
-	if fc == nil {
-		return &originFrame{}
-	}
-	return &fc.origin
 }
 
 func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
@@ -228,19 +154,13 @@ func parseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	case frameWindowUpdate:
 		return parseWindowUpdateFrame(fc, hdr, p)
 	case frameContinuation:
-		f := &continuationFrame{}
-		if fc != nil {
-			f = &fc.continuation
-		}
+		f := &fc.continuation
 		*f = continuationFrame{FrameHeader: hdr, BlockFragment: p}
 		return f, nil
 	case frameOrigin:
 		return parseOriginFrame(fc, hdr, p)
 	default:
-		f := &unknownFrame{}
-		if fc != nil {
-			f = &fc.unknown
-		}
+		f := &fc.unknown
 		*f = unknownFrame{FrameHeader: hdr}
 		return f, nil
 	}
@@ -270,7 +190,7 @@ func parseDataFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := fc.getDataFrame()
+	f := &fc.data
 	*f = dataFrame{FrameHeader: hdr, Data: data}
 	return f, nil
 }
@@ -283,7 +203,7 @@ func parseHeadersFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error)
 	if err != nil {
 		return nil, err
 	}
-	f := fc.getHeadersFrame()
+	f := &fc.headers
 	*f = HeadersFrame{FrameHeader: hdr}
 	if hdr.Flags.has(flagPriority) {
 		if len(p) < 5 {
@@ -309,7 +229,7 @@ func parsePriorityFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 		return nil, streamError(hdr.StreamID, errCodeFrameSize, "PRIORITY payload must be 5 bytes")
 	}
 	dep := binary.BigEndian.Uint32(p[:4])
-	f := fc.getPriorityFrame()
+	f := &fc.priority
 	*f = priorityFrame{
 		FrameHeader: hdr,
 		PriorityParam: PriorityParam{
@@ -331,7 +251,7 @@ func parseRSTStreamFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, erro
 	if len(p) != 4 {
 		return nil, connError(errCodeFrameSize, "RST_STREAM payload must be 4 bytes")
 	}
-	f := fc.getRSTStreamFrame()
+	f := &fc.rstStream
 	*f = rstStreamFrame{FrameHeader: hdr, ErrCode: ErrCode(binary.BigEndian.Uint32(p))}
 	return f, nil
 }
@@ -340,7 +260,7 @@ func parseSettingsFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error
 	if hdr.StreamID != 0 {
 		return nil, connError(errCodeProtocol, "SETTINGS on non-zero stream")
 	}
-	f := fc.getSettingsFrame()
+	f := &fc.settings
 	settings := f.Settings[:0] // keep the cached frame's slice capacity
 	*f = settingsFrame{FrameHeader: hdr}
 	if hdr.Flags.has(flagAck) {
@@ -377,7 +297,7 @@ func parsePushPromiseFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, er
 	if len(p) < 4 {
 		return nil, connError(errCodeFrameSize, "PUSH_PROMISE truncated")
 	}
-	f := fc.getPushPromiseFrame()
+	f := &fc.pushPromise
 	*f = pushPromiseFrame{FrameHeader: hdr}
 	return f, nil
 }
@@ -389,7 +309,7 @@ func parsePingFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
 	if len(p) != 8 {
 		return nil, connError(errCodeFrameSize, "PING payload must be 8 bytes")
 	}
-	f := fc.getPingFrame()
+	f := &fc.ping
 	*f = pingFrame{FrameHeader: hdr}
 	copy(f.Data[:], p)
 	return f, nil
@@ -402,7 +322,7 @@ func parseGoAwayFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) 
 	if len(p) < 8 {
 		return nil, connError(errCodeFrameSize, "GOAWAY truncated")
 	}
-	f := fc.getGoAwayFrame()
+	f := &fc.goAway
 	*f = goAwayFrame{
 		FrameHeader:  hdr,
 		LastStreamID: binary.BigEndian.Uint32(p[:4]) & (1<<31 - 1),
@@ -425,7 +345,7 @@ func parseWindowUpdateFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, e
 		}
 		return nil, streamError(hdr.StreamID, errCodeProtocol, "WINDOW_UPDATE increment 0")
 	}
-	f := fc.getWindowUpdateFrame()
+	f := &fc.windowUpdate
 	*f = windowUpdateFrame{FrameHeader: hdr, Increment: inc}
 	return f, nil
 }
@@ -438,7 +358,7 @@ func parseWindowUpdateFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, e
 // the returned header, so parsing stays permissive here. A malformed
 // payload, however, is a connection error of type FRAME_SIZE_ERROR.
 func parseOriginFrame(fc *frameCache, hdr FrameHeader, p []byte) (Frame, error) {
-	f := fc.getOriginFrame()
+	f := &fc.origin
 	origins := f.Origins[:0] // keep the cached frame's slice capacity
 	*f = originFrame{FrameHeader: hdr}
 	for len(p) > 0 {

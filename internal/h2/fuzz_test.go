@@ -99,7 +99,7 @@ func FuzzSettingsDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x03, 0x00, 0x00, 0x00, 0x64, 0x00, 0x06}) // trailing partial record
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr := FrameHeader{Type: frameSettings, Length: uint32(len(data))}
-		parsed, err := parseSettingsFrame(nil, hdr, data)
+		parsed, err := parseSettingsFrame(new(frameCache), hdr, data)
 		if err != nil {
 			return
 		}
@@ -142,7 +142,7 @@ func FuzzOriginPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		parsed, err := parseOriginFrame(nil, FrameHeader{Type: frameOrigin, Length: uint32(len(payload))}, payload)
+		parsed, err := parseOriginFrame(new(frameCache), FrameHeader{Type: frameOrigin, Length: uint32(len(payload))}, payload)
 		set := newOriginSet()
 		if err == nil {
 			set.replace(parsed.(*originFrame).Origins)

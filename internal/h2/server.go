@@ -228,31 +228,7 @@ func (sc *serverConn) serve() error {
 		obs.Emit(sc.srv.Rec, obs.Event{Kind: obs.KindOriginFrame, N: len(canon), Detail: "sent"})
 	}
 
-	for {
-		f, err := sc.fr.ReadFrame()
-		if err == nil {
-			err = sc.onFrame(f)
-		} else if _, ok := err.(streamErr); !ok {
-			return sc.fatal(err)
-		}
-		if err != nil {
-			if err := sc.handleError(err); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// onFrame acts on one frame read.
-func (sc *serverConn) onFrame(f Frame) error {
-	meta, isBlock, err := sc.headerBlock(f)
-	if !isBlock {
-		return sc.dispatch(f)
-	}
-	if err != nil || meta == nil {
-		return err
-	}
-	return sc.onRequestHeaders(meta)
+	return sc.fatal(sc.readLoop(sc))
 }
 
 func (sc *serverConn) readPreface() error {
@@ -269,101 +245,61 @@ func (sc *serverConn) readPreface() error {
 	return nil
 }
 
-// fatal normalizes read-loop exit: EOF after GOAWAY or clean close maps
-// to nil.
+// fatal ends the connection on err, the error that ended the read loop,
+// and returns what ServeConn does: nil for a clean end, err otherwise.
+// A drain the peer announced with GOAWAY(NO_ERROR) ends clean however
+// the transport goes, and EOF is clean only after a GOAWAY: a bare close
+// mid-connection (the §6.7 middlebox behaviour) is an abnormal end.
 func (sc *serverConn) fatal(err error) error {
 	sc.sendFlow.close()
 	sc.mu.Lock()
-	sawGoAway := sc.goAwayReceived
-	draining := sc.draining
+	sawGoAway, draining, last := sc.goAwayReceived, sc.draining, sc.lastStreamID
 	sc.mu.Unlock()
-	if draining {
-		// The peer announced a graceful shutdown; however the transport
-		// ends now (EOF, or our own close after the drain), it is clean.
+	switch {
+	case draining, err == io.EOF && sawGoAway:
 		return nil
-	}
-	if err == io.EOF {
-		// EOF is a clean shutdown only after the peer announced it with
-		// GOAWAY; a bare close mid-connection (the §6.7 middlebox
-		// behaviour) is an abnormal termination.
-		if sawGoAway {
-			return nil
-		}
+	case err == io.EOF:
 		return io.ErrUnexpectedEOF
 	}
 	if ce, ok := err.(connectionError); ok {
-		sc.mu.Lock()
-		last := sc.lastStreamID
-		sc.mu.Unlock()
 		_ = sc.fr.writeGoAway(last, ce.Code, []byte(ce.Reason))
-		_ = sc.nc.SetWriteDeadline(time.Now().Add(closeLinger))
 		_ = sc.shutdown()
-		if ce.Code == errCodeNo {
-			return nil
-		}
-		return ce
 	}
 	return err
 }
 
-// handleError handles stream-level errors inline and escalates
-// connection errors.
-func (sc *serverConn) handleError(err error) error {
-	if se, ok := err.(streamErr); ok {
-		sc.closeStream(se.StreamID)
-		if werr := sc.fr.writeRSTStream(se.StreamID, se.Code); werr != nil {
-			return sc.fatal(werr)
-		}
-		return nil
-	}
-	return sc.fatal(err)
-}
+// resetStream frees a stream the read loop resets.
+func (sc *serverConn) resetStream(se streamErr) { sc.closeStream(se.StreamID) }
 
-func (sc *serverConn) dispatch(f Frame) error {
+// onFrame acts on the frames the endpoint leaves to the server.
+func (sc *serverConn) onFrame(f Frame) error {
 	switch f := f.(type) {
-	case *dataFrame:
-		return sc.onData(f)
-	case *settingsFrame:
-		return sc.onSettings(f)
-	case *pingFrame:
-		if f.isAck() {
-			return nil
-		}
-		return sc.fr.writePing(true, f.Data)
-	case *windowUpdateFrame:
-		return sc.onWindowUpdate(f)
 	case *rstStreamFrame:
 		sc.closeStream(f.StreamID)
-		return nil
-	case *priorityFrame:
-		return nil // deprecated; accepted and ignored
 	case *goAwayFrame:
+		// The server reads on to EOF: the client closes its transport
+		// after its GOAWAY, and a TLS client's close waits for its
+		// close_notify to be read. The send windows stay open only for a
+		// graceful drain with responses in flight: closeStream shuts the
+		// transport once the last one ends, and draining refuses any new
+		// stream meanwhile.
 		sc.mu.Lock()
 		sc.goAwayReceived = true
-		active := sc.activeStreams
-		if f.ErrCode == errCodeNo && active > 0 {
-			// Graceful client shutdown with responses still in flight:
-			// keep serving until they finish (closeStream shuts the
-			// transport once the last one drains). The draining flag
-			// also refuses any stray new streams.
-			sc.draining = true
-			sc.mu.Unlock()
-			return nil
-		}
+		drain := f.ErrCode == errCodeNo && sc.activeStreams > 0
+		sc.draining = sc.draining || drain
 		sc.mu.Unlock()
-		return io.EOF // peer is going away; drain and exit
+		if !drain {
+			sc.sendFlow.close()
+		}
 	case *pushPromiseFrame:
 		return connError(errCodeProtocol, "client sent PUSH_PROMISE")
-	case *originFrame:
-		// RFC 8336 §2: "The ORIGIN frame ... is sent from servers to
-		// clients"; clients do not send it. A server MUST ignore it.
-		return nil
-	default:
-		return nil // unknown frames are ignored (§4.1)
 	}
+	// A client does not send ORIGIN (RFC 8336 §2), and a server ignores
+	// it; PRIORITY is deprecated, and unknown types are ignored (§4.1).
+	return nil
 }
 
-func (sc *serverConn) onRequestHeaders(meta *metaHeadersFrame) error {
+func (sc *serverConn) onHeaderBlock(meta *metaHeadersFrame) error {
 	id := meta.StreamID
 	if id%2 == 0 {
 		return connError(errCodeProtocol, "client used even stream ID")

@@ -2,7 +2,7 @@ package h2
 
 import (
 	"errors"
-	"io"
+	"net"
 	"sync"
 	"time"
 )
@@ -19,7 +19,7 @@ import (
 // The queue is unbounded; connection owners rely on HTTP/2 flow control,
 // not transport backpressure, to bound buffered data.
 type asyncWriter struct {
-	w io.Writer
+	nc net.Conn
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -28,23 +28,15 @@ type asyncWriter struct {
 	closed bool
 	done   chan struct{}
 
-	// wdl, when non-nil, gets a write deadline of wtimeout armed before
-	// every chunk the pump flushes, so a peer that stops reading cannot
-	// wedge the pump (and with it Close) forever.
-	wdl      interface{ SetWriteDeadline(time.Time) error }
-	wtimeout time.Duration
+	// timeout, when positive, is a write deadline armed before every
+	// chunk the pump flushes, so a peer that stops reading cannot wedge
+	// the pump forever. Close arms its own, closeLinger away, which the
+	// pump then leaves in place.
+	timeout time.Duration
 }
 
-// setWriteTimeout arms per-chunk write deadlines on c; zero d disarms.
-func (aw *asyncWriter) setWriteTimeout(c interface{ SetWriteDeadline(time.Time) error }, d time.Duration) {
-	aw.mu.Lock()
-	aw.wdl = c
-	aw.wtimeout = d
-	aw.mu.Unlock()
-}
-
-func newAsyncWriter(w io.Writer) *asyncWriter {
-	aw := &asyncWriter{w: w, done: make(chan struct{}), buf: getBuf(1 << bufPoolMinShift)}
+func newAsyncWriter(nc net.Conn, timeout time.Duration) *asyncWriter {
+	aw := &asyncWriter{nc: nc, timeout: timeout, done: make(chan struct{}), buf: getBuf(1 << bufPoolMinShift)}
 	aw.cond = sync.NewCond(&aw.mu)
 	go aw.pump()
 	return aw
@@ -75,16 +67,15 @@ func (aw *asyncWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Close stops the pump after draining queued data.
+// Close stops the pump after draining queued data, for at most
+// closeLinger: writes still blocked then fail.
 func (aw *asyncWriter) Close() error {
 	aw.mu.Lock()
-	if aw.closed {
-		aw.mu.Unlock()
-		<-aw.done
-		return nil
+	if !aw.closed {
+		aw.closed = true
+		_ = aw.nc.SetWriteDeadline(time.Now().Add(closeLinger))
+		aw.cond.Signal()
 	}
-	aw.closed = true
-	aw.cond.Signal()
 	aw.mu.Unlock()
 	<-aw.done
 	return nil
@@ -112,13 +103,12 @@ func (aw *asyncWriter) pump() {
 			return
 		}
 		chunk, aw.buf = aw.buf, chunk[:0]
-		wdl, wt := aw.wdl, aw.wtimeout
+		if aw.timeout > 0 && !aw.closed { // under mu: never over Close's
+			_ = aw.nc.SetWriteDeadline(time.Now().Add(aw.timeout))
+		}
 		aw.mu.Unlock()
 
-		if wdl != nil && wt > 0 {
-			_ = wdl.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if _, err := aw.w.Write(chunk); err != nil {
+		if _, err := aw.nc.Write(chunk); err != nil {
 			aw.mu.Lock()
 			aw.err = err
 			aw.mu.Unlock()
