@@ -27,6 +27,17 @@ const roundTripAllocBudget = 5 + racePoolSlack
 // leaf and the ORIGIN frame set, h2-live's connection shape, and returns
 // the client end; the connection is closed when the test ends.
 func startTLSPair(t testing.TB, hosts []string, handler HandlerFunc) *ClientConn {
+	cc, served := dialTLSPair(t, hosts, handler)
+	t.Cleanup(func() {
+		cc.Close()
+		<-served
+	})
+	return cc
+}
+
+// dialTLSPair is startTLSPair without the clean-up: it returns the client
+// end and where ServeConn's error arrives.
+func dialTLSPair(t testing.TB, hosts []string, handler HandlerFunc) (*ClientConn, <-chan error) {
 	t.Helper()
 	ca, err := certs.NewCA("alloc budget CA")
 	if err != nil {
@@ -42,10 +53,9 @@ func startTLSPair(t testing.TB, hosts []string, handler HandlerFunc) *ClientConn
 		Authoritative: func(string) bool { return true },
 	}
 	clientEnd, serverEnd := net.Pipe()
-	served := make(chan struct{})
+	served := make(chan error, 1)
 	go func() {
-		defer close(served)
-		_ = srv.ServeConn(tls.Server(serverEnd, &tls.Config{
+		served <- srv.ServeConn(tls.Server(serverEnd, &tls.Config{
 			Certificates: []tls.Certificate{leaf.TLSCertificate()},
 			NextProtos:   []string{"h2"},
 		}))
@@ -58,11 +68,7 @@ func startTLSPair(t testing.TB, hosts []string, handler HandlerFunc) *ClientConn
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		cc.Close()
-		<-served
-	})
-	return cc
+	return cc, served
 }
 
 // warmSmallGet dials a ClientConn + Server pair in the h2-live

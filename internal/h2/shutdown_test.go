@@ -78,3 +78,31 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	cc.Close()
 	assertNoH2Goroutines(t)
 }
+
+// TestServerReadsToEOFAfterClientGoAway: a client's Close sends GOAWAY,
+// then closes its transport, and over TLS that close writes a
+// close_notify first, which waits up to five seconds for a reader. The
+// server reads on to EOF after a GOAWAY, so over net.Pipe + TLS one GET
+// and a Close take well under two seconds, and ServeConn returns nil: a
+// client that announced its close ends the connection cleanly.
+func TestServerReadsToEOFAfterClientGoAway(t *testing.T) {
+	cc, served := dialTLSPair(t, []string{"www.drain.test"}, func(w *ResponseWriter, r *Request) {
+		w.Write([]byte("drained"))
+	})
+	if resp, err := cc.Get("www.drain.test", "/"); err != nil || string(resp.Body) != "drained" {
+		t.Fatalf("GET: %v", err)
+	}
+	start := time.Now()
+	cc.Close()
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Close took %v", took)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("ServeConn returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after the client closed")
+	}
+}
