@@ -12,11 +12,13 @@ import (
 )
 
 // callerAllowlist names the exported names under internal/ that stand
-// without a non-test user, and the option fields that non-test Go sets
-// to one value only, each with why. The only reasons are: a correctness
-// oracle that tests compare against, a DESIGN.md §6 ablation bench in
-// bench_test.go, and a hook whose only job is to let a test observe or
-// substitute.
+// without a non-test user, the unexported funcs and methods there that
+// stand without a non-test caller, and the option fields that non-test
+// Go sets to one value only, each with why. The only reasons are: a
+// correctness oracle that tests compare against, a DESIGN.md §6 ablation
+// bench in bench_test.go, a hook whose only job is to let a test observe
+// or substitute, and the method that seals an interface to its
+// package's types.
 var callerAllowlist = map[string]string{
 	"conformance.NewFlowChecker":                "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
 	"conformance.FlowChecker.Check":             "oracle: h2's tests hold every flow-control window to this RFC 9113 mirror",
@@ -28,6 +30,10 @@ var callerAllowlist = map[string]string{
 	"certs.Leaf.TLSRecords":                     "ablation §6.5: BenchmarkAblationSANSize reads the TLS records a real chain needs",
 	"h2.ClientConnOptions.FlowHook":             "hook: lets a test observe every flow-control transition (conformance.FlowChecker)",
 	"h2.ClientConnOptions.VerifyOrigin":         "hook: lets a test substitute the certificate check over a transport without TLS",
+	"h2.FrameHeader.header":                     "seal: Frame's one method, so only this package's frame types are Frames; tests read a frame's header through it",
+	"cdn.LogPipeline.observeRecord":             "hook: lets a test log a logRecord, every §5.2 field of it, where the visit loop logs indexed logEntry values",
+	"dns.Resolver.queryCount":                   "hook: lets a test observe how many queries a lookup sent, which is what the cache saves",
+	"dns.Authority.queryCount":                  "hook: lets a test observe how many queries the authority answered",
 }
 
 // stdlibInterfaces are the standard-library interfaces, as package path
@@ -50,8 +56,9 @@ var reflectingPackages = []string{"encoding/json", "fmt"}
 
 // TestEveryExportHasACaller holds ROADMAP's "every exported name earns a
 // user": no exported name declared in non-test Go under internal/ goes
-// unused, no field there goes unread, and no option field is set to one
-// value only, unless callerAllowlist names it with a reason. Packages in
+// unused, no unexported func or method there goes uncalled, no field
+// there goes unread, and no option field is set to one value only,
+// unless callerAllowlist names it with a reason. Packages in
 // testSupport and probeOnly are not gated, and testSupport's own Go uses
 // nothing. The rules are exportFindings'.
 func TestEveryExportHasACaller(t *testing.T) {
@@ -63,8 +70,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // exportFindings reports each exported name declared in m's non-test Go
 // under internal/ (outside the packages notGated) that nothing uses, each
-// unexported struct field there that nothing reads, and each option
-// field that non-test Go sets to one value only. Uses and writes are
+// unexported func, method and struct field there that nothing calls or
+// reads, and each option field that non-test Go sets to one value only. Uses and writes are
 // resolved objects, read from non-test Go of every package but those in
 // noUser:
 //   - A func, const, var or type is used when another package names it.
@@ -74,6 +81,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 //     it, when its type implements an interface whose method of that
 //     name is selected anywhere, or when it implements one of
 //     stdlibInterfaces.
+//   - An unexported func or method is used when its own package's
+//     non-test Go names it outside its own declaration, so recursion is
+//     no caller; a method also by the interface rule above.
 //   - A field, exported or not, is used when it is read in any package:
 //     selected outside an assignment target (a composite-literal key is
 //     not a selection), or passed through on the way to a promoted field
@@ -109,7 +119,7 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
-			if obj.Exported() {
+			if _, isFunc := obj.(*types.Func); obj.Exported() || isFunc {
 				decls[obj] = decl{kind: objectKind(obj), key: name + "." + n}
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -118,9 +128,8 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 			}
 			named := tn.Type().(*types.Named)
 			for i := range named.NumMethods() {
-				if fn := named.Method(i); fn.Exported() {
-					decls[fn] = decl{kind: "method", key: name + "." + n + "." + fn.Name()}
-				}
+				fn := named.Method(i)
+				decls[fn] = decl{kind: "method", key: name + "." + n + "." + fn.Name()}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
 				options := strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Params")
@@ -133,6 +142,29 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 				}
 			}
 		}
+	}
+
+	// bodies spans each func's and method's declaration: a call from
+	// inside its own body does not count as a caller.
+	bodies := map[types.Object][2]token.Pos{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					bodies[m.info.Defs[fd.Name]] = [2]token.Pos{fd.Pos(), fd.End()}
+				}
+			}
+		}
+	}
+	// calls reports whether a use at pos in package p of func or method
+	// obj counts: an exported one needs a user in another package, an
+	// unexported one a caller outside its own body.
+	calls := func(obj types.Object, p *modPackage, pos token.Pos) bool {
+		if obj.Exported() {
+			return obj.Pkg() != p.types
+		}
+		span := bodies[obj]
+		return pos < span[0] || pos >= span[1]
 	}
 
 	used := map[types.Object]bool{}             // named or called from another package, or a field read
@@ -191,7 +223,7 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 					if fn, ok := obj.(*types.Func); ok {
 						obj = fn.Origin()
 					}
-					if d, ok := decls[obj]; ok && d.kind != "method" && d.kind != "field" && obj.Pkg() != p.types {
+					if d, ok := decls[obj]; ok && d.kind != "method" && d.kind != "field" && (obj.Pkg() != p.types || d.kind == "func" && calls(obj, p, n.Pos())) {
 						used[obj] = true
 					}
 				case *ast.SelectorExpr:
@@ -213,7 +245,7 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 							if !slices.Contains(selected[obj.Name()], iface) {
 								selected[obj.Name()] = append(selected[obj.Name()], iface)
 							}
-						} else if obj.Pkg() != p.types {
+						} else if calls(obj.Origin(), p, n.Pos()) {
 							used[obj.Origin()] = true
 						}
 					}
@@ -342,6 +374,8 @@ func exportFindings(m *module, allowlist map[string]string, notGated, noUser []s
 		case allowed:
 		case !used[obj] && d.kind == "field":
 			findings = append(findings, fmt.Sprintf("%s: field %s is never read by non-test Go: delete it, with what writes it", m.position(obj.Pos()), d.key))
+		case !used[obj] && !obj.Exported():
+			findings = append(findings, fmt.Sprintf("%s: %s %s has no non-test caller in its package: move it to a test file, delete it, or allowlist it with a reason", m.position(obj.Pos()), d.kind, d.key))
 		case !used[obj]:
 			findings = append(findings, fmt.Sprintf("%s: %s %s has no non-test user outside its package: unexport it, delete it, or allowlist it with a reason", m.position(obj.Pos()), d.kind, d.key))
 		case fixed && len(written[obj]) == 0:

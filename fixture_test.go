@@ -33,7 +33,7 @@ func TestGatesOnFixture(t *testing.T) {
 		}
 	}
 	check("the caller gate", exportFindings(m, nil, nil, nil),
-		[]string{"method obs.Store.Store ", "field obs.Meta.Label ", "const obs.Unused ", "option field obs.Options.Depth "})
+		[]string{"method obs.Store.Store ", "field obs.Meta.Label ", "const obs.Unused ", "option field obs.Options.Depth ", "func obs.depth "})
 	check("the recorder gate", recorderFindings(m, recorderHolders),
 		[]string{filepath.Join("cmd", "app", "main.go")})
 }

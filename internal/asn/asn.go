@@ -34,7 +34,6 @@ type DB struct {
 	v4   *node
 	v6   *node
 	orgs map[uint32]string
-	n    int
 }
 
 type node struct {
@@ -75,20 +74,10 @@ func (db *DB) add(e entry) {
 		}
 		n = n.children[b]
 	}
-	if n.entry == nil {
-		db.n++
-	}
 	n.entry = &e
 	if e.Org != "" {
 		db.orgs[e.ASN] = e.Org
 	}
-}
-
-// len returns the number of registered prefixes.
-func (db *DB) len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.n
 }
 
 // lookup returns the most specific entry covering addr.

@@ -143,3 +143,21 @@ func TestLookupPropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// len returns the number of registered prefixes.
+func (db *DB) len() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var count func(n *node) int
+	count = func(n *node) int {
+		if n == nil {
+			return 0
+		}
+		c := count(n.children[0]) + count(n.children[1])
+		if n.entry != nil {
+			c++
+		}
+		return c
+	}
+	return count(db.v4) + count(db.v6)
+}

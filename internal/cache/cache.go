@@ -134,9 +134,6 @@ func (c *Cache) Reset() {
 	c.chains.reset()
 }
 
-// enabled reports whether the cache layer is active.
-func (c *Cache) enabled() bool { return c != nil }
-
 // Clock returns the cache's simulated clock (nil cache: a throwaway
 // clock, so callers need not nil-check before advancing time).
 func (c *Cache) Clock() *Clock {

@@ -167,3 +167,13 @@ func TestNilCacheIsInert(t *testing.T) {
 	}
 	c.Clock().AdvanceMs(1000) // must not panic
 }
+
+// enabled reports whether the cache layer is active.
+func (c *Cache) enabled() bool { return c != nil }
+
+// len reports the current entry count.
+func (d *dnsCache) len() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.entries)
+}

@@ -38,13 +38,6 @@ func (m *certMemo) validate(issuer string, sans []string) (hit bool) {
 	return false
 }
 
-// len reports how many distinct chains have been validated.
-func (m *certMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.seen)
-}
-
 func (m *certMemo) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -210,11 +210,3 @@ func (s *coverStore) reset() {
 	clear(s.index)
 	s.nodes, s.free = s.nodes[:0], noNode
 }
-
-// len reports the live grant count (expired grants linger until the
-// next redeem).
-func (s *coverStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.grants) - s.head
-}

@@ -201,3 +201,11 @@ func TestCoverageStoreSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations in steady state, want 0", allocs)
 	}
 }
+
+// len reports the live grant count (expired grants linger until the
+// next redeem).
+func (s *coverStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.grants) - s.head
+}

@@ -108,13 +108,6 @@ func (d *dnsCache) reset() {
 	clear(d.entries)
 }
 
-// len reports the current entry count.
-func (d *dnsCache) len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.entries)
-}
-
 // canonical lower-cases a hostname and strips one trailing dot,
 // mirroring the dns package's canonicalName without importing it.
 func canonical(name string) string {

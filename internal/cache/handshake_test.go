@@ -103,3 +103,10 @@ func TestHandshakeMatchesReplacedCallSequence(t *testing.T) {
 		t.Fatalf("nil cache handshake = %+v, want the cold zero value", h)
 	}
 }
+
+// len reports how many distinct chains have been validated.
+func (m *certMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.seen)
+}

@@ -512,3 +512,14 @@ func (c *CDN) zoneSnapshot() []*Zone {
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
+
+// records returns a copy of the records the log holds: those sampled
+// since the last Reset or drain.
+func (lp *LogPipeline) records() []logRecord {
+	lp.mu.Lock()
+	n := lp.held
+	lp.mu.Unlock()
+	out := make([]logRecord, 0, n)
+	lp.each(func(r *logRecord) { out = append(out, *r) })
+	return out
+}

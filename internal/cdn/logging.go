@@ -183,17 +183,6 @@ func (lp *LogPipeline) Totals() (total, sampled int64) {
 	return lp.total, lp.sampled
 }
 
-// records returns a copy of the records the log holds: those sampled
-// since the last Reset or drain.
-func (lp *LogPipeline) records() []logRecord {
-	lp.mu.Lock()
-	n := lp.held
-	lp.mu.Unlock()
-	out := make([]logRecord, 0, n)
-	lp.each(func(r *logRecord) { out = append(out, *r) })
-	return out
-}
-
 // each calls fn on every record sampled since the last Reset or drain,
 // in log order. The record is one logRecord that each entry is decoded
 // into in turn: fn must not modify or retain it. Between drains the log

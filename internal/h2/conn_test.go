@@ -697,3 +697,10 @@ func cloneRequest(r *Request) Request {
 	c.Body = slices.Clone(r.Body)
 	return c
 }
+
+// err returns the fatal connection error, if any.
+func (cc *ClientConn) err() error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.connErr
+}

@@ -222,16 +222,6 @@ type settingsFrame struct {
 // isAck reports whether this is a SETTINGS acknowledgement.
 func (f *settingsFrame) isAck() bool { return f.Flags.has(flagAck) }
 
-// value returns the last value for id in the frame.
-func (f *settingsFrame) value(id SettingID) (uint32, bool) {
-	for i := len(f.Settings) - 1; i >= 0; i-- {
-		if f.Settings[i].ID == id {
-			return f.Settings[i].Val, true
-		}
-	}
-	return 0, false
-}
-
 // pushPromiseFrame announces a server-initiated stream (§6.6).
 type pushPromiseFrame struct {
 	FrameHeader

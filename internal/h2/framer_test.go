@@ -359,3 +359,13 @@ func (fr *Framer) writeFrame(typ FrameType, flags Flags, streamID uint32, payloa
 	fr.wbuf = append(fr.wbuf, payload...)
 	return fr.endWrite()
 }
+
+// value returns the last value for id in the frame.
+func (f *settingsFrame) value(id SettingID) (uint32, bool) {
+	for i := len(f.Settings) - 1; i >= 0; i-- {
+		if f.Settings[i].ID == id {
+			return f.Settings[i].Val, true
+		}
+	}
+	return 0, false
+}

@@ -71,13 +71,6 @@ func (s *OriginSet) contains(origin string) bool {
 	return ok
 }
 
-// len returns the number of origins in the set.
-func (s *OriginSet) len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.origins)
-}
-
 // All returns the sorted origins in the set.
 func (s *OriginSet) All() []string {
 	s.mu.RLock()

@@ -123,3 +123,10 @@ func TestOriginSetAddAndContains(t *testing.T) {
 		t.Error("non-https origin admitted")
 	}
 }
+
+// len returns the number of origins in the set.
+func (s *OriginSet) len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.origins)
+}

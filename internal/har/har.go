@@ -139,20 +139,6 @@ func (p *Page) TLSConnections() int {
 	return n
 }
 
-// hosts returns the distinct hostnames contacted, in first-use order.
-func (p *Page) hosts() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range p.Entries {
-		host := p.Entries[i].Host
-		if !seen[host] {
-			seen[host] = true
-			out = append(out, host)
-		}
-	}
-	return out
-}
-
 // validate checks timeline invariants:
 //
 //   - at least one entry, and entry 0 is the root (Initiator == -1);

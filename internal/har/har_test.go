@@ -194,3 +194,17 @@ func TestTimingsTotalNonNegativeQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// hosts returns the distinct hostnames contacted, in first-use order.
+func (p *Page) hosts() []string {
+	seen := map[string]bool{}
+	var out []string
+	for i := range p.Entries {
+		host := p.Entries[i].Host
+		if !seen[host] {
+			seen[host] = true
+			out = append(out, host)
+		}
+	}
+	return out
+}

@@ -477,3 +477,6 @@ func TestHuffmanAblationInterop(t *testing.T) {
 		t.Fatalf("interop: %v %v", got, err)
 	}
 }
+
+// len returns the number of entries in the table.
+func (t *dynamicTable) len() int { return len(t.ents) }

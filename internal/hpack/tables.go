@@ -107,8 +107,6 @@ func newDynamicTable(maxSize uint32) *dynamicTable {
 	return &dynamicTable{maxSize: maxSize}
 }
 
-func (t *dynamicTable) len() int { return len(t.ents) }
-
 // setMaxSize applies a dynamic table size update, evicting as needed.
 func (t *dynamicTable) setMaxSize(n uint32) {
 	t.maxSize = n

@@ -189,14 +189,6 @@ func (c *Counter) Merge(other *Counter) {
 // Total returns the sum of all counts.
 func (c *Counter) Total() int64 { return c.total }
 
-// count returns the count for one key.
-func (c *Counter) count(key string) int64 {
-	if i, ok := c.index[key]; ok {
-		return c.counts[i]
-	}
-	return 0
-}
-
 // RankedEntry is one row of a ranked share table.
 type RankedEntry struct {
 	Key   string

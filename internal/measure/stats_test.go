@@ -325,3 +325,11 @@ func TestCounterMerge(t *testing.T) {
 		t.Errorf("source total = %d", b.Total())
 	}
 }
+
+// count returns the count for one key.
+func (c *Counter) count(key string) int64 {
+	if i, ok := c.index[key]; ok {
+		return c.counts[i]
+	}
+	return 0
+}

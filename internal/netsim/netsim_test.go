@@ -147,3 +147,18 @@ func TestTransferStreamInvariance(t *testing.T) {
 		}
 	}
 }
+
+// float64 exposes the deterministic RNG stream for callers that need
+// auxiliary randomness tied to the same seed.
+func (n *Network) float64() float64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rng.Float64()
+}
+
+// intn exposes the deterministic RNG stream.
+func (n *Network) intn(m int) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rng.Intn(m)
+}

@@ -71,16 +71,6 @@ func (m *Metrics) Event(ev Event) {
 	m.Count(name, 1)
 }
 
-// get returns the current value of a counter (0 if never written).
-func (m *Metrics) get(name string) int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if c := m.counters[name]; c != nil {
-		return c.Load()
-	}
-	return 0
-}
-
 // snapshot returns a sorted snapshot of all counters.
 func (m *Metrics) snapshot() map[string]int64 {
 	m.mu.RLock()

@@ -149,3 +149,16 @@ func TestTraceResetRecycles(t *testing.T) {
 		t.Fatalf("trace after Reset = %+v, want single goaway", evs)
 	}
 }
+
+// reset drops all recorded events and recycles the storage chunks, so a
+// long-lived recorder can be reused across runs without regrowing.
+func (t *Trace) reset() {
+	t.mu.Lock()
+	for _, c := range t.chunks {
+		*c = (*c)[:0]
+		traceChunkPool.Put(c)
+	}
+	t.chunks = nil
+	t.n = 0
+	t.mu.Unlock()
+}

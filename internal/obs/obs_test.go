@@ -188,3 +188,13 @@ func TestPublishExpvar(t *testing.T) {
 		t.Errorf("expvar payload = %s", v.String())
 	}
 }
+
+// get returns the current value of a counter (0 if never written).
+func (m *Metrics) get(name string) int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if c := m.counters[name]; c != nil {
+		return c.Load()
+	}
+	return 0
+}

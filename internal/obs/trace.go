@@ -64,19 +64,6 @@ func (t *Trace) Len() int {
 	return t.n
 }
 
-// reset drops all recorded events and recycles the storage chunks, so a
-// long-lived recorder can be reused across runs without regrowing.
-func (t *Trace) reset() {
-	t.mu.Lock()
-	for _, c := range t.chunks {
-		*c = (*c)[:0]
-		traceChunkPool.Put(c)
-	}
-	t.chunks = nil
-	t.n = 0
-	t.mu.Unlock()
-}
-
 // events returns the events sorted by (Rank, Seq). The result is a
 // copy; the trace keeps accepting appends.
 func (t *Trace) events() []Event {

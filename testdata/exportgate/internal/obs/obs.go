@@ -16,7 +16,18 @@ type Store struct {
 func NewStore() *Store { return &Store{counts: map[string]int64{}} }
 
 // Count is reached only through Recorder: it passes.
-func (s *Store) Count(name string, n int64) { s.Store(name, s.counts[name]+n) }
+func (s *Store) Count(name string, n int64) { s.Store(name, add(s.counts[name], n)) }
+
+// add is unexported and Count calls it: it passes.
+func add(a, b int64) int64 { return a + b }
+
+// depth is unexported and only calls itself: it is reported.
+func depth(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 + depth(n-1)
+}
 
 // Store is called only from this package; cmd/app calls an
 // atomic.Int64's Store, which is another method: it is reported.
