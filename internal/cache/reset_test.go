@@ -175,3 +175,71 @@ func TestHeldDNSHit(t *testing.T) {
 		t.Fatalf("%d entries after one eviction, want the capacity %d", n, defaultDNSCapacity)
 	}
 }
+
+// A cold cache cuts its entries and answers from blocks: filling a new
+// one with defaultDNSCapacity one-address names allocates ≤ 160
+// objects (measured 134: New, the map's growth and the blocks; 8 248 while
+// every name took an entry and an answer of its own), and filling it
+// again after Reset allocates nothing. Every answer is cut at its own
+// length, so none can grow into the next one's storage.
+func TestDNSColdFillAllocs(t *testing.T) {
+	names := make([]string, defaultDNSCapacity)
+	answers := make([][]netip.Addr, defaultDNSCapacity)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d.example", i)
+		answers[i] = []netip.Addr{netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})}
+	}
+	var c *Cache
+	fill := func() {
+		for i, name := range names {
+			c.PutDNS(name, answers[i], 300)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { c = New(Options{}); fill() }); allocs > 160 {
+		t.Errorf("a cold fill of %d names allocates %.0f objects, want ≤ 160", len(names), allocs)
+	} else {
+		t.Logf("a cold fill of %d names allocates %.0f objects", len(names), allocs)
+	}
+	for i, name := range names {
+		got, _, ok := c.LookupDNS(name)
+		if !ok || !slices.Equal(got, answers[i]) || cap(got) != len(got) {
+			t.Fatalf("%s = %v (cap %d), %v; want %v at full capacity", name, got, cap(got), ok, answers[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { c.Reset(); fill() }); allocs != 0 {
+		t.Errorf("a fill after Reset allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// An answer held from LookupDNS keeps its bytes while later names are
+// cut from the same address block, and while an answer cut before it
+// from that block outgrows its slot: only a store that reuses the held
+// entry's own storage may change it.
+func TestHeldAnswerSurvivesNeighbourPut(t *testing.T) {
+	c := New(Options{})
+	one := []netip.Addr{ip("192.0.2.1")}
+	want := []netip.Addr{ip("198.51.100.1"), ip("198.51.100.2")}
+	c.PutDNS("grow.example", one, 300) // the held answer's neighbour below
+	c.PutDNS("held.example", want, 300)
+	held, _, ok := c.LookupDNS("held.example")
+	if !ok || !slices.Equal(held, want) {
+		t.Fatalf("held.example = %v, %v; want %v", held, ok, want)
+	}
+	for i := range 8 {
+		c.PutDNS(fmt.Sprintf("after%d.example", i), []netip.Addr{ip("203.0.113.9"), ip("203.0.113.10")}, 300)
+	}
+	if !slices.Equal(held, want) {
+		t.Fatalf("held answer changed to %v when later names were stored", held)
+	}
+	grown := []netip.Addr{ip("192.0.2.7"), ip("192.0.2.8"), ip("192.0.2.9"), ip("192.0.2.10")}
+	c.PutDNS("grow.example", grown, 300)
+	if !slices.Equal(held, want) {
+		t.Fatalf("held answer changed to %v when its neighbour outgrew its slot", held)
+	}
+	if got, _, _ := c.LookupDNS("held.example"); !slices.Equal(got, want) {
+		t.Fatalf("held.example = %v after its neighbour grew, want %v", got, want)
+	}
+	if got, _, _ := c.LookupDNS("grow.example"); !slices.Equal(got, grown) {
+		t.Fatalf("grow.example = %v, want %v", got, grown)
+	}
+}

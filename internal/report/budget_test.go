@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/webgen"
 )
@@ -41,6 +43,28 @@ func TestReportAllocBudget(t *testing.T) {
 		t.Errorf("crawl-report renders allocate %.2f per page (%.0f over %d pages), want ≤ 2.5", perPage, allocs, len(ds.Pages))
 	} else {
 		t.Logf("%.2f allocations per page", perPage)
+	}
+}
+
+// The proto-replay path as a whole: a second Replay of every page four
+// times under each protocol, over 1 000 sites at 2 workers, allocates
+// ≤ 0.05 objects a page-visit, measured 0.038. Each call builds one
+// replayer, and so one cold warm-path cache, a worker; it read 0.077
+// while that cache allocated an entry and an answer for every name.
+func TestReplayAllocBudget(t *testing.T) {
+	c := NewCorpusWorkers(testCorpus(t, 1000).DS, 2)
+	const revisits = 4
+	c.Replay(revisits, cache.Options{}, core.Protocols...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Replay(revisits, cache.Options{}, core.Protocols...)
+	runtime.ReadMemStats(&after)
+	visits := float64(len(c.DS.Pages) * revisits * len(core.Protocols))
+	perVisit := float64(after.Mallocs-before.Mallocs) / visits
+	if perVisit > 0.05 {
+		t.Errorf("a second Replay allocates %.4f objects a page-visit (%d over %.0f), want ≤ 0.05", perVisit, after.Mallocs-before.Mallocs, visits)
+	} else {
+		t.Logf("%.4f objects a page-visit", perVisit)
 	}
 }
 
