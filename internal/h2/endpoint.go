@@ -34,6 +34,9 @@ type endpoint struct {
 	// the side's own mu) read them.
 	peerMaxFrame   atomic.Uint32
 	peerMaxStreams atomic.Uint32
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // init sets the endpoint up on nc and starts its write pump. Positive
@@ -118,10 +121,14 @@ func (ep *endpoint) dispatch(s side, f Frame) error {
 const closeLinger = time.Second
 
 // shutdown flushes the queued frames, for at most closeLinger, and
-// closes the transport.
+// closes the transport. Only the first call does: every later one,
+// from whichever path races to it, returns what the first returned.
 func (ep *endpoint) shutdown() error {
-	_ = ep.aw.Close()
-	return ep.nc.Close()
+	ep.closeOnce.Do(func() {
+		_ = ep.aw.Close()
+		ep.closeErr = ep.nc.Close()
+	})
+	return ep.closeErr
 }
 
 // headerBlock feeds f to the header reader when it belongs to a header

@@ -127,12 +127,14 @@ func (s *Server) maxFrameSize() uint32 {
 
 // ServeConn serves one HTTP/2 connection until the peer goes away or a
 // protocol error occurs. It returns nil on clean shutdown (EOF or
-// GOAWAY exchange) and the fatal error otherwise.
+// GOAWAY exchange) and the fatal error otherwise. However it returns,
+// it has flushed what it queued, for at most closeLinger, and closed
+// nc exactly once.
 func (s *Server) ServeConn(nc net.Conn) error {
 	obs.Count(s.Rec, "h2.server.conns", 1)
 	sc := &serverConn{srv: s, streams: make(map[uint32]*serverStream), work: make(chan *serverStream)}
 	sc.init(nc, s.FlowHook, s.ReadTimeout, s.WriteTimeout)
-	defer sc.aw.Close()
+	defer sc.shutdown() // flush, then close nc, once the counters below are read
 	err := sc.serve()
 	close(sc.work) // the read loop sends no more: parked workers exit
 	// Handler goroutines may still be running: read each count under

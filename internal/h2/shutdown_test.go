@@ -1,6 +1,9 @@
 package h2
 
 import (
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -105,4 +108,115 @@ func TestServerReadsToEOFAfterClientGoAway(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeConn did not return after the client closed")
 	}
+}
+
+// closeCounter counts the Close calls on the conn it wraps.
+type closeCounter struct {
+	net.Conn
+	closes atomic.Int32
+}
+
+func (c *closeCounter) Close() error {
+	c.closes.Add(1)
+	return c.Conn.Close()
+}
+
+// TestServeConnClosesItsTransportOnce: however a connection ends,
+// ServeConn closes the transport it was handed, exactly once: a drain
+// the client announced with GOAWAY, whose last response closes the
+// transport before ServeConn returns; a bare EOF; a read deadline; and
+// a connection error, which closes it after its GOAWAY.
+func TestServeConnClosesItsTransportOnce(t *testing.T) {
+	cases := []struct {
+		name    string
+		timeout time.Duration
+		wantErr bool
+		// client drives the connection from its end; a GET of /slow
+		// signals started and waits for release.
+		client func(t *testing.T, cn net.Conn, started <-chan struct{}, release chan<- struct{})
+	}{
+		{name: "goaway drain", client: func(t *testing.T, cn net.Conn, started <-chan struct{}, release chan<- struct{}) {
+			cc, err := NewClientConn(cn, ClientConnOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cc.Close()
+			got := make(chan error, 1)
+			go func() {
+				_, err := cc.Get("example.com", "/slow")
+				got <- err
+			}()
+			<-started
+			announceGoAway(t, cc)
+			// The server answers the PING after it has read the GOAWAY.
+			acked, err := cc.sendPing([8]byte{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-acked
+			close(release)
+			if err := <-got; err != nil {
+				t.Errorf("in-flight GET: %v", err)
+			}
+		}},
+		{name: "bare EOF", wantErr: true, client: func(t *testing.T, cn net.Conn, _ <-chan struct{}, _ chan<- struct{}) {
+			greetServer(t, cn)
+			cn.Close()
+		}},
+		{name: "read deadline", timeout: 50 * time.Millisecond, wantErr: true, client: func(t *testing.T, cn net.Conn, _ <-chan struct{}, _ chan<- struct{}) {
+			greetServer(t, cn)
+			go io.Copy(io.Discard, cn)
+		}},
+		{name: "connection error", wantErr: true, client: func(t *testing.T, cn net.Conn, _ <-chan struct{}, _ chan<- struct{}) {
+			peer := greetServer(t, cn)
+			go io.Copy(io.Discard, cn)
+			if err := peer.writeContinuation(1, true, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cn, sn := net.Pipe()
+			cn.SetDeadline(time.Now().Add(5 * time.Second))
+			conn := &closeCounter{Conn: sn}
+			started, release := make(chan struct{}, 1), make(chan struct{})
+			srv := &Server{
+				Handler: HandlerFunc(func(w *ResponseWriter, r *Request) {
+					if r.Path == "/slow" {
+						started <- struct{}{}
+						<-release
+					}
+					w.Write([]byte("ok"))
+				}),
+				ReadTimeout: tc.timeout,
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.ServeConn(conn) }()
+			tc.client(t, cn, started, release)
+			select {
+			case err := <-served:
+				if (err != nil) != tc.wantErr {
+					t.Errorf("ServeConn returned %v; want an error: %v", err, tc.wantErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ServeConn did not return")
+			}
+			if n := conn.closes.Load(); n != 1 {
+				t.Errorf("ServeConn closed its transport %d times, want once", n)
+			}
+			cn.Close()
+		})
+	}
+	assertNoH2Goroutines(t)
+}
+
+// greetServer writes the client preface on cn and exchanges SETTINGS
+// with the server on its other end.
+func greetServer(t *testing.T, cn net.Conn) *Framer {
+	t.Helper()
+	if _, err := io.WriteString(cn, clientPreface); err != nil {
+		t.Fatal(err)
+	}
+	return greet(t, cn, nil)
 }
