@@ -18,11 +18,10 @@ import (
 // Storage is a list of fixed-size chunks rather than one flat slice:
 // appending never copies previously recorded events, so the per-event
 // cost stays flat instead of spiking on every doubling of a
-// multi-million-event trace. Retired chunks are recycled through a
-// sync.Pool by Reset.
+// multi-million-event trace.
 type Trace struct {
 	mu     sync.Mutex
-	chunks []*[]Event // every chunk full except the last
+	chunks [][]Event // every chunk full except the last
 	n      int
 }
 
@@ -31,11 +30,6 @@ type Trace struct {
 // amortize chunk bookkeeping to nothing, small enough that a mostly
 // idle recorder wastes little.
 const traceChunkSize = 4096
-
-var traceChunkPool = sync.Pool{New: func() any {
-	s := make([]Event, 0, traceChunkSize)
-	return &s
-}}
 
 // NewTrace returns an empty trace recorder.
 func NewTrace() *Trace { return &Trace{} }
@@ -48,10 +42,10 @@ func (t *Trace) Count(name string, delta int64) {}
 // Event implements Recorder.
 func (t *Trace) Event(ev Event) {
 	t.mu.Lock()
-	if len(t.chunks) == 0 || len(*t.chunks[len(t.chunks)-1]) == traceChunkSize {
-		t.chunks = append(t.chunks, traceChunkPool.Get().(*[]Event))
+	if len(t.chunks) == 0 || len(t.chunks[len(t.chunks)-1]) == traceChunkSize {
+		t.chunks = append(t.chunks, make([]Event, 0, traceChunkSize))
 	}
-	c := t.chunks[len(t.chunks)-1]
+	c := &t.chunks[len(t.chunks)-1]
 	*c = append(*c, ev)
 	t.n++
 	t.mu.Unlock()
@@ -70,7 +64,7 @@ func (t *Trace) events() []Event {
 	t.mu.Lock()
 	out := make([]Event, 0, t.n)
 	for _, c := range t.chunks {
-		out = append(out, *c...)
+		out = append(out, c...)
 	}
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
