@@ -1,6 +1,8 @@
 // Package parallel is the corpus engine's fan-out layer: deterministic
-// data-parallel primitives shared by corpus generation (internal/webgen)
-// and corpus analysis (internal/core, internal/report).
+// data-parallel primitives shared by corpus generation (internal/webgen),
+// corpus analysis (internal/report, internal/privacy), the scenario
+// matrix (internal/scenario), the CDN deployment's planned days
+// (internal/cdn) and open-loop serving (internal/loadgen).
 //
 // Every primitive splits its index space into contiguous chunks, hands
 // chunks to a bounded worker pool, and recombines per-chunk results in
@@ -51,6 +53,10 @@ func Do(n, workers int, fn func(i int)) {
 // calls newScratch once and hands that value to each fn call it makes.
 // Which indexes share a scratch value depends on scheduling; what fn
 // does must not.
+//
+// With n ≤ workers DoWith runs n goroutines, so a call blocked on
+// another never keeps that other from starting: fn(i) may wait until
+// fn(j) makes progress.
 func DoWith[S any](n, workers int, newScratch func() S, fn func(s S, i int)) {
 	runChunks(n, workers, newScratch, func(s S, _, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var workerCounts = []int{1, 2, 3, 4, 7, 16, 64}
@@ -19,6 +20,28 @@ func TestDoVisitsEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
 			}
 		}
+	}
+}
+
+// With n ≤ workers, DoWith's calls may wait on each other: here every
+// call waits until all n have started. A DoWith that ran fewer
+// goroutines would leave an index unstarted behind the blocked calls.
+// webgen's stream relies on it: each of its workers waits for the caller,
+// which waits for the others.
+func TestDoWithRunsEveryIndexAtOnceUpToWorkers(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{1, 1}, {4, 4}, {3, 16}, {16, 16}} {
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		DoWith(c.n, c.workers, noScratch, func(struct{}, int) {
+			if int(arrived.Add(1)) == c.n {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second):
+				t.Errorf("n=%d workers=%d: only %d calls started", c.n, c.workers, arrived.Load())
+			}
+		})
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"respectorigin/internal/har"
@@ -91,17 +90,20 @@ type StreamResult struct {
 	Failures int // attempts that failed (non-200, CAPTCHA)
 }
 
-// GenerateStream builds a corpus across cfg.Workers goroutines and
-// invokes emit for every successful page in strict rank order as shards
-// complete, without buffering the whole corpus in memory. emit runs on
-// the calling goroutine; returning an error aborts generation.
+// GenerateStream builds a corpus and invokes emit for every successful
+// page in strict rank order as shards complete, without buffering the
+// whole corpus in memory. cfg.Workers goroutines generate; emit runs on
+// the calling goroutine, and returning an error aborts generation.
 //
-// Ranks are split into contiguous shards. Each worker goroutine owns one
-// generator and reuses it for every shard it claims, as the one-worker
-// path reuses one for every rank; every page is a pure function of
-// (Seed, rank, Sites), so the page stream is byte-identical for every
-// worker count. In-flight shards are bounded, so a slow writer cannot
-// make memory grow with corpus size.
+// Ranks are split into contiguous shards of at most 256 ranks. Worker w
+// of the cfg.Workers that parallel.DoWith runs generates shards w,
+// w+Workers, w+2·Workers, … with one generator it reuses for all of
+// them; every page is a pure function of (Seed, rank, Sites), so the
+// page stream is byte-identical for every worker count. A worker hands
+// a finished shard over only when the caller reaches it, so at most
+// cfg.Workers generated shards wait beside the one being emitted, and a
+// slow writer cannot make memory grow with corpus size. GenerateStream
+// returns once every worker has.
 func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, error) {
 	if cfg.Sites <= 0 {
 		return nil, fmt.Errorf("webgen: Sites must be positive")
@@ -122,77 +124,50 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		return &StreamResult{}, nil
 	}
 	workers := parallel.Normalize(cfg.Workers)
-	res := &StreamResult{}
+	span := min(max((nranks+workers*8-1)/(workers*8), 1), 256)
+	// Unbuffered: a worker starts its next shard only once the caller
+	// has taken its last, and DoWith runs every worker at once, so the
+	// shard the caller waits for is always being generated or sent.
+	results := make([]chan shardResult, (nranks+span-1)/span)
+	for i := range results {
+		results[i] = make(chan shardResult)
+	}
+	workers = min(workers, len(results))
+	var failed atomic.Bool // after an emit error, later shards generate nothing
+	workersDone := make(chan struct{})
+	go func() {
+		defer close(workersDone)
+		parallel.DoWith(workers, workers, func() *generator { return newGenerator(cfg) }, func(g *generator, w int) {
+			for s := w; s < len(results); s += workers {
+				var sh shardResult
+				if !failed.Load() {
+					lo := rankLo + s*span
+					sh = genShard(g, lo, min(lo+span, rankHi))
+				}
+				results[s] <- sh
+			}
+		})
+	}()
 
-	emitShard := func(sh shardResult) error {
+	res := &StreamResult{}
+	var err error
+	for _, ch := range results {
+		sh := <-ch
+		if err != nil {
+			continue // drained: its worker waits until the shard is taken
+		}
 		for _, p := range sh.pages {
-			if err := emit(p); err != nil {
-				return err
+			if err = emit(p); err != nil {
+				failed.Store(true)
+				break
 			}
 		}
 		res.Pages += len(sh.pages)
 		res.Failures += sh.failures
-		return nil
 	}
-
-	if workers == 1 {
-		return res, emitShard(genShard(newGenerator(cfg), rankLo, rankHi))
-	}
-
-	span := (nranks + workers*8 - 1) / (workers * 8)
-	if span < 1 {
-		span = 1
-	}
-	if span > 256 {
-		span = 256
-	}
-	nshards := (nranks + span - 1) / span
-	results := make([]chan shardResult, nshards)
-	for i := range results {
-		results[i] = make(chan shardResult, 1)
-	}
-	// tokens bounds generated-but-unemitted shards; done aborts workers
-	// when the writer fails. A worker takes its token before it claims a
-	// shard: claimed the other way round, the worker holding the next
-	// shard to emit can be left waiting for a token while every token
-	// sits on a later shard the writer cannot reach yet.
-	tokens := make(chan struct{}, workers*2)
-	done := make(chan struct{})
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := newGenerator(cfg)
-			for {
-				select {
-				case tokens <- struct{}{}:
-				case <-done:
-					return
-				}
-				s := int(next.Add(1)) - 1
-				if s >= nshards {
-					return
-				}
-				lo := rankLo + s*span
-				hi := lo + span
-				if hi > rankHi {
-					hi = rankHi
-				}
-				results[s] <- genShard(g, lo, hi)
-			}
-		}()
-	}
-	var emitErr error
-	for s := 0; s < nshards && emitErr == nil; s++ {
-		emitErr = emitShard(<-results[s])
-		<-tokens
-	}
-	close(done)
-	wg.Wait()
-	if emitErr != nil {
-		return nil, emitErr
+	<-workersDone
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

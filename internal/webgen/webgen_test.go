@@ -3,7 +3,9 @@ package webgen
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"respectorigin/internal/certs"
 	"respectorigin/internal/corpus"
@@ -143,6 +145,60 @@ func TestGenerateStreamTinyShardsDoNotDeadlock(t *testing.T) {
 		cfg.Seed = seed
 		if _, err := GenerateStream(cfg, func(*har.Page) error { return nil }); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A stream whose first emit fails generates little beyond the shards
+// already in flight: later shards generate nothing. At 4 000 sites a
+// whole corpus is ≈ 13 000 objects (≈ 5 a page); the bound is the
+// first shard, one more per worker and each worker's generator, with
+// room to spare.
+func TestGenerateStreamFailedEmitStopsEarly(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Sites = 4000
+		cfg.Workers = workers
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := GenerateStream(cfg, func(*har.Page) error { return errWriter }); err != errWriter {
+				t.Fatalf("err = %v, want errWriter", err)
+			}
+		})
+		if allocs > 4000 {
+			t.Errorf("workers=%d: a stream that fails at its first emit allocates %.0f objects, want ≤ 4000", workers, allocs)
+		} else {
+			t.Logf("workers=%d: a stream that fails at its first emit allocates %.0f objects", workers, allocs)
+		}
+	}
+}
+
+// GenerateStream returns only after its workers have: the goroutine
+// count is back where it started after a clean stream and after a
+// failed one. A goroutine that has returned can take a moment to leave
+// the count, hence the wait; one an earlier test left may leave it
+// meanwhile, so only a count above the start fails.
+func TestGenerateStreamLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.Sites = 600
+	cfg.Workers = 4
+	for _, failAt := range []int{0, 10} {
+		n := 0
+		_, err := GenerateStream(cfg, func(*har.Page) error {
+			if n++; n == failAt {
+				return errWriter
+			}
+			return nil
+		})
+		if (err != nil) != (failAt > 0) {
+			t.Fatalf("fail at %d: err = %v", failAt, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if now := runtime.NumGoroutine(); now > before {
+			t.Errorf("fail at %d: %d goroutines after the stream, %d before", failAt, now, before)
 		}
 	}
 }
